@@ -649,10 +649,17 @@ pub fn render_profile(report: &ProfileReport) -> String {
 mod tests {
     use super::*;
     use coflow_workloads::{generate_trace, TraceConfig};
+    use std::sync::OnceLock;
 
-    fn tiny_report() -> ProfileReport {
-        let inst = generate_trace(&TraceConfig::small(7));
-        run_profile(&inst, 7, &SimplexOptions::default(), false)
+    /// The report every test reads, computed once: `run_profile` resets and
+    /// toggles the process-global obs registry, so runs from tests on
+    /// parallel threads would wipe each other's counters.
+    fn tiny_report() -> &'static ProfileReport {
+        static REPORT: OnceLock<ProfileReport> = OnceLock::new();
+        REPORT.get_or_init(|| {
+            let inst = generate_trace(&TraceConfig::small(7));
+            run_profile(&inst, 7, &SimplexOptions::default(), false)
+        })
     }
 
     #[test]
@@ -727,7 +734,7 @@ mod tests {
     #[test]
     fn report_json_round_trips_and_self_compares_clean() {
         let report = tiny_report();
-        let rendered = render_json(&report);
+        let rendered = render_json(report);
         let doc = json::parse(&rendered).expect("profile JSON must parse");
         assert_eq!(
             doc.get("schema"),
@@ -746,7 +753,7 @@ mod tests {
     #[test]
     fn comparison_flags_large_slow_stages_only() {
         let report = tiny_report();
-        let baseline = render_json(&report);
+        let baseline = render_json(report);
         let mut slowed = report.clone();
         for cell in &mut slowed.cells {
             cell.stages.simulate_ms = cell.stages.simulate_ms * 10.0 + 50.0;
@@ -763,7 +770,7 @@ mod tests {
 
     #[test]
     fn comparison_rejects_foreign_schemas() {
-        let report = render_json(&tiny_report());
+        let report = render_json(tiny_report());
         let err = compare_reports("{\"schema\": \"other/9\", \"cells\": []}", &report, 0.2);
         assert!(err.is_err());
     }
@@ -795,14 +802,14 @@ mod tests {
     #[test]
     fn mem_report_round_trips_and_self_compares_clean() {
         let report = tiny_report();
-        let rendered = render_mem_json(&report);
+        let rendered = render_mem_json(report);
         let doc = json::parse(&rendered).expect("mem JSON must parse");
         assert_eq!(doc.get("schema"), Some(&JsonValue::Str(MEM_SCHEMA.to_string())));
         let deltas = compare_mem(&rendered, &rendered, 0.25).expect("compare");
         assert_eq!(deltas.len(), MEM_STAGES.len() * 2 + 3);
         assert!(deltas.iter().all(|d| !d.regressed));
         // The grid report embeds the same mem object per cell.
-        let grid = json::parse(&render_json(&report)).expect("grid JSON");
+        let grid = json::parse(&render_json(report)).expect("grid JSON");
         let Some(JsonValue::Arr(cells)) = grid.get("cells") else { panic!("cells") };
         assert!(cells.iter().all(|c| c.get("mem").is_some()));
     }
@@ -810,7 +817,7 @@ mod tests {
     #[test]
     fn mem_comparison_flags_growth_above_floor_and_tolerance() {
         let report = tiny_report();
-        let baseline = render_mem_json(&report);
+        let baseline = render_mem_json(report);
         let mut grown = report.clone();
         for cell in &mut grown.cells {
             cell.mem.alloc_calls = cell.mem.alloc_calls * 3 + 100_000;

@@ -68,8 +68,8 @@ pub use crate::relax::{
 };
 pub use crate::sched::engine::{
     greedy_match, run_policy, run_policy_with_faults, BvnBatchPolicy, Decision, Engine,
-    EngineError, EpochState, GreedyPolicy, HeartbeatPacer, OnlineOptions, OnlineRhoPolicy,
-    Policy, ResilientPolicy,
+    EngineError, EpochState, HeartbeatPacer, OnlineOptions, OnlineRhoPolicy, Policy,
+    ResilientPolicy,
 };
 pub use crate::sched::snapshot::{
     ActiveBatchState, EngineSnapshot, PolicyState, SNAPSHOT_SCHEMA,
@@ -78,7 +78,7 @@ pub use crate::sched::watchdog::{WatchdogConfig, WatchdogPolicy, LADDER_TIER_BAS
 pub use crate::sched::greedy::{run_greedy, run_greedy_with_faults};
 pub use crate::sched::ordered::{
     run_im_purohit, run_im_purohit_with_faults, run_shafiee_ghaderi,
-    run_shafiee_ghaderi_with_faults, ImPurohitPolicy, ShafieeGhaderiPolicy,
+    run_shafiee_ghaderi_with_faults, GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy,
 };
 pub use crate::sched::registry::{
     PolicyCaps, PolicyEntry, PolicyRegistry, DEPRECATED_FLAG_ALIASES,

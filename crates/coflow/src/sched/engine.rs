@@ -25,9 +25,12 @@
 //! diagnostics detectors) exactly like the BvN pipeline does.
 //!
 //! Determinism: each policy ported here reproduces its legacy loop
-//! *bit-identically* — same `ScheduleTrace`, completions, and objective
+//! *bit-identically* — same per-slot schedule, completions, and objective
 //! (differential-tested against frozen copies of the old loops, and pinned
-//! in CI via `experiments pin` / `scripts/check-perf.sh`).
+//! in CI via `experiments pin` / `scripts/check-perf.sh`). The
+//! slot-reactive policies hold each matching until the next event that
+//! can change it ([`hold`]), so their traces group the legacy one-slot
+//! runs into longer ones.
 
 use super::recovery::FaultyOutcome;
 use super::resilient::run_resilient;
@@ -106,6 +109,7 @@ pub struct EpochState<'a> {
     /// The instance being scheduled (full demands, releases, weights).
     pub instance: &'a Instance,
     exec: ExecRef<'a>,
+    window_end: u64,
 }
 
 impl<'a> EpochState<'a> {
@@ -149,6 +153,18 @@ impl<'a> EpochState<'a> {
     /// True when the engine is executing under fault injection.
     pub fn under_faults(&self) -> bool {
         matches!(self.exec, ExecRef::Faulty(_))
+    }
+
+    /// Last slot of the fault window holding slot `now + 1`: the fault
+    /// plan changes nothing in slots `now + 2 ..= window_end`, so a
+    /// [`Decision::Run`] that ends there crosses no
+    /// [`FaultPlan::boundaries`] entry. When the plan changes state in slot
+    /// `now + 1` itself this is `now + 1`, because a cancellation taking
+    /// effect there is not yet visible in the remaining demand read here.
+    /// `u64::MAX` on the clean fabric.
+    #[inline]
+    pub fn window_end(&self) -> u64 {
+        self.window_end
     }
 }
 
@@ -402,6 +418,7 @@ pub fn run_policy<P: Policy + ?Sized>(
             now: fabric.now(),
             instance,
             exec: ExecRef::Clean(&fabric),
+            window_end: u64::MAX,
         })?;
         decisions += 1;
         if pacer.due(decisions) && {
@@ -597,6 +614,22 @@ impl<'a> Engine<'a> {
         );
     }
 
+    /// The last slot of `window`, the fault window of slot `now + 1`, as
+    /// [`EpochState::window_end`] reports it.
+    fn window_end(&self, now: u64, window: usize) -> u64 {
+        // The simulator applies a cancellation only as it enters the
+        // cancelled slot, so when the plan changes state in slot now+1
+        // itself (or at slot 0, before anything ran) the remaining demand a
+        // policy reads may predate the change.
+        let changes_next = self.boundaries.binary_search(&(now + 1)).is_ok()
+            || (now == 0 && self.boundaries.first() == Some(&0));
+        if changes_next {
+            now + 1
+        } else {
+            self.boundaries.get(window).map_or(u64::MAX, |&b| b - 1)
+        }
+    }
+
     /// Runs one decision epoch: consults the policy and applies its
     /// decision. Returns `Ok(false)` when the run is over (all demand
     /// settled, or the policy declared [`Decision::Finished`]) and
@@ -606,10 +639,14 @@ impl<'a> Engine<'a> {
             return Ok(false);
         }
         let now = self.sim.now();
+        // The fault window of slot now+1 is the count of boundaries at or
+        // before it.
+        let window = self.boundaries.partition_point(|&b| b <= now + 1);
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
             exec: ExecRef::Faulty(&self.sim),
+            window_end: self.window_end(now, window),
         })?;
         self.decisions += 1;
         match decision {
@@ -625,10 +662,7 @@ impl<'a> Engine<'a> {
                 self.sim.execute_trace(&trace, stop)?;
             }
             Decision::Run { pairs, duration } => {
-                // One planning epoch per fault window entered: the
-                // window of slot now+1 is the count of boundaries at or
-                // before it.
-                let window = self.boundaries.partition_point(|&b| b <= now + 1);
+                // One planning epoch per fault window entered.
                 if self.last_window != Some(window) {
                     self.last_window = Some(window);
                     self.replans += 1;
@@ -754,8 +788,9 @@ fn step_pairs(
 }
 
 /// Greedily matches free port pairs to candidate coflows in the given
-/// priority order: the shared port-conflict matcher behind both the online
-/// and greedy policies (previously duplicated in `online.rs`/`greedy.rs`).
+/// priority order, scanning each candidate's dense remaining-demand
+/// matrix. The slot-reactive policies compute the same matching from live
+/// flow lists (`FlowMatcher`, tested equal to this reference).
 ///
 /// Scans `candidates` front to back; for each, claims every still-free
 /// `(ingress, egress)` pair with remaining demand. Stops early once all `m`
@@ -791,6 +826,172 @@ where
         }
     }
     moves
+}
+
+/// The greedy matcher of the slot-reactive policies: [`greedy_match`]'s
+/// matching computed over per-coflow live flow lists instead of dense
+/// `m × m` scans, returned in recycled [`Decision::Run`] buffers.
+///
+/// A coflow's list holds its port pairs in row-major order (the order
+/// `IntMatrix::nonzero_entries` yields), built from its full demand on
+/// first use and compacted as pairs drain. Remaining demand never grows, so
+/// the compacted list holds every pair the remaining matrix has demand on,
+/// in the same order. The lists are derived state: a policy rebuilt from a
+/// checkpoint starts again from full demands.
+pub(crate) struct FlowMatcher {
+    flows: Vec<Option<Vec<(usize, usize)>>>,
+    src_used: Vec<bool>,
+    dst_used: Vec<bool>,
+    /// Per-port demand scratch of [`FlowMatcher::load`], zero between calls.
+    row: Vec<u64>,
+    col: Vec<u64>,
+    /// Buffers of applied runs, handed back through [`Policy::recycle`].
+    pairs_pool: Vec<(usize, usize, Vec<usize>)>,
+    spare: Vec<Vec<usize>>,
+}
+
+impl FlowMatcher {
+    pub(crate) fn new(instance: &Instance) -> Self {
+        let m = instance.ports();
+        FlowMatcher {
+            flows: vec![None; instance.len()],
+            src_used: vec![false; m],
+            dst_used: vec![false; m],
+            row: vec![0; m],
+            col: vec![0; m],
+            pairs_pool: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    fn flows_of<'f>(
+        flows: &'f mut [Option<Vec<(usize, usize)>>],
+        instance: &Instance,
+        k: usize,
+    ) -> &'f mut Vec<(usize, usize)> {
+        flows[k].get_or_insert_with(|| {
+            instance
+                .coflow(k)
+                .demand
+                .nonzero_entries()
+                .map(|(i, j, _)| (i, j))
+                .collect()
+        })
+    }
+
+    /// Removes the settled (drained or cancelled) coflows from `coflows`
+    /// and drops their flow lists: settled coflows are never scanned
+    /// again. Returns true when any coflow was removed.
+    pub(crate) fn retain_unsettled(
+        &mut self,
+        coflows: &mut Vec<usize>,
+        state: &EpochState<'_>,
+    ) -> bool {
+        let before = coflows.len();
+        coflows.retain(|&k| {
+            let unsettled = state.remaining_total(k) > 0;
+            if !unsettled {
+                self.flows[k] = None;
+            }
+            unsettled
+        });
+        coflows.len() != before
+    }
+
+    /// `ρ` of coflow `k`'s remaining demand — what
+    /// `state.remaining_matrix(k).load()` returns — summed over its flow
+    /// list, without allocating.
+    pub(crate) fn load(&mut self, state: &EpochState<'_>, k: usize) -> u64 {
+        let remaining = state.remaining_matrix(k);
+        let FlowMatcher {
+            flows, row, col, ..
+        } = self;
+        let list = Self::flows_of(flows, state.instance, k);
+        for &(i, j) in list.iter() {
+            let r = remaining[(i, j)];
+            row[i] += r;
+            col[j] += r;
+        }
+        let mut load = 0;
+        for &(i, j) in list.iter() {
+            load = load.max(row[i]).max(col[j]);
+        }
+        for &(i, j) in list.iter() {
+            row[i] = 0;
+            col[j] = 0;
+        }
+        load
+    }
+
+    /// Greedily matches free port pairs to `candidates` in priority order,
+    /// exactly as [`greedy_match`] does. Returns the matching as
+    /// single-candidate run pairs, with the least remaining demand on a
+    /// matched pair (`u64::MAX` when nothing matched): no matched pair can
+    /// drain sooner.
+    pub(crate) fn matching<I: IntoIterator<Item = usize>>(
+        &mut self,
+        state: &EpochState<'_>,
+        candidates: I,
+    ) -> (Vec<(usize, usize, Vec<usize>)>, u64) {
+        let m = state.instance.ports();
+        let FlowMatcher {
+            flows,
+            src_used,
+            dst_used,
+            pairs_pool,
+            spare,
+            ..
+        } = self;
+        src_used.fill(false);
+        dst_used.fill(false);
+        let mut pairs = std::mem::take(pairs_pool);
+        let mut min_remaining = u64::MAX;
+        for k in candidates {
+            if pairs.len() == m {
+                break;
+            }
+            let remaining = state.remaining_matrix(k);
+            Self::flows_of(flows, state.instance, k).retain(|&(i, j)| {
+                let r = remaining[(i, j)];
+                if r == 0 {
+                    return false;
+                }
+                if !src_used[i] && !dst_used[j] {
+                    src_used[i] = true;
+                    dst_used[j] = true;
+                    min_remaining = min_remaining.min(r);
+                    let mut prio = spare.pop().unwrap_or_default();
+                    prio.push(k);
+                    pairs.push((i, j, prio));
+                }
+                true
+            });
+        }
+        (pairs, min_remaining)
+    }
+
+    /// Takes back an applied run's buffers (see [`Policy::recycle`]).
+    pub(crate) fn recycle(&mut self, mut pairs: Vec<(usize, usize, Vec<usize>)>) {
+        for (_, _, mut prio) in pairs.drain(..) {
+            prio.clear();
+            self.spare.push(prio);
+        }
+        self.pairs_pool = pairs;
+    }
+}
+
+/// How long a slot-reactive policy holds a greedy matching: until the next
+/// event that can change it. The matching depends only on the priority
+/// order and on which pairs of active coflows still have demand, and
+/// between events neither changes. The events are: a matched pair drains
+/// (`min_remaining` slots at the earliest — blocked units only delay it),
+/// the next coflow is released (`next_release`), or the fault window ends
+/// ([`EpochState::window_end`]). Holding the matching that long schedules
+/// exactly what re-matching every slot would.
+pub(crate) fn hold(state: &EpochState<'_>, min_remaining: u64, next_release: u64) -> u64 {
+    min_remaining
+        .min(next_release - state.now)
+        .min(state.window_end() - state.now)
 }
 
 // ---------------------------------------------------------------------------
@@ -1390,9 +1591,10 @@ impl OnlineOptions {
 /// The online scheduler: maintains a priority order over *released,
 /// unfinished* coflows by the Smith-style ratio `ρ(remaining) / weight`
 /// (the online analogue of `H_ρ`) and serves a greedy matching in priority
-/// order every slot. Never looks at coflows before their release dates, so
-/// its decisions are legitimately online — which also makes it safe to run
-/// under fault injection: it replans from live state every slot.
+/// order, held until the next event that can change it ([`hold`]). Never
+/// looks at coflows before their release dates, so its decisions are
+/// legitimately online — which also makes it safe to run under fault
+/// injection: it replans from live state at every decision.
 pub struct OnlineRhoPolicy {
     opts: OnlineOptions,
     weights: Vec<f64>,
@@ -1400,8 +1602,9 @@ pub struct OnlineRhoPolicy {
     events: Vec<(u64, usize)>,
     next_event: usize,
     active: Vec<usize>,
-    src_used: Vec<bool>,
-    dst_used: Vec<bool>,
+    /// Re-sort scratch: `(ρ(remaining)/w, coflow)` per active coflow.
+    keys: Vec<(f64, usize)>,
+    matcher: FlowMatcher,
 }
 
 impl OnlineRhoPolicy {
@@ -1432,7 +1635,6 @@ impl OnlineRhoPolicy {
     /// Builds the policy over the instance's arrival events.
     pub fn new(instance: &Instance, opts: OnlineOptions) -> Self {
         let n = instance.len();
-        let m = instance.ports();
         let mut events: Vec<(u64, usize)> =
             instance.releases().iter().copied().zip(0..n).collect();
         events.sort_unstable();
@@ -1442,8 +1644,8 @@ impl OnlineRhoPolicy {
             events,
             next_event: 0,
             active: Vec::new(),
-            src_used: vec![false; m],
-            dst_used: vec![false; m],
+            keys: Vec::new(),
+            matcher: FlowMatcher::new(instance),
         }
     }
 }
@@ -1458,9 +1660,7 @@ impl Policy for OnlineRhoPolicy {
         // Coflows drained (or cancelled) since the previous decision leave
         // the active set; with `resort_on_completion` that also refreshes
         // the priorities.
-        let before = self.active.len();
-        self.active.retain(|&k| state.remaining_total(k) > 0);
-        let completed = self.active.len() != before;
+        let completed = self.matcher.retain_unsettled(&mut self.active, state);
         // Admit arrivals with release <= now (servable from slot now+1 on).
         let mut admitted = false;
         while self.next_event < self.events.len() && self.events[self.next_event].0 <= now {
@@ -1472,12 +1672,17 @@ impl Policy for OnlineRhoPolicy {
             }
         }
         if admitted || (self.opts.resort_on_completion && completed) {
-            let weights = &self.weights;
-            self.active.sort_by(|&a, &b| {
-                let ka = state.remaining_matrix(a).load() as f64 / weights[a];
-                let kb = state.remaining_matrix(b).load() as f64 / weights[b];
-                ka.total_cmp(&kb).then(a.cmp(&b))
-            });
+            // One key per coflow per re-sort. The id tie-break makes the
+            // order total, so the unstable sort is deterministic.
+            self.keys.clear();
+            for &k in &self.active {
+                let key = self.matcher.load(state, k) as f64 / self.weights[k];
+                self.keys.push((key, k));
+            }
+            self.keys
+                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            self.active.clear();
+            self.active.extend(self.keys.iter().map(|&(_, k)| k));
         }
         if self.active.is_empty() {
             if self.next_event == self.events.len() {
@@ -1488,18 +1693,18 @@ impl Policy for OnlineRhoPolicy {
             // Idle until the next arrival.
             return Ok(Decision::Advance(self.events[self.next_event].0));
         }
-        let moves = greedy_match(
-            state.instance.ports(),
-            self.active.iter().copied(),
-            |k| state.remaining_matrix(k),
-            &mut self.src_used,
-            &mut self.dst_used,
-        );
-        debug_assert!(!moves.is_empty(), "active coflows must be servable");
+        let (pairs, min_remaining) = self.matcher.matching(state, self.active.iter().copied());
+        debug_assert!(!pairs.is_empty(), "active coflows must be servable");
+        // Admission consumed every release at or before `now`.
+        let next_release = self.events.get(self.next_event).map_or(u64::MAX, |&(r, _)| r);
         Ok(Decision::Run {
-            pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-            duration: 1,
+            pairs,
+            duration: hold(state, min_remaining, next_release),
         })
+    }
+
+    fn recycle(&mut self, pairs: Vec<(usize, usize, Vec<usize>)>) {
+        self.matcher.recycle(pairs);
     }
 
     fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
@@ -1507,84 +1712,6 @@ impl Policy for OnlineRhoPolicy {
             resort_on_completion: self.opts.resort_on_completion,
             next_event: self.next_event,
             active: self.active.clone(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GreedyPolicy: the priority-greedy slot-by-slot baseline.
-// ---------------------------------------------------------------------------
-
-/// The work-conserving greedy baseline (in the spirit of Varys): every
-/// slot, scan coflows in the committed order and greedily match any free
-/// (ingress, egress) pair with remaining demand. Never plans ahead, so it
-/// wastes no capacity on augmentation but offers no worst-case guarantee.
-pub struct GreedyPolicy {
-    order: Vec<usize>,
-    releases: Vec<u64>,
-    src_used: Vec<bool>,
-    dst_used: Vec<bool>,
-}
-
-impl GreedyPolicy {
-    /// Builds the policy with the given committed coflow order.
-    pub fn new(instance: &Instance, order: Vec<usize>) -> Self {
-        let m = instance.ports();
-        GreedyPolicy {
-            releases: instance.releases(),
-            order,
-            src_used: vec![false; m],
-            dst_used: vec![false; m],
-        }
-    }
-}
-
-impl Policy for GreedyPolicy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-        let slot = state.now + 1;
-        let releases = &self.releases;
-        let candidates = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&k| state.remaining_total(k) > 0 && releases[k] < slot);
-        let moves = greedy_match(
-            state.instance.ports(),
-            candidates,
-            |k| state.remaining_matrix(k),
-            &mut self.src_used,
-            &mut self.dst_used,
-        );
-        if moves.is_empty() {
-            // Nothing servable: jump to the next release to avoid spinning.
-            // (Any released coflow with remaining demand would have matched
-            // on a free fabric, so unserved demand is strictly future.)
-            let next_release = releases
-                .iter()
-                .enumerate()
-                .filter(|&(k, &r)| state.remaining_total(k) > 0 && r >= slot)
-                .map(|(_, &r)| r)
-                .min()
-                .unwrap_or_else(|| unreachable!("unfinished demand must have a future release"));
-            return Ok(Decision::Advance(next_release));
-        }
-        Ok(Decision::Run {
-            pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-            duration: 1,
-        })
-    }
-
-    fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
-        self.order.clone()
-    }
-
-    fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
-        Some(super::snapshot::PolicyState::Greedy {
-            order: self.order.clone(),
         })
     }
 }
@@ -1735,6 +1862,53 @@ mod tests {
         // Coflow 0 claims (0,0); its (0,1) conflicts on the ingress; coflow
         // 1 then claims (1,1).
         assert_eq!(moves, vec![(0, 0, 0), (1, 1, 1)]);
+    }
+
+    #[test]
+    fn flow_matcher_reproduces_the_dense_matcher_and_load() {
+        // Drain the instance one slot at a time; at every slot the
+        // live-list matching, its drain bound and every ρ(remaining) must
+        // equal the dense scans.
+        let instance = inst();
+        let demands = instance.demand_matrices();
+        let releases = instance.releases();
+        let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
+        let mut matcher = FlowMatcher::new(&instance);
+        let (mut src, mut dst) = (vec![false; 2], vec![false; 2]);
+        while !fabric.all_done() {
+            let pairs = {
+                let state = EpochState {
+                    now: fabric.now(),
+                    instance: &instance,
+                    exec: ExecRef::Clean(&fabric),
+                    window_end: u64::MAX,
+                };
+                let live = || {
+                    [2usize, 0, 1].into_iter().filter(|&k| {
+                        state.remaining_total(k) > 0 && releases[k] <= state.now
+                    })
+                };
+                let dense =
+                    greedy_match(2, live(), |k| state.remaining_matrix(k), &mut src, &mut dst);
+                let (pairs, min_remaining) = matcher.matching(&state, live());
+                let held: Vec<(usize, usize, usize)> =
+                    pairs.iter().map(|(i, j, prio)| (*i, *j, prio[0])).collect();
+                assert_eq!(held, dense);
+                let least = dense.iter().map(|&(i, j, k)| state.remaining(k, i, j)).min();
+                assert_eq!(min_remaining, least.unwrap_or(u64::MAX));
+                for k in live() {
+                    assert_eq!(matcher.load(&state, k), state.remaining_matrix(k).load());
+                }
+                pairs
+            };
+            if pairs.is_empty() {
+                let next = fabric.now() + 1;
+                fabric.advance_to(next);
+            } else {
+                fabric.apply_run(&pairs, 1);
+            }
+            matcher.recycle(pairs);
+        }
     }
 
     #[test]

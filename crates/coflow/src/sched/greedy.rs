@@ -7,12 +7,13 @@
 //! worst-case guarantee. Used as an additional comparison point in the
 //! experiment harness.
 //!
-//! The implementation lives in [`engine::GreedyPolicy`]; these entry points
-//! are shims over the engine, which also makes the baseline composable with
-//! fault injection ([`run_greedy_with_faults`]).
+//! The implementation lives in [`ordered::GreedyPolicy`]; these entry
+//! points are shims over the engine, which also makes the baseline
+//! composable with fault injection ([`run_greedy_with_faults`]).
 
 use crate::instance::Instance;
-use crate::sched::engine::{run_policy, run_policy_with_faults, GreedyPolicy};
+use crate::sched::engine::{run_policy, run_policy_with_faults};
+use crate::sched::ordered::GreedyPolicy;
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{FaultPlan, SimError};

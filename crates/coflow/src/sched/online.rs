@@ -6,9 +6,9 @@
 //! online heuristic the paper's framework suggests: maintain a priority
 //! order over *released, unfinished* coflows by the Smith-style ratio
 //! `ρ(remaining demand) / weight` — the online analogue of `H_ρ` — and
-//! re-sort whenever the order can change; every slot, serve a greedy
-//! matching in priority order (work conserving, like the backfilled
-//! schedules).
+//! re-sort whenever the order can change; serve a greedy matching in
+//! priority order (work conserving, like the backfilled schedules), held
+//! until the next event that can change it.
 //!
 //! The scheduler never looks at coflows before their release dates, so its
 //! decisions are legitimately online. The implementation lives in
@@ -42,7 +42,7 @@ pub fn run_online_opts(instance: &Instance, opts: OnlineOptions) -> ScheduleOutc
 }
 
 /// Runs the online scheduler under fault injection: the policy replans
-/// from live (post-fault) remaining demand every slot, so no separate
+/// from live (post-fault) remaining demand at every decision, so no separate
 /// recovery logic is needed — blocked units strand and are re-served when
 /// a path reopens, and cancellations drop out of the active set.
 pub fn run_online_with_faults(

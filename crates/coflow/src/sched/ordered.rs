@@ -1,9 +1,10 @@
-//! Successor-paper schedulers as first-class engine policies.
+//! Fixed-order schedulers: a committed coflow permutation served by one
+//! shared work-conserving dispatcher.
 //!
-//! Two post-QSZ15 algorithms sharpened the paper's deterministic 67/3
-//! guarantee, and both factor cleanly into *permutation + work-conserving
-//! service*:
+//! Three policies factor as *permutation + work-conserving service*:
 //!
+//! * [`GreedyPolicy`] — the priority-greedy baseline (in the spirit of
+//!   Varys) over a caller-supplied order.
 //! * [`ShafieeGhaderiPolicy`] — the LP-free combinatorial algorithm of
 //!   Shafiee & Ghaderi (arXiv:1704.08357, 5-approximation): a primal-dual
 //!   sweep over the 2m port loads builds the coflow permutation from the
@@ -17,88 +18,150 @@
 //!   fixed priority order. The permutation is [`OrderRule::LpBased`]
 //!   (`H_LP`).
 //!
-//! Service is the shared [`OrderedDispatch`]: every slot, scan released
-//! unfinished coflows in the committed permutation and greedily match free
-//! (ingress, egress) pairs — the engine's priority-greedy discipline,
+//! Service is the shared [`OrderedDispatch`]: released unfinished coflows
+//! are scanned in the committed permutation and free (ingress, egress)
+//! pairs matched greedily — the engine's priority-greedy discipline,
 //! which is work-conserving and preemptive at slot granularity, as both
-//! papers assume. The permutations are the papers' contributions; the
-//! approximation bounds (5 and 4, vs the interval-LP lower bound) are
-//! asserted empirically by the bench crate's tournament tests.
+//! successor papers assume. Each matching is held until the next event
+//! that can change it ([`hold`]), which schedules exactly what
+//! re-matching every slot would. The permutations are the papers'
+//! contributions; the approximation bounds (5 and 4, vs the interval-LP
+//! lower bound) are asserted empirically by the bench crate's tournament
+//! tests.
 //!
-//! Both policies reread remaining demand live from [`EpochState`], so
-//! they react to faults (stranded units are rescanned, cancellations
-//! leave the scan) and run unchanged under
+//! All three reread remaining demand live from [`EpochState`], so they
+//! react to faults (stranded units are rescanned, cancellations leave the
+//! scan) and run unchanged under
 //! [`run_policy_with_faults`](super::engine::run_policy_with_faults).
 //! Planning state is just the committed permutation, captured in
-//! [`PolicyState::ShafieeGhaderi`] / [`PolicyState::ImPurohit`], so the
-//! PR-6 checkpoint/watchdog machinery applies verbatim.
+//! [`PolicyState::Greedy`] / [`PolicyState::ShafieeGhaderi`] /
+//! [`PolicyState::ImPurohit`], so the checkpoint/watchdog machinery
+//! applies verbatim.
 
 use crate::error::SchedError;
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
 use crate::sched::engine::{
-    greedy_match, run_policy, run_policy_with_faults, Decision, EpochState, Policy,
+    hold, run_policy, run_policy_with_faults, Decision, EpochState, FlowMatcher, Policy,
 };
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::snapshot::PolicyState;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{FaultPlan, SimError};
 
-/// The shared slot-reactive dispatcher: a committed coflow permutation
-/// served work-conservingly, one slot at a time. Identical service
-/// discipline to the engine's greedy baseline; the owning policy supplies
-/// the permutation and the snapshot identity.
+/// The shared fixed-order dispatcher: a committed coflow permutation
+/// served work-conservingly. Each decision greedily matches the released
+/// unfinished coflows in permutation order and holds the matching until
+/// the next event that can change it; the owning policy supplies the
+/// permutation and the snapshot identity.
 struct OrderedDispatch {
     order: Vec<usize>,
-    releases: Vec<u64>,
-    src_used: Vec<bool>,
-    dst_used: Vec<bool>,
+    /// `order` without the coflows already settled (drained or
+    /// cancelled), compacted as they settle. Derived state: a restored
+    /// dispatcher starts again from `order`.
+    live: Vec<usize>,
+    /// `(release, coflow)` in time order; `next_release` indexes the first
+    /// one after the current time.
+    releases: Vec<(u64, usize)>,
+    next_release: usize,
+    matcher: FlowMatcher,
 }
 
 impl OrderedDispatch {
     fn new(instance: &Instance, order: Vec<usize>) -> Self {
-        let m = instance.ports();
+        let mut releases: Vec<(u64, usize)> = instance.releases().into_iter().zip(0..).collect();
+        releases.sort_unstable();
         OrderedDispatch {
-            releases: instance.releases(),
+            live: order.clone(),
             order,
-            src_used: vec![false; m],
-            dst_used: vec![false; m],
+            releases,
+            next_release: 0,
+            matcher: FlowMatcher::new(instance),
         }
     }
 
     fn decide(&mut self, state: &EpochState<'_>) -> Decision {
-        let slot = state.now + 1;
-        let releases = &self.releases;
-        let candidates = self
-            .order
+        let now = state.now;
+        self.matcher.retain_unsettled(&mut self.live, state);
+        while self
+            .releases
+            .get(self.next_release)
+            .is_some_and(|&(r, _)| r <= now)
+        {
+            self.next_release += 1;
+        }
+        // The next release of a coflow with demand: the next event that
+        // can add a candidate.
+        let next_release = self.releases[self.next_release..]
             .iter()
-            .copied()
-            .filter(|&k| state.remaining_total(k) > 0 && releases[k] < slot);
-        let moves = greedy_match(
-            state.instance.ports(),
-            candidates,
-            |k| state.remaining_matrix(k),
-            &mut self.src_used,
-            &mut self.dst_used,
+            .find(|&&(_, k)| state.remaining_total(k) > 0)
+            .map(|&(r, _)| r);
+        let instance = state.instance;
+        let (pairs, min_remaining) = self.matcher.matching(
+            state,
+            self.live
+                .iter()
+                .copied()
+                .filter(|&k| instance.coflow(k).release <= now),
         );
-        if moves.is_empty() {
+        if pairs.is_empty() {
+            self.matcher.recycle(pairs);
             // Nothing servable now: all remaining demand is strictly
             // future (a released coflow would have matched on the free
             // fabric), so jump to the next release instead of spinning.
-            let next_release = self
-                .releases
-                .iter()
-                .enumerate()
-                .filter(|&(k, &r)| state.remaining_total(k) > 0 && r >= slot)
-                .map(|(_, &r)| r)
-                .min()
+            let next_release = next_release
                 .unwrap_or_else(|| unreachable!("unfinished demand must have a future release"));
             return Decision::Advance(next_release);
         }
         Decision::Run {
-            pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-            duration: 1,
+            pairs,
+            duration: hold(state, min_remaining, next_release.unwrap_or(u64::MAX)),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Greedy: the priority-greedy baseline over a caller-supplied order.
+// ---------------------------------------------------------------------------
+
+/// The work-conserving greedy baseline (in the spirit of Varys): the
+/// shared dispatcher over the committed order it is given. Never plans
+/// ahead, so it wastes no capacity on augmentation but offers no
+/// worst-case guarantee.
+pub struct GreedyPolicy {
+    core: OrderedDispatch,
+}
+
+impl GreedyPolicy {
+    /// Builds the policy with the given committed coflow order.
+    pub fn new(instance: &Instance, order: Vec<usize>) -> Self {
+        GreedyPolicy {
+            core: OrderedDispatch::new(instance, order),
+        }
+    }
+}
+
+impl Policy for GreedyPolicy {
+    fn name(&self) -> &'static str {
+        "greedy"
+    }
+
+    fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
+        Ok(self.core.decide(state))
+    }
+
+    fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
+        self.core.order.clone()
+    }
+
+    fn recycle(&mut self, pairs: Vec<(usize, usize, Vec<usize>)>) {
+        self.core.matcher.recycle(pairs);
+    }
+
+    fn capture_state(&self) -> Option<PolicyState> {
+        Some(PolicyState::Greedy {
+            order: self.core.order.clone(),
+        })
     }
 }
 
@@ -141,6 +204,10 @@ impl Policy for ShafieeGhaderiPolicy {
         self.core.order.clone()
     }
 
+    fn recycle(&mut self, pairs: Vec<(usize, usize, Vec<usize>)>) {
+        self.core.matcher.recycle(pairs);
+    }
+
     fn capture_state(&self) -> Option<PolicyState> {
         Some(PolicyState::ShafieeGhaderi {
             order: self.core.order.clone(),
@@ -157,8 +224,8 @@ pub fn run_shafiee_ghaderi(instance: &Instance) -> ScheduleOutcome {
     }
 }
 
-/// Runs the Shafiee–Ghaderi scheduler under fault injection: the slot
-/// rescan replans from live remaining demand, so stranded units are
+/// Runs the Shafiee–Ghaderi scheduler under fault injection: every
+/// decision replans from live remaining demand, so stranded units are
 /// re-served when a path reopens and cancellations leave the scan.
 pub fn run_shafiee_ghaderi_with_faults(
     instance: &Instance,
@@ -205,6 +272,10 @@ impl Policy for ImPurohitPolicy {
 
     fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
         self.core.order.clone()
+    }
+
+    fn recycle(&mut self, pairs: Vec<(usize, usize, Vec<usize>)>) {
+        self.core.matcher.recycle(pairs);
     }
 
     fn capture_state(&self) -> Option<PolicyState> {

@@ -27,9 +27,9 @@
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
 use crate::sched::engine::{
-    BvnBatchPolicy, GreedyPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
+    BvnBatchPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
 };
-use crate::sched::ordered::{ImPurohitPolicy, ShafieeGhaderiPolicy};
+use crate::sched::ordered::{GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy};
 use crate::sched::{AlgorithmSpec, ExecOptions};
 use coflow_lp::SimplexOptions;
 use std::sync::OnceLock;

@@ -21,9 +21,8 @@
 //! version is required for any change to the meaning or encoding of an
 //! existing field.
 
-use super::engine::{
-    BvnBatchPolicy, GreedyPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
-};
+use super::engine::{BvnBatchPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy};
+use super::ordered::GreedyPolicy;
 use super::watchdog::{WatchdogConfig, WatchdogPolicy};
 use super::{AlgorithmSpec, ExecOptions};
 use crate::instance::Instance;

@@ -39,9 +39,9 @@
 //! fire on every decision deterministically.
 
 use super::engine::{
-    BvnBatchPolicy, Decision, EpochState, GreedyPolicy, OnlineOptions, OnlineRhoPolicy, Policy,
-    ResilientPolicy,
+    BvnBatchPolicy, Decision, EpochState, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
 };
+use super::ordered::GreedyPolicy;
 use super::snapshot::PolicyState;
 use crate::error::SchedError;
 use crate::instance::Instance;

@@ -391,6 +391,10 @@ pub struct FaultSim {
     blocked_units: u64,
     blocked_log: Vec<BlockedSlot>,
     blocked_log_dropped: u64,
+    /// Port-occupancy scratch reused by every [`FaultSim::step`]; not part
+    /// of the captured state.
+    src_used: Vec<bool>,
+    dst_used: Vec<bool>,
 }
 
 impl FaultSim {
@@ -417,6 +421,8 @@ impl FaultSim {
             blocked_units: 0,
             blocked_log: Vec::new(),
             blocked_log_dropped: 0,
+            src_used: vec![false; m],
+            dst_used: vec![false; m],
         }
     }
 
@@ -518,8 +524,8 @@ impl FaultSim {
         let slot = self.now + 1;
         // Cancellations effective at this slot fire before service.
         self.apply_cancellations();
-        let mut src_used = vec![false; self.m];
-        let mut dst_used = vec![false; self.m];
+        self.src_used.fill(false);
+        self.dst_used.fill(false);
         let mut out = SlotOutcome {
             slot,
             ..SlotOutcome::default()
@@ -534,14 +540,14 @@ impl FaultSim {
             if k >= self.remaining.len() {
                 return Err(SimError::UnknownCoflow { coflow: k });
             }
-            if src_used[i] {
+            if self.src_used[i] {
                 return Err(SimError::PortMatchedTwice { slot, port: i, ingress: true });
             }
-            if dst_used[j] {
+            if self.dst_used[j] {
                 return Err(SimError::PortMatchedTwice { slot, port: j, ingress: false });
             }
-            src_used[i] = true;
-            dst_used[j] = true;
+            self.src_used[i] = true;
+            self.dst_used[j] = true;
             if self.cancelled[k] {
                 out.dropped.push((i, j, k));
                 continue;
@@ -928,6 +934,8 @@ impl FaultSim {
             blocked_units: state.blocked_units,
             blocked_log: state.blocked_log,
             blocked_log_dropped: state.blocked_log_dropped,
+            src_used: vec![false; state.m],
+            dst_used: vec![false; state.m],
         })
     }
 
