@@ -33,7 +33,7 @@
 //! runs into longer ones.
 
 use super::recovery::FaultyOutcome;
-use super::resilient::run_resilient;
+use super::resilient::plan_resilient_until;
 use super::{AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use crate::coflow::Coflow;
 use crate::error::SchedError;
@@ -109,6 +109,7 @@ pub struct EpochState<'a> {
     /// The instance being scheduled (full demands, releases, weights).
     pub instance: &'a Instance,
     exec: ExecRef<'a>,
+    next_boundary: u64,
     window_end: u64,
 }
 
@@ -155,12 +156,22 @@ impl<'a> EpochState<'a> {
         matches!(self.exec, ExecRef::Faulty(_))
     }
 
+    /// The first [`FaultPlan::boundaries`] entry after slot `now + 1`: the
+    /// slot before which the engine stops a [`Decision::Execute`] trace.
+    /// Runs of the trace starting at or after it are never executed.
+    /// `u64::MAX` on the clean fabric and past the plan's last boundary.
+    #[inline]
+    pub fn next_boundary(&self) -> u64 {
+        self.next_boundary
+    }
+
     /// Last slot of the fault window holding slot `now + 1`: the fault
     /// plan changes nothing in slots `now + 2 ..= window_end`, so a
     /// [`Decision::Run`] that ends there crosses no
     /// [`FaultPlan::boundaries`] entry. When the plan changes state in slot
     /// `now + 1` itself this is `now + 1`, because a cancellation taking
     /// effect there is not yet visible in the remaining demand read here.
+    /// Otherwise it is the slot before [`EpochState::next_boundary`];
     /// `u64::MAX` on the clean fabric.
     #[inline]
     pub fn window_end(&self) -> u64 {
@@ -407,17 +418,58 @@ pub fn run_policy<P: Policy + ?Sized>(
     policy: &mut P,
 ) -> Result<ScheduleOutcome, SchedError> {
     let _span = obs::span("sched.engine");
+    let fabric = drive(instance, policy, u64::MAX)?;
+    assert!(
+        fabric.all_done(),
+        "engine: policy '{}' finished with undelivered demand (scheduler bug)",
+        policy.name()
+    );
+    let (trace, completions) = fabric.finish();
+    let objective = instance.objective(&completions);
+    let order = policy.final_order(&completions);
+    Ok(ScheduleOutcome {
+        order,
+        completions,
+        objective,
+        trace,
+    })
+}
+
+/// The trace [`run_policy`] would record, cut after the last run that
+/// starts before slot `horizon`: the clean engine is causal, so every run
+/// it records before `horizon` is the full run's, and later decisions are
+/// never made. `u64::MAX` runs to completion.
+pub(crate) fn run_policy_until<P: Policy + ?Sized>(
+    instance: &Instance,
+    policy: &mut P,
+    horizon: u64,
+) -> Result<ScheduleTrace, SchedError> {
+    let _span = obs::span("sched.engine");
+    let fabric = drive(instance, policy, horizon)?;
+    Ok(fabric.finish_partial().0)
+}
+
+/// The clean engine's decision loop, shared by [`run_policy`] and
+/// [`run_policy_until`]: consults `policy` while demand is undelivered and
+/// the next slot `now + 1` lies before `horizon`, then calls
+/// [`Policy::finish`].
+fn drive<P: Policy + ?Sized>(
+    instance: &Instance,
+    policy: &mut P,
+    horizon: u64,
+) -> Result<Fabric, SchedError> {
     let demands = instance.demand_matrices();
     let releases = instance.releases();
     let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
     let mut decisions: u64 = 0;
     let mut last_beat = Instant::now();
     let mut pacer = HeartbeatPacer::default();
-    while !fabric.all_done() {
+    while !fabric.all_done() && fabric.now().saturating_add(1) < horizon {
         let decision = policy.decide(&EpochState {
             now: fabric.now(),
             instance,
             exec: ExecRef::Clean(&fabric),
+            next_boundary: u64::MAX,
             window_end: u64::MAX,
         })?;
         decisions += 1;
@@ -480,20 +532,7 @@ pub fn run_policy<P: Policy + ?Sized>(
             epoch_ms,
         );
     }
-    assert!(
-        fabric.all_done(),
-        "engine: policy '{}' finished with undelivered demand (scheduler bug)",
-        policy.name()
-    );
-    let (trace, completions) = fabric.finish();
-    let objective = instance.objective(&completions);
-    let order = policy.final_order(&completions);
-    Ok(ScheduleOutcome {
-        order,
-        completions,
-        objective,
-        trace,
-    })
+    Ok(fabric)
 }
 
 /// Runs `policy` to quiescence under `plan` on a fault-injecting simulator.
@@ -614,22 +653,6 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// The last slot of `window`, the fault window of slot `now + 1`, as
-    /// [`EpochState::window_end`] reports it.
-    fn window_end(&self, now: u64, window: usize) -> u64 {
-        // The simulator applies a cancellation only as it enters the
-        // cancelled slot, so when the plan changes state in slot now+1
-        // itself (or at slot 0, before anything ran) the remaining demand a
-        // policy reads may predate the change.
-        let changes_next = self.boundaries.binary_search(&(now + 1)).is_ok()
-            || (now == 0 && self.boundaries.first() == Some(&0));
-        if changes_next {
-            now + 1
-        } else {
-            self.boundaries.get(window).map_or(u64::MAX, |&b| b - 1)
-        }
-    }
-
     /// Runs one decision epoch: consults the policy and applies its
     /// decision. Returns `Ok(false)` when the run is over (all demand
     /// settled, or the policy declared [`Decision::Finished`]) and
@@ -640,13 +663,26 @@ impl<'a> Engine<'a> {
         }
         let now = self.sim.now();
         // The fault window of slot now+1 is the count of boundaries at or
-        // before it.
+        // before it; the next boundary after now+1 ends it, and stops an
+        // executed trace (the plan's end when there is none).
         let window = self.boundaries.partition_point(|&b| b <= now + 1);
+        let stop = self.boundaries.get(window).copied();
+        // The simulator applies a cancellation only as it enters the
+        // cancelled slot, so when the plan changes state in slot now+1
+        // itself (or at slot 0, before anything ran) the remaining demand a
+        // policy reads may predate the change.
+        let changes_next = (window > 0 && self.boundaries[window - 1] == now + 1)
+            || (now == 0 && self.boundaries.first() == Some(&0));
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
             exec: ExecRef::Faulty(&self.sim),
-            window_end: self.window_end(now, window),
+            next_boundary: stop.unwrap_or(u64::MAX),
+            window_end: if changes_next {
+                now + 1
+            } else {
+                stop.map_or(u64::MAX, |b| b - 1)
+            },
         })?;
         self.decisions += 1;
         match decision {
@@ -658,7 +694,6 @@ impl<'a> Engine<'a> {
                 // Execute until the fault state next changes (needing
                 // ≥ 1 slot of progress), or to the end of the plan when
                 // it never does again.
-                let stop = self.boundaries.iter().copied().find(|&b| b > now + 1);
                 self.sim.execute_trace(&trace, stop)?;
             }
             Decision::Run { pairs, duration } => {
@@ -1050,6 +1085,7 @@ pub struct BvnBatchPolicy {
     spare: Vec<Vec<usize>>,
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
+    slot_order: SlotOrder,
     /// Per-batch `sched.simulate` span, held across decisions while the
     /// batch's chunks execute (kept so the obs stage taxonomy matches the
     /// legacy loop). Must be `None` before a new span is assigned.
@@ -1133,6 +1169,7 @@ impl BvnBatchPolicy {
             spare: Vec::new(),
             src_used: vec![false; m],
             dst_used: vec![false; m],
+            slot_order: SlotOrder::default(),
             sim_span: None,
         }
     }
@@ -1297,68 +1334,182 @@ impl BvnBatchPolicy {
         }
         pairs
     }
+}
 
-    /// Orders the decomposition's matchings so the group's coflows complete
-    /// in priority order. Algorithm 1 admits any slot order (the group
-    /// still clears in exactly ρ slots, so Lemma 4 and Proposition 1 are
-    /// untouched), but applying, for each group coflow in order, the slots
-    /// that still serve it lets that coflow finish as early as the
-    /// decomposition allows instead of at the group's end. Leftover slots
-    /// (serving only backfill demand) run last.
-    fn order_slots(
-        &self,
+/// Marks a port pair no member of the batch being ordered needs.
+const NO_QUEUE: u32 = u32::MAX;
+
+/// Orders a batch's BvN slots so its members complete in priority order.
+/// Algorithm 1 admits any slot order (the group still clears in exactly ρ
+/// slots, so Lemma 4 and Proposition 1 are untouched), but applying, for
+/// each member in order, the slots that still serve it lets that member
+/// finish as early as the decomposition allows instead of at the group's
+/// end. Leftover slots (serving only backfill demand) run last.
+///
+/// A slot serves its pairs' members in batch order, so each port pair a
+/// member still needs has a queue of the members needing it, drained from
+/// the front. The queues live in one CSR layout (queue `q` owns entries
+/// `start[q]..start[q + 1]`) whose buffers are reused across batches.
+/// While member `b` is placed every earlier member is drained, so a slot
+/// serves `b` exactly when `b` heads the queue of one of the slot's pairs;
+/// and `b`'s picks strictly increase, since the pairs it needs only ever
+/// shrink. One forward cursor per member therefore picks the slots a
+/// rescan of the pending slots from the first would pick, for every pick
+/// (that quadratic rescan is the reference the tests compare against).
+#[derive(Default)]
+struct SlotOrder {
+    /// Queue of each port pair `i * m + j`; `NO_QUEUE` between batches.
+    queue_of: Vec<u32>,
+    /// Member heading the queue of each port pair; `NO_QUEUE` when none.
+    front_of: Vec<u32>,
+    /// Port pair of each queue.
+    pair_of: Vec<usize>,
+    /// Entry offsets of the queues (their sizes while counting).
+    start: Vec<usize>,
+    /// First entry of each queue with units left; entries before it are
+    /// drained.
+    head: Vec<usize>,
+    /// Units the heading member has left on each queue's pair.
+    left: Vec<u64>,
+    /// Queue entries: the members needing the pair, in batch order.
+    member: Vec<u32>,
+    /// The queue of each member's pairs, member after member.
+    staged: Vec<u32>,
+    /// Pairs each member still has units on.
+    need: Vec<usize>,
+    /// Slots already placed in the sequence.
+    taken: Vec<bool>,
+}
+
+impl SlotOrder {
+    /// The order in which to apply `dec`'s slots to `batch`, whose
+    /// members' remaining demand `dec` covers.
+    fn order(
+        &mut self,
         state: &EpochState<'_>,
+        batch: &[usize],
         dec: &BvnDecomposition,
-        b_idx: usize,
     ) -> Vec<usize> {
-        let instance = state.instance;
-        let batch = &self.batches[b_idx];
-        let mut slot_sequence: Vec<usize> = Vec::with_capacity(dec.slots.len());
-        let mut pending: Vec<usize> = (0..dec.slots.len()).collect();
-        let mut rem: Vec<IntMatrix> = batch
-            .iter()
-            .map(|&k| {
-                let mut r = IntMatrix::zeros(instance.ports());
-                for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
-                    r[(i, j)] = state.remaining(k, i, j);
+        let m = state.instance.ports();
+        let slots = &dec.slots;
+        let SlotOrder {
+            queue_of,
+            front_of,
+            pair_of,
+            start,
+            head,
+            left,
+            member,
+            staged,
+            need,
+            taken,
+        } = self;
+        if queue_of.len() != m * m {
+            *queue_of = vec![NO_QUEUE; m * m];
+            *front_of = vec![NO_QUEUE; m * m];
+        }
+        pair_of.clear();
+        start.clear();
+        staged.clear();
+        need.clear();
+        for &k in batch {
+            let before = staged.len();
+            let rem = state.remaining_matrix(k).as_slice();
+            for p in (0..rem.len()).filter(|&p| rem[p] > 0) {
+                if queue_of[p] == NO_QUEUE {
+                    queue_of[p] = pair_of.len() as u32;
+                    pair_of.push(p);
+                    start.push(0);
                 }
-                r
-            })
-            .collect();
-        for (member, _k) in batch.iter().enumerate() {
-            while !rem[member].is_zero() {
-                // First pending slot that serves this coflow: within a
-                // group, pairs serve members in order, so any slot covering
-                // a pair with remaining demand serves it.
-                let found = pending.iter().position(|&s| {
-                    dec.slots[s]
+                start[queue_of[p] as usize] += 1;
+                staged.push(queue_of[p]);
+            }
+            need.push(staged.len() - before);
+        }
+        // Queue sizes to offsets; each queue lists its members in order.
+        let mut total = 0;
+        for s in start.iter_mut() {
+            let len = *s;
+            *s = total;
+            total += len;
+        }
+        start.push(total);
+        let queues = pair_of.len();
+        head.clear();
+        head.extend_from_slice(&start[..queues]);
+        member.clear();
+        member.resize(total, 0);
+        let mut staged_from = 0;
+        for (b, &len) in need.iter().enumerate() {
+            for &q in &staged[staged_from..staged_from + len] {
+                let e = &mut head[q as usize];
+                member[*e] = b as u32;
+                *e += 1;
+            }
+            staged_from += len;
+        }
+        head.copy_from_slice(&start[..queues]);
+        // A member's units on a pair are read when it reaches the front.
+        let units_of = |b: u32, p: usize| state.remaining_matrix(batch[b as usize]).as_slice()[p];
+        left.clear();
+        for (q, &p) in pair_of.iter().enumerate() {
+            front_of[p] = member[start[q]];
+            left.push(units_of(member[start[q]], p));
+        }
+
+        taken.clear();
+        taken.resize(slots.len(), false);
+        let mut sequence = Vec::with_capacity(slots.len());
+        for b in 0..batch.len() {
+            let mut cursor = 0;
+            while need[b] > 0 {
+                let serves_b = |s: usize| {
+                    slots[s]
                         .perm
                         .pairs()
-                        .any(|(i, j)| rem[member][(i, j)] > 0)
-                });
-                let Some(p_idx) = found else {
-                    unreachable!("BvN coverage must clear every group coflow")
+                        .any(|(i, j)| front_of[i * m + j] == b as u32)
                 };
-                let s = pending.remove(p_idx);
-                let q = dec.slots[s].count;
-                // Account the service this slot gives each group member
-                // (pairs serve members in order).
-                for (i, j) in dec.slots[s].perm.pairs() {
-                    let mut budget = q;
-                    for r in rem.iter_mut() {
-                        if budget == 0 {
-                            break;
-                        }
-                        let take = r[(i, j)].min(budget);
-                        r[(i, j)] -= take;
+                while cursor < slots.len() && (taken[cursor] || !serves_b(cursor)) {
+                    cursor += 1;
+                }
+                if cursor == slots.len() {
+                    unreachable!("BvN coverage must clear every group coflow");
+                }
+                taken[cursor] = true;
+                sequence.push(cursor);
+                // The slot's service on each pair goes to the queue's
+                // members in order.
+                let count = slots[cursor].count;
+                for (i, j) in slots[cursor].perm.pairs() {
+                    let p = i * m + j;
+                    if queue_of[p] == NO_QUEUE {
+                        continue;
+                    }
+                    let q = queue_of[p] as usize;
+                    let mut budget = count;
+                    while budget > 0 && head[q] < start[q + 1] {
+                        let take = left[q].min(budget);
+                        left[q] -= take;
                         budget -= take;
+                        if left[q] == 0 {
+                            need[member[head[q]] as usize] -= 1;
+                            head[q] += 1;
+                            front_of[p] = NO_QUEUE;
+                            if head[q] < start[q + 1] {
+                                front_of[p] = member[head[q]];
+                                left[q] = units_of(member[head[q]], p);
+                            }
+                        }
                     }
                 }
-                slot_sequence.push(s);
             }
         }
-        slot_sequence.extend(pending);
-        slot_sequence
+        sequence.extend((0..slots.len()).filter(|&s| !taken[s]));
+        for &p in pair_of.iter() {
+            queue_of[p] = NO_QUEUE;
+            front_of[p] = NO_QUEUE;
+        }
+        sequence
     }
 }
 
@@ -1493,7 +1644,12 @@ impl Policy for BvnBatchPolicy {
                 },
             };
 
-            let slot_sequence = self.order_slots(state, &dec, b_idx);
+            let slot_sequence = self.slot_order.order(state, &self.batches[b_idx], &dec);
+            if b_idx + 1 == self.batches.len() {
+                // No batch is left to order: release the buffers before
+                // the schedule's trace reaches its full size.
+                self.slot_order = SlotOrder::default();
+            }
             let chunked = chunk_slots(slot_sequence, &dec, self.opts.rematch);
 
             obs::counter_add("coflow.sched.batches", 1);
@@ -1722,11 +1878,15 @@ impl Policy for OnlineRhoPolicy {
 
 /// The recovery policy: at each planning epoch, builds the residual
 /// instance (live coflows, remaining demand, releases clamped to now) and
-/// plans it with [`run_resilient`] — degrading `H_LP → H_ρ → H_A` under
-/// the configured solver budgets — then hands the planned trace to the
-/// engine to execute until the fault state next changes. This is the
-/// legacy `run_with_faults` epoch loop, expressed as a policy; it requires
-/// the fault-aware engine ([`run_policy_with_faults`]).
+/// plans it like [`super::resilient::run_resilient`] — degrading
+/// `H_LP → H_ρ → H_A` under the configured solver budgets — then hands the
+/// planned trace to the engine to execute until the fault state next
+/// changes. Planning stops at that boundary
+/// ([`EpochState::next_boundary`]): the runs it leaves out would never be
+/// executed, and the clean planning engine is causal, so the runs it keeps
+/// are exactly the full plan's. This is the legacy `run_with_faults` epoch
+/// loop, expressed as a policy; it requires the fault-aware engine
+/// ([`run_policy_with_faults`]).
 pub struct ResilientPolicy {
     spec: AlgorithmSpec,
     lp_opts: SimplexOptions,
@@ -1797,11 +1957,17 @@ impl Policy for ResilientPolicy {
             return Ok(Decision::Advance(now + 1));
         }
         let residual_instance = Instance::new(instance.ports(), residual);
-        let planned = run_resilient(&residual_instance, &self.spec, &self.lp_opts);
-        self.last_tier = planned.tier;
+        // The engine executes the plan only up to the next fault boundary,
+        // so planning stops there too.
+        let (mut trace, tier) = plan_resilient_until(
+            &residual_instance,
+            &self.spec,
+            &self.lp_opts,
+            state.next_boundary(),
+        );
+        self.last_tier = tier;
 
         // The planner numbers coflows by residual index; map back.
-        let mut trace = planned.outcome.trace;
         for run in &mut trace.runs {
             for t in &mut run.transfers {
                 t.coflow = residual_to_orig[t.coflow];
@@ -1824,6 +1990,7 @@ mod tests {
     use super::*;
     use crate::instance::Instance;
     use coflow_matching::IntMatrix;
+    use proptest::prelude::*;
 
     fn inst() -> Instance {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 1], [0, 2]])).with_weight(2.0);
@@ -1881,6 +2048,7 @@ mod tests {
                     now: fabric.now(),
                     instance: &instance,
                     exec: ExecRef::Clean(&fabric),
+                    next_boundary: u64::MAX,
                     window_end: u64::MAX,
                 };
                 let live = || {
@@ -1908,6 +2076,171 @@ mod tests {
                 fabric.apply_run(&pairs, 1);
             }
             matcher.recycle(pairs);
+        }
+    }
+
+    /// The slot ordering [`SlotOrder`] replaced, kept as its reference:
+    /// for each member in order, rescan the pending slots from the first
+    /// for one covering a pair the member still needs, and account every
+    /// picked slot's service against dense per-member remainders.
+    fn order_slots_reference(
+        state: &EpochState<'_>,
+        batch: &[usize],
+        dec: &BvnDecomposition,
+    ) -> Vec<usize> {
+        let instance = state.instance;
+        let mut slot_sequence: Vec<usize> = Vec::with_capacity(dec.slots.len());
+        let mut pending: Vec<usize> = (0..dec.slots.len()).collect();
+        let mut rem: Vec<IntMatrix> = batch
+            .iter()
+            .map(|&k| {
+                let mut r = IntMatrix::zeros(instance.ports());
+                for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
+                    r[(i, j)] = state.remaining(k, i, j);
+                }
+                r
+            })
+            .collect();
+        for member in 0..batch.len() {
+            while !rem[member].is_zero() {
+                let found = pending.iter().position(|&s| {
+                    dec.slots[s]
+                        .perm
+                        .pairs()
+                        .any(|(i, j)| rem[member][(i, j)] > 0)
+                });
+                let Some(p_idx) = found else {
+                    unreachable!("BvN coverage must clear every group coflow")
+                };
+                let s = pending.remove(p_idx);
+                let q = dec.slots[s].count;
+                for (i, j) in dec.slots[s].perm.pairs() {
+                    let mut budget = q;
+                    for r in rem.iter_mut() {
+                        if budget == 0 {
+                            break;
+                        }
+                        let take = r[(i, j)].min(budget);
+                        r[(i, j)] -= take;
+                        budget -= take;
+                    }
+                }
+                slot_sequence.push(s);
+            }
+        }
+        slot_sequence.extend(pending);
+        slot_sequence
+    }
+
+    /// SplitMix64 finalizer: a deterministic shuffle key.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One batch-ordering case: fabric width, each member's full demand
+    /// and how it was drained, plus a seed for the batch order and the
+    /// decomposition's slot order and extra slots.
+    type SlotOrderCase = (usize, Vec<(Vec<u64>, Vec<u64>, u8)>, u64, usize);
+
+    fn slot_order_case() -> impl Strategy<Value = SlotOrderCase> {
+        (1usize..7, 1usize..7).prop_flat_map(|(m, n)| {
+            (
+                Just(m),
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec(0u64..7, m * m),
+                        proptest::collection::vec(0u64..4, m * m),
+                        0u8..4,
+                    ),
+                    n,
+                ),
+                any::<u64>(),
+                0usize..3,
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The one-pass ordering emits the reference's slot sequence on
+        /// random batches — members with no demand or already drained,
+        /// partly drained remainders (what backfilling leaves), single
+        /// members — over their remainders' BvN decomposition with its
+        /// slots shuffled and unneeded slots appended, and again on a
+        /// prefix of the batch with the same buffers.
+        #[test]
+        fn slot_order_matches_the_quadratic_reference(case in slot_order_case()) {
+            let (m, members, seed, extra) = case;
+            let n = members.len();
+            let mut coflows = Vec::with_capacity(n);
+            let mut remaining = Vec::with_capacity(n);
+            for (k, (data, drain, mode)) in members.into_iter().enumerate() {
+                // Mode 0: no demand; 1: fully drained; 2: untouched;
+                // 3: partly drained.
+                let full: Vec<u64> = data
+                    .iter()
+                    .map(|&d| if mode == 0 { 0 } else { d.saturating_sub(2) })
+                    .collect();
+                let rem: Vec<u64> = full
+                    .iter()
+                    .zip(&drain)
+                    .map(|(&f, &d)| match mode {
+                        1 => 0,
+                        3 => f.saturating_sub(d),
+                        _ => f,
+                    })
+                    .collect();
+                coflows.push(Coflow::new(k, IntMatrix::from_rows(m, full)));
+                remaining.push(IntMatrix::from_rows(m, rem));
+            }
+            let instance = Instance::new(m, coflows);
+            let fabric = Fabric::new(m, &remaining, &vec![0; n]);
+            let state = EpochState {
+                now: 0,
+                instance: &instance,
+                exec: ExecRef::Clean(&fabric),
+                next_boundary: u64::MAX,
+                window_end: u64::MAX,
+            };
+            let mut batch: Vec<usize> = (0..n).collect();
+            batch.sort_by_key(|&k| mix(seed ^ k as u64));
+            let mut agg = IntMatrix::zeros(m);
+            for r in &remaining {
+                for (i, j, v) in r.nonzero_entries() {
+                    agg[(i, j)] += v;
+                }
+            }
+            let mut dec = bvn_decompose(&agg);
+            let mut keyed: Vec<(u64, MatchingSlot)> = dec
+                .slots
+                .drain(..)
+                .enumerate()
+                .map(|(s, slot)| (mix(seed.rotate_left(17) ^ s as u64), slot))
+                .collect();
+            keyed.sort_by_key(|(key, _)| *key);
+            dec.slots = keyed.into_iter().map(|(_, slot)| slot).collect();
+            for e in 0..extra as u64 {
+                let mut map: Vec<usize> = (0..m).collect();
+                map.sort_by_key(|&i| mix(seed ^ (e << 32) ^ i as u64));
+                dec.slots.push(MatchingSlot {
+                    perm: Permutation::new(map),
+                    count: 1 + mix(seed ^ e) % 3,
+                });
+            }
+            let mut order = SlotOrder::default();
+            prop_assert_eq!(
+                order.order(&state, &batch, &dec),
+                order_slots_reference(&state, &batch, &dec)
+            );
+            let prefix = &batch[..n.div_ceil(2)];
+            prop_assert_eq!(
+                order.order(&state, prefix, &dec),
+                order_slots_reference(&state, prefix, &dec)
+            );
         }
     }
 

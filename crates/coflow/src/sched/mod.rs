@@ -26,7 +26,7 @@ use crate::instance::Instance;
 use crate::intervals::GeometricGrid;
 use crate::ordering::{compute_order, OrderRule};
 use coflow_netsim::ScheduleTrace;
-use engine::{run_policy, BvnBatchPolicy};
+use engine::{run_policy, run_policy_until, BvnBatchPolicy};
 use rand::Rng;
 
 /// One cell of the §4 experiment grid.
@@ -133,12 +133,37 @@ pub fn run_with_order_opts(
     grouping: bool,
     opts: ExecOptions,
 ) -> ScheduleOutcome {
-    let batches: Vec<Vec<usize>> = if grouping {
-        group_by_doubling(instance, &order).groups
+    let batches = batches_of(instance, &order, grouping);
+    execute_batches(instance, order, batches, opts)
+}
+
+/// The schedule [`run_with_order_opts`] would record, cut after the last
+/// run that starts before slot `horizon` (see
+/// [`engine::run_policy_until`]).
+pub(crate) fn plan_with_order_until(
+    instance: &Instance,
+    order: Vec<usize>,
+    grouping: bool,
+    opts: ExecOptions,
+    horizon: u64,
+) -> ScheduleTrace {
+    let batches = batches_of(instance, &order, grouping);
+    let _span = obs::span("sched.execute");
+    let mut policy = BvnBatchPolicy::new(instance, order, batches, opts);
+    match run_policy_until(instance, &mut policy, horizon) {
+        Ok(trace) => trace,
+        Err(e) => unreachable!("batch policy is infallible: {}", e),
+    }
+}
+
+/// Algorithm 2's doubling groups of `order` when `grouping` is on,
+/// singleton batches otherwise.
+fn batches_of(instance: &Instance, order: &[usize], grouping: bool) -> Vec<Vec<usize>> {
+    if grouping {
+        group_by_doubling(instance, order).groups
     } else {
         order.iter().map(|&k| vec![k]).collect()
-    };
-    execute_batches(instance, order, batches, opts)
+    }
 }
 
 /// [`run_with_order`] plus the *work-conserving rematch* extension: when a

@@ -85,8 +85,13 @@ pub fn run_with_faults_strict(
 
 /// Verifies a [`FaultyOutcome`] against the instance and plan: every
 /// executed slot satisfies the `2m` matching constraints and moves only
-/// real, released, un-cancelled demand over open links; every non-cancelled
-/// coflow's demand is delivered exactly. Returns the first violation found.
+/// real, released demand over open links, before its coflow's cancellation
+/// slot; every non-cancelled coflow's demand is delivered exactly. The
+/// completions are derived from the replay — a coflow completes in its
+/// last delivered slot once all its demand is delivered, a zero-demand
+/// coflow at its release date — and must equal the reported ones, and
+/// `Σ w·C` recomputed from them in coflow order must equal the reported
+/// objective bit for bit. Returns the first violation found.
 pub fn verify_faulty_outcome(
     instance: &Instance,
     plan: &FaultPlan,
@@ -94,7 +99,16 @@ pub fn verify_faulty_outcome(
 ) -> Result<(), String> {
     let m = instance.ports();
     let n = instance.len();
+    if out.completions.len() != n {
+        return Err(format!(
+            "{} completions reported for {} coflows",
+            out.completions.len(),
+            n
+        ));
+    }
+    let cancellation: Vec<Option<u64>> = (0..n).map(|k| plan.cancellation(k)).collect();
     let mut delivered: Vec<u64> = vec![0; n];
+    let mut last_slot: Vec<u64> = vec![0; n];
     let mut per_pair: Vec<std::collections::HashMap<(usize, usize), u64>> =
         vec![std::collections::HashMap::new(); n];
     for run in &out.executed.runs {
@@ -125,15 +139,14 @@ pub fn verify_faulty_outcome(
             if instance.coflow(t.coflow).release >= slot {
                 return Err(format!("slot {}: coflow {} before release", slot, t.coflow));
             }
-            if let Some(at) = plan.cancellation(t.coflow) {
-                if slot >= at && out.completions[t.coflow].is_none() {
-                    return Err(format!(
-                        "slot {}: served cancelled coflow {}",
-                        slot, t.coflow
-                    ));
-                }
+            if cancellation[t.coflow].is_some_and(|at| slot >= at) {
+                return Err(format!(
+                    "slot {}: served cancelled coflow {}",
+                    slot, t.coflow
+                ));
             }
             delivered[t.coflow] += 1;
+            last_slot[t.coflow] = last_slot[t.coflow].max(slot);
             *per_pair[t.coflow].entry((t.src, t.dst)).or_insert(0) += 1;
         }
     }
@@ -144,23 +157,40 @@ pub fn verify_faulty_outcome(
                 return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
             }
         }
-        match out.completions[k] {
-            Some(_) => {
-                if delivered[k] != c.total_units() {
-                    return Err(format!(
-                        "coflow {}: completed but delivered {} of {}",
-                        k,
-                        delivered[k],
-                        c.total_units()
-                    ));
-                }
-            }
-            None => {
-                if plan.cancellation(k).is_none() {
-                    return Err(format!("coflow {}: incomplete but never cancelled", k));
-                }
-            }
+        let completion = if c.total_units() == 0 {
+            Some(c.release)
+        } else if delivered[k] == c.total_units() {
+            Some(last_slot[k])
+        } else {
+            None
+        };
+        if completion.is_none() && cancellation[k].is_none() {
+            return Err(format!(
+                "coflow {}: incomplete ({} of {} units) but never cancelled",
+                k,
+                delivered[k],
+                c.total_units()
+            ));
         }
+        if completion != out.completions[k] {
+            return Err(format!(
+                "coflow {}: reported completion {:?}, replay gives {:?}",
+                k, out.completions[k], completion
+            ));
+        }
+    }
+    // The reported completions now equal the replay's.
+    let objective: f64 = out
+        .completions
+        .iter()
+        .zip(instance.coflows())
+        .filter_map(|(c, cf)| c.map(|t| cf.weight * t as f64))
+        .sum();
+    if objective.to_bits() != out.objective.to_bits() {
+        return Err(format!(
+            "reported objective {} differs from the replay's {}",
+            out.objective, objective
+        ));
     }
     Ok(())
 }
@@ -241,6 +271,62 @@ mod tests {
         assert!(out.degraded(), "0-pivot budget must force the fallback tier");
         assert!(out.tiers.iter().all(|&t| t == 1));
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
+    }
+
+    /// `Σ w·C` over the completed coflows, as the engine computes it.
+    fn objective_of(instance: &Instance, completions: &[Option<u64>]) -> f64 {
+        completions
+            .iter()
+            .zip(instance.coflows())
+            .filter_map(|(c, cf)| c.map(|t| cf.weight * t as f64))
+            .sum()
+    }
+
+    #[test]
+    fn rejects_service_after_a_cancellation_even_when_complete() {
+        let instance = inst();
+        let spec = AlgorithmSpec::algorithm2();
+        let clean = FaultPlan::default();
+        let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &clean);
+        verify_faulty_outcome(&instance, &clean, &out).unwrap();
+        // Against a plan cancelling coflow 1 in its completion slot, the
+        // outcome serves it after the cancellation yet reports it complete.
+        let at = out.completions[1].expect("clean run completes coflow 1");
+        let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 1, at }]);
+        let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
+        assert!(err.contains("served cancelled coflow 1"), "{}", err);
+    }
+
+    #[test]
+    fn rejects_a_completion_shifted_by_one_slot() {
+        let instance = inst();
+        let spec = AlgorithmSpec::algorithm2();
+        let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 4 }]);
+        let mut out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        verify_faulty_outcome(&instance, &plan, &out).unwrap();
+        let c = out.completions[0].expect("coflow 0 is never cancelled");
+        out.completions[0] = Some(c + 1);
+        // The objective agrees with the doctored completions, so only the
+        // replay's completion slot can expose them.
+        out.objective = objective_of(&instance, &out.completions);
+        let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
+        assert!(err.contains("coflow 0: reported completion"), "{}", err);
+    }
+
+    #[test]
+    fn rejects_an_objective_one_ulp_off() {
+        let instance = inst();
+        let spec = AlgorithmSpec::algorithm2();
+        let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 2, at: 3 }]);
+        let mut out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        verify_faulty_outcome(&instance, &plan, &out).unwrap();
+        assert_eq!(
+            out.objective.to_bits(),
+            objective_of(&instance, &out.completions).to_bits()
+        );
+        out.objective = f64::from_bits(out.objective.to_bits() + 1);
+        let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
+        assert!(err.contains("objective"), "{}", err);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! harnesses can report degradation counts and the TWCT cost of falling
 //! back.
 
-use super::{run_with_order, AlgorithmSpec, ScheduleOutcome};
+use super::{plan_with_order_until, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use crate::error::SchedError;
 use crate::instance::Instance;
 use crate::ordering::{try_compute_order_with, OrderRule};
 use coflow_lp::SimplexOptions;
+use coflow_netsim::ScheduleTrace;
 use std::time::{Duration, Instant};
 
 /// One failed tier of the fallback chain: which rule ran, the error it
@@ -93,6 +94,57 @@ pub fn run_resilient_chain(
     chain: &[OrderRule],
     lp_opts: &SimplexOptions,
 ) -> Result<ResilientOutcome, SchedError> {
+    let chosen = order_by_chain(instance, chain, lp_opts)?;
+    let outcome = run_with_order(instance, chosen.order, spec.grouping, spec.backfill);
+    Ok(ResilientOutcome {
+        outcome,
+        requested: spec.order,
+        used: chosen.used,
+        tier: chosen.tier,
+        failures: chosen.failures,
+    })
+}
+
+/// The trace [`run_resilient`] would plan, cut after the last run that
+/// starts before slot `horizon` (`u64::MAX`: the whole plan), with the
+/// fallback tier that produced it. The same chain orders the coflows; the
+/// scheduling stage stops at `horizon` and decomposes each batch only
+/// when it runs, so batches past `horizon` cost nothing.
+pub(crate) fn plan_resilient_until(
+    instance: &Instance,
+    spec: &AlgorithmSpec,
+    lp_opts: &SimplexOptions,
+    horizon: u64,
+) -> (ScheduleTrace, usize) {
+    let chosen = match order_by_chain(instance, &fallback_chain(spec.order), lp_opts) {
+        Ok(chosen) => chosen,
+        Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
+    };
+    let opts = ExecOptions {
+        backfill: spec.backfill,
+        sequential_decompose: true,
+        ..ExecOptions::default()
+    };
+    let trace = plan_with_order_until(instance, chosen.order, spec.grouping, opts, horizon);
+    (trace, chosen.tier)
+}
+
+/// The ordering stage of the chain: the order from the first tier of
+/// `chain` that succeeds.
+struct ChainOrder {
+    order: Vec<usize>,
+    used: OrderRule,
+    tier: usize,
+    failures: Vec<FailedAttempt>,
+}
+
+/// Tries each rule of `chain` in turn and returns the first order computed,
+/// recording every failure with its wall-clock cost.
+fn order_by_chain(
+    instance: &Instance,
+    chain: &[OrderRule],
+    lp_opts: &SimplexOptions,
+) -> Result<ChainOrder, SchedError> {
     let mut failures: Vec<FailedAttempt> = Vec::new();
     for (tier, &rule) in chain.iter().enumerate() {
         let attempt_start = Instant::now();
@@ -101,10 +153,8 @@ pub fn run_resilient_chain(
                 if tier > 0 {
                     obs::counter_add("coflow.resilient.degraded_runs", 1);
                 }
-                let outcome = run_with_order(instance, order, spec.grouping, spec.backfill);
-                return Ok(ResilientOutcome {
-                    outcome,
-                    requested: spec.order,
+                return Ok(ChainOrder {
+                    order,
                     used: rule,
                     tier,
                     failures,
