@@ -4,8 +4,9 @@
 //!   (the incremental-BvN inner loop);
 //! * full BvN decomposition at the grid's port counts m ∈ {16, 60, 150};
 //! * schedule execution, run-length vs unit-slot, on both the clean fabric
-//!   (`Fabric::apply_run` vs `SlotSim`) and the fault executor
-//!   (`FaultSim::execute_trace` vs `execute_trace_slotwise`).
+//!   (`Fabric::apply_run` vs `SlotSim`) and the fault executor, replaying
+//!   a trace (`FaultSim::execute_trace` vs `execute_trace_slotwise`) or
+//!   holding its matchings (`FaultSim::apply_run` vs `apply_run_slotwise`).
 //!
 //! Set `CRITERION_JSON=<file>` to append one JSON line per benchmark for
 //! the perf harness.
@@ -102,6 +103,9 @@ fn long_schedule(m: usize, n: usize) -> (ScheduleTrace, Vec<IntMatrix>, Vec<u64>
     (trace, demands, vec![0; n])
 }
 
+/// A held matching's `(ingress, egress, priority-ordered coflows)` pairs.
+type HeldPairs = Vec<(usize, usize, Vec<usize>)>;
+
 fn bench_execution(c: &mut Criterion) {
     let m = 60;
     let (trace, demands, releases) = long_schedule(m, 40);
@@ -111,6 +115,44 @@ fn bench_execution(c: &mut Criterion) {
         FaultEvent::LinkDegraded { src: 5, dst: 5, start: 100, end: 900, stride: 3 },
         FaultEvent::CoflowCancelled { coflow: 1, at: 300 },
     ]);
+    // Each run of the schedule as a held matching: one pair per transfer.
+    let holds: Vec<(HeldPairs, u64)> = trace
+        .runs
+        .iter()
+        .map(|run| {
+            let pairs = run.transfers.iter().map(|t| (t.src, t.dst, vec![t.coflow])).collect();
+            (pairs, run.duration)
+        })
+        .collect();
+    let hold_all = |sim: &mut FaultSim, slotwise: bool| {
+        for (pairs, duration) in &holds {
+            let held = if slotwise {
+                sim.apply_run_slotwise(black_box(pairs), *duration)
+            } else {
+                sim.apply_run(black_box(pairs), *duration)
+            };
+            held.expect("valid hold");
+        }
+    };
+
+    // Each pair of executors must agree before their timings mean anything.
+    let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
+    let mut b = FaultSim::new(m, &demands, &releases, plan.clone());
+    a.execute_trace(&trace, None).expect("valid trace");
+    b.execute_trace_slotwise(&trace, None).expect("valid trace");
+    let (ta, ca, _) = a.finish();
+    let (tb, cb, _) = b.finish();
+    assert_eq!(ta, tb, "run-length and unit-slot executed traces must match");
+    assert_eq!(ca, cb);
+    let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
+    let mut b = FaultSim::new(m, &demands, &releases, plan.clone());
+    hold_all(&mut a, false);
+    hold_all(&mut b, true);
+    let (ta, ca, _) = a.finish();
+    let (tb, cb, _) = b.finish();
+    assert_eq!(ta, tb, "run-length and unit-slot held matchings must match");
+    assert_eq!(ca, cb);
+
     let mut group = c.benchmark_group("execute");
     group.sample_size(10);
     group.bench_function("fault_runlength", |b| {
@@ -124,6 +166,20 @@ fn bench_execution(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = FaultSim::new(m, &demands, &releases, plan.clone());
             sim.execute_trace_slotwise(black_box(&trace), None).expect("valid trace");
+            black_box(sim.blocked_units())
+        })
+    });
+    group.bench_function("fault_apply_run", |b| {
+        b.iter(|| {
+            let mut sim = FaultSim::new(m, &demands, &releases, plan.clone());
+            hold_all(&mut sim, false);
+            black_box(sim.blocked_units())
+        })
+    });
+    group.bench_function("fault_apply_run_unit_slot", |b| {
+        b.iter(|| {
+            let mut sim = FaultSim::new(m, &demands, &releases, plan.clone());
+            hold_all(&mut sim, true);
             black_box(sim.blocked_units())
         })
     });
@@ -149,16 +205,6 @@ fn bench_execution(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // The two fault executors must agree before their timings mean anything.
-    let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
-    let mut b = FaultSim::new(m, &demands, &releases, plan);
-    a.execute_trace(&trace, None).expect("valid trace");
-    b.execute_trace_slotwise(&trace, None).expect("valid trace");
-    let (ta, ca, _) = a.finish();
-    let (tb, cb, _) = b.finish();
-    assert_eq!(ta, tb, "run-length and unit-slot executed traces must match");
-    assert_eq!(ca, cb);
 }
 
 criterion_group!(benches, bench_hopcroft_karp, bench_bvn, bench_execution);

@@ -572,7 +572,6 @@ pub fn run_policy_with_faults<P: Policy + ?Sized>(
 pub struct Engine<'a> {
     instance: &'a Instance,
     sim: FaultSim,
-    boundaries: Vec<u64>,
     replans: usize,
     tiers: Vec<usize>,
     last_window: Option<usize>,
@@ -596,7 +595,6 @@ impl<'a> Engine<'a> {
         Engine {
             instance,
             sim,
-            boundaries: plan.boundaries(),
             replans: 0,
             tiers: Vec::new(),
             last_window: None,
@@ -662,17 +660,18 @@ impl<'a> Engine<'a> {
             return Ok(false);
         }
         let now = self.sim.now();
+        let boundaries = self.sim.index().boundaries();
         // The fault window of slot now+1 is the count of boundaries at or
         // before it; the next boundary after now+1 ends it, and stops an
         // executed trace (the plan's end when there is none).
-        let window = self.boundaries.partition_point(|&b| b <= now + 1);
-        let stop = self.boundaries.get(window).copied();
+        let window = boundaries.partition_point(|&b| b <= now + 1);
+        let stop = boundaries.get(window).copied();
         // The simulator applies a cancellation only as it enters the
         // cancelled slot, so when the plan changes state in slot now+1
         // itself (or at slot 0, before anything ran) the remaining demand a
         // policy reads may predate the change.
-        let changes_next = (window > 0 && self.boundaries[window - 1] == now + 1)
-            || (now == 0 && self.boundaries.first() == Some(&0));
+        let changes_next = (window > 0 && boundaries[window - 1] == now + 1)
+            || (now == 0 && boundaries.first() == Some(&0));
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
@@ -705,7 +704,7 @@ impl<'a> Engine<'a> {
                     obs::counter_add("coflow.recovery.epochs", 1);
                     self.sample_progress(policy.name());
                 }
-                step_pairs(&mut self.sim, &pairs, duration)?;
+                self.sim.apply_run(&pairs, duration)?;
                 policy.recycle(pairs);
             }
             Decision::Advance(t) => self.sim.advance_to(t),
@@ -781,13 +780,11 @@ impl<'a> Engine<'a> {
             return Err(bad("snapshot release dates disagree with instance"));
         }
         let policy = snapshot.policy.rebuild(instance)?;
-        let boundaries = snapshot.sim.plan.boundaries();
         let sim = FaultSim::from_state(snapshot.sim)?;
         Ok((
             Engine {
                 instance,
                 sim,
-                boundaries,
                 replans: snapshot.replans,
                 tiers: snapshot.tiers,
                 last_window: snapshot.last_window,
@@ -798,28 +795,6 @@ impl<'a> Engine<'a> {
             policy,
         ))
     }
-}
-
-/// Executes a `pairs`/`duration` slot plan on the fault simulator slot by
-/// slot, re-resolving each pair's priority list against live remaining
-/// demand every slot (mirroring [`Fabric::apply_run`]'s exhaust-in-order
-/// semantics, but letting the simulator strand blocked units).
-fn step_pairs(
-    sim: &mut FaultSim,
-    pairs: &[(usize, usize, Vec<usize>)],
-    duration: u64,
-) -> Result<(), SimError> {
-    let mut moves: Vec<(usize, usize, usize)> = Vec::with_capacity(pairs.len());
-    for _ in 0..duration {
-        moves.clear();
-        for (i, j, prio) in pairs {
-            if let Some(&k) = prio.iter().find(|&&k| sim.remaining(k, *i, *j) > 0) {
-                moves.push((*i, *j, k));
-            }
-        }
-        sim.step(&moves)?;
-    }
-    Ok(())
 }
 
 /// Greedily matches free port pairs to candidate coflows in the given

@@ -22,7 +22,7 @@ use super::engine::{run_policy_with_faults, ResilientPolicy};
 use super::AlgorithmSpec;
 use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
-use coflow_netsim::{BlockedSlot, FaultPlan, ScheduleTrace, SimError};
+use coflow_netsim::{BlockedSlot, FaultIndex, FaultPlan, ScheduleTrace, SimError};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -106,14 +106,29 @@ pub fn verify_faulty_outcome(
             n
         ));
     }
-    let cancellation: Vec<Option<u64>> = (0..n).map(|k| plan.cancellation(k)).collect();
+    let faults = FaultIndex::new(plan, m, n);
+    // Units delivered per (coflow, pair), counted in one flat CSR over
+    // each coflow's nonzero pairs, ingress by ingress: the pairs of coflow
+    // k out of ingress i are `pairs[at[k * m + i]..at[k * m + i + 1]]`, as
+    // `(egress, demand)`.
+    let mut at = Vec::with_capacity(n * m + 1);
+    let mut pairs: Vec<(usize, u64)> = Vec::new();
+    at.push(0);
+    for c in instance.coflows() {
+        for i in 0..m {
+            let row = c.demand.row(i).iter().enumerate();
+            pairs.extend(row.filter(|&(_, &d)| d > 0).map(|(j, &d)| (j, d)));
+            at.push(pairs.len());
+        }
+    }
+    let mut units = vec![0u64; pairs.len()];
+    // The first pair each coflow was served on without demanding it.
+    let mut stray: Vec<Option<(usize, usize)>> = vec![None; n];
     let mut delivered: Vec<u64> = vec![0; n];
     let mut last_slot: Vec<u64> = vec![0; n];
-    let mut per_pair: Vec<std::collections::HashMap<(usize, usize), u64>> =
-        vec![std::collections::HashMap::new(); n];
+    let mut src_used = vec![false; m];
+    let mut dst_used = vec![false; m];
     for run in &out.executed.runs {
-        let mut src_used = vec![false; m];
-        let mut dst_used = vec![false; m];
         if run.duration != 1 {
             return Err(format!("executed run at {} is not 1 slot", run.start));
         }
@@ -130,7 +145,7 @@ pub fn verify_faulty_outcome(
             }
             src_used[t.src] = true;
             dst_used[t.dst] = true;
-            if !plan.pair_open(t.src, t.dst, slot) {
+            if !faults.pair_open(t.src, t.dst, slot) {
                 return Err(format!(
                     "slot {}: delivered over faulted link ({}, {})",
                     slot, t.src, t.dst
@@ -139,7 +154,7 @@ pub fn verify_faulty_outcome(
             if instance.coflow(t.coflow).release >= slot {
                 return Err(format!("slot {}: coflow {} before release", slot, t.coflow));
             }
-            if cancellation[t.coflow].is_some_and(|at| slot >= at) {
+            if faults.cancellation(t.coflow).is_some_and(|gone| slot >= gone) {
                 return Err(format!(
                     "slot {}: served cancelled coflow {}",
                     slot, t.coflow
@@ -147,15 +162,27 @@ pub fn verify_faulty_outcome(
             }
             delivered[t.coflow] += 1;
             last_slot[t.coflow] = last_slot[t.coflow].max(slot);
-            *per_pair[t.coflow].entry((t.src, t.dst)).or_insert(0) += 1;
+            let row = t.coflow * m + t.src;
+            match pairs[at[row]..at[row + 1]].iter().position(|&(j, _)| j == t.dst) {
+                Some(p) => units[at[row] + p] += 1,
+                None => {
+                    stray[t.coflow].get_or_insert((t.src, t.dst));
+                }
+            }
+        }
+        for t in &run.transfers {
+            src_used[t.src] = false;
+            dst_used[t.dst] = false;
         }
     }
     for k in 0..n {
         let c = instance.coflow(k);
-        for (&(i, j), &units) in &per_pair[k] {
-            if units > c.demand[(i, j)] {
-                return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
-            }
+        let over = (0..m).find_map(|i| {
+            let row = k * m + i;
+            (at[row]..at[row + 1]).find(|&p| units[p] > pairs[p].1).map(|p| (i, pairs[p].0))
+        });
+        if let Some((i, j)) = stray[k].or(over) {
+            return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
         }
         let completion = if c.total_units() == 0 {
             Some(c.release)
@@ -164,7 +191,7 @@ pub fn verify_faulty_outcome(
         } else {
             None
         };
-        if completion.is_none() && cancellation[k].is_none() {
+        if completion.is_none() && faults.cancellation(k).is_none() {
             return Err(format!(
                 "coflow {}: incomplete ({} of {} units) but never cancelled",
                 k,
@@ -327,6 +354,164 @@ mod tests {
         out.objective = f64::from_bits(out.objective.to_bits() + 1);
         let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
         assert!(err.contains("objective"), "{}", err);
+    }
+
+    /// The fault-free outcome of `inst()`, checked clean before a test
+    /// doctors it.
+    fn clean_outcome(instance: &Instance) -> FaultyOutcome {
+        let spec = AlgorithmSpec::algorithm2();
+        let clean = FaultPlan::default();
+        let out = run_with_faults_strict(instance, &spec, &SimplexOptions::default(), &clean);
+        verify_faulty_outcome(instance, &clean, &out).unwrap();
+        out
+    }
+
+    /// The verdict on `out` against `plan`, which must be a rejection.
+    fn rejection(instance: &Instance, plan: &FaultPlan, out: &FaultyOutcome) -> String {
+        verify_faulty_outcome(instance, plan, out).unwrap_err()
+    }
+
+    /// Appends a 1-slot run after the makespan carrying one unit.
+    fn append_unit(out: &mut FaultyOutcome, src: usize, dst: usize, coflow: usize) {
+        let start = out.executed.makespan() + 1;
+        let transfers = vec![coflow_netsim::Transfer { src, dst, coflow, units: 1 }];
+        out.executed.push_run(coflow_netsim::Run { start, duration: 1, transfers });
+    }
+
+    #[test]
+    fn rejects_delivery_during_an_outage() {
+        let instance = inst();
+        let out = clean_outcome(&instance);
+        let (slot, t) = (out.executed.runs[0].start, out.executed.runs[0].transfers[0]);
+        let outage = FaultEvent::IngressOutage { port: t.src, start: slot, end: slot };
+        let plan = FaultPlan::new(vec![outage]);
+        let err = rejection(&instance, &plan, &out);
+        let want = format!("slot {}: delivered over faulted link ({}, {})", slot, t.src, t.dst);
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_delivery_on_a_degraded_link_off_stride() {
+        let instance = inst();
+        let out = clean_outcome(&instance);
+        let (slot, t) = (out.executed.runs[1].start, out.executed.runs[1].transfers[0]);
+        // The link serves slot - 1 (phase 0) but not slot (phase 1).
+        let plan = FaultPlan::new(vec![FaultEvent::LinkDegraded {
+            src: t.src,
+            dst: t.dst,
+            start: slot - 1,
+            end: slot,
+            stride: 2,
+        }]);
+        let err = rejection(&instance, &plan, &out);
+        let want = format!("slot {}: delivered over faulted link ({}, {})", slot, t.src, t.dst);
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_over_delivery_on_a_pair_with_demand() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        append_unit(&mut out, 0, 0, 0); // coflow 0 demands 3 units on (0, 0)
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        assert!(err.contains("coflow 0: over-delivery on (0, 0)"), "{}", err);
+    }
+
+    #[test]
+    fn rejects_delivery_on_a_pair_with_zero_demand() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        append_unit(&mut out, 1, 0, 0); // coflow 0 demands nothing on (1, 0)
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        assert!(err.contains("coflow 0: over-delivery on (1, 0)"), "{}", err);
+    }
+
+    #[test]
+    fn rejects_two_transfers_on_one_port_in_a_slot() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        let run = &mut out.executed.runs[0];
+        let t = run.transfers[0];
+        run.transfers.push(coflow_netsim::Transfer { dst: 1 - t.dst, ..t });
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("slot {}: matching constraint violated", run_start(&out, 0));
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_a_two_slot_executed_run() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        out.executed.runs[0].duration = 2;
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("executed run at {} is not 1 slot", run_start(&out, 0));
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_a_two_unit_transfer() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        out.executed.runs[0].transfers[0].units = 2;
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("slot {}: multi-unit executed transfer", run_start(&out, 0));
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_an_unknown_coflow() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        out.executed.runs[0].transfers[0].coflow = instance.len();
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("slot {}: unknown coflow {}", run_start(&out, 0), instance.len());
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_service_before_release() {
+        let instance = inst();
+        let out = clean_outcome(&instance);
+        let (slot, t) = (out.executed.runs[0].start, out.executed.runs[0].transfers[0]);
+        // The same demands, but the first served coflow is released only
+        // at the slot it was served in.
+        let late: Vec<Coflow> = instance
+            .coflows()
+            .iter()
+            .enumerate()
+            .map(|(k, c)| {
+                let release = if k == t.coflow { slot } else { c.release };
+                c.clone().with_release(release)
+            })
+            .collect();
+        let late = Instance::new(instance.ports(), late);
+        let err = rejection(&late, &FaultPlan::default(), &out);
+        let want = format!("slot {}: coflow {} before release", slot, t.coflow);
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_a_coflow_neither_completed_nor_cancelled() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        // Drop coflow 0's last delivered unit.
+        let run = out
+            .executed
+            .runs
+            .iter_mut()
+            .rev()
+            .find(|r| r.transfers.iter().any(|t| t.coflow == 0))
+            .expect("coflow 0 is served");
+        let last = run.transfers.iter().rposition(|t| t.coflow == 0).expect("found above");
+        run.transfers.remove(last);
+        let total = instance.coflow(0).total_units();
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("coflow 0: incomplete ({} of {} units)", total - 1, total);
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    fn run_start(out: &FaultyOutcome, r: usize) -> u64 {
+        out.executed.runs[r].start
     }
 
     #[test]

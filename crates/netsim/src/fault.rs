@@ -2,12 +2,23 @@
 //!
 //! A [`FaultPlan`] is a seedable, reproducible set of [`FaultEvent`]s —
 //! port outages over slot windows, degraded links that serve only every
-//! `stride`-th slot, and coflow cancellations. [`FaultSim`] executes a
-//! planned [`ScheduleTrace`] slot by slot against the plan: units whose
-//! port or link is down are *stranded* (left in the remaining demand for a
-//! later replan), cancelled coflows stop being served, and structural
-//! violations of the problem's constraints — which indicate a scheduler
-//! bug, not a fault — surface as [`SimError`].
+//! `stride`-th slot, and coflow cancellations. [`FaultIndex`] compiles a
+//! plan once for lookups: outage windows per port, degradations per link,
+//! cancellations in slot order, and the sorted boundaries between which
+//! the fault state is constant.
+//!
+//! [`FaultSim`] executes schedules against the plan — a planned
+//! [`ScheduleTrace`] ([`FaultSim::execute_trace`]) or a matching held for
+//! a number of slots ([`FaultSim::apply_run`]). Both advance run-length:
+//! they split the work at the plan's boundaries and classify each port
+//! pair once per window. Units whose port or link is down are *stranded*
+//! (left in the remaining demand for a later replan), cancelled coflows
+//! stop being served, and structural violations of the problem's
+//! constraints — which indicate a scheduler bug, not a fault — surface as
+//! [`SimError`]. The literal slot-by-slot executors
+//! ([`FaultSim::execute_trace_slotwise`], [`FaultSim::apply_run_slotwise`])
+//! are the references the run-length paths are tested against, and the
+//! fallback for work that could trip a [`SimError`].
 
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
@@ -282,7 +293,7 @@ impl FaultPlan {
             .flat_map(|e| match *e {
                 FaultEvent::IngressOutage { start, end, .. }
                 | FaultEvent::EgressOutage { start, end, .. }
-                | FaultEvent::LinkDegraded { start, end, .. } => vec![start, end + 1],
+                | FaultEvent::LinkDegraded { start, end, .. } => vec![start, end.saturating_add(1)],
                 FaultEvent::CoflowCancelled { at, .. } => vec![at],
             })
             .collect();
@@ -333,6 +344,193 @@ impl FaultPlan {
     }
 }
 
+/// One degradation of a link, as [`FaultIndex`] stores it under the
+/// link's ingress.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Degradation {
+    dst: usize,
+    start: u64,
+    end: u64,
+    stride: u64,
+}
+
+impl Degradation {
+    fn covers(&self, slot: u64) -> bool {
+        (self.start..=self.end).contains(&slot)
+    }
+}
+
+/// A [`FaultPlan`] compiled once for lookups on an `m`-port fabric with
+/// `n` coflows. Every query costs the events of one port, link or coflow
+/// instead of a scan of the whole plan, and answers exactly as the plan's
+/// method of the same name does for ports `< m` and coflows `< n`.
+#[derive(Clone, Debug)]
+pub struct FaultIndex {
+    /// Outage windows `(start, end)` of ingress `p`:
+    /// `ingress[ingress_at[p]..ingress_at[p + 1]]`.
+    ingress_at: Vec<usize>,
+    ingress: Vec<(u64, u64)>,
+    /// Outage windows of each egress, laid out like `ingress`.
+    egress_at: Vec<usize>,
+    egress: Vec<(u64, u64)>,
+    /// Degradations of the links out of each ingress, laid out like
+    /// `ingress` and sorted by egress (plan order among equals).
+    links_at: Vec<usize>,
+    links: Vec<Degradation>,
+    /// Earliest cancellation slot of each coflow.
+    cancel: Vec<Option<u64>>,
+    /// `(slot, coflow)` of every cancelled coflow, sorted: the order in
+    /// which a forward cursor fires them.
+    cancel_order: Vec<(u64, usize)>,
+    /// [`FaultPlan::boundaries`].
+    boundaries: Vec<u64>,
+}
+
+/// Groups `(key, item)` pairs into CSR form: the items of key `p` are
+/// `items[at[p]..at[p + 1]]`, in their original order. Pairs with a key of
+/// `keys` or more are dropped.
+fn group_by_key<T>(keys: usize, mut pairs: Vec<(usize, T)>) -> (Vec<usize>, Vec<T>) {
+    pairs.retain(|&(key, _)| key < keys);
+    pairs.sort_by_key(|&(key, _)| key);
+    let mut at = vec![0; keys + 1];
+    for &(key, _) in &pairs {
+        at[key + 1] += 1;
+    }
+    for p in 0..keys {
+        at[p + 1] += at[p];
+    }
+    (at, pairs.into_iter().map(|(_, item)| item).collect())
+}
+
+/// The items of key `p` in a [`group_by_key`] layout (none past the end).
+fn group<'a, T>(at: &[usize], items: &'a [T], p: usize) -> &'a [T] {
+    match (at.get(p), at.get(p + 1)) {
+        (Some(&a), Some(&b)) => &items[a..b],
+        _ => &[],
+    }
+}
+
+impl FaultIndex {
+    /// Compiles `plan` for an `m`-port fabric with `n` coflows. Events on
+    /// ports `≥ m` or coflows `≥ n` cannot touch such a fabric and are left
+    /// out of the lookups; their slots stay in [`FaultIndex::boundaries`],
+    /// which equals [`FaultPlan::boundaries`].
+    pub fn new(plan: &FaultPlan, m: usize, n: usize) -> Self {
+        let mut ingress = Vec::new();
+        let mut egress = Vec::new();
+        let mut links = Vec::new();
+        let mut cancel: Vec<Option<u64>> = vec![None; n];
+        for e in &plan.events {
+            match *e {
+                FaultEvent::IngressOutage { port, start, end } => {
+                    ingress.push((port, (start, end)))
+                }
+                FaultEvent::EgressOutage { port, start, end } => {
+                    egress.push((port, (start, end)))
+                }
+                // A stride of 0 or 1 serves every slot of its window.
+                FaultEvent::LinkDegraded { src, dst, start, end, stride } if stride >= 2 => {
+                    links.push((src, Degradation { dst, start, end, stride }))
+                }
+                FaultEvent::LinkDegraded { .. } => {}
+                FaultEvent::CoflowCancelled { coflow, at } => {
+                    if let Some(c) = cancel.get_mut(coflow) {
+                        *c = Some(c.map_or(at, |c| c.min(at)));
+                    }
+                }
+            }
+        }
+        links.sort_by_key(|&(_, d)| d.dst);
+        let (ingress_at, ingress) = group_by_key(m, ingress);
+        let (egress_at, egress) = group_by_key(m, egress);
+        let (links_at, links) = group_by_key(m, links);
+        let mut cancel_order: Vec<(u64, usize)> = cancel
+            .iter()
+            .enumerate()
+            .filter_map(|(k, at)| at.map(|at| (at, k)))
+            .collect();
+        cancel_order.sort_unstable();
+        FaultIndex {
+            ingress_at,
+            ingress,
+            egress_at,
+            egress,
+            links_at,
+            links,
+            cancel,
+            cancel_order,
+            boundaries: plan.boundaries(),
+        }
+    }
+
+    /// Slots at which the fault state changes, sorted and deduplicated
+    /// ([`FaultPlan::boundaries`]).
+    pub fn boundaries(&self) -> &[u64] {
+        &self.boundaries
+    }
+
+    /// The first boundary after `slot`; `u64::MAX` when there is none. The
+    /// fault state is constant from `slot` up to the slot before it.
+    fn next_boundary(&self, slot: u64) -> u64 {
+        let b = self.boundaries.partition_point(|&b| b <= slot);
+        self.boundaries.get(b).copied().unwrap_or(u64::MAX)
+    }
+
+    /// True when ingress `port` can send in `slot`.
+    fn ingress_up(&self, port: usize, slot: u64) -> bool {
+        !group(&self.ingress_at, &self.ingress, port)
+            .iter()
+            .any(|&(start, end)| (start..=end).contains(&slot))
+    }
+
+    /// True when egress `port` can receive in `slot`.
+    fn egress_up(&self, port: usize, slot: u64) -> bool {
+        !group(&self.egress_at, &self.egress, port)
+            .iter()
+            .any(|&(start, end)| (start..=end).contains(&slot))
+    }
+
+    /// The degradations of link `(src, dst)` that can block a slot.
+    fn degradations(&self, src: usize, dst: usize) -> &[Degradation] {
+        let row = group(&self.links_at, &self.links, src);
+        let lo = row.partition_point(|d| d.dst < dst);
+        let hi = row.partition_point(|d| d.dst <= dst);
+        &row[lo..hi]
+    }
+
+    /// True when every degradation of link `(src, dst)` covering `slot`
+    /// lets it carry a unit (port outages aside).
+    fn link_open(&self, src: usize, dst: usize, slot: u64) -> bool {
+        self.degradations(src, dst)
+            .iter()
+            .all(|d| !d.covers(slot) || (slot - d.start).is_multiple_of(d.stride))
+    }
+
+    /// True when link `(src, dst)` can carry a unit in `slot`: both ports
+    /// up and every degradation window covering the slot permits it.
+    pub fn pair_open(&self, src: usize, dst: usize, slot: u64) -> bool {
+        self.ingress_up(src, slot) && self.egress_up(dst, slot) && self.link_open(src, dst, slot)
+    }
+
+    /// The cancellation slot of `coflow` (the earliest, when the plan
+    /// cancels it more than once), if the plan cancels it.
+    pub fn cancellation(&self, coflow: usize) -> Option<u64> {
+        self.cancel.get(coflow).copied().flatten()
+    }
+
+    /// The fault state of pair `(src, dst)` throughout the window between
+    /// boundaries that holds `slot`.
+    fn pair_state(&self, src: usize, dst: usize, slot: u64) -> PairState {
+        if !self.ingress_up(src, slot) || !self.egress_up(dst, slot) {
+            PairState::Closed
+        } else if self.degradations(src, dst).iter().any(|d| d.covers(slot)) {
+            PairState::Strided
+        } else {
+            PairState::Open
+        }
+    }
+}
+
 /// What happened in one executed slot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SlotOutcome {
@@ -364,18 +562,52 @@ pub struct BlockedSlot {
 /// counting past it, so aggregate accounting stays exact.
 const MAX_BLOCKED_LOG: usize = 1 << 16;
 
-/// Fault state of one port pair over one epoch window. Outages are
-/// constant within a window by construction of [`FaultPlan::boundaries`];
-/// degraded links keep their `(start, stride)` phase so only the stride
-/// test remains per slot.
+/// Fault state of one port pair over one window between consecutive
+/// [`FaultPlan::boundaries`]. Outages and the set of covering degradations
+/// are constant within a window (their starts and ends + 1 are
+/// boundaries), so only a degraded link's stride test remains per slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PairState {
     Open,
     Closed,
-    Strided(Vec<(u64, u64)>),
+    Strided,
 }
 
-/// Slot-by-slot executor that applies a [`FaultPlan`] while replaying
-/// planned schedules, stranding blocked demand for later replans.
+impl PairState {
+    /// True when the pair can carry a unit in `slot` of the window.
+    fn open(self, index: &FaultIndex, src: usize, dst: usize, slot: u64) -> bool {
+        match self {
+            PairState::Open => true,
+            PairState::Closed => false,
+            PairState::Strided => index.link_open(src, dst, slot),
+        }
+    }
+}
+
+/// What the fault plan made of one planned unit.
+enum Served {
+    Delivered,
+    /// Stranded by an outage or degradation.
+    Blocked,
+    /// Its coflow is cancelled.
+    Dropped,
+    /// Its demand on the pair is already delivered.
+    Gone,
+}
+
+/// Buffers [`FaultSim::apply_run`] reuses across calls.
+#[derive(Clone, Debug, Default)]
+struct HoldBuffers {
+    /// Per pair: the cursor into its priority list.
+    cursors: Vec<usize>,
+    /// Per pair: its fault state in the current window.
+    states: Vec<PairState>,
+    /// The units delivered in the current slot.
+    delivered: Vec<(usize, usize, usize)>,
+}
+
+/// Executor that applies a [`FaultPlan`] while replaying planned schedules
+/// or held matchings, stranding blocked demand for later replans.
 #[derive(Clone, Debug)]
 pub struct FaultSim {
     m: usize,
@@ -391,10 +623,19 @@ pub struct FaultSim {
     blocked_units: u64,
     blocked_log: Vec<BlockedSlot>,
     blocked_log_dropped: u64,
+    /// `plan`, compiled. Derived state, rebuilt by [`FaultSim::from_state`].
+    index: FaultIndex,
+    /// Position in the index's cancellation order: every cancellation
+    /// before it has fired (or found its coflow already complete). Restarts
+    /// at zero after a restore, which only re-visits cancellations that are
+    /// no-ops by now.
+    cancel_cursor: usize,
     /// Port-occupancy scratch reused by every [`FaultSim::step`]; not part
     /// of the captured state.
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
+    /// Scratch of [`FaultSim::apply_run`]; not part of the captured state.
+    hold: HoldBuffers,
 }
 
 impl FaultSim {
@@ -416,6 +657,8 @@ impl FaultSim {
             last_activity: vec![0; demands.len()],
             cancelled: vec![false; demands.len()],
             now: 0,
+            index: FaultIndex::new(&plan, m, demands.len()),
+            cancel_cursor: 0,
             plan,
             executed: ScheduleTrace::new(m),
             blocked_units: 0,
@@ -423,6 +666,7 @@ impl FaultSim {
             blocked_log_dropped: 0,
             src_used: vec![false; m],
             dst_used: vec![false; m],
+            hold: HoldBuffers::default(),
         }
     }
 
@@ -434,6 +678,11 @@ impl FaultSim {
     /// The fault plan being applied.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+
+    /// The fault plan, compiled for this fabric and instance.
+    pub fn index(&self) -> &FaultIndex {
+        &self.index
     }
 
     /// Remaining demand of coflow `k` on pair `(i, j)`.
@@ -490,28 +739,85 @@ impl FaultSim {
     pub fn advance_to(&mut self, t: u64) {
         assert!(t >= self.now, "cannot move time backwards");
         self.now = t;
-        self.apply_cancellations();
-    }
-
-    fn apply_cancellations(&mut self) {
-        self.apply_cancellations_at(self.now + 1);
+        self.apply_cancellations_at(t + 1);
     }
 
     /// Applies every cancellation effective at or before `slot` (a coflow
-    /// cancelled `at` is gone from slot `at` on).
+    /// cancelled `at` is gone from slot `at` on). Callers pass
+    /// non-decreasing slots, so one forward cursor over the cancellations
+    /// in slot order visits each of them once; a coflow already complete
+    /// when its cancellation is reached stays complete.
     fn apply_cancellations_at(&mut self, slot: u64) {
-        for k in 0..self.cancelled.len() {
-            if self.cancelled[k] || self.completion[k].is_some() {
-                continue;
+        while let Some(&(at, k)) = self.index.cancel_order.get(self.cancel_cursor) {
+            if at > slot {
+                break;
             }
-            if let Some(at) = self.plan.cancellation(k) {
-                if at <= slot {
-                    self.cancelled[k] = true;
-                    self.remaining_total[k] = 0;
-                    self.remaining[k] = IntMatrix::zeros(self.m);
-                }
+            self.cancel_cursor += 1;
+            if !self.cancelled[k] && self.completion[k].is_none() {
+                self.cancelled[k] = true;
+                self.remaining_total[k] = 0;
+                self.remaining[k] = IntMatrix::zeros(self.m);
             }
         }
+    }
+
+    /// The deliver / strand / drop step for one planned unit of coflow `k`
+    /// on `(i, j)` in `slot`, shared by every executor. `open` says whether
+    /// the fault plan lets the link carry the unit; the caller has checked
+    /// ids, ports and release dates.
+    fn serve_unit(&mut self, slot: u64, i: usize, j: usize, k: usize, open: bool) -> Served {
+        if self.cancelled[k] {
+            return Served::Dropped;
+        }
+        if self.remaining[k][(i, j)] == 0 {
+            return Served::Gone; // already delivered by an earlier replan
+        }
+        if !open {
+            self.blocked_units += 1;
+            if self.blocked_log.len() < MAX_BLOCKED_LOG {
+                self.blocked_log.push(BlockedSlot { slot, src: i, dst: j, coflow: k });
+            } else {
+                self.blocked_log_dropped += 1;
+            }
+            return Served::Blocked;
+        }
+        self.remaining[k][(i, j)] -= 1;
+        self.remaining_total[k] -= 1;
+        self.last_activity[k] = slot;
+        if self.remaining_total[k] == 0 {
+            self.completion[k] = Some(slot);
+        }
+        Served::Delivered
+    }
+
+    /// Records one slot's delivered units as a 1-slot executed run, its
+    /// transfer list allocated at exact size.
+    fn record_slot(&mut self, slot: u64, delivered: &[(usize, usize, usize)]) {
+        if delivered.is_empty() {
+            return;
+        }
+        let transfers = delivered
+            .iter()
+            .map(|&(src, dst, coflow)| Transfer { src, dst, coflow, units: 1 })
+            .collect();
+        self.executed.push_run(Run { start: slot, duration: 1, transfers });
+    }
+
+    /// Enters the fault window that starts at `w0`: fires the cancellations
+    /// due by then — they take effect on boundaries, so this covers every
+    /// slot of the window — and classifies each of `pairs` for the window
+    /// into `states`. Returns the window's last slot, `last` at the latest.
+    fn enter_window(
+        &mut self,
+        w0: u64,
+        last: u64,
+        pairs: impl Iterator<Item = (usize, usize)>,
+        states: &mut Vec<PairState>,
+    ) -> u64 {
+        self.apply_cancellations_at(w0);
+        states.clear();
+        states.extend(pairs.map(|(i, j)| self.index.pair_state(i, j, w0)));
+        last.min(self.index.next_boundary(w0) - 1)
     }
 
     /// Executes one slot of planned unit moves under the fault plan.
@@ -523,7 +829,7 @@ impl FaultSim {
     pub fn step(&mut self, moves: &[(usize, usize, usize)]) -> Result<SlotOutcome, SimError> {
         let slot = self.now + 1;
         // Cancellations effective at this slot fire before service.
-        self.apply_cancellations();
+        self.apply_cancellations_at(slot);
         self.src_used.fill(false);
         self.dst_used.fill(false);
         let mut out = SlotOutcome {
@@ -548,54 +854,142 @@ impl FaultSim {
             }
             self.src_used[i] = true;
             self.dst_used[j] = true;
-            if self.cancelled[k] {
-                out.dropped.push((i, j, k));
-                continue;
-            }
-            if self.releases[k] >= slot {
+            if !self.cancelled[k] && self.releases[k] >= slot {
                 return Err(SimError::ReleaseViolated {
                     slot,
                     coflow: k,
                     release: self.releases[k],
                 });
             }
-            if self.remaining[k][(i, j)] == 0 {
-                continue; // already delivered by an earlier replan
+            let open = self.index.pair_open(i, j, slot);
+            match self.serve_unit(slot, i, j, k, open) {
+                Served::Delivered => out.delivered.push((i, j, k)),
+                Served::Blocked => out.blocked.push((i, j, k)),
+                Served::Dropped => out.dropped.push((i, j, k)),
+                Served::Gone => {}
             }
-            if !self.plan.pair_open(i, j, slot) {
-                self.blocked_units += 1;
-                if self.blocked_log.len() < MAX_BLOCKED_LOG {
-                    self.blocked_log.push(BlockedSlot { slot, src: i, dst: j, coflow: k });
-                } else {
-                    self.blocked_log_dropped += 1;
-                }
-                out.blocked.push((i, j, k));
-                continue;
-            }
-            self.remaining[k][(i, j)] -= 1;
-            self.remaining_total[k] -= 1;
-            self.last_activity[k] = slot;
-            if self.remaining_total[k] == 0 {
-                self.completion[k] = Some(slot);
-            }
-            out.delivered.push((i, j, k));
         }
         obs::counter_add("netsim.fault.blocked_units", out.blocked.len() as u64);
         obs::counter_add("netsim.fault.dropped_units", out.dropped.len() as u64);
-        if !out.delivered.is_empty() {
-            let transfers = out
-                .delivered
-                .iter()
-                .map(|&(src, dst, coflow)| Transfer { src, dst, coflow, units: 1 })
-                .collect();
-            self.executed.push_run(Run {
-                start: slot,
-                duration: 1,
-                transfers,
-            });
-        }
+        self.record_slot(slot, &out.delivered);
         self.now = slot;
         Ok(out)
+    }
+
+    /// Holds a matching for `duration` slots from `now + 1` — the
+    /// fault-side twin of [`crate::Fabric::apply_run`]. Each slot, every
+    /// pair `(ingress, egress, priority-ordered coflows)` serves its first
+    /// listed coflow with demand left on the pair; the fault plan strands
+    /// or drops that unit as [`FaultSim::step`] would. `duration == 0`
+    /// does nothing.
+    ///
+    /// The hold is split at the plan's boundaries and each pair classified
+    /// once per window. Each pair keeps a forward cursor into its list:
+    /// remaining demand never grows, so its first coflow with demand never
+    /// moves back. The heads of a window's first slot are chosen before
+    /// that slot's cancellations fire, as the slot-wise path chooses its
+    /// moves before [`FaultSim::step`] applies them, so a head cancelled
+    /// there is dropped. The executed trace, completions, blocked log and
+    /// counters are identical to [`FaultSim::apply_run_slotwise`]; a hold
+    /// that could trip a structural [`SimError`] — an id out of range, a
+    /// listed coflow not yet released, a port in two pairs — runs on that
+    /// path, so error slots and partial state match too.
+    pub fn apply_run(
+        &mut self,
+        pairs: &[(usize, usize, Vec<usize>)],
+        duration: u64,
+    ) -> Result<(), SimError> {
+        if duration == 0 {
+            return Ok(());
+        }
+        if !self.hold_is_safe(pairs) {
+            return self.apply_run_slotwise(pairs, duration);
+        }
+        let mut buf = std::mem::take(&mut self.hold);
+        buf.cursors.clear();
+        buf.cursors.resize(pairs.len(), 0);
+        let (mut blocked, mut dropped) = (0u64, 0u64);
+        let last = self.now.saturating_add(duration);
+        let mut window_end = self.now;
+        for slot in self.now + 1..=last {
+            for (c, (i, j, prio)) in buf.cursors.iter_mut().zip(pairs) {
+                while prio.get(*c).is_some_and(|&k| self.remaining[k][(*i, *j)] == 0) {
+                    *c += 1;
+                }
+            }
+            // Entering a window fires its cancellations: after the heads.
+            if slot > window_end {
+                let pairs_ij = pairs.iter().map(|&(i, j, _)| (i, j));
+                window_end = self.enter_window(slot, last, pairs_ij, &mut buf.states);
+            }
+            buf.delivered.clear();
+            for ((&c, &state), (i, j, prio)) in buf.cursors.iter().zip(&buf.states).zip(pairs) {
+                let Some(&k) = prio.get(c) else { continue };
+                let open = state.open(&self.index, *i, *j, slot);
+                match self.serve_unit(slot, *i, *j, k, open) {
+                    Served::Delivered => buf.delivered.push((*i, *j, k)),
+                    Served::Blocked => blocked += 1,
+                    Served::Dropped => dropped += 1,
+                    Served::Gone => {}
+                }
+            }
+            self.record_slot(slot, &buf.delivered);
+            self.now = slot;
+        }
+        self.hold = buf;
+        obs::counter_add("netsim.fault.blocked_units", blocked);
+        obs::counter_add("netsim.fault.dropped_units", dropped);
+        Ok(())
+    }
+
+    /// True when no slot of a hold over `pairs` from `now + 1` can trip a
+    /// structural [`SimError`]: every id is in range, every listed coflow
+    /// is released, and no port is in two pairs.
+    fn hold_is_safe(&mut self, pairs: &[(usize, usize, Vec<usize>)]) -> bool {
+        let (m, n, first) = (self.m, self.remaining.len(), self.now + 1);
+        let released = |k: usize| k < n && self.releases[k] < first;
+        pairs.iter().all(|(i, j, prio)| *i < m && *j < m && prio.iter().all(|&k| released(k)))
+            && self.ports_disjoint(pairs.iter().map(|&(i, j, _)| (i, j)))
+    }
+
+    /// True when no two of `pairs` (all in range) share an ingress or an
+    /// egress.
+    fn ports_disjoint(&mut self, mut pairs: impl Iterator<Item = (usize, usize)>) -> bool {
+        self.src_used.fill(false);
+        self.dst_used.fill(false);
+        let (src_used, dst_used) = (&mut self.src_used, &mut self.dst_used);
+        pairs.all(|(i, j)| {
+            let fresh = !src_used[i] && !dst_used[j];
+            src_used[i] = true;
+            dst_used[j] = true;
+            fresh
+        })
+    }
+
+    /// Literal slot-by-slot hold — the reference [`FaultSim::apply_run`] is
+    /// differentially tested against, and its fallback. Each slot picks
+    /// every pair's first listed coflow with demand left on the pair (a
+    /// candidate with an out-of-range id is picked as it is reached, so
+    /// [`FaultSim::step`] reports it), then steps.
+    pub fn apply_run_slotwise(
+        &mut self,
+        pairs: &[(usize, usize, Vec<usize>)],
+        duration: u64,
+    ) -> Result<(), SimError> {
+        let n = self.remaining.len();
+        let mut moves: Vec<(usize, usize, usize)> = Vec::with_capacity(pairs.len());
+        for _ in 0..duration {
+            moves.clear();
+            for &(i, j, ref prio) in pairs {
+                let out_of_range = |k: usize| i >= self.m || j >= self.m || k >= n;
+                let live = |k: usize| out_of_range(k) || self.remaining[k][(i, j)] > 0;
+                if let Some(&k) = prio.iter().find(|&&k| live(k)) {
+                    moves.push((i, j, k));
+                }
+            }
+            self.step(&moves)?;
+        }
+        Ok(())
     }
 
     /// Replays `trace` from the current time, stopping before slot
@@ -604,11 +998,11 @@ impl FaultSim {
     /// the executed prefix.
     ///
     /// Runs are advanced run-length: each run is split into windows at the
-    /// plan's fault epochs ([`FaultPlan::boundaries`]), each port pair is
+    /// plan's fault epochs ([`FaultIndex::boundaries`]), each port pair is
     /// classified once per window (open / closed / stride-degraded), and
-    /// the per-slot work drops to O(active transfers) with no per-slot
-    /// allocation or fault-plan scan. The executed trace, outcomes, blocked
-    /// log, and counters are identical to slot-by-slot execution
+    /// the per-slot work drops to O(active transfers) with no plan scan.
+    /// The executed trace, outcomes, blocked log, and counters are
+    /// identical to slot-by-slot execution
     /// ([`FaultSim::execute_trace_slotwise`]); runs that could trip a
     /// structural [`SimError`] fall back to the slot-wise path so error
     /// slots and partial state match exactly.
@@ -643,7 +1037,6 @@ impl FaultSim {
         force_slotwise: bool,
     ) -> Result<Vec<SlotOutcome>, SimError> {
         let mut outcomes = Vec::new();
-        let boundaries = self.plan.boundaries();
         'runs: for run in &trace.runs {
             if let Some(b) = stop_before {
                 if run.start >= b {
@@ -660,7 +1053,7 @@ impl FaultSim {
                 return Err(SimError::TimeReversed { start: run.start, now: self.now });
             }
             let first = self.now + 1; // done prefixes of partial runs skipped
-            if force_slotwise || !self.run_fast(run, first, stop_before, &boundaries, &mut outcomes) {
+            if force_slotwise || !self.run_fast(run, first, stop_before, &mut outcomes) {
                 if self.run_slotwise(run, stop_before, &mut outcomes)? {
                     break 'runs;
                 }
@@ -718,7 +1111,6 @@ impl FaultSim {
         run: &Run,
         first: u64,
         stop_before: Option<u64>,
-        boundaries: &[u64],
         outcomes: &mut Vec<SlotOutcome>,
     ) -> bool {
         let n = self.remaining.len();
@@ -747,14 +1139,8 @@ impl FaultSim {
         }
         // Distinct pairs sharing a port co-occur in the run's first slot:
         // PortMatchedTwice is possible, so leave the run to the reference.
-        let mut src_owner = vec![usize::MAX; self.m];
-        let mut dst_owner = vec![usize::MAX; self.m];
-        for (p, &(i, j, _)) in pairs.iter().enumerate() {
-            if src_owner[i] != usize::MAX || dst_owner[j] != usize::MAX {
-                return false;
-            }
-            src_owner[i] = p;
-            dst_owner[j] = p;
+        if !self.ports_disjoint(pairs.iter().map(|&(i, j, _)| (i, j))) {
+            return false;
         }
 
         let mut last = run.start + run.duration - 1;
@@ -765,48 +1151,12 @@ impl FaultSim {
             return true; // nothing left of the run before the boundary
         }
 
-        // Fault state is constant between consecutive plan boundaries
-        // (except stride-degraded links, which are re-checked per slot), so
-        // the run splits into windows at the epochs that intersect it.
-        let mut bidx = boundaries.partition_point(|&x| x <= first);
-        let mut w0 = first;
+        let (mut blocked, mut dropped) = (0u64, 0u64);
         let mut pair_state: Vec<PairState> = Vec::with_capacity(pairs.len());
+        let mut w0 = first;
         while w0 <= last {
-            let w1 = if bidx < boundaries.len() && boundaries[bidx] <= last {
-                let end = boundaries[bidx] - 1;
-                bidx += 1;
-                end
-            } else {
-                last
-            };
-            // Cancellations fire on boundaries, so applying them at the
-            // window start covers every slot of the window.
-            self.apply_cancellations_at(w0);
-            pair_state.clear();
-            for &(i, j, _) in &pairs {
-                pair_state.push(if !self.plan.ingress_up(i, w0) || !self.plan.egress_up(j, w0) {
-                    PairState::Closed
-                } else {
-                    let degs: Vec<(u64, u64)> = self
-                        .plan
-                        .events
-                        .iter()
-                        .filter_map(|e| match *e {
-                            FaultEvent::LinkDegraded { src, dst, start, end, stride }
-                                if src == i && dst == j && (start..=end).contains(&w0) =>
-                            {
-                                Some((start, stride.max(1)))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if degs.is_empty() {
-                        PairState::Open
-                    } else {
-                        PairState::Strided(degs)
-                    }
-                });
-            }
+            let pairs_ij = pairs.iter().map(|&(i, j, _)| (i, j));
+            let w1 = self.enter_window(w0, last, pairs_ij, &mut pair_state);
             // Only segments whose offsets intersect the window matter; they
             // keep the listed transfer order, so each slot's moves come out
             // exactly as `Run::slot_moves` lists them.
@@ -827,53 +1177,24 @@ impl FaultSim {
                     if o < a || o >= b {
                         continue;
                     }
-                    if self.cancelled[k] {
-                        out.dropped.push((i, j, k));
-                        continue;
+                    let open = pair_state[p].open(&self.index, i, j, slot);
+                    match self.serve_unit(slot, i, j, k, open) {
+                        Served::Delivered => out.delivered.push((i, j, k)),
+                        Served::Blocked => out.blocked.push((i, j, k)),
+                        Served::Dropped => out.dropped.push((i, j, k)),
+                        Served::Gone => {}
                     }
-                    if self.remaining[k][(i, j)] == 0 {
-                        continue; // already delivered by an earlier replan
-                    }
-                    let open = match &pair_state[p] {
-                        PairState::Open => true,
-                        PairState::Closed => false,
-                        PairState::Strided(degs) => degs
-                            .iter()
-                            .all(|&(start, stride)| (slot - start).is_multiple_of(stride)),
-                    };
-                    if !open {
-                        self.blocked_units += 1;
-                        if self.blocked_log.len() < MAX_BLOCKED_LOG {
-                            self.blocked_log.push(BlockedSlot { slot, src: i, dst: j, coflow: k });
-                        } else {
-                            self.blocked_log_dropped += 1;
-                        }
-                        out.blocked.push((i, j, k));
-                        continue;
-                    }
-                    self.remaining[k][(i, j)] -= 1;
-                    self.remaining_total[k] -= 1;
-                    self.last_activity[k] = slot;
-                    if self.remaining_total[k] == 0 {
-                        self.completion[k] = Some(slot);
-                    }
-                    out.delivered.push((i, j, k));
                 }
-                obs::counter_add("netsim.fault.blocked_units", out.blocked.len() as u64);
-                obs::counter_add("netsim.fault.dropped_units", out.dropped.len() as u64);
-                if !out.delivered.is_empty() {
-                    let transfers = out
-                        .delivered
-                        .iter()
-                        .map(|&(src, dst, coflow)| Transfer { src, dst, coflow, units: 1 })
-                        .collect();
-                    self.executed.push_run(Run { start: slot, duration: 1, transfers });
-                }
+                blocked += out.blocked.len() as u64;
+                dropped += out.dropped.len() as u64;
+                self.record_slot(slot, &out.delivered);
                 self.now = slot;
                 outcomes.push(out);
             }
             w0 = w1 + 1;
         }
+        obs::counter_add("netsim.fault.blocked_units", blocked);
+        obs::counter_add("netsim.fault.dropped_units", dropped);
         true
     }
 
@@ -929,6 +1250,8 @@ impl FaultSim {
             last_activity: state.last_activity,
             cancelled: state.cancelled,
             now: state.now,
+            index: FaultIndex::new(&state.plan, state.m, n),
+            cancel_cursor: 0,
             plan: state.plan,
             executed: state.executed,
             blocked_units: state.blocked_units,
@@ -936,6 +1259,7 @@ impl FaultSim {
             blocked_log_dropped: state.blocked_log_dropped,
             src_used: vec![false; state.m],
             dst_used: vec![false; state.m],
+            hold: HoldBuffers::default(),
         })
     }
 
@@ -1090,6 +1414,53 @@ mod tests {
         let outcomes = sim.execute_trace(&trace, None).unwrap();
         assert_eq!(outcomes.len(), 2);
         assert_eq!(sim.completion_times(), &[Some(4)]);
+    }
+
+    #[test]
+    fn held_head_cancelled_in_the_first_slot_is_dropped() {
+        // Coflow 0 heads pair (0, 1) when the hold starts in slot 3, the
+        // slot its cancellation takes effect: the unit is dropped there,
+        // and coflow 1 takes the pair from slot 4 on.
+        let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 0, at: 3 }]);
+        let pairs = [(0, 1, vec![0, 1])];
+        let mut fast = FaultSim::new(2, &[demand(5), demand(2)], &[0, 0], plan);
+        fast.apply_run(&pairs, 2).unwrap();
+        let mut slow = fast.clone();
+        fast.apply_run(&pairs, 3).unwrap();
+        slow.apply_run_slotwise(&pairs, 3).unwrap();
+        assert_eq!(fast.capture(), slow.capture());
+        assert!(fast.is_cancelled(0));
+        assert_eq!(fast.remaining_total(0), 0);
+        assert_eq!(fast.completion_times(), &[None, Some(5)]);
+        let (trace, _, _) = fast.finish();
+        let served: Vec<(u64, usize)> =
+            trace.runs.iter().map(|r| (r.start, r.transfers[0].coflow)).collect();
+        assert_eq!(served, vec![(1, 0), (2, 0), (4, 1), (5, 1)]);
+    }
+
+    #[test]
+    fn apply_run_falls_back_to_report_structural_errors() {
+        let mut sim = FaultSim::new(2, &[demand(2), demand(2)], &[0, 5], FaultPlan::default());
+        assert_eq!(
+            sim.apply_run(&[(0, 1, vec![1])], 2).unwrap_err(),
+            SimError::ReleaseViolated { slot: 1, coflow: 1, release: 5 }
+        );
+        let mut d = demand(2);
+        d[(0, 0)] = 1;
+        let mut sim = FaultSim::new(2, &[d], &[0], FaultPlan::default());
+        assert_eq!(
+            sim.apply_run(&[(0, 1, vec![0]), (0, 0, vec![0])], 1).unwrap_err(),
+            SimError::PortMatchedTwice { slot: 1, port: 0, ingress: true }
+        );
+        let mut sim = FaultSim::new(2, &[demand(2)], &[0], FaultPlan::default());
+        assert_eq!(
+            sim.apply_run(&[(0, 1, vec![3])], 1).unwrap_err(),
+            SimError::UnknownCoflow { coflow: 3 }
+        );
+        assert_eq!(
+            sim.apply_run(&[(0, 2, vec![0])], 1).unwrap_err(),
+            SimError::PortOutOfRange { port: 2, ports: 2 }
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   slots, each pair serving a priority list of coflows — the vehicle for
 //!   grouping and backfilling) and records exact completion slots;
 //! * [`SlotSim`] is a literal slot-by-slot executor for cross-checks;
+//! * [`FaultSim`] replays planned traces and held matchings under a
+//!   [`FaultPlan`], run-length, against the plan compiled once into a
+//!   [`FaultIndex`];
 //! * [`validate_trace`] replays a recorded [`ScheduleTrace`] against the
 //!   original instance and re-derives completion times independently;
 //! * [`trace_stats`] measures idle capacity, the quantity backfilling
@@ -34,7 +37,8 @@ pub mod validate;
 
 pub use fabric::{Fabric, SlotSim};
 pub use fault::{
-    AdversarialConfig, BlockedSlot, FaultEvent, FaultPlan, FaultSim, SimError, SlotOutcome,
+    AdversarialConfig, BlockedSlot, FaultEvent, FaultIndex, FaultPlan, FaultSim, SimError,
+    SlotOutcome,
 };
 pub use snapshot::{FaultSimState, SnapshotError};
 pub use recorder::{

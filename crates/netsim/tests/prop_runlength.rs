@@ -8,6 +8,11 @@
 //!   identical outcomes, executed trace, blocked log, completions, and
 //!   remaining state — under arbitrary fault plans, stop boundaries, and
 //!   multi-epoch resumption;
+//! * [`FaultSim::apply_run`] (held matchings, windowed with per-pair
+//!   cursors) against [`FaultSim::apply_run_slotwise`]: identical results
+//!   and captured state after every hold of a sequence, across fault
+//!   windows, cancellations at a hold's first slot, a restore from a
+//!   capture, and every structural fallback;
 //! * [`ScheduleTrace::for_each_slot`] (reused-buffer expansion) against
 //!   [`Run::slot_moves`] (allocating reference);
 //! * [`Fabric::apply_run`] (run-length clean path) against [`SlotSim`]
@@ -15,7 +20,7 @@
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
-    trace_stats, Fabric, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
+    trace_stats, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
 };
 use proptest::prelude::*;
 
@@ -138,6 +143,96 @@ fn step_both(
     live
 }
 
+/// A matching held for `duration` slots after `gap` idle slots.
+struct Hold {
+    gap: u64,
+    pairs: Vec<(usize, usize, Vec<usize>)>,
+    duration: u64,
+}
+
+/// Builds demands, releases, a sequence of holds and a fault plan for
+/// them. Priority lists hold up to three coflows with a few units each, so
+/// heads drain in the middle of holds. Some holds last zero slots or hold
+/// no pairs. Rarely a hold shares a port between two pairs or lists an
+/// out-of-range port or coflow, and positive releases leave listed coflows
+/// unreleased: each pushes the hold onto the slot-wise fallback. The plan
+/// is `FaultPlan::generate` over the holds' horizon plus cancellations at
+/// the first slot of a hold and at slot 0, and events on ports and
+/// coflows outside the instance.
+fn build_holds(
+    m: usize,
+    n: usize,
+    nholds: usize,
+    seed: u64,
+    rate: f64,
+    fseed: u64,
+) -> (Vec<IntMatrix>, Vec<u64>, Vec<Hold>, FaultPlan) {
+    let mut rng = Lcg(seed.wrapping_add(0x2545f4914f6cdd1d));
+    let demands: Vec<IntMatrix> = (0..n)
+        .map(|_| {
+            let mut d = IntMatrix::zeros(m);
+            for i in 0..m {
+                for j in 0..m {
+                    if rng.below(3) == 0 {
+                        d[(i, j)] = 1 + rng.below(4);
+                    }
+                }
+            }
+            d
+        })
+        .collect();
+    let releases: Vec<u64> = (0..n)
+        .map(|_| if rng.below(4) == 0 { 1 + rng.below(6) } else { 0 })
+        .collect();
+    let mut holds = Vec::new();
+    let mut starts = Vec::new();
+    let mut now = 0;
+    for _ in 0..nholds {
+        let gap = if rng.below(3) == 0 { rng.below(3) } else { 0 };
+        let duration = if rng.below(8) == 0 { 0 } else { 1 + rng.below(8) };
+        let mut pairs = Vec::new();
+        if rng.below(8) != 0 {
+            let shift = rng.below(m as u64) as usize;
+            for i in 0..m {
+                if rng.below(4) == 0 {
+                    continue;
+                }
+                let prio = (0..=rng.below(3)).map(|_| rng.below(n as u64) as usize).collect();
+                pairs.push((i, (i + shift) % m, prio));
+            }
+        }
+        match rng.below(12) {
+            0 if !pairs.is_empty() => {
+                let (i, j, prio) = pairs[0].clone();
+                pairs.push((i, (j + 1) % m, prio)); // shared ingress
+            }
+            1 => pairs.push((m, 0, vec![0])),         // ingress out of range
+            2 => pairs.push((0, m + 1, vec![0])),     // egress out of range
+            3 => pairs.push((m - 1, m - 1, vec![n])), // unknown coflow
+            _ => {}
+        }
+        starts.push(now + gap + 1);
+        now += gap + duration;
+        holds.push(Hold { gap, pairs, duration });
+    }
+    let mut plan = FaultPlan::generate(m, n, now.max(1), rate, fseed);
+    let h = rng.below(nholds as u64) as usize;
+    plan.events.push(FaultEvent::CoflowCancelled {
+        coflow: rng.below(n as u64) as usize,
+        at: starts[h],
+    });
+    if rng.below(3) == 0 {
+        let coflow = rng.below(n as u64) as usize;
+        plan.events.push(FaultEvent::CoflowCancelled { coflow, at: 0 });
+    }
+    if rng.below(3) == 0 {
+        let start = 1 + rng.below(now.max(1));
+        plan.events.push(FaultEvent::IngressOutage { port: m + 1, start, end: start + 2 });
+        plan.events.push(FaultEvent::CoflowCancelled { coflow: n + 1, at: start });
+    }
+    (demands, releases, holds, plan)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -190,6 +285,43 @@ proptest! {
         prop_assert_eq!(ca, cb);
         prop_assert_eq!(ba, bb);
         prop_assert_eq!(trace_stats(&ta), trace_stats(&tb));
+    }
+
+    /// A held matching executes identically run-length and slot by slot:
+    /// after every hold of a sequence, the same result (errors included)
+    /// and the same captured state — remaining matrices, cancellation
+    /// flags, completions, clock, executed trace, blocked units and log.
+    /// The run-length side is restored from a capture before hold
+    /// `restore`, so its cancellation cursor restarts mid-run.
+    #[test]
+    fn apply_run_matches_slotwise(
+        m in 2usize..5,
+        n in 1usize..5,
+        nholds in 1usize..9,
+        seed in 0u64..1 << 32,
+        rate in 0.0f64..0.8,
+        fseed in 0u64..1 << 32,
+        restore in 0usize..9,
+    ) {
+        let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
+        let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
+        let mut b = FaultSim::new(m, &demands, &releases, plan);
+        for (h, hold) in holds.iter().enumerate() {
+            if h == restore {
+                a = FaultSim::from_state(a.capture()).expect("a captured state restores");
+            }
+            if hold.gap > 0 {
+                a.advance_to(a.now() + hold.gap);
+                b.advance_to(b.now() + hold.gap);
+            }
+            let ra = a.apply_run(&hold.pairs, hold.duration);
+            let rb = b.apply_run_slotwise(&hold.pairs, hold.duration);
+            prop_assert_eq!(&ra, &rb, "hold {}", h);
+            prop_assert_eq!(a.capture(), b.capture(), "hold {}", h);
+            if ra.is_err() {
+                break;
+            }
+        }
     }
 
     /// The reused-buffer slot expansion visits exactly the slots and moves

@@ -319,6 +319,11 @@ pub fn __run_case<V: std::fmt::Debug>(
 }
 
 /// Property-test harness macro (subset of upstream `proptest!`).
+///
+/// As upstream, the macro adds no test attribute of its own: each property
+/// carries its own `#[test]`, which the macro passes through with the rest
+/// of its attributes. A property written without one is a plain function
+/// and does not run.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -329,7 +334,6 @@ macro_rules! proptest {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 for case in 0..config.cases {
