@@ -12,7 +12,7 @@
 use coflow::grouping::group_by_grid;
 use coflow::intervals::GeometricGrid;
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::relax::{build_interval_model, solve_interval_lp_with};
+use coflow::relax::build_interval_model;
 use coflow::sched::{run_with_order, run_with_order_ext};
 use coflow_bench::bench_scale_config;
 use coflow_lp::{solve_with, SimplexOptions};
@@ -82,49 +82,44 @@ fn ablate_backfill_scope(c: &mut Criterion) {
 
 fn ablate_simplex_options(c: &mut Criterion) {
     let inst = instance();
+    // Every configuration solves the same prebuilt model with `solve_with`,
+    // which has no cache: each iteration is a real solve.
+    let (model, _, _) = build_interval_model(&inst);
+    let configs = [
+        ("dantzig_presolve", SimplexOptions::default()),
+        (
+            "bland",
+            SimplexOptions {
+                always_bland: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "no_presolve",
+            SimplexOptions {
+                presolve: false,
+                ..Default::default()
+            },
+        ),
+    ];
     let mut group = c.benchmark_group("ablation_simplex");
     group.sample_size(10);
-    group.bench_function("dantzig_presolve", |b| {
-        b.iter(|| solve_interval_lp_with(&inst, &SimplexOptions::default()).lower_bound)
+    group.bench_function("interval_lp_build", |b| {
+        b.iter(|| build_interval_model(&inst).0.num_constraints())
     });
-    group.bench_function("bland", |b| {
-        b.iter(|| {
-            solve_interval_lp_with(
-                &inst,
-                &SimplexOptions {
-                    always_bland: true,
-                    ..Default::default()
-                },
-            )
-            .lower_bound
-        })
-    });
-    group.bench_function("no_presolve", |b| {
-        b.iter(|| {
-            let (model, _, _) = build_interval_model(&inst);
-            solve_with(
-                &model,
-                &SimplexOptions {
-                    presolve: false,
-                    ..Default::default()
-                },
-            )
-            .objective
-        })
-    });
+    for (name, opts) in &configs {
+        group.bench_function(*name, |b| b.iter(|| solve_with(&model, opts).objective));
+    }
     group.finish();
 
     // Sanity: all configurations agree on the optimum.
-    let a = solve_interval_lp_with(&inst, &SimplexOptions::default()).lower_bound;
-    let b = solve_interval_lp_with(
-        &inst,
-        &SimplexOptions {
-            always_bland: true,
-            ..Default::default()
-        },
-    )
-    .lower_bound;
-    assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()));
+    let objectives: Vec<f64> = configs
+        .iter()
+        .map(|(_, opts)| solve_with(&model, opts).objective)
+        .collect();
+    for &o in &objectives[1..] {
+        assert!((o - objectives[0]).abs() < 1e-6 * (1.0 + objectives[0].abs()));
+    }
 }
 
 fn ablate_bvn_variant(c: &mut Criterion) {

@@ -85,20 +85,22 @@ impl Instance {
 
     /// Per-coflow port loads in flat row-major layout: `(ingress, egress)`
     /// where `ingress[k * m + i] = Σ_j d^{(k)}_{ij}` and
-    /// `egress[k * m + j] = Σ_i d^{(k)}_{ij}`. One pass over the nonzero
-    /// entries — `O(nnz)` instead of the `O(n·m²)` of calling
-    /// `row_sum`/`col_sums` per coflow — and exact (`u64` sums are
-    /// order-independent), so consumers are bit-identical to the nested
-    /// per-call layout this replaces.
+    /// `egress[k * m + j] = Σ_i d^{(k)}_{ij}`. One sequential pass over each
+    /// demand matrix, row by row, and exact (`u64` sums are
+    /// order-independent).
     pub fn port_loads(&self) -> (Vec<u64>, Vec<u64>) {
         let m = self.m;
         let n = self.coflows.len();
         let mut ingress = vec![0u64; n * m];
         let mut egress = vec![0u64; n * m];
         for (k, c) in self.coflows.iter().enumerate() {
-            for (i, j, v) in c.demand.nonzero_entries() {
-                ingress[k * m + i] += v;
-                egress[k * m + j] += v;
+            let egress_k = &mut egress[k * m..(k + 1) * m];
+            for (i, load) in ingress[k * m..(k + 1) * m].iter_mut().enumerate() {
+                let row = c.demand.row(i);
+                *load = row.iter().sum();
+                for (e, &d) in egress_k.iter_mut().zip(row) {
+                    *e += d;
+                }
             }
         }
         (ingress, egress)

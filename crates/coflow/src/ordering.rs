@@ -142,8 +142,8 @@ fn port_primal_dual_order(instance: &Instance) -> Vec<usize> {
     let n = instance.len();
     let m = instance.ports();
     // "Machine" loads, flat with stride 2m: ingress 0..m, egress m..2m, per
-    // coflow (one O(nnz) pass; u64 sums are exact so this is bit-identical
-    // to the nested per-call layout it replaces).
+    // coflow (one pass over each demand matrix; u64 sums are exact so this
+    // is bit-identical to the nested per-call layout it replaces).
     let (ingress, egress) = instance.port_loads();
     let mut port_loads = vec![0u64; n * 2 * m];
     for k in 0..n {

@@ -32,7 +32,9 @@ pub struct LpRelaxation {
     pub lower_bound: f64,
     /// Simplex pivot count (diagnostics).
     pub iterations: usize,
-    /// Rows pruned during model construction (before lp-crate presolve).
+    /// Rows the lp crate's presolve removed (`Solution::presolve_rows_removed`;
+    /// summed over blocks by the windowed solvers). Rows that cannot bind
+    /// are never built, so they are not counted here.
     pub rows_pruned: usize,
 }
 
@@ -44,8 +46,19 @@ pub struct LpRelaxation {
 pub fn build_interval_model(
     instance: &Instance,
 ) -> (Model, Vec<Vec<(usize, VarId)>>, GeometricGrid) {
-    let grid = GeometricGrid::doubling(instance.naive_horizon());
-    let (model, vars) = build_interval_model_with_grid(instance, &grid);
+    let _span = obs::span("lp.build_model");
+    let loads = instance.port_loads();
+    // `Instance::naive_horizon` from the loads: the latest release plus the
+    // total demand (every unit passes through exactly one ingress port).
+    let max_release = instance
+        .coflows()
+        .iter()
+        .map(|c| c.release)
+        .max()
+        .unwrap_or(0);
+    let total: u64 = loads.0.iter().sum();
+    let grid = GeometricGrid::doubling(max_release + total.max(1));
+    let (model, vars) = build_from_loads(instance, &loads, &grid);
     (model, vars, grid)
 }
 
@@ -63,24 +76,44 @@ pub fn build_interval_model_with_grid(
     grid: &GeometricGrid,
 ) -> (Model, Vec<Vec<(usize, VarId)>>) {
     let _span = obs::span("lp.build_model");
+    build_from_loads(instance, &instance.port_loads(), grid)
+}
+
+/// The model of [`build_interval_model_with_grid`] from the per-coflow
+/// ingress and egress port loads of [`Instance::port_loads`] — the only
+/// read of the demand matrices.
+fn build_from_loads(
+    instance: &Instance,
+    (ingress_loads, egress_loads): &(Vec<u64>, Vec<u64>),
+    grid: &GeometricGrid,
+) -> (Model, Vec<Vec<(usize, VarId)>>) {
     let n = instance.len();
     let m = instance.ports();
     let big_l = grid.num_intervals();
     let mut model = Model::new();
 
     // Variables x_{k,l}, restricted by the feasibility constraints (13):
-    // x_{k,l} = 0 unless τ_l ≥ r_k + ρ_k.
+    // x_{k,l} = 0 unless τ_l ≥ r_k + ρ_k, where ρ_k is coflow k's largest
+    // row or column sum, i.e. its largest port load.
+    let mut first = Vec::with_capacity(n);
     let mut vars: Vec<Vec<(usize, VarId)>> = Vec::with_capacity(n);
-    for k in 0..n {
-        let c = instance.coflow(k);
-        let first = grid.first_feasible(c.earliest_completion() as f64);
-        let mut per_coflow = Vec::with_capacity(big_l - first + 1);
-        for l in first..=big_l {
+    for (k, c) in instance.coflows().iter().enumerate() {
+        let ports = k * m..(k + 1) * m;
+        let rho = ingress_loads[ports.clone()]
+            .iter()
+            .chain(&egress_loads[ports])
+            .copied()
+            .max()
+            .unwrap_or(0);
+        let first_k = grid.first_feasible((c.release + rho) as f64);
+        let mut per_coflow = Vec::with_capacity(big_l - first_k + 1);
+        for l in first_k..=big_l {
             let cost = c.weight * grid.point(l - 1);
             let v = model.add_var(cost);
             model.set_implied_upper(v, 1.0); // implied by Σ_l x_{k,l} = 1
             per_coflow.push((l, v));
         }
+        first.push(first_k);
         vars.push(per_coflow);
     }
 
@@ -90,49 +123,43 @@ pub fn build_interval_model_with_grid(
         model.add_eq(terms, 1.0);
     }
 
-    // Load rows (11)–(12): for each port and interval l,
+    // Load rows (11)–(12): for each port p and interval l,
     //   Σ_{u ≤ l} Σ_k (port load of k) · x_{k,u} ≤ τ_l.
-    // Rows that cannot bind (total eligible load ≤ τ_l) are skipped here.
-    let mut ingress_rows = 0usize;
-    let mut pruned = 0usize;
-    let (ingress_loads, egress_loads) = instance.port_loads();
-
-    for loads in [&ingress_loads, &egress_loads] {
+    // A row can bind only if the coflows with a variable at or before l
+    // carry more than τ_l units through the port. That eligible load is a
+    // prefix sum over the coflows' first feasible intervals; rows that
+    // cannot bind are never built. The u64 sum is exact, and below 2^53 it
+    // equals the same loads summed in f64 in any order.
+    let stride = big_l + 1;
+    let mut eligible = vec![0u64; m * stride];
+    for loads in [ingress_loads, egress_loads] {
+        eligible.fill(0);
+        for (k, &first_k) in first.iter().enumerate() {
+            for (p, &d) in loads[k * m..(k + 1) * m].iter().enumerate() {
+                eligible[p * stride + first_k] += d;
+            }
+        }
         for p in 0..m {
+            let mut load = 0u64;
             for l in 1..=big_l {
+                load += eligible[p * stride + l];
                 let tau_l = grid.point(l);
-                // Total load from coflows that can have any x_{k,u}, u <= l.
-                let mut eligible: f64 = 0.0;
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for k in 0..n {
-                    let d = loads[k * m + p];
-                    if d == 0 {
-                        continue;
-                    }
-                    let mut any = false;
-                    for &(u, v) in &vars[k] {
-                        if u <= l {
-                            terms.push((v, d as f64));
-                            any = true;
-                        } else {
-                            break;
-                        }
-                    }
-                    if any {
-                        eligible += d as f64;
-                    }
-                }
-                if eligible <= tau_l {
-                    pruned += 1;
+                if load as f64 <= tau_l {
                     continue;
                 }
+                let mut terms: Vec<(VarId, f64)> = Vec::new();
+                for (k, &first_k) in first.iter().enumerate() {
+                    let d = loads[k * m + p];
+                    if d == 0 || first_k > l {
+                        continue;
+                    }
+                    let upto = &vars[k][..=l - first_k];
+                    terms.extend(upto.iter().map(|&(_, v)| (v, d as f64)));
+                }
                 model.add_le(terms, tau_l);
-                ingress_rows += 1;
             }
         }
     }
-    let _ = ingress_rows;
-    let _ = pruned;
     (model, vars)
 }
 
@@ -206,10 +233,10 @@ pub fn try_solve_interval_lp_with(
     opts: &SimplexOptions,
 ) -> Result<LpRelaxation, LpError> {
     let (model, vars, grid) = build_interval_model(instance);
-    // The experiment grid and ablation sweeps re-solve the exact same model
-    // (the four `H_LP` cells, repeated baseline runs); the cache's exact-hit
-    // level returns the stored solution verbatim, so the result is
-    // bit-identical to an uncached solve. Cross-model warm starts stay off.
+    // The experiment grid and `resilient` replans re-solve exactly the same
+    // model (the four `H_LP` cells, a residual model already solved); the
+    // cache returns the stored solution verbatim on an exact hit, so the
+    // result is bit-identical to an uncached solve.
     let sol = coflow_lp::try_solve_cached(&model, opts, coflow_lp::global_cache())?;
     Ok(extract_relaxation(instance, &grid, &vars, &sol))
 }
@@ -404,6 +431,191 @@ mod tests {
         let grid = crate::GeometricGrid::doubling(inst.naive_horizon());
         let custom = solve_with_grid(&inst, &grid);
         assert!((default.lower_bound - custom.lower_bound).abs() < 1e-9);
+    }
+
+    /// The builder the one-pass build replaced, kept as the reference: the
+    /// doubling grid from `Instance::naive_horizon`, ρ_k and the port loads
+    /// from each dense matrix's row and column sums, and for every port and
+    /// interval a row filled term by term before its eligible load is
+    /// compared with τ_l.
+    fn reference_model(
+        instance: &Instance,
+        grid: &GeometricGrid,
+    ) -> (Model, Vec<Vec<(usize, VarId)>>) {
+        let n = instance.len();
+        let m = instance.ports();
+        let big_l = grid.num_intervals();
+        let mut model = Model::new();
+        let mut vars: Vec<Vec<(usize, VarId)>> = Vec::with_capacity(n);
+        for k in 0..n {
+            let c = instance.coflow(k);
+            let first = grid.first_feasible(c.earliest_completion() as f64);
+            let mut per_coflow = Vec::with_capacity(big_l - first + 1);
+            for l in first..=big_l {
+                let cost = c.weight * grid.point(l - 1);
+                let v = model.add_var(cost);
+                model.set_implied_upper(v, 1.0);
+                per_coflow.push((l, v));
+            }
+            vars.push(per_coflow);
+        }
+        for per_coflow in &vars {
+            let terms = per_coflow.iter().map(|&(_, v)| (v, 1.0)).collect();
+            model.add_eq(terms, 1.0);
+        }
+        let coflows = instance.coflows();
+        let ingress_loads: Vec<u64> = coflows.iter().flat_map(|c| c.demand.row_sums()).collect();
+        let egress_loads: Vec<u64> = coflows.iter().flat_map(|c| c.demand.col_sums()).collect();
+        for loads in [&ingress_loads, &egress_loads] {
+            for p in 0..m {
+                for l in 1..=big_l {
+                    let tau_l = grid.point(l);
+                    let mut eligible: f64 = 0.0;
+                    let mut terms: Vec<(VarId, f64)> = Vec::new();
+                    for k in 0..n {
+                        let d = loads[k * m + p];
+                        if d == 0 {
+                            continue;
+                        }
+                        let mut any = false;
+                        for &(u, v) in &vars[k] {
+                            if u <= l {
+                                terms.push((v, d as f64));
+                                any = true;
+                            } else {
+                                break;
+                            }
+                        }
+                        if any {
+                            eligible += d as f64;
+                        }
+                    }
+                    if eligible <= tau_l {
+                        continue;
+                    }
+                    model.add_le(terms, tau_l);
+                }
+            }
+        }
+        (model, vars)
+    }
+
+    /// Same variables, costs, bounds, rows, term order and right-hand
+    /// sides, compared bit for bit.
+    fn assert_same_model(got: &Model, want: &Model, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.costs()), bits(want.costs()), "{what}: costs");
+        assert_eq!(
+            bits(got.implied_upper()),
+            bits(want.implied_upper()),
+            "{what}: bounds"
+        );
+        assert_eq!(
+            got.num_constraints(),
+            want.num_constraints(),
+            "{what}: row count"
+        );
+        for (r, (g, w)) in got.constraints().iter().zip(want.constraints()).enumerate() {
+            assert_eq!(g.sense, w.sense, "{what}: row {r} sense");
+            assert_eq!(g.rhs.to_bits(), w.rhs.to_bits(), "{what}: row {r} rhs");
+            let terms = |c: &coflow_lp::Constraint| {
+                c.terms
+                    .iter()
+                    .map(|&(v, a)| (v, a.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(terms(g), terms(w), "{what}: row {r} terms");
+        }
+    }
+
+    /// A random instance mixing zero-demand coflows, coflows on a single
+    /// ingress port, single-pair coflows and spread coflows, on a fabric
+    /// whose last `idle` ports carry nothing, with and without releases.
+    fn random_instance(rng: &mut impl rand::Rng, m: usize, n: usize, idle: usize) -> Instance {
+        let busy = m - idle;
+        let coflows = (0..n)
+            .map(|k| {
+                let mut d = IntMatrix::zeros(m);
+                match rng.gen_range(0..4usize) {
+                    0 => {}
+                    1 => {
+                        let i = rng.gen_range(0..busy);
+                        for _ in 0..rng.gen_range(1..4usize) {
+                            d[(i, rng.gen_range(0..busy))] += rng.gen_range(1..40u64);
+                        }
+                    }
+                    2 => {
+                        d[(rng.gen_range(0..busy), rng.gen_range(0..busy))] =
+                            rng.gen_range(1..200u64)
+                    }
+                    _ => {
+                        for _ in 0..rng.gen_range(1..3 * busy + 1) {
+                            d[(rng.gen_range(0..busy), rng.gen_range(0..busy))] +=
+                                rng.gen_range(1..25u64);
+                        }
+                    }
+                }
+                let release = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..300u64)
+                } else {
+                    0
+                };
+                Coflow::new(k, d)
+                    .with_release(release)
+                    .with_weight(rng.gen_range(1..9u64) as f64 / 2.0)
+            })
+            .collect();
+        Instance::new(m, coflows)
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_nested_loop_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1a7e_2015);
+        let a = 1.0 + std::f64::consts::SQRT_2;
+        let mut built = 0;
+        for &(m, n, idle) in &[
+            (1, 0, 0),
+            (1, 3, 0),
+            (2, 5, 1),
+            (3, 8, 0),
+            (6, 12, 2),
+            (10, 30, 3),
+        ] {
+            for _ in 0..12 {
+                let inst = random_instance(&mut rng, m, n, idle);
+                let horizon = inst.naive_horizon();
+                let what = format!("m={m} n={n}");
+
+                let (model, vars, grid) = build_interval_model(&inst);
+                assert_eq!(
+                    grid.points(),
+                    GeometricGrid::doubling(horizon).points(),
+                    "{what}"
+                );
+                let (want, want_vars) = reference_model(&inst, &grid);
+                assert_same_model(&model, &want, &what);
+                assert_eq!(vars, want_vars, "{what}: variables");
+
+                // The randomized algorithm's grid (T₀ ∈ [1, a], a = 1 + √2)
+                // and the gridsweep experiment's (T₀ = 1, ratios above and
+                // below 2).
+                let t0 = rng.gen_range(1.0..a);
+                for grid in [
+                    GeometricGrid::scaled(horizon, t0, a),
+                    GeometricGrid::scaled(horizon, 1.0, 1.25),
+                    GeometricGrid::scaled(horizon, 1.0, 4.0),
+                ] {
+                    let (model, vars) = build_interval_model_with_grid(&inst, &grid);
+                    let (want, want_vars) = reference_model(&inst, &grid);
+                    let what = format!("{what} grid {:?}", &grid.points()[..2]);
+                    assert_same_model(&model, &want, &what);
+                    assert_eq!(vars, want_vars, "{what}: variables");
+                }
+                built += 4;
+            }
+        }
+        assert_eq!(built, 6 * 12 * 4);
     }
 
     #[test]

@@ -1,27 +1,22 @@
-//! A process-global basis/solution cache for related simplex solves.
+//! A process-global solution cache for repeated simplex solves.
 //!
-//! The scheduling pipeline re-solves the same or near-identical models
-//! repeatedly: the experiment grid's four `H_LP` cells solve the *same*
-//! interval LP once each, and ablation sweeps perturb one knob at a time.
-//! This cache collapses that duplication at two levels:
+//! The scheduling pipeline re-solves the same model repeatedly: the
+//! experiment grid's four `H_LP` cells solve the *same* interval LP once
+//! each, and a `resilient` replan can rebuild a residual model it has
+//! already solved. On an **exact hit** — the model (and every behaviorally
+//! relevant solver option) hashes identically to a previously solved one —
+//! the stored [`Solution`] is returned as-is. This is bit-identical by
+//! construction and costs one hash of the model.
 //!
-//! 1. **Exact hit** — the model (and every behaviorally relevant solver
-//!    option) hashes identically to a previously solved one: the stored
-//!    [`Solution`] is returned as-is. This is bit-identical by construction
-//!    and costs one hash of the model.
-//! 2. **Shape hit** (opt-in) — a *different* model with the same constraint
-//!    shape: the cached optimal basis seeds a warm start
-//!    ([`try_solve_with_warm`]), skipping phase 1 when the basis is still
-//!    primal-feasible. Warm starts can reach a different vertex of an
-//!    alternate-optima face, so this level is off unless explicitly
-//!    requested.
-//!
-//! Keys are 64-bit hashes of the full coefficient data (entry collisions
-//! would require a 64-bit hash collision *and* an identical shape; the
-//! stored solution's dimensions are still cross-checked before use).
+//! Entries are filed under a *shape* key (dimensions, senses, sparsity
+//! pattern), one entry per shape, and hold the *exact* key (shape plus every
+//! coefficient bit) they were solved for. Keys are 64-bit hashes of the
+//! data (a false hit would require a 64-bit hash collision *and* an
+//! identical shape; the stored solution's dimensions are still
+//! cross-checked before use).
 
 use crate::model::{Model, Sense, Solution};
-use crate::simplex::{try_solve_with, try_solve_with_warm, SimplexOptions, WarmStart};
+use crate::simplex::{try_solve_with, SimplexOptions};
 use crate::LpError;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -97,7 +92,6 @@ fn exact_key(model: &Model, opts: &SimplexOptions) -> u64 {
 struct Entry {
     exact: u64,
     solution: Solution,
-    warm: Option<WarmStart>,
     stamp: u64,
 }
 
@@ -107,8 +101,8 @@ struct Inner {
     next_stamp: u64,
 }
 
-/// See the module docs: an exact-hit solution store plus a shape-keyed
-/// warm-start basis store.
+/// See the module docs: an exact-hit solution store, one entry per model
+/// shape.
 pub struct BasisCache {
     inner: Mutex<Inner>,
 }
@@ -142,7 +136,7 @@ impl BasisCache {
         inner.map.clear();
     }
 
-    fn store(&self, shape: u64, exact: u64, solution: Solution, warm: Option<WarmStart>) {
+    fn store(&self, shape: u64, exact: u64, solution: Solution) {
         let mut inner = self.lock();
         if inner.map.len() >= CACHE_CAP && !inner.map.contains_key(&shape) {
             if let Some(&oldest) = inner
@@ -156,7 +150,7 @@ impl BasisCache {
         }
         let stamp = inner.next_stamp;
         inner.next_stamp += 1;
-        inner.map.insert(shape, Entry { exact, solution, warm, stamp });
+        inner.map.insert(shape, Entry { exact, solution, stamp });
     }
 }
 
@@ -174,26 +168,29 @@ pub fn global_cache() -> &'static BasisCache {
 
 /// [`try_solve_with`] in front of `cache`: an exact hit returns the stored
 /// solution verbatim (bit-identical to re-solving); anything else solves
-/// cold and stores the result. Cross-model warm starts stay off — outputs
-/// are exactly those of [`try_solve_with`].
+/// cold and stores the result. Outputs are exactly those of
+/// [`try_solve_with`].
 pub fn try_solve_cached(
     model: &Model,
     opts: &SimplexOptions,
     cache: &BasisCache,
 ) -> Result<Solution, LpError> {
-    solve_cached_impl(model, opts, cache, false)
-}
-
-/// [`try_solve_cached`] plus level-2 reuse: on a shape hit with different
-/// coefficients, the cached basis warm-starts the solve. Alternate optima
-/// may differ from the cold vertex, so callers must not require
-/// bit-reproducibility against cold solves.
-pub fn try_solve_cached_warm(
-    model: &Model,
-    opts: &SimplexOptions,
-    cache: &BasisCache,
-) -> Result<Solution, LpError> {
-    solve_cached_impl(model, opts, cache, true)
+    let shape = shape_key(model, opts);
+    let exact = exact_key(model, opts);
+    {
+        let inner = cache.lock();
+        if let Some(e) = inner.map.get(&shape) {
+            if e.exact == exact && e.solution.x.len() == model.num_vars() {
+                obs::counter_add("lp.basis_cache.exact_hits", 1);
+                return Ok(e.solution.clone());
+            }
+        }
+    }
+    obs::counter_add("lp.basis_cache.misses", 1);
+    let solution = try_solve_with(model, opts)?;
+    // Only healthy optima are stored; budget/health failures must re-solve.
+    cache.store(shape, exact, solution.clone());
+    Ok(solution)
 }
 
 /// Solves a batch of independent models concurrently, each through
@@ -212,41 +209,6 @@ pub fn try_solve_cached_batch(
         .par_iter()
         .map(|model| try_solve_cached(model, opts, cache))
         .collect()
-}
-
-fn solve_cached_impl(
-    model: &Model,
-    opts: &SimplexOptions,
-    cache: &BasisCache,
-    cross_model: bool,
-) -> Result<Solution, LpError> {
-    let shape = shape_key(model, opts);
-    let exact = exact_key(model, opts);
-    let warm_seed: Option<WarmStart> = {
-        let inner = cache.lock();
-        match inner.map.get(&shape) {
-            Some(e) if e.exact == exact && e.solution.x.len() == model.num_vars() => {
-                obs::counter_add("lp.basis_cache.exact_hits", 1);
-                return Ok(e.solution.clone());
-            }
-            Some(e) if cross_model => e.warm.clone(),
-            _ => None,
-        }
-    };
-    if warm_seed.is_some() {
-        obs::counter_add("lp.basis_cache.shape_hits", 1);
-    } else {
-        obs::counter_add("lp.basis_cache.misses", 1);
-    }
-    let (solution, exported) = if cross_model {
-        try_solve_with_warm(model, opts, warm_seed.as_ref())?
-    } else {
-        (try_solve_with(model, opts)?, None)
-    };
-    // Only healthy optima are stored; budget/health failures must re-solve.
-    let warm = exported;
-    cache.store(shape, exact, solution.clone(), warm);
-    Ok(solution)
 }
 
 #[cfg(test)]
@@ -312,26 +274,6 @@ mod tests {
         // Same optimum either way, but the solves must not share an entry.
         assert!((a.objective - b.objective).abs() < 1e-9);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn warm_path_agrees_with_cold_on_rhs_perturbations() {
-        let cache = BasisCache::new();
-        let opts = SimplexOptions::default();
-        let _ = try_solve_cached_warm(&small_model(4.0), &opts, &cache).unwrap();
-        for rhs in [3.0, 4.5, 5.0, 6.5] {
-            let model = small_model(rhs);
-            let warm = try_solve_cached_warm(&model, &opts, &cache).unwrap();
-            let cold = try_solve_with(&model, &opts).unwrap();
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-9,
-                "rhs {rhs}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            let viol = model.max_violation(&warm.x);
-            assert!(viol <= opts.max_residual, "rhs {rhs}: violation {viol}");
-        }
     }
 
     #[test]

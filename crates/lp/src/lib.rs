@@ -7,7 +7,7 @@
 //!
 //! * [`Model`] — build `min cᵀx` over `x ≥ 0` with `≤ / = / ≥` rows;
 //! * [`solve`] / [`solve_with`] — presolve + two-phase revised simplex with
-//!   dense-LU basis refactorization and product-form eta updates;
+//!   sparse LU basis factors and a sparse product-form eta file;
 //! * [`verify::certify`] — independent optimality certification via strong
 //!   duality, used by the test suite on every optimum.
 //!
@@ -37,13 +37,9 @@ pub mod simplex;
 pub mod sparse;
 pub mod verify;
 
-pub use cache::{
-    global_cache, try_solve_cached, try_solve_cached_batch, try_solve_cached_warm, BasisCache,
-};
+pub use cache::{global_cache, try_solve_cached, try_solve_cached_batch, BasisCache};
 pub use error::LpError;
 pub use model::{Constraint, Model, RowId, Sense, Solution, Status, VarId};
-pub use simplex::{
-    solve, solve_with, try_solve, try_solve_with, try_solve_with_warm, SimplexOptions, WarmStart,
-};
+pub use simplex::{solve, solve_with, try_solve, try_solve_with, SimplexOptions};
 pub use sparse::{CscMatrix, TripletBuilder};
 pub use verify::{certify, Certificate};

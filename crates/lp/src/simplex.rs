@@ -1,13 +1,17 @@
-//! Two-phase revised simplex with dense-LU basis factorization and
-//! product-form (eta) updates.
+//! Two-phase revised simplex with sparse LU basis factors and a sparse
+//! product-form (eta) file.
 //!
 //! Design, following the classic textbook revised simplex:
 //!
 //! * the constraint matrix (structural + slack/surplus/artificial columns)
 //!   is stored once in CSC form; the engine only ever reads columns;
-//! * the basis inverse is represented as `B₀⁻¹` (dense LU, refactorized
-//!   every [`SimplexOptions::refactor_period`] pivots) composed with a chain
-//!   of eta matrices — FTRAN applies them left-to-right, BTRAN right-to-left;
+//! * the basis inverse is represented as `B₀⁻¹` (LU factors kept as sparse
+//!   index lists, refactorized every [`SimplexOptions::refactor_period`]
+//!   pivots) composed with a chain of eta matrices stored by their nonzeros
+//!   in one flat buffer — FTRAN applies them left-to-right, BTRAN
+//!   right-to-left. Every nonzero term is applied in the order a dense
+//!   kernel would apply it, so skipping exact zeros changes no value except
+//!   possibly the sign of an exactly-zero entry (DESIGN.md §5.6);
 //! * pricing is Dantzig (most negative reduced cost) with an automatic
 //!   switch to Bland's rule after a run of degenerate pivots, which
 //!   guarantees termination;
@@ -163,11 +167,95 @@ enum ColKind {
     Artificial,
 }
 
-/// One product-form update: the basis column at position `r` was replaced,
-/// with pivot column `d = B⁻¹ a_q` captured densely.
+/// One product-form update: the basis column at position `r` was replaced
+/// by a column whose FTRAN image `d = B⁻¹ a_q` has pivot `d_r`; its other
+/// nonzeros sit at `start..end` of the owning [`BasisInverse`]'s flat
+/// `eta_row` / `eta_val` buffers, by ascending row.
 struct Eta {
     r: usize,
-    d: Vec<f64>,
+    d_r: f64,
+    start: usize,
+    end: usize,
+}
+
+/// `B⁻¹` as the LU factors of the last refactorized basis `B₀` followed by
+/// the eta file of the pivots since.
+struct BasisInverse {
+    lu: LuFactors,
+    etas: Vec<Eta>,
+    eta_row: Vec<usize>,
+    eta_val: Vec<f64>,
+    /// Scratch for the LU solves.
+    work: Vec<f64>,
+}
+
+impl BasisInverse {
+    /// `B₀⁻¹ = lu⁻¹` with an empty eta file.
+    fn new(lu: LuFactors) -> Self {
+        BasisInverse {
+            lu,
+            etas: Vec::new(),
+            eta_row: Vec::new(),
+            eta_val: Vec::new(),
+            work: Vec::new(),
+        }
+    }
+
+    /// Replaces the factors and empties the eta file (keeping its buffers).
+    fn reset(&mut self, lu: LuFactors) {
+        self.lu = lu;
+        self.etas.clear();
+        self.eta_row.clear();
+        self.eta_val.clear();
+    }
+
+    /// Number of etas since the last refactorization.
+    fn len(&self) -> usize {
+        self.etas.len()
+    }
+
+    /// Appends the eta of a pivot at position `r` with FTRAN'd column `d`.
+    fn push(&mut self, r: usize, d: &[f64]) {
+        let start = self.eta_row.len();
+        for (i, &di) in d.iter().enumerate() {
+            if di != 0.0 && i != r {
+                self.eta_row.push(i);
+                self.eta_val.push(di);
+            }
+        }
+        self.etas.push(Eta { r, d_r: d[r], start, end: self.eta_row.len() });
+    }
+
+    /// FTRAN: overwrite `v` with `B⁻¹ v`.
+    fn ftran(&mut self, v: &mut [f64]) {
+        self.lu.solve_in_place(v, &mut self.work);
+        for eta in &self.etas {
+            let t = v[eta.r] / eta.d_r;
+            if t != 0.0 {
+                let rows = &self.eta_row[eta.start..eta.end];
+                let vals = &self.eta_val[eta.start..eta.end];
+                for (&i, &di) in rows.iter().zip(vals) {
+                    v[i] -= di * t;
+                }
+            }
+            v[eta.r] = t;
+        }
+    }
+
+    /// BTRAN: overwrite `v` with `B⁻ᵀ v`.
+    fn btran(&mut self, v: &mut [f64]) {
+        for eta in self.etas.iter().rev() {
+            // y_r = (v_r - Σ_{i≠r} d_i v_i) / d_r, y_i = v_i otherwise.
+            let mut s = v[eta.r];
+            let rows = &self.eta_row[eta.start..eta.end];
+            let vals = &self.eta_val[eta.start..eta.end];
+            for (&i, &di) in rows.iter().zip(vals) {
+                s -= di * v[i];
+            }
+            v[eta.r] = s / eta.d_r;
+        }
+        self.lu.solve_transpose_in_place(v, &mut self.work);
+    }
 }
 
 struct Engine<'a> {
@@ -179,11 +267,13 @@ struct Engine<'a> {
     basis: Vec<usize>,
     in_basis: Vec<bool>,
     x_b: Vec<f64>,
-    lu: LuFactors,
-    etas: Vec<Eta>,
+    inv: BasisInverse,
     opts: &'a SimplexOptions,
     iterations: usize,
-    scratch: Vec<f64>,
+    /// Pricing vector `y = B⁻ᵀ c_B`, reused across pivots.
+    y: Vec<f64>,
+    /// FTRAN'd entering column `d = B⁻¹ a_q`, reused across pivots.
+    d: Vec<f64>,
     /// Rotating start column for partial pricing.
     pricing_cursor: usize,
 }
@@ -202,35 +292,6 @@ impl<'a> Engine<'a> {
         self.b.len()
     }
 
-    /// FTRAN: overwrite `v` with `B⁻¹ v`.
-    fn ftran(&self, v: &mut [f64]) {
-        self.lu.solve_in_place(v);
-        for eta in &self.etas {
-            let t = v[eta.r] / eta.d[eta.r];
-            if t != 0.0 {
-                for (vi, di) in v.iter_mut().zip(&eta.d) {
-                    *vi -= di * t;
-                }
-            }
-            v[eta.r] = t;
-        }
-    }
-
-    /// BTRAN: overwrite `v` with `B⁻ᵀ v`.
-    fn btran(&self, v: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut s = v[eta.r];
-            // y_r = (v_r - Σ_{i≠r} d_i v_i) / d_r, y_i = v_i otherwise.
-            for (i, (&di, &vi)) in eta.d.iter().zip(v.iter()).enumerate() {
-                if i != eta.r {
-                    s -= di * vi;
-                }
-            }
-            v[eta.r] = s / eta.d[eta.r];
-        }
-        self.lu.solve_transpose_in_place(v);
-    }
-
     /// Rebuilds the dense basis matrix, refactorizes, and recomputes `x_B`.
     /// A numerically singular basis (pivot-tolerance interactions on
     /// ill-conditioned data) is reported rather than crashing the solve.
@@ -244,12 +305,11 @@ impl<'a> Engine<'a> {
                 dense[i * m + pos] = v;
             }
         }
-        self.lu = LuFactors::factorize(m, &dense)
+        let lu = LuFactors::factorize(m, dense)
             .map_err(|_| LpError::SingularBasis { iterations: self.iterations })?;
-        self.etas.clear();
-        let mut xb = self.b.clone();
-        self.ftran(&mut xb);
-        self.x_b = xb;
+        self.inv.reset(lu);
+        self.x_b.copy_from_slice(&self.b);
+        self.inv.ftran(&mut self.x_b);
         Ok(())
     }
 
@@ -302,11 +362,9 @@ impl<'a> Engine<'a> {
                 return Ok(PhaseEnd::TimeLimit { elapsed_ms });
             }
             // Pricing: y = B^{-T} c_B, reduced costs r_j = c_j - y' a_j.
-            let mut y = vec![0.0; m];
-            for (pos, &col) in self.basis.iter().enumerate() {
-                y[pos] = costs[col];
-            }
-            self.btran(&mut y);
+            self.y.clear();
+            self.y.extend(self.basis.iter().map(|&col| costs[col]));
+            self.inv.btran(&mut self.y);
 
             let use_bland = self.opts.always_bland
                 || degenerate_run >= self.opts.degeneracy_patience;
@@ -317,7 +375,7 @@ impl<'a> Engine<'a> {
                 if !allow_artificial_entering && engine.kind[j] == ColKind::Artificial {
                     return None;
                 }
-                let rj = costs[j] - engine.a.column_dot(j, &y);
+                let rj = costs[j] - engine.a.column_dot(j, &engine.y);
                 (rj < -engine.opts.opt_tol).then_some(rj)
             };
             let n_cols = self.a.cols();
@@ -369,11 +427,11 @@ impl<'a> Engine<'a> {
             };
 
             // FTRAN the entering column.
-            self.scratch.clear();
-            self.scratch.resize(m, 0.0);
-            self.a.scatter_column(q, 1.0, &mut self.scratch);
-            let mut d = std::mem::take(&mut self.scratch);
-            self.ftran(&mut d);
+            let mut d = std::mem::take(&mut self.d);
+            d.clear();
+            d.resize(m, 0.0);
+            self.a.scatter_column(q, 1.0, &mut d);
+            self.inv.ftran(&mut d);
 
             // Ratio test.
             let mut leave: Option<(usize, f64)> = None; // (position, theta)
@@ -400,7 +458,7 @@ impl<'a> Engine<'a> {
                 }
             }
             let Some((r, theta)) = leave else {
-                self.scratch = d;
+                self.d = d;
                 return Ok(PhaseEnd::Unbounded);
             };
 
@@ -420,8 +478,9 @@ impl<'a> Engine<'a> {
                 degenerate_run = 0;
             }
 
-            self.etas.push(Eta { r, d });
-            if self.etas.len() >= self.opts.refactor_period {
+            self.inv.push(r, &d);
+            self.d = d;
+            if self.inv.len() >= self.opts.refactor_period {
                 self.refactorize()?;
             }
 
@@ -451,15 +510,16 @@ impl<'a> Engine<'a> {
                 continue;
             }
             // Row `pos` of B^{-1} A: e_pos^T B^{-1} a_j for candidate j.
-            let mut e = vec![0.0; m];
-            e[pos] = 1.0;
-            self.btran(&mut e);
+            self.y.clear();
+            self.y.resize(m, 0.0);
+            self.y[pos] = 1.0;
+            self.inv.btran(&mut self.y);
             let mut found = None;
             for j in 0..self.a.cols() {
                 if self.in_basis[j] || self.kind[j] == ColKind::Artificial {
                     continue;
                 }
-                let alpha = self.a.column_dot(j, &e);
+                let alpha = self.a.column_dot(j, &self.y);
                 if alpha.abs() > 1e-7 {
                     found = Some(j);
                     break;
@@ -467,16 +527,17 @@ impl<'a> Engine<'a> {
             }
             if let Some(j) = found {
                 // Degenerate pivot: x_b[pos] is 0, so values are unchanged.
-                let mut d = vec![0.0; m];
-                self.a.scatter_column(j, 1.0, &mut d);
-                self.ftran(&mut d);
-                debug_assert!(d[pos].abs() > 1e-9);
+                self.d.clear();
+                self.d.resize(m, 0.0);
+                self.a.scatter_column(j, 1.0, &mut self.d);
+                self.inv.ftran(&mut self.d);
+                debug_assert!(self.d[pos].abs() > 1e-9);
                 let old = self.basis[pos];
                 self.in_basis[old] = false;
                 self.in_basis[j] = true;
                 self.basis[pos] = j;
-                self.etas.push(Eta { r: pos, d });
-                if self.etas.len() >= self.opts.refactor_period {
+                self.inv.push(pos, &self.d);
+                if self.inv.len() >= self.opts.refactor_period {
                     self.refactorize()?;
                 }
             }
@@ -485,44 +546,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// An optimal basis exported from a finished solve, reusable as a warm
-/// start for a *same-shaped* model (same presolve outcome, senses, and
-/// variable count, hence the same standard-form column layout).
-///
-/// Column indices refer to the standard form: structural columns first,
-/// then slack/surplus/artificial columns in row order. The `rows`/`cols`
-/// dims let a would-be consumer reject a basis from a differently-shaped
-/// model before attempting a factorization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WarmStart {
-    /// `basis[pos]` = standard-form column basic at row position `pos`.
-    pub basis: Vec<usize>,
-    /// Standard-form row count (post-presolve).
-    pub rows: usize,
-    /// Standard-form column count (structural + auxiliary).
-    pub cols: usize,
-}
-
 /// Shared solver core: always produces a best-effort legacy [`Solution`],
 /// plus the typed classification when the solve did not reach a clean
 /// optimum.
 fn solve_core(model: &Model, opts: &SimplexOptions) -> (Solution, Option<LpError>) {
-    let (solution, error, _) = solve_core_warm(model, opts, None);
-    (solution, error)
-}
-
-/// [`solve_core`] with an optional warm-start basis.
-///
-/// When `warm` is compatible (matching standard-form dims, a valid basis
-/// set, nonsingular, primal-feasible, and with every artificial pinned at
-/// zero), phase 1 is skipped entirely and phase 2 resumes from the given
-/// basis; otherwise the solve silently falls back to the cold path. On a
-/// clean optimum the final basis is returned for the next caller.
-fn solve_core_warm(
-    model: &Model,
-    opts: &SimplexOptions,
-    warm: Option<&WarmStart>,
-) -> (Solution, Option<LpError>, Option<WarmStart>) {
     let _solve_span = obs::span("lp.solve");
     let n = model.num_vars();
     let infeasible = |removed: usize| Solution {
@@ -538,9 +565,7 @@ fn solve_core_warm(
     let (kept_rows, removed) = if opts.presolve {
         let _presolve_span = obs::span("lp.presolve");
         match presolve(model, opts.opt_tol) {
-            PresolveResult::Infeasible { .. } => {
-                return (infeasible(0), Some(LpError::Infeasible), None)
-            }
+            PresolveResult::Infeasible { .. } => return (infeasible(0), Some(LpError::Infeasible)),
             PresolveResult::Reduced { kept_rows, removed } => (kept_rows, removed),
         }
     } else {
@@ -567,7 +592,6 @@ fn solve_core_warm(
                 presolve_rows_removed: removed,
             },
             unbounded.then_some(LpError::Unbounded),
-            None,
         );
     }
 
@@ -655,91 +679,23 @@ fn solve_core_warm(
     }
     let has_artificials = aux_cols.iter().any(|&(_, k, _)| k == ColKind::Artificial);
 
-    let identity = {
-        let mut d = vec![0.0; m * m];
-        for i in 0..m {
-            d[i * m + i] = 1.0;
-        }
-        d
-    };
-    // Initial basis is NOT the identity in general (artificials are +1 but
-    // sit on flipped rows already handled; slack and artificial columns are
-    // unit vectors, so it IS identity). Factorize the identity directly.
-    let lu = match LuFactors::factorize(m, &identity) {
-        Ok(lu) => lu,
-        Err(_) => unreachable!("identity is nonsingular"),
-    };
-
     let mut engine = Engine {
         a,
-        b: b.clone(),
-        costs_phase2: costs_phase2.clone(),
+        x_b: b.clone(),
+        b,
+        costs_phase2,
         kind,
         basis,
         in_basis,
-        x_b: b.clone(),
-        lu,
-        etas: Vec::new(),
+        // Slack and artificial columns are unit vectors, so the initial
+        // basis is the identity.
+        inv: BasisInverse::new(LuFactors::identity(m)),
         opts,
         iterations: 0,
-        scratch: Vec::new(),
+        y: Vec::with_capacity(m),
+        d: Vec::with_capacity(m),
         pricing_cursor: 0,
     };
-
-    // Try to install the warm-start basis: it must match the standard-form
-    // dims, be a valid basis set, factorize, be primal-feasible, and keep
-    // every artificial at zero (a positive artificial would silently relax
-    // its row). Any failure falls back to the cold identity start.
-    let mut warm_installed = false;
-    if let Some(ws) = warm {
-        obs::counter_add("lp.warm.attempts", 1);
-        let shape_ok = ws.rows == m && ws.cols == n_total && ws.basis.len() == m;
-        let set_ok = shape_ok && {
-            let mut seen = vec![false; n_total];
-            ws.basis.iter().all(|&c| {
-                c < n_total && !std::mem::replace(&mut seen[c], true)
-            })
-        };
-        if set_ok {
-            engine.basis.copy_from_slice(&ws.basis);
-            engine.in_basis.iter_mut().for_each(|b| *b = false);
-            for &c in &engine.basis {
-                engine.in_basis[c] = true;
-            }
-            let feasible = engine.refactorize().is_ok()
-                && engine.x_b.iter().all(|&v| v >= -1e-7)
-                && engine
-                    .basis
-                    .iter()
-                    .zip(&engine.x_b)
-                    .all(|(&c, &v)| engine.kind[c] != ColKind::Artificial || v <= 1e-7);
-            if feasible {
-                warm_installed = true;
-                obs::counter_add("lp.warm.installed", 1);
-            } else {
-                // Restore the cold identity start.
-                obs::counter_add("lp.warm.fallbacks", 1);
-                engine.basis.clear();
-                engine.basis.resize(m, usize::MAX);
-                for &(col, k, row) in &aux_cols {
-                    match k {
-                        ColKind::Slack | ColKind::Artificial => engine.basis[row] = col,
-                        _ => {}
-                    }
-                }
-                engine.in_basis.iter_mut().for_each(|b| *b = false);
-                for &c in &engine.basis {
-                    engine.in_basis[c] = true;
-                }
-                engine.x_b = b.clone();
-                engine.etas.clear();
-                engine.lu = match LuFactors::factorize(m, &identity) {
-                    Ok(lu) => lu,
-                    Err(_) => unreachable!("identity is nonsingular"),
-                };
-            }
-        }
-    }
 
     let mut health = HealthMonitor::new(opts);
     // Best-effort solution for budget/health failures mid-solve.
@@ -754,14 +710,11 @@ fn solve_core_warm(
                 presolve_rows_removed: removed,
             },
             Some(error),
-            None,
         )
     };
 
-    // Phase 1 (skipped on a warm start: the installed basis is already
-    // primal-feasible with all artificials at zero, which is exactly the
-    // state phase 1 + drive-out would hand over).
-    if has_artificials && !warm_installed {
+    // Phase 1.
+    if has_artificials {
         let mut costs_phase1 = vec![0.0; n_total];
         for (j, k) in engine.kind.iter().enumerate() {
             if *k == ColKind::Artificial {
@@ -799,7 +752,7 @@ fn solve_core_warm(
             .map(|(_, &v)| v)
             .sum();
         if phase1_obj > 1e-7 {
-            return (infeasible(removed), Some(LpError::Infeasible), None);
+            return (infeasible(removed), Some(LpError::Infeasible));
         }
         if let Err(e) = engine.refactorize() {
             return aborted(engine.iterations, e);
@@ -847,7 +800,7 @@ fn solve_core_warm(
     for (pos, &col) in engine.basis.iter().enumerate() {
         y[pos] = engine.costs_phase2[col];
     }
-    engine.btran(&mut y);
+    engine.inv.btran(&mut y);
     let mut duals = vec![0.0; model.num_constraints()];
     for (r, &orig) in kept_rows.iter().enumerate() {
         duals[orig] = if flipped[r] { -y[r] } else { y[r] };
@@ -861,27 +814,7 @@ fn solve_core_warm(
         iterations: engine.iterations,
         presolve_rows_removed: removed,
     };
-    // A warm start can only cut work, never change the answer: if it still
-    // produced an infeasible point (the basis was feasible for the *warm*
-    // model's standard form but optimizing drifted somewhere the cold path
-    // would not go — e.g. a positive-artificial pivot sequence on a near-
-    // identical model), discard everything and re-run cold.
-    if warm_installed {
-        let residual = model.max_violation(&solution.x);
-        if solution.status != Status::Optimal
-            || residual.is_nan()
-            || residual > opts.max_residual
-        {
-            obs::counter_add("lp.warm.fallbacks", 1);
-            return solve_core_warm(model, opts, None);
-        }
-    }
-    let exported = (solution.status == Status::Optimal).then(|| WarmStart {
-        basis: engine.basis.clone(),
-        rows: m,
-        cols: n_total,
-    });
-    (solution, error, exported)
+    (solution, error)
 }
 
 /// Solves `model` with the given options, returning the legacy status-coded
@@ -917,8 +850,7 @@ pub fn try_solve_with(model: &Model, opts: &SimplexOptions) -> Result<Solution, 
     Ok(solution)
 }
 
-/// Numerical-health checks on a claimed optimum (shared by the cold and
-/// warm `try_` entry points).
+/// Numerical-health checks on a claimed optimum.
 fn health_check(
     model: &Model,
     opts: &SimplexOptions,
@@ -945,25 +877,6 @@ fn health_check(
     Ok(())
 }
 
-/// [`try_solve_with`] with an optional warm-start basis from a previous
-/// related solve; also exports this solve's optimal basis for the next one.
-///
-/// Unusable warm starts (wrong shape, singular, infeasible) fall back to a
-/// cold solve inside the core, so `Ok` carries the same guarantees as
-/// [`try_solve_with`].
-pub fn try_solve_with_warm(
-    model: &Model,
-    opts: &SimplexOptions,
-    warm: Option<&WarmStart>,
-) -> Result<(Solution, Option<WarmStart>), LpError> {
-    let (solution, error, exported) = solve_core_warm(model, opts, warm);
-    if let Some(e) = error {
-        return Err(e);
-    }
-    health_check(model, opts, &solution)?;
-    Ok((solution, exported))
-}
-
 /// [`try_solve_with`] under default options.
 pub fn try_solve(model: &Model) -> Result<Solution, LpError> {
     try_solve_with(model, &SimplexOptions::default())
@@ -972,4 +885,120 @@ pub fn try_solve(model: &Model) -> Result<Solution, LpError> {
 /// Solves `model` with default options.
 pub fn solve(model: &Model) -> Solution {
     solve_with(model, &SimplexOptions::default())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The dense eta file the sparse one replaced, kept as the reference:
+    /// each eta holds its whole FTRAN'd column.
+    struct DenseEtas(Vec<(usize, Vec<f64>)>);
+
+    impl DenseEtas {
+        fn ftran(&self, lu: &LuFactors, v: &mut [f64]) {
+            lu.solve_in_place(v, &mut Vec::new());
+            for (r, d) in &self.0 {
+                let t = v[*r] / d[*r];
+                if t != 0.0 {
+                    for (vi, di) in v.iter_mut().zip(d) {
+                        *vi -= di * t;
+                    }
+                }
+                v[*r] = t;
+            }
+        }
+
+        fn btran(&self, lu: &LuFactors, v: &mut [f64]) {
+            for (r, d) in self.0.iter().rev() {
+                let mut s = v[*r];
+                for (i, (&di, &vi)) in d.iter().zip(v.iter()).enumerate() {
+                    if i != *r {
+                        s -= di * vi;
+                    }
+                }
+                v[*r] = s / d[*r];
+            }
+            lu.solve_transpose_in_place(v, &mut Vec::new());
+        }
+    }
+
+    /// xorshift64 with a few shapes of value: exact zeros, small negative
+    /// integers and fractions of either sign.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn value(&mut self) -> f64 {
+            match self.below(4) {
+                0 => 0.0,
+                1 => -((1 + self.below(5)) as f64),
+                _ => (self.below(2001) as f64 - 1000.0) / 37.0,
+            }
+        }
+    }
+
+    /// Every nonzero entry bit-identical, every zero entry zero.
+    fn assert_same_bits(sparse: &[f64], dense: &[f64], what: &str) {
+        for (i, (&s, &d)) in sparse.iter().zip(dense).enumerate() {
+            if d == 0.0 {
+                assert_eq!(s, 0.0, "{what}: entry {i} must be zero, got {s:e}");
+            } else {
+                assert_eq!(s.to_bits(), d.to_bits(), "{what}: entry {i}: {s:e} vs {d:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_eta_file_matches_the_dense_reference() {
+        let mut rng = Rng(0x5eed_e7a5);
+        for case in 0..300 {
+            let n = 1 + case % 24;
+            let lu = if case % 3 == 0 {
+                LuFactors::identity(n)
+            } else {
+                // Diagonally dominant with exact zeros off the diagonal.
+                let a: Vec<f64> = (0..n * n)
+                    .map(|idx| if idx % (n + 1) == 0 { 2.0 * n as f64 } else { rng.value() })
+                    .collect();
+                LuFactors::factorize(n, a).unwrap()
+            };
+            let mut sparse = BasisInverse::new(lu.clone());
+            let mut dense = DenseEtas(Vec::new());
+            for _ in 0..rng.below(14) {
+                let r = rng.below(n);
+                let mut d: Vec<f64> = (0..n).map(|_| rng.value()).collect();
+                if d[r] == 0.0 {
+                    d[r] = 1.5;
+                }
+                sparse.push(r, &d);
+                dense.0.push((r, d));
+            }
+            assert_eq!(sparse.len(), dense.0.len());
+            for _ in 0..4 {
+                let b: Vec<f64> = (0..n).map(|_| rng.value()).collect();
+                let (mut fs, mut fd) = (b.clone(), b.clone());
+                sparse.ftran(&mut fs);
+                dense.ftran(&lu, &mut fd);
+                assert_same_bits(&fs, &fd, &format!("case {case} FTRAN"));
+                let (mut bs, mut bd) = (b.clone(), b);
+                sparse.btran(&mut bs);
+                dense.btran(&lu, &mut bd);
+                assert_same_bits(&bs, &bd, &format!("case {case} BTRAN"));
+            }
+            // A refactorization empties the file: only the new factors apply.
+            sparse.reset(LuFactors::identity(n));
+            let b: Vec<f64> = (0..n).map(|_| rng.value()).collect();
+            let mut v = b.clone();
+            sparse.ftran(&mut v);
+            assert_eq!(sparse.len(), 0);
+            assert_same_bits(&v, &b, &format!("case {case} after reset"));
+        }
+    }
 }
