@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the cross-layer hot-path kernels:
 //!
-//! * Hopcroft–Karp, cold start vs warm start from a surviving matching
-//!   (the incremental-BvN inner loop);
+//! * a cold Hopcroft–Karp solve on a BvN support graph after a
+//!   permutation slot left it (the incremental-BvN inner loop);
 //! * full BvN decomposition at the grid's port counts m ∈ {16, 60, 150};
 //! * schedule execution, run-length vs unit-slot, on both the clean fabric
 //!   (`Fabric::apply_run` vs `SlotSim`) and the fault executor, replaying
@@ -39,28 +39,22 @@ fn bench_hopcroft_karp(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2015);
     let m = 150;
     let mat = balanced_matrix(m, 12, &mut rng);
-    let g = BipartiteGraph::support_of(&mat);
+    let mut g = BipartiteGraph::support_of(&mat);
     // The incremental-BvN access pattern: solve once, delete half the
     // matched edges (a permutation slot leaving the support), then re-solve
-    // the survivor graph either cold or warm from the surviving pairs.
-    let mut warm = HopcroftKarp::new();
-    let mut g2 = g.clone();
-    let matched = warm.solve(&g2);
+    // the survivor graph.
+    let matched = HopcroftKarp::new().solve(&g);
     let pairs: Vec<(usize, usize)> = matched.pairs().collect();
     for &(u, v) in pairs.iter().take(m / 2) {
-        g2.remove_edge(u, v);
-        warm.unmatch(u, v);
+        g.remove_edge(u, v);
     }
     let mut group = c.benchmark_group("hk");
     group.sample_size(40);
     group.bench_function("cold", |b| {
         b.iter(|| {
             let mut hk = HopcroftKarp::new();
-            black_box(hk.solve(black_box(&g2)).size)
+            black_box(hk.solve(black_box(&g)).size)
         })
-    });
-    group.bench_function("warm_after_slot_removal", |b| {
-        b.iter(|| black_box(warm.clone().solve_warm(black_box(&g2)).size))
     });
     group.finish();
 }

@@ -26,10 +26,8 @@ use crate::grid::{case_label, CASES};
 /// `/2` reports **exclusive** self-times: each stage counts only the time
 /// inside its own spans, with nested reported stages subtracted (in `/1`,
 /// `order` swallowed `lp_build` + `lp_solve` for the `H_LP` cells). The
-/// `other` bucket absorbs un-instrumented work, so in single-threaded runs
-/// the stages sum to `total`; under the parallel decomposition path,
-/// `decompose` is CPU time summed across workers and the stage sum may
-/// exceed the wall-clock `total`.
+/// `other` bucket absorbs un-instrumented work, so the stages sum to
+/// `total`.
 ///
 /// `/3` adds a per-cell `mem` object from the counting allocator: peak
 /// live bytes and kernel peak RSS for the cell window, allocation
@@ -76,13 +74,12 @@ pub struct StageTimings {
     /// Ordering stage self-time (`sched.order` minus the nested LP build
     /// and solve).
     pub order_ms: f64,
-    /// BvN decompositions (`matching.bvn_decompose[_maxmin]`); CPU time
-    /// summed across workers under the parallel path.
+    /// BvN decompositions (`matching.bvn_decompose[_maxmin]`).
     pub decompose_ms: f64,
     /// Switch simulation (`sched.simulate`).
     pub simulate_ms: f64,
     /// Un-instrumented remainder: `total` minus the other stages, clamped
-    /// at zero (parallel decompose can push the stage sum past `total`).
+    /// at zero against clock jitter.
     pub other_ms: f64,
     /// Whole cell, measured directly around order + schedule.
     pub total_ms: f64,
@@ -179,16 +176,8 @@ pub struct ProfileReport {
 ///
 /// Each cell gets a fresh registry window (`obs::reset` + enable), runs
 /// ordering and scheduling sequentially, and snapshots its stage spans and
-/// counters. Recording is left disabled afterwards. `sequential` forces
-/// [`ExecOptions::sequential_decompose`], pinning the per-batch BvN
-/// decompositions to one thread — the threads = 1 leg of the speedup
-/// table in EXPERIMENTS.md (outputs are identical either way).
-pub fn run_profile(
-    instance: &Instance,
-    seed: u64,
-    lp_opts: &SimplexOptions,
-    sequential: bool,
-) -> ProfileReport {
+/// counters. Recording is left disabled afterwards.
+pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> ProfileReport {
     let mut cells = Vec::with_capacity(OrderRule::PAPER_RULES.len() * CASES.len());
     for &rule in &OrderRule::PAPER_RULES {
         for &(grouping, backfill) in &CASES {
@@ -205,7 +194,7 @@ pub fn run_profile(
                 instance,
                 order,
                 grouping,
-                ExecOptions { backfill, sequential_decompose: sequential, ..ExecOptions::default() },
+                ExecOptions { backfill, ..ExecOptions::default() },
             );
             let total_ms = cell_start.elapsed().as_secs_f64() * 1e3;
             let snap = obs::snapshot();
@@ -658,7 +647,7 @@ mod tests {
         static REPORT: OnceLock<ProfileReport> = OnceLock::new();
         REPORT.get_or_init(|| {
             let inst = generate_trace(&TraceConfig::small(7));
-            run_profile(&inst, 7, &SimplexOptions::default(), false)
+            run_profile(&inst, 7, &SimplexOptions::default())
         })
     }
 
@@ -696,38 +685,6 @@ mod tests {
                     "H_LP cells must record pivots or a basis-cache hit"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn exclusive_stages_sum_to_total_within_parallel_slack() {
-        // Schema /2 invariant: the ordering stage no longer swallows the LP
-        // stages, and the `other` bucket absorbs un-instrumented work, so
-        // the non-total stages account for at most `total` plus the CPU
-        // time the parallel decompose path sums across workers.
-        let report = tiny_report();
-        for cell in &report.cells {
-            let s = &cell.stages;
-            let sum = s.lp_build_ms + s.lp_solve_ms + s.order_ms + s.decompose_ms
-                + s.simulate_ms
-                + s.other_ms;
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get() as f64)
-                .unwrap_or(1.0);
-            assert!(
-                sum <= s.total_ms.max(0.05) * (1.0 + threads) + 1.0,
-                "stage sum {sum} implausible vs total {} ({:?} case {})",
-                s.total_ms,
-                cell.order,
-                crate::grid::case_label(cell.grouping, cell.backfill),
-            );
-            // The /1 bug: order included lp_build + lp_solve. Exclusive
-            // accounting keeps them disjoint, so their sum fits in total
-            // (all three are main-thread wall clock).
-            assert!(
-                s.order_ms + s.lp_build_ms + s.lp_solve_ms <= s.total_ms + 1.0,
-                "order must not double-count the LP stages"
-            );
         }
     }
 

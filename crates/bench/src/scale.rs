@@ -669,28 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_subset_matches_against_the_full_curve() {
-        let full = render_scale_json(&tiny_report());
-        let subset = render_scale_json(&ScaleReport {
-            seed: 11,
-            window: 32,
-            cells: vec![run_scale_cell(200, 120, 11, 32)],
-        });
-        let deltas = compare_scale(&full, &subset, 0.2, 0.25).expect("compare");
-        assert_eq!(deltas.len(), 4);
-        assert!(deltas.iter().all(|d| d.cell == cell_label(200, 120)));
-        // Objective is bit-stable across separate runs of the same cell.
-        assert!(deltas.iter().all(|d| !d.regressed || d.metric == "wall_ms"));
-        // Disjoint cells are an error, not a silent pass.
-        let foreign = render_scale_json(&ScaleReport {
-            seed: 11,
-            window: 32,
-            cells: vec![run_scale_cell(300, 40, 11, 32)],
-        });
-        assert!(compare_scale(&full, &foreign, 0.2, 0.25).is_err());
-    }
-
-    #[test]
     fn comparison_rejects_foreign_schemas() {
         let report = render_scale_json(&tiny_report());
         assert!(compare_scale("{\"schema\": \"other/9\", \"cells\": []}", &report, 0.2, 0.25)

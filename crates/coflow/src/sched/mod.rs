@@ -100,20 +100,6 @@ pub struct ExecOptions {
     /// ([`coflow_matching::bvn_decompose_maxmin`]): same ρ slots, far fewer
     /// distinct matchings (fabric reconfigurations).
     pub maxmin_decomposition: bool,
-    /// Force the per-batch decompositions to run serially inside the batch
-    /// loop even when the parallel precompute would apply. Exists so tests
-    /// and benchmarks can compare the two paths; outputs are identical.
-    pub sequential_decompose: bool,
-    /// Decompose batch aggregates with the port-sharded BvN variant
-    /// ([`coflow_matching::bvn_decompose_sharded`]): port-disjoint support
-    /// components are factored in parallel and merged on a shared timeline.
-    /// Slot-identical to the sequential path on single-component aggregates
-    /// (every lone coflow, and connected groups). Applies to the parallel
-    /// precompute path only — residual aggregates under backfill/rematch
-    /// stay sequential, because drained pairs disconnect supports and the
-    /// sharded merge would reorder those slots. Ignored when
-    /// `maxmin_decomposition` or `sequential_decompose` is set.
-    pub sharded_decompose: bool,
 }
 
 /// Runs the scheduling stage with an externally supplied order.

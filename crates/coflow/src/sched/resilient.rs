@@ -122,7 +122,6 @@ pub(crate) fn plan_resilient_until(
     };
     let opts = ExecOptions {
         backfill: spec.backfill,
-        sequential_decompose: true,
         ..ExecOptions::default()
     };
     let trace = plan_with_order_until(instance, chosen.order, spec.grouping, opts, horizon);

@@ -16,10 +16,11 @@
 //!   and property-tested against the committed pins).
 //!
 //! Versioning rules: readers reject any schema string other than
-//! `coflow-snapshot/1`; within a version, fields are only ever added, and
-//! a reader must error (not guess) on missing required fields. Bumping the
-//! version is required for any change to the meaning or encoding of an
-//! existing field.
+//! `coflow-snapshot/1`; within a version, fields are only ever added or
+//! retired, and a reader must error (not guess) on missing required
+//! fields. A retired field is no longer written, but a reader still
+//! type-checks it when present. Bumping the version is required for any
+//! change to the meaning or encoding of an existing field.
 
 use super::engine::{BvnBatchPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy};
 use super::ordered::GreedyPolicy;
@@ -165,8 +166,8 @@ impl PolicyState {
                 current,
             } => {
                 check_order(order)?;
-                if batches.iter().flatten().count() != order.len() {
-                    return Err(bad("batches do not partition the order"));
+                if !batches.iter().flatten().eq(order.iter()) {
+                    return Err(bad("batches are not consecutive runs of the order"));
                 }
                 Ok(Box::new(BvnBatchPolicy::restore(
                     instance,
@@ -347,13 +348,11 @@ fn render_policy(out: &mut String, p: &PolicyState) {
             }
             let _ = write!(
                 out,
-                "],\"opts\":{{\"backfill\":{},\"rematch\":{},\"maxmin\":{},\"sequential\":{},\
-                 \"sharded\":{}}},\"b_idx\":{},\"current\":",
+                "],\"opts\":{{\"backfill\":{},\"rematch\":{},\"maxmin\":{}}},\"b_idx\":{},\
+                 \"current\":",
                 opts.backfill,
                 opts.rematch,
                 opts.maxmin_decomposition,
-                opts.sequential_decompose,
-                opts.sharded_decompose,
                 b_idx
             );
             match current {
@@ -470,11 +469,12 @@ fn get_usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, SnapshotError
     Ok(get_u64_array(v, key)?.into_iter().map(|x| x as usize).collect())
 }
 
-fn get_bool_or(v: &JsonValue, key: &str, default: bool) -> Result<bool, SnapshotError> {
-    if field(v, key).is_err() {
-        return Ok(default);
+/// Type-checks a retired bool field when present; its value is unused.
+fn check_retired_bool(v: &JsonValue, key: &str) -> Result<(), SnapshotError> {
+    if field(v, key).is_ok() {
+        get_bool(v, key)?;
     }
-    get_bool(v, key)
+    Ok(())
 }
 
 fn get_bool(v: &JsonValue, key: &str) -> Result<bool, SnapshotError> {
@@ -515,11 +515,13 @@ fn parse_policy(v: &JsonValue) -> Result<PolicyState, SnapshotError> {
                 backfill: get_bool(opts_v, "backfill")?,
                 rematch: get_bool(opts_v, "rematch")?,
                 maxmin_decomposition: get_bool(opts_v, "maxmin")?,
-                sequential_decompose: get_bool(opts_v, "sequential")?,
-                // Absent in checkpoints written before the sharded variant
-                // existed; those runs used the plain path.
-                sharded_decompose: get_bool_or(opts_v, "sharded", false)?,
             };
+            // Retired keys: older checkpoints name the decomposition path
+            // ("sequential", "sharded"). Every path produced the same
+            // schedule, so the value is checked and ignored.
+            for retired in ["sequential", "sharded"] {
+                check_retired_bool(opts_v, retired)?;
+            }
             let b_idx = get_usize(v, "b_idx")?;
             let current = match field(v, "current")? {
                 JsonValue::Null => None,

@@ -11,10 +11,10 @@
 //! components ([`coflow_components`]), builds one sub-model per component
 //! *on the global interval grid* (so each sub-model is literally the
 //! monolithic model restricted to the block — same feasible intervals, same
-//! pruning, same within-row term order), solves the blocks concurrently via
-//! [`coflow_lp::try_solve_cached_batch`], and merges `C̄` by original coflow
-//! index. With at most one component it delegates to the monolithic path
-//! verbatim.
+//! pruning, same within-row term order), solves the blocks one after another
+//! through [`coflow_lp::try_solve_cached`], and merges `C̄` by original
+//! coflow index. With at most one component it delegates to the monolithic
+//! path verbatim.
 //!
 //! The module also provides a *sparse* model builder
 //! ([`build_interval_model_sparse`]) that constructs the identical model
@@ -26,7 +26,7 @@ use crate::instance::Instance;
 use crate::intervals::GeometricGrid;
 use crate::ordering::permutation_by_key;
 use crate::relax::{build_interval_model_with_grid, try_solve_interval_lp_with, LpRelaxation};
-use coflow_lp::{LpError, Model, SimplexOptions, Solution, VarId};
+use coflow_lp::{LpError, Model, SimplexOptions, VarId};
 
 /// Minimal union-find over port nodes (ingress `i` ↔ node `i`, egress `j`
 /// ↔ node `m + j`).
@@ -119,8 +119,8 @@ pub fn coflow_components(instance: &Instance) -> Vec<Vec<usize>> {
 }
 
 /// Windowed variant of [`crate::relax::try_solve_interval_lp_with`]: solves
-/// the interval-indexed LP per port-connected coflow group (concurrently)
-/// instead of monolithically. Because the monolithic LP is block-diagonal
+/// the interval-indexed LP per port-connected coflow group instead of
+/// monolithically. Because the monolithic LP is block-diagonal
 /// over the groups and every sub-model is built on the *global* grid, the
 /// result — fractional completions, ordering, and lower bound — matches the
 /// monolithic solve (bit-identical per-block solutions; the lower bound is
@@ -138,22 +138,29 @@ pub fn try_solve_interval_lp_windowed(
     obs::counter_add("lp.windowed.groups", groups.len() as u64);
     let grid = GeometricGrid::doubling(instance.naive_horizon());
     let m = instance.ports();
-    let mut models = Vec::with_capacity(groups.len());
-    let mut var_maps = Vec::with_capacity(groups.len());
-    for group in &groups {
+    solve_blocks(instance.len(), &groups, &grid, opts, |group| {
         let coflows = group.iter().map(|&k| instance.coflow(k).clone()).collect();
-        let sub = Instance::new(m, coflows);
-        let (model, vars) = build_interval_model_with_grid(&sub, &grid);
-        models.push(model);
-        var_maps.push(vars);
-    }
-    let solutions = coflow_lp::try_solve_cached_batch(&models, opts, coflow_lp::global_cache());
-    let mut approx = vec![0.0f64; instance.len()];
+        build_interval_model_with_grid(&Instance::new(m, coflows), &grid)
+    })
+}
+
+/// Builds and solves each group's sub-model in group order, merging the
+/// block solutions by original coflow index: `C̄` per coflow, the sum of
+/// block optima as the lower bound, and the summed solver statistics.
+fn solve_blocks(
+    n: usize,
+    groups: &[Vec<usize>],
+    grid: &GeometricGrid,
+    opts: &SimplexOptions,
+    mut build: impl FnMut(&[usize]) -> (Model, Vec<Vec<(usize, VarId)>>),
+) -> Result<LpRelaxation, LpError> {
+    let mut approx = vec![0.0f64; n];
     let mut lower_bound = 0.0f64;
     let mut iterations = 0usize;
     let mut rows_pruned = 0usize;
-    for ((group, vars), sol) in groups.iter().zip(&var_maps).zip(solutions) {
-        let sol = sol?;
+    for group in groups {
+        let (model, vars) = build(group);
+        let sol = coflow_lp::try_solve_cached(&model, opts, coflow_lp::global_cache())?;
         for (local, &k) in group.iter().enumerate() {
             approx[k] = vars[local]
                 .iter()
@@ -164,7 +171,7 @@ pub fn try_solve_interval_lp_windowed(
         iterations += sol.iterations;
         rows_pruned += sol.presolve_rows_removed;
     }
-    let order = permutation_by_key(instance.len(), &approx);
+    let order = permutation_by_key(n, &approx);
     Ok(LpRelaxation {
         approx_completion: approx,
         order,
@@ -302,7 +309,7 @@ pub fn build_interval_model_sparse(
 }
 
 /// Windowed solve over sparse coflow loads: shards by port-connected
-/// component, solves the blocks concurrently, and returns the merged
+/// component, solves the blocks in component order, and returns the merged
 /// relaxation. This is the ordering stage of the streaming scale runner —
 /// it never touches a dense demand matrix.
 pub fn try_solve_windowed_sparse(
@@ -314,39 +321,9 @@ pub fn try_solve_windowed_sparse(
     let grid = GeometricGrid::doubling(sparse_naive_horizon(coflows));
     let groups = sparse_components(m, coflows);
     obs::counter_add("lp.windowed.groups", groups.len() as u64);
-    let mut models = Vec::with_capacity(groups.len());
-    let mut var_maps = Vec::with_capacity(groups.len());
-    for group in &groups {
-        let members: Vec<SparseCoflowLoads> =
-            group.iter().map(|&k| coflows[k].clone()).collect();
-        let (model, vars) = build_interval_model_sparse(m, &members, &grid);
-        models.push(model);
-        var_maps.push(vars);
-    }
-    let solutions = coflow_lp::try_solve_cached_batch(&models, opts, coflow_lp::global_cache());
-    let mut approx = vec![0.0f64; coflows.len()];
-    let mut lower_bound = 0.0f64;
-    let mut iterations = 0usize;
-    let mut rows_pruned = 0usize;
-    for ((group, vars), sol) in groups.iter().zip(&var_maps).zip(solutions) {
-        let sol: Solution = sol?;
-        for (local, &k) in group.iter().enumerate() {
-            approx[k] = vars[local]
-                .iter()
-                .map(|&(l, v)| grid.point(l - 1) * sol.x[v.0])
-                .sum();
-        }
-        lower_bound += sol.objective;
-        iterations += sol.iterations;
-        rows_pruned += sol.presolve_rows_removed;
-    }
-    let order = permutation_by_key(coflows.len(), &approx);
-    Ok(LpRelaxation {
-        approx_completion: approx,
-        order,
-        lower_bound,
-        iterations,
-        rows_pruned,
+    solve_blocks(coflows.len(), &groups, &grid, opts, |group| {
+        let members: Vec<SparseCoflowLoads> = group.iter().map(|&k| coflows[k].clone()).collect();
+        build_interval_model_sparse(m, &members, &grid)
     })
 }
 

@@ -41,8 +41,7 @@ mod legacy {
 
     /// The pre-refactor `execute_batches` (sched/mod.rs), verbatim minus
     /// obs calls and the parallel-precompute fan-out (the sequential path
-    /// is the semantic reference; parallel equality has its own test in
-    /// `parallel_decompose.rs`).
+    /// is the semantic reference, and the engine's only path).
     pub fn execute_batches(
         instance: &Instance,
         order: Vec<usize>,
@@ -575,11 +574,6 @@ fn bvn_policy_matches_frozen_batch_loop() {
                         backfill,
                         rematch,
                         maxmin_decomposition: maxmin,
-                        // The frozen reference is single-threaded; the
-                        // parallel precompute has its own differential test
-                        // (tests/parallel_decompose.rs).
-                        sequential_decompose: true,
-                        sharded_decompose: false,
                     };
                     let new = run_with_order_opts(&inst, order.clone(), grouping, opts);
                     let batches: Vec<Vec<usize>> = if grouping {

@@ -193,24 +193,6 @@ pub fn try_solve_cached(
     Ok(solution)
 }
 
-/// Solves a batch of independent models concurrently, each through
-/// [`try_solve_cached`] against the same cache. Results come back in input
-/// order, and each one is bit-identical to a sequential
-/// `try_solve_cached(&models[i], opts, cache)` call: the solver itself is
-/// deterministic and the cache only short-circuits *exact* hits, which
-/// return the identical stored solution.
-pub fn try_solve_cached_batch(
-    models: &[Model],
-    opts: &SimplexOptions,
-    cache: &BasisCache,
-) -> Vec<Result<Solution, LpError>> {
-    use rayon::prelude::*;
-    models
-        .par_iter()
-        .map(|model| try_solve_cached(model, opts, cache))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ pub mod simplex;
 pub mod sparse;
 pub mod verify;
 
-pub use cache::{global_cache, try_solve_cached, try_solve_cached_batch, BasisCache};
+pub use cache::{global_cache, try_solve_cached, BasisCache};
 pub use error::LpError;
 pub use model::{Constraint, Model, RowId, Sense, Solution, Status, VarId};
 pub use simplex::{solve, solve_with, try_solve, try_solve_with, SimplexOptions};

@@ -115,22 +115,6 @@ pub fn augment_to_balanced(d: &IntMatrix) -> IntMatrix {
 /// Panics if the matrix is not doubly balanced (callers should augment
 /// first); in that case a perfect matching need not exist.
 pub fn decompose_balanced(balanced: &IntMatrix) -> Vec<MatchingSlot> {
-    decompose_core(balanced, false)
-}
-
-/// Warm-started variant of [`decompose_balanced`]: each round reuses the
-/// surviving pairs of the previous round's matching and only augments the
-/// lefts whose partner edge died. This eliminates almost all augmenting
-/// paths (`matching.hk.warm_reused` counts the reused pairs) but may peel
-/// *different* — equally valid — permutations than the cold path, so it is
-/// opt-in: every decomposition invariant (slot count `ρ`, reconstruction,
-/// `m² − 2m + 2` bound) holds, but schedules built from grouped batches or
-/// backfilling can complete coflows at different slots.
-pub fn decompose_balanced_warm(balanced: &IntMatrix) -> Vec<MatchingSlot> {
-    decompose_core(balanced, true)
-}
-
-fn decompose_core(balanced: &IntMatrix, warm: bool) -> Vec<MatchingSlot> {
     let rho = balanced.load();
     assert!(
         balanced.is_doubly_balanced(rho),
@@ -142,14 +126,8 @@ fn decompose_core(balanced: &IntMatrix, warm: bool) -> Vec<MatchingSlot> {
     let mut hk = HopcroftKarp::new();
     let mut g = BipartiteGraph::support_of(&work);
     let mut remaining = rho;
-    let mut first = true;
     while remaining > 0 {
-        let size = if warm && !first {
-            hk.run_warm(&g)
-        } else {
-            hk.run_cold(&g)
-        };
-        first = false;
+        let size = hk.run_cold(&g);
         assert!(
             size == m,
             "Hall's theorem violated: balanced matrix support must have a perfect matching"
@@ -165,9 +143,6 @@ fn decompose_core(balanced: &IntMatrix, warm: bool) -> Vec<MatchingSlot> {
             work[(i, j)] -= q;
             if work[(i, j)] == 0 {
                 g.remove_edge(i, j);
-                if warm {
-                    hk.unmatch(i, j);
-                }
             }
         }
         remaining -= q;
@@ -192,29 +167,12 @@ pub(crate) fn record_decomposition_stats(dim: usize, num_slots: usize) {
 }
 
 /// Runs both steps of Algorithm 1 on an arbitrary nonnegative integer matrix.
-///
-/// Uses the cold (output-pinned) matching path: an empirical check on the
-/// seed grid showed the warm-started path changes completion times in
-/// grouped/backfilled cells (different — equally valid — permutations get
-/// peeled), so warm starting stays opt-in via [`bvn_decompose_warm`].
 pub fn bvn_decompose(d: &IntMatrix) -> BvnDecomposition {
-    bvn_decompose_with(d, false)
-}
-
-/// [`bvn_decompose`] with warm-started matchings (see
-/// [`decompose_balanced_warm`] for the output caveat).
-pub fn bvn_decompose_warm(d: &IntMatrix) -> BvnDecomposition {
-    bvn_decompose_with(d, true)
-}
-
-fn bvn_decompose_with(d: &IntMatrix, warm: bool) -> BvnDecomposition {
     let _span = obs::span("matching.bvn_decompose");
     let load = d.load();
     let augmented = augment_to_balanced(d);
     let slots = if load == 0 {
         Vec::new()
-    } else if warm {
-        decompose_balanced_warm(&augmented)
     } else {
         decompose_balanced(&augmented)
     };
@@ -377,44 +335,5 @@ mod tests {
             let reference = decompose_balanced_reference(&d);
             assert_eq!(fast, reference, "seed {}", seed);
         }
-    }
-
-    #[test]
-    fn warm_decompose_satisfies_all_invariants() {
-        for seed in 500..530 {
-            let m = 2 + (seed as usize % 8);
-            let d = random_balanced(m, 15, seed);
-            let load = d.load();
-            if load == 0 {
-                continue;
-            }
-            let slots = decompose_balanced_warm(&d);
-            let total: u64 = slots.iter().map(|s| s.count).sum();
-            assert_eq!(total, load, "seed {}", seed);
-            let mut rebuilt = IntMatrix::zeros(m);
-            for slot in &slots {
-                for (i, j) in slot.perm.pairs() {
-                    rebuilt[(i, j)] += slot.count;
-                }
-            }
-            assert_eq!(rebuilt, d, "seed {}", seed);
-            assert!(slots.len() <= m * m - 2 * m + 2, "seed {}", seed);
-        }
-    }
-
-    #[test]
-    fn warm_decompose_reuses_most_pairs() {
-        // The point of the warm path: augmenting-path work collapses.
-        obs::reset();
-        obs::set_enabled(true);
-        let d = random_balanced(24, 30, 9);
-        let _ = decompose_balanced_warm(&d);
-        let snap = obs::snapshot();
-        obs::set_enabled(false);
-        let reused = snap.counters.get("matching.hk.warm_reused").copied().unwrap_or(0);
-        // The registry is process-global and sibling tests may record into
-        // the same window, so only the warm-specific counter (which nothing
-        // else touches) is asserted.
-        assert!(reused > 0, "warm start must reuse surviving pairs");
     }
 }

@@ -5,21 +5,21 @@
 //! guaranteed by Hall's theorem / Birkhoff–von Neumann). Hopcroft–Karp keeps
 //! each round cheap even for 150-port fabrics with dense supports.
 //!
-//! Two entry points share the phase machinery:
+//! [`HopcroftKarp::solve`] is the cold solve. Its first phase is run as a
+//! plain greedy pass: with every left vertex free at distance 0, the DFS
+//! layer gate `dist[w] == dist[u] + 1` can never pass, so phase 1 of the
+//! textbook algorithm provably degenerates to first-free-neighbor greedy
+//! matching and the initial full-graph BFS is pure overhead. The resulting
+//! matching is pair-for-pair identical to the textbook cold solve (pinned
+//! by a reference test below).
 //!
-//! * [`HopcroftKarp::solve`] — the cold solve. Its first phase is run as a
-//!   plain greedy pass: with every left vertex free at distance 0, the DFS
-//!   layer gate `dist[w] == dist[u] + 1` can never pass, so phase 1 of the
-//!   textbook algorithm provably degenerates to first-free-neighbor greedy
-//!   matching and the initial full-graph BFS is pure overhead. The resulting
-//!   matching is pair-for-pair identical to the textbook cold solve
-//!   (pinned by a reference test below).
-//! * [`HopcroftKarp::solve_warm`] — keeps the solver's current pair state
-//!   (minus anything the caller [`HopcroftKarp::unmatch`]ed) and only runs
-//!   augmenting phases for the vertices that lost their partner. Any valid
-//!   partial matching extends to a maximum one (Berge), so the *cardinality*
-//!   always equals the cold solve's; the matched pairs themselves may
-//!   legitimately differ.
+//! The max-min decomposition's feasibility probes also run a crate-private
+//! warm solve (`run_warm`): it keeps the solver's current pair state (minus
+//! anything the caller `unmatch`ed) and only runs augmenting phases for the
+//! vertices that lost their partner. Any valid partial matching extends to
+//! a maximum one (Berge), so the *cardinality* always equals the cold
+//! solve's; the matched pairs themselves may legitimately differ, which is
+//! why every permutation a decomposition emits comes from a cold solve.
 
 use crate::bipartite::BipartiteGraph;
 
@@ -55,8 +55,8 @@ impl Matching {
 
 /// State buffers for Hopcroft–Karp, reusable across calls to avoid
 /// re-allocating on every decomposition round (a "workhorse collection"
-/// in Rust Performance Book terms). The pair state doubles as the warm-start
-/// seed for [`HopcroftKarp::solve_warm`].
+/// in Rust Performance Book terms). The pair state doubles as the seed of
+/// the max-min probes' warm solves.
 #[derive(Clone, Debug)]
 pub struct HopcroftKarp {
     pair_u: Vec<usize>,
@@ -79,17 +79,6 @@ impl HopcroftKarp {
     /// Computes a maximum matching of `g` from scratch.
     pub fn solve(&mut self, g: &BipartiteGraph) -> Matching {
         let size = self.run_cold(g);
-        self.build_matching(size)
-    }
-
-    /// Computes a maximum matching of `g` starting from the solver's current
-    /// pair state (see [`HopcroftKarp::solve_warm` module docs](self)).
-    ///
-    /// The caller must guarantee every surviving matched pair is an edge of
-    /// `g` (use [`HopcroftKarp::unmatch`] to drop invalidated pairs first)
-    /// and that the buffer dimensions match `g`.
-    pub fn solve_warm(&mut self, g: &BipartiteGraph) -> Matching {
-        let size = self.run_warm(g);
         self.build_matching(size)
     }
 
@@ -119,9 +108,12 @@ impl HopcroftKarp {
         size
     }
 
-    /// Warm solve returning only the matching size (see
-    /// [`HopcroftKarp::solve_warm`] for the seeding contract).
-    pub fn run_warm(&mut self, g: &BipartiteGraph) -> usize {
+    /// Computes the size of a maximum matching of `g` starting from the
+    /// solver's current pair state (see the module docs). The caller must
+    /// guarantee every surviving matched pair is an edge of `g` (use
+    /// [`HopcroftKarp::unmatch`] to drop invalidated pairs first) and that
+    /// the buffer dimensions match `g`.
+    pub(crate) fn run_warm(&mut self, g: &BipartiteGraph) -> usize {
         assert_eq!(
             self.pair_u.len(),
             g.left_count(),
@@ -147,7 +139,7 @@ impl HopcroftKarp {
     /// Forgets the matched pair `(u, v)` if it is currently part of the
     /// stored assignment. Callers prune pairs whose edge left the graph
     /// before a warm solve.
-    pub fn unmatch(&mut self, u: usize, v: usize) {
+    pub(crate) fn unmatch(&mut self, u: usize, v: usize) {
         if self.pair_u.get(u).copied() == Some(v) {
             self.pair_u[u] = NIL;
             self.pair_v[v] = NIL;
@@ -163,7 +155,7 @@ impl HopcroftKarp {
     }
 
     /// Raw left→right assignment of the last run (`usize::MAX` marks free
-    /// lefts). Valid until the next run or [`HopcroftKarp::unmatch`].
+    /// lefts). Valid until the next run.
     pub fn left_assignment(&self) -> &[usize] {
         &self.pair_u
     }
@@ -465,11 +457,11 @@ mod tests {
             if let Some((u, v)) = first_pair {
                 g.remove_edge(u, v);
                 hk.unmatch(u, v);
-                let warm = hk.solve_warm(&g);
+                let warm_size = hk.run_warm(&g);
                 let cold = maximum_matching(&g);
-                assert_eq!(warm.size, cold.size, "seed {}", seed);
+                assert_eq!(warm_size, cold.size, "seed {}", seed);
                 // All warm pairs are real edges.
-                for (a, b) in warm.pairs() {
+                for (a, b) in (0..n).filter_map(|a| hk.matched(a).map(|b| (a, b))) {
                     assert!(g.neighbors(a).contains(&b), "seed {}", seed);
                 }
             }
@@ -501,14 +493,13 @@ mod tests {
             .filter_map(|a| hk.matched(a).map(|b| (a, b)))
             .collect();
         assert_eq!(survivors.len(), 3);
-        let warm = hk.solve_warm(&g);
-        assert_eq!(warm.size, 4);
+        assert_eq!(hk.run_warm(&g), 4);
         // A single augmenting path alternates matched/unmatched edges and
         // can re-route at most one surviving pair per flip along it; the
         // shortest path here flips exactly one, so ≥ 2 of 3 persist.
         let persisted = survivors
             .iter()
-            .filter(|&&(a, b)| warm.pair_left[a] == Some(b))
+            .filter(|&&(a, b)| hk.matched(a) == Some(b))
             .count();
         assert!(
             persisted >= survivors.len() - 1,

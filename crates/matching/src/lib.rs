@@ -29,11 +29,9 @@ pub mod bvn;
 pub mod bvn_maxmin;
 pub mod hopcroft_karp;
 pub mod matrix;
-pub mod shard;
 
 pub use bipartite::BipartiteGraph;
 pub use bvn::{bvn_decompose, BvnDecomposition, MatchingSlot};
 pub use bvn_maxmin::bvn_decompose_maxmin;
 pub use hopcroft_karp::{maximum_matching, HopcroftKarp, Matching};
 pub use matrix::{IntMatrix, Permutation};
-pub use shard::{bvn_decompose_sharded, support_components, SupportComponent};
