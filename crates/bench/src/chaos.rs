@@ -405,7 +405,6 @@ pub fn worst_window_search(
     let clean_objective = clean.objective.max(f64::MIN_POSITIVE);
     let makespan = clean.executed.makespan().max(2);
 
-    let demands = instance.demand_matrices();
     let weights = instance.weights();
     let survivors_objective = |out: &FaultyOutcome| -> f64 {
         // Inflation over the same surviving set, as in the fault sweep.
@@ -437,7 +436,7 @@ pub fn worst_window_search(
             window,
             start,
         };
-        let adv_plan = FaultPlan::adversarial(&demands, &weights, &cfg);
+        let adv_plan = FaultPlan::adversarial(instance.demands(), &weights, &cfg);
         let mut adv_policy = ResilientPolicy::new(spec, lp_opts.clone());
         let adv = match run_policy_with_faults(instance, &mut adv_policy, &adv_plan) {
             Ok(out) => out,

@@ -182,7 +182,7 @@ mod tests {
                 assert_eq!(cell.used, *rule);
             }
             let times = validate_trace(
-                &inst.demand_matrices(),
+                inst.demands(),
                 &inst.releases(),
                 &cell.outcome.trace,
             )

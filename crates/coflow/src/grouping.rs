@@ -34,14 +34,18 @@ impl Groups {
 pub fn group_by_doubling(instance: &Instance, order: &[usize]) -> Groups {
     let v = instance.cumulative_loads(order);
     let horizon = v.iter().copied().max().unwrap_or(1);
-    let grid = GeometricGrid::doubling(horizon);
-    group_by_grid(instance, order, &grid)
+    group_by_loads(order, v, &GeometricGrid::doubling(horizon))
 }
 
 /// Groups `order` by an arbitrary geometric grid (the randomized algorithm
 /// passes its randomly shifted grid here).
 pub fn group_by_grid(instance: &Instance, order: &[usize], grid: &GeometricGrid) -> Groups {
-    let v = instance.cumulative_loads(order);
+    group_by_loads(order, instance.cumulative_loads(order), grid)
+}
+
+/// Groups `order` by `grid`, given its cumulative loads `v` (aligned with
+/// `order`).
+fn group_by_loads(order: &[usize], v: Vec<u64>, grid: &GeometricGrid) -> Groups {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut caps: Vec<f64> = Vec::new();
     let mut current_interval = usize::MAX;

@@ -44,10 +44,10 @@ impl Instance {
         &self.coflows[k]
     }
 
-    /// Demand matrices in instance order (borrowed views are impossible with
-    /// the current layout, so this clones; used at simulator boundaries).
-    pub fn demand_matrices(&self) -> Vec<IntMatrix> {
-        self.coflows.iter().map(|c| c.demand.clone()).collect()
+    /// Demand matrices in instance order, borrowed: what the executors and
+    /// the replay check read once into their sparse state.
+    pub fn demands(&self) -> impl ExactSizeIterator<Item = &IntMatrix> + Clone + '_ {
+        self.coflows.iter().map(|c| &c.demand)
     }
 
     /// Release dates in instance order.
@@ -149,12 +149,14 @@ impl Instance {
         let mut out_load = vec![0u64; self.m];
         let mut out = Vec::with_capacity(order.len());
         for &k in order {
+            // One row-major pass per matrix, as in `port_loads`.
             let d = &self.coflows[k].demand;
             for (i, load) in in_load.iter_mut().enumerate() {
-                *load += d.row_sum(i);
-            }
-            for (load, cs) in out_load.iter_mut().zip(d.col_sums()) {
-                *load += cs;
+                let row = d.row(i);
+                *load += row.iter().sum::<u64>();
+                for (e, &v) in out_load.iter_mut().zip(row) {
+                    *e += v;
+                }
             }
             let vk = in_load
                 .iter()

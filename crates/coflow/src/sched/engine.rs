@@ -40,7 +40,7 @@ use crate::error::SchedError;
 use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
 use coflow_matching::{bvn_decompose, BvnDecomposition, IntMatrix, MatchingSlot, Permutation};
-use coflow_netsim::{Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError};
+use coflow_netsim::{DemandView, Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError, SparseDemand};
 use std::fmt;
 use std::time::Instant;
 
@@ -91,14 +91,6 @@ impl EngineError {
     }
 }
 
-/// The executor behind an [`EpochState`]: policies read remaining demand
-/// through this so the same policy code runs clean or under faults.
-#[derive(Clone, Copy)]
-enum ExecRef<'a> {
-    Clean(&'a Fabric),
-    Faulty(&'a FaultSim),
-}
-
 /// Read-only snapshot of execution state at a decision epoch.
 pub struct EpochState<'a> {
     /// Current time (end of the last executed slot). The next schedulable
@@ -107,52 +99,65 @@ pub struct EpochState<'a> {
     pub now: u64,
     /// The instance being scheduled (full demands, releases, weights).
     pub instance: &'a Instance,
-    exec: ExecRef<'a>,
+    /// The executor's remaining demand, clean or under faults: policies
+    /// read it through this, so the same policy code runs in both.
+    demand: &'a SparseDemand,
+    /// The fault simulator, when the engine runs under faults.
+    sim: Option<&'a FaultSim>,
     next_boundary: u64,
     window_end: u64,
 }
 
 impl<'a> EpochState<'a> {
-    /// Remaining demand of coflow `k` on pair `(i, j)`.
-    #[inline]
-    pub fn remaining(&self, k: usize, i: usize, j: usize) -> u64 {
-        match self.exec {
-            ExecRef::Clean(f) => f.remaining(k, i, j),
-            ExecRef::Faulty(s) => s.remaining(k, i, j),
+    /// The state at a decision of the clean engine.
+    fn clean(instance: &'a Instance, fabric: &'a Fabric) -> Self {
+        EpochState {
+            now: fabric.now(),
+            instance,
+            demand: fabric.remaining_demand(),
+            sim: None,
+            next_boundary: u64::MAX,
+            window_end: u64::MAX,
         }
     }
 
-    /// Remaining demand matrix of coflow `k`.
+    /// Remaining demand of coflow `k` on pair `(i, j)`: a binary search
+    /// over the coflow's pairs.
     #[inline]
-    pub fn remaining_matrix(&self, k: usize) -> &'a IntMatrix {
-        match self.exec {
-            ExecRef::Clean(f) => f.remaining_matrix(k),
-            ExecRef::Faulty(s) => s.remaining_matrix(k),
-        }
+    pub fn remaining(&self, k: usize, i: usize, j: usize) -> u64 {
+        self.demand.get(k, i, j)
+    }
+
+    /// Remaining demand of coflow `k`, viewed in the executor's state.
+    #[inline]
+    pub fn remaining_matrix(&self, k: usize) -> DemandView<'a> {
+        self.demand.view(k)
+    }
+
+    /// Remaining demand of every coflow over its nonzero pairs, the
+    /// executor's own state. Hot paths resolve an entry once and read it
+    /// by index from then on; the indices hold for the whole run.
+    #[inline]
+    pub fn remaining_demand(&self) -> &'a SparseDemand {
+        self.demand
     }
 
     /// Remaining total units of coflow `k`.
     #[inline]
     pub fn remaining_total(&self, k: usize) -> u64 {
-        match self.exec {
-            ExecRef::Clean(f) => f.remaining_total(k),
-            ExecRef::Faulty(s) => s.remaining_total(k),
-        }
+        self.demand.total(k)
     }
 
     /// True when coflow `k` has been cancelled by the fault plan (always
     /// false in the clean engine).
     #[inline]
     pub fn is_cancelled(&self, k: usize) -> bool {
-        match self.exec {
-            ExecRef::Clean(_) => false,
-            ExecRef::Faulty(s) => s.is_cancelled(k),
-        }
+        self.sim.is_some_and(|s| s.is_cancelled(k))
     }
 
     /// True when the engine is executing under fault injection.
     pub fn under_faults(&self) -> bool {
-        matches!(self.exec, ExecRef::Faulty(_))
+        self.sim.is_some()
     }
 
     /// The first [`FaultPlan::boundaries`] entry after slot `now + 1`: the
@@ -457,20 +462,13 @@ fn drive<P: Policy + ?Sized>(
     policy: &mut P,
     horizon: u64,
 ) -> Result<Fabric, SchedError> {
-    let demands = instance.demand_matrices();
     let releases = instance.releases();
-    let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
+    let mut fabric = Fabric::new(instance.ports(), instance.demands(), &releases);
     let mut decisions: u64 = 0;
     let mut last_beat = Instant::now();
     let mut pacer = HeartbeatPacer::default();
     while !fabric.all_done() && fabric.now().saturating_add(1) < horizon {
-        let decision = policy.decide(&EpochState {
-            now: fabric.now(),
-            instance,
-            exec: ExecRef::Clean(&fabric),
-            next_boundary: u64::MAX,
-            window_end: u64::MAX,
-        })?;
+        let decision = policy.decide(&EpochState::clean(instance, &fabric))?;
         decisions += 1;
         if pacer.due(decisions) && {
             // Advance the pacer even when nobody is listening, so the
@@ -585,12 +583,8 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Builds a fresh engine over `instance` under `plan`.
     pub fn new(instance: &'a Instance, plan: &FaultPlan) -> Self {
-        let sim = FaultSim::new(
-            instance.ports(),
-            &instance.demand_matrices(),
-            &instance.releases(),
-            plan.clone(),
-        );
+        let releases = instance.releases();
+        let sim = FaultSim::new(instance.ports(), instance.demands(), &releases, plan.clone());
         Engine {
             instance,
             sim,
@@ -598,7 +592,7 @@ impl<'a> Engine<'a> {
             tiers: Vec::new(),
             last_window: None,
             decisions: 0,
-            releases: instance.releases(),
+            releases,
             last_beat: Instant::now(),
         }
     }
@@ -674,7 +668,8 @@ impl<'a> Engine<'a> {
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
-            exec: ExecRef::Faulty(&self.sim),
+            demand: self.sim.remaining_demand(),
+            sim: Some(&self.sim),
             next_boundary: stop.unwrap_or(u64::MAX),
             window_end: if changes_next {
                 now + 1
@@ -765,21 +760,58 @@ impl<'a> Engine<'a> {
     }
 
     /// Rebuilds an engine and its policy from a snapshot, validating the
-    /// snapshot against `instance` (fabric width, coflow count, releases).
-    /// The restored pair continues bit-identically to the checkpointed run.
+    /// snapshot against `instance`: the fabric width, the coflow count and
+    /// release dates, every executed transfer (ports `< m`, coflow `< n`,
+    /// at least one unit), and the residual demand — only on pairs the
+    /// instance demands, never above that demand, zero exactly for the
+    /// coflows marked complete or cancelled. The restored pair continues
+    /// bit-identically to the checkpointed run.
     pub fn restore(
         instance: &'a Instance,
         snapshot: super::snapshot::EngineSnapshot,
     ) -> Result<(Engine<'a>, Box<dyn Policy>), coflow_netsim::SnapshotError> {
         let bad = coflow_netsim::SnapshotError::new;
-        if snapshot.sim.m != instance.ports() {
+        let (m, n) = (instance.ports(), instance.len());
+        if snapshot.sim.m != m {
             return Err(bad("snapshot fabric width disagrees with instance"));
         }
         if snapshot.sim.releases != instance.releases() {
             return Err(bad("snapshot release dates disagree with instance"));
         }
+        let mut transfers = snapshot.sim.executed.runs.iter().flat_map(|r| &r.transfers);
+        if let Some(t) = transfers.find(|t| t.src >= m || t.dst >= m || t.coflow >= n || t.units == 0) {
+            return Err(coflow_netsim::SnapshotError::new(format!(
+                "executed transfer ({}, {}, coflow {}, {} units) is outside the instance",
+                t.src, t.dst, t.coflow, t.units
+            )));
+        }
         let policy = snapshot.policy.rebuild(instance)?;
         let sim = FaultSim::from_state(snapshot.sim)?;
+        let residual = sim.remaining_demand();
+        for k in 0..n {
+            let demand = &instance.coflow(k).demand;
+            for (i, j, units) in residual.view(k).nonzero_entries() {
+                if units > demand[(i, j)] {
+                    return Err(coflow_netsim::SnapshotError::new(format!(
+                        "coflow {} has {} residual units on ({}, {}), above its demand of {}",
+                        k,
+                        units,
+                        i,
+                        j,
+                        demand[(i, j)]
+                    )));
+                }
+            }
+            let settled = sim.completion_times()[k].is_some() || sim.is_cancelled(k);
+            if settled != (residual.total(k) == 0) {
+                return Err(coflow_netsim::SnapshotError::new(format!(
+                    "coflow {} is {} but has {} residual units",
+                    k,
+                    if settled { "complete or cancelled" } else { "in flight" },
+                    residual.total(k)
+                )));
+            }
+        }
         Ok((
             Engine {
                 instance,
@@ -841,14 +873,15 @@ where
 /// matching computed over per-coflow live flow lists instead of dense
 /// `m × m` scans, returned in recycled [`Decision::Run`] buffers.
 ///
-/// A coflow's list holds its port pairs in row-major order (the order
-/// `IntMatrix::nonzero_entries` yields), built from its full demand on
-/// first use and compacted as pairs drain. Remaining demand never grows, so
-/// the compacted list holds every pair the remaining matrix has demand on,
-/// in the same order. The lists are derived state: a policy rebuilt from a
-/// checkpoint starts again from full demands.
+/// A coflow's list holds the indices of its entries in the executor's
+/// [`SparseDemand`] — its port pairs in row-major order, the order
+/// `IntMatrix::nonzero_entries` yields — taken on first use and compacted
+/// as pairs drain. Remaining demand never grows, so the compacted list
+/// holds every pair the coflow still has demand on, in the same order. The
+/// lists are derived state: a policy rebuilt from a checkpoint takes them
+/// again from the restored executor.
 pub(crate) struct FlowMatcher {
-    flows: Vec<Option<Vec<(usize, usize)>>>,
+    flows: Vec<Option<Vec<usize>>>,
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
     /// Per-port demand scratch of [`FlowMatcher::load`], zero between calls.
@@ -874,18 +907,11 @@ impl FlowMatcher {
     }
 
     fn flows_of<'f>(
-        flows: &'f mut [Option<Vec<(usize, usize)>>],
-        instance: &Instance,
+        flows: &'f mut [Option<Vec<usize>>],
+        demand: &SparseDemand,
         k: usize,
-    ) -> &'f mut Vec<(usize, usize)> {
-        flows[k].get_or_insert_with(|| {
-            instance
-                .coflow(k)
-                .demand
-                .nonzero_entries()
-                .map(|(i, j, _)| (i, j))
-                .collect()
-        })
+    ) -> &'f mut Vec<usize> {
+        flows[k].get_or_insert_with(|| demand.entries(k).collect())
     }
 
     /// Removes the settled (drained or cancelled) coflows from `coflows`
@@ -911,21 +937,24 @@ impl FlowMatcher {
     /// `state.remaining_matrix(k).load()` returns — summed over its flow
     /// list, without allocating.
     pub(crate) fn load(&mut self, state: &EpochState<'_>, k: usize) -> u64 {
-        let remaining = state.remaining_matrix(k);
+        let demand = state.remaining_demand();
         let FlowMatcher {
             flows, row, col, ..
         } = self;
-        let list = Self::flows_of(flows, state.instance, k);
-        for &(i, j) in list.iter() {
-            let r = remaining[(i, j)];
+        let list = Self::flows_of(flows, demand, k);
+        for &e in list.iter() {
+            let (i, j) = demand.pair(e);
+            let r = demand.units(e);
             row[i] += r;
             col[j] += r;
         }
         let mut load = 0;
-        for &(i, j) in list.iter() {
+        for &e in list.iter() {
+            let (i, j) = demand.pair(e);
             load = load.max(row[i]).max(col[j]);
         }
-        for &(i, j) in list.iter() {
+        for &e in list.iter() {
+            let (i, j) = demand.pair(e);
             row[i] = 0;
             col[j] = 0;
         }
@@ -943,6 +972,7 @@ impl FlowMatcher {
         candidates: I,
     ) -> (Vec<(usize, usize, Vec<usize>)>, u64) {
         let m = state.instance.ports();
+        let demand = state.remaining_demand();
         let FlowMatcher {
             flows,
             src_used,
@@ -959,12 +989,12 @@ impl FlowMatcher {
             if pairs.len() == m {
                 break;
             }
-            let remaining = state.remaining_matrix(k);
-            Self::flows_of(flows, state.instance, k).retain(|&(i, j)| {
-                let r = remaining[(i, j)];
+            Self::flows_of(flows, demand, k).retain(|&e| {
+                let r = demand.units(e);
                 if r == 0 {
                     return false;
                 }
+                let (i, j) = demand.pair(e);
                 if !src_used[i] && !dst_used[j] {
                     src_used[i] = true;
                     dst_used[j] = true;
@@ -1036,11 +1066,16 @@ pub struct BvnBatchPolicy {
     /// Position of each coflow in the global order.
     pos: Vec<usize>,
     /// Per-pair coflow queues in global order: candidates for service on a
-    /// pair, indexed by `i * m + j` and scanned front to back. `pair_head`
-    /// remembers how far each queue's prefix of pair-finished coflows
-    /// reaches — `remaining(k, i, j)` only ever decreases, so the trim is
-    /// permanent and the skipped prefix can never become a candidate again.
-    pair_queue: Vec<Vec<usize>>,
+    /// pair, scanned front to back. One CSR over port pairs: the queue of
+    /// pair `p = i * m + j` is `queue[queue_at[p]..queue_at[p + 1]]`, each
+    /// item a coflow and its entry in the executor's remaining demand.
+    /// Built at the first decision from that state (empty until then).
+    /// `pair_head` remembers how far each queue's prefix of pair-finished
+    /// coflows reaches — remaining demand only ever decreases, so the trim
+    /// is permanent and the skipped prefix can never become a candidate
+    /// again.
+    queue_at: Vec<usize>,
+    queue: Vec<(usize, usize)>,
     pair_head: Vec<usize>,
     b_idx: usize,
     current: Option<ActiveBatch>,
@@ -1077,19 +1112,14 @@ impl BvnBatchPolicy {
             pos.iter().all(|&p| p != usize::MAX),
             "order must be a permutation"
         );
-        let mut pair_queue: Vec<Vec<usize>> = vec![Vec::new(); m * m];
-        for &k in &order {
-            for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
-                pair_queue[i * m + j].push(k);
-            }
-        }
         BvnBatchPolicy {
             order,
             batches,
             opts,
             pos,
-            pair_queue,
-            pair_head: vec![0; m * m],
+            queue_at: Vec::new(),
+            queue: Vec::new(),
+            pair_head: Vec::new(),
             b_idx: 0,
             current: None,
             pairs_pool: Vec::new(),
@@ -1101,10 +1131,10 @@ impl BvnBatchPolicy {
         }
     }
 
-    /// Rebuilds a checkpointed policy. Derived state (order positions,
-    /// pair queues) is recomputed from the instance — it depends only on
-    /// full demands and the order, both of which the snapshot carries.
-    /// `pair_head` trims restart at zero: they are a pure scan optimization
+    /// Rebuilds a checkpointed policy. Derived state is recomputed: order
+    /// positions from the order the snapshot carries, the pair queues at
+    /// the first decision from the restored executor. `pair_head` trims
+    /// restart at each queue's front: they are a pure scan optimization
     /// (trimmed prefixes have zero remaining demand and are filtered out
     /// either way), so decisions are unaffected. The per-batch obs span is
     /// reopened when a batch is in flight so the stage taxonomy matches an
@@ -1165,6 +1195,38 @@ impl BvnBatchPolicy {
         Ok(policy)
     }
 
+    /// Builds the per-pair queues over `demand`'s entries, by counting
+    /// sort: each pair's queue length, prefix sums, then the coflows in
+    /// global order fill their pairs' queues.
+    fn build_queues(&mut self, demand: &SparseDemand, m: usize) {
+        let mut at = vec![0; m * m + 1];
+        for &k in &self.order {
+            for e in demand.entries(k) {
+                let (i, j) = demand.pair(e);
+                at[i * m + j + 1] += 1;
+            }
+        }
+        for p in 0..m * m {
+            at[p + 1] += at[p];
+        }
+        // Fill each queue from its start; `head` then ends at the next
+        // queue's start and is reset as the scan head.
+        let mut head = at[..m * m].to_vec();
+        self.queue.clear();
+        self.queue.resize(at[m * m], (0, 0));
+        for &k in &self.order {
+            for e in demand.entries(k) {
+                let (i, j) = demand.pair(e);
+                let slot = &mut head[i * m + j];
+                self.queue[*slot] = (k, e);
+                *slot += 1;
+            }
+        }
+        head.copy_from_slice(&at[..m * m]);
+        self.queue_at = at;
+        self.pair_head = head;
+    }
+
     /// Plans the candidate lists for one chunk of the active batch,
     /// identically to the legacy chunk loop: per-pair queue scan with
     /// permanent head trims, eligibility gate
@@ -1184,10 +1246,12 @@ impl BvnBatchPolicy {
         let rematch = self.opts.rematch;
         let batch_end_pos = cur.batch_end_pos;
         let slot = &cur.dec.slots[slot_idx];
+        let demand = state.remaining_demand();
         let Self {
             order,
             pos,
-            pair_queue,
+            queue_at,
+            queue,
             pair_head,
             pairs_pool,
             spare,
@@ -1195,6 +1259,7 @@ impl BvnBatchPolicy {
             dst_used,
             ..
         } = self;
+        let queue_of = |p: usize| &queue[queue_at[p]..queue_at[p + 1]];
         let eligible =
             |k: usize| instance.coflow(k).release <= now && (pos[k] <= batch_end_pos || backfill);
         let mut pairs = std::mem::take(pairs_pool);
@@ -1204,20 +1269,21 @@ impl BvnBatchPolicy {
             dst_used.fill(false);
         }
         for (i, j) in slot.perm.pairs() {
-            let head = &mut pair_head[i * m + j];
-            let queue = &pair_queue[i * m + j];
-            while *head < queue.len() && state.remaining(queue[*head], i, j) == 0 {
+            let p = i * m + j;
+            let head = &mut pair_head[p];
+            let end = queue_at[p + 1];
+            while *head < end && demand.units(queue[*head].1) == 0 {
                 *head += 1;
             }
-            if *head == queue.len() {
+            if *head == end {
                 continue;
             }
             let mut candidates = spare.pop().unwrap_or_default();
             candidates.extend(
-                queue[*head..]
+                queue[*head..end]
                     .iter()
-                    .copied()
-                    .filter(|&k| eligible(k) && state.remaining(k, i, j) > 0),
+                    .filter(|&&(k, e)| eligible(k) && demand.units(e) > 0)
+                    .map(|&(k, _)| k),
             );
             if candidates.is_empty() {
                 spare.push(candidates);
@@ -1234,19 +1300,20 @@ impl BvnBatchPolicy {
             // nothing to send are re-matched to pending demand, scanning
             // coflows in priority order.
             for &k in order.iter() {
-                if !eligible(k) || state.remaining_total(k) == 0 {
+                if !eligible(k) || demand.total(k) == 0 {
                     continue;
                 }
-                for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
-                    if !src_used[i] && !dst_used[j] && state.remaining(k, i, j) > 0 {
+                for e in demand.entries(k) {
+                    let (i, j) = demand.pair(e);
+                    if !src_used[i] && !dst_used[j] && demand.units(e) > 0 {
                         src_used[i] = true;
                         dst_used[j] = true;
                         let mut candidates = spare.pop().unwrap_or_default();
                         candidates.extend(
-                            pair_queue[i * m + j]
+                            queue_of(i * m + j)
                                 .iter()
-                                .copied()
-                                .filter(|&c| eligible(c) && state.remaining(c, i, j) > 0),
+                                .filter(|&&(c, ce)| eligible(c) && demand.units(ce) > 0)
+                                .map(|&(c, _)| c),
                         );
                         pairs.push((i, j, candidates));
                     }
@@ -1292,10 +1359,12 @@ struct SlotOrder {
     head: Vec<usize>,
     /// Units the heading member has left on each queue's pair.
     left: Vec<u64>,
-    /// Queue entries: the members needing the pair, in batch order.
-    member: Vec<u32>,
-    /// The queue of each member's pairs, member after member.
-    staged: Vec<u32>,
+    /// Queue entries: the members needing the pair, in batch order, each
+    /// with its entry on the pair in the executor's remaining demand.
+    member: Vec<(u32, usize)>,
+    /// The queue of each member's pairs and the member's entry on it,
+    /// member after member.
+    staged: Vec<(u32, usize)>,
     /// Pairs each member still has units on.
     need: Vec<usize>,
     /// Slots already placed in the sequence.
@@ -1312,6 +1381,7 @@ impl SlotOrder {
         dec: &BvnDecomposition,
     ) -> Vec<usize> {
         let m = state.instance.ports();
+        let demand = state.remaining_demand();
         let slots = &dec.slots;
         let SlotOrder {
             queue_of,
@@ -1335,15 +1405,16 @@ impl SlotOrder {
         need.clear();
         for &k in batch {
             let before = staged.len();
-            let rem = state.remaining_matrix(k).as_slice();
-            for p in (0..rem.len()).filter(|&p| rem[p] > 0) {
+            for e in demand.entries(k).filter(|&e| demand.units(e) > 0) {
+                let (i, j) = demand.pair(e);
+                let p = i * m + j;
                 if queue_of[p] == NO_QUEUE {
                     queue_of[p] = pair_of.len() as u32;
                     pair_of.push(p);
                     start.push(0);
                 }
                 start[queue_of[p] as usize] += 1;
-                staged.push(queue_of[p]);
+                staged.push((queue_of[p], e));
             }
             need.push(staged.len() - before);
         }
@@ -1359,23 +1430,23 @@ impl SlotOrder {
         head.clear();
         head.extend_from_slice(&start[..queues]);
         member.clear();
-        member.resize(total, 0);
+        member.resize(total, (0, 0));
         let mut staged_from = 0;
         for (b, &len) in need.iter().enumerate() {
-            for &q in &staged[staged_from..staged_from + len] {
-                let e = &mut head[q as usize];
-                member[*e] = b as u32;
-                *e += 1;
+            for &(q, e) in &staged[staged_from..staged_from + len] {
+                let at = &mut head[q as usize];
+                member[*at] = (b as u32, e);
+                *at += 1;
             }
             staged_from += len;
         }
         head.copy_from_slice(&start[..queues]);
         // A member's units on a pair are read when it reaches the front.
-        let units_of = |b: u32, p: usize| state.remaining_matrix(batch[b as usize]).as_slice()[p];
         left.clear();
         for (q, &p) in pair_of.iter().enumerate() {
-            front_of[p] = member[start[q]];
-            left.push(units_of(member[start[q]], p));
+            let (b, e) = member[start[q]];
+            front_of[p] = b;
+            left.push(demand.units(e));
         }
 
         taken.clear();
@@ -1413,12 +1484,13 @@ impl SlotOrder {
                         left[q] -= take;
                         budget -= take;
                         if left[q] == 0 {
-                            need[member[head[q]] as usize] -= 1;
+                            need[member[head[q]].0 as usize] -= 1;
                             head[q] += 1;
                             front_of[p] = NO_QUEUE;
                             if head[q] < start[q + 1] {
-                                front_of[p] = member[head[q]];
-                                left[q] = units_of(member[head[q]], p);
+                                let (b, e) = member[head[q]];
+                                front_of[p] = b;
+                                left[q] = demand.units(e);
                             }
                         }
                     }
@@ -1468,6 +1540,10 @@ impl Policy for BvnBatchPolicy {
     fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
         let instance = state.instance;
         let m = instance.ports();
+        let demand = state.remaining_demand();
+        if self.queue_at.is_empty() {
+            self.build_queues(demand, m);
+        }
         loop {
             // Emit the next chunk of the batch in flight, if any.
             if let Some(mut cur) = self.current.take() {
@@ -1527,8 +1603,8 @@ impl Policy for BvnBatchPolicy {
             // none left.
             let mut agg = IntMatrix::zeros(m);
             for &k in batch {
-                for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
-                    agg[(i, j)] += state.remaining(k, i, j);
+                for e in demand.entries(k) {
+                    agg[demand.pair(e)] += demand.units(e);
                 }
             }
             if agg.is_zero() {
@@ -1843,7 +1919,7 @@ impl Policy for ResilientPolicy {
             let c = instance.coflow(k);
             residual_to_orig.push(k);
             residual.push(
-                Coflow::new(c.id, state.remaining_matrix(k).clone())
+                Coflow::new(c.id, state.remaining_matrix(k).to_matrix())
                     .with_weight(c.weight)
                     .with_release(c.release.max(now)),
             );
@@ -1934,27 +2010,21 @@ mod tests {
         // live-list matching, its drain bound and every ρ(remaining) must
         // equal the dense scans.
         let instance = inst();
-        let demands = instance.demand_matrices();
         let releases = instance.releases();
-        let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
+        let mut fabric = Fabric::new(instance.ports(), instance.demands(), &releases);
         let mut matcher = FlowMatcher::new(&instance);
         let (mut src, mut dst) = (vec![false; 2], vec![false; 2]);
         while !fabric.all_done() {
             let pairs = {
-                let state = EpochState {
-                    now: fabric.now(),
-                    instance: &instance,
-                    exec: ExecRef::Clean(&fabric),
-                    next_boundary: u64::MAX,
-                    window_end: u64::MAX,
-                };
+                let state = EpochState::clean(&instance, &fabric);
                 let live = || {
                     [2usize, 0, 1].into_iter().filter(|&k| {
                         state.remaining_total(k) > 0 && releases[k] <= state.now
                     })
                 };
-                let dense =
-                    greedy_match(2, live(), |k| state.remaining_matrix(k), &mut src, &mut dst);
+                let rem: Vec<IntMatrix> =
+                    (0..instance.len()).map(|k| state.remaining_matrix(k).to_matrix()).collect();
+                let dense = greedy_match(2, live(), |k| &rem[k], &mut src, &mut dst);
                 let (pairs, min_remaining) = matcher.matching(&state, live());
                 let held: Vec<(usize, usize, usize)> =
                     pairs.iter().map(|(i, j, prio)| (*i, *j, prio[0])).collect();
@@ -2096,13 +2166,7 @@ mod tests {
             }
             let instance = Instance::new(m, coflows);
             let fabric = Fabric::new(m, &remaining, &vec![0; n]);
-            let state = EpochState {
-                now: 0,
-                instance: &instance,
-                exec: ExecRef::Clean(&fabric),
-                next_boundary: u64::MAX,
-                window_end: u64::MAX,
-            };
+            let state = EpochState::clean(&instance, &fabric);
             let mut batch: Vec<usize> = (0..n).collect();
             batch.sort_by_key(|&k| mix(seed ^ k as u64));
             let mut agg = IntMatrix::zeros(m);
@@ -2160,13 +2224,15 @@ mod tests {
                 let m = state.instance.ports();
                 let mut src = vec![false; m];
                 let mut dst = vec![false; m];
+                let rem: Vec<IntMatrix> =
+                    (0..n).map(|k| state.remaining_matrix(k).to_matrix()).collect();
                 let moves = greedy_match(
                     m,
                     (0..n).filter(|&k| {
                         state.remaining_total(k) > 0
                             && state.instance.coflow(k).release <= state.now
                     }),
-                    |k| state.remaining_matrix(k),
+                    |k| &rem[k],
                     &mut src,
                     &mut dst,
                 );

@@ -57,7 +57,7 @@ mod tests {
         let out = run_greedy(&inst, vec![0]);
         assert_eq!(out.completions, vec![3]);
         let times =
-            validate_trace(&inst.demand_matrices(), &inst.releases(), &out.trace).unwrap();
+            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
     }
 
@@ -79,7 +79,7 @@ mod tests {
         let out = run_greedy(&inst, vec![0, 1]);
         assert_eq!(out.completions, vec![1, 101]);
         let times =
-            validate_trace(&inst.demand_matrices(), &inst.releases(), &out.trace).unwrap();
+            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
     }
 
@@ -91,7 +91,7 @@ mod tests {
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
         let out = run_greedy(&inst, order);
         let times =
-            validate_trace(&inst.demand_matrices(), &inst.releases(), &out.trace).unwrap();
+            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
         assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
     }

@@ -256,7 +256,7 @@ mod tests {
 
     fn validate(instance: &Instance, out: &ScheduleOutcome) {
         let times = validate_trace(
-            &instance.demand_matrices(),
+            instance.demands(),
             &instance.releases(),
             &out.trace,
         )

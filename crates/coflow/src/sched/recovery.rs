@@ -22,7 +22,9 @@ use super::engine::{run_policy_with_faults, ResilientPolicy};
 use super::AlgorithmSpec;
 use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
-use coflow_netsim::{BlockedSlot, FaultIndex, FaultPlan, ScheduleTrace, SimError};
+use coflow_netsim::{
+    BlockedSlot, EntryMemo, FaultIndex, FaultPlan, ScheduleTrace, SimError, SparseDemand,
+};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -107,21 +109,11 @@ pub fn verify_faulty_outcome(
         ));
     }
     let faults = FaultIndex::new(plan, m, n);
-    // Units delivered per (coflow, pair), counted in one flat CSR over
-    // each coflow's nonzero pairs, ingress by ingress: the pairs of coflow
-    // k out of ingress i are `pairs[at[k * m + i]..at[k * m + i + 1]]`, as
-    // `(egress, demand)`.
-    let mut at = Vec::with_capacity(n * m + 1);
-    let mut pairs: Vec<(usize, u64)> = Vec::new();
-    at.push(0);
-    for c in instance.coflows() {
-        for i in 0..m {
-            let row = c.demand.row(i).iter().enumerate();
-            pairs.extend(row.filter(|&(_, &d)| d > 0).map(|(j, &d)| (j, d)));
-            at.push(pairs.len());
-        }
-    }
-    let mut units = vec![0u64; pairs.len()];
+    // Units delivered per demanded (coflow, pair): one counter per entry of
+    // the instance's demand over its nonzero pairs.
+    let demand = SparseDemand::new(m, instance.demands());
+    let mut memo = EntryMemo::new(m);
+    let mut units = vec![0u64; demand.nnz()];
     // The first pair each coflow was served on without demanding it.
     let mut stray: Vec<Option<(usize, usize)>> = vec![None; n];
     let mut delivered: Vec<u64> = vec![0; n];
@@ -162,9 +154,8 @@ pub fn verify_faulty_outcome(
             }
             delivered[t.coflow] += 1;
             last_slot[t.coflow] = last_slot[t.coflow].max(slot);
-            let row = t.coflow * m + t.src;
-            match pairs[at[row]..at[row + 1]].iter().position(|&(j, _)| j == t.dst) {
-                Some(p) => units[at[row] + p] += 1,
+            match memo.find(&demand, t.coflow, t.src, t.dst) {
+                Some(e) => units[e] += 1,
                 None => {
                     stray[t.coflow].get_or_insert((t.src, t.dst));
                 }
@@ -176,17 +167,14 @@ pub fn verify_faulty_outcome(
         }
     }
     for k in 0..n {
-        let c = instance.coflow(k);
-        let over = (0..m).find_map(|i| {
-            let row = k * m + i;
-            (at[row]..at[row + 1]).find(|&p| units[p] > pairs[p].1).map(|p| (i, pairs[p].0))
-        });
+        let over = demand.entries(k).find(|&e| units[e] > demand.units(e)).map(|e| demand.pair(e));
         if let Some((i, j)) = stray[k].or(over) {
             return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
         }
-        let completion = if c.total_units() == 0 {
-            Some(c.release)
-        } else if delivered[k] == c.total_units() {
+        let total = demand.total(k);
+        let completion = if total == 0 {
+            Some(instance.coflow(k).release)
+        } else if delivered[k] == total {
             Some(last_slot[k])
         } else {
             None
@@ -194,9 +182,7 @@ pub fn verify_faulty_outcome(
         if completion.is_none() && faults.cancellation(k).is_none() {
             return Err(format!(
                 "coflow {}: incomplete ({} of {} units) but never cancelled",
-                k,
-                delivered[k],
-                c.total_units()
+                k, delivered[k], total
             ));
         }
         if completion != out.completions[k] {

@@ -254,7 +254,7 @@ mod tests {
         );
         // The degraded schedule is still a valid solution of problem (O).
         let times = validate_trace(
-            &instance.demand_matrices(),
+            instance.demands(),
             &instance.releases(),
             &out.outcome.trace,
         )

@@ -61,7 +61,7 @@ pub fn verify_outcome(
     outcome: &ScheduleOutcome,
 ) -> Result<VerifyReport, VerifyError> {
     let replayed = validate_trace(
-        &instance.demand_matrices(),
+        instance.demands(),
         &instance.releases(),
         &outcome.trace,
     )

@@ -56,9 +56,8 @@ mod legacy {
         } = opts;
         let n = instance.len();
         let m = instance.ports();
-        let demands = instance.demand_matrices();
         let releases = instance.releases();
-        let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
+        let mut fabric = Fabric::new(instance.ports(), instance.demands(), &releases);
 
         let mut pos = vec![usize::MAX; n];
         for (p, &k) in order.iter().enumerate() {
@@ -258,7 +257,7 @@ mod legacy {
     pub fn run_online(instance: &Instance) -> ScheduleOutcome {
         let n = instance.len();
         let m = instance.ports();
-        let mut remaining: Vec<IntMatrix> = instance.demand_matrices();
+        let mut remaining: Vec<IntMatrix> = instance.demands().cloned().collect();
         let mut remaining_total: Vec<u64> = remaining.iter().map(IntMatrix::total).collect();
         let releases = instance.releases();
         let weights = instance.weights();
@@ -347,7 +346,7 @@ mod legacy {
     /// The pre-refactor `run_greedy` (sched/greedy.rs), verbatim.
     pub fn run_greedy(instance: &Instance, order: Vec<usize>) -> ScheduleOutcome {
         let m = instance.ports();
-        let mut remaining: Vec<IntMatrix> = instance.demand_matrices();
+        let mut remaining: Vec<IntMatrix> = instance.demands().cloned().collect();
         let mut remaining_total: Vec<u64> = remaining.iter().map(IntMatrix::total).collect();
         let releases = instance.releases();
         let mut completions: Vec<u64> = releases.clone();
@@ -431,7 +430,7 @@ mod legacy {
         let m = instance.ports();
         let mut sim = FaultSim::new(
             m,
-            &instance.demand_matrices(),
+            instance.demands(),
             &instance.releases(),
             plan.clone(),
         );
@@ -450,7 +449,7 @@ mod legacy {
                 let c = instance.coflow(k);
                 residual_to_orig.push(k);
                 residual.push(
-                    Coflow::new(c.id, sim.remaining_matrix(k).clone())
+                    Coflow::new(c.id, sim.remaining_matrix(k).to_matrix())
                         .with_weight(c.weight)
                         .with_release(c.release.max(now)),
                 );

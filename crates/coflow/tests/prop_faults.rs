@@ -105,7 +105,7 @@ proptest! {
                     prop_assert_eq!(out.used, order);
                 }
                 let times = validate_trace(
-                    &inst.demand_matrices(),
+                    inst.demands(),
                     &inst.releases(),
                     &out.outcome.trace,
                 );

@@ -11,9 +11,14 @@
 //!   consecutive slots at once, serving each port pair from a priority-
 //!   ordered list of coflows (this is where backfilling happens). Exact
 //!   per-slot completion times are recovered from the within-run offsets.
-//! * [`SlotSim`] — a literal slot-by-slot executor used to cross-check the
-//!   run-length arithmetic in tests.
+//!   Its remaining demand is a [`SparseDemand`] over the coflows' nonzero
+//!   pairs, read once from the borrowed demand matrices; a listed coflow's
+//!   entry on a pair is found by binary search over its pairs, unless the
+//!   last lookup at the pair's ingress was for the same coflow and pair.
+//! * [`SlotSim`] — a literal slot-by-slot executor over dense matrices,
+//!   used to cross-check the run-length arithmetic in tests.
 
+use crate::demand::{DemandView, EntryMemo, SparseDemand};
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
 
@@ -21,10 +26,8 @@ use coflow_matching::IntMatrix;
 #[derive(Clone, Debug)]
 pub struct Fabric {
     m: usize,
-    /// Remaining demand per coflow.
-    remaining: Vec<IntMatrix>,
-    /// Remaining total units per coflow.
-    remaining_total: Vec<u64>,
+    /// Remaining demand per coflow, over its nonzero pairs.
+    remaining: SparseDemand,
     releases: Vec<u64>,
     /// Completion slot per coflow (`None` while unfinished; coflows with no
     /// demand complete at their release date).
@@ -39,28 +42,30 @@ pub struct Fabric {
     /// Scratch port-occupancy masks reused across `apply_run` calls.
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
+    /// Entry lookups of `apply_run`, remembered per ingress.
+    memo: EntryMemo,
 }
 
 impl Fabric {
     /// Creates a fabric loaded with the given coflow demands and release
-    /// dates. All matrices must be `m × m`.
-    pub fn new(m: usize, demands: &[IntMatrix], releases: &[u64]) -> Self {
-        assert_eq!(demands.len(), releases.len());
-        for d in demands {
-            assert_eq!(d.dim(), m, "demand matrix dimension mismatch");
-        }
-        let remaining_total: Vec<u64> = demands.iter().map(IntMatrix::total).collect();
-        let completion: Vec<Option<u64>> = remaining_total
+    /// dates. All matrices must be `m × m`; they are read once, not kept.
+    pub fn new<'a>(
+        m: usize,
+        demands: impl IntoIterator<Item = &'a IntMatrix>,
+        releases: &[u64],
+    ) -> Self {
+        let remaining = SparseDemand::new(m, demands);
+        assert_eq!(remaining.len(), releases.len());
+        let completion: Vec<Option<u64>> = releases
             .iter()
-            .zip(releases)
-            .map(|(&tot, &r)| if tot == 0 { Some(r) } else { None })
+            .enumerate()
+            .map(|(k, &r)| if remaining.total(k) == 0 { Some(r) } else { None })
             .collect();
         let unfinished = completion.iter().filter(|c| c.is_none()).count();
         Fabric {
             m,
-            last_activity: vec![0; demands.len()],
-            remaining: demands.to_vec(),
-            remaining_total,
+            last_activity: vec![0; releases.len()],
+            remaining,
             releases: releases.to_vec(),
             completion,
             unfinished,
@@ -68,6 +73,7 @@ impl Fabric {
             trace: ScheduleTrace::new(m),
             src_used: vec![false; m],
             dst_used: vec![false; m],
+            memo: EntryMemo::new(m),
         }
     }
 
@@ -83,17 +89,22 @@ impl Fabric {
 
     /// Remaining demand of coflow `k` on pair `(i, j)`.
     pub fn remaining(&self, k: usize, i: usize, j: usize) -> u64 {
-        self.remaining[k][(i, j)]
+        self.remaining.get(k, i, j)
     }
 
-    /// Remaining demand matrix of coflow `k`.
-    pub fn remaining_matrix(&self, k: usize) -> &IntMatrix {
-        &self.remaining[k]
+    /// Remaining demand of coflow `k`, borrowed.
+    pub fn remaining_matrix(&self, k: usize) -> DemandView<'_> {
+        self.remaining.view(k)
+    }
+
+    /// Remaining demand of every coflow, for reads by entry index.
+    pub fn remaining_demand(&self) -> &SparseDemand {
+        &self.remaining
     }
 
     /// Remaining total units of coflow `k`.
     pub fn remaining_total(&self, k: usize) -> u64 {
-        self.remaining_total[k]
+        self.remaining.total(k)
     }
 
     /// True when all coflows have completed.
@@ -148,13 +159,14 @@ impl Fabric {
                     "coflow {} scheduled before its release date",
                     k
                 );
-                let avail = self.remaining[k][(*i, *j)];
-                let take = avail.min(budget);
+                let Some(e) = self.memo.find(&self.remaining, k, *i, *j) else {
+                    continue;
+                };
+                let take = self.remaining.units(e).min(budget);
                 if take == 0 {
                     continue;
                 }
-                self.remaining[k][(*i, *j)] -= take;
-                self.remaining_total[k] -= take;
+                self.remaining.take(k, e, take);
                 budget -= take;
                 used += take;
                 run.transfers.push(Transfer {
@@ -168,7 +180,7 @@ impl Fabric {
                 // max of this over all its transfers.
                 let done_at = start - 1 + used;
                 self.last_activity[k] = self.last_activity[k].max(done_at);
-                if self.remaining_total[k] == 0 {
+                if self.remaining.total(k) == 0 {
                     let prev = self.completion[k].replace(self.last_activity[k]);
                     debug_assert!(prev.is_none(), "coflow completed twice");
                     self.unfinished -= 1;

@@ -19,7 +19,19 @@
 //! ([`FaultSim::execute_trace_slotwise`], [`FaultSim::apply_run_slotwise`])
 //! are the references the run-length paths are tested against, and the
 //! fallback for work that could trip a [`SimError`].
+//!
+//! Remaining demand is a [`SparseDemand`] over the coflows' nonzero pairs,
+//! read once from the borrowed demand matrices; a cancellation zeroes the
+//! coflow's entries. The run-length paths resolve each pair's entry once —
+//! a held pair when its head coflow changes, a replayed transfer once per
+//! segment — and then serve units by entry index; the slot-wise paths look
+//! each move up. A lookup skips its binary search when the last one at the
+//! same ingress was for the same coflow and pair, as it mostly is from one
+//! held matching to the next. Snapshots stay dense at the boundary:
+//! [`FaultSim::capture`] writes `m × m` residual matrices and
+//! [`FaultSim::from_state`] rebuilds the sparse state from them.
 
+use crate::demand::{DemandView, EntryMemo, SparseDemand};
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
 use std::fmt;
@@ -248,7 +260,12 @@ impl FaultPlan {
     /// - 1]`, so the victim loses its whole bottleneck at once rather than
     /// one link at a time. Deterministic — no RNG; the worst-window search
     /// in the harness sweeps `cfg.start` over candidate boundaries.
-    pub fn adversarial(demands: &[IntMatrix], weights: &[f64], cfg: &AdversarialConfig) -> Self {
+    pub fn adversarial<'a>(
+        demands: impl IntoIterator<Item = &'a IntMatrix>,
+        weights: &[f64],
+        cfg: &AdversarialConfig,
+    ) -> Self {
+        let demands: Vec<&IntMatrix> = demands.into_iter().collect();
         assert_eq!(demands.len(), weights.len());
         let Some(victim) = (0..demands.len()).max_by(|&a, &b| {
             let score = |k: usize| {
@@ -600,6 +617,9 @@ enum Served {
 struct HoldBuffers {
     /// Per pair: the cursor into its priority list.
     cursors: Vec<usize>,
+    /// Per pair: the entry of the coflow at its cursor on the pair (`None`
+    /// when that coflow has none there, or past the list's end).
+    heads: Vec<Option<usize>>,
     /// Per pair: its fault state in the current window.
     states: Vec<PairState>,
     /// The units delivered in the current slot.
@@ -611,8 +631,8 @@ struct HoldBuffers {
 #[derive(Clone, Debug)]
 pub struct FaultSim {
     m: usize,
-    remaining: Vec<IntMatrix>,
-    remaining_total: Vec<u64>,
+    /// Remaining demand per coflow, over its nonzero pairs.
+    remaining: SparseDemand,
     releases: Vec<u64>,
     completion: Vec<Option<u64>>,
     last_activity: Vec<u64>,
@@ -636,28 +656,37 @@ pub struct FaultSim {
     dst_used: Vec<bool>,
     /// Scratch of [`FaultSim::apply_run`]; not part of the captured state.
     hold: HoldBuffers,
+    /// Entry lookups, remembered per ingress; not part of the captured
+    /// state.
+    memo: EntryMemo,
 }
 
 impl FaultSim {
-    /// Creates a fault-aware simulator over the instance data.
-    pub fn new(m: usize, demands: &[IntMatrix], releases: &[u64], plan: FaultPlan) -> Self {
-        assert_eq!(demands.len(), releases.len());
-        let remaining_total: Vec<u64> = demands.iter().map(IntMatrix::total).collect();
-        let completion = remaining_total
+    /// Creates a fault-aware simulator over the instance data. The demand
+    /// matrices must be `m × m`; they are read once, not kept.
+    pub fn new<'a>(
+        m: usize,
+        demands: impl IntoIterator<Item = &'a IntMatrix>,
+        releases: &[u64],
+        plan: FaultPlan,
+    ) -> Self {
+        let remaining = SparseDemand::new(m, demands);
+        let n = remaining.len();
+        assert_eq!(n, releases.len());
+        let completion = releases
             .iter()
-            .zip(releases)
-            .map(|(&tot, &r)| if tot == 0 { Some(r) } else { None })
+            .enumerate()
+            .map(|(k, &r)| if remaining.total(k) == 0 { Some(r) } else { None })
             .collect();
         FaultSim {
             m,
-            remaining: demands.to_vec(),
-            remaining_total,
+            remaining,
             releases: releases.to_vec(),
             completion,
-            last_activity: vec![0; demands.len()],
-            cancelled: vec![false; demands.len()],
+            last_activity: vec![0; n],
+            cancelled: vec![false; n],
             now: 0,
-            index: FaultIndex::new(&plan, m, demands.len()),
+            index: FaultIndex::new(&plan, m, n),
             cancel_cursor: 0,
             plan,
             executed: ScheduleTrace::new(m),
@@ -667,6 +696,7 @@ impl FaultSim {
             src_used: vec![false; m],
             dst_used: vec![false; m],
             hold: HoldBuffers::default(),
+            memo: EntryMemo::new(m),
         }
     }
 
@@ -687,17 +717,22 @@ impl FaultSim {
 
     /// Remaining demand of coflow `k` on pair `(i, j)`.
     pub fn remaining(&self, k: usize, i: usize, j: usize) -> u64 {
-        self.remaining[k][(i, j)]
+        self.remaining.get(k, i, j)
     }
 
-    /// Remaining demand matrix of coflow `k`.
-    pub fn remaining_matrix(&self, k: usize) -> &IntMatrix {
-        &self.remaining[k]
+    /// Remaining demand of coflow `k`, borrowed.
+    pub fn remaining_matrix(&self, k: usize) -> DemandView<'_> {
+        self.remaining.view(k)
+    }
+
+    /// Remaining demand of every coflow, for reads by entry index.
+    pub fn remaining_demand(&self) -> &SparseDemand {
+        &self.remaining
     }
 
     /// Remaining total units of coflow `k`.
     pub fn remaining_total(&self, k: usize) -> u64 {
-        self.remaining_total[k]
+        self.remaining.total(k)
     }
 
     /// Completion slots (`None` while unfinished or cancelled).
@@ -755,23 +790,30 @@ impl FaultSim {
             self.cancel_cursor += 1;
             if !self.cancelled[k] && self.completion[k].is_none() {
                 self.cancelled[k] = true;
-                self.remaining_total[k] = 0;
-                self.remaining[k] = IntMatrix::zeros(self.m);
+                self.remaining.clear(k);
             }
         }
     }
 
     /// The deliver / strand / drop step for one planned unit of coflow `k`
-    /// on `(i, j)` in `slot`, shared by every executor. `open` says whether
-    /// the fault plan lets the link carry the unit; the caller has checked
-    /// ids, ports and release dates.
-    fn serve_unit(&mut self, slot: u64, i: usize, j: usize, k: usize, open: bool) -> Served {
+    /// on `(i, j)` in `slot`, shared by every executor. `entry` is `k`'s
+    /// entry on the pair ([`SparseDemand::find`]), `open` says whether the
+    /// fault plan lets the link carry the unit; the caller has checked ids,
+    /// ports and release dates.
+    fn serve_unit(
+        &mut self,
+        slot: u64,
+        (i, j): (usize, usize),
+        k: usize,
+        entry: Option<usize>,
+        open: bool,
+    ) -> Served {
         if self.cancelled[k] {
             return Served::Dropped;
         }
-        if self.remaining[k][(i, j)] == 0 {
+        let Some(e) = entry.filter(|&e| self.remaining.units(e) > 0) else {
             return Served::Gone; // already delivered by an earlier replan
-        }
+        };
         if !open {
             self.blocked_units += 1;
             if self.blocked_log.len() < MAX_BLOCKED_LOG {
@@ -781,10 +823,9 @@ impl FaultSim {
             }
             return Served::Blocked;
         }
-        self.remaining[k][(i, j)] -= 1;
-        self.remaining_total[k] -= 1;
+        self.remaining.take(k, e, 1);
         self.last_activity[k] = slot;
-        if self.remaining_total[k] == 0 {
+        if self.remaining.total(k) == 0 {
             self.completion[k] = Some(slot);
         }
         Served::Delivered
@@ -862,7 +903,8 @@ impl FaultSim {
                 });
             }
             let open = self.index.pair_open(i, j, slot);
-            match self.serve_unit(slot, i, j, k, open) {
+            let entry = self.memo.find(&self.remaining, k, i, j);
+            match self.serve_unit(slot, (i, j), k, entry, open) {
                 Served::Delivered => out.delivered.push((i, j, k)),
                 Served::Blocked => out.blocked.push((i, j, k)),
                 Served::Dropped => out.dropped.push((i, j, k)),
@@ -908,13 +950,19 @@ impl FaultSim {
         let mut buf = std::mem::take(&mut self.hold);
         buf.cursors.clear();
         buf.cursors.resize(pairs.len(), 0);
+        buf.heads.clear();
+        buf.heads.extend(pairs.iter().map(|(i, j, prio)| {
+            prio.first().and_then(|&k| self.memo.find(&self.remaining, k, *i, *j))
+        }));
         let (mut blocked, mut dropped) = (0u64, 0u64);
         let last = self.now.saturating_add(duration);
         let mut window_end = self.now;
         for slot in self.now + 1..=last {
-            for (c, (i, j, prio)) in buf.cursors.iter_mut().zip(pairs) {
-                while prio.get(*c).is_some_and(|&k| self.remaining[k][(*i, *j)] == 0) {
+            let heads = buf.cursors.iter_mut().zip(&mut buf.heads);
+            for ((c, head), (i, j, prio)) in heads.zip(pairs) {
+                while *c < prio.len() && !head.is_some_and(|e| self.remaining.units(e) > 0) {
                     *c += 1;
+                    *head = prio.get(*c).and_then(|&k| self.memo.find(&self.remaining, k, *i, *j));
                 }
             }
             // Entering a window fires its cancellations: after the heads.
@@ -923,10 +971,11 @@ impl FaultSim {
                 window_end = self.enter_window(slot, last, pairs_ij, &mut buf.states);
             }
             buf.delivered.clear();
-            for ((&c, &state), (i, j, prio)) in buf.cursors.iter().zip(&buf.states).zip(pairs) {
+            let heads = buf.cursors.iter().zip(&buf.heads).zip(&buf.states);
+            for (((&c, &head), &state), (i, j, prio)) in heads.zip(pairs) {
                 let Some(&k) = prio.get(c) else { continue };
                 let open = state.open(&self.index, *i, *j, slot);
-                match self.serve_unit(slot, *i, *j, k, open) {
+                match self.serve_unit(slot, (*i, *j), k, head, open) {
                     Served::Delivered => buf.delivered.push((*i, *j, k)),
                     Served::Blocked => blocked += 1,
                     Served::Dropped => dropped += 1,
@@ -982,7 +1031,7 @@ impl FaultSim {
             moves.clear();
             for &(i, j, ref prio) in pairs {
                 let out_of_range = |k: usize| i >= self.m || j >= self.m || k >= n;
-                let live = |k: usize| out_of_range(k) || self.remaining[k][(i, j)] > 0;
+                let live = |k: usize| out_of_range(k) || self.remaining.get(k, i, j) > 0;
                 if let Some(&k) = prio.iter().find(|&&k| live(k)) {
                     moves.push((i, j, k));
                 }
@@ -1118,7 +1167,8 @@ impl FaultSim {
         // owns the contiguous within-run offsets [a, b) after the units of
         // earlier transfers on the same pair (exactly `Run::slot_moves`).
         let mut pairs: Vec<(usize, usize, u64)> = Vec::new(); // (src, dst, cum units)
-        let mut segs: Vec<(usize, u64, u64, usize)> = Vec::new(); // (pair, a, b, coflow)
+        // (pair, a, b, coflow, the coflow's entry on the pair)
+        let mut segs: Vec<(usize, u64, u64, usize, Option<usize>)> = Vec::new();
         for t in &run.transfers {
             if t.src >= self.m || t.dst >= self.m || t.coflow >= n {
                 return false; // PortOutOfRange / UnknownCoflow possible
@@ -1135,7 +1185,8 @@ impl FaultSim {
             };
             let a = pairs[p].2;
             pairs[p].2 += t.units;
-            segs.push((p, a, a + t.units, t.coflow));
+            let entry = self.memo.find(&self.remaining, t.coflow, t.src, t.dst);
+            segs.push((p, a, a + t.units, t.coflow, entry));
         }
         // Distinct pairs sharing a port co-occur in the run's first slot:
         // PortMatchedTwice is possible, so leave the run to the reference.
@@ -1162,23 +1213,23 @@ impl FaultSim {
             // exactly as `Run::slot_moves` lists them.
             let lo = w0 - run.start;
             let hi = w1 - run.start;
-            let active: Vec<(usize, usize, usize, usize, u64, u64)> = segs
+            let active: Vec<_> = segs
                 .iter()
-                .filter(|&&(_, a, b, _)| a <= hi && b > lo)
-                .map(|&(p, a, b, k)| {
+                .filter(|&&(_, a, b, _, _)| a <= hi && b > lo)
+                .map(|&(p, a, b, k, entry)| {
                     let (i, j, _) = pairs[p];
-                    (p, i, j, k, a, b)
+                    (p, i, j, k, entry, a, b)
                 })
                 .collect();
             for slot in w0..=w1 {
                 let o = slot - run.start;
                 let mut out = SlotOutcome { slot, ..SlotOutcome::default() };
-                for &(p, i, j, k, a, b) in &active {
+                for &(p, i, j, k, entry, a, b) in &active {
                     if o < a || o >= b {
                         continue;
                     }
                     let open = pair_state[p].open(&self.index, i, j, slot);
-                    match self.serve_unit(slot, i, j, k, open) {
+                    match self.serve_unit(slot, (i, j), k, entry, open) {
                         Served::Delivered => out.delivered.push((i, j, k)),
                         Served::Blocked => out.blocked.push((i, j, k)),
                         Served::Dropped => out.dropped.push((i, j, k)),
@@ -1204,10 +1255,11 @@ impl FaultSim {
     /// same [`SlotOutcome`]s, completions, and executed trace as the
     /// original for any subsequent move sequence.
     pub fn capture(&self) -> crate::snapshot::FaultSimState {
+        let n = self.remaining.len();
         crate::snapshot::FaultSimState {
             m: self.m,
-            remaining: self.remaining.clone(),
-            remaining_total: self.remaining_total.clone(),
+            remaining: (0..n).map(|k| self.remaining.to_matrix(k)).collect(),
+            remaining_total: (0..n).map(|k| self.remaining.total(k)).collect(),
             releases: self.releases.clone(),
             completion: self.completion.clone(),
             last_activity: self.last_activity.clone(),
@@ -1241,10 +1293,13 @@ impl FaultSim {
         if state.executed.m != state.m {
             return bad("executed trace fabric width disagrees with 'm'");
         }
+        let remaining = SparseDemand::new(state.m, &state.remaining);
+        if (0..n).any(|k| remaining.total(k) != state.remaining_total[k]) {
+            return bad("remaining_total disagrees with the residual demand");
+        }
         Ok(FaultSim {
             m: state.m,
-            remaining: state.remaining,
-            remaining_total: state.remaining_total,
+            remaining,
             releases: state.releases,
             completion: state.completion,
             last_activity: state.last_activity,
@@ -1260,6 +1315,7 @@ impl FaultSim {
             src_used: vec![false; state.m],
             dst_used: vec![false; state.m],
             hold: HoldBuffers::default(),
+            memo: EntryMemo::new(state.m),
         })
     }
 

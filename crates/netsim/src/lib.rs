@@ -5,6 +5,9 @@
 //! instantaneous internal transfer. A feasible per-slot schedule is a
 //! *matching* between ingresses and egresses.
 //!
+//! * [`SparseDemand`] holds remaining demand over each coflow's nonzero
+//!   port pairs — what the executors and the replay check drain, and what
+//!   the engine's policies read by entry index;
 //! * [`Fabric`] executes run-length schedules (a matching held for `q`
 //!   slots, each pair serving a priority list of coflows — the vehicle for
 //!   grouping and backfilling) and records exact completion slots;
@@ -26,6 +29,7 @@
 // Library code must justify every panic: unwraps/expects surface as clippy
 // warnings (tests and benches are exempt via the cfg gate).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+pub mod demand;
 pub mod fabric;
 pub mod fault;
 pub mod recorder;
@@ -35,6 +39,7 @@ pub mod stats;
 pub mod trace;
 pub mod validate;
 
+pub use demand::{DemandView, EntryMemo, SparseDemand};
 pub use fabric::{Fabric, SlotSim};
 pub use fault::{
     AdversarialConfig, BlockedSlot, FaultEvent, FaultIndex, FaultPlan, FaultSim, SimError,

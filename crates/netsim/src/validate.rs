@@ -5,7 +5,14 @@
 //! formal constraints of problem (O) — matching constraints per slot, release
 //! dates, and exact demand delivery — and completion times are recomputed
 //! from scratch. Tests compare these against the scheduler's own accounting.
+//!
+//! The replay borrows the demand matrices and reads each once, into a
+//! [`SparseDemand`] over their nonzero pairs that it then drains: a
+//! transfer finds its coflow's entry on the pair (by binary search, unless
+//! the last transfer out of its ingress was on the same coflow and pair),
+//! and a pair the coflow never demanded accepts only a zero-unit transfer.
 
+use crate::demand::{EntryMemo, SparseDemand};
 use crate::trace::ScheduleTrace;
 use coflow_matching::IntMatrix;
 
@@ -77,20 +84,21 @@ impl std::fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// Replays `trace` against the instance (`demands`, `releases`) and returns
-/// the recomputed completion time of every coflow.
+/// the recomputed completion time of every coflow. The demand matrices
+/// must be `trace.m × trace.m`.
 ///
 /// Coflows with zero demand complete at their release date, matching
 /// [`crate::Fabric`]'s convention.
-pub fn validate_trace(
-    demands: &[IntMatrix],
+pub fn validate_trace<'a>(
+    demands: impl IntoIterator<Item = &'a IntMatrix>,
     releases: &[u64],
     trace: &ScheduleTrace,
 ) -> Result<Vec<u64>, ValidationError> {
     let _span = obs::span("netsim.validate");
-    let n = demands.len();
     let m = trace.m;
-    let mut delivered: Vec<IntMatrix> = demands.iter().map(|d| IntMatrix::zeros(d.dim())).collect();
-    let mut remaining_total: Vec<u64> = demands.iter().map(IntMatrix::total).collect();
+    // Units not yet delivered, per demanded pair and per coflow.
+    let mut remaining = SparseDemand::new(m, demands);
+    let n = remaining.len();
     let mut completion: Vec<u64> = releases.to_vec();
     let mut last_activity: Vec<u64> = vec![0; n];
 
@@ -106,6 +114,7 @@ pub fn validate_trace(
     let mut pair_units = vec![0u64; m];
     let mut touched_src: Vec<usize> = Vec::new();
     let mut touched_dst: Vec<usize> = Vec::new();
+    let mut memo = EntryMemo::new(m);
 
     for (ridx, run) in trace.runs.iter().enumerate() {
         for &s in &touched_src {
@@ -167,32 +176,32 @@ pub fn validate_trace(
             let last_slot = first_slot + t.units - 1;
             *used += t.units;
 
-            let cell = &mut delivered[t.coflow][(t.src, t.dst)];
-            *cell += t.units;
-            if *cell > demands[t.coflow][(t.src, t.dst)] {
-                return Err(ValidationError::OverDelivery {
-                    coflow: t.coflow,
-                    src: t.src,
-                    dst: t.dst,
-                });
+            let entry = memo.find(&remaining, t.coflow, t.src, t.dst);
+            match entry.filter(|&e| remaining.units(e) >= t.units) {
+                Some(e) => remaining.take(t.coflow, e, t.units),
+                None if t.units == 0 => {}
+                None => {
+                    return Err(ValidationError::OverDelivery {
+                        coflow: t.coflow,
+                        src: t.src,
+                        dst: t.dst,
+                    })
+                }
             }
-            remaining_total[t.coflow] -= t.units;
             // Pairs run in parallel within a run: a coflow completes at the
             // latest last-slot over all of its transfers.
             last_activity[t.coflow] = last_activity[t.coflow].max(last_slot);
-            if remaining_total[t.coflow] == 0 {
+            if remaining.total(t.coflow) == 0 {
                 completion[t.coflow] = last_activity[t.coflow];
             }
         }
     }
 
-    for (k, &rem) in remaining_total.iter().enumerate() {
-        if rem > 0 {
-            return Err(ValidationError::UnderDelivery {
-                coflow: k,
-                missing: rem,
-            });
-        }
+    if let Some(k) = (0..n).find(|&k| remaining.total(k) > 0) {
+        return Err(ValidationError::UnderDelivery {
+            coflow: k,
+            missing: remaining.total(k),
+        });
     }
     Ok(completion)
 }
@@ -279,6 +288,27 @@ mod tests {
         });
         let err = validate_trace(&[d], &[0], &trace).unwrap_err();
         assert!(matches!(err, ValidationError::OverDelivery { .. }));
+    }
+
+    #[test]
+    fn only_zero_units_may_move_on_an_undemanded_pair() {
+        let mut d = IntMatrix::zeros(2);
+        d[(0, 1)] = 1;
+        let mut trace = ScheduleTrace::new(2);
+        trace.push_run(Run {
+            start: 1,
+            duration: 1,
+            transfers: vec![
+                Transfer { src: 0, dst: 1, coflow: 0, units: 1 },
+                Transfer { src: 1, dst: 0, coflow: 0, units: 0 },
+            ],
+        });
+        assert_eq!(validate_trace(&[d.clone()], &[0], &trace), Ok(vec![1]));
+        trace.runs[0].transfers[1].units = 1;
+        assert_eq!(
+            validate_trace(&[d], &[0], &trace),
+            Err(ValidationError::OverDelivery { coflow: 0, src: 1, dst: 0 })
+        );
     }
 
     #[test]

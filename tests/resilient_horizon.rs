@@ -60,7 +60,7 @@ impl Policy for FullHorizon {
             let c = instance.coflow(k);
             residual_to_orig.push(k);
             residual.push(
-                Coflow::new(c.id, state.remaining_matrix(k).clone())
+                Coflow::new(c.id, state.remaining_matrix(k).to_matrix())
                     .with_weight(c.weight)
                     .with_release(c.release.max(now)),
             );
