@@ -13,7 +13,8 @@ use coflow::grouping::group_by_grid;
 use coflow::intervals::GeometricGrid;
 use coflow::ordering::{compute_order, OrderRule};
 use coflow::relax::build_interval_model;
-use coflow::sched::{run_with_order, run_with_order_ext};
+use coflow::sched::{run_with_order, ExecOptions};
+use coflow::{run_policy, BvnBatchPolicy};
 use coflow_bench::bench_scale_config;
 use coflow_lp::{solve_with, SimplexOptions};
 use coflow_workloads::{assign_weights, generate_trace, WeightScheme};
@@ -40,18 +41,21 @@ fn ablate_grouping_base(c: &mut Criterion) {
         ("4.0", 4.0),
     ] {
         let grid = GeometricGrid::scaled(horizon, 1.0, base);
-        let groups = group_by_grid(&inst, &order, &grid).groups.len();
-        let out = coflow::sched::run_with_order_grid(&inst, order.clone(), &grid, true);
+        let groups = group_by_grid(&inst, &order, &grid).groups;
+        let group_count = groups.len();
+        let opts = ExecOptions::paper(true);
+        let mut policy = BvnBatchPolicy::new(&inst, order.clone(), groups, opts);
+        let out = run_policy(&inst, &mut policy).expect("batch policy is infallible");
         println!(
             "  base {:<12} -> {:>2} groups, objective {:.0}",
-            label, groups, out.objective
+            label, group_count, out.objective
         );
     }
 
     let mut group = c.benchmark_group("ablation_grouping");
     group.sample_size(10);
     group.bench_function("grouped_backfilled", |b| {
-        b.iter(|| run_with_order(&inst, order.clone(), true, true).objective)
+        b.iter(|| run_with_order(&inst, order.clone(), true, ExecOptions::paper(true)).objective)
     });
     group.finish();
 }
@@ -60,9 +64,13 @@ fn ablate_backfill_scope(c: &mut Criterion) {
     let inst = instance();
     let order = compute_order(&inst, OrderRule::LpBased);
     println!("== ablation: backfill scope (objective) ==");
-    let none = run_with_order(&inst, order.clone(), true, false);
-    let same_pair = run_with_order(&inst, order.clone(), true, true);
-    let rematch = run_with_order_ext(&inst, order.clone(), true, true, true);
+    let rematch_opts = ExecOptions {
+        rematch: true,
+        ..ExecOptions::paper(true)
+    };
+    let none = run_with_order(&inst, order.clone(), true, ExecOptions::paper(false));
+    let same_pair = run_with_order(&inst, order.clone(), true, ExecOptions::paper(true));
+    let rematch = run_with_order(&inst, order.clone(), true, rematch_opts);
     println!("  none (case c):        {:.0}", none.objective);
     println!("  same-pair (paper d):  {:.0}", same_pair.objective);
     println!("  rematch (extension):  {:.0}", rematch.objective);
@@ -72,10 +80,10 @@ fn ablate_backfill_scope(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_backfill");
     group.sample_size(10);
     group.bench_function("same_pair", |b| {
-        b.iter(|| run_with_order(&inst, order.clone(), true, true).objective)
+        b.iter(|| run_with_order(&inst, order.clone(), true, ExecOptions::paper(true)).objective)
     });
     group.bench_function("rematch", |b| {
-        b.iter(|| run_with_order_ext(&inst, order.clone(), true, true, true).objective)
+        b.iter(|| run_with_order(&inst, order.clone(), true, rematch_opts).objective)
     });
     group.finish();
 }

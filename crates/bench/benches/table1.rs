@@ -6,8 +6,9 @@
 //! `cargo bench -p coflow-bench --bench table1`.
 
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::run_with_order;
+use coflow::sched::{run_with_order, ExecOptions};
 use coflow_bench::bench_scale_config;
+use coflow_bench::grid::paper_grid;
 use coflow_workloads::{assign_weights, filter_by_width, generate_trace, WeightScheme};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -18,28 +19,14 @@ fn bench_table1_cells(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("table1");
     group.sample_size(10);
-    for rule in [
-        OrderRule::Arrival,
-        OrderRule::LoadOverWeight,
-        OrderRule::LpBased,
-    ] {
-        let order = compute_order(&inst, rule);
-        for (grouping, backfill, case) in [
-            (false, false, "a"),
-            (false, true, "b"),
-            (true, false, "c"),
-            (true, true, "d"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(rule.name(), case),
-                &order,
-                |b, order| {
-                    b.iter(|| {
-                        run_with_order(&inst, order.clone(), grouping, backfill).objective
-                    })
-                },
-            );
-        }
+    for spec in paper_grid() {
+        let order = compute_order(&inst, spec.order);
+        let opts = ExecOptions::paper(spec.backfill);
+        group.bench_with_input(
+            BenchmarkId::new(spec.order.name(), spec.case_label()),
+            &order,
+            |b, order| b.iter(|| run_with_order(&inst, order.clone(), spec.grouping, opts).objective),
+        );
     }
     group.finish();
 

@@ -7,11 +7,9 @@
 //! see the whole instance up front but respect releases) against the
 //! legitimately online ρ/w-priority scheduler.
 
-use crate::grid::{case_label, run_grid, CASES};
-use crate::table1::ORDERS;
+use crate::grid::{paper_grid, run_grid};
 use coflow::bounds::interval_lp_bound;
-use coflow::sched::online::run_online_opts;
-use coflow::{Instance, OnlineOptions};
+use coflow::{run_policy, Instance, OrderRule, PolicyRegistry};
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 
 /// Results of the arrivals experiment.
@@ -50,15 +48,19 @@ pub fn arrivals_instance(ports: usize, num_coflows: usize, seed: u64) -> Instanc
 
 /// Runs the experiment.
 pub fn run_arrivals(instance: &Instance) -> ArrivalsReport {
-    let grid = run_grid(instance, &ORDERS);
-    let mut rows = Vec::new();
-    for &rule in &ORDERS {
-        for &(g, b) in &CASES {
-            rows.push((rule.name(), case_label(g, b), grid[&(rule, g, b)].objective));
-        }
-    }
-    let online = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
+    let grid = run_grid(instance, &OrderRule::PAPER_RULES);
+    let rows = paper_grid()
+        .map(|spec| {
+            let cell = &grid[&(spec.order, spec.grouping, spec.backfill)];
+            (spec.order.name(), spec.case_label(), cell.objective)
+        })
+        .collect();
+    let online_policy = |name: &str| {
+        let entry = PolicyRegistry::builtin().get(name).expect("built-in policy");
+        run_policy(instance, &mut *entry.build(instance)).expect("online policies are infallible")
+    };
+    let online = online_policy("online");
+    let online_stale = online_policy("online-stale");
     let lower_bound = interval_lp_bound(instance);
     let mean_release = instance
         .coflows()

@@ -1022,8 +1022,8 @@ fn explain(seed: u64, args: &ExplainArgs) {
         // heatmap (run_with_order is cheap next to the LP).
         let att = report.attribution_cell();
         let order = att.diag.committed_order.clone();
-        let outcome =
-            coflow::sched::run_with_order(&inst, order, att.grouping, att.backfill);
+        let opts = coflow::ExecOptions::paper(att.spec.backfill);
+        let outcome = coflow::sched::run_with_order(&inst, order, att.spec.grouping, opts);
         let svg = coflow_netsim::render_svg_heatmap(&outcome.trace, 128);
         write_report(svg_path, "port-utilization heatmap", &svg);
         println!("# port-utilization heatmap written to {}", svg_path);

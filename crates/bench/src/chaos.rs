@@ -24,13 +24,12 @@
 //! in-repo parser ([`validate_chaos_json`]); `scripts/check-chaos.sh` runs
 //! a fixed-seed configuration of both sections as a tier-1 gate.
 
-use coflow::sched::engine::{run_policy_with_faults, Engine};
+use coflow::sched::engine::{run_policy, run_policy_with_faults, Engine};
 use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::sched::snapshot::EngineSnapshot;
 use coflow::{
-    compute_order, group_by_doubling, AlgorithmSpec, BvnBatchPolicy, ExecOptions, FaultyOutcome,
-    GreedyPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
-    WatchdogConfig, WatchdogPolicy,
+    compute_order, AlgorithmSpec, BvnBatchPolicy, ExecOptions, FaultyOutcome, Instance, OrderRule,
+    Policy, PolicyRegistry, ResilientPolicy, WatchdogConfig, WatchdogPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::{AdversarialConfig, FaultPlan};
@@ -138,19 +137,16 @@ fn make_policy(instance: &Instance, name: &str, lp_opts: &SimplexOptions) -> Box
             },
             lp_opts.clone(),
         )),
-        "online" => Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::default())),
-        "greedy" => {
-            let order = compute_order(instance, OrderRule::LoadOverWeight);
-            Box::new(GreedyPolicy::new(instance, order))
+        "online" | "greedy" => {
+            PolicyRegistry::builtin().get(name).expect("registry policy").build(instance)
         }
         "watchdog-bvn" => {
             // The batch pipeline has no replanning story of its own; the
             // watchdog's Finished-rescue makes it survivable under faults.
             let order = compute_order(instance, OrderRule::LoadOverWeight);
-            let batches = group_by_doubling(instance, &order).groups;
             Box::new(WatchdogPolicy::over_bvn(
                 WatchdogConfig::default(),
-                BvnBatchPolicy::new(instance, order, batches, ExecOptions::default()),
+                BvnBatchPolicy::grouped(instance, order, true, ExecOptions::default()),
             ))
         }
         other => panic!("unknown chaos policy '{}'", other),
@@ -332,8 +328,8 @@ pub fn run_chaos(instance: &Instance, config: &ChaosConfig) -> ChaosReport {
     let lp_opts = SimplexOptions::default();
     // A shared seeded plan so rounds are comparable; the horizon comes from
     // a cheap clean reference (greedy).
-    let order = compute_order(instance, OrderRule::LoadOverWeight);
-    let clean = coflow::run_greedy(instance, order);
+    let greedy = PolicyRegistry::builtin().get("greedy").expect("registry policy");
+    let clean = run_policy(instance, &mut *greedy.build(instance)).expect("greedy is infallible");
     let horizon = clean.makespan().max(1);
     let plan = FaultPlan::generate(
         instance.ports(),

@@ -16,16 +16,17 @@
 
 use coflow::diagnostics::{diagnose, diagnose_faulty, DiagnosticsConfig, ScheduleDiagnostics};
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::recovery::run_with_faults_strict;
-use coflow::sched::run_with_order;
 use coflow::relax::{try_solve_interval_lp_with, LpRelaxation};
-use coflow::{AlgorithmSpec, Instance, DETERMINISTIC_RATIO};
+use coflow::sched::{run, run_with_order, ExecOptions};
+use coflow::{
+    run_policy_with_faults, AlgorithmSpec, Instance, ResilientPolicy, DETERMINISTIC_RATIO,
+};
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
 use coflow_workloads::json::{self, fmt_f64, JsonValue};
 use std::fmt::Write as _;
 
-use crate::grid::{case_label, CASES};
+use crate::grid::CASES;
 
 /// Schema tag of the diagnostics report; bump on breaking layout changes.
 pub const SCHEMA: &str = "coflow-diagnostics/1";
@@ -38,12 +39,8 @@ pub const RATIO_ROUNDING_SLACK: f64 = 1e-9;
 /// One diagnosed grid cell.
 #[derive(Clone, Debug)]
 pub struct ExplainCell {
-    /// Ordering rule.
-    pub order: OrderRule,
-    /// Grouping flag.
-    pub grouping: bool,
-    /// Backfilling flag.
-    pub backfill: bool,
+    /// The grid cell: ordering rule, grouping and backfilling flags.
+    pub spec: AlgorithmSpec,
     /// Full diagnostics for the cell's schedule.
     pub diag: ScheduleDiagnostics,
 }
@@ -88,7 +85,7 @@ impl ExplainReport {
     pub fn attribution_cell(&self) -> &ExplainCell {
         self.cells
             .iter()
-            .find(|c| c.order == OrderRule::LpBased && c.grouping && c.backfill)
+            .find(|c| c.spec.order == OrderRule::LpBased && c.spec.grouping && c.spec.backfill)
             .unwrap_or_else(|| unreachable!("grid always contains H_LP case d"))
     }
 
@@ -138,9 +135,15 @@ pub fn run_explain(
             _ => compute_order(instance, rule),
         };
         for &(grouping, backfill) in &CASES {
-            let outcome = run_with_order(instance, order.clone(), grouping, backfill);
+            let opts = ExecOptions::paper(backfill);
+            let outcome = run_with_order(instance, order.clone(), grouping, opts);
             let diag = diagnose(instance, &outcome, &lp, cfg);
-            cells.push(ExplainCell { order: rule, grouping, backfill, diag });
+            let spec = AlgorithmSpec {
+                order: rule,
+                grouping,
+                backfill,
+            };
+            cells.push(ExplainCell { spec, diag });
         }
     }
 
@@ -150,16 +153,13 @@ pub fn run_explain(
             grouping: true,
             backfill: true,
         };
-        let baseline = run_with_order(
-            instance,
-            compute_order(instance, spec.order),
-            spec.grouping,
-            spec.backfill,
-        );
+        let baseline = run(instance, &spec);
         let horizon = baseline.makespan().max(1);
         let plan =
             FaultPlan::generate(instance.ports(), instance.len(), horizon, rate, seed);
-        let out = run_with_faults_strict(instance, &spec, lp_opts, &plan);
+        let mut policy = ResilientPolicy::new(spec, lp_opts.clone());
+        let out = run_policy_with_faults(instance, &mut policy, &plan)
+            .unwrap_or_else(|e| panic!("explain: fault run hit an engine bug: {}", e));
         let cancelled = out.completions.iter().filter(|c| c.is_none()).count();
         let diag = diagnose_faulty(instance, &out, Some(&baseline), &lp, cfg);
         FaultsSection {
@@ -213,14 +213,10 @@ pub fn render_json(report: &ExplainReport) -> String {
         let d = &cell.diag;
         let (p50, p95, max) = ratio_quantiles(d);
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"order\": {},", json::quote(cell.order.name()));
-        let _ = writeln!(
-            out,
-            "      \"case\": {},",
-            json::quote(case_label(cell.grouping, cell.backfill))
-        );
-        let _ = writeln!(out, "      \"grouping\": {},", cell.grouping);
-        let _ = writeln!(out, "      \"backfill\": {},", cell.backfill);
+        let _ = writeln!(out, "      \"order\": {},", json::quote(cell.spec.order.name()));
+        let _ = writeln!(out, "      \"case\": {},", json::quote(cell.spec.case_label()));
+        let _ = writeln!(out, "      \"grouping\": {},", cell.spec.grouping);
+        let _ = writeln!(out, "      \"backfill\": {},", cell.spec.backfill);
         let _ = writeln!(out, "      \"objective\": {},", fmt_f64(d.objective));
         let _ = writeln!(out, "      \"makespan\": {},", d.makespan);
         let _ = writeln!(
@@ -273,12 +269,8 @@ pub fn render_json(report: &ExplainReport) -> String {
     // Full per-coflow attribution for the paper's Algorithm 2 cell.
     let att = report.attribution_cell();
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "    \"order\": {},", json::quote(att.order.name()));
-    let _ = writeln!(
-        out,
-        "    \"case\": {},",
-        json::quote(case_label(att.grouping, att.backfill))
-    );
+    let _ = writeln!(out, "    \"order\": {},", json::quote(att.spec.order.name()));
+    let _ = writeln!(out, "    \"case\": {},", json::quote(att.spec.case_label()));
     out.push_str("    \"per_coflow\": [\n");
     for (i, r) in att.diag.per_coflow.iter().enumerate() {
         let _ = write!(
@@ -354,8 +346,8 @@ pub fn render_text(report: &ExplainReport) -> String {
         let _ = writeln!(
             out,
             "{:<6} {:<4} {:>12.0} {:>7.3} {:>7.1} {:>7.1} {:>7.2} {:>7.2} {:>9}",
-            cell.order.name(),
-            case_label(cell.grouping, cell.backfill),
+            cell.spec.order.name(),
+            cell.spec.case_label(),
             d.objective,
             d.approx_ratio.unwrap_or(0.0),
             100.0 * d.nonconserving_slots as f64 / d.makespan.max(1) as f64,
@@ -370,8 +362,8 @@ pub fn render_text(report: &ExplainReport) -> String {
     let _ = writeln!(
         out,
         "attribution ({} case {}): per-coflow C_k/C̄_k p50 {:.2}, p95 {:.2}, max {:.2} (bound {:.2})",
-        att.order.name(),
-        case_label(att.grouping, att.backfill),
+        att.spec.order.name(),
+        att.spec.case_label(),
         p50,
         p95,
         max,

@@ -8,9 +8,11 @@
 //! survive (are not cancelled by) each plan, so cancellations do not
 //! masquerade as speedups.
 
-use coflow::sched::recovery::{run_with_faults_strict, verify_faulty_outcome, FaultyOutcome};
+use coflow::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
 use coflow::sched::resilient::{fallback_chain, run_resilient};
-use coflow::{run_policy_with_faults, AlgorithmSpec, Instance, OrderRule, PolicyRegistry};
+use coflow::{
+    run_policy_with_faults, AlgorithmSpec, Instance, OrderRule, PolicyRegistry, ResilientPolicy,
+};
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
 use coflow_workloads::json::{self, fmt_f64, JsonValue};
@@ -93,7 +95,9 @@ pub fn run_faults(
                 rate,
                 seed.wrapping_add(i as u64),
             );
-            let out = run_with_faults_strict(instance, &spec, lp_opts, &plan);
+            let mut policy = ResilientPolicy::new(spec, lp_opts.clone());
+            let out = run_policy_with_faults(instance, &mut policy, &plan)
+                .unwrap_or_else(|e| panic!("rate {}: engine bug: {}", rate, e));
             if let Err(e) = verify_faulty_outcome(instance, &plan, &out) {
                 panic!("rate {}: invalid fault-tolerant schedule: {}", rate, e);
             }

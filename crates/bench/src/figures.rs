@@ -10,7 +10,6 @@
 //!   other.
 
 use crate::grid::{run_grid, CASES};
-use crate::table1::ORDERS;
 use coflow::ordering::OrderRule;
 use coflow::Instance;
 use coflow_workloads::{assign_weights, filter_by_width, WeightScheme};
@@ -32,8 +31,8 @@ pub fn run_fig2a(trace: &Instance, filter: usize, weight_seed: u64) -> Fig2a {
         &filtered,
         WeightScheme::RandomPermutation { seed: weight_seed },
     );
-    let grid = run_grid(&weighted, &ORDERS);
-    let rows = ORDERS
+    let grid = run_grid(&weighted, &OrderRule::PAPER_RULES);
+    let rows = OrderRule::PAPER_RULES
         .iter()
         .map(|&rule| {
             let base = grid[&(rule, false, false)].objective;
@@ -66,7 +65,7 @@ pub fn run_fig2b(trace: &Instance, filter: usize, weight_seed: u64) -> Fig2b {
         WeightScheme::RandomPermutation { seed: weight_seed },
     ] {
         let weighted = assign_weights(&filtered, scheme);
-        let grid = run_grid(&weighted, &ORDERS);
+        let grid = run_grid(&weighted, &OrderRule::PAPER_RULES);
         let hlp = grid[&(OrderRule::LpBased, true, true)].objective;
         let vals = [
             grid[&(OrderRule::Arrival, true, true)].objective / hlp,

@@ -2,10 +2,8 @@
 //! scheduling cases {(a) base, (b) backfill, (c) group, (d) group+backfill}.
 
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::resilient::run_resilient;
-use coflow::sched::{run_with_order, AlgorithmSpec, ScheduleOutcome};
+use coflow::sched::{run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use coflow::Instance;
-use coflow_lp::SimplexOptions;
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -17,14 +15,16 @@ pub const CASES: [(bool, bool); 4] = [
     (true, true),   // (d)
 ];
 
-/// Case label as used in the paper.
-pub fn case_label(grouping: bool, backfill: bool) -> &'static str {
-    match (grouping, backfill) {
-        (false, false) => "a",
-        (false, true) => "b",
-        (true, false) => "c",
-        (true, true) => "d",
-    }
+/// The 12 cells of the grid in rule-major order:
+/// [`OrderRule::PAPER_RULES`] × [`CASES`].
+pub fn paper_grid() -> impl Iterator<Item = AlgorithmSpec> {
+    OrderRule::PAPER_RULES.into_iter().flat_map(|order| {
+        CASES.into_iter().map(move |(grouping, backfill)| AlgorithmSpec {
+            order,
+            grouping,
+            backfill,
+        })
+    })
 }
 
 /// One grid cell's result.
@@ -61,8 +61,9 @@ pub fn run_grid(instance: &Instance, rules: &[OrderRule]) -> GridResults {
             CASES
                 .par_iter()
                 .map(move |&(grouping, backfill)| {
+                    let opts = ExecOptions::paper(backfill);
                     let out: ScheduleOutcome =
-                        run_with_order(instance, order.clone(), grouping, backfill);
+                        run_with_order(instance, order.clone(), grouping, opts);
                     CellResult {
                         order: *rule,
                         grouping,
@@ -81,71 +82,9 @@ pub fn run_grid(instance: &Instance, rules: &[OrderRule]) -> GridResults {
         .collect()
 }
 
-/// One grid cell run through the fault-tolerant pipeline: records which
-/// fallback tier actually produced the schedule.
-#[derive(Clone, Debug)]
-pub struct ResilientCellResult {
-    /// Ordering rule the cell asked for.
-    pub requested: OrderRule,
-    /// Rule that actually produced the schedule.
-    pub used: OrderRule,
-    /// Fallback tier (0 = requested rule ran).
-    pub tier: usize,
-    /// Grouping flag.
-    pub grouping: bool,
-    /// Backfilling flag.
-    pub backfill: bool,
-    /// The schedule itself (kept for validation and inspection).
-    pub outcome: ScheduleOutcome,
-}
-
-/// Results of a resilient grid run, keyed by `(requested, grouping,
-/// backfill)`.
-pub type ResilientGridResults = HashMap<(OrderRule, bool, bool), ResilientCellResult>;
-
-/// Runs the grid through [`run_resilient`] so LP failures (budget
-/// exhaustion, numerical trouble) degrade to heuristic orders instead of
-/// panicking. `lp_opts` carries the solver budgets applied to LP-backed
-/// cells.
-pub fn run_grid_resilient(
-    instance: &Instance,
-    rules: &[OrderRule],
-    lp_opts: &SimplexOptions,
-) -> ResilientGridResults {
-    let cells: Vec<ResilientCellResult> = rules
-        .par_iter()
-        .flat_map(|&rule| {
-            CASES
-                .par_iter()
-                .map(move |&(grouping, backfill)| {
-                    let spec = AlgorithmSpec {
-                        order: rule,
-                        grouping,
-                        backfill,
-                    };
-                    let res = run_resilient(instance, &spec, lp_opts);
-                    ResilientCellResult {
-                        requested: rule,
-                        used: res.used,
-                        tier: res.tier,
-                        grouping,
-                        backfill,
-                        outcome: res.outcome,
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    cells
-        .into_iter()
-        .map(|c| ((c.requested, c.grouping, c.backfill), c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coflow_netsim::validate_trace;
     use coflow_workloads::{generate_trace, TraceConfig};
 
     #[test]
@@ -158,48 +97,6 @@ mod tests {
             for (g, b) in CASES {
                 assert!(grid.contains_key(&(rule, g, b)));
             }
-        }
-    }
-
-    #[test]
-    fn starved_lp_degrades_every_cell_to_valid_schedules() {
-        // Acceptance: with a 0-pivot LP budget all 12 grid algorithms still
-        // produce netsim-validated schedules, with the fallback tier
-        // recorded on each cell.
-        let inst = generate_trace(&TraceConfig::small(5));
-        let starved = SimplexOptions {
-            max_iterations: 0,
-            ..SimplexOptions::default()
-        };
-        let grid = run_grid_resilient(&inst, &OrderRule::PAPER_RULES, &starved);
-        assert_eq!(grid.len(), 12);
-        for ((rule, g, b), cell) in &grid {
-            if *rule == OrderRule::LpBased {
-                assert_eq!(cell.tier, 1, "H_LP cell ({}, {}) must degrade", g, b);
-                assert_eq!(cell.used, OrderRule::LoadOverWeight);
-            } else {
-                assert_eq!(cell.tier, 0);
-                assert_eq!(cell.used, *rule);
-            }
-            let times = validate_trace(
-                inst.demands(),
-                &inst.releases(),
-                &cell.outcome.trace,
-            )
-            .unwrap_or_else(|e| panic!("cell ({:?}, {}, {}) invalid: {}", rule, g, b, e));
-            assert_eq!(times, cell.outcome.completions);
-        }
-    }
-
-    #[test]
-    fn healthy_lp_keeps_resilient_grid_at_tier_zero() {
-        let inst = generate_trace(&TraceConfig::small(4));
-        let grid = run_grid_resilient(&inst, &OrderRule::PAPER_RULES, &SimplexOptions::default());
-        let plain = run_grid(&inst, &OrderRule::PAPER_RULES);
-        for ((rule, g, b), cell) in &grid {
-            assert_eq!(cell.tier, 0);
-            let base = &plain[&(*rule, *g, *b)];
-            assert!((cell.outcome.objective - base.objective).abs() < 1e-9);
         }
     }
 

@@ -10,7 +10,7 @@
 
 use coflow::intervals::GeometricGrid;
 use coflow::relax::{solve_time_indexed_lp, solve_with_grid};
-use coflow::sched::run_with_order;
+use coflow::sched::{run_with_order, ExecOptions};
 use coflow::Instance;
 use std::time::Instant;
 
@@ -49,7 +49,7 @@ pub fn run_gridsweep(instance: &Instance, ratios: &[f64]) -> GridSweep {
             let t0 = Instant::now();
             let relax = solve_with_grid(instance, &grid);
             let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let out = run_with_order(instance, relax.order.clone(), true, true);
+            let out = run_with_order(instance, relax.order.clone(), true, ExecOptions::paper(true));
             GridSweepRow {
                 ratio,
                 lower_bound: relax.lower_bound,

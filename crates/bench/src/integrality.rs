@@ -9,9 +9,8 @@
 
 use coflow::bounds::fluid_priority_objective;
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::greedy::run_greedy;
-use coflow::sched::{run_with_order, run_with_order_opts, ExecOptions};
-use coflow::Instance;
+use coflow::sched::{run_with_order, ExecOptions};
+use coflow::{run_policy, GreedyPolicy, Instance};
 
 /// The integrality comparison on one instance/order.
 #[derive(Clone, Debug)]
@@ -36,16 +35,16 @@ pub struct IntegralityReport {
 pub fn run_integrality(instance: &Instance) -> IntegralityReport {
     let order = compute_order(instance, OrderRule::LpBased);
     let fluid = fluid_priority_objective(instance, &order);
-    let greedy = run_greedy(instance, order.clone());
-    let grouped = run_with_order(instance, order.clone(), true, true);
-    let rematch = run_with_order_opts(
+    let greedy = run_policy(instance, &mut GreedyPolicy::new(instance, order.clone()))
+        .expect("greedy is infallible");
+    let grouped = run_with_order(instance, order.clone(), true, ExecOptions::paper(true));
+    let rematch = run_with_order(
         instance,
         order,
         true,
         ExecOptions {
-            backfill: true,
             rematch: true,
-            ..ExecOptions::default()
+            ..ExecOptions::paper(true)
         },
     );
     IntegralityReport {

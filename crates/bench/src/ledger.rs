@@ -8,7 +8,6 @@
 //! self-contained [`LedgerRecord`], and how to pick records back out of a
 //! loaded history (`latest`, `prev`, `~N`, `#SEQ`, `green`).
 
-use crate::grid::case_label;
 use crate::pins::PinReport;
 use crate::profile::{ProfileReport, MEM_STAGES, STAGES};
 use obs::ledger::LedgerRecord;
@@ -73,8 +72,7 @@ pub fn record_from_profile(report: &ProfileReport, elapsed_ms: f64) -> LedgerRec
         rec.stage_alloc_bytes.push((stage.to_string(), bytes));
     }
     for cell in &report.cells {
-        let label =
-            format!("{}/{}", cell.order.name(), case_label(cell.grouping, cell.backfill));
+        let label = format!("{}/{}", cell.spec.order.name(), cell.spec.case_label());
         rec.objectives.push((label, cell.objective));
     }
     rec

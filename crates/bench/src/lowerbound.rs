@@ -10,9 +10,8 @@
 use coflow::bounds::{interval_lp_bound, release_load_bound};
 use coflow::ordering::{compute_order, OrderRule};
 use coflow::relax::solve_time_indexed_lp;
-use coflow::sched::greedy::run_greedy;
-use coflow::sched::{run, run_with_order_ext, AlgorithmSpec};
-use coflow::Instance;
+use coflow::sched::{run, run_with_order, AlgorithmSpec, ExecOptions};
+use coflow::{run_policy, GreedyPolicy, Instance};
 
 /// The lower-bound experiment's results.
 #[derive(Clone, Debug)]
@@ -62,8 +61,13 @@ pub fn run_lowerbound(instance: &Instance) -> LowerBoundReport {
         },
     );
     let order = compute_order(instance, OrderRule::LpBased);
-    let rematch = run_with_order_ext(instance, order.clone(), true, true, true);
-    let greedy = run_greedy(instance, order);
+    let rematch = ExecOptions {
+        rematch: true,
+        ..ExecOptions::paper(true)
+    };
+    let rematch = run_with_order(instance, order.clone(), true, rematch);
+    let greedy = run_policy(instance, &mut GreedyPolicy::new(instance, order))
+        .expect("greedy is infallible");
     let lp_exp = solve_time_indexed_lp(instance);
     let interval = interval_lp_bound(instance);
     let load = release_load_bound(instance);

@@ -9,19 +9,21 @@
 //! run against the committed file — objectives are matched on their f64
 //! **bit patterns**, so even a last-ulp drift fails the gate.
 //!
+//! The cells are one table ([`pin_cells`]): a label, the policy
+//! constructor and the fault plan of each. The checkpoint differential
+//! test replays the same table through the fault engine.
+//!
 //! The report also records the wall-clock of the engine-driven section
 //! (online + greedy + fault combos, the paths the old hand loops served);
 //! `scripts/check-perf.sh` uses it as a no-slower-than-baseline overhead
 //! gate with a generous tolerance, mirroring the per-stage profile gate.
 
 use crate::arrivals::arrivals_instance;
-use crate::grid::{case_label, run_grid};
-use crate::table1::ORDERS;
-use coflow::sched::recovery::{run_with_faults_strict, verify_faulty_outcome};
+use crate::grid::paper_grid;
+use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::{
-    compute_order, run_greedy, run_greedy_with_faults, run_im_purohit_with_faults,
-    run_online_opts, run_online_with_faults, run_policy, run_shafiee_ghaderi_with_faults,
-    AlgorithmSpec, ImPurohitPolicy, Instance, OnlineOptions, OrderRule,
+    compute_order, run_policy, run_policy_with_faults, AlgorithmSpec, BvnBatchPolicy,
+    ExecOptions, Instance, OrderRule, Policy, PolicyRegistry, ResilientPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -70,133 +72,152 @@ pub struct PinReport {
     pub pins: Vec<Pin>,
 }
 
-/// Computes every pin on `instance` (must have release dates for the
-/// online cells to be meaningful). Fault-injected outcomes are verified
-/// before pinning; an invalid schedule panics — that is an engine bug.
+/// The fault plan a pin cell runs under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PinPlan {
+    /// The clean fabric.
+    Clean,
+    /// Rate [`FAULT_RATE`] on the pin seed, over the clean online and
+    /// greedy makespans.
+    Faults,
+    /// Rate [`FAULT_RATE_20`] on the seed offset by
+    /// [`FAULT20_SEED_OFFSET`], over the clean makespans of every engine
+    /// policy.
+    Faults20,
+}
+
+impl PinPlan {
+    /// The plan on `instance` for pin seed `seed`. Its horizon is the
+    /// largest makespan among the clean `pins` listed for it, so the
+    /// committed pins reproduce the plan they were measured under.
+    pub fn generate(self, instance: &Instance, seed: u64, pins: &[Pin]) -> FaultPlan {
+        let (rate, seed, horizon_cells): (f64, u64, &[&str]) = match self {
+            PinPlan::Clean => return FaultPlan::new(vec![]),
+            PinPlan::Faults => (FAULT_RATE, seed, &["online/fixed", "online/stale", "greedy"]),
+            PinPlan::Faults20 => (
+                FAULT_RATE_20,
+                seed.wrapping_add(FAULT20_SEED_OFFSET),
+                &["online/fixed", "online/stale", "greedy", "shafiee-ghaderi", "im-purohit"],
+            ),
+        };
+        let horizon = pins
+            .iter()
+            .filter(|p| horizon_cells.contains(&p.label.as_str()))
+            .map(|p| p.makespan)
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        FaultPlan::generate(instance.ports(), instance.len(), horizon, rate, seed)
+    }
+}
+
+/// Builds a fresh policy over an instance.
+type PolicyCtor = Box<dyn Fn(&Instance) -> Box<dyn Policy>>;
+
+/// One row of the pin table: a label, the policy it pins and the fault
+/// plan it runs under.
+pub struct PinCell {
+    /// Stable label, e.g. `grid/H_LP/d`, `online/fixed`, `faults/greedy`.
+    pub label: String,
+    /// The fault plan of the cell.
+    pub plan: PinPlan,
+    build: PolicyCtor,
+}
+
+impl PinCell {
+    /// Builds a fresh policy for the cell.
+    pub fn build(&self, instance: &Instance) -> Box<dyn Policy> {
+        (self.build)(instance)
+    }
+}
+
+/// The pin table, in report order: the 12 §4 grid cells on the BvN batch
+/// policy, the clean engine policies, the rate-0.3 fault cells and the
+/// rate-0.2 successor-policy cells. Every cell but the grid and
+/// `faults/resilient` (the replanner on the `H_ρ` order, where the
+/// registry's `resilient` plans `H_LP`) is a registry entry. The clean
+/// cells come first: the fault plans' horizons are read from them.
+pub fn pin_cells() -> Vec<PinCell> {
+    let registry = |label: &str, plan: PinPlan, name: &str| {
+        let entry = PolicyRegistry::builtin().get(name).expect("built-in policy");
+        PinCell {
+            label: label.to_string(),
+            plan,
+            build: Box::new(move |instance| entry.build(instance)),
+        }
+    };
+    let mut cells: Vec<PinCell> = paper_grid()
+        .map(|spec| PinCell {
+            label: format!("grid/{}/{}", spec.order.name(), spec.case_label()),
+            plan: PinPlan::Clean,
+            build: Box::new(move |instance| {
+                let order = compute_order(instance, spec.order);
+                let opts = ExecOptions::paper(spec.backfill);
+                Box::new(BvnBatchPolicy::grouped(instance, order, spec.grouping, opts))
+            }),
+        })
+        .collect();
+    cells.extend([
+        registry("online/fixed", PinPlan::Clean, "online"),
+        registry("online/stale", PinPlan::Clean, "online-stale"),
+        registry("greedy", PinPlan::Clean, "greedy"),
+        registry("shafiee-ghaderi", PinPlan::Clean, "shafiee-ghaderi"),
+        registry("im-purohit", PinPlan::Clean, "im-purohit"),
+        PinCell {
+            label: "faults/resilient".to_string(),
+            plan: PinPlan::Faults,
+            build: Box::new(|_| {
+                let spec = AlgorithmSpec {
+                    order: OrderRule::LoadOverWeight,
+                    grouping: true,
+                    backfill: true,
+                };
+                Box::new(ResilientPolicy::new(spec, SimplexOptions::default()))
+            }),
+        },
+        registry("faults/online", PinPlan::Faults, "online"),
+        registry("faults/greedy", PinPlan::Faults, "greedy"),
+        registry("faults20/shafiee-ghaderi", PinPlan::Faults20, "shafiee-ghaderi"),
+        registry("faults20/im-purohit", PinPlan::Faults20, "im-purohit"),
+    ]);
+    cells
+}
+
+/// Computes every pin of [`pin_cells`] on `instance` (must have release
+/// dates for the online cells to be meaningful): clean cells on the clean
+/// engine, fault cells on the fault engine. Fault-injected outcomes are
+/// verified before pinning; an invalid schedule panics — that is an engine
+/// bug.
 pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
-    let mut pins = Vec::new();
-
-    // The 12-cell grid (orders × cases), all executed by the engine's
-    // BvN batch policy.
-    let grid = run_grid(instance, &ORDERS);
-    for &rule in &ORDERS {
-        for &(grouping, backfill) in &crate::grid::CASES {
-            let cell = &grid[&(rule, grouping, backfill)];
-            pins.push(Pin {
-                label: format!("grid/{}/{}", rule.name(), case_label(grouping, backfill)),
-                objective: cell.objective,
-                makespan: cell.makespan,
-            });
+    let mut pins: Vec<Pin> = Vec::new();
+    // The engine section — every cell after the grid: the policies the old
+    // hand loops used to serve, plus the fault combinations — is timed.
+    let mut start = None;
+    for cell in pin_cells() {
+        if start.is_none() && !cell.label.starts_with("grid/") {
+            start = Some(Instant::now());
         }
-    }
-
-    // Engine-only section: the policies the old hand loops used to serve,
-    // plus the fault combinations that did not exist before the engine.
-    let start = Instant::now();
-    let order = compute_order(instance, OrderRule::LoadOverWeight);
-    let online_fixed = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
-    let greedy = run_greedy(instance, order.clone());
-    pins.push(Pin {
-        label: "online/fixed".to_string(),
-        objective: online_fixed.objective,
-        makespan: online_fixed.makespan(),
-    });
-    pins.push(Pin {
-        label: "online/stale".to_string(),
-        objective: online_stale.objective,
-        makespan: online_stale.makespan(),
-    });
-    pins.push(Pin {
-        label: "greedy".to_string(),
-        objective: greedy.objective,
-        makespan: greedy.makespan(),
-    });
-
-    // Successor-paper policies (registry names): Shafiee–Ghaderi on the
-    // H_pd primal-dual permutation, Im–Purohit on the LP order. The LP
-    // order is solved once and shared with the fault cell below.
-    let sg = coflow::run_shafiee_ghaderi(instance);
-    let ip_order = compute_order(instance, OrderRule::LpBased);
-    let ip = {
-        let mut policy = ImPurohitPolicy::with_order(instance, ip_order.clone());
-        match run_policy(instance, &mut policy) {
-            Ok(out) => out,
-            Err(e) => panic!("pins: im-purohit hit an engine bug: {}", e),
-        }
-    };
-    pins.push(Pin {
-        label: "shafiee-ghaderi".to_string(),
-        objective: sg.objective,
-        makespan: sg.makespan(),
-    });
-    pins.push(Pin {
-        label: "im-purohit".to_string(),
-        objective: ip.objective,
-        makespan: ip.makespan(),
-    });
-
-    let horizon = online_fixed
-        .makespan()
-        .max(online_stale.makespan())
-        .max(greedy.makespan())
-        .max(1);
-    let plan = FaultPlan::generate(instance.ports(), instance.len(), horizon, FAULT_RATE, seed);
-    let spec = AlgorithmSpec {
-        order: OrderRule::LoadOverWeight,
-        grouping: true,
-        backfill: true,
-    };
-    let resilient = run_with_faults_strict(instance, &spec, &SimplexOptions::default(), &plan);
-    let online_faulty = match run_online_with_faults(instance, OnlineOptions::default(), &plan) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: online under faults hit an engine bug: {}", e),
-    };
-    let greedy_faulty = match run_greedy_with_faults(instance, order, &plan) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: greedy under faults hit an engine bug: {}", e),
-    };
-    for (label, out) in [
-        ("faults/resilient", &resilient),
-        ("faults/online", &online_faulty),
-        ("faults/greedy", &greedy_faulty),
-    ] {
-        if let Err(e) = verify_faulty_outcome(instance, &plan, out) {
-            panic!("pins: {} produced an invalid schedule: {}", label, e);
-        }
+        let mut policy = cell.build(instance);
+        let (objective, makespan) = if cell.plan == PinPlan::Clean {
+            let out = run_policy(instance, &mut *policy)
+                .unwrap_or_else(|e| panic!("pins: {} hit an engine bug: {}", cell.label, e));
+            (out.objective, out.makespan())
+        } else {
+            let plan = cell.plan.generate(instance, seed, &pins);
+            let out = run_policy_with_faults(instance, &mut *policy, &plan)
+                .unwrap_or_else(|e| panic!("pins: {} hit an engine bug: {}", cell.label, e));
+            if let Err(e) = verify_faulty_outcome(instance, &plan, &out) {
+                panic!("pins: {} produced an invalid schedule: {}", cell.label, e);
+            }
+            (out.objective, out.executed.makespan())
+        };
         pins.push(Pin {
-            label: label.to_string(),
-            objective: out.objective,
-            makespan: out.executed.makespan(),
+            label: cell.label,
+            objective,
+            makespan,
         });
     }
-
-    // The tournament's shared fault rate (0.20) for the successor
-    // policies, on its own deterministic plan stream.
-    let plan20 = pin_fault_plan_20(instance, seed, &[&online_fixed, &online_stale, &greedy, &sg, &ip]);
-    let sg_faulty = match run_shafiee_ghaderi_with_faults(instance, &plan20) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: shafiee-ghaderi under faults hit an engine bug: {}", e),
-    };
-    let ip_faulty = match run_im_purohit_with_faults(instance, &plan20) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: im-purohit under faults hit an engine bug: {}", e),
-    };
-    for (label, out) in [
-        ("faults20/shafiee-ghaderi", &sg_faulty),
-        ("faults20/im-purohit", &ip_faulty),
-    ] {
-        if let Err(e) = verify_faulty_outcome(instance, &plan20, out) {
-            panic!("pins: {} produced an invalid schedule: {}", label, e);
-        }
-        pins.push(Pin {
-            label: label.to_string(),
-            objective: out.objective,
-            makespan: out.executed.makespan(),
-        });
-    }
-    let engine_ms = start.elapsed().as_secs_f64() * 1e3;
-
+    let engine_ms = start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
     PinReport { seed, engine_ms, pins }
 }
 
@@ -205,25 +226,6 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
 /// written from.
 pub fn collect_pins(seed: u64) -> PinReport {
     collect_pins_on(&arrivals_instance(24, 36, seed), seed)
-}
-
-/// Derives the `faults20/*` plan: rate [`FAULT_RATE_20`], horizon the max
-/// clean makespan over the engine policies pinned before it, seed offset
-/// [`FAULT20_SEED_OFFSET`]. Public so the checkpoint differential tests
-/// reconstruct the exact plan a pin was measured under.
-pub fn pin_fault_plan_20(
-    instance: &Instance,
-    seed: u64,
-    clean: &[&coflow::ScheduleOutcome],
-) -> FaultPlan {
-    let horizon = clean.iter().map(|o| o.makespan()).max().unwrap_or(1).max(1);
-    FaultPlan::generate(
-        instance.ports(),
-        instance.len(),
-        horizon,
-        FAULT_RATE_20,
-        seed.wrapping_add(FAULT20_SEED_OFFSET),
-    )
 }
 
 /// Serializes a pin run as `coflow-pins/1` JSON. Objectives are written

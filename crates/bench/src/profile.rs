@@ -12,14 +12,14 @@
 //! `reset()`/`snapshot()` window is what makes the attribution exact.
 
 use coflow::ordering::{try_compute_order_with, OrderRule};
-use coflow::sched::{run_with_order_opts, ExecOptions};
+use coflow::sched::{run_with_order, AlgorithmSpec, ExecOptions};
 use coflow::Instance;
 use coflow_lp::SimplexOptions;
 use coflow_workloads::json::{self, fmt_f64, JsonValue};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::grid::{case_label, CASES};
+use crate::grid::CASES;
 
 /// Schema tag written into every report; bump on breaking layout changes.
 ///
@@ -141,12 +141,8 @@ impl CellMem {
 /// One profiled grid cell.
 #[derive(Clone, Debug)]
 pub struct ProfiledCell {
-    /// Ordering rule (paper name, e.g. `H_LP`).
-    pub order: OrderRule,
-    /// Grouping flag.
-    pub grouping: bool,
-    /// Backfilling flag.
-    pub backfill: bool,
+    /// The grid cell: ordering rule, grouping and backfilling flags.
+    pub spec: AlgorithmSpec,
     /// Total weighted completion time of the produced schedule.
     pub objective: f64,
     /// Schedule makespan.
@@ -181,6 +177,11 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
     let mut cells = Vec::with_capacity(OrderRule::PAPER_RULES.len() * CASES.len());
     for &rule in &OrderRule::PAPER_RULES {
         for &(grouping, backfill) in &CASES {
+            let spec = AlgorithmSpec {
+                order: rule,
+                grouping,
+                backfill,
+            };
             obs::reset();
             obs::alloc::reset_peak();
             let mem_before = obs::alloc::stats();
@@ -190,12 +191,7 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                 Ok(order) => order,
                 Err(e) => panic!("profile: {:?} order failed: {}", rule, e),
             };
-            let outcome = run_with_order_opts(
-                instance,
-                order,
-                grouping,
-                ExecOptions { backfill, ..ExecOptions::default() },
-            );
+            let outcome = run_with_order(instance, order, grouping, ExecOptions::paper(backfill));
             let total_ms = cell_start.elapsed().as_secs_f64() * 1e3;
             let snap = obs::snapshot();
             obs::set_enabled(false);
@@ -231,7 +227,7 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                 }
             };
             if obs::telemetry::active() {
-                let label = format!("{}/{}", rule.name(), case_label(grouping, backfill));
+                let label = format!("{}/{}", rule.name(), spec.case_label());
                 obs::telemetry::emit(&obs::telemetry::Sample {
                     source: "profile",
                     label: &label,
@@ -241,9 +237,7 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                 });
             }
             cells.push(ProfiledCell {
-                order: rule,
-                grouping,
-                backfill,
+                spec,
                 objective: outcome.objective,
                 makespan: outcome.makespan(),
                 stages: {
@@ -322,14 +316,10 @@ pub fn render_json(report: &ProfileReport) -> String {
     let mut cells = String::from("[\n");
     for (idx, cell) in report.cells.iter().enumerate() {
         cells.push_str("    {\n");
-        let _ = writeln!(cells, "      \"order\": {},", json::quote(cell.order.name()));
-        let _ = writeln!(
-            cells,
-            "      \"case\": {},",
-            json::quote(case_label(cell.grouping, cell.backfill))
-        );
-        let _ = writeln!(cells, "      \"grouping\": {},", cell.grouping);
-        let _ = writeln!(cells, "      \"backfill\": {},", cell.backfill);
+        let _ = writeln!(cells, "      \"order\": {},", json::quote(cell.spec.order.name()));
+        let _ = writeln!(cells, "      \"case\": {},", json::quote(cell.spec.case_label()));
+        let _ = writeln!(cells, "      \"grouping\": {},", cell.spec.grouping);
+        let _ = writeln!(cells, "      \"backfill\": {},", cell.spec.backfill);
         let _ = writeln!(cells, "      \"objective\": {},", fmt_f64(cell.objective));
         let _ = writeln!(cells, "      \"makespan\": {},", cell.makespan);
         cells.push_str("      \"stages_ms\": {");
@@ -377,8 +367,8 @@ pub fn render_mem_json(report: &ProfileReport) -> String {
         let _ = write!(
             cells,
             "    {{\"order\": {}, \"case\": {}, \"mem\": {}}}",
-            json::quote(cell.order.name()),
-            json::quote(case_label(cell.grouping, cell.backfill)),
+            json::quote(cell.spec.order.name()),
+            json::quote(cell.spec.case_label()),
             render_cell_mem(&cell.mem),
         );
         cells.push_str(if idx + 1 < report.cells.len() { ",\n" } else { "\n" });
@@ -617,8 +607,8 @@ pub fn render_profile(report: &ProfileReport) -> String {
             out,
             "{:<6} {:<4} {:>12.0} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} \
              {:>9.1} {:>9}",
-            c.order.name(),
-            case_label(c.grouping, c.backfill),
+            c.spec.order.name(),
+            c.spec.case_label(),
             c.objective,
             c.stages.lp_build_ms,
             c.stages.lp_solve_ms,
@@ -675,7 +665,7 @@ mod tests {
             // Every cell decomposes and simulates.
             assert!(counter("matching.bvn.permutations").unwrap_or(0) > 0);
             assert!(counter("netsim.fabric.slots").unwrap_or(0) > 0);
-            if cell.order == OrderRule::LpBased {
+            if cell.spec.order == OrderRule::LpBased {
                 // An H_LP cell either solved the interval LP (pivots) or
                 // got the stored solution from the process-global basis
                 // cache (exact hit) — identical output either way.

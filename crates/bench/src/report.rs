@@ -4,7 +4,8 @@
 use crate::figures::{Fig2a, Fig2b};
 use crate::lowerbound::LowerBoundReport;
 use crate::ratios::RatioReport;
-use crate::table1::{Table1Block, ORDERS};
+use crate::table1::Table1Block;
+use coflow::OrderRule;
 
 /// Case labels in Table 1 row order.
 pub const CASE_ROWS: [&str; 4] = ["(a)", "(b)", "(c)", "(d)"];
@@ -18,14 +19,14 @@ pub fn render_table1_block(block: &Table1Block) -> String {
         block.filter, block.weights, block.num_coflows
     ));
     out.push_str("  case |");
-    for rule in ORDERS {
+    for rule in OrderRule::PAPER_RULES {
         out.push_str(&format!(" {:>8} |", rule.name()));
     }
     out.push('\n');
     out.push_str("  -----|----------|----------|----------|\n");
     for (case_idx, label) in CASE_ROWS.iter().enumerate() {
         out.push_str(&format!("  {:<4} |", label));
-        for (order_idx, _) in ORDERS.iter().enumerate() {
+        for (order_idx, _) in OrderRule::PAPER_RULES.iter().enumerate() {
             out.push_str(&format!(" {:>8.2} |", block.normalized[order_idx][case_idx]));
         }
         out.push('\n');

@@ -22,28 +22,22 @@ pub struct Table1Block {
     /// Number of coflows surviving the filter.
     pub num_coflows: usize,
     /// Normalized objective per (order, case): indexed
-    /// `[order][case]` in the order of [`ORDERS`] and [`CASES`].
+    /// `[order][case]` in the order of [`OrderRule::PAPER_RULES`] and
+    /// [`CASES`].
     pub normalized: Vec<Vec<f64>>,
     /// Raw objectives in the same layout.
     pub raw: Vec<Vec<f64>>,
 }
-
-/// The orders in Table 1 column order.
-pub const ORDERS: [OrderRule; 3] = [
-    OrderRule::Arrival,
-    OrderRule::LoadOverWeight,
-    OrderRule::LpBased,
-];
 
 /// Runs one Table 1 block: filter the trace, assign weights, run the grid,
 /// and normalize by (H_LP, d).
 pub fn run_block(trace: &Instance, filter: usize, scheme: WeightScheme) -> Table1Block {
     let filtered = filter_by_width(trace, filter);
     let weighted = assign_weights(&filtered, scheme);
-    let grid: GridResults = run_grid(&weighted, &ORDERS);
+    let grid: GridResults = run_grid(&weighted, &OrderRule::PAPER_RULES);
     let denom = grid[&(OrderRule::LpBased, true, true)].objective;
     assert!(denom > 0.0, "normalizer must be positive");
-    let raw: Vec<Vec<f64>> = ORDERS
+    let raw: Vec<Vec<f64>> = OrderRule::PAPER_RULES
         .iter()
         .map(|&rule| {
             CASES
@@ -88,7 +82,7 @@ mod tests {
     fn block_normalizes_to_hlp_case_d() {
         let trace = generate_trace(&TraceConfig::small(4));
         let block = run_block(&trace, 0, WeightScheme::Equal);
-        // (H_LP, d) is ORDERS[2], CASES[3] -> normalized exactly 1.
+        // (H_LP, d) is PAPER_RULES[2], CASES[3] -> normalized exactly 1.
         assert!((block.normalized[2][3] - 1.0).abs() < 1e-12);
         // All raw objectives positive.
         assert!(block.raw.iter().flatten().all(|&v| v > 0.0));

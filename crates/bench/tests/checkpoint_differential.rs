@@ -16,121 +16,19 @@
 //!   patterns the pin gate enforces must survive interruption at every
 //!   single epoch.
 //!
-//! The clean cells (grid/online/greedy) are driven through the fault
-//! engine with an **empty** fault plan; their bit-equality with the
-//! committed pins doubles as a proof that the steppable engine and the
-//! clean pipeline execute identically.
+//! Both replay the pin table (`coflow_bench::pins::pin_cells`) the pin
+//! run measures, each cell under its own fault plan, derived from the
+//! pins' clean makespans as the pin run derives it. The clean cells
+//! (grid/online/greedy/successors) are driven through the fault engine
+//! with an **empty** fault plan; their bit-equality with the committed
+//! pins doubles as a proof that the steppable engine and the clean
+//! pipeline execute identically.
 
 use coflow::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
-use coflow::{
-    compute_order, group_by_doubling, run_greedy, run_online_opts, run_policy,
-    run_policy_with_faults, run_shafiee_ghaderi, AlgorithmSpec, BvnBatchPolicy, Engine,
-    EngineSnapshot, ExecOptions, GreedyPolicy, ImPurohitPolicy, Instance, OnlineOptions,
-    OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy, ShafieeGhaderiPolicy,
-};
+use coflow::{run_policy_with_faults, Engine, EngineSnapshot, Instance, Policy};
 use coflow_bench::arrivals::arrivals_instance;
-use coflow_bench::pins::{collect_pins_on, parse_pins, pin_fault_plan_20, Pin, FAULT_RATE};
-use coflow_lp::SimplexOptions;
+use coflow_bench::pins::{collect_pins_on, parse_pins, pin_cells, Pin, PinCell};
 use coflow_netsim::FaultPlan;
-
-/// Builds the policy a pin label names, exactly as the pin run builds it.
-fn policy_for(instance: &Instance, label: &str) -> Box<dyn Policy> {
-    if let Some(rest) = label.strip_prefix("grid/") {
-        let (rule_name, case) = rest.split_once('/').expect("grid label");
-        let rule = match rule_name {
-            "H_A" => OrderRule::Arrival,
-            "H_rho" => OrderRule::LoadOverWeight,
-            "H_LP" => OrderRule::LpBased,
-            other => panic!("unknown grid rule {}", other),
-        };
-        let (grouping, backfill) = match case {
-            "a" => (false, false),
-            "b" => (false, true),
-            "c" => (true, false),
-            "d" => (true, true),
-            other => panic!("unknown grid case {}", other),
-        };
-        let order = compute_order(instance, rule);
-        let batches: Vec<Vec<usize>> = if grouping {
-            group_by_doubling(instance, &order).groups
-        } else {
-            order.iter().map(|&k| vec![k]).collect()
-        };
-        let opts = ExecOptions {
-            backfill,
-            ..ExecOptions::default()
-        };
-        return Box::new(BvnBatchPolicy::new(instance, order, batches, opts));
-    }
-    match label {
-        "online/fixed" => Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::default())),
-        "online/stale" => Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::legacy())),
-        "greedy" => {
-            let order = compute_order(instance, OrderRule::LoadOverWeight);
-            Box::new(GreedyPolicy::new(instance, order))
-        }
-        "faults/resilient" => Box::new(ResilientPolicy::new(
-            AlgorithmSpec {
-                order: OrderRule::LoadOverWeight,
-                grouping: true,
-                backfill: true,
-            },
-            SimplexOptions::default(),
-        )),
-        "faults/online" => Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::default())),
-        "faults/greedy" => {
-            let order = compute_order(instance, OrderRule::LoadOverWeight);
-            Box::new(GreedyPolicy::new(instance, order))
-        }
-        "shafiee-ghaderi" | "faults20/shafiee-ghaderi" => {
-            Box::new(ShafieeGhaderiPolicy::new(instance))
-        }
-        "im-purohit" | "faults20/im-purohit" => Box::new(ImPurohitPolicy::with_order(
-            instance,
-            compute_order(instance, OrderRule::LpBased),
-        )),
-        other => panic!("unknown pin label {}", other),
-    }
-}
-
-/// The fault plan of the pin run: clean cells get the empty plan, fault
-/// cells the seeded plan over the clean-makespan horizon (same derivation
-/// as `collect_pins_on`).
-fn pin_fault_plan(instance: &Instance, seed: u64) -> FaultPlan {
-    let online_fixed = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
-    let greedy = run_greedy(
-        instance,
-        compute_order(instance, OrderRule::LoadOverWeight),
-    );
-    let horizon = online_fixed
-        .makespan()
-        .max(online_stale.makespan())
-        .max(greedy.makespan())
-        .max(1);
-    FaultPlan::generate(instance.ports(), instance.len(), horizon, FAULT_RATE, seed)
-}
-
-/// The `faults20/*` plan of the pin run: rate 0.2 over the max clean
-/// makespan of the five engine policies, on the offset seed stream (same
-/// derivation as `collect_pins_on`).
-fn faults20_plan(instance: &Instance, seed: u64) -> FaultPlan {
-    let online_fixed = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
-    let greedy = run_greedy(
-        instance,
-        compute_order(instance, OrderRule::LoadOverWeight),
-    );
-    let sg = run_shafiee_ghaderi(instance);
-    let ip = {
-        let mut policy = ImPurohitPolicy::with_order(
-            instance,
-            compute_order(instance, OrderRule::LpBased),
-        );
-        run_policy(instance, &mut policy).expect("im-purohit clean run")
-    };
-    pin_fault_plan_20(instance, seed, &[&online_fixed, &online_stale, &greedy, &sg, &ip])
-}
 
 /// Drives one cell, checkpointing after **every** decision epoch and
 /// resuming from the checkpoint; every `json_stride`-th checkpoint (plus
@@ -152,7 +50,7 @@ fn run_with_checkpoint_every_epoch(
             break;
         }
         let snapshot = engine.checkpoint(policy.as_ref()).expect("checkpoint");
-        let snapshot = if epochs <= 3 || epochs % json_stride.max(1) == 0 {
+        let snapshot = if epochs <= 3 || epochs.is_multiple_of(json_stride.max(1)) {
             EngineSnapshot::from_json(&snapshot.to_json()).expect("snapshot round trip")
         } else {
             snapshot
@@ -167,19 +65,14 @@ fn run_with_checkpoint_every_epoch(
 
 /// Checks one pinned cell: the every-epoch-interrupted run must equal the
 /// uninterrupted reference bit for bit, and both must equal the pin.
-fn check_cell(instance: &Instance, plan: &FaultPlan, pin: &Pin, json_stride: u64) {
-    let mut reference_policy = policy_for(instance, &pin.label);
-    let reference = run_policy_with_faults(instance, reference_policy.as_mut(), plan)
+fn check_cell(instance: &Instance, plan: &FaultPlan, cell: &PinCell, pin: &Pin, json_stride: u64) {
+    let reference = run_policy_with_faults(instance, &mut *cell.build(instance), plan)
         .unwrap_or_else(|e| panic!("{}: reference run failed: {}", pin.label, e));
     verify_faulty_outcome(instance, plan, &reference)
         .unwrap_or_else(|e| panic!("{}: reference schedule invalid: {}", pin.label, e));
 
-    let (interrupted, epochs) = run_with_checkpoint_every_epoch(
-        instance,
-        policy_for(instance, &pin.label),
-        plan,
-        json_stride,
-    );
+    let (interrupted, epochs) =
+        run_with_checkpoint_every_epoch(instance, cell.build(instance), plan, json_stride);
     assert!(epochs >= 1, "{}: no epochs ran", pin.label);
 
     assert_eq!(
@@ -217,19 +110,18 @@ fn check_cell(instance: &Instance, plan: &FaultPlan, pin: &Pin, json_stride: u64
     );
 }
 
+/// Replays the pin table through the fault engine, each cell under its
+/// plan (clean cells under the empty plan), against `pins`.
 fn check_all_pins(instance: &Instance, seed: u64, pins: &[Pin], json_stride: u64) {
-    let empty = FaultPlan::new(vec![]);
-    let faulted = pin_fault_plan(instance, seed);
-    let faulted20 = faults20_plan(instance, seed);
-    for pin in pins {
-        let plan = if pin.label.starts_with("faults/") {
-            &faulted
-        } else if pin.label.starts_with("faults20/") {
-            &faulted20
-        } else {
-            &empty
-        };
-        check_cell(instance, plan, pin, json_stride);
+    let cells = pin_cells();
+    assert_eq!(pins.len(), cells.len(), "one pin per table cell");
+    for cell in &cells {
+        let pin = pins
+            .iter()
+            .find(|p| p.label == cell.label)
+            .unwrap_or_else(|| panic!("no pin for cell {}", cell.label));
+        let plan = cell.plan.generate(instance, seed, pins);
+        check_cell(instance, &plan, cell, pin, json_stride);
     }
 }
 

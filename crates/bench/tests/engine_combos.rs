@@ -7,8 +7,8 @@
 
 use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::{
-    compute_order, diagnose_faulty, run_greedy_with_faults, run_online_with_faults,
-    solve_interval_lp, Coflow, Detector, DiagnosticsConfig, Instance, OnlineOptions, OrderRule,
+    diagnose_faulty, run_policy_with_faults, solve_interval_lp, Coflow, Detector,
+    DiagnosticsConfig, FaultyOutcome, Instance, PolicyRegistry,
 };
 use coflow_bench::arrivals::arrivals_instance;
 use coflow_bench::faults::{
@@ -87,12 +87,18 @@ fn check_combo(
     );
 }
 
+/// Runs the registry policy `name` under `plan` to quiescence.
+fn registry_run(instance: &Instance, name: &str, plan: &FaultPlan) -> FaultyOutcome {
+    let mut policy = PolicyRegistry::builtin().get(name).unwrap().build(instance);
+    run_policy_with_faults(instance, &mut *policy, plan)
+        .unwrap_or_else(|e| panic!("{} under faults must settle: {}", name, e))
+}
+
 #[test]
 fn online_under_faults_runs_end_to_end() {
     let instance = inst();
     let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
-    let out = run_online_with_faults(&instance, OnlineOptions::default(), &plan)
-        .expect("online under faults must settle");
+    let out = registry_run(&instance, "online", &plan);
     check_combo(&instance, &plan, &out, true);
 }
 
@@ -100,8 +106,7 @@ fn online_under_faults_runs_end_to_end() {
 fn online_stale_priorities_also_survive_faults() {
     let instance = inst();
     let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
-    let out = run_online_with_faults(&instance, OnlineOptions::legacy(), &plan)
-        .expect("legacy-resort online under faults must settle");
+    let out = registry_run(&instance, "online-stale", &plan);
     check_combo(&instance, &plan, &out, true);
 }
 
@@ -112,9 +117,7 @@ fn greedy_with_recovery_handles_outage_and_cancellation() {
         FaultEvent::IngressOutage { port: 1, start: 1, end: 6 },
         FaultEvent::CoflowCancelled { coflow: 2, at: 3 },
     ]);
-    let order = compute_order(&instance, OrderRule::LoadOverWeight);
-    let out = run_greedy_with_faults(&instance, order, &plan)
-        .expect("greedy with recovery must settle");
+    let out = registry_run(&instance, "greedy", &plan);
     assert_eq!(out.completions[2], None, "cancelled coflow never completes");
     assert!(out.completions[0].is_some() && out.completions[1].is_some());
     check_combo(&instance, &plan, &out, false);

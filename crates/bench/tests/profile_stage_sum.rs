@@ -4,7 +4,6 @@
 //! `run_profile` resets and reads the process-global `obs` span registry,
 //! which an instrumented test on a sibling thread would write into.
 
-use coflow_bench::grid::case_label;
 use coflow_bench::profile::run_profile;
 use coflow_lp::SimplexOptions;
 use coflow_workloads::{generate_trace, TraceConfig};
@@ -30,8 +29,8 @@ fn exclusive_stages_sum_to_total() {
             sum <= s.total_ms + 1.0,
             "stage sum {sum} exceeds total {} ({:?} case {})",
             s.total_ms,
-            cell.order,
-            case_label(cell.grouping, cell.backfill),
+            cell.spec.order,
+            cell.spec.case_label(),
         );
         // The /1 bug: order included lp_build + lp_solve. Exclusive
         // accounting keeps them disjoint, so their sum fits in total.

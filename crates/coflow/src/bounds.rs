@@ -65,6 +65,7 @@ mod tests {
     use super::*;
     use crate::coflow::Coflow;
     use crate::sched::optimal::optimal_objective;
+    use crate::sched::{run_with_order, ExecOptions};
     use coflow_matching::IntMatrix;
 
     fn small_instance() -> Instance {
@@ -94,7 +95,7 @@ mod tests {
         assert_eq!(fluid[1], v[0]);
         assert_eq!(fluid[0], v[1]);
         // Lemma 2: the integral schedule's prefix completions dominate V_k.
-        let out = crate::sched::run_with_order(&inst, order.clone(), true, true);
+        let out = run_with_order(&inst, order.clone(), true, ExecOptions::paper(true));
         let mut prefix_done = 0;
         for (p, &k) in order.iter().enumerate() {
             prefix_done = prefix_done.max(out.completions[k]);

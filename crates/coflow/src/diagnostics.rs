@@ -673,8 +673,10 @@ mod tests {
         let lp = solve_interval_lp(&instance);
         let mut tampered = out.clone();
         tampered.order.reverse();
-        let mut cfg = DiagnosticsConfig::default();
-        cfg.ordering_inversion_fraction = 0.10;
+        let cfg = DiagnosticsConfig {
+            ordering_inversion_fraction: 0.10,
+            ..DiagnosticsConfig::default()
+        };
         let d_orig = diagnose(&instance, &out, &lp, &cfg);
         let d_rev = diagnose(&instance, &tampered, &lp, &cfg);
         assert!(
@@ -743,7 +745,7 @@ mod tests {
 
     #[test]
     fn starvation_fires_only_with_blocked_slots() {
-        use crate::sched::recovery::run_with_faults_strict;
+        use crate::sched::engine::{run_policy_with_faults, ResilientPolicy};
         use coflow_lp::SimplexOptions;
         use coflow_netsim::{FaultEvent, FaultPlan};
 
@@ -754,16 +756,17 @@ mod tests {
             backfill: true,
         };
         let lp = solve_interval_lp(&instance);
-        let mut cfg = DiagnosticsConfig::default();
-        cfg.starvation_blocked_slots = 1;
+        let cfg = DiagnosticsConfig {
+            starvation_blocked_slots: 1,
+            ..DiagnosticsConfig::default()
+        };
 
         // Clean fault run: no starvation possible.
-        let clean = run_with_faults_strict(
-            &instance,
-            &spec,
-            &SimplexOptions::default(),
-            &FaultPlan::default(),
-        );
+        let replan = |plan: &FaultPlan| {
+            let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+            run_policy_with_faults(&instance, &mut policy, plan).unwrap()
+        };
+        let clean = replan(&FaultPlan::default());
         let d_clean = diagnose_faulty(&instance, &clean, None, &lp, &cfg);
         assert!(
             d_clean.anomalies.iter().all(|a| a.detector != Detector::Starvation),
@@ -773,8 +776,7 @@ mod tests {
         // A long ingress outage strands planned units -> starvation fires.
         let plan =
             FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
-        let faulty =
-            run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let faulty = replan(&plan);
         assert!(faulty.blocked_units > 0, "outage must strand planned units");
         let d = diagnose_faulty(&instance, &faulty, None, &lp, &cfg);
         assert!(

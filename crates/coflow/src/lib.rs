@@ -14,8 +14,13 @@
 //! 3. [`grouping`] — Step 2 of Algorithm 2: partition by cumulative maximum
 //!    loads `V_k` into doubling intervals;
 //! 4. [`sched`] — the scheduling stage: per-group Birkhoff–von Neumann
-//!    schedules with optional backfilling, the randomized grid variant, a
-//!    greedy baseline, and an exact solver for tiny instances;
+//!    schedules with optional backfilling ([`run`], [`run_with_order`]),
+//!    the randomized grid variant ([`run_randomized`]), the `H_LP → H_ρ →
+//!    H_A` fallback chain ([`run_resilient`]), and an exact solver for tiny
+//!    instances. Every other scheduler — online, greedy, the successor
+//!    papers' policies, the fault-aware replanner — is a [`Policy`] named
+//!    in the [`PolicyRegistry`] and run by the engine ([`run_policy`],
+//!    [`run_policy_with_faults`]);
 //! 5. [`bounds`] / [`verify`] — lower bounds and end-to-end schedule
 //!    verification.
 //!
@@ -75,24 +80,14 @@ pub use crate::sched::snapshot::{
     ActiveBatchState, EngineSnapshot, PolicyState, SNAPSHOT_SCHEMA,
 };
 pub use crate::sched::watchdog::{WatchdogConfig, WatchdogPolicy, LADDER_TIER_BASE};
-pub use crate::sched::greedy::{run_greedy, run_greedy_with_faults};
-pub use crate::sched::ordered::{
-    run_im_purohit, run_im_purohit_with_faults, run_shafiee_ghaderi,
-    run_shafiee_ghaderi_with_faults, GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy,
-};
-pub use crate::sched::registry::{
-    PolicyCaps, PolicyEntry, PolicyRegistry, DEPRECATED_FLAG_ALIASES,
-};
-pub use crate::sched::online::{run_online, run_online_opts, run_online_with_faults};
-pub use crate::sched::recovery::{
-    run_with_faults, run_with_faults_strict, verify_faulty_outcome, FaultyOutcome,
-};
+pub use crate::sched::ordered::{GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy};
+pub use crate::sched::registry::{PolicyCaps, PolicyEntry, PolicyRegistry};
+pub use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
 pub use crate::sched::resilient::{
-    fallback_chain, run_resilient, run_resilient_chain, FailedAttempt, ResilientOutcome,
+    fallback_chain, run_resilient, FailedAttempt, ResilientOutcome,
 };
 pub use crate::sched::{
-    run, run_randomized, run_with_order, run_with_order_ext, run_with_order_grid,
-    run_with_order_opts, AlgorithmSpec, ExecOptions, ScheduleOutcome,
+    run, run_randomized, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };
 pub use crate::verify::{verify_outcome, VerifyError, VerifyReport};
 pub use crate::windowed::{

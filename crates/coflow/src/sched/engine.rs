@@ -78,19 +78,6 @@ impl From<SimError> for EngineError {
     }
 }
 
-impl EngineError {
-    /// Collapses to the simulator error. Panics on the [`EngineError::Sched`]
-    /// arm — callers use this only for policies whose `decide` is
-    /// infallible (all four built-in policies), where a `Sched` error is
-    /// unreachable by construction.
-    pub fn into_sim(self) -> SimError {
-        match self {
-            EngineError::Sim(e) => e,
-            EngineError::Sched(e) => unreachable!("infallible policy failed: {}", e),
-        }
-    }
-}
-
 /// Read-only snapshot of execution state at a decision epoch.
 pub struct EpochState<'a> {
     /// Current time (end of the last executed slot). The next schedulable
@@ -1131,6 +1118,19 @@ impl BvnBatchPolicy {
         }
     }
 
+    /// Builds the policy for `order` batched as [`super::run_with_order`]
+    /// batches it: Algorithm 2's doubling groups when `grouping` is on, one
+    /// coflow per batch otherwise.
+    pub fn grouped(
+        instance: &Instance,
+        order: Vec<usize>,
+        grouping: bool,
+        opts: ExecOptions,
+    ) -> Self {
+        let batches = super::batches_of(instance, &order, grouping);
+        Self::new(instance, order, batches, opts)
+    }
+
     /// Rebuilds a checkpointed policy. Derived state is recomputed: order
     /// positions from the order the snapshot carries, the pair queues at
     /// the first decision from the restored executor. `pair_head` trims
@@ -1857,8 +1857,8 @@ impl Policy for OnlineRhoPolicy {
 /// changes. Planning stops at that boundary
 /// ([`EpochState::next_boundary`]): the runs it leaves out would never be
 /// executed, and the clean planning engine is causal, so the runs it keeps
-/// are exactly the full plan's. This is the legacy `run_with_faults` epoch
-/// loop, expressed as a policy; it requires the fault-aware engine
+/// are exactly the full plan's. This is the legacy recovery epoch loop,
+/// expressed as a policy; it requires the fault-aware engine
 /// ([`run_policy_with_faults`]).
 pub struct ResilientPolicy {
     spec: AlgorithmSpec,

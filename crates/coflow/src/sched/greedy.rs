@@ -7,46 +7,29 @@
 //! worst-case guarantee. Used as an additional comparison point in the
 //! experiment harness.
 //!
-//! The implementation lives in [`ordered::GreedyPolicy`]; these entry
-//! points are shims over the engine, which also makes the baseline
-//! composable with fault injection ([`run_greedy_with_faults`]).
-
-use crate::instance::Instance;
-use crate::sched::engine::{run_policy, run_policy_with_faults};
-use crate::sched::ordered::GreedyPolicy;
-use crate::sched::recovery::FaultyOutcome;
-use crate::sched::ScheduleOutcome;
-use coflow_netsim::{FaultPlan, SimError};
-
-/// Runs the priority-greedy baseline with the given coflow order.
-pub fn run_greedy(instance: &Instance, order: Vec<usize>) -> ScheduleOutcome {
-    let mut policy = GreedyPolicy::new(instance, order);
-    match run_policy(instance, &mut policy) {
-        Ok(out) => out,
-        Err(e) => unreachable!("greedy policy is infallible: {}", e),
-    }
-}
-
-/// Runs the priority-greedy baseline under fault injection: the per-slot
-/// rescan replans from live (post-fault) remaining demand, so stranded
-/// units are re-served when a path reopens and cancellations simply leave
-/// the scan.
-pub fn run_greedy_with_faults(
-    instance: &Instance,
-    order: Vec<usize>,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = GreedyPolicy::new(instance, order);
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
+//! The implementation is [`GreedyPolicy`](super::ordered::GreedyPolicy);
+//! the registry's `greedy` entry builds it over the `H_ρ` order. Run it
+//! with [`run_policy`](super::engine::run_policy), or under fault
+//! injection with
+//! [`run_policy_with_faults`](super::engine::run_policy_with_faults): the
+//! per-slot rescan replans from live (post-fault) remaining demand, so
+//! stranded units are re-served when a path reopens and cancellations
+//! simply leave the scan. This module holds the baseline's tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::coflow::Coflow;
+    use crate::instance::Instance;
     use crate::ordering::{compute_order, OrderRule};
+    use crate::sched::engine::run_policy;
+    use crate::sched::ordered::GreedyPolicy;
+    use crate::sched::ScheduleOutcome;
     use coflow_matching::IntMatrix;
     use coflow_netsim::validate_trace;
+
+    fn greedy(inst: &Instance, order: Vec<usize>) -> ScheduleOutcome {
+        run_policy(inst, &mut GreedyPolicy::new(inst, order)).unwrap()
+    }
 
     #[test]
     fn greedy_clears_fig1_in_three_slots() {
@@ -54,7 +37,7 @@ mod tests {
             2,
             vec![Coflow::new(0, IntMatrix::from_nested(&[[1, 2], [2, 1]]))],
         );
-        let out = run_greedy(&inst, vec![0]);
+        let out = greedy(&inst, vec![0]);
         assert_eq!(out.completions, vec![3]);
         let times =
             validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
@@ -67,7 +50,7 @@ mod tests {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[0, 0], [0, 1]]));
         let inst = Instance::new(2, vec![c0, c1]);
-        let out = run_greedy(&inst, vec![0, 1]);
+        let out = greedy(&inst, vec![0, 1]);
         assert_eq!(out.completions, vec![1, 1]);
     }
 
@@ -76,7 +59,7 @@ mod tests {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_release(100);
         let inst = Instance::new(2, vec![c0, c1]);
-        let out = run_greedy(&inst, vec![0, 1]);
+        let out = greedy(&inst, vec![0, 1]);
         assert_eq!(out.completions, vec![1, 101]);
         let times =
             validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
@@ -89,7 +72,7 @@ mod tests {
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[1, 4], [2, 0]])).with_weight(2.0);
         let inst = Instance::new(2, vec![c0, c1]);
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
-        let out = run_greedy(&inst, order);
+        let out = greedy(&inst, order);
         let times =
             validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);

@@ -1,14 +1,23 @@
 //! Schedulers: the paper's deterministic Algorithm 2, its randomized
 //! variant, and the §4 experiment grid (ordering × grouping × backfilling).
 //!
-//! All schedulers share one execution engine ([`engine`]): the coflow order
-//! is partitioned into *batches* (singleton batches when grouping is off,
-//! interval groups when it is on); the [`engine::BvnBatchPolicy`] waits for
+//! Every scheduler is a [`engine::Policy`] run by one execution engine
+//! ([`engine`]). The paper's pipeline is the [`engine::BvnBatchPolicy`]: the
+//! coflow order is partitioned into *batches* (singleton batches when
+//! grouping is off, interval groups when it is on); the policy waits for
 //! each batch's member releases, aggregates their remaining demand, clears
 //! it with a Birkhoff–von Neumann schedule (Algorithm 1), and — when
 //! backfilling is enabled — donates unforced idle slots to later coflows on
-//! the same port pair. The entry points here are thin shims constructing
-//! the policy and handing it to [`engine::run_policy`].
+//! the same port pair.
+//!
+//! This module keeps one entry point per paper algorithm: [`run`]
+//! (Algorithm 2, or one §4 cell), [`run_with_order`] (the scheduling stage
+//! over a caller-supplied order), [`run_randomized`] (§3.2), and
+//! [`resilient::run_resilient`] (the `H_LP → H_ρ → H_A` fallback chain).
+//! Every other scheduler — online, greedy, the successor papers' policies,
+//! the fault-aware replanner — is built by name from the [`registry`] (or
+//! from its policy type) and handed to [`engine::run_policy`] or
+//! [`engine::run_policy_with_faults`].
 
 pub mod engine;
 pub mod greedy;
@@ -83,10 +92,11 @@ impl ScheduleOutcome {
     }
 }
 
-/// Runs one experiment-grid cell on `instance`.
+/// Runs one experiment-grid cell on `instance`: Algorithm 2 for
+/// [`AlgorithmSpec::algorithm2`].
 pub fn run(instance: &Instance, spec: &AlgorithmSpec) -> ScheduleOutcome {
     let order = compute_order(instance, spec.order);
-    run_with_order(instance, order, spec.grouping, spec.backfill)
+    run_with_order(instance, order, spec.grouping, ExecOptions::paper(spec.backfill))
 }
 
 /// Scheduling-stage execution options beyond the paper's grid.
@@ -94,7 +104,12 @@ pub fn run(instance: &Instance, spec: &AlgorithmSpec) -> ScheduleOutcome {
 pub struct ExecOptions {
     /// Same-pair backfilling (§4.1 of the paper).
     pub backfill: bool,
-    /// Work-conserving rematch of demand-less pairs (extension).
+    /// Work-conserving rematch (extension beyond same-pair backfilling):
+    /// a pair of the Birkhoff–von Neumann matching with no demand left to
+    /// serve (its padding came from the augmentation) re-matches its two
+    /// ports to pending demand instead of idling. Re-matching only adds
+    /// service, so every completion-time guarantee is preserved; the
+    /// benchmark suite evaluates it as an ablation.
     pub rematch: bool,
     /// Use the max-min Birkhoff–von Neumann variant
     /// ([`coflow_matching::bvn_decompose_maxmin`]): same ρ slots, far fewer
@@ -102,18 +117,21 @@ pub struct ExecOptions {
     pub maxmin_decomposition: bool,
 }
 
-/// Runs the scheduling stage with an externally supplied order.
-pub fn run_with_order(
-    instance: &Instance,
-    order: Vec<usize>,
-    grouping: bool,
-    backfill: bool,
-) -> ScheduleOutcome {
-    run_with_order_ext(instance, order, grouping, backfill, false)
+impl ExecOptions {
+    /// The paper's scheduling stage: same-pair backfilling when
+    /// `backfill`, no extension.
+    pub fn paper(backfill: bool) -> Self {
+        ExecOptions {
+            backfill,
+            ..ExecOptions::default()
+        }
+    }
 }
 
-/// Runs the scheduling stage with full execution options.
-pub fn run_with_order_opts(
+/// Runs the scheduling stage over a caller-supplied `order`: Algorithm 2's
+/// doubling groups of `order` when `grouping` is on, one coflow per batch
+/// otherwise, each batch executed with `opts`.
+pub fn run_with_order(
     instance: &Instance,
     order: Vec<usize>,
     grouping: bool,
@@ -123,9 +141,8 @@ pub fn run_with_order_opts(
     execute_batches(instance, order, batches, opts)
 }
 
-/// The schedule [`run_with_order_opts`] would record, cut after the last
-/// run that starts before slot `horizon` (see
-/// [`engine::run_policy_until`]).
+/// The schedule [`run_with_order`] would record, cut after the last run
+/// that starts before slot `horizon` (see [`engine::run_policy_until`]).
 pub(crate) fn plan_with_order_until(
     instance: &Instance,
     order: Vec<usize>,
@@ -144,60 +161,16 @@ pub(crate) fn plan_with_order_until(
 
 /// Algorithm 2's doubling groups of `order` when `grouping` is on,
 /// singleton batches otherwise.
-fn batches_of(instance: &Instance, order: &[usize], grouping: bool) -> Vec<Vec<usize>> {
+pub(crate) fn batches_of(
+    instance: &Instance,
+    order: &[usize],
+    grouping: bool,
+) -> Vec<Vec<usize>> {
     if grouping {
         group_by_doubling(instance, order).groups
     } else {
         order.iter().map(|&k| vec![k]).collect()
     }
-}
-
-/// [`run_with_order`] plus the *work-conserving rematch* extension: when a
-/// pair of the Birkhoff–von Neumann matching has no demand left to serve
-/// (its padding came from the augmentation), its two ports are re-matched
-/// to pending demand instead of idling. This goes beyond the paper's
-/// same-pair backfilling (§4.1) — it is the natural next implementation
-/// step a production scheduler would take — and is evaluated as an ablation
-/// in the benchmark suite. All completion-time guarantees are preserved:
-/// re-matching only adds service.
-pub fn run_with_order_ext(
-    instance: &Instance,
-    order: Vec<usize>,
-    grouping: bool,
-    backfill: bool,
-    rematch: bool,
-) -> ScheduleOutcome {
-    run_with_order_opts(
-        instance,
-        order,
-        grouping,
-        ExecOptions {
-            backfill,
-            rematch,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Runs the grouped scheduler with an arbitrary geometric grid (ablation:
-/// grouping base 2 vs 1+√2 vs coarser). The deterministic Algorithm 2 is
-/// `GeometricGrid::doubling`; the randomized algorithm samples the grid.
-pub fn run_with_order_grid(
-    instance: &Instance,
-    order: Vec<usize>,
-    grid: &GeometricGrid,
-    backfill: bool,
-) -> ScheduleOutcome {
-    let batches = group_by_grid(instance, &order, grid).groups;
-    execute_batches(
-        instance,
-        order,
-        batches,
-        ExecOptions {
-            backfill,
-            ..ExecOptions::default()
-        },
-    )
 }
 
 /// The randomized algorithm of §3.2: groups by the random grid
@@ -216,22 +189,13 @@ pub fn run_randomized<R: Rng + ?Sized>(
     let horizon = v.iter().copied().max().unwrap_or(1);
     let grid = GeometricGrid::scaled(horizon, t0, a);
     let batches = group_by_grid(instance, &order, &grid).groups;
-    execute_batches(
-        instance,
-        order,
-        batches,
-        ExecOptions {
-            backfill,
-            ..ExecOptions::default()
-        },
-    )
+    execute_batches(instance, order, batches, ExecOptions::paper(backfill))
 }
 
-/// Shared execution shim. `batches` must partition `order` into
-/// consecutive runs (every scheduler above guarantees this). Constructs a
-/// [`BvnBatchPolicy`] and runs it on the clean engine; the `sched.execute`
-/// span is kept here so the obs stage taxonomy is unchanged.
-pub(crate) fn execute_batches(
+/// Runs a [`BvnBatchPolicy`] over `batches` (consecutive runs of `order`)
+/// on the clean engine. The `sched.execute` span is kept here so the obs
+/// stage taxonomy is unchanged.
+fn execute_batches(
     instance: &Instance,
     order: Vec<usize>,
     batches: Vec<Vec<usize>>,
@@ -279,7 +243,7 @@ mod tests {
         let inst = fig1_instance();
         for grouping in [false, true] {
             for backfill in [false, true] {
-                let out = run_with_order(&inst, vec![0], grouping, backfill);
+                let out = run_with_order(&inst, vec![0], grouping, ExecOptions::paper(backfill));
                 assert_eq!(out.completions, vec![3]);
                 validate(&inst, &out);
             }
@@ -293,11 +257,11 @@ mod tests {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[0, 0], [0, 1]]));
         let inst = Instance::new(2, vec![c0, c1]);
-        let grouped = run_with_order(&inst, vec![0, 1], true, false);
+        let grouped = run_with_order(&inst, vec![0, 1], true, ExecOptions::paper(false));
         assert_eq!(grouped.completions, vec![1, 1]);
         validate(&inst, &grouped);
         // Ungrouped, no backfill: strictly sequential -> 1 and 2.
-        let seq = run_with_order(&inst, vec![0, 1], false, false);
+        let seq = run_with_order(&inst, vec![0, 1], false, ExecOptions::paper(false));
         assert_eq!(seq.completions, vec![1, 2]);
         validate(&inst, &seq);
     }
@@ -310,10 +274,10 @@ mod tests {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[2, 0], [0, 0]]));
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[0, 0], [0, 2]]));
         let inst = Instance::new(2, vec![c0, c1]);
-        let no_bf = run_with_order(&inst, vec![0, 1], false, false);
+        let no_bf = run_with_order(&inst, vec![0, 1], false, ExecOptions::paper(false));
         assert_eq!(no_bf.completions, vec![2, 4]);
         validate(&inst, &no_bf);
-        let bf = run_with_order(&inst, vec![0, 1], false, true);
+        let bf = run_with_order(&inst, vec![0, 1], false, ExecOptions::paper(true));
         assert_eq!(bf.completions, vec![2, 2]);
         validate(&inst, &bf);
     }
@@ -323,7 +287,7 @@ mod tests {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_release(10);
         let inst = Instance::new(2, vec![c0, c1]);
-        let out = run_with_order(&inst, vec![0, 1], false, false);
+        let out = run_with_order(&inst, vec![0, 1], false, ExecOptions::paper(false));
         assert_eq!(out.completions, vec![1, 11]);
         validate(&inst, &out);
     }

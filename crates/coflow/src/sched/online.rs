@@ -11,55 +11,35 @@
 //! until the next event that can change it.
 //!
 //! The scheduler never looks at coflows before their release dates, so its
-//! decisions are legitimately online. The implementation lives in
-//! [`engine::OnlineRhoPolicy`]; these entry points are shims over the
-//! engine, which also makes the online scheduler composable with fault
-//! injection ([`run_online_with_faults`]).
-
-use crate::instance::Instance;
-use crate::sched::engine::{
-    run_policy, run_policy_with_faults, OnlineOptions, OnlineRhoPolicy,
-};
-use crate::sched::recovery::FaultyOutcome;
-use crate::sched::ScheduleOutcome;
-use coflow_netsim::{FaultPlan, SimError};
-
-/// Runs the online ρ/w-priority scheduler with default options
-/// (priorities re-sorted at completion epochs as well as arrivals; use
-/// [`OnlineOptions::legacy`] via [`run_online_opts`] for the historical
-/// arrival-only behavior).
-pub fn run_online(instance: &Instance) -> ScheduleOutcome {
-    run_online_opts(instance, OnlineOptions::default())
-}
-
-/// Runs the online ρ/w-priority scheduler with explicit options.
-pub fn run_online_opts(instance: &Instance, opts: OnlineOptions) -> ScheduleOutcome {
-    let mut policy = OnlineRhoPolicy::new(instance, opts);
-    match run_policy(instance, &mut policy) {
-        Ok(out) => out,
-        Err(e) => unreachable!("online policy is infallible: {}", e),
-    }
-}
-
-/// Runs the online scheduler under fault injection: the policy replans
-/// from live (post-fault) remaining demand at every decision, so no separate
-/// recovery logic is needed — blocked units strand and are re-served when
-/// a path reopens, and cancellations drop out of the active set.
-pub fn run_online_with_faults(
-    instance: &Instance,
-    opts: OnlineOptions,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = OnlineRhoPolicy::new(instance, opts);
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
+//! decisions are legitimately online. The implementation is
+//! [`OnlineRhoPolicy`](super::engine::OnlineRhoPolicy); the registry's
+//! `online` entry builds it with the default
+//! [`OnlineOptions`](super::engine::OnlineOptions) (priorities re-sorted
+//! at completion epochs as well as arrivals) and `online-stale` with
+//! `OnlineOptions::legacy()` (arrival-only re-sort). Run it with
+//! [`run_policy`](super::engine::run_policy), or under fault injection
+//! with [`run_policy_with_faults`](super::engine::run_policy_with_faults):
+//! the policy replans from live (post-fault) remaining demand at every
+//! decision, so blocked units strand and are re-served when a path
+//! reopens, and cancellations drop out of the active set. This module
+//! holds the scheduler's tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::coflow::Coflow;
+    use crate::instance::Instance;
+    use crate::sched::engine::{run_policy, OnlineOptions, OnlineRhoPolicy};
+    use crate::sched::ScheduleOutcome;
     use coflow_matching::IntMatrix;
     use coflow_netsim::validate_trace;
+
+    fn online_with(inst: &Instance, opts: OnlineOptions) -> ScheduleOutcome {
+        run_policy(inst, &mut OnlineRhoPolicy::new(inst, opts)).unwrap()
+    }
+
+    fn online(inst: &Instance) -> ScheduleOutcome {
+        online_with(inst, OnlineOptions::default())
+    }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
         let times =
@@ -73,7 +53,7 @@ mod tests {
             2,
             vec![Coflow::new(0, IntMatrix::from_nested(&[[1, 2], [2, 1]]))],
         );
-        let out = run_online(&inst);
+        let out = online(&inst);
         assert_eq!(out.completions, vec![3]);
         validate(&inst, &out);
     }
@@ -83,7 +63,7 @@ mod tests {
         let big = Coflow::new(0, IntMatrix::from_nested(&[[6, 0], [0, 0]]));
         let small = Coflow::new(1, IntMatrix::from_nested(&[[2, 0], [0, 0]])).with_weight(10.0);
         let inst = Instance::new(2, vec![big, small]);
-        let out = run_online(&inst);
+        let out = online(&inst);
         validate(&inst, &out);
         assert!(out.completions[1] < out.completions[0]);
         assert_eq!(out.completions[1], 2);
@@ -98,7 +78,7 @@ mod tests {
             .with_weight(100.0)
             .with_release(2);
         let inst = Instance::new(2, vec![big, urgent]);
-        let out = run_online(&inst);
+        let out = online(&inst);
         validate(&inst, &out);
         assert_eq!(out.completions[1], 3, "urgent coflow served right after arrival");
         assert_eq!(out.completions[0], 11);
@@ -108,7 +88,7 @@ mod tests {
     fn online_never_schedules_before_release() {
         let c = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_release(5);
         let inst = Instance::new(2, vec![c]);
-        let out = run_online(&inst);
+        let out = online(&inst);
         validate(&inst, &out);
         assert_eq!(out.completions, vec![6]);
     }
@@ -127,8 +107,8 @@ mod tests {
         let u = Coflow::new(1, IntMatrix::from_nested(&[[3, 0], [0, 0]])).with_weight(1.5);
         let s = Coflow::new(2, IntMatrix::from_nested(&[[1, 0], [0, 6]]));
         let inst = Instance::new(2, vec![x, u, s]);
-        let legacy = run_online_opts(&inst, OnlineOptions::legacy());
-        let fixed = run_online_opts(&inst, OnlineOptions::default());
+        let legacy = online_with(&inst, OnlineOptions::legacy());
+        let fixed = online_with(&inst, OnlineOptions::default());
         validate(&inst, &legacy);
         validate(&inst, &fixed);
         // Legacy: U gets slots 9-11, S's last unit waits until 12.

@@ -32,7 +32,9 @@
 //! All three reread remaining demand live from [`EpochState`], so they
 //! react to faults (stranded units are rescanned, cancellations leave the
 //! scan) and run unchanged under
-//! [`run_policy_with_faults`](super::engine::run_policy_with_faults).
+//! [`run_policy_with_faults`](super::engine::run_policy_with_faults). The
+//! registry builds each by name (`greedy`, `shafiee-ghaderi`,
+//! `im-purohit`); there is no per-policy entry point beside the engine's.
 //! Planning state is just the committed permutation, captured in
 //! [`PolicyState::Greedy`] / [`PolicyState::ShafieeGhaderi`] /
 //! [`PolicyState::ImPurohit`], so the checkpoint/watchdog machinery
@@ -41,13 +43,8 @@
 use crate::error::SchedError;
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
-use crate::sched::engine::{
-    hold, run_policy, run_policy_with_faults, Decision, EpochState, FlowMatcher, Policy,
-};
-use crate::sched::recovery::FaultyOutcome;
+use crate::sched::engine::{hold, Decision, EpochState, FlowMatcher, Policy};
 use crate::sched::snapshot::PolicyState;
-use crate::sched::ScheduleOutcome;
-use coflow_netsim::{FaultPlan, SimError};
 
 /// The shared fixed-order dispatcher: a committed coflow permutation
 /// served work-conservingly. Each decision greedily matches the released
@@ -215,26 +212,6 @@ impl Policy for ShafieeGhaderiPolicy {
     }
 }
 
-/// Runs the Shafiee–Ghaderi scheduler on a clean fabric.
-pub fn run_shafiee_ghaderi(instance: &Instance) -> ScheduleOutcome {
-    let mut policy = ShafieeGhaderiPolicy::new(instance);
-    match run_policy(instance, &mut policy) {
-        Ok(out) => out,
-        Err(e) => unreachable!("shafiee-ghaderi policy is infallible: {}", e),
-    }
-}
-
-/// Runs the Shafiee–Ghaderi scheduler under fault injection: every
-/// decision replans from live remaining demand, so stranded units are
-/// re-served when a path reopens and cancellations leave the scan.
-pub fn run_shafiee_ghaderi_with_faults(
-    instance: &Instance,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = ShafieeGhaderiPolicy::new(instance);
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
-
 // ---------------------------------------------------------------------------
 // Im–Purohit: LP-completion-time permutation (4-approx).
 // ---------------------------------------------------------------------------
@@ -285,32 +262,22 @@ impl Policy for ImPurohitPolicy {
     }
 }
 
-/// Runs the Im–Purohit scheduler on a clean fabric (solves the LP).
-pub fn run_im_purohit(instance: &Instance) -> ScheduleOutcome {
-    let mut policy = ImPurohitPolicy::new(instance);
-    match run_policy(instance, &mut policy) {
-        Ok(out) => out,
-        Err(e) => unreachable!("im-purohit policy is infallible: {}", e),
-    }
-}
-
-/// Runs the Im–Purohit scheduler under fault injection. The LP is solved
-/// once, on the clean instance; the permutation is then served against
-/// live (post-fault) remaining demand.
-pub fn run_im_purohit_with_faults(
-    instance: &Instance,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = ImPurohitPolicy::new(instance);
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coflow::Coflow;
+    use crate::sched::engine::{run_policy, run_policy_with_faults};
+    use crate::sched::ScheduleOutcome;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
+    use coflow_netsim::{validate_trace, FaultPlan};
+
+    fn shafiee_ghaderi(inst: &Instance) -> ScheduleOutcome {
+        run_policy(inst, &mut ShafieeGhaderiPolicy::new(inst)).unwrap()
+    }
+
+    fn im_purohit(inst: &Instance) -> ScheduleOutcome {
+        run_policy(inst, &mut ImPurohitPolicy::new(inst)).unwrap()
+    }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
         let times =
@@ -329,7 +296,7 @@ mod tests {
     #[test]
     fn shafiee_ghaderi_validates_and_is_work_conserving() {
         let inst = dense_instance();
-        let out = run_shafiee_ghaderi(&inst);
+        let out = shafiee_ghaderi(&inst);
         validate(&inst, &out);
         // The committed order is the primal-dual permutation.
         assert_eq!(out.order, compute_order(&inst, OrderRule::PortPrimalDual));
@@ -338,7 +305,7 @@ mod tests {
     #[test]
     fn im_purohit_validates_and_uses_the_lp_order() {
         let inst = dense_instance();
-        let out = run_im_purohit(&inst);
+        let out = im_purohit(&inst);
         validate(&inst, &out);
         assert_eq!(out.order, compute_order(&inst, OrderRule::LpBased));
     }
@@ -350,20 +317,20 @@ mod tests {
             2,
             vec![Coflow::new(0, IntMatrix::from_nested(&[[1, 2], [2, 1]]))],
         );
-        assert_eq!(run_shafiee_ghaderi(&inst).completions, vec![3]);
-        assert_eq!(run_im_purohit(&inst).completions, vec![3]);
+        assert_eq!(shafiee_ghaderi(&inst).completions, vec![3]);
+        assert_eq!(im_purohit(&inst).completions, vec![3]);
     }
 
     #[test]
     fn both_policies_survive_fault_injection() {
         use crate::sched::recovery::verify_faulty_outcome;
         let inst = dense_instance();
-        let horizon = run_shafiee_ghaderi(&inst).makespan().max(8);
+        let horizon = shafiee_ghaderi(&inst).makespan().max(8);
         let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, 0.4, 13);
-        let sg = run_shafiee_ghaderi_with_faults(&inst, &plan).unwrap();
-        verify_faulty_outcome(&inst, &plan, &sg).unwrap();
-        let ip = run_im_purohit_with_faults(&inst, &plan).unwrap();
-        verify_faulty_outcome(&inst, &plan, &ip).unwrap();
+        let sg = run_policy_with_faults(&inst, &mut ShafieeGhaderiPolicy::new(&inst), &plan);
+        verify_faulty_outcome(&inst, &plan, &sg.unwrap()).unwrap();
+        let ip = run_policy_with_faults(&inst, &mut ImPurohitPolicy::new(&inst), &plan);
+        verify_faulty_outcome(&inst, &plan, &ip.unwrap()).unwrap();
     }
 
     #[test]

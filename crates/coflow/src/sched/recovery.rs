@@ -1,30 +1,25 @@
-//! Fault-aware scheduling with epoch-based rescheduling.
+//! Fault-aware scheduling with epoch-based rescheduling: the outcome type
+//! and its replay check.
 //!
-//! [`run_with_faults`] closes the loop between the resilient planner
-//! ([`super::resilient`]) and the fault-injecting executor
-//! ([`coflow_netsim::FaultSim`]): a schedule is planned for the current
-//! residual demand, executed slot by slot under the [`FaultPlan`] until the
-//! fault state changes (an outage or degradation window opens or closes, or
-//! a coflow is cancelled), and then — if any demand was stranded or the
-//! plan was invalidated — replanned from the failure slot. Because every
-//! fault window is finite, the final epoch runs fault-free, so all
-//! surviving (non-cancelled) demand is guaranteed to complete.
+//! The resilient planner ([`super::resilient`]) and the fault-injecting
+//! executor ([`coflow_netsim::FaultSim`]) close the loop in the engine:
+//! [`run_policy_with_faults`](super::engine::run_policy_with_faults)
+//! driving a [`ResilientPolicy`](super::engine::ResilientPolicy) plans a
+//! schedule for the current residual demand, executes it slot by slot
+//! under the [`FaultPlan`] until the fault state changes (an outage or
+//! degradation window opens or closes, or a coflow is cancelled), and then
+//! — if any demand was stranded or the plan was invalidated — replans from
+//! the failure slot. Because every fault window is finite, the final epoch
+//! runs fault-free, so all surviving (non-cancelled) demand is guaranteed
+//! to complete. The same loop hosts every other policy that replans from
+//! live demand (online, greedy, the successor papers' schedulers), with
+//! uniformly populated [`FaultyOutcome::replans`]/[`FaultyOutcome::tiers`].
 //!
-//! The epoch loop itself lives in the engine
-//! ([`super::engine::run_policy_with_faults`] driving a
-//! [`super::engine::ResilientPolicy`]); [`run_with_faults`] is a shim, and
-//! the same loop also hosts the online/greedy policies
-//! ([`super::online::run_online_with_faults`],
-//! [`super::greedy::run_greedy_with_faults`]) with uniformly populated
-//! [`FaultyOutcome::replans`]/[`FaultyOutcome::tiers`].
+//! [`verify_faulty_outcome`] replays any such outcome against the instance
+//! and the plan.
 
-use super::engine::{run_policy_with_faults, ResilientPolicy};
-use super::AlgorithmSpec;
 use crate::instance::Instance;
-use coflow_lp::SimplexOptions;
-use coflow_netsim::{
-    BlockedSlot, EntryMemo, FaultIndex, FaultPlan, ScheduleTrace, SimError, SparseDemand,
-};
+use coflow_netsim::{BlockedSlot, EntryMemo, FaultIndex, FaultPlan, ScheduleTrace, SparseDemand};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -53,35 +48,6 @@ impl FaultyOutcome {
     /// True when any planning epoch degraded below the requested rule.
     pub fn degraded(&self) -> bool {
         self.tiers.iter().any(|&t| t > 0)
-    }
-}
-
-/// Plans, executes under `plan`, and replans until every coflow is either
-/// complete or cancelled. The planner degrades through the ordering
-/// fallback chain with `lp_opts` budgets; the executor strands blocked
-/// units instead of failing. Errors only on structural violations
-/// ([`SimError`]), which indicate a scheduler bug.
-pub fn run_with_faults(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    lp_opts: &SimplexOptions,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = ResilientPolicy::new(*spec, lp_opts.clone());
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
-
-/// [`run_with_faults`] that panics on structural violations — convenient
-/// for tests and experiment harnesses where a [`SimError`] is a bug.
-pub fn run_with_faults_strict(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    lp_opts: &SimplexOptions,
-    plan: &FaultPlan,
-) -> FaultyOutcome {
-    match run_with_faults(instance, spec, lp_opts, plan) {
-        Ok(out) => out,
-        Err(e) => panic!("fault-aware execution hit a scheduler bug: {}", e),
     }
 }
 
@@ -213,8 +179,22 @@ mod tests {
     use super::*;
     use crate::coflow::Coflow;
     use crate::ordering::OrderRule;
+    use crate::sched::engine::{run_policy_with_faults, ResilientPolicy};
+    use crate::sched::AlgorithmSpec;
+    use coflow_lp::SimplexOptions;
     use coflow_matching::IntMatrix;
     use coflow_netsim::FaultEvent;
+
+    /// The resilient replanner on `spec` under `plan`.
+    fn replan(
+        instance: &Instance,
+        spec: &AlgorithmSpec,
+        lp_opts: &SimplexOptions,
+        plan: &FaultPlan,
+    ) -> FaultyOutcome {
+        let mut policy = ResilientPolicy::new(*spec, lp_opts.clone());
+        run_policy_with_faults(instance, &mut policy, plan).unwrap()
+    }
 
     fn inst() -> Instance {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 1], [0, 2]])).with_weight(2.0);
@@ -227,7 +207,7 @@ mod tests {
     fn no_faults_matches_plain_scheduling() {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
-        let out = run_with_faults_strict(
+        let out = replan(
             &instance,
             &spec,
             &SimplexOptions::default(),
@@ -248,7 +228,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 4 }]);
-        let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let out = replan(&instance, &spec, &SimplexOptions::default(), &plan);
         assert!(out.completions.iter().all(Option::is_some));
         assert!(out.replans >= 2, "stranded demand must force a replan");
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
@@ -262,7 +242,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 1, at: 1 }]);
-        let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let out = replan(&instance, &spec, &SimplexOptions::default(), &plan);
         assert_eq!(out.completions[1], None);
         assert!(out.completions[0].is_some() && out.completions[2].is_some());
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
@@ -280,7 +260,7 @@ mod tests {
             FaultEvent::EgressOutage { port: 0, start: 2, end: 3 },
             FaultEvent::CoflowCancelled { coflow: 2, at: 5 },
         ]);
-        let out = run_with_faults_strict(&instance, &spec, &starved, &plan);
+        let out = replan(&instance, &spec, &starved, &plan);
         assert!(out.degraded(), "0-pivot budget must force the fallback tier");
         assert!(out.tiers.iter().all(|&t| t == 1));
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
@@ -300,7 +280,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let clean = FaultPlan::default();
-        let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &clean);
+        let out = replan(&instance, &spec, &SimplexOptions::default(), &clean);
         verify_faulty_outcome(&instance, &clean, &out).unwrap();
         // Against a plan cancelling coflow 1 in its completion slot, the
         // outcome serves it after the cancellation yet reports it complete.
@@ -315,7 +295,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 4 }]);
-        let mut out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let mut out = replan(&instance, &spec, &SimplexOptions::default(), &plan);
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
         let c = out.completions[0].expect("coflow 0 is never cancelled");
         out.completions[0] = Some(c + 1);
@@ -331,7 +311,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 2, at: 3 }]);
-        let mut out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let mut out = replan(&instance, &spec, &SimplexOptions::default(), &plan);
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
         assert_eq!(
             out.objective.to_bits(),
@@ -347,7 +327,7 @@ mod tests {
     fn clean_outcome(instance: &Instance) -> FaultyOutcome {
         let spec = AlgorithmSpec::algorithm2();
         let clean = FaultPlan::default();
-        let out = run_with_faults_strict(instance, &spec, &SimplexOptions::default(), &clean);
+        let out = replan(instance, &spec, &SimplexOptions::default(), &clean);
         verify_faulty_outcome(instance, &clean, &out).unwrap();
         out
     }
@@ -510,7 +490,7 @@ mod tests {
         };
         for seed in 0..20 {
             let plan = FaultPlan::generate(2, instance.len(), 12, 0.6, seed);
-            let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+            let out = replan(&instance, &spec, &SimplexOptions::default(), &plan);
             verify_faulty_outcome(&instance, &plan, &out)
                 .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
         }

@@ -1,12 +1,16 @@
 //! The policy registry: one table from scheduler name to constructor and
 //! capability flags, shared by every surface that selects algorithms —
 //! `coflow-cli --policy`, `experiments -- tournament --policies`, the
-//! fault harness, and the checkpoint differential tests.
+//! fault harness, the pin table and the chaos harness. None of them keeps
+//! a name→policy table of its own, and `coflow` has no per-policy entry
+//! point: a caller builds the entry's policy and runs it on the engine
+//! ([`run_policy`](super::engine::run_policy) or
+//! [`run_policy_with_faults`](super::engine::run_policy_with_faults)).
 //!
-//! Adding a scheduler to the repo is now: implement [`Policy`] (plus a
+//! Adding a scheduler to the repo is: implement [`Policy`] (plus a
 //! [`PolicyState`](super::snapshot::PolicyState) variant if it
 //! checkpoints), append one [`PolicyEntry`] here, and every harness —
-//! tournament, faults, pins, CLI — picks it up by name. The entry
+//! tournament, faults, CLI — picks it up by name. The entry
 //! declares what the harnesses need to know up front:
 //!
 //! * `needs_lp` — construction solves the interval-indexed LP (budget
@@ -72,15 +76,6 @@ impl PolicyEntry {
     }
 }
 
-/// Deprecated per-policy CLI flags and the registry names they map to.
-/// Kept so pre-registry scripts keep working; the CLIs print a
-/// deprecation note when one is used.
-pub const DEPRECATED_FLAG_ALIASES: [(&str, &str); 3] = [
-    ("--online", "online"),
-    ("--online-stale", "online-stale"),
-    ("--greedy", "greedy"),
-];
-
 /// The registry: an ordered table of [`PolicyEntry`]s. Order is the
 /// canonical report order (tournament rows, fault tables).
 pub struct PolicyRegistry {
@@ -91,12 +86,7 @@ fn build_bvn_batch(instance: &Instance) -> Box<dyn Policy> {
     // The paper's best grid cell: Algorithm 2 (H_LP order + doubling
     // groups) with same-pair backfilling — grid case (d).
     let order = compute_order(instance, OrderRule::LpBased);
-    let batches = crate::grouping::group_by_doubling(instance, &order).groups;
-    let opts = ExecOptions {
-        backfill: true,
-        ..ExecOptions::default()
-    };
-    Box::new(BvnBatchPolicy::new(instance, order, batches, opts))
+    Box::new(BvnBatchPolicy::grouped(instance, order, true, ExecOptions::paper(true)))
 }
 
 fn build_online(instance: &Instance) -> Box<dyn Policy> {
@@ -360,14 +350,5 @@ mod tests {
         assert_eq!(names, ["greedy", "online"]);
         assert!(reg.select("").is_err());
         assert!(reg.select("greedy,bogus").is_err());
-    }
-
-    #[test]
-    fn deprecated_flag_aliases_resolve() {
-        let reg = PolicyRegistry::builtin();
-        for (flag, name) in DEPRECATED_FLAG_ALIASES {
-            assert!(flag.starts_with("--"));
-            assert_eq!(reg.resolve(name).unwrap().name, name);
-        }
     }
 }

@@ -79,7 +79,7 @@ pub fn run_resilient(
     spec: &AlgorithmSpec,
     lp_opts: &SimplexOptions,
 ) -> ResilientOutcome {
-    match run_resilient_chain(instance, spec, &fallback_chain(spec.order), lp_opts) {
+    match resilient_chain(instance, spec, &fallback_chain(spec.order), lp_opts) {
         Ok(outcome) => outcome,
         Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
     }
@@ -88,14 +88,15 @@ pub fn run_resilient(
 /// [`run_resilient`] with a caller-supplied chain. Returns
 /// [`SchedError::Exhausted`] if every tier fails (possible only when the
 /// chain omits the heuristic rules).
-pub fn run_resilient_chain(
+fn resilient_chain(
     instance: &Instance,
     spec: &AlgorithmSpec,
     chain: &[OrderRule],
     lp_opts: &SimplexOptions,
 ) -> Result<ResilientOutcome, SchedError> {
     let chosen = order_by_chain(instance, chain, lp_opts)?;
-    let outcome = run_with_order(instance, chosen.order, spec.grouping, spec.backfill);
+    let opts = ExecOptions::paper(spec.backfill);
+    let outcome = run_with_order(instance, chosen.order, spec.grouping, opts);
     Ok(ResilientOutcome {
         outcome,
         requested: spec.order,
@@ -120,10 +121,7 @@ pub(crate) fn plan_resilient_until(
         Ok(chosen) => chosen,
         Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
     };
-    let opts = ExecOptions {
-        backfill: spec.backfill,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::paper(spec.backfill);
     let trace = plan_with_order_until(instance, chosen.order, spec.grouping, opts, horizon);
     (trace, chosen.tier)
 }
@@ -225,6 +223,21 @@ mod tests {
         assert_eq!(out.tier, 0);
         assert!(!out.degraded());
         assert!(out.failures.is_empty());
+        // With a healthy budget every §4 cell stays at tier 0 and schedules
+        // exactly as the plain pipeline does.
+        for order in OrderRule::PAPER_RULES {
+            for (grouping, backfill) in [(false, false), (false, true), (true, false), (true, true)] {
+                let spec = AlgorithmSpec {
+                    order,
+                    grouping,
+                    backfill,
+                };
+                let out = run_resilient(&inst(), &spec, &SimplexOptions::default());
+                assert_eq!(out.tier, 0, "{}/{}", order.name(), spec.case_label());
+                let plain = crate::sched::run(&inst(), &spec);
+                assert_eq!(out.outcome.objective.to_bits(), plain.objective.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -284,15 +297,14 @@ mod tests {
     #[test]
     fn empty_chain_is_exhausted() {
         let spec = AlgorithmSpec::algorithm2();
-        let err = run_resilient_chain(&inst(), &spec, &[], &starved()).unwrap_err();
+        let err = resilient_chain(&inst(), &spec, &[], &starved()).unwrap_err();
         assert!(matches!(err, SchedError::Exhausted { .. }));
     }
 
     #[test]
     fn lp_only_chain_reports_the_lp_failure() {
         let spec = AlgorithmSpec::algorithm2();
-        let err =
-            run_resilient_chain(&inst(), &spec, &[OrderRule::LpBased], &starved()).unwrap_err();
+        let err = resilient_chain(&inst(), &spec, &[OrderRule::LpBased], &starved()).unwrap_err();
         match err {
             SchedError::Exhausted { attempts } => {
                 assert_eq!(attempts.len(), 1);

@@ -681,10 +681,12 @@ mod tests {
 
     #[test]
     fn lp_opts_round_trip() {
-        let mut o = SimplexOptions::default();
-        o.time_limit_ms = Some(250);
-        o.partial_pricing = Some(64);
-        o.opt_tol = 1.0 / 3.0;
+        let o = SimplexOptions {
+            time_limit_ms: Some(250),
+            partial_pricing: Some(64),
+            opt_tol: 1.0 / 3.0,
+            ..SimplexOptions::default()
+        };
         let mut s = String::new();
         render_lp_opts(&mut s, &o);
         let parsed = parse_lp_opts(&obs::json::parse(&s).unwrap()).unwrap();

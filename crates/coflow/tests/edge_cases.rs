@@ -2,10 +2,11 @@
 //! empty demands, extreme weights, and pathological structures.
 
 use coflow::ordering::OrderRule;
-use coflow::sched::greedy::run_greedy;
-use coflow::sched::online::run_online;
-use coflow::sched::{run, run_with_order, AlgorithmSpec};
-use coflow::{compute_order, solve_interval_lp, verify_outcome, Coflow, Instance};
+use coflow::sched::{run, run_with_order, AlgorithmSpec, ExecOptions};
+use coflow::{
+    compute_order, run_policy, solve_interval_lp, verify_outcome, Coflow, GreedyPolicy, Instance,
+    OnlineOptions, OnlineRhoPolicy,
+};
 use coflow_matching::IntMatrix;
 
 fn all_specs() -> Vec<AlgorithmSpec> {
@@ -151,9 +152,10 @@ fn deeply_staggered_releases() {
         }
     }
     // Online and greedy agree here too.
-    let online = run_online(&inst);
+    let online = run_policy(&inst, &mut OnlineRhoPolicy::new(&inst, OnlineOptions::default()));
+    let online = online.unwrap();
     assert_eq!(online.completions, vec![1, 101, 201, 301, 401]);
-    let greedy = run_greedy(&inst, (0..5).collect());
+    let greedy = run_policy(&inst, &mut GreedyPolicy::new(&inst, (0..5).collect())).unwrap();
     assert_eq!(greedy.completions, online.completions);
 }
 
@@ -163,7 +165,7 @@ fn permutation_demand_matrices() {
     let p1 = IntMatrix::scaled_permutation(&coflow_matching::Permutation::new(vec![1, 2, 0]), 4);
     let p2 = IntMatrix::scaled_permutation(&coflow_matching::Permutation::new(vec![2, 0, 1]), 4);
     let inst = Instance::new(3, vec![Coflow::new(0, p1), Coflow::new(1, p2)]);
-    let grouped = run_with_order(&inst, vec![0, 1], true, true);
+    let grouped = run_with_order(&inst, vec![0, 1], true, ExecOptions::paper(true));
     verify_outcome(&inst, &grouped).expect("valid");
     // Disjoint pair sets: both can run simultaneously; the aggregate has
     // row/col sums 8, but each coflow's own units finish by slot 8.

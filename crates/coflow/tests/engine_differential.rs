@@ -1,5 +1,5 @@
-//! Differential verification of the engine refactor: the engine-backed
-//! shims must reproduce the four legacy slot-execution loops — identical
+//! Differential verification of the engine refactor: the engine-run
+//! policies must reproduce the four legacy slot-execution loops — identical
 //! completions and bit-equal objective. The batch port must also match the
 //! legacy `ScheduleTrace` byte for byte; the online and greedy ports hold
 //! each matching until the next event, so their traces group the legacy
@@ -17,11 +17,10 @@
 //! non-cancelled unit of demand (replay-verified by
 //! [`verify_faulty_outcome`]).
 
-use coflow::sched::{AlgorithmSpec, ExecOptions, ScheduleOutcome};
+use coflow::sched::{run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use coflow::{
-    compute_order, run_greedy, run_greedy_with_faults, run_online_opts, run_online_with_faults,
-    run_with_faults, run_with_order_opts, verify_faulty_outcome, Coflow, Instance, OnlineOptions,
-    OrderRule,
+    compute_order, run_policy, run_policy_with_faults, verify_faulty_outcome, Coflow,
+    GreedyPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, ResilientPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
@@ -574,7 +573,7 @@ fn bvn_policy_matches_frozen_batch_loop() {
                         rematch,
                         maxmin_decomposition: maxmin,
                     };
-                    let new = run_with_order_opts(&inst, order.clone(), grouping, opts);
+                    let new = run_with_order(&inst, order.clone(), grouping, opts);
                     let batches: Vec<Vec<usize>> = if grouping {
                         coflow::group_by_doubling(&inst, &order).groups
                     } else {
@@ -605,7 +604,8 @@ fn online_policy_matches_frozen_loop_in_legacy_mode() {
         (25, 3, 1, 40),
     ] {
         let inst = seeded_instance(m, n, max_release, seed);
-        let new = run_online_opts(&inst, OnlineOptions::legacy());
+        let mut policy = OnlineRhoPolicy::new(&inst, OnlineOptions::legacy());
+        let new = run_policy(&inst, &mut policy).expect("engine run");
         let old = legacy::run_online(&inst);
         assert_slots_identical(&format!("online seed {}", seed), &new, &old);
     }
@@ -621,7 +621,8 @@ fn greedy_policy_matches_frozen_loop() {
         let inst = seeded_instance(m, n, max_release, seed);
         for rule in [OrderRule::Arrival, OrderRule::LoadOverWeight] {
             let order = compute_order(&inst, rule);
-            let new = run_greedy(&inst, order.clone());
+            let mut policy = GreedyPolicy::new(&inst, order.clone());
+            let new = run_policy(&inst, &mut policy).expect("engine run");
             let old = legacy::run_greedy(&inst, order);
             assert_slots_identical(&format!("greedy seed {} {:?}", seed, rule), &new, &old);
         }
@@ -645,7 +646,8 @@ fn resilient_policy_matches_frozen_recovery_loop() {
         let inst = seeded_instance(m, n, max_release, seed);
         for rate in [0.0, 0.3, 0.6] {
             let plan = FaultPlan::generate(m, n, 40, rate, seed.wrapping_mul(31));
-            let new = run_with_faults(&inst, &spec, &lp_opts, &plan).expect("engine run");
+            let mut policy = ResilientPolicy::new(spec, lp_opts.clone());
+            let new = run_policy_with_faults(&inst, &mut policy, &plan).expect("engine run");
             let old = legacy::run_with_faults(&inst, &spec, &lp_opts, &plan).expect("legacy run");
             let label = format!("faults seed {} rate {}", seed, rate);
             assert_eq!(new.executed, old.executed, "{}: trace diverged", label);
@@ -707,14 +709,14 @@ proptest! {
         let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, rate, seed);
         // Exercise both resort modes, deterministically split by seed.
         let opts = if seed % 2 == 0 { OnlineOptions::default() } else { OnlineOptions::legacy() };
-        let online = run_online_with_faults(&inst, opts, &plan);
+        let online = run_policy_with_faults(&inst, &mut OnlineRhoPolicy::new(&inst, opts), &plan);
         prop_assert!(online.is_ok(), "online structural error: {:?}", online.err());
         let online = online.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &online);
         prop_assert!(verdict.is_ok(), "online: {}", verdict.err().unwrap_or_default());
 
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
-        let greedy = run_greedy_with_faults(&inst, order, &plan);
+        let greedy = run_policy_with_faults(&inst, &mut GreedyPolicy::new(&inst, order), &plan);
         prop_assert!(greedy.is_ok(), "greedy structural error: {:?}", greedy.err());
         let greedy = greedy.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &greedy);

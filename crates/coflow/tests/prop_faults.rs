@@ -9,8 +9,8 @@
 //!   every grid cell of which validates against the netsim replay.
 
 use coflow::sched::AlgorithmSpec;
-use coflow::{run_resilient, run_with_faults, verify_faulty_outcome, OrderRule};
-use coflow::{Coflow, Instance};
+use coflow::{run_policy_with_faults, run_resilient, verify_faulty_outcome, OrderRule};
+use coflow::{Coflow, Instance, ResilientPolicy};
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
 use coflow_netsim::{validate_trace, FaultPlan};
@@ -63,7 +63,8 @@ proptest! {
             grouping: true,
             backfill: true,
         };
-        let out = run_with_faults(&inst, &spec, &SimplexOptions::default(), &plan);
+        let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+        let out = run_policy_with_faults(&inst, &mut policy, &plan);
         prop_assert!(out.is_ok(), "structural error: {}", out.err().map(|e| e.to_string()).unwrap_or_default());
         let out = out.unwrap();
         // Replays the trace slot by slot: port/link availability, matching
@@ -83,8 +84,8 @@ proptest! {
     }
 
     /// Fallback invariant: with a zero pivot budget every `H_LP` cell of
-    /// the 12-cell grid degrades (tier > 0) and the schedule it ships is
-    /// still netsim-valid; heuristic cells stay at tier 0.
+    /// the 12-cell grid degrades to `H_ρ` (tier 1) and the schedule it
+    /// ships is still netsim-valid; heuristic cells stay at tier 0.
     #[test]
     fn starved_lp_chain_yields_valid_schedules(inst in instance_strategy()) {
         let starved = SimplexOptions {
@@ -99,7 +100,8 @@ proptest! {
                 let out = run_resilient(&inst, &spec, &starved);
                 if order == OrderRule::LpBased {
                     prop_assert!(out.degraded(), "H_LP cell must fall back");
-                    prop_assert!(out.used != OrderRule::LpBased);
+                    prop_assert_eq!(out.used, OrderRule::LoadOverWeight);
+                    prop_assert_eq!(out.tier, 1);
                 } else {
                     prop_assert_eq!(out.tier, 0);
                     prop_assert_eq!(out.used, order);

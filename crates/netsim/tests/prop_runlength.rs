@@ -24,6 +24,9 @@ use coflow_netsim::{
 };
 use proptest::prelude::*;
 
+/// One slot and the `(src, dst, coflow)` units it moves.
+type SlotMoves = (u64, Vec<(usize, usize, usize)>);
+
 /// Tiny deterministic generator so cases are built from one shrinkable seed.
 struct Lcg(u64);
 
@@ -334,13 +337,13 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let (trace, _, _) = build_case(m, n, nruns, seed);
-        let mut expected: Vec<(u64, Vec<(usize, usize, usize)>)> = Vec::new();
+        let mut expected: Vec<SlotMoves> = Vec::new();
         for run in &trace.runs {
             for (o, moves) in run.slot_moves().iter().enumerate() {
                 expected.push((run.start + o as u64, moves.clone()));
             }
         }
-        let mut seen: Vec<(u64, Vec<(usize, usize, usize)>)> = Vec::new();
+        let mut seen: Vec<SlotMoves> = Vec::new();
         trace.for_each_slot(|slot, moves| seen.push((slot, moves.to_vec())));
         prop_assert_eq!(seen, expected);
     }

@@ -129,11 +129,8 @@ fn span_nesting_survives_rayon_parallelism() {
         .map(|&i| {
             let _outer = obs::span("test.par.outer");
             obs::counter_add("test.par.items", 1);
-            let inner_sum = {
-                let _inner = obs::span("test.par.inner");
-                (0..=i as u64).sum::<u64>()
-            };
-            inner_sum
+            let _inner = obs::span("test.par.inner");
+            (0..=i as u64).sum::<u64>()
         })
         .collect();
     assert_eq!(sums.len(), 64);

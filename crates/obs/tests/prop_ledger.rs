@@ -40,13 +40,13 @@ fn seeded_record(seed: u64, seq: u64) -> LedgerRecord {
     let mut rec = LedgerRecord {
         seq,
         ts: g.step(),
-        kind: if g.step() % 2 == 0 { "run".to_string() } else { "verdict".to_string() },
+        kind: if g.step().is_multiple_of(2) { "run".to_string() } else { "verdict".to_string() },
         command: String::new(),
         label: String::new(),
         seed: g.step(),
         fingerprint: String::new(),
         git_rev: String::new(),
-        git_dirty: g.step() % 2 == 0,
+        git_dirty: g.step().is_multiple_of(2),
         elapsed_ms: (g.step() % 1_000_000) as f64 / 7.0,
         peak_rss_kb: g.step(),
         peak_live_bytes: g.step(),

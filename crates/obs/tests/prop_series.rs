@@ -77,7 +77,7 @@ proptest! {
             }
             let before = s.last();
             s.push(epoch, kept as f64);
-            if before.map_or(true, |(last, _)| epoch >= last) {
+            if before.is_none_or(|(last, _)| epoch >= last) {
                 kept += 1;
             } else {
                 // A rewound push must be dropped outright.

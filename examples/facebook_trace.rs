@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example facebook_trace`
 
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::run_with_order;
+use coflow::sched::{run_with_order, ExecOptions};
 use coflow::verify_outcome;
 use coflow_workloads::{
     assign_weights, filter_by_width, generate_trace, TraceConfig, WeightScheme,
@@ -52,8 +52,8 @@ fn main() {
     let mut denominator = f64::NAN;
     for rule in [OrderRule::Arrival, OrderRule::LoadOverWeight, OrderRule::LpBased] {
         let order = compute_order(&weighted, rule);
-        let base = run_with_order(&weighted, order.clone(), false, false);
-        let best = run_with_order(&weighted, order, true, true);
+        let base = run_with_order(&weighted, order.clone(), false, ExecOptions::paper(false));
+        let best = run_with_order(&weighted, order, true, ExecOptions::paper(true));
         verify_outcome(&weighted, &base).expect("valid");
         verify_outcome(&weighted, &best).expect("valid");
         if rule == OrderRule::LpBased {

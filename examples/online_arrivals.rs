@@ -10,9 +10,8 @@
 
 use coflow::analysis::analyze;
 use coflow::bounds::interval_lp_bound;
-use coflow::sched::online::run_online;
 use coflow::sched::{run, AlgorithmSpec};
-use coflow::verify_outcome;
+use coflow::{run_policy, verify_outcome, PolicyRegistry};
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 
 fn main() {
@@ -45,7 +44,8 @@ fn main() {
 
     let offline = run(&instance, &AlgorithmSpec::algorithm2());
     verify_outcome(&instance, &offline).expect("valid");
-    let online = run_online(&instance);
+    let mut policy = PolicyRegistry::builtin().get("online").unwrap().build(&instance);
+    let online = run_policy(&instance, &mut *policy).expect("online is infallible");
     verify_outcome(&instance, &online).expect("valid");
     let bound = interval_lp_bound(&instance);
 

@@ -6,7 +6,7 @@
 use coflow::analysis::{analyze, serialization_overhead};
 use coflow::grouping::group_by_doubling;
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::run_with_order;
+use coflow::sched::{run_with_order, ExecOptions};
 use coflow::verify_outcome;
 use coflow_netsim::render_timeline;
 use coflow_workloads::{assign_weights, generate_trace, stats, TraceConfig, WeightScheme};
@@ -31,7 +31,7 @@ fn main() {
     // 2. Schedule it with Algorithm 2 + backfilling.
     let order = compute_order(&instance, OrderRule::LpBased);
     let groups = group_by_doubling(&instance, &order);
-    let outcome = run_with_order(&instance, order.clone(), true, true);
+    let outcome = run_with_order(&instance, order.clone(), true, ExecOptions::paper(true));
     verify_outcome(&instance, &outcome).expect("valid schedule");
 
     println!(

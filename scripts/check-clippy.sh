@@ -3,7 +3,8 @@
 # The seven library crates (incl. `obs`) opt in via
 #   #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 # so this command fails the build on any new panic-by-default call site
-# (tests and benches are exempt through the cfg gate).
+# (tests and benches are exempt through the cfg gate). `--all-targets`
+# lints tests, benches and examples too, for every other clippy warning.
 #
 # On exit, a coflow-ledger/1 verdict record is appended (best-effort) so
 # `experiments -- report` shows the gate history.
@@ -17,6 +18,6 @@ append_verdict() {
 }
 trap append_verdict EXIT
 
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 STATUS=pass

@@ -8,18 +8,23 @@
 //! coflow-cli --generate <n> [--ports N] [--seed S]   # print a trace as CSV
 //! ```
 //!
-//! `--policy NAME` selects a scheduler from the policy registry
-//! (`coflow::PolicyRegistry`): `bvn-batch` (the default Algorithm 2
-//! pipeline, honoring `--order`/`--no-group`/`--no-backfill`), `online`
-//! (ρ/w priorities re-sorted on arrivals *and* completions),
-//! `online-stale` (legacy arrival-only re-sort), `greedy` (work-conserving
-//! priority greedy over the `--order` permutation), `shafiee-ghaderi`
+//! Without `--policy`, the CLI runs the paper's pipeline: the `--order`
+//! permutation (default `H_LP`), Algorithm 2's doubling groups unless
+//! `--no-group`, same-pair backfilling unless `--no-backfill`, and the
+//! work-conserving rematch extension with `--rematch`.
+//!
+//! `--policy NAME` instead builds the named scheduler from the policy
+//! registry (`coflow::PolicyRegistry`) exactly as the registry defines it
+//! and runs it on the clean engine: `bvn-batch` (Algorithm 2 + backfill
+//! over `H_LP`), `online` (ρ/w priorities re-sorted on arrivals *and*
+//! completions), `online-stale` (legacy arrival-only re-sort), `greedy`
+//! (work-conserving priority greedy over `H_ρ`), `shafiee-ghaderi`
 //! (LP-free primal–dual, 5-approx), and `im-purohit` (LP-completion-time
-//! order, 4-approx). `resilient` is the fault-recovery pipeline and needs
-//! fault injection — the CLI schedules clean fabrics, so it points at
-//! `experiments -- faults` instead. The old `--online`, `--online-stale`,
-//! and `--greedy` flags remain as deprecated aliases for the matching
-//! `--policy` selections.
+//! order, 4-approx). The pipeline options do not apply to a registry
+//! policy: combining them with `--policy` is a usage error (exit 2).
+//! `resilient` is the fault-recovery pipeline; its plans need the
+//! fault-aware engine, so the CLI rejects it (exit 1) — run
+//! `experiments -- faults` for the fault sweep.
 //!
 //! `--profile` enables the `obs` registry and prints the span/counter
 //! summary tree to stderr after scheduling; `--trace-out PATH` additionally
@@ -49,12 +54,8 @@
 
 use coflow::analysis::analyze;
 use coflow::ordering::OrderRule;
-use coflow::sched::online::run_online_opts;
-use coflow::sched::{run_with_order_ext, ScheduleOutcome};
-use coflow::{
-    compute_order, run_greedy, run_policy, verify_outcome, Instance, OnlineOptions,
-    PolicyRegistry, DEPRECATED_FLAG_ALIASES,
-};
+use coflow::sched::{run_with_order, ExecOptions, ScheduleOutcome};
+use coflow::{compute_order, run_policy, verify_outcome, Instance, PolicyRegistry};
 use coflow_workloads::{generate_trace, io, TraceConfig};
 use std::process::exit;
 
@@ -65,6 +66,8 @@ struct Args {
     grouping: bool,
     backfill: bool,
     rematch: bool,
+    /// The first pipeline option given (`--order`, `--no-group`, ...).
+    pipeline_flag: Option<&'static str>,
     policy: Option<String>,
     do_analyze: bool,
     do_explain: bool,
@@ -100,8 +103,8 @@ fn usage() -> ! {
          [--explain] [--emit-json] [--profile] [--trace-out PATH]\n\
          \x20      [--telemetry PATH] [--ledger PATH|none]\n\
          \x20      coflow-cli --generate <n> [--ports N] [--seed S]\n\
-         \x20      (--online/--online-stale/--greedy are deprecated \
-         aliases for --policy)"
+         \x20      (--order/--no-group/--no-backfill/--rematch configure the \
+         default pipeline and cannot be combined with --policy)"
     );
     exit(2)
 }
@@ -114,6 +117,7 @@ fn parse_args() -> Args {
         grouping: true,
         backfill: true,
         rematch: false,
+        pipeline_flag: None,
         policy: None,
         do_analyze: false,
         do_explain: false,
@@ -134,6 +138,7 @@ fn parse_args() -> Args {
                 args.ports = Some(argv.get(i).unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage()));
             }
             "--order" => {
+                args.pipeline_flag.get_or_insert("--order");
                 i += 1;
                 args.order = match argv.get(i).map(String::as_str) {
                     Some("H_A") => OrderRule::Arrival,
@@ -143,24 +148,22 @@ fn parse_args() -> Args {
                     _ => usage(),
                 };
             }
-            "--no-group" => args.grouping = false,
-            "--no-backfill" => args.backfill = false,
-            "--rematch" => args.rematch = true,
+            "--no-group" => {
+                args.pipeline_flag.get_or_insert("--no-group");
+                args.grouping = false;
+            }
+            "--no-backfill" => {
+                args.pipeline_flag.get_or_insert("--no-backfill");
+                args.backfill = false;
+            }
+            "--rematch" => {
+                args.pipeline_flag.get_or_insert("--rematch");
+                args.rematch = true;
+            }
             "--policy" => {
                 i += 1;
                 args.policy =
                     Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
-            }
-            flag if DEPRECATED_FLAG_ALIASES.iter().any(|(f, _)| *f == flag) => {
-                let (_, name) = DEPRECATED_FLAG_ALIASES
-                    .iter()
-                    .find(|(f, _)| *f == flag)
-                    .expect("guard matched");
-                eprintln!(
-                    "note: {} is deprecated; use --policy {} instead",
-                    flag, name
-                );
-                args.policy = Some(name.to_string());
             }
             "--analyze" => args.do_analyze = true,
             "--explain" => args.do_explain = true,
@@ -196,6 +199,13 @@ fn parse_args() -> Args {
             _ => usage(),
         }
         i += 1;
+    }
+    if let (Some(flag), Some(name)) = (args.pipeline_flag, &args.policy) {
+        eprintln!(
+            "error: {} configures the default pipeline; --policy {} runs the registry policy as defined",
+            flag, name
+        );
+        usage();
     }
     args
 }
@@ -271,55 +281,24 @@ fn main() {
         obs::set_enabled(true);
     }
     let outcome: ScheduleOutcome = match args.policy.as_deref() {
-        // No selection: the default Algorithm 2 pipeline with the
-        // order/grouping/backfill knobs.
+        // No selection: the paper's pipeline with the pipeline options.
         None => {
             let order = compute_order(&instance, args.order);
-            run_with_order_ext(&instance, order, args.grouping, args.backfill, args.rematch)
+            let opts = ExecOptions {
+                rematch: args.rematch,
+                ..ExecOptions::paper(args.backfill)
+            };
+            run_with_order(&instance, order, args.grouping, opts)
         }
         Some(name) => {
-            let registry = PolicyRegistry::builtin();
-            let entry = registry.resolve(name).unwrap_or_else(|e| {
+            let entry = PolicyRegistry::builtin().resolve(name).unwrap_or_else(|e| {
                 eprintln!("error: {}", e);
                 exit(2)
             });
-            match entry.name {
-                "online" => run_online_opts(&instance, OnlineOptions::default()),
-                "online-stale" => run_online_opts(&instance, OnlineOptions::legacy()),
-                // Greedy keeps honoring --order, exactly like the old
-                // --greedy flag did (default H_LP here; the registry's
-                // engine cells pin the H_rho order).
-                "greedy" => run_greedy(&instance, compute_order(&instance, args.order)),
-                "bvn-batch" => {
-                    let order = compute_order(&instance, args.order);
-                    run_with_order_ext(
-                        &instance,
-                        order,
-                        args.grouping,
-                        args.backfill,
-                        args.rematch,
-                    )
-                }
-                "resilient" => {
-                    eprintln!(
-                        "error: policy 'resilient' is the fault-recovery pipeline and \
-                         needs fault injection; the CLI schedules clean fabrics. On a \
-                         clean fabric it equals bvn-batch — or run \
-                         `experiments -- faults` for the fault sweep."
-                    );
-                    exit(2)
-                }
-                // Decision-contract policies (shafiee-ghaderi, im-purohit,
-                // and future registry entries) run through the unified
-                // engine directly.
-                _ => {
-                    let mut policy = entry.build(&instance);
-                    run_policy(&instance, policy.as_mut()).unwrap_or_else(|e| {
-                        eprintln!("error: policy {}: {}", entry.name, e);
-                        exit(1)
-                    })
-                }
-            }
+            run_policy(&instance, &mut *entry.build(&instance)).unwrap_or_else(|e| {
+                eprintln!("error: policy {}: {}", entry.name, e);
+                exit(1)
+            })
         }
     };
     if args.profile {

@@ -5,8 +5,8 @@
 use coflow::ordering::OrderRule;
 use coflow::sched::{run, AlgorithmSpec};
 use coflow::{
-    diagnose, diagnose_faulty, run_with_faults_strict, solve_interval_lp, Detector,
-    DiagnosticsConfig, Severity,
+    diagnose, diagnose_faulty, run_policy_with_faults, solve_interval_lp, Detector,
+    DiagnosticsConfig, ResilientPolicy, Severity,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::{FaultEvent, FaultPlan};
@@ -58,7 +58,8 @@ fn fault_blocked_run_fires_starvation() {
         start: 1,
         end: 60,
     }]);
-    let faulty = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+    let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+    let faulty = run_policy_with_faults(&instance, &mut policy, &plan).unwrap();
     assert!(faulty.blocked_units > 0, "outage must strand planned units");
 
     let lp = solve_interval_lp(&instance);
@@ -96,7 +97,8 @@ fn severity_gate_filters_anomalies() {
         start: 1,
         end: 60,
     }]);
-    let faulty = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+    let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+    let faulty = run_policy_with_faults(&instance, &mut policy, &plan).unwrap();
     let lp = solve_interval_lp(&instance);
     let cfg = DiagnosticsConfig {
         starvation_blocked_slots: 1,

@@ -5,9 +5,8 @@
 
 use coflow::bounds::{interval_lp_bound, release_load_bound};
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::greedy::run_greedy;
-use coflow::sched::{run, run_with_order, run_with_order_ext, AlgorithmSpec};
-use coflow::verify_outcome;
+use coflow::sched::{run, run_with_order, AlgorithmSpec, ExecOptions};
+use coflow::{run_policy, verify_outcome, GreedyPolicy};
 use coflow_workloads::{
     assign_weights, filter_by_width, generate_trace, TraceConfig, WeightScheme,
 };
@@ -54,10 +53,10 @@ fn paper_finding_grouping_and_backfilling_help() {
     let inst = trace();
     for order in OrderRule::PAPER_RULES {
         let o = compute_order(&inst, order);
-        let a = run_with_order(&inst, o.clone(), false, false).objective;
-        let b = run_with_order(&inst, o.clone(), false, true).objective;
-        let c = run_with_order(&inst, o.clone(), true, false).objective;
-        let d = run_with_order(&inst, o, true, true).objective;
+        let a = run_with_order(&inst, o.clone(), false, ExecOptions::paper(false)).objective;
+        let b = run_with_order(&inst, o.clone(), false, ExecOptions::paper(true)).objective;
+        let c = run_with_order(&inst, o.clone(), true, ExecOptions::paper(false)).objective;
+        let d = run_with_order(&inst, o, true, ExecOptions::paper(true)).objective;
         assert!(b <= a, "{:?}: backfilling regressed {} -> {}", order, a, b);
         assert!(c <= a, "{:?}: grouping regressed {} -> {}", order, a, c);
         assert!(d <= b && d <= c, "{:?}: (d) not best", order);
@@ -100,10 +99,14 @@ fn lower_bounds_hold_for_every_scheduler() {
     let lp = interval_lp_bound(&inst);
     let trivial = release_load_bound(&inst);
     let order = compute_order(&inst, OrderRule::LoadOverWeight);
+    let rematch = ExecOptions {
+        rematch: true,
+        ..ExecOptions::paper(true)
+    };
     let outcomes = vec![
-        run_with_order(&inst, order.clone(), true, true).objective,
-        run_with_order_ext(&inst, order.clone(), true, true, true).objective,
-        run_greedy(&inst, order).objective,
+        run_with_order(&inst, order.clone(), true, ExecOptions::paper(true)).objective,
+        run_with_order(&inst, order.clone(), true, rematch).objective,
+        run_policy(&inst, &mut GreedyPolicy::new(&inst, order)).unwrap().objective,
     ];
     for obj in outcomes {
         assert!(lp <= obj + 1e-6, "LP bound {} > objective {}", lp, obj);
@@ -115,8 +118,12 @@ fn lower_bounds_hold_for_every_scheduler() {
 fn rematch_extension_improves_on_plain_grouping() {
     let inst = trace();
     let order = compute_order(&inst, OrderRule::LpBased);
-    let plain = run_with_order(&inst, order.clone(), true, true);
-    let rematched = run_with_order_ext(&inst, order, true, true, true);
+    let plain = run_with_order(&inst, order.clone(), true, ExecOptions::paper(true));
+    let rematch = ExecOptions {
+        rematch: true,
+        ..ExecOptions::paper(true)
+    };
+    let rematched = run_with_order(&inst, order, true, rematch);
     verify_outcome(&inst, &rematched).expect("valid");
     assert!(
         rematched.objective <= plain.objective,

@@ -2,7 +2,7 @@
 //! 2) and coverage of the extended execution options.
 
 use coflow::ordering::OrderRule;
-use coflow::sched::{run_randomized, run_with_order_opts, ExecOptions};
+use coflow::sched::{run_randomized, run_with_order, ExecOptions};
 use coflow::{compute_order, verify_outcome, Coflow, Instance};
 use coflow_matching::IntMatrix;
 use coflow_workloads::random_instance;
@@ -75,23 +75,14 @@ fn maxmin_decomposition_in_scheduler_is_valid_and_equivalent_in_makespan() {
     for seed in 0..10 {
         let inst = random_instance(4, 6, 0.4, 6, seed);
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
-        let plain = run_with_order_opts(
-            &inst,
-            order.clone(),
-            true,
-            ExecOptions {
-                backfill: true,
-                ..ExecOptions::default()
-            },
-        );
-        let maxmin = run_with_order_opts(
+        let plain = run_with_order(&inst, order.clone(), true, ExecOptions::paper(true));
+        let maxmin = run_with_order(
             &inst,
             order,
             true,
             ExecOptions {
-                backfill: true,
                 maxmin_decomposition: true,
-                ..ExecOptions::default()
+                ..ExecOptions::paper(true)
             },
         );
         verify_outcome(&inst, &plain).expect("valid");
