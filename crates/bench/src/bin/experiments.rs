@@ -1,27 +1,12 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation, and
+//! gates the committed reports.
 //!
-//! ```text
-//! experiments [table1|fig2a|fig2b|lpexp|ratios|all] [--seed N] [--telemetry PATH]
-//! experiments profile [--out PATH] [--trace PATH] [--baseline PATH]
-//!                     [--tolerance F] [--full] [--seed N]
-//!                     [--mem-out PATH] [--mem-baseline PATH] [--mem-tolerance F]
-//! experiments explain [--out PATH] [--svg PATH] [--trace PATH]
-//!                     [--faults RATE] [--severity LEVEL]
-//!                     [--expect-starvation] [--validate PATH] [--seed N]
-//! experiments pin [--out PATH] [--check PATH] [--tolerance F] [--seed N]
-//! experiments scale [--ports LIST] [--coflows LIST] [--cell MxN]
-//!                   [--window W] [--out BENCH_scale.json] [--check PATH]
-//!                   [--tolerance F] [--mem-tolerance F] [--seed N]
-//! experiments chaos [--kills N] [--windows N] [--faults RATE]
-//!                   [--out PATH] [--validate PATH] [--seed N]
-//! experiments tournament [--policies a,b,c|all] [--out BENCH_tournament.json]
-//!                        [--check PATH] [--tolerance F] [--seed N]
-//! experiments faults [--policies a,b,c] [--seed N]
-//! experiments diff [A] [B] [--tolerance F] [--out PATH] [--ledger PATH]
-//! experiments report [--out dash.html] [--ledger PATH]
-//! experiments verdict --gate NAME [--status pass|fail] [--verdict K=V]...
-//!                     [--note STR] [--ledger PATH]
-//! ```
+//! `experiments` with a bad argument prints the usage text, which lists
+//! every subcommand and the flags it takes (`COMMANDS`, also what the
+//! argument check reads). Every subcommand also takes `--seed N`,
+//! `--ledger PATH|none` and `--telemetry PATH`. An unknown flag, a flag
+//! the subcommand does not take, or an operand it does not take exits 2
+//! with the usage text.
 //!
 //! Every workload subcommand appends one self-contained `coflow-ledger/1`
 //! record to the run ledger (default `LEDGER.ndjson`; `--ledger PATH` or
@@ -31,19 +16,35 @@
 //! verdicts. Ledger appends are non-fatal — a read-only checkout still
 //! runs every experiment.
 //!
+//! `gate NAME` judges a fresh run against a committed golden with the one
+//! regression model of `coflow_bench::gate`: `perf` profiles the grid
+//! against `BENCH_baseline.json`, `mem` its memory view against
+//! `BENCH_mem.json`, `pins` the engine pins against `BENCH_pins.json`,
+//! `scale` the m=1,000 / 10k-coflow cell against the matching cell of
+//! `BENCH_scale.json`, and `tournament` the race against
+//! `BENCH_tournament.json` (after its own validator). It reads the golden
+//! first (a missing or malformed golden fails with the command that
+//! regenerates it), runs the workload, prints one verdict table (exact
+//! rows bit for bit, wall and alloc rows against the rule table's
+//! tolerance and floor), appends the run record and a `gate-NAME` verdict
+//! record, and exits 1 on any regressed or one-sided row. It never writes
+//! a golden; the workload subcommands (`profile --out`, `pin --out`, …)
+//! regenerate them.
+//!
 //! `diff A B` compares two runs. `A`/`B` are ledger selectors (`latest`,
 //! `prev`, `~N`, `#SEQ`, `green`) or paths to committed reports
-//! (`coflow-bench-grid/3`, `coflow-bench-mem/1`, `coflow-pins/1`); the
-//! default is `prev latest`. It prints a per-metric table, optionally
-//! writes a `coflow-diff/1` document (`--out`), and exits 1 on any
-//! regression past `--tolerance` (default 0.5; objectives are bit-exact
-//! regardless of tolerance) — so it doubles as a gate.
+//! (`coflow-bench-grid/3`, `coflow-bench-mem/1`, `coflow-pins/1`,
+//! `coflow-bench-scale/1`, `coflow-tournament/1`); the default is `prev
+//! latest`. It prints a per-metric table, optionally writes a
+//! `coflow-diff/1` document (`--out`), and exits 1 on any regression past
+//! `--tolerance` (default 0.5; objectives are bit-exact regardless of
+//! tolerance) — so it doubles as a gate.
 //!
 //! `report` renders the whole ledger as a self-contained HTML dashboard
 //! (inline CSS + SVG, no external assets): per-stage trend sparklines,
 //! memory trajectories, objective comparison tables, gate-verdict
-//! history. `verdict` appends a gate outcome record; the
-//! `scripts/check-*.sh` gates call it on exit.
+//! history. `verdict` appends a gate outcome record; `scripts/check-*.sh`
+//! call it on exit.
 //!
 //! `--telemetry PATH` (any subcommand) installs the streaming NDJSON sink:
 //! one self-contained `coflow-telemetry/1` line per heartbeat appended (and
@@ -55,16 +56,11 @@
 //! `profile` runs the 12-cell grid with the `obs` registry enabled and
 //! writes a per-stage timing/counter report (`BENCH_grid.json`, schema
 //! `coflow-bench-grid/3` — `/3` adds a per-cell `mem` object: peak live
-//! bytes, peak RSS, per-stage allocation attribution). With `--baseline`
-//! it diffs against a committed report and exits 1 on a per-stage
-//! regression beyond `--tolerance` (default 0.2 = +20%); `--trace`
+//! bytes, peak RSS, per-stage allocation attribution); `--trace`
 //! additionally writes a chrome://tracing view of the last cell; `--full`
 //! profiles the paper's 150-port fabric instead of the default reduced
 //! scale. `--mem-out` writes the compact `coflow-bench-mem/1` memory
-//! report; `--mem-baseline` gates allocation counts/bytes and peak live
-//! bytes against a committed copy within `--mem-tolerance` (default 0.25 =
-//! +25%; peak RSS is reported but never gated — it is machine-dependent).
-//! `scripts/check-mem.sh` runs the gate against `BENCH_mem.json`.
+//! report.
 //!
 //! `explain` runs the schedule-forensics pipeline over the same grid:
 //! per-coflow LP attribution, anomaly detectors, and a
@@ -97,20 +93,13 @@
 //! recording wall-clock per stage, peak RSS, allocator counts, and the
 //! deterministic objective. The default cells form the committed
 //! `BENCH_scale.json` curve up to 10,000 ports and 10⁶ streamed coflows.
-//! `--cell 1000x10000 --check BENCH_scale.json` re-runs one cell and
-//! gates it against the committed curve (wall +20% over a 10 ms floor,
-//! allocations +25% over the mem-gate floors, objectives bit-exact) —
-//! that invocation is `scripts/check-scale.sh`. `--ports`/`--coflows`
-//! sweep a custom cross product; `--window` sets the admission window.
+//! `--cell 1000x10000` runs one cell; `--ports`/`--coflows` sweep a custom
+//! cross product; `--window` sets the admission window.
 //!
 //! `pin` recomputes the engine's pinned objectives — the 12-cell grid, the
-//! online scheduler (fixed and stale priorities), the greedy baseline, and
-//! the fault-injected combinations — on the canonical arrivals instance.
-//! With `--check` it compares against a committed `BENCH_pins.json` and
-//! exits 1 unless every objective matches **bit for bit** and the
-//! engine-driven section is no slower than baseline by `--tolerance`
-//! (default 1.0 = +100%, floored at 50 ms); with `--out` it writes a fresh
-//! pin file (used by `scripts/check-perf.sh`).
+//! online scheduler (fixed and stale priorities), the greedy baseline, the
+//! successor policies and the fault-injected combinations — on the
+//! canonical arrivals instance; `--out` writes a pin file.
 //!
 //! `tournament` races a registry selection of schedulers (`--policies
 //! a,b,c`, default `all` = the canonical six) across the whole harness on
@@ -120,13 +109,10 @@
 //! inflation over the surviving coflows), and a windowed scale round where
 //! each policy's ordering analog streams the 96×960 cell through the
 //! sparse executor. The `coflow-tournament/1` report lands at `--out`
-//! (default `BENCH_tournament.json`), is self-validated (every ratio ≥ 1
-//! and within the policy's proven bound), and with `--check` is diffed
-//! against the committed golden — objectives/ratios bit-exact, wall-clock
-//! within `--tolerance` (default 0.35) over the absolute floor — which is
-//! `scripts/check-tournament.sh`. The `faults` subcommand accepts the same
-//! `--policies` list to extend its engine-policy table beyond the default
-//! online/online-stale/greedy trio.
+//! (default `BENCH_tournament.json`) and is self-validated (every ratio ≥
+//! 1 and within the policy's proven bound). The `faults` subcommand
+//! accepts the same `--policies` list to extend its engine-policy table
+//! beyond the default online/online-stale/greedy trio.
 //!
 //! Table 1 and the figures run on the synthetic Facebook-like trace at the
 //! documented reduced scale; `lpexp` runs on a further reduced instance
@@ -147,205 +133,140 @@ use coflow_bench::report::{
 };
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 
-/// Options of the `profile` subcommand.
-struct ProfileArgs {
-    out: String,
+/// Every option of every subcommand. Each flag sets one field, which
+/// subcommands take it is [`accepts`], and each subcommand applies its
+/// own default.
+#[derive(Default)]
+struct Args {
+    seed: Option<u64>,
+    ledger: Option<String>,
+    out: Option<String>,
     trace: Option<String>,
-    baseline: Option<String>,
-    tolerance: f64,
     full: bool,
     mem_out: Option<String>,
-    mem_baseline: Option<String>,
-    mem_tolerance: f64,
-}
-
-impl Default for ProfileArgs {
-    fn default() -> Self {
-        ProfileArgs {
-            out: "BENCH_grid.json".to_string(),
-            trace: None,
-            baseline: None,
-            tolerance: 0.2,
-            full: false,
-            mem_out: None,
-            mem_baseline: None,
-            mem_tolerance: 0.25,
-        }
-    }
-}
-
-/// Options of the `scale` subcommand.
-struct ScaleArgs {
-    out: String,
-    check: Option<String>,
     ports: Option<Vec<usize>>,
     coflows: Option<Vec<usize>>,
     cell: Option<(usize, usize)>,
-    window: usize,
-    wall_tolerance: f64,
-    alloc_tolerance: f64,
-}
-
-impl Default for ScaleArgs {
-    fn default() -> Self {
-        ScaleArgs {
-            out: "BENCH_scale.json".to_string(),
-            check: None,
-            ports: None,
-            coflows: None,
-            cell: None,
-            window: coflow_bench::scale::DEFAULT_WINDOW,
-            wall_tolerance: 0.2,
-            alloc_tolerance: 0.25,
-        }
-    }
-}
-
-/// Options of the `pin` subcommand.
-struct PinArgs {
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-}
-
-impl Default for PinArgs {
-    fn default() -> Self {
-        PinArgs {
-            out: None,
-            check: None,
-            tolerance: 1.0,
-        }
-    }
-}
-
-/// Options of the `chaos` subcommand.
-struct ChaosArgs {
-    out: String,
-    kills: usize,
+    window: Option<usize>,
+    kills: Option<usize>,
     windows: usize,
-    fault_rate: f64,
-    validate: Option<String>,
-}
-
-impl Default for ChaosArgs {
-    fn default() -> Self {
-        ChaosArgs {
-            out: "BENCH_chaos.json".to_string(),
-            kills: 4,
-            windows: 0,
-            fault_rate: 0.3,
-            validate: None,
-        }
-    }
-}
-
-/// Options of the `tournament` subcommand.
-struct TournamentArgs {
-    out: String,
-    check: Option<String>,
-    tolerance: f64,
-    policies: String,
-}
-
-impl Default for TournamentArgs {
-    fn default() -> Self {
-        TournamentArgs {
-            out: "BENCH_tournament.json".to_string(),
-            check: None,
-            tolerance: 0.35,
-            policies: "all".to_string(),
-        }
-    }
-}
-
-/// Options of the `explain` subcommand.
-struct ExplainArgs {
-    out: String,
-    svg: Option<String>,
-    trace: Option<String>,
     faults: Option<f64>,
-    severity: coflow::Severity,
+    svg: Option<String>,
+    severity: Option<coflow::Severity>,
     expect_starvation: bool,
     validate: Option<String>,
+    policies: Option<String>,
+    tolerance: Option<f64>,
+    gate: Option<String>,
+    status: Option<String>,
+    note: String,
+    verdicts: Vec<(String, String)>,
 }
 
-impl Default for ExplainArgs {
-    fn default() -> Self {
-        ExplainArgs {
-            out: "BENCH_diagnostics.json".to_string(),
-            svg: None,
-            trace: None,
-            faults: None,
-            severity: coflow::Severity::Warning,
-            expect_starvation: false,
-            validate: None,
+/// Flags every subcommand takes.
+const GLOBAL_FLAGS: [&str; 3] = ["--seed N", "--ledger PATH|none", "--telemetry PATH"];
+
+/// The subcommands, as `(names, operands, flags)`: `|`-separated names,
+/// the operands they take, and their flags, each with its value's
+/// placeholder (none for a switch). [`accepts`] and the usage text both
+/// read this table.
+type Command = (&'static str, &'static [&'static str], &'static [&'static str]);
+const COMMANDS: [Command; 12] = [
+    ("table1|fig2a|fig2b|lpexp|ratios|gridsweep|integrality|arrivals|all", &[], &[]),
+    ("faults", &[], &["--policies a,b,c|all"]),
+    ("profile", &[], &["--out PATH", "--trace PATH", "--full", "--mem-out PATH"]),
+    ("explain", &[], &["--out PATH", "--svg PATH", "--trace PATH", "--faults RATE",
+                       "--severity LEVEL", "--expect-starvation", "--validate PATH"]),
+    ("pin", &[], &["--out PATH"]),
+    ("scale", &[], &["--ports LIST", "--coflows LIST", "--cell MxN", "--window W",
+                     "--out PATH"]),
+    ("chaos", &[], &["--kills N", "--windows N", "--faults RATE", "--out PATH",
+                     "--validate PATH"]),
+    ("tournament", &[], &["--policies a,b,c|all", "--out PATH"]),
+    ("gate", &["perf|mem|pins|scale|tournament"], &[]),
+    ("diff", &["[A]", "[B]"], &["--tolerance F", "--out PATH"]),
+    ("report", &[], &["--out PATH"]),
+    ("verdict", &[], &["--gate NAME", "--status pass|fail", "--verdict K=V", "--note STR"]),
+];
+
+/// The flag a [`COMMANDS`] flag entry names.
+fn flag_name(entry: &str) -> &str {
+    entry.split(' ').next().unwrap_or(entry)
+}
+
+/// The usage text, one line per [`COMMANDS`] entry, wrapped at 80
+/// columns.
+fn usage_text() -> String {
+    let optional = |flag: &&str| format!(" [{}]", flag);
+    let global: String = GLOBAL_FLAGS.iter().map(optional).collect();
+    let mut text = format!("usage: experiments [SUBCOMMAND]{}", global);
+    for (names, operands, flags) in COMMANDS {
+        let mut line = format!("\n  {}", names);
+        let words = operands.iter().map(|o| format!(" {}", o));
+        for word in words.chain(flags.iter().map(optional)) {
+            if line.len() + word.len() > 80 {
+                text += &line;
+                line = format!("\n{:width$}", "", width = names.len() + 2);
+            }
+            line += &word;
         }
+        text += &line;
     }
+    text
+}
+
+/// Prints `error` and the usage text, and exits 2.
+fn usage(error: &str) -> ! {
+    eprintln!("error: {}\n{}", error, usage_text());
+    std::process::exit(2);
+}
+
+/// Whether `subcommand` takes the flag `flag` besides [`GLOBAL_FLAGS`],
+/// and how many operands; `None` for an unknown subcommand.
+fn accepts(subcommand: &str) -> Option<(impl Fn(&str) -> bool, usize)> {
+    let (_, operands, flags) =
+        COMMANDS.iter().find(|(names, _, _)| names.split('|').any(|n| n == subcommand))?;
+    Some((move |flag: &str| flags.iter().any(|f| flag_name(f) == flag), operands.len()))
+}
+
+/// Parses `value` of `flag`, or exits 2 saying it must be `what`.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {} must be {}, got '{}'", flag, what, value);
+        std::process::exit(2);
+    })
 }
 
 fn main() {
     obs::install_sigint_handler();
     let started = std::time::Instant::now();
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
-    let mut extras: Vec<String> = Vec::new();
-    let mut seed: u64 = 2015;
-    let mut profile_args = ProfileArgs::default();
-    let mut explain_args = ExplainArgs::default();
-    let mut pin_args = PinArgs::default();
-    let mut chaos_args = ChaosArgs::default();
-    let mut scale_args = ScaleArgs::default();
-    let mut tournament_args = TournamentArgs::default();
-    let mut fault_policies_flag: Option<String> = None;
-    let mut ledger_flag: Option<String> = None;
-    let mut out_flag: Option<String> = None;
-    let mut tolerance_flag: Option<f64> = None;
-    let mut gate_flag: Option<String> = None;
-    let mut status_flag: Option<String> = None;
-    let mut note_flag = String::new();
-    let mut verdict_kvs: Vec<(String, String)> = Vec::new();
-    let mut iter = args.iter();
+    let mut operands: Vec<String> = Vec::new();
+    let mut flags: Vec<String> = Vec::new();
+    let mut args = Args::default();
+    let mut iter = argv.iter();
     while let Some(a) = iter.next() {
+        if a.starts_with('-') {
+            flags.push(a.clone());
+        }
         let mut value_of = |flag: &str| -> String {
             match iter.next() {
                 Some(v) => v.clone(),
-                None => {
-                    eprintln!("error: {} needs a value", flag);
-                    std::process::exit(2);
-                }
+                None => usage(&format!("{} needs a value", flag)),
             }
         };
         match a.as_str() {
-            "--seed" => {
-                let value = value_of("--seed");
-                seed = match value.parse() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        eprintln!("error: --seed must be an integer, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => {
-                let value = value_of("--out");
-                profile_args.out = value.clone();
-                explain_args.out = value.clone();
-                chaos_args.out = value.clone();
-                pin_args.out = Some(value.clone());
-                scale_args.out = value.clone();
-                tournament_args.out = value.clone();
-                out_flag = Some(value);
-            }
-            "--ports" => scale_args.ports = Some(parse_usize_list(&value_of("--ports"), "--ports")),
-            "--coflows" => {
-                scale_args.coflows = Some(parse_usize_list(&value_of("--coflows"), "--coflows"))
-            }
+            "--seed" => args.seed = Some(parsed("--seed", &value_of(a), "an integer")),
+            "--out" => args.out = Some(value_of(a)),
+            "--ports" => args.ports = Some(parse_usize_list(&value_of(a), a)),
+            "--coflows" => args.coflows = Some(parse_usize_list(&value_of(a), a)),
             "--cell" => {
-                let value = value_of("--cell");
+                let value = value_of(a);
                 let parsed = value.split_once('x').and_then(|(m, n)| {
                     Some((m.trim().parse().ok()?, n.trim().parse().ok()?))
                 });
-                scale_args.cell = match parsed {
+                args.cell = match parsed {
                     Some(cell) => Some(cell),
                     None => {
                         eprintln!("error: --cell needs PORTSxCOFLOWS (e.g. 1000x10000), got '{}'", value);
@@ -354,94 +275,41 @@ fn main() {
                 };
             }
             "--window" => {
-                let value = value_of("--window");
-                scale_args.window = match value.parse() {
-                    Ok(w) if w > 0 => w,
-                    _ => {
-                        eprintln!("error: --window must be a positive integer, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
+                let window: std::num::NonZeroUsize =
+                    parsed("--window", &value_of(a), "a positive integer");
+                args.window = Some(window.get());
             }
-            "--ledger" => ledger_flag = Some(value_of("--ledger")),
-            "--gate" => gate_flag = Some(value_of("--gate")),
-            "--status" => status_flag = Some(value_of("--status")),
-            "--note" => note_flag = value_of("--note"),
+            "--ledger" => args.ledger = Some(value_of(a)),
+            "--gate" => args.gate = Some(value_of(a)),
+            "--status" => args.status = Some(value_of(a)),
+            "--note" => args.note = value_of(a),
             "--verdict" => {
-                let value = value_of("--verdict");
+                let value = value_of(a);
                 match value.split_once('=') {
-                    Some((k, v)) => verdict_kvs.push((k.to_string(), v.to_string())),
+                    Some((k, v)) => args.verdicts.push((k.to_string(), v.to_string())),
                     None => {
                         eprintln!("error: --verdict needs KEY=VALUE, got '{}'", value);
                         std::process::exit(2);
                     }
                 }
             }
-            "--kills" => {
-                let value = value_of("--kills");
-                chaos_args.kills = match value.parse() {
-                    Ok(k) => k,
-                    Err(_) => {
-                        eprintln!("error: --kills must be an integer, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--windows" => {
-                let value = value_of("--windows");
-                chaos_args.windows = match value.parse() {
-                    Ok(w) => w,
-                    Err(_) => {
-                        eprintln!("error: --windows must be an integer, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--trace" => {
-                let value = value_of("--trace");
-                profile_args.trace = Some(value.clone());
-                explain_args.trace = Some(value);
-            }
-            "--baseline" => profile_args.baseline = Some(value_of("--baseline")),
-            "--mem-out" => profile_args.mem_out = Some(value_of("--mem-out")),
-            "--mem-baseline" => profile_args.mem_baseline = Some(value_of("--mem-baseline")),
-            "--mem-tolerance" => {
-                let value = value_of("--mem-tolerance");
-                let parsed = match value.parse() {
-                    Ok(t) => t,
-                    Err(_) => {
-                        eprintln!("error: --mem-tolerance must be a number, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
-                profile_args.mem_tolerance = parsed;
-                scale_args.alloc_tolerance = parsed;
-            }
+            "--kills" => args.kills = Some(parsed("--kills", &value_of(a), "an integer")),
+            "--windows" => args.windows = parsed("--windows", &value_of(a), "an integer"),
+            "--trace" => args.trace = Some(value_of(a)),
+            "--mem-out" => args.mem_out = Some(value_of(a)),
             "--telemetry" => {
-                let value = value_of("--telemetry");
+                let value = value_of(a);
                 if let Err(e) = obs::telemetry::install(&value) {
                     eprintln!("error: opening telemetry sink {}: {}", value, e);
                     std::process::exit(2);
                 }
             }
-            "--svg" => explain_args.svg = Some(value_of("--svg")),
-            "--faults" => {
-                let value = value_of("--faults");
-                explain_args.faults = match value.parse() {
-                    Ok(r) => Some(r),
-                    Err(_) => {
-                        eprintln!("error: --faults must be a rate, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
-                if let Some(r) = explain_args.faults {
-                    chaos_args.fault_rate = r;
-                }
-            }
+            "--svg" => args.svg = Some(value_of(a)),
+            "--faults" => args.faults = Some(parsed("--faults", &value_of(a), "a rate")),
             "--severity" => {
-                let value = value_of("--severity");
-                explain_args.severity = match coflow::Severity::parse(&value) {
-                    Some(s) => s,
+                let value = value_of(a);
+                args.severity = match coflow::Severity::parse(&value) {
+                    Some(s) => Some(s),
                     None => {
                         eprintln!(
                             "error: --severity must be info|warning|critical, got '{}'",
@@ -451,52 +319,38 @@ fn main() {
                     }
                 };
             }
-            "--expect-starvation" => explain_args.expect_starvation = true,
-            "--validate" => {
-                let value = value_of("--validate");
-                explain_args.validate = Some(value.clone());
-                chaos_args.validate = Some(value);
-            }
-            "--check" => {
-                let value = value_of("--check");
-                pin_args.check = Some(value.clone());
-                scale_args.check = Some(value.clone());
-                tournament_args.check = Some(value);
-            }
-            "--policies" => {
-                let value = value_of("--policies");
-                tournament_args.policies = value.clone();
-                fault_policies_flag = Some(value);
-            }
+            "--expect-starvation" => args.expect_starvation = true,
+            "--validate" => args.validate = Some(value_of(a)),
+            "--policies" => args.policies = Some(value_of(a)),
             "--tolerance" => {
-                let value = value_of("--tolerance");
-                let parsed: f64 = match value.parse() {
-                    Ok(t) => t,
-                    Err(_) => {
-                        eprintln!("error: --tolerance must be a number, got '{}'", value);
-                        std::process::exit(2);
-                    }
-                };
-                profile_args.tolerance = parsed;
-                pin_args.tolerance = parsed;
-                scale_args.wall_tolerance = parsed;
-                tournament_args.tolerance = parsed;
-                tolerance_flag = Some(parsed);
+                args.tolerance = Some(parsed("--tolerance", &value_of(a), "a number"))
             }
-            "--full" => profile_args.full = true,
+            "--full" => args.full = true,
+            flag if flag.starts_with('-') => usage(&format!("unknown flag '{}'", flag)),
             other => {
-                // First positional selects the subcommand; the rest are
-                // subcommand operands (the diff sides).
+                // The first operand selects the subcommand; the rest are
+                // its operands (the diff sides, the gate name).
                 if which.is_none() {
                     which = Some(other.to_string());
                 } else {
-                    extras.push(other.to_string());
+                    operands.push(other.to_string());
                 }
             }
         }
     }
     let which = which.unwrap_or_else(|| "all".to_string());
-    let ledger = coflow_bench::ledger::ledger_path(ledger_flag.as_deref());
+    let Some((takes, max_operands)) = accepts(&which) else {
+        usage(&format!("unknown experiment '{}'", which));
+    };
+    let global = |flag: &str| GLOBAL_FLAGS.iter().any(|f| flag_name(f) == flag);
+    if let Some(flag) = flags.iter().find(|f| !global(f) && !takes(f)) {
+        usage(&format!("{} does not take {}", which, flag));
+    }
+    if let Some(extra) = operands.get(max_operands) {
+        usage(&format!("{} does not take the operand '{}'", which, extra));
+    }
+    let seed = args.seed.unwrap_or(2015);
+    let ledger = coflow_bench::ledger::ledger_path(args.ledger.as_deref());
 
     match which.as_str() {
         "table1" => table1(seed),
@@ -507,20 +361,24 @@ fn main() {
         "gridsweep" => gridsweep(seed),
         "integrality" => integrality(seed),
         "arrivals" => arrivals(seed),
-        "faults" => faults(seed, fault_policies_flag.as_deref()),
-        "profile" => profile(seed, &profile_args, &ledger, started),
-        "explain" => explain(seed, &explain_args),
-        "pin" => pin(seed, &pin_args, &ledger, started),
-        "scale" => scale(seed, &scale_args, &ledger, started),
-        "chaos" => chaos(seed, &chaos_args),
-        "tournament" => tournament(seed, &tournament_args, &ledger, started),
-        "diff" => diff_cmd(&extras, tolerance_flag, &ledger, out_flag.as_deref()),
-        "report" => report_cmd(&ledger, out_flag.as_deref()),
+        "faults" => faults(seed, args.policies.as_deref()),
+        "profile" => profile(seed, &args, &ledger, started),
+        "explain" => explain(seed, &args),
+        "pin" => pin(seed, args.out.as_deref(), &ledger, started),
+        "scale" => scale(seed, &args, &ledger, started),
+        "chaos" => chaos(seed, &args),
+        "tournament" => tournament(seed, &args, &ledger, started),
+        "gate" => match operands.first() {
+            Some(name) => gate_cmd(name, seed, &ledger, started),
+            None => usage("gate needs a gate name"),
+        },
+        "diff" => diff_cmd(&operands, args.tolerance, &ledger, args.out.as_deref()),
+        "report" => report_cmd(&ledger, args.out.as_deref()),
         "verdict" => verdict_cmd(
-            gate_flag.as_deref(),
-            status_flag.as_deref(),
-            verdict_kvs,
-            &note_flag,
+            args.gate.as_deref(),
+            args.status.as_deref(),
+            args.verdicts,
+            &args.note,
             &ledger,
         ),
         "all" => {
@@ -534,18 +392,13 @@ fn main() {
             arrivals(seed);
             faults(seed, None);
         }
-        other => {
-            eprintln!(
-                "unknown experiment '{}'; expected table1|fig2a|fig2b|lpexp|ratios|gridsweep|integrality|arrivals|faults|tournament|profile|explain|pin|scale|chaos|diff|report|verdict|all",
-                other
-            );
-            std::process::exit(2);
-        }
+        other => unreachable!("accepts() rejected '{}'", other),
     }
 
     // The simple experiment subcommands record a base run entry (workload
-    // identity + wall-clock + memory marks); profile and pin append their
-    // own enriched records above, and diff/report/verdict are not runs.
+    // identity + wall-clock + memory marks); profile, pin, scale,
+    // tournament and gate append their own enriched records above, and
+    // diff/report/verdict are not runs.
     if matches!(
         which.as_str(),
         "table1"
@@ -577,19 +430,27 @@ fn append_ledger(ledger: &Option<String>, mut rec: obs::ledger::LedgerRecord) {
     }
 }
 
-/// Resolves one side of a diff: an existing file path is parsed as a
-/// committed report; anything else is a ledger selector.
+/// Resolves one side of a diff to its rows and identity: an existing file
+/// path is flattened as a committed report; anything else is a ledger
+/// selector.
 fn diff_side(
     spec: &str,
     ledger: &Option<String>,
     cache: &mut Option<Vec<obs::ledger::LedgerRecord>>,
-) -> coflow_bench::diff::DiffSide {
-    use coflow_bench::diff::{side_from_path, DiffSide};
+) -> (coflow_bench::gate::Flat, String) {
+    use coflow_bench::gate::{flatten, flatten_record, Flat};
     if std::path::Path::new(spec).is_file() {
-        match side_from_path(spec) {
-            Ok(side) => return side,
+        let text = match std::fs::read_to_string(spec) {
+            Ok(text) => text,
             Err(e) => {
-                eprintln!("error: {}", e);
+                eprintln!("error: cannot read {}: {}", spec, e);
+                std::process::exit(2);
+            }
+        };
+        match flatten(&text) {
+            Ok(flat) => return (flat, spec.to_string()),
+            Err(e) => {
+                eprintln!("error: {}: {}", spec, e);
                 std::process::exit(2);
             }
         }
@@ -609,7 +470,10 @@ fn diff_side(
     }
     let records = cache.as_ref().map(|r| r.as_slice()).unwrap_or(&[]);
     match coflow_bench::ledger::select(records, spec) {
-        Ok(rec) => DiffSide::from_record(rec, spec),
+        Ok(rec) => (
+            Flat { schema: obs::ledger::LEDGER_SCHEMA, metrics: flatten_record(rec) },
+            coflow_bench::diff::record_id(rec, spec),
+        ),
         Err(e) => {
             eprintln!("error: {}: {}", path, e);
             std::process::exit(2);
@@ -618,22 +482,22 @@ fn diff_side(
 }
 
 fn diff_cmd(
-    extras: &[String],
+    operands: &[String],
     tolerance_flag: Option<f64>,
     ledger: &Option<String>,
     out: Option<&str>,
 ) {
-    use coflow_bench::diff::{diff_sides, render_diff_json, render_diff_table, DEFAULT_TOLERANCE};
-    let tolerance = tolerance_flag.unwrap_or(DEFAULT_TOLERANCE);
-    let a_spec = extras.first().map(String::as_str).unwrap_or("prev");
-    let b_spec = extras.get(1).map(String::as_str).unwrap_or("latest");
+    use coflow_bench::diff::{default_tolerance, diff_metrics, render_diff_json, render_diff_table};
+    let tolerance = tolerance_flag.unwrap_or_else(default_tolerance);
+    let a_spec = operands.first().map(String::as_str).unwrap_or("prev");
+    let b_spec = operands.get(1).map(String::as_str).unwrap_or("latest");
     let mut cache = None;
-    let a = diff_side(a_spec, ledger, &mut cache);
-    let b = diff_side(b_spec, ledger, &mut cache);
-    let report = diff_sides(&a, &b, tolerance);
+    let (a, a_id) = diff_side(a_spec, ledger, &mut cache);
+    let (b, b_id) = diff_side(b_spec, ledger, &mut cache);
+    let report = diff_metrics(&a.metrics, &b.metrics, &a_id, &b_id, tolerance);
     print!("{}", render_diff_table(&report));
     if let Some(out) = out {
-        write_report(out, "diff report", &render_diff_json(&report, &a.schema, &b.schema));
+        write_report(out, "diff report", &render_diff_json(&report, a.schema, b.schema));
         println!("# diff report written to {}", out);
     }
     if !report.regressions().is_empty() {
@@ -741,7 +605,7 @@ fn read_baseline_file(path: &str, what: &str, regen: &str) -> String {
     }
 }
 
-fn chaos(seed: u64, args: &ChaosArgs) {
+fn chaos(seed: u64, args: &Args) {
     use coflow_bench::chaos::{
         render_chaos, render_chaos_json, run_chaos, validate_chaos_json, worst_window_search,
         ChaosConfig, ChaosReport,
@@ -773,14 +637,15 @@ fn chaos(seed: u64, args: &ChaosArgs) {
         WeightScheme::RandomPermutation { seed },
     );
     let config = ChaosConfig {
-        kills: args.kills,
+        kills: args.kills.unwrap_or(4),
         seed,
-        fault_rate: args.fault_rate,
+        fault_rate: args.faults.unwrap_or(0.3),
     };
     let mut report = run_chaos(&inst, &config);
+    let out = args.out.as_deref().unwrap_or("BENCH_chaos.json");
     if obs::interrupted() {
-        write_report(&args.out, "chaos report (partial)", &render_chaos_json(&report));
-        exit_if_interrupted(&args.out);
+        write_report(out, "chaos report (partial)", &render_chaos_json(&report));
+        exit_if_interrupted(out);
     }
     if args.windows > 0 {
         let windows = worst_window_search(&inst, 2, 8, args.windows, seed);
@@ -791,9 +656,9 @@ fn chaos(seed: u64, args: &ChaosArgs) {
     }
     print!("{}", render_chaos(&report));
     let rendered = render_chaos_json(&report);
-    write_report(&args.out, "chaos report", &rendered);
-    println!("# chaos report written to {}", args.out);
-    exit_if_interrupted(&args.out);
+    write_report(out, "chaos report", &rendered);
+    println!("# chaos report written to {}", out);
+    exit_if_interrupted(out);
     // Close the loop: the report must satisfy its own validator.
     match validate_chaos_json(&rendered) {
         Ok(summary) => println!("# {}", summary),
@@ -804,17 +669,10 @@ fn chaos(seed: u64, args: &ChaosArgs) {
     }
 }
 
-fn profile(
-    seed: u64,
-    args: &ProfileArgs,
-    ledger: &Option<String>,
-    started: std::time::Instant,
-) {
-    use coflow_bench::profile::{
-        compare_mem, compare_reports, render_json, render_mem_json, render_profile, run_profile,
-    };
-
-    let cfg = if args.full {
+/// Profiles the 12-cell grid: the reduced default trace, or the paper's
+/// 150-port fabric with `full`.
+fn profile_report(seed: u64, full: bool) -> coflow_bench::profile::ProfileReport {
+    let cfg = if full {
         // The paper's 150-rack cluster; solver budgets keep the H_LP cells
         // bounded (falling back would abort the profile, so the budgets are
         // generous).
@@ -843,8 +701,15 @@ fn profile(
         stall_window: Some(40_000),
         ..SimplexOptions::default()
     };
-    let report = run_profile(&inst, seed, &lp_opts);
-    print!("{}", render_profile(&report));
+    let report = coflow_bench::profile::run_profile(&inst, seed, &lp_opts);
+    print!("{}", coflow_bench::profile::render_profile(&report));
+    report
+}
+
+fn profile(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::Instant) {
+    use coflow_bench::profile::{render_json, render_mem_json};
+
+    let report = profile_report(seed, args.full);
 
     if let Some(trace_path) = &args.trace {
         // The registry still holds the last cell's events.
@@ -855,115 +720,23 @@ fn profile(
         println!("# chrome trace (last cell) written to {}", trace_path);
     }
 
-    let rendered = render_json(&report);
-    write_report(&args.out, "profile grid report", &rendered);
-    println!("# per-stage report written to {}", args.out);
-
-    // Gate outcomes accumulate here; the run record carries them and the
-    // process exits nonzero after the ledger append (a failed gate must
-    // still leave its record behind for `diff`/`report` to explain).
-    let mut gate_entries: Vec<(String, String)> = Vec::new();
-    let mut gate_failed = false;
-
-    if let Some(baseline_path) = &args.baseline {
-        let regen = "scripts/bench-baseline.sh --update".to_string();
-        let baseline = read_baseline_file(baseline_path, "profile baseline", &regen);
-        let deltas = match compare_reports(&baseline, &rendered, args.tolerance) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!(
-                    "error: comparing against baseline {}: {}.\nRegenerate it with:\n    {}",
-                    baseline_path, e, regen
-                );
-                std::process::exit(1);
-            }
-        };
-        let mut regressed = false;
-        println!(
-            "# baseline comparison vs {} (tolerance +{:.0}%):",
-            baseline_path,
-            args.tolerance * 100.0
-        );
-        for d in &deltas {
-            println!(
-                "#   {:<10} {:>10.2} ms -> {:>10.2} ms  {}",
-                d.stage,
-                d.baseline_ms,
-                d.current_ms,
-                if d.regressed { "REGRESSED" } else { "ok" }
-            );
-            regressed |= d.regressed;
-        }
-        gate_entries.push((
-            "perf-baseline".to_string(),
-            if regressed { "fail" } else { "pass" }.to_string(),
-        ));
-        if regressed {
-            eprintln!("error: per-stage regression beyond tolerance");
-            gate_failed = true;
-        }
-    }
+    let out = args.out.as_deref().unwrap_or("BENCH_grid.json");
+    write_report(out, "profile grid report", &render_json(&report));
+    println!("# per-stage report written to {}", out);
 
     if let Some(mem_out) = &args.mem_out {
         write_report(mem_out, "memory report", &render_mem_json(&report));
         println!("# memory report written to {}", mem_out);
     }
 
-    if let Some(mem_baseline_path) = &args.mem_baseline {
-        let regen = format!(
-            "cargo run --release -p coflow-bench --bin experiments -- profile --mem-out {}",
-            mem_baseline_path
-        );
-        let baseline = read_baseline_file(mem_baseline_path, "memory baseline", &regen);
-        let current = render_mem_json(&report);
-        let deltas = match compare_mem(&baseline, &current, args.mem_tolerance) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!(
-                    "error: comparing against memory baseline {}: {}.\nRegenerate it with:\n    {}",
-                    mem_baseline_path, e, regen
-                );
-                std::process::exit(1);
-            }
-        };
-        let mut regressed = false;
-        println!(
-            "# memory comparison vs {} (tolerance +{:.0}%):",
-            mem_baseline_path,
-            args.mem_tolerance * 100.0
-        );
-        for d in &deltas {
-            println!(
-                "#   {:<24} {:>14.0} -> {:>14.0}  {}",
-                d.metric,
-                d.baseline,
-                d.current,
-                if d.regressed { "REGRESSED" } else { "ok" }
-            );
-            regressed |= d.regressed;
-        }
-        gate_entries.push((
-            "mem-baseline".to_string(),
-            if regressed { "fail" } else { "pass" }.to_string(),
-        ));
-        if regressed {
-            eprintln!("error: memory regression beyond tolerance");
-            gate_failed = true;
-        }
-    }
-
-    let mut rec = coflow_bench::ledger::record_from_profile(
+    let rec = coflow_bench::ledger::record_from_profile(
         &report,
         started.elapsed().as_secs_f64() * 1000.0,
     );
-    rec.verdicts = gate_entries;
     append_ledger(ledger, rec);
-    if gate_failed {
-        std::process::exit(1);
-    }
 }
 
-fn explain(seed: u64, args: &ExplainArgs) {
+fn explain(seed: u64, args: &Args) {
     use coflow_bench::explain::{
         render_json, render_text, run_explain, validate_report, ValidateOpts,
     };
@@ -1014,8 +787,9 @@ fn explain(seed: u64, args: &ExplainArgs) {
     obs::set_enabled(false);
     print!("{}", render_text(&report));
 
-    write_report(&args.out, "diagnostics report", &render_json(&report));
-    println!("# diagnostics report written to {}", args.out);
+    let out = args.out.as_deref().unwrap_or("BENCH_diagnostics.json");
+    write_report(out, "diagnostics report", &render_json(&report));
+    println!("# diagnostics report written to {}", out);
 
     if let Some(svg_path) = &args.svg {
         // Re-run the attribution cell to materialize its trace for the
@@ -1039,14 +813,15 @@ fn explain(seed: u64, args: &ExplainArgs) {
 
     // Gate: fail on firings at or above the requested severity. Fault
     // sections are expected to fire; the clean grid is not.
+    let severity = args.severity.unwrap_or(coflow::Severity::Warning);
     let mut firings = 0usize;
     for cell in &report.cells {
-        firings += cell.diag.anomalies_at_least(args.severity).count();
+        firings += cell.diag.anomalies_at_least(severity).count();
     }
     let fault_firings = report
         .faults
         .as_ref()
-        .map(|f| f.diag.anomalies_at_least(args.severity).count())
+        .map(|f| f.diag.anomalies_at_least(severity).count())
         .unwrap_or(0);
     if args.expect_starvation {
         let starved = report
@@ -1066,7 +841,7 @@ fn explain(seed: u64, args: &ExplainArgs) {
         println!(
             "# faults section fired {} anomalies at >= {} (expected)",
             fault_firings,
-            args.severity.name()
+            severity.name()
         );
     } else {
         firings += fault_firings;
@@ -1075,7 +850,7 @@ fn explain(seed: u64, args: &ExplainArgs) {
         eprintln!(
             "error: {} anomalies at or above severity '{}'",
             firings,
-            args.severity.name()
+            severity.name()
         );
         std::process::exit(1);
     }
@@ -1279,10 +1054,8 @@ fn parse_usize_list(value: &str, flag: &str) -> Vec<usize> {
     }
 }
 
-fn scale(seed: u64, args: &ScaleArgs, ledger: &Option<String>, started: std::time::Instant) {
-    use coflow_bench::scale::{
-        compare_scale, render_scale, render_scale_json, run_scale, DEFAULT_CELLS,
-    };
+fn scale(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::Instant) {
+    use coflow_bench::scale::{render_scale, render_scale_json, run_scale, DEFAULT_CELLS};
 
     // Resolve the swept cells: an explicit --cell wins; --ports/--coflows
     // build the cross product; otherwise the committed default curve.
@@ -1306,180 +1079,50 @@ fn scale(seed: u64, args: &ScaleArgs, ledger: &Option<String>, started: std::tim
         DEFAULT_CELLS.to_vec()
     };
 
-    // Read the baseline before the sweep so a missing file fails fast.
-    let baseline = args.check.as_ref().map(|check| {
-        let regen = format!(
-            "cargo run --release -p coflow-bench --bin experiments -- scale --out {}",
-            check
-        );
-        read_baseline_file(check, "scale baseline", &regen)
-    });
-
-    println!(
-        "# scale sweep: {} cells, window {}, seed {}",
-        cells.len(),
-        args.window,
-        seed
-    );
-    let report = run_scale(&cells, seed, args.window);
+    let window = args.window.unwrap_or(coflow_bench::scale::DEFAULT_WINDOW);
+    println!("# scale sweep: {} cells, window {}, seed {}", cells.len(), window, seed);
+    let report = run_scale(&cells, seed, window);
     print!("{}", render_scale(&report));
-    let rendered = render_scale_json(&report);
+    let out = args.out.as_deref().unwrap_or("BENCH_scale.json");
+    write_report(out, "scale report", &render_scale_json(&report));
+    println!("# scale report written to {}", out);
+    exit_if_interrupted(out);
 
-    // A gate run (--check without --out) must not clobber the committed
-    // baseline with its single-cell subset.
-    let write_out = args.check.is_none() || out_flag_differs(&args.out, args.check.as_deref());
-    if write_out {
-        write_report(&args.out, "scale report", &rendered);
-        println!("# scale report written to {}", args.out);
-    }
-    exit_if_interrupted(&args.out);
-
-    let mut rec = coflow_bench::ledger::record_from_scale(
+    let rec = coflow_bench::ledger::record_from_scale(
         &report,
         started.elapsed().as_secs_f64() * 1000.0,
     );
-    let mut gate_failed = false;
-    if let Some(baseline) = baseline {
-        let check = args.check.as_deref().unwrap_or_default();
-        match compare_scale(&baseline, &rendered, args.wall_tolerance, args.alloc_tolerance) {
-            Ok(deltas) => {
-                let mut regressed = false;
-                println!(
-                    "# scale comparison vs {} (wall +{:.0}%, alloc +{:.0}%):",
-                    check,
-                    args.wall_tolerance * 100.0,
-                    args.alloc_tolerance * 100.0
-                );
-                for d in &deltas {
-                    println!(
-                        "#   {:<18} {:<12} {:>16.2} -> {:>16.2}  {}",
-                        d.cell,
-                        d.metric,
-                        d.baseline,
-                        d.current,
-                        if d.regressed { "REGRESSED" } else { "ok" }
-                    );
-                    regressed |= d.regressed;
-                }
-                rec.verdicts.push((
-                    "scale-baseline".to_string(),
-                    if regressed { "fail" } else { "pass" }.to_string(),
-                ));
-                if regressed {
-                    eprintln!("error: scale regression beyond tolerance");
-                    gate_failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: comparing against scale baseline {}: {}", check, e);
-                rec.verdicts.push(("scale-baseline".to_string(), "fail".to_string()));
-                gate_failed = true;
-            }
-        }
-    }
     append_ledger(ledger, rec);
-    if gate_failed {
-        std::process::exit(1);
-    }
 }
 
-/// True when `--out` was explicitly pointed away from the checked
-/// baseline (the default out path is suppressed under `--check`).
-fn out_flag_differs(out: &str, check: Option<&str>) -> bool {
-    match check {
-        Some(check) => out != "BENCH_scale.json" && out != check,
-        None => true,
-    }
-}
-
-fn pin(seed: u64, args: &PinArgs, ledger: &Option<String>, started: std::time::Instant) {
-    use coflow_bench::pins::{collect_pins, compare_pins, parse_pins, render_pins, render_pins_json};
-
-    // Read and parse the committed pin file *before* the expensive pin
-    // collection, so a missing/truncated file fails in milliseconds with
-    // the regeneration command instead of after a full grid run.
-    let checked = args.check.as_ref().map(|check| {
-        let regen = format!(
-            "cargo run --release -p coflow-bench --bin experiments -- pin --out {}",
-            check
-        );
-        let text = read_baseline_file(check, "pin file", &regen);
-        match parse_pins(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "error: {}: {}.\nRegenerate it with:\n    {}",
-                    check, e, regen
-                );
-                std::process::exit(1);
-            }
-        }
-    });
+fn pin(seed: u64, out: Option<&str>, ledger: &Option<String>, started: std::time::Instant) {
+    use coflow_bench::pins::{collect_pins, render_pins, render_pins_json};
 
     let report = collect_pins(seed);
     print!("{}", render_pins(&report));
 
-    if let Some(out) = &args.out {
+    if let Some(out) = out {
         write_report(out, "pin file", &render_pins_json(&report));
         println!("# pin file written to {}", out);
     }
 
-    let mut rec = coflow_bench::ledger::record_from_pins(
+    let rec = coflow_bench::ledger::record_from_pins(
         &report,
         started.elapsed().as_secs_f64() * 1000.0,
     );
-    let mut gate_failed = false;
-    if let Some(check) = &args.check {
-        let baseline = match checked {
-            Some(b) => b,
-            None => unreachable!(),
-        };
-        let status = match compare_pins(&baseline, &report, args.tolerance) {
-            Ok(summary) => {
-                println!("# {}: {}", check, summary);
-                "pass"
-            }
-            Err(e) => {
-                eprintln!("error: pin gate failed vs {}: {}", check, e);
-                gate_failed = true;
-                "fail"
-            }
-        };
-        rec.verdicts.push(("pin-check".to_string(), status.to_string()));
-    }
     append_ledger(ledger, rec);
-    if gate_failed {
-        std::process::exit(1);
-    }
 }
 
-fn tournament(
-    seed: u64,
-    args: &TournamentArgs,
-    ledger: &Option<String>,
-    started: std::time::Instant,
-) {
-    use coflow_bench::tournament::{
-        compare_tournament, render_tournament, render_tournament_json, run_tournament,
-        validate_tournament_json,
-    };
-
-    // Read the committed golden *before* the runs so a missing/truncated
-    // file fails in milliseconds with the regeneration command.
-    let baseline = args.check.as_ref().map(|check| {
-        let regen = format!(
-            "cargo run --release -p coflow-bench --bin experiments -- tournament --out {}",
-            check
-        );
-        read_baseline_file(check, "tournament golden", &regen)
-    });
-
+/// Races `policies` on the canonical arrivals instance and prints the
+/// table.
+fn tournament_report(seed: u64, policies: &str) -> coflow_bench::tournament::TournamentReport {
+    use coflow_bench::tournament::{render_tournament, run_tournament};
     let inst = coflow_bench::arrivals::arrivals_instance(24, 36, seed);
     println!(
         "# tournament: 24 ports, 36 coflows, selection '{}', seed {}",
-        args.policies, seed
+        policies, seed
     );
-    let report = match run_tournament(&inst, seed, &args.policies) {
+    let report = match run_tournament(&inst, seed, policies) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {}", e);
@@ -1487,83 +1130,118 @@ fn tournament(
         }
     };
     print!("{}", render_tournament(&report));
-    let rendered = render_tournament_json(&report);
+    report
+}
 
-    // A gate run (--check without an explicit --out elsewhere) must not
-    // clobber the committed golden.
-    let write_out = args.check.is_none()
-        || (args.out != "BENCH_tournament.json"
-            && Some(args.out.as_str()) != args.check.as_deref());
-    if write_out {
-        write_report(&args.out, "tournament report", &rendered);
-        println!("# tournament report written to {}", args.out);
-    }
-    exit_if_interrupted(&args.out);
-
-    let mut gate_entries: Vec<(String, String)> = Vec::new();
-    let mut gate_failed = false;
-
-    // Close the loop: the fresh report must satisfy its own validator —
-    // every ratio >= 1 and within the policy's proven bound, canonical
-    // registry coverage, fault-round consistency.
-    match validate_tournament_json(&rendered) {
+/// Closes the loop on a fresh tournament report: it must satisfy its own
+/// validator — every ratio >= 1 and within the policy's proven bound,
+/// canonical registry coverage, fault-round consistency. Prints the
+/// outcome and returns its ledger status.
+fn validate_status(rendered: &str) -> &'static str {
+    match coflow_bench::tournament::validate_tournament_json(rendered) {
         Ok(summary) => {
             println!("# {}", summary);
-            gate_entries.push(("tournament-validate".to_string(), "pass".to_string()));
+            "pass"
         }
         Err(e) => {
             eprintln!("error: fresh tournament report failed validation: {}", e);
-            gate_entries.push(("tournament-validate".to_string(), "fail".to_string()));
-            gate_failed = true;
+            "fail"
         }
     }
+}
 
-    if let Some(baseline) = baseline {
-        let check = args.check.as_deref().unwrap_or_default();
-        match compare_tournament(&baseline, &rendered, args.tolerance) {
-            Ok(deltas) => {
-                let mut regressed = false;
-                println!(
-                    "# tournament comparison vs {} (objectives bit-exact, wall +{:.0}%):",
-                    check,
-                    args.tolerance * 100.0
-                );
-                for d in &deltas {
-                    println!(
-                        "#   {:<5} {:<16} {:<15} {:>14.3} -> {:>14.3}  {}",
-                        d.section,
-                        d.policy,
-                        d.metric,
-                        d.baseline,
-                        d.current,
-                        if d.regressed { "REGRESSED" } else { "ok" }
-                    );
-                    regressed |= d.regressed;
-                }
-                gate_entries.push((
-                    "tournament-golden".to_string(),
-                    if regressed { "fail" } else { "pass" }.to_string(),
-                ));
-                if regressed {
-                    eprintln!("error: tournament regression vs the committed golden");
-                    gate_failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: comparing against tournament golden {}: {}", check, e);
-                gate_entries.push(("tournament-golden".to_string(), "fail".to_string()));
-                gate_failed = true;
-            }
-        }
-    }
+fn tournament(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::Instant) {
+    use coflow_bench::tournament::render_tournament_json;
 
+    let report = tournament_report(seed, args.policies.as_deref().unwrap_or("all"));
+    let rendered = render_tournament_json(&report);
+    let out = args.out.as_deref().unwrap_or("BENCH_tournament.json");
+    write_report(out, "tournament report", &rendered);
+    println!("# tournament report written to {}", out);
+    exit_if_interrupted(out);
+
+    let status = validate_status(&rendered);
     let mut rec = coflow_bench::ledger::record_from_tournament(
         &report,
         started.elapsed().as_secs_f64() * 1000.0,
     );
-    rec.verdicts = gate_entries;
+    rec.verdicts = vec![("tournament-validate".to_string(), status.to_string())];
     append_ledger(ledger, rec);
-    if gate_failed {
+    if status == "fail" {
+        std::process::exit(1);
+    }
+}
+
+/// `gate NAME`: read the golden, run the workload, judge, record, exit.
+fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::Instant) {
+    use coflow_bench::gate::{self, Scope, GATES};
+    use coflow_bench::{ledger as led, pins, profile, scale, tournament};
+
+    let Some(g) = gate::gate(name) else {
+        let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+        usage(&format!("unknown gate '{}' (expected {})", name, names.join("|")));
+    };
+    // The golden is read and flattened before the workload, so a missing
+    // or malformed file fails in milliseconds with its regeneration
+    // command.
+    let regen = format!("cargo run --release -p coflow-bench --bin experiments -- {}", g.regen);
+    let golden = read_baseline_file(g.golden, "golden", &regen);
+    if let Err(e) = gate::read_golden(g, &golden) {
+        eprintln!("error: {}: {}.\nRegenerate it with:\n    {}", g.golden, e, regen);
+        std::process::exit(1);
+    }
+
+    let elapsed = || started.elapsed().as_secs_f64() * 1000.0;
+    let mut statuses: Vec<(String, String)> = Vec::new();
+    let (current, rec) = match g.name {
+        "perf" | "mem" => {
+            let report = profile_report(seed, false);
+            let text = if g.name == "perf" {
+                profile::render_json(&report)
+            } else {
+                profile::render_mem_json(&report)
+            };
+            (text, led::record_from_profile(&report, elapsed()))
+        }
+        "pins" => {
+            let report = pins::collect_pins(seed);
+            print!("{}", pins::render_pins(&report));
+            (pins::render_pins_json(&report), led::record_from_pins(&report, elapsed()))
+        }
+        "scale" => {
+            let report = scale::run_scale(&[scale::GATE_CELL], seed, scale::DEFAULT_WINDOW);
+            print!("{}", scale::render_scale(&report));
+            (scale::render_scale_json(&report), led::record_from_scale(&report, elapsed()))
+        }
+        _ => {
+            let report = tournament_report(seed, "all");
+            let text = tournament::render_tournament_json(&report);
+            statuses.push(("validate".to_string(), validate_status(&text).to_string()));
+            (text, led::record_from_tournament(&report, elapsed()))
+        }
+    };
+    if obs::interrupted() {
+        eprintln!("interrupted: gate {} not judged; exiting", g.name);
+        std::process::exit(obs::SIGINT_EXIT_CODE);
+    }
+
+    match gate::check(g, &golden, &current) {
+        Ok(rows) => {
+            let title = format!("# gate {} vs {}", g.name, g.golden);
+            print!("{}", gate::render_verdict(&title, &rows, Scope::of(g.name)));
+            statuses.splice(0..0, gate::statuses(&rows));
+        }
+        Err(e) => {
+            eprintln!("error: judging against {}: {}", g.golden, e);
+            statuses.push(("coverage".to_string(), "fail".to_string()));
+        }
+    }
+    let failed = statuses.iter().any(|(_, s)| s != "pass");
+    for record in led::gate_records(g.name, rec, statuses) {
+        append_ledger(ledger, record);
+    }
+    if failed {
+        eprintln!("error: gate {} failed", g.name);
         std::process::exit(1);
     }
 }

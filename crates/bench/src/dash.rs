@@ -12,8 +12,8 @@
 //!   elapsed wall-clock;
 //! * per-stage trend sparklines (small multiples, one per pipeline
 //!   stage): exclusive wall-clock across run records, newest right, with
-//!   regression dots where a value jumps past the tolerance over its
-//!   predecessor;
+//!   regression dots where [`judge`] under the `dash` scope of the rule
+//!   table flags a value against its predecessor;
 //! * memory trajectory sparklines: peak live bytes, peak RSS, allocation
 //!   calls;
 //! * objective comparison table for the latest run carrying objectives,
@@ -25,16 +25,16 @@
 //! markers, never color alone) for verdicts, and a `prefers-color-scheme`
 //! dark mode driven by CSS custom properties.
 
+use crate::gate::{judge, Kind, Metric, Scope};
 use obs::ledger::LedgerRecord;
 use std::fmt::Write as _;
 
-/// Fractional jump over the previous sample that earns a regression
-/// annotation dot on a sparkline (matches the diff default).
-const ANNOTATE_TOLERANCE: f64 = 0.5;
-
-/// Absolute floor (ms) under which a stage jump is never annotated —
-/// sub-floor noise would pepper the sparklines with false alarms.
-const ANNOTATE_FLOOR_MS: f64 = 10.0;
+/// True when `cur` regresses against `prev` as a `kind` row named `key`
+/// under the `dash` scope of the rule table.
+fn jumped(kind: Kind, key: &str, prev: f64, cur: f64) -> bool {
+    let row = |value| [Metric { key: key.to_string(), kind, value }];
+    judge(&row(prev), &row(cur), Scope::of("dash")).iter().any(|r| r.regressed)
+}
 
 /// Sparkline geometry (CSS pixels inside the SVG viewBox).
 const SPARK_W: f64 = 260.0;
@@ -98,8 +98,15 @@ struct Point {
 
 /// Renders one sparkline panel: title, latest-value direct label, inline
 /// SVG polyline with per-point hover tooltips, and regression-annotation
-/// dots where a point jumps past the tolerance over its predecessor.
-fn spark_panel(title: &str, points: &[Point], unit: &str, color_var: &str, floor: f64) -> String {
+/// dots where a point, as a `kind` row named `key`, regresses against its
+/// predecessor.
+fn spark_panel(
+    title: &str,
+    points: &[Point],
+    unit: &str,
+    color_var: &str,
+    (kind, key): (Kind, &str),
+) -> String {
     let mut out = String::new();
     let latest = points.last().map(|p| p.value).unwrap_or(0.0);
     let _ = write!(
@@ -146,11 +153,9 @@ fn spark_panel(title: &str, points: &[Point], unit: &str, color_var: &str, floor
         color_var
     );
     // Per-point hover targets with native tooltips; regression dots where
-    // the jump clears both the ratio and the floor.
+    // the jump breaks the row's rule.
     for (i, p) in points.iter().enumerate() {
-        let regressed = i > 0
-            && p.value > points[i - 1].value * (1.0 + ANNOTATE_TOLERANCE)
-            && p.value - points[i - 1].value > floor;
+        let regressed = i > 0 && jumped(kind, key, points[i - 1].value, p.value);
         if regressed {
             let _ = write!(
                 out,
@@ -232,7 +237,7 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
             if points.is_empty() {
                 continue;
             }
-            body.push_str(&spark_panel(stage, &points, "ms", "--series-1", ANNOTATE_FLOOR_MS));
+            body.push_str(&spark_panel(stage, &points, "ms", "--series-1", (Kind::Wall, stage)));
         }
         body.push_str("</section>");
     }
@@ -273,12 +278,14 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
             if points.is_empty() {
                 continue;
             }
+            // The ratio trend is marked like a timing trend; its `ratio/`
+            // row in the table has no floor.
             body.push_str(&spark_panel(
                 &format!("{} ratio", name),
                 &points,
                 "ratio",
                 "--series-1",
-                0.0,
+                (Kind::Wall, &key),
             ));
         }
         body.push_str("</section>");
@@ -303,7 +310,7 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
         }
         // Memory annotations use a ratio-only rule; the floor is folded
         // into filtering zero samples above.
-        body.push_str(&spark_panel(name, &points, unit, "--series-2", 0.0));
+        body.push_str(&spark_panel(name, &points, unit, "--series-2", (Kind::Alloc, name)));
     }
     body.push_str("</section>");
 

@@ -1,46 +1,44 @@
 //! Cross-run regression diffing (`coflow-diff/1`).
 //!
-//! [`diff_records`] compares two ledger records — or two committed
-//! reports lifted into pseudo-records by [`side_from_path`] — and
-//! attributes the differences along three sections:
+//! [`diff_metrics`] compares two flattened sides — ledger records
+//! ([`crate::gate::flatten_record`]) or committed reports
+//! ([`crate::gate::flatten`]) — with [`crate::gate::judge`] under the
+//! `diff` scope of the rule table, and lays the judged rows out along the
+//! format's sections:
 //!
-//! * **stage** — per-stage exclusive wall-clock, regressed when the
-//!   current value exceeds the baseline by more than the tolerance *and*
-//!   the absolute growth clears [`crate::profile::ABS_FLOOR_MS`] (the
-//!   same two-sided rule the perf gate uses, so a diff verdict and a gate
-//!   verdict never disagree about the same numbers);
-//! * **objective** — per-cell/per-pin objectives, compared **bit-exactly**
+//! * **stage** — `Wall` rows: regressed past the tolerance *and* the
+//!   table's 10 ms floor;
+//! * **objective** — `Exact` rows, compared **bit-exactly**
 //!   (`f64::to_bits`): the schedulers are deterministic, so any drift at
 //!   all is a behavioral change, not noise;
-//! * **mem** — per-stage allocation calls and bytes plus whole-run
-//!   allocator totals under the mem-gate floors. Peak RSS is reported but
-//!   never regressed (monotone per process, machine-dependent).
+//! * **mem** — `Alloc` rows under the allocation-call and byte floors;
+//! * **info** — compared, never regressed (peak RSS, elapsed time).
 //!
-//! The comparator is pure; rendering (table, JSON document) and the exit
-//! code live with the caller in `experiments.rs`, so `diff` doubles as a
-//! CI gate.
+//! Rows present on only one side are listed as unmatched, not judged.
+//! Rendering (table, JSON document) lives here; the exit code lives with
+//! the caller in `experiments.rs`, so `diff` doubles as a gate.
 
-use crate::profile::{ABS_FLOOR_MS, MEM_ALLOC_FLOOR, MEM_BYTES_FLOOR};
+use crate::gate::{judge, rule, Kind, Metric, Scope};
 use crate::sink::JsonDoc;
-use coflow_workloads::json::{self, fmt_f64, JsonValue};
-use obs::ledger::{LedgerRecord, LEDGER_SCHEMA};
+use coflow_workloads::json::{self, fmt_f64};
+use obs::ledger::LedgerRecord;
 use std::fmt::Write as _;
 
 /// Schema tag of the rendered diff report.
 pub const DIFF_SCHEMA: &str = "coflow-diff/1";
 
-/// Default fractional tolerance for timing and memory sections. Lenient
-/// by design: two back-to-back profiles of the same tree differ by
-/// scheduler noise, and the default must not cry wolf. Gates that want
-/// the perf-gate strictness pass their own `--tolerance`.
-pub const DEFAULT_TOLERANCE: f64 = 0.5;
+/// The tolerance of the `diff` scope's rule-table rows, used when no
+/// `--tolerance` is given.
+pub fn default_tolerance() -> f64 {
+    rule("diff", Kind::Wall, "").expect("RULES has a diff Wall row").tolerance
+}
 
 /// One compared metric.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiffRow {
-    /// Section: `stage`, `objective`, or `mem`.
+    /// Section: `stage`, `objective`, `mem`, or `info`.
     pub section: &'static str,
-    /// Metric name (stage, cell label, or mem metric).
+    /// Metric key.
     pub name: String,
     /// Value in A (baseline side).
     pub a: f64,
@@ -50,7 +48,7 @@ pub struct DiffRow {
     pub regressed: bool,
 }
 
-/// A full diff: the two compared records plus one row per shared metric.
+/// A full diff: the two compared sides plus one row per shared metric.
 #[derive(Clone, Debug)]
 pub struct DiffReport {
     /// Baseline-side identity (selector or path, plus seq when a ledger
@@ -73,290 +71,33 @@ impl DiffReport {
     }
 }
 
-/// One side of a diff: a labeled bag of metrics lifted from a ledger
-/// record or a committed report file.
-#[derive(Clone, Debug, Default)]
-pub struct DiffSide {
-    /// Identity shown in tables and carried into the JSON report.
-    pub id: String,
-    /// Schema the side was read from (`coflow-ledger/1`,
-    /// `coflow-bench-grid/3`, …) — listed in the diff's provenance.
-    pub schema: String,
-    /// Per-stage wall-clock, ms.
-    pub stages_ms: Vec<(String, f64)>,
-    /// Objectives by cell/pin label.
-    pub objectives: Vec<(String, f64)>,
-    /// Memory metrics (allocs:STAGE, alloc_bytes:STAGE, totals).
-    pub mem: Vec<(String, f64)>,
-    /// Informational metrics, compared but never regressed.
-    pub info: Vec<(String, f64)>,
+/// The identity a ledger record is shown under: selector, seq, command.
+pub fn record_id(rec: &LedgerRecord, selector: &str) -> String {
+    format!("{} (seq {}, {})", selector, rec.seq, rec.command)
 }
 
-impl DiffSide {
-    /// Lifts a ledger record into a diff side.
-    pub fn from_record(rec: &LedgerRecord, id: &str) -> Self {
-        let mut mem = Vec::new();
-        for (stage, v) in &rec.stage_allocs {
-            mem.push((format!("allocs:{}", stage), *v as f64));
-        }
-        for (stage, v) in &rec.stage_alloc_bytes {
-            mem.push((format!("alloc_bytes:{}", stage), *v as f64));
-        }
-        mem.push(("alloc_calls(total)".to_string(), rec.alloc_calls as f64));
-        mem.push(("peak_live_bytes".to_string(), rec.peak_live_bytes as f64));
-        DiffSide {
-            id: format!("{} (seq {}, {})", id, rec.seq, rec.command),
-            schema: LEDGER_SCHEMA.to_string(),
-            stages_ms: rec.stages_ms.clone(),
-            objectives: rec.objectives.clone(),
-            mem,
-            info: vec![
-                ("peak_rss_kb".to_string(), rec.peak_rss_kb as f64),
-                ("elapsed_ms".to_string(), rec.elapsed_ms),
-            ],
-        }
-    }
-}
-
-fn num_f64(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(s) => s.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Reads a committed report file into a diff side. Supports
-/// `coflow-bench-grid/3` (stages + objectives + mem), `coflow-bench-mem/1`
-/// (mem only), `coflow-pins/1` (objectives only), and
-/// `coflow-bench-scale/1` (stages + objectives + mem per scale cell) —
-/// the formats with committed baselines in the repo.
-pub fn side_from_path(path: &str) -> Result<DiffSide, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {}", path, e))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {}", path, e))?;
-    let schema = match doc.get("schema") {
-        Some(JsonValue::Str(s)) => s.clone(),
-        _ => return Err(format!("{}: missing schema tag", path)),
-    };
-    let mut side = DiffSide {
-        id: path.to_string(),
-        schema: schema.clone(),
-        ..DiffSide::default()
-    };
-    match schema.as_str() {
-        crate::profile::SCHEMA => {
-            let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
-                return Err(format!("{}: no 'cells' array", path));
-            };
-            for cell in cells {
-                let order = match cell.get("order") {
-                    Some(JsonValue::Str(s)) => s.clone(),
-                    _ => return Err(format!("{}: cell missing 'order'", path)),
-                };
-                let case = match cell.get("case") {
-                    Some(JsonValue::Str(s)) => s.clone(),
-                    _ => return Err(format!("{}: cell missing 'case'", path)),
-                };
-                let label = format!("{}/{}", order, case);
-                if let Some(obj) = cell.get("objective").and_then(num_f64) {
-                    side.objectives.push((label, obj));
-                }
-                if let Some(JsonValue::Obj(pairs)) = cell.get("stages_ms") {
-                    for (stage, v) in pairs {
-                        if stage == "other" || stage == "total" {
-                            continue;
-                        }
-                        let Some(v) = num_f64(v) else { continue };
-                        match side.stages_ms.iter_mut().find(|(s, _)| s == stage) {
-                            Some((_, sum)) => *sum += v,
-                            None => side.stages_ms.push((stage.clone(), v)),
-                        }
-                    }
-                }
-                if let Some(mem) = cell.get("mem") {
-                    accumulate_mem(&mut side.mem, mem);
-                }
-            }
-        }
-        crate::profile::MEM_SCHEMA => {
-            let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
-                return Err(format!("{}: no 'cells' array", path));
-            };
-            for cell in cells {
-                if let Some(mem) = cell.get("mem") {
-                    accumulate_mem(&mut side.mem, mem);
-                }
-            }
-        }
-        crate::pins::SCHEMA => {
-            let report = crate::pins::parse_pins(&text).map_err(|e| format!("{}: {}", path, e))?;
-            for pin in report.pins {
-                side.objectives.push((pin.label, pin.objective));
-            }
-            side.info.push(("engine_ms".to_string(), report.engine_ms));
-        }
-        crate::scale::SCHEMA => {
-            let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
-                return Err(format!("{}: no 'cells' array", path));
-            };
-            for cell in cells {
-                let label = match (
-                    cell.get("ports").and_then(num_f64),
-                    cell.get("coflows").and_then(num_f64),
-                ) {
-                    (Some(p), Some(c)) => {
-                        crate::scale::cell_label(p as usize, c as usize)
-                    }
-                    _ => return Err(format!("{}: cell missing ports/coflows", path)),
-                };
-                if let Some(obj) = cell.get("objective").and_then(num_f64) {
-                    side.objectives.push((label, obj));
-                }
-                if let Some(JsonValue::Obj(pairs)) = cell.get("stages_ms") {
-                    for (stage, v) in pairs {
-                        if stage == "total" {
-                            continue;
-                        }
-                        let Some(v) = num_f64(v) else { continue };
-                        match side.stages_ms.iter_mut().find(|(s, _)| s == stage) {
-                            Some((_, sum)) => *sum += v,
-                            None => side.stages_ms.push((stage.clone(), v)),
-                        }
-                    }
-                }
-                if let Some(mem) = cell.get("mem") {
-                    accumulate_mem(&mut side.mem, mem);
-                }
-            }
-        }
-        other => {
-            return Err(format!(
-                "{}: cannot diff schema {:?} (expected {}, {}, {}, or {})",
-                path,
-                other,
-                crate::profile::SCHEMA,
-                crate::profile::MEM_SCHEMA,
-                crate::pins::SCHEMA,
-                crate::scale::SCHEMA
-            ))
-        }
-    }
-    Ok(side)
-}
-
-/// Sums one cell's `mem` object into the side's metric bag (same metric
-/// names as the mem gate).
-fn accumulate_mem(acc: &mut Vec<(String, f64)>, mem: &JsonValue) {
-    let mut add = |name: String, v: f64| match acc.iter_mut().find(|(n, _)| *n == name) {
-        Some((_, sum)) => *sum += v,
-        None => acc.push((name, v)),
-    };
-    for (obj_key, prefix) in [("stage_allocs", "allocs"), ("stage_alloc_bytes", "alloc_bytes")] {
-        if let Some(JsonValue::Obj(pairs)) = mem.get(obj_key) {
-            for (stage, v) in pairs {
-                if let Some(v) = num_f64(v) {
-                    add(format!("{}:{}", prefix, stage), v);
-                }
-            }
-        }
-    }
-    if let Some(v) = mem.get("alloc_calls").and_then(num_f64) {
-        add("alloc_calls(total)".to_string(), v);
-    }
-    // Peak live bytes: max across cells, not a sum.
-    if let Some(v) = mem.get("peak_live_bytes").and_then(num_f64) {
-        match acc.iter_mut().find(|(n, _)| n == "peak_live_bytes") {
-            Some((_, cur)) => *cur = cur.max(v),
-            None => acc.push(("peak_live_bytes".to_string(), v)),
-        }
-    }
-}
-
-fn mem_floor(name: &str) -> f64 {
-    if name.contains("bytes") {
-        MEM_BYTES_FLOOR
-    } else {
-        MEM_ALLOC_FLOOR
-    }
-}
-
-/// Compares side A (baseline) against side B (current). Metrics present
-/// on only one side are listed in `unmatched`, never judged.
-pub fn diff_sides(a: &DiffSide, b: &DiffSide, tolerance: f64) -> DiffReport {
+/// Compares side A (baseline) against side B (current) at `tolerance`.
+pub fn diff_metrics(
+    a: &[Metric],
+    b: &[Metric],
+    a_id: &str,
+    b_id: &str,
+    tolerance: f64,
+) -> DiffReport {
+    let scope = Scope { name: "diff", tolerance: Some(tolerance) };
     let mut rows = Vec::new();
     let mut unmatched = Vec::new();
-    let shared = |section: &'static str,
-                      av: &[(String, f64)],
-                      bv: &[(String, f64)],
-                      rows: &mut Vec<DiffRow>,
-                      unmatched: &mut Vec<String>,
-                      judge: &dyn Fn(f64, f64) -> bool| {
-        for (name, a_val) in av {
-            match bv.iter().find(|(n, _)| n == name) {
-                Some((_, b_val)) => rows.push(DiffRow {
-                    section,
-                    name: name.clone(),
-                    a: *a_val,
-                    b: *b_val,
-                    regressed: judge(*a_val, *b_val),
-                }),
-                None => unmatched.push(format!("{}:{} (A only)", section, name)),
+    for j in judge(a, b, scope) {
+        let section = j.kind.section();
+        match (j.baseline, j.current) {
+            (Some(a), Some(b)) => {
+                rows.push(DiffRow { section, name: j.key, a, b, regressed: j.regressed })
             }
+            (Some(_), None) => unmatched.push(format!("{}:{} (A only)", section, j.key)),
+            _ => unmatched.push(format!("{}:{} (B only)", section, j.key)),
         }
-        for (name, _) in bv {
-            if !av.iter().any(|(n, _)| n == name) {
-                unmatched.push(format!("{}:{} (B only)", section, name));
-            }
-        }
-    };
-    shared(
-        "stage",
-        &a.stages_ms,
-        &b.stages_ms,
-        &mut rows,
-        &mut unmatched,
-        &|av, bv| bv > av * (1.0 + tolerance) && bv - av > ABS_FLOOR_MS,
-    );
-    shared(
-        "objective",
-        &a.objectives,
-        &b.objectives,
-        &mut rows,
-        &mut unmatched,
-        &|av, bv| av.to_bits() != bv.to_bits(),
-    );
-    shared(
-        "mem",
-        &a.mem,
-        &b.mem,
-        &mut rows,
-        &mut unmatched,
-        &|av, bv| {
-            // The row name isn't visible inside the judge; byte metrics
-            // are re-judged below with their own floor, so use the
-            // stricter alloc floor here and fix up afterwards.
-            bv > av * (1.0 + tolerance) && bv - av > MEM_ALLOC_FLOOR
-        },
-    );
-    // Second pass for byte-metric floors (see note above).
-    for row in rows.iter_mut().filter(|r| r.section == "mem") {
-        row.regressed = row.b > row.a * (1.0 + tolerance) && row.b - row.a > mem_floor(&row.name);
     }
-    shared(
-        "info",
-        &a.info,
-        &b.info,
-        &mut rows,
-        &mut unmatched,
-        &|_, _| false,
-    );
-    DiffReport {
-        a_id: a.id.clone(),
-        b_id: b.id.clone(),
-        tolerance,
-        rows,
-        unmatched,
-    }
+    DiffReport { a_id: a_id.to_string(), b_id: b_id.to_string(), tolerance, rows, unmatched }
 }
 
 /// Convenience wrapper for two ledger records.
@@ -367,9 +108,11 @@ pub fn diff_records(
     b_id: &str,
     tolerance: f64,
 ) -> DiffReport {
-    diff_sides(
-        &DiffSide::from_record(a, a_id),
-        &DiffSide::from_record(b, b_id),
+    diff_metrics(
+        &crate::gate::flatten_record(a),
+        &crate::gate::flatten_record(b),
+        &record_id(a, a_id),
+        &record_id(b, b_id),
         tolerance,
     )
 }
@@ -459,21 +202,24 @@ pub fn render_diff_json(report: &DiffReport, a_schema: &str, b_schema: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coflow_workloads::json::JsonValue;
+    use obs::ledger::LEDGER_SCHEMA;
 
-    fn side(stages: &[(&str, f64)], objectives: &[(&str, f64)]) -> DiffSide {
-        DiffSide {
-            id: "test".to_string(),
-            schema: LEDGER_SCHEMA.to_string(),
-            stages_ms: stages.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-            objectives: objectives.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-            ..DiffSide::default()
-        }
+    fn side(stages: &[(&str, f64)], objectives: &[(&str, f64)]) -> Vec<Metric> {
+        let row = |kind| move |&(k, v): &(&str, f64)| Metric { key: k.to_string(), kind, value: v };
+        let mut rows: Vec<Metric> = stages.iter().map(row(Kind::Wall)).collect();
+        rows.extend(objectives.iter().map(row(Kind::Exact)));
+        rows
+    }
+
+    fn diff(a: &[Metric], b: &[Metric], tolerance: f64) -> DiffReport {
+        diff_metrics(a, b, "a", "b", tolerance)
     }
 
     #[test]
     fn identical_sides_diff_clean() {
         let a = side(&[("lp_solve", 100.0)], &[("H_LP/d", 6950481.0)]);
-        let report = diff_sides(&a, &a.clone(), DEFAULT_TOLERANCE);
+        let report = diff(&a, &a, default_tolerance());
         assert!(report.regressions().is_empty());
         assert!(report.unmatched.is_empty());
     }
@@ -483,17 +229,17 @@ mod tests {
         // +30% over 0.2 tolerance AND past the 10 ms floor: regressed.
         let a = side(&[("lp_solve", 100.0)], &[]);
         let b = side(&[("lp_solve", 130.0)], &[]);
-        let report = diff_sides(&a, &b, 0.2);
+        let report = diff(&a, &b, 0.2);
         assert_eq!(report.regressions().len(), 1);
         assert_eq!(report.regressions()[0].name, "lp_solve");
         // Same ratio under the floor: clean (sub-10ms noise).
         let a = side(&[("lp_solve", 10.0)], &[]);
         let b = side(&[("lp_solve", 13.0)], &[]);
-        assert!(diff_sides(&a, &b, 0.2).regressions().is_empty());
+        assert!(diff(&a, &b, 0.2).regressions().is_empty());
         // Over the floor but inside tolerance: clean.
         let a = side(&[("lp_solve", 100.0)], &[]);
         let b = side(&[("lp_solve", 115.0)], &[]);
-        assert!(diff_sides(&a, &b, 0.2).regressions().is_empty());
+        assert!(diff(&a, &b, 0.2).regressions().is_empty());
     }
 
     #[test]
@@ -502,36 +248,32 @@ mod tests {
         let flipped = f64::from_bits(base.to_bits() ^ 1);
         let a = side(&[], &[("H_LP/d", base)]);
         let b = side(&[], &[("H_LP/d", flipped)]);
-        assert_eq!(diff_sides(&a, &b, DEFAULT_TOLERANCE).regressions().len(), 1);
+        assert_eq!(diff(&a, &b, default_tolerance()).regressions().len(), 1);
         // An *improvement* is still a flagged change — determinism drift.
-        assert_eq!(diff_sides(&b, &a, DEFAULT_TOLERANCE).regressions().len(), 1);
+        assert_eq!(diff(&b, &a, default_tolerance()).regressions().len(), 1);
     }
 
     #[test]
     fn one_sided_metrics_are_reported_not_judged() {
         let a = side(&[("lp_solve", 100.0)], &[]);
         let b = side(&[("simulate", 50.0)], &[]);
-        let report = diff_sides(&a, &b, DEFAULT_TOLERANCE);
+        let report = diff(&a, &b, default_tolerance());
         assert!(report.rows.is_empty());
-        assert_eq!(report.unmatched.len(), 2);
+        assert_eq!(report.unmatched, ["stage:lp_solve (A only)", "stage:simulate (B only)"]);
         assert!(report.regressions().is_empty());
     }
 
     #[test]
     fn mem_rows_use_per_metric_floors() {
-        let mut a = side(&[], &[]);
-        a.mem = vec![
-            ("allocs:lp_solve".to_string(), 100_000.0),
-            ("alloc_bytes:lp_solve".to_string(), 100_000.0),
-        ];
-        let mut b = side(&[], &[]);
-        b.mem = vec![
-            // +50k calls, +50% — past the 10k alloc floor: regressed.
-            ("allocs:lp_solve".to_string(), 150_000.0),
-            // +50k bytes, +50% — under the 1 MiB byte floor: clean.
-            ("alloc_bytes:lp_solve".to_string(), 150_000.0),
-        ];
-        let report = diff_sides(&a, &b, 0.2);
+        let mem = |calls: f64, bytes: f64| {
+            vec![
+                Metric { key: "allocs:lp_solve".into(), kind: Kind::Alloc, value: calls },
+                Metric { key: "alloc_bytes:lp_solve".into(), kind: Kind::Alloc, value: bytes },
+            ]
+        };
+        // +50k calls, +50% — past the 10k alloc floor: regressed.
+        // +50k bytes, +50% — under the 1 MiB byte floor: clean.
+        let report = diff(&mem(100_000.0, 100_000.0), &mem(150_000.0, 150_000.0), 0.2);
         let regs = report.regressions();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].name, "allocs:lp_solve");
@@ -542,7 +284,7 @@ mod tests {
         obs::ledger::set_zero_provenance(true);
         let a = side(&[("lp_solve", 100.0)], &[("H_LP/d", 1.0)]);
         let b = side(&[("lp_solve", 130.0)], &[("H_LP/d", 1.0)]);
-        let report = diff_sides(&a, &b, 0.2);
+        let report = diff(&a, &b, 0.2);
         let text = render_diff_json(&report, LEDGER_SCHEMA, LEDGER_SCHEMA);
         let doc = json::parse(&text).expect("valid JSON");
         assert_eq!(doc.get("schema"), Some(&JsonValue::Str(DIFF_SCHEMA.into())));

@@ -171,6 +171,18 @@ pub fn verdict_record(gate: &str, verdicts: Vec<(String, String)>, note: &str) -
     rec
 }
 
+/// The two records a gate run appends, in order: its run record carrying
+/// the gate's statuses, then a `gate-NAME` verdict record — the record
+/// `select("green")` reads to skip a failed run.
+pub fn gate_records(
+    gate: &str,
+    mut run: LedgerRecord,
+    statuses: Vec<(String, String)>,
+) -> [LedgerRecord; 2] {
+    run.verdicts = statuses.clone();
+    [run, verdict_record(&format!("gate-{}", gate), statuses, "")]
+}
+
 /// Selects one record out of a loaded ledger history (oldest first):
 ///
 /// * `latest` — the most recent **run** record;
@@ -288,6 +300,26 @@ mod tests {
         assert_eq!(select(&records, "green").unwrap().seq, 3);
         assert!(select(&records, "nonsense").is_err());
         assert!(select(&[], "latest").is_err());
+    }
+
+    #[test]
+    fn a_gate_run_with_a_regressed_row_is_never_green() {
+        use crate::gate::{judge, statuses, Kind, Metric, Scope};
+        let objective = |value| [Metric { key: "H_LP/d".into(), kind: Kind::Exact, value }];
+        let mut records = Vec::new();
+        // A passing gate run, then one whose objective drifted by one ulp.
+        for current in [6950481.0, f64::from_bits(6950481.0f64.to_bits() ^ 1)] {
+            let rows = judge(&objective(6950481.0), &objective(current), Scope::of("perf"));
+            let seq = records.len() as u64 + 1;
+            let [run_rec, mut verdict] = gate_records("perf", run(seq, "profile"), statuses(&rows));
+            verdict.seq = seq + 1;
+            records.extend([run_rec, verdict]);
+        }
+        assert_eq!(records[3].command, "gate-perf");
+        assert!(records[3].verdicts.contains(&("exact".to_string(), "fail".to_string())));
+        // `diff green latest` compares the passing run with the failed one.
+        assert_eq!(select(&records, "latest").unwrap().seq, 3);
+        assert_eq!(select(&records, "green").unwrap().seq, 1);
     }
 
     #[test]

@@ -10,14 +10,17 @@
 //! * [`ratios`] — measured approximation ratios against the exact optimum
 //!   on tiny instances (validating Theorems 1–2 empirically);
 //! * [`profile`] — per-stage timing/counter profile of the grid
-//!   (`BENCH_grid.json`, baseline regression checks);
+//!   (`BENCH_grid.json`);
 //! * [`explain`] — schedule forensics over the grid: per-coflow LP
 //!   attribution, anomaly detectors, `coflow-diagnostics/1` reports;
-//! * [`pins`] — bit-identical objective pins (`BENCH_pins.json`) gating
-//!   the engine's grid/online/greedy/fault cells in `check-perf.sh`;
+//! * [`pins`] — bit-identical objective pins (`BENCH_pins.json`) of the
+//!   engine's grid/online/greedy/fault cells;
 //! * [`scale`] — the streaming scale sweep (`BENCH_scale.json`): windowed
 //!   admission over [`coflow_workloads::stream`] workloads up to 10⁶
-//!   coflows and 10,000 ports, gated by `check-scale.sh`;
+//!   coflows and 10,000 ports;
+//! * [`gate`] — the one regression model: every committed report
+//!   flattened to metric rows, one rule table, one `judge`; behind
+//!   `experiments -- gate NAME`, `diff` and the dashboard's markers;
 //! * [`report`] — plain-text table rendering.
 
 pub mod arrivals;
@@ -27,6 +30,7 @@ pub mod diff;
 pub mod explain;
 pub mod faults;
 pub mod figures;
+pub mod gate;
 pub mod grid;
 pub mod gridsweep;
 pub mod integrality;

@@ -4,19 +4,19 @@
 //! the online ρ/w scheduler (fresh and stale priorities), the greedy
 //! baseline, and the fault-injected combinations must keep producing the
 //! exact objectives they produced when the pins were written. This module
-//! computes those objectives on a deterministic arrivals instance, renders
-//! them as `coflow-pins/1` JSON (`BENCH_pins.json`), and compares a fresh
-//! run against the committed file — objectives are matched on their f64
-//! **bit patterns**, so even a last-ulp drift fails the gate.
+//! computes those objectives on a deterministic arrivals instance and
+//! renders them as `coflow-pins/1` JSON (`BENCH_pins.json`); `experiments
+//! -- gate pins` judges a fresh run against the committed file with
+//! [`crate::gate`] — objectives are matched on their f64 **bit
+//! patterns**, so even a last-ulp drift fails the gate.
 //!
 //! The cells are one table ([`pin_cells`]): a label, the policy
 //! constructor and the fault plan of each. The checkpoint differential
 //! test replays the same table through the fault engine.
 //!
 //! The report also records the wall-clock of the engine-driven section
-//! (online + greedy + fault combos, the paths the old hand loops served);
-//! `scripts/check-perf.sh` uses it as a no-slower-than-baseline overhead
-//! gate with a generous tolerance, mirroring the per-stage profile gate.
+//! (online + greedy + fault combos, the paths the old hand loops served),
+//! which the pin gate bounds as its one `Wall` row.
 
 use crate::arrivals::arrivals_instance;
 use crate::grid::paper_grid;
@@ -27,7 +27,7 @@ use coflow::{
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
-use coflow_workloads::json::{self, fmt_f64, JsonValue};
+use coflow_workloads::json::{self, fmt_f64};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -44,11 +44,6 @@ pub const FAULT_RATE_20: f64 = 0.2;
 
 /// Seed offset of the `faults20/*` plan stream relative to the pin seed.
 pub const FAULT20_SEED_OFFSET: u64 = 20;
-
-/// Absolute wall-clock slack of the engine-overhead gate: differences
-/// below this never fail, whatever the ratio (same reasoning as the
-/// profile gate's noise floor, but the engine section is much shorter).
-pub const ENGINE_FLOOR_MS: f64 = 50.0;
 
 /// One pinned measurement.
 #[derive(Clone, Debug)]
@@ -253,123 +248,11 @@ pub fn render_pins_json(report: &PinReport) -> String {
     out
 }
 
-fn num_f64(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(s) => s.parse().ok(),
-        _ => None,
-    }
-}
-
-fn num_u64(v: &JsonValue) -> Option<u64> {
-    match v {
-        JsonValue::Num(s) => s.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Parses a serialized pin file back into a [`PinReport`] (objectives are
-/// reconstructed from the bit patterns, so the round trip is exact).
+/// Parses a serialized pin file back into a [`PinReport`] through the
+/// strict typed reader ([`crate::gate::read_pins`]; objectives come from
+/// the bit patterns, so the round trip is exact).
 pub fn parse_pins(text: &str) -> Result<PinReport, String> {
-    let doc = json::parse(text).map_err(|e| format!("parse: {}", e))?;
-    match doc.get("schema") {
-        Some(JsonValue::Str(s)) if s == SCHEMA => {}
-        other => {
-            return Err(format!("unsupported schema {:?} (expected {})", other, SCHEMA))
-        }
-    }
-    let seed = doc.get("seed").and_then(num_u64).ok_or("missing 'seed'")?;
-    let engine_ms = doc
-        .get("engine_ms")
-        .and_then(num_f64)
-        .ok_or("missing 'engine_ms'")?;
-    let Some(JsonValue::Arr(rows)) = doc.get("pins") else {
-        return Err("missing 'pins' array".to_string());
-    };
-    let mut pins = Vec::with_capacity(rows.len());
-    for row in rows {
-        let label = match row.get("label") {
-            Some(JsonValue::Str(s)) => s.clone(),
-            _ => return Err("pin missing 'label'".to_string()),
-        };
-        let bits = row
-            .get("objective_bits")
-            .and_then(num_u64)
-            .ok_or_else(|| format!("pin {} missing 'objective_bits'", label))?;
-        let makespan = row
-            .get("makespan")
-            .and_then(num_u64)
-            .ok_or_else(|| format!("pin {} missing 'makespan'", label))?;
-        pins.push(Pin {
-            label,
-            objective: f64::from_bits(bits),
-            makespan,
-        });
-    }
-    if pins.is_empty() {
-        return Err("pin file has no pins".to_string());
-    }
-    Ok(PinReport { seed, engine_ms, pins })
-}
-
-/// Compares a fresh run against a committed pin file.
-///
-/// * every baseline pin must exist in the current run (and vice versa);
-/// * objectives must match **bit for bit** and makespans exactly — the
-///   engine promised bit-identical schedules, so any drift is a bug;
-/// * the engine section must not be slower than the baseline by more than
-///   `time_tolerance` (fractional) past [`ENGINE_FLOOR_MS`].
-///
-/// Returns a one-line summary on success, the first violation otherwise.
-pub fn compare_pins(
-    baseline: &PinReport,
-    current: &PinReport,
-    time_tolerance: f64,
-) -> Result<String, String> {
-    if baseline.seed != current.seed {
-        return Err(format!(
-            "seed mismatch: baseline {} vs current {}",
-            baseline.seed, current.seed
-        ));
-    }
-    for pin in &baseline.pins {
-        let Some(cur) = current.pins.iter().find(|p| p.label == pin.label) else {
-            return Err(format!("pin '{}' missing from current run", pin.label));
-        };
-        if cur.objective.to_bits() != pin.objective.to_bits() {
-            return Err(format!(
-                "pin '{}': objective drifted from {} (bits {:#x}) to {} (bits {:#x})",
-                pin.label,
-                pin.objective,
-                pin.objective.to_bits(),
-                cur.objective,
-                cur.objective.to_bits(),
-            ));
-        }
-        if cur.makespan != pin.makespan {
-            return Err(format!(
-                "pin '{}': makespan drifted from {} to {}",
-                pin.label, pin.makespan, cur.makespan
-            ));
-        }
-    }
-    for pin in &current.pins {
-        if !baseline.pins.iter().any(|p| p.label == pin.label) {
-            return Err(format!("pin '{}' not present in baseline", pin.label));
-        }
-    }
-    let budget = baseline.engine_ms * (1.0 + time_tolerance) + ENGINE_FLOOR_MS;
-    if current.engine_ms > budget {
-        return Err(format!(
-            "engine section regressed: {:.1} ms vs baseline {:.1} ms (budget {:.1} ms)",
-            current.engine_ms, baseline.engine_ms, budget
-        ));
-    }
-    Ok(format!(
-        "{} pins bit-identical, engine section {:.1} ms (baseline {:.1} ms)",
-        baseline.pins.len(),
-        current.engine_ms,
-        baseline.engine_ms
-    ))
+    crate::gate::read_report(text, SCHEMA, crate::gate::read_pins).map_err(|e| e.to_string())
 }
 
 /// Plain-text table of a pin run.
@@ -427,18 +310,25 @@ mod tests {
         assert!(report.engine_ms > 0.0);
     }
 
+    fn judge_pins(baseline: &PinReport, current: &PinReport) -> Vec<crate::gate::Judged> {
+        let gate = crate::gate::gate("pins").expect("pins gate");
+        crate::gate::check(gate, &render_pins_json(baseline), &render_pins_json(current))
+            .expect("judge")
+    }
+
     #[test]
     fn pin_json_round_trips_exactly_and_self_compares_clean() {
         let report = tiny_report();
         let parsed = parse_pins(&render_pins_json(&report)).expect("round trip");
+        assert_eq!(parsed.seed, report.seed);
+        assert_eq!(parsed.engine_ms.to_bits(), report.engine_ms.to_bits());
         assert_eq!(parsed.pins.len(), report.pins.len());
         for (a, b) in report.pins.iter().zip(&parsed.pins) {
             assert_eq!(a.label, b.label);
             assert_eq!(a.objective.to_bits(), b.objective.to_bits());
             assert_eq!(a.makespan, b.makespan);
         }
-        let summary = compare_pins(&parsed, &report, 1.0).expect("self-compare");
-        assert!(summary.contains("bit-identical"));
+        assert!(crate::gate::passed(&judge_pins(&parsed, &report)));
     }
 
     #[test]
@@ -447,15 +337,18 @@ mod tests {
         let mut drifted = report.clone();
         drifted.pins[0].objective =
             f64::from_bits(drifted.pins[0].objective.to_bits() + 1);
-        assert!(compare_pins(&report, &drifted, 1.0).is_err(), "1-ulp drift must fail");
+        assert!(!crate::gate::passed(&judge_pins(&report, &drifted)), "1-ulp drift must fail");
 
+        let floor = crate::gate::rule("pins", crate::gate::Kind::Wall, "engine")
+            .expect("pins wall rule")
+            .floor;
         let mut slow = report.clone();
-        slow.engine_ms = report.engine_ms * 3.0 + ENGINE_FLOOR_MS * 2.0;
-        assert!(compare_pins(&report, &slow, 1.0).is_err(), "slow engine must fail");
+        slow.engine_ms = report.engine_ms * 3.0 + floor * 2.0;
+        assert!(!crate::gate::passed(&judge_pins(&report, &slow)), "slow engine must fail");
 
         let mut renamed = report.clone();
         renamed.pins[0].label = "grid/H_X/z".to_string();
-        assert!(compare_pins(&report, &renamed, 1.0).is_err(), "label drift must fail");
+        assert!(!crate::gate::passed(&judge_pins(&report, &renamed)), "label drift must fail");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! {a, b, c, d}) with the `obs` registry enabled and reports, per cell,
 //! the wall-clock spent in each pipeline stage plus the solver/matching
 //! counters. The report serializes to `BENCH_grid.json` (schema
-//! `coflow-bench-grid/2`, documented in DESIGN.md) and a committed
-//! baseline can be diffed against a fresh run to catch per-stage
-//! regressions (`scripts/bench-baseline.sh`).
+//! `coflow-bench-grid/3`, documented in DESIGN.md); `experiments -- gate
+//! perf` judges a fresh run against the committed `BENCH_baseline.json`
+//! and `gate mem` its memory view against `BENCH_mem.json` (see
+//! [`crate::gate`]).
 //!
 //! Cells run sequentially — the registry is global, and a per-cell
 //! `reset()`/`snapshot()` window is what makes the attribution exact.
@@ -15,7 +16,7 @@ use coflow::ordering::{try_compute_order_with, OrderRule};
 use coflow::sched::{run_with_order, AlgorithmSpec, ExecOptions};
 use coflow::Instance;
 use coflow_lp::SimplexOptions;
-use coflow_workloads::json::{self, fmt_f64, JsonValue};
+use coflow_workloads::json::{self, fmt_f64};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -35,8 +36,8 @@ use crate::grid::CASES;
 /// attribution (same nearest-reported-ancestor rule as the timings).
 pub const SCHEMA: &str = "coflow-bench-grid/3";
 
-/// Schema tag of the standalone memory report consumed by
-/// `scripts/check-mem.sh` (see [`render_mem_json`] / [`compare_mem`]).
+/// Schema tag of the standalone memory report judged by `experiments --
+/// gate mem` (see [`render_mem_json`]).
 pub const MEM_SCHEMA: &str = "coflow-bench-mem/1";
 
 /// The pipeline stages extracted from span leaf names, in report order.
@@ -382,56 +383,6 @@ pub fn render_mem_json(report: &ProfileReport) -> String {
     doc.render()
 }
 
-fn num_f64(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(s) => s.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Per-stage totals (sum over cells) of a parsed report, keyed by stage.
-fn stage_sums(doc: &JsonValue) -> Result<Vec<(String, f64)>, String> {
-    let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
-        return Err("report has no 'cells' array".to_string());
-    };
-    if cells.is_empty() {
-        return Err("report has no cells".to_string());
-    }
-    let mut sums: Vec<(String, f64)> =
-        STAGES.iter().map(|s| (s.to_string(), 0.0)).collect();
-    for cell in cells {
-        let Some(stages) = cell.get("stages_ms") else {
-            return Err("cell has no 'stages_ms' object".to_string());
-        };
-        for (name, sum) in sums.iter_mut() {
-            let value = stages
-                .get(name)
-                .and_then(num_f64)
-                .ok_or_else(|| format!("stage '{}' missing or non-numeric", name))?;
-            *sum += value;
-        }
-    }
-    Ok(sums)
-}
-
-/// One per-stage comparison row from [`compare_reports`].
-#[derive(Clone, Debug)]
-pub struct StageDelta {
-    /// Stage name.
-    pub stage: String,
-    /// Baseline total across cells, ms.
-    pub baseline_ms: f64,
-    /// Current total across cells, ms.
-    pub current_ms: f64,
-    /// True when this stage breaches the tolerance.
-    pub regressed: bool,
-}
-
-/// Wall-clock noise floor: stages faster than this in both runs are never
-/// flagged, whatever the ratio — a 0.2 ms → 0.5 ms blip is not a
-/// regression signal on shared hardware.
-pub const ABS_FLOOR_MS: f64 = 10.0;
-
 /// Counter keys the report guarantees in every cell, zero-filled when the
 /// cell never touched them (H_A/H_ρ cells solve no LP; a presolve pass may
 /// eliminate nothing).
@@ -442,151 +393,6 @@ pub const REQUIRED_COUNTERS: [&str; 5] = [
     "matching.bvn.permutations",
     "netsim.fabric.slots",
 ];
-
-/// Compares two serialized reports stage by stage (totals across cells).
-/// A stage regresses when the current total exceeds the baseline by more
-/// than `tolerance` (fractional, e.g. 0.2 = +20%) *and* the absolute
-/// difference clears [`ABS_FLOOR_MS`].
-pub fn compare_reports(
-    baseline: &str,
-    current: &str,
-    tolerance: f64,
-) -> Result<Vec<StageDelta>, String> {
-    let base_doc = json::parse(baseline).map_err(|e| format!("baseline: {}", e))?;
-    let cur_doc = json::parse(current).map_err(|e| format!("current: {}", e))?;
-    for (label, doc) in [("baseline", &base_doc), ("current", &cur_doc)] {
-        match doc.get("schema") {
-            Some(JsonValue::Str(s)) if s == SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "{}: unsupported schema {:?} (expected {})",
-                    label, other, SCHEMA
-                ))
-            }
-        }
-    }
-    let base = stage_sums(&base_doc).map_err(|e| format!("baseline: {}", e))?;
-    let cur = stage_sums(&cur_doc).map_err(|e| format!("current: {}", e))?;
-    Ok(base
-        .into_iter()
-        .zip(cur)
-        .map(|((stage, baseline_ms), (_, current_ms))| {
-            let regressed = current_ms > baseline_ms * (1.0 + tolerance)
-                && current_ms - baseline_ms > ABS_FLOOR_MS;
-            StageDelta {
-                stage,
-                baseline_ms,
-                current_ms,
-                regressed,
-            }
-        })
-        .collect())
-}
-
-/// One metric row from [`compare_mem`].
-#[derive(Clone, Debug)]
-pub struct MemDelta {
-    /// Metric name (e.g. `allocs:lp_solve`, `peak_live_bytes(max)`).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// True when this metric breaches the tolerance.
-    pub regressed: bool,
-}
-
-/// Allocation-count noise floor: metrics moving by fewer calls than this
-/// are never flagged (a handful of extra boxes is not a leak signal).
-pub const MEM_ALLOC_FLOOR: f64 = 10_000.0;
-
-/// Byte noise floor (1 MiB): byte metrics moving by less are never
-/// flagged.
-pub const MEM_BYTES_FLOOR: f64 = 1024.0 * 1024.0;
-
-/// Extracts the gated memory metrics from a parsed mem report: per-stage
-/// allocation calls and bytes summed across cells, whole-run allocation
-/// totals, and the max per-cell peak live bytes. Peak RSS is reported but
-/// never gated — it is monotone per process and machine-dependent.
-fn mem_metrics(doc: &JsonValue) -> Result<Vec<(String, f64)>, String> {
-    let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
-        return Err("report has no 'cells' array".to_string());
-    };
-    if cells.is_empty() {
-        return Err("report has no cells".to_string());
-    }
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    for stage in MEM_STAGES {
-        metrics.push((format!("allocs:{}", stage), 0.0));
-        metrics.push((format!("alloc_bytes:{}", stage), 0.0));
-    }
-    metrics.push(("alloc_calls(total)".to_string(), 0.0));
-    metrics.push(("alloc_bytes(total)".to_string(), 0.0));
-    metrics.push(("peak_live_bytes(max)".to_string(), 0.0));
-    for cell in cells {
-        let Some(mem) = cell.get("mem") else {
-            return Err("cell has no 'mem' object".to_string());
-        };
-        let num = |obj: &JsonValue, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(num_f64)
-                .ok_or_else(|| format!("mem field '{}' missing or non-numeric", key))
-        };
-        let allocs = mem.get("stage_allocs").ok_or("mem missing 'stage_allocs'")?;
-        let bytes = mem
-            .get("stage_alloc_bytes")
-            .ok_or("mem missing 'stage_alloc_bytes'")?;
-        for (i, stage) in MEM_STAGES.iter().enumerate() {
-            metrics[2 * i].1 += num(allocs, stage)?;
-            metrics[2 * i + 1].1 += num(bytes, stage)?;
-        }
-        let base = MEM_STAGES.len() * 2;
-        metrics[base].1 += num(mem, "alloc_calls")?;
-        metrics[base + 1].1 += num(mem, "alloc_bytes")?;
-        let peak = num(mem, "peak_live_bytes")?;
-        if peak > metrics[base + 2].1 {
-            metrics[base + 2].1 = peak;
-        }
-    }
-    Ok(metrics)
-}
-
-/// Compares two serialized `coflow-bench-mem/1` reports metric by metric.
-/// A metric regresses when the current value exceeds the baseline by more
-/// than `tolerance` (fractional) *and* the absolute growth clears the
-/// metric's noise floor ([`MEM_ALLOC_FLOOR`] for call counts,
-/// [`MEM_BYTES_FLOOR`] for byte metrics).
-pub fn compare_mem(
-    baseline: &str,
-    current: &str,
-    tolerance: f64,
-) -> Result<Vec<MemDelta>, String> {
-    let base_doc = json::parse(baseline).map_err(|e| format!("baseline: {}", e))?;
-    let cur_doc = json::parse(current).map_err(|e| format!("current: {}", e))?;
-    for (label, doc) in [("baseline", &base_doc), ("current", &cur_doc)] {
-        match doc.get("schema") {
-            Some(JsonValue::Str(s)) if s == MEM_SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "{}: unsupported schema {:?} (expected {})",
-                    label, other, MEM_SCHEMA
-                ))
-            }
-        }
-    }
-    let base = mem_metrics(&base_doc).map_err(|e| format!("baseline: {}", e))?;
-    let cur = mem_metrics(&cur_doc).map_err(|e| format!("current: {}", e))?;
-    Ok(base
-        .into_iter()
-        .zip(cur)
-        .map(|((metric, baseline), (_, current))| {
-            let floor = if metric.contains("bytes") { MEM_BYTES_FLOOR } else { MEM_ALLOC_FLOOR };
-            let regressed = current > baseline * (1.0 + tolerance)
-                && current - baseline > floor;
-            MemDelta { metric, baseline, current, regressed }
-        })
-        .collect())
-}
 
 /// Plain-text table of a profile run (stderr-friendly progress report).
 pub fn render_profile(report: &ProfileReport) -> String {
@@ -627,6 +433,8 @@ pub fn render_profile(report: &ProfileReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Kind;
+    use coflow_workloads::json::JsonValue;
     use coflow_workloads::{generate_trace, TraceConfig};
     use std::sync::OnceLock;
 
@@ -678,23 +486,30 @@ mod tests {
         }
     }
 
+    fn gate(name: &str) -> &'static crate::gate::Gate {
+        crate::gate::gate(name).expect("gate")
+    }
+
+    fn row<'a>(rows: &'a [crate::gate::Judged], key: &str) -> &'a crate::gate::Judged {
+        rows.iter().find(|r| r.key == key).unwrap_or_else(|| panic!("no row {}", key))
+    }
+
     #[test]
     fn report_json_round_trips_and_self_compares_clean() {
         let report = tiny_report();
         let rendered = render_json(report);
         let doc = json::parse(&rendered).expect("profile JSON must parse");
-        assert_eq!(
-            doc.get("schema"),
-            Some(&JsonValue::Str(SCHEMA.to_string()))
-        );
+        assert_eq!(doc.get("schema"), Some(&JsonValue::Str(SCHEMA.to_string())));
         let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
             panic!("cells array missing");
         };
         assert_eq!(cells.len(), 12);
         // A report never regresses against itself.
-        let deltas = compare_reports(&rendered, &rendered, 0.2).expect("compare");
-        assert_eq!(deltas.len(), STAGES.len());
-        assert!(deltas.iter().all(|d| !d.regressed));
+        let rows = crate::gate::check(gate("perf"), &rendered, &rendered).expect("judge");
+        assert_eq!(rows.iter().filter(|r| r.kind == Kind::Wall).count(), STAGES.len());
+        // Allocations are the mem gate's, judged against its own golden.
+        assert!(rows.iter().all(|r| matches!(r.kind, Kind::Exact | Kind::Wall)));
+        assert!(crate::gate::passed(&rows));
     }
 
     #[test]
@@ -707,19 +522,20 @@ mod tests {
             cell.stages.total_ms += 50.0;
         }
         let current = render_json(&slowed);
-        let deltas = compare_reports(&baseline, &current, 0.2).expect("compare");
-        let sim = deltas.iter().find(|d| d.stage == "simulate").unwrap();
-        assert!(sim.regressed, "10x + 50ms/cell must breach 20%+floor");
+        let rows = crate::gate::check(gate("perf"), &baseline, &current).expect("judge");
+        assert!(row(&rows, "simulate").regressed, "10x + 50ms/cell must breach 20%+floor");
         // Sub-floor stages stay green even at huge ratios.
-        let lp = deltas.iter().find(|d| d.stage == "lp_build").unwrap();
-        assert!(!lp.regressed);
+        assert!(!row(&rows, "lp_build").regressed);
+        // Objectives and makespans did not move.
+        assert!(rows.iter().filter(|r| r.kind == Kind::Exact).all(|r| !r.regressed));
     }
 
     #[test]
     fn comparison_rejects_foreign_schemas() {
         let report = render_json(tiny_report());
-        let err = compare_reports("{\"schema\": \"other/9\", \"cells\": []}", &report, 0.2);
-        assert!(err.is_err());
+        let foreign = "{\"schema\": \"other/9\", \"cells\": []}";
+        assert!(crate::gate::check(gate("perf"), foreign, &report).is_err());
+        assert!(crate::gate::check(gate("perf"), &report, foreign).is_err());
     }
 
     #[test]
@@ -752,9 +568,13 @@ mod tests {
         let rendered = render_mem_json(report);
         let doc = json::parse(&rendered).expect("mem JSON must parse");
         assert_eq!(doc.get("schema"), Some(&JsonValue::Str(MEM_SCHEMA.to_string())));
-        let deltas = compare_mem(&rendered, &rendered, 0.25).expect("compare");
-        assert_eq!(deltas.len(), MEM_STAGES.len() * 2 + 3);
-        assert!(deltas.iter().all(|d| !d.regressed));
+        let rows = crate::gate::check(gate("mem"), &rendered, &rendered).expect("judge");
+        // Per-stage calls and bytes, whole-run calls, bytes and peak live.
+        assert_eq!(
+            rows.iter().filter(|r| r.kind == Kind::Alloc).count(),
+            MEM_STAGES.len() * 2 + 3
+        );
+        assert!(crate::gate::passed(&rows));
         // The grid report embeds the same mem object per cell.
         let grid = json::parse(&render_json(report)).expect("grid JSON");
         let Some(JsonValue::Arr(cells)) = grid.get("cells") else { panic!("cells") };
@@ -771,15 +591,14 @@ mod tests {
             cell.mem.stage_allocs[4] = cell.mem.stage_allocs[4] * 3 + 100_000;
         }
         let current = render_mem_json(&grown);
-        let deltas = compare_mem(&baseline, &current, 0.25).expect("compare");
-        let total = deltas.iter().find(|d| d.metric == "alloc_calls(total)").unwrap();
+        let rows = crate::gate::check(gate("mem"), &baseline, &current).expect("judge");
+        let total = row(&rows, "alloc_calls(total)");
         assert!(total.regressed, "3x + 100k calls/cell must breach 25% + floor");
-        let sim = deltas.iter().find(|d| d.metric == "allocs:simulate").unwrap();
-        assert!(sim.regressed);
+        assert!(row(&rows, "allocs:simulate").regressed);
         // Byte metrics did not move; they stay green.
-        let bytes = deltas.iter().find(|d| d.metric == "alloc_bytes(total)").unwrap();
-        assert!(!bytes.regressed);
+        assert!(!row(&rows, "alloc_bytes(total)").regressed);
         // Foreign schemas are rejected.
-        assert!(compare_mem("{\"schema\": \"other/9\", \"cells\": []}", &current, 0.25).is_err());
+        let foreign = "{\"schema\": \"other/9\", \"cells\": []}";
+        assert!(crate::gate::check(gate("mem"), foreign, &current).is_err());
     }
 }

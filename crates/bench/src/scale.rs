@@ -26,16 +26,13 @@
 //! Per cell the report records the objective (deterministic, compared
 //! bit-exactly by the gate), the makespan, per-stage wall-clock
 //! (`gen`/`order`/`execute`), and the allocator view (peak live bytes,
-//! kernel peak RSS, allocation calls/bytes). [`compare_scale`] gates a
-//! fresh run against the committed baseline with the same two-sided
-//! rules as the grid gate: a fractional tolerance *and* an absolute
-//! noise floor, both of which must be breached. `scripts/check-scale.sh`
-//! runs the m=1,000 / 10k-coflow cell against `BENCH_scale.json`.
+//! kernel peak RSS, allocation calls/bytes). `experiments -- gate scale`
+//! re-runs the [`GATE_CELL`] and judges it against the matching cell of
+//! the committed `BENCH_scale.json` curve with [`crate::gate`].
 
-use crate::profile::{ABS_FLOOR_MS, MEM_ALLOC_FLOOR, MEM_BYTES_FLOOR};
 use coflow::{try_solve_windowed_sparse, SparseCoflowLoads};
 use coflow_lp::SimplexOptions;
-use coflow_workloads::json::{self, fmt_f64, JsonValue};
+use coflow_workloads::json::{self, fmt_f64};
 use coflow_workloads::{CoflowStream, SparseCoflow, StreamConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -62,9 +59,8 @@ pub const LP_WINDOW: usize = 64;
 pub const DEFAULT_WINDOW: usize = 512;
 
 /// Default sweep cells `(ports, coflows)`: the committed
-/// `BENCH_scale.json` curve. The second cell is the gate cell of
-/// `scripts/check-scale.sh`; the last streams 10⁶ coflows over the
-/// 10,000-port fabric.
+/// `BENCH_scale.json` curve. The second cell is the [`GATE_CELL`]; the
+/// last streams 10⁶ coflows over the 10,000-port fabric.
 pub const DEFAULT_CELLS: [(usize, usize); 5] = [
     (100, 10_000),
     (1_000, 10_000),
@@ -72,6 +68,9 @@ pub const DEFAULT_CELLS: [(usize, usize); 5] = [
     (10_000, 100_000),
     (10_000, 1_000_000),
 ];
+
+/// The cell `experiments -- gate scale` re-runs against the curve.
+pub const GATE_CELL: (usize, usize) = (1_000, 10_000);
 
 /// The ordering mode a cell ran under (the ladder is decided by fabric
 /// size, so baselines and fresh runs can never disagree about it).
@@ -429,150 +428,11 @@ pub fn render_scale(report: &ScaleReport) -> String {
     out
 }
 
-/// One compared metric from [`compare_scale`].
-#[derive(Clone, Debug)]
-pub struct ScaleDelta {
-    /// Cell label (`m=1000/n=10000`).
-    pub cell: String,
-    /// Metric name (`wall_ms`, `alloc_calls`, `alloc_bytes`, `objective`).
-    pub metric: &'static str,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// True when the current value breaches the metric's threshold.
-    pub regressed: bool,
-}
-
-fn num_f64(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(s) => s.parse().ok(),
-        _ => None,
-    }
-}
-
-/// One gated cell: `(label, wall_ms, alloc_calls, alloc_bytes, objective)`.
-type GatedCell = (String, f64, f64, f64, f64);
-
-/// Extracts one [`GatedCell`] per cell from a parsed scale report.
-fn scale_cells(doc: &JsonValue) -> Result<Vec<GatedCell>, String> {
-    let Some(JsonValue::Arr(cells)) = doc.get("cells") else {
-        return Err("report has no 'cells' array".to_string());
-    };
-    if cells.is_empty() {
-        return Err("report has no cells".to_string());
-    }
-    let mut out = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let int = |key: &str| -> Result<f64, String> {
-            cell.get(key)
-                .and_then(num_f64)
-                .ok_or_else(|| format!("cell field '{}' missing or non-numeric", key))
-        };
-        let ports = int("ports")? as usize;
-        let coflows = int("coflows")? as usize;
-        let wall = cell
-            .get("stages_ms")
-            .and_then(|s| s.get("total"))
-            .and_then(num_f64)
-            .ok_or("cell missing stages_ms.total")?;
-        let mem = cell.get("mem").ok_or("cell missing 'mem' object")?;
-        let calls = mem
-            .get("alloc_calls")
-            .and_then(num_f64)
-            .ok_or("mem missing alloc_calls")?;
-        let bytes = mem
-            .get("alloc_bytes")
-            .and_then(num_f64)
-            .ok_or("mem missing alloc_bytes")?;
-        out.push((cell_label(ports, coflows), wall, calls, bytes, int("objective")?));
-    }
-    Ok(out)
-}
-
-/// Compares two serialized scale reports cell by cell (matched on the
-/// `m=…/n=…` label, so a gate run of a single cell checks against the
-/// full committed curve). Per matched cell:
-///
-/// * `wall_ms` regresses past `wall_tol` (fractional) **and** the
-///   [`ABS_FLOOR_MS`] absolute floor;
-/// * `alloc_calls` / `alloc_bytes` regress past `alloc_tol` **and** their
-///   [`MEM_ALLOC_FLOOR`] / [`MEM_BYTES_FLOOR`] floors;
-/// * `objective` is compared **bit-exactly** — the streamed schedule is
-///   deterministic, so any drift is a behavioral change, not noise.
-///
-/// Cells present on only one side are skipped; no overlap is an error.
-pub fn compare_scale(
-    baseline: &str,
-    current: &str,
-    wall_tol: f64,
-    alloc_tol: f64,
-) -> Result<Vec<ScaleDelta>, String> {
-    let base_doc = json::parse(baseline).map_err(|e| format!("baseline: {}", e))?;
-    let cur_doc = json::parse(current).map_err(|e| format!("current: {}", e))?;
-    for (label, doc) in [("baseline", &base_doc), ("current", &cur_doc)] {
-        match doc.get("schema") {
-            Some(JsonValue::Str(s)) if s == SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "{}: unsupported schema {:?} (expected {})",
-                    label, other, SCHEMA
-                ))
-            }
-        }
-    }
-    let base = scale_cells(&base_doc).map_err(|e| format!("baseline: {}", e))?;
-    let cur = scale_cells(&cur_doc).map_err(|e| format!("current: {}", e))?;
-    let mut deltas = Vec::new();
-    for (label, wall, calls, bytes, objective) in &cur {
-        let Some((_, b_wall, b_calls, b_bytes, b_obj)) =
-            base.iter().find(|(l, ..)| l == label)
-        else {
-            continue;
-        };
-        deltas.push(ScaleDelta {
-            cell: label.clone(),
-            metric: "wall_ms",
-            baseline: *b_wall,
-            current: *wall,
-            regressed: *wall > b_wall * (1.0 + wall_tol) && wall - b_wall > ABS_FLOOR_MS,
-        });
-        deltas.push(ScaleDelta {
-            cell: label.clone(),
-            metric: "alloc_calls",
-            baseline: *b_calls,
-            current: *calls,
-            regressed: *calls > b_calls * (1.0 + alloc_tol)
-                && calls - b_calls > MEM_ALLOC_FLOOR,
-        });
-        deltas.push(ScaleDelta {
-            cell: label.clone(),
-            metric: "alloc_bytes",
-            baseline: *b_bytes,
-            current: *bytes,
-            regressed: *bytes > b_bytes * (1.0 + alloc_tol)
-                && bytes - b_bytes > MEM_BYTES_FLOOR,
-        });
-        deltas.push(ScaleDelta {
-            cell: label.clone(),
-            metric: "objective",
-            baseline: *b_obj,
-            current: *objective,
-            regressed: b_obj.to_bits() != objective.to_bits(),
-        });
-    }
-    if deltas.is_empty() {
-        return Err(format!(
-            "no cell of the current run matches the baseline (baseline cells: {})",
-            base.iter().map(|(l, ..)| l.as_str()).collect::<Vec<_>>().join(", ")
-        ));
-    }
-    Ok(deltas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Kind;
+    use coflow_workloads::json::JsonValue;
 
     fn tiny_report() -> ScaleReport {
         // One LP-laddered cell, one Smith-laddered cell; small enough to
@@ -627,6 +487,15 @@ mod tests {
         assert_eq!(exec.horizon(), 12);
     }
 
+    fn judge_scale(baseline: &str, current: &str) -> Vec<crate::gate::Judged> {
+        let gate = crate::gate::gate("scale").expect("scale gate");
+        crate::gate::check(gate, baseline, current).expect("judge")
+    }
+
+    fn row<'a>(rows: &'a [crate::gate::Judged], key: &str) -> &'a crate::gate::Judged {
+        rows.iter().find(|r| r.key == key).unwrap_or_else(|| panic!("no row {}", key))
+    }
+
     #[test]
     fn report_json_round_trips_and_self_compares_clean() {
         let report = tiny_report();
@@ -637,9 +506,12 @@ mod tests {
             panic!("cells array missing");
         };
         assert_eq!(cells.len(), 2);
-        let deltas = compare_scale(&rendered, &rendered, 0.2, 0.25).expect("compare");
-        assert_eq!(deltas.len(), 2 * 4);
-        assert!(deltas.iter().all(|d| !d.regressed));
+        let rows = judge_scale(&rendered, &rendered);
+        // Per cell: objective, makespan, total wall, alloc calls and bytes.
+        for cell in [cell_label(16, 60), cell_label(200, 120)] {
+            assert_eq!(rows.iter().filter(|r| r.key.ends_with(cell.as_str())).count(), 5);
+        }
+        assert!(crate::gate::passed(&rows));
     }
 
     #[test]
@@ -649,29 +521,22 @@ mod tests {
         let mut slowed = report.clone();
         slowed.cells[0].total_ms = slowed.cells[0].total_ms * 10.0 + 100.0;
         slowed.cells[1].objective += 1.0;
-        let current = render_scale_json(&slowed);
-        let deltas = compare_scale(&baseline, &current, 0.2, 0.25).expect("compare");
-        let wall = deltas
-            .iter()
-            .find(|d| d.metric == "wall_ms" && d.cell == cell_label(16, 60))
-            .unwrap();
+        let rows = judge_scale(&baseline, &render_scale_json(&slowed));
+        let wall = row(&rows, &format!("total:{}", cell_label(16, 60)));
         assert!(wall.regressed, "10x + 100ms must breach 20% + floor");
-        let obj = deltas
+        assert!(row(&rows, &cell_label(200, 120)).regressed, "objective drift is bit-exact");
+        // The untouched cell's other rows stay green.
+        assert!(rows
             .iter()
-            .find(|d| d.metric == "objective" && d.cell == cell_label(200, 120))
-            .unwrap();
-        assert!(obj.regressed, "objective drift is bit-exact");
-        // The untouched cell stays green.
-        assert!(deltas
-            .iter()
-            .filter(|d| d.cell == cell_label(200, 120) && d.metric != "objective")
-            .all(|d| !d.regressed));
+            .filter(|r| r.key.ends_with(cell_label(200, 120).as_str()) && r.kind != Kind::Exact)
+            .all(|r| !r.regressed));
     }
 
     #[test]
     fn comparison_rejects_foreign_schemas() {
         let report = render_scale_json(&tiny_report());
-        assert!(compare_scale("{\"schema\": \"other/9\", \"cells\": []}", &report, 0.2, 0.25)
-            .is_err());
+        let gate = crate::gate::gate("scale").expect("scale gate");
+        let foreign = "{\"schema\": \"other/9\", \"cells\": []}";
+        assert!(crate::gate::check(gate, foreign, &report).is_err());
     }
 }

@@ -25,13 +25,12 @@
 //!    distinct mode is streamed once and its numbers shared by the
 //!    policies that map to it — the report says which mode a row ran.
 //!
-//! `scripts/check-tournament.sh` gates a fresh run against the committed
-//! golden with [`compare_tournament`]: objectives and ratios bit-exact in
-//! both directions, wall-clock within a fractional tolerance plus the
-//! [`ABS_FLOOR_MS`] noise floor.
+//! `experiments -- gate tournament` validates a fresh run with
+//! [`validate_tournament_json`] and judges it against the committed golden
+//! with [`crate::gate`]: objectives and ratios bit-exact in both
+//! directions, wall-clock within the gate's tolerance over its floor.
 
 use crate::pins::{FAULT20_SEED_OFFSET, FAULT_RATE_20};
-use crate::profile::ABS_FLOOR_MS;
 use crate::scale::{loads_of, smith_order, SparseExecutor};
 use coflow::bounds::interval_lp_bound;
 use coflow::{
@@ -40,7 +39,7 @@ use coflow::{
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
-use coflow_workloads::json::{self, fmt_f64, JsonValue};
+use coflow_workloads::json::{self, fmt_f64};
 use coflow_workloads::{CoflowStream, SparseCoflow, StreamConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -103,7 +102,7 @@ pub struct ScaleRow {
     /// Registry name.
     pub policy: String,
     /// Windowed ordering mode the policy maps to.
-    pub mode: &'static str,
+    pub mode: String,
     /// Streamed TWCT.
     pub objective: f64,
     /// Executor horizon after the last window.
@@ -127,6 +126,8 @@ pub struct TournamentReport {
     pub fault_rate: f64,
     /// One row per selected policy, in selection order.
     pub rows: Vec<TournamentRow>,
+    /// The scale round's cell: ports, coflows, admission window.
+    pub scale_cell: [usize; 3],
     /// Scale-round rows, same order.
     pub scale: Vec<ScaleRow>,
 }
@@ -376,7 +377,7 @@ pub fn run_tournament(
         };
         scale.push(ScaleRow {
             policy: entry.name.to_string(),
-            mode,
+            mode: mode.to_string(),
             objective: result.0,
             makespan: result.1,
             wall_ms: result.2,
@@ -390,6 +391,7 @@ pub fn run_tournament(
         lp_bound,
         fault_rate: TOURNAMENT_FAULT_RATE,
         rows,
+        scale_cell: [SCALE_PORTS, SCALE_COFLOWS, SCALE_WINDOW],
         scale,
     })
 }
@@ -431,7 +433,7 @@ pub fn render_tournament(report: &TournamentReport) -> String {
     let _ = writeln!(
         s,
         "-- scale round: m={}, n={}, window {} --",
-        SCALE_PORTS, SCALE_COFLOWS, SCALE_WINDOW
+        report.scale_cell[0], report.scale_cell[1], report.scale_cell[2]
     );
     let _ = writeln!(
         s,
@@ -491,7 +493,7 @@ pub fn render_tournament_json(report: &TournamentReport) -> String {
             "      {{\"policy\": {}, \"mode\": {}, \"objective\": {}, \
              \"makespan\": {}, \"wall_ms\": {}}}",
             json::quote(&r.policy),
-            json::quote(r.mode),
+            json::quote(&r.mode),
             fmt_f64(r.objective),
             r.makespan,
             fmt_f64(r.wall_ms)
@@ -499,9 +501,10 @@ pub fn render_tournament_json(report: &TournamentReport) -> String {
         scale_rows.push_str(if i + 1 < report.scale.len() { ",\n" } else { "\n" });
     }
     scale_rows.push_str("    ]");
+    let [ports, coflows, window] = report.scale_cell;
     let scale = format!(
         "{{\n    \"ports\": {}, \"coflows\": {}, \"window\": {},\n    \"rows\": {}\n  }}",
-        SCALE_PORTS, SCALE_COFLOWS, SCALE_WINDOW, scale_rows
+        ports, coflows, window, scale_rows
     );
 
     let mut doc = crate::sink::JsonDoc::new(SCHEMA);
@@ -515,98 +518,8 @@ pub fn render_tournament_json(report: &TournamentReport) -> String {
     doc.render()
 }
 
-fn num_f64(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(s) => s.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Parsed gate view of one tournament row.
-struct ParsedRow {
-    policy: String,
-    bound: Option<f64>,
-    objective: f64,
-    ratio: f64,
-    wall_ms: f64,
-    fault: Option<(f64, f64, f64)>, // (objective, inflation, cancelled)
-}
-
-fn parse_rows(doc: &JsonValue) -> Result<Vec<ParsedRow>, String> {
-    let Some(JsonValue::Arr(rows)) = doc.get("rows") else {
-        return Err("report has no 'rows' array".to_string());
-    };
-    if rows.is_empty() {
-        return Err("report has no rows".to_string());
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let policy = match row.get("policy") {
-            Some(JsonValue::Str(s)) => s.clone(),
-            _ => return Err("row missing 'policy'".to_string()),
-        };
-        fn num(row: &JsonValue, policy: &str, key: &str) -> Result<f64, String> {
-            row.get(key)
-                .and_then(num_f64)
-                .ok_or_else(|| format!("row {} missing '{}'", policy, key))
-        }
-        let bound = match row.get("bound") {
-            Some(JsonValue::Null) => None,
-            Some(v) => Some(num_f64(v).ok_or_else(|| format!("row {} bad 'bound'", policy))?),
-            None => return Err(format!("row {} missing 'bound'", policy)),
-        };
-        let fault = match row.get("fault") {
-            Some(JsonValue::Null) => None,
-            Some(f) => {
-                let fnum = |key: &str| -> Result<f64, String> {
-                    f.get(key)
-                        .and_then(num_f64)
-                        .ok_or_else(|| format!("row {} fault missing '{}'", policy, key))
-                };
-                Some((fnum("objective")?, fnum("inflation")?, fnum("cancelled")?))
-            }
-            None => return Err(format!("row {} missing 'fault'", policy)),
-        };
-        out.push(ParsedRow {
-            bound,
-            objective: num(row, &policy, "objective")?,
-            ratio: num(row, &policy, "ratio")?,
-            wall_ms: num(row, &policy, "wall_ms")?,
-            fault,
-            policy,
-        });
-    }
-    Ok(out)
-}
-
-/// Parsed gate view of one scale row: `(policy, objective, wall_ms)`.
-fn parse_scale_rows(doc: &JsonValue) -> Result<Vec<(String, f64, f64)>, String> {
-    let Some(scale) = doc.get("scale") else {
-        return Err("report has no 'scale' object".to_string());
-    };
-    let Some(JsonValue::Arr(rows)) = scale.get("rows") else {
-        return Err("scale has no 'rows' array".to_string());
-    };
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let policy = match row.get("policy") {
-            Some(JsonValue::Str(s)) => s.clone(),
-            _ => return Err("scale row missing 'policy'".to_string()),
-        };
-        let objective = row
-            .get("objective")
-            .and_then(num_f64)
-            .ok_or_else(|| format!("scale row {} missing 'objective'", policy))?;
-        let wall = row
-            .get("wall_ms")
-            .and_then(num_f64)
-            .ok_or_else(|| format!("scale row {} missing 'wall_ms'", policy))?;
-        out.push((policy, objective, wall));
-    }
-    Ok(out)
-}
-
-/// Validates a serialized `coflow-tournament/1` report:
+/// Validates a serialized `coflow-tournament/1` report, read through the
+/// strict typed reader ([`crate::gate::read_tournament`]):
 ///
 /// * the schema tag matches and every canonical registry policy has a row;
 /// * every ratio is ≥ 1 (no schedule beats the LP lower bound) and, when
@@ -616,22 +529,13 @@ fn parse_scale_rows(doc: &JsonValue) -> Result<Vec<(String, f64, f64)>, String> 
 ///
 /// Returns a one-line summary on success.
 pub fn validate_tournament_json(text: &str) -> Result<String, String> {
-    let doc = json::parse(text).map_err(|e| format!("parse: {}", e))?;
-    match doc.get("schema") {
-        Some(JsonValue::Str(s)) if s == SCHEMA => {}
-        other => {
-            return Err(format!("unsupported schema {:?} (expected {})", other, SCHEMA))
-        }
-    }
-    let lp_bound = doc
-        .get("lp_bound")
-        .and_then(num_f64)
-        .ok_or("report missing 'lp_bound'")?;
+    let report = crate::gate::read_report(text, SCHEMA, crate::gate::read_tournament)
+        .map_err(|e| e.to_string())?;
+    let lp_bound = report.lp_bound;
     if lp_bound <= 0.0 {
         return Err(format!("non-positive lp_bound {}", lp_bound));
     }
-    let rows = parse_rows(&doc)?;
-    for row in &rows {
+    for row in &report.rows {
         if row.ratio < 1.0 - 1e-9 {
             return Err(format!(
                 "policy {}: ratio {} < 1 — schedule beats the LP lower bound",
@@ -654,172 +558,35 @@ pub fn validate_tournament_json(text: &str) -> Result<String, String> {
                 row.objective / lp_bound
             ));
         }
-        if let Some((_, inflation, cancelled)) = row.fault {
-            if cancelled == 0.0 && inflation < 1.0 - 1e-9 {
+        if let Some(f) = &row.fault {
+            if f.cancelled == 0 && f.inflation < 1.0 - 1e-9 {
                 return Err(format!(
                     "policy {}: fault inflation {} < 1 without cancellations",
-                    row.policy, inflation
+                    row.policy, f.inflation
                 ));
             }
         }
     }
-    let registry = PolicyRegistry::builtin();
-    for entry in registry.canonical() {
-        if !rows.iter().any(|r| r.policy == entry.name) {
+    for entry in PolicyRegistry::builtin().canonical() {
+        if !report.rows.iter().any(|r| r.policy == entry.name) {
             return Err(format!("canonical policy '{}' missing from report", entry.name));
         }
     }
-    let scale = parse_scale_rows(&doc)?;
-    if scale.is_empty() {
-        return Err("scale round has no rows".to_string());
-    }
-    for (policy, objective, _) in &scale {
-        if *objective <= 0.0 {
-            return Err(format!("scale row {}: non-positive objective", policy));
-        }
+    if let Some(r) = report.scale.iter().find(|r| r.objective <= 0.0) {
+        return Err(format!("scale row {}: non-positive objective", r.policy));
     }
     Ok(format!(
         "{} policies, {} scale rows, ratios within bounds",
-        rows.len(),
-        scale.len()
+        report.rows.len(),
+        report.scale.len()
     ))
-}
-
-/// One compared metric from [`compare_tournament`].
-#[derive(Clone, Debug)]
-pub struct TournamentDelta {
-    /// `grid` or `scale`.
-    pub section: &'static str,
-    /// Policy name.
-    pub policy: String,
-    /// Metric name (`objective`, `ratio`, `fault_objective`, `wall_ms`).
-    pub metric: &'static str,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// True when the current value breaches the metric's rule.
-    pub regressed: bool,
-}
-
-/// Compares two serialized tournament reports row by row, matched on the
-/// policy name. Objectives, ratios, and fault objectives are compared
-/// **bit-exactly in both directions** (every policy of either side must
-/// appear on the other — a vanished or new row is a drift, not a skip);
-/// wall-clock regresses only past `wall_tol` (fractional) *and* the
-/// [`ABS_FLOOR_MS`] absolute floor.
-pub fn compare_tournament(
-    baseline: &str,
-    current: &str,
-    wall_tol: f64,
-) -> Result<Vec<TournamentDelta>, String> {
-    let base_doc = json::parse(baseline).map_err(|e| format!("baseline: {}", e))?;
-    let cur_doc = json::parse(current).map_err(|e| format!("current: {}", e))?;
-    for (label, doc) in [("baseline", &base_doc), ("current", &cur_doc)] {
-        match doc.get("schema") {
-            Some(JsonValue::Str(s)) if s == SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "{}: unsupported schema {:?} (expected {})",
-                    label, other, SCHEMA
-                ))
-            }
-        }
-    }
-    let base = parse_rows(&base_doc).map_err(|e| format!("baseline: {}", e))?;
-    let cur = parse_rows(&cur_doc).map_err(|e| format!("current: {}", e))?;
-    for (side, have, other) in [("baseline", &base, &cur), ("current", &cur, &base)] {
-        for row in have.iter() {
-            if !other.iter().any(|r| r.policy == row.policy) {
-                return Err(format!(
-                    "policy '{}' present only in the {} report",
-                    row.policy, side
-                ));
-            }
-        }
-    }
-    let mut deltas = Vec::new();
-    for row in &cur {
-        let b = base
-            .iter()
-            .find(|r| r.policy == row.policy)
-            .unwrap_or_else(|| unreachable!("coverage checked above"));
-        deltas.push(TournamentDelta {
-            section: "grid",
-            policy: row.policy.clone(),
-            metric: "objective",
-            baseline: b.objective,
-            current: row.objective,
-            regressed: b.objective.to_bits() != row.objective.to_bits(),
-        });
-        deltas.push(TournamentDelta {
-            section: "grid",
-            policy: row.policy.clone(),
-            metric: "ratio",
-            baseline: b.ratio,
-            current: row.ratio,
-            regressed: b.ratio.to_bits() != row.ratio.to_bits(),
-        });
-        deltas.push(TournamentDelta {
-            section: "grid",
-            policy: row.policy.clone(),
-            metric: "wall_ms",
-            baseline: b.wall_ms,
-            current: row.wall_ms,
-            regressed: row.wall_ms > b.wall_ms * (1.0 + wall_tol)
-                && row.wall_ms - b.wall_ms > ABS_FLOOR_MS,
-        });
-        match (&b.fault, &row.fault) {
-            (Some((b_obj, ..)), Some((c_obj, ..))) => deltas.push(TournamentDelta {
-                section: "grid",
-                policy: row.policy.clone(),
-                metric: "fault_objective",
-                baseline: *b_obj,
-                current: *c_obj,
-                regressed: b_obj.to_bits() != c_obj.to_bits(),
-            }),
-            (None, None) => {}
-            _ => {
-                return Err(format!(
-                    "policy '{}': fault round present on only one side",
-                    row.policy
-                ))
-            }
-        }
-    }
-    let base_scale = parse_scale_rows(&base_doc).map_err(|e| format!("baseline: {}", e))?;
-    let cur_scale = parse_scale_rows(&cur_doc).map_err(|e| format!("current: {}", e))?;
-    for (policy, objective, wall) in &cur_scale {
-        let Some((_, b_obj, b_wall)) = base_scale.iter().find(|(p, ..)| p == policy) else {
-            return Err(format!("scale row '{}' missing from the baseline", policy));
-        };
-        deltas.push(TournamentDelta {
-            section: "scale",
-            policy: policy.clone(),
-            metric: "objective",
-            baseline: *b_obj,
-            current: *objective,
-            regressed: b_obj.to_bits() != objective.to_bits(),
-        });
-        deltas.push(TournamentDelta {
-            section: "scale",
-            policy: policy.clone(),
-            metric: "wall_ms",
-            baseline: *b_wall,
-            current: *wall,
-            regressed: *wall > b_wall * (1.0 + wall_tol) && wall - b_wall > ABS_FLOOR_MS,
-        });
-    }
-    if deltas.is_empty() {
-        return Err("no comparable rows".to_string());
-    }
-    Ok(deltas)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::arrivals_instance;
+    use crate::gate::Kind;
 
     fn tiny_report() -> TournamentReport {
         run_tournament(&arrivals_instance(8, 10, 3), 3, "all").expect("tournament runs")
@@ -848,15 +615,20 @@ mod tests {
         assert!(render_tournament(&report).contains("primal-dual"));
     }
 
+    fn judge_tournament(baseline: &str, current: &str) -> Vec<crate::gate::Judged> {
+        let gate = crate::gate::gate("tournament").expect("tournament gate");
+        crate::gate::check(gate, baseline, current).expect("judge")
+    }
+
     #[test]
     fn tournament_is_deterministic_and_self_compares_clean() {
         let a = render_tournament_json(&tiny_report());
         let b = render_tournament_json(&tiny_report());
-        let deltas = compare_tournament(&a, &b, 0.35).expect("compare");
+        let rows = judge_tournament(&a, &b);
         assert!(
-            deltas.iter().all(|d| !d.regressed || d.metric == "wall_ms"),
+            rows.iter().all(|r| !r.one_sided() && (!r.regressed || r.kind == Kind::Wall)),
             "objective/ratio drift between identical runs: {:?}",
-            deltas.iter().filter(|d| d.regressed).collect::<Vec<_>>()
+            rows.iter().filter(|r| r.regressed).collect::<Vec<_>>()
         );
     }
 
@@ -866,19 +638,17 @@ mod tests {
         let baseline = render_tournament_json(&report);
         let mut drifted = report.clone();
         drifted.rows[0].objective += 1.0;
-        let deltas =
-            compare_tournament(&baseline, &render_tournament_json(&drifted), 0.35).expect("ok");
-        assert!(deltas
-            .iter()
-            .any(|d| d.metric == "objective" && d.policy == "bvn-batch" && d.regressed));
+        let rows = judge_tournament(&baseline, &render_tournament_json(&drifted));
+        assert!(rows.iter().any(|r| r.key == "twct/bvn-batch" && r.regressed));
         let mut missing = report.clone();
         missing.rows.pop();
         missing.scale.pop();
         assert!(
-            compare_tournament(&baseline, &render_tournament_json(&missing), 0.35).is_err(),
+            !crate::gate::passed(&judge_tournament(&baseline, &render_tournament_json(&missing))),
             "a vanished policy is a drift, not a skip"
         );
-        assert!(compare_tournament("{\"schema\": \"other/9\"}", &baseline, 0.35).is_err());
+        let gate = crate::gate::gate("tournament").expect("tournament gate");
+        assert!(crate::gate::check(gate, "{\"schema\": \"other/9\"}", &baseline).is_err());
     }
 
     #[test]

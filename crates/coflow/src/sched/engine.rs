@@ -27,7 +27,7 @@
 //! Determinism: each policy ported here reproduces its legacy loop
 //! *bit-identically* — same per-slot schedule, completions, and objective
 //! (differential-tested against frozen copies of the old loops, and pinned
-//! in CI via `experiments pin` / `scripts/check-perf.sh`). The
+//! in CI via `experiments -- gate pins`). The
 //! slot-reactive policies hold each matching until the next event that
 //! can change it ([`hold`]), so their traces group the legacy one-slot
 //! runs into longer ones.

@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
-# Consolidated gate runner: clippy, perf, mem, scale, tournament,
-# explain, chaos — in that order, never aborting early, so one invocation
-# reports every gate's status. Appends ONE coflow-ledger/1 verdict record
-# carrying all seven statuses (gate `check-all`), prints a pass/fail
-# summary table, and exits nonzero if any gate failed.
+# Consolidated gate runner: clippy, every `experiments -- gate NAME`, the
+# perf steps that are not gates (check-perf.sh), explain and chaos — in
+# that order, never aborting early, so one invocation reports every
+# status. Appends ONE coflow-ledger/1 verdict record (gate `check-all`)
+# carrying one status per step, prints a pass/fail summary table, and
+# exits nonzero if any step failed.
 #
-# Each individual gate script also appends its own verdict record via its
-# EXIT trap, so the ledger shows both the fine-grained history and the
-# consolidated roll-up.
+# Each gate appends its own run record and `gate-NAME` verdict record,
+# and each check-*.sh script its own verdict record, so the ledger shows
+# both the fine-grained history and the consolidated roll-up.
 #
 # Optional regression diff against the last green ledger record:
 #   CHECK_ALL_DIFF=1 scripts/check-all.sh          # diff green..latest
@@ -18,66 +19,58 @@
 set -u
 cd "$(dirname "$0")/.."
 
-CLIPPY=fail PERF=fail MEM=fail SCALE=fail TOURNAMENT=fail EXPLAIN=fail CHAOS=fail
+GATES="perf mem pins scale tournament"
+RESULTS=""
 
-echo "=== clippy ==="
-sh scripts/check-clippy.sh && CLIPPY=pass
+# step NAME COMMAND...: runs the command and records NAME=pass|fail.
+step() {
+    name="$1"
+    shift
+    echo ""
+    echo "=== $name ==="
+    if "$@"; then
+        RESULTS="$RESULTS $name=pass"
+    else
+        RESULTS="$RESULTS $name=fail"
+    fi
+}
 
-echo ""
-echo "=== perf ==="
-sh scripts/check-perf.sh && PERF=pass
-
-echo ""
-echo "=== mem ==="
-sh scripts/check-mem.sh && MEM=pass
-
-echo ""
-echo "=== scale ==="
-sh scripts/check-scale.sh && SCALE=pass
-
-echo ""
-echo "=== tournament ==="
-sh scripts/check-tournament.sh && TOURNAMENT=pass
-
-echo ""
-echo "=== explain ==="
-sh scripts/check-explain.sh && EXPLAIN=pass
-
-echo ""
-echo "=== chaos ==="
-sh scripts/check-chaos.sh && CHAOS=pass
+step clippy sh scripts/check-clippy.sh
+for gate in $GATES; do
+    step "$gate" cargo run --release -q -p coflow-bench --bin experiments -- gate "$gate"
+done
+step perf-steps sh scripts/check-perf.sh
+step explain sh scripts/check-explain.sh
+step chaos sh scripts/check-chaos.sh
 
 OVERALL=pass
-for s in "$CLIPPY" "$PERF" "$MEM" "$SCALE" "$TOURNAMENT" "$EXPLAIN" "$CHAOS"; do
-    [ "$s" = "pass" ] || OVERALL=fail
+set --
+for r in $RESULTS; do
+    [ "${r#*=}" = "pass" ] || OVERALL=fail
+    set -- "$@" --verdict "$r"
 done
 
-# One consolidated verdict record; best-effort like the per-gate traps.
+# One consolidated verdict record; best-effort like the per-step traps.
 cargo run --release -q -p coflow-bench --bin experiments -- \
-    verdict --gate check-all --status "$OVERALL" \
-    --verdict "clippy=$CLIPPY" --verdict "perf=$PERF" \
-    --verdict "mem=$MEM" --verdict "scale=$SCALE" \
-    --verdict "tournament=$TOURNAMENT" \
-    --verdict "explain=$EXPLAIN" --verdict "chaos=$CHAOS" || true
+    verdict --gate check-all --status "$OVERALL" "$@" || true
 
 echo ""
-echo "gate      status"
-echo "--------  ------"
-printf '%-8s  %s\n' clippy "$CLIPPY"
-printf '%-8s  %s\n' perf "$PERF"
-printf '%-8s  %s\n' mem "$MEM"
-printf '%-8s  %s\n' scale "$SCALE"
-printf '%-8s  %s\n' tournament "$TOURNAMENT"
-printf '%-8s  %s\n' explain "$EXPLAIN"
-printf '%-8s  %s\n' chaos "$CHAOS"
-echo "--------  ------"
-printf '%-8s  %s\n' overall "$OVERALL"
+echo "step        status"
+echo "----------  ------"
+for r in $RESULTS; do
+    printf '%-10s  %s\n' "${r%%=*}" "${r#*=}"
+done
+echo "----------  ------"
+printf '%-10s  %s\n' overall "$OVERALL"
 
 if [ "${CHECK_ALL_DIFF:-0}" = "1" ]; then
     echo ""
     echo "=== diff vs last green record ==="
-    cargo run --release -q -p coflow-bench --bin experiments -- \
-        diff green latest --tolerance "${DIFF_TOLERANCE:-0.5}" || OVERALL=fail
+    set -- diff green latest
+    if [ -n "${DIFF_TOLERANCE:-}" ]; then
+        set -- "$@" --tolerance "$DIFF_TOLERANCE"
+    fi
+    cargo run --release -q -p coflow-bench --bin experiments -- "$@" || OVERALL=fail
 fi
 
 [ "$OVERALL" = "pass" ]

@@ -1,40 +1,22 @@
 #!/usr/bin/env sh
-# CI perf gate, wired next to check-clippy.sh / check-explain.sh: profile
-# the 12-cell grid in release mode and fail when any pipeline stage's
-# summed wall-clock regresses more than 20% (above the 10 ms noise floor)
-# against the committed BENCH_baseline.json. The kernel micro-benchmarks
-# run afterwards with CRITERION_JSON so their samples land next to the
-# grid report for forensics; they inform but do not gate.
+# The perf steps that are not gates. The gates themselves (perf, mem,
+# pins, scale, tournament) run as `experiments -- gate NAME`, which
+# scripts/check-all.sh loops over.
 #
-# The pin gate runs first: the scheduling engine promised bit-identical
-# output for every legacy loop it replaced, so the 12-cell grid, the
-# online scheduler (fixed and stale priorities), the greedy baseline, the
-# successor policies (shafiee-ghaderi, im-purohit — clean and under the
-# rate-0.20 faults20 plan), and the fault-injected combinations are
-# recomputed and compared against the committed BENCH_pins.json on their
-# f64 bit patterns. A deliberate pin change means regenerating the pin
-# file AND the tournament golden together (the tournament subcommand
-# races the same policies on the same instance):
+#   * the checkpoint/resume differential at full pin scale: every pin
+#     cell is interrupted at every decision epoch, checkpointed, restored
+#     and must finish on the committed BENCH_pins.json bits;
+#   * the kernel micro-benchmarks, with CRITERION_JSON so their samples
+#     land next to the reports for forensics; they inform, never gate.
 #
-#   cargo run --release -p coflow-bench --bin experiments -- pin --out BENCH_pins.json
-#   cargo run --release -p coflow-bench --bin experiments -- tournament --out BENCH_tournament.json
-#
-# The same run times
-# the engine-driven section (the paths the old hand loops served) and
-# fails when it is slower than baseline by more than PIN_TOLERANCE
-# (default +100%, floored at 50 ms — it is a short section).
+# On exit, a coflow-ledger/1 verdict record is appended (best-effort) so
+# `experiments -- report` shows the step's history.
 #
 # Usage:
-#   scripts/check-perf.sh                 # gate at the default +20%
-#   scripts/check-perf.sh --tolerance 0.5 # looser gate for shared CI boxes
-#   PIN_TOLERANCE=2.0 scripts/check-perf.sh  # looser engine-overhead gate
+#   scripts/check-perf.sh
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT="${PERF_OUT:-BENCH_grid.json}"
-
-# On exit, append a coflow-ledger/1 verdict record (best-effort) so
-# `experiments -- report` shows the gate history.
 STATUS=fail
 append_verdict() {
     cargo run --release -q -p coflow-bench --bin experiments -- \
@@ -42,34 +24,7 @@ append_verdict() {
 }
 trap append_verdict EXIT
 
-# Fail fast, with the regeneration command, when a committed gate file is
-# missing or truncated — before any expensive run starts. (The experiments
-# binary repeats the same check with the same message; this catches the
-# problem before cargo even builds.)
-for gate in BENCH_pins.json BENCH_baseline.json; do
-    if [ ! -s "$gate" ]; then
-        echo "error: gate file '$gate' is missing or empty." >&2
-        case "$gate" in
-            BENCH_pins.json) echo "Regenerate it with:" >&2 \
-                && echo "    cargo run --release -p coflow-bench --bin experiments -- pin --out BENCH_pins.json" >&2 \
-                && echo "and refresh the tournament golden from the same build:" >&2 \
-                && echo "    cargo run --release -p coflow-bench --bin experiments -- tournament --out BENCH_tournament.json" >&2 ;;
-            BENCH_baseline.json) echo "Regenerate it with:" >&2 \
-                && echo "    scripts/bench-baseline.sh --update" >&2 ;;
-        esac
-        exit 1
-    fi
-done
-
-cargo run --release -q -p coflow-bench --bin experiments -- \
-    pin --check BENCH_pins.json --tolerance "${PIN_TOLERANCE:-1.0}"
-
-# Checkpoint/resume differential at full pin scale: interrupt at every
-# decision epoch and require the committed pin bits to survive.
 cargo test --release -q -p coflow-bench --test checkpoint_differential -- --ignored
-
-cargo run --release -q -p coflow-bench --bin experiments -- \
-    profile --out "$OUT" --baseline BENCH_baseline.json "$@"
 
 CRITERION_JSON="${CRITERION_JSON:-kernels_bench.jsonl}" \
     cargo bench -q -p coflow-bench --bench kernels -- --bench
