@@ -12,7 +12,9 @@
 //! the perf harness.
 
 use coflow_matching::{bvn_decompose, BipartiteGraph, HopcroftKarp, IntMatrix};
-use coflow_netsim::{Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer};
+use coflow_netsim::{
+    Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
+};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,7 +104,8 @@ type HeldPairs = Vec<(usize, usize, Vec<usize>)>;
 
 fn bench_execution(c: &mut Criterion) {
     let m = 60;
-    let (trace, demands, releases) = long_schedule(m, 40);
+    let (trace, dense, releases) = long_schedule(m, 40);
+    let demands: Vec<Demand> = dense.iter().map(Demand::from).collect();
     let plan = FaultPlan::new(vec![
         FaultEvent::IngressOutage { port: 3, start: 50, end: 180 },
         FaultEvent::EgressOutage { port: 11, start: 400, end: 520 },
@@ -193,7 +196,7 @@ fn bench_execution(c: &mut Criterion) {
     });
     group.bench_function("fabric_unit_slot", |b| {
         b.iter(|| {
-            let mut sim = SlotSim::new(m, &demands, &releases);
+            let mut sim = SlotSim::new(m, &dense, &releases);
             trace.for_each_slot(|_, moves| sim.step(moves));
             black_box(sim.now())
         })

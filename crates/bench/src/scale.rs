@@ -12,12 +12,13 @@
 //! * **windowed admission** — coflows are admitted in fixed-size windows;
 //!   each window is ordered and released to the executor before the next
 //!   window is drawn, so memory is bounded by the window, not the run;
-//! * **ordering ladder** — fabrics up to [`LP_PORT_LIMIT`] ports order
-//!   each window with the sparse windowed interval LP
-//!   ([`coflow::try_solve_windowed_sparse`], which shards the solve by
-//!   port-connected component); larger fabrics use the `H_ρ`-style
-//!   Smith-rule order on sparse loads (`ρ_k / w_k` ascending), which needs
-//!   only the per-port load lists;
+//! * **ordering ladder** — each window is summarized once into per-coflow
+//!   port loads ([`coflow::CoflowLoads`]); fabrics up to [`LP_PORT_LIMIT`]
+//!   ports order the window with the windowed interval LP
+//!   ([`coflow::try_solve_windowed`], which shards the solve by
+//!   port-connected component), larger fabrics with `H_ρ` (`ρ_k / w_k`
+//!   ascending, [`coflow::load_over_weight_order`]) — the same functions
+//!   that order a whole instance;
 //! * **sparse execution** — [`SparseExecutor`] keeps one `free` time per
 //!   ingress and egress port and schedules each flow contiguously at the
 //!   earliest slot both its ports are free, in window order: O(1) per
@@ -30,7 +31,7 @@
 //! re-runs the [`GATE_CELL`] and judges it against the matching cell of
 //! the committed `BENCH_scale.json` curve with [`crate::gate`].
 
-use coflow::{try_solve_windowed_sparse, SparseCoflowLoads};
+use coflow::{coflow_components, load_over_weight_order, try_solve_windowed, CoflowLoads};
 use coflow_lp::SimplexOptions;
 use coflow_workloads::json::{self, fmt_f64};
 use coflow_workloads::{CoflowStream, SparseCoflow, StreamConfig};
@@ -44,18 +45,18 @@ pub const SCHEMA: &str = "coflow-bench-scale/1";
 pub const SCALE_STAGES: [&str; 4] = ["gen", "order", "execute", "total"];
 
 /// Largest fabric the windowed-LP ordering mode is engaged on; beyond it
-/// the per-port LP rows alone dwarf the window and the Smith-rule order
-/// takes over.
+/// the per-port LP rows alone dwarf the window and the `H_ρ` order takes
+/// over.
 pub const LP_PORT_LIMIT: usize = 128;
 
 /// Admission window of the LP ordering mode. Smaller than the default
 /// window: the interval LP is cubic-ish in the window size, and 64
 /// coflows per solve keeps every solve sub-second while the component
-/// sharding inside [`coflow::try_solve_windowed_sparse`] still gets
-/// blocks to split.
+/// sharding inside [`coflow::try_solve_windowed`] still gets blocks to
+/// split.
 pub const LP_WINDOW: usize = 64;
 
-/// Default admission window of the Smith-rule mode.
+/// Default admission window of the `H_ρ` mode.
 pub const DEFAULT_WINDOW: usize = 512;
 
 /// Default sweep cells `(ports, coflows)`: the committed
@@ -148,8 +149,8 @@ pub struct ScaleCell {
     pub windows: u64,
     /// Port-connected LP groups solved (windowed-lp mode; 0 otherwise).
     pub lp_groups: u64,
-    /// Windows where the LP solve failed and the Smith-rule order was
-    /// used instead (budget exhaustion; always 0 in practice).
+    /// Windows where the LP solve failed and the `H_ρ` order was used
+    /// instead (budget exhaustion; always 0 in practice).
     pub lp_fallbacks: u64,
     /// Total weighted completion time of the streamed schedule.
     pub objective: f64,
@@ -197,33 +198,16 @@ pub struct ScaleReport {
     pub cells: Vec<ScaleCell>,
 }
 
-/// Smith-rule order of a window: `ρ_k / w_k` ascending, ties by window
-/// index. The `H_ρ` analog on sparse loads — no matrix, no LP. Keys are
-/// precomputed once per coflow: `rho()` walks the flow list, and calling
-/// it inside the comparator would repeat that walk O(log W) times per
-/// coflow.
-pub(crate) fn smith_order(window: &[SparseCoflow]) -> Vec<usize> {
-    let keys: Vec<f64> = window.iter().map(|c| c.rho() as f64 / c.weight).collect();
-    let mut order: Vec<usize> = (0..window.len()).collect();
-    order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
-    order
-}
-
-/// Lifts a streamed coflow into the sparse per-port load view the
-/// windowed LP consumes.
-pub(crate) fn loads_of(c: &SparseCoflow) -> SparseCoflowLoads {
-    let (ingress, egress) = c.port_loads();
-    SparseCoflowLoads {
-        release: c.release,
-        weight: c.weight,
-        rho: ingress
-            .iter()
-            .chain(&egress)
-            .map(|&(_, d)| d)
-            .max()
-            .unwrap_or(0),
-        ingress,
-        egress,
+/// The port-load summaries of a window, into `loads`: the summaries and
+/// their buffers are reused from window to window.
+pub(crate) fn summarize(window: &[SparseCoflow], loads: &mut Vec<CoflowLoads>) {
+    loads.truncate(window.len());
+    for (k, c) in window.iter().enumerate() {
+        let flows = c.flows.iter().copied();
+        match loads.get_mut(k) {
+            Some(summary) => summary.set_flows(c.release, c.weight, flows),
+            None => loads.push(CoflowLoads::from_flows(c.release, c.weight, flows)),
+        }
     }
 }
 
@@ -275,6 +259,7 @@ pub fn run_scale_cell(ports: usize, coflows: usize, seed: u64, window: usize) ->
         alloc_bytes: 0,
     };
     let mut batch: Vec<SparseCoflow> = Vec::with_capacity(window);
+    let mut loads: Vec<CoflowLoads> = Vec::with_capacity(window);
     let mut completed: u64 = 0;
     loop {
         // Admission: draw the next window off the stream.
@@ -292,21 +277,20 @@ pub fn run_scale_cell(ports: usize, coflows: usize, seed: u64, window: usize) ->
         }
         // Ordering ladder.
         let t = Instant::now();
+        summarize(&batch, &mut loads);
         let order = if mode == "windowed-lp" {
-            let loads: Vec<SparseCoflowLoads> = batch.iter().map(loads_of).collect();
-            match try_solve_windowed_sparse(ports, &loads, &lp_opts) {
+            match try_solve_windowed(ports, &loads, &lp_opts) {
                 Ok(relax) => {
-                    cell.lp_groups +=
-                        coflow::windowed::sparse_components(ports, &loads).len() as u64;
+                    cell.lp_groups += coflow_components(ports, &loads).len() as u64;
                     relax.order
                 }
                 Err(_) => {
                     cell.lp_fallbacks += 1;
-                    smith_order(&batch)
+                    load_over_weight_order(&loads)
                 }
             }
         } else {
-            smith_order(&batch)
+            load_over_weight_order(&loads)
         };
         cell.order_ms += t.elapsed().as_secs_f64() * 1e3;
         // Execution.
@@ -435,8 +419,8 @@ mod tests {
     use coflow_workloads::json::JsonValue;
 
     fn tiny_report() -> ScaleReport {
-        // One LP-laddered cell, one Smith-laddered cell; small enough to
-        // run in a debug test.
+        // One LP-laddered cell, one H_ρ-laddered cell; small enough to run
+        // in a debug test.
         run_scale(&[(16, 60), (200, 120)], 11, 32)
     }
 

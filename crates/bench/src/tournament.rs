@@ -20,10 +20,11 @@
 //! 3. **scale** — one windowed streaming cell ([`SCALE_PORTS`] ports,
 //!    [`SCALE_COFLOWS`] coflows) through the [`SparseExecutor`]: each
 //!    policy maps to its windowed ordering analog (`windowed-lp` for the
-//!    LP-ordered policies, `rho` Smith order for the online/greedy
-//!    family, a sparse port primal–dual for Shafiee–Ghaderi). Each
-//!    distinct mode is streamed once and its numbers shared by the
-//!    policies that map to it — the report says which mode a row ran.
+//!    LP-ordered policies, `rho` for the online/greedy family, the port
+//!    primal–dual order for Shafiee–Ghaderi), each `coflow`'s own function
+//!    over the window's port loads. Each distinct mode is streamed once
+//!    and its numbers shared by the policies that map to it — the report
+//!    says which mode a row ran.
 //!
 //! `experiments -- gate tournament` validates a fresh run with
 //! [`validate_tournament_json`] and judges it against the committed golden
@@ -31,11 +32,11 @@
 //! directions, wall-clock within the gate's tolerance over its floor.
 
 use crate::pins::{FAULT20_SEED_OFFSET, FAULT_RATE_20};
-use crate::scale::{loads_of, smith_order, SparseExecutor};
+use crate::scale::{summarize, SparseExecutor};
 use coflow::bounds::interval_lp_bound;
 use coflow::{
-    run_policy_with_faults, try_solve_windowed_sparse, verify_faulty_outcome, FaultyOutcome,
-    Instance, PolicyEntry, PolicyRegistry, SparseCoflowLoads,
+    load_over_weight_order, port_primal_dual_order, run_policy_with_faults, try_solve_windowed,
+    verify_faulty_outcome, CoflowLoads, FaultyOutcome, Instance, PolicyEntry, PolicyRegistry,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -143,79 +144,6 @@ pub fn scale_mode(entry: &PolicyEntry) -> &'static str {
     }
 }
 
-/// The sparse analog of `OrderRule::PortPrimalDual` over one admission
-/// window: "machine" loads are the per-port sums of the window's sparse
-/// load lists (ingress ports `0..m`, egress `m..2m`), and the usual
-/// primal–dual peel — most-loaded port, minimum residual-weight ratio,
-/// placed last — runs on those.
-pub fn sparse_primal_dual_order(ports: usize, window: &[SparseCoflowLoads]) -> Vec<usize> {
-    let n = window.len();
-    let load_on = |k: usize, port: usize| -> u64 {
-        let c = &window[k];
-        let (list, p) = if port < ports {
-            (&c.ingress, port)
-        } else {
-            (&c.egress, port - ports)
-        };
-        list.iter().find(|&&(q, _)| q == p).map(|&(_, d)| d).unwrap_or(0)
-    };
-    let mut total = vec![0u64; 2 * ports];
-    for c in window {
-        for &(p, d) in &c.ingress {
-            total[p] += d;
-        }
-        for &(p, d) in &c.egress {
-            total[ports + p] += d;
-        }
-    }
-    let mut residual: Vec<f64> = window.iter().map(|c| c.weight).collect();
-    let mut remaining = vec![true; n];
-    let mut order_rev = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (port, &load) = total
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &l)| l)
-            .unwrap_or_else(|| unreachable!("fabric has at least one port"));
-        let k_star = if load == 0 {
-            (0..n)
-                .find(|&k| remaining[k])
-                .unwrap_or_else(|| unreachable!("loop runs once per remaining coflow"))
-        } else {
-            let mut best: Option<(usize, f64)> = None;
-            for k in 0..n {
-                if !remaining[k] {
-                    continue;
-                }
-                let l = load_on(k, port);
-                if l == 0 {
-                    continue;
-                }
-                let ratio = residual[k] / l as f64;
-                if best.is_none_or(|(_, r)| ratio < r) {
-                    best = Some((k, ratio));
-                }
-            }
-            let (k_star, theta) =
-                best.unwrap_or_else(|| unreachable!("max-load port has a contributing coflow"));
-            for k in 0..n {
-                if remaining[k] && k != k_star {
-                    residual[k] -= theta * load_on(k, port) as f64;
-                }
-            }
-            k_star
-        };
-        remaining[k_star] = false;
-        for p in 0..ports {
-            total[p] -= load_on(k_star, p);
-            total[ports + p] -= load_on(k_star, ports + p);
-        }
-        order_rev.push(k_star);
-    }
-    order_rev.reverse();
-    order_rev
-}
-
 /// Streams the scale-round workload once under `mode` and returns
 /// `(objective, makespan, wall_ms)`.
 fn run_scale_mode(mode: &str, seed: u64) -> (f64, u64, f64) {
@@ -235,6 +163,7 @@ fn run_scale_mode(mode: &str, seed: u64) -> (f64, u64, f64) {
     let mut exec = SparseExecutor::new(SCALE_PORTS);
     let mut objective = 0.0;
     let mut batch: Vec<SparseCoflow> = Vec::with_capacity(SCALE_WINDOW);
+    let mut loads: Vec<CoflowLoads> = Vec::with_capacity(SCALE_WINDOW);
     loop {
         batch.clear();
         while batch.len() < SCALE_WINDOW {
@@ -246,19 +175,14 @@ fn run_scale_mode(mode: &str, seed: u64) -> (f64, u64, f64) {
         if batch.is_empty() {
             break;
         }
+        summarize(&batch, &mut loads);
         let order = match mode {
-            "windowed-lp" => {
-                let loads: Vec<SparseCoflowLoads> = batch.iter().map(loads_of).collect();
-                match try_solve_windowed_sparse(SCALE_PORTS, &loads, &lp_opts) {
-                    Ok(relax) => relax.order,
-                    Err(_) => smith_order(&batch),
-                }
-            }
-            "primal-dual" => {
-                let loads: Vec<SparseCoflowLoads> = batch.iter().map(loads_of).collect();
-                sparse_primal_dual_order(SCALE_PORTS, &loads)
-            }
-            _ => smith_order(&batch),
+            "windowed-lp" => match try_solve_windowed(SCALE_PORTS, &loads, &lp_opts) {
+                Ok(relax) => relax.order,
+                Err(_) => load_over_weight_order(&loads),
+            },
+            "primal-dual" => port_primal_dual_order(SCALE_PORTS, &loads),
+            _ => load_over_weight_order(&loads),
         };
         for &k in &order {
             let completion = exec.run(&batch[k]);
@@ -667,50 +591,5 @@ mod tests {
             );
         let err = validate_tournament_json(&forged).unwrap_err();
         assert!(err.contains("exceeds the proven bound"), "{}", err);
-    }
-
-    #[test]
-    fn sparse_primal_dual_matches_the_dense_rule_on_a_lifted_window() {
-        use coflow::{compute_order, Coflow, OrderRule};
-        use coflow_matching::IntMatrix;
-        // A window with distinct port pressures, lifted to a dense
-        // instance: the sparse peel must reproduce the dense H_pd order.
-        let dense = coflow::Instance::new(
-            3,
-            vec![
-                Coflow::new(0, IntMatrix::from_nested(&[[4, 0, 0], [0, 1, 0], [0, 0, 0]])),
-                Coflow::new(1, IntMatrix::from_nested(&[[2, 0, 0], [0, 0, 3], [0, 0, 0]]))
-                    .with_weight(2.0),
-                Coflow::new(2, IntMatrix::from_nested(&[[0, 0, 0], [0, 0, 0], [0, 5, 1]])),
-            ],
-        );
-        let window: Vec<SparseCoflowLoads> = (0..3)
-            .map(|k| {
-                let c = dense.coflow(k);
-                let mut ingress = Vec::new();
-                let mut egress = Vec::new();
-                for p in 0..3 {
-                    let row: u64 = c.demand.row_sum(p);
-                    let col: u64 = c.demand.col_sum(p);
-                    if row > 0 {
-                        ingress.push((p, row));
-                    }
-                    if col > 0 {
-                        egress.push((p, col));
-                    }
-                }
-                SparseCoflowLoads {
-                    release: 0,
-                    weight: c.weight,
-                    rho: ingress.iter().chain(&egress).map(|&(_, d)| d).max().unwrap_or(0),
-                    ingress,
-                    egress,
-                }
-            })
-            .collect();
-        assert_eq!(
-            sparse_primal_dual_order(3, &window),
-            compute_order(&dense, OrderRule::PortPrimalDual)
-        );
     }
 }

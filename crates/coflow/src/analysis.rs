@@ -87,7 +87,7 @@ pub fn serialization_overhead(instance: &Instance, groups: &Groups) -> f64 {
     let rho_sum: u64 = groups
         .groups
         .iter()
-        .map(|g| instance.aggregate_demand(g).load())
+        .map(|g| instance.aggregate_load(g))
         .sum();
     rho_sum as f64 / v_max as f64
 }

@@ -1,20 +1,29 @@
 //! The coflow abstraction.
 //!
 //! A coflow (Chowdhury & Stoica) is a collection of parallel flows with a
-//! shared performance goal, represented here — as in the paper — by an
-//! `m × m` integer demand matrix `D = (d_ij)`, a release date `r_k`, and a
-//! positive weight `w_k`.
+//! shared performance goal. The paper writes its demand as an `m × m`
+//! integer matrix `D = (d_ij)` but sizes it by `M0`, its number of nonzero
+//! flows; here the demand is that flow list ([`Demand`]: the nonzero
+//! `(i, j, d_ij)` in row-major order), with a release date `r_k` and a
+//! positive weight `w_k`. A `Coflow` is also its own trace record.
+//!
+//! [`CoflowLoads`] is what the LP relaxations and the load-based orders
+//! read of a coflow: its release, weight and nonzero per-port loads. The
+//! instance orders build it from each coflow; the streaming scale runs
+//! build it from generated flow lists.
 
-use coflow_matching::IntMatrix;
+use coflow_netsim::demand::port_loads_into;
+pub use coflow_netsim::Demand;
+use coflow_netsim::PortLoads;
 
-/// A single coflow: demand matrix, release date, weight, and a stable id.
+/// A single coflow: demand, release date, weight, and a stable id.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Coflow {
     /// Stable identifier (the paper's `H_A` order is by trace id).
     pub id: usize,
-    /// Demand matrix: `demand[(i, j)]` data units from ingress `i` to
-    /// egress `j`.
-    pub demand: IntMatrix,
+    /// Demand: `d_ij` data units from ingress `i` to egress `j`, over the
+    /// nonzero pairs.
+    pub demand: Demand,
     /// Release date `r_k`; the coflow may first be served in slot `r_k + 1`.
     pub release: u64,
     /// Positive weight `w_k` in the objective `Σ w_k C_k`.
@@ -22,11 +31,12 @@ pub struct Coflow {
 }
 
 impl Coflow {
-    /// Creates a coflow with release 0 and unit weight.
-    pub fn new(id: usize, demand: IntMatrix) -> Self {
+    /// Creates a coflow with release 0 and unit weight. The demand is a
+    /// [`Demand`] or anything that converts into one (a dense matrix).
+    pub fn new(id: usize, demand: impl Into<Demand>) -> Self {
         Coflow {
             id,
-            demand,
+            demand: demand.into(),
             release: 0,
             weight: 1.0,
         }
@@ -68,54 +78,83 @@ impl Coflow {
     pub fn earliest_completion(&self) -> u64 {
         self.release + self.load()
     }
-}
 
-/// Serialization-friendly mirror of [`Coflow`] with a sparse demand listing.
-/// Used by the workloads crate for trace I/O.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CoflowRecord {
-    /// Stable identifier.
-    pub id: usize,
-    /// Fabric size.
-    pub m: usize,
-    /// Sparse demands `(src, dst, units)`.
-    pub flows: Vec<(usize, usize, u64)>,
-    /// Release date.
-    pub release: u64,
-    /// Weight.
-    pub weight: f64,
-}
-
-impl From<&Coflow> for CoflowRecord {
-    fn from(c: &Coflow) -> Self {
-        CoflowRecord {
-            id: c.id,
-            m: c.demand.dim(),
-            flows: c.demand.nonzero_entries().collect(),
-            release: c.release,
-            weight: c.weight,
-        }
+    /// The coflow's release, weight and port loads.
+    pub fn loads(&self) -> CoflowLoads {
+        CoflowLoads::from_flows(self.release, self.weight, self.demand.nonzero_entries())
     }
 }
 
-impl From<&CoflowRecord> for Coflow {
-    fn from(r: &CoflowRecord) -> Self {
-        let mut demand = IntMatrix::zeros(r.m);
-        for &(i, j, u) in &r.flows {
-            demand[(i, j)] += u;
-        }
-        Coflow {
-            id: r.id,
-            demand,
-            release: r.release,
-            weight: r.weight,
-        }
+/// A coflow as the LP relaxations and the load-based orders see it: its
+/// release, weight and nonzero per-port loads, without its flows.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CoflowLoads {
+    /// Release date `r_k`.
+    pub(crate) release: u64,
+    /// Weight `w_k` (positive, finite).
+    pub(crate) weight: f64,
+    /// Load `ρ_k`: the largest port load.
+    pub(crate) rho: u64,
+    /// Nonzero ingress loads `(i, Σ_j d_ij)`, ascending by port.
+    pub(crate) ingress: PortLoads,
+    /// Nonzero egress loads `(j, Σ_i d_ij)`, ascending by port.
+    pub(crate) egress: PortLoads,
+}
+
+impl CoflowLoads {
+    /// The summary of flows `(i, j, units)` in any order — a coflow's
+    /// demand, or a flow list in the order the streaming generator draws
+    /// it.
+    pub fn from_flows(
+        release: u64,
+        weight: f64,
+        flows: impl IntoIterator<Item = (usize, usize, u64)>,
+    ) -> Self {
+        let mut loads = CoflowLoads {
+            release,
+            weight,
+            rho: 0,
+            ingress: Vec::new(),
+            egress: Vec::new(),
+        };
+        loads.set_flows(release, weight, flows);
+        loads
+    }
+
+    /// Makes this the summary of other flows, reusing its buffers.
+    pub fn set_flows(
+        &mut self,
+        release: u64,
+        weight: f64,
+        flows: impl IntoIterator<Item = (usize, usize, u64)>,
+    ) {
+        port_loads_into(flows, &mut self.ingress, &mut self.egress);
+        self.release = release;
+        self.weight = weight;
+        self.rho = self
+            .ingress
+            .iter()
+            .chain(&self.egress)
+            .map(|&(_, l)| l)
+            .max()
+            .unwrap_or(0);
+    }
+
+    /// Earliest possible completion `r_k + ρ_k`.
+    pub fn earliest_completion(&self) -> u64 {
+        self.release + self.rho
+    }
+
+    /// Total demand units `Σ_ij d_ij`.
+    pub fn total_units(&self) -> u64 {
+        self.ingress.iter().map(|&(_, d)| d).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coflow_matching::IntMatrix;
 
     #[test]
     fn builder_and_derived_quantities() {
@@ -136,13 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trip() {
+    fn loads_summarize_the_flows() {
         let c = Coflow::new(7, IntMatrix::from_nested(&[[0, 4], [1, 0]]))
             .with_release(2)
             .with_weight(3.0);
-        let rec = CoflowRecord::from(&c);
-        assert_eq!(rec.flows.len(), 2);
-        let back = Coflow::from(&rec);
-        assert_eq!(back, c);
+        let loads = c.loads();
+        assert_eq!(loads.ingress, vec![(0, 4), (1, 1)]);
+        assert_eq!(loads.egress, vec![(0, 1), (1, 4)]);
+        assert_eq!((loads.rho, loads.total_units()), (4, 5));
+        assert_eq!(loads.earliest_completion(), c.earliest_completion());
+        // The same flows in draw order, with a pair repeated.
+        let mut drawn = CoflowLoads::from_flows(0, 1.0, [(0, 0, 9)]);
+        drawn.set_flows(2, 3.0, [(1, 0, 1), (0, 1, 3), (0, 1, 1)]);
+        assert_eq!(drawn, loads);
     }
 }

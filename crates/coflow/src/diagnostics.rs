@@ -21,7 +21,9 @@ use crate::instance::Instance;
 use crate::relax::LpRelaxation;
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::ScheduleOutcome;
-use coflow_netsim::{record_flights, BlockedSlot, FlightRecorder, RecorderConfig, ScheduleTrace};
+use coflow_netsim::{
+    record_flights, BlockedSlot, FlightRecorder, RecorderConfig, ScheduleTrace, SparseDemand,
+};
 
 /// How loud a firing detector is. Ordered: `Info < Warning < Critical`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -359,18 +361,8 @@ fn diagnose_core(
     trace.for_each_slot(|slot, moves| {
         moves_by_slot[slot as usize].extend_from_slice(moves);
     });
-    // Per-coflow remaining demand, mutated as moves replay.
-    let mut rem: Vec<Vec<u64>> = (0..n)
-        .map(|k| {
-            let demand = &instance.coflow(k).demand;
-            (0..m * m).map(|idx| demand[(idx / m, idx % m)]).collect()
-        })
-        .collect();
-    let mut row_rem: Vec<Vec<u64>> = rem
-        .iter()
-        .map(|r| (0..m).map(|i| r[i * m..(i + 1) * m].iter().sum()).collect())
-        .collect();
-    let mut total_rem: Vec<u64> = rem.iter().map(|r| r.iter().sum()).collect();
+    // Per-coflow remaining demand, drained as moves replay.
+    let mut rem = SparseDemand::new(m, instance.demands());
     let mut src_busy = vec![false; m];
     let mut dst_busy = vec![false; m];
     let mut nonconserving_slots = 0u64;
@@ -380,10 +372,11 @@ fn diagnose_core(
         for &(s, d, k) in &moves_by_slot[t as usize] {
             src_busy[s] = true;
             dst_busy[d] = true;
-            if k < n && rem[k][s * m + d] > 0 {
-                rem[k][s * m + d] -= 1;
-                row_rem[k][s] -= 1;
-                total_rem[k] -= 1;
+            if k >= n {
+                continue;
+            }
+            if let Some(e) = rem.find(k, s, d).filter(|&e| rem.units(e) > 0) {
+                rem.take(k, e, 1);
             }
         }
         // The top-priority coflow that is released (servable from slot
@@ -391,18 +384,14 @@ fn diagnose_core(
         let top = committed_order
             .iter()
             .copied()
-            .find(|&k| releases[k] < t && total_rem[k] > 0);
+            .find(|&k| releases[k] < t && rem.total(k) > 0);
         let Some(k) = top else { continue };
-        'scan: for i in 0..m {
-            if src_busy[i] || row_rem[k][i] == 0 {
-                continue;
-            }
-            for j in 0..m {
-                if rem[k][i * m + j] > 0 && !dst_busy[j] {
-                    nonconserving_slots += 1;
-                    break 'scan;
-                }
-            }
+        if rem
+            .view(k)
+            .nonzero_entries()
+            .any(|(i, j, _)| !src_busy[i] && !dst_busy[j])
+        {
+            nonconserving_slots += 1;
         }
     }
 

@@ -1,7 +1,6 @@
 //! Coflow scheduling instances and their load statistics.
 
-use crate::coflow::Coflow;
-use coflow_matching::IntMatrix;
+use crate::coflow::{Coflow, Demand};
 
 /// An offline coflow scheduling instance: `n` coflows on an `m × m` fabric.
 #[derive(Clone, Debug)]
@@ -11,7 +10,7 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Creates an instance; all demand matrices must be `m × m`.
+    /// Creates an instance; every demand must be on `m` ports.
     pub fn new(m: usize, coflows: Vec<Coflow>) -> Self {
         for c in &coflows {
             assert_eq!(c.demand.dim(), m, "coflow {} has wrong dimension", c.id);
@@ -44,9 +43,9 @@ impl Instance {
         &self.coflows[k]
     }
 
-    /// Demand matrices in instance order, borrowed: what the executors and
-    /// the replay check read once into their sparse state.
-    pub fn demands(&self) -> impl ExactSizeIterator<Item = &IntMatrix> + Clone + '_ {
+    /// Demands in instance order, borrowed: what the executors and the
+    /// replay check read once into their sparse state.
+    pub fn demands(&self) -> impl ExactSizeIterator<Item = &Demand> + Clone + '_ {
         self.coflows.iter().map(|c| &c.demand)
     }
 
@@ -63,10 +62,8 @@ impl Instance {
     /// Total demand on each ingress port across all coflows.
     pub fn ingress_loads(&self) -> Vec<u64> {
         let mut loads = vec![0u64; self.m];
-        for c in &self.coflows {
-            for (i, load) in loads.iter_mut().enumerate() {
-                *load += c.demand.row_sum(i);
-            }
+        for (i, _, u) in self.coflows.iter().flat_map(|c| c.demand.nonzero_entries()) {
+            loads[i] += u;
         }
         loads
     }
@@ -74,44 +71,17 @@ impl Instance {
     /// Total demand on each egress port across all coflows.
     pub fn egress_loads(&self) -> Vec<u64> {
         let mut loads = vec![0u64; self.m];
-        for c in &self.coflows {
-            let cols = c.demand.col_sums();
-            for (load, cs) in loads.iter_mut().zip(cols) {
-                *load += cs;
-            }
+        for (_, j, u) in self.coflows.iter().flat_map(|c| c.demand.nonzero_entries()) {
+            loads[j] += u;
         }
         loads
     }
 
-    /// Per-coflow port loads in flat row-major layout: `(ingress, egress)`
-    /// where `ingress[k * m + i] = Σ_j d^{(k)}_{ij}` and
-    /// `egress[k * m + j] = Σ_i d^{(k)}_{ij}`. One sequential pass over each
-    /// demand matrix, row by row, and exact (`u64` sums are
-    /// order-independent).
-    pub fn port_loads(&self) -> (Vec<u64>, Vec<u64>) {
-        let m = self.m;
-        let n = self.coflows.len();
-        let mut ingress = vec![0u64; n * m];
-        let mut egress = vec![0u64; n * m];
-        for (k, c) in self.coflows.iter().enumerate() {
-            let egress_k = &mut egress[k * m..(k + 1) * m];
-            for (i, load) in ingress[k * m..(k + 1) * m].iter_mut().enumerate() {
-                let row = c.demand.row(i);
-                *load = row.iter().sum();
-                for (e, &d) in egress_k.iter_mut().zip(row) {
-                    *e += d;
-                }
-            }
-        }
-        (ingress, egress)
-    }
-
     /// A trivial horizon that any schedule fits in:
-    /// `max_k r_k + Σ_k Σ_ij d_ij` (the paper's `T`).
+    /// `max_k r_k + Σ_k Σ_ij d_ij` (the paper's `T`), at least one slot
+    /// past the latest release.
     pub fn naive_horizon(&self) -> u64 {
-        let max_release = self.coflows.iter().map(|c| c.release).max().unwrap_or(0);
-        let total: u64 = self.coflows.iter().map(Coflow::total_units).sum();
-        max_release + total.max(1)
+        horizon(self.coflows.iter().map(|c| (c.release, c.total_units())))
     }
 
     /// The total weighted completion time `Σ_k w_k C_k` for given
@@ -147,42 +117,52 @@ impl Instance {
     pub fn cumulative_loads(&self, order: &[usize]) -> Vec<u64> {
         let mut in_load = vec![0u64; self.m];
         let mut out_load = vec![0u64; self.m];
-        let mut out = Vec::with_capacity(order.len());
-        for &k in order {
-            // One row-major pass per matrix, as in `port_loads`.
-            let d = &self.coflows[k].demand;
-            for (i, load) in in_load.iter_mut().enumerate() {
-                let row = d.row(i);
-                *load += row.iter().sum::<u64>();
-                for (e, &v) in out_load.iter_mut().zip(row) {
-                    *e += v;
+        // Port loads only grow, so the running maximum is the maximum.
+        let mut vk = 0u64;
+        order
+            .iter()
+            .map(|&k| {
+                for (i, j, u) in self.coflows[k].demand.nonzero_entries() {
+                    in_load[i] += u;
+                    out_load[j] += u;
+                    vk = vk.max(in_load[i]).max(out_load[j]);
                 }
-            }
-            let vk = in_load
-                .iter()
-                .chain(out_load.iter())
-                .copied()
-                .max()
-                .unwrap_or(0);
-            out.push(vk);
-        }
-        out
+                vk
+            })
+            .collect()
     }
 
-    /// Aggregates a set of coflows into one demand matrix
-    /// (`Σ_{k∈S} D^{(k)}`), as Algorithm 2 does per group.
-    pub fn aggregate_demand(&self, coflow_indices: &[usize]) -> IntMatrix {
-        let mut agg = IntMatrix::zeros(self.m);
+    /// The load `ρ` of a set of coflows aggregated into one
+    /// (`ρ(Σ_{k∈S} D^{(k)})`), as Algorithm 2 clears each group.
+    pub fn aggregate_load(&self, coflow_indices: &[usize]) -> u64 {
+        let mut in_load = vec![0u64; self.m];
+        let mut out_load = vec![0u64; self.m];
         for &k in coflow_indices {
-            agg += &self.coflows[k].demand;
+            for (i, j, u) in self.coflows[k].demand.nonzero_entries() {
+                in_load[i] += u;
+                out_load[j] += u;
+            }
         }
-        agg
+        in_load.into_iter().chain(out_load).max().unwrap_or(0)
     }
+}
+
+/// The paper's horizon `T` over `(release, total units)` per coflow: the
+/// latest release plus all the units (at least one), saturating at
+/// `u64::MAX`.
+pub(crate) fn horizon(coflows: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    let (latest, total) = coflows
+        .into_iter()
+        .fold((0u64, 0u64), |(r, t), (release, units)| {
+            (r.max(release), t.saturating_add(units))
+        });
+    latest.saturating_add(total.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coflow_matching::IntMatrix;
 
     fn two_coflow_instance() -> Instance {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 2], [2, 1]]));
@@ -216,12 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_demand_sums_matrices() {
+    fn aggregate_load_is_rho_of_the_summed_matrices() {
         let inst = two_coflow_instance();
-        let agg = inst.aggregate_demand(&[0, 1]);
-        assert_eq!(agg[(0, 0)], 4);
-        assert_eq!(agg[(0, 1)], 2);
-        assert_eq!(agg.load(), 6);
+        // Row 0 of the sum carries 4 + 2.
+        assert_eq!(inst.aggregate_load(&[0, 1]), 6);
+        assert_eq!(inst.aggregate_load(&[1]), 3);
+        assert_eq!(inst.aggregate_load(&[]), 0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod verify;
 pub mod windowed;
 
 pub use crate::analysis::{analyze, serialization_overhead, ScheduleAnalysis};
-pub use crate::coflow::{Coflow, CoflowRecord};
+pub use crate::coflow::{Coflow, CoflowLoads, Demand};
 pub use crate::diagnostics::{
     diagnose, diagnose_faulty, Anomaly, CoflowReport, Detector, DiagnosticsConfig,
     ScheduleDiagnostics, Severity,
@@ -65,7 +65,8 @@ pub use crate::grouping::{group_by_doubling, group_by_grid, Groups};
 pub use crate::instance::Instance;
 pub use crate::intervals::GeometricGrid;
 pub use crate::ordering::{
-    compute_order, permutation_by_key, try_compute_order, try_compute_order_with, OrderRule,
+    compute_order, load_over_weight_order, permutation_by_key, port_primal_dual_order,
+    try_compute_order, try_compute_order_with, OrderRule,
 };
 pub use crate::relax::{
     solve_interval_lp, solve_time_indexed_lp, solve_with_grid, try_solve_interval_lp,
@@ -90,10 +91,7 @@ pub use crate::sched::{
     run, run_randomized, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };
 pub use crate::verify::{verify_outcome, VerifyError, VerifyReport};
-pub use crate::windowed::{
-    build_interval_model_sparse, coflow_components, sparse_loads_of, sparse_naive_horizon,
-    try_solve_interval_lp_windowed, try_solve_windowed_sparse, SparseCoflowLoads,
-};
+pub use crate::windowed::{coflow_components, try_solve_windowed};
 
 /// The deterministic approximation ratio proven in Theorem 1.
 pub const DETERMINISTIC_RATIO: f64 = 67.0 / 3.0;

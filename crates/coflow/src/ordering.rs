@@ -6,9 +6,10 @@
 //! `H_LP` (the LP-based order (15)) — plus a total-size variant as an
 //! ablation.
 
+use crate::coflow::{Coflow, CoflowLoads};
 use crate::error::SchedError;
 use crate::instance::Instance;
-use crate::relax::{solve_interval_lp, try_solve_interval_lp_with};
+use crate::relax::{solve_interval_lp, try_solve_interval_lp_with, Postings};
 use coflow_lp::SimplexOptions;
 
 /// An ordering heuristic for the ordering stage.
@@ -75,37 +76,24 @@ pub fn compute_order(instance: &Instance, rule: OrderRule) -> Vec<usize> {
 
 fn compute_order_inner(instance: &Instance, rule: OrderRule) -> Vec<usize> {
     let n = instance.len();
-    let mut order: Vec<usize> = (0..n).collect();
     match rule {
         OrderRule::Arrival => {
+            let mut order: Vec<usize> = (0..n).collect();
             order.sort_by_key(|&k| (instance.coflow(k).id, k));
+            order
         }
-        OrderRule::LoadOverWeight => {
-            let key: Vec<f64> = (0..n)
-                .map(|k| {
-                    let c = instance.coflow(k);
-                    c.load() as f64 / c.weight
-                })
-                .collect();
-            order = permutation_by_key(n, &key);
-        }
+        OrderRule::LoadOverWeight => load_over_weight_order(&loads_of(instance)),
         OrderRule::SizeOverWeight => {
-            let key: Vec<f64> = (0..n)
-                .map(|k| {
-                    let c = instance.coflow(k);
-                    c.total_units() as f64 / c.weight
-                })
+            let key: Vec<f64> = instance
+                .coflows()
+                .iter()
+                .map(|c| c.total_units() as f64 / c.weight)
                 .collect();
-            order = permutation_by_key(n, &key);
+            permutation_by_key(n, &key)
         }
-        OrderRule::LpBased => {
-            return solve_interval_lp(instance).order;
-        }
-        OrderRule::PortPrimalDual => {
-            return port_primal_dual_order(instance);
-        }
+        OrderRule::LpBased => solve_interval_lp(instance).order,
+        OrderRule::PortPrimalDual => port_primal_dual_order(instance.ports(), &loads_of(instance)),
     }
-    order
 }
 
 /// Fallible variant of [`compute_order`]: [`OrderRule::LpBased`] surfaces
@@ -136,30 +124,28 @@ pub fn try_compute_order_with(
     }
 }
 
-/// The BSSI primal–dual permutation over port loads (see
-/// [`OrderRule::PortPrimalDual`]).
-fn port_primal_dual_order(instance: &Instance) -> Vec<usize> {
-    let n = instance.len();
-    let m = instance.ports();
-    // "Machine" loads, flat with stride 2m: ingress 0..m, egress m..2m, per
-    // coflow (one pass over each demand matrix; u64 sums are exact so this
-    // is bit-identical to the nested per-call layout it replaces).
-    let (ingress, egress) = instance.port_loads();
-    let mut port_loads = vec![0u64; n * 2 * m];
-    for k in 0..n {
-        port_loads[k * 2 * m..k * 2 * m + m].copy_from_slice(&ingress[k * m..(k + 1) * m]);
-        port_loads[k * 2 * m + m..(k + 1) * 2 * m].copy_from_slice(&egress[k * m..(k + 1) * m]);
-    }
-    let mut total_load = vec![0u64; 2 * m];
-    for k in 0..n {
-        for (t, &l) in total_load
-            .iter_mut()
-            .zip(&port_loads[k * 2 * m..(k + 1) * 2 * m])
-        {
-            *t += l;
-        }
-    }
-    let mut residual: Vec<f64> = instance.coflows().iter().map(|c| c.weight).collect();
+fn loads_of(instance: &Instance) -> Vec<CoflowLoads> {
+    instance.coflows().iter().map(Coflow::loads).collect()
+}
+
+/// `H_ρ` over port-load summaries: nondecreasing `ρ_k / w_k`, ties by
+/// index. What [`OrderRule::LoadOverWeight`] computes for an instance.
+pub fn load_over_weight_order(coflows: &[CoflowLoads]) -> Vec<usize> {
+    let key: Vec<f64> = coflows.iter().map(|c| c.rho as f64 / c.weight).collect();
+    permutation_by_key(coflows.len(), &key)
+}
+
+/// The BSSI primal–dual permutation (see [`OrderRule::PortPrimalDual`])
+/// of coflows on an `m`-port fabric, over their port loads: the `2m`
+/// "machines" are the ingress ports `0..m` and the egress ports `m..2m`.
+pub fn port_primal_dual_order(m: usize, coflows: &[CoflowLoads]) -> Vec<usize> {
+    let n = coflows.len();
+    let machines = Postings::new(m, coflows.iter());
+    let mut total_load: Vec<u64> = machines
+        .ports()
+        .map(|per_port| per_port.iter().map(|&(_, l)| l).sum())
+        .collect();
+    let mut residual: Vec<f64> = coflows.iter().map(|c| c.weight).collect();
     let mut remaining = vec![true; n];
     let mut order_rev = Vec::with_capacity(n);
     for _ in 0..n {
@@ -173,31 +159,32 @@ fn port_primal_dual_order(instance: &Instance) -> Vec<usize> {
                 .find(|&k| remaining[k])
                 .unwrap_or_else(|| unreachable!("loop runs once per remaining coflow"))
         } else {
+            // The port's coflows, ascending: the first minimum ratio wins.
+            let on_port = machines.port(port);
             let mut best: Option<(usize, f64)> = None;
-            for k in 0..n {
-                if !remaining[k] || port_loads[k * 2 * m + port] == 0 {
-                    continue;
-                }
-                let ratio = residual[k] / port_loads[k * 2 * m + port] as f64;
+            for &(k, l) in on_port.iter().filter(|&&(k, _)| remaining[k]) {
+                let ratio = residual[k] / l as f64;
                 if best.is_none_or(|(_, r)| ratio < r) {
                     best = Some((k, ratio));
                 }
             }
             let (k_star, theta) =
                 best.unwrap_or_else(|| unreachable!("max-load port has a contributing coflow"));
-            for k in 0..n {
+            // Coflows without load on the port keep their residual.
+            for &(k, l) in on_port {
                 if remaining[k] && k != k_star {
-                    residual[k] -= theta * port_loads[k * 2 * m + port] as f64;
+                    residual[k] -= theta * l as f64;
                 }
             }
             k_star
         };
         remaining[k_star] = false;
-        for (t, &l) in total_load
-            .iter_mut()
-            .zip(&port_loads[k_star * 2 * m..(k_star + 1) * 2 * m])
-        {
-            *t -= l;
+        let c = &coflows[k_star];
+        for &(p, l) in &c.ingress {
+            total_load[p] -= l;
+        }
+        for &(p, l) in &c.egress {
+            total_load[m + p] -= l;
         }
         order_rev.push(k_star);
     }

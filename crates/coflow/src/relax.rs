@@ -15,6 +15,7 @@
 // the textbook algorithms and keep row/column index arithmetic explicit.
 #![allow(clippy::needless_range_loop)]
 
+use crate::coflow::{Coflow, CoflowLoads};
 use crate::instance::Instance;
 use crate::intervals::GeometricGrid;
 use coflow_lp::{solve_with, LpError, Model, SimplexOptions, Status, VarId};
@@ -47,18 +48,9 @@ pub fn build_interval_model(
     instance: &Instance,
 ) -> (Model, Vec<Vec<(usize, VarId)>>, GeometricGrid) {
     let _span = obs::span("lp.build_model");
-    let loads = instance.port_loads();
-    // `Instance::naive_horizon` from the loads: the latest release plus the
-    // total demand (every unit passes through exactly one ingress port).
-    let max_release = instance
-        .coflows()
-        .iter()
-        .map(|c| c.release)
-        .max()
-        .unwrap_or(0);
-    let total: u64 = loads.0.iter().sum();
-    let grid = GeometricGrid::doubling(max_release + total.max(1));
-    let (model, vars) = build_from_loads(instance, &loads, &grid);
+    let grid = GeometricGrid::doubling(instance.naive_horizon());
+    let loads: Vec<CoflowLoads> = instance.coflows().iter().map(Coflow::loads).collect();
+    let (model, vars) = build_interval_model_loads(instance.ports(), loads.iter(), &grid);
     (model, vars, grid)
 }
 
@@ -76,36 +68,27 @@ pub fn build_interval_model_with_grid(
     grid: &GeometricGrid,
 ) -> (Model, Vec<Vec<(usize, VarId)>>) {
     let _span = obs::span("lp.build_model");
-    build_from_loads(instance, &instance.port_loads(), grid)
+    let loads: Vec<CoflowLoads> = instance.coflows().iter().map(Coflow::loads).collect();
+    build_interval_model_loads(instance.ports(), loads.iter(), grid)
 }
 
-/// The model of [`build_interval_model_with_grid`] from the per-coflow
-/// ingress and egress port loads of [`Instance::port_loads`] — the only
-/// read of the demand matrices.
-fn build_from_loads(
-    instance: &Instance,
-    (ingress_loads, egress_loads): &(Vec<u64>, Vec<u64>),
+/// The interval-indexed model of coflows on an `m`-port fabric, from
+/// their port loads: the one model builder behind every LP solve.
+pub(crate) fn build_interval_model_loads<'a>(
+    m: usize,
+    coflows: impl Iterator<Item = &'a CoflowLoads> + Clone,
     grid: &GeometricGrid,
 ) -> (Model, Vec<Vec<(usize, VarId)>>) {
-    let n = instance.len();
-    let m = instance.ports();
     let big_l = grid.num_intervals();
     let mut model = Model::new();
 
     // Variables x_{k,l}, restricted by the feasibility constraints (13):
     // x_{k,l} = 0 unless τ_l ≥ r_k + ρ_k, where ρ_k is coflow k's largest
     // row or column sum, i.e. its largest port load.
-    let mut first = Vec::with_capacity(n);
-    let mut vars: Vec<Vec<(usize, VarId)>> = Vec::with_capacity(n);
-    for (k, c) in instance.coflows().iter().enumerate() {
-        let ports = k * m..(k + 1) * m;
-        let rho = ingress_loads[ports.clone()]
-            .iter()
-            .chain(&egress_loads[ports])
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let first_k = grid.first_feasible((c.release + rho) as f64);
+    let mut first = Vec::new();
+    let mut vars: Vec<Vec<(usize, VarId)>> = Vec::new();
+    for c in coflows.clone() {
+        let first_k = grid.first_feasible(c.earliest_completion() as f64);
         let mut per_coflow = Vec::with_capacity(big_l - first_k + 1);
         for l in first_k..=big_l {
             let cost = c.weight * grid.point(l - 1);
@@ -123,44 +106,86 @@ fn build_from_loads(
         model.add_eq(terms, 1.0);
     }
 
-    // Load rows (11)–(12): for each port p and interval l,
+    // Load rows (11)–(12): for each port p (ingress ports, then egress
+    // ports) and interval l,
     //   Σ_{u ≤ l} Σ_k (port load of k) · x_{k,u} ≤ τ_l.
     // A row can bind only if the coflows with a variable at or before l
     // carry more than τ_l units through the port. That eligible load is a
     // prefix sum over the coflows' first feasible intervals; rows that
     // cannot bind are never built. The u64 sum is exact, and below 2^53 it
     // equals the same loads summed in f64 in any order.
-    let stride = big_l + 1;
-    let mut eligible = vec![0u64; m * stride];
-    for loads in [ingress_loads, egress_loads] {
+    let mut eligible = vec![0u64; big_l + 1];
+    for per_port in Postings::new(m, coflows).ports() {
         eligible.fill(0);
-        for (k, &first_k) in first.iter().enumerate() {
-            for (p, &d) in loads[k * m..(k + 1) * m].iter().enumerate() {
-                eligible[p * stride + first_k] += d;
-            }
+        for &(k, d) in per_port {
+            eligible[first[k]] += d;
         }
-        for p in 0..m {
-            let mut load = 0u64;
-            for l in 1..=big_l {
-                load += eligible[p * stride + l];
-                let tau_l = grid.point(l);
-                if load as f64 <= tau_l {
+        let mut load = 0u64;
+        for l in 1..=big_l {
+            load += eligible[l];
+            let tau_l = grid.point(l);
+            if load as f64 <= tau_l {
+                continue;
+            }
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for &(k, d) in per_port {
+                if first[k] > l {
                     continue;
                 }
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for (k, &first_k) in first.iter().enumerate() {
-                    let d = loads[k * m + p];
-                    if d == 0 || first_k > l {
-                        continue;
-                    }
-                    let upto = &vars[k][..=l - first_k];
-                    terms.extend(upto.iter().map(|&(_, v)| (v, d as f64)));
-                }
-                model.add_le(terms, tau_l);
+                let upto = &vars[k][..=l - first[k]];
+                terms.extend(upto.iter().map(|&(_, v)| (v, d as f64)));
             }
+            model.add_le(terms, tau_l);
         }
     }
     (model, vars)
+}
+
+/// The coflows loading each port, as `(k, load)` ascending by `k`:
+/// ingress ports `0..m`, then egress ports `m..2m`, in one CSR list.
+pub(crate) struct Postings {
+    /// Postings of port `p`: `start[p]..start[p + 1]`.
+    start: Vec<usize>,
+    entries: Vec<(usize, u64)>,
+}
+
+impl Postings {
+    /// Posts the loads of `coflows`, numbered in iteration order.
+    pub(crate) fn new<'a>(
+        m: usize,
+        coflows: impl Iterator<Item = &'a CoflowLoads> + Clone,
+    ) -> Self {
+        let ports_of = |c: &'a CoflowLoads| {
+            let egress = c.egress.iter().map(move |&(p, d)| (m + p, d));
+            c.ingress.iter().copied().chain(egress)
+        };
+        let mut start = vec![0usize; 2 * m + 1];
+        for (p, _) in coflows.clone().flat_map(ports_of) {
+            start[p + 1] += 1;
+        }
+        for p in 0..2 * m {
+            start[p + 1] += start[p];
+        }
+        let mut next = start[..2 * m].to_vec();
+        let mut entries = vec![(0, 0); start[2 * m]];
+        for (k, c) in coflows.enumerate() {
+            for (p, d) in ports_of(c) {
+                entries[next[p]] = (k, d);
+                next[p] += 1;
+            }
+        }
+        Postings { start, entries }
+    }
+
+    /// The postings of each port, ingress ports first.
+    pub(crate) fn ports(&self) -> impl Iterator<Item = &[(usize, u64)]> {
+        self.start.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+
+    /// The postings of port `p`.
+    pub(crate) fn port(&self, p: usize) -> &[(usize, u64)] {
+        &self.entries[self.start[p]..self.start[p + 1]]
+    }
 }
 
 /// Solves the relaxation over a custom grid, returning the lower bound and
@@ -262,15 +287,14 @@ pub struct LpExpRelaxation {
 /// experiments and in tests.
 pub fn solve_time_indexed_lp(instance: &Instance) -> LpExpRelaxation {
     let n = instance.len();
-    let m = instance.ports();
     let horizon = instance.naive_horizon();
     let mut model = Model::new();
 
     // z_{k,t}: coflow k completes in slot t; t ranges over
     // [r_k + rho_k, horizon].
     let mut vars: Vec<Vec<(u64, VarId)>> = Vec::with_capacity(n);
-    for k in 0..n {
-        let c = instance.coflow(k);
+    let loads: Vec<CoflowLoads> = instance.coflows().iter().map(Coflow::loads).collect();
+    for (k, c) in loads.iter().enumerate() {
         let first = c.earliest_completion().max(1);
         let mut per = Vec::new();
         for t in first..=horizon {
@@ -289,33 +313,26 @@ pub fn solve_time_indexed_lp(instance: &Instance) -> LpExpRelaxation {
 
     // Load constraints (8)–(9) at every time point, pruned when they cannot
     // bind.
-    let (ingress_loads, egress_loads) = instance.port_loads();
-    for loads in [&ingress_loads, &egress_loads] {
-        for p in 0..m {
-            for t in 1..=horizon {
-                let mut eligible = 0u64;
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for k in 0..n {
-                    let d = loads[k * m + p];
-                    if d == 0 {
-                        continue;
-                    }
-                    let mut any = false;
-                    for &(s, v) in &vars[k] {
-                        if s <= t {
-                            terms.push((v, d as f64));
-                            any = true;
-                        } else {
-                            break;
-                        }
-                    }
-                    if any {
-                        eligible += d;
+    for per_port in Postings::new(instance.ports(), loads.iter()).ports() {
+        for t in 1..=horizon {
+            let mut eligible = 0u64;
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for &(k, d) in per_port {
+                let mut any = false;
+                for &(s, v) in &vars[k] {
+                    if s <= t {
+                        terms.push((v, d as f64));
+                        any = true;
+                    } else {
+                        break;
                     }
                 }
-                if eligible as f64 > t as f64 {
-                    model.add_le(terms, t as f64);
+                if any {
+                    eligible += d;
                 }
+            }
+            if eligible as f64 > t as f64 {
+                model.add_le(terms, t as f64);
             }
         }
     }
@@ -435,8 +452,8 @@ mod tests {
 
     /// The builder the one-pass build replaced, kept as the reference: the
     /// doubling grid from `Instance::naive_horizon`, ρ_k and the port loads
-    /// from each dense matrix's row and column sums, and for every port and
-    /// interval a row filled term by term before its eligible load is
+    /// from each densified matrix's row and column sums, and for every port
+    /// and interval a row filled term by term before its eligible load is
     /// compared with τ_l.
     fn reference_model(
         instance: &Instance,
@@ -463,9 +480,20 @@ mod tests {
             let terms = per_coflow.iter().map(|&(_, v)| (v, 1.0)).collect();
             model.add_eq(terms, 1.0);
         }
-        let coflows = instance.coflows();
-        let ingress_loads: Vec<u64> = coflows.iter().flat_map(|c| c.demand.row_sums()).collect();
-        let egress_loads: Vec<u64> = coflows.iter().flat_map(|c| c.demand.col_sums()).collect();
+        // Densified here: the reference reads every cell.
+        let dense: Vec<IntMatrix> = instance
+            .coflows()
+            .iter()
+            .map(|c| {
+                let mut d = IntMatrix::zeros(m);
+                for (i, j, u) in c.demand.nonzero_entries() {
+                    d[(i, j)] = u;
+                }
+                d
+            })
+            .collect();
+        let ingress_loads: Vec<u64> = dense.iter().flat_map(IntMatrix::row_sums).collect();
+        let egress_loads: Vec<u64> = dense.iter().flat_map(IntMatrix::col_sums).collect();
         for loads in [&ingress_loads, &egress_loads] {
             for p in 0..m {
                 for l in 1..=big_l {

@@ -778,14 +778,11 @@ impl<'a> Engine<'a> {
         for k in 0..n {
             let demand = &instance.coflow(k).demand;
             for (i, j, units) in residual.view(k).nonzero_entries() {
-                if units > demand[(i, j)] {
+                let demanded = demand.get(i, j);
+                if units > demanded {
                     return Err(coflow_netsim::SnapshotError::new(format!(
                         "coflow {} has {} residual units on ({}, {}), above its demand of {}",
-                        k,
-                        units,
-                        i,
-                        j,
-                        demand[(i, j)]
+                        k, units, i, j, demanded
                     )));
                 }
             }
@@ -920,8 +917,8 @@ impl FlowMatcher {
         coflows.len() != before
     }
 
-    /// `ρ` of coflow `k`'s remaining demand — what
-    /// `state.remaining_matrix(k).load()` returns — summed over its flow
+    /// `ρ` of coflow `k`'s remaining demand — the `load()` of
+    /// `Demand::from(state.remaining_matrix(k))` — summed over its flow
     /// list, without allocating.
     pub(crate) fn load(&mut self, state: &EpochState<'_>, k: usize) -> u64 {
         let demand = state.remaining_demand();
@@ -1894,6 +1891,30 @@ impl ResilientPolicy {
     }
 }
 
+/// The instance a `resilient` replan plans: live coflows with their
+/// remaining demand, released no earlier than the current slot so the
+/// planned trace lands strictly in the future, and the original index of
+/// each. Coflow ids are preserved so H_A stays the trace arrival order
+/// across replans. `None` when no coflow has demand left.
+fn residual_instance(state: &EpochState<'_>) -> Option<(Instance, Vec<usize>)> {
+    let _span = obs::span("sched.residual");
+    let instance = state.instance;
+    let mut residual_to_orig = Vec::new();
+    let mut residual = Vec::new();
+    for (k, c) in instance.coflows().iter().enumerate() {
+        if state.is_cancelled(k) || state.remaining_total(k) == 0 {
+            continue;
+        }
+        residual_to_orig.push(k);
+        residual.push(
+            Coflow::new(c.id, state.remaining_matrix(k))
+                .with_weight(c.weight)
+                .with_release(c.release.max(state.now)),
+        );
+    }
+    (!residual.is_empty()).then(|| (Instance::new(instance.ports(), residual), residual_to_orig))
+}
+
 impl Policy for ResilientPolicy {
     fn name(&self) -> &'static str {
         "resilient"
@@ -1904,32 +1925,11 @@ impl Policy for ResilientPolicy {
     }
 
     fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-        let instance = state.instance;
-        let now = state.now;
-        // Residual instance: live coflows with their remaining demand,
-        // released no earlier than the current slot so the planned trace
-        // lands strictly in the future. Coflow ids are preserved so H_A
-        // stays the trace arrival order across replans.
-        let mut residual_to_orig = Vec::new();
-        let mut residual = Vec::new();
-        for k in 0..instance.len() {
-            if state.is_cancelled(k) || state.remaining_total(k) == 0 {
-                continue;
-            }
-            let c = instance.coflow(k);
-            residual_to_orig.push(k);
-            residual.push(
-                Coflow::new(c.id, state.remaining_matrix(k).to_matrix())
-                    .with_weight(c.weight)
-                    .with_release(c.release.max(now)),
-            );
-        }
-        if residual.is_empty() {
+        let Some((residual_instance, residual_to_orig)) = residual_instance(state) else {
             // Nothing left to serve, but some coflow is still pending a
             // future cancellation — step the clock to settle it.
-            return Ok(Decision::Advance(now + 1));
-        }
-        let residual_instance = Instance::new(instance.ports(), residual);
+            return Ok(Decision::Advance(state.now + 1));
+        };
         // The engine executes the plan only up to the next fault boundary,
         // so planning stops there too.
         let (mut trace, tier) = plan_resilient_until(
@@ -1961,6 +1961,7 @@ impl Policy for ResilientPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coflow::Demand;
     use crate::instance::Instance;
     use coflow_matching::IntMatrix;
     use proptest::prelude::*;
@@ -2032,7 +2033,8 @@ mod tests {
                 let least = dense.iter().map(|&(i, j, k)| state.remaining(k, i, j)).min();
                 assert_eq!(min_remaining, least.unwrap_or(u64::MAX));
                 for k in live() {
-                    assert_eq!(matcher.load(&state, k), state.remaining_matrix(k).load());
+                    let left = Demand::from(state.remaining_matrix(k));
+                    assert_eq!(matcher.load(&state, k), left.load());
                 }
                 pairs
             };
@@ -2165,7 +2167,8 @@ mod tests {
                 remaining.push(IntMatrix::from_rows(m, rem));
             }
             let instance = Instance::new(m, coflows);
-            let fabric = Fabric::new(m, &remaining, &vec![0; n]);
+            let left: Vec<Demand> = remaining.iter().map(Demand::from).collect();
+            let fabric = Fabric::new(m, &left, &vec![0; n]);
             let state = EpochState::clean(&instance, &fabric);
             let mut batch: Vec<usize> = (0..n).collect();
             batch.sort_by_key(|&k| mix(seed ^ k as u64));

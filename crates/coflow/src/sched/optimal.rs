@@ -138,7 +138,7 @@ pub fn optimal_objective_unweighted(m: usize, demands: &[IntMatrix]) -> f64 {
     let coflows = demands
         .iter()
         .enumerate()
-        .map(|(id, d)| Coflow::new(id, d.clone()))
+        .map(|(id, d)| Coflow::new(id, d))
         .collect();
     optimal_objective(&Instance::new(m, coflows))
 }

@@ -38,6 +38,21 @@ mod legacy {
     use coflow_matching::{bvn_decompose, IntMatrix};
     use coflow_netsim::{Fabric, FaultPlan, FaultSim, Run, ScheduleTrace, SimError, Transfer};
 
+    /// The instance's demands as dense matrices: the loops below index
+    /// them by cell.
+    fn dense(instance: &Instance) -> Vec<IntMatrix> {
+        instance
+            .demands()
+            .map(|d| {
+                let mut m = IntMatrix::zeros(d.dim());
+                for (i, j, u) in d.nonzero_entries() {
+                    m[(i, j)] = u;
+                }
+                m
+            })
+            .collect()
+    }
+
     /// The pre-refactor `execute_batches` (sched/mod.rs), verbatim minus
     /// obs calls and the parallel-precompute fan-out (the sequential path
     /// is the semantic reference, and the engine's only path).
@@ -256,7 +271,7 @@ mod legacy {
     pub fn run_online(instance: &Instance) -> ScheduleOutcome {
         let n = instance.len();
         let m = instance.ports();
-        let mut remaining: Vec<IntMatrix> = instance.demands().cloned().collect();
+        let mut remaining: Vec<IntMatrix> = dense(instance);
         let mut remaining_total: Vec<u64> = remaining.iter().map(IntMatrix::total).collect();
         let releases = instance.releases();
         let weights = instance.weights();
@@ -345,7 +360,7 @@ mod legacy {
     /// The pre-refactor `run_greedy` (sched/greedy.rs), verbatim.
     pub fn run_greedy(instance: &Instance, order: Vec<usize>) -> ScheduleOutcome {
         let m = instance.ports();
-        let mut remaining: Vec<IntMatrix> = instance.demands().cloned().collect();
+        let mut remaining: Vec<IntMatrix> = dense(instance);
         let mut remaining_total: Vec<u64> = remaining.iter().map(IntMatrix::total).collect();
         let releases = instance.releases();
         let mut completions: Vec<u64> = releases.clone();

@@ -5,10 +5,7 @@
 //! `coflow::windowed`: the monolithic LP is block-diagonal over the groups,
 //! so nothing is lost by solving the blocks separately.
 
-use coflow::{
-    solve_interval_lp, sparse_loads_of, try_solve_interval_lp_windowed, try_solve_windowed_sparse,
-    Coflow, Instance,
-};
+use coflow::{solve_interval_lp, try_solve_windowed, Coflow, CoflowLoads, Instance};
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
 use proptest::prelude::*;
@@ -55,7 +52,8 @@ proptest! {
     #[test]
     fn windowed_order_equals_monolithic(inst in arb_instance()) {
         let mono = solve_interval_lp(&inst);
-        let win = try_solve_interval_lp_windowed(&inst, &SimplexOptions::default())
+        let loads: Vec<CoflowLoads> = inst.coflows().iter().map(Coflow::loads).collect();
+        let win = try_solve_windowed(inst.ports(), &loads, &SimplexOptions::default())
             .unwrap_or_else(|e| panic!("windowed solve failed: {}", e));
         for (k, (a, b)) in win
             .approx_completion
@@ -78,19 +76,6 @@ proptest! {
         let tied = sorted.windows(2).any(|w| (w[1] - w[0]).abs() < 1e-5);
         if !tied {
             prop_assert_eq!(&win.order, &mono.order);
-        }
-    }
-
-    /// The sparse-model path agrees with the dense windowed path.
-    #[test]
-    fn sparse_windowed_equals_dense(inst in arb_instance()) {
-        let dense = try_solve_interval_lp_windowed(&inst, &SimplexOptions::default())
-            .unwrap_or_else(|e| panic!("dense windowed failed: {}", e));
-        let loads = sparse_loads_of(&inst);
-        let sparse = try_solve_windowed_sparse(inst.ports(), &loads, &SimplexOptions::default())
-            .unwrap_or_else(|e| panic!("sparse windowed failed: {}", e));
-        for (a, b) in sparse.approx_completion.iter().zip(&dense.approx_completion) {
-            prop_assert!((a - b).abs() < 1e-6);
         }
     }
 }

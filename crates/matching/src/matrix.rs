@@ -92,11 +92,6 @@ impl IntMatrix {
         self.row(i).iter().sum()
     }
 
-    /// Sum of column `j` (total demand on egress port `j`).
-    pub fn col_sum(&self, j: usize) -> u64 {
-        (0..self.m).map(|i| self[(i, j)]).sum()
-    }
-
     /// All row sums.
     pub fn row_sums(&self) -> Vec<u64> {
         (0..self.m).map(|i| self.row_sum(i)).collect()

@@ -12,13 +12,13 @@
 //!   ordered list of coflows (this is where backfilling happens). Exact
 //!   per-slot completion times are recovered from the within-run offsets.
 //!   Its remaining demand is a [`SparseDemand`] over the coflows' nonzero
-//!   pairs, read once from the borrowed demand matrices; a listed coflow's
+//!   pairs, concatenated from the borrowed demands; a listed coflow's
 //!   entry on a pair is found by binary search over its pairs, unless the
 //!   last lookup at the pair's ingress was for the same coflow and pair.
 //! * [`SlotSim`] — a literal slot-by-slot executor over dense matrices,
 //!   used to cross-check the run-length arithmetic in tests.
 
-use crate::demand::{DemandView, EntryMemo, SparseDemand};
+use crate::demand::{Demand, DemandView, EntryMemo, SparseDemand};
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
 
@@ -48,10 +48,11 @@ pub struct Fabric {
 
 impl Fabric {
     /// Creates a fabric loaded with the given coflow demands and release
-    /// dates. All matrices must be `m × m`; they are read once, not kept.
+    /// dates. All demands must be on `m` ports; they are read once, not
+    /// kept.
     pub fn new<'a>(
         m: usize,
-        demands: impl IntoIterator<Item = &'a IntMatrix>,
+        demands: impl IntoIterator<Item = &'a Demand>,
         releases: &[u64],
     ) -> Self {
         let remaining = SparseDemand::new(m, demands);
@@ -284,8 +285,8 @@ impl SlotSim {
 mod tests {
     use super::*;
 
-    fn fig1() -> Vec<IntMatrix> {
-        vec![IntMatrix::from_nested(&[[1, 2], [2, 1]])]
+    fn fig1() -> Vec<Demand> {
+        vec![IntMatrix::from_nested(&[[1, 2], [2, 1]]).into()]
     }
 
     #[test]
@@ -307,7 +308,7 @@ mod tests {
         // One pair, demand 2, run of 5 slots: completes at slot 2.
         let mut d = IntMatrix::zeros(2);
         d[(0, 1)] = 2;
-        let mut f = Fabric::new(2, &[d], &[0]);
+        let mut f = Fabric::new(2, &[Demand::from(d)], &[0]);
         f.apply_run(&[(0, 1, vec![0])], 5);
         assert_eq!(f.completion_times(), &[Some(2)]);
         assert_eq!(f.now(), 5);
@@ -320,7 +321,7 @@ mod tests {
         d0[(0, 1)] = 3;
         let mut d1 = IntMatrix::zeros(2);
         d1[(0, 1)] = 2;
-        let mut f = Fabric::new(2, &[d0, d1], &[0, 0]);
+        let mut f = Fabric::new(2, &[Demand::from(d0), Demand::from(d1)], &[0, 0]);
         f.apply_run(&[(0, 1, vec![0, 1])], 10);
         assert_eq!(f.completion_times(), &[Some(3), Some(5)]);
     }
@@ -328,7 +329,7 @@ mod tests {
     #[test]
     fn zero_demand_coflow_completes_at_release() {
         let d = IntMatrix::zeros(2);
-        let f = Fabric::new(2, &[d], &[7]);
+        let f = Fabric::new(2, &[Demand::from(d)], &[7]);
         assert_eq!(f.completion_times(), &[Some(7)]);
         assert!(f.all_done());
     }
@@ -337,7 +338,7 @@ mod tests {
     fn advance_to_models_idle_waiting() {
         let mut d = IntMatrix::zeros(2);
         d[(1, 0)] = 1;
-        let mut f = Fabric::new(2, &[d], &[4]);
+        let mut f = Fabric::new(2, &[Demand::from(d)], &[4]);
         f.advance_to(4);
         f.apply_run(&[(1, 0, vec![0])], 1);
         assert_eq!(f.completion_times(), &[Some(5)]);
@@ -348,7 +349,7 @@ mod tests {
     fn release_dates_enforced() {
         let mut d = IntMatrix::zeros(2);
         d[(0, 0)] = 1;
-        let mut f = Fabric::new(2, &[d], &[3]);
+        let mut f = Fabric::new(2, &[Demand::from(d)], &[3]);
         f.apply_run(&[(0, 0, vec![0])], 1);
     }
 
@@ -358,7 +359,7 @@ mod tests {
         let mut d = IntMatrix::zeros(2);
         d[(0, 0)] = 1;
         d[(0, 1)] = 1;
-        let mut f = Fabric::new(2, &[d], &[0]);
+        let mut f = Fabric::new(2, &[Demand::from(d)], &[0]);
         f.apply_run(&[(0, 0, vec![0]), (0, 1, vec![0])], 1);
     }
 
@@ -370,7 +371,7 @@ mod tests {
         d1[(0, 1)] = 1;
         let demands = [d0, d1];
 
-        let mut f = Fabric::new(2, &demands, &[0, 0]);
+        let mut f = Fabric::new(2, &demands.clone().map(Demand::from), &[0, 0]);
         f.apply_run(&[(0, 1, vec![0, 1])], 3);
 
         let mut s = SlotSim::new(2, &demands, &[0, 0]);
@@ -385,7 +386,7 @@ mod tests {
     fn budget_caps_transfers() {
         let mut d = IntMatrix::zeros(2);
         d[(0, 1)] = 10;
-        let mut f = Fabric::new(2, &[d], &[0]);
+        let mut f = Fabric::new(2, &[Demand::from(d)], &[0]);
         f.apply_run(&[(0, 1, vec![0])], 4);
         assert_eq!(f.remaining(0, 0, 1), 6);
         assert!(!f.all_done());

@@ -21,7 +21,7 @@
 //! fallback for work that could trip a [`SimError`].
 //!
 //! Remaining demand is a [`SparseDemand`] over the coflows' nonzero pairs,
-//! read once from the borrowed demand matrices; a cancellation zeroes the
+//! concatenated from the borrowed demands; a cancellation zeroes the
 //! coflow's entries. The run-length paths resolve each pair's entry once —
 //! a held pair when its head coflow changes, a replayed transfer once per
 //! segment — and then serve units by entry index; the slot-wise paths look
@@ -31,9 +31,8 @@
 //! [`FaultSim::capture`] writes `m × m` residual matrices and
 //! [`FaultSim::from_state`] rebuilds the sparse state from them.
 
-use crate::demand::{DemandView, EntryMemo, SparseDemand};
+use crate::demand::{Demand, DemandView, EntryMemo, SparseDemand};
 use crate::trace::{Run, ScheduleTrace, Transfer};
-use coflow_matching::IntMatrix;
 use std::fmt;
 
 /// A structural violation found while executing a schedule under faults.
@@ -261,39 +260,30 @@ impl FaultPlan {
     /// one link at a time. Deterministic — no RNG; the worst-window search
     /// in the harness sweeps `cfg.start` over candidate boundaries.
     pub fn adversarial<'a>(
-        demands: impl IntoIterator<Item = &'a IntMatrix>,
+        demands: impl IntoIterator<Item = &'a Demand>,
         weights: &[f64],
         cfg: &AdversarialConfig,
     ) -> Self {
-        let demands: Vec<&IntMatrix> = demands.into_iter().collect();
+        let demands: Vec<&Demand> = demands.into_iter().collect();
         assert_eq!(demands.len(), weights.len());
         let Some(victim) = (0..demands.len()).max_by(|&a, &b| {
-            let score = |k: usize| {
-                let d = &demands[k];
-                let rho = d
-                    .row_sums()
-                    .into_iter()
-                    .chain(d.col_sums())
-                    .max()
-                    .unwrap_or(0);
-                weights[k] * rho as f64
-            };
+            let score = |k: usize| weights[k] * demands[k].load() as f64;
             score(a).total_cmp(&score(b)).then(b.cmp(&a))
         }) else {
             return FaultPlan::default();
         };
         let end = cfg.start + cfg.window.max(1) - 1;
-        let top_ports = |loads: Vec<u64>| -> Vec<usize> {
-            let mut ranked: Vec<usize> = (0..loads.len()).filter(|&p| loads[p] > 0).collect();
-            ranked.sort_by(|&a, &b| loads[b].cmp(&loads[a]).then(a.cmp(&b)));
-            ranked.truncate(cfg.ports.max(1));
-            ranked
+        let top_ports = |mut loads: Vec<(usize, u64)>| -> Vec<usize> {
+            loads.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            loads.truncate(cfg.ports.max(1));
+            loads.into_iter().map(|(p, _)| p).collect()
         };
+        let (ingress, egress) = demands[victim].port_loads();
         let mut events = Vec::new();
-        for port in top_ports(demands[victim].row_sums()) {
+        for port in top_ports(ingress) {
             events.push(FaultEvent::IngressOutage { port, start: cfg.start, end });
         }
-        for port in top_ports(demands[victim].col_sums()) {
+        for port in top_ports(egress) {
             events.push(FaultEvent::EgressOutage { port, start: cfg.start, end });
         }
         FaultPlan { events }
@@ -662,11 +652,11 @@ pub struct FaultSim {
 }
 
 impl FaultSim {
-    /// Creates a fault-aware simulator over the instance data. The demand
-    /// matrices must be `m × m`; they are read once, not kept.
+    /// Creates a fault-aware simulator over the instance data. The demands
+    /// must be on `m` ports; they are read once, not kept.
     pub fn new<'a>(
         m: usize,
-        demands: impl IntoIterator<Item = &'a IntMatrix>,
+        demands: impl IntoIterator<Item = &'a Demand>,
         releases: &[u64],
         plan: FaultPlan,
     ) -> Self {
@@ -1293,7 +1283,8 @@ impl FaultSim {
         if state.executed.m != state.m {
             return bad("executed trace fabric width disagrees with 'm'");
         }
-        let remaining = SparseDemand::new(state.m, &state.remaining);
+        let residual: Vec<Demand> = state.remaining.iter().map(Demand::from).collect();
+        let remaining = SparseDemand::new(state.m, &residual);
         if (0..n).any(|k| remaining.total(k) != state.remaining_total[k]) {
             return bad("remaining_total disagrees with the residual demand");
         }
@@ -1331,10 +1322,8 @@ impl FaultSim {
 mod tests {
     use super::*;
 
-    fn demand(units: u64) -> IntMatrix {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 1)] = units;
-        d
+    fn demand(units: u64) -> Demand {
+        Demand::from_flows(2, [(0, 1, units)]).expect("a 2-port flow")
     }
 
     #[test]
@@ -1501,8 +1490,7 @@ mod tests {
             sim.apply_run(&[(0, 1, vec![1])], 2).unwrap_err(),
             SimError::ReleaseViolated { slot: 1, coflow: 1, release: 5 }
         );
-        let mut d = demand(2);
-        d[(0, 0)] = 1;
+        let d = Demand::from_flows(2, [(0, 1, 2), (0, 0, 1)]).expect("2-port flows");
         let mut sim = FaultSim::new(2, &[d], &[0], FaultPlan::default());
         assert_eq!(
             sim.apply_run(&[(0, 1, vec![0]), (0, 0, vec![0])], 1).unwrap_err(),

@@ -5,6 +5,8 @@
 //! instantaneous internal transfer. A feasible per-slot schedule is a
 //! *matching* between ingresses and egresses.
 //!
+//! * [`Demand`] is one coflow's demand: its nonzero flows in row-major
+//!   order, what every instance holds;
 //! * [`SparseDemand`] holds remaining demand over each coflow's nonzero
 //!   port pairs — what the executors and the replay check drain, and what
 //!   the engine's policies read by entry index;
@@ -39,7 +41,7 @@ pub mod stats;
 pub mod trace;
 pub mod validate;
 
-pub use demand::{DemandView, EntryMemo, SparseDemand};
+pub use demand::{Demand, DemandError, DemandView, EntryMemo, PortLoads, SparseDemand};
 pub use fabric::{Fabric, SlotSim};
 pub use fault::{
     AdversarialConfig, BlockedSlot, FaultEvent, FaultIndex, FaultPlan, FaultSim, SimError,

@@ -442,12 +442,11 @@ pub fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::Demand;
     use crate::fault::FaultSim;
 
-    fn demand(units: u64) -> IntMatrix {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 1)] = units;
-        d
+    fn demand(units: u64) -> Demand {
+        Demand::from_flows(2, [(0, 1, units)]).expect("a 2-port flow")
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! dates, and exact demand delivery — and completion times are recomputed
 //! from scratch. Tests compare these against the scheduler's own accounting.
 //!
-//! The replay borrows the demand matrices and reads each once, into a
+//! The replay borrows the coflows' demands and concatenates them into a
 //! [`SparseDemand`] over their nonzero pairs that it then drains: a
 //! transfer finds its coflow's entry on the pair (by binary search, unless
 //! the last transfer out of its ingress was on the same coflow and pair),
 //! and a pair the coflow never demanded accepts only a zero-unit transfer.
 
-use crate::demand::{EntryMemo, SparseDemand};
+use crate::demand::{Demand, EntryMemo, SparseDemand};
 use crate::trace::ScheduleTrace;
-use coflow_matching::IntMatrix;
 
 /// A violation found while validating a trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,13 +83,13 @@ impl std::fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// Replays `trace` against the instance (`demands`, `releases`) and returns
-/// the recomputed completion time of every coflow. The demand matrices
-/// must be `trace.m × trace.m`.
+/// the recomputed completion time of every coflow. The demands must be on
+/// `trace.m` ports.
 ///
 /// Coflows with zero demand complete at their release date, matching
 /// [`crate::Fabric`]'s convention.
 pub fn validate_trace<'a>(
-    demands: impl IntoIterator<Item = &'a IntMatrix>,
+    demands: impl IntoIterator<Item = &'a Demand>,
     releases: &[u64],
     trace: &ScheduleTrace,
 ) -> Result<Vec<u64>, ValidationError> {
@@ -211,11 +210,12 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use crate::trace::{Run, Transfer};
+    use coflow_matching::IntMatrix;
 
     #[test]
     fn fabric_trace_validates_and_times_agree() {
         let d0 = IntMatrix::from_nested(&[[1, 2], [2, 1]]);
-        let demands = vec![d0];
+        let demands = vec![Demand::from(d0)];
         let mut f = Fabric::new(2, &demands, &[0]);
         f.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1);
         f.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2);
@@ -238,7 +238,7 @@ mod tests {
                 Transfer { src: 0, dst: 1, coflow: 0, units: 1 },
             ],
         });
-        let err = validate_trace(&[d], &[0], &trace).unwrap_err();
+        let err = validate_trace(&[Demand::from(d)], &[0], &trace).unwrap_err();
         assert!(matches!(err, ValidationError::PortReused { ingress: true, .. }));
     }
 
@@ -252,7 +252,7 @@ mod tests {
             duration: 3,
             transfers: vec![Transfer { src: 0, dst: 1, coflow: 0, units: 5 }],
         });
-        let err = validate_trace(&[d], &[0], &trace).unwrap_err();
+        let err = validate_trace(&[Demand::from(d)], &[0], &trace).unwrap_err();
         assert!(matches!(err, ValidationError::PairOverCapacity { .. }));
     }
 
@@ -266,10 +266,10 @@ mod tests {
             duration: 1,
             transfers: vec![Transfer { src: 0, dst: 1, coflow: 0, units: 1 }],
         });
-        let err = validate_trace(&[d.clone()], &[5], &trace).unwrap_err();
+        let err = validate_trace(&[Demand::from(d.clone())], &[5], &trace).unwrap_err();
         assert!(matches!(err, ValidationError::ReleaseViolated { .. }));
         // Released at 0: slot 1 is fine.
-        assert!(validate_trace(&[d], &[0], &trace).is_ok());
+        assert!(validate_trace(&[Demand::from(d)], &[0], &trace).is_ok());
     }
 
     #[test]
@@ -277,7 +277,7 @@ mod tests {
         let mut d = IntMatrix::zeros(2);
         d[(0, 1)] = 2;
         let empty = ScheduleTrace::new(2);
-        let err = validate_trace(&[d.clone()], &[0], &empty).unwrap_err();
+        let err = validate_trace(&[Demand::from(d.clone())], &[0], &empty).unwrap_err();
         assert!(matches!(err, ValidationError::UnderDelivery { missing: 2, .. }));
 
         let mut trace = ScheduleTrace::new(2);
@@ -286,7 +286,7 @@ mod tests {
             duration: 3,
             transfers: vec![Transfer { src: 0, dst: 1, coflow: 0, units: 3 }],
         });
-        let err = validate_trace(&[d], &[0], &trace).unwrap_err();
+        let err = validate_trace(&[Demand::from(d)], &[0], &trace).unwrap_err();
         assert!(matches!(err, ValidationError::OverDelivery { .. }));
     }
 
@@ -303,10 +303,10 @@ mod tests {
                 Transfer { src: 1, dst: 0, coflow: 0, units: 0 },
             ],
         });
-        assert_eq!(validate_trace(&[d.clone()], &[0], &trace), Ok(vec![1]));
+        assert_eq!(validate_trace(&[Demand::from(d.clone())], &[0], &trace), Ok(vec![1]));
         trace.runs[0].transfers[1].units = 1;
         assert_eq!(
-            validate_trace(&[d], &[0], &trace),
+            validate_trace(&[Demand::from(d)], &[0], &trace),
             Err(ValidationError::OverDelivery { coflow: 0, src: 1, dst: 0 })
         );
     }
@@ -328,7 +328,7 @@ mod tests {
                 Transfer { src: 0, dst: 1, coflow: 1, units: 1 },
             ],
         });
-        let times = validate_trace(&[d0, d1], &[0, 2], &trace).expect("valid");
+        let times = validate_trace(&[Demand::from(d0), Demand::from(d1)], &[0, 2], &trace).expect("valid");
         assert_eq!(times, vec![2, 3]);
     }
 }

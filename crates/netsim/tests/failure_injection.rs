@@ -4,17 +4,19 @@
 //! guarantee in this repository, so each rejection path is exercised.
 
 use coflow_matching::IntMatrix;
-use coflow_netsim::{validate_trace, Fabric, Run, ScheduleTrace, Transfer, ValidationError};
+use coflow_netsim::{
+    validate_trace, Demand, Fabric, Run, ScheduleTrace, Transfer, ValidationError,
+};
 
 /// A valid two-coflow instance and its trace.
-fn valid_setup() -> (Vec<IntMatrix>, Vec<u64>, ScheduleTrace) {
+fn valid_setup() -> (Vec<Demand>, Vec<u64>, ScheduleTrace) {
     let mut d0 = IntMatrix::zeros(3);
     d0[(0, 1)] = 2;
     d0[(1, 2)] = 1;
     let mut d1 = IntMatrix::zeros(3);
     d1[(0, 1)] = 1;
     d1[(2, 0)] = 2;
-    let demands = vec![d0, d1];
+    let demands = vec![Demand::from(d0), Demand::from(d1)];
     let releases = vec![0, 1];
     let mut fabric = Fabric::new(3, &demands, &releases);
     fabric.advance_to(1);

@@ -5,7 +5,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use coflow_matching::IntMatrix;
-use coflow_netsim::{trace_stats, validate_trace, Fabric, SlotSim};
+use coflow_netsim::{trace_stats, validate_trace, Demand, Fabric, SlotSim};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +23,11 @@ fn instance_strategy() -> impl Strategy<Value = (usize, Vec<IntMatrix>, Vec<u64>
     })
 }
 
+/// The demands of `dense` as the executors and the validator take them.
+fn sparse(dense: &[IntMatrix]) -> Vec<Demand> {
+    dense.iter().map(Demand::from).collect()
+}
+
 /// Drives a Fabric to completion with randomly chosen runs, serving pairs
 /// with priority lists in random order. Returns the completion times.
 fn random_execution(
@@ -32,7 +37,7 @@ fn random_execution(
     seed: u64,
 ) -> (coflow_netsim::ScheduleTrace, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut fabric = Fabric::new(m, demands, releases);
+    let mut fabric = Fabric::new(m, &sparse(demands), releases);
     let mut guard = 0;
     while !fabric.all_done() {
         guard += 1;
@@ -92,7 +97,7 @@ proptest! {
     #[test]
     fn fabric_and_validator_agree((m, demands, releases, seed) in instance_strategy()) {
         let (trace, times) = random_execution(m, &demands, &releases, seed);
-        let validated = validate_trace(&demands, &releases, &trace);
+        let validated = validate_trace(&sparse(&demands), &releases, &trace);
         prop_assert!(validated.is_ok(), "{:?}", validated);
         prop_assert_eq!(validated.unwrap(), times.clone());
         // Conservation: the trace moves exactly the demanded units.

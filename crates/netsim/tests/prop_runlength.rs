@@ -20,7 +20,8 @@
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
-    trace_stats, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
+    trace_stats, Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim,
+    Transfer,
 };
 use proptest::prelude::*;
 
@@ -153,6 +154,11 @@ struct Hold {
     duration: u64,
 }
 
+/// The demands of `dense` as the executors and the validator take them.
+fn sparse(dense: &[IntMatrix]) -> Vec<Demand> {
+    dense.iter().map(Demand::from).collect()
+}
+
 /// Builds demands, releases, a sequence of holds and a fault plan for
 /// them. Priority lists hold up to three coflows with a few units each, so
 /// heads drain in the middle of holds. Some holds last zero slots or hold
@@ -257,8 +263,8 @@ proptest! {
         let (trace, demands, releases) = build_case(m, n, nruns, seed);
         let horizon = trace.makespan().max(1);
         let plan = FaultPlan::generate(m, n, horizon, rate, fseed);
-        let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
-        let mut b = FaultSim::new(m, &demands, &releases, plan.clone());
+        let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
+        let mut b = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
         match mode {
             0 => {
                 step_both(&mut a, &mut b, &trace, None);
@@ -307,8 +313,8 @@ proptest! {
         restore in 0usize..9,
     ) {
         let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
-        let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
-        let mut b = FaultSim::new(m, &demands, &releases, plan);
+        let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
+        let mut b = FaultSim::new(m, &sparse(&demands), &releases, plan);
         for (h, hold) in holds.iter().enumerate() {
             if h == restore {
                 a = FaultSim::from_state(a.capture()).expect("a captured state restores");
@@ -359,7 +365,7 @@ proptest! {
     ) {
         let (planned, demands, _) = build_case(m, n, nruns, seed);
         let releases = vec![0u64; n];
-        let mut fabric = Fabric::new(m, &demands, &releases);
+        let mut fabric = Fabric::new(m, &sparse(&demands), &releases);
         for run in &planned.runs {
             if run.start > fabric.now() + 1 {
                 fabric.advance_to(run.start - 1);

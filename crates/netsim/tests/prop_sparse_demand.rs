@@ -4,7 +4,7 @@
 //! the sparse state equal to the dense matrices it stands for.
 
 use coflow_matching::IntMatrix;
-use coflow_netsim::SparseDemand;
+use coflow_netsim::{Demand, SparseDemand};
 use proptest::prelude::*;
 
 /// Random demands: fabric width, each coflow's cells (a zero-heavy mix
@@ -35,6 +35,11 @@ fn demand_case() -> impl Strategy<Value = (usize, Vec<IntMatrix>, Vec<(usize, us
             proptest::collection::vec((0usize..8, 0usize..36, 0u64..4), 0..24),
         )
     })
+}
+
+/// The demands of `dense`, as the state is built from them.
+fn sparse_of(dense: &[IntMatrix]) -> Vec<Demand> {
+    dense.iter().map(Demand::from).collect()
 }
 
 /// Asserts that `sparse` holds exactly `dense`: per-pair lookups, the
@@ -69,7 +74,7 @@ fn assert_matches(sparse: &SparseDemand, dense: &[IntMatrix]) {
         let view: Vec<_> = sparse.view(k).nonzero_entries().collect();
         assert_eq!(view, d.nonzero_entries().collect::<Vec<_>>());
         assert_eq!(sparse.total(k), d.total());
-        assert_eq!(sparse.view(k).load(), d.load());
+        assert_eq!(Demand::from(sparse.view(k)).load(), d.load());
         assert_eq!(sparse.to_matrix(k), *d);
     }
 }
@@ -83,7 +88,7 @@ proptest! {
     #[test]
     fn sparse_demand_tracks_dense_reference(case in demand_case()) {
         let (m, mut dense, script) = case;
-        let mut sparse = SparseDemand::new(m, &dense);
+        let mut sparse = SparseDemand::new(m, &sparse_of(&dense));
         prop_assert_eq!(sparse.is_empty(), dense.is_empty());
         for (k, d) in dense.iter().enumerate() {
             prop_assert_eq!(sparse.entries(k).len(), d.nonzero_count());
@@ -107,7 +112,7 @@ proptest! {
         }
         // Round trip: drained entries keep their index here, and a rebuild
         // from the drained matrices keeps only the pairs with units left.
-        let rebuilt = SparseDemand::new(m, &dense);
+        let rebuilt = SparseDemand::new(m, &sparse_of(&dense));
         for (k, d) in dense.iter().enumerate() {
             prop_assert_eq!(rebuilt.entries(k).len(), d.nonzero_count());
             prop_assert_eq!(rebuilt.to_matrix(k), sparse.to_matrix(k));

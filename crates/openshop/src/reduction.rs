@@ -2,8 +2,7 @@
 //! shop, in both directions.
 
 use crate::{Job, OpenShopInstance};
-use coflow::{Coflow, Instance};
-use coflow_matching::IntMatrix;
+use coflow::{Coflow, Demand, Instance};
 
 /// Embeds a concurrent open shop instance as a coflow instance with
 /// diagonal demand matrices (machine `i` ↦ port pair `(i, i)`).
@@ -13,7 +12,10 @@ pub fn open_shop_to_coflow(shop: &OpenShopInstance) -> Instance {
         .jobs()
         .iter()
         .map(|j| {
-            Coflow::new(j.id, IntMatrix::diagonal(&j.processing))
+            let flows = j.processing.iter().enumerate().map(|(i, &p)| (i, i, p));
+            let demand = Demand::from_flows(m, flows)
+                .unwrap_or_else(|e| panic!("job {} does not fit the shop: {}", j.id, e));
+            Coflow::new(j.id, demand)
                 .with_release(j.release)
                 .with_weight(j.weight)
         })
@@ -29,14 +31,15 @@ pub fn coflow_to_open_shop(instance: &Instance) -> OpenShopInstance {
         .coflows()
         .iter()
         .map(|c| {
-            for (i, j, _) in c.demand.nonzero_entries() {
+            let mut processing = vec![0; m];
+            for (i, j, d) in c.demand.nonzero_entries() {
                 assert_eq!(
                     i, j,
                     "coflow {} has off-diagonal demand; not an open shop instance",
                     c.id
                 );
+                processing[i] = d;
             }
-            let processing = (0..m).map(|i| c.demand[(i, i)]).collect();
             Job {
                 id: c.id,
                 processing,
@@ -51,6 +54,7 @@ pub fn coflow_to_open_shop(instance: &Instance) -> OpenShopInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coflow_matching::IntMatrix;
 
     #[test]
     fn round_trip_preserves_everything() {
@@ -63,7 +67,7 @@ mod tests {
         );
         let inst = open_shop_to_coflow(&shop);
         assert_eq!(inst.ports(), 3);
-        assert_eq!(inst.coflow(0).demand[(2, 2)], 3);
+        assert_eq!(inst.coflow(0).demand.get(2, 2), 3);
         assert_eq!(inst.coflow(1).release, 5);
         let back = coflow_to_open_shop(&inst);
         assert_eq!(back.jobs(), shop.jobs());

@@ -17,8 +17,7 @@
 //!   skewed and grouping/backfilling have room to help.
 
 use crate::distributions::{BoundedPareto, LogNormal};
-use coflow::{Coflow, Instance};
-use coflow_matching::IntMatrix;
+use coflow::{Coflow, Demand, Instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,13 +125,15 @@ pub fn generate_trace(config: &TraceConfig) -> Instance {
         } else {
             1.0
         };
-        let mut demand = IntMatrix::zeros(m);
+        let mut flows = Vec::with_capacity(src.len() * dst.len());
         for &i in &src {
             for &j in &dst {
                 let mb = size_dist.sample(&mut rng) * scale;
-                demand[(i, j)] = (mb.round() as u64).clamp(1, config.max_flow_size);
+                flows.push((i, j, (mb.round() as u64).clamp(1, config.max_flow_size)));
             }
         }
+        let demand = Demand::from_flows(m, flows)
+            .unwrap_or_else(|e| panic!("generated coflow {}: {}", id, e));
         let release = if config.zero_release {
             0
         } else {

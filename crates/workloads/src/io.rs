@@ -3,18 +3,36 @@
 //!
 //! The CSV format is one flow per line — `coflow_id,src,dst,mb,release,
 //! weight` — the shape cluster traces are usually published in, so real
-//! traces can be dropped in without code changes. Malformed rows are
-//! rejected with a [`TraceError`] carrying the line number and offending
-//! field.
+//! traces can be dropped in without code changes. An optional first line
+//! starting with `coflow_id` is a header; blank lines are skipped.
+//!
+//! Both readers take hostile bytes: every problem is a [`TraceError`]
+//! carrying the line number and offending field, never a panic and never
+//! a silently defaulted value. They refuse a port outside the fabric, a
+//! JSON record whose fabric width `m` is not the trace's, CSV rows of one
+//! coflow that disagree on its release or weight, a coflow whose units
+//! overflow `u64`, and a trace whose latest release plus its total units
+//! overflows `u64` (the horizon every schedule is measured against).
+//! Neither allocates per port: a coflow is read as its flow list.
 
 use crate::error::TraceError;
 use crate::json::{self, JsonValue};
-use coflow::{Coflow, CoflowRecord, Instance};
-use coflow_matching::IntMatrix;
+use coflow::{Coflow, Demand, Instance};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Accumulator for one coflow while parsing CSV: `(flows, release, weight)`.
-type CsvCoflow = (Vec<(usize, usize, u64)>, u64, f64);
+/// The CSV columns, in order.
+const CSV_FIELDS: [&str; 6] = ["coflow_id", "src", "dst", "mb", "release", "weight"];
+
+/// One coflow while parsing CSV: its first line, flows, running total,
+/// release and weight.
+struct CsvCoflow {
+    line: usize,
+    flows: Vec<(usize, usize, u64)>,
+    total: u64,
+    release: u64,
+    weight: f64,
+}
 
 /// Serializes an instance to pretty JSON: `[ports, [record, ...]]` where
 /// each record is `{"id", "m", "flows": [[src, dst, units], ...],
@@ -23,13 +41,16 @@ pub fn to_json(instance: &Instance) -> String {
     let mut out = String::new();
     out.push_str(&format!("[\n  {},\n  [", instance.ports()));
     for (idx, c) in instance.coflows().iter().enumerate() {
-        let rec = CoflowRecord::from(c);
         if idx > 0 {
             out.push(',');
         }
         out.push_str("\n    {");
-        out.push_str(&format!("\"id\": {}, \"m\": {}, \"flows\": [", rec.id, rec.m));
-        for (fi, (i, j, u)) in rec.flows.iter().enumerate() {
+        out.push_str(&format!(
+            "\"id\": {}, \"m\": {}, \"flows\": [",
+            c.id,
+            c.demand.dim()
+        ));
+        for (fi, (i, j, u)) in c.demand.nonzero_entries().enumerate() {
             if fi > 0 {
                 out.push_str(", ");
             }
@@ -37,8 +58,8 @@ pub fn to_json(instance: &Instance) -> String {
         }
         out.push_str(&format!(
             "], \"release\": {}, \"weight\": {}}}",
-            rec.release,
-            json::fmt_f64(rec.weight)
+            c.release,
+            json::fmt_f64(c.weight)
         ));
     }
     out.push_str("\n  ]\n]\n");
@@ -137,6 +158,14 @@ pub fn from_json(s: &str) -> Result<Instance, TraceError> {
                 })
             }
         };
+        if m != ports {
+            return Err(TraceError::BadField {
+                line: 1,
+                field: "m".to_string(),
+                value: m.to_string(),
+                message: format!("record {}: the trace's fabric has {} ports", ri, ports),
+            });
+        }
         let JsonValue::Arr(flows) = json_field(record, "flows", ri)? else {
             return Err(TraceError::Syntax {
                 line: 1,
@@ -144,6 +173,7 @@ pub fn from_json(s: &str) -> Result<Instance, TraceError> {
             });
         };
         let mut rec_flows = Vec::with_capacity(flows.len());
+        let mut total = 0u64;
         for flow in flows {
             let JsonValue::Arr(triple) = flow else {
                 return Err(TraceError::Syntax {
@@ -164,21 +194,17 @@ pub fn from_json(s: &str) -> Result<Instance, TraceError> {
             let src = json_uint(&triple[0], 1, "src")? as usize;
             let dst = json_uint(&triple[1], 1, "dst")? as usize;
             let units = json_uint(&triple[2], 1, "mb")?;
-            for (field, value) in [("src", src), ("dst", dst)] {
-                if value >= m.min(ports) {
-                    return Err(TraceError::PortRange {
-                        line: 1,
-                        field: field.to_string(),
-                        value,
-                        ports: m.min(ports),
-                    });
-                }
-            }
+            check_ports(1, src, dst, ports)?;
+            total = add_units(1, total, units)?;
             rec_flows.push((src, dst, units));
         }
-        let rec = CoflowRecord { id, m, flows: rec_flows, release, weight };
-        coflows.push(Coflow::from(&rec));
+        coflows.push(
+            Coflow::new(id, demand(1, ports, rec_flows)?)
+                .with_release(release)
+                .with_weight(weight),
+        );
     }
+    check_horizon(&coflows, |_| 1)?;
     Ok(Instance::new(ports, coflows))
 }
 
@@ -197,89 +223,169 @@ pub fn to_csv(instance: &Instance) -> String {
     out
 }
 
+/// The data rows of a CSV trace as `(1-based line, trimmed row)`: blank
+/// lines and a first-line header (starting with `coflow_id`) are skipped.
+fn csv_rows(s: &str) -> impl Iterator<Item = (usize, &str)> {
+    s.lines()
+        .enumerate()
+        .map(|(idx, row)| (idx + 1, row.trim()))
+        .filter(|&(line, row)| !(row.is_empty() || line == 1 && row.starts_with("coflow_id")))
+}
+
+/// The fabric a CSV trace implies when none is given: one port past the
+/// largest `src` or `dst` its rows name, at least one. Rows whose ports
+/// do not parse are skipped here; [`from_csv`] reports them.
+pub fn csv_ports(s: &str) -> usize {
+    csv_rows(s)
+        .filter_map(|(_, row)| {
+            let mut fields = row.split(',').skip(1);
+            let src = fields.next()?.parse::<usize>().ok()?;
+            let dst = fields.next()?.parse::<usize>().ok()?;
+            Some(src.max(dst))
+        })
+        .max()
+        .map_or(1, |p| p.saturating_add(1))
+}
+
 /// Parses an instance from CSV produced by [`to_csv`] (or any file in the
-/// same format). `ports` must be at least one larger than the largest port
-/// index referenced.
+/// same format) on a `ports`-port fabric ([`csv_ports`] infers one). Rows
+/// of one coflow may come in any order and repeat a pair, whose units add
+/// up; they must agree on the coflow's release and weight.
 pub fn from_csv(ports: usize, s: &str) -> Result<Instance, TraceError> {
-    // coflow id -> (flows, release, weight)
     let mut map: BTreeMap<usize, CsvCoflow> = BTreeMap::new();
-    for (lineno, line) in s.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || (lineno == 0 && line.starts_with("coflow_id")) {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
+    for (line, row) in csv_rows(s) {
+        let fields: Vec<&str> = row.split(',').collect();
         if fields.len() != 6 {
             return Err(TraceError::Syntax {
-                line: lineno + 1,
+                line,
                 message: format!("expected 6 fields, found {}", fields.len()),
             });
         }
-        let parse_usize = |f: &str, what: &str| {
-            f.parse::<usize>().map_err(|_| TraceError::BadField {
-                line: lineno + 1,
-                field: what.to_string(),
-                value: f.to_string(),
-                message: "expected a nonnegative integer".to_string(),
-            })
+        let bad = |idx: usize, message: &str| TraceError::BadField {
+            line,
+            field: CSV_FIELDS[idx].to_string(),
+            value: fields[idx].to_string(),
+            message: message.to_string(),
         };
-        let id = parse_usize(fields[0], "coflow_id")?;
-        let src = parse_usize(fields[1], "src")?;
-        let dst = parse_usize(fields[2], "dst")?;
-        let mb = fields[3].parse::<u64>().map_err(|_| TraceError::BadField {
-            line: lineno + 1,
-            field: "mb".to_string(),
-            value: fields[3].to_string(),
-            message: "expected a nonnegative integer".to_string(),
-        })?;
-        let release = fields[4].parse::<u64>().map_err(|_| TraceError::BadField {
-            line: lineno + 1,
-            field: "release".to_string(),
-            value: fields[4].to_string(),
-            message: "expected a nonnegative integer".to_string(),
-        })?;
-        let weight = fields[5].parse::<f64>().map_err(|_| TraceError::BadField {
-            line: lineno + 1,
-            field: "weight".to_string(),
-            value: fields[5].to_string(),
-            message: "expected a number".to_string(),
-        })?;
+        let id: usize = csv_uint(&fields, 0, bad)?;
+        let src: usize = csv_uint(&fields, 1, bad)?;
+        let dst: usize = csv_uint(&fields, 2, bad)?;
+        let mb: u64 = csv_uint(&fields, 3, bad)?;
+        let release: u64 = csv_uint(&fields, 4, bad)?;
+        let weight = fields[5]
+            .parse::<f64>()
+            .map_err(|_| bad(5, "expected a number"))?;
         if !(weight > 0.0 && weight.is_finite()) {
-            return Err(TraceError::BadField {
-                line: lineno + 1,
-                field: "weight".to_string(),
-                value: fields[5].to_string(),
-                message: "weights must be positive and finite".to_string(),
-            });
+            return Err(bad(5, "weights must be positive and finite"));
         }
-        for (field, value) in [("src", src), ("dst", dst)] {
-            if value >= ports {
-                return Err(TraceError::PortRange {
-                    line: lineno + 1,
-                    field: field.to_string(),
-                    value,
-                    ports,
+        check_ports(line, src, dst, ports)?;
+        match map.entry(id) {
+            Entry::Vacant(slot) => {
+                slot.insert(CsvCoflow {
+                    line,
+                    flows: vec![(src, dst, mb)],
+                    total: mb,
+                    release,
+                    weight,
                 });
             }
-        }
-        let entry = map.entry(id).or_insert_with(|| (Vec::new(), release, weight));
-        entry.0.push((src, dst, mb));
-        entry.1 = release;
-        entry.2 = weight;
-    }
-    let coflows = map
-        .into_iter()
-        .map(|(id, (flows, release, weight))| {
-            let mut demand = IntMatrix::zeros(ports);
-            for (i, j, d) in flows {
-                demand[(i, j)] += d;
+            Entry::Occupied(slot) => {
+                let c = slot.into_mut();
+                for (idx, agrees) in [(4, c.release == release), (5, c.weight == weight)] {
+                    if !agrees {
+                        let message = format!(
+                            "coflow {} has a different {} on line {}",
+                            id, CSV_FIELDS[idx], c.line
+                        );
+                        return Err(bad(idx, &message));
+                    }
+                }
+                c.total = add_units(line, c.total, mb)?;
+                c.flows.push((src, dst, mb));
             }
-            Coflow::new(id, demand)
-                .with_release(release)
-                .with_weight(weight)
-        })
-        .collect();
+        }
+    }
+    let mut lines = Vec::with_capacity(map.len());
+    let mut coflows = Vec::with_capacity(map.len());
+    for (id, c) in map {
+        lines.push(c.line);
+        coflows.push(
+            Coflow::new(id, demand(c.line, ports, c.flows)?)
+                .with_release(c.release)
+                .with_weight(c.weight),
+        );
+    }
+    check_horizon(&coflows, |k| lines[k])?;
     Ok(Instance::new(ports, coflows))
+}
+
+/// Parses CSV field `idx` as a nonnegative integer; `bad` builds the error.
+fn csv_uint<T: std::str::FromStr>(
+    fields: &[&str],
+    idx: usize,
+    bad: impl Fn(usize, &str) -> TraceError,
+) -> Result<T, TraceError> {
+    fields[idx]
+        .parse()
+        .map_err(|_| bad(idx, "expected a nonnegative integer"))
+}
+
+/// Refuses a flow whose `src` or `dst` is outside the `ports`-port fabric.
+fn check_ports(line: usize, src: usize, dst: usize, ports: usize) -> Result<(), TraceError> {
+    for (field, value) in [("src", src), ("dst", dst)] {
+        if value >= ports {
+            return Err(TraceError::PortRange {
+                line,
+                field: field.to_string(),
+                value,
+                ports,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Adds a flow's units to its coflow's running total, refusing overflow.
+fn add_units(line: usize, total: u64, units: u64) -> Result<u64, TraceError> {
+    total.checked_add(units).ok_or_else(|| TraceError::BadField {
+        line,
+        field: "mb".to_string(),
+        value: units.to_string(),
+        message: "the coflow's units overflow u64".to_string(),
+    })
+}
+
+/// The demand of a coflow's checked flows (in range, total in `u64`).
+fn demand(
+    line: usize,
+    ports: usize,
+    flows: Vec<(usize, usize, u64)>,
+) -> Result<Demand, TraceError> {
+    Demand::from_flows(ports, flows).map_err(|e| TraceError::Syntax {
+        line,
+        message: e.to_string(),
+    })
+}
+
+/// Refuses a trace whose latest release plus its total units — the
+/// horizon `T` of every schedule of it — overflows `u64`. `line_of(k)` is
+/// where coflow `k` is read from.
+fn check_horizon(coflows: &[Coflow], line_of: impl Fn(usize) -> usize) -> Result<(), TraceError> {
+    let Some((k, latest)) = coflows.iter().enumerate().max_by_key(|(_, c)| c.release) else {
+        return Ok(());
+    };
+    let total = coflows
+        .iter()
+        .try_fold(0u64, |t, c| t.checked_add(c.total_units()));
+    match total.and_then(|t| latest.release.checked_add(t)) {
+        Some(_) => Ok(()),
+        None => Err(TraceError::BadField {
+            line: line_of(k),
+            field: "release".to_string(),
+            value: latest.release.to_string(),
+            message: "the latest release plus the trace's total units overflows u64".to_string(),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -385,6 +491,6 @@ mod tests {
     fn csv_accumulates_duplicate_pairs() {
         let csv = "0,1,2,5,0,1.0\n0,1,2,3,0,1.0\n";
         let inst = from_csv(4, csv).expect("parse");
-        assert_eq!(inst.coflow(0).demand[(1, 2)], 8);
+        assert_eq!(inst.coflow(0).demand.get(1, 2), 8);
     }
 }

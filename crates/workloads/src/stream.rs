@@ -1,19 +1,18 @@
 //! Streaming, spatially-skewed workload generation.
 //!
-//! The dense generator ([`crate::facebook`]) materializes an entire
-//! [`coflow::Instance`] — `n` coflows × an `m × m` demand matrix each —
-//! which caps it at a few hundred coflows before memory dominates. The
-//! scale experiments need *millions* of coflows over fabrics of up to
-//! 10,000 ports, so this module yields coflows one at a time as an
-//! iterator of sparse flow lists: a 10⁶-coflow run holds exactly one
-//! window of coflows in memory at any moment, and the full trace never
-//! exists.
+//! The instance generator ([`crate::facebook`]) materializes an entire
+//! [`coflow::Instance`] — every coflow with its demand — which caps it at
+//! what one run keeps in memory. The scale experiments need *millions* of
+//! coflows over fabrics of up to 10,000 ports, so this module yields
+//! coflows one at a time as flow lists in draw order: a 10⁶-coflow run
+//! holds exactly one window of coflows in memory at any moment, and the
+//! full trace never exists.
 //!
 //! Spatial skew follows the parsimon-eval flowgen/spatial recipe: ports
 //! are carved into racks, each coflow picks a home rack, and every
 //! endpoint draw keeps probability `rack_affinity` inside the home rack
 //! (uniform over the remaining fabric otherwise). Affinity 0 reproduces
-//! the uniform port-sampling of the dense generator; affinity near 1
+//! the uniform port-sampling of the instance generator; affinity near 1
 //! concentrates load on rack-local bottlenecks the way real cluster
 //! traces do.
 //!
@@ -26,8 +25,9 @@ use crate::distributions::{BoundedPareto, LogNormal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One streamed coflow: sparse flows plus the scalars the scheduler needs.
-/// `m × m` dense form is intentionally absent.
+/// One streamed coflow: its flows in draw order plus the scalars the
+/// scheduler needs. `coflow::CoflowLoads::from_flows` summarizes it for
+/// the LP and the load-based orders.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SparseCoflow {
     /// Sequential id (position in the stream).
@@ -39,45 +39,6 @@ pub struct SparseCoflow {
     pub release: u64,
     /// Completion-time weight.
     pub weight: f64,
-}
-
-/// Nonzero per-port loads `(port, load)`, ascending by port.
-pub type PortLoads = Vec<(usize, u64)>;
-
-impl SparseCoflow {
-    /// Load `ρ` — maximum per-port load — computed from the sparse flows.
-    pub fn rho(&self) -> u64 {
-        let (ingress, egress) = self.port_loads();
-        ingress
-            .iter()
-            .chain(&egress)
-            .map(|&(_, d)| d)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total units across all flows.
-    pub fn total_units(&self) -> u64 {
-        self.flows.iter().map(|&(_, _, u)| u).sum()
-    }
-
-    /// Nonzero per-port loads `(port, load)`, ascending by port:
-    /// `(ingress, egress)`.
-    pub fn port_loads(&self) -> (PortLoads, PortLoads) {
-        let mut ingress: PortLoads = Vec::new();
-        let mut egress: PortLoads = Vec::new();
-        for &(i, j, u) in &self.flows {
-            match ingress.binary_search_by_key(&i, |&(p, _)| p) {
-                Ok(pos) => ingress[pos].1 += u,
-                Err(pos) => ingress.insert(pos, (i, u)),
-            }
-            match egress.binary_search_by_key(&j, |&(p, _)| p) {
-                Ok(pos) => egress[pos].1 += u,
-                Err(pos) => egress.insert(pos, (j, u)),
-            }
-        }
-        (ingress, egress)
-    }
 }
 
 /// Configuration of a [`CoflowStream`].
@@ -294,17 +255,6 @@ mod tests {
         for c in CoflowStream::new(small_cfg()) {
             assert!(c.release >= last);
             last = c.release;
-        }
-    }
-
-    #[test]
-    fn rho_matches_port_loads() {
-        for c in CoflowStream::new(small_cfg()).take(50) {
-            let (ing, eg) = c.port_loads();
-            let max = ing.iter().chain(&eg).map(|&(_, d)| d).max().unwrap_or(0);
-            assert_eq!(c.rho(), max);
-            let total_in: u64 = ing.iter().map(|&(_, d)| d).sum();
-            assert_eq!(total_in, c.total_units());
         }
     }
 

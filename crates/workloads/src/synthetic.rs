@@ -1,8 +1,7 @@
 //! Simple synthetic instance families for tests, property tests, and
 //! ablation benchmarks.
 
-use coflow::{Coflow, Instance};
-use coflow_matching::IntMatrix;
+use coflow::{Coflow, Demand, Instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,19 +18,23 @@ pub fn random_instance(
     let mut rng = StdRng::seed_from_u64(seed);
     let coflows = (0..n)
         .map(|id| {
-            let mut d = IntMatrix::zeros(m);
+            let mut flows = Vec::new();
             for i in 0..m {
                 for j in 0..m {
                     if rng.gen_bool(density) {
-                        d[(i, j)] = rng.gen_range(1..=max_size);
+                        flows.push((i, j, rng.gen_range(1..=max_size)));
                     }
                 }
             }
             // Guarantee at least one flow so every coflow is nontrivial.
-            if d.is_zero() {
-                d[(rng.gen_range(0..m), rng.gen_range(0..m))] = rng.gen_range(1..=max_size);
+            if flows.is_empty() {
+                flows.push((
+                    rng.gen_range(0..m),
+                    rng.gen_range(0..m),
+                    rng.gen_range(1..=max_size),
+                ));
             }
-            Coflow::new(id, d)
+            Coflow::new(id, demand(m, flows))
         })
         .collect();
     Instance::new(m, coflows)
@@ -87,7 +90,10 @@ pub fn random_diagonal_instance(
             if diag.iter().all(|&d| d == 0) {
                 diag[rng.gen_range(0..m)] = rng.gen_range(1..=max_size);
             }
-            Coflow::new(id, IntMatrix::diagonal(&diag))
+            Coflow::new(
+                id,
+                demand(m, diag.into_iter().enumerate().map(|(i, p)| (i, i, p))),
+            )
         })
         .collect();
     Instance::new(m, coflows)
@@ -96,9 +102,18 @@ pub fn random_diagonal_instance(
 /// The Appendix B counter-example pair (3×3, two coflows) showing the `V_k`
 /// lower bounds cannot all be tight simultaneously.
 pub fn appendix_b_instance() -> Instance {
-    let d1 = IntMatrix::from_nested(&[[9, 0, 9], [0, 9, 0], [9, 0, 9]]);
-    let d2 = IntMatrix::from_nested(&[[1, 10, 1], [10, 1, 10], [1, 10, 1]]);
+    let rows = |d: [[u64; 3]; 3]| {
+        let flows = (0..3).flat_map(move |i| (0..3).map(move |j| (i, j, d[i][j])));
+        demand(3, flows)
+    };
+    let d1 = rows([[9, 0, 9], [0, 9, 0], [9, 0, 9]]);
+    let d2 = rows([[1, 10, 1], [10, 1, 10], [1, 10, 1]]);
     Instance::new(3, vec![Coflow::new(0, d1), Coflow::new(1, d2)])
+}
+
+/// The demand of flows this module drew on `m` ports.
+fn demand(m: usize, flows: impl IntoIterator<Item = (usize, usize, u64)>) -> Demand {
+    Demand::from_flows(m, flows).unwrap_or_else(|e| panic!("synthetic flows: {}", e))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Consolidated gate runner: clippy, every `experiments -- gate NAME`, the
-# perf steps that are not gates (check-perf.sh), explain and chaos — in
-# that order, never aborting early, so one invocation reports every
+# Consolidated gate runner: clippy, the benchmark crate's release build,
+# every `experiments -- gate NAME`, the perf steps that are not gates
+# (check-perf.sh), explain and chaos — in that order, never aborting early, so one invocation reports every
 # status. Appends ONE coflow-ledger/1 verdict record (gate `check-all`)
 # carrying one status per step, prints a pass/fail summary table, and
 # exits nonzero if any step failed.
@@ -35,7 +35,21 @@ step() {
     fi
 }
 
+# The benchmark crate builds against the library crates by path, so a
+# change to a public type it uses must still compile it. Only a benchmark
+# change commits its lock file: the rewrite a build makes is undone.
+bench_build() {
+    lock=$(mktemp)
+    cp benchmark/Cargo.lock "$lock"
+    cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
+    built=$?
+    cp "$lock" benchmark/Cargo.lock
+    rm -f "$lock"
+    return "$built"
+}
+
 step clippy sh scripts/check-clippy.sh
+step bench-build bench_build
 for gate in $GATES; do
     step "$gate" cargo run --release -q -p coflow-bench --bin experiments -- gate "$gate"
 done

@@ -8,6 +8,9 @@
 //! coflow-cli --generate <n> [--ports N] [--seed S]   # print a trace as CSV
 //! ```
 //!
+//! Without `--ports`, a CSV trace runs on the fabric its rows imply
+//! (`workloads::io::csv_ports`, which skips a header as the reader does).
+//!
 //! Without `--policy`, the CLI runs the paper's pipeline: the `--order`
 //! permutation (default `H_LP`), Algorithm 2's doubling groups unless
 //! `--no-group`, same-pair backfilling unless `--no-backfill`, and the
@@ -218,21 +221,7 @@ fn load_instance(path: &str, ports: Option<usize>) -> Instance {
     let result = if path.ends_with(".json") {
         io::from_json(&text)
     } else {
-        let ports = ports.unwrap_or_else(|| {
-            // Infer from the data: max referenced port + 1.
-            text.lines()
-                .skip(1)
-                .filter_map(|l| {
-                    let f: Vec<&str> = l.split(',').collect();
-                    let s = f.get(1)?.trim().parse::<usize>().ok()?;
-                    let d = f.get(2)?.trim().parse::<usize>().ok()?;
-                    Some(s.max(d))
-                })
-                .max()
-                .map(|p| p + 1)
-                .unwrap_or(1)
-        });
-        io::from_csv(ports, &text)
+        io::from_csv(ports.unwrap_or_else(|| io::csv_ports(&text)), &text)
     };
     result.unwrap_or_else(|e| {
         eprintln!("cannot parse {}: {}", path, e);

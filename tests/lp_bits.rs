@@ -15,8 +15,16 @@
 //! `solve_with_grid`, and one full 150×150 trace. C̄ bits are folded with
 //! FNV-1a, whose output is fixed by its definition (unlike `DefaultHasher`,
 //! which may change between Rust releases).
+//!
+//! Each instance's interval model is folded too — variables, costs,
+//! bounds, rows, senses, term order and right-hand sides — with the
+//! fingerprints recorded on the builder that read dense per-port tables,
+//! before coflow demand became a sparse flow list; the one builder over
+//! per-coflow port loads must emit the same model.
 
+use coflow::relax::{build_interval_model, build_interval_model_with_grid};
 use coflow::{solve_interval_lp, solve_with_grid, Coflow, GeometricGrid, Instance, LpRelaxation};
+use coflow_lp::{Model, Sense};
 use coflow_matching::IntMatrix;
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 
@@ -48,6 +56,39 @@ fn bits_of(lp: &LpRelaxation) -> Bits {
         order: lp.order.clone(),
         completions_fnv: fnv1a(lp.approx_completion.iter().map(|c| c.to_bits())),
     }
+}
+
+/// FNV-1a over a model: variable count, each cost and implied bound, then
+/// per row its sense, right-hand side and every `(variable, coefficient)`
+/// term in order.
+fn model_fnv(model: &Model) -> u64 {
+    let mut words = vec![model.num_vars() as u64, model.num_constraints() as u64];
+    words.extend(model.costs().iter().map(|c| c.to_bits()));
+    words.extend(model.implied_upper().iter().map(|u| u.to_bits()));
+    for row in model.constraints() {
+        let sense = match row.sense {
+            Sense::Le => 0,
+            Sense::Eq => 1,
+            Sense::Ge => 2,
+        };
+        words.extend([sense, row.rhs.to_bits(), row.terms.len() as u64]);
+        for &(v, a) in &row.terms {
+            words.extend([v.0 as u64, a.to_bits()]);
+        }
+    }
+    fnv1a(words)
+}
+
+/// The interval model of `instance` on the doubling grid must fold to
+/// `want`: the fingerprint of the model the dense per-port-table builder
+/// returned before the demand went sparse.
+fn check_model(name: &str, instance: &Instance, want: u64) {
+    let (model, _, _) = build_interval_model(instance);
+    let got = model_fnv(&model);
+    assert_eq!(
+        got, want,
+        "{name}: interval model drifted (fingerprint {got:#018x})"
+    );
 }
 
 fn check(
@@ -126,7 +167,9 @@ fn residual(instance: &Instance, now: u64) -> Instance {
 
 #[test]
 fn offline_shape_150_ports() {
-    let lp = solve_interval_lp(&generated(150, 12, 2015, false));
+    let inst = generated(150, 12, 2015, false);
+    check_model("offline 150x12", &inst, 0xac4e_5825_fdef_9395);
+    let lp = solve_interval_lp(&inst);
     check(
         "offline 150x12",
         &lp,
@@ -139,7 +182,9 @@ fn offline_shape_150_ports() {
 
 #[test]
 fn arrivals_shape_60_ports() {
-    let lp = solve_interval_lp(&generated(60, 40, 2015, true));
+    let inst = generated(60, 40, 2015, true);
+    check_model("arrivals 60x40", &inst, 0xf6e4_76e8_5b68_f052);
+    let lp = solve_interval_lp(&inst);
     check(
         "arrivals 60x40",
         &lp,
@@ -155,7 +200,9 @@ fn arrivals_shape_60_ports() {
 
 #[test]
 fn arrivals_shape_30_ports() {
-    let lp = solve_interval_lp(&generated(30, 100, 2015, true));
+    let inst = generated(30, 100, 2015, true);
+    check_model("arrivals 30x100", &inst, 0x0b82_43c5_ce05_fba3);
+    let lp = solve_interval_lp(&inst);
     check(
         "arrivals 30x100",
         &lp,
@@ -176,7 +223,9 @@ fn arrivals_shape_30_ports() {
 fn residual_shape_30_ports() {
     let full = generated(30, 100, 99, true);
     let now = full.releases()[full.len() / 2];
-    let lp = solve_interval_lp(&residual(&full, now));
+    let inst = residual(&full, now);
+    check_model("residual 30x100", &inst, 0x409d_1713_1c27_eca8);
+    let lp = solve_interval_lp(&inst);
     check(
         "residual 30x100",
         &lp,
@@ -196,7 +245,14 @@ fn residual_shape_30_ports() {
 #[test]
 fn randomized_grid_30_ports() {
     let inst = generated(30, 60, 7, true);
+    check_model("doubling grid 30x60", &inst, 0x06bb_205b_7f1a_997d);
     let grid = GeometricGrid::scaled(inst.naive_horizon(), 1.7, 1.0 + std::f64::consts::SQRT_2);
+    let (model, _) = build_interval_model_with_grid(&inst, &grid);
+    let got = model_fnv(&model);
+    assert_eq!(
+        got, 0x5e38_9226_ae56_b53f,
+        "scaled grid 30x60: interval model drifted (fingerprint {got:#018x})"
+    );
     let lp = solve_with_grid(&inst, &grid);
     check(
         "scaled grid 30x60",
@@ -214,7 +270,9 @@ fn randomized_grid_30_ports() {
 
 #[test]
 fn full_trace_150x150() {
-    let lp = solve_interval_lp(&generated(150, 150, 2015, false));
+    let inst = generated(150, 150, 2015, false);
+    check_model("offline 150x150", &inst, 0x4b5c_4394_d2ec_2bdd);
+    let lp = solve_interval_lp(&inst);
     check(
         "offline 150x150",
         &lp,
