@@ -814,8 +814,8 @@ impl<'a> Engine<'a> {
 
 /// Greedily matches free port pairs to candidate coflows in the given
 /// priority order, scanning each candidate's dense remaining-demand
-/// matrix. The slot-reactive policies compute the same matching from live
-/// flow lists (`FlowMatcher`, tested equal to this reference).
+/// matrix. The slot-reactive policies compute the same matching from
+/// per-coflow row runs (`FlowMatcher`, tested equal to this reference).
 ///
 /// Scans `candidates` front to back; for each, claims every still-free
 /// `(ingress, egress)` pair with remaining demand. Stops early once all `m`
@@ -853,23 +853,53 @@ where
     moves
 }
 
+/// One coflow's live flows as row runs: its `(entry, egress)` pairs in
+/// [`SparseDemand`] row-major order, plus one `(ingress, start, len)` run
+/// per ingress port with `flows[start..start + len]` that port's row.
+struct RowRuns {
+    flows: Vec<(usize, usize)>,
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl RowRuns {
+    /// The flows of coflow `k` with units left in `demand`.
+    fn new(demand: &SparseDemand, k: usize) -> Self {
+        let mut flows = Vec::with_capacity(demand.entries(k).len());
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for e in demand.entries(k).filter(|&e| demand.units(e) > 0) {
+            let (i, j) = demand.pair(e);
+            match runs.last_mut() {
+                Some(run) if run.0 == i => run.2 += 1,
+                _ => runs.push((i, flows.len(), 1)),
+            }
+            flows.push((e, j));
+        }
+        RowRuns { flows, runs }
+    }
+}
+
 /// The greedy matcher of the slot-reactive policies: [`greedy_match`]'s
-/// matching computed over per-coflow live flow lists instead of dense
-/// `m × m` scans, returned in recycled [`Decision::Run`] buffers.
+/// matching computed over per-coflow row runs instead of dense `m × m`
+/// scans, returned in recycled [`Decision::Run`] buffers.
 ///
-/// A coflow's list holds the indices of its entries in the executor's
-/// [`SparseDemand`] — its port pairs in row-major order, the order
-/// `IntMatrix::nonzero_entries` yields — taken on first use and compacted
-/// as pairs drain. Remaining demand never grows, so the compacted list
-/// holds every pair the coflow still has demand on, in the same order. The
-/// lists are derived state: a policy rebuilt from a checkpoint takes them
-/// again from the restored executor.
+/// A coflow's flows are taken from the executor's [`SparseDemand`] on
+/// first use — its port pairs in row-major order, the order
+/// `IntMatrix::nonzero_entries` yields — and grouped into one run per
+/// ingress port. The scan passes over a run whose ingress is taken in one
+/// step: none of its flows could be claimed. It scans a free run only up
+/// to its first claim, which takes the ingress, so the rest of the run
+/// could not be claimed either. Drained flows are compacted out of the
+/// runs the scan reads; in the others they linger, and add 0 to
+/// [`FlowMatcher::load`]. Remaining demand never grows, so the runs hold
+/// every pair the coflow still has demand on, in the same order. The runs
+/// are derived state: a policy rebuilt from a checkpoint takes them again
+/// from the restored executor.
 pub(crate) struct FlowMatcher {
-    flows: Vec<Option<Vec<usize>>>,
+    rows: Vec<Option<RowRuns>>,
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
-    /// Per-port demand scratch of [`FlowMatcher::load`], zero between calls.
-    row: Vec<u64>,
+    /// Per-egress demand scratch of [`FlowMatcher::load`], zero between
+    /// calls.
     col: Vec<u64>,
     /// Buffers of applied runs, handed back through [`Policy::recycle`].
     pairs_pool: Vec<(usize, usize, Vec<usize>)>,
@@ -880,27 +910,26 @@ impl FlowMatcher {
     pub(crate) fn new(instance: &Instance) -> Self {
         let m = instance.ports();
         FlowMatcher {
-            flows: vec![None; instance.len()],
+            rows: (0..instance.len()).map(|_| None).collect(),
             src_used: vec![false; m],
             dst_used: vec![false; m],
-            row: vec![0; m],
             col: vec![0; m],
             pairs_pool: Vec::new(),
             spare: Vec::new(),
         }
     }
 
-    fn flows_of<'f>(
-        flows: &'f mut [Option<Vec<usize>>],
+    fn rows_of<'r>(
+        rows: &'r mut [Option<RowRuns>],
         demand: &SparseDemand,
         k: usize,
-    ) -> &'f mut Vec<usize> {
-        flows[k].get_or_insert_with(|| demand.entries(k).collect())
+    ) -> &'r mut RowRuns {
+        rows[k].get_or_insert_with(|| RowRuns::new(demand, k))
     }
 
     /// Removes the settled (drained or cancelled) coflows from `coflows`
-    /// and drops their flow lists: settled coflows are never scanned
-    /// again. Returns true when any coflow was removed.
+    /// and drops their runs: settled coflows are never scanned again.
+    /// Returns true when any coflow was removed.
     pub(crate) fn retain_unsettled(
         &mut self,
         coflows: &mut Vec<usize>,
@@ -910,7 +939,7 @@ impl FlowMatcher {
         coflows.retain(|&k| {
             let unsettled = state.remaining_total(k) > 0;
             if !unsettled {
-                self.flows[k] = None;
+                self.rows[k] = None;
             }
             unsettled
         });
@@ -918,29 +947,27 @@ impl FlowMatcher {
     }
 
     /// `ρ` of coflow `k`'s remaining demand — the `load()` of
-    /// `Demand::from(state.remaining_matrix(k))` — summed over its flow
-    /// list, without allocating.
+    /// `Demand::from(state.remaining_matrix(k))` — summed run by run,
+    /// without allocating.
     pub(crate) fn load(&mut self, state: &EpochState<'_>, k: usize) -> u64 {
         let demand = state.remaining_demand();
-        let FlowMatcher {
-            flows, row, col, ..
-        } = self;
-        let list = Self::flows_of(flows, demand, k);
-        for &e in list.iter() {
-            let (i, j) = demand.pair(e);
-            let r = demand.units(e);
-            row[i] += r;
-            col[j] += r;
-        }
+        let FlowMatcher { rows, col, .. } = self;
+        let RowRuns { flows, runs } = Self::rows_of(rows, demand, k);
         let mut load = 0;
-        for &e in list.iter() {
-            let (i, j) = demand.pair(e);
-            load = load.max(row[i]).max(col[j]);
+        for &(_, start, len) in runs.iter() {
+            let mut row = 0;
+            for &(e, j) in &flows[start..start + len] {
+                let r = demand.units(e);
+                row += r;
+                col[j] += r;
+            }
+            load = load.max(row);
         }
-        for &e in list.iter() {
-            let (i, j) = demand.pair(e);
-            row[i] = 0;
-            col[j] = 0;
+        for &(_, start, len) in runs.iter() {
+            for &(_, j) in &flows[start..start + len] {
+                load = load.max(col[j]);
+                col[j] = 0;
+            }
         }
         load
     }
@@ -958,7 +985,7 @@ impl FlowMatcher {
         let m = state.instance.ports();
         let demand = state.remaining_demand();
         let FlowMatcher {
-            flows,
+            rows,
             src_used,
             dst_used,
             pairs_pool,
@@ -973,21 +1000,40 @@ impl FlowMatcher {
             if pairs.len() == m {
                 break;
             }
-            Self::flows_of(flows, demand, k).retain(|&e| {
-                let r = demand.units(e);
-                if r == 0 {
-                    return false;
+            let RowRuns { flows, runs } = Self::rows_of(rows, demand, k);
+            runs.retain_mut(|(i, start, len)| {
+                if src_used[*i] {
+                    return true;
                 }
-                let (i, j) = demand.pair(e);
-                if !src_used[i] && !dst_used[j] {
-                    src_used[i] = true;
-                    dst_used[j] = true;
-                    min_remaining = min_remaining.min(r);
-                    let mut prio = spare.pop().unwrap_or_default();
-                    prio.push(k);
-                    pairs.push((i, j, prio));
+                let row = &mut flows[*start..*start + *len];
+                // Keep the live flows before the first claim in place,
+                // then slide the unscanned rest down behind them.
+                let mut kept = 0;
+                let mut scanned = 0;
+                while scanned < row.len() {
+                    let (e, j) = row[scanned];
+                    scanned += 1;
+                    let r = demand.units(e);
+                    if r == 0 {
+                        continue;
+                    }
+                    row[kept] = (e, j);
+                    kept += 1;
+                    if !dst_used[j] {
+                        src_used[*i] = true;
+                        dst_used[j] = true;
+                        min_remaining = min_remaining.min(r);
+                        let mut prio = spare.pop().unwrap_or_default();
+                        prio.push(k);
+                        pairs.push((*i, j, prio));
+                        break;
+                    }
                 }
-                true
+                if kept < scanned {
+                    row.copy_within(scanned.., kept);
+                    *len -= scanned - kept;
+                }
+                *len > 0
             });
         }
         (pairs, min_remaining)
@@ -1135,7 +1181,10 @@ impl BvnBatchPolicy {
     /// (trimmed prefixes have zero remaining demand and are filtered out
     /// either way), so decisions are unaffected. The per-batch obs span is
     /// reopened when a batch is in flight so the stage taxonomy matches an
-    /// uninterrupted run.
+    /// uninterrupted run. A batch in flight must be one decomposition: its
+    /// augmented matrix is Σ q·Π over its slots, its load the sum of the
+    /// counts q, and each slot's pending chunks are at least 1 long and
+    /// total no more than its count.
     pub(crate) fn restore(
         instance: &Instance,
         order: Vec<usize>,
@@ -1175,16 +1224,39 @@ impl BvnBatchPolicy {
                     })
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            if cs.chunks.iter().any(|&(idx, _)| idx >= slots.len()) {
-                return Err(bad("bvn-batch: chunk references a missing slot"));
+            // A slot's chunks split its count and the ones already run came
+            // first, so the pending chunks fit in what the count leaves.
+            let mut rest: Vec<u64> = slots.iter().map(|s| s.count).collect();
+            for &(idx, len) in &cs.chunks {
+                let Some(room) = rest.get_mut(idx) else {
+                    return Err(bad("bvn-batch: chunk references a missing slot"));
+                };
+                if len == 0 || len > *room {
+                    return Err(bad("bvn-batch: chunks do not fit their slot's count"));
+                }
+                *room -= len;
+            }
+            let counts = slots
+                .iter()
+                .try_fold(0u64, |sum, s| sum.checked_add(s.count));
+            if counts != Some(cs.load) {
+                return Err(bad("bvn-batch: load is not the sum of the slot counts"));
+            }
+            let dec = BvnDecomposition {
+                augmented: IntMatrix::from_rows(m, cs.augmented.clone()),
+                slots,
+                load: cs.load,
+            };
+            // The count sum fits in u64 (checked above), so no entry of
+            // Σ q·Π overflows.
+            if dec.reconstruct() != dec.augmented {
+                return Err(bad(
+                    "bvn-batch: augmented matrix is not the sum of its slots",
+                ));
             }
             policy.sim_span = Some(obs::span("sched.simulate"));
             policy.current = Some(ActiveBatch {
-                dec: BvnDecomposition {
-                    augmented: IntMatrix::from_rows(m, cs.augmented.clone()),
-                    slots,
-                    load: cs.load,
-                },
+                dec,
                 chunks: cs.chunks.clone().into_iter(),
                 batch_end_pos: cs.batch_end_pos,
             });
@@ -2005,49 +2077,6 @@ mod tests {
         assert_eq!(moves, vec![(0, 0, 0), (1, 1, 1)]);
     }
 
-    #[test]
-    fn flow_matcher_reproduces_the_dense_matcher_and_load() {
-        // Drain the instance one slot at a time; at every slot the
-        // live-list matching, its drain bound and every ρ(remaining) must
-        // equal the dense scans.
-        let instance = inst();
-        let releases = instance.releases();
-        let mut fabric = Fabric::new(instance.ports(), instance.demands(), &releases);
-        let mut matcher = FlowMatcher::new(&instance);
-        let (mut src, mut dst) = (vec![false; 2], vec![false; 2]);
-        while !fabric.all_done() {
-            let pairs = {
-                let state = EpochState::clean(&instance, &fabric);
-                let live = || {
-                    [2usize, 0, 1].into_iter().filter(|&k| {
-                        state.remaining_total(k) > 0 && releases[k] <= state.now
-                    })
-                };
-                let rem: Vec<IntMatrix> =
-                    (0..instance.len()).map(|k| state.remaining_matrix(k).to_matrix()).collect();
-                let dense = greedy_match(2, live(), |k| &rem[k], &mut src, &mut dst);
-                let (pairs, min_remaining) = matcher.matching(&state, live());
-                let held: Vec<(usize, usize, usize)> =
-                    pairs.iter().map(|(i, j, prio)| (*i, *j, prio[0])).collect();
-                assert_eq!(held, dense);
-                let least = dense.iter().map(|&(i, j, k)| state.remaining(k, i, j)).min();
-                assert_eq!(min_remaining, least.unwrap_or(u64::MAX));
-                for k in live() {
-                    let left = Demand::from(state.remaining_matrix(k));
-                    assert_eq!(matcher.load(&state, k), left.load());
-                }
-                pairs
-            };
-            if pairs.is_empty() {
-                let next = fabric.now() + 1;
-                fabric.advance_to(next);
-            } else {
-                fabric.apply_run(&pairs, 1);
-            }
-            matcher.recycle(pairs);
-        }
-    }
-
     /// The slot ordering [`SlotOrder`] replaced, kept as its reference:
     /// for each member in order, rescan the pending slots from the first
     /// for one covering a pair the member still needs, and account every
@@ -2205,6 +2234,114 @@ mod tests {
                 order.order(&state, prefix, &dec),
                 order_slots_reference(&state, prefix, &dec)
             );
+        }
+    }
+
+    /// One matcher case: fabric width, each coflow's demand and release,
+    /// and a seed for the decisions' candidate orders, holds and
+    /// cancellations.
+    type MatcherCase = (usize, Vec<(Vec<u64>, u64)>, u64);
+
+    fn matcher_case() -> impl Strategy<Value = MatcherCase> {
+        (1usize..13, 1usize..7).prop_flat_map(|(m, n)| {
+            (
+                Just(m),
+                proptest::collection::vec((proptest::collection::vec(0u64..9, m * m), 0u64..6), n),
+                any::<u64>(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Drains random instances decision by decision — several flows
+        /// per ingress, staggered releases, the candidate order re-sorted
+        /// at random with coflows dropped from it, random holds that may
+        /// outlast the least remaining demand, random cancellations — and
+        /// at every decision holds the row-run matcher to the dense
+        /// references: the same matching as [`greedy_match`], the least
+        /// remaining demand on a matched pair as its drain bound, and the
+        /// dense `load()` of every live coflow, before and after the scan
+        /// compacts its runs.
+        #[test]
+        fn flow_matcher_matches_the_dense_references(case in matcher_case()) {
+            let (m, coflows, seed) = case;
+            let n = coflows.len();
+            let coflows = coflows
+                .into_iter()
+                .enumerate()
+                .map(|(k, (data, release))| {
+                    let d: Vec<u64> = data.iter().map(|&v| v.saturating_sub(3)).collect();
+                    Coflow::new(k, IntMatrix::from_rows(m, d)).with_release(release)
+                })
+                .collect();
+            let instance = Instance::new(m, coflows);
+            let mut demand = SparseDemand::new(m, instance.demands());
+            let mut matcher = FlowMatcher::new(&instance);
+            let (mut src, mut dst) = (vec![false; m], vec![false; m]);
+            let mut z = seed;
+            let mut draw = |bound: u64| {
+                z = mix(z);
+                z % bound
+            };
+            let mut pool: Vec<usize> = (0..n).collect();
+            let mut now = 0;
+            for _ in 0..4000 {
+                let state = EpochState {
+                    now,
+                    instance: &instance,
+                    demand: &demand,
+                    sim: None,
+                    next_boundary: u64::MAX,
+                    window_end: u64::MAX,
+                };
+                matcher.retain_unsettled(&mut pool, &state);
+                if pool.is_empty() {
+                    break;
+                }
+                if draw(2) == 0 {
+                    let salt = draw(u64::MAX);
+                    pool.sort_by_key(|&k| mix(salt ^ k as u64));
+                }
+                let candidates: Vec<usize> = pool
+                    .iter()
+                    .copied()
+                    .filter(|&k| instance.coflow(k).release <= now && draw(4) != 0)
+                    .collect();
+                let dense_load = |k: usize| Demand::from(state.remaining_matrix(k)).load();
+                for &k in &candidates {
+                    prop_assert_eq!(matcher.load(&state, k), dense_load(k));
+                }
+                let rem: Vec<IntMatrix> =
+                    (0..n).map(|k| state.remaining_matrix(k).to_matrix()).collect();
+                let dense =
+                    greedy_match(m, candidates.iter().copied(), |k| &rem[k], &mut src, &mut dst);
+                let (pairs, min_remaining) = matcher.matching(&state, candidates.iter().copied());
+                let held: Vec<(usize, usize, usize)> =
+                    pairs.iter().map(|(i, j, prio)| (*i, *j, prio[0])).collect();
+                prop_assert_eq!(&held, &dense);
+                let least = dense.iter().map(|&(i, j, k)| state.remaining(k, i, j)).min();
+                prop_assert_eq!(min_remaining, least.unwrap_or(u64::MAX));
+                for &k in &pool {
+                    prop_assert_eq!(matcher.load(&state, k), dense_load(k));
+                }
+                matcher.recycle(pairs);
+                let hold = if held.is_empty() { 1 } else { 1 + draw(min_remaining + 1) };
+                for &(i, j, k) in &held {
+                    let Some(e) = demand.find(k, i, j) else {
+                        unreachable!("a matched pair is one of the coflow's entries")
+                    };
+                    let take = demand.units(e).min(hold);
+                    demand.take(k, e, take);
+                }
+                if draw(8) == 0 {
+                    let k = pool[draw(pool.len() as u64) as usize];
+                    demand.clear(k);
+                }
+                now += hold;
+            }
+            prop_assert!(pool.is_empty(), "the instance did not drain");
         }
     }
 

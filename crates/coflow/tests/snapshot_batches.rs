@@ -148,6 +148,52 @@ fn legacy_decomposition_keys_resume_bit_identically() {
     );
 }
 
+/// Restores `LEGACY_CHECKPOINT` with `intact` replaced by `doctored` and
+/// expects a typed refusal whose message names `what`.
+fn assert_refused(intact: &str, doctored: &str, what: &str) {
+    let json = LEGACY_CHECKPOINT.replace(intact, doctored);
+    assert_ne!(
+        json, LEGACY_CHECKPOINT,
+        "{} is not in the checkpoint",
+        intact
+    );
+    let snapshot = EngineSnapshot::from_json(&json).expect("doctored checkpoint parses");
+    match Engine::restore(&legacy_instance(), snapshot) {
+        Ok(_) => panic!("{} restored", doctored),
+        Err(e) => assert!(e.to_string().contains(what), "{}: {}", doctored, e),
+    }
+}
+
+#[test]
+fn restore_rejects_an_augmented_matrix_that_is_not_the_slot_sum() {
+    // Σ q·Π of the three slots is [2,4,1, 1,2,4, 4,1,2].
+    let intact = "\"augmented\":[2,4,1,1,2,4,4,1,2]";
+    assert_refused(intact, "\"augmented\":[2,4,1,1,2,4,4,1,3]", "augmented");
+    assert_refused(intact, "\"augmented\":[2,4,1,1,2,4,4,1,1]", "augmented");
+}
+
+#[test]
+fn restore_rejects_a_load_that_is_not_the_count_sum() {
+    // The counts are 2 + 4 + 1.
+    for load in ["6", "8", "0"] {
+        assert_refused("\"load\":7", &format!("\"load\":{}", load), "load");
+    }
+}
+
+#[test]
+fn restore_rejects_pending_chunks_that_overrun_their_slot() {
+    // Slot 2 has count 1. Stretched to 5, its chunk used to resume into a
+    // different schedule (completions [4, 8, 17, 19] for [4, 8, 13, 15]).
+    let intact = "\"chunks\":[[2,1]]";
+    for chunks in ["[[2,5]]", "[[2,0]]", "[[2,1],[2,1]]"] {
+        assert_refused(intact, &format!("\"chunks\":{}", chunks), "chunks");
+    }
+    // Chunks that fit their slots still restore.
+    let json = LEGACY_CHECKPOINT.replace(intact, "\"chunks\":[[0,2],[1,3],[2,1]]");
+    let snapshot = EngineSnapshot::from_json(&json).expect("parse");
+    assert!(Engine::restore(&legacy_instance(), snapshot).is_ok());
+}
+
 #[test]
 fn legacy_decomposition_keys_must_be_bools() {
     for (key, value) in [
