@@ -12,9 +12,7 @@ fn bench_fig2a(c: &mut Criterion) {
     let trace = generate_trace(&bench_scale_config(2015));
     let mut group = c.benchmark_group("fig2a");
     group.sample_size(10);
-    group.bench_function("full_figure", |b| {
-        b.iter(|| run_fig2a(&trace, 4, 2015))
-    });
+    group.bench_function("full_figure", |b| b.iter(|| run_fig2a(&trace, 4, 2015)));
     group.finish();
 
     let fig = run_fig2a(&trace, 4, 2015);

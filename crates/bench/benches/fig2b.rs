@@ -11,9 +11,7 @@ fn bench_fig2b(c: &mut Criterion) {
     let trace = generate_trace(&bench_scale_config(2015));
     let mut group = c.benchmark_group("fig2b");
     group.sample_size(10);
-    group.bench_function("full_figure", |b| {
-        b.iter(|| run_fig2b(&trace, 4, 2015))
-    });
+    group.bench_function("full_figure", |b| b.iter(|| run_fig2b(&trace, 4, 2015)));
     group.finish();
 
     let fig = run_fig2b(&trace, 4, 2015);

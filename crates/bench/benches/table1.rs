@@ -25,14 +25,17 @@ fn bench_table1_cells(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(spec.order.name(), spec.case_label()),
             &order,
-            |b, order| b.iter(|| run_with_order(&inst, order.clone(), spec.grouping, opts).objective),
+            |b, order| {
+                b.iter(|| run_with_order(&inst, order.clone(), spec.grouping, opts).objective)
+            },
         );
     }
     group.finish();
 
     // Print the Table 1 block itself once so `cargo bench` output carries
     // the reproduced numbers alongside the timings.
-    let block = coflow_bench::table1::run_block(&trace, 4, WeightScheme::RandomPermutation { seed: 2015 });
+    let block =
+        coflow_bench::table1::run_block(&trace, 4, WeightScheme::RandomPermutation { seed: 2015 });
     println!("{}", coflow_bench::report::render_table1_block(&block));
 }
 

@@ -56,7 +56,9 @@ pub fn run_arrivals(instance: &Instance) -> ArrivalsReport {
         })
         .collect();
     let online_policy = |name: &str| {
-        let entry = PolicyRegistry::builtin().get(name).expect("built-in policy");
+        let entry = PolicyRegistry::builtin()
+            .get(name)
+            .expect("built-in policy");
         run_policy(instance, &mut *entry.build(instance)).expect("online policies are infallible")
     };
     let online = online_policy("online");

@@ -126,11 +126,11 @@ use coflow_bench::faults::{
 use coflow_bench::figures::{run_fig2a, run_fig2b};
 use coflow_bench::lowerbound::run_lowerbound;
 use coflow_bench::paper_scale_config;
-use coflow_lp::SimplexOptions;
 use coflow_bench::ratios::run_ratios;
 use coflow_bench::report::{
     render_fig2a, render_fig2b, render_lowerbound, render_ratios, render_table1_block,
 };
+use coflow_lp::SimplexOptions;
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 
 /// Every option of every subcommand. Each flag sets one field, which
@@ -170,23 +170,73 @@ const GLOBAL_FLAGS: [&str; 3] = ["--seed N", "--ledger PATH|none", "--telemetry 
 /// the operands they take, and their flags, each with its value's
 /// placeholder (none for a switch). [`accepts`] and the usage text both
 /// read this table.
-type Command = (&'static str, &'static [&'static str], &'static [&'static str]);
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+);
 const COMMANDS: [Command; 12] = [
-    ("table1|fig2a|fig2b|lpexp|ratios|gridsweep|integrality|arrivals|all", &[], &[]),
+    (
+        "table1|fig2a|fig2b|lpexp|ratios|gridsweep|integrality|arrivals|all",
+        &[],
+        &[],
+    ),
     ("faults", &[], &["--policies a,b,c|all"]),
-    ("profile", &[], &["--out PATH", "--trace PATH", "--full", "--mem-out PATH"]),
-    ("explain", &[], &["--out PATH", "--svg PATH", "--trace PATH", "--faults RATE",
-                       "--severity LEVEL", "--expect-starvation", "--validate PATH"]),
+    (
+        "profile",
+        &[],
+        &["--out PATH", "--trace PATH", "--full", "--mem-out PATH"],
+    ),
+    (
+        "explain",
+        &[],
+        &[
+            "--out PATH",
+            "--svg PATH",
+            "--trace PATH",
+            "--faults RATE",
+            "--severity LEVEL",
+            "--expect-starvation",
+            "--validate PATH",
+        ],
+    ),
     ("pin", &[], &["--out PATH"]),
-    ("scale", &[], &["--ports LIST", "--coflows LIST", "--cell MxN", "--window W",
-                     "--out PATH"]),
-    ("chaos", &[], &["--kills N", "--windows N", "--faults RATE", "--out PATH",
-                     "--validate PATH"]),
+    (
+        "scale",
+        &[],
+        &[
+            "--ports LIST",
+            "--coflows LIST",
+            "--cell MxN",
+            "--window W",
+            "--out PATH",
+        ],
+    ),
+    (
+        "chaos",
+        &[],
+        &[
+            "--kills N",
+            "--windows N",
+            "--faults RATE",
+            "--out PATH",
+            "--validate PATH",
+        ],
+    ),
     ("tournament", &[], &["--policies a,b,c|all", "--out PATH"]),
     ("gate", &["perf|mem|pins|scale|tournament"], &[]),
     ("diff", &["[A]", "[B]"], &["--tolerance F", "--out PATH"]),
     ("report", &[], &["--out PATH"]),
-    ("verdict", &[], &["--gate NAME", "--status pass|fail", "--verdict K=V", "--note STR"]),
+    (
+        "verdict",
+        &[],
+        &[
+            "--gate NAME",
+            "--status pass|fail",
+            "--verdict K=V",
+            "--note STR",
+        ],
+    ),
 ];
 
 /// The flag a [`COMMANDS`] flag entry names.
@@ -224,9 +274,13 @@ fn usage(error: &str) -> ! {
 /// Whether `subcommand` takes the flag `flag` besides [`GLOBAL_FLAGS`],
 /// and how many operands; `None` for an unknown subcommand.
 fn accepts(subcommand: &str) -> Option<(impl Fn(&str) -> bool, usize)> {
-    let (_, operands, flags) =
-        COMMANDS.iter().find(|(names, _, _)| names.split('|').any(|n| n == subcommand))?;
-    Some((move |flag: &str| flags.iter().any(|f| flag_name(f) == flag), operands.len()))
+    let (_, operands, flags) = COMMANDS
+        .iter()
+        .find(|(names, _, _)| names.split('|').any(|n| n == subcommand))?;
+    Some((
+        move |flag: &str| flags.iter().any(|f| flag_name(f) == flag),
+        operands.len(),
+    ))
 }
 
 /// Parses `value` of `flag`, or exits 2 saying it must be `what`.
@@ -263,13 +317,16 @@ fn main() {
             "--coflows" => args.coflows = Some(parse_usize_list(&value_of(a), a)),
             "--cell" => {
                 let value = value_of(a);
-                let parsed = value.split_once('x').and_then(|(m, n)| {
-                    Some((m.trim().parse().ok()?, n.trim().parse().ok()?))
-                });
+                let parsed = value
+                    .split_once('x')
+                    .and_then(|(m, n)| Some((m.trim().parse().ok()?, n.trim().parse().ok()?)));
                 args.cell = match parsed {
                     Some(cell) => Some(cell),
                     None => {
-                        eprintln!("error: --cell needs PORTSxCOFLOWS (e.g. 1000x10000), got '{}'", value);
+                        eprintln!(
+                            "error: --cell needs PORTSxCOFLOWS (e.g. 1000x10000), got '{}'",
+                            value
+                        );
                         std::process::exit(2);
                     }
                 };
@@ -322,9 +379,7 @@ fn main() {
             "--expect-starvation" => args.expect_starvation = true,
             "--validate" => args.validate = Some(value_of(a)),
             "--policies" => args.policies = Some(value_of(a)),
-            "--tolerance" => {
-                args.tolerance = Some(parsed("--tolerance", &value_of(a), "a number"))
-            }
+            "--tolerance" => args.tolerance = Some(parsed("--tolerance", &value_of(a), "a number")),
             "--full" => args.full = true,
             flag if flag.starts_with('-') => usage(&format!("unknown flag '{}'", flag)),
             other => {
@@ -425,7 +480,10 @@ fn main() {
 fn append_ledger(ledger: &Option<String>, mut rec: obs::ledger::LedgerRecord) {
     let Some(path) = ledger else { return };
     match obs::ledger::append(path, &mut rec) {
-        Ok(seq) => println!("# ledger: appended {} record seq {} to {}", rec.kind, seq, path),
+        Ok(seq) => println!(
+            "# ledger: appended {} record seq {} to {}",
+            rec.kind, seq, path
+        ),
         Err(e) => eprintln!("warning: ledger append failed: {}", e),
     }
 }
@@ -471,7 +529,10 @@ fn diff_side(
     let records = cache.as_ref().map(|r| r.as_slice()).unwrap_or(&[]);
     match coflow_bench::ledger::select(records, spec) {
         Ok(rec) => (
-            Flat { schema: obs::ledger::LEDGER_SCHEMA, metrics: flatten_record(rec) },
+            Flat {
+                schema: obs::ledger::LEDGER_SCHEMA,
+                metrics: flatten_record(rec),
+            },
             coflow_bench::diff::record_id(rec, spec),
         ),
         Err(e) => {
@@ -487,7 +548,9 @@ fn diff_cmd(
     ledger: &Option<String>,
     out: Option<&str>,
 ) {
-    use coflow_bench::diff::{default_tolerance, diff_metrics, render_diff_json, render_diff_table};
+    use coflow_bench::diff::{
+        default_tolerance, diff_metrics, render_diff_json, render_diff_table,
+    };
     let tolerance = tolerance_flag.unwrap_or_else(default_tolerance);
     let a_spec = operands.first().map(String::as_str).unwrap_or("prev");
     let b_spec = operands.get(1).map(String::as_str).unwrap_or("latest");
@@ -497,7 +560,11 @@ fn diff_cmd(
     let report = diff_metrics(&a.metrics, &b.metrics, &a_id, &b_id, tolerance);
     print!("{}", render_diff_table(&report));
     if let Some(out) = out {
-        write_report(out, "diff report", &render_diff_json(&report, a.schema, b.schema));
+        write_report(
+            out,
+            "diff report",
+            &render_diff_json(&report, a.schema, b.schema),
+        );
         println!("# diff report written to {}", out);
     }
     if !report.regressions().is_empty() {
@@ -557,7 +624,10 @@ fn verdict_cmd(
         eprintln!("error: verdict needs --status or at least one --verdict K=V");
         std::process::exit(2);
     }
-    append_ledger(ledger, coflow_bench::ledger::verdict_record(gate, kvs, note));
+    append_ledger(
+        ledger,
+        coflow_bench::ledger::verdict_record(gate, kvs, note),
+    );
 }
 
 /// Writes a report via the shared atomic write-then-rename sink (which
@@ -750,7 +820,9 @@ fn explain(seed: u64, args: &Args) {
                 std::process::exit(1);
             }
         };
-        let opts = ValidateOpts { expect_starvation: args.expect_starvation };
+        let opts = ValidateOpts {
+            expect_starvation: args.expect_starvation,
+        };
         match validate_report(&text, &opts) {
             Ok(summary) => {
                 println!("{}: {}", path, summary);
@@ -808,7 +880,10 @@ fn explain(seed: u64, args: &Args) {
             eprintln!("error: writing chrome trace: {}", e);
             std::process::exit(1);
         }
-        println!("# chrome trace (spans + anomaly instants) written to {}", trace_path);
+        println!(
+            "# chrome trace (spans + anomaly instants) written to {}",
+            trace_path
+        );
     }
 
     // Gate: fail on firings at or above the requested severity. Fault
@@ -1080,7 +1155,12 @@ fn scale(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::In
     };
 
     let window = args.window.unwrap_or(coflow_bench::scale::DEFAULT_WINDOW);
-    println!("# scale sweep: {} cells, window {}, seed {}", cells.len(), window, seed);
+    println!(
+        "# scale sweep: {} cells, window {}, seed {}",
+        cells.len(),
+        window,
+        seed
+    );
     let report = run_scale(&cells, seed, window);
     print!("{}", render_scale(&report));
     let out = args.out.as_deref().unwrap_or("BENCH_scale.json");
@@ -1088,10 +1168,8 @@ fn scale(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::In
     println!("# scale report written to {}", out);
     exit_if_interrupted(out);
 
-    let rec = coflow_bench::ledger::record_from_scale(
-        &report,
-        started.elapsed().as_secs_f64() * 1000.0,
-    );
+    let rec =
+        coflow_bench::ledger::record_from_scale(&report, started.elapsed().as_secs_f64() * 1000.0);
     append_ledger(ledger, rec);
 }
 
@@ -1106,10 +1184,8 @@ fn pin(seed: u64, out: Option<&str>, ledger: &Option<String>, started: std::time
         println!("# pin file written to {}", out);
     }
 
-    let rec = coflow_bench::ledger::record_from_pins(
-        &report,
-        started.elapsed().as_secs_f64() * 1000.0,
-    );
+    let rec =
+        coflow_bench::ledger::record_from_pins(&report, started.elapsed().as_secs_f64() * 1000.0);
     append_ledger(ledger, rec);
 }
 
@@ -1179,15 +1255,25 @@ fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::
 
     let Some(g) = gate::gate(name) else {
         let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
-        usage(&format!("unknown gate '{}' (expected {})", name, names.join("|")));
+        usage(&format!(
+            "unknown gate '{}' (expected {})",
+            name,
+            names.join("|")
+        ));
     };
     // The golden is read and flattened before the workload, so a missing
     // or malformed file fails in milliseconds with its regeneration
     // command.
-    let regen = format!("cargo run --release -p coflow-bench --bin experiments -- {}", g.regen);
+    let regen = format!(
+        "cargo run --release -p coflow-bench --bin experiments -- {}",
+        g.regen
+    );
     let golden = read_baseline_file(g.golden, "golden", &regen);
     if let Err(e) = gate::read_golden(g, &golden) {
-        eprintln!("error: {}: {}.\nRegenerate it with:\n    {}", g.golden, e, regen);
+        eprintln!(
+            "error: {}: {}.\nRegenerate it with:\n    {}",
+            g.golden, e, regen
+        );
         std::process::exit(1);
     }
 
@@ -1206,12 +1292,18 @@ fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::
         "pins" => {
             let report = pins::collect_pins(seed);
             print!("{}", pins::render_pins(&report));
-            (pins::render_pins_json(&report), led::record_from_pins(&report, elapsed()))
+            (
+                pins::render_pins_json(&report),
+                led::record_from_pins(&report, elapsed()),
+            )
         }
         "scale" => {
             let report = scale::run_scale(&[scale::GATE_CELL], seed, scale::DEFAULT_WINDOW);
             print!("{}", scale::render_scale(&report));
-            (scale::render_scale_json(&report), led::record_from_scale(&report, elapsed()))
+            (
+                scale::render_scale_json(&report),
+                led::record_from_scale(&report, elapsed()),
+            )
         }
         _ => {
             let report = tournament_report(seed, "all");

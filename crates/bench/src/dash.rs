@@ -32,8 +32,16 @@ use std::fmt::Write as _;
 /// True when `cur` regresses against `prev` as a `kind` row named `key`
 /// under the `dash` scope of the rule table.
 fn jumped(kind: Kind, key: &str, prev: f64, cur: f64) -> bool {
-    let row = |value| [Metric { key: key.to_string(), kind, value }];
-    judge(&row(prev), &row(cur), Scope::of("dash")).iter().any(|r| r.regressed)
+    let row = |value| {
+        [Metric {
+            key: key.to_string(),
+            kind,
+            value,
+        }]
+    };
+    judge(&row(prev), &row(cur), Scope::of("dash"))
+        .iter()
+        .any(|r| r.regressed)
 }
 
 /// Sparkline geometry (CSS pixels inside the SVG viewBox).
@@ -117,7 +125,10 @@ fn spark_panel(
         esc(&fmt_value(latest, unit)),
     );
     let lo = points.iter().map(|p| p.value).fold(f64::INFINITY, f64::min);
-    let hi = points.iter().map(|p| p.value).fold(f64::NEG_INFINITY, f64::max);
+    let hi = points
+        .iter()
+        .map(|p| p.value)
+        .fold(f64::NEG_INFINITY, f64::max);
     let span = if hi > lo { hi - lo } else { 1.0 };
     let n = points.len();
     let x = |i: usize| {
@@ -132,7 +143,11 @@ fn spark_panel(
         out,
         "<svg viewBox=\"0 0 {} {}\" width=\"{}\" height=\"{}\" role=\"img\" \
          aria-label=\"{} trend\">",
-        SPARK_W, SPARK_H, SPARK_W, SPARK_H, esc(title)
+        SPARK_W,
+        SPARK_H,
+        SPARK_W,
+        SPARK_H,
+        esc(title)
     );
     // Baseline hairline.
     let _ = write!(
@@ -143,8 +158,11 @@ fn spark_panel(
         SPARK_W - SPARK_PAD,
         SPARK_H - SPARK_PAD
     );
-    let coords: Vec<String> =
-        points.iter().enumerate().map(|(i, p)| format!("{:.1},{:.1}", x(i), y(p.value))).collect();
+    let coords: Vec<String> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| format!("{:.1},{:.1}", x(i), y(p.value)))
+        .collect();
     let _ = write!(
         out,
         "<polyline points=\"{}\" fill=\"none\" stroke=\"var({})\" stroke-width=\"2\" \
@@ -190,7 +208,10 @@ fn stage_series(runs: &[&LedgerRecord], stage: &str) -> Vec<Point> {
             r.stages_ms
                 .iter()
                 .find(|(s, _)| s == stage)
-                .map(|(_, v)| Point { seq: r.seq, value: *v })
+                .map(|(_, v)| Point {
+                    seq: r.seq,
+                    value: *v,
+                })
         })
         .collect()
 }
@@ -217,7 +238,10 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
     if let Some(last) = runs.last() {
         body.push_str(&tile("last command", last.command.clone()));
         body.push_str(&tile("last wall-clock", fmt_value(last.elapsed_ms, "ms")));
-        body.push_str(&tile("last peak RSS", fmt_value(last.peak_rss_kb as f64, "kb")));
+        body.push_str(&tile(
+            "last peak RSS",
+            fmt_value(last.peak_rss_kb as f64, "kb"),
+        ));
     }
     body.push_str("</section>");
 
@@ -237,7 +261,13 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
             if points.is_empty() {
                 continue;
             }
-            body.push_str(&spark_panel(stage, &points, "ms", "--series-1", (Kind::Wall, stage)));
+            body.push_str(&spark_panel(
+                stage,
+                &points,
+                "ms",
+                "--series-1",
+                (Kind::Wall, stage),
+            ));
         }
         body.push_str("</section>");
     }
@@ -247,8 +277,11 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
     // entries of `tournament` run records: the measured approximation
     // ratio against the interval-LP lower bound, newest right. Regression
     // dots follow the shared icon+tooltip convention (never color alone).
-    let tournament_runs: Vec<&LedgerRecord> =
-        runs.iter().copied().filter(|r| r.command == "tournament").collect();
+    let tournament_runs: Vec<&LedgerRecord> = runs
+        .iter()
+        .copied()
+        .filter(|r| r.command == "tournament")
+        .collect();
     let mut ratio_policies: Vec<String> = Vec::new();
     for r in &tournament_runs {
         for (label, _) in &r.objectives {
@@ -272,7 +305,10 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
                     r.objectives
                         .iter()
                         .find(|(l, _)| l == &key)
-                        .map(|(_, v)| Point { seq: r.seq, value: *v })
+                        .map(|(_, v)| Point {
+                            seq: r.seq,
+                            value: *v,
+                        })
                 })
                 .collect();
             if points.is_empty() {
@@ -302,7 +338,10 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
     for (name, unit, extract) in &mem_series {
         let points: Vec<Point> = runs
             .iter()
-            .map(|r| Point { seq: r.seq, value: extract(r) })
+            .map(|r| Point {
+                seq: r.seq,
+                value: extract(r),
+            })
             .filter(|p| p.value > 0.0)
             .collect();
         if points.is_empty() {
@@ -310,13 +349,18 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
         }
         // Memory annotations use a ratio-only rule; the floor is folded
         // into filtering zero samples above.
-        body.push_str(&spark_panel(name, &points, unit, "--series-2", (Kind::Alloc, name)));
+        body.push_str(&spark_panel(
+            name,
+            &points,
+            unit,
+            "--series-2",
+            (Kind::Alloc, name),
+        ));
     }
     body.push_str("</section>");
 
     // --- Objective comparison table ---------------------------------------
-    let with_obj: Vec<&&LedgerRecord> =
-        runs.iter().filter(|r| !r.objectives.is_empty()).collect();
+    let with_obj: Vec<&&LedgerRecord> = runs.iter().filter(|r| !r.objectives.is_empty()).collect();
     if let Some(latest) = with_obj.last() {
         let prev = with_obj
             .iter()
@@ -334,7 +378,10 @@ pub fn render_dash(records: &[LedgerRecord], title: &str) -> String {
         );
         for (label, value) in &latest.objectives {
             let marker = match prev.and_then(|p| {
-                p.objectives.iter().find(|(l, _)| l == label).map(|(_, v)| *v)
+                p.objectives
+                    .iter()
+                    .find(|(l, _)| l == label)
+                    .map(|(_, v)| *v)
             }) {
                 Some(pv) if pv.to_bits() == value.to_bits() => {
                     "<span class=\"ok\">&#10003; bit-identical</span>".to_string()
@@ -498,7 +545,11 @@ mod tests {
         let html = render_dash(&records, "coflow runs");
         // Self-contained: no external fetches of any kind.
         for needle in ["http://", "https://", "src=", "@import", "url("] {
-            assert!(!html.contains(needle), "external reference via {:?}", needle);
+            assert!(
+                !html.contains(needle),
+                "external reference via {:?}",
+                needle
+            );
         }
         // At least two sparklines (one per stage + memory panels).
         assert!(html.matches("<svg").count() >= 2, "needs >= 2 sparklines");
@@ -538,7 +589,11 @@ mod tests {
 
     #[test]
     fn tournament_ratio_sparklines_render_per_policy() {
-        let records = vec![run(1, 100.0), tournament_run(2, 1.21), tournament_run(3, 1.24)];
+        let records = vec![
+            run(1, 100.0),
+            tournament_run(2, 1.21),
+            tournament_run(3, 1.24),
+        ];
         let html = render_dash(&records, "t");
         assert!(html.contains("Tournament TWCT ratios"));
         assert!(html.contains("shafiee-ghaderi ratio"));

@@ -30,7 +30,9 @@ pub const DIFF_SCHEMA: &str = "coflow-diff/1";
 /// The tolerance of the `diff` scope's rule-table rows, used when no
 /// `--tolerance` is given.
 pub fn default_tolerance() -> f64 {
-    rule("diff", Kind::Wall, "").expect("RULES has a diff Wall row").tolerance
+    rule("diff", Kind::Wall, "")
+        .expect("RULES has a diff Wall row")
+        .tolerance
 }
 
 /// One compared metric.
@@ -84,20 +86,33 @@ pub fn diff_metrics(
     b_id: &str,
     tolerance: f64,
 ) -> DiffReport {
-    let scope = Scope { name: "diff", tolerance: Some(tolerance) };
+    let scope = Scope {
+        name: "diff",
+        tolerance: Some(tolerance),
+    };
     let mut rows = Vec::new();
     let mut unmatched = Vec::new();
     for j in judge(a, b, scope) {
         let section = j.kind.section();
         match (j.baseline, j.current) {
-            (Some(a), Some(b)) => {
-                rows.push(DiffRow { section, name: j.key, a, b, regressed: j.regressed })
-            }
+            (Some(a), Some(b)) => rows.push(DiffRow {
+                section,
+                name: j.key,
+                a,
+                b,
+                regressed: j.regressed,
+            }),
             (Some(_), None) => unmatched.push(format!("{}:{} (A only)", section, j.key)),
             _ => unmatched.push(format!("{}:{} (B only)", section, j.key)),
         }
     }
-    DiffReport { a_id: a_id.to_string(), b_id: b_id.to_string(), tolerance, rows, unmatched }
+    DiffReport {
+        a_id: a_id.to_string(),
+        b_id: b_id.to_string(),
+        tolerance,
+        rows,
+        unmatched,
+    }
 }
 
 /// Convenience wrapper for two ledger records.
@@ -130,7 +145,11 @@ pub fn render_diff_table(report: &DiffReport) -> String {
     );
     for row in &report.rows {
         let delta = if row.a == 0.0 {
-            if row.b == 0.0 { 0.0 } else { f64::INFINITY }
+            if row.b == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
         } else {
             (row.b - row.a) / row.a * 100.0
         };
@@ -189,12 +208,15 @@ pub fn render_diff_json(report: &DiffReport, a_schema: &str, b_schema: &str) -> 
             row.b.to_bits(),
             row.regressed,
         );
-        rows.push_str(if i + 1 < report.rows.len() { ",\n" } else { "\n" });
+        rows.push_str(if i + 1 < report.rows.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     rows.push_str("  ]");
     doc.raw("rows", rows);
-    let unmatched: Vec<String> =
-        report.unmatched.iter().map(|u| json::quote(u)).collect();
+    let unmatched: Vec<String> = report.unmatched.iter().map(|u| json::quote(u)).collect();
     doc.raw("unmatched", format!("[{}]", unmatched.join(", ")));
     doc.render()
 }
@@ -206,7 +228,13 @@ mod tests {
     use obs::ledger::LEDGER_SCHEMA;
 
     fn side(stages: &[(&str, f64)], objectives: &[(&str, f64)]) -> Vec<Metric> {
-        let row = |kind| move |&(k, v): &(&str, f64)| Metric { key: k.to_string(), kind, value: v };
+        let row = |kind| {
+            move |&(k, v): &(&str, f64)| Metric {
+                key: k.to_string(),
+                kind,
+                value: v,
+            }
+        };
         let mut rows: Vec<Metric> = stages.iter().map(row(Kind::Wall)).collect();
         rows.extend(objectives.iter().map(row(Kind::Exact)));
         rows
@@ -259,7 +287,10 @@ mod tests {
         let b = side(&[("simulate", 50.0)], &[]);
         let report = diff(&a, &b, default_tolerance());
         assert!(report.rows.is_empty());
-        assert_eq!(report.unmatched, ["stage:lp_solve (A only)", "stage:simulate (B only)"]);
+        assert_eq!(
+            report.unmatched,
+            ["stage:lp_solve (A only)", "stage:simulate (B only)"]
+        );
         assert!(report.regressions().is_empty());
     }
 
@@ -267,8 +298,16 @@ mod tests {
     fn mem_rows_use_per_metric_floors() {
         let mem = |calls: f64, bytes: f64| {
             vec![
-                Metric { key: "allocs:lp_solve".into(), kind: Kind::Alloc, value: calls },
-                Metric { key: "alloc_bytes:lp_solve".into(), kind: Kind::Alloc, value: bytes },
+                Metric {
+                    key: "allocs:lp_solve".into(),
+                    kind: Kind::Alloc,
+                    value: calls,
+                },
+                Metric {
+                    key: "alloc_bytes:lp_solve".into(),
+                    kind: Kind::Alloc,
+                    value: bytes,
+                },
             ]
         };
         // +50k calls, +50% — past the 10k alloc floor: regressed.

@@ -155,8 +155,7 @@ pub fn run_explain(
         };
         let baseline = run(instance, &spec);
         let horizon = baseline.makespan().max(1);
-        let plan =
-            FaultPlan::generate(instance.ports(), instance.len(), horizon, rate, seed);
+        let plan = FaultPlan::generate(instance.ports(), instance.len(), horizon, rate, seed);
         let mut policy = ResilientPolicy::new(spec, lp_opts.clone());
         let out = run_policy_with_faults(instance, &mut policy, &plan)
             .unwrap_or_else(|e| panic!("explain: fault run hit an engine bug: {}", e));
@@ -213,8 +212,16 @@ pub fn render_json(report: &ExplainReport) -> String {
         let d = &cell.diag;
         let (p50, p95, max) = ratio_quantiles(d);
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"order\": {},", json::quote(cell.spec.order.name()));
-        let _ = writeln!(out, "      \"case\": {},", json::quote(cell.spec.case_label()));
+        let _ = writeln!(
+            out,
+            "      \"order\": {},",
+            json::quote(cell.spec.order.name())
+        );
+        let _ = writeln!(
+            out,
+            "      \"case\": {},",
+            json::quote(cell.spec.case_label())
+        );
         let _ = writeln!(out, "      \"grouping\": {},", cell.spec.grouping);
         let _ = writeln!(out, "      \"backfill\": {},", cell.spec.backfill);
         let _ = writeln!(out, "      \"objective\": {},", fmt_f64(d.objective));
@@ -269,7 +276,11 @@ pub fn render_json(report: &ExplainReport) -> String {
     // Full per-coflow attribution for the paper's Algorithm 2 cell.
     let att = report.attribution_cell();
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "    \"order\": {},", json::quote(att.spec.order.name()));
+    let _ = writeln!(
+        out,
+        "    \"order\": {},",
+        json::quote(att.spec.order.name())
+    );
     let _ = writeln!(out, "    \"case\": {},", json::quote(att.spec.case_label()));
     out.push_str("    \"per_coflow\": [\n");
     for (i, r) in att.diag.per_coflow.iter().enumerate() {
@@ -381,7 +392,13 @@ pub fn render_text(report: &ExplainReport) -> String {
             f.diag.anomalies.len(),
         );
         for a in &f.diag.anomalies {
-            let _ = writeln!(out, "  [{}] {}: {}", a.severity.name(), a.detector.name(), a.message);
+            let _ = writeln!(
+                out,
+                "  [{}] {}: {}",
+                a.severity.name(),
+                a.detector.name(),
+                a.message
+            );
         }
     }
     out
@@ -451,7 +468,13 @@ pub fn validate_report(text: &str, opts: &ValidateOpts) -> Result<String, String
             Some(JsonValue::Str(s)) => s.clone(),
             _ => return Err("cell missing 'case'".to_string()),
         };
-        for key in ["objective", "approx_ratio", "ratio_p50", "ratio_p95", "ratio_max"] {
+        for key in [
+            "objective",
+            "approx_ratio",
+            "ratio_p50",
+            "ratio_p95",
+            "ratio_max",
+        ] {
             if cell.get(key).is_none() {
                 return Err(format!("cell {}/{} missing '{}'", order, case, key));
             }
@@ -492,7 +515,10 @@ pub fn validate_report(text: &str, opts: &ValidateOpts) -> Result<String, String
     }
     let mut max_ratio = 0.0f64;
     for row in rows {
-        let k = row.get("coflow").and_then(num_u64).ok_or("row missing 'coflow'")?;
+        let k = row
+            .get("coflow")
+            .and_then(num_u64)
+            .ok_or("row missing 'coflow'")?;
         let ratio = row
             .get("ratio")
             .and_then(num_f64)
@@ -530,9 +556,9 @@ pub fn validate_report(text: &str, opts: &ValidateOpts) -> Result<String, String
             };
             anoms
                 .iter()
-                .filter(|a| {
-                    matches!(a.get("detector"), Some(JsonValue::Str(s)) if s == "starvation")
-                })
+                .filter(
+                    |a| matches!(a.get("detector"), Some(JsonValue::Str(s)) if s == "starvation"),
+                )
                 .count()
         }
     };
@@ -581,7 +607,11 @@ mod tests {
         for r in &att.diag.per_coflow {
             let ratio = r.ratio.expect("clean run attributes every coflow");
             assert!(ratio >= 1.0 - RATIO_ROUNDING_SLACK, "ratio {} < 1", ratio);
-            assert!(ratio <= DETERMINISTIC_RATIO + 1e-9, "ratio {} > 67/3", ratio);
+            assert!(
+                ratio <= DETERMINISTIC_RATIO + 1e-9,
+                "ratio {} > 67/3",
+                ratio
+            );
         }
     }
 
@@ -608,7 +638,9 @@ mod tests {
             assert!(validate_report(&broken, &ValidateOpts::default()).is_err());
         }
         // Expecting starvation on a clean report must fail.
-        let opts = ValidateOpts { expect_starvation: true };
+        let opts = ValidateOpts {
+            expect_starvation: true,
+        };
         assert!(validate_report(&rendered, &opts).is_err());
     }
 

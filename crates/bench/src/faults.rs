@@ -112,9 +112,7 @@ pub fn run_faults(
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| c.is_some())
-                .map(|(k, _)| {
-                    instance.coflow(k).weight * baseline.outcome.completions[k] as f64
-                })
+                .map(|(k, _)| instance.coflow(k).weight * baseline.outcome.completions[k] as f64)
                 .sum();
             let inflation = if baseline_objective > 0.0 {
                 out.objective / baseline_objective
@@ -331,8 +329,7 @@ pub fn run_fault_policies_selected(
                         .filter(|(_, c)| c.is_some())
                         .map(|(k, _)| {
                             // The quiet baseline completes everything.
-                            instance.coflow(k).weight
-                                * baseline.completions[k].unwrap_or(0) as f64
+                            instance.coflow(k).weight * baseline.completions[k].unwrap_or(0) as f64
                         })
                         .sum();
                     let inflation = if baseline_objective > 0.0 {
@@ -424,7 +421,11 @@ pub fn render_policies_json(report: &PolicyFaultReport) -> String {
                 fmt_f64(c.baseline_objective),
                 fmt_f64(c.inflation),
             );
-            out.push_str(if ci + 1 < rows.cells.len() { ",\n" } else { "\n" });
+            out.push_str(if ci + 1 < rows.cells.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("      ]\n");
         out.push_str(if pi + 1 < report.policies.len() {
@@ -478,7 +479,10 @@ pub fn validate_policies_json(text: &str) -> Result<String, String> {
             Some(JsonValue::Str(s)) => s.clone(),
             _ => return Err("policy missing 'name'".to_string()),
         };
-        if p.get("fault_free_objective").and_then(policy_num_f64).is_none() {
+        if p.get("fault_free_objective")
+            .and_then(policy_num_f64)
+            .is_none()
+        {
             return Err(format!("policy {} missing 'fault_free_objective'", name));
         }
         let Some(JsonValue::Arr(cells)) = p.get("cells") else {
@@ -548,7 +552,10 @@ mod tests {
         let quiet = &report.cells[0];
         assert_eq!(quiet.events, 0);
         assert_eq!(quiet.replans, 1);
-        assert!((quiet.inflation - 1.0).abs() < 1e-9, "rate 0 must not inflate");
+        assert!(
+            (quiet.inflation - 1.0).abs() < 1e-9,
+            "rate 0 must not inflate"
+        );
         for c in &report.cells {
             if c.cancelled == 0 {
                 // Without cancellations (which free capacity for the

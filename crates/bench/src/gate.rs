@@ -102,7 +102,14 @@ const fn row(
     (tolerance, floor): (f64, f64),
     reason: &'static str,
 ) -> Rule {
-    Rule { scope, kind, key, tolerance, floor, reason }
+    Rule {
+        scope,
+        kind,
+        key,
+        tolerance,
+        floor,
+        reason,
+    }
 }
 
 const MIB: f64 = 1024.0 * 1024.0;
@@ -110,25 +117,83 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Every tolerance and floor of the gates, `diff` and the dashboard. A
 /// `Wall` or `Alloc` row that no entry covers is judged bit-exactly.
 pub const RULES: [Rule; 11] = [
-    row("perf|scale", Wall, "", (0.20, 10.0),
-        "the perf budget; below 10 ms a shared host's scheduling noise dominates"),
-    row("mem|scale", Alloc, "bytes", (0.25, MIB),
-        "bytes move with buffer growth policy; under 1 MiB is no leak signal"),
-    row("mem|scale", Alloc, "", (0.25, 10_000.0),
-        "calls are deterministic, but a few extra boxes (under 10k) are no leak signal"),
-    row("pins", Wall, "", (1.0, 50.0),
-        "one ~125 ms shot of the engine section; the pinned objectives are the guard"),
-    row("tournament", Wall, "", (0.35, 10.0),
-        "each policy runs once for a few ms, so single shots spread wider"),
-    row("diff", Wall, "", (0.5, 10.0),
-        "back-to-back runs differ by host noise; `--tolerance` replaces the 0.5"),
-    row("diff", Alloc, "bytes", (0.5, MIB), "the mem gate's floor at the diff tolerance"),
-    row("diff", Alloc, "", (0.5, 10_000.0), "the mem gate's floor at the diff tolerance"),
-    row("dash", Wall, "ratio/", (0.5, 0.0),
-        "ratio sparklines mark a jump alone; the objective table marks bit changes"),
-    row("dash", Wall, "", (0.5, 10.0), "a marked stage jump is one `diff` would flag"),
-    row("dash", Alloc, "", (0.5, 0.0),
-        "memory trajectories drop zero samples, so a ratio alone marks a jump"),
+    row(
+        "perf|scale",
+        Wall,
+        "",
+        (0.20, 10.0),
+        "the perf budget; below 10 ms a shared host's scheduling noise dominates",
+    ),
+    row(
+        "mem|scale",
+        Alloc,
+        "bytes",
+        (0.25, MIB),
+        "bytes move with buffer growth policy; under 1 MiB is no leak signal",
+    ),
+    row(
+        "mem|scale",
+        Alloc,
+        "",
+        (0.25, 10_000.0),
+        "calls are deterministic, but a few extra boxes (under 10k) are no leak signal",
+    ),
+    row(
+        "pins",
+        Wall,
+        "",
+        (1.0, 50.0),
+        "one ~125 ms shot of the engine section; the pinned objectives are the guard",
+    ),
+    row(
+        "tournament",
+        Wall,
+        "",
+        (0.35, 10.0),
+        "each policy runs once for a few ms, so single shots spread wider",
+    ),
+    row(
+        "diff",
+        Wall,
+        "",
+        (0.5, 10.0),
+        "back-to-back runs differ by host noise; `--tolerance` replaces the 0.5",
+    ),
+    row(
+        "diff",
+        Alloc,
+        "bytes",
+        (0.5, MIB),
+        "the mem gate's floor at the diff tolerance",
+    ),
+    row(
+        "diff",
+        Alloc,
+        "",
+        (0.5, 10_000.0),
+        "the mem gate's floor at the diff tolerance",
+    ),
+    row(
+        "dash",
+        Wall,
+        "ratio/",
+        (0.5, 0.0),
+        "ratio sparklines mark a jump alone; the objective table marks bit changes",
+    ),
+    row(
+        "dash",
+        Wall,
+        "",
+        (0.5, 10.0),
+        "a marked stage jump is one `diff` would flag",
+    ),
+    row(
+        "dash",
+        Alloc,
+        "",
+        (0.5, 0.0),
+        "memory trajectories drop zero samples, so a ratio alone marks a jump",
+    ),
 ];
 
 /// Where a judgement runs: a [`RULES`] scope, and an optional tolerance
@@ -144,15 +209,18 @@ pub struct Scope {
 impl Scope {
     /// The scope with the table's own tolerances.
     pub const fn of(name: &'static str) -> Self {
-        Scope { name, tolerance: None }
+        Scope {
+            name,
+            tolerance: None,
+        }
     }
 }
 
 /// The table row bounding a `kind` row named `key` within `scope`.
 pub fn rule(scope: &str, kind: Kind, key: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| {
-        r.scope.split('|').any(|s| s == scope) && r.kind == kind && key.contains(r.key)
-    })
+    RULES
+        .iter()
+        .find(|r| r.scope.split('|').any(|s| s == scope) && r.kind == kind && key.contains(r.key))
 }
 
 /// One judged row.
@@ -194,17 +262,34 @@ pub fn judge(baseline: &[Metric], current: &[Metric], scope: Scope) -> Vec<Judge
     let mut rows = Vec::new();
     for kind in Kind::ORDER {
         let find = |side: &[Metric], key: &str| {
-            side.iter().find(|m| m.kind == kind && m.key == key).map(|m| m.value)
+            side.iter()
+                .find(|m| m.kind == kind && m.key == key)
+                .map(|m| m.value)
         };
         for b in baseline.iter().filter(|m| m.kind == kind) {
             let cur = find(current, &b.key);
             let regressed = cur.is_some_and(|c| breaks(scope, kind, &b.key, b.value, c));
             let (key, baseline) = (b.key.clone(), Some(b.value));
-            rows.push(Judged { key, kind, baseline, current: cur, regressed });
+            rows.push(Judged {
+                key,
+                kind,
+                baseline,
+                current: cur,
+                regressed,
+            });
         }
-        for c in current.iter().filter(|m| m.kind == kind && find(baseline, &m.key).is_none()) {
+        for c in current
+            .iter()
+            .filter(|m| m.kind == kind && find(baseline, &m.key).is_none())
+        {
             let (key, current) = (c.key.clone(), Some(c.value));
-            rows.push(Judged { key, kind, baseline: None, current, regressed: false });
+            rows.push(Judged {
+                key,
+                kind,
+                baseline: None,
+                current,
+                regressed: false,
+            });
         }
     }
     rows
@@ -256,7 +341,11 @@ impl fmt::Display for GateError {
                 write!(f, "schema {:?}, expected {}", found, expected)
             }
             GateError::Missing(key) => write!(f, "field '{}' missing or of the wrong type", key),
-            GateError::Number { key, lexeme, expected } => {
+            GateError::Number {
+                key,
+                lexeme,
+                expected,
+            } => {
                 write!(f, "field '{}': {} is not {}", key, lexeme, expected)
             }
             GateError::Duplicate(key) => write!(f, "two rows share the key '{}'", key),
@@ -276,13 +365,19 @@ struct Node<'a> {
 
 impl<'a> Node<'a> {
     fn root(value: &'a JsonValue) -> Self {
-        Node { value, path: String::new() }
+        Node {
+            value,
+            path: String::new(),
+        }
     }
 
     /// The member `key`, whatever its type.
     fn get(&self, key: &str) -> Result<Node<'a>, GateError> {
-        let path =
-            if self.path.is_empty() { key.to_string() } else { format!("{}.{}", self.path, key) };
+        let path = if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{}", self.path, key)
+        };
         match self.value.get(key) {
             Some(value) => Ok(Node { value, path }),
             None => Err(GateError::Missing(path)),
@@ -296,7 +391,14 @@ impl<'a> Node<'a> {
         let JsonValue::Num(lexeme) = node.value else {
             return Err(GateError::Missing(node.path));
         };
-        Ok((lexeme, GateError::Number { key: node.path, lexeme: lexeme.clone(), expected }))
+        Ok((
+            lexeme,
+            GateError::Number {
+                key: node.path,
+                lexeme: lexeme.clone(),
+                expected,
+            },
+        ))
     }
 
     /// A finite, non-negative number — every float these reports hold.
@@ -321,7 +423,10 @@ impl<'a> Node<'a> {
 
     fn text(&self, key: &str) -> Result<&'a str, GateError> {
         match self.get(key)? {
-            Node { value: JsonValue::Str(s), .. } => Ok(s),
+            Node {
+                value: JsonValue::Str(s),
+                ..
+            } => Ok(s),
             node => Err(GateError::Missing(node.path)),
         }
     }
@@ -337,7 +442,10 @@ impl<'a> Node<'a> {
             JsonValue::Arr(items) if !items.is_empty() => Ok(items
                 .iter()
                 .enumerate()
-                .map(|(i, value)| Node { value, path: format!("{}[{}]", node.path, i) })
+                .map(|(i, value)| Node {
+                    value,
+                    path: format!("{}[{}]", node.path, i),
+                })
                 .collect()),
             _ => Err(GateError::Missing(node.path)),
         }
@@ -349,7 +457,9 @@ impl<'a> Node<'a> {
         let JsonValue::Obj(pairs) = node.value else {
             return Err(GateError::Missing(node.path));
         };
-        pairs.iter().try_for_each(|(name, _)| node.int(name).map(drop))
+        pairs
+            .iter()
+            .try_for_each(|(name, _)| node.int(name).map(drop))
     }
 }
 
@@ -371,7 +481,11 @@ impl Rows {
     fn fold(&mut self, kind: Kind, key: &str, value: f64, fold: fn(f64, f64) -> f64) {
         match self.0.iter_mut().find(|m| m.key == key) {
             Some(m) => m.value = fold(m.value, value),
-            None => self.0.push(Metric { key: key.to_string(), kind, value }),
+            None => self.0.push(Metric {
+                key: key.to_string(),
+                kind,
+                value,
+            }),
         }
     }
 }
@@ -412,10 +526,16 @@ fn schema_of(doc: &JsonValue) -> &str {
 fn flatten_doc(doc: &JsonValue) -> Result<Flat, GateError> {
     let found = schema_of(doc);
     match SCHEMAS.iter().find(|(schema, _)| *schema == found) {
-        Some(&(schema, flatten)) => Ok(Flat { schema, metrics: flatten(doc)? }),
+        Some(&(schema, flatten)) => Ok(Flat {
+            schema,
+            metrics: flatten(doc)?,
+        }),
         None => {
             let expected = SCHEMAS.map(|(s, _)| s).join(", ");
-            Err(GateError::Schema { found: found.to_string(), expected })
+            Err(GateError::Schema {
+                found: found.to_string(),
+                expected,
+            })
         }
     }
 }
@@ -444,13 +564,18 @@ pub fn read_report<T>(
 fn expect_schema(doc: &JsonValue, schema: &str) -> Result<(), GateError> {
     match schema_of(doc) {
         found if found == schema => Ok(()),
-        found => Err(GateError::Schema { found: found.into(), expected: schema.into() }),
+        found => Err(GateError::Schema {
+            found: found.into(),
+            expected: schema.into(),
+        }),
     }
 }
 
 /// `seed`, `ports` and `coflows` as `Exact` rows.
 fn instance_rows(rows: &mut Rows, doc: &Node<'_>) -> Result<(), GateError> {
-    ["seed", "ports", "coflows"].iter().try_for_each(|k| rows.push(Exact, *k, doc.count(k)?))
+    ["seed", "ports", "coflows"]
+        .iter()
+        .try_for_each(|k| rows.push(Exact, *k, doc.count(k)?))
 }
 
 /// Folds one grid cell's `mem` object into the allocator rows: per-stage
@@ -458,15 +583,28 @@ fn instance_rows(rows: &mut Rows, doc: &Node<'_>) -> Result<(), GateError> {
 /// heap, and the largest peak RSS as `Info`.
 fn mem_rows(rows: &mut Rows, cell: &Node<'_>) -> Result<(), GateError> {
     let mem = cell.get("mem")?;
-    for (field, prefix) in [("stage_allocs", "allocs"), ("stage_alloc_bytes", "alloc_bytes")] {
+    for (field, prefix) in [
+        ("stage_allocs", "allocs"),
+        ("stage_alloc_bytes", "alloc_bytes"),
+    ] {
         let per_stage = mem.get(field)?;
         for stage in profile::MEM_STAGES {
-            rows.fold(Alloc, &format!("{}:{}", prefix, stage), per_stage.count(stage)?, sum);
+            rows.fold(
+                Alloc,
+                &format!("{}:{}", prefix, stage),
+                per_stage.count(stage)?,
+                sum,
+            );
         }
     }
     rows.fold(Alloc, "alloc_calls(total)", mem.count("alloc_calls")?, sum);
     rows.fold(Alloc, "alloc_bytes(total)", mem.count("alloc_bytes")?, sum);
-    rows.fold(Alloc, "peak_live_bytes", mem.count("peak_live_bytes")?, f64::max);
+    rows.fold(
+        Alloc,
+        "peak_live_bytes",
+        mem.count("peak_live_bytes")?,
+        f64::max,
+    );
     rows.fold(Info, "peak_rss_kb", mem.count("peak_rss_kb")?, f64::max);
     Ok(())
 }
@@ -484,7 +622,11 @@ pub fn flatten_grid(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
     for cell in &cells {
         let label = format!("{}/{}", cell.text("order")?, cell.text("case")?);
         rows.push(Exact, label.as_str(), cell.measure("objective")?)?;
-        rows.push(Exact, format!("makespan:{}", label), cell.count("makespan")?)?;
+        rows.push(
+            Exact,
+            format!("makespan:{}", label),
+            cell.count("makespan")?,
+        )?;
         let stage_ms = cell.get("stages_ms")?;
         for stage in profile::STAGES {
             sums.fold(Wall, stage, stage_ms.measure(stage)?, sum);
@@ -530,9 +672,17 @@ pub fn read_pins(doc: &JsonValue) -> Result<PinReport, GateError> {
         if pins.iter().any(|p: &Pin| p.label == label) {
             return Err(GateError::Duplicate(label));
         }
-        pins.push(Pin { label, objective, makespan });
+        pins.push(Pin {
+            label,
+            objective,
+            makespan,
+        });
     }
-    Ok(PinReport { seed, engine_ms, pins })
+    Ok(PinReport {
+        seed,
+        engine_ms,
+        pins,
+    })
 }
 
 /// `coflow-pins/1` rows: the seed, every pin's objective and makespan
@@ -545,13 +695,20 @@ pub fn flatten_pins(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
     rows.push(Wall, "engine", report.engine_ms)?;
     for pin in &report.pins {
         rows.push(Exact, pin.label.as_str(), pin.objective)?;
-        rows.push(Exact, format!("makespan:{}", pin.label), pin.makespan as f64)?;
+        rows.push(
+            Exact,
+            format!("makespan:{}", pin.label),
+            pin.makespan as f64,
+        )?;
     }
     Ok(rows.0)
 }
 
 fn scale_label(cell: &Node<'_>) -> Result<String, GateError> {
-    Ok(scale::cell_label(cell.int("ports")? as usize, cell.int("coflows")? as usize))
+    Ok(scale::cell_label(
+        cell.int("ports")? as usize,
+        cell.int("coflows")? as usize,
+    ))
 }
 
 /// `coflow-bench-scale/1` (`BENCH_scale.json`): the seed and window; per
@@ -572,17 +729,34 @@ pub fn flatten_scale(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
             cell.int(key)?;
         }
         rows.push(Exact, label.as_str(), cell.measure("objective")?)?;
-        rows.push(Exact, format!("makespan:{}", label), cell.count("makespan")?)?;
+        rows.push(
+            Exact,
+            format!("makespan:{}", label),
+            cell.count("makespan")?,
+        )?;
         let stage_ms = cell.get("stages_ms")?;
         for stage in ["gen", "order", "execute"] {
             sums.fold(Wall, stage, stage_ms.measure(stage)?, sum);
         }
         rows.push(Wall, format!("total:{}", label), stage_ms.measure("total")?)?;
         let mem = cell.get("mem")?;
-        rows.push(Alloc, format!("alloc_calls:{}", label), mem.count("alloc_calls")?)?;
-        rows.push(Alloc, format!("alloc_bytes:{}", label), mem.count("alloc_bytes")?)?;
+        rows.push(
+            Alloc,
+            format!("alloc_calls:{}", label),
+            mem.count("alloc_calls")?,
+        )?;
+        rows.push(
+            Alloc,
+            format!("alloc_bytes:{}", label),
+            mem.count("alloc_bytes")?,
+        )?;
         sums.fold(Alloc, "alloc_calls(total)", mem.count("alloc_calls")?, sum);
-        sums.fold(Alloc, "peak_live_bytes", mem.count("peak_live_bytes")?, f64::max);
+        sums.fold(
+            Alloc,
+            "peak_live_bytes",
+            mem.count("peak_live_bytes")?,
+            f64::max,
+        );
         sums.fold(Info, "peak_rss_kb", mem.count("peak_rss_kb")?, f64::max);
     }
     rows.0.extend(sums.0);
@@ -609,7 +783,11 @@ pub fn read_tournament(doc: &JsonValue) -> Result<TournamentReport, GateError> {
         let fault = row.get("fault")?;
         rows.push(TournamentRow {
             policy: policy(&row, &mut seen)?,
-            bound: if bound.is_null() { None } else { Some(row.measure("bound")?) },
+            bound: if bound.is_null() {
+                None
+            } else {
+                Some(row.measure("bound")?)
+            },
             objective: row.measure("objective")?,
             makespan: row.int("makespan")?,
             ratio: row.measure("ratio")?,
@@ -646,8 +824,12 @@ pub fn read_tournament(doc: &JsonValue) -> Result<TournamentReport, GateError> {
         lp_bound: doc.measure("lp_bound")?,
         fault_rate: doc.measure("fault_rate")?,
         rows,
-        scale_cell: [round.int("ports")?, round.int("coflows")?, round.int("window")?]
-            .map(|v| v as usize),
+        scale_cell: [
+            round.int("ports")?,
+            round.int("coflows")?,
+            round.int("window")?,
+        ]
+        .map(|v| v as usize),
         scale,
     })
 }
@@ -678,7 +860,11 @@ pub fn flatten_tournament(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
         if let Some(f) = &row.fault {
             rows.push(Exact, format!("fault.twct:{}", p), f.objective)?;
             rows.push(Exact, format!("fault.inflation:{}", p), f.inflation)?;
-            for (key, v) in [("cancelled", f.cancelled), ("events", f.events), ("replans", f.replans)] {
+            for (key, v) in [
+                ("cancelled", f.cancelled),
+                ("events", f.events),
+                ("replans", f.replans),
+            ] {
                 rows.push(Exact, format!("fault.{}:{}", key, p), v as f64)?;
             }
         }
@@ -701,7 +887,9 @@ pub fn flatten_tournament(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
 pub fn flatten_record(rec: &LedgerRecord) -> Vec<Metric> {
     let metric = |kind, key: String, value| Metric { key, kind, value };
     let per_stage = |prefix: &str, list: &[(String, u64)]| -> Vec<Metric> {
-        list.iter().map(|(k, v)| metric(Alloc, format!("{}:{}", prefix, k), *v as f64)).collect()
+        list.iter()
+            .map(|(k, v)| metric(Alloc, format!("{}:{}", prefix, k), *v as f64))
+            .collect()
     };
     let marks = [
         (Alloc, "alloc_calls(total)", rec.alloc_calls as f64),
@@ -709,12 +897,22 @@ pub fn flatten_record(rec: &LedgerRecord) -> Vec<Metric> {
         (Info, "peak_rss_kb", rec.peak_rss_kb as f64),
         (Info, "elapsed_ms", rec.elapsed_ms),
     ];
-    (rec.stages_ms.iter().map(|(k, v)| metric(Wall, k.clone(), *v)))
-        .chain(rec.objectives.iter().map(|(k, v)| metric(Exact, k.clone(), *v)))
-        .chain(per_stage("allocs", &rec.stage_allocs))
-        .chain(per_stage("alloc_bytes", &rec.stage_alloc_bytes))
-        .chain(marks.into_iter().map(|(kind, key, v)| metric(kind, key.to_string(), v)))
-        .collect()
+    (rec.stages_ms
+        .iter()
+        .map(|(k, v)| metric(Wall, k.clone(), *v)))
+    .chain(
+        rec.objectives
+            .iter()
+            .map(|(k, v)| metric(Exact, k.clone(), *v)),
+    )
+    .chain(per_stage("allocs", &rec.stage_allocs))
+    .chain(per_stage("alloc_bytes", &rec.stage_alloc_bytes))
+    .chain(
+        marks
+            .into_iter()
+            .map(|(kind, key, v)| metric(kind, key.to_string(), v)),
+    )
+    .collect()
 }
 
 /// One gate of `experiments -- gate NAME`.
@@ -799,14 +997,23 @@ fn select_cells(curve: &JsonValue, run: &JsonValue) -> Result<JsonValue, GateErr
     let mut kept = Vec::new();
     for cell in Node::root(run).items("cells")? {
         let label = scale_label(&cell)?;
-        let found = have.iter().find(|c| scale_label(c).is_ok_and(|l| l == label));
+        let found = have
+            .iter()
+            .find(|c| scale_label(c).is_ok_and(|l| l == label));
         kept.push(found.ok_or(GateError::CellMissing(label))?.value.clone());
     }
     let JsonValue::Obj(pairs) = curve else {
         return Err(GateError::Missing("cells".to_string()));
     };
     let keep = |(k, v): &(String, JsonValue)| {
-        (k.clone(), if k == "cells" { JsonValue::Arr(kept.clone()) } else { v.clone() })
+        (
+            k.clone(),
+            if k == "cells" {
+                JsonValue::Arr(kept.clone())
+            } else {
+                v.clone()
+            },
+        )
     };
     Ok(JsonValue::Obj(pairs.iter().map(keep).collect()))
 }
@@ -825,17 +1032,31 @@ pub fn check(gate: &Gate, golden: &str, current: &str) -> Result<Vec<Judged>, Ga
         rows.retain(|m| gate.kinds.contains(&m.kind));
         Ok(rows)
     };
-    Ok(judge(&judged(&golden)?, &judged(&current)?, Scope::of(gate.name)))
+    Ok(judge(
+        &judged(&golden)?,
+        &judged(&current)?,
+        Scope::of(gate.name),
+    ))
 }
 
 /// A gate's ledger verdicts: pass or fail per judged kind (`exact`,
 /// `wall`, `alloc`) and `coverage` for one-sided rows.
 pub fn statuses(rows: &[Judged]) -> Vec<(String, String)> {
     let status = |failed: bool| (if failed { "fail" } else { "pass" }).to_string();
-    let kinds = [Exact, Wall, Alloc].into_iter().filter(|k| rows.iter().any(|r| r.kind == *k));
+    let kinds = [Exact, Wall, Alloc]
+        .into_iter()
+        .filter(|k| rows.iter().any(|r| r.kind == *k));
     kinds
-        .map(|k| (k.name().to_string(), status(rows.iter().any(|r| r.kind == k && r.regressed))))
-        .chain([("coverage".to_string(), status(rows.iter().any(Judged::one_sided)))])
+        .map(|k| {
+            (
+                k.name().to_string(),
+                status(rows.iter().any(|r| r.kind == k && r.regressed)),
+            )
+        })
+        .chain([(
+            "coverage".to_string(),
+            status(rows.iter().any(Judged::one_sided)),
+        )])
         .collect()
 }
 
@@ -857,7 +1078,11 @@ pub fn render_verdict(title: &str, rows: &[Judged], scope: Scope) -> String {
         let bound = match (r.kind, rule(scope.name, r.kind, &r.key)) {
             (Info, _) => "-".to_string(),
             (Wall | Alloc, Some(b)) => {
-                format!("+{:.0}%/{}", scope.tolerance.unwrap_or(b.tolerance) * 100.0, b.floor)
+                format!(
+                    "+{:.0}%/{}",
+                    scope.tolerance.unwrap_or(b.tolerance) * 100.0,
+                    b.floor
+                )
             }
             _ => "bit-exact".to_string(),
         };
@@ -874,10 +1099,20 @@ pub fn render_verdict(title: &str, rows: &[Judged], scope: Scope) -> String {
             name, r.key, base, cur, bound, status
         );
     }
-    let bad: Vec<&str> =
-        rows.iter().filter(|r| r.regressed || r.one_sided()).map(|r| r.key.as_str()).collect();
+    let bad: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.regressed || r.one_sided())
+        .map(|r| r.key.as_str())
+        .collect();
     match bad.len() {
         0 => out + &format!("verdict: pass ({} rows)\n", rows.len()),
-        n => out + &format!("verdict: fail ({} of {} rows): {}\n", n, rows.len(), bad.join(", ")),
+        n => {
+            out + &format!(
+                "verdict: fail ({} of {} rows): {}\n",
+                n,
+                rows.len(),
+                bad.join(", ")
+            )
+        }
     }
 }

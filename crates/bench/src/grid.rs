@@ -19,11 +19,13 @@ pub const CASES: [(bool, bool); 4] = [
 /// [`OrderRule::PAPER_RULES`] × [`CASES`].
 pub fn paper_grid() -> impl Iterator<Item = AlgorithmSpec> {
     OrderRule::PAPER_RULES.into_iter().flat_map(|order| {
-        CASES.into_iter().map(move |(grouping, backfill)| AlgorithmSpec {
-            order,
-            grouping,
-            backfill,
-        })
+        CASES
+            .into_iter()
+            .map(move |(grouping, backfill)| AlgorithmSpec {
+                order,
+                grouping,
+                backfill,
+            })
     })
 }
 

@@ -49,7 +49,12 @@ pub fn run_gridsweep(instance: &Instance, ratios: &[f64]) -> GridSweep {
             let t0 = Instant::now();
             let relax = solve_with_grid(instance, &grid);
             let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let out = run_with_order(instance, relax.order.clone(), true, ExecOptions::paper(true));
+            let out = run_with_order(
+                instance,
+                relax.order.clone(),
+                true,
+                ExecOptions::paper(true),
+            );
             GridSweepRow {
                 ratio,
                 lower_bound: relax.lower_bound,

@@ -105,8 +105,10 @@ pub fn record_from_scale(report: &crate::scale::ScaleReport, elapsed_ms: f64) ->
         rec.stages_ms.push((stage.to_string(), total));
     }
     for cell in &report.cells {
-        rec.objectives
-            .push((crate::scale::cell_label(cell.ports, cell.coflows), cell.objective));
+        rec.objectives.push((
+            crate::scale::cell_label(cell.ports, cell.coflows),
+            cell.objective,
+        ));
     }
     rec
 }
@@ -116,7 +118,11 @@ pub fn record_from_scale(report: &crate::scale::ScaleReport, elapsed_ms: f64) ->
 pub fn record_from_pins(report: &PinReport, elapsed_ms: f64) -> LedgerRecord {
     let mut rec = base_record(
         "pin",
-        &format!("{} pins, engine {:.0} ms", report.pins.len(), report.engine_ms),
+        &format!(
+            "{} pins, engine {:.0} ms",
+            report.pins.len(),
+            report.engine_ms
+        ),
         report.seed,
         "pins",
     );
@@ -148,8 +154,10 @@ pub fn record_from_tournament(
     );
     rec.elapsed_ms = elapsed_ms;
     for row in &report.rows {
-        rec.objectives.push((format!("twct/{}", row.policy), row.objective));
-        rec.objectives.push((format!("ratio/{}", row.policy), row.ratio));
+        rec.objectives
+            .push((format!("twct/{}", row.policy), row.objective));
+        rec.objectives
+            .push((format!("ratio/{}", row.policy), row.ratio));
         rec.stages_ms.push((row.policy.clone(), row.wall_ms));
     }
     rec
@@ -164,10 +172,14 @@ pub fn verdict_record(gate: &str, verdicts: Vec<(String, String)>, note: &str) -
         label: note.to_string(),
         ..LedgerRecord::default()
     };
-    let overall =
-        if verdicts.iter().any(|(_, v)| v != "pass") { "fail" } else { "pass" };
+    let overall = if verdicts.iter().any(|(_, v)| v != "pass") {
+        "fail"
+    } else {
+        "pass"
+    };
     rec.verdicts = verdicts;
-    rec.verdicts.push(("overall".to_string(), overall.to_string()));
+    rec.verdicts
+        .push(("overall".to_string(), overall.to_string()));
     rec
 }
 
@@ -199,16 +211,24 @@ pub fn select<'a>(records: &'a [LedgerRecord], spec: &str) -> Result<&'a LedgerR
     let runs: Vec<&LedgerRecord> = records.iter().filter(|r| r.kind == "run").collect();
     let no_runs = || "ledger has no run records".to_string();
     if let Some(seq) = spec.strip_prefix('#') {
-        let seq: u64 = seq.parse().map_err(|_| format!("bad seq selector {:?}", spec))?;
+        let seq: u64 = seq
+            .parse()
+            .map_err(|_| format!("bad seq selector {:?}", spec))?;
         return records
             .iter()
             .find(|r| r.seq == seq)
             .ok_or_else(|| format!("no record with seq {}", seq));
     }
     if let Some(back) = spec.strip_prefix('~') {
-        let back: usize = back.parse().map_err(|_| format!("bad selector {:?}", spec))?;
+        let back: usize = back
+            .parse()
+            .map_err(|_| format!("bad selector {:?}", spec))?;
         if back + 1 > runs.len() {
-            return Err(format!("ledger has only {} run records, wanted ~{}", runs.len(), back));
+            return Err(format!(
+                "ledger has only {} run records, wanted ~{}",
+                runs.len(),
+                back
+            ));
         }
         return Ok(runs[runs.len() - 1 - back]);
     }
@@ -274,7 +294,10 @@ mod tests {
 
     #[test]
     fn path_resolution_prefers_flag_and_honors_disable() {
-        assert_eq!(ledger_path(Some("custom.ndjson")), Some("custom.ndjson".to_string()));
+        assert_eq!(
+            ledger_path(Some("custom.ndjson")),
+            Some("custom.ndjson".to_string())
+        );
         assert_eq!(ledger_path(Some("none")), None);
         assert_eq!(ledger_path(Some("off")), None);
         // Without a flag the default (or env) applies; at minimum it is Some.
@@ -305,18 +328,30 @@ mod tests {
     #[test]
     fn a_gate_run_with_a_regressed_row_is_never_green() {
         use crate::gate::{judge, statuses, Kind, Metric, Scope};
-        let objective = |value| [Metric { key: "H_LP/d".into(), kind: Kind::Exact, value }];
+        let objective = |value| {
+            [Metric {
+                key: "H_LP/d".into(),
+                kind: Kind::Exact,
+                value,
+            }]
+        };
         let mut records = Vec::new();
         // A passing gate run, then one whose objective drifted by one ulp.
         for current in [6950481.0, f64::from_bits(6950481.0f64.to_bits() ^ 1)] {
-            let rows = judge(&objective(6950481.0), &objective(current), Scope::of("perf"));
+            let rows = judge(
+                &objective(6950481.0),
+                &objective(current),
+                Scope::of("perf"),
+            );
             let seq = records.len() as u64 + 1;
             let [run_rec, mut verdict] = gate_records("perf", run(seq, "profile"), statuses(&rows));
             verdict.seq = seq + 1;
             records.extend([run_rec, verdict]);
         }
         assert_eq!(records[3].command, "gate-perf");
-        assert!(records[3].verdicts.contains(&("exact".to_string(), "fail".to_string())));
+        assert!(records[3]
+            .verdicts
+            .contains(&("exact".to_string(), "fail".to_string())));
         // `diff green latest` compares the passing run with the failed one.
         assert_eq!(select(&records, "latest").unwrap().seq, 3);
         assert_eq!(select(&records, "green").unwrap().seq, 1);
@@ -333,8 +368,16 @@ mod tests {
             "",
         );
         assert_eq!(rec.kind, "verdict");
-        assert!(rec.verdicts.contains(&("overall".to_string(), "fail".to_string())));
-        let rec = verdict_record("check-all", vec![("clippy".to_string(), "pass".to_string())], "");
-        assert!(rec.verdicts.contains(&("overall".to_string(), "pass".to_string())));
+        assert!(rec
+            .verdicts
+            .contains(&("overall".to_string(), "fail".to_string())));
+        let rec = verdict_record(
+            "check-all",
+            vec![("clippy".to_string(), "pass".to_string())],
+            "",
+        );
+        assert!(rec
+            .verdicts
+            .contains(&("overall".to_string(), "pass".to_string())));
     }
 }

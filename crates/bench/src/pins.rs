@@ -22,8 +22,8 @@ use crate::arrivals::arrivals_instance;
 use crate::grid::paper_grid;
 use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::{
-    compute_order, run_policy, run_policy_with_faults, AlgorithmSpec, BvnBatchPolicy,
-    ExecOptions, Instance, OrderRule, Policy, PolicyRegistry, ResilientPolicy,
+    compute_order, run_policy, run_policy_with_faults, AlgorithmSpec, BvnBatchPolicy, ExecOptions,
+    Instance, OrderRule, Policy, PolicyRegistry, ResilientPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -88,11 +88,21 @@ impl PinPlan {
     pub fn generate(self, instance: &Instance, seed: u64, pins: &[Pin]) -> FaultPlan {
         let (rate, seed, horizon_cells): (f64, u64, &[&str]) = match self {
             PinPlan::Clean => return FaultPlan::new(vec![]),
-            PinPlan::Faults => (FAULT_RATE, seed, &["online/fixed", "online/stale", "greedy"]),
+            PinPlan::Faults => (
+                FAULT_RATE,
+                seed,
+                &["online/fixed", "online/stale", "greedy"],
+            ),
             PinPlan::Faults20 => (
                 FAULT_RATE_20,
                 seed.wrapping_add(FAULT20_SEED_OFFSET),
-                &["online/fixed", "online/stale", "greedy", "shafiee-ghaderi", "im-purohit"],
+                &[
+                    "online/fixed",
+                    "online/stale",
+                    "greedy",
+                    "shafiee-ghaderi",
+                    "im-purohit",
+                ],
             ),
         };
         let horizon = pins
@@ -134,7 +144,9 @@ impl PinCell {
 /// cells come first: the fault plans' horizons are read from them.
 pub fn pin_cells() -> Vec<PinCell> {
     let registry = |label: &str, plan: PinPlan, name: &str| {
-        let entry = PolicyRegistry::builtin().get(name).expect("built-in policy");
+        let entry = PolicyRegistry::builtin()
+            .get(name)
+            .expect("built-in policy");
         PinCell {
             label: label.to_string(),
             plan,
@@ -148,7 +160,12 @@ pub fn pin_cells() -> Vec<PinCell> {
             build: Box::new(move |instance| {
                 let order = compute_order(instance, spec.order);
                 let opts = ExecOptions::paper(spec.backfill);
-                Box::new(BvnBatchPolicy::grouped(instance, order, spec.grouping, opts))
+                Box::new(BvnBatchPolicy::grouped(
+                    instance,
+                    order,
+                    spec.grouping,
+                    opts,
+                ))
             }),
         })
         .collect();
@@ -172,7 +189,11 @@ pub fn pin_cells() -> Vec<PinCell> {
         },
         registry("faults/online", PinPlan::Faults, "online"),
         registry("faults/greedy", PinPlan::Faults, "greedy"),
-        registry("faults20/shafiee-ghaderi", PinPlan::Faults20, "shafiee-ghaderi"),
+        registry(
+            "faults20/shafiee-ghaderi",
+            PinPlan::Faults20,
+            "shafiee-ghaderi",
+        ),
         registry("faults20/im-purohit", PinPlan::Faults20, "im-purohit"),
     ]);
     cells
@@ -213,7 +234,11 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
         });
     }
     let engine_ms = start.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
-    PinReport { seed, engine_ms, pins }
+    PinReport {
+        seed,
+        engine_ms,
+        pins,
+    }
 }
 
 /// Computes the pins on the canonical arrivals instance (24 ports, 36
@@ -242,7 +267,11 @@ pub fn render_pins_json(report: &PinReport) -> String {
             pin.objective.to_bits(),
             pin.makespan,
         );
-        out.push_str(if i + 1 < report.pins.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < report.pins.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("  ]\n}\n");
     out
@@ -312,8 +341,12 @@ mod tests {
 
     fn judge_pins(baseline: &PinReport, current: &PinReport) -> Vec<crate::gate::Judged> {
         let gate = crate::gate::gate("pins").expect("pins gate");
-        crate::gate::check(gate, &render_pins_json(baseline), &render_pins_json(current))
-            .expect("judge")
+        crate::gate::check(
+            gate,
+            &render_pins_json(baseline),
+            &render_pins_json(current),
+        )
+        .expect("judge")
     }
 
     #[test]
@@ -335,20 +368,28 @@ mod tests {
     fn comparison_catches_last_ulp_drift_and_slow_engines() {
         let report = tiny_report();
         let mut drifted = report.clone();
-        drifted.pins[0].objective =
-            f64::from_bits(drifted.pins[0].objective.to_bits() + 1);
-        assert!(!crate::gate::passed(&judge_pins(&report, &drifted)), "1-ulp drift must fail");
+        drifted.pins[0].objective = f64::from_bits(drifted.pins[0].objective.to_bits() + 1);
+        assert!(
+            !crate::gate::passed(&judge_pins(&report, &drifted)),
+            "1-ulp drift must fail"
+        );
 
         let floor = crate::gate::rule("pins", crate::gate::Kind::Wall, "engine")
             .expect("pins wall rule")
             .floor;
         let mut slow = report.clone();
         slow.engine_ms = report.engine_ms * 3.0 + floor * 2.0;
-        assert!(!crate::gate::passed(&judge_pins(&report, &slow)), "slow engine must fail");
+        assert!(
+            !crate::gate::passed(&judge_pins(&report, &slow)),
+            "slow engine must fail"
+        );
 
         let mut renamed = report.clone();
         renamed.pins[0].label = "grid/H_X/z".to_string();
-        assert!(!crate::gate::passed(&judge_pins(&report, &renamed)), "label drift must fail");
+        assert!(
+            !crate::gate::passed(&judge_pins(&report, &renamed)),
+            "label drift must fail"
+        );
     }
 
     #[test]

@@ -242,8 +242,7 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                 objective: outcome.objective,
                 makespan: outcome.makespan(),
                 stages: {
-                    let self_ms =
-                        |leaf: &str| snap.span_self_ms(leaf, &REPORTED_LEAVES);
+                    let self_ms = |leaf: &str| snap.span_self_ms(leaf, &REPORTED_LEAVES);
                     let lp_build_ms = self_ms("lp.build_model");
                     let lp_solve_ms = self_ms("lp.solve");
                     let order_ms = self_ms("sched.order");
@@ -317,8 +316,16 @@ pub fn render_json(report: &ProfileReport) -> String {
     let mut cells = String::from("[\n");
     for (idx, cell) in report.cells.iter().enumerate() {
         cells.push_str("    {\n");
-        let _ = writeln!(cells, "      \"order\": {},", json::quote(cell.spec.order.name()));
-        let _ = writeln!(cells, "      \"case\": {},", json::quote(cell.spec.case_label()));
+        let _ = writeln!(
+            cells,
+            "      \"order\": {},",
+            json::quote(cell.spec.order.name())
+        );
+        let _ = writeln!(
+            cells,
+            "      \"case\": {},",
+            json::quote(cell.spec.case_label())
+        );
         let _ = writeln!(cells, "      \"grouping\": {},", cell.spec.grouping);
         let _ = writeln!(cells, "      \"backfill\": {},", cell.spec.backfill);
         let _ = writeln!(cells, "      \"objective\": {},", fmt_f64(cell.objective));
@@ -372,7 +379,11 @@ pub fn render_mem_json(report: &ProfileReport) -> String {
             json::quote(cell.spec.case_label()),
             render_cell_mem(&cell.mem),
         );
-        cells.push_str(if idx + 1 < report.cells.len() { ",\n" } else { "\n" });
+        cells.push_str(if idx + 1 < report.cells.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     cells.push_str("  ]");
     let mut doc = crate::sink::JsonDoc::new(MEM_SCHEMA);
@@ -405,8 +416,18 @@ pub fn render_profile(report: &ProfileReport) -> String {
     let _ = writeln!(
         out,
         "{:<6} {:<4} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "order", "case", "objective", "lp_build", "lp_solve", "order", "decomp", "simulate",
-        "other", "total", "peakMiB", "allocs"
+        "order",
+        "case",
+        "objective",
+        "lp_build",
+        "lp_solve",
+        "order",
+        "decomp",
+        "simulate",
+        "other",
+        "total",
+        "peakMiB",
+        "allocs"
     );
     for c in &report.cells {
         let _ = writeln!(
@@ -491,7 +512,9 @@ mod tests {
     }
 
     fn row<'a>(rows: &'a [crate::gate::Judged], key: &str) -> &'a crate::gate::Judged {
-        rows.iter().find(|r| r.key == key).unwrap_or_else(|| panic!("no row {}", key))
+        rows.iter()
+            .find(|r| r.key == key)
+            .unwrap_or_else(|| panic!("no row {}", key))
     }
 
     #[test]
@@ -506,9 +529,14 @@ mod tests {
         assert_eq!(cells.len(), 12);
         // A report never regresses against itself.
         let rows = crate::gate::check(gate("perf"), &rendered, &rendered).expect("judge");
-        assert_eq!(rows.iter().filter(|r| r.kind == Kind::Wall).count(), STAGES.len());
+        assert_eq!(
+            rows.iter().filter(|r| r.kind == Kind::Wall).count(),
+            STAGES.len()
+        );
         // Allocations are the mem gate's, judged against its own golden.
-        assert!(rows.iter().all(|r| matches!(r.kind, Kind::Exact | Kind::Wall)));
+        assert!(rows
+            .iter()
+            .all(|r| matches!(r.kind, Kind::Exact | Kind::Wall)));
         assert!(crate::gate::passed(&rows));
     }
 
@@ -523,11 +551,17 @@ mod tests {
         }
         let current = render_json(&slowed);
         let rows = crate::gate::check(gate("perf"), &baseline, &current).expect("judge");
-        assert!(row(&rows, "simulate").regressed, "10x + 50ms/cell must breach 20%+floor");
+        assert!(
+            row(&rows, "simulate").regressed,
+            "10x + 50ms/cell must breach 20%+floor"
+        );
         // Sub-floor stages stay green even at huge ratios.
         assert!(!row(&rows, "lp_build").regressed);
         // Objectives and makespans did not move.
-        assert!(rows.iter().filter(|r| r.kind == Kind::Exact).all(|r| !r.regressed));
+        assert!(rows
+            .iter()
+            .filter(|r| r.kind == Kind::Exact)
+            .all(|r| !r.regressed));
     }
 
     #[test]
@@ -567,7 +601,10 @@ mod tests {
         let report = tiny_report();
         let rendered = render_mem_json(report);
         let doc = json::parse(&rendered).expect("mem JSON must parse");
-        assert_eq!(doc.get("schema"), Some(&JsonValue::Str(MEM_SCHEMA.to_string())));
+        assert_eq!(
+            doc.get("schema"),
+            Some(&JsonValue::Str(MEM_SCHEMA.to_string()))
+        );
         let rows = crate::gate::check(gate("mem"), &rendered, &rendered).expect("judge");
         // Per-stage calls and bytes, whole-run calls, bytes and peak live.
         assert_eq!(
@@ -577,7 +614,9 @@ mod tests {
         assert!(crate::gate::passed(&rows));
         // The grid report embeds the same mem object per cell.
         let grid = json::parse(&render_json(report)).expect("grid JSON");
-        let Some(JsonValue::Arr(cells)) = grid.get("cells") else { panic!("cells") };
+        let Some(JsonValue::Arr(cells)) = grid.get("cells") else {
+            panic!("cells")
+        };
         assert!(cells.iter().all(|c| c.get("mem").is_some()));
     }
 
@@ -593,7 +632,10 @@ mod tests {
         let current = render_mem_json(&grown);
         let rows = crate::gate::check(gate("mem"), &baseline, &current).expect("judge");
         let total = row(&rows, "alloc_calls(total)");
-        assert!(total.regressed, "3x + 100k calls/cell must breach 25% + floor");
+        assert!(
+            total.regressed,
+            "3x + 100k calls/cell must breach 25% + floor"
+        );
         assert!(row(&rows, "allocs:simulate").regressed);
         // Byte metrics did not move; they stay green.
         assert!(!row(&rows, "alloc_bytes(total)").regressed);

@@ -27,7 +27,10 @@ pub fn render_table1_block(block: &Table1Block) -> String {
     for (case_idx, label) in CASE_ROWS.iter().enumerate() {
         out.push_str(&format!("  {:<4} |", label));
         for (order_idx, _) in OrderRule::PAPER_RULES.iter().enumerate() {
-            out.push_str(&format!(" {:>8.2} |", block.normalized[order_idx][case_idx]));
+            out.push_str(&format!(
+                " {:>8.2} |",
+                block.normalized[order_idx][case_idx]
+            ));
         }
         out.push('\n');
     }

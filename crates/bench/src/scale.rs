@@ -330,7 +330,9 @@ pub fn run_scale(cells: &[(usize, usize)], seed: u64, window: usize) -> ScaleRep
         cells: Vec::with_capacity(cells.len()),
     };
     for &(ports, coflows) in cells {
-        report.cells.push(run_scale_cell(ports, coflows, seed, window));
+        report
+            .cells
+            .push(run_scale_cell(ports, coflows, seed, window));
     }
     report
 }
@@ -354,7 +356,12 @@ pub fn render_scale_json(report: &ScaleReport) -> String {
             if i > 0 {
                 cells.push_str(", ");
             }
-            let _ = write!(cells, "{}: {}", json::quote(stage), fmt_f64(cell.stage(stage)));
+            let _ = write!(
+                cells,
+                "{}: {}",
+                json::quote(stage),
+                fmt_f64(cell.stage(stage))
+            );
         }
         cells.push_str("},\n");
         let _ = writeln!(
@@ -390,8 +397,16 @@ pub fn render_scale(report: &ScaleReport) -> String {
     let _ = writeln!(
         out,
         "{:>6} {:>9} {:<11} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>10}",
-        "ports", "coflows", "mode", "windows", "gen_ms", "order_ms", "exec_ms", "total_ms",
-        "rss_MiB", "makespan"
+        "ports",
+        "coflows",
+        "mode",
+        "windows",
+        "gen_ms",
+        "order_ms",
+        "exec_ms",
+        "total_ms",
+        "rss_MiB",
+        "makespan"
     );
     for c in &report.cells {
         let _ = writeln!(
@@ -477,7 +492,9 @@ mod tests {
     }
 
     fn row<'a>(rows: &'a [crate::gate::Judged], key: &str) -> &'a crate::gate::Judged {
-        rows.iter().find(|r| r.key == key).unwrap_or_else(|| panic!("no row {}", key))
+        rows.iter()
+            .find(|r| r.key == key)
+            .unwrap_or_else(|| panic!("no row {}", key))
     }
 
     #[test]
@@ -493,7 +510,12 @@ mod tests {
         let rows = judge_scale(&rendered, &rendered);
         // Per cell: objective, makespan, total wall, alloc calls and bytes.
         for cell in [cell_label(16, 60), cell_label(200, 120)] {
-            assert_eq!(rows.iter().filter(|r| r.key.ends_with(cell.as_str())).count(), 5);
+            assert_eq!(
+                rows.iter()
+                    .filter(|r| r.key.ends_with(cell.as_str()))
+                    .count(),
+                5
+            );
         }
         assert!(crate::gate::passed(&rows));
     }
@@ -508,7 +530,10 @@ mod tests {
         let rows = judge_scale(&baseline, &render_scale_json(&slowed));
         let wall = row(&rows, &format!("total:{}", cell_label(16, 60)));
         assert!(wall.regressed, "10x + 100ms must breach 20% + floor");
-        assert!(row(&rows, &cell_label(200, 120)).regressed, "objective drift is bit-exact");
+        assert!(
+            row(&rows, &cell_label(200, 120)).regressed,
+            "objective drift is bit-exact"
+        );
         // The untouched cell's other rows stay green.
         assert!(rows
             .iter()

@@ -34,7 +34,10 @@ impl JsonDoc {
     /// [`obs::ledger::set_zero_provenance`] (or `COFLOW_PROVENANCE=zero`)
     /// to stay byte-stable.
     pub fn new(schema: &str) -> Self {
-        let mut doc = JsonDoc { entries: Vec::new(), schemas: vec![schema.to_string()] };
+        let mut doc = JsonDoc {
+            entries: Vec::new(),
+            schemas: vec![schema.to_string()],
+        };
         doc.raw("schema", json::quote(schema));
         doc
     }
@@ -79,9 +82,11 @@ impl JsonDoc {
         let mut out = String::from("{\n");
         let provenance = ("provenance".to_string(), render_provenance(&self.schemas));
         let n = self.entries.len() + 1;
-        let all = self.entries.iter().take(1).chain(
-            std::iter::once(&provenance).chain(self.entries.iter().skip(1)),
-        );
+        let all = self
+            .entries
+            .iter()
+            .take(1)
+            .chain(std::iter::once(&provenance).chain(self.entries.iter().skip(1)));
         for (i, (key, value)) in all.enumerate() {
             out.push_str("  ");
             out.push_str(&json::quote(key));
@@ -136,7 +141,9 @@ mod tests {
     fn doc_renders_schema_then_provenance_with_exact_layout() {
         obs::ledger::set_zero_provenance(true);
         let mut doc = JsonDoc::new("coflow-test/1");
-        doc.num("seed", 7u64).float("ratio", 1.5).text("name", "x\"y");
+        doc.num("seed", 7u64)
+            .float("ratio", 1.5)
+            .text("name", "x\"y");
         doc.raw("cells", "[\n    {\"a\": 1}\n  ]");
         let text = doc.render();
         assert!(text.starts_with(
@@ -146,11 +153,17 @@ mod tests {
         ));
         assert!(text.ends_with("  \"cells\": [\n    {\"a\": 1}\n  ]\n}\n"));
         let parsed = json::parse(&text).expect("valid JSON");
-        assert_eq!(parsed.get("schema"), Some(&JsonValue::Str("coflow-test/1".into())));
+        assert_eq!(
+            parsed.get("schema"),
+            Some(&JsonValue::Str("coflow-test/1".into()))
+        );
         assert_eq!(parsed.get("ratio"), Some(&JsonValue::Num("1.5".into())));
         assert_eq!(parsed.get("name"), Some(&JsonValue::Str("x\"y".into())));
         let prov = parsed.get("provenance").expect("provenance present");
-        assert_eq!(prov.get("git_rev"), Some(&JsonValue::Str("0000000000".into())));
+        assert_eq!(
+            prov.get("git_rev"),
+            Some(&JsonValue::Str("0000000000".into()))
+        );
         // stay zeroed: tests run in parallel and none asserts live provenance
     }
 
@@ -184,7 +197,10 @@ mod tests {
         let path = dir.join("report.json");
         let path = path.to_str().unwrap();
         write_json_report(path, "test report", "{\"schema\": \"t/1\"}\n").expect("write");
-        assert_eq!(std::fs::read_to_string(path).unwrap(), "{\"schema\": \"t/1\"}\n");
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            "{\"schema\": \"t/1\"}\n"
+        );
         assert!(write_json_report("/nonexistent-dir/x.json", "test", "{}").is_err());
     }
 }

@@ -278,7 +278,11 @@ pub fn run_tournament(
             bound: entry.bound,
             objective: clean_out.objective,
             makespan: clean_out.executed.makespan(),
-            ratio: if lp_bound > 0.0 { clean_out.objective / lp_bound } else { 1.0 },
+            ratio: if lp_bound > 0.0 {
+                clean_out.objective / lp_bound
+            } else {
+                1.0
+            },
             wall_ms: *wall_ms,
             fault,
         });
@@ -339,7 +343,10 @@ pub fn render_tournament(report: &TournamentReport) -> String {
         "policy", "bound", "TWCT", "ratio", "wall_ms", "fault_TWCT", "inflation", "cancelled"
     );
     for r in &report.rows {
-        let bound = r.bound.map(|b| format!("{:.2}", b)).unwrap_or_else(|| "-".into());
+        let bound = r
+            .bound
+            .map(|b| format!("{:.2}", b))
+            .unwrap_or_else(|| "-".into());
         let (ft, fi, fc) = match &r.fault {
             Some(f) => (
                 format!("{:.0}", f.objective),
@@ -406,7 +413,11 @@ pub fn render_tournament_json(report: &TournamentReport) -> String {
                 let _ = writeln!(rows, "      \"fault\": null");
             }
         }
-        rows.push_str(if i + 1 < report.rows.len() { "    },\n" } else { "    }\n" });
+        rows.push_str(if i + 1 < report.rows.len() {
+            "    },\n"
+        } else {
+            "    }\n"
+        });
     }
     rows.push_str("  ]");
 
@@ -422,7 +433,11 @@ pub fn render_tournament_json(report: &TournamentReport) -> String {
             r.makespan,
             fmt_f64(r.wall_ms)
         );
-        scale_rows.push_str(if i + 1 < report.scale.len() { ",\n" } else { "\n" });
+        scale_rows.push_str(if i + 1 < report.scale.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     scale_rows.push_str("    ]");
     let [ports, coflows, window] = report.scale_cell;
@@ -493,7 +508,10 @@ pub fn validate_tournament_json(text: &str) -> Result<String, String> {
     }
     for entry in PolicyRegistry::builtin().canonical() {
         if !report.rows.iter().any(|r| r.policy == entry.name) {
-            return Err(format!("canonical policy '{}' missing from report", entry.name));
+            return Err(format!(
+                "canonical policy '{}' missing from report",
+                entry.name
+            ));
         }
     }
     if let Some(r) = report.scale.iter().find(|r| r.objective <= 0.0) {
@@ -522,14 +540,27 @@ mod tests {
         let names: Vec<&str> = report.rows.iter().map(|r| r.policy.as_str()).collect();
         assert_eq!(
             names,
-            ["bvn-batch", "online", "greedy", "resilient", "shafiee-ghaderi", "im-purohit"]
+            [
+                "bvn-batch",
+                "online",
+                "greedy",
+                "resilient",
+                "shafiee-ghaderi",
+                "im-purohit"
+            ]
         );
         // The open-loop planner sits the fault round out; everyone else runs.
         for r in &report.rows {
             assert_eq!(r.fault.is_some(), r.policy != "bvn-batch", "{}", r.policy);
             assert!(r.ratio >= 1.0 - 1e-9, "{}: ratio {}", r.policy, r.ratio);
             if let Some(bound) = r.bound {
-                assert!(r.ratio <= bound + 1e-9, "{}: {} > {}", r.policy, r.ratio, bound);
+                assert!(
+                    r.ratio <= bound + 1e-9,
+                    "{}: {} > {}",
+                    r.policy,
+                    r.ratio,
+                    bound
+                );
             }
         }
         assert_eq!(report.scale.len(), 6);
@@ -550,7 +581,8 @@ mod tests {
         let b = render_tournament_json(&tiny_report());
         let rows = judge_tournament(&a, &b);
         assert!(
-            rows.iter().all(|r| !r.one_sided() && (!r.regressed || r.kind == Kind::Wall)),
+            rows.iter()
+                .all(|r| !r.one_sided() && (!r.regressed || r.kind == Kind::Wall)),
             "objective/ratio drift between identical runs: {:?}",
             rows.iter().filter(|r| r.regressed).collect::<Vec<_>>()
         );
@@ -563,12 +595,17 @@ mod tests {
         let mut drifted = report.clone();
         drifted.rows[0].objective += 1.0;
         let rows = judge_tournament(&baseline, &render_tournament_json(&drifted));
-        assert!(rows.iter().any(|r| r.key == "twct/bvn-batch" && r.regressed));
+        assert!(rows
+            .iter()
+            .any(|r| r.key == "twct/bvn-batch" && r.regressed));
         let mut missing = report.clone();
         missing.rows.pop();
         missing.scale.pop();
         assert!(
-            !crate::gate::passed(&judge_tournament(&baseline, &render_tournament_json(&missing))),
+            !crate::gate::passed(&judge_tournament(
+                &baseline,
+                &render_tournament_json(&missing)
+            )),
             "a vanished policy is a drift, not a skip"
         );
         let gate = crate::gate::gate("tournament").expect("tournament gate");
@@ -581,9 +618,17 @@ mod tests {
         let text = render_tournament_json(&report);
         // Forge a ratio above the row's proven bound (keep objective
         // consistent by scaling it too — the consistency check runs first).
-        let sg = report.rows.iter().find(|r| r.policy == "shafiee-ghaderi").unwrap();
+        let sg = report
+            .rows
+            .iter()
+            .find(|r| r.policy == "shafiee-ghaderi")
+            .unwrap();
         let forged = text
-            .replacen(&format!("\"ratio\": {}", fmt_f64(sg.ratio)), "\"ratio\": 99.0", 1)
+            .replacen(
+                &format!("\"ratio\": {}", fmt_f64(sg.ratio)),
+                "\"ratio\": 99.0",
+                1,
+            )
             .replacen(
                 &format!("\"objective\": {}", fmt_f64(sg.objective)),
                 &format!("\"objective\": {}", fmt_f64(report.lp_bound * 99.0)),

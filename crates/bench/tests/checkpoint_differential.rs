@@ -83,9 +83,17 @@ fn check_cell(instance: &Instance, plan: &FaultPlan, cell: &PinCell, pin: &Pin, 
         interrupted.objective,
         reference.objective
     );
-    assert_eq!(interrupted.replans, reference.replans, "{}: replans", pin.label);
+    assert_eq!(
+        interrupted.replans, reference.replans,
+        "{}: replans",
+        pin.label
+    );
     assert_eq!(interrupted.tiers, reference.tiers, "{}: tiers", pin.label);
-    assert_eq!(interrupted.executed, reference.executed, "{}: executed trace", pin.label);
+    assert_eq!(
+        interrupted.executed, reference.executed,
+        "{}: executed trace",
+        pin.label
+    );
     assert_eq!(
         interrupted.completions, reference.completions,
         "{}: completions",

@@ -74,7 +74,10 @@ fn known_regressions_are_attributed_and_match_golden() {
     // Exactly the two seeded regressions, attributed by section:name —
     // this is the predicate `experiments -- diff` exits nonzero on.
     let regs = report.regressions();
-    let names: Vec<String> = regs.iter().map(|r| format!("{}:{}", r.section, r.name)).collect();
+    let names: Vec<String> = regs
+        .iter()
+        .map(|r| format!("{}:{}", r.section, r.name))
+        .collect();
     assert_eq!(names, vec!["stage:lp_solve", "objective:H_LP/d"]);
 
     // The table names both regressions for the terminal reader.
@@ -88,7 +91,10 @@ fn known_regressions_are_attributed_and_match_golden() {
     // The golden must itself parse and carry the regression count — a
     // broken golden would otherwise lock in a regression.
     let doc = json::parse(&rendered).expect("diff report must be valid JSON");
-    assert_eq!(doc.get("schema"), Some(&JsonValue::Str("coflow-diff/1".into())));
+    assert_eq!(
+        doc.get("schema"),
+        Some(&JsonValue::Str("coflow-diff/1".into()))
+    );
     assert_eq!(doc.get("regressions"), Some(&JsonValue::Num("2".into())));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/diff.json");

@@ -39,8 +39,14 @@ fn check_combo(
     if expect_all_complete {
         assert!(out.completions.iter().all(Option::is_some));
     }
-    assert!(out.blocked_units > 0, "the outage must strand planned units");
-    assert!(out.replans >= 2, "crossing a fault boundary charges an epoch");
+    assert!(
+        out.blocked_units > 0,
+        "the outage must strand planned units"
+    );
+    assert!(
+        out.replans >= 2,
+        "crossing a fault boundary charges an epoch"
+    );
     assert_eq!(out.tiers.len(), out.replans);
     assert!(
         out.tiers.iter().all(|&t| t == 0),
@@ -82,7 +88,9 @@ fn check_combo(
     assert_eq!(d.per_coflow.len(), instance.len());
     assert!(d.per_coflow.iter().map(|r| r.blocked_slots).sum::<u64>() > 0);
     assert!(
-        d.anomalies.iter().any(|a| a.detector == Detector::Starvation),
+        d.anomalies
+            .iter()
+            .any(|a| a.detector == Detector::Starvation),
         "stranded units above threshold must fire starvation"
     );
 }
@@ -97,7 +105,11 @@ fn registry_run(instance: &Instance, name: &str, plan: &FaultPlan) -> FaultyOutc
 #[test]
 fn online_under_faults_runs_end_to_end() {
     let instance = inst();
-    let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
+    let plan = FaultPlan::new(vec![FaultEvent::IngressOutage {
+        port: 1,
+        start: 1,
+        end: 6,
+    }]);
     let out = registry_run(&instance, "online", &plan);
     check_combo(&instance, &plan, &out, true);
 }
@@ -105,7 +117,11 @@ fn online_under_faults_runs_end_to_end() {
 #[test]
 fn online_stale_priorities_also_survive_faults() {
     let instance = inst();
-    let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
+    let plan = FaultPlan::new(vec![FaultEvent::IngressOutage {
+        port: 1,
+        start: 1,
+        end: 6,
+    }]);
     let out = registry_run(&instance, "online-stale", &plan);
     check_combo(&instance, &plan, &out, true);
 }
@@ -114,7 +130,11 @@ fn online_stale_priorities_also_survive_faults() {
 fn greedy_with_recovery_handles_outage_and_cancellation() {
     let instance = inst();
     let plan = FaultPlan::new(vec![
-        FaultEvent::IngressOutage { port: 1, start: 1, end: 6 },
+        FaultEvent::IngressOutage {
+            port: 1,
+            start: 1,
+            end: 6,
+        },
         FaultEvent::CoflowCancelled { coflow: 2, at: 3 },
     ]);
     let out = registry_run(&instance, "greedy", &plan);

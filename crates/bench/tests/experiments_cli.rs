@@ -44,7 +44,11 @@ fn the_usage_text_names_every_gate() {
         .expect("run experiments");
     let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
     let line = format!("\n  gate {}\n", names.join("|"));
-    assert!(String::from_utf8_lossy(&out.stderr).contains(&line), "{}", line);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains(&line),
+        "{}",
+        line
+    );
 }
 
 /// Runs `experiments` in `dir` with a scratch ledger.

@@ -106,10 +106,7 @@ mod tests {
     fn doubling_groups_by_cumulative_load() {
         // Loads on port 0: 1, 1, 2, 8 -> V = 1, 2, 4, 12.
         // Intervals: (0,1], (1,2], (2,4], (8,16] -> 4 distinct groups.
-        let inst = Instance::new(
-            2,
-            vec![diag(0, 1), diag(1, 1), diag(2, 2), diag(3, 8)],
-        );
+        let inst = Instance::new(2, vec![diag(0, 1), diag(1, 1), diag(2, 2), diag(3, 8)]);
         let g = group_by_doubling(&inst, &[0, 1, 2, 3]);
         assert_eq!(g.cumulative_loads, vec![1, 2, 4, 12]);
         assert_eq!(g.groups, vec![vec![0], vec![1], vec![2], vec![3]]);

@@ -69,11 +69,13 @@ impl GeometricGrid {
     pub fn interval_of(&self, v: f64) -> usize {
         assert!(v > 0.0, "interval lookup requires a positive value");
         // points are strictly increasing after index 0.
-        let l = self
-            .points
-            .iter()
-            .position(|&p| v <= p)
-            .unwrap_or_else(|| panic!("value {} beyond grid horizon {}", v, self.points[self.points.len() - 1]));
+        let l = self.points.iter().position(|&p| v <= p).unwrap_or_else(|| {
+            panic!(
+                "value {} beyond grid horizon {}",
+                v,
+                self.points[self.points.len() - 1]
+            )
+        });
         debug_assert!(l >= 1);
         l
     }

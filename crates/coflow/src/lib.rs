@@ -77,16 +77,12 @@ pub use crate::sched::engine::{
     EngineError, EpochState, HeartbeatPacer, OnlineOptions, OnlineRhoPolicy, Policy,
     ResilientPolicy,
 };
-pub use crate::sched::snapshot::{
-    ActiveBatchState, EngineSnapshot, PolicyState, SNAPSHOT_SCHEMA,
-};
-pub use crate::sched::watchdog::{WatchdogConfig, WatchdogPolicy, LADDER_TIER_BASE};
 pub use crate::sched::ordered::{GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy};
-pub use crate::sched::registry::{PolicyCaps, PolicyEntry, PolicyRegistry};
 pub use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
-pub use crate::sched::resilient::{
-    fallback_chain, run_resilient, FailedAttempt, ResilientOutcome,
-};
+pub use crate::sched::registry::{PolicyCaps, PolicyEntry, PolicyRegistry};
+pub use crate::sched::resilient::{fallback_chain, run_resilient, FailedAttempt, ResilientOutcome};
+pub use crate::sched::snapshot::{ActiveBatchState, EngineSnapshot, PolicyState, SNAPSHOT_SCHEMA};
+pub use crate::sched::watchdog::{WatchdogConfig, WatchdogPolicy, LADDER_TIER_BASE};
 pub use crate::sched::{
     run, run_randomized, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };

@@ -206,7 +206,11 @@ mod tests {
     fn arrival_order_is_by_id() {
         let inst = Instance::new(
             2,
-            vec![mk(2, &[1, 1], 1.0), mk(0, &[5, 5], 1.0), mk(1, &[3, 3], 1.0)],
+            vec![
+                mk(2, &[1, 1], 1.0),
+                mk(0, &[5, 5], 1.0),
+                mk(1, &[3, 3], 1.0),
+            ],
         );
         assert_eq!(compute_order(&inst, OrderRule::Arrival), vec![1, 2, 0]);
     }
@@ -216,7 +220,11 @@ mod tests {
         // loads 5, 1, 4; weights 1, 1, 8 -> ratios 5, 1, 0.5.
         let inst = Instance::new(
             2,
-            vec![mk(0, &[5, 5], 1.0), mk(1, &[1, 1], 1.0), mk(2, &[4, 4], 8.0)],
+            vec![
+                mk(0, &[5, 5], 1.0),
+                mk(1, &[1, 1], 1.0),
+                mk(2, &[4, 4], 8.0),
+            ],
         );
         assert_eq!(
             compute_order(&inst, OrderRule::LoadOverWeight),
@@ -230,23 +238,14 @@ mod tests {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[6, 0], [0, 0]]));
         let c1 = Coflow::new(1, IntMatrix::from_nested(&[[3, 0], [0, 3]]));
         let inst = Instance::new(2, vec![c0, c1]);
-        assert_eq!(
-            compute_order(&inst, OrderRule::LoadOverWeight),
-            vec![1, 0]
-        );
+        assert_eq!(compute_order(&inst, OrderRule::LoadOverWeight), vec![1, 0]);
         // Equal sizes: ties break by index.
-        assert_eq!(
-            compute_order(&inst, OrderRule::SizeOverWeight),
-            vec![0, 1]
-        );
+        assert_eq!(compute_order(&inst, OrderRule::SizeOverWeight), vec![0, 1]);
     }
 
     #[test]
     fn lp_rule_orders_by_fractional_completion() {
-        let inst = Instance::new(
-            2,
-            vec![mk(0, &[30, 30], 1.0), mk(1, &[1, 1], 1.0)],
-        );
+        let inst = Instance::new(2, vec![mk(0, &[30, 30], 1.0), mk(1, &[1, 1], 1.0)]);
         let order = compute_order(&inst, OrderRule::LpBased);
         assert_eq!(order[0], 1, "tiny coflow should precede the huge one");
     }
@@ -263,7 +262,11 @@ mod tests {
     fn port_primal_dual_is_a_permutation() {
         let inst = Instance::new(
             2,
-            vec![mk(0, &[5, 5], 1.0), mk(1, &[1, 1], 1.0), mk(2, &[4, 4], 8.0)],
+            vec![
+                mk(0, &[5, 5], 1.0),
+                mk(1, &[1, 1], 1.0),
+                mk(2, &[4, 4], 8.0),
+            ],
         );
         let mut order = compute_order(&inst, OrderRule::PortPrimalDual);
         order.sort_unstable();
@@ -273,9 +276,7 @@ mod tests {
     #[test]
     fn port_primal_dual_matches_wspt_on_single_port() {
         // On a 1x1 fabric the rule reduces to WSPT, like the others.
-        let mk1 = |id, p: u64, w: f64| {
-            Coflow::new(id, IntMatrix::diagonal(&[p])).with_weight(w)
-        };
+        let mk1 = |id, p: u64, w: f64| Coflow::new(id, IntMatrix::diagonal(&[p])).with_weight(w);
         let inst = Instance::new(1, vec![mk1(0, 2, 1.0), mk1(1, 1, 3.0), mk1(2, 3, 2.0)]);
         assert_eq!(
             compute_order(&inst, OrderRule::PortPrimalDual),
@@ -286,8 +287,7 @@ mod tests {
     #[test]
     fn port_primal_dual_prioritizes_heavy_coflows() {
         let big = Coflow::new(0, IntMatrix::from_nested(&[[30, 0], [0, 30]]));
-        let urgent =
-            Coflow::new(1, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_weight(100.0);
+        let urgent = Coflow::new(1, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_weight(100.0);
         let inst = Instance::new(2, vec![big, urgent]);
         let order = compute_order(&inst, OrderRule::PortPrimalDual);
         assert_eq!(order[0], 1);

@@ -39,8 +39,7 @@ mod tests {
         );
         let out = greedy(&inst, vec![0]);
         assert_eq!(out.completions, vec![3]);
-        let times =
-            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
+        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
     }
 
@@ -61,8 +60,7 @@ mod tests {
         let inst = Instance::new(2, vec![c0, c1]);
         let out = greedy(&inst, vec![0, 1]);
         assert_eq!(out.completions, vec![1, 101]);
-        let times =
-            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
+        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
     }
 
@@ -73,8 +71,7 @@ mod tests {
         let inst = Instance::new(2, vec![c0, c1]);
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
         let out = greedy(&inst, order);
-        let times =
-            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
+        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
         assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
     }

@@ -96,7 +96,12 @@ impl ScheduleOutcome {
 /// [`AlgorithmSpec::algorithm2`].
 pub fn run(instance: &Instance, spec: &AlgorithmSpec) -> ScheduleOutcome {
     let order = compute_order(instance, spec.order);
-    run_with_order(instance, order, spec.grouping, ExecOptions::paper(spec.backfill))
+    run_with_order(
+        instance,
+        order,
+        spec.grouping,
+        ExecOptions::paper(spec.backfill),
+    )
 }
 
 /// Scheduling-stage execution options beyond the paper's grid.
@@ -161,11 +166,7 @@ pub(crate) fn plan_with_order_until(
 
 /// Algorithm 2's doubling groups of `order` when `grouping` is on,
 /// singleton batches otherwise.
-pub(crate) fn batches_of(
-    instance: &Instance,
-    order: &[usize],
-    grouping: bool,
-) -> Vec<Vec<usize>> {
+pub(crate) fn batches_of(instance: &Instance, order: &[usize], grouping: bool) -> Vec<Vec<usize>> {
     if grouping {
         group_by_doubling(instance, order).groups
     } else {
@@ -219,12 +220,8 @@ mod tests {
     use rand::SeedableRng;
 
     fn validate(instance: &Instance, out: &ScheduleOutcome) {
-        let times = validate_trace(
-            instance.demands(),
-            &instance.releases(),
-            &out.trace,
-        )
-        .expect("trace must satisfy problem (O) constraints");
+        let times = validate_trace(instance.demands(), &instance.releases(), &out.trace)
+            .expect("trace must satisfy problem (O) constraints");
         assert_eq!(times, out.completions, "completion accounting mismatch");
         assert!((instance.objective(&times) - out.objective).abs() < 1e-9);
     }

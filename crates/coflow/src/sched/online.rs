@@ -42,8 +42,7 @@ mod tests {
     }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
-        let times =
-            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
+        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
     }
 
@@ -80,7 +79,10 @@ mod tests {
         let inst = Instance::new(2, vec![big, urgent]);
         let out = online(&inst);
         validate(&inst, &out);
-        assert_eq!(out.completions[1], 3, "urgent coflow served right after arrival");
+        assert_eq!(
+            out.completions[1], 3,
+            "urgent coflow served right after arrival"
+        );
         assert_eq!(out.completions[0], 11);
     }
 

@@ -191,9 +191,7 @@ mod tests {
     #[test]
     fn optimum_matches_smith_rule_on_single_port() {
         // m = 1 reduces to 1|pmtn|sum wC with equal-length unit jobs -> WSPT.
-        let mk = |id, units, w: f64| {
-            Coflow::new(id, IntMatrix::diagonal(&[units])).with_weight(w)
-        };
+        let mk = |id, units, w: f64| Coflow::new(id, IntMatrix::diagonal(&[units])).with_weight(w);
         let inst = Instance::new(1, vec![mk(0, 2, 1.0), mk(1, 1, 3.0), mk(2, 3, 2.0)]);
         // WSPT order by p/w: c1 (1/3), c2 (3/2), c0 (2/1):
         // C1=1 (w3), C2=4 (w2), C0=6 (w1) -> 3 + 8 + 6 = 17.

@@ -280,8 +280,7 @@ mod tests {
     }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
-        let times =
-            validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
+        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
         assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
     }

@@ -86,7 +86,12 @@ fn build_bvn_batch(instance: &Instance) -> Box<dyn Policy> {
     // The paper's best grid cell: Algorithm 2 (H_LP order + doubling
     // groups) with same-pair backfilling — grid case (d).
     let order = compute_order(instance, OrderRule::LpBased);
-    Box::new(BvnBatchPolicy::grouped(instance, order, true, ExecOptions::paper(true)))
+    Box::new(BvnBatchPolicy::grouped(
+        instance,
+        order,
+        true,
+        ExecOptions::paper(true),
+    ))
 }
 
 fn build_online(instance: &Instance) -> Box<dyn Policy> {
@@ -231,7 +236,10 @@ impl PolicyRegistry {
 
     /// The canonical policies (variants excluded), in report order.
     pub fn canonical(&self) -> Vec<&PolicyEntry> {
-        self.entries.iter().filter(|e| e.variant_of.is_none()).collect()
+        self.entries
+            .iter()
+            .filter(|e| e.variant_of.is_none())
+            .collect()
     }
 
     /// Looks an entry up by exact registry name.
@@ -323,7 +331,11 @@ mod tests {
             let mut policy = entry.build(&inst);
             let out = crate::sched::engine::run_policy_with_faults(&inst, &mut *policy, &quiet)
                 .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
-            assert!(out.objective > 0.0, "{} produced an empty schedule", entry.name);
+            assert!(
+                out.objective > 0.0,
+                "{} produced an empty schedule",
+                entry.name
+            );
             assert!(
                 out.completions.iter().all(|c| c.is_some()),
                 "{} left a coflow unfinished on a quiet plan",
@@ -342,7 +354,10 @@ mod tests {
     fn resolve_and_select_handle_aliases_lists_and_errors() {
         let reg = PolicyRegistry::builtin();
         assert_eq!(reg.resolve("online-rho").unwrap().name, "online");
-        assert!(reg.resolve("nonsense").unwrap_err().contains("shafiee-ghaderi"));
+        assert!(reg
+            .resolve("nonsense")
+            .unwrap_err()
+            .contains("shafiee-ghaderi"));
         let all = reg.select("all").unwrap();
         assert_eq!(all.len(), 6);
         let picked = reg.select("greedy, online ,greedy").unwrap();

@@ -226,7 +226,8 @@ mod tests {
         // With a healthy budget every §4 cell stays at tier 0 and schedules
         // exactly as the plain pipeline does.
         for order in OrderRule::PAPER_RULES {
-            for (grouping, backfill) in [(false, false), (false, true), (true, false), (true, true)] {
+            for (grouping, backfill) in [(false, false), (false, true), (true, false), (true, true)]
+            {
                 let spec = AlgorithmSpec {
                     order,
                     grouping,
@@ -266,12 +267,8 @@ mod tests {
             "failed attempt must report its wall-clock cost"
         );
         // The degraded schedule is still a valid solution of problem (O).
-        let times = validate_trace(
-            instance.demands(),
-            &instance.releases(),
-            &out.outcome.trace,
-        )
-        .expect("degraded schedule must validate");
+        let times = validate_trace(instance.demands(), &instance.releases(), &out.outcome.trace)
+            .expect("degraded schedule must validate");
         assert_eq!(times, out.outcome.completions);
     }
 

@@ -270,7 +270,11 @@ fn push_opt_u64(out: &mut String, x: Option<u64>) {
 }
 
 fn render_lp_opts(out: &mut String, o: &SimplexOptions) {
-    let _ = write!(out, "{{\"max_iterations\":{},\"time_limit_ms\":", o.max_iterations);
+    let _ = write!(
+        out,
+        "{{\"max_iterations\":{},\"time_limit_ms\":",
+        o.max_iterations
+    );
     push_opt_u64(out, o.time_limit_ms);
     out.push_str(",\"stall_window\":");
     push_opt_u64(out, o.stall_window.map(|x| x as u64));
@@ -350,10 +354,7 @@ fn render_policy(out: &mut String, p: &PolicyState) {
                 out,
                 "],\"opts\":{{\"backfill\":{},\"rematch\":{},\"maxmin\":{}}},\"b_idx\":{},\
                  \"current\":",
-                opts.backfill,
-                opts.rematch,
-                opts.maxmin_decomposition,
-                b_idx
+                opts.backfill, opts.rematch, opts.maxmin_decomposition, b_idx
             );
             match current {
                 None => out.push_str("null"),
@@ -461,12 +462,18 @@ fn order_rule_from_name(name: &str) -> Result<OrderRule, SnapshotError> {
         "H_LP" => Ok(OrderRule::LpBased),
         "H_size" => Ok(OrderRule::SizeOverWeight),
         "H_pd" => Ok(OrderRule::PortPrimalDual),
-        other => Err(SnapshotError::new(format!("unknown order rule '{}'", other))),
+        other => Err(SnapshotError::new(format!(
+            "unknown order rule '{}'",
+            other
+        ))),
     }
 }
 
 fn get_usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, SnapshotError> {
-    Ok(get_u64_array(v, key)?.into_iter().map(|x| x as usize).collect())
+    Ok(get_u64_array(v, key)?
+        .into_iter()
+        .map(|x| x as usize)
+        .collect())
 }
 
 /// Type-checks a retired bool field when present; its value is unused.
@@ -617,7 +624,10 @@ fn parse_policy(v: &JsonValue) -> Result<PolicyState, SnapshotError> {
             breaches: get_u64(v, "breaches")? as u32,
             inner: Box::new(parse_policy(field(v, "inner")?)?),
         }),
-        other => Err(SnapshotError::new(format!("unknown policy kind '{}'", other))),
+        other => Err(SnapshotError::new(format!(
+            "unknown policy kind '{}'",
+            other
+        ))),
     }
 }
 
@@ -644,8 +654,7 @@ impl EngineSnapshot {
 
     /// Parses and validates a `coflow-snapshot/1` document.
     pub fn from_json(text: &str) -> Result<EngineSnapshot, SnapshotError> {
-        let v = obs::json::parse(text)
-            .map_err(|e| SnapshotError::new(format!("JSON {}", e)))?;
+        let v = obs::json::parse(text).map_err(|e| SnapshotError::new(format!("JSON {}", e)))?;
         match field(&v, "schema")? {
             JsonValue::Str(s) if s == SNAPSHOT_SCHEMA => {}
             JsonValue::Str(s) => {

@@ -232,7 +232,9 @@ impl WatchdogPolicy {
                 last_tier,
             } => Rung::Resilient(ResilientPolicy::restore(*spec, lp_opts.clone(), *last_tier)),
             PolicyState::Watchdog { .. } => {
-                return Err(SnapshotError::new("watchdog state cannot nest another watchdog"))
+                return Err(SnapshotError::new(
+                    "watchdog state cannot nest another watchdog",
+                ))
             }
             PolicyState::ShafieeGhaderi { .. } | PolicyState::ImPurohit { .. } => {
                 // Not ladder rungs: the successor-paper policies checkpoint
@@ -268,8 +270,7 @@ impl WatchdogPolicy {
 
     /// True when some non-cancelled coflow still has demand to deliver.
     fn demand_survives(state: &EpochState<'_>) -> bool {
-        (0..state.instance.len())
-            .any(|k| !state.is_cancelled(k) && state.remaining_total(k) > 0)
+        (0..state.instance.len()).any(|k| !state.is_cancelled(k) && state.remaining_total(k) > 0)
     }
 }
 
@@ -282,10 +283,7 @@ impl Policy for WatchdogPolicy {
         loop {
             let start = Instant::now();
             let decision = self.rung.policy_mut().decide(state)?;
-            let breached = self
-                .config
-                .deadline
-                .is_some_and(|d| start.elapsed() > d);
+            let breached = self.config.deadline.is_some_and(|d| start.elapsed() > d);
             if breached {
                 self.breaches += 1;
                 obs::counter_add("coflow.watchdog.breaches", 1);
@@ -385,10 +383,7 @@ mod tests {
             start: 2,
             end: 4,
         }]);
-        let mut bare = ResilientPolicy::new(
-            AlgorithmSpec::algorithm2(),
-            SimplexOptions::default(),
-        );
+        let mut bare = ResilientPolicy::new(AlgorithmSpec::algorithm2(), SimplexOptions::default());
         let bare_out = run_policy_with_faults(&instance, &mut bare, &plan).unwrap();
         let mut wrapped = WatchdogPolicy::over_resilient(
             WatchdogConfig::default(),

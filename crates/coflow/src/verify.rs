@@ -60,18 +60,9 @@ pub fn verify_outcome(
     instance: &Instance,
     outcome: &ScheduleOutcome,
 ) -> Result<VerifyReport, VerifyError> {
-    let replayed = validate_trace(
-        instance.demands(),
-        &instance.releases(),
-        &outcome.trace,
-    )
-    .map_err(VerifyError::InvalidTrace)?;
-    for (k, (&claimed, &actual)) in outcome
-        .completions
-        .iter()
-        .zip(replayed.iter())
-        .enumerate()
-    {
+    let replayed = validate_trace(instance.demands(), &instance.releases(), &outcome.trace)
+        .map_err(VerifyError::InvalidTrace)?;
+    for (k, (&claimed, &actual)) in outcome.completions.iter().zip(replayed.iter()).enumerate() {
         if claimed != actual {
             return Err(VerifyError::CompletionMismatch {
                 coflow: k,

@@ -197,11 +197,7 @@ mod tests {
         let win = try_solve_windowed(4, &loads(&inst), &SimplexOptions::default())
             .unwrap_or_else(|e| panic!("windowed solve failed: {}", e));
         assert_eq!(win.order, mono.order);
-        for (a, b) in win
-            .approx_completion
-            .iter()
-            .zip(&mono.approx_completion)
-        {
+        for (a, b) in win.approx_completion.iter().zip(&mono.approx_completion) {
             assert!((a - b).abs() < 1e-9, "C-bar mismatch: {} vs {}", a, b);
         }
         assert!((win.lower_bound - mono.lower_bound).abs() < 1e-9);

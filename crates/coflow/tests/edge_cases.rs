@@ -126,8 +126,7 @@ fn widest_possible_coflow() {
 fn deeply_staggered_releases() {
     let coflows: Vec<Coflow> = (0..5)
         .map(|k| {
-            Coflow::new(k, IntMatrix::from_nested(&[[1, 0], [0, 0]]))
-                .with_release(100 * k as u64)
+            Coflow::new(k, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_release(100 * k as u64)
         })
         .collect();
     let inst = Instance::new(2, coflows);
@@ -139,20 +138,24 @@ fn deeply_staggered_releases() {
             // releases, so coflows sharing a V_k interval with a later
             // arrival are delayed to that arrival.
             for (k, &c) in out.completions.iter().enumerate() {
-                assert!(
-                    c > 100 * k as u64,
-                    "completion before earliest possible"
-                );
+                assert!(c > 100 * k as u64, "completion before earliest possible");
                 assert!(c <= 401, "never past the last arrival + 1");
             }
         } else {
             for (k, &c) in out.completions.iter().enumerate() {
-                assert_eq!(c, 100 * k as u64 + 1, "isolated arrivals finish immediately");
+                assert_eq!(
+                    c,
+                    100 * k as u64 + 1,
+                    "isolated arrivals finish immediately"
+                );
             }
         }
     }
     // Online and greedy agree here too.
-    let online = run_policy(&inst, &mut OnlineRhoPolicy::new(&inst, OnlineOptions::default()));
+    let online = run_policy(
+        &inst,
+        &mut OnlineRhoPolicy::new(&inst, OnlineOptions::default()),
+    );
     let online = online.unwrap();
     assert_eq!(online.completions, vec![1, 101, 201, 301, 401]);
     let greedy = run_policy(&inst, &mut GreedyPolicy::new(&inst, (0..5).collect())).unwrap();

@@ -6,13 +6,13 @@
 //! trace, and the flight-recorder event stream derived from it.
 
 use coflow::sched::AlgorithmSpec;
+use coflow::Coflow;
 use coflow::{
     compute_order, group_by_doubling, run_policy_with_faults, verify_faulty_outcome,
     BvnBatchPolicy, Engine, EngineSnapshot, ExecOptions, FaultyOutcome, GreedyPolicy,
-    ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy,
-    ResilientPolicy, ShafieeGhaderiPolicy, WatchdogConfig, WatchdogPolicy,
+    ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
+    ShafieeGhaderiPolicy, WatchdogConfig, WatchdogPolicy,
 };
-use coflow::Coflow;
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
 use coflow_netsim::{record_flights, FaultPlan, RecorderConfig};
@@ -22,11 +22,7 @@ use proptest::prelude::*;
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     (2usize..4, 1usize..5).prop_flat_map(|(m, n)| {
         let coflows = proptest::collection::vec(
-            (
-                proptest::collection::vec(0u64..5, m * m),
-                0u64..6,
-                1u64..4,
-            ),
+            (proptest::collection::vec(0u64..5, m * m), 0u64..6, 1u64..4),
             n,
         );
         coflows.prop_map(move |specs| {
@@ -118,7 +114,10 @@ fn run_interrupted_once(
 }
 
 /// Flight-recorder event streams of an outcome, one per coflow.
-fn flight_streams(instance: &Instance, out: &FaultyOutcome) -> Vec<Vec<coflow_netsim::FlightEvent>> {
+fn flight_streams(
+    instance: &Instance,
+    out: &FaultyOutcome,
+) -> Vec<Vec<coflow_netsim::FlightEvent>> {
     let totals: Vec<u64> = (0..instance.len())
         .map(|k| instance.coflow(k).demand.total())
         .collect();

@@ -27,11 +27,7 @@ use rand::SeedableRng;
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     (2usize..4, 1usize..5).prop_flat_map(|(m, n)| {
         let coflows = proptest::collection::vec(
-            (
-                proptest::collection::vec(0u64..5, m * m),
-                0u64..6,
-                1u64..4,
-            ),
+            (proptest::collection::vec(0u64..5, m * m), 0u64..6, 1u64..4),
             n,
         );
         coflows.prop_map(move |specs| {

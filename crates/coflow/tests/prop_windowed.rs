@@ -17,17 +17,11 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
     (2usize..6, 1usize..7)
         .prop_flat_map(|(m, n)| {
             let coflow = (
-                proptest::collection::vec(
-                    ((0..m, 0..m), 1u64..8),
-                    1..5,
-                ),
+                proptest::collection::vec(((0..m, 0..m), 1u64..8), 1..5),
                 0u64..6,
                 0.5f64..2.5,
             );
-            (
-                Just(m),
-                proptest::collection::vec(coflow, n..=n),
-            )
+            (Just(m), proptest::collection::vec(coflow, n..=n))
         })
         .prop_map(|(m, specs)| {
             let coflows = specs

@@ -7,10 +7,10 @@
 //! no sink installed and the registry disabled, a run emits nothing.
 
 use coflow::sched::AlgorithmSpec;
+use coflow::Coflow;
 use coflow::{
     run_policy_with_faults, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, ResilientPolicy,
 };
-use coflow::Coflow;
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
 use coflow_netsim::FaultPlan;
@@ -77,27 +77,35 @@ fn faulted_run_streams_valid_ndjson() {
 
     // Every line is self-contained: any prefix of the file (what a SIGINT
     // mid-run leaves behind) is itself a valid stream.
-    let cut: String = text.lines().take(lines as usize / 2).fold(
-        String::new(),
-        |mut acc, l| {
+    let cut: String = text
+        .lines()
+        .take(lines as usize / 2)
+        .fold(String::new(), |mut acc, l| {
             acc.push_str(l);
             acc.push('\n');
             acc
-        },
-    );
+        });
     obs::telemetry::validate_stream(&cut).expect("any prefix is a valid stream");
 
     // Residual demand on the engine heartbeats is monotone non-increasing
     // per source (demand never grows mid-run).
     let mut last: Option<u64> = None;
-    for line in text.lines().filter(|l| l.contains("\"source\":\"engine.faults\"")) {
+    for line in text
+        .lines()
+        .filter(|l| l.contains("\"source\":\"engine.faults\""))
+    {
         let v = obs::telemetry::validate_line(line).expect("line parses");
         let residual = match v.get("residual_units") {
             Some(obs::json::JsonValue::Num(s)) => s.parse::<u64>().unwrap(),
             _ => panic!("residual_units missing or not numeric"),
         };
         if let Some(prev) = last {
-            assert!(residual <= prev, "residual demand grew: {} -> {}", prev, residual);
+            assert!(
+                residual <= prev,
+                "residual demand grew: {} -> {}",
+                prev,
+                residual
+            );
         }
         last = Some(residual);
     }

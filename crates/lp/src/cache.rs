@@ -110,7 +110,9 @@ pub struct BasisCache {
 impl BasisCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        BasisCache { inner: Mutex::new(Inner::default()) }
+        BasisCache {
+            inner: Mutex::new(Inner::default()),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -150,7 +152,14 @@ impl BasisCache {
         }
         let stamp = inner.next_stamp;
         inner.next_stamp += 1;
-        inner.map.insert(shape, Entry { exact, solution, stamp });
+        inner.map.insert(
+            shape,
+            Entry {
+                exact,
+                solution,
+                stamp,
+            },
+        );
     }
 }
 
@@ -250,7 +259,10 @@ mod tests {
         let cache = BasisCache::new();
         let model = small_model(4.0);
         let defaults = SimplexOptions::default();
-        let bland = SimplexOptions { always_bland: true, ..SimplexOptions::default() };
+        let bland = SimplexOptions {
+            always_bland: true,
+            ..SimplexOptions::default()
+        };
         let a = try_solve_cached(&model, &defaults, &cache).unwrap();
         let b = try_solve_cached(&model, &bland, &cache).unwrap();
         // Same optimum either way, but the solves must not share an entry.

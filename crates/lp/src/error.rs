@@ -64,7 +64,10 @@ impl fmt::Display for LpError {
             LpError::IterationLimit { iterations } => {
                 write!(f, "iteration budget exhausted after {} pivots", iterations)
             }
-            LpError::TimeLimit { elapsed_ms, iterations } => write!(
+            LpError::TimeLimit {
+                elapsed_ms,
+                iterations,
+            } => write!(
                 f,
                 "time budget exhausted after {} ms ({} pivots)",
                 elapsed_ms, iterations
@@ -82,7 +85,10 @@ impl fmt::Display for LpError {
                 "solution residual {:.3e} exceeds tolerance {:.3e}",
                 residual, limit
             ),
-            LpError::CertificationFailed { worst_residual, tol } => write!(
+            LpError::CertificationFailed {
+                worst_residual,
+                tol,
+            } => write!(
                 f,
                 "duality certification failed: residual {:.3e} > tol {:.3e}",
                 worst_residual, tol

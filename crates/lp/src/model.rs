@@ -4,8 +4,6 @@
 //! constraints — exactly the shape of the paper's interval-indexed relaxation
 //! (LP) and the time-indexed (LP-EXP).
 
-
-
 /// Identifier of a decision variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub usize);
@@ -86,7 +84,10 @@ impl Model {
     /// Adds a constraint with an explicit sense.
     pub fn add_constraint(&mut self, terms: Vec<(VarId, f64)>, sense: Sense, rhs: f64) -> RowId {
         for &(v, _) in &terms {
-            assert!(v.0 < self.costs.len(), "constraint references unknown variable");
+            assert!(
+                v.0 < self.costs.len(),
+                "constraint references unknown variable"
+            );
         }
         self.constraints.push(Constraint { terms, sense, rhs });
         RowId(self.constraints.len() - 1)
@@ -149,7 +150,6 @@ impl Model {
         }
         worst
     }
-
 }
 
 /// Solver status.

@@ -99,8 +99,7 @@ impl SimplexOptions {
     /// Used by deadline-driven callers to retry a breached solve under a
     /// shrunk budget; all numerical tolerances are left untouched.
     pub fn with_scaled_budgets(&self, factor: f64) -> SimplexOptions {
-        let scale_usize =
-            |x: usize| (((x as f64) * factor).floor() as usize).max(1);
+        let scale_usize = |x: usize| (((x as f64) * factor).floor() as usize).max(1);
         let scale_ms = |x: u64| (((x as f64) * factor).floor() as u64).max(1);
         SimplexOptions {
             max_iterations: scale_usize(self.max_iterations),
@@ -223,7 +222,12 @@ impl BasisInverse {
                 self.eta_val.push(di);
             }
         }
-        self.etas.push(Eta { r, d_r: d[r], start, end: self.eta_row.len() });
+        self.etas.push(Eta {
+            r,
+            d_r: d[r],
+            start,
+            end: self.eta_row.len(),
+        });
     }
 
     /// FTRAN: overwrite `v` with `B⁻¹ v`.
@@ -305,8 +309,9 @@ impl<'a> Engine<'a> {
                 dense[i * m + pos] = v;
             }
         }
-        let lu = LuFactors::factorize(m, dense)
-            .map_err(|_| LpError::SingularBasis { iterations: self.iterations })?;
+        let lu = LuFactors::factorize(m, dense).map_err(|_| LpError::SingularBasis {
+            iterations: self.iterations,
+        })?;
         self.inv.reset(lu);
         self.x_b.copy_from_slice(&self.b);
         self.inv.ftran(&mut self.x_b);
@@ -366,8 +371,8 @@ impl<'a> Engine<'a> {
             self.y.extend(self.basis.iter().map(|&col| costs[col]));
             self.inv.btran(&mut self.y);
 
-            let use_bland = self.opts.always_bland
-                || degenerate_run >= self.opts.degeneracy_patience;
+            let use_bland =
+                self.opts.always_bland || degenerate_run >= self.opts.degeneracy_patience;
             let price = |engine: &Engine, j: usize| -> Option<f64> {
                 if engine.in_basis[j] {
                     return None;
@@ -447,8 +452,7 @@ impl<'a> Engine<'a> {
                                     || (theta <= ltheta + 1e-12
                                         && self.basis[pos] < self.basis[lpos])
                             } else {
-                                theta < ltheta - 1e-12
-                                    || (theta <= ltheta + 1e-12 && di > d[lpos])
+                                theta < ltheta - 1e-12 || (theta <= ltheta + 1e-12 && di > d[lpos])
                             };
                             if better {
                                 leave = Some((pos, theta));
@@ -734,12 +738,21 @@ fn solve_core(model: &Model, opts: &SimplexOptions) -> (Solution, Option<LpError
                 let iters = engine.iterations;
                 return aborted(
                     iters,
-                    LpError::TimeLimit { elapsed_ms, iterations: iters },
+                    LpError::TimeLimit {
+                        elapsed_ms,
+                        iterations: iters,
+                    },
                 );
             }
             PhaseEnd::Stalled { window } => {
                 let iters = engine.iterations;
-                return aborted(iters, LpError::Stalled { iterations: iters, window });
+                return aborted(
+                    iters,
+                    LpError::Stalled {
+                        iterations: iters,
+                        window,
+                    },
+                );
             }
             PhaseEnd::Unbounded => unreachable!("phase 1 objective is bounded below by 0"),
             PhaseEnd::Optimal => {}
@@ -773,15 +786,23 @@ fn solve_core(model: &Model, opts: &SimplexOptions) -> (Solution, Option<LpError
         PhaseEnd::Unbounded => (Status::Unbounded, Some(LpError::Unbounded)),
         PhaseEnd::IterationLimit => (
             Status::IterationLimit,
-            Some(LpError::IterationLimit { iterations: engine.iterations }),
+            Some(LpError::IterationLimit {
+                iterations: engine.iterations,
+            }),
         ),
         PhaseEnd::TimeLimit { elapsed_ms } => (
             Status::IterationLimit,
-            Some(LpError::TimeLimit { elapsed_ms, iterations: engine.iterations }),
+            Some(LpError::TimeLimit {
+                elapsed_ms,
+                iterations: engine.iterations,
+            }),
         ),
         PhaseEnd::Stalled { window } => (
             Status::IterationLimit,
-            Some(LpError::Stalled { iterations: engine.iterations, window }),
+            Some(LpError::Stalled {
+                iterations: engine.iterations,
+                window,
+            }),
         ),
     };
 
@@ -851,16 +872,15 @@ pub fn try_solve_with(model: &Model, opts: &SimplexOptions) -> Result<Solution, 
 }
 
 /// Numerical-health checks on a claimed optimum.
-fn health_check(
-    model: &Model,
-    opts: &SimplexOptions,
-    solution: &Solution,
-) -> Result<(), LpError> {
+fn health_check(model: &Model, opts: &SimplexOptions, solution: &Solution) -> Result<(), LpError> {
     let _check_span = obs::span("lp.residual_check");
     let residual = model.max_violation(&solution.x);
     // NaN residuals must also trip the check, hence the explicit test.
     if residual.is_nan() || residual > opts.max_residual {
-        return Err(LpError::ResidualBlowup { residual, limit: opts.max_residual });
+        return Err(LpError::ResidualBlowup {
+            residual,
+            limit: opts.max_residual,
+        });
     }
     if opts.verify_duality {
         let cert = crate::verify::certify(model, solution);
@@ -871,7 +891,10 @@ fn health_check(
                 .max(cert.dual_violation)
                 .max(cert.gap)
                 .max(cert.comp_slackness);
-            return Err(LpError::CertificationFailed { worst_residual: worst, tol });
+            return Err(LpError::CertificationFailed {
+                worst_residual: worst,
+                tol,
+            });
         }
     }
     Ok(())
@@ -950,7 +973,11 @@ mod tests {
             if d == 0.0 {
                 assert_eq!(s, 0.0, "{what}: entry {i} must be zero, got {s:e}");
             } else {
-                assert_eq!(s.to_bits(), d.to_bits(), "{what}: entry {i}: {s:e} vs {d:e}");
+                assert_eq!(
+                    s.to_bits(),
+                    d.to_bits(),
+                    "{what}: entry {i}: {s:e} vs {d:e}"
+                );
             }
         }
     }
@@ -965,7 +992,13 @@ mod tests {
             } else {
                 // Diagonally dominant with exact zeros off the diagonal.
                 let a: Vec<f64> = (0..n * n)
-                    .map(|idx| if idx % (n + 1) == 0 { 2.0 * n as f64 } else { rng.value() })
+                    .map(|idx| {
+                        if idx % (n + 1) == 0 {
+                            2.0 * n as f64
+                        } else {
+                            rng.value()
+                        }
+                    })
                     .collect();
                 LuFactors::factorize(n, a).unwrap()
             };

@@ -49,8 +49,7 @@ impl TripletBuilder {
 
     /// Finalizes into CSC form, sorting and summing duplicates.
     pub fn build(mut self) -> CscMatrix {
-        self.entries
-            .sort_unstable_by_key(|a| (a.1, a.0));
+        self.entries.sort_unstable_by_key(|a| (a.1, a.0));
         let mut col_ptr = vec![0usize; self.cols + 1];
         let mut row_idx = Vec::with_capacity(self.entries.len());
         let mut values = Vec::with_capacity(self.entries.len());
@@ -129,10 +128,7 @@ impl CscMatrix {
     #[inline]
     pub fn column_dot(&self, j: usize, v: &[f64]) -> f64 {
         let (idx, vals) = self.column(j);
-        idx.iter()
-            .zip(vals)
-            .map(|(&i, &a)| a * v[i])
-            .sum()
+        idx.iter().zip(vals).map(|(&i, &a)| a * v[i]).sum()
     }
 
     /// Scatters column `j` into a dense vector: `out[i] += scale * a_ij`.

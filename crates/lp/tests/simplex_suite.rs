@@ -256,9 +256,7 @@ fn random_equality_lps_certify() {
         let n = rng.gen_range(3..9);
         let rows = rng.gen_range(1..n);
         let mut m = Model::new();
-        let vars: Vec<_> = (0..n)
-            .map(|_| m.add_var(rng.gen_range(0.0..5.0)))
-            .collect();
+        let vars: Vec<_> = (0..n).map(|_| m.add_var(rng.gen_range(0.0..5.0))).collect();
         let xstar: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..3.0)).collect();
         for _ in 0..rows {
             let mut terms = Vec::new();
@@ -283,9 +281,7 @@ fn presolve_matches_no_presolve() {
     for _ in 0..20 {
         let n = rng.gen_range(2..7);
         let mut m = Model::new();
-        let vars: Vec<_> = (0..n)
-            .map(|_| m.add_var(rng.gen_range(0.5..4.0)))
-            .collect();
+        let vars: Vec<_> = (0..n).map(|_| m.add_var(rng.gen_range(0.5..4.0))).collect();
         for &v in &vars {
             m.set_implied_upper(v, 1.0);
             m.add_le(vec![(v, 1.0)], 1.0); // makes the implied bound real

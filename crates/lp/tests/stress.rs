@@ -16,7 +16,9 @@ fn interval_shaped_lp(n: usize, l: usize, resources: usize, seed: u64) -> Model 
     let mut model = Model::new();
     // vars[k][u]
     let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(n);
-    let tau: Vec<f64> = (0..=l).map(|i| if i == 0 { 0.0 } else { (1 << (i - 1)) as f64 }).collect();
+    let tau: Vec<f64> = (0..=l)
+        .map(|i| if i == 0 { 0.0 } else { (1 << (i - 1)) as f64 })
+        .collect();
     for _ in 0..n {
         let weight = rng.gen_range(1.0..5.0);
         let per: Vec<VarId> = (1..=l)
@@ -92,8 +94,7 @@ fn pricing_rules_agree_at_scale() {
     assert_eq!(dantzig.status, Status::Optimal);
     assert_eq!(bland.status, Status::Optimal);
     assert!(
-        (dantzig.objective - bland.objective).abs()
-            < 1e-6 * (1.0 + dantzig.objective.abs()),
+        (dantzig.objective - bland.objective).abs() < 1e-6 * (1.0 + dantzig.objective.abs()),
         "{} vs {}",
         dantzig.objective,
         bland.objective
@@ -134,5 +135,9 @@ fn duals_price_capacity_correctly() {
     // Optimal: x = 4, y = 6, objective -18. Capacity dual = -1 (one more
     // unit of capacity lowers cost by 1 via y).
     assert!((sol.objective + 18.0).abs() < 1e-9);
-    assert!((sol.duals[cap.0] + 1.0).abs() < 1e-9, "dual {}", sol.duals[cap.0]);
+    assert!(
+        (sol.duals[cap.0] + 1.0).abs() < 1e-9,
+        "dual {}",
+        sol.duals[cap.0]
+    );
 }

@@ -26,10 +26,7 @@ use crate::matrix::{IntMatrix, Permutation};
 /// threshold, which is exactly what the original probe-per-threshold
 /// implementation returned — the output is unchanged, only the probe cost
 /// collapses.
-fn max_bottleneck_perfect_matching(
-    work: &IntMatrix,
-    hk: &mut HopcroftKarp,
-) -> Option<Permutation> {
+fn max_bottleneck_perfect_matching(work: &IntMatrix, hk: &mut HopcroftKarp) -> Option<Permutation> {
     let m = work.dim();
     // Candidate thresholds: the distinct nonzero entries.
     let mut values: Vec<u64> = work.nonzero_entries().map(|(_, _, v)| v).collect();

@@ -355,12 +355,7 @@ mod tests {
         let mut pair_u = vec![NIL; n];
         let mut pair_v = vec![NIL; m];
         let mut dist = vec![INF; n];
-        fn bfs(
-            g: &BipartiteGraph,
-            pair_u: &[usize],
-            pair_v: &[usize],
-            dist: &mut [u32],
-        ) -> bool {
+        fn bfs(g: &BipartiteGraph, pair_u: &[usize], pair_v: &[usize], dist: &mut [u32]) -> bool {
             let mut queue = Vec::new();
             let mut found = false;
             for u in 0..g.left_count() {

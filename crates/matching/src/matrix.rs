@@ -195,7 +195,12 @@ impl Add for &IntMatrix {
     type Output = IntMatrix;
     fn add(self, rhs: &IntMatrix) -> IntMatrix {
         assert_eq!(self.m, rhs.m, "matrix dimensions must agree");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect();
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a + b)
+            .collect();
         IntMatrix { m: self.m, data }
     }
 }
@@ -213,7 +218,12 @@ impl Sub for &IntMatrix {
     type Output = IntMatrix;
     fn sub(self, rhs: &IntMatrix) -> IntMatrix {
         assert_eq!(self.m, rhs.m, "matrix dimensions must agree");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect();
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a - b)
+            .collect();
         IntMatrix { m: self.m, data }
     }
 }

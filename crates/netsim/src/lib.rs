@@ -47,11 +47,11 @@ pub use fault::{
     AdversarialConfig, BlockedSlot, FaultEvent, FaultIndex, FaultPlan, FaultSim, SimError,
     SlotOutcome,
 };
-pub use snapshot::{FaultSimState, SnapshotError};
 pub use recorder::{
     record_flights, CoflowFlight, FlightEvent, FlightRecorder, PortSeries, RecorderConfig,
 };
 pub use render::{render_legend, render_svg_heatmap, render_timeline};
+pub use snapshot::{FaultSimState, SnapshotError};
 pub use stats::{trace_stats, TraceStats};
 pub use trace::{Run, ScheduleTrace, Transfer};
 pub use validate::{validate_trace, ValidationError};

@@ -45,7 +45,11 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
         (0, 0)
     } else {
         let lo = 1u64 << (index - 1);
-        let hi = if index == 64 { u64::MAX } else { (1u64 << index) - 1 };
+        let hi = if index == 64 {
+            u64::MAX
+        } else {
+            (1u64 << index) - 1
+        };
         (lo, hi)
     }
 }

@@ -79,7 +79,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn syntax(&self, message: impl Into<String>) -> JsonError {
-        JsonError { line: self.line, message: message.into() }
+        JsonError {
+            line: self.line,
+            message: message.into(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -170,9 +173,7 @@ impl<'a> Parser<'a> {
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
                     Some(c) => {
-                        return Err(
-                            self.syntax(format!("unsupported escape '\\{}'", c as char))
-                        )
+                        return Err(self.syntax(format!("unsupported escape '\\{}'", c as char)))
                     }
                     None => return Err(self.syntax("unterminated string")),
                 },
@@ -248,7 +249,11 @@ impl<'a> Parser<'a> {
 
 /// Parses a complete JSON document.
 pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0, line: 1 };
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+        line: 1,
+    };
     let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -288,7 +293,9 @@ mod tests {
     fn parses_nested_document() {
         let v = parse(r#"[3, [{"id": 0, "flows": [[1, 2, 5]], "w": 1.5}], true, null]"#)
             .expect("parse");
-        let JsonValue::Arr(items) = &v else { panic!("not an array") };
+        let JsonValue::Arr(items) = &v else {
+            panic!("not an array")
+        };
         assert_eq!(items[0], JsonValue::Num("3".into()));
         assert_eq!(items[2], JsonValue::Bool(true));
         assert_eq!(items[3], JsonValue::Null);

@@ -119,7 +119,9 @@ pub fn set_zero_provenance(on: bool) {
 /// True when provenance is zeroed (deterministic mode).
 pub fn provenance_zeroed() -> bool {
     ZERO_PROVENANCE.load(Ordering::Relaxed)
-        || std::env::var("COFLOW_PROVENANCE").map(|v| v == "zero").unwrap_or(false)
+        || std::env::var("COFLOW_PROVENANCE")
+            .map(|v| v == "zero")
+            .unwrap_or(false)
 }
 
 fn git_capture(args: &[&str]) -> Option<String> {
@@ -135,7 +137,10 @@ fn git_capture(args: &[&str]) -> Option<String> {
 /// revision is `unknown` and the tree counts as clean.
 pub fn git_provenance() -> Provenance {
     if provenance_zeroed() {
-        return Provenance { git_rev: "0000000000".to_string(), git_dirty: false };
+        return Provenance {
+            git_rev: "0000000000".to_string(),
+            git_dirty: false,
+        };
     }
     static CACHE: OnceLock<Provenance> = OnceLock::new();
     CACHE
@@ -297,7 +302,12 @@ fn parse_map_f64(v: &JsonValue, key: &str) -> Result<Vec<(String, f64)>, String>
                     .parse::<f64>()
                     .map(|n| (k.clone(), n))
                     .map_err(|_| format!("{}.{}: bad number", key, k)),
-                other => Err(format!("{}.{}: expected number, got {}", key, k, other.kind())),
+                other => Err(format!(
+                    "{}.{}: expected number, got {}",
+                    key,
+                    k,
+                    other.kind()
+                )),
             })
             .collect(),
         _ => Err(format!("missing object field {:?}", key)),
@@ -313,7 +323,12 @@ fn parse_map_u64(v: &JsonValue, key: &str) -> Result<Vec<(String, u64)>, String>
                     .parse::<u64>()
                     .map(|n| (k.clone(), n))
                     .map_err(|_| format!("{}.{}: bad integer", key, k)),
-                other => Err(format!("{}.{}: expected number, got {}", key, k, other.kind())),
+                other => Err(format!(
+                    "{}.{}: expected number, got {}",
+                    key,
+                    k,
+                    other.kind()
+                )),
             })
             .collect(),
         _ => Err(format!("missing object field {:?}", key)),
@@ -329,14 +344,18 @@ fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
 
 fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
     match v.get(key) {
-        Some(JsonValue::Num(s)) => s.parse().map_err(|_| format!("field {:?}: bad integer", key)),
+        Some(JsonValue::Num(s)) => s
+            .parse()
+            .map_err(|_| format!("field {:?}: bad integer", key)),
         _ => Err(format!("missing numeric field {:?}", key)),
     }
 }
 
 fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
     match v.get(key) {
-        Some(JsonValue::Num(s)) => s.parse().map_err(|_| format!("field {:?}: bad number", key)),
+        Some(JsonValue::Num(s)) => s
+            .parse()
+            .map_err(|_| format!("field {:?}: bad number", key)),
         _ => Err(format!("missing numeric field {:?}", key)),
     }
 }
@@ -380,7 +399,11 @@ pub fn parse_record(line: &str) -> Result<LedgerRecord, String> {
                 .iter()
                 .map(|(k, val)| match val {
                     JsonValue::Str(s) => Ok((k.clone(), s.clone())),
-                    other => Err(format!("verdicts.{}: expected string, got {}", k, other.kind())),
+                    other => Err(format!(
+                        "verdicts.{}: expected string, got {}",
+                        k,
+                        other.kind()
+                    )),
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("missing object field \"verdicts\"".to_string()),
@@ -418,8 +441,8 @@ pub fn validate_stream(text: &str) -> Result<u64, String> {
 /// Loads every record of a ledger file, oldest first. A missing file is an
 /// error — callers that tolerate an absent ledger check existence first.
 pub fn load(path: &str) -> Result<Vec<LedgerRecord>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read ledger {}: {}", path, e))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read ledger {}: {}", path, e))?;
     let mut records = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -491,7 +514,10 @@ mod tests {
             peak_rss_kb: 45000,
             peak_live_bytes: 9_000_000,
             alloc_calls: 1_200_000,
-            stages_ms: vec![("lp_solve".to_string(), 105.5), ("simulate".to_string(), 65.25)],
+            stages_ms: vec![
+                ("lp_solve".to_string(), 105.5),
+                ("simulate".to_string(), 65.25),
+            ],
             stage_allocs: vec![("lp_solve".to_string(), 4000)],
             stage_alloc_bytes: vec![("lp_solve".to_string(), 65536)],
             objectives: vec![("H_LP/d".to_string(), 6950481.0)],

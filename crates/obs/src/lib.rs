@@ -172,7 +172,9 @@ pub struct Registry {
 
 fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(|| Registry { inner: Mutex::new(Inner::new()) })
+    GLOBAL.get_or_init(|| Registry {
+        inner: Mutex::new(Inner::new()),
+    })
 }
 
 /// Locks the registry, recovering from a poisoned lock (a panicking
@@ -259,12 +261,21 @@ pub fn instant(name: &'static str) {
     let tid = thread_id();
     let now = Instant::now();
     let mut inner = locked();
-    let ts = now.checked_duration_since(inner.epoch).unwrap_or(Duration::ZERO);
+    let ts = now
+        .checked_duration_since(inner.epoch)
+        .unwrap_or(Duration::ZERO);
     if inner.instants.len() < MAX_INSTANTS {
-        inner.instants.push(InstantEvent { name, tid, ts_us: ts.as_micros() as u64 });
+        inner.instants.push(InstantEvent {
+            name,
+            tid,
+            ts_us: ts.as_micros() as u64,
+        });
     } else {
         inner.instants_dropped += 1;
-        *inner.counters.entry("obs.trace.instants_dropped").or_insert(0) += 1;
+        *inner
+            .counters
+            .entry("obs.trace.instants_dropped")
+            .or_insert(0) += 1;
     }
 }
 
@@ -284,10 +295,18 @@ pub struct SpanGuard {
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
-        return SpanGuard { start: None, name, mem: None };
+        return SpanGuard {
+            start: None,
+            name,
+            mem: None,
+        };
     }
     SPAN_STACK.with(|s| s.borrow_mut().push(name));
-    SpanGuard { start: Some(Instant::now()), name, mem: Some(alloc::span_enter()) }
+    SpanGuard {
+        start: Some(Instant::now()),
+        name,
+        mem: Some(alloc::span_enter()),
+    }
 }
 
 impl Drop for SpanGuard {
@@ -335,7 +354,10 @@ impl Drop for SpanGuard {
             // Surface the overflow as a counter so reports (not just the
             // summary footer) record that the flame view is truncated.
             inner.events_dropped += 1;
-            *inner.counters.entry("obs.trace.events_dropped").or_insert(0) += 1;
+            *inner
+                .counters
+                .entry("obs.trace.events_dropped")
+                .or_insert(0) += 1;
         }
     }
 }
@@ -472,7 +494,11 @@ impl Snapshot {
 pub fn snapshot() -> Snapshot {
     let inner = locked();
     Snapshot {
-        counters: inner.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
+        counters: inner
+            .counters
+            .iter()
+            .map(|(&k, &v)| (k.to_string(), v))
+            .collect(),
         histograms: inner
             .histograms
             .iter()
@@ -480,7 +506,11 @@ pub fn snapshot() -> Snapshot {
             .collect(),
         spans: inner.span_agg.clone(),
         span_mem: inner.span_mem.clone(),
-        series: inner.series.iter().map(|(&k, v)| (k.to_string(), v.clone())).collect(),
+        series: inner
+            .series
+            .iter()
+            .map(|(&k, v)| (k.to_string(), v.clone()))
+            .collect(),
         alloc: alloc::stats(),
         peak_rss_kb: alloc::peak_rss_kb(),
         events: inner.events.clone(),
@@ -500,8 +530,7 @@ pub fn summary() -> String {
 /// trace-event JSON.
 pub fn chrome_trace() -> String {
     let snap = snapshot();
-    let counters: Vec<(String, u64)> =
-        snap.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+    let counters: Vec<(String, u64)> = snap.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
     sink::render_chrome_trace_full(&snap.events, &snap.instants, &counters)
 }
 
@@ -539,7 +568,10 @@ mod tests {
 
     #[test]
     fn span_stat_total_ms_converts() {
-        let s = SpanStat { count: 2, total_ns: 3_500_000 };
+        let s = SpanStat {
+            count: 2,
+            total_ns: 3_500_000,
+        };
         assert!((s.total_ms() - 3.5).abs() < 1e-12);
     }
 }

@@ -42,7 +42,11 @@ impl Series {
     /// Creates an empty series holding at most `cap` samples (min 2, so
     /// first and last can always coexist).
     pub fn with_capacity(cap: usize) -> Self {
-        Series { cap: cap.max(2), decimations: 0, samples: Vec::new() }
+        Series {
+            cap: cap.max(2),
+            decimations: 0,
+            samples: Vec::new(),
+        }
     }
 
     /// Appends a sample, decimating 2× first if the series is full.

@@ -215,10 +215,18 @@ mod tests {
 
     #[test]
     fn full_trace_renders_instants_and_degenerates_without_them() {
-        let events = vec![SpanEvent { path: "a".into(), tid: 1, ts_us: 0, dur_us: 2 }];
+        let events = vec![SpanEvent {
+            path: "a".into(),
+            tid: 1,
+            ts_us: 0,
+            dur_us: 2,
+        }];
         let counters = vec![("c".to_string(), 1u64)];
-        let instants =
-            vec![InstantEvent { name: "diag.anomaly.starvation", tid: 3, ts_us: 42 }];
+        let instants = vec![InstantEvent {
+            name: "diag.anomaly.starvation",
+            tid: 3,
+            ts_us: 42,
+        }];
         let with = render_chrome_trace_full(&events, &instants, &counters);
         assert!(with.contains("\"ph\":\"i\""));
         assert!(with.contains("\"name\":\"diag.anomaly.starvation\""));
@@ -236,11 +244,17 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.spans.insert(
             "outer".into(),
-            SpanStat { count: 1, total_ns: 2_000_000 },
+            SpanStat {
+                count: 1,
+                total_ns: 2_000_000,
+            },
         );
         snap.spans.insert(
             "outer/inner".into(),
-            SpanStat { count: 3, total_ns: 1_000_000 },
+            SpanStat {
+                count: 3,
+                total_ns: 1_000_000,
+            },
         );
         let s = render_summary(&snap);
         let lines: Vec<&str> = s.lines().collect();

@@ -198,9 +198,14 @@ pub fn active() -> bool {
 /// activates telemetry. Appending keeps restarted runs in one stream;
 /// every line is self-contained so mixed runs still validate.
 pub fn install(path: &str) -> Result<(), ObsError> {
-    let file = OpenOptions::new().create(true).append(true).open(path).map_err(|e| {
-        ObsError::Io { path: path.to_string(), message: e.to_string() }
-    })?;
+    let file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| ObsError::Io {
+            path: path.to_string(),
+            message: e.to_string(),
+        })?;
     let mut guard = sink_locked();
     *guard = Some(SinkState {
         file,
@@ -292,7 +297,10 @@ pub fn emit(sample: &Sample<'_>) {
     };
     state.seq += 1;
     let line = render_line(&hb);
-    let ok = state.file.write_all(line.as_bytes()).and_then(|()| state.file.flush());
+    let ok = state
+        .file
+        .write_all(line.as_bytes())
+        .and_then(|()| state.file.flush());
     if ok.is_err() {
         // Disk gone or fd closed: stop trying, keep scheduling.
         drop(guard);

@@ -183,7 +183,10 @@ fn chrome_trace_sink_matches_golden_file() {
     let rendered = obs::render_chrome_trace(&events, &counters);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
         std::fs::write(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_trace.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/chrome_trace.json"
+            ),
             &rendered,
         )
         .unwrap();

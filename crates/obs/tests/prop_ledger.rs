@@ -29,9 +29,12 @@ impl Lcg {
     /// Random word over a hostile alphabet — quotes, backslashes, control
     /// characters, non-ASCII, JSON structure characters.
     fn word(&mut self, len: u64) -> String {
-        const ALPHABET: [char; 12] =
-            ['a', '"', '\\', '\n', '\t', '\u{1}', 'é', '→', ' ', '/', '{', '}'];
-        (0..len).map(|_| ALPHABET[(self.step() % ALPHABET.len() as u64) as usize]).collect()
+        const ALPHABET: [char; 12] = [
+            'a', '"', '\\', '\n', '\t', '\u{1}', 'é', '→', ' ', '/', '{', '}',
+        ];
+        (0..len)
+            .map(|_| ALPHABET[(self.step() % ALPHABET.len() as u64) as usize])
+            .collect()
     }
 }
 
@@ -40,7 +43,11 @@ fn seeded_record(seed: u64, seq: u64) -> LedgerRecord {
     let mut rec = LedgerRecord {
         seq,
         ts: g.step(),
-        kind: if g.step().is_multiple_of(2) { "run".to_string() } else { "verdict".to_string() },
+        kind: if g.step().is_multiple_of(2) {
+            "run".to_string()
+        } else {
+            "verdict".to_string()
+        },
         command: String::new(),
         label: String::new(),
         seed: g.step(),

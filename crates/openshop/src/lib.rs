@@ -146,10 +146,7 @@ mod tests {
     fn objective_computation() {
         let inst = OpenShopInstance::new(
             1,
-            vec![
-                Job::new(0, vec![1]),
-                Job::new(1, vec![2]).with_weight(3.0),
-            ],
+            vec![Job::new(0, vec![1]), Job::new(1, vec![2]).with_weight(3.0)],
         );
         assert_eq!(inst.objective(&[1, 3]), 1.0 + 9.0);
     }

@@ -61,7 +61,8 @@ pub fn primal_dual_order(shop: &OpenShopInstance) -> Vec<usize> {
                     _ => {}
                 }
             }
-            let (j_star, theta) = best.unwrap_or_else(|| unreachable!("max-load machine has a nonzero job"));
+            let (j_star, theta) =
+                best.unwrap_or_else(|| unreachable!("max-load machine has a nonzero job"));
             // Dual update: pay theta per unit of mu-processing.
             for j in 0..n {
                 if remaining[j] && j != j_star {
@@ -138,10 +139,7 @@ mod tests {
 
     #[test]
     fn handles_empty_jobs_gracefully() {
-        let shop = OpenShopInstance::new(
-            2,
-            vec![Job::new(0, vec![0, 0]), Job::new(1, vec![3, 1])],
-        );
+        let shop = OpenShopInstance::new(2, vec![Job::new(0, vec![0, 0]), Job::new(1, vec![3, 1])]);
         let order = primal_dual_order(&shop);
         assert_eq!(order.len(), 2);
         let sched = permutation_schedule(&shop, &order);

@@ -150,10 +150,7 @@ mod tests {
     fn releases_stall_machines() {
         let shop = OpenShopInstance::new(
             1,
-            vec![
-                Job::new(0, vec![1]),
-                Job::new(1, vec![1]).with_release(10),
-            ],
+            vec![Job::new(0, vec![1]), Job::new(1, vec![1]).with_release(10)],
         );
         let sched = permutation_schedule(&shop, &[0, 1]);
         assert_eq!(sched.completions, vec![1, 11]);
@@ -162,10 +159,7 @@ mod tests {
     #[test]
     fn zero_processing_machines_are_skipped() {
         // Machine 1 has p = 0 for job 0, so job 0 must not wait on it.
-        let shop = OpenShopInstance::new(
-            2,
-            vec![Job::new(0, vec![2, 0]), Job::new(1, vec![0, 3])],
-        );
+        let shop = OpenShopInstance::new(2, vec![Job::new(0, vec![2, 0]), Job::new(1, vec![0, 3])]);
         let sched = permutation_schedule(&shop, &[1, 0]);
         // They use disjoint machines: completions independent of order.
         assert_eq!(sched.completions, vec![2, 3]);

@@ -8,23 +8,21 @@ use proptest::prelude::*;
 
 fn shop_strategy() -> impl Strategy<Value = OpenShopInstance> {
     (1usize..4, 1usize..6).prop_flat_map(|(m, n)| {
-        proptest::collection::vec(
-            (proptest::collection::vec(0u64..6, m), 1u64..5),
-            n..=n,
+        proptest::collection::vec((proptest::collection::vec(0u64..6, m), 1u64..5), n..=n).prop_map(
+            move |jobs| {
+                let jobs = jobs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, (mut p, w))| {
+                        if p.iter().all(|&x| x == 0) {
+                            p[0] = 1;
+                        }
+                        Job::new(id, p).with_weight(w as f64)
+                    })
+                    .collect();
+                OpenShopInstance::new(m, jobs)
+            },
         )
-        .prop_map(move |jobs| {
-            let jobs = jobs
-                .into_iter()
-                .enumerate()
-                .map(|(id, (mut p, w))| {
-                    if p.iter().all(|&x| x == 0) {
-                        p[0] = 1;
-                    }
-                    Job::new(id, p).with_weight(w as f64)
-                })
-                .collect();
-            OpenShopInstance::new(m, jobs)
-        })
     })
 }
 

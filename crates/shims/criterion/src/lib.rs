@@ -35,7 +35,10 @@ pub struct SampleStats {
 
 /// Computes [`SampleStats`] for a non-empty set of timed samples.
 pub fn summarize(results: &[Duration]) -> SampleStats {
-    assert!(!results.is_empty(), "summarize requires at least one sample");
+    assert!(
+        !results.is_empty(),
+        "summarize requires at least one sample"
+    );
     let mut ns: Vec<u128> = results.iter().map(Duration::as_nanos).collect();
     ns.sort_unstable();
     let n = ns.len();
@@ -76,12 +79,16 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// `function_name/parameter` identifier.
     pub fn new(function_name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: format!("{}/{}", function_name.into(), parameter) }
+        BenchmarkId {
+            id: format!("{}/{}", function_name.into(), parameter),
+        }
     }
 
     /// Identifier that is just the parameter.
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
+        BenchmarkId {
+            id: parameter.to_string(),
+        }
     }
 }
 
@@ -145,7 +152,8 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id);
-        self.criterion.run_one(&full, self.sample_size, |b| f(b, input));
+        self.criterion
+            .run_one(&full, self.sample_size, |b| f(b, input));
         self
     }
 
@@ -160,7 +168,11 @@ pub struct Criterion {}
 impl Criterion {
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.into(), sample_size: 20 }
+        BenchmarkGroup {
+            criterion: self,
+            name: name.into(),
+            sample_size: 20,
+        }
     }
 
     /// Runs `f` as a stand-alone benchmark.
@@ -170,7 +182,10 @@ impl Criterion {
     }
 
     fn run_one<F: FnMut(&mut Bencher)>(&mut self, id: &str, samples: usize, mut f: F) {
-        let mut bencher = Bencher { samples, results: Vec::new() };
+        let mut bencher = Bencher {
+            samples,
+            results: Vec::new(),
+        };
         f(&mut bencher);
         if bencher.results.is_empty() {
             println!("{:<40} (no measurement)", id);
@@ -190,7 +205,11 @@ impl Criterion {
             if !path.is_empty() {
                 use std::io::Write as _;
                 let line = json_line(id, &stats);
-                match std::fs::OpenOptions::new().create(true).append(true).open(&path) {
+                match std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                {
                     Ok(mut f) => {
                         if let Err(e) = writeln!(f, "{}", line) {
                             eprintln!("criterion shim: writing {}: {}", path, e);
@@ -305,10 +324,8 @@ mod tests {
 
     #[test]
     fn json_env_appends_one_line_per_benchmark() {
-        let path = std::env::temp_dir().join(format!(
-            "criterion_shim_test_{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("criterion_shim_test_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         std::env::set_var("CRITERION_JSON", &path);
         let mut c = Criterion::default();
@@ -322,8 +339,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // Other tests running concurrently may also emit lines while the
         // env var is set; assert only on this test's benchmarks.
-        let a: Vec<&str> = content.lines().filter(|l| l.contains("\"id\": \"g/a\"")).collect();
-        let b: Vec<&str> = content.lines().filter(|l| l.contains("\"id\": \"g/b\"")).collect();
+        let a: Vec<&str> = content
+            .lines()
+            .filter(|l| l.contains("\"id\": \"g/a\""))
+            .collect();
+        let b: Vec<&str> = content
+            .lines()
+            .filter(|l| l.contains("\"id\": \"g/b\""))
+            .collect();
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         assert!(a[0].contains("\"median_ns\": "));

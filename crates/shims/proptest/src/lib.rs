@@ -236,21 +236,30 @@ pub mod collection {
 
     impl From<usize> for SizeRange {
         fn from(n: usize) -> Self {
-            SizeRange { lo: n, hi_inclusive: n }
+            SizeRange {
+                lo: n,
+                hi_inclusive: n,
+            }
         }
     }
 
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi_inclusive: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi_inclusive: r.end - 1,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
             assert!(r.start() <= r.end(), "empty size range");
-            SizeRange { lo: *r.start(), hi_inclusive: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi_inclusive: *r.end(),
+            }
         }
     }
 
@@ -263,15 +272,17 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-            let len =
-                rand::Rng::gen_range(rng, self.size.lo..=self.size.hi_inclusive);
+            let len = rand::Rng::gen_range(rng, self.size.lo..=self.size.hi_inclusive);
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }
 
     /// Generates vectors of `element` values with a length in `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 }
 
@@ -292,12 +303,7 @@ pub fn __case_seed(test_name: &str, case: u32) -> u64 {
 }
 
 #[doc(hidden)]
-pub fn __run_case<V: std::fmt::Debug>(
-    test_name: &str,
-    case: u32,
-    values: V,
-    body: impl FnOnce(V),
-) {
+pub fn __run_case<V: std::fmt::Debug>(test_name: &str, case: u32, values: V, body: impl FnOnce(V)) {
     let rendered = format!("{:?}", values);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || body(values)));
     if let Err(payload) = result {

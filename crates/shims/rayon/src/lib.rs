@@ -169,12 +169,7 @@ mod tests {
         let inner = [1usize, 2, 3];
         let out: Vec<usize> = outer
             .par_iter()
-            .flat_map(|&o| {
-                inner
-                    .par_iter()
-                    .map(move |&i| o + i)
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|&o| inner.par_iter().map(move |&i| o + i).collect::<Vec<_>>())
             .collect();
         assert_eq!(out, vec![11, 12, 13, 21, 22, 23]);
     }

@@ -102,7 +102,11 @@ mod tests {
         let mut samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = samples[n / 2];
-        assert!((median - 2f64.exp()).abs() / 2f64.exp() < 0.1, "median {}", median);
+        assert!(
+            (median - 2f64.exp()).abs() / 2f64.exp() < 0.1,
+            "median {}",
+            median
+        );
     }
 
     #[test]

@@ -55,10 +55,24 @@ impl fmt::Display for TraceError {
             TraceError::Syntax { line, message } => {
                 write!(f, "line {}: {}", line, message)
             }
-            TraceError::BadField { line, field, value, message } => {
-                write!(f, "line {}: field '{}' = {:?}: {}", line, field, value, message)
+            TraceError::BadField {
+                line,
+                field,
+                value,
+                message,
+            } => {
+                write!(
+                    f,
+                    "line {}: field '{}' = {:?}: {}",
+                    line, field, value, message
+                )
             }
-            TraceError::PortRange { line, field, value, ports } => {
+            TraceError::PortRange {
+                line,
+                field,
+                value,
+                ports,
+            } => {
                 write!(
                     f,
                     "line {}: field '{}' = {} out of range for {}-port fabric",

@@ -61,7 +61,7 @@ impl Default for TraceConfig {
             ports: FACEBOOK_RACKS,
             num_coflows: 120,
             seed: 0xFB_2010,
-            flow_size_mu: 2.3,   // median ~10 MB
+            flow_size_mu: 2.3, // median ~10 MB
             flow_size_sigma: 1.3,
             max_flow_size: 2048,
             fanout_alpha: 0.9,
@@ -202,7 +202,11 @@ mod tests {
         let narrow = widths.iter().filter(|&&w| w < 30).count();
         let wide = widths.iter().filter(|&&w| w >= 50).count();
         assert!(narrow > 100, "expected many narrow coflows, got {}", narrow);
-        assert!(wide > 10, "expected some cluster-wide coflows, got {}", wide);
+        assert!(
+            wide > 10,
+            "expected some cluster-wide coflows, got {}",
+            wide
+        );
     }
 
     #[test]

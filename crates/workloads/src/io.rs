@@ -347,12 +347,14 @@ fn check_ports(line: usize, src: usize, dst: usize, ports: usize) -> Result<(), 
 
 /// Adds a flow's units to its coflow's running total, refusing overflow.
 fn add_units(line: usize, total: u64, units: u64) -> Result<u64, TraceError> {
-    total.checked_add(units).ok_or_else(|| TraceError::BadField {
-        line,
-        field: "mb".to_string(),
-        value: units.to_string(),
-        message: "the coflow's units overflow u64".to_string(),
-    })
+    total
+        .checked_add(units)
+        .ok_or_else(|| TraceError::BadField {
+            line,
+            field: "mb".to_string(),
+            value: units.to_string(),
+            message: "the coflow's units overflow u64".to_string(),
+        })
 }
 
 /// The demand of a coflow's checked flows (in range, total in `u64`).

@@ -13,8 +13,10 @@ pub use obs::json::{fmt_f64, quote, JsonValue};
 /// Parses a complete JSON document, mapping syntax errors (with their
 /// 1-based source line) into [`TraceError::Syntax`].
 pub fn parse(s: &str) -> Result<JsonValue, TraceError> {
-    obs::json::parse(s)
-        .map_err(|e| TraceError::Syntax { line: e.line, message: e.message })
+    obs::json::parse(s).map_err(|e| TraceError::Syntax {
+        line: e.line,
+        message: e.message,
+    })
 }
 
 #[cfg(test)]
@@ -32,6 +34,9 @@ mod tests {
         let v = parse(r#"{"w": 1.5, "ids": [1, 2]}"#).expect("parse");
         assert_eq!(v.get("w"), Some(&JsonValue::Num("1.5".into())));
         assert_eq!(fmt_f64(0.1).parse::<f64>().unwrap(), 0.1);
-        assert_eq!(parse(&quote("a\"b")).unwrap(), JsonValue::Str("a\"b".into()));
+        assert_eq!(
+            parse(&quote("a\"b")).unwrap(),
+            JsonValue::Str("a\"b".into())
+        );
     }
 }

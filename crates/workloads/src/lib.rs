@@ -28,6 +28,5 @@ pub use filters::{assign_weights, filter_by_width, WeightScheme};
 pub use stats::{render_stats, trace_stats, TraceStats};
 pub use stream::{CoflowStream, SparseCoflow, StreamConfig};
 pub use synthetic::{
-    appendix_b_instance, random_diagonal_instance, random_instance,
-    random_instance_with_releases,
+    appendix_b_instance, random_diagonal_instance, random_instance, random_instance_with_releases,
 };

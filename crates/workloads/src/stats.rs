@@ -40,11 +40,7 @@ pub fn trace_stats(instance: &Instance) -> TraceStats {
     assert!(n > 0, "empty trace");
     let mut widths: Vec<usize> = instance.coflows().iter().map(Coflow::width).collect();
     widths.sort_unstable();
-    let mut sizes: Vec<u64> = instance
-        .coflows()
-        .iter()
-        .map(Coflow::total_units)
-        .collect();
+    let mut sizes: Vec<u64> = instance.coflows().iter().map(Coflow::total_units).collect();
     sizes.sort_unstable();
 
     let total: u64 = sizes.iter().sum();
@@ -163,10 +159,7 @@ mod tests {
     #[test]
     fn skew_of_single_flow_coflows_is_m() {
         // One nonzero entry: rho = total, so skew = m.
-        let inst = Instance::new(
-            4,
-            vec![Coflow::new(0, IntMatrix::diagonal(&[7, 0, 0, 0]))],
-        );
+        let inst = Instance::new(4, vec![Coflow::new(0, IntMatrix::diagonal(&[7, 0, 0, 0]))]);
         let s = trace_stats(&inst);
         assert!((s.mean_skew - 4.0).abs() < 1e-9);
     }

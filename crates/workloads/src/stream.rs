@@ -136,7 +136,11 @@ impl CoflowStream {
     /// uniform over the fabric otherwise, rejecting duplicates.
     fn draw_endpoints(&mut self, count: usize, rack_lo: usize, rack_hi: usize, into_src: bool) {
         let m = self.cfg.ports;
-        let out = if into_src { &mut self.src } else { &mut self.dst };
+        let out = if into_src {
+            &mut self.src
+        } else {
+            &mut self.dst
+        };
         out.clear();
         while out.len() < count {
             let p = if self.cfg.rack_size > 0
@@ -236,8 +240,7 @@ mod tests {
     #[test]
     fn flows_are_distinct_pairs_within_bounds() {
         for c in CoflowStream::new(small_cfg()) {
-            let mut pairs: Vec<(usize, usize)> =
-                c.flows.iter().map(|&(i, j, _)| (i, j)).collect();
+            let mut pairs: Vec<(usize, usize)> = c.flows.iter().map(|&(i, j, _)| (i, j)).collect();
             let len = pairs.len();
             pairs.sort_unstable();
             pairs.dedup();

@@ -7,13 +7,7 @@ use rand::{Rng, SeedableRng};
 
 /// Uniform random instance: each coflow has `density · m²` expected nonzero
 /// flows with sizes in `1..=max_size`.
-pub fn random_instance(
-    m: usize,
-    n: usize,
-    density: f64,
-    max_size: u64,
-    seed: u64,
-) -> Instance {
+pub fn random_instance(m: usize, n: usize, density: f64, max_size: u64, seed: u64) -> Instance {
     assert!((0.0..=1.0).contains(&density));
     let mut rng = StdRng::seed_from_u64(seed);
     let coflows = (0..n)

@@ -8,22 +8,24 @@ use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = TraceConfig> {
     (
-        2usize..12,  // ports
-        1usize..16,  // coflows
+        2usize..12, // ports
+        1usize..16, // coflows
         any::<u64>(),
-        1u64..64,    // max flow size
+        1u64..64, // max flow size
         prop_oneof![Just(true), Just(false)],
     )
-        .prop_map(|(ports, num_coflows, seed, max_flow_size, zero_release)| TraceConfig {
-            ports,
-            num_coflows,
-            seed,
-            max_flow_size,
-            zero_release,
-            flow_size_mu: 0.8,
-            flow_size_sigma: 0.9,
-            ..TraceConfig::default()
-        })
+        .prop_map(
+            |(ports, num_coflows, seed, max_flow_size, zero_release)| TraceConfig {
+                ports,
+                num_coflows,
+                seed,
+                max_flow_size,
+                zero_release,
+                flow_size_mu: 0.8,
+                flow_size_sigma: 0.9,
+                ..TraceConfig::default()
+            },
+        )
 }
 
 proptest! {

@@ -50,7 +50,11 @@ fn main() {
 
     println!("{:<8} {:>12} {:>12}", "order", "case (a)", "case (d)");
     let mut denominator = f64::NAN;
-    for rule in [OrderRule::Arrival, OrderRule::LoadOverWeight, OrderRule::LpBased] {
+    for rule in [
+        OrderRule::Arrival,
+        OrderRule::LoadOverWeight,
+        OrderRule::LpBased,
+    ] {
         let order = compute_order(&weighted, rule);
         let base = run_with_order(&weighted, order.clone(), false, ExecOptions::paper(false));
         let best = run_with_order(&weighted, order, true, ExecOptions::paper(true));

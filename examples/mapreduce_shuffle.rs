@@ -38,7 +38,11 @@ fn main() {
         "{:<8} {:>5} {:>6} {:>7}   completion slots",
         "order", "group", "bkfill", "obj"
     );
-    for rule in [OrderRule::Arrival, OrderRule::LoadOverWeight, OrderRule::LpBased] {
+    for rule in [
+        OrderRule::Arrival,
+        OrderRule::LoadOverWeight,
+        OrderRule::LpBased,
+    ] {
         for (grouping, backfill) in [(false, false), (false, true), (true, false), (true, true)] {
             let spec = AlgorithmSpec {
                 order: rule,

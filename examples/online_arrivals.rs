@@ -44,7 +44,10 @@ fn main() {
 
     let offline = run(&instance, &AlgorithmSpec::algorithm2());
     verify_outcome(&instance, &offline).expect("valid");
-    let mut policy = PolicyRegistry::builtin().get("online").unwrap().build(&instance);
+    let mut policy = PolicyRegistry::builtin()
+        .get("online")
+        .unwrap()
+        .build(&instance);
     let online = run_policy(&instance, &mut *policy).expect("online is infallible");
     verify_outcome(&instance, &online).expect("valid");
     let bound = interval_lp_bound(&instance);

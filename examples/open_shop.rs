@@ -30,7 +30,10 @@ fn main() {
     let order = order_by_wspt_bottleneck(&shop);
     let sched = permutation_schedule(&shop, &order);
     println!("WSPT-bottleneck order {:?}", sched.order);
-    println!("completions {:?}, objective {}", sched.completions, sched.objective);
+    println!(
+        "completions {:?}, objective {}",
+        sched.completions, sched.objective
+    );
 
     // Exact optimum over all permutations (optimal for concurrent open shop).
     let best = best_permutation_objective(&shop);

@@ -14,7 +14,10 @@ fn main() {
     // The Figure 1 coflow: d[i][j] = data units from mapper i to reducer j.
     let shuffle = IntMatrix::from_nested(&[[1, 2], [2, 1]]);
     println!("coflow demand:\n{:?}", shuffle);
-    println!("load rho(D) = {} (lower bound on completion)", shuffle.load());
+    println!(
+        "load rho(D) = {} (lower bound on completion)",
+        shuffle.load()
+    );
 
     // Algorithm 1: decompose into matchings.
     let dec = bvn_decompose(&shuffle);
@@ -33,7 +36,10 @@ fn main() {
     let outcome = run(&instance, &AlgorithmSpec::algorithm2());
     verify_outcome(&instance, &outcome).expect("schedule must satisfy problem (O)");
 
-    println!("\ncompletion time: {} slots (optimal)", outcome.completions[0]);
+    println!(
+        "\ncompletion time: {} slots (optimal)",
+        outcome.completions[0]
+    );
     println!("total weighted completion time: {}", outcome.objective);
     assert_eq!(outcome.completions, vec![3]);
 }

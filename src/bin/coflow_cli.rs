@@ -138,7 +138,12 @@ fn parse_args() -> Args {
         match argv[i].as_str() {
             "--ports" => {
                 i += 1;
-                args.ports = Some(argv.get(i).unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage()));
+                args.ports = Some(
+                    argv.get(i)
+                        .unwrap_or_else(|| usage())
+                        .parse()
+                        .unwrap_or_else(|_| usage()),
+                );
             }
             "--order" => {
                 args.pipeline_flag.get_or_insert("--order");
@@ -165,8 +170,7 @@ fn parse_args() -> Args {
             }
             "--policy" => {
                 i += 1;
-                args.policy =
-                    Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
+                args.policy = Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
             }
             "--analyze" => args.do_analyze = true,
             "--explain" => args.do_explain = true,
@@ -174,27 +178,33 @@ fn parse_args() -> Args {
             "--profile" => args.profile = true,
             "--trace-out" => {
                 i += 1;
-                args.trace_out =
-                    Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
+                args.trace_out = Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
                 args.profile = true;
             }
             "--telemetry" => {
                 i += 1;
-                args.telemetry =
-                    Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
+                args.telemetry = Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
             }
             "--ledger" => {
                 i += 1;
-                args.ledger =
-                    Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
+                args.ledger = Some(argv.get(i).unwrap_or_else(|| usage()).to_string());
             }
             "--generate" => {
                 i += 1;
-                args.generate = Some(argv.get(i).unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage()));
+                args.generate = Some(
+                    argv.get(i)
+                        .unwrap_or_else(|| usage())
+                        .parse()
+                        .unwrap_or_else(|_| usage()),
+                );
             }
             "--seed" => {
                 i += 1;
-                args.seed = argv.get(i).unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage());
+                args.seed = argv
+                    .get(i)
+                    .unwrap_or_else(|| usage())
+                    .parse()
+                    .unwrap_or_else(|_| usage());
             }
             path if !path.starts_with('-') && args.trace_path.is_none() => {
                 args.trace_path = Some(path.to_string());
@@ -391,7 +401,12 @@ fn main() {
             println!("no anomalies detected");
         }
         for a in &d.anomalies {
-            println!("anomaly [{}] {}: {}", a.severity.name(), a.detector.name(), a.message);
+            println!(
+                "anomaly [{}] {}: {}",
+                a.severity.name(),
+                a.detector.name(),
+                a.message
+            );
         }
     }
 

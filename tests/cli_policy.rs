@@ -35,7 +35,10 @@ fn trace(name: &str) -> (PathBuf, String) {
 fn emitted_objective(out: &Output) -> f64 {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout.lines().nth(1).expect("objective line");
-    line.trim().trim_end_matches(',').parse().expect("objective")
+    line.trim()
+        .trim_end_matches(',')
+        .parse()
+        .expect("objective")
 }
 
 #[test]
@@ -91,7 +94,12 @@ fn pipeline_options_and_unknown_flags_are_usage_errors() {
         let mut argv = vec![path];
         argv.extend_from_slice(args);
         let out = cli(&argv);
-        assert_eq!(out.status.code(), Some(2), "{:?} must be a usage error", args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{:?} must be a usage error",
+            args
+        );
     }
     // The pipeline options still configure the default pipeline.
     let out = cli(&[path, "--order", "H_A", "--no-group", "--rematch"]);

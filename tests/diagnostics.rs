@@ -23,7 +23,12 @@ fn clean_pipeline_attributes_every_coflow_and_stays_silent() {
     assert_eq!(d.recorder.flights.len(), instance.len());
     for r in &d.per_coflow {
         let ratio = r.ratio.expect("clean runs attribute every coflow");
-        assert!(ratio >= 1.0 - 1e-9, "coflow {} ratio {} < 1", r.coflow, ratio);
+        assert!(
+            ratio >= 1.0 - 1e-9,
+            "coflow {} ratio {} < 1",
+            r.coflow,
+            ratio
+        );
         assert!(
             ratio <= coflow::DETERMINISTIC_RATIO + 1e-9,
             "coflow {} ratio {} exceeds 67/3",
@@ -73,7 +78,10 @@ fn fault_blocked_run_fires_starvation() {
         .iter()
         .filter(|a| a.detector == Detector::Starvation)
         .collect();
-    assert!(!starved.is_empty(), "blocked slots above threshold must fire");
+    assert!(
+        !starved.is_empty(),
+        "blocked slots above threshold must fire"
+    );
     for a in &starved {
         assert!(a.severity >= Severity::Warning);
         let k = a.coflow.expect("starvation is per-coflow");

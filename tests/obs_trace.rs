@@ -69,7 +69,10 @@ fn pipeline_chrome_trace_is_schema_valid() {
     let mut counter_names = Vec::new();
     for e in events {
         let ph = e.get("ph").and_then(str_of).expect("every event has ph");
-        let name = e.get("name").and_then(str_of).expect("every event has name");
+        let name = e
+            .get("name")
+            .and_then(str_of)
+            .expect("every event has name");
         assert!(
             e.get("pid").and_then(num_u64).is_some(),
             "every event has an integer pid"

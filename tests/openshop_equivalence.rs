@@ -1,13 +1,13 @@
 //! Cross-validation through the Appendix A reduction: concurrent open shop
 //! and diagonal-coflow scheduling must agree.
 
+use coflow::ordering::OrderRule;
 use coflow::sched::optimal::optimal_objective;
 use coflow::sched::{run, AlgorithmSpec};
-use coflow::ordering::OrderRule;
 use coflow::verify_outcome;
 use coflow_openshop::{
-    best_permutation_objective, coflow_to_open_shop, open_shop_to_coflow,
-    order_by_wspt_bottleneck, permutation_schedule, Job, OpenShopInstance,
+    best_permutation_objective, coflow_to_open_shop, open_shop_to_coflow, order_by_wspt_bottleneck,
+    permutation_schedule, Job, OpenShopInstance,
 };
 use coflow_workloads::random_diagonal_instance;
 
@@ -101,5 +101,8 @@ fn single_machine_case_matches_wspt_theory() {
         },
     );
     verify_outcome(&inst, &out).expect("valid");
-    assert_eq!(out.objective, 16.0, "H_rho sequential = WSPT on one machine");
+    assert_eq!(
+        out.objective, 16.0,
+        "H_rho sequential = WSPT on one machine"
+    );
 }

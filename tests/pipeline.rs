@@ -106,7 +106,9 @@ fn lower_bounds_hold_for_every_scheduler() {
     let outcomes = vec![
         run_with_order(&inst, order.clone(), true, ExecOptions::paper(true)).objective,
         run_with_order(&inst, order.clone(), true, rematch).objective,
-        run_policy(&inst, &mut GreedyPolicy::new(&inst, order)).unwrap().objective,
+        run_policy(&inst, &mut GreedyPolicy::new(&inst, order))
+            .unwrap()
+            .objective,
     ];
     for obj in outcomes {
         assert!(lp <= obj + 1e-6, "LP bound {} > objective {}", lp, obj);
