@@ -75,19 +75,14 @@ fn set_residual(snapshot: &mut EngineSnapshot, k: usize, residual: IntMatrix) {
 /// Replaces the first executed transfer with `(src, dst, coflow, units)`
 /// (adding one when nothing was executed).
 fn set_transfer(snapshot: &mut EngineSnapshot, src: usize, dst: usize, coflow: usize, units: u64) {
-    let transfer = Transfer {
-        src,
-        dst,
-        coflow,
-        units,
-    };
+    let transfer = Transfer::new(src, dst, coflow, units).expect("ids fit in u32");
     let executed = &mut snapshot.sim.executed;
     match executed.runs.first_mut() {
         Some(run) => run.transfers[0] = transfer,
         None => executed.push_run(Run {
             start: 1,
             duration: 1,
-            transfers: vec![transfer],
+            transfers: Box::new([transfer]),
         }),
     }
 }

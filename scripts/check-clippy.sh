@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Lint gate: library code must not contain unjustified unwrap()/expect().
+# Lint gate: the workspace must be rustfmt-clean, and library code must
+# not contain unjustified unwrap()/expect().
 # The seven library crates (incl. `obs`) opt in via
 #   #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 # so this command fails the build on any new panic-by-default call site
@@ -18,6 +19,8 @@ append_verdict() {
 }
 trap append_verdict EXIT
 
+# `benchmark/` is its own workspace, so `--all` leaves it alone.
+cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 STATUS=pass
