@@ -162,11 +162,12 @@ fn initial_totals(instance: &Instance) -> Vec<u64> {
 }
 
 /// Units delivered per coflow according to a snapshot's executed trace.
+/// A transfer's `units` already count every slot of its run.
 fn delivered_per_coflow(snapshot: &EngineSnapshot, n: usize) -> Vec<u64> {
     let mut delivered = vec![0u64; n];
     for run in &snapshot.sim.executed.runs {
         for t in &run.transfers {
-            delivered[t.coflow()] += t.units * run.duration;
+            delivered[t.coflow()] += t.units;
         }
     }
     delivered
@@ -749,6 +750,29 @@ mod tests {
         let broken = text.replacen("\"bit_identical\": true", "\"bit_identical\": false", 1);
         assert!(validate_chaos_json(&broken).is_err());
         assert!(validate_chaos_json("{\"schema\": \"other/9\"}").is_err());
+    }
+
+    #[test]
+    fn delivered_units_of_a_multi_slot_run_are_counted_once() {
+        let inst = tiny();
+        let plan = FaultPlan::default();
+        let mut policy = make_policy(&inst, "online", &SimplexOptions::default());
+        let mut engine = Engine::new(&inst, &plan);
+        let snapshot = loop {
+            assert!(
+                engine.step(policy.as_mut()).expect("clean step"),
+                "run ended"
+            );
+            let snapshot = engine.checkpoint(policy.as_ref()).expect("checkpoint");
+            if snapshot.sim.executed.runs.iter().any(|r| r.duration > 1) {
+                break snapshot;
+            }
+        };
+        let delivered = delivered_per_coflow(&snapshot, inst.len());
+        for (k, total) in initial_totals(&inst).into_iter().enumerate() {
+            let residual = snapshot.sim.remaining_total[k];
+            assert_eq!(delivered[k] + residual, total, "coflow {}", k);
+        }
     }
 
     #[test]

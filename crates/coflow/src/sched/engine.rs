@@ -770,9 +770,10 @@ impl<'a> Engine<'a> {
     /// Rebuilds an engine and its policy from a snapshot, validating the
     /// snapshot against `instance`: the fabric width, the coflow count and
     /// release dates, every executed transfer (ports `< m`, coflow `< n`,
-    /// at least one unit), and the residual demand — only on pairs the
-    /// instance demands, never above that demand, zero exactly for the
-    /// coflows marked complete or cancelled. The restored pair continues
+    /// at least one unit, no more units on a pair than its run lasts, runs
+    /// in order), and the residual demand — only on pairs the instance
+    /// demands, never above that demand, zero exactly for the coflows
+    /// marked complete or cancelled. The restored pair continues
     /// bit-identically to the checkpointed run.
     pub fn restore(
         instance: &'a Instance,

@@ -27,7 +27,9 @@ pub struct FaultyOutcome {
     /// Completion slot per coflow; `None` means the coflow was cancelled
     /// before completing.
     pub completions: Vec<Option<u64>>,
-    /// The slots actually executed (1-slot runs of delivered units).
+    /// The slots actually executed, run-length: each run is a maximal
+    /// stretch of consecutive slots that deliver the same units, and each
+    /// of its transfers moves one unit per slot of the run.
     pub executed: ScheduleTrace,
     /// `Σ w_k C_k` over the surviving (completed) coflows.
     pub objective: f64,
@@ -60,6 +62,11 @@ impl FaultyOutcome {
 /// coflow at its release date — and must equal the reported ones, and
 /// `Σ w·C` recomputed from them in coflow order must equal the reported
 /// objective bit for bit. Returns the first violation found.
+///
+/// The executed trace is checked run by run: each transfer must move one
+/// unit in every slot of its run, so a run repeats one matching, checked
+/// once. The link must be open in every slot of the run, the coflow
+/// released before its first slot and not cancelled by its last.
 pub fn verify_faulty_outcome(
     instance: &Instance,
     plan: &FaultPlan,
@@ -86,15 +93,34 @@ pub fn verify_faulty_outcome(
     let mut last_slot: Vec<u64> = vec![0; n];
     let mut src_used = vec![false; m];
     let mut dst_used = vec![false; m];
+    // The first slot after the previous run.
+    let mut free_from = 0;
     for run in &out.executed.runs {
-        if run.duration != 1 {
-            return Err(format!("executed run at {} is not 1 slot", run.start));
-        }
         let slot = run.start;
+        let end = run
+            .duration
+            .checked_sub(1)
+            .and_then(|d| slot.checked_add(d));
+        let Some(last) = end else {
+            return Err(format!(
+                "executed run at {} lasts {} slots",
+                slot, run.duration
+            ));
+        };
+        if slot < free_from {
+            return Err(format!(
+                "executed run at {} overlaps the previous run",
+                slot
+            ));
+        }
+        free_from = last.saturating_add(1);
         for t in &run.transfers {
             let (src, dst, k) = (t.src(), t.dst(), t.coflow());
-            if t.units != 1 {
-                return Err(format!("slot {}: multi-unit executed transfer", slot));
+            if t.units != run.duration {
+                return Err(format!(
+                    "slot {}: executed transfer of {} units in a {}-slot run",
+                    slot, t.units, run.duration
+                ));
             }
             if k >= n {
                 return Err(format!("slot {}: unknown coflow {}", slot, k));
@@ -110,22 +136,26 @@ pub fn verify_faulty_outcome(
             }
             src_used[src] = true;
             dst_used[dst] = true;
-            if !faults.pair_open(src, dst, slot) {
+            if let Some(closed) = faults.first_closed(src, dst, slot, last) {
                 return Err(format!(
                     "slot {}: delivered over faulted link ({}, {})",
-                    slot, src, dst
+                    closed, src, dst
                 ));
             }
             if instance.coflow(k).release >= slot {
                 return Err(format!("slot {}: coflow {} before release", slot, k));
             }
-            if faults.cancellation(k).is_some_and(|gone| slot >= gone) {
-                return Err(format!("slot {}: served cancelled coflow {}", slot, k));
+            if let Some(gone) = faults.cancellation(k).filter(|&gone| last >= gone) {
+                return Err(format!(
+                    "slot {}: served cancelled coflow {}",
+                    gone.max(slot),
+                    k
+                ));
             }
-            delivered[k] += 1;
-            last_slot[k] = last_slot[k].max(slot);
+            delivered[k] = delivered[k].saturating_add(t.units);
+            last_slot[k] = last_slot[k].max(last);
             match memo.find(&demand, k, src, dst) {
-                Some(e) => units[e] += 1,
+                Some(e) => units[e] = units[e].saturating_add(t.units),
                 None => {
                     stray[k].get_or_insert((src, dst));
                 }
@@ -452,22 +482,94 @@ mod tests {
     }
 
     #[test]
-    fn rejects_a_two_slot_executed_run() {
+    fn rejects_a_run_longer_than_its_transfers() {
         let instance = inst();
         let mut out = clean_outcome(&instance);
-        out.executed.runs[0].duration = 2;
+        let run = &mut out.executed.runs[0];
+        let units = run.duration;
+        run.duration += 1;
+        let want = format!(
+            "slot {}: executed transfer of {} units in a {}-slot run",
+            run.start,
+            units,
+            units + 1
+        );
         let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!("executed run at {} is not 1 slot", run_start(&out, 0));
         assert!(err.contains(&want), "{}", err);
     }
 
     #[test]
-    fn rejects_a_two_unit_transfer() {
+    fn rejects_a_transfer_longer_than_its_run() {
         let instance = inst();
         let mut out = clean_outcome(&instance);
-        out.executed.runs[0].transfers[0].units = 2;
+        let run = &mut out.executed.runs[0];
+        run.transfers[0].units += 1;
+        let want = format!(
+            "slot {}: executed transfer of {} units in a {}-slot run",
+            run.start,
+            run.duration + 1,
+            run.duration
+        );
         let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!("slot {}: multi-unit executed transfer", run_start(&out, 0));
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_a_zero_slot_run_and_overlapping_runs() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        out.executed.runs[0].duration = 0;
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("executed run at {} lasts 0 slots", run_start(&out, 0));
+        assert!(err.contains(&want), "{}", err);
+        let mut out = clean_outcome(&instance);
+        let first = out.executed.runs[0].clone();
+        out.executed.runs.insert(1, first);
+        let err = rejection(&instance, &FaultPlan::default(), &out);
+        let want = format!("executed run at {} overlaps", run_start(&out, 0));
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    /// The first executed run that lasts more than one slot.
+    fn long_run(out: &FaultyOutcome) -> &coflow_netsim::Run {
+        let long = out.executed.runs.iter().find(|r| r.duration > 1);
+        long.expect("the clean run holds a matching for two slots or more")
+    }
+
+    #[test]
+    fn rejects_an_outage_inside_a_run() {
+        let instance = inst();
+        let out = clean_outcome(&instance);
+        let run = long_run(&out);
+        let (last, t) = (run.start + run.duration - 1, run.transfers[0]);
+        // Only the run's last slot is down.
+        let plan = FaultPlan::new(vec![FaultEvent::EgressOutage {
+            port: t.dst(),
+            start: last,
+            end: last,
+        }]);
+        let err = rejection(&instance, &plan, &out);
+        let want = format!(
+            "slot {}: delivered over faulted link ({}, {})",
+            last,
+            t.src(),
+            t.dst()
+        );
+        assert!(err.contains(&want), "{}", err);
+    }
+
+    #[test]
+    fn rejects_a_cancellation_inside_a_run() {
+        let instance = inst();
+        let out = clean_outcome(&instance);
+        let run = long_run(&out);
+        let (last, t) = (run.start + run.duration - 1, run.transfers[0]);
+        let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled {
+            coflow: t.coflow(),
+            at: last,
+        }]);
+        let err = rejection(&instance, &plan, &out);
+        let want = format!("slot {}: served cancelled coflow {}", last, t.coflow());
         assert!(err.contains(&want), "{}", err);
     }
 
@@ -538,7 +640,7 @@ mod tests {
     fn rejects_a_coflow_neither_completed_nor_cancelled() {
         let instance = inst();
         let mut out = clean_outcome(&instance);
-        // Drop coflow 0's last delivered unit.
+        // Drop coflow 0's last delivered transfer.
         let run = out
             .executed
             .runs
@@ -552,11 +654,15 @@ mod tests {
             .rposition(|t| t.coflow() == 0)
             .expect("found above");
         let mut kept = run.transfers.to_vec();
-        kept.remove(last);
+        let dropped = kept.remove(last).units;
         run.transfers = kept.into();
         let total = instance.coflow(0).total_units();
         let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!("coflow 0: incomplete ({} of {} units)", total - 1, total);
+        let want = format!(
+            "coflow 0: incomplete ({} of {} units)",
+            total - dropped,
+            total
+        );
         assert!(err.contains(&want), "{}", err);
     }
 

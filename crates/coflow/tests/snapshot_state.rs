@@ -4,8 +4,11 @@
 //! `online` (its empty matching was held for about 2⁶⁴ slots) and panic the
 //! order-driven policies; an executed transfer from a port outside the
 //! fabric panicked the replay check; residual above the demand was
-//! over-delivered; and a coflow marked complete with residual demand
-//! finished as if the residual were not there. `Engine::restore` now
+//! over-delivered; a coflow marked complete with residual demand
+//! finished as if the residual were not there. An executed transfer
+//! longer than its run would lose its excess units when the restored
+//! trace is merged into maximal runs, and an executed run after the clock
+//! panicked the first slot the resumed run recorded. `Engine::restore` now
 //! answers each with a typed `SnapshotError`, for every checkpointing
 //! policy, and an intact checkpoint still resumes bit for bit.
 
@@ -91,7 +94,7 @@ type Doctor = fn(&mut EngineSnapshot);
 
 /// Each hostile edit of a valid checkpoint, and a fragment of the error
 /// that must refuse it.
-const CASES: [(&str, Doctor, &str); 9] = [
+const CASES: [(&str, Doctor, &str); 11] = [
     (
         "residual on a pair the coflow never demanded",
         |s| set_residual(s, 0, IntMatrix::from_nested(&[[0, 1], [0, 0]])),
@@ -142,6 +145,27 @@ const CASES: [(&str, Doctor, &str); 9] = [
         "executed transfer of zero units",
         |s| set_transfer(s, 0, 0, 0, 0),
         "outside the instance",
+    ),
+    (
+        "executed transfer longer than its run",
+        |s| {
+            let duration = s.sim.executed.runs.first().map_or(1, |r| r.duration);
+            set_transfer(s, 0, 0, 0, duration + 1);
+        },
+        "but lasts",
+    ),
+    (
+        "executed run after the clock",
+        |s| {
+            let transfer = Transfer::new(0, 0, 0, 1).expect("ids fit in u32");
+            let start = s.sim.now + 2;
+            s.sim.executed.runs.push(Run {
+                start,
+                duration: 1,
+                transfers: Box::new([transfer]),
+            });
+        },
+        "ends after the clock",
     ),
 ];
 

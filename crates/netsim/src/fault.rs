@@ -18,7 +18,10 @@
 //! [`SimError`]. The literal slot-by-slot executors
 //! ([`FaultSim::execute_trace_slotwise`], [`FaultSim::apply_run_slotwise`])
 //! are the references the run-length paths are tested against, and the
-//! fallback for work that could trip a [`SimError`].
+//! fallback for work that could trip a [`SimError`]. Every executor
+//! records its deliveries through one recorder, which extends the last
+//! executed run while consecutive slots deliver the same units, so the
+//! executed trace is run-length like the schedules it replays.
 //!
 //! Remaining demand is a [`SparseDemand`] over the coflows' nonzero pairs,
 //! concatenated from the borrowed demands; a cancellation zeroes the
@@ -84,13 +87,6 @@ pub enum SimError {
         /// The run's duration.
         capacity: u64,
     },
-    /// A trace run starts at or before the simulator's current time.
-    TimeReversed {
-        /// The run's start slot.
-        start: u64,
-        /// The simulator clock it would rewind.
-        now: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -133,13 +129,6 @@ impl fmt::Display for SimError {
                 "run at slot {} books {} units on ({}, {}) but lasts {} slots",
                 start, units, src, dst, capacity
             ),
-            SimError::TimeReversed { start, now } => {
-                write!(
-                    f,
-                    "run starts at slot {} but the clock is already at {}",
-                    start, now
-                )
-            }
         }
     }
 }
@@ -588,6 +577,30 @@ impl FaultIndex {
         self.ingress_up(src, slot) && self.egress_up(dst, slot) && self.link_open(src, dst, slot)
     }
 
+    /// The first slot of `[first, last]` in which link `(src, dst)` cannot
+    /// carry a unit ([`FaultIndex::pair_open`] is false), if any. Classifies
+    /// the link once per window between boundaries; in a degraded window a
+    /// closed slot is at most one slot away, as two consecutive slots never
+    /// both pass a stride of 2 or more.
+    pub fn first_closed(&self, src: usize, dst: usize, first: u64, last: u64) -> Option<u64> {
+        let mut w0 = first;
+        while w0 <= last {
+            let w1 = last.min(self.next_boundary(w0) - 1);
+            match self.pair_state(src, dst, w0) {
+                PairState::Open => {}
+                PairState::Closed => return Some(w0),
+                PairState::Strided => {
+                    let closed = (w0..=w1).find(|&slot| !self.link_open(src, dst, slot));
+                    if closed.is_some() {
+                        return closed;
+                    }
+                }
+            }
+            w0 = w1.checked_add(1)?;
+        }
+        None
+    }
+
     /// The cancellation slot of `coflow` (the earliest, when the plan
     /// cancels it more than once), if the plan cancels it.
     pub fn cancellation(&self, coflow: usize) -> Option<u64> {
@@ -671,16 +684,26 @@ enum Served {
     Gone,
 }
 
-/// Buffers [`FaultSim::apply_run`] reuses across calls.
+/// One transfer of a trace run as the replay's fast path serves it: its
+/// pair's index in the run's [`Booking`], the pair, the coflow and its
+/// entry on the pair, and the within-run offsets `[a, b)` it owns.
+type Segment = (usize, usize, usize, usize, Option<usize>, u64, u64);
+
+/// Buffers the run-length executors ([`FaultSim::apply_run`] and the fast
+/// path of [`FaultSim::execute_trace`]) reuse across calls.
 #[derive(Clone, Debug, Default)]
-struct HoldBuffers {
-    /// Per pair: the cursor into its priority list.
+struct ExecBuffers {
+    /// Per held pair: the cursor into its priority list.
     cursors: Vec<usize>,
-    /// Per pair: the entry of the coflow at its cursor on the pair (`None`
-    /// when that coflow has none there, or past the list's end).
+    /// Per held pair: the entry of the coflow at its cursor on the pair
+    /// (`None` when that coflow has none there, or past the list's end).
     heads: Vec<Option<usize>>,
     /// Per pair: its fault state in the current window.
     states: Vec<PairState>,
+    /// The transfers of the trace run being replayed.
+    segments: Vec<Segment>,
+    /// The segments that intersect the current window.
+    active: Vec<Segment>,
     /// The units delivered in the current slot.
     delivered: Vec<(usize, usize, usize)>,
 }
@@ -713,8 +736,9 @@ pub struct FaultSim {
     /// of the captured state.
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
-    /// Scratch of [`FaultSim::apply_run`]; not part of the captured state.
-    hold: HoldBuffers,
+    /// Scratch of the run-length executors; not part of the captured
+    /// state.
+    scratch: ExecBuffers,
     /// The trace run being replayed, booked onto its pairs; scratch, not
     /// part of the captured state.
     booking: Booking,
@@ -763,7 +787,7 @@ impl FaultSim {
             blocked_log_dropped: 0,
             src_used: vec![false; m],
             dst_used: vec![false; m],
-            hold: HoldBuffers::default(),
+            scratch: ExecBuffers::default(),
             booking: Booking::default(),
             memo: EntryMemo::new(m),
         }
@@ -905,25 +929,51 @@ impl FaultSim {
         Served::Delivered
     }
 
-    /// Records one slot's delivered units as a 1-slot executed run, its
-    /// transfer list allocated at exact size. Every move was checked
-    /// against the fabric and the instance before it was delivered.
+    /// Records one slot's delivered units in the executed trace.
     fn record_slot(&mut self, slot: u64, delivered: &[(usize, usize, usize)]) {
+        self.record_stretch(slot, 1, delivered);
+    }
+
+    /// Records `len` consecutive slots from `first` that each deliver the
+    /// units `delivered`, in that order. The last executed run absorbs them
+    /// when it ends right before `first` and delivers the same list;
+    /// otherwise they start a new run, its transfer list allocated at exact
+    /// size. Every executed run is thus a maximal stretch of identical
+    /// slots, each transfer moving one unit per slot of it. Slots that
+    /// deliver nothing are not recorded. Every move was checked against
+    /// the fabric and the instance before it was delivered.
+    fn record_stretch(&mut self, first: u64, len: u64, delivered: &[(usize, usize, usize)]) {
         if delivered.is_empty() {
             return;
+        }
+        if let Some(last) = self.executed.runs.last_mut() {
+            let same = last.start + last.duration == first
+                && last.transfers.len() == delivered.len()
+                && last
+                    .transfers
+                    .iter()
+                    .zip(delivered)
+                    .all(|(t, &(i, j, k))| (t.src(), t.dst(), t.coflow()) == (i, j, k));
+            if same {
+                last.duration += len;
+                for t in last.transfers.iter_mut() {
+                    t.units += len;
+                }
+                return;
+            }
         }
         let transfers = delivered
             .iter()
             .map(|&(src, dst, coflow)| {
-                let Some(t) = Transfer::new(src, dst, coflow, 1) else {
+                let Some(t) = Transfer::new(src, dst, coflow, len) else {
                     panic!("port or coflow id does not fit in u32");
                 };
                 t
             })
             .collect();
         self.executed.push_run(Run {
-            start: slot,
-            duration: 1,
+            start: first,
+            duration: len,
             transfers,
         });
     }
@@ -1045,7 +1095,7 @@ impl FaultSim {
         if !self.hold_is_safe(pairs) {
             return self.apply_run_slotwise(pairs, duration);
         }
-        let mut buf = std::mem::take(&mut self.hold);
+        let mut buf = std::mem::take(&mut self.scratch);
         buf.cursors.clear();
         buf.cursors.resize(pairs.len(), 0);
         buf.heads.clear();
@@ -1086,7 +1136,7 @@ impl FaultSim {
             self.record_slot(slot, &buf.delivered);
             self.now = slot;
         }
-        self.hold = buf;
+        self.scratch = buf;
         obs::counter_add("netsim.fault.blocked_units", blocked);
         obs::counter_add("netsim.fault.dropped_units", dropped);
         Ok(())
@@ -1146,14 +1196,17 @@ impl FaultSim {
 
     /// Replays `trace` from the current time, stopping before slot
     /// `stop_before` (exclusive) when given. Slots the trace leaves idle
-    /// are skipped by advancing the clock. Returns the per-slot outcomes of
-    /// the executed prefix.
+    /// are skipped by advancing the clock. Slots at or before the clock
+    /// count as done: a run that reaches back before it executes only its
+    /// slots after it, and a run that ends by then is skipped — the
+    /// epoch-by-epoch replays pass the same trace once per epoch and rely
+    /// on this.
     ///
     /// Runs are advanced run-length: each run is split into windows at the
     /// plan's fault epochs ([`FaultIndex::boundaries`]), each port pair is
     /// classified once per window (open / closed / stride-degraded), and
     /// the per-slot work drops to O(active transfers) with no plan scan.
-    /// The executed trace, outcomes, blocked log, and counters are
+    /// The executed trace, blocked log, completions and counters are
     /// identical to slot-by-slot execution
     /// ([`FaultSim::execute_trace_slotwise`]); runs that could trip a
     /// structural [`SimError`] fall back to the slot-wise path so error
@@ -1171,18 +1224,19 @@ impl FaultSim {
         &mut self,
         trace: &ScheduleTrace,
         stop_before: Option<u64>,
-    ) -> Result<Vec<SlotOutcome>, SimError> {
+    ) -> Result<(), SimError> {
         self.execute_trace_impl(trace, stop_before, false)
     }
 
     /// Literal slot-by-slot replay — the reference executor the run-length
-    /// path is differentially tested against. Byte-identical outputs to
+    /// path is differentially tested against: one [`FaultSim::step`] per
+    /// slot of each run. Leaves the same state as
     /// [`FaultSim::execute_trace`], just slower.
     pub fn execute_trace_slotwise(
         &mut self,
         trace: &ScheduleTrace,
         stop_before: Option<u64>,
-    ) -> Result<Vec<SlotOutcome>, SimError> {
+    ) -> Result<(), SimError> {
         self.execute_trace_impl(trace, stop_before, true)
     }
 
@@ -1191,41 +1245,30 @@ impl FaultSim {
         trace: &ScheduleTrace,
         stop_before: Option<u64>,
         force_slotwise: bool,
-    ) -> Result<Vec<SlotOutcome>, SimError> {
-        let mut outcomes = Vec::new();
-        'runs: for run in &trace.runs {
+    ) -> Result<(), SimError> {
+        for run in &trace.runs {
             if let Some(b) = stop_before {
                 if run.start >= b {
                     break;
                 }
             }
             if run.start + run.duration <= self.now + 1 {
-                continue; // entirely in the past (already executed)
+                continue; // entirely at or before the clock: done
             }
             self.booking.book(run)?;
             if run.start > self.now + 1 {
                 self.advance_to(run.start - 1);
             }
-            if run.start <= self.now && run.start + run.duration <= self.now + 1 {
-                return Err(SimError::TimeReversed {
-                    start: run.start,
-                    now: self.now,
-                });
-            }
-            let first = self.now + 1; // done prefixes of partial runs skipped
+            let first = self.now + 1; // slots at or before the clock are done
             let booking = std::mem::take(&mut self.booking);
-            let fast =
-                !force_slotwise && self.run_fast(run, &booking, first, stop_before, &mut outcomes);
+            let fast = !force_slotwise && self.run_fast(run, &booking, first, stop_before);
             self.booking = booking;
             if !fast {
-                if self.run_slotwise(run, stop_before, &mut outcomes)? {
-                    break 'runs;
-                }
-                continue;
+                self.run_slotwise(run, stop_before)?;
             }
             if let Some(b) = stop_before {
                 if run.start + run.duration > b {
-                    break 'runs; // the stop boundary fell inside this run
+                    break; // the stop boundary fell inside this run
                 }
             }
         }
@@ -1238,31 +1281,23 @@ impl FaultSim {
         if target > self.now {
             self.advance_to(target);
         }
-        Ok(outcomes)
+        Ok(())
     }
 
-    /// The original per-slot replay of one run. Returns `Ok(true)` when the
-    /// `stop_before` boundary was reached (caller stops consuming runs).
-    fn run_slotwise(
-        &mut self,
-        run: &Run,
-        stop_before: Option<u64>,
-        outcomes: &mut Vec<SlotOutcome>,
-    ) -> Result<bool, SimError> {
-        let slots = run.slot_moves();
-        for (o, moves) in slots.iter().enumerate() {
+    /// The per-slot replay of one run: one [`FaultSim::step`] per slot
+    /// after the clock and before `stop_before`.
+    fn run_slotwise(&mut self, run: &Run, stop_before: Option<u64>) -> Result<(), SimError> {
+        for (o, moves) in run.slot_moves().iter().enumerate() {
             let slot = run.start + o as u64;
             if slot <= self.now {
-                continue; // partially executed run: skip the done prefix
+                continue; // at or before the clock: done
             }
-            if let Some(b) = stop_before {
-                if slot >= b {
-                    return Ok(true);
-                }
+            if stop_before.is_some_and(|b| slot >= b) {
+                break;
             }
-            outcomes.push(self.step(moves)?);
+            self.step(moves)?;
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Run-length replay of one run, `booking` being its [`Booking`].
@@ -1276,83 +1311,68 @@ impl FaultSim {
         booking: &Booking,
         first: u64,
         stop_before: Option<u64>,
-        outcomes: &mut Vec<SlotOutcome>,
     ) -> bool {
-        let n = self.remaining.len();
-        let pairs = &booking.pairs;
-        // A segment is (pair, a, b, coflow, the coflow's entry on the pair).
-        let mut segs: Vec<(usize, u64, u64, usize, Option<usize>)> =
-            Vec::with_capacity(run.transfers.len());
-        for (t, &(p, a)) in run.transfers.iter().zip(&booking.starts) {
-            let (src, dst, k) = (t.src(), t.dst(), t.coflow());
-            if src >= self.m || dst >= self.m || k >= n {
-                return false; // PortOutOfRange / UnknownCoflow possible
-            }
-            if self.releases[k] >= first {
-                return false; // ReleaseViolated possible in early slots
-            }
-            let entry = self.memo.find(&self.remaining, k, src, dst);
-            segs.push((p, a, a + t.units, k, entry));
+        let (m, n) = (self.m, self.remaining.len());
+        // PortOutOfRange / UnknownCoflow possible, or ReleaseViolated in
+        // early slots.
+        let may_err = |t: &Transfer| {
+            t.src() >= m || t.dst() >= m || t.coflow() >= n || self.releases[t.coflow()] >= first
+        };
+        if run.transfers.iter().any(may_err) {
+            return false;
         }
         // Distinct pairs sharing a port co-occur in the run's first slot:
         // PortMatchedTwice is possible, so leave the run to the reference.
+        let pairs = &booking.pairs;
         if !self.ports_disjoint(pairs.iter().map(|&(i, j, _)| (i, j))) {
             return false;
+        }
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.segments.clear();
+        for (t, &(p, a)) in run.transfers.iter().zip(&booking.starts) {
+            let (src, dst, k) = (t.src(), t.dst(), t.coflow());
+            let entry = self.memo.find(&self.remaining, k, src, dst);
+            buf.segments.push((p, src, dst, k, entry, a, a + t.units));
         }
 
         let mut last = run.start + run.duration - 1;
         if let Some(b) = stop_before {
             last = last.min(b - 1);
         }
-        if first > last {
-            return true; // nothing left of the run before the boundary
-        }
-
         let (mut blocked, mut dropped) = (0u64, 0u64);
-        let mut pair_state: Vec<PairState> = Vec::with_capacity(pairs.len());
         let mut w0 = first;
         while w0 <= last {
             let pairs_ij = pairs.iter().map(|&(i, j, _)| (i, j));
-            let w1 = self.enter_window(w0, last, pairs_ij, &mut pair_state);
+            let w1 = self.enter_window(w0, last, pairs_ij, &mut buf.states);
             // Only segments whose offsets intersect the window matter; they
             // keep the listed transfer order, so each slot's moves come out
             // exactly as `Run::slot_moves` lists them.
-            let lo = w0 - run.start;
-            let hi = w1 - run.start;
-            let active: Vec<_> = segs
-                .iter()
-                .filter(|&&(_, a, b, _, _)| a <= hi && b > lo)
-                .map(|&(p, a, b, k, entry)| {
-                    let (i, j, _) = pairs[p];
-                    (p, i, j, k, entry, a, b)
-                })
-                .collect();
+            let (lo, hi) = (w0 - run.start, w1 - run.start);
+            buf.active.clear();
+            let segments = buf.segments.iter();
+            buf.active
+                .extend(segments.filter(|&&(.., a, b)| a <= hi && b > lo));
             for slot in w0..=w1 {
                 let o = slot - run.start;
-                let mut out = SlotOutcome {
-                    slot,
-                    ..SlotOutcome::default()
-                };
-                for &(p, i, j, k, entry, a, b) in &active {
+                buf.delivered.clear();
+                for &(p, i, j, k, entry, a, b) in &buf.active {
                     if o < a || o >= b {
                         continue;
                     }
-                    let open = pair_state[p].open(&self.index, i, j, slot);
+                    let open = buf.states[p].open(&self.index, i, j, slot);
                     match self.serve_unit(slot, (i, j), k, entry, open) {
-                        Served::Delivered => out.delivered.push((i, j, k)),
-                        Served::Blocked => out.blocked.push((i, j, k)),
-                        Served::Dropped => out.dropped.push((i, j, k)),
+                        Served::Delivered => buf.delivered.push((i, j, k)),
+                        Served::Blocked => blocked += 1,
+                        Served::Dropped => dropped += 1,
                         Served::Gone => {}
                     }
                 }
-                blocked += out.blocked.len() as u64;
-                dropped += out.dropped.len() as u64;
-                self.record_slot(slot, &out.delivered);
+                self.record_slot(slot, &buf.delivered);
                 self.now = slot;
-                outcomes.push(out);
             }
             w0 = w1 + 1;
         }
+        self.scratch = buf;
         obs::counter_add("netsim.fault.blocked_units", blocked);
         obs::counter_add("netsim.fault.dropped_units", dropped);
         true
@@ -1383,6 +1403,11 @@ impl FaultSim {
     }
 
     /// Rebuilds a simulator from captured state, validating dimensions.
+    /// The executed trace is recorded anew, so it holds maximal runs even
+    /// when it was captured with one run per slot. A run that overlaps the
+    /// one before it or ends after the clock is refused (the next recorded
+    /// slot would overlap it), as is one that books more units on a pair
+    /// than it lasts, rather than replayed short.
     pub fn from_state(
         state: crate::snapshot::FaultSimState,
     ) -> Result<FaultSim, crate::snapshot::SnapshotError> {
@@ -1407,7 +1432,7 @@ impl FaultSim {
         if (0..n).any(|k| remaining.total(k) != state.remaining_total[k]) {
             return bad("remaining_total disagrees with the residual demand");
         }
-        Ok(FaultSim {
+        let mut sim = FaultSim {
             m: state.m,
             remaining,
             releases: state.releases,
@@ -1418,21 +1443,81 @@ impl FaultSim {
             index: FaultIndex::new(&state.plan, state.m, n),
             cancel_cursor: 0,
             plan: state.plan,
-            executed: state.executed,
+            executed: ScheduleTrace::new(state.m),
             blocked_units: state.blocked_units,
             blocked_log: state.blocked_log,
             blocked_log_dropped: state.blocked_log_dropped,
             src_used: vec![false; state.m],
             dst_used: vec![false; state.m],
-            hold: HoldBuffers::default(),
+            scratch: ExecBuffers::default(),
             booking: Booking::default(),
             memo: EntryMemo::new(state.m),
-        })
+        };
+        sim.record_executed(&state.executed, state.now)?;
+        Ok(sim)
     }
 
-    /// Finishes execution, returning the executed trace (1-slot runs of
-    /// delivered units), completion slots (`None` = cancelled before
-    /// completion), and the count of fault-stranded planned units.
+    /// Records a captured executed trace, whose slots all lie at or before
+    /// `now`, run by run. Each run is cut where one of its transfers starts
+    /// or ends; every slot of a piece delivers the same units, so the piece
+    /// is recorded as one stretch.
+    fn record_executed(
+        &mut self,
+        executed: &ScheduleTrace,
+        now: u64,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        let bad = |msg: String| Err(crate::snapshot::SnapshotError::new(msg));
+        let mut booking = Booking::default();
+        let mut cuts: Vec<u64> = Vec::new();
+        let mut moves: Vec<(usize, usize, usize)> = Vec::new();
+        let mut free_from = 0;
+        for run in &executed.runs {
+            let Some(end) = run.start.checked_add(run.duration) else {
+                return bad(format!("executed run at {} ends past u64", run.start));
+            };
+            if run.start < free_from {
+                return bad(format!(
+                    "executed run at {} starts before the previous run ends",
+                    run.start
+                ));
+            }
+            if end > now.saturating_add(1) {
+                return bad(format!(
+                    "executed run at {} ends after the clock ({})",
+                    run.start, now
+                ));
+            }
+            free_from = end;
+            if let Err(e) = booking.book(run) {
+                return bad(format!("executed {}", e));
+            }
+            let segments = || {
+                let starts = booking.starts.iter();
+                run.transfers.iter().zip(starts).map(|(t, &(_, a))| (t, a))
+            };
+            cuts.clear();
+            cuts.extend([0, run.duration]);
+            cuts.extend(segments().flat_map(|(t, a)| [a, a + t.units]));
+            cuts.sort_unstable();
+            cuts.dedup();
+            for piece in cuts.windows(2) {
+                let (x, y) = (piece[0], piece[1]);
+                moves.clear();
+                moves.extend(
+                    segments()
+                        .filter(|&(t, a)| a <= x && x < a + t.units)
+                        .map(|(t, _)| (t.src(), t.dst(), t.coflow())),
+                );
+                self.record_stretch(run.start + x, y - x, &moves);
+            }
+        }
+        Ok(())
+    }
+
+    /// Finishes execution, returning the executed trace (each run a maximal
+    /// stretch of consecutive slots that deliver the same units), completion
+    /// slots (`None` = cancelled before completion), and the count of
+    /// fault-stranded planned units.
     pub fn finish(self) -> (ScheduleTrace, Vec<Option<u64>>, u64) {
         (self.executed, self.completion, self.blocked_units)
     }
@@ -1560,7 +1645,15 @@ mod tests {
         assert_eq!(times, vec![Some(5)]);
         assert_eq!(blocked, 2);
         assert_eq!(trace.total_units(), 3);
-        assert_eq!(trace.runs.len(), 3, "only delivering slots are recorded");
+        let mut slots = Vec::new();
+        trace.for_each_slot(|slot, moves| slots.push((slot, moves.to_vec())));
+        let unit = vec![(0, 1, 0)];
+        assert_eq!(
+            slots,
+            vec![(3, unit.clone()), (4, unit.clone()), (5, unit)],
+            "only delivering slots are recorded"
+        );
+        assert_eq!(trace.runs.len(), 1, "three identical slots are one run");
     }
 
     #[test]
@@ -1655,14 +1748,14 @@ mod tests {
             transfers: Box::new([Transfer::new(0, 1, 0, 4).unwrap()]),
         });
         let mut sim = FaultSim::new(2, &[demand(4)], &[0], FaultPlan::default());
-        let outcomes = sim.execute_trace(&trace, Some(3)).unwrap();
-        assert_eq!(outcomes.len(), 2, "slots 1 and 2 only");
-        assert_eq!(sim.now(), 2);
+        sim.execute_trace(&trace, Some(3)).unwrap();
+        assert_eq!(sim.now(), 2, "slots 1 and 2 only");
         assert_eq!(sim.remaining_total(0), 2);
-        // Resume the same trace: the done prefix is skipped.
-        let outcomes = sim.execute_trace(&trace, None).unwrap();
-        assert_eq!(outcomes.len(), 2);
+        // Resume the same trace: the done prefix is skipped, and slots 3
+        // and 4 extend the run slots 1 and 2 started.
+        sim.execute_trace(&trace, None).unwrap();
         assert_eq!(sim.completion_times(), &[Some(4)]);
+        assert_eq!(sim.capture().executed, trace);
     }
 
     #[test]
@@ -1682,11 +1775,8 @@ mod tests {
         assert_eq!(fast.remaining_total(0), 0);
         assert_eq!(fast.completion_times(), &[None, Some(5)]);
         let (trace, _, _) = fast.finish();
-        let served: Vec<(u64, usize)> = trace
-            .runs
-            .iter()
-            .map(|r| (r.start, r.transfers[0].coflow()))
-            .collect();
+        let mut served: Vec<(u64, usize)> = Vec::new();
+        trace.for_each_slot(|slot, moves| served.extend(moves.iter().map(|&(.., k)| (slot, k))));
         assert_eq!(served, vec![(1, 0), (2, 0), (4, 1), (5, 1)]);
     }
 

@@ -65,7 +65,9 @@ pub struct FaultSimState {
     pub now: u64,
     /// The static fault plan being applied.
     pub plan: FaultPlan,
-    /// Delivered units so far, as 1-slot runs.
+    /// Delivered units so far, each run a maximal stretch of slots that
+    /// deliver the same units (checkpoints written before the executor
+    /// merged slots hold one run per slot; both restore alike).
     pub executed: ScheduleTrace,
     /// Planned units stranded by faults so far.
     pub blocked_units: u64,

@@ -1,6 +1,8 @@
 //! [`FaultIndex`] answers every lookup exactly as the [`FaultPlan`] it was
 //! compiled from: `pair_open` and `cancellation` on every in-range pair,
-//! coflow and slot, and the same `boundaries` — on generated plans and on
+//! coflow and slot, `first_closed` on every slot range as the first slot
+//! of the range the plan closes, and the same `boundaries` — on generated
+//! plans and on
 //! hand-rolled ones with events outside the instance, repeated
 //! cancellations of one coflow, strides 0 and 1, empty windows and
 //! overlapping windows on one port.
@@ -45,17 +47,32 @@ fn random_plan(m: usize, n: usize, events: usize, seed: u64) -> FaultPlan {
 fn assert_agrees(plan: &FaultPlan, m: usize, n: usize) {
     let index = FaultIndex::new(plan, m, n);
     assert_eq!(index.boundaries(), plan.boundaries().as_slice());
-    for slot in 0..30 {
-        for i in 0..m {
-            for j in 0..m {
+    for i in 0..m {
+        for j in 0..m {
+            let open: Vec<bool> = (0..30).map(|slot| plan.pair_open(i, j, slot)).collect();
+            for (slot, &open) in open.iter().enumerate() {
+                let slot = slot as u64;
                 assert_eq!(
                     index.pair_open(i, j, slot),
-                    plan.pair_open(i, j, slot),
+                    open,
                     "pair ({}, {}) slot {}",
                     i,
                     j,
                     slot
                 );
+            }
+            for first in 0..30u64 {
+                for last in first..30u64 {
+                    assert_eq!(
+                        index.first_closed(i, j, first, last),
+                        (first..=last).find(|&slot| !open[slot as usize]),
+                        "pair ({}, {}) slots {}..={}",
+                        i,
+                        j,
+                        first,
+                        last
+                    );
+                }
             }
         }
     }

@@ -5,14 +5,22 @@
 //!
 //! * [`FaultSim::execute_trace`] (windowed, epoch-splitting) against
 //!   [`FaultSim::execute_trace_slotwise`] (the literal per-slot reference):
-//!   identical outcomes, executed trace, blocked log, completions, and
-//!   remaining state — under arbitrary fault plans, stop boundaries, and
-//!   multi-epoch resumption;
+//!   identical results (errors included), captured state — executed trace,
+//!   blocked log, completions, remaining demand, cancellations — and
+//!   `netsim.fault.*` counter deltas, under arbitrary fault plans, stop
+//!   boundaries, and multi-epoch resumption;
 //! * [`FaultSim::apply_run`] (held matchings, windowed with per-pair
-//!   cursors) against [`FaultSim::apply_run_slotwise`]: identical results
-//!   and captured state after every hold of a sequence, across fault
-//!   windows, cancellations at a hold's first slot, a restore from a
-//!   capture, and every structural fallback;
+//!   cursors) against [`FaultSim::apply_run_slotwise`]: the same after
+//!   every hold of a sequence, across fault windows, cancellations at a
+//!   hold's first slot, a restore from a capture, and every structural
+//!   fallback;
+//! * on both paths, the executed trace is run-length: its runs are
+//!   maximal, each transfer moves one unit per slot of its run, no port
+//!   repeats within a run, and slot by slot it delivers exactly what
+//!   [`FaultSim::step`] delivers along the slot-wise reference;
+//! * [`FaultSim::from_state`] restores a trace split into 1-slot runs (as
+//!   checkpoints written before the recorder merged slots hold it) to the
+//!   same simulator as its merged form;
 //! * [`ScheduleTrace::for_each_slot`] (reused-buffer expansion) against
 //!   [`Run::slot_moves`] (allocating reference);
 //! * [`Fabric::apply_run`] (run-length clean path) against [`SlotSim`]
@@ -20,10 +28,11 @@
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
-    trace_stats, Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim,
-    Transfer,
+    trace_stats, Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SimError,
+    SlotSim, Transfer,
 };
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 /// One slot and the `(src, dst, coflow)` units it moves.
 type SlotMoves = (u64, Vec<(usize, usize, usize)>);
@@ -123,34 +132,146 @@ fn build_case(
     (trace, demands, releases)
 }
 
-/// Runs one executor call on both sims and asserts every observable piece
-/// of state agrees. Returns `false` when both errored (no further calls).
-fn step_both(a: &mut FaultSim, b: &mut FaultSim, trace: &ScheduleTrace, stop: Option<u64>) -> bool {
-    let ra = a.execute_trace(trace, stop);
-    let rb = b.execute_trace_slotwise(trace, stop);
-    let live = match (&ra, &rb) {
-        (Ok(x), Ok(y)) => {
-            assert_eq!(x, y, "per-slot outcomes diverged (stop {:?})", stop);
-            true
-        }
-        (Err(x), Err(y)) => {
-            assert_eq!(x, y, "errors diverged (stop {:?})", stop);
-            false
-        }
-        (x, y) => panic!(
-            "result kinds diverged (stop {:?}): {:?} vs {:?}",
-            stop, x, y
-        ),
+/// Held by every executor call of this file, so the counter deltas each
+/// call reads are its own: the obs registry is process-global and the
+/// tests run on parallel threads.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// The `netsim.fault.blocked_units` and `netsim.fault.dropped_units`
+/// deltas of one executor call.
+type FaultCounts = [u64; 2];
+
+/// Runs `f` — executor calls — alone, with recording on, and returns its
+/// result and the fault counters it added.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, FaultCounts) {
+    let _alone = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    let read = || {
+        let s = obs::snapshot();
+        [
+            s.counter("netsim.fault.blocked_units"),
+            s.counter("netsim.fault.dropped_units"),
+        ]
     };
-    assert_eq!(a.now(), b.now());
-    assert_eq!(a.completion_times(), b.completion_times());
-    assert_eq!(a.blocked_units(), b.blocked_units());
-    assert_eq!(a.blocked_log(), b.blocked_log());
-    for k in 0..a.completion_times().len() {
-        assert_eq!(a.remaining_matrix(k), b.remaining_matrix(k), "coflow {}", k);
-        assert_eq!(a.is_cancelled(k), b.is_cancelled(k), "coflow {}", k);
+    let before = read();
+    let result = f();
+    let after = read();
+    (result, [after[0] - before[0], after[1] - before[1]])
+}
+
+/// Runs one trace replay on both sims and asserts that the results
+/// (errors included), the fault counter deltas and the captured state —
+/// clock, remaining demand, completions, cancellations, executed trace,
+/// blocked units and log — agree. Returns `false` when both errored (no
+/// further calls).
+fn step_both(a: &mut FaultSim, b: &mut FaultSim, trace: &ScheduleTrace, stop: Option<u64>) -> bool {
+    let (ra, ca) = counted(|| a.execute_trace(trace, stop));
+    let (rb, cb) = counted(|| b.execute_trace_slotwise(trace, stop));
+    assert_eq!(ra, rb, "results diverged (stop {:?})", stop);
+    assert_eq!(ca, cb, "fault counters diverged (stop {:?})", stop);
+    assert_eq!(a.capture(), b.capture(), "state diverged (stop {:?})", stop);
+    ra.is_ok()
+}
+
+/// The `(src, dst, coflow)` list of a run's transfers.
+fn moves_of(run: &Run) -> Vec<(usize, usize, usize)> {
+    run.transfers
+        .iter()
+        .map(|t| (t.src(), t.dst(), t.coflow()))
+        .collect()
+}
+
+/// The slots of `trace` that move a unit, with their moves.
+fn busy_slots(trace: &ScheduleTrace) -> Vec<SlotMoves> {
+    let mut slots = Vec::new();
+    trace.for_each_slot(|slot, moves| {
+        if !moves.is_empty() {
+            slots.push((slot, moves.to_vec()));
+        }
+    });
+    slots
+}
+
+/// Asserts that an executed trace is run-length: every run delivers, each
+/// transfer moves one unit in every slot of its run, no port repeats
+/// within a run, and no two adjacent runs could merge.
+fn assert_runlength(trace: &ScheduleTrace) {
+    for run in &trace.runs {
+        assert!(!run.transfers.is_empty(), "run at {} is idle", run.start);
+        let (mut src, mut dst) = (vec![false; trace.m], vec![false; trace.m]);
+        for t in run.transfers.iter() {
+            assert_eq!(t.units, run.duration, "run at {}: {:?}", run.start, t);
+            assert!(
+                !src[t.src()] && !dst[t.dst()],
+                "run at {}: port reused",
+                run.start
+            );
+            src[t.src()] = true;
+            dst[t.dst()] = true;
+        }
     }
-    live
+    for w in trace.runs.windows(2) {
+        let adjacent = w[0].start + w[0].duration == w[1].start;
+        assert!(
+            !adjacent || moves_of(&w[0]) != moves_of(&w[1]),
+            "runs at {} and {} could merge",
+            w[0].start,
+            w[1].start
+        );
+    }
+}
+
+/// Replays `trace` one [`FaultSim::step`] per slot, as the slot-wise
+/// reference does, up to the first error; returns the delivering slots
+/// with what each delivered.
+fn stepped_trace(sim: &mut FaultSim, trace: &ScheduleTrace) -> Vec<SlotMoves> {
+    let (slots, _) = counted(|| {
+        let mut slots = Vec::new();
+        for run in &trace.runs {
+            if run.start > sim.now() + 1 {
+                sim.advance_to(run.start - 1);
+            }
+            for moves in run.slot_moves() {
+                let Ok(out) = sim.step(&moves) else {
+                    return slots;
+                };
+                if !out.delivered.is_empty() {
+                    slots.push((out.slot, out.delivered));
+                }
+            }
+        }
+        slots
+    });
+    slots
+}
+
+/// Executes `holds` one [`FaultSim::step`] per slot, picking each slot's
+/// moves as [`FaultSim::apply_run_slotwise`] does, up to the first error;
+/// returns the delivering slots with what each delivered.
+fn stepped_holds(sim: &mut FaultSim, m: usize, holds: &[Hold]) -> Vec<SlotMoves> {
+    let n = sim.completion_times().len();
+    let mut slots = Vec::new();
+    for hold in holds {
+        if hold.gap > 0 {
+            sim.advance_to(sim.now() + hold.gap);
+        }
+        for _ in 0..hold.duration {
+            let moves: Vec<(usize, usize, usize)> = hold
+                .pairs
+                .iter()
+                .filter_map(|&(i, j, ref prio)| {
+                    let live = |k: usize| i >= m || j >= m || k >= n || sim.remaining(k, i, j) > 0;
+                    prio.iter().find(|&&k| live(k)).map(|&k| (i, j, k))
+                })
+                .collect();
+            let (out, _) = counted(|| sim.step(&moves));
+            let Ok(out) = out else { return slots };
+            if !out.delivered.is_empty() {
+                slots.push((out.slot, out.delivered));
+            }
+        }
+    }
+    slots
 }
 
 /// A matching held for `duration` slots after `gap` idle slots.
@@ -318,12 +439,16 @@ proptest! {
                 step_both(&mut a, &mut b, &trace, None);
             }
         }
+        let mut c = FaultSim::new(m, &sparse(&demands), &releases, plan);
+        let stepped = stepped_trace(&mut c, &trace);
         let (ta, ca, ba) = a.finish();
         let (tb, cb, bb) = b.finish();
         prop_assert_eq!(&ta, &tb, "executed traces diverged");
         prop_assert_eq!(ca, cb);
         prop_assert_eq!(ba, bb);
         prop_assert_eq!(trace_stats(&ta), trace_stats(&tb));
+        assert_runlength(&ta);
+        prop_assert_eq!(busy_slots(&ta), stepped);
     }
 
     /// A held matching executes identically run-length and slot by slot:
@@ -344,7 +469,7 @@ proptest! {
     ) {
         let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
         let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
-        let mut b = FaultSim::new(m, &sparse(&demands), &releases, plan);
+        let mut b = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
         for (h, hold) in holds.iter().enumerate() {
             if h == restore {
                 a = FaultSim::from_state(a.capture()).expect("a captured state restores");
@@ -353,14 +478,68 @@ proptest! {
                 a.advance_to(a.now() + hold.gap);
                 b.advance_to(b.now() + hold.gap);
             }
-            let ra = a.apply_run(&hold.pairs, hold.duration);
-            let rb = b.apply_run_slotwise(&hold.pairs, hold.duration);
+            let (ra, ca) = counted(|| a.apply_run(&hold.pairs, hold.duration));
+            let (rb, cb) = counted(|| b.apply_run_slotwise(&hold.pairs, hold.duration));
             prop_assert_eq!(&ra, &rb, "hold {}", h);
+            prop_assert_eq!(ca, cb, "hold {}: fault counters", h);
             prop_assert_eq!(a.capture(), b.capture(), "hold {}", h);
             if ra.is_err() {
                 break;
             }
         }
+        let mut c = FaultSim::new(m, &sparse(&demands), &releases, plan);
+        let stepped = stepped_holds(&mut c, m, &holds);
+        let executed = a.capture().executed;
+        assert_runlength(&executed);
+        prop_assert_eq!(busy_slots(&executed), stepped);
+    }
+
+    /// A restored executed trace is recorded anew: split into 1-slot runs,
+    /// as checkpoints written before the recorder merged slots hold it, it
+    /// restores to the same simulator as its merged form, and execution
+    /// continues from both alike.
+    #[test]
+    fn split_executed_trace_restores_merged(
+        m in 2usize..5,
+        n in 1usize..5,
+        nholds in 2usize..9,
+        seed in 0u64..1 << 32,
+        rate in 0.0f64..0.8,
+        fseed in 0u64..1 << 32,
+        cut in 1usize..8,
+    ) {
+        let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
+        let cut = cut.min(holds.len() - 1);
+        let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan);
+        let hold_all = |sim: &mut FaultSim, holds: &[Hold]| {
+            for hold in holds {
+                sim.advance_to(sim.now() + hold.gap);
+                if counted(|| sim.apply_run(&hold.pairs, hold.duration)).0.is_err() {
+                    return false;
+                }
+            }
+            true
+        };
+        if !hold_all(&mut a, &holds[..cut]) {
+            return;
+        }
+        let merged = a.capture();
+        let mut split = merged.clone();
+        split.executed = ScheduleTrace::new(m);
+        merged.executed.for_each_slot(|slot, moves| {
+            let transfers = moves.iter().map(|&(i, j, k)| Transfer::new(i, j, k, 1).unwrap());
+            split.executed.push_run(Run {
+                start: slot,
+                duration: 1,
+                transfers: transfers.collect(),
+            });
+        });
+        let mut from_split = FaultSim::from_state(split).expect("split trace restores");
+        let mut from_merged = FaultSim::from_state(merged.clone()).expect("merged trace restores");
+        prop_assert_eq!(&from_split.capture(), &merged);
+        hold_all(&mut from_split, &holds[cut..]);
+        hold_all(&mut from_merged, &holds[cut..]);
+        prop_assert_eq!(from_split.capture(), from_merged.capture());
     }
 
     /// The reused-buffer slot expansion visits exactly the slots and moves
@@ -459,10 +638,10 @@ fn overbooked_runs_are_refused_on_both_paths() {
         let mut a = FaultSim::new(2, &demands, &[0], FaultPlan::default());
         let mut b = a.clone();
         assert!(!step_both(&mut a, &mut b, &trace, None));
-        let err = a.execute_trace(&trace, None).unwrap_err();
+        let (err, _) = counted(|| a.execute_trace(&trace, None));
         assert_eq!(
-            err,
-            coflow_netsim::SimError::PairOverCapacity {
+            err.unwrap_err(),
+            SimError::PairOverCapacity {
                 start: 2,
                 src,
                 dst,
@@ -472,4 +651,62 @@ fn overbooked_runs_are_refused_on_both_paths() {
         );
         assert_eq!((a.now(), a.remaining_total(0)), (1, 2));
     }
+}
+
+/// A run that reaches back before the clock executes only its slots after
+/// it, on both paths: with the clock at 3, a never-executed run of 3 units
+/// over slots 2–4 delivers the 1 unit of slot 4.
+#[test]
+fn slots_at_or_before_the_clock_count_as_done() {
+    let demands = [Demand::from_flows(2, [(0, 1, 3)]).unwrap()];
+    let mut trace = ScheduleTrace::new(2);
+    trace.push_run(Run {
+        start: 2,
+        duration: 3,
+        transfers: Box::new([Transfer::new(0, 1, 0, 3).unwrap()]),
+    });
+    let mut a = FaultSim::new(2, &demands, &[0], FaultPlan::default());
+    a.advance_to(3);
+    let mut b = a.clone();
+    assert!(step_both(&mut a, &mut b, &trace, None));
+    assert_eq!((a.now(), a.remaining_total(0)), (4, 2));
+    let (executed, _, _) = a.finish();
+    assert_eq!(busy_slots(&executed), vec![(4, vec![(0, 1, 0)])]);
+}
+
+/// A captured executed run that books more units on a pair than it lasts,
+/// overlaps the run before it or ends after the clock is refused instead
+/// of replayed short or overlapped by the next recorded slot.
+#[test]
+fn from_state_refuses_overbooked_and_overlapping_runs() {
+    let demands = [Demand::from_flows(2, [(0, 1, 3)]).unwrap()];
+    let mut sim = FaultSim::new(2, &demands, &[0], FaultPlan::default());
+    sim.advance_to(4);
+    let run = |start: u64, duration: u64, units: u64| Run {
+        start,
+        duration,
+        transfers: Box::new([Transfer::new(0, 1, 0, units).unwrap()]),
+    };
+    let mut state = sim.capture();
+    state.executed.runs = vec![run(1, 1, 2)];
+    let err = FaultSim::from_state(state).unwrap_err();
+    assert!(err.message.contains("books 2 units on (0, 1)"), "{}", err);
+    let mut state = sim.capture();
+    state.executed.runs = vec![run(1, 2, 2), run(2, 1, 1)];
+    let err = FaultSim::from_state(state).unwrap_err();
+    assert!(err.message.contains("run at 2 starts before"), "{}", err);
+    let mut state = sim.capture();
+    state.executed.runs = vec![run(4, 2, 2)];
+    let err = FaultSim::from_state(state).unwrap_err();
+    assert!(
+        err.message.contains("run at 4 ends after the clock (4)"),
+        "{}",
+        err
+    );
+    let mut state = sim.capture();
+    state.executed.runs = vec![run(3, 2, 2)];
+    assert!(
+        FaultSim::from_state(state).is_ok(),
+        "a run ending at the clock"
+    );
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Consolidated gate runner: clippy, the benchmark crate's release build,
-# every `experiments -- gate NAME`, the perf steps that are not gates
-# (check-perf.sh), explain and chaos — in that order, never aborting early, so one invocation reports every
-# status. Appends ONE coflow-ledger/1 verdict record (gate `check-all`)
-# carrying one status per step, prints a pass/fail summary table, and
-# exits nonzero if any step failed.
+# Consolidated gate runner: clippy, every crate's tests, the benchmark
+# crate's release build, every `experiments -- gate NAME`, the perf steps
+# that are not gates (check-perf.sh), explain and chaos — in that order,
+# never aborting early, so one invocation reports every status. Appends
+# ONE coflow-ledger/1 verdict record (gate `check-all`) carrying one
+# status per step, prints a pass/fail summary table, and exits nonzero if
+# any step failed.
 #
 # Each gate appends its own run record and `gate-NAME` verdict record,
 # and each check-*.sh script its own verdict record, so the ledger shows
@@ -49,6 +50,9 @@ bench_build() {
 }
 
 step clippy sh scripts/check-clippy.sh
+# The root package's `cargo test` covers only its own tests; this runs
+# every crate's unit, integration and property tests.
+step tests cargo test --workspace -q --offline
 step bench-build bench_build
 for gate in $GATES; do
     step "$gate" cargo run --release -q -p coflow-bench --bin experiments -- gate "$gate"

@@ -5,11 +5,17 @@
 //! fault-aware engine under the empty plan) and, when it supports faults,
 //! under a rate-0.20 fault plan. Every schedule must pass its replay
 //! check, and its objective bits, an FNV-1a fold of its completions, its
-//! makespan and the number of runs in its trace must equal constants
+//! makespan, the number of slots that move a unit and the number of runs
+//! in its trace must equal recorded constants. The first four were
 //! recorded before the engine's executors and policies moved from dense
 //! demand matrices to sparse per-coflow entries. A change to the run path
 //! that keeps every decision keeps every one of them; a dropped, reordered
-//! or misread demand entry moves at least the run count.
+//! or misread demand entry moves at least the slot or run count.
+//!
+//! The fault executor used to record one run per busy slot, so its old
+//! run counts are the busy-slot counts of the rows it runs (`resilient`
+//! and every `/faults` row). It now records a run per maximal stretch of
+//! identical slots, and the run column holds those counts.
 //!
 //! The instances cover the benchmark's shapes at test size: the offline
 //! trace (zero releases, Algorithm 2's home ground) and the arrivals trace
@@ -19,7 +25,7 @@ use coflow::{
     run_policy, run_policy_with_faults, verify_faulty_outcome, verify_outcome, Instance,
     PolicyRegistry,
 };
-use coflow_netsim::FaultPlan;
+use coflow_netsim::{FaultPlan, ScheduleTrace};
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 use std::fmt::Write as _;
 
@@ -31,6 +37,8 @@ struct Bits {
     objective: u64,
     completions_fnv: u64,
     makespan: u64,
+    /// Slots that move at least one unit.
+    busy_slots: usize,
     runs: usize,
 }
 
@@ -44,6 +52,13 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
         }
     }
     h
+}
+
+/// Slots of `trace` that move at least one unit.
+fn busy_slots(trace: &ScheduleTrace) -> usize {
+    let mut busy = 0;
+    trace.for_each_slot(|_, moves| busy += usize::from(!moves.is_empty()));
+    busy
 }
 
 /// The benchmark's trace generator, offline or arrivals shaped, with
@@ -109,6 +124,7 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
                 objective: out.objective.to_bits(),
                 completions_fnv: fnv1a(completions),
                 makespan: out.executed.makespan(),
+                busy_slots: busy_slots(&out.executed),
                 runs: out.executed.runs.len(),
             }
         } else {
@@ -120,6 +136,7 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
                 objective: out.objective.to_bits(),
                 completions_fnv: fnv1a(out.completions.iter().copied()),
                 makespan: out.makespan(),
+                busy_slots: busy_slots(&out.trace),
                 runs: out.trace.runs.len(),
             }
         };
@@ -136,6 +153,7 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
                 objective: out.objective.to_bits(),
                 completions_fnv: fnv1a(completions),
                 makespan: out.executed.makespan(),
+                busy_slots: busy_slots(&out.executed),
                 runs: out.executed.runs.len(),
             });
         }
@@ -145,15 +163,16 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
 
 /// Compares `got` with the recorded rows; on drift, the panic message
 /// holds the whole table as it now reads, in the form written below.
-fn check(name: &str, got: Vec<Bits>, want: &[(&str, u64, u64, u64, usize)]) {
+fn check(name: &str, got: Vec<Bits>, want: &[(&str, u64, u64, u64, usize, usize)]) {
     let want: Vec<Bits> = want
         .iter()
         .map(
-            |&(label, objective, completions_fnv, makespan, runs)| Bits {
+            |&(label, objective, completions_fnv, makespan, busy_slots, runs)| Bits {
                 label: label.to_string(),
                 objective,
                 completions_fnv,
                 makespan,
+                busy_slots,
                 runs,
             },
         )
@@ -163,8 +182,8 @@ fn check(name: &str, got: Vec<Bits>, want: &[(&str, u64, u64, u64, usize)]) {
         for b in &got {
             let _ = writeln!(
                 table,
-                "            (\"{}\", {}, {:#018x}, {}, {}),",
-                b.label, b.objective, b.completions_fnv, b.makespan, b.runs
+                "            (\"{}\", {}, {:#018x}, {}, {}, {}),",
+                b.label, b.objective, b.completions_fnv, b.makespan, b.busy_slots, b.runs
             );
         }
         panic!("{name}: engine output drifted; it now reads\n{table}");
@@ -180,19 +199,19 @@ fn offline_shape_40_ports() {
         "offline 40x30",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 430),
-            ("online", 4686142815556599808, 0x4856ee16c716f10e, 4704, 470),
-            ("online/faults", 4687232637738156032, 0x521b0c287307db68, 4865, 4865),
-            ("online-stale", 4686536749956988928, 0x7a56c3a110029262, 4704, 471),
-            ("online-stale/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865),
-            ("greedy", 4686536749956988928, 0x7a56c3a110029262, 4704, 471),
-            ("greedy/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865),
-            ("resilient", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639),
-            ("resilient/faults", 4691800575975620608, 0xd49881624ce169cb, 8313, 8313),
-            ("shafiee-ghaderi", 4686159411310231552, 0xf236c5f4d3f48c17, 4704, 467),
-            ("shafiee-ghaderi/faults", 4687249233491787776, 0xe1efbabedcb65149, 4865, 4865),
-            ("im-purohit", 4686141819124187136, 0x1953d33f7606ac78, 4704, 464),
-            ("im-purohit/faults", 4687231641305743360, 0x2382b28d367bdaf2, 4865, 4865),
+            ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 430),
+            ("online", 4686142815556599808, 0x4856ee16c716f10e, 4704, 4704, 470),
+            ("online/faults", 4687232637738156032, 0x521b0c287307db68, 4865, 4865, 485),
+            ("online-stale", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471),
+            ("online-stale/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484),
+            ("greedy", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471),
+            ("greedy/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484),
+            ("resilient", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 518),
+            ("resilient/faults", 4691800575975620608, 0xd49881624ce169cb, 8313, 8313, 563),
+            ("shafiee-ghaderi", 4686159411310231552, 0xf236c5f4d3f48c17, 4704, 4704, 467),
+            ("shafiee-ghaderi/faults", 4687249233491787776, 0xe1efbabedcb65149, 4865, 4865, 483),
+            ("im-purohit", 4686141819124187136, 0x1953d33f7606ac78, 4704, 4704, 464),
+            ("im-purohit/faults", 4687231641305743360, 0x2382b28d367bdaf2, 4865, 4865, 477),
         ],
     );
 }
@@ -206,19 +225,19 @@ fn arrivals_shape_16_ports() {
         "arrivals 16x40",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 181),
-            ("online", 4695031138706522112, 0x448727538b8e6300, 1945, 294),
-            ("online/faults", 4694996375241228288, 0x61825407b2018530, 1945, 1841),
-            ("online-stale", 4695031112936718336, 0xca2e7c2892f38bf4, 1942, 293),
-            ("online-stale/faults", 4695020083460702208, 0x376ac537dcdb03f6, 1942, 1838),
-            ("greedy", 4695046394430357504, 0xe6522941943a2490, 1942, 294),
-            ("greedy/faults", 4695068951598596096, 0x94292d61cc556a52, 1942, 1838),
-            ("resilient", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561),
-            ("resilient/faults", 4696908434551865344, 0xb9ca4e663e550887, 2848, 2120),
-            ("shafiee-ghaderi", 4695048859741585408, 0x4edeb5999c514851, 1942, 295),
-            ("shafiee-ghaderi/faults", 4695027324775563264, 0x655f68c4ab36c48c, 1942, 1838),
-            ("im-purohit", 4695462860229181440, 0x5527f4b12b875bb0, 1942, 300),
-            ("im-purohit/faults", 4695413261946847232, 0x0ac7df31ba5e20a0, 1942, 1838),
+            ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 181),
+            ("online", 4695031138706522112, 0x448727538b8e6300, 1945, 1864, 294),
+            ("online/faults", 4694996375241228288, 0x61825407b2018530, 1945, 1841, 268),
+            ("online-stale", 4695031112936718336, 0xca2e7c2892f38bf4, 1942, 1861, 293),
+            ("online-stale/faults", 4695020083460702208, 0x376ac537dcdb03f6, 1942, 1838, 266),
+            ("greedy", 4695046394430357504, 0xe6522941943a2490, 1942, 1861, 294),
+            ("greedy/faults", 4695068951598596096, 0x94292d61cc556a52, 1942, 1838, 267),
+            ("resilient", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 251),
+            ("resilient/faults", 4696908434551865344, 0xb9ca4e663e550887, 2848, 2120, 242),
+            ("shafiee-ghaderi", 4695048859741585408, 0x4edeb5999c514851, 1942, 1861, 295),
+            ("shafiee-ghaderi/faults", 4695027324775563264, 0x655f68c4ab36c48c, 1942, 1838, 267),
+            ("im-purohit", 4695462860229181440, 0x5527f4b12b875bb0, 1942, 1861, 300),
+            ("im-purohit/faults", 4695413261946847232, 0x0ac7df31ba5e20a0, 1942, 1838, 267),
         ],
     );
 }
@@ -232,19 +251,19 @@ fn arrivals_shape_30_ports() {
         "arrivals 30x40",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 264),
-            ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 349),
-            ("online/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029),
-            ("online-stale", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 349),
-            ("online-stale/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029),
-            ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 349),
-            ("greedy/faults", 4695808862794547200, 0x7d5cebe599af3087, 2232, 2029),
-            ("resilient", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450),
-            ("resilient/faults", 4698210552671895552, 0x982a310c1c4b13a6, 3331, 2735),
-            ("shafiee-ghaderi", 4696033214706221056, 0xb40c1fa0f109146d, 2232, 347),
-            ("shafiee-ghaderi/faults", 4695795960712790016, 0xe06a5c3ba41d5178, 2232, 2029),
-            ("im-purohit", 4696129456333389824, 0xf3f6c7f313888a52, 2232, 359),
-            ("im-purohit/faults", 4695883672534908928, 0x56ec863d2f55935d, 2232, 2029),
+            ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 264),
+            ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349),
+            ("online/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 350),
+            ("online-stale", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349),
+            ("online-stale/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 349),
+            ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 2145, 349),
+            ("greedy/faults", 4695808862794547200, 0x7d5cebe599af3087, 2232, 2029, 350),
+            ("resilient", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 301),
+            ("resilient/faults", 4698210552671895552, 0x982a310c1c4b13a6, 3331, 2735, 353),
+            ("shafiee-ghaderi", 4696033214706221056, 0xb40c1fa0f109146d, 2232, 2145, 347),
+            ("shafiee-ghaderi/faults", 4695795960712790016, 0xe06a5c3ba41d5178, 2232, 2029, 346),
+            ("im-purohit", 4696129456333389824, 0xf3f6c7f313888a52, 2232, 2145, 359),
+            ("im-purohit/faults", 4695883672534908928, 0x56ec863d2f55935d, 2232, 2029, 349),
         ],
     );
 }
