@@ -145,26 +145,28 @@ fn ablate_bvn_variant(c: &mut Criterion) {
             }
         }
     }
-    let plain = bvn_decompose(&d);
-    let maxmin = bvn_decompose_maxmin(&d);
+    let plain = bvn_decompose(m, d.nonzero_entries());
+    let maxmin = bvn_decompose_maxmin(m, d.nonzero_entries());
     println!("== ablation: BvN matching-selection rule (48x48, 40% dense) ==");
     println!(
         "  arbitrary perfect matching: {} matchings for {} slots",
-        plain.slots.len(),
+        plain.len(),
         plain.total_slots()
     );
     println!(
         "  max-min bottleneck:         {} matchings for {} slots",
-        maxmin.slots.len(),
+        maxmin.len(),
         maxmin.total_slots()
     );
     assert_eq!(plain.total_slots(), maxmin.total_slots());
 
     let mut group = c.benchmark_group("ablation_bvn");
     group.sample_size(10);
-    group.bench_function("arbitrary", |b| b.iter(|| bvn_decompose(&d).slots.len()));
+    group.bench_function("arbitrary", |b| {
+        b.iter(|| bvn_decompose(m, d.nonzero_entries()).len())
+    });
     group.bench_function("maxmin", |b| {
-        b.iter(|| bvn_decompose_maxmin(&d).slots.len())
+        b.iter(|| bvn_decompose_maxmin(m, d.nonzero_entries()).len())
     });
     group.finish();
 }

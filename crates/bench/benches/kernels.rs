@@ -70,7 +70,7 @@ fn bench_bvn(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(42 + m as u64);
         let mat = balanced_matrix(m, 10, &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(m), &mat, |b, mat| {
-            b.iter(|| black_box(bvn_decompose(black_box(mat))).slots.len())
+            b.iter(|| black_box(bvn_decompose(m, black_box(mat).nonzero_entries())).len())
         });
     }
     group.finish();

@@ -27,7 +27,7 @@ fn bench_bvn(c: &mut Criterion) {
     for &m in &[16usize, 48, 96] {
         let d = random_matrix(m, 0.3, m as u64);
         group.bench_with_input(BenchmarkId::from_parameter(m), &d, |b, d| {
-            b.iter(|| bvn_decompose(d))
+            b.iter(|| bvn_decompose(m, d.nonzero_entries()))
         });
     }
     group.finish();

@@ -39,7 +39,7 @@ use crate::coflow::Coflow;
 use crate::error::SchedError;
 use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
-use coflow_matching::{bvn_decompose, BvnDecomposition, IntMatrix, MatchingSlot, Permutation};
+use coflow_matching::{bvn_decompose, bvn_decompose_maxmin, BvnDecomposition, IntMatrix};
 use coflow_netsim::{
     DemandView, Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError, SparseDemand, Transfer,
 };
@@ -1104,12 +1104,167 @@ pub(crate) fn hold(state: &EpochState<'_>, min_remaining: u64, next_release: u64
 /// matching, so the paper-mode schedule is untouched.
 const REMATCH_CHUNK: u64 = 4;
 
-/// The batch currently being executed: its decomposition, the pending
-/// chunk queue, and the batch's eligibility horizon.
+/// Marks a missing queue (an edge no coflow demands, an entry not yet
+/// grouped) or a queue without a member at its front.
+const NO_QUEUE: u32 = u32::MAX;
+
+/// The batch currently being executed: its decomposition, the pair queue
+/// of each of its edges, the pending chunk queue, and the batch's
+/// eligibility horizon.
 struct ActiveBatch {
     dec: BvnDecomposition,
+    /// Pair queue of each edge of `dec`, [`NO_QUEUE`] where no coflow
+    /// demands the edge's pair. Empty until the queues are built: a
+    /// restored batch waits for the first decision.
+    edge_queue: Vec<u32>,
     chunks: std::vec::IntoIter<(usize, u64)>,
     batch_end_pos: usize,
+}
+
+/// Per-pair coflow queues in global order: candidates for service on a
+/// pair, scanned front to back. One CSR over the distinct port pairs that
+/// some coflow demands, in row-major order; each item is a coflow and its
+/// entry in the executor's remaining demand. Built at the first decision
+/// from that state, so its buffers are O(nnz + m).
+struct PairQueues {
+    /// The distinct demanded pairs `(i, j)`; queue `q` serves `pairs[q]`.
+    pairs: Vec<(u32, u32)>,
+    /// Queue `q` is `items[at[q]..at[q + 1]]`.
+    at: Vec<usize>,
+    items: Vec<(usize, usize)>,
+    /// How far each queue's prefix of pair-finished coflows reaches:
+    /// remaining demand only ever decreases, so the trim is permanent and
+    /// the skipped prefix can never become a candidate again.
+    head: Vec<usize>,
+    /// The queue of each entry of the executor's remaining demand.
+    of_entry: Vec<u32>,
+    /// Units per queue while a batch is aggregated; zero between batches.
+    sum: Vec<u64>,
+    /// The queues a batch's aggregate touches.
+    touched: Vec<u32>,
+}
+
+impl PairQueues {
+    /// Groups `demand`'s entries by pair, with each pair's coflows in
+    /// `order`: a stable counting sort by egress and then one by ingress
+    /// list the entries row-major by pair, each pair's in global order, in
+    /// O(nnz + m).
+    fn build(demand: &SparseDemand, m: usize, order: &[usize]) -> Self {
+        let nnz = demand.nnz();
+        assert!(u32::try_from(nnz).is_ok(), "pair queue ids must fit in u32");
+        let mut by_order = Vec::with_capacity(nnz);
+        for &k in order {
+            by_order.extend(demand.entries(k).map(|e| (k, e)));
+        }
+        let pair = |&(_, e): &(usize, usize)| demand.pair(e);
+        let mut by_egress = vec![(0, 0); nnz];
+        let mut items = vec![(0, 0); nnz];
+        counting_sort(&by_order, &mut by_egress, m, |x| pair(x).1);
+        counting_sort(&by_egress, &mut items, m, |x| pair(x).0);
+        let mut of_entry = vec![NO_QUEUE; nnz];
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(nnz);
+        let mut at = Vec::with_capacity(nnz + 1);
+        for (x, &(_, e)) in items.iter().enumerate() {
+            let (i, j) = demand.pair(e);
+            let p = (i as u32, j as u32);
+            if pairs.last() != Some(&p) {
+                pairs.push(p);
+                at.push(x);
+            }
+            of_entry[e] = (pairs.len() - 1) as u32;
+        }
+        at.push(nnz);
+        pairs.shrink_to_fit();
+        at.shrink_to_fit();
+        PairQueues {
+            head: at[..pairs.len()].to_vec(),
+            sum: vec![0; pairs.len()],
+            touched: Vec::new(),
+            pairs,
+            at,
+            items,
+            of_entry,
+        }
+    }
+
+    /// Decomposes the batch's remaining demand (with the max-min peel when
+    /// `maxmin`), summed per pair through the entry → queue map; `None`
+    /// when the batch has nothing left.
+    fn decompose(
+        &mut self,
+        demand: &SparseDemand,
+        batch: &[usize],
+        m: usize,
+        maxmin: bool,
+    ) -> Option<BvnDecomposition> {
+        let PairQueues {
+            pairs,
+            of_entry,
+            sum,
+            touched,
+            ..
+        } = self;
+        touched.clear();
+        for &k in batch {
+            for e in demand.entries(k) {
+                let units = demand.units(e);
+                let q = of_entry[e] as usize;
+                if units > 0 {
+                    if sum[q] == 0 {
+                        touched.push(q as u32);
+                    }
+                    sum[q] += units;
+                }
+            }
+        }
+        if touched.is_empty() {
+            return None;
+        }
+        // Queues are numbered row-major, so sorting them sorts the pairs.
+        touched.sort_unstable();
+        let entries = touched.iter().map(|&q| {
+            let (i, j) = pairs[q as usize];
+            (i as usize, j as usize, sum[q as usize])
+        });
+        let dec = if maxmin {
+            bvn_decompose_maxmin(m, entries)
+        } else {
+            bvn_decompose(m, entries)
+        };
+        for &q in touched.iter() {
+            sum[q as usize] = 0;
+        }
+        Some(dec)
+    }
+
+    /// The queue of each edge of `dec`: a binary search of the pairs.
+    fn edge_queues(&self, dec: &BvnDecomposition) -> Vec<u32> {
+        let mut out = Vec::with_capacity(dec.edge_count());
+        for i in 0..dec.ports() {
+            for e in dec.row(i) {
+                let p = (i as u32, dec.egress(e) as u32);
+                out.push(self.pairs.binary_search(&p).map_or(NO_QUEUE, |q| q as u32));
+            }
+        }
+        out
+    }
+}
+
+/// Stable counting sort of `src` into `dst` by `key`, which is below
+/// `buckets`.
+fn counting_sort<T: Copy>(src: &[T], dst: &mut [T], buckets: usize, key: impl Fn(&T) -> usize) {
+    let mut at = vec![0usize; buckets + 1];
+    for x in src {
+        at[key(x) + 1] += 1;
+    }
+    for b in 0..buckets {
+        at[b + 1] += at[b];
+    }
+    for x in src {
+        let slot = &mut at[key(x)];
+        dst[*slot] = *x;
+        *slot += 1;
+    }
 }
 
 /// The batch-pipeline policy: partitions the committed order into batches,
@@ -1119,25 +1274,19 @@ struct ActiveBatch {
 ///
 /// Scheduling state (order positions, per-pair queues with permanent
 /// prefix trims, the batch in flight, spare candidate buffers) lives here;
-/// the engine owns the clock and the fabric.
+/// the engine owns the clock and the fabric. The pair queues and the
+/// per-edge arrays grow with the instance's nonzero pairs and the fabric
+/// width `m`, never with `m²`; the batch in flight also holds `m` edge
+/// ids per slot of its decomposition, so a batch peeled into about `m`
+/// slots holds `Θ(m²)` (DESIGN §5.1).
 pub struct BvnBatchPolicy {
     order: Vec<usize>,
     batches: Vec<Vec<usize>>,
     opts: ExecOptions,
     /// Position of each coflow in the global order.
     pos: Vec<usize>,
-    /// Per-pair coflow queues in global order: candidates for service on a
-    /// pair, scanned front to back. One CSR over port pairs: the queue of
-    /// pair `p = i * m + j` is `queue[queue_at[p]..queue_at[p + 1]]`, each
-    /// item a coflow and its entry in the executor's remaining demand.
-    /// Built at the first decision from that state (empty until then).
-    /// `pair_head` remembers how far each queue's prefix of pair-finished
-    /// coflows reaches — remaining demand only ever decreases, so the trim
-    /// is permanent and the skipped prefix can never become a candidate
-    /// again.
-    queue_at: Vec<usize>,
-    queue: Vec<(usize, usize)>,
-    pair_head: Vec<usize>,
+    /// Built at the first decision from the executor's state.
+    queues: Option<PairQueues>,
     b_idx: usize,
     current: Option<ActiveBatch>,
     /// Reused across chunks: the outer run buffer and a spare-buffer pool
@@ -1178,9 +1327,7 @@ impl BvnBatchPolicy {
             batches,
             opts,
             pos,
-            queue_at: Vec::new(),
-            queue: Vec::new(),
-            pair_head: Vec::new(),
+            queues: None,
             b_idx: 0,
             current: None,
             pairs_pool: Vec::new(),
@@ -1207,15 +1354,16 @@ impl BvnBatchPolicy {
 
     /// Rebuilds a checkpointed policy. Derived state is recomputed: order
     /// positions from the order the snapshot carries, the pair queues at
-    /// the first decision from the restored executor. `pair_head` trims
-    /// restart at each queue's front: they are a pure scan optimization
-    /// (trimmed prefixes have zero remaining demand and are filtered out
-    /// either way), so decisions are unaffected. The per-batch obs span is
-    /// reopened when a batch is in flight so the stage taxonomy matches an
-    /// uninterrupted run. A batch in flight must be one decomposition: its
-    /// augmented matrix is Σ q·Π over its slots, its load the sum of the
-    /// counts q, and each slot's pending chunks are at least 1 long and
-    /// total no more than its count.
+    /// the first decision from the restored executor. The queues' prefix
+    /// trims restart at each queue's front: they are a pure scan
+    /// optimization (trimmed prefixes have zero remaining demand and are
+    /// filtered out either way), so decisions are unaffected. The per-batch
+    /// obs span is reopened when a batch is in flight so the stage taxonomy
+    /// matches an uninterrupted run. A batch in flight must be one
+    /// decomposition: each slot a permutation over the augmented matrix's
+    /// support, the augmented matrix Σ q·Π over its slots, its load the sum
+    /// of the counts q, and each slot's pending chunks at least 1 long and
+    /// totalling no more than its count.
     pub(crate) fn restore(
         instance: &Instance,
         order: Vec<usize>,
@@ -1235,29 +1383,22 @@ impl BvnBatchPolicy {
             if cs.augmented.len() != m * m {
                 return Err(bad("bvn-batch: augmented matrix width mismatch"));
             }
-            let slots = cs
-                .slots
-                .iter()
-                .map(|(map, count)| {
-                    if map.len() != m {
-                        return Err(bad("bvn-batch: permutation length mismatch"));
+            let mut seen = vec![false; m];
+            for (map, _) in &cs.slots {
+                if map.len() != m {
+                    return Err(bad("bvn-batch: permutation length mismatch"));
+                }
+                seen.fill(false);
+                for &j in map {
+                    if j >= m || seen[j] {
+                        return Err(bad("bvn-batch: slot is not a permutation"));
                     }
-                    let mut seen = vec![false; m];
-                    for &j in map {
-                        if j >= m || seen[j] {
-                            return Err(bad("bvn-batch: slot is not a permutation"));
-                        }
-                        seen[j] = true;
-                    }
-                    Ok(MatchingSlot {
-                        perm: Permutation::new(map.clone()),
-                        count: *count,
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+                    seen[j] = true;
+                }
+            }
             // A slot's chunks split its count and the ones already run came
             // first, so the pending chunks fit in what the count leaves.
-            let mut rest: Vec<u64> = slots.iter().map(|s| s.count).collect();
+            let mut rest: Vec<u64> = cs.slots.iter().map(|&(_, count)| count).collect();
             for &(idx, len) in &cs.chunks {
                 let Some(room) = rest.get_mut(idx) else {
                     return Err(bad("bvn-batch: chunk references a missing slot"));
@@ -1267,20 +1408,22 @@ impl BvnBatchPolicy {
                 }
                 *room -= len;
             }
-            let counts = slots
+            let counts = cs
+                .slots
                 .iter()
-                .try_fold(0u64, |sum, s| sum.checked_add(s.count));
+                .try_fold(0u64, |sum, &(_, count)| sum.checked_add(count));
             if counts != Some(cs.load) {
                 return Err(bad("bvn-batch: load is not the sum of the slot counts"));
             }
-            let dec = BvnDecomposition {
-                augmented: IntMatrix::from_rows(m, cs.augmented.clone()),
-                slots,
-                load: cs.load,
+            let augmented = IntMatrix::from_rows(m, cs.augmented.clone());
+            let Some(dec) = BvnDecomposition::from_dense(&augmented, &cs.slots) else {
+                return Err(bad(
+                    "bvn-batch: a slot pairs ports off the augmented support",
+                ));
             };
             // The count sum fits in u64 (checked above), so no entry of
             // Σ q·Π overflows.
-            if dec.reconstruct() != dec.augmented {
+            if !dec.is_slot_sum() {
                 return Err(bad(
                     "bvn-batch: augmented matrix is not the sum of its slots",
                 ));
@@ -1288,43 +1431,12 @@ impl BvnBatchPolicy {
             policy.sim_span = Some(obs::span("sched.simulate"));
             policy.current = Some(ActiveBatch {
                 dec,
+                edge_queue: Vec::new(),
                 chunks: cs.chunks.clone().into_iter(),
                 batch_end_pos: cs.batch_end_pos,
             });
         }
         Ok(policy)
-    }
-
-    /// Builds the per-pair queues over `demand`'s entries, by counting
-    /// sort: each pair's queue length, prefix sums, then the coflows in
-    /// global order fill their pairs' queues.
-    fn build_queues(&mut self, demand: &SparseDemand, m: usize) {
-        let mut at = vec![0; m * m + 1];
-        for &k in &self.order {
-            for e in demand.entries(k) {
-                let (i, j) = demand.pair(e);
-                at[i * m + j + 1] += 1;
-            }
-        }
-        for p in 0..m * m {
-            at[p + 1] += at[p];
-        }
-        // Fill each queue from its start; `head` then ends at the next
-        // queue's start and is reset as the scan head.
-        let mut head = at[..m * m].to_vec();
-        self.queue.clear();
-        self.queue.resize(at[m * m], (0, 0));
-        for &k in &self.order {
-            for e in demand.entries(k) {
-                let (i, j) = demand.pair(e);
-                let slot = &mut head[i * m + j];
-                self.queue[*slot] = (k, e);
-                *slot += 1;
-            }
-        }
-        head.copy_from_slice(&at[..m * m]);
-        self.queue_at = at;
-        self.pair_head = head;
     }
 
     /// Plans the candidate lists for one chunk of the active batch,
@@ -1340,26 +1452,31 @@ impl BvnBatchPolicy {
         slot_idx: usize,
     ) -> Vec<(usize, usize, Vec<usize>)> {
         let instance = state.instance;
-        let m = instance.ports();
         let now = state.now;
         let backfill = self.opts.backfill;
         let rematch = self.opts.rematch;
         let batch_end_pos = cur.batch_end_pos;
-        let slot = &cur.dec.slots[slot_idx];
         let demand = state.remaining_demand();
         let Self {
             order,
             pos,
-            queue_at,
-            queue,
-            pair_head,
+            queues,
             pairs_pool,
             spare,
             src_used,
             dst_used,
             ..
         } = self;
-        let queue_of = |p: usize| &queue[queue_at[p]..queue_at[p + 1]];
+        let Some(PairQueues {
+            at,
+            items,
+            head,
+            of_entry,
+            ..
+        }) = queues.as_mut()
+        else {
+            unreachable!("the queues are built at the first decision")
+        };
         let eligible =
             |k: usize| instance.coflow(k).release <= now && (pos[k] <= batch_end_pos || backfill);
         let mut pairs = std::mem::take(pairs_pool);
@@ -1368,11 +1485,15 @@ impl BvnBatchPolicy {
             src_used.fill(false);
             dst_used.fill(false);
         }
-        for (i, j) in slot.perm.pairs() {
-            let p = i * m + j;
-            let head = &mut pair_head[p];
-            let end = queue_at[p + 1];
-            while *head < end && demand.units(queue[*head].1) == 0 {
+        for (i, &e) in cur.dec.slot(slot_idx).iter().enumerate() {
+            let q = cur.edge_queue[e as usize];
+            if q == NO_QUEUE {
+                continue;
+            }
+            let q = q as usize;
+            let head = &mut head[q];
+            let end = at[q + 1];
+            while *head < end && demand.units(items[*head].1) == 0 {
                 *head += 1;
             }
             if *head == end {
@@ -1380,7 +1501,7 @@ impl BvnBatchPolicy {
             }
             let mut candidates = spare.pop().unwrap_or_default();
             candidates.extend(
-                queue[*head..end]
+                items[*head..end]
                     .iter()
                     .filter(|&&(k, e)| eligible(k) && demand.units(e) > 0)
                     .map(|&(k, _)| k),
@@ -1388,6 +1509,7 @@ impl BvnBatchPolicy {
             if candidates.is_empty() {
                 spare.push(candidates);
             } else {
+                let j = cur.dec.egress(e as usize);
                 if rematch {
                     src_used[i] = true;
                     dst_used[j] = true;
@@ -1408,9 +1530,10 @@ impl BvnBatchPolicy {
                     if !src_used[i] && !dst_used[j] && demand.units(e) > 0 {
                         src_used[i] = true;
                         dst_used[j] = true;
+                        let q = of_entry[e] as usize;
                         let mut candidates = spare.pop().unwrap_or_default();
                         candidates.extend(
-                            queue_of(i * m + j)
+                            items[at[q]..at[q + 1]]
                                 .iter()
                                 .filter(|&&(c, ce)| eligible(c) && demand.units(ce) > 0)
                                 .map(|&(c, _)| c),
@@ -1424,9 +1547,6 @@ impl BvnBatchPolicy {
     }
 }
 
-/// Marks a port pair no member of the batch being ordered needs.
-const NO_QUEUE: u32 = u32::MAX;
-
 /// Orders a batch's BvN slots so its members complete in priority order.
 /// Algorithm 1 admits any slot order (the group still clears in exactly ρ
 /// slots, so Lemma 4 and Proposition 1 are untouched), but applying, for
@@ -1434,38 +1554,40 @@ const NO_QUEUE: u32 = u32::MAX;
 /// finish as early as the decomposition allows instead of at the group's
 /// end. Leftover slots (serving only backfill demand) run last.
 ///
-/// A slot serves its pairs' members in batch order, so each port pair a
-/// member still needs has a queue of the members needing it, drained from
-/// the front. The queues live in one CSR layout (queue `q` owns entries
+/// A slot serves its edges' members in batch order, so each edge a member
+/// still needs has a queue of the members needing it, drained from the
+/// front. The queues live in one CSR layout (queue `q` owns entries
 /// `start[q]..start[q + 1]`) whose buffers are reused across batches.
 /// While member `b` is placed every earlier member is drained, so a slot
-/// serves `b` exactly when `b` heads the queue of one of the slot's pairs;
-/// and `b`'s picks strictly increase, since the pairs it needs only ever
+/// serves `b` exactly when `b` heads the queue of one of the slot's edges;
+/// and `b`'s picks strictly increase, since the edges it needs only ever
 /// shrink. One forward cursor per member therefore picks the slots a
 /// rescan of the pending slots from the first would pick, for every pick
 /// (that quadratic rescan is the reference the tests compare against).
 #[derive(Default)]
 struct SlotOrder {
-    /// Queue of each port pair `i * m + j`; `NO_QUEUE` between batches.
+    /// Queue of each edge of the decomposition; `NO_QUEUE` when no
+    /// member needs the edge's pair.
     queue_of: Vec<u32>,
-    /// Member heading the queue of each port pair; `NO_QUEUE` when none.
+    /// Member heading the queue of each edge; `NO_QUEUE` when none.
     front_of: Vec<u32>,
-    /// Port pair of each queue.
-    pair_of: Vec<usize>,
+    /// Edge of each queue.
+    edge_of: Vec<usize>,
     /// Entry offsets of the queues (their sizes while counting).
     start: Vec<usize>,
     /// First entry of each queue with units left; entries before it are
     /// drained.
     head: Vec<usize>,
-    /// Units the heading member has left on each queue's pair.
+    /// Units the heading member has left on each queue's edge.
     left: Vec<u64>,
-    /// Queue entries: the members needing the pair, in batch order, each
-    /// with its entry on the pair in the executor's remaining demand.
+    /// Queue entries: the members needing the edge, in batch order, each
+    /// with its entry on the edge's pair in the executor's remaining
+    /// demand.
     member: Vec<(u32, usize)>,
-    /// The queue of each member's pairs and the member's entry on it,
+    /// The queue of each member's edges and the member's entry on it,
     /// member after member.
     staged: Vec<(u32, usize)>,
-    /// Pairs each member still has units on.
+    /// Edges each member still has units on.
     need: Vec<usize>,
     /// Slots already placed in the sequence.
     taken: Vec<bool>,
@@ -1473,20 +1595,19 @@ struct SlotOrder {
 
 impl SlotOrder {
     /// The order in which to apply `dec`'s slots to `batch`, whose
-    /// members' remaining demand `dec` covers.
+    /// members' remaining demand lies in `dec`'s support and is covered by
+    /// its slots.
     fn order(
         &mut self,
         state: &EpochState<'_>,
         batch: &[usize],
         dec: &BvnDecomposition,
     ) -> Vec<usize> {
-        let m = state.instance.ports();
         let demand = state.remaining_demand();
-        let slots = &dec.slots;
         let SlotOrder {
             queue_of,
             front_of,
-            pair_of,
+            edge_of,
             start,
             head,
             left,
@@ -1495,11 +1616,11 @@ impl SlotOrder {
             need,
             taken,
         } = self;
-        if queue_of.len() != m * m {
-            *queue_of = vec![NO_QUEUE; m * m];
-            *front_of = vec![NO_QUEUE; m * m];
-        }
-        pair_of.clear();
+        queue_of.clear();
+        queue_of.resize(dec.edge_count(), NO_QUEUE);
+        front_of.clear();
+        front_of.resize(dec.edge_count(), NO_QUEUE);
+        edge_of.clear();
         start.clear();
         staged.clear();
         need.clear();
@@ -1507,14 +1628,16 @@ impl SlotOrder {
             let before = staged.len();
             for e in demand.entries(k).filter(|&e| demand.units(e) > 0) {
                 let (i, j) = demand.pair(e);
-                let p = i * m + j;
-                if queue_of[p] == NO_QUEUE {
-                    queue_of[p] = pair_of.len() as u32;
-                    pair_of.push(p);
+                let Some(edge) = dec.find(i, j) else {
+                    unreachable!("the batch's remaining demand lies in the augmented support")
+                };
+                if queue_of[edge] == NO_QUEUE {
+                    queue_of[edge] = edge_of.len() as u32;
+                    edge_of.push(edge);
                     start.push(0);
                 }
-                start[queue_of[p] as usize] += 1;
-                staged.push((queue_of[p], e));
+                start[queue_of[edge] as usize] += 1;
+                staged.push((queue_of[edge], e));
             }
             need.push(staged.len() - before);
         }
@@ -1526,7 +1649,7 @@ impl SlotOrder {
             total += len;
         }
         start.push(total);
-        let queues = pair_of.len();
+        let queues = edge_of.len();
         head.clear();
         head.extend_from_slice(&start[..queues]);
         member.clear();
@@ -1541,43 +1664,42 @@ impl SlotOrder {
             staged_from += len;
         }
         head.copy_from_slice(&start[..queues]);
-        // A member's units on a pair are read when it reaches the front.
+        // A member's units on an edge are read when it reaches the front.
         left.clear();
-        for (q, &p) in pair_of.iter().enumerate() {
+        for (q, &edge) in edge_of.iter().enumerate() {
             let (b, e) = member[start[q]];
-            front_of[p] = b;
+            front_of[edge] = b;
             left.push(demand.units(e));
         }
 
         taken.clear();
-        taken.resize(slots.len(), false);
-        let mut sequence = Vec::with_capacity(slots.len());
+        taken.resize(dec.len(), false);
+        let mut sequence = Vec::with_capacity(dec.len());
         for b in 0..batch.len() {
             let mut cursor = 0;
             while need[b] > 0 {
                 let serves_b = |s: usize| {
-                    slots[s]
-                        .perm
-                        .pairs()
-                        .any(|(i, j)| front_of[i * m + j] == b as u32)
+                    dec.slot(s)
+                        .iter()
+                        .any(|&e| front_of[e as usize] == b as u32)
                 };
-                while cursor < slots.len() && (taken[cursor] || !serves_b(cursor)) {
+                while cursor < dec.len() && (taken[cursor] || !serves_b(cursor)) {
                     cursor += 1;
                 }
-                if cursor == slots.len() {
+                if cursor == dec.len() {
                     unreachable!("BvN coverage must clear every group coflow");
                 }
                 taken[cursor] = true;
                 sequence.push(cursor);
-                // The slot's service on each pair goes to the queue's
+                // The slot's service on each edge goes to the queue's
                 // members in order.
-                let count = slots[cursor].count;
-                for (i, j) in slots[cursor].perm.pairs() {
-                    let p = i * m + j;
-                    if queue_of[p] == NO_QUEUE {
+                let count = dec.count(cursor);
+                for &edge in dec.slot(cursor) {
+                    let edge = edge as usize;
+                    if queue_of[edge] == NO_QUEUE {
                         continue;
                     }
-                    let q = queue_of[p] as usize;
+                    let q = queue_of[edge] as usize;
                     let mut budget = count;
                     while budget > 0 && head[q] < start[q + 1] {
                         let take = left[q].min(budget);
@@ -1586,10 +1708,10 @@ impl SlotOrder {
                         if left[q] == 0 {
                             need[member[head[q]].0 as usize] -= 1;
                             head[q] += 1;
-                            front_of[p] = NO_QUEUE;
+                            front_of[edge] = NO_QUEUE;
                             if head[q] < start[q + 1] {
                                 let (b, e) = member[head[q]];
-                                front_of[p] = b;
+                                front_of[edge] = b;
                                 left[q] = demand.units(e);
                             }
                         }
@@ -1597,39 +1719,39 @@ impl SlotOrder {
                 }
             }
         }
-        sequence.extend((0..slots.len()).filter(|&s| !taken[s]));
-        for &p in pair_of.iter() {
-            queue_of[p] = NO_QUEUE;
-            front_of[p] = NO_QUEUE;
-        }
+        sequence.extend((0..dec.len()).filter(|&s| !taken[s]));
         sequence
     }
 }
 
-/// Splits a slot sequence into `(slot index, length)` chunks; without
-/// rematching every slot is one chunk of its full count.
+/// Splits a slot sequence into `(slot index, length)` chunks in one
+/// exact-size list; without rematching every slot is one chunk of its
+/// full count.
 fn chunk_slots(
     slot_sequence: Vec<usize>,
     dec: &BvnDecomposition,
     rematch: bool,
 ) -> Vec<(usize, u64)> {
-    slot_sequence
-        .into_iter()
-        .flat_map(|slot_idx| {
-            let q = dec.slots[slot_idx].count;
-            if rematch && q > REMATCH_CHUNK {
-                let chunks = q.div_ceil(REMATCH_CHUNK);
-                (0..chunks)
-                    .map(|c| {
-                        let len = REMATCH_CHUNK.min(q - c * REMATCH_CHUNK);
-                        (slot_idx, len)
-                    })
-                    .collect::<Vec<_>>()
-            } else {
-                vec![(slot_idx, q)]
-            }
-        })
-        .collect()
+    let pieces = |q: u64| {
+        if rematch {
+            q.div_ceil(REMATCH_CHUNK)
+        } else {
+            1
+        }
+    };
+    let total: u64 = slot_sequence.iter().map(|&s| pieces(dec.count(s))).sum();
+    let mut chunks = Vec::with_capacity(total as usize);
+    for slot_idx in slot_sequence {
+        let q = dec.count(slot_idx);
+        let step = if rematch { REMATCH_CHUNK } else { q };
+        let mut done = 0;
+        while done < q {
+            let len = step.min(q - done);
+            chunks.push((slot_idx, len));
+            done += len;
+        }
+    }
+    chunks
 }
 
 impl Policy for BvnBatchPolicy {
@@ -1641,8 +1763,12 @@ impl Policy for BvnBatchPolicy {
         let instance = state.instance;
         let m = instance.ports();
         let demand = state.remaining_demand();
-        if self.queue_at.is_empty() {
-            self.build_queues(demand, m);
+        if self.queues.is_none() {
+            let queues = PairQueues::build(demand, m, &self.order);
+            if let Some(cur) = self.current.as_mut() {
+                cur.edge_queue = queues.edge_queues(&cur.dec);
+            }
+            self.queues = Some(queues);
         }
         loop {
             // Emit the next chunk of the batch in flight, if any.
@@ -1701,21 +1827,15 @@ impl Policy for BvnBatchPolicy {
             // Aggregate the *remaining* demand of the batch: backfilling
             // may have partially cleared it, and a cancelled member has
             // none left.
-            let mut agg = IntMatrix::zeros(m);
-            for &k in batch {
-                for e in demand.entries(k) {
-                    agg[demand.pair(e)] += demand.units(e);
-                }
-            }
-            if agg.is_zero() {
+            let Some(queues) = self.queues.as_mut() else {
+                unreachable!("the queues are built above")
+            };
+            let maxmin = self.opts.maxmin_decomposition;
+            let Some(dec) = queues.decompose(demand, batch, m, maxmin) else {
                 self.b_idx += 1;
                 continue;
-            }
-            let dec = if self.opts.maxmin_decomposition {
-                coflow_matching::bvn_decompose_maxmin(&agg)
-            } else {
-                bvn_decompose(&agg)
             };
+            let edge_queue = queues.edge_queues(&dec);
 
             let slot_sequence = self.slot_order.order(state, &self.batches[b_idx], &dec);
             if b_idx + 1 == self.batches.len() {
@@ -1733,6 +1853,7 @@ impl Policy for BvnBatchPolicy {
             self.sim_span = Some(obs::span("sched.simulate"));
             self.current = Some(ActiveBatch {
                 dec,
+                edge_queue,
                 chunks: chunked.into_iter(),
                 batch_end_pos,
             });
@@ -1758,19 +1879,22 @@ impl Policy for BvnBatchPolicy {
         self.sim_span = None;
     }
 
+    /// The batch in flight is written densely, as `coflow-snapshot/1`
+    /// stores it: the augmented matrix row-major and each slot's
+    /// ingress → egress map.
     fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
         let current = self
             .current
             .as_ref()
             .map(|cur| super::snapshot::ActiveBatchState {
-                augmented: cur.dec.augmented.as_slice().to_vec(),
-                slots: cur
-                    .dec
-                    .slots
-                    .iter()
-                    .map(|s| (s.perm.as_slice().to_vec(), s.count))
+                augmented: cur.dec.to_matrix().as_slice().to_vec(),
+                slots: (0..cur.dec.len())
+                    .map(|s| {
+                        let map = cur.dec.slot_pairs(s).map(|(_, j)| j).collect();
+                        (map, cur.dec.count(s))
+                    })
                     .collect(),
-                load: cur.dec.load,
+                load: cur.dec.load(),
                 chunks: cur.chunks.as_slice().to_vec(),
                 batch_end_pos: cur.batch_end_pos,
             });
@@ -2129,8 +2253,8 @@ mod tests {
         dec: &BvnDecomposition,
     ) -> Vec<usize> {
         let instance = state.instance;
-        let mut slot_sequence: Vec<usize> = Vec::with_capacity(dec.slots.len());
-        let mut pending: Vec<usize> = (0..dec.slots.len()).collect();
+        let mut slot_sequence: Vec<usize> = Vec::with_capacity(dec.len());
+        let mut pending: Vec<usize> = (0..dec.len()).collect();
         let mut rem: Vec<IntMatrix> = batch
             .iter()
             .map(|&k| {
@@ -2143,18 +2267,15 @@ mod tests {
             .collect();
         for member in 0..batch.len() {
             while !rem[member].is_zero() {
-                let found = pending.iter().position(|&s| {
-                    dec.slots[s]
-                        .perm
-                        .pairs()
-                        .any(|(i, j)| rem[member][(i, j)] > 0)
-                });
+                let found = pending
+                    .iter()
+                    .position(|&s| dec.slot_pairs(s).any(|(i, j)| rem[member][(i, j)] > 0));
                 let Some(p_idx) = found else {
                     unreachable!("BvN coverage must clear every group coflow")
                 };
                 let s = pending.remove(p_idx);
-                let q = dec.slots[s].count;
-                for (i, j) in dec.slots[s].perm.pairs() {
+                let q = dec.count(s);
+                for (i, j) in dec.slot_pairs(s) {
                     let mut budget = q;
                     for r in rem.iter_mut() {
                         if budget == 0 {
@@ -2249,23 +2370,33 @@ mod tests {
                     agg[(i, j)] += v;
                 }
             }
-            let mut dec = bvn_decompose(&agg);
-            let mut keyed: Vec<(u64, MatchingSlot)> = dec
-                .slots
-                .drain(..)
-                .enumerate()
-                .map(|(s, slot)| (mix(seed.rotate_left(17) ^ s as u64), slot))
+            // The decomposition's slots, shuffled, then unneeded slots
+            // appended: random permutations folded into the augmented
+            // matrix, so the slots are edges of its support.
+            let dec = bvn_decompose(m, agg.nonzero_entries());
+            let mut keyed: Vec<(u64, (Vec<usize>, u64))> = (0..dec.len())
+                .map(|s| {
+                    let map = dec.slot_pairs(s).map(|(_, j)| j).collect();
+                    (mix(seed.rotate_left(17) ^ s as u64), (map, dec.count(s)))
+                })
                 .collect();
             keyed.sort_by_key(|(key, _)| *key);
-            dec.slots = keyed.into_iter().map(|(_, slot)| slot).collect();
+            let mut slots: Vec<(Vec<usize>, u64)> =
+                keyed.into_iter().map(|(_, slot)| slot).collect();
+            let mut augmented = dec.to_matrix();
             for e in 0..extra as u64 {
                 let mut map: Vec<usize> = (0..m).collect();
                 map.sort_by_key(|&i| mix(seed ^ (e << 32) ^ i as u64));
-                dec.slots.push(MatchingSlot {
-                    perm: Permutation::new(map),
-                    count: 1 + mix(seed ^ e) % 3,
-                });
+                let count = 1 + mix(seed ^ e) % 3;
+                for (i, &j) in map.iter().enumerate() {
+                    augmented[(i, j)] += count;
+                }
+                slots.push((map, count));
             }
+            let Some(dec) = BvnDecomposition::from_dense(&augmented, &slots) else {
+                unreachable!("every slot lies in the augmented support")
+            };
+            prop_assert!(dec.is_slot_sum());
             let mut order = SlotOrder::default();
             prop_assert_eq!(
                 order.order(&state, &batch, &dec),
@@ -2276,6 +2407,50 @@ mod tests {
                 order.order(&state, prefix, &dec),
                 order_slots_reference(&state, prefix, &dec)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The queues are what a stable sort of the entries by pair would
+        /// give: the demanded pairs row-major, each pair's coflows in
+        /// global order, and every entry's queue.
+        #[test]
+        fn pair_queues_match_a_stable_sort_by_pair(case in matcher_case()) {
+            let (m, coflows, seed) = case;
+            let coflows = coflows
+                .into_iter()
+                .enumerate()
+                .map(|(k, (data, _))| {
+                    let d: Vec<u64> = data.iter().map(|&v| v.saturating_sub(4)).collect();
+                    Coflow::new(k, IntMatrix::from_rows(m, d))
+                })
+                .collect();
+            let instance = Instance::new(m, coflows);
+            let demand = &SparseDemand::new(m, instance.demands());
+            let mut order: Vec<usize> = (0..instance.len()).collect();
+            order.sort_by_key(|&k| mix(seed ^ k as u64));
+            let mut keyed: Vec<((usize, usize), usize, usize, usize)> = order
+                .iter()
+                .enumerate()
+                .flat_map(|(rank, &k)| demand.entries(k).map(move |e| (demand.pair(e), rank, k, e)))
+                .collect();
+            keyed.sort_unstable();
+            let q = PairQueues::build(demand, m, &order);
+            let items: Vec<(usize, usize)> = keyed.iter().map(|&(_, _, k, e)| (k, e)).collect();
+            prop_assert_eq!(&q.items, &items);
+            let mut pairs: Vec<(u32, u32)> =
+                keyed.iter().map(|&((i, j), ..)| (i as u32, j as u32)).collect();
+            pairs.dedup();
+            prop_assert_eq!(&q.pairs, &pairs);
+            prop_assert_eq!(q.at.len(), pairs.len() + 1);
+            for (p, &(i, j)) in pairs.iter().enumerate() {
+                for &(_, e) in &q.items[q.at[p]..q.at[p + 1]] {
+                    prop_assert_eq!(demand.pair(e), (i as usize, j as usize));
+                    prop_assert_eq!(q.of_entry[e] as usize, p);
+                }
+            }
         }
     }
 

@@ -35,7 +35,7 @@ mod legacy {
     use coflow::sched::{ExecOptions, ScheduleOutcome};
     use coflow::{run_resilient, AlgorithmSpec, Coflow, FaultyOutcome, Instance};
     use coflow_lp::SimplexOptions;
-    use coflow_matching::{bvn_decompose, IntMatrix};
+    use coflow_matching::{bvn_decompose, BvnDecomposition, IntMatrix, Permutation};
     use coflow_netsim::{Fabric, FaultPlan, FaultSim, Run, ScheduleTrace, SimError, Transfer};
 
     /// The instance's demands as dense matrices: the loops below index
@@ -51,6 +51,27 @@ mod legacy {
                 m
             })
             .collect()
+    }
+
+    /// A decomposition's slots as permutations, the shape the loop below
+    /// was written against (the decomposition is edge-indexed since).
+    struct DenseSlots {
+        slots: Vec<DenseSlot>,
+    }
+
+    struct DenseSlot {
+        perm: Permutation,
+        count: u64,
+    }
+
+    fn dense_slots(dec: &BvnDecomposition) -> DenseSlots {
+        let slots = (0..dec.len())
+            .map(|s| DenseSlot {
+                perm: Permutation::new(dec.slot_pairs(s).map(|(_, j)| j).collect()),
+                count: dec.count(s),
+            })
+            .collect();
+        DenseSlots { slots }
     }
 
     /// The pre-refactor `execute_batches` (sched/mod.rs), verbatim minus
@@ -117,11 +138,11 @@ mod legacy {
                 if agg.is_zero() {
                     continue;
                 }
-                if maxmin_decomposition {
-                    coflow_matching::bvn_decompose_maxmin(&agg)
+                dense_slots(&if maxmin_decomposition {
+                    coflow_matching::bvn_decompose_maxmin(m, agg.nonzero_entries())
                 } else {
-                    bvn_decompose(&agg)
-                }
+                    bvn_decompose(m, agg.nonzero_entries())
+                })
             };
 
             let mut slot_sequence: Vec<usize> = Vec::with_capacity(dec.slots.len());

@@ -212,3 +212,16 @@ fn legacy_decomposition_keys_must_be_bools() {
         }
     }
 }
+
+#[test]
+fn restore_rejects_a_slot_off_the_augmented_support() {
+    // Slot 2 cut to count 0 and its pairs taken out of the augmented
+    // matrix: Σ q·Π still equals the matrix, the load is the count sum and
+    // the chunk fits, but the slot pairs ports the matrix has no units on.
+    let intact = r#""augmented":[2,4,1,1,2,4,4,1,2],"slots":[[[0,1,2],2],[[1,2,0],4],[[2,0,1],1]],"load":7,"chunks":[[2,1]]"#;
+    let doctored = r#""augmented":[2,4,0,0,2,4,4,0,2],"slots":[[[0,1,2],2],[[1,2,0],4],[[2,0,1],0]],"load":6,"chunks":[[1,1]]"#;
+    assert_refused(intact, doctored, "off the augmented support");
+    // With its count kept, the slot's units fall outside the matrix.
+    let doctored = r#""augmented":[2,4,0,0,2,4,4,0,2],"slots":[[[0,1,2],2],[[1,2,0],4],[[2,0,1],1]],"load":7,"chunks":[[2,1]]"#;
+    assert_refused(intact, doctored, "augmented");
+}

@@ -10,13 +10,12 @@
 //! round. The total slot count is unchanged — it is always `ρ(D)` — only
 //! the number of distinct matchings shrinks.
 
-use crate::bipartite::BipartiteGraph;
-use crate::bvn::{augment_to_balanced, BvnDecomposition, MatchingSlot};
+use crate::bvn::{record_decomposition_stats, BvnDecomposition};
 use crate::hopcroft_karp::HopcroftKarp;
-use crate::matrix::{IntMatrix, Permutation};
 
-/// Finds a perfect matching maximizing the minimum matched entry, or `None`
-/// if no perfect matching exists at all.
+/// Finds a perfect matching of the edges with `work` left that maximizes
+/// the least `work` on a matched edge, and leaves it as the solver's
+/// assignment; `false` if no perfect matching exists at all.
 ///
 /// The binary search only needs *feasibility* ("does a perfect matching
 /// exist at this threshold?"), and maximum-matching cardinality is unique,
@@ -26,35 +25,34 @@ use crate::matrix::{IntMatrix, Permutation};
 /// threshold, which is exactly what the original probe-per-threshold
 /// implementation returned — the output is unchanged, only the probe cost
 /// collapses.
-fn max_bottleneck_perfect_matching(work: &IntMatrix, hk: &mut HopcroftKarp) -> Option<Permutation> {
-    let m = work.dim();
-    // Candidate thresholds: the distinct nonzero entries.
-    let mut values: Vec<u64> = work.nonzero_entries().map(|(_, _, v)| v).collect();
+fn max_bottleneck_perfect_matching(
+    dec: &BvnDecomposition,
+    work: &[u64],
+    hk: &mut HopcroftKarp,
+    values: &mut Vec<u64>,
+) -> bool {
+    let m = dec.ports();
+    // Candidate thresholds: the distinct nonzero units left.
+    values.clear();
+    values.extend(work.iter().copied().filter(|&v| v > 0));
     values.sort_unstable();
     values.dedup();
     if values.is_empty() {
-        return None;
+        return false;
     }
-
-    let graph_at = |threshold: u64| -> BipartiteGraph {
-        let mut g = BipartiteGraph::new(m, m);
-        for (i, j, v) in work.nonzero_entries() {
-            if v >= threshold {
-                g.add_edge(i, j);
-            }
-        }
-        g
-    };
     let feasible_at = |threshold: u64, hk: &mut HopcroftKarp, cold: bool| -> bool {
-        let g = graph_at(threshold);
+        let g = dec.graph_at(work, threshold);
         let size = if cold {
             hk.run_cold(&g)
         } else {
-            // Drop carried-over pairs whose entry fell below the threshold;
+            // Drop carried-over pairs whose edge fell below the threshold;
             // everything else is still an edge of the new graph.
             for u in 0..m {
                 if let Some(v) = hk.matched(u) {
-                    if work[(u, v)] < threshold {
+                    let e = dec
+                        .find(u, v)
+                        .unwrap_or_else(|| unreachable!("a matched pair is a support edge"));
+                    if work[e] < threshold {
                         hk.unmatch(u, v);
                     }
                 }
@@ -68,7 +66,7 @@ fn max_bottleneck_perfect_matching(work: &IntMatrix, hk: &mut HopcroftKarp) -> O
     let mut lo = 0usize; // index of highest known-feasible value
     let mut hi = values.len(); // exclusive upper bound of feasibility
     if !feasible_at(values[0], hk, true) {
-        return None;
+        return false;
     }
     while lo + 1 < hi {
         let mid = (lo + hi) / 2;
@@ -80,63 +78,40 @@ fn max_bottleneck_perfect_matching(work: &IntMatrix, hk: &mut HopcroftKarp) -> O
     }
     // Cold extraction at the winning threshold reproduces the original
     // implementation's permutation bit for bit.
-    let g = graph_at(values[lo]);
-    let size = hk.run_cold(&g);
+    let size = hk.run_cold(&dec.graph_at(work, values[lo]));
     debug_assert_eq!(size, m, "threshold {} was probed feasible", values[lo]);
-    Some(Permutation::new(hk.left_assignment().to_vec()))
+    true
 }
 
-/// Max-min decomposition of a doubly-balanced matrix.
-pub fn decompose_balanced_maxmin(balanced: &IntMatrix) -> Vec<MatchingSlot> {
-    let rho = balanced.load();
-    assert!(
-        balanced.is_doubly_balanced(rho),
-        "decompose_balanced_maxmin requires equal row/column sums"
-    );
-    let mut work = balanced.clone();
-    let mut slots = Vec::new();
-    let mut hk = HopcroftKarp::new();
-    let mut remaining = rho;
-    while remaining > 0 {
-        let perm = max_bottleneck_perfect_matching(&work, &mut hk)
-            .unwrap_or_else(|| unreachable!("balanced matrix must admit a perfect matching"));
-        let q = perm
-            .pairs()
-            .map(|(i, j)| work[(i, j)])
-            .min()
-            .unwrap_or_else(|| unreachable!("nonempty matching"));
-        debug_assert!(q > 0);
-        for (i, j) in perm.pairs() {
-            work[(i, j)] -= q;
-        }
-        remaining -= q;
-        slots.push(MatchingSlot { perm, count: q });
-    }
-    slots
-}
-
-/// Runs augmentation + max-min decomposition on an arbitrary matrix.
-pub fn bvn_decompose_maxmin(d: &IntMatrix) -> BvnDecomposition {
+/// Runs Algorithm 1's augmentation and the max-min peel on the `m × m`
+/// matrix whose nonzero entries are `entries`, given as for
+/// [`crate::bvn_decompose`].
+pub fn bvn_decompose_maxmin(
+    m: usize,
+    entries: impl IntoIterator<Item = (usize, usize, u64)>,
+) -> BvnDecomposition {
     let _span = obs::span("matching.bvn_decompose_maxmin");
-    let load = d.load();
-    let augmented = augment_to_balanced(d);
-    let slots = if load == 0 {
-        Vec::new()
-    } else {
-        decompose_balanced_maxmin(&augmented)
-    };
-    crate::bvn::record_decomposition_stats(d.dim(), slots.len());
-    BvnDecomposition {
-        augmented,
-        slots,
-        load,
+    let mut dec = BvnDecomposition::augmented(m, entries);
+    let mut work = dec.units().to_vec();
+    let mut hk = HopcroftKarp::new();
+    let mut values = Vec::new();
+    let mut remaining = dec.load();
+    while remaining > 0 {
+        if !max_bottleneck_perfect_matching(&dec, &work, &mut hk, &mut values) {
+            unreachable!("balanced matrix must admit a perfect matching");
+        }
+        remaining -= dec.push_slot(hk.left_assignment(), &mut work);
     }
+    dec.shrink_slots();
+    record_decomposition_stats(m, dec.len());
+    dec
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bvn::bvn_decompose;
+    use crate::matrix::{IntMatrix, Permutation};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -157,11 +132,11 @@ mod tests {
     fn maxmin_satisfies_the_same_invariants() {
         for seed in 0..20 {
             let d = random_matrix(6, 9, seed);
-            let dec = bvn_decompose_maxmin(&d);
+            let dec = bvn_decompose_maxmin(d.dim(), d.nonzero_entries());
             assert_eq!(dec.total_slots(), d.load(), "seed {}", seed);
-            assert!(dec.augmented.dominates(&d));
-            assert_eq!(dec.reconstruct(), dec.augmented);
-            assert!(dec.slots.len() <= d.dim() * d.dim().max(1));
+            assert!(dec.to_matrix().dominates(&d));
+            assert!(dec.is_slot_sum());
+            assert!(dec.len() <= d.dim() * d.dim().max(1));
         }
     }
 
@@ -175,10 +150,10 @@ mod tests {
                 d[(i, j)] = 5;
             }
         }
-        let maxmin = bvn_decompose_maxmin(&d);
-        assert_eq!(maxmin.slots.len(), 4);
-        for slot in &maxmin.slots {
-            assert_eq!(slot.count, 5);
+        let maxmin = bvn_decompose_maxmin(4, d.nonzero_entries());
+        assert_eq!(maxmin.len(), 4);
+        for s in 0..maxmin.len() {
+            assert_eq!(maxmin.count(s), 5);
         }
     }
 
@@ -191,8 +166,8 @@ mod tests {
             if d.load() == 0 {
                 continue;
             }
-            let a = bvn_decompose(&d).slots.len();
-            let b = bvn_decompose_maxmin(&d).slots.len();
+            let a = bvn_decompose(d.dim(), d.nonzero_entries()).len();
+            let b = bvn_decompose_maxmin(d.dim(), d.nonzero_entries()).len();
             total += 1;
             if b <= a {
                 wins += 1;
@@ -209,8 +184,8 @@ mod tests {
     #[test]
     fn single_permutation_matrix_is_one_slot() {
         let d = IntMatrix::scaled_permutation(&Permutation::new(vec![2, 0, 1]), 7);
-        let dec = bvn_decompose_maxmin(&d);
-        assert_eq!(dec.slots.len(), 1);
-        assert_eq!(dec.slots[0].count, 7);
+        let dec = bvn_decompose_maxmin(3, d.nonzero_entries());
+        assert_eq!(dec.len(), 1);
+        assert_eq!(dec.count(0), 7);
     }
 }

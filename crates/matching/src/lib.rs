@@ -10,14 +10,16 @@
 //! * [`bvn`] — Algorithm 1 of the paper: augmentation of a matrix to equal
 //!   row/column sums and its decomposition into at most `m²` scaled
 //!   permutation matrices, which schedules a lone coflow in exactly `ρ(D)`
-//!   matching slots (Lemma 4).
+//!   matching slots (Lemma 4). It reads the matrix's nonzero entries and
+//!   works on the augmented matrix's support, so its memory grows with the
+//!   nonzeros, not with `m²`.
 //!
 //! ```
 //! use coflow_matching::{IntMatrix, bvn::bvn_decompose};
 //!
 //! // Figure 1 of the paper: the 2×2 MapReduce shuffle completes in 3 slots.
 //! let d = IntMatrix::from_nested(&[[1, 2], [2, 1]]);
-//! let dec = bvn_decompose(&d);
+//! let dec = bvn_decompose(d.dim(), d.nonzero_entries());
 //! assert_eq!(dec.total_slots(), 3);
 //! ```
 
@@ -29,9 +31,11 @@ pub mod bvn;
 pub mod bvn_maxmin;
 pub mod hopcroft_karp;
 pub mod matrix;
+#[cfg(test)]
+mod reference;
 
 pub use bipartite::BipartiteGraph;
-pub use bvn::{bvn_decompose, BvnDecomposition, MatchingSlot};
+pub use bvn::{bvn_decompose, BvnDecomposition};
 pub use bvn_maxmin::bvn_decompose_maxmin;
 pub use hopcroft_karp::{maximum_matching, HopcroftKarp, Matching};
 pub use matrix::{IntMatrix, Permutation};

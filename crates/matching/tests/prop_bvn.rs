@@ -23,16 +23,19 @@ proptest! {
     /// is exact, and the number of matchings is at most m².
     #[test]
     fn bvn_invariants(d in matrix_strategy(8, 12)) {
-        let dec = bvn_decompose(&d);
+        let dec = bvn_decompose(d.dim(), d.nonzero_entries());
         prop_assert_eq!(dec.total_slots(), d.load());
-        prop_assert!(dec.augmented.dominates(&d));
-        prop_assert!(dec.augmented.is_doubly_balanced(d.load()));
-        prop_assert_eq!(dec.reconstruct(), dec.augmented.clone());
-        prop_assert!(dec.slots.len() <= d.dim() * d.dim());
-        // Each slot's count is positive and each perm is a bijection.
-        for slot in &dec.slots {
-            prop_assert!(slot.count > 0);
-            prop_assert_eq!(slot.perm.len(), d.dim());
+        let augmented = dec.to_matrix();
+        prop_assert!(augmented.dominates(&d));
+        prop_assert!(augmented.is_doubly_balanced(d.load()));
+        prop_assert!(dec.is_slot_sum());
+        prop_assert!(dec.len() <= d.dim() * d.dim());
+        // Each slot's count is positive and each slot is a bijection.
+        for s in 0..dec.len() {
+            prop_assert!(dec.count(s) > 0);
+            let mut egress: Vec<usize> = dec.slot_pairs(s).map(|(_, j)| j).collect();
+            egress.sort_unstable();
+            prop_assert_eq!(egress, (0..d.dim()).collect::<Vec<_>>());
         }
     }
 
@@ -40,13 +43,13 @@ proptest! {
     /// min(demand, permutation service) per pair covers everything.
     #[test]
     fn bvn_covers_all_demand(d in matrix_strategy(6, 9)) {
-        let dec = bvn_decompose(&d);
-        // Service capacity per pair = sum of q over slots matching the pair.
         let m = d.dim();
+        let dec = bvn_decompose(m, d.nonzero_entries());
+        // Service capacity per pair = sum of q over slots matching the pair.
         let mut capacity = IntMatrix::zeros(m);
-        for slot in &dec.slots {
-            for (i, j) in slot.perm.pairs() {
-                capacity[(i, j)] += slot.count;
+        for s in 0..dec.len() {
+            for (i, j) in dec.slot_pairs(s) {
+                capacity[(i, j)] += dec.count(s);
             }
         }
         prop_assert!(capacity.dominates(&d));
@@ -57,18 +60,19 @@ proptest! {
     #[test]
     fn maxmin_invariants(d in matrix_strategy(7, 10)) {
         use coflow_matching::bvn_decompose_maxmin;
-        let dec = bvn_decompose_maxmin(&d);
+        let dec = bvn_decompose_maxmin(d.dim(), d.nonzero_entries());
         prop_assert_eq!(dec.total_slots(), d.load());
-        prop_assert!(dec.augmented.dominates(&d));
-        prop_assert!(dec.augmented.is_doubly_balanced(d.load()));
-        prop_assert_eq!(dec.reconstruct(), dec.augmented.clone());
+        let augmented = dec.to_matrix();
+        prop_assert!(augmented.dominates(&d));
+        prop_assert!(augmented.is_doubly_balanced(d.load()));
+        prop_assert!(dec.is_slot_sum());
         // q values are non-increasing under the max-min rule... not
         // guaranteed in general, but each q must be positive and the count
         // bounded by m².
-        for slot in &dec.slots {
-            prop_assert!(slot.count > 0);
+        for s in 0..dec.len() {
+            prop_assert!(dec.count(s) > 0);
         }
-        prop_assert!(dec.slots.len() <= d.dim() * d.dim().max(1));
+        prop_assert!(dec.len() <= d.dim() * d.dim().max(1));
     }
 
     /// Hopcroft–Karp matches a brute-force maximum on small random graphs.

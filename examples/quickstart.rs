@@ -20,14 +20,11 @@ fn main() {
     );
 
     // Algorithm 1: decompose into matchings.
-    let dec = bvn_decompose(&shuffle);
+    let dec = bvn_decompose(shuffle.dim(), shuffle.nonzero_entries());
     println!("\nBirkhoff-von Neumann decomposition:");
-    for slot in &dec.slots {
-        println!(
-            "  run matching {:?} for {} slot(s)",
-            slot.perm.as_slice(),
-            slot.count
-        );
+    for s in 0..dec.len() {
+        let map: Vec<usize> = dec.slot_pairs(s).map(|(_, j)| j).collect();
+        println!("  run matching {:?} for {} slot(s)", map, dec.count(s));
     }
     assert_eq!(dec.total_slots(), 3);
 
