@@ -22,7 +22,7 @@
 //! `BENCH_mem.json`, `pins` the engine pins against `BENCH_pins.json`,
 //! `scale` the m=1,000 / 10k-coflow cell against the matching cell of
 //! `BENCH_scale.json`, and `tournament` the race against
-//! `BENCH_tournament.json` (after its own validator). It reads the golden
+//! `BENCH_tournament.json` (after its own check). It reads the golden
 //! first (a missing or malformed golden fails with the command that
 //! regenerates it), runs the workload, prints one verdict table (exact
 //! rows bit for bit, wall and alloc rows against the rule table's
@@ -43,8 +43,8 @@
 //! `report` renders the whole ledger as a self-contained HTML dashboard
 //! (inline CSS + SVG, no external assets): per-stage trend sparklines,
 //! memory trajectories, objective comparison tables, gate-verdict
-//! history. `verdict` appends a gate outcome record; `scripts/check-*.sh`
-//! call it on exit.
+//! history. `verdict` appends a gate outcome record;
+//! `scripts/check-all.sh` calls it with one status per step.
 //!
 //! `--telemetry PATH` (any subcommand) installs the streaming NDJSON sink:
 //! one self-contained `coflow-telemetry/1` line per heartbeat appended (and
@@ -53,10 +53,13 @@
 //! line is flushed before the next heartbeat, the stream is valid NDJSON
 //! even after a SIGINT. Tail it live with `scripts/watch-telemetry.sh PATH`.
 //!
+//! No subcommand but `report` writes a file it is not given: every report
+//! lands at `--out PATH` (or `--mem-out`, `--svg`, `--trace`) only.
+//!
 //! `profile` runs the 12-cell grid with the `obs` registry enabled and
-//! writes a per-stage timing/counter report (`BENCH_grid.json`, schema
-//! `coflow-bench-grid/3` — `/3` adds a per-cell `mem` object: peak live
-//! bytes, peak RSS, per-stage allocation attribution); `--trace`
+//! prints a per-stage timing/counter table; `--out` writes the report
+//! (schema `coflow-bench-grid/3` — `/3` adds a per-cell `mem` object: peak
+//! live bytes, peak RSS, per-stage allocation attribution); `--trace`
 //! additionally writes a chrome://tracing view of the last cell; `--full`
 //! profiles the paper's 150-port fabric instead of the default reduced
 //! scale. `--mem-out` writes the compact `coflow-bench-mem/1` memory
@@ -64,27 +67,28 @@
 //!
 //! `explain` runs the schedule-forensics pipeline over the same grid:
 //! per-coflow LP attribution, anomaly detectors, and a
-//! `coflow-diagnostics/1` JSON report. It exits 1 when any detector fires
-//! at or above `--severity` (default `warning`). `--validate PATH` skips
-//! the run and validates an existing report instead (used by
-//! `scripts/check-explain.sh`); `--faults RATE` adds a fault-injected
-//! section; `--svg` writes the attribution cell's port-utilization
-//! heatmap; `--trace` writes the chrome trace (spans + anomaly instants).
+//! `coflow-diagnostics/1` JSON report (`--out`). It exits 1 when the
+//! attribution cell leaves a coflow out or a ratio outside [1, 67/3], or
+//! when any detector fires at or above `--severity` (default `warning`);
+//! `--faults RATE` adds a fault-injected section, which
+//! `--expect-starvation` requires to fire the starvation detector instead
+//! of staying quiet; `--svg` writes the attribution cell's
+//! port-utilization heatmap; `--trace` writes the chrome trace (spans +
+//! anomaly instants).
 //!
 //! `chaos` runs the crash-safety harness on the 60-port cell: every engine
 //! policy is killed at randomized decision epochs, checkpointed to a
 //! `coflow-snapshot/1` document, restored from the re-parsed document, and
 //! required to finish **bit-identically** to an uninterrupted run, with
 //! demand-conservation and monotone-progress invariants checked at every
-//! kill. `--windows N` adds the adversarial worst-window search (targeted
-//! outages vs matched-budget random plans); `--validate PATH` checks an
-//! existing `coflow-chaos/1` report instead of running (used by
-//! `scripts/check-chaos.sh`). The report lands at `--out` (default
-//! `BENCH_chaos.json`).
+//! kill; the run panics on the first violation. `--windows N` adds the
+//! adversarial worst-window search (targeted outages vs matched-budget
+//! random plans). `--out` writes the `coflow-chaos/2` report.
 //!
 //! All subcommands install a SIGINT handler: an interrupt finishes the
-//! current unit of work, writes whatever partial report exists via the
-//! shared atomic write-then-rename sink, and exits 130.
+//! current unit of work, prints (and, with `--out`, writes via the shared
+//! atomic write-then-rename sink) whatever partial report exists, and
+//! exits 130.
 //!
 //! `scale` runs the streaming scale sweep (`coflow-bench-scale/1`): each
 //! `(ports, coflows)` cell streams its workload through windowed
@@ -92,7 +96,8 @@
 //! Smith-rule `ρ/w` beyond), and the O(1)-per-flow sparse executor —
 //! recording wall-clock per stage, peak RSS, allocator counts, and the
 //! deterministic objective. The default cells form the committed
-//! `BENCH_scale.json` curve up to 10,000 ports and 10⁶ streamed coflows.
+//! `BENCH_scale.json` curve up to 10,000 ports and 10⁶ streamed coflows
+//! (`scale --out BENCH_scale.json` regenerates it).
 //! `--cell 1000x10000` runs one cell; `--ports`/`--coflows` sweep a custom
 //! cross product; `--window` sets the admission window.
 //!
@@ -108,9 +113,9 @@
 //! wall-clock), a fault round under one shared rate-0.20 plan (objective
 //! inflation over the surviving coflows), and a windowed scale round where
 //! each policy's ordering analog streams the 96×960 cell through the
-//! sparse executor. The `coflow-tournament/1` report lands at `--out`
-//! (default `BENCH_tournament.json`) and is self-validated (every ratio ≥
-//! 1 and within the policy's proven bound). The `faults` subcommand
+//! sparse executor. The `coflow-tournament/1` report lands at `--out`, and
+//! the run is checked on the report it built (every ratio ≥ 1 and within
+//! the policy's proven bound). The `faults` subcommand
 //! accepts the same `--policies` list to extend its engine-policy table
 //! beyond the default online/online-stale/greedy trio.
 //!
@@ -154,7 +159,6 @@ struct Args {
     svg: Option<String>,
     severity: Option<coflow::Severity>,
     expect_starvation: bool,
-    validate: Option<String>,
     policies: Option<String>,
     tolerance: Option<f64>,
     gate: Option<String>,
@@ -197,7 +201,6 @@ const COMMANDS: [Command; 12] = [
             "--faults RATE",
             "--severity LEVEL",
             "--expect-starvation",
-            "--validate PATH",
         ],
     ),
     ("pin", &[], &["--out PATH"]),
@@ -215,13 +218,7 @@ const COMMANDS: [Command; 12] = [
     (
         "chaos",
         &[],
-        &[
-            "--kills N",
-            "--windows N",
-            "--faults RATE",
-            "--out PATH",
-            "--validate PATH",
-        ],
+        &["--kills N", "--windows N", "--faults RATE", "--out PATH"],
     ),
     ("tournament", &[], &["--policies a,b,c|all", "--out PATH"]),
     ("gate", &["perf|mem|pins|scale|tournament"], &[]),
@@ -377,7 +374,6 @@ fn main() {
                 };
             }
             "--expect-starvation" => args.expect_starvation = true,
-            "--validate" => args.validate = Some(value_of(a)),
             "--policies" => args.policies = Some(value_of(a)),
             "--tolerance" => args.tolerance = Some(parsed("--tolerance", &value_of(a), "a number")),
             "--full" => args.full = true,
@@ -559,14 +555,9 @@ fn diff_cmd(
     let (b, b_id) = diff_side(b_spec, ledger, &mut cache);
     let report = diff_metrics(&a.metrics, &b.metrics, &a_id, &b_id, tolerance);
     print!("{}", render_diff_table(&report));
-    if let Some(out) = out {
-        write_report(
-            out,
-            "diff report",
-            &render_diff_json(&report, a.schema, b.schema),
-        );
-        println!("# diff report written to {}", out);
-    }
+    write_out(out, "diff report", || {
+        render_diff_json(&report, a.schema, b.schema)
+    });
     if !report.regressions().is_empty() {
         std::process::exit(1);
     }
@@ -630,15 +621,18 @@ fn verdict_cmd(
     );
 }
 
-/// Writes a report via the shared atomic write-then-rename sink (which
-/// also drops a `source:"report"` breadcrumb on the telemetry stream when
-/// one is installed); a concurrent reader (or a SIGINT mid-write) never
-/// sees a torn file.
-fn write_report(path: &str, what: &str, contents: &str) {
-    if let Err(e) = coflow_bench::sink::write_json_report(path, what, contents) {
+/// Writes the report `what` to `out` when the command was given one, via
+/// the shared atomic write-then-rename sink (which also drops a
+/// `source:"report"` breadcrumb on the telemetry stream when one is
+/// installed); a concurrent reader (or a SIGINT mid-write) never sees a
+/// torn file. Without a path nothing is rendered or written.
+fn write_out(out: Option<&str>, what: &str, render: impl FnOnce() -> String) {
+    let Some(path) = out else { return };
+    if let Err(e) = coflow_bench::sink::write_json_report(path, what, &render()) {
         eprintln!("error: writing {}: {}", path, e);
         std::process::exit(1);
     }
+    println!("# {} written to {}", what, path);
 }
 
 /// Exits 130 (the conventional SIGINT code) if an interrupt arrived,
@@ -677,28 +671,8 @@ fn read_baseline_file(path: &str, what: &str, regen: &str) -> String {
 
 fn chaos(seed: u64, args: &Args) {
     use coflow_bench::chaos::{
-        render_chaos, render_chaos_json, run_chaos, validate_chaos_json, worst_window_search,
-        ChaosConfig, ChaosReport,
+        render_chaos, render_chaos_json, run_chaos, worst_window_search, ChaosConfig,
     };
-
-    // Validation-only mode: check an existing report and exit.
-    if let Some(path) = &args.validate {
-        let regen = format!(
-            "cargo run --release -p coflow-bench --bin experiments -- chaos --out {}",
-            path
-        );
-        let text = read_baseline_file(path, "chaos report", &regen);
-        match validate_chaos_json(&text) {
-            Ok(summary) => {
-                println!("{}: {}", path, summary);
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: {}: {}", path, e);
-                std::process::exit(1);
-            }
-        }
-    }
 
     let cfg = paper_scale_config(seed);
     trace_banner(&cfg);
@@ -711,32 +685,17 @@ fn chaos(seed: u64, args: &Args) {
         seed,
         fault_rate: args.faults.unwrap_or(0.3),
     };
+    // Every invariant is checked inside the run, which panics on the
+    // first violation; a SIGINT skips the window search.
     let mut report = run_chaos(&inst, &config);
-    let out = args.out.as_deref().unwrap_or("BENCH_chaos.json");
-    if obs::interrupted() {
-        write_report(out, "chaos report (partial)", &render_chaos_json(&report));
-        exit_if_interrupted(out);
-    }
-    if args.windows > 0 {
-        let windows = worst_window_search(&inst, 2, 8, args.windows, seed);
-        report = ChaosReport {
-            windows: Some(windows),
-            ..report
-        };
+    if args.windows > 0 && !obs::interrupted() {
+        report.windows = Some(worst_window_search(&inst, 2, 8, args.windows, seed));
     }
     print!("{}", render_chaos(&report));
-    let rendered = render_chaos_json(&report);
-    write_report(out, "chaos report", &rendered);
-    println!("# chaos report written to {}", out);
-    exit_if_interrupted(out);
-    // Close the loop: the report must satisfy its own validator.
-    match validate_chaos_json(&rendered) {
-        Ok(summary) => println!("# {}", summary),
-        Err(e) => {
-            eprintln!("error: fresh chaos report failed validation: {}", e);
-            std::process::exit(1);
-        }
-    }
+    write_out(args.out.as_deref(), "chaos report", || {
+        render_chaos_json(&report)
+    });
+    exit_if_interrupted(args.out.as_deref().unwrap_or("chaos table (printed above)"));
 }
 
 /// Profiles the 12-cell grid: the reduced default trace, or the paper's
@@ -790,14 +749,12 @@ fn profile(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::
         println!("# chrome trace (last cell) written to {}", trace_path);
     }
 
-    let out = args.out.as_deref().unwrap_or("BENCH_grid.json");
-    write_report(out, "profile grid report", &render_json(&report));
-    println!("# per-stage report written to {}", out);
-
-    if let Some(mem_out) = &args.mem_out {
-        write_report(mem_out, "memory report", &render_mem_json(&report));
-        println!("# memory report written to {}", mem_out);
-    }
+    write_out(args.out.as_deref(), "profile grid report", || {
+        render_json(&report)
+    });
+    write_out(args.mem_out.as_deref(), "memory report", || {
+        render_mem_json(&report)
+    });
 
     let rec = coflow_bench::ledger::record_from_profile(
         &report,
@@ -807,33 +764,7 @@ fn profile(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::
 }
 
 fn explain(seed: u64, args: &Args) {
-    use coflow_bench::explain::{
-        render_json, render_text, run_explain, validate_report, ValidateOpts,
-    };
-
-    // Validation-only mode: check an existing report and exit.
-    if let Some(path) = &args.validate {
-        let text = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reading {}: {}", path, e);
-                std::process::exit(1);
-            }
-        };
-        let opts = ValidateOpts {
-            expect_starvation: args.expect_starvation,
-        };
-        match validate_report(&text, &opts) {
-            Ok(summary) => {
-                println!("{}: {}", path, summary);
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: {}: {}", path, e);
-                std::process::exit(1);
-            }
-        }
-    }
+    use coflow_bench::explain::{check, render_json, render_text, run_explain};
 
     let cfg = paper_scale_config(seed);
     trace_banner(&cfg);
@@ -859,21 +790,18 @@ fn explain(seed: u64, args: &Args) {
     obs::set_enabled(false);
     print!("{}", render_text(&report));
 
-    let out = args.out.as_deref().unwrap_or("BENCH_diagnostics.json");
-    write_report(out, "diagnostics report", &render_json(&report));
-    println!("# diagnostics report written to {}", out);
-
-    if let Some(svg_path) = &args.svg {
+    write_out(args.out.as_deref(), "diagnostics report", || {
+        render_json(&report)
+    });
+    write_out(args.svg.as_deref(), "port-utilization heatmap", || {
         // Re-run the attribution cell to materialize its trace for the
         // heatmap (run_with_order is cheap next to the LP).
         let att = report.attribution_cell();
         let order = att.diag.committed_order.clone();
         let opts = coflow::ExecOptions::paper(att.spec.backfill);
         let outcome = coflow::sched::run_with_order(&inst, order, att.spec.grouping, opts);
-        let svg = coflow_netsim::render_svg_heatmap(&outcome.trace, 128);
-        write_report(svg_path, "port-utilization heatmap", &svg);
-        println!("# port-utilization heatmap written to {}", svg_path);
-    }
+        coflow_netsim::render_svg_heatmap(&outcome.trace, 128)
+    });
 
     if let Some(trace_path) = &args.trace {
         if let Err(e) = obs::write_chrome_trace(trace_path) {
@@ -886,48 +814,13 @@ fn explain(seed: u64, args: &Args) {
         );
     }
 
-    // Gate: fail on firings at or above the requested severity. Fault
-    // sections are expected to fire; the clean grid is not.
     let severity = args.severity.unwrap_or(coflow::Severity::Warning);
-    let mut firings = 0usize;
-    for cell in &report.cells {
-        firings += cell.diag.anomalies_at_least(severity).count();
-    }
-    let fault_firings = report
-        .faults
-        .as_ref()
-        .map(|f| f.diag.anomalies_at_least(severity).count())
-        .unwrap_or(0);
-    if args.expect_starvation {
-        let starved = report
-            .faults
-            .as_ref()
-            .map(|f| {
-                f.diag
-                    .anomalies
-                    .iter()
-                    .any(|a| a.detector == coflow::Detector::Starvation)
-            })
-            .unwrap_or(false);
-        if !starved {
-            eprintln!("error: expected a starvation firing under faults, found none");
+    match check(&report, severity, args.expect_starvation) {
+        Ok(summary) => println!("# {}", summary),
+        Err(e) => {
+            eprintln!("error: {}", e);
             std::process::exit(1);
         }
-        println!(
-            "# faults section fired {} anomalies at >= {} (expected)",
-            fault_firings,
-            severity.name()
-        );
-    } else {
-        firings += fault_firings;
-    }
-    if firings > 0 {
-        eprintln!(
-            "error: {} anomalies at or above severity '{}'",
-            firings,
-            severity.name()
-        );
-        std::process::exit(1);
     }
 }
 
@@ -1163,10 +1056,10 @@ fn scale(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::In
     );
     let report = run_scale(&cells, seed, window);
     print!("{}", render_scale(&report));
-    let out = args.out.as_deref().unwrap_or("BENCH_scale.json");
-    write_report(out, "scale report", &render_scale_json(&report));
-    println!("# scale report written to {}", out);
-    exit_if_interrupted(out);
+    write_out(args.out.as_deref(), "scale report", || {
+        render_scale_json(&report)
+    });
+    exit_if_interrupted(args.out.as_deref().unwrap_or("scale table (printed above)"));
 
     let rec =
         coflow_bench::ledger::record_from_scale(&report, started.elapsed().as_secs_f64() * 1000.0);
@@ -1179,10 +1072,7 @@ fn pin(seed: u64, out: Option<&str>, ledger: &Option<String>, started: std::time
     let report = collect_pins(seed);
     print!("{}", render_pins(&report));
 
-    if let Some(out) = out {
-        write_report(out, "pin file", &render_pins_json(&report));
-        println!("# pin file written to {}", out);
-    }
+    write_out(out, "pin file", || render_pins_json(&report));
 
     let rec =
         coflow_bench::ledger::record_from_pins(&report, started.elapsed().as_secs_f64() * 1000.0);
@@ -1209,18 +1099,17 @@ fn tournament_report(seed: u64, policies: &str) -> coflow_bench::tournament::Tou
     report
 }
 
-/// Closes the loop on a fresh tournament report: it must satisfy its own
-/// validator — every ratio >= 1 and within the policy's proven bound,
-/// canonical registry coverage, fault-round consistency. Prints the
-/// outcome and returns its ledger status.
-fn validate_status(rendered: &str) -> &'static str {
-    match coflow_bench::tournament::validate_tournament_json(rendered) {
+/// Holds a fresh tournament report to [`coflow_bench::tournament::check`]
+/// (every ratio >= 1 and within the policy's proven bound, fault-round
+/// consistency). Prints the outcome and returns its ledger status.
+fn check_status(report: &coflow_bench::tournament::TournamentReport) -> &'static str {
+    match coflow_bench::tournament::check(report) {
         Ok(summary) => {
             println!("# {}", summary);
             "pass"
         }
         Err(e) => {
-            eprintln!("error: fresh tournament report failed validation: {}", e);
+            eprintln!("error: tournament check failed: {}", e);
             "fail"
         }
     }
@@ -1230,13 +1119,16 @@ fn tournament(seed: u64, args: &Args, ledger: &Option<String>, started: std::tim
     use coflow_bench::tournament::render_tournament_json;
 
     let report = tournament_report(seed, args.policies.as_deref().unwrap_or("all"));
-    let rendered = render_tournament_json(&report);
-    let out = args.out.as_deref().unwrap_or("BENCH_tournament.json");
-    write_report(out, "tournament report", &rendered);
-    println!("# tournament report written to {}", out);
-    exit_if_interrupted(out);
+    write_out(args.out.as_deref(), "tournament report", || {
+        render_tournament_json(&report)
+    });
+    exit_if_interrupted(
+        args.out
+            .as_deref()
+            .unwrap_or("tournament table (printed above)"),
+    );
 
-    let status = validate_status(&rendered);
+    let status = check_status(&report);
     let mut rec = coflow_bench::ledger::record_from_tournament(
         &report,
         started.elapsed().as_secs_f64() * 1000.0,
@@ -1307,9 +1199,11 @@ fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::
         }
         _ => {
             let report = tournament_report(seed, "all");
-            let text = tournament::render_tournament_json(&report);
-            statuses.push(("validate".to_string(), validate_status(&text).to_string()));
-            (text, led::record_from_tournament(&report, elapsed()))
+            statuses.push(("validate".to_string(), check_status(&report).to_string()));
+            (
+                tournament::render_tournament_json(&report),
+                led::record_from_tournament(&report, elapsed()),
+            )
         }
     };
     if obs::interrupted() {

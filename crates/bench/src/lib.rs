@@ -10,7 +10,7 @@
 //! * [`ratios`] — measured approximation ratios against the exact optimum
 //!   on tiny instances (validating Theorems 1–2 empirically);
 //! * [`profile`] — per-stage timing/counter profile of the grid
-//!   (`BENCH_grid.json`);
+//!   (`coflow-bench-grid/3`);
 //! * [`explain`] — schedule forensics over the grid: per-coflow LP
 //!   attribution, anomaly detectors, `coflow-diagnostics/1` reports;
 //! * [`pins`] — bit-identical objective pins (`BENCH_pins.json`) of the

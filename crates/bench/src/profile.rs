@@ -3,8 +3,8 @@
 //! Runs every cell of the §4.1 grid (orders {H_A, H_ρ, H_LP} × cases
 //! {a, b, c, d}) with the `obs` registry enabled and reports, per cell,
 //! the wall-clock spent in each pipeline stage plus the solver/matching
-//! counters. The report serializes to `BENCH_grid.json` (schema
-//! `coflow-bench-grid/3`, documented in DESIGN.md); `experiments -- gate
+//! counters. The report serializes as `coflow-bench-grid/3` (documented
+//! in DESIGN.md; `experiments -- profile --out PATH`); `experiments -- gate
 //! perf` judges a fresh run against the committed `BENCH_baseline.json`
 //! and `gate mem` its memory view against `BENCH_mem.json` (see
 //! [`crate::gate`]).

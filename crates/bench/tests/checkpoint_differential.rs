@@ -11,10 +11,10 @@
 //! * [`every_epoch_checkpoint_matches_fresh_pins_tiny`] runs in the normal
 //!   test tier on a small instance, against freshly computed pins;
 //! * [`every_epoch_checkpoint_matches_committed_pins`] (ignored by
-//!   default; `scripts/check-perf.sh` runs it in release) replays the
-//!   committed `BENCH_pins.json` cells at full pin scale — the same bit
-//!   patterns the pin gate enforces must survive interruption at every
-//!   single epoch.
+//!   default; the `perf-steps` step of `scripts/check-all.sh` runs it in
+//!   release) replays the committed `BENCH_pins.json` cells at full pin
+//!   scale — the same bit patterns the pin gate enforces must survive
+//!   interruption at every single epoch.
 //!
 //! Both replay the pin table (`coflow_bench::pins::pin_cells`) the pin
 //! run measures, each cell under its own fault plan, derived from the
@@ -146,9 +146,10 @@ fn every_epoch_checkpoint_matches_fresh_pins_tiny() {
 
 /// Full pin scale against the committed `BENCH_pins.json` bits. Heavy:
 /// run with `cargo test --release -p coflow-bench --test
-/// checkpoint_differential -- --ignored` (scripts/check-perf.sh does).
+/// checkpoint_differential -- --ignored` (the `perf-steps` step of
+/// scripts/check-all.sh does).
 #[test]
-#[ignore = "full pin scale; run in release via scripts/check-perf.sh"]
+#[ignore = "full pin scale; run in release by the perf-steps step of scripts/check-all.sh"]
 fn every_epoch_checkpoint_matches_committed_pins() {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -1,9 +1,11 @@
-//! Usage errors of the `experiments` binary: an unknown flag, a flag the
-//! subcommand does not take, an operand it does not take and an unknown
-//! gate all exit 2 with the usage text before any workload runs.
+//! The `experiments` binary end to end: usage errors (an unknown flag, a
+//! flag the subcommand does not take, an operand it does not take and an
+//! unknown gate all exit 2 with the usage text before any workload runs),
+//! reports written only where `--out` says, and gate verdicts.
 
-use coflow_bench::gate::GATES;
+use coflow_bench::gate::{read_report, read_tournament, GATES};
 use coflow_bench::pins::{parse_pins, render_pins_json};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 #[test]
@@ -51,8 +53,16 @@ fn the_usage_text_names_every_gate() {
     );
 }
 
+/// A fresh, empty scratch directory for the test `name`.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("experiments-{}-{}", name, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
 /// Runs `experiments` in `dir` with a scratch ledger.
-fn run_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
+fn run_in(dir: &Path, args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .arg("--ledger")
@@ -62,10 +72,49 @@ fn run_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
         .expect("run experiments")
 }
 
+/// The names of the files in `dir`, sorted.
+fn files(dir: &Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).expect("list scratch dir");
+    let name = |e: std::io::Result<std::fs::DirEntry>| e.expect("dir entry").file_name();
+    let mut names: Vec<String> = entries
+        .map(|e| name(e).to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_subcommand_writes_no_report_without_out() {
+    let dir = scratch("no-out");
+    let out = run_in(&dir, &["scale", "--cell", "100x200"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", stdout);
+    assert!(stdout.contains("scale sweep: 1 cells"), "{}", stdout);
+    assert_eq!(files(&dir), ["ledger.ndjson"], "scale wrote a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tournament_over_a_policy_subset_passes() {
+    let dir = scratch("tournament-subset");
+    let out = run_in(
+        &dir,
+        &["tournament", "--policies", "greedy", "--out", "t.json"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{}", stderr);
+    assert_eq!(files(&dir), ["ledger.ndjson", "t.json"]);
+    let text = std::fs::read_to_string(dir.join("t.json")).expect("tournament report");
+    let schema = coflow_bench::tournament::SCHEMA;
+    let report = read_report(&text, schema, read_tournament).expect("tournament report reads");
+    let names: Vec<&str> = report.rows.iter().map(|r| r.policy.as_str()).collect();
+    assert_eq!(names, ["greedy"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_failed_gate_run_is_never_the_green_record() {
-    let dir = std::env::temp_dir().join(format!("experiments-gate-green-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = scratch("gate-green");
     // The committed pins with an engine budget no host exceeds, so only
     // the pinned objectives decide the verdicts.
     let mut golden = parse_pins(include_str!("../../../BENCH_pins.json")).expect("committed pins");

@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
 # Consolidated gate runner: clippy, every crate's tests, the benchmark
 # crate's release build, every `experiments -- gate NAME`, the perf steps
-# that are not gates (check-perf.sh), explain and chaos — in that order,
-# never aborting early, so one invocation reports every status. Appends
-# ONE coflow-ledger/1 verdict record (gate `check-all`) carrying one
-# status per step, prints a pass/fail summary table, and exits nonzero if
-# any step failed.
+# that are not gates, explain and chaos — in that order, never aborting
+# early, so one invocation reports every status. Appends ONE
+# coflow-ledger/1 verdict record (gate `check-all`) carrying one status
+# per step, prints a pass/fail summary table, and exits nonzero if any
+# step failed.
 #
-# Each gate appends its own run record and `gate-NAME` verdict record,
-# and each check-*.sh script its own verdict record, so the ledger shows
-# both the fine-grained history and the consolidated roll-up.
+# Each gate appends its own run record and `gate-NAME` verdict record, so
+# the ledger shows both the fine-grained history and the consolidated
+# roll-up.
 #
 # Optional regression diff against the last green ledger record:
 #   CHECK_ALL_DIFF=1 scripts/check-all.sh          # diff green..latest
@@ -49,17 +49,37 @@ bench_build() {
     return "$built"
 }
 
+# The perf steps that are not gates: the checkpoint/resume differential
+# at full pin scale (every pin cell interrupted at every decision epoch
+# must finish on the committed BENCH_pins.json bits), and the kernel
+# micro-benchmarks, whose CRITERION_JSON samples inform but never gate.
+perf_steps() {
+    cargo test --release -q -p coflow-bench --test checkpoint_differential -- --ignored &&
+        CRITERION_JSON="${CRITERION_JSON:-kernels_bench.jsonl}" \
+            cargo bench -q -p coflow-bench --bench kernels -- --bench
+}
+
+# experiments SUBCOMMAND...: the release experiments binary.
+experiments() {
+    cargo run --release -q -p coflow-bench --bin experiments -- "$@"
+}
+
 step clippy sh scripts/check-clippy.sh
 # The root package's `cargo test` covers only its own tests; this runs
 # every crate's unit, integration and property tests.
 step tests cargo test --workspace -q --offline
 step bench-build bench_build
 for gate in $GATES; do
-    step "$gate" cargo run --release -q -p coflow-bench --bin experiments -- gate "$gate"
+    step "$gate" experiments gate "$gate"
 done
-step perf-steps sh scripts/check-perf.sh
-step explain sh scripts/check-explain.sh
-step chaos sh scripts/check-chaos.sh
+step perf-steps perf_steps
+# One fault run covers the clean grid too: it recomputes every cell, and
+# at `--severity info` any clean firing fails, while the fault section
+# must fire the starvation detector. Each run checks its own report.
+step explain experiments explain --faults 0.1 --expect-starvation --severity info
+# The harness panics on any broken invariant (bit-identical resume,
+# demand conservation, monotone progress, surviving demand completes).
+step chaos experiments chaos --kills 3
 
 OVERALL=pass
 set --
@@ -68,9 +88,9 @@ for r in $RESULTS; do
     set -- "$@" --verdict "$r"
 done
 
-# One consolidated verdict record; best-effort like the per-step traps.
-cargo run --release -q -p coflow-bench --bin experiments -- \
-    verdict --gate check-all --status "$OVERALL" "$@" || true
+# One consolidated verdict record, best-effort: the ledger must not fail
+# the run.
+experiments verdict --gate check-all --status "$OVERALL" "$@" || true
 
 echo ""
 echo "step        status"
@@ -88,7 +108,7 @@ if [ "${CHECK_ALL_DIFF:-0}" = "1" ]; then
     if [ -n "${DIFF_TOLERANCE:-}" ]; then
         set -- "$@" --tolerance "$DIFF_TOLERANCE"
     fi
-    cargo run --release -q -p coflow-bench --bin experiments -- "$@" || OVERALL=fail
+    experiments "$@" || OVERALL=fail
 fi
 
 [ "$OVERALL" = "pass" ]
