@@ -293,22 +293,29 @@ fn chaos_run(
     verify_faulty_outcome(instance, plan, &outcome)
         .map_err(|e| fail(format!("final schedule invalid: {}", e)))?;
 
-    // Invariant: interrupted == uninterrupted, bit for bit.
+    // Invariant: interrupted == uninterrupted, bit for bit — the blocked
+    // log too, which every kill writes one entry per unit and merges back.
     let bit_identical = outcome.objective.to_bits() == reference.objective.to_bits()
         && outcome.replans == reference.replans
         && outcome.tiers == reference.tiers
         && outcome.executed == reference.executed
-        && outcome.completions == reference.completions;
+        && outcome.completions == reference.completions
+        && outcome.blocked_units == reference.blocked_units
+        && outcome.blocked == reference.blocked;
     if !bit_identical {
         return Err(fail(format!(
             "interrupted run diverged: objective {} (bits {:#x}) vs reference {} (bits {:#x}), \
-             replans {} vs {}",
+             replans {} vs {}, blocked units {} in {} runs vs {} in {} runs",
             outcome.objective,
             outcome.objective.to_bits(),
             reference.objective,
             reference.objective.to_bits(),
             outcome.replans,
             reference.replans,
+            outcome.blocked_units,
+            outcome.blocked.len(),
+            reference.blocked_units,
+            reference.blocked.len(),
         )));
     }
 

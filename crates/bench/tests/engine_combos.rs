@@ -64,7 +64,7 @@ fn check_combo(
     let blocked_total: u64 = rec.flights.iter().map(|f| f.blocked_slots).sum();
     assert_eq!(
         blocked_total,
-        out.blocked.len() as u64,
+        out.blocked.iter().map(|r| r.slots).sum::<u64>(),
         "every logged blocked slot is attributed to exactly one flight"
     );
     for (k, flight) in rec.flights.iter().enumerate() {

@@ -22,7 +22,7 @@ use crate::relax::LpRelaxation;
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{
-    record_flights, BlockedSlot, FlightRecorder, RecorderConfig, ScheduleTrace, SparseDemand,
+    record_flights, BlockedRun, FlightRecorder, RecorderConfig, ScheduleTrace, SparseDemand,
 };
 
 /// How loud a firing detector is. Ordered: `Info < Warning < Critical`.
@@ -304,7 +304,7 @@ fn diagnose_core(
     trace: &ScheduleTrace,
     completions: &[Option<u64>],
     committed_order: &[usize],
-    blocked: &[BlockedSlot],
+    blocked: &[BlockedRun],
     baseline: Option<&[u64]>,
     lp: &LpRelaxation,
     cfg: &DiagnosticsConfig,

@@ -727,8 +727,7 @@ impl<'a> Engine<'a> {
             "engine: policy '{}' finished with unsettled coflows",
             policy.name()
         );
-        let blocked = self.sim.blocked_log().to_vec();
-        let (executed, completions, blocked_units) = self.sim.finish();
+        let (executed, completions, blocked_units, blocked) = self.sim.finish();
         let objective = completions
             .iter()
             .zip(self.instance.coflows())

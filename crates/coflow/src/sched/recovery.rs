@@ -19,7 +19,7 @@
 //! and the plan.
 
 use crate::instance::Instance;
-use coflow_netsim::{BlockedSlot, EntryMemo, FaultIndex, FaultPlan, ScheduleTrace, SparseDemand};
+use coflow_netsim::{BlockedRun, EntryMemo, FaultIndex, FaultPlan, ScheduleTrace, SparseDemand};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -39,11 +39,13 @@ pub struct FaultyOutcome {
     pub tiers: Vec<usize>,
     /// Planned units stranded by outages or degradations.
     pub blocked_units: u64,
-    /// Chronological log of individual blocked unit-slots (capped inside
-    /// [`FaultSim`]; `blocked_units` above stays exact past the cap). The
-    /// diagnostics layer joins this with the flight recorder to attribute
-    /// fault-induced delay per coflow.
-    pub blocked: Vec<BlockedSlot>,
+    /// The blocked log, moved out of the simulator: maximal runs of
+    /// consecutive slots that deny one planned unit each, in order of
+    /// their first slot (capped at 65,536 units inside [`FaultSim`];
+    /// `blocked_units` above stays exact past the cap). The diagnostics
+    /// layer joins it with the flight recorder to attribute fault-induced
+    /// delay per coflow.
+    pub blocked: Vec<BlockedRun>,
 }
 
 impl FaultyOutcome {

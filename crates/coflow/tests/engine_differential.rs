@@ -498,8 +498,7 @@ mod legacy {
             sim.execute_trace(&trace, stop)?;
         }
 
-        let blocked = sim.blocked_log().to_vec();
-        let (executed, completions, blocked_units) = sim.finish();
+        let (executed, completions, blocked_units, blocked) = sim.finish();
         let objective = completions
             .iter()
             .zip(instance.coflows())

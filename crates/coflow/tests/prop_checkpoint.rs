@@ -170,6 +170,10 @@ proptest! {
         prop_assert_eq!(&interrupted.tiers, &reference.tiers);
         prop_assert_eq!(&interrupted.completions, &reference.completions);
         prop_assert_eq!(&interrupted.executed, &reference.executed);
+        // The blocked log went through the snapshot one entry per unit and
+        // was merged back; the flight streams below truncate it.
+        prop_assert_eq!(interrupted.blocked_units, reference.blocked_units);
+        prop_assert_eq!(&interrupted.blocked, &reference.blocked);
 
         // The forensics layer sees the same history: identical per-coflow
         // flight-recorder event streams (Released/FirstService/Progress/

@@ -8,16 +8,21 @@
 //! finished as if the residual were not there. An executed transfer
 //! longer than its run would lose its excess units when the restored
 //! trace is merged into maximal runs, and an executed run after the clock
-//! panicked the first slot the resumed run recorded. `Engine::restore` now
-//! answers each with a typed `SnapshotError`, for every checkpointing
-//! policy, and an intact checkpoint still resumes bit for bit.
+//! panicked the first slot the resumed run recorded. A blocked log was
+//! taken verbatim: a unit on a port outside the fabric, in slot 0 or after
+//! the clock, out of slot order, or sharing a port with another unit of
+//! its slot, and a `blocked_units` that disagrees with the log, all
+//! restored; merging such a log into runs would index past the fabric or
+//! lose units. `Engine::restore` now answers each with a typed
+//! `SnapshotError`, for every checkpointing policy, and an intact
+//! checkpoint still resumes bit for bit.
 
 use coflow::{
     verify_faulty_outcome, Coflow, Engine, EngineError, EngineSnapshot, FaultyOutcome, Instance,
     Policy, PolicyRegistry,
 };
 use coflow_matching::IntMatrix;
-use coflow_netsim::{FaultPlan, Run, Transfer};
+use coflow_netsim::{BlockedRun, FaultPlan, Run, Transfer};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
@@ -90,11 +95,25 @@ fn set_transfer(snapshot: &mut EngineSnapshot, src: usize, dst: usize, coflow: u
     }
 }
 
+/// Appends a blocked run of `slots` units of `coflow` on `(src, dst)` from
+/// slot `start` to the log, and counts its units in `blocked_units`.
+fn block(
+    snapshot: &mut EngineSnapshot,
+    start: u64,
+    slots: u64,
+    pair: (usize, usize),
+    coflow: usize,
+) {
+    let run = BlockedRun::new(start, slots, pair.0, pair.1, coflow).expect("ids fit in u32");
+    snapshot.sim.blocked_log.push(run);
+    snapshot.sim.blocked_units += slots;
+}
+
 type Doctor = fn(&mut EngineSnapshot);
 
 /// Each hostile edit of a valid checkpoint, and a fragment of the error
 /// that must refuse it.
-const CASES: [(&str, Doctor, &str); 11] = [
+const CASES: [(&str, Doctor, &str); 21] = [
     (
         "residual on a pair the coflow never demanded",
         |s| set_residual(s, 0, IntMatrix::from_nested(&[[0, 1], [0, 0]])),
@@ -166,6 +185,69 @@ const CASES: [(&str, Doctor, &str); 11] = [
             });
         },
         "ends after the clock",
+    ),
+    (
+        "blocked unit on ingress 7",
+        |s| block(s, 1, 1, (7, 0), 0),
+        "blocked unit (7, 0, coflow 0) is outside the instance",
+    ),
+    (
+        "blocked unit on egress 7",
+        |s| block(s, 1, 1, (0, 7), 0),
+        "blocked unit (0, 7, coflow 0) is outside the instance",
+    ),
+    (
+        "blocked unit of coflow 9",
+        |s| block(s, 1, 1, (0, 0), 9),
+        "blocked unit (0, 0, coflow 9) is outside the instance",
+    ),
+    (
+        "blocked unit in slot 0",
+        |s| block(s, 0, 1, (0, 0), 0),
+        "from slot 0 is not within slots 1..=",
+    ),
+    (
+        "blocked unit after the clock",
+        |s| {
+            let after = s.sim.now + 1;
+            block(s, after, 1, (0, 0), 0);
+        },
+        "is not within slots 1..=",
+    ),
+    (
+        "blocked units out of slot order",
+        |s| {
+            s.sim.now = s.sim.now.max(2);
+            block(s, 2, 1, (0, 0), 0);
+            block(s, 1, 1, (1, 1), 1);
+        },
+        "blocked log goes back from slot 2 to slot 1",
+    ),
+    (
+        "two blocked units on one ingress in one slot",
+        |s| {
+            block(s, 1, 1, (0, 0), 0);
+            block(s, 1, 1, (0, 1), 1);
+        },
+        "two blocked units on ingress 0 in slot 1",
+    ),
+    (
+        "two blocked units on one egress in one slot",
+        |s| {
+            block(s, 1, 1, (0, 1), 1);
+            block(s, 1, 1, (1, 1), 0);
+        },
+        "two blocked units on egress 1 in slot 1",
+    ),
+    (
+        "more blocked units than the log's cap",
+        |s| block(s, 1, 65_537, (0, 0), 0),
+        "blocked log holds more than its cap of 65536 units",
+    ),
+    (
+        "blocked_units above the logged and dropped units",
+        |s| s.sim.blocked_units += 1,
+        "is not the 0 logged units plus the 0 dropped",
     ),
 ];
 

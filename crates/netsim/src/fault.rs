@@ -21,7 +21,10 @@
 //! fallback for work that could trip a [`SimError`]. Every executor
 //! records its deliveries through one recorder, which extends the last
 //! executed run while consecutive slots deliver the same units, so the
-//! executed trace is run-length like the schedules it replays.
+//! executed trace is run-length like the schedules it replays. Denied
+//! units go through one recorder too: the blocked log is a list of
+//! [`BlockedRun`]s, each extended while its ingress keeps being denied
+//! the same unit in consecutive slots.
 //!
 //! Remaining demand is a [`SparseDemand`] over the coflows' nonzero pairs,
 //! concatenated from the borrowed demands; a cancellation zeroes the
@@ -633,23 +636,115 @@ pub struct SlotOutcome {
     pub dropped: Vec<(usize, usize, usize)>,
 }
 
-/// One planned unit denied by a fault: the forensic record behind the
-/// flight recorder's `FaultBlocked` events and the starvation detector.
+/// Consecutive slots in each of which a fault denied one planned unit of
+/// `coflow` on `(src, dst)`: the forensic record behind the flight
+/// recorder's `FaultBlocked` events and the starvation detector.
+///
+/// The three ids are stored as `u32`, so a run takes 32 bytes; they are
+/// checked once, in [`BlockedRun::new`], and read back as `usize`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockedSlot {
-    /// The slot in which service was denied.
-    pub slot: u64,
-    /// Ingress of the blocked pair.
-    pub src: usize,
-    /// Egress of the blocked pair.
-    pub dst: usize,
-    /// The coflow whose planned unit was stranded.
-    pub coflow: usize,
+pub struct BlockedRun {
+    /// The first denied slot.
+    pub start: u64,
+    /// Consecutive denied slots, one unit each.
+    pub slots: u64,
+    src: u32,
+    dst: u32,
+    coflow: u32,
 }
 
-/// Cap on the retained blocked log; [`FaultSim::blocked_units`] keeps
-/// counting past it, so aggregate accounting stays exact.
-const MAX_BLOCKED_LOG: usize = 1 << 16;
+impl BlockedRun {
+    /// A run of `slots` denied units of coflow `coflow` on `(src, dst)`
+    /// from slot `start`; `None` when an id does not fit in `u32`.
+    pub fn new(start: u64, slots: u64, src: usize, dst: usize, coflow: usize) -> Option<Self> {
+        Some(BlockedRun {
+            start,
+            slots,
+            src: u32::try_from(src).ok()?,
+            dst: u32::try_from(dst).ok()?,
+            coflow: u32::try_from(coflow).ok()?,
+        })
+    }
+
+    /// Ingress of the blocked pair.
+    pub fn src(&self) -> usize {
+        self.src as usize
+    }
+
+    /// Egress of the blocked pair.
+    pub fn dst(&self) -> usize {
+        self.dst as usize
+    }
+
+    /// The coflow whose planned units were stranded.
+    pub fn coflow(&self) -> usize {
+        self.coflow as usize
+    }
+
+    /// The last denied slot (saturating).
+    fn last(&self) -> u64 {
+        self.start.saturating_add(self.slots.saturating_sub(1))
+    }
+}
+
+/// The units of a blocked log, one `(slot, run)` per denied unit:
+/// slot-major, and in run order within one slot. Takes runs in order of
+/// their first slot, as [`FaultSim::blocked_log`] lists them; runs of
+/// zero slots hold no unit.
+#[derive(Clone, Debug)]
+pub struct BlockedUnits<'a> {
+    /// Runs not yet reached, in order of their first slot.
+    runs: std::iter::Peekable<std::vec::IntoIter<&'a BlockedRun>>,
+    /// The runs covering `slot`, in run order.
+    active: Vec<&'a BlockedRun>,
+    /// Position in `active` of the next unit of `slot`.
+    at: usize,
+    slot: u64,
+}
+
+impl<'a> BlockedUnits<'a> {
+    /// Walks the units of `runs`.
+    pub fn new(runs: impl IntoIterator<Item = &'a BlockedRun>) -> Self {
+        let runs: Vec<&BlockedRun> = runs.into_iter().filter(|r| r.slots > 0).collect();
+        BlockedUnits {
+            runs: runs.into_iter().peekable(),
+            active: Vec::new(),
+            at: 0,
+            slot: 0,
+        }
+    }
+}
+
+impl<'a> Iterator for BlockedUnits<'a> {
+    type Item = (u64, &'a BlockedRun);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.at == self.active.len() {
+            // The current slot is done: move to the next slot with a unit.
+            let slot = self.slot;
+            self.active.retain(|r| r.last() > slot);
+            self.slot = if self.active.is_empty() {
+                self.runs.peek()?.start
+            } else {
+                slot.checked_add(1)?
+            };
+            let next = self.slot;
+            while let Some(run) = self.runs.next_if(|r| r.start <= next) {
+                self.active.push(run);
+            }
+            self.at = 0;
+        }
+        let run = self.active[self.at];
+        self.at += 1;
+        Some((self.slot, run))
+    }
+}
+
+/// Cap on the units the blocked log retains; [`FaultSim::blocked_units`]
+/// keeps counting past it, so aggregate accounting stays exact. A cap on
+/// units rather than runs bounds the `coflow-snapshot/1` document, which
+/// lists one entry per unit.
+const MAX_BLOCKED_LOG: u64 = 1 << 16;
 
 /// Fault state of one port pair over one window between consecutive
 /// [`FaultPlan::boundaries`]. Outages and the set of covering degradations
@@ -723,8 +818,12 @@ pub struct FaultSim {
     plan: FaultPlan,
     executed: ScheduleTrace,
     blocked_units: u64,
-    blocked_log: Vec<BlockedSlot>,
+    /// Maximal runs of denied units, in order of their first slot.
+    blocked_log: Vec<BlockedRun>,
     blocked_log_dropped: u64,
+    /// Per ingress: the index in `blocked_log` of its last run. Derived
+    /// state, rebuilt by [`FaultSim::from_state`].
+    last_blocked: Vec<Option<usize>>,
     /// `plan`, compiled. Derived state, rebuilt by [`FaultSim::from_state`].
     index: FaultIndex,
     /// Position in the index's cancellation order: every cancellation
@@ -785,6 +884,7 @@ impl FaultSim {
             blocked_units: 0,
             blocked_log: Vec::new(),
             blocked_log_dropped: 0,
+            last_blocked: vec![None; m],
             src_used: vec![false; m],
             dst_used: vec![false; m],
             scratch: ExecBuffers::default(),
@@ -843,13 +943,14 @@ impl FaultSim {
         self.blocked_units
     }
 
-    /// Per-unit forensic log of fault-denied service, in slot order
-    /// (bounded; see [`FaultSim::blocked_log_dropped`]).
-    pub fn blocked_log(&self) -> &[BlockedSlot] {
+    /// Forensic log of fault-denied service: maximal runs of denied units,
+    /// in order of their first slot ([`BlockedUnits`] walks it unit by
+    /// unit). Bounded; see [`FaultSim::blocked_log_dropped`].
+    pub fn blocked_log(&self) -> &[BlockedRun] {
         &self.blocked_log
     }
 
-    /// Blocked-log entries discarded past the retention cap.
+    /// Denied units discarded past the blocked log's cap.
     pub fn blocked_log_dropped(&self) -> u64 {
         self.blocked_log_dropped
     }
@@ -908,17 +1009,7 @@ impl FaultSim {
             return Served::Gone; // already delivered by an earlier replan
         };
         if !open {
-            self.blocked_units += 1;
-            if self.blocked_log.len() < MAX_BLOCKED_LOG {
-                self.blocked_log.push(BlockedSlot {
-                    slot,
-                    src: i,
-                    dst: j,
-                    coflow: k,
-                });
-            } else {
-                self.blocked_log_dropped += 1;
-            }
+            self.record_blocked(slot, (i, j), k);
             return Served::Blocked;
         }
         self.remaining.take(k, e, 1);
@@ -927,6 +1018,34 @@ impl FaultSim {
             self.completion[k] = Some(slot);
         }
         Served::Delivered
+    }
+
+    /// Counts one planned unit of coflow `k` on `(i, j)` denied in `slot`,
+    /// and logs it while the log holds fewer than [`MAX_BLOCKED_LOG`]
+    /// units. The ingress's last run absorbs it when that run is on the
+    /// same egress and coflow and ends at `slot − 1`; otherwise it starts a
+    /// new run. An ingress is denied at most one unit per slot, and slots
+    /// never decrease, so every run is maximal and the runs are listed in
+    /// order of their first slot.
+    fn record_blocked(&mut self, slot: u64, (i, j): (usize, usize), k: usize) {
+        let logged = self.blocked_units - self.blocked_log_dropped;
+        self.blocked_units += 1;
+        if logged >= MAX_BLOCKED_LOG {
+            self.blocked_log_dropped += 1;
+            return;
+        }
+        if let Some(run) = self.last_blocked[i].map(|r| &mut self.blocked_log[r]) {
+            if (run.dst(), run.coflow()) == (j, k) && run.start.checked_add(run.slots) == Some(slot)
+            {
+                run.slots += 1;
+                return;
+            }
+        }
+        let Some(run) = BlockedRun::new(slot, 1, i, j, k) else {
+            panic!("port or coflow id does not fit in u32");
+        };
+        self.last_blocked[i] = Some(self.blocked_log.len());
+        self.blocked_log.push(run);
     }
 
     /// Records one slot's delivered units in the executed trace.
@@ -1407,7 +1526,13 @@ impl FaultSim {
     /// when it was captured with one run per slot. A run that overlaps the
     /// one before it or ends after the clock is refused (the next recorded
     /// slot would overlap it), as is one that books more units on a pair
-    /// than it lasts, rather than replayed short.
+    /// than it lasts, rather than replayed short. The blocked log is
+    /// recorded anew too, so one entry per unit restores to maximal runs;
+    /// a log no run writes is refused (a unit off the fabric or the
+    /// instance, in slot 0 or after the clock, out of slot order, sharing
+    /// a port with another unit of its slot, or past the cap), as is a
+    /// `blocked_units` other than the logged units plus
+    /// `blocked_log_dropped`.
     pub fn from_state(
         state: crate::snapshot::FaultSimState,
     ) -> Result<FaultSim, crate::snapshot::SnapshotError> {
@@ -1444,9 +1569,10 @@ impl FaultSim {
             cancel_cursor: 0,
             plan: state.plan,
             executed: ScheduleTrace::new(state.m),
-            blocked_units: state.blocked_units,
-            blocked_log: state.blocked_log,
-            blocked_log_dropped: state.blocked_log_dropped,
+            blocked_units: 0,
+            blocked_log: Vec::new(),
+            blocked_log_dropped: 0,
+            last_blocked: vec![None; state.m],
             src_used: vec![false; state.m],
             dst_used: vec![false; state.m],
             scratch: ExecBuffers::default(),
@@ -1454,7 +1580,81 @@ impl FaultSim {
             memo: EntryMemo::new(state.m),
         };
         sim.record_executed(&state.executed, state.now)?;
+        sim.record_blocked_log(&state.blocked_log, state.now)?;
+        let counted = sim.blocked_units.checked_add(state.blocked_log_dropped);
+        if counted != Some(state.blocked_units) {
+            return Err(crate::snapshot::SnapshotError::new(format!(
+                "blocked_units {} is not the {} logged units plus the {} dropped",
+                state.blocked_units, sim.blocked_units, state.blocked_log_dropped
+            )));
+        }
+        sim.blocked_units = state.blocked_units;
+        sim.blocked_log_dropped = state.blocked_log_dropped;
         Ok(sim)
+    }
+
+    /// Records a captured blocked log through [`FaultSim::record_blocked`],
+    /// unit by unit in [`BlockedUnits`] order, so it restores to maximal
+    /// runs whether it was captured as runs or as one entry per unit, in
+    /// any order within a slot. Refuses a log that no run of this
+    /// simulator writes: more units than the cap, an id outside the fabric
+    /// or the instance, a run of zero slots, a unit in slot 0 or after the
+    /// clock `now`, runs out of slot order, or two units on one ingress or
+    /// one egress in one slot.
+    fn record_blocked_log(
+        &mut self,
+        log: &[BlockedRun],
+        now: u64,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        let bad = |msg: String| Err(crate::snapshot::SnapshotError::new(msg));
+        let (m, n) = (self.m, self.remaining.len());
+        let units = log.iter().try_fold(0u64, |sum, r| sum.checked_add(r.slots));
+        if units.is_none_or(|u| u > MAX_BLOCKED_LOG) {
+            return bad(format!(
+                "blocked log holds more than its cap of {} units",
+                MAX_BLOCKED_LOG
+            ));
+        }
+        // Per port: the slot of its last blocked unit so far (0 for none).
+        let (mut src_busy, mut dst_busy) = (vec![0u64; m], vec![0u64; m]);
+        let mut first = 0;
+        for run in log {
+            let (i, j, k) = (run.src(), run.dst(), run.coflow());
+            if i >= m || j >= m || k >= n {
+                return bad(format!(
+                    "blocked unit ({}, {}, coflow {}) is outside the instance",
+                    i, j, k
+                ));
+            }
+            let last = run.start.checked_add(run.slots.saturating_sub(1));
+            let Some(last) = last.filter(|&l| run.slots > 0 && run.start > 0 && l <= now) else {
+                return bad(format!(
+                    "blocked run of {} slots from slot {} is not within slots 1..={}",
+                    run.slots, run.start, now
+                ));
+            };
+            if run.start < first {
+                return bad(format!(
+                    "blocked log goes back from slot {} to slot {}",
+                    first, run.start
+                ));
+            }
+            first = run.start;
+            for (busy, port, side) in [(&mut src_busy, i, "ingress"), (&mut dst_busy, j, "egress")]
+            {
+                if run.start <= busy[port] {
+                    return bad(format!(
+                        "two blocked units on {} {} in slot {}",
+                        side, port, run.start
+                    ));
+                }
+                busy[port] = last;
+            }
+        }
+        for (slot, run) in BlockedUnits::new(log) {
+            self.record_blocked(slot, (run.src(), run.dst()), run.coflow());
+        }
+        Ok(())
     }
 
     /// Records a captured executed trace, whose slots all lie at or before
@@ -1514,12 +1714,18 @@ impl FaultSim {
         Ok(())
     }
 
-    /// Finishes execution, returning the executed trace (each run a maximal
-    /// stretch of consecutive slots that deliver the same units), completion
-    /// slots (`None` = cancelled before completion), and the count of
-    /// fault-stranded planned units.
-    pub fn finish(self) -> (ScheduleTrace, Vec<Option<u64>>, u64) {
-        (self.executed, self.completion, self.blocked_units)
+    /// Finishes execution, handing over the executed trace (each run a
+    /// maximal stretch of consecutive slots that deliver the same units),
+    /// completion slots (`None` = cancelled before completion), the count
+    /// of fault-stranded planned units, and the blocked log
+    /// ([`FaultSim::blocked_log`]).
+    pub fn finish(self) -> (ScheduleTrace, Vec<Option<u64>>, u64, Vec<BlockedRun>) {
+        (
+            self.executed,
+            self.completion,
+            self.blocked_units,
+            self.blocked_log,
+        )
     }
 }
 
@@ -1641,7 +1847,7 @@ mod tests {
         }
         assert_eq!(sim.blocked_units(), 2);
         assert_eq!(sim.completion_times(), &[Some(5)]);
-        let (trace, times, blocked) = sim.finish();
+        let (trace, times, blocked, _) = sim.finish();
         assert_eq!(times, vec![Some(5)]);
         assert_eq!(blocked, 2);
         assert_eq!(trace.total_units(), 3);
@@ -1669,22 +1875,58 @@ mod tests {
         }
         assert_eq!(
             sim.blocked_log(),
-            &[
-                BlockedSlot {
-                    slot: 1,
-                    src: 0,
-                    dst: 1,
-                    coflow: 0
-                },
-                BlockedSlot {
-                    slot: 2,
-                    src: 0,
-                    dst: 1,
-                    coflow: 0
-                },
-            ]
+            &[BlockedRun::new(1, 2, 0, 1, 0).unwrap()],
+            "slots 1 and 2 are one run"
         );
+        let units: Vec<(u64, usize)> = BlockedUnits::new(sim.blocked_log())
+            .map(|(slot, run)| (slot, run.coflow()))
+            .collect();
+        assert_eq!(units, [(1, 0), (2, 0)]);
         assert_eq!(sim.blocked_log_dropped(), 0);
+    }
+
+    #[test]
+    fn blocked_run_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<BlockedRun>(), 32);
+        assert!(BlockedRun::new(1, 1, 1 << 32, 0, 0).is_none());
+    }
+
+    #[test]
+    fn blocked_units_walk_slot_major_in_run_order() {
+        let run = |start, slots, src| BlockedRun::new(start, slots, src, 0, 0).unwrap();
+        let log = [
+            run(1, 3, 0),
+            run(2, 1, 1),
+            run(2, 0, 3),
+            run(6, 2, 2),
+            run(7, 1, 3),
+        ];
+        let units: Vec<(u64, usize)> = BlockedUnits::new(&log)
+            .map(|(slot, r)| (slot, r.src()))
+            .collect();
+        assert_eq!(
+            units,
+            [(1, 0), (2, 0), (2, 1), (3, 0), (6, 2), (7, 2), (7, 3)]
+        );
+    }
+
+    #[test]
+    fn blocked_log_caps_units_not_runs() {
+        let plan = FaultPlan::new(vec![FaultEvent::IngressOutage {
+            port: 0,
+            start: 1,
+            end: 70_000,
+        }]);
+        let mut sim = FaultSim::new(2, &[demand(5)], &[0], plan);
+        sim.apply_run(&[(0, 1, vec![0])], 70_000).unwrap();
+        assert_eq!(sim.blocked_units(), 70_000);
+        assert_eq!(
+            sim.blocked_log(),
+            &[BlockedRun::new(1, 65_536, 0, 1, 0).unwrap()]
+        );
+        assert_eq!(sim.blocked_log_dropped(), 70_000 - 65_536);
+        let restored = FaultSim::from_state(sim.capture()).unwrap();
+        assert_eq!(restored.capture(), sim.capture());
     }
 
     #[test]
@@ -1774,7 +2016,7 @@ mod tests {
         assert!(fast.is_cancelled(0));
         assert_eq!(fast.remaining_total(0), 0);
         assert_eq!(fast.completion_times(), &[None, Some(5)]);
-        let (trace, _, _) = fast.finish();
+        let (trace, ..) = fast.finish();
         let mut served: Vec<(u64, usize)> = Vec::new();
         trace.for_each_slot(|slot, moves| served.extend(moves.iter().map(|&(.., k)| (slot, k))));
         assert_eq!(served, vec![(1, 0), (2, 0), (4, 1), (5, 1)]);

@@ -44,8 +44,8 @@ pub mod validate;
 pub use demand::{Demand, DemandError, DemandView, EntryMemo, PortLoads, SparseDemand};
 pub use fabric::{Fabric, SlotSim};
 pub use fault::{
-    AdversarialConfig, BlockedSlot, FaultEvent, FaultIndex, FaultPlan, FaultSim, SimError,
-    SlotOutcome,
+    AdversarialConfig, BlockedRun, BlockedUnits, FaultEvent, FaultIndex, FaultPlan, FaultSim,
+    SimError, SlotOutcome,
 };
 pub use recorder::{
     record_flights, CoflowFlight, FlightEvent, FlightRecorder, PortSeries, RecorderConfig,

@@ -14,7 +14,7 @@
 //! most [`RecorderConfig::max_events_per_coflow`] events and counts the
 //! overflow in [`CoflowFlight::events_dropped`].
 
-use crate::fault::BlockedSlot;
+use crate::fault::{BlockedRun, BlockedUnits};
 use crate::trace::ScheduleTrace;
 
 /// One entry in a coflow's flight log. Slots are 1-indexed, matching the
@@ -186,8 +186,9 @@ pub struct FlightRecorder {
 
 /// Derives the flight recording of `trace` for coflows with the given
 /// `totals` (demanded units) and `releases`. `blocked` is the
-/// [`FaultSim`](crate::FaultSim) blocked log (empty for clean runs); its
-/// entries are merged into the owning coflow's stream chronologically.
+/// [`FaultSim`](crate::FaultSim) blocked log (empty for clean runs); each
+/// of its units becomes one `FaultBlocked` event, merged into the owning
+/// coflow's stream chronologically (in run order within one slot).
 ///
 /// Single pass over the trace's slots; memory is bounded by the per-coflow
 /// event cap plus the `O(m · makespan / bucket)` port series.
@@ -195,7 +196,7 @@ pub fn record_flights(
     trace: &ScheduleTrace,
     totals: &[u64],
     releases: &[u64],
-    blocked: &[BlockedSlot],
+    blocked: &[BlockedRun],
     cfg: &RecorderConfig,
 ) -> FlightRecorder {
     let n = totals.len();
@@ -226,14 +227,18 @@ pub fn record_flights(
         egress_busy: vec![vec![0; buckets]; trace.m],
     };
 
-    // Pre-index blocked-log entries by coflow (the log is in slot order, so
-    // per-coflow sublists stay chronological).
-    let mut blocked_by_coflow: Vec<Vec<&BlockedSlot>> = vec![Vec::new(); n];
+    // Pre-index blocked runs by coflow (the log lists runs in order of
+    // their first slot, so each coflow's units come out chronologically).
+    let mut blocked_by_coflow: Vec<Vec<&BlockedRun>> = vec![Vec::new(); n];
     for b in blocked {
-        if b.coflow < n {
-            blocked_by_coflow[b.coflow].push(b);
+        if b.coflow() < n {
+            blocked_by_coflow[b.coflow()].push(b);
         }
     }
+    let mut blocked_units: Vec<_> = blocked_by_coflow
+        .into_iter()
+        .map(|runs| BlockedUnits::new(runs).peekable())
+        .collect();
 
     let cap = cfg.max_events_per_coflow;
     let push = |f: &mut CoflowFlight, ev: FlightEvent| {
@@ -248,7 +253,6 @@ pub fn record_flights(
     let mut last_checkpoint = vec![0u64; n]; // units at the last Progress event
     let mut in_gap = vec![false; n]; // currently inside a Preempted gap
     let mut served_this_slot = vec![false; n];
-    let mut next_blocked = vec![0usize; n]; // cursor into blocked_by_coflow
 
     let mut prev_bucket: Option<usize> = None;
     trace.for_each_slot(|slot, moves| {
@@ -286,19 +290,15 @@ pub fn record_flights(
             if k >= n {
                 continue;
             }
-            // Merge any blocked-log entries that precede this delivery.
-            while let Some(&bl) = blocked_by_coflow[k].get(next_blocked[k]) {
-                if bl.slot > slot {
-                    break;
-                }
-                next_blocked[k] += 1;
+            // Merge any blocked units that precede this delivery.
+            while let Some((at, bl)) = blocked_units[k].next_if(|&(at, _)| at <= slot) {
                 flights[k].blocked_slots += 1;
                 push(
                     &mut flights[k],
                     FlightEvent::FaultBlocked {
-                        slot: bl.slot,
-                        src: bl.src,
-                        dst: bl.dst,
+                        slot: at,
+                        src: bl.src(),
+                        dst: bl.dst(),
                     },
                 );
             }
@@ -344,17 +344,16 @@ pub fn record_flights(
     });
 
     // Flush trailing state: final progress checkpoints, never-served
-    // releases, and blocked entries after the last delivery.
+    // releases, and blocked units after the last delivery.
     for (k, f) in flights.iter_mut().enumerate() {
-        while let Some(&bl) = blocked_by_coflow[k].get(next_blocked[k]) {
-            next_blocked[k] += 1;
+        for (at, bl) in &mut blocked_units[k] {
             f.blocked_slots += 1;
             push(
                 f,
                 FlightEvent::FaultBlocked {
-                    slot: bl.slot,
-                    src: bl.src,
-                    dst: bl.dst,
+                    slot: at,
+                    src: bl.src(),
+                    dst: bl.dst(),
                 },
             );
         }
@@ -495,19 +494,11 @@ mod tests {
     #[test]
     fn blocked_log_entries_join_the_owning_flight() {
         let trace = two_coflow_trace();
+        // Coflow 1 is denied on (1, 0) in slots 4 and 5, and on (0, 1) in
+        // slots 2 to 5; within a slot the units come in run order.
         let blocked = vec![
-            BlockedSlot {
-                slot: 4,
-                src: 1,
-                dst: 0,
-                coflow: 1,
-            },
-            BlockedSlot {
-                slot: 5,
-                src: 1,
-                dst: 0,
-                coflow: 1,
-            },
+            BlockedRun::new(2, 4, 0, 1, 1).unwrap(),
+            BlockedRun::new(4, 2, 1, 0, 1).unwrap(),
         ];
         let rec = record_flights(
             &trace,
@@ -516,12 +507,17 @@ mod tests {
             &blocked,
             &RecorderConfig::default(),
         );
-        assert_eq!(rec.flights[1].blocked_slots, 2);
+        assert_eq!(rec.flights[1].blocked_slots, 6);
         assert_eq!(rec.flights[0].blocked_slots, 0);
-        assert!(rec.flights[1]
+        let seen: Vec<(u64, usize)> = rec.flights[1]
             .events
             .iter()
-            .any(|e| matches!(e, FlightEvent::FaultBlocked { slot: 4, .. })));
+            .filter_map(|e| match *e {
+                FlightEvent::FaultBlocked { slot, src, .. } => Some((slot, src)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(seen, [(2, 0), (3, 0), (4, 0), (4, 1), (5, 0), (5, 1)]);
     }
 
     #[test]

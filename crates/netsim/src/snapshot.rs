@@ -13,7 +13,7 @@
 //! here are only ever *added* (readers must reject unknown schemas at the
 //! top level, not here).
 
-use crate::fault::{BlockedSlot, FaultEvent, FaultPlan};
+use crate::fault::{BlockedRun, BlockedUnits, FaultEvent, FaultPlan};
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
 use obs::json::{quote, JsonValue};
@@ -71,8 +71,12 @@ pub struct FaultSimState {
     pub executed: ScheduleTrace,
     /// Planned units stranded by faults so far.
     pub blocked_units: u64,
-    /// Per-unit blocked log (capped upstream).
-    pub blocked_log: Vec<BlockedSlot>,
+    /// The blocked log: runs of denied units, in order of their first
+    /// slot (capped upstream on units). The document lists one
+    /// `[slot,src,dst,coflow]` entry per unit, which
+    /// [`FaultSimState::from_json`] reads back as a run of one slot;
+    /// [`FaultSim::from_state`](crate::FaultSim::from_state) merges them.
+    pub blocked_log: Vec<BlockedRun>,
     /// Log entries dropped past the cap.
     pub blocked_log_dropped: u64,
 }
@@ -189,11 +193,11 @@ impl FaultSimState {
             "],\"blocked_units\":{},\"blocked_log_dropped\":{},\"blocked_log\":[",
             self.blocked_units, self.blocked_log_dropped
         );
-        for (i, b) in self.blocked_log.iter().enumerate() {
+        for (i, (slot, b)) in BlockedUnits::new(&self.blocked_log).enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "[{},{},{},{}]", b.slot, b.src, b.dst, b.coflow);
+            let _ = write!(out, "[{},{},{},{}]", slot, b.src(), b.dst(), b.coflow());
         }
         out.push_str("],\"executed\":");
         render_trace(out, &self.executed);
@@ -251,16 +255,16 @@ impl FaultSimState {
             .iter()
             .map(|b| {
                 let xs = u64_array(b, "blocked_log[i]")?;
-                if xs.len() != 4 {
+                let &[slot, src, dst, coflow] = xs.as_slice() else {
                     return Err(SnapshotError::new(
                         "blocked_log entry is not [slot,src,dst,coflow]",
                     ));
-                }
-                Ok(BlockedSlot {
-                    slot: xs[0],
-                    src: xs[1] as usize,
-                    dst: xs[2] as usize,
-                    coflow: xs[3] as usize,
+                };
+                blocked_unit_of(slot, src, dst, coflow).ok_or_else(|| {
+                    SnapshotError::new(format!(
+                        "blocked unit ({}, {}, coflow {}) has an id past u32",
+                        src, dst, coflow
+                    ))
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -424,6 +428,18 @@ fn transfer_of(src: u64, dst: u64, coflow: u64, units: u64) -> Option<Transfer> 
     )
 }
 
+/// A parsed `[slot, src, dst, coflow]` blocked-log entry, as a run of one
+/// slot; `None` when an id does not fit in `u32`.
+fn blocked_unit_of(slot: u64, src: u64, dst: u64, coflow: u64) -> Option<BlockedRun> {
+    BlockedRun::new(
+        slot,
+        1,
+        src.try_into().ok()?,
+        dst.try_into().ok()?,
+        coflow.try_into().ok()?,
+    )
+}
+
 // ---------------------------------------------------------------------------
 // Field-access helpers shared with the engine snapshot in `coflow`.
 
@@ -522,12 +538,26 @@ mod tests {
             sim.step(&[(0, 1, 0), (1, 0, 1)]).unwrap();
         }
         let state = sim.capture();
+        assert_eq!(
+            state.blocked_log,
+            [BlockedRun::new(2, 2, 0, 1, 0).unwrap()],
+            "slots 2 and 3 are one run"
+        );
         let mut text = String::new();
         state.render(&mut text);
+        assert!(
+            text.contains("\"blocked_log\":[[2,0,1,0],[3,0,1,0]]"),
+            "{}",
+            text
+        );
         let parsed = FaultSimState::from_json(&obs::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, state);
-        // Restored simulator continues identically to the original.
+        let mut again = String::new();
+        parsed.render(&mut again);
+        assert_eq!(again, text, "the document re-renders byte for byte");
+        // The per-unit entries merge back into the captured runs, and the
+        // restored simulator continues identically to the original.
         let mut restored = FaultSim::from_state(parsed).unwrap();
+        assert_eq!(restored.capture(), state);
         for _ in 0..4 {
             let a = sim.step(&[(0, 1, 0), (1, 0, 1)]).unwrap();
             let b = restored.step(&[(0, 1, 0), (1, 0, 1)]).unwrap();

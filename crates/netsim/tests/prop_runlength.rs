@@ -18,9 +18,14 @@
 //!   maximal, each transfer moves one unit per slot of its run, no port
 //!   repeats within a run, and slot by slot it delivers exactly what
 //!   [`FaultSim::step`] delivers along the slot-wise reference;
-//! * [`FaultSim::from_state`] restores a trace split into 1-slot runs (as
-//!   checkpoints written before the recorder merged slots hold it) to the
-//!   same simulator as its merged form;
+//! * on both paths, the blocked log is run-length: its runs are maximal
+//!   and in order of their first slot, and slot by slot its units are, as
+//!   a set, the `SlotOutcome::blocked` that [`FaultSim::step`] returns
+//!   along the slot-wise reference;
+//! * [`FaultSim::from_state`] restores a trace split into 1-slot runs and
+//!   a blocked log of one entry per unit (as checkpoints written before
+//!   the recorders merged slots hold them) to the same simulator as their
+//!   merged form;
 //! * [`ScheduleTrace::for_each_slot`] (reused-buffer expansion) against
 //!   [`Run::slot_moves`] (allocating reference);
 //! * [`Fabric::apply_run`] (run-length clean path) against [`SlotSim`]
@@ -28,8 +33,8 @@
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
-    trace_stats, Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SimError,
-    SlotSim, Transfer,
+    trace_stats, BlockedRun, BlockedUnits, Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run,
+    ScheduleTrace, SimError, SlotOutcome, SlotSim, Transfer,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -221,36 +226,76 @@ fn assert_runlength(trace: &ScheduleTrace) {
     }
 }
 
+/// What [`FaultSim::step`] returned along a slot-wise execution, up to its
+/// first structural error.
+#[derive(Debug, Default)]
+struct Stepped {
+    /// The slots that deliver a unit, with what each delivered.
+    delivered: Vec<SlotMoves>,
+    /// The slots that strand a unit, with what each stranded, in the order
+    /// `step` served them.
+    blocked: Vec<SlotMoves>,
+    /// The slot `step` refused, if it refused one. Units it stranded there
+    /// before the refusal are in the simulator's log, not in `blocked`.
+    refused: Option<u64>,
+}
+
+impl Stepped {
+    /// Steps `sim` through one slot of `moves`; false once it refuses.
+    fn step(&mut self, sim: &mut FaultSim, moves: &[(usize, usize, usize)]) -> bool {
+        let slot = sim.now() + 1;
+        let Ok(SlotOutcome {
+            delivered, blocked, ..
+        }) = sim.step(moves)
+        else {
+            self.refused = Some(slot);
+            return false;
+        };
+        if !delivered.is_empty() {
+            self.delivered.push((slot, delivered));
+        }
+        if !blocked.is_empty() {
+            self.blocked.push((slot, blocked));
+        }
+        true
+    }
+
+    /// The stranding slots with their units sorted, for a comparison as
+    /// sets slot by slot.
+    fn blocked_sets(&self) -> Vec<SlotMoves> {
+        let mut slots = self.blocked.clone();
+        slots
+            .iter_mut()
+            .for_each(|(_, units)| units.sort_unstable());
+        slots
+    }
+}
+
 /// Replays `trace` one [`FaultSim::step`] per slot, as the slot-wise
-/// reference does, up to the first error; returns the delivering slots
-/// with what each delivered.
-fn stepped_trace(sim: &mut FaultSim, trace: &ScheduleTrace) -> Vec<SlotMoves> {
-    let (slots, _) = counted(|| {
-        let mut slots = Vec::new();
+/// reference does, up to the first error.
+fn stepped_trace(sim: &mut FaultSim, trace: &ScheduleTrace) -> Stepped {
+    let (stepped, _) = counted(|| {
+        let mut stepped = Stepped::default();
         for run in &trace.runs {
             if run.start > sim.now() + 1 {
                 sim.advance_to(run.start - 1);
             }
             for moves in run.slot_moves() {
-                let Ok(out) = sim.step(&moves) else {
-                    return slots;
-                };
-                if !out.delivered.is_empty() {
-                    slots.push((out.slot, out.delivered));
+                if !stepped.step(sim, &moves) {
+                    return stepped;
                 }
             }
         }
-        slots
+        stepped
     });
-    slots
+    stepped
 }
 
 /// Executes `holds` one [`FaultSim::step`] per slot, picking each slot's
-/// moves as [`FaultSim::apply_run_slotwise`] does, up to the first error;
-/// returns the delivering slots with what each delivered.
-fn stepped_holds(sim: &mut FaultSim, m: usize, holds: &[Hold]) -> Vec<SlotMoves> {
+/// moves as [`FaultSim::apply_run_slotwise`] does, up to the first error.
+fn stepped_holds(sim: &mut FaultSim, m: usize, holds: &[Hold]) -> Stepped {
     let n = sim.completion_times().len();
-    let mut slots = Vec::new();
+    let mut stepped = Stepped::default();
     for hold in holds {
         if hold.gap > 0 {
             sim.advance_to(sim.now() + hold.gap);
@@ -264,14 +309,49 @@ fn stepped_holds(sim: &mut FaultSim, m: usize, holds: &[Hold]) -> Vec<SlotMoves>
                     prio.iter().find(|&&k| live(k)).map(|&k| (i, j, k))
                 })
                 .collect();
-            let (out, _) = counted(|| sim.step(&moves));
-            let Ok(out) = out else { return slots };
-            if !out.delivered.is_empty() {
-                slots.push((out.slot, out.delivered));
+            if !counted(|| stepped.step(sim, &moves)).0 {
+                return stepped;
             }
         }
     }
+    stepped
+}
+
+/// The units of a blocked log before slot `before` (all when `None`),
+/// grouped by slot with each slot's units sorted.
+fn blocked_sets(log: &[BlockedRun], before: Option<u64>) -> Vec<SlotMoves> {
+    let mut slots: Vec<SlotMoves> = Vec::new();
+    for (slot, run) in BlockedUnits::new(log) {
+        if before.is_some_and(|b| slot >= b) {
+            break;
+        }
+        let unit = (run.src(), run.dst(), run.coflow());
+        match slots.last_mut() {
+            Some((last, units)) if *last == slot => units.push(unit),
+            _ => slots.push((slot, vec![unit])),
+        }
+    }
     slots
+        .iter_mut()
+        .for_each(|(_, units)| units.sort_unstable());
+    slots
+}
+
+/// Asserts that a blocked log is run-length: every run holds a unit, runs
+/// come in order of their first slot, and no run could absorb another
+/// (same pair and coflow, starting the slot after it ends).
+fn assert_blocked_runs(log: &[BlockedRun]) {
+    for w in log.windows(2) {
+        assert!(w[0].start <= w[1].start, "runs out of order: {:?}", w);
+    }
+    for a in log {
+        assert!(a.slots > 0, "empty run {:?}", a);
+        let key = |r: &BlockedRun| (r.src(), r.dst(), r.coflow());
+        let next = log
+            .iter()
+            .find(|b| key(b) == key(a) && b.start == a.start + a.slots);
+        assert!(next.is_none(), "{:?} and {:?} could merge", a, next);
+    }
 }
 
 /// A matching held for `duration` slots after `gap` idle slots.
@@ -441,14 +521,17 @@ proptest! {
         }
         let mut c = FaultSim::new(m, &sparse(&demands), &releases, plan);
         let stepped = stepped_trace(&mut c, &trace);
-        let (ta, ca, ba) = a.finish();
-        let (tb, cb, bb) = b.finish();
+        let (ta, ca, ba, la) = a.finish();
+        let (tb, cb, bb, lb) = b.finish();
         prop_assert_eq!(&ta, &tb, "executed traces diverged");
         prop_assert_eq!(ca, cb);
         prop_assert_eq!(ba, bb);
+        prop_assert_eq!(&la, &lb);
         prop_assert_eq!(trace_stats(&ta), trace_stats(&tb));
         assert_runlength(&ta);
-        prop_assert_eq!(busy_slots(&ta), stepped);
+        prop_assert_eq!(busy_slots(&ta), stepped.delivered.clone());
+        assert_blocked_runs(&la);
+        prop_assert_eq!(blocked_sets(&la, stepped.refused), stepped.blocked_sets());
     }
 
     /// A held matching executes identically run-length and slot by slot:
@@ -489,15 +572,19 @@ proptest! {
         }
         let mut c = FaultSim::new(m, &sparse(&demands), &releases, plan);
         let stepped = stepped_holds(&mut c, m, &holds);
-        let executed = a.capture().executed;
-        assert_runlength(&executed);
-        prop_assert_eq!(busy_slots(&executed), stepped);
+        let state = a.capture();
+        assert_runlength(&state.executed);
+        prop_assert_eq!(busy_slots(&state.executed), stepped.delivered.clone());
+        assert_blocked_runs(&state.blocked_log);
+        let blocked = blocked_sets(&state.blocked_log, stepped.refused);
+        prop_assert_eq!(blocked, stepped.blocked_sets());
     }
 
-    /// A restored executed trace is recorded anew: split into 1-slot runs,
-    /// as checkpoints written before the recorder merged slots hold it, it
-    /// restores to the same simulator as its merged form, and execution
-    /// continues from both alike.
+    /// A restored executed trace and blocked log are recorded anew: split
+    /// into 1-slot runs, as checkpoints written before the recorders
+    /// merged slots hold them — the blocked log one entry per unit, in the
+    /// order `step` served the units — they restore to the same simulator
+    /// as their merged form, and execution continues from both alike.
     #[test]
     fn split_executed_trace_restores_merged(
         m in 2usize..5,
@@ -510,7 +597,7 @@ proptest! {
     ) {
         let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
         let cut = cut.min(holds.len() - 1);
-        let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan);
+        let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
         let hold_all = |sim: &mut FaultSim, holds: &[Hold]| {
             for hold in holds {
                 sim.advance_to(sim.now() + hold.gap);
@@ -524,7 +611,16 @@ proptest! {
             return;
         }
         let merged = a.capture();
+        let mut c = FaultSim::new(m, &sparse(&demands), &releases, plan);
+        let stepped = stepped_holds(&mut c, m, &holds[..cut]);
         let mut split = merged.clone();
+        split.blocked_log = stepped
+            .blocked
+            .iter()
+            .flat_map(|(slot, units)| {
+                units.iter().map(|&(i, j, k)| BlockedRun::new(*slot, 1, i, j, k).unwrap())
+            })
+            .collect();
         split.executed = ScheduleTrace::new(m);
         merged.executed.for_each_slot(|slot, moves| {
             let transfers = moves.iter().map(|&(i, j, k)| Transfer::new(i, j, k, 1).unwrap());
@@ -670,7 +766,7 @@ fn slots_at_or_before_the_clock_count_as_done() {
     let mut b = a.clone();
     assert!(step_both(&mut a, &mut b, &trace, None));
     assert_eq!((a.now(), a.remaining_total(0)), (4, 2));
-    let (executed, _, _) = a.finish();
+    let (executed, ..) = a.finish();
     assert_eq!(busy_slots(&executed), vec![(4, vec![(0, 1, 0)])]);
 }
 

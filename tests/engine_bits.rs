@@ -17,6 +17,11 @@
 //! and every `/faults` row). It now records a run per maximal stretch of
 //! identical slots, and the run column holds those counts.
 //!
+//! The last two columns pin the blocked log: the planned units a fault
+//! stranded (`FaultyOutcome::blocked_units`, recorded when the log held
+//! one entry per unit) and the runs the log holds them in. Both read 0 on
+//! clean rows.
+//!
 //! The instances cover the benchmark's shapes at test size: the offline
 //! trace (zero releases, Algorithm 2's home ground) and the arrivals trace
 //! (mean gap 40 slots, flows capped at 128 MB) on two fabric widths.
@@ -40,6 +45,10 @@ struct Bits {
     /// Slots that move at least one unit.
     busy_slots: usize,
     runs: usize,
+    /// Planned units stranded by a fault.
+    blocked_units: u64,
+    /// Runs of the blocked log.
+    blocked_runs: usize,
 }
 
 /// 64-bit FNV-1a over the little-endian bytes of each word.
@@ -126,6 +135,8 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
                 makespan: out.executed.makespan(),
                 busy_slots: busy_slots(&out.executed),
                 runs: out.executed.runs.len(),
+                blocked_units: out.blocked_units,
+                blocked_runs: out.blocked.len(),
             }
         } else {
             let out = run_policy(instance, &mut *policy)
@@ -138,6 +149,8 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
                 makespan: out.makespan(),
                 busy_slots: busy_slots(&out.trace),
                 runs: out.trace.runs.len(),
+                blocked_units: 0,
+                blocked_runs: 0,
             }
         };
         rows.push(clean);
@@ -155,25 +168,33 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
                 makespan: out.executed.makespan(),
                 busy_slots: busy_slots(&out.executed),
                 runs: out.executed.runs.len(),
+                blocked_units: out.blocked_units,
+                blocked_runs: out.blocked.len(),
             });
         }
     }
     rows
 }
 
+/// One recorded row: label, objective bits, completions FNV, makespan,
+/// busy slots, runs, blocked units, blocked runs.
+type Row<'a> = (&'a str, u64, u64, u64, usize, usize, u64, usize);
+
 /// Compares `got` with the recorded rows; on drift, the panic message
 /// holds the whole table as it now reads, in the form written below.
-fn check(name: &str, got: Vec<Bits>, want: &[(&str, u64, u64, u64, usize, usize)]) {
+fn check(name: &str, got: Vec<Bits>, want: &[Row]) {
     let want: Vec<Bits> = want
         .iter()
         .map(
-            |&(label, objective, completions_fnv, makespan, busy_slots, runs)| Bits {
+            |&(label, objective, completions_fnv, makespan, busy, runs, units, blocked)| Bits {
                 label: label.to_string(),
                 objective,
                 completions_fnv,
                 makespan,
-                busy_slots,
+                busy_slots: busy,
                 runs,
+                blocked_units: units,
+                blocked_runs: blocked,
             },
         )
         .collect();
@@ -182,8 +203,15 @@ fn check(name: &str, got: Vec<Bits>, want: &[(&str, u64, u64, u64, usize, usize)
         for b in &got {
             let _ = writeln!(
                 table,
-                "            (\"{}\", {}, {:#018x}, {}, {}, {}),",
-                b.label, b.objective, b.completions_fnv, b.makespan, b.busy_slots, b.runs
+                "            (\"{}\", {}, {:#018x}, {}, {}, {}, {}, {}),",
+                b.label,
+                b.objective,
+                b.completions_fnv,
+                b.makespan,
+                b.busy_slots,
+                b.runs,
+                b.blocked_units,
+                b.blocked_runs
             );
         }
         panic!("{name}: engine output drifted; it now reads\n{table}");
@@ -199,19 +227,19 @@ fn offline_shape_40_ports() {
         "offline 40x30",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 430),
-            ("online", 4686142815556599808, 0x4856ee16c716f10e, 4704, 4704, 470),
-            ("online/faults", 4687232637738156032, 0x521b0c287307db68, 4865, 4865, 485),
-            ("online-stale", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471),
-            ("online-stale/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484),
-            ("greedy", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471),
-            ("greedy/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484),
-            ("resilient", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 518),
-            ("resilient/faults", 4691800575975620608, 0xd49881624ce169cb, 8313, 8313, 563),
-            ("shafiee-ghaderi", 4686159411310231552, 0xf236c5f4d3f48c17, 4704, 4704, 467),
-            ("shafiee-ghaderi/faults", 4687249233491787776, 0xe1efbabedcb65149, 4865, 4865, 483),
-            ("im-purohit", 4686141819124187136, 0x1953d33f7606ac78, 4704, 4704, 464),
-            ("im-purohit/faults", 4687231641305743360, 0x2382b28d367bdaf2, 4865, 4865, 477),
+            ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 430, 0, 0),
+            ("online", 4686142815556599808, 0x4856ee16c716f10e, 4704, 4704, 470, 0, 0),
+            ("online/faults", 4687232637738156032, 0x521b0c287307db68, 4865, 4865, 485, 2985, 34),
+            ("online-stale", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471, 0, 0),
+            ("online-stale/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484, 2984, 31),
+            ("greedy", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471, 0, 0),
+            ("greedy/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484, 2984, 31),
+            ("resilient", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 518, 0, 0),
+            ("resilient/faults", 4691800575975620608, 0xd49881624ce169cb, 8313, 8313, 563, 944, 24),
+            ("shafiee-ghaderi", 4686159411310231552, 0xf236c5f4d3f48c17, 4704, 4704, 467, 0, 0),
+            ("shafiee-ghaderi/faults", 4687249233491787776, 0xe1efbabedcb65149, 4865, 4865, 483, 2961, 29),
+            ("im-purohit", 4686141819124187136, 0x1953d33f7606ac78, 4704, 4704, 464, 0, 0),
+            ("im-purohit/faults", 4687231641305743360, 0x2382b28d367bdaf2, 4865, 4865, 477, 2966, 31),
         ],
     );
 }
@@ -225,19 +253,19 @@ fn arrivals_shape_16_ports() {
         "arrivals 16x40",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 181),
-            ("online", 4695031138706522112, 0x448727538b8e6300, 1945, 1864, 294),
-            ("online/faults", 4694996375241228288, 0x61825407b2018530, 1945, 1841, 268),
-            ("online-stale", 4695031112936718336, 0xca2e7c2892f38bf4, 1942, 1861, 293),
-            ("online-stale/faults", 4695020083460702208, 0x376ac537dcdb03f6, 1942, 1838, 266),
-            ("greedy", 4695046394430357504, 0xe6522941943a2490, 1942, 1861, 294),
-            ("greedy/faults", 4695068951598596096, 0x94292d61cc556a52, 1942, 1838, 267),
-            ("resilient", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 251),
-            ("resilient/faults", 4696908434551865344, 0xb9ca4e663e550887, 2848, 2120, 242),
-            ("shafiee-ghaderi", 4695048859741585408, 0x4edeb5999c514851, 1942, 1861, 295),
-            ("shafiee-ghaderi/faults", 4695027324775563264, 0x655f68c4ab36c48c, 1942, 1838, 267),
-            ("im-purohit", 4695462860229181440, 0x5527f4b12b875bb0, 1942, 1861, 300),
-            ("im-purohit/faults", 4695413261946847232, 0x0ac7df31ba5e20a0, 1942, 1838, 267),
+            ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 181, 0, 0),
+            ("online", 4695031138706522112, 0x448727538b8e6300, 1945, 1864, 294, 0, 0),
+            ("online/faults", 4694996375241228288, 0x61825407b2018530, 1945, 1841, 268, 1140, 15),
+            ("online-stale", 4695031112936718336, 0xca2e7c2892f38bf4, 1942, 1861, 293, 0, 0),
+            ("online-stale/faults", 4695020083460702208, 0x376ac537dcdb03f6, 1942, 1838, 266, 1140, 13),
+            ("greedy", 4695046394430357504, 0xe6522941943a2490, 1942, 1861, 294, 0, 0),
+            ("greedy/faults", 4695068951598596096, 0x94292d61cc556a52, 1942, 1838, 267, 1140, 7),
+            ("resilient", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 251, 0, 0),
+            ("resilient/faults", 4696908434551865344, 0xb9ca4e663e550887, 2848, 2120, 242, 297, 19),
+            ("shafiee-ghaderi", 4695048859741585408, 0x4edeb5999c514851, 1942, 1861, 295, 0, 0),
+            ("shafiee-ghaderi/faults", 4695027324775563264, 0x655f68c4ab36c48c, 1942, 1838, 267, 1140, 8),
+            ("im-purohit", 4695462860229181440, 0x5527f4b12b875bb0, 1942, 1861, 300, 0, 0),
+            ("im-purohit/faults", 4695413261946847232, 0x0ac7df31ba5e20a0, 1942, 1838, 267, 1134, 3),
         ],
     );
 }
@@ -251,19 +279,19 @@ fn arrivals_shape_30_ports() {
         "arrivals 30x40",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 264),
-            ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349),
-            ("online/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 350),
-            ("online-stale", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349),
-            ("online-stale/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 349),
-            ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 2145, 349),
-            ("greedy/faults", 4695808862794547200, 0x7d5cebe599af3087, 2232, 2029, 350),
-            ("resilient", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 301),
-            ("resilient/faults", 4698210552671895552, 0x982a310c1c4b13a6, 3331, 2735, 353),
-            ("shafiee-ghaderi", 4696033214706221056, 0xb40c1fa0f109146d, 2232, 2145, 347),
-            ("shafiee-ghaderi/faults", 4695795960712790016, 0xe06a5c3ba41d5178, 2232, 2029, 346),
-            ("im-purohit", 4696129456333389824, 0xf3f6c7f313888a52, 2232, 2145, 359),
-            ("im-purohit/faults", 4695883672534908928, 0x56ec863d2f55935d, 2232, 2029, 349),
+            ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 264, 0, 0),
+            ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349, 0, 0),
+            ("online/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 350, 1469, 17),
+            ("online-stale", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349, 0, 0),
+            ("online-stale/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 349, 1469, 17),
+            ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 2145, 349, 0, 0),
+            ("greedy/faults", 4695808862794547200, 0x7d5cebe599af3087, 2232, 2029, 350, 1469, 15),
+            ("resilient", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 301, 0, 0),
+            ("resilient/faults", 4698210552671895552, 0x982a310c1c4b13a6, 3331, 2735, 353, 436, 42),
+            ("shafiee-ghaderi", 4696033214706221056, 0xb40c1fa0f109146d, 2232, 2145, 347, 0, 0),
+            ("shafiee-ghaderi/faults", 4695795960712790016, 0xe06a5c3ba41d5178, 2232, 2029, 346, 1469, 15),
+            ("im-purohit", 4696129456333389824, 0xf3f6c7f313888a52, 2232, 2145, 359, 0, 0),
+            ("im-purohit/faults", 4695883672534908928, 0x56ec863d2f55935d, 2232, 2029, 349, 1460, 5),
         ],
     );
 }
