@@ -170,10 +170,13 @@ pub fn port_primal_dual_order(m: usize, coflows: &[CoflowLoads]) -> Vec<usize> {
             }
             let (k_star, theta) =
                 best.unwrap_or_else(|| unreachable!("max-load port has a contributing coflow"));
-            // Coflows without load on the port keep their residual.
+            // Coflows without load on the port keep their residual. Theta is
+            // the port's least ratio, so every residual stays a feasible
+            // (nonnegative) dual weight, up to rounding.
             for &(k, l) in on_port {
                 if remaining[k] && k != k_star {
                     residual[k] -= theta * l as f64;
+                    debug_assert!(residual[k] >= -1e-9 * coflows[k].weight);
                 }
             }
             k_star

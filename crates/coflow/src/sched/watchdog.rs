@@ -80,17 +80,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-impl WatchdogConfig {
-    /// A watchdog with the given per-decision deadline and default
-    /// retry/backoff settings.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        WatchdogConfig {
-            deadline: Some(deadline),
-            ..WatchdogConfig::default()
-        }
-    }
-}
-
 /// The current rung of the degradation ladder, held concretely so the
 /// watchdog can retry the resilient solver with scaled budgets and
 /// serialize rung state for checkpoints.
@@ -162,11 +151,6 @@ impl WatchdogPolicy {
     /// Wraps the online policy (ladder entry `OnlineRho`).
     pub fn over_online(config: WatchdogConfig, inner: OnlineRhoPolicy) -> Self {
         WatchdogPolicy::from_rung(config, Rung::Online(inner))
-    }
-
-    /// Wraps the greedy policy (the ladder floor).
-    pub fn over_greedy(config: WatchdogConfig, inner: GreedyPolicy) -> Self {
-        WatchdogPolicy::from_rung(config, Rung::Greedy(inner))
     }
 
     fn from_rung(config: WatchdogConfig, rung: Rung) -> Self {

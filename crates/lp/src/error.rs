@@ -100,13 +100,3 @@ impl fmt::Display for LpError {
 }
 
 impl std::error::Error for LpError {}
-
-impl LpError {
-    /// True for failures of the solver's numerics or budget — the cases a
-    /// caller can sensibly retry with different options or degrade from.
-    /// False for [`LpError::Infeasible`] / [`LpError::Unbounded`], which are
-    /// facts about the model.
-    pub fn is_solver_failure(&self) -> bool {
-        !matches!(self, LpError::Infeasible | LpError::Unbounded)
-    }
-}

@@ -66,11 +66,6 @@ impl BipartiteGraph {
         &self.adj[u]
     }
 
-    /// Degree of left vertex `u`.
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
-    }
-
     /// Removes the edge `(u, v)` if present, preserving the relative order
     /// of the remaining neighbors of `u`. This is what keeps an
     /// incrementally-maintained support graph *identical* — edge for edge,

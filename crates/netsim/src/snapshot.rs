@@ -16,7 +16,7 @@
 use crate::fault::{BlockedRun, BlockedUnits, FaultEvent, FaultPlan};
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
-use obs::json::{quote, JsonValue};
+use obs::json::JsonValue;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -475,12 +475,15 @@ pub fn num_u64(v: &JsonValue, what: &str) -> Result<u64, SnapshotError> {
     }
 }
 
-/// Interprets a value as an `f64` (accepts any numeric lexeme).
+/// Interprets a value as a finite `f64` (any numeric lexeme whose value
+/// fits: `1e999` would read as infinity and is refused).
 pub fn num_f64(v: &JsonValue, what: &str) -> Result<f64, SnapshotError> {
     match v {
         JsonValue::Num(s) => s
             .parse::<f64>()
-            .map_err(|_| SnapshotError::new(format!("{}: '{}' is not an f64", what, s))),
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| SnapshotError::new(format!("{}: '{}' is not a finite f64", what, s))),
         other => Err(SnapshotError::new(format!(
             "{}: expected number, found {}",
             what,
@@ -506,11 +509,6 @@ fn u64_array(v: &JsonValue, what: &str) -> Result<Vec<u64>, SnapshotError> {
 /// Required array-of-`u64` object field.
 pub fn get_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, SnapshotError> {
     u64_array(field(v, key)?, key)
-}
-
-/// Quoted-string convenience re-exported for snapshot writers.
-pub fn json_str(s: &str) -> String {
-    quote(s)
 }
 
 #[cfg(test)]
@@ -623,5 +621,16 @@ mod tests {
         }
         let trace = parsed("[[1,1,[[4294967295,0,0,1]]]]").unwrap();
         assert_eq!(trace.runs[0].transfers[0].src(), 4294967295);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_refused() {
+        let num = |s: &str| num_f64(&JsonValue::Num(s.to_string()), "backoff");
+        assert_eq!(num("0.5").unwrap(), 0.5);
+        assert_eq!(num("1e-300").unwrap(), 1e-300);
+        for s in ["1e999", "-1e999"] {
+            let err = num(s).unwrap_err().to_string();
+            assert!(err.contains("backoff") && err.contains("finite"), "{}", err);
+        }
     }
 }

@@ -15,6 +15,15 @@ pub enum ObsError {
         /// Operating-system error message.
         message: String,
     },
+    /// A ledger record held a number JSON cannot carry (NaN or ±inf), so
+    /// it was not appended: one such line would make the file unreadable.
+    NonFinite {
+        /// Ledger the record was meant for.
+        path: String,
+        /// The field, as the reader names it (`elapsed_ms`,
+        /// `objectives.H_LP/d`, …).
+        field: String,
+    },
 }
 
 impl fmt::Display for ObsError {
@@ -22,6 +31,9 @@ impl fmt::Display for ObsError {
         match self {
             ObsError::Io { path, message } => {
                 write!(f, "cannot write {}: {}", path, message)
+            }
+            ObsError::NonFinite { path, field } => {
+                write!(f, "cannot append to {}: {} is not finite", path, field)
             }
         }
     }

@@ -61,9 +61,3 @@ pub fn install_sigint_handler() {
 pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::Relaxed)
 }
-
-/// Testing/simulation hook: set or clear the interrupted flag without an
-/// actual signal (used by the chaos harness to exercise the graceful path).
-pub fn set_interrupted(value: bool) {
-    INTERRUPTED.store(value, Ordering::Relaxed);
-}

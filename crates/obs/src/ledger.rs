@@ -293,15 +293,24 @@ pub fn render_record(rec: &LedgerRecord) -> String {
     out
 }
 
+/// A JSON number lexeme as a finite `f64`: `1e999` parses to infinity,
+/// which the ledger could not write back.
+fn finite_f64(s: &str) -> Result<f64, &'static str> {
+    match s.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(n),
+        Ok(_) => Err("non-finite number"),
+        Err(_) => Err("bad number"),
+    }
+}
+
 fn parse_map_f64(v: &JsonValue, key: &str) -> Result<Vec<(String, f64)>, String> {
     match v.get(key) {
         Some(JsonValue::Obj(pairs)) => pairs
             .iter()
             .map(|(k, val)| match val {
-                JsonValue::Num(s) => s
-                    .parse::<f64>()
+                JsonValue::Num(s) => finite_f64(s)
                     .map(|n| (k.clone(), n))
-                    .map_err(|_| format!("{}.{}: bad number", key, k)),
+                    .map_err(|e| format!("{}.{}: {}", key, k, e)),
                 other => Err(format!(
                     "{}.{}: expected number, got {}",
                     key,
@@ -353,9 +362,7 @@ fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
 
 fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
     match v.get(key) {
-        Some(JsonValue::Num(s)) => s
-            .parse()
-            .map_err(|_| format!("field {:?}: bad number", key)),
+        Some(JsonValue::Num(s)) => finite_f64(s).map_err(|e| format!("field {:?}: {}", key, e)),
         _ => Err(format!("missing numeric field {:?}", key)),
     }
 }
@@ -467,12 +474,37 @@ fn last_seq(path: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The first field of `rec` holding a non-finite number, named as the
+/// reader names it.
+fn non_finite_field(rec: &LedgerRecord) -> Option<String> {
+    if !rec.elapsed_ms.is_finite() {
+        return Some("elapsed_ms".to_string());
+    }
+    [
+        ("stages_ms", &rec.stages_ms),
+        ("objectives", &rec.objectives),
+    ]
+    .into_iter()
+    .find_map(|(map, entries)| {
+        let (k, _) = entries.iter().find(|(_, v)| !v.is_finite())?;
+        Some(format!("{}.{}", map, k))
+    })
+}
+
 /// Appends `record` to the ledger at `path`: assigns the next sequence
 /// number and (unless already set) the current timestamp and git
 /// provenance, then writes one flushed NDJSON line. Returns the assigned
 /// seq. The line is written with a single `write_all` + flush, so an
-/// interrupt between appends leaves every line valid.
+/// interrupt between appends leaves every line valid. A record holding a
+/// NaN or an infinity is refused ([`ObsError::NonFinite`]) and the file is
+/// left as it was.
 pub fn append(path: &str, record: &mut LedgerRecord) -> Result<u64, ObsError> {
+    if let Some(field) = non_finite_field(record) {
+        return Err(ObsError::NonFinite {
+            path: path.to_string(),
+            field,
+        });
+    }
     record.seq = last_seq(path) + 1;
     record.ts = unix_ts();
     if record.git_rev.is_empty() {
@@ -590,6 +622,57 @@ mod tests {
             f.write_all(b"\n").unwrap();
         }
         assert_eq!(append(path, &mut rec.clone()).unwrap(), 3);
+        // stay zeroed: tests run in parallel and none asserts live provenance
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Doctors one number of a rendered record and returns the reader's
+    /// error.
+    fn refusal(from: &str, to: &str) -> String {
+        let line = render_record(&fixed_record());
+        assert!(line.contains(from), "{}", from);
+        parse_record(&line.replace(from, to)).unwrap_err()
+    }
+
+    #[test]
+    fn a_non_finite_field_is_refused() {
+        let err = refusal("\"elapsed_ms\":1234.5", "\"elapsed_ms\":1e999");
+        assert!(err.contains("\"elapsed_ms\": non-finite"), "{}", err);
+    }
+
+    #[test]
+    fn a_non_finite_map_entry_is_refused() {
+        let err = refusal("\"simulate\":65.25", "\"simulate\":-1e999");
+        assert!(err.contains("stages_ms.simulate: non-finite"), "{}", err);
+        let err = refusal("\"H_LP/d\":6950481.0", "\"H_LP/d\":1e999");
+        assert!(err.contains("objectives.H_LP/d: non-finite"), "{}", err);
+    }
+
+    #[test]
+    fn append_refuses_non_finite_numbers_and_keeps_the_file_readable() {
+        let dir = std::env::temp_dir().join(format!("obs-ledger-nan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ledger.ndjson");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        set_zero_provenance(true);
+        assert_eq!(append(path, &mut fixed_record()).unwrap(), 1);
+        let mut stage = fixed_record();
+        stage.stages_ms[1].1 = f64::INFINITY;
+        let mut objective = fixed_record();
+        objective.objectives[0].1 = f64::NAN;
+        let mut elapsed = fixed_record();
+        elapsed.elapsed_ms = f64::NEG_INFINITY;
+        for (mut rec, field) in [
+            (stage, "stages_ms.simulate"),
+            (objective, "objectives.H_LP/d"),
+            (elapsed, "elapsed_ms"),
+        ] {
+            let err = append(path, &mut rec).unwrap_err();
+            assert!(err.to_string().contains(field), "{}", err);
+        }
+        let records = load(path).expect("the refused records left the file readable");
+        assert_eq!(records.len(), 1);
         // stay zeroed: tests run in parallel and none asserts live provenance
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -468,17 +468,6 @@ impl Snapshot {
         (allocs, bytes)
     }
 
-    /// Max peak-live bytes over every path whose innermost name equals
-    /// `name`.
-    pub fn span_peak_live(&self, name: &str) -> u64 {
-        self.span_mem
-            .iter()
-            .filter(|(path, _)| path.rsplit('/').next() == Some(name))
-            .map(|(_, stat)| stat.peak_live_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Occurrence count over every path whose innermost name equals
     /// `name`.
     pub fn span_count(&self, name: &str) -> u64 {

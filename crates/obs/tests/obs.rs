@@ -205,6 +205,7 @@ fn write_chrome_trace_reports_io_errors() {
     let err = obs::write_chrome_trace("/nonexistent-dir/trace.json").unwrap_err();
     match err {
         obs::ObsError::Io { path, .. } => assert_eq!(path, "/nonexistent-dir/trace.json"),
+        other => panic!("expected an I/O error, got {}", other),
     }
     obs::set_enabled(false);
 }

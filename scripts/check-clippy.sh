@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Lint gate: the workspace must be rustfmt-clean, and library code must
 # not contain unjustified unwrap()/expect().
-# The seven library crates (incl. `obs`) opt in via
+# The six library crates (incl. `obs`) opt in via
 #   #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 # so this command fails the build on any new panic-by-default call site
 # (tests and benches are exempt through the cfg gate). `--all-targets`

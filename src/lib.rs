@@ -10,12 +10,10 @@
 //!   matching;
 //! * [`coflow_lp`] — the from-scratch revised-simplex LP solver;
 //! * [`coflow_netsim`] — the switch-fabric executor and trace validator;
-//! * [`coflow_openshop`] — the concurrent open shop substrate (Appendix A);
 //! * [`coflow_workloads`] — synthetic traces, filters, weights, and I/O.
 
 pub use coflow;
 pub use coflow_lp;
 pub use coflow_matching;
 pub use coflow_netsim;
-pub use coflow_openshop;
 pub use coflow_workloads;
