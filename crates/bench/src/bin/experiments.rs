@@ -515,7 +515,12 @@ fn diff_side(
     };
     if cache.is_none() {
         match obs::ledger::load(path) {
-            Ok(records) => *cache = Some(records),
+            Ok(loaded) => {
+                if let Some(warning) = loaded.skipped_warning(path) {
+                    eprintln!("{}", warning);
+                }
+                *cache = Some(loaded.records);
+            }
             Err(e) => {
                 eprintln!("error: {}", e);
                 std::process::exit(2);
@@ -569,16 +574,21 @@ fn report_cmd(ledger: &Option<String>, out: Option<&str>) {
         std::process::exit(2);
     };
     let records = match obs::ledger::load(path) {
-        Ok(r) if !r.is_empty() => r,
-        Ok(_) => {
-            eprintln!("error: ledger {} holds no records yet", path);
-            std::process::exit(1);
+        Ok(loaded) => {
+            if let Some(warning) = loaded.skipped_warning(path) {
+                eprintln!("{}", warning);
+            }
+            loaded.records
         }
         Err(e) => {
             eprintln!("error: {}", e);
             std::process::exit(1);
         }
     };
+    if records.is_empty() {
+        eprintln!("error: ledger {} holds no records yet", path);
+        std::process::exit(1);
+    }
     let title = format!("Coflow run ledger — {}", path);
     let html = coflow_bench::dash::render_dash(&records, &title);
     let out = out.unwrap_or("dash.html");

@@ -39,7 +39,7 @@ use crate::coflow::Coflow;
 use crate::error::SchedError;
 use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
-use coflow_matching::{bvn_decompose, bvn_decompose_maxmin, BvnDecomposition, IntMatrix};
+use coflow_matching::{bvn_decompose_keeping, BvnDecomposition, IntMatrix};
 use coflow_netsim::{
     DemandView, Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError, SparseDemand, Transfer,
 };
@@ -1111,6 +1111,8 @@ const NO_QUEUE: u32 = u32::MAX;
 /// of each of its edges, the pending chunk queue, and the batch's
 /// eligibility horizon.
 struct ActiveBatch {
+    /// Each slot keeps the edges whose pair has a queue. A restored batch
+    /// keeps every edge until the queues are built.
     dec: BvnDecomposition,
     /// Pair queue of each edge of `dec`, [`NO_QUEUE`] where no coflow
     /// demands the edge's pair. Empty until the queues are built: a
@@ -1187,15 +1189,18 @@ impl PairQueues {
     }
 
     /// Decomposes the batch's remaining demand (with the max-min peel when
-    /// `maxmin`), summed per pair through the entry → queue map; `None`
-    /// when the batch has nothing left.
+    /// `maxmin`), summed per pair through the entry → queue map, with the
+    /// pair queue of each edge of its augmentation. Each slot keeps the
+    /// edges whose pair has a queue: those some coflow demands, the
+    /// batch's own or a backfill candidate's. `None` when the batch has
+    /// nothing left.
     fn decompose(
         &mut self,
         demand: &SparseDemand,
         batch: &[usize],
         m: usize,
         maxmin: bool,
-    ) -> Option<BvnDecomposition> {
+    ) -> Option<(BvnDecomposition, Vec<u32>)> {
         let PairQueues {
             pairs,
             of_entry,
@@ -1225,28 +1230,38 @@ impl PairQueues {
             let (i, j) = pairs[q as usize];
             (i as usize, j as usize, sum[q as usize])
         });
-        let dec = if maxmin {
-            bvn_decompose_maxmin(m, entries)
-        } else {
-            bvn_decompose(m, entries)
-        };
+        // The augmentation adds at most 2m − 1 edges.
+        let mut edge_queue = Vec::with_capacity(touched.len() + 2 * m);
+        let dec = bvn_decompose_keeping(m, entries, maxmin, |i, j| {
+            let q = queue_of_pair(pairs, i, j);
+            edge_queue.push(q);
+            q != NO_QUEUE
+        });
         for &q in touched.iter() {
             sum[q as usize] = 0;
         }
-        Some(dec)
+        Some((dec, edge_queue))
     }
 
-    /// The queue of each edge of `dec`: a binary search of the pairs.
+    /// The queue of each edge of `dec`.
     fn edge_queues(&self, dec: &BvnDecomposition) -> Vec<u32> {
         let mut out = Vec::with_capacity(dec.edge_count());
         for i in 0..dec.ports() {
-            for e in dec.row(i) {
-                let p = (i as u32, dec.egress(e) as u32);
-                out.push(self.pairs.binary_search(&p).map_or(NO_QUEUE, |q| q as u32));
-            }
+            out.extend(
+                dec.row(i)
+                    .map(|e| queue_of_pair(&self.pairs, i, dec.egress(e))),
+            );
         }
         out
     }
+}
+
+/// The queue of pair `(i, j)`, [`NO_QUEUE`] when no coflow demands it: a
+/// binary search of the row-major `pairs`.
+fn queue_of_pair(pairs: &[(u32, u32)], i: usize, j: usize) -> u32 {
+    pairs
+        .binary_search(&(i as u32, j as u32))
+        .map_or(NO_QUEUE, |q| q as u32)
 }
 
 /// Stable counting sort of `src` into `dst` by `key`, which is below
@@ -1275,9 +1290,12 @@ fn counting_sort<T: Copy>(src: &[T], dst: &mut [T], buckets: usize, key: impl Fn
 /// prefix trims, the batch in flight, spare candidate buffers) lives here;
 /// the engine owns the clock and the fabric. The pair queues and the
 /// per-edge arrays grow with the instance's nonzero pairs and the fabric
-/// width `m`, never with `m²`; the batch in flight also holds `m` edge
-/// ids per slot of its decomposition, so a batch peeled into about `m`
-/// slots holds `Θ(m²)` (DESIGN §5.1).
+/// width `m`, never with `m²`. Each slot of the batch in flight stores
+/// only the edges of its permutation whose pair some coflow demands: the
+/// only ones a chunk can serve, by the batch or by backfilling. A batch
+/// whose slots are mostly augmentation holds little more than its
+/// support; one with about `m` slots of demanded edges still holds
+/// `Θ(m²)` (DESIGN §5.1).
 pub struct BvnBatchPolicy {
     order: Vec<usize>,
     batches: Vec<Vec<usize>>,
@@ -1362,7 +1380,11 @@ impl BvnBatchPolicy {
     /// decomposition: each slot a permutation over the augmented matrix's
     /// support, the augmented matrix Σ q·Π over its slots, its load the sum
     /// of the counts q, and each slot's pending chunks at least 1 long and
-    /// totalling no more than its count.
+    /// totalling no more than its count. It must also be the peel a run
+    /// computes: its slots and counts are the augmented matrix's
+    /// decomposition with every edge kept (max-min when `opts` says so),
+    /// so a restored batch is derived from its augmented matrix. Its slots
+    /// keep every edge until the queues are built.
     pub(crate) fn restore(
         instance: &Instance,
         order: Vec<usize>,
@@ -1427,6 +1449,12 @@ impl BvnBatchPolicy {
                     "bvn-batch: augmented matrix is not the sum of its slots",
                 ));
             }
+            // Σ q·Π of permutations is doubly balanced at Σ q, so it peels.
+            if dec.repeeled(opts.maxmin_decomposition) != dec {
+                return Err(bad(
+                    "bvn-batch: slots are not the peel of the augmented matrix",
+                ));
+            }
             policy.sim_span = Some(obs::span("sched.simulate"));
             policy.current = Some(ActiveBatch {
                 dec,
@@ -1484,11 +1512,9 @@ impl BvnBatchPolicy {
             src_used.fill(false);
             dst_used.fill(false);
         }
-        for (i, &e) in cur.dec.slot(slot_idx).iter().enumerate() {
+        for &e in cur.dec.slot(slot_idx) {
             let q = cur.edge_queue[e as usize];
-            if q == NO_QUEUE {
-                continue;
-            }
+            debug_assert_ne!(q, NO_QUEUE, "a slot keeps only edges with a queue");
             let q = q as usize;
             let head = &mut head[q];
             let end = at[q + 1];
@@ -1508,7 +1534,7 @@ impl BvnBatchPolicy {
             if candidates.is_empty() {
                 spare.push(candidates);
             } else {
-                let j = cur.dec.egress(e as usize);
+                let (i, j) = (cur.dec.ingress(e as usize), cur.dec.egress(e as usize));
                 if rematch {
                     src_used[i] = true;
                     dst_used[j] = true;
@@ -1765,7 +1791,9 @@ impl Policy for BvnBatchPolicy {
         if self.queues.is_none() {
             let queues = PairQueues::build(demand, m, &self.order);
             if let Some(cur) = self.current.as_mut() {
+                // A restored batch keeps every edge until now.
                 cur.edge_queue = queues.edge_queues(&cur.dec);
+                cur.dec.retain_edges(|e| cur.edge_queue[e] != NO_QUEUE);
             }
             self.queues = Some(queues);
         }
@@ -1830,11 +1858,10 @@ impl Policy for BvnBatchPolicy {
                 unreachable!("the queues are built above")
             };
             let maxmin = self.opts.maxmin_decomposition;
-            let Some(dec) = queues.decompose(demand, batch, m, maxmin) else {
+            let Some((dec, edge_queue)) = queues.decompose(demand, batch, m, maxmin) else {
                 self.b_idx += 1;
                 continue;
             };
-            let edge_queue = queues.edge_queues(&dec);
 
             let slot_sequence = self.slot_order.order(state, &self.batches[b_idx], &dec);
             if b_idx + 1 == self.batches.len() {
@@ -1879,24 +1906,27 @@ impl Policy for BvnBatchPolicy {
     }
 
     /// The batch in flight is written densely, as `coflow-snapshot/1`
-    /// stores it: the augmented matrix row-major and each slot's
-    /// ingress → egress map.
+    /// stores it: the augmented matrix row-major and each slot's full
+    /// ingress → egress map. The slots keep only demanded edges, so the
+    /// maps come from peeling the augmented matrix again with every edge
+    /// kept: the same slots, in the same order, with the same counts.
     fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
-        let current = self
-            .current
-            .as_ref()
-            .map(|cur| super::snapshot::ActiveBatchState {
+        let current = self.current.as_ref().map(|cur| {
+            let full = cur.dec.repeeled(self.opts.maxmin_decomposition);
+            debug_assert_eq!(full.len(), cur.dec.len(), "the peel is deterministic");
+            super::snapshot::ActiveBatchState {
                 augmented: cur.dec.to_matrix().as_slice().to_vec(),
-                slots: (0..cur.dec.len())
+                slots: (0..full.len())
                     .map(|s| {
-                        let map = cur.dec.slot_pairs(s).map(|(_, j)| j).collect();
-                        (map, cur.dec.count(s))
+                        let map = full.slot_pairs(s).map(|(_, j)| j).collect();
+                        (map, full.count(s))
                     })
                     .collect(),
                 load: cur.dec.load(),
                 chunks: cur.chunks.as_slice().to_vec(),
                 batch_end_pos: cur.batch_end_pos,
-            });
+            }
+        });
         Some(super::snapshot::PolicyState::BvnBatch {
             order: self.order.clone(),
             batches: self.batches.clone(),
@@ -2200,7 +2230,7 @@ mod tests {
     use super::*;
     use crate::coflow::Demand;
     use crate::instance::Instance;
-    use coflow_matching::IntMatrix;
+    use coflow_matching::{bvn_decompose, IntMatrix};
     use proptest::prelude::*;
 
     fn inst() -> Instance {

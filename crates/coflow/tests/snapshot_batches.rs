@@ -225,3 +225,46 @@ fn restore_rejects_a_slot_off_the_augmented_support() {
     let doctored = r#""augmented":[2,4,0,0,2,4,4,0,2],"slots":[[[0,1,2],2],[[1,2,0],4],[[2,0,1],1]],"load":7,"chunks":[[2,1]]"#;
     assert_refused(intact, doctored, "augmented");
 }
+
+/// The batch in flight of `LEGACY_CHECKPOINT`: its augmented matrix and
+/// the peel of it, with every edge kept.
+const LEGACY_BATCH: &str =
+    r#""augmented":[2,4,1,1,2,4,4,1,2],"slots":[[[0,1,2],2],[[1,2,0],4],[[2,0,1],1]],"load":7"#;
+
+#[test]
+fn a_checkpoint_of_the_legacy_batch_renders_it_exactly() {
+    let inst = legacy_instance();
+    assert!(LEGACY_CHECKPOINT.contains(LEGACY_BATCH));
+    // Restored and checkpointed again before any decision.
+    let snapshot = EngineSnapshot::from_json(LEGACY_CHECKPOINT).expect("parse");
+    let (engine, policy) = Engine::restore(&inst, snapshot).expect("restore");
+    let again = engine
+        .checkpoint(policy.as_ref())
+        .expect("checkpoint")
+        .to_json();
+    assert!(again.contains(LEGACY_BATCH), "{}", again);
+    // Taken afresh three decisions into the run it was cut from.
+    let plan = FaultPlan::new(vec![]);
+    let mut policy = legacy_policy(&inst);
+    let mut engine = Engine::new(&inst, &plan);
+    for _ in 0..3 {
+        assert!(engine.step(&mut policy).expect("step"));
+    }
+    let fresh = engine.checkpoint(&policy).expect("checkpoint").to_json();
+    assert!(fresh.contains(LEGACY_BATCH), "{}", fresh);
+    assert!(fresh.contains("\"chunks\":[[2,1]]"), "{}", fresh);
+}
+
+#[test]
+fn restore_rejects_slots_that_are_not_the_peel_of_the_augmented_matrix() {
+    let intact = r#""slots":[[[0,1,2],2],[[1,2,0],4],[[2,0,1],1]],"load":7,"chunks":[[2,1]]"#;
+    // Each is a decomposition of the same augmented matrix that passes
+    // every other check: the slots reordered, with the chunk following its
+    // slot, and a slot split in two.
+    for doctored in [
+        r#""slots":[[[2,0,1],1],[[0,1,2],2],[[1,2,0],4]],"load":7,"chunks":[[0,1]]"#,
+        r#""slots":[[[0,1,2],2],[[1,2,0],3],[[1,2,0],1],[[2,0,1],1]],"load":7,"chunks":[[3,1]]"#,
+    ] {
+        assert_refused(intact, doctored, "not the peel of the augmented matrix");
+    }
+}

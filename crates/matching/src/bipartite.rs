@@ -1,23 +1,39 @@
 //! Bipartite graphs between ingress ports (left side) and egress ports
-//! (right side), with adjacency-list storage.
+//! (right side), stored as one CSR over the left side.
 
 /// A bipartite graph with `left` ingress vertices and `right` egress
-/// vertices. Edges are stored as adjacency lists on the left side.
+/// vertices. The neighbours of every left vertex lie in one shared buffer:
+/// row `u` is `nbrs[start[u]..start[u] + live[u]]`, so a graph costs three
+/// allocations whatever its width. Rows added one after another (as
+/// [`BipartiteGraph::support_of`] adds them) are appended in place;
+/// adding to a row that is not the buffer's last moves that row to the
+/// end of the buffer first.
 #[derive(Clone, Debug)]
 pub struct BipartiteGraph {
     left: usize,
     right: usize,
-    adj: Vec<Vec<usize>>,
+    /// Offset of each row in `nbrs`.
+    start: Vec<usize>,
+    /// Live neighbours of each row: removals shrink a row in place.
+    live: Vec<usize>,
+    nbrs: Vec<usize>,
     edge_count: usize,
 }
 
 impl BipartiteGraph {
     /// Creates an empty bipartite graph with the given side sizes.
     pub fn new(left: usize, right: usize) -> Self {
+        Self::with_capacity(left, right, 0)
+    }
+
+    /// Creates an empty bipartite graph with room for `edges` edges.
+    pub(crate) fn with_capacity(left: usize, right: usize, edges: usize) -> Self {
         BipartiteGraph {
             left,
             right,
-            adj: vec![Vec::new(); left],
+            start: vec![0; left],
+            live: vec![0; left],
+            nbrs: Vec::with_capacity(edges),
             edge_count: 0,
         }
     }
@@ -27,18 +43,28 @@ impl BipartiteGraph {
     /// This is the graph `G` of Step 2(i) of Algorithm 1 in the paper.
     pub fn support_of(matrix: &crate::IntMatrix) -> Self {
         let m = matrix.dim();
-        let mut g = Self::new(m, m);
+        let mut g = Self::with_capacity(m, m, matrix.nonzero_count());
         for (i, j, _) in matrix.nonzero_entries() {
             g.add_edge(i, j);
         }
         g
     }
 
-    /// Adds the edge `(u, v)`; duplicate edges are allowed but pointless.
+    /// Adds the edge `(u, v)` after `u`'s other neighbours; duplicate
+    /// edges are allowed but pointless.
     pub fn add_edge(&mut self, u: usize, v: usize) {
         assert!(u < self.left, "left endpoint out of range");
         assert!(v < self.right, "right endpoint out of range");
-        self.adj[u].push(v);
+        let (start, live) = (self.start[u], self.live[u]);
+        if live == 0 {
+            self.start[u] = self.nbrs.len();
+        } else if start + live != self.nbrs.len() {
+            // Not the buffer's last row: move it to the end.
+            self.start[u] = self.nbrs.len();
+            self.nbrs.extend_from_within(start..start + live);
+        }
+        self.nbrs.push(v);
+        self.live[u] += 1;
         self.edge_count += 1;
     }
 
@@ -63,7 +89,8 @@ impl BipartiteGraph {
     /// Neighbors of left vertex `u`.
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[usize] {
-        &self.adj[u]
+        let start = self.start[u];
+        &self.nbrs[start..start + self.live[u]]
     }
 
     /// Removes the edge `(u, v)` if present, preserving the relative order
@@ -73,10 +100,12 @@ impl BipartiteGraph {
     /// underlying matrix drops to zero. Returns whether an edge was removed.
     pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
         assert!(u < self.left, "left endpoint out of range");
-        let row = &mut self.adj[u];
-        match row.iter().position(|&x| x == v) {
+        let start = self.start[u];
+        let end = start + self.live[u];
+        match self.nbrs[start..end].iter().position(|&x| x == v) {
             Some(pos) => {
-                row.remove(pos);
+                self.nbrs.copy_within(start + pos + 1..end, start + pos);
+                self.live[u] -= 1;
                 self.edge_count -= 1;
                 true
             }
@@ -133,6 +162,24 @@ mod tests {
             assert_eq!(g.neighbors(u), rebuilt.neighbors(u));
         }
         assert_eq!(g.edge_count(), rebuilt.edge_count());
+    }
+
+    #[test]
+    fn edges_added_out_of_row_order_keep_each_rows_order() {
+        let mut g = BipartiteGraph::new(3, 3);
+        for (u, v) in [(1, 2), (0, 1), (1, 0), (2, 2), (0, 0), (1, 1)] {
+            g.add_edge(u, v);
+        }
+        assert_eq!(g.neighbors(0), &[1, 0]);
+        assert_eq!(g.neighbors(1), &[2, 0, 1]);
+        assert_eq!(g.neighbors(2), &[2]);
+        assert_eq!(g.edge_count(), 6);
+        assert!(g.remove_edge(1, 0));
+        g.add_edge(2, 0);
+        g.add_edge(1, 0);
+        assert_eq!(g.neighbors(1), &[2, 1, 0]);
+        assert_eq!(g.neighbors(2), &[2, 0]);
+        assert_eq!(g.edge_count(), 7);
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //!
 //! Both steps work on the support of `D̃`, never on an `m × m` array: the
 //! input is `D`'s nonzero entries, the augmented matrix is a CSR over its
-//! nonzero pairs (the *edges*), and each slot is the list of edges its
-//! permutation uses. A decomposition therefore takes `O(nnz + m)` memory
-//! plus `m` edge ids per slot, where `nnz` is the number of nonzero entries.
-//! Each round zeroes at least one edge, so there are at most `nnz + 2m − 1`
-//! slots, and the slots can hold `Θ(m²)`: `m/2` independent balanced 2 × 2
-//! blocks with distinct splits have `2m` edges and about `m/2` slots.
+//! nonzero pairs (the *edges*), and each slot stores edges of its
+//! permutation. [`bvn_decompose`] stores all `m`; a caller that needs only
+//! some pairs ([`bvn_decompose_keeping`]: a batch scheduler keeps the pairs
+//! some coflow demands) stores only theirs, and the peel, its permutations
+//! and their counts are the same either way. A decomposition therefore
+//! takes `O(nnz + m)` memory plus the kept edge ids, where `nnz` is the
+//! number of nonzero entries. Each round zeroes at least one edge, so there
+//! are at most `nnz + 2m − 1` slots, and kept slots can still hold
+//! `Θ(m²)`: `m/2` independent balanced 2 × 2 blocks with distinct splits
+//! have `2m` edges, every one of them demanded, and about `m/2` slots.
 
 use crate::bipartite::BipartiteGraph;
 use crate::hopcroft_karp::HopcroftKarp;
@@ -40,10 +44,13 @@ pub struct BvnDecomposition {
     row_at: Vec<usize>,
     /// Egress of each edge, ascending within a row.
     egress: Vec<u32>,
+    /// Ingress of each edge, so a stored edge id names its pair.
+    ingress: Vec<u32>,
     /// Units of `D̃` on each edge.
     units: Vec<u64>,
-    /// Slot `s` runs edges `slot_edges[s * m..(s + 1) * m]`, the edge of
-    /// ingress `i` at offset `i`.
+    /// Slot `s` stores edges `slot_edges[slot_at[s]..slot_at[s + 1]]`: the
+    /// kept edges of its permutation, ascending by ingress.
+    slot_at: Vec<usize>,
     slot_edges: Vec<u32>,
     /// Slot `s` runs for `counts[s]` consecutive slots (`q_u`).
     counts: Vec<u64>,
@@ -175,7 +182,9 @@ impl BvnDecomposition {
             m,
             row_at: vec![0; m + 1],
             egress: Vec::with_capacity(edges),
+            ingress: Vec::with_capacity(edges),
             units: Vec::with_capacity(edges),
+            slot_at: vec![0],
             slot_edges: Vec::new(),
             counts: Vec::new(),
             load: 0,
@@ -186,6 +195,7 @@ impl BvnDecomposition {
     fn push_edge(&mut self, i: usize, j: usize, units: u64) {
         self.row_at[i + 1] += 1;
         self.egress.push(j as u32);
+        self.ingress.push(i as u32);
         self.units.push(units);
     }
 
@@ -197,11 +207,13 @@ impl BvnDecomposition {
     }
 
     /// Rebuilds a decomposition from its dense form: the augmented matrix
-    /// and each slot's ingress → egress map with its count. Returns `None`
-    /// when a map is not `m` long or pairs an ingress with an egress off
-    /// the augmented matrix's support, or when the counts sum past `u64`.
-    /// The maps are not checked to be permutations, nor the augmented
-    /// matrix to be their sum ([`BvnDecomposition::is_slot_sum`]).
+    /// and each slot's ingress → egress map with its count, every edge
+    /// kept. Returns `None` when a map is not `m` long or pairs an ingress
+    /// with an egress off the augmented matrix's support, or when the
+    /// counts sum past `u64`. The maps are not checked to be permutations,
+    /// nor the augmented matrix to be their sum
+    /// ([`BvnDecomposition::is_slot_sum`]), nor the slots to be its peel
+    /// ([`BvnDecomposition::repeeled`]).
     pub fn from_dense(augmented: &IntMatrix, slots: &[(Vec<usize>, u64)]) -> Option<Self> {
         let m = augmented.dim();
         let mut dec = BvnDecomposition::over_support(m, augmented.nonzero_count());
@@ -216,6 +228,7 @@ impl BvnDecomposition {
             for (i, &j) in map.iter().enumerate() {
                 dec.slot_edges.push(dec.find(i, j)? as u32);
             }
+            dec.slot_at.push(dec.slot_edges.len());
             dec.counts.push(*count);
             dec.load = dec.load.checked_add(*count)?;
         }
@@ -252,6 +265,12 @@ impl BvnDecomposition {
         self.egress[e] as usize
     }
 
+    /// Ingress port of edge `e`.
+    #[inline]
+    pub fn ingress(&self, e: usize) -> usize {
+        self.ingress[e] as usize
+    }
+
     /// Units of `D̃` on every edge.
     #[inline]
     pub(crate) fn units(&self) -> &[u64] {
@@ -280,10 +299,12 @@ impl BvnDecomposition {
         self.counts.is_empty()
     }
 
-    /// Edges of slot `s`: the edge of ingress `i` at offset `i`.
+    /// Kept edges of slot `s`, ascending by ingress: all `m` edges of its
+    /// permutation, the edge of ingress `i` at offset `i`, when every edge
+    /// is kept.
     #[inline]
     pub fn slot(&self, s: usize) -> &[u32] {
-        &self.slot_edges[s * self.m..(s + 1) * self.m]
+        &self.slot_edges[self.slot_at[s]..self.slot_at[s + 1]]
     }
 
     /// Number of consecutive time slots slot `s` runs for (`q_u`).
@@ -292,12 +313,11 @@ impl BvnDecomposition {
         self.counts[s]
     }
 
-    /// Matched `(ingress, egress)` pairs of slot `s`, by ingress.
+    /// Kept `(ingress, egress)` pairs of slot `s`, by ingress.
     pub fn slot_pairs(&self, s: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.slot(s)
             .iter()
-            .enumerate()
-            .map(|(i, &e)| (i, self.egress[e as usize] as usize))
+            .map(|&e| (self.ingress(e as usize), self.egress(e as usize)))
     }
 
     /// Total number of time slots covered, `Σ_u q_u` (equals `load`).
@@ -305,8 +325,9 @@ impl BvnDecomposition {
         self.counts.iter().sum()
     }
 
-    /// True when `D̃` is `Σ_u q_u Π_u`, edge by edge. A decomposition
-    /// computed here always is; one rebuilt from outside bytes may not be.
+    /// True when `D̃` is `Σ_u q_u Π_u` over the stored edges, edge by edge.
+    /// A decomposition computed here with every edge kept always is; one
+    /// rebuilt from outside bytes may not be.
     pub fn is_slot_sum(&self) -> bool {
         let mut sum = vec![0u64; self.edge_count()];
         for s in 0..self.len() {
@@ -335,7 +356,7 @@ impl BvnDecomposition {
     /// `threshold`, in row-major order: the graph `support_of` builds from
     /// a dense matrix holding `work`.
     pub(crate) fn graph_at(&self, work: &[u64], threshold: u64) -> BipartiteGraph {
-        let mut g = BipartiteGraph::new(self.m, self.m);
+        let mut g = BipartiteGraph::with_capacity(self.m, self.m, self.edge_count());
         for i in 0..self.m {
             for e in self.row(i) {
                 if work[e] >= threshold {
@@ -347,29 +368,42 @@ impl BvnDecomposition {
     }
 
     /// Appends the perfect matching `assignment` (ingress → egress, all
-    /// support edges) as a slot whose count is the least `work` left on
-    /// its edges, and takes that count from each of them. Returns the
-    /// count.
-    pub(crate) fn push_slot(&mut self, assignment: &[usize], work: &mut [u64]) -> u64 {
-        let start = self.slot_edges.len();
+    /// support edges) as a slot: its count `q` is the least `work` left on
+    /// its `m` edges, `q` is taken from each of them, and the slot stores
+    /// the ones `kept` marks. Leaves the `m` edges, by ingress, in
+    /// `matched`. Returns `q`.
+    pub(crate) fn push_slot(
+        &mut self,
+        assignment: &[usize],
+        work: &mut [u64],
+        kept: &[bool],
+        matched: &mut Vec<usize>,
+    ) -> u64 {
+        matched.clear();
         let mut q = u64::MAX;
         for (i, &j) in assignment.iter().enumerate() {
             let e = self
                 .find(i, j)
                 .unwrap_or_else(|| unreachable!("a matched pair is a support edge"));
             q = q.min(work[e]);
-            self.slot_edges.push(e as u32);
+            matched.push(e);
         }
         debug_assert!(q > 0 && q != u64::MAX);
-        for &e in &self.slot_edges[start..] {
-            work[e as usize] -= q;
+        for &e in matched.iter() {
+            work[e] -= q;
+            if kept[e] {
+                self.slot_edges.push(e as u32);
+            }
         }
+        self.slot_at.push(self.slot_edges.len());
         self.counts.push(q);
         q
     }
 
     /// Step 2 of Algorithm 1: peels perfect matchings of the support graph
-    /// off `D̃` until its units are spent.
+    /// off `D̃` until its units are spent (the max-min peel of
+    /// [`crate::bvn_maxmin`] when `maxmin`), storing the edges `kept`
+    /// marks.
     ///
     /// The support graph is built once, in row-major order (the neighbour
     /// order `BipartiteGraph::support_of` gives), and loses an edge when
@@ -377,35 +411,82 @@ impl BvnDecomposition {
     /// remaining neighbours in order, so every round sees the graph a
     /// rebuild from the remaining units would give, and the cold
     /// Hopcroft–Karp solve finds the permutation the dense peel finds.
-    fn peel(&mut self) {
-        let m = self.m;
-        let mut g = self.graph_at(&self.units, 1);
-        let mut work = self.units.clone();
-        let mut hk = HopcroftKarp::new();
-        let mut remaining = self.load;
-        while remaining > 0 {
-            let size = hk.run_cold(&g);
-            assert!(
-                size == m,
-                "Hall's theorem violated: balanced matrix support must have a perfect matching"
-            );
-            remaining -= self.push_slot(hk.left_assignment(), &mut work);
-            let s = self.len() - 1;
-            for (i, &e) in self.slot_edges[s * m..].iter().enumerate() {
-                if work[e as usize] == 0 {
-                    g.remove_edge(i, self.egress[e as usize] as usize);
+    /// `kept` changes only which edges a slot stores.
+    fn peel(&mut self, kept: &[bool], maxmin: bool) {
+        if maxmin {
+            crate::bvn_maxmin::peel_maxmin(self, kept);
+        } else {
+            let m = self.m;
+            let mut g = self.graph_at(&self.units, 1);
+            let mut work = self.units.clone();
+            let mut hk = HopcroftKarp::new();
+            let mut matched = Vec::with_capacity(m);
+            let mut remaining = self.load;
+            while remaining > 0 {
+                let size = hk.run_cold(&g);
+                assert!(
+                    size == m,
+                    "Hall's theorem violated: balanced matrix support must have a perfect matching"
+                );
+                remaining -= self.push_slot(hk.left_assignment(), &mut work, kept, &mut matched);
+                for (i, &e) in matched.iter().enumerate() {
+                    if work[e] == 0 {
+                        g.remove_edge(i, self.egress(e));
+                    }
                 }
             }
+            debug_assert!(work.iter().all(|&w| w == 0));
         }
-        debug_assert!(work.iter().all(|&w| w == 0));
-        self.shrink_slots();
-    }
-
-    /// Drops the slot buffer's spare capacity once the peel is done: the
-    /// slots are a batch's largest buffer and live while it executes.
-    pub(crate) fn shrink_slots(&mut self) {
+        // The slots are a batch's largest buffer and live while it
+        // executes: drop their spare capacity.
+        self.slot_at.shrink_to_fit();
         self.slot_edges.shrink_to_fit();
         self.counts.shrink_to_fit();
+    }
+
+    /// `D̃` peeled again with every edge kept (the max-min peel when
+    /// `maxmin`): the slots [`bvn_decompose`] or [`bvn_decompose_maxmin`]
+    /// find for any `D` that augments to `D̃`, since the peel reads only
+    /// `D̃`. `D̃` must be doubly balanced at the load, as it is for a
+    /// decomposition computed here or one that
+    /// [`BvnDecomposition::is_slot_sum`] accepts.
+    ///
+    /// [`bvn_decompose_maxmin`]: crate::bvn_decompose_maxmin
+    pub fn repeeled(&self, maxmin: bool) -> Self {
+        let mut dec = BvnDecomposition {
+            m: self.m,
+            row_at: self.row_at.clone(),
+            egress: self.egress.clone(),
+            ingress: self.ingress.clone(),
+            units: self.units.clone(),
+            slot_at: vec![0],
+            slot_edges: Vec::new(),
+            counts: Vec::new(),
+            load: self.load,
+        };
+        dec.peel(&vec![true; dec.edge_count()], maxmin);
+        dec
+    }
+
+    /// Drops from every slot the stored edges `keep` refuses, keeping the
+    /// rest in order and every count.
+    pub fn retain_edges(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut out = 0;
+        let mut from = 0;
+        for s in 0..self.len() {
+            let end = self.slot_at[s + 1];
+            for x in from..end {
+                let e = self.slot_edges[x];
+                if keep(e as usize) {
+                    self.slot_edges[out] = e;
+                    out += 1;
+                }
+            }
+            from = end;
+            self.slot_at[s + 1] = out;
+        }
+        self.slot_edges.truncate(out);
+        self.slot_edges.shrink_to_fit();
     }
 }
 
@@ -426,16 +507,40 @@ pub(crate) fn record_decomposition_stats(dim: usize, num_slots: usize) {
 /// Runs both steps of Algorithm 1 on the `m × m` matrix whose nonzero
 /// entries are `entries`: `(i, j, units)` in row-major order, each pair
 /// once (zero units are skipped), as [`IntMatrix::nonzero_entries`] gives
-/// them.
+/// them. Every slot stores all `m` edges of its permutation.
 ///
 /// Panics if the entries are not row-major or lie off the `m`-port fabric.
 pub fn bvn_decompose(
     m: usize,
     entries: impl IntoIterator<Item = (usize, usize, u64)>,
 ) -> BvnDecomposition {
-    let _span = obs::span("matching.bvn_decompose");
+    bvn_decompose_keeping(m, entries, false, |_, _| true)
+}
+
+/// Runs both steps of Algorithm 1 on `entries`, given as for
+/// [`bvn_decompose`], with the max-min peel when `maxmin`, and stores in
+/// each slot only the edges of its permutation that `keep` accepts.
+/// `keep(i, j)` is asked once for each edge of `D̃`, row-major, before the
+/// peel. The peel does not read it: each slot is the one
+/// [`bvn_decompose`] (or [`crate::bvn_decompose_maxmin`]) finds, with the
+/// same count, less the refused edges.
+pub fn bvn_decompose_keeping(
+    m: usize,
+    entries: impl IntoIterator<Item = (usize, usize, u64)>,
+    maxmin: bool,
+    mut keep: impl FnMut(usize, usize) -> bool,
+) -> BvnDecomposition {
+    let _span = obs::span(if maxmin {
+        "matching.bvn_decompose_maxmin"
+    } else {
+        "matching.bvn_decompose"
+    });
     let mut dec = BvnDecomposition::augmented(m, entries);
-    dec.peel();
+    let mut kept = Vec::with_capacity(dec.edge_count());
+    for i in 0..m {
+        kept.extend(dec.row(i).map(|e| keep(i, dec.egress(e))));
+    }
+    dec.peel(&kept, maxmin);
     record_decomposition_stats(m, dec.len());
     dec
 }
@@ -661,6 +766,51 @@ mod tests {
             prop_assert_eq!(maxmin.to_matrix(), augmented);
             prop_assert_eq!(maxmin.load(), d.load());
             prop_assert_eq!(sparse_slots(&maxmin), dense_slots(&dense));
+        }
+
+        /// Keeping some edges changes only what a slot stores: under a
+        /// random mask, asked once per edge in row-major order, each slot
+        /// of either peel is the keep-all slot less the refused edges, with
+        /// the same count. Filtering the keep-all slots afterwards gives the
+        /// same decomposition, and peeling its `D̃` again gives back the
+        /// keep-all one.
+        #[test]
+        fn kept_slots_are_the_keep_all_slots_filtered(d in matrix_case(), seed in any::<u64>()) {
+            let m = d.dim();
+            let keep = |i: usize, j: usize| {
+                let mut x = seed ^ (i * m + j) as u64;
+                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                !(x ^ (x >> 31)).is_multiple_of(3)
+            };
+            for maxmin in [false, true] {
+                let all = if maxmin {
+                    bvn_decompose_maxmin(m, d.nonzero_entries())
+                } else {
+                    decompose(&d)
+                };
+                let mut asked = Vec::new();
+                let kept = bvn_decompose_keeping(m, d.nonzero_entries(), maxmin, |i, j| {
+                    asked.push((i, j));
+                    keep(i, j)
+                });
+                let edges: Vec<(usize, usize)> =
+                    (0..all.edge_count()).map(|e| (all.ingress(e), all.egress(e))).collect();
+                prop_assert_eq!(asked, edges);
+                prop_assert_eq!(kept.to_matrix(), all.to_matrix());
+                prop_assert_eq!(kept.load(), all.load());
+                prop_assert_eq!(kept.len(), all.len());
+                for s in 0..all.len() {
+                    prop_assert_eq!(kept.count(s), all.count(s));
+                    let filtered: Vec<(usize, usize)> =
+                        all.slot_pairs(s).filter(|&(i, j)| keep(i, j)).collect();
+                    prop_assert_eq!(kept.slot_pairs(s).collect::<Vec<_>>(), filtered);
+                }
+                let mut retained = all.clone();
+                retained.retain_edges(|e| keep(all.ingress(e), all.egress(e)));
+                prop_assert_eq!(&retained, &kept);
+                prop_assert_eq!(kept.repeeled(maxmin), all);
+            }
         }
     }
 }

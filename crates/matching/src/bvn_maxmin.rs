@@ -10,7 +10,7 @@
 //! round. The total slot count is unchanged — it is always `ρ(D)` — only
 //! the number of distinct matchings shrinks.
 
-use crate::bvn::{record_decomposition_stats, BvnDecomposition};
+use crate::bvn::{bvn_decompose_keeping, BvnDecomposition};
 use crate::hopcroft_karp::HopcroftKarp;
 
 /// Finds a perfect matching of the edges with `work` left that maximizes
@@ -83,28 +83,33 @@ fn max_bottleneck_perfect_matching(
     true
 }
 
+/// The max-min peel of `dec`'s `D̃`: each round's permutation is the
+/// perfect matching of the edges with work left whose least work is
+/// largest, stored through the same [`BvnDecomposition::push_slot`] as the
+/// plain peel.
+pub(crate) fn peel_maxmin(dec: &mut BvnDecomposition, kept: &[bool]) {
+    let mut work = dec.units().to_vec();
+    let mut hk = HopcroftKarp::new();
+    let mut values = Vec::new();
+    let mut matched = Vec::with_capacity(dec.ports());
+    let mut remaining = dec.load();
+    while remaining > 0 {
+        if !max_bottleneck_perfect_matching(dec, &work, &mut hk, &mut values) {
+            unreachable!("balanced matrix must admit a perfect matching");
+        }
+        remaining -= dec.push_slot(hk.left_assignment(), &mut work, kept, &mut matched);
+    }
+}
+
 /// Runs Algorithm 1's augmentation and the max-min peel on the `m × m`
 /// matrix whose nonzero entries are `entries`, given as for
-/// [`crate::bvn_decompose`].
+/// [`crate::bvn_decompose`]. Every slot stores all `m` edges of its
+/// permutation.
 pub fn bvn_decompose_maxmin(
     m: usize,
     entries: impl IntoIterator<Item = (usize, usize, u64)>,
 ) -> BvnDecomposition {
-    let _span = obs::span("matching.bvn_decompose_maxmin");
-    let mut dec = BvnDecomposition::augmented(m, entries);
-    let mut work = dec.units().to_vec();
-    let mut hk = HopcroftKarp::new();
-    let mut values = Vec::new();
-    let mut remaining = dec.load();
-    while remaining > 0 {
-        if !max_bottleneck_perfect_matching(&dec, &work, &mut hk, &mut values) {
-            unreachable!("balanced matrix must admit a perfect matching");
-        }
-        remaining -= dec.push_slot(hk.left_assignment(), &mut work);
-    }
-    dec.shrink_slots();
-    record_decomposition_stats(m, dec.len());
-    dec
+    bvn_decompose_keeping(m, entries, true, |_, _| true)
 }
 
 #[cfg(test)]

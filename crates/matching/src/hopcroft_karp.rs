@@ -244,8 +244,7 @@ impl HopcroftKarp {
 
     /// DFS phase: finds a shortest augmenting path from free left vertex `u`.
     fn dfs(&mut self, g: &BipartiteGraph, u: usize) -> bool {
-        for idx in 0..g.neighbors(u).len() {
-            let v = g.neighbors(u)[idx];
+        for &v in g.neighbors(u) {
             let w = self.pair_v[v];
             if w == NIL || (self.dist[w] == self.dist[u] + 1 && self.dfs(g, w)) {
                 self.pair_v[v] = u;

@@ -12,7 +12,8 @@
 //!   permutation matrices, which schedules a lone coflow in exactly `ρ(D)`
 //!   matching slots (Lemma 4). It reads the matrix's nonzero entries and
 //!   works on the augmented matrix's support, so its memory grows with the
-//!   nonzeros, not with `m²`.
+//!   nonzeros, not with `m²`; [`bvn_decompose_keeping`] stores in each
+//!   slot only the pairs its caller asks for.
 //!
 //! ```
 //! use coflow_matching::{IntMatrix, bvn::bvn_decompose};
@@ -35,7 +36,7 @@ pub mod matrix;
 mod reference;
 
 pub use bipartite::BipartiteGraph;
-pub use bvn::{bvn_decompose, BvnDecomposition};
+pub use bvn::{bvn_decompose, bvn_decompose_keeping, BvnDecomposition};
 pub use bvn_maxmin::bvn_decompose_maxmin;
 pub use hopcroft_karp::{maximum_matching, HopcroftKarp, Matching};
 pub use matrix::{IntMatrix, Permutation};

@@ -10,7 +10,9 @@
 //!   history;
 //! * a SIGINT or crash between appends leaves a valid NDJSON prefix — the
 //!   same flushed-line discipline as [`crate::telemetry`], there is no
-//!   trailing close bracket to lose.
+//!   trailing close bracket to lose. A crash *during* an append leaves a
+//!   torn last line: the next [`append`] starts a new line after it, and
+//!   [`load`] skips it and names it.
 //!
 //! Records carry provenance (git revision + dirty flag, wall-clock
 //! timestamp), the run's configuration fingerprint, per-stage wall-clock
@@ -445,33 +447,67 @@ pub fn validate_stream(text: &str) -> Result<u64, String> {
     Ok(count)
 }
 
-/// Loads every record of a ledger file, oldest first. A missing file is an
+/// A ledger file as [`load`] reads it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Ledger {
+    /// The parseable records, oldest first.
+    pub records: Vec<LedgerRecord>,
+    /// 1-based numbers of the non-empty lines that do not parse: what a
+    /// crash during an append leaves.
+    pub skipped: Vec<usize>,
+}
+
+impl Ledger {
+    /// One warning naming the skipped lines of the ledger at `path`, or
+    /// `None` when every line parsed.
+    pub fn skipped_warning(&self, path: &str) -> Option<String> {
+        if self.skipped.is_empty() {
+            return None;
+        }
+        let lines: Vec<String> = self.skipped.iter().map(|l| l.to_string()).collect();
+        Some(format!(
+            "warning: {}: skipped unparseable line{} {}",
+            path,
+            if lines.len() == 1 { "" } else { "s" },
+            lines.join(", ")
+        ))
+    }
+}
+
+/// Loads a ledger file: every record, oldest first, skipping lines that
+/// do not parse, as [`append`] does, and naming them. A missing file is an
 /// error — callers that tolerate an absent ledger check existence first.
-pub fn load(path: &str) -> Result<Vec<LedgerRecord>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read ledger {}: {}", path, e))?;
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+/// [`validate_stream`] is the strict reader.
+pub fn load(path: &str) -> Result<Ledger, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read ledger {}: {}", path, e))?;
+    let mut ledger = Ledger::default();
+    for (i, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        records.push(parse_record(line).map_err(|e| format!("{}:{}: {}", path, i + 1, e))?);
+        match parse_record(line) {
+            Ok(rec) => ledger.records.push(rec),
+            Err(_) => ledger.skipped.push(i + 1),
+        }
     }
-    Ok(records)
+    Ok(ledger)
 }
 
 /// Highest seq present in `path`, 0 when the file is missing or holds no
-/// parseable record (a torn tail line is skipped, not fatal — the next
-/// append must still succeed after a crash).
-fn last_seq(path: &str) -> u64 {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return 0;
+/// parseable record (a torn line is skipped, not fatal — the next append
+/// must still succeed after a crash), and whether the file is non-empty
+/// and lacks a final newline, as a torn last line does.
+fn tail(path: &str) -> (u64, bool) {
+    let Ok(bytes) = std::fs::read(path) else {
+        return (0, false);
     };
-    text.lines()
+    let seq = String::from_utf8_lossy(&bytes)
+        .lines()
         .filter_map(|line| parse_record(line).ok())
         .map(|r| r.seq)
         .max()
-        .unwrap_or(0)
+        .unwrap_or(0);
+    (seq, bytes.last().is_some_and(|&b| b != b'\n'))
 }
 
 /// The first field of `rec` holding a non-finite number, named as the
@@ -495,7 +531,9 @@ fn non_finite_field(rec: &LedgerRecord) -> Option<String> {
 /// number and (unless already set) the current timestamp and git
 /// provenance, then writes one flushed NDJSON line. Returns the assigned
 /// seq. The line is written with a single `write_all` + flush, so an
-/// interrupt between appends leaves every line valid. A record holding a
+/// interrupt between appends leaves every line valid. When the file does
+/// not end in a newline (a crash tore its last line), the write starts
+/// with one, so the record gets a line of its own. A record holding a
 /// NaN or an infinity is refused ([`ObsError::NonFinite`]) and the file is
 /// left as it was.
 pub fn append(path: &str, record: &mut LedgerRecord) -> Result<u64, ObsError> {
@@ -505,7 +543,8 @@ pub fn append(path: &str, record: &mut LedgerRecord) -> Result<u64, ObsError> {
             field,
         });
     }
-    record.seq = last_seq(path) + 1;
+    let (last_seq, torn) = tail(path);
+    record.seq = last_seq + 1;
     record.ts = unix_ts();
     if record.git_rev.is_empty() {
         let prov = git_provenance();
@@ -521,7 +560,12 @@ pub fn append(path: &str, record: &mut LedgerRecord) -> Result<u64, ObsError> {
         .append(true)
         .open(path)
         .map_err(io_err)?;
-    let line = render_record(record);
+    let mut line = if torn {
+        "\n".to_string()
+    } else {
+        String::new()
+    };
+    line.push_str(&render_record(record));
     file.write_all(line.as_bytes()).map_err(io_err)?;
     file.flush().map_err(io_err)?;
     Ok(record.seq)
@@ -614,14 +658,36 @@ mod tests {
         rec.git_rev = String::new();
         assert_eq!(append(path, &mut rec.clone()).unwrap(), 1);
         assert_eq!(append(path, &mut rec.clone()).unwrap(), 2);
-        // A torn tail (crash mid-write) must not block the next append.
-        {
+        let tear = |bytes: &[u8]| {
             use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(path).unwrap();
-            f.write_all(b"{\"schema\":\"coflow-led").unwrap();
-            f.write_all(b"\n").unwrap();
-        }
-        assert_eq!(append(path, &mut rec.clone()).unwrap(), 3);
+            f.write_all(bytes).unwrap();
+        };
+        // A crash mid-write leaves a fragment with no newline: the next
+        // record must still get a line, and a seq, of its own.
+        tear(b"{\"schema\":\"coflow-led");
+        let mut third = rec.clone();
+        assert_eq!(append(path, &mut third).unwrap(), 3);
+        let ledger = load(path).expect("a torn line does not break the reader");
+        let seqs: Vec<u64> = ledger.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(ledger.records[2], third);
+        assert_eq!(ledger.skipped, [3]);
+        // A torn line that did end in a newline.
+        tear(b"{\"schema\":\"coflow-led\n");
+        assert_eq!(append(path, &mut rec.clone()).unwrap(), 4);
+        let ledger = load(path).unwrap();
+        assert_eq!(ledger.records.len(), 4);
+        assert_eq!(ledger.skipped, [3, 5]);
+        let warning = ledger.skipped_warning(path).unwrap();
+        assert!(
+            warning.ends_with("skipped unparseable lines 3, 5"),
+            "{}",
+            warning
+        );
+        // The strict reader still refuses the file.
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(validate_stream(&text).unwrap_err().starts_with("line 3:"));
         // stay zeroed: tests run in parallel and none asserts live provenance
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -671,8 +737,8 @@ mod tests {
             let err = append(path, &mut rec).unwrap_err();
             assert!(err.to_string().contains(field), "{}", err);
         }
-        let records = load(path).expect("the refused records left the file readable");
-        assert_eq!(records.len(), 1);
+        let ledger = load(path).expect("the refused records left the file readable");
+        assert_eq!((ledger.records.len(), ledger.skipped.len()), (1, 0));
         // stay zeroed: tests run in parallel and none asserts live provenance
         std::fs::remove_dir_all(&dir).unwrap();
     }
