@@ -34,7 +34,7 @@
 //! `diff A B` compares two runs. `A`/`B` are ledger selectors (`latest`,
 //! `prev`, `~N`, `#SEQ`, `green`) or paths to committed reports
 //! (`coflow-bench-grid/3`, `coflow-bench-mem/1`, `coflow-pins/1`,
-//! `coflow-bench-scale/1`, `coflow-tournament/1`); the default is `prev
+//! `coflow-bench-scale/2`, `coflow-tournament/2`); the default is `prev
 //! latest`. It prints a per-metric table, optionally writes a
 //! `coflow-diff/1` document (`--out`), and exits 1 on any regression past
 //! `--tolerance` (default 0.5; objectives are bit-exact regardless of
@@ -90,11 +90,11 @@
 //! atomic write-then-rename sink) whatever partial report exists, and
 //! exits 130.
 //!
-//! `scale` runs the streaming scale sweep (`coflow-bench-scale/1`): each
-//! `(ports, coflows)` cell streams its workload through windowed
-//! admission, the ordering ladder (windowed sparse LP up to 128 ports,
-//! Smith-rule `ρ/w` beyond), and the O(1)-per-flow sparse executor —
-//! recording wall-clock per stage, peak RSS, allocator counts, and the
+//! `scale` runs the streaming scale sweep (`coflow-bench-scale/2`): each
+//! `(ports, coflows)` cell streams its workload in admission windows
+//! through the `greedy` registry policy on the engine, one window after
+//! another, and replays every window's schedule — recording wall-clock
+//! per stage (gen/sched/verify), peak RSS, allocator counts, and the
 //! deterministic objective. The default cells form the committed
 //! `BENCH_scale.json` curve up to 10,000 ports and 10⁶ streamed coflows
 //! (`scale --out BENCH_scale.json` regenerates it).
@@ -111,9 +111,9 @@
 //! the canonical arrivals instance: a clean round (TWCT and measured
 //! approximation ratio against the interval-LP lower bound, per-policy
 //! wall-clock), a fault round under one shared rate-0.20 plan (objective
-//! inflation over the surviving coflows), and a windowed scale round where
-//! each policy's ordering analog streams the 96×960 cell through the
-//! sparse executor. The `coflow-tournament/1` report lands at `--out`, and
+//! inflation over the surviving coflows), and a scale round where each
+//! policy streams the 96×960 cell through the engine on its own run. The
+//! `coflow-tournament/2` report lands at `--out`, and
 //! the run is checked on the report it built (every ratio ≥ 1 and within
 //! the policy's proven bound). The `faults` subcommand
 //! accepts the same `--policies` list to extend its engine-policy table
@@ -1032,8 +1032,24 @@ fn parse_usize_list(value: &str, flag: &str) -> Vec<usize> {
     }
 }
 
+/// Runs the scale sweep; a window whose schedule fails its replay ends
+/// the process with exit 1.
+fn scale_report(
+    cells: &[(usize, usize)],
+    seed: u64,
+    window: usize,
+) -> coflow_bench::scale::ScaleReport {
+    match coflow_bench::scale::run_scale(cells, seed, window) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: {}", e);
+            std::process::exit(1);
+        }
+    }
+}
+
 fn scale(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::Instant) {
-    use coflow_bench::scale::{render_scale, render_scale_json, run_scale, DEFAULT_CELLS};
+    use coflow_bench::scale::{render_scale, render_scale_json, DEFAULT_CELLS};
 
     // Resolve the swept cells: an explicit --cell wins; --ports/--coflows
     // build the cross product; otherwise the committed default curve.
@@ -1064,7 +1080,7 @@ fn scale(seed: u64, args: &Args, ledger: &Option<String>, started: std::time::In
         window,
         seed
     );
-    let report = run_scale(&cells, seed, window);
+    let report = scale_report(&cells, seed, window);
     print!("{}", render_scale(&report));
     write_out(args.out.as_deref(), "scale report", || {
         render_scale_json(&report)
@@ -1200,7 +1216,7 @@ fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::
             )
         }
         "scale" => {
-            let report = scale::run_scale(&[scale::GATE_CELL], seed, scale::DEFAULT_WINDOW);
+            let report = scale_report(&[scale::GATE_CELL], seed, scale::DEFAULT_WINDOW);
             print!("{}", scale::render_scale(&report));
             (
                 scale::render_scale_json(&report),

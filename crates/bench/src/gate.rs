@@ -711,12 +711,12 @@ fn scale_label(cell: &Node<'_>) -> Result<String, GateError> {
     ))
 }
 
-/// `coflow-bench-scale/1` (`BENCH_scale.json`): the seed and window; per
+/// `coflow-bench-scale/2` (`BENCH_scale.json`): the seed and window; per
 /// cell (keyed `m=…/n=…`) the objective and makespan (`Exact`), total
 /// wall-clock (`Wall`), allocation calls and bytes (`Alloc`); across the
-/// cells the `gen`/`order`/`execute` sums (`Wall`), total calls and the
-/// largest peak live heap (`Alloc`) and peak RSS (`Info`). The window
-/// and LP counts are checked, not gated.
+/// cells the `gen`/`sched`/`verify` sums (`Wall`), total calls and the
+/// largest peak live heap (`Alloc`) and peak RSS (`Info`). The policy,
+/// window and window count are checked, not gated.
 pub fn flatten_scale(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
     let doc = Node::root(doc);
     let (mut rows, mut sums) = (Rows::default(), Rows::default());
@@ -724,8 +724,8 @@ pub fn flatten_scale(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
     rows.push(Exact, "window", doc.count("window")?)?;
     for cell in doc.items("cells")? {
         let label = scale_label(&cell)?;
-        cell.text("mode")?;
-        for key in ["window", "windows", "lp_groups", "lp_fallbacks"] {
+        cell.text("policy")?;
+        for key in ["window", "windows"] {
             cell.int(key)?;
         }
         rows.push(Exact, label.as_str(), cell.measure("objective")?)?;
@@ -735,7 +735,7 @@ pub fn flatten_scale(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
             cell.count("makespan")?,
         )?;
         let stage_ms = cell.get("stages_ms")?;
-        for stage in ["gen", "order", "execute"] {
+        for stage in ["gen", "sched", "verify"] {
             sums.fold(Wall, stage, stage_ms.measure(stage)?, sum);
         }
         rows.push(Wall, format!("total:{}", label), stage_ms.measure("total")?)?;
@@ -763,7 +763,7 @@ pub fn flatten_scale(doc: &JsonValue) -> Result<Vec<Metric>, GateError> {
     Ok(rows.0)
 }
 
-/// Reads a `coflow-tournament/1` report (`BENCH_tournament.json`)
+/// Reads a `coflow-tournament/2` report (`BENCH_tournament.json`)
 /// strictly: a row's `bound` and `fault` are `null` or complete, and no
 /// policy has two rows in a round.
 pub fn read_tournament(doc: &JsonValue) -> Result<TournamentReport, GateError> {
@@ -811,7 +811,6 @@ pub fn read_tournament(doc: &JsonValue) -> Result<TournamentReport, GateError> {
     for row in round.items("rows")? {
         scale.push(ScaleRow {
             policy: policy(&row, &mut seen)?,
-            mode: row.text("mode")?.to_string(),
             objective: row.measure("objective")?,
             makespan: row.int("makespan")?,
             wall_ms: row.measure("wall_ms")?,
@@ -834,7 +833,7 @@ pub fn read_tournament(doc: &JsonValue) -> Result<TournamentReport, GateError> {
     })
 }
 
-/// `coflow-tournament/1` rows: the instance, LP bound and fault rate; per
+/// `coflow-tournament/2` rows: the instance, LP bound and fault rate; per
 /// policy its TWCT and ratio (keyed `twct/NAME`, `ratio/NAME` as in the
 /// ledger), makespan, proven bound and fault round (`Exact`) and
 /// wall-clock (`Wall`, keyed `NAME` as in the ledger); the scale round's

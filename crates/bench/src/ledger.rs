@@ -107,7 +107,7 @@ pub fn record_from_scale(report: &crate::scale::ScaleReport, elapsed_ms: f64) ->
     for cell in &report.cells {
         rec.objectives.push((
             crate::scale::cell_label(cell.ports, cell.coflows),
-            cell.objective,
+            cell.run.objective,
         ));
     }
     rec

@@ -15,9 +15,9 @@
 //!   attribution, anomaly detectors, `coflow-diagnostics/1` reports;
 //! * [`pins`] — bit-identical objective pins (`BENCH_pins.json`) of the
 //!   engine's grid/online/greedy/fault cells;
-//! * [`scale`] — the streaming scale sweep (`BENCH_scale.json`): windowed
-//!   admission over [`coflow_workloads::stream`] workloads up to 10⁶
-//!   coflows and 10,000 ports;
+//! * [`scale`] — the streaming scale sweep (`BENCH_scale.json`):
+//!   [`coflow_workloads::stream`] workloads up to 10⁶ coflows and 10,000
+//!   ports, scheduled window by window by a registry policy on the engine;
 //! * [`gate`] — the one regression model: every committed report
 //!   flattened to metric rows, one rule table, one `judge`; behind
 //!   `experiments -- gate NAME`, `diff` and the dashboard's markers;

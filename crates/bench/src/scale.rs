@@ -1,62 +1,56 @@
 //! The scale sweep: ports × coflows → wall-clock, peak RSS, per-stage
-//! attribution (`BENCH_scale.json`, schema `coflow-bench-scale/1`).
+//! attribution (`BENCH_scale.json`, schema `coflow-bench-scale/2`).
 //!
 //! Every other harness in this crate materializes a full
-//! [`coflow::Instance`] and runs the LP/BvN pipeline end to end — fine at
-//! the paper's 150 ports, hopeless at 10,000 ports and 10⁶ coflows. The
-//! scale runner instead composes the sub-quadratic pieces this repo grew
-//! for exactly this purpose:
+//! [`coflow::Instance`]; at 10,000 ports and 10⁶ coflows the trace alone
+//! would not fit. The scale runner streams it instead, and schedules it
+//! with the same registry policy and engine every other harness runs:
 //!
 //! * **streaming generation** — [`coflow_workloads::CoflowStream`] yields
 //!   sparse coflows one at a time; the full trace never exists in memory;
-//! * **windowed admission** — coflows are admitted in fixed-size windows;
-//!   each window is ordered and released to the executor before the next
-//!   window is drawn, so memory is bounded by the window, not the run;
-//! * **ordering ladder** — each window is summarized once into per-coflow
-//!   port loads ([`coflow::CoflowLoads`]); fabrics up to [`LP_PORT_LIMIT`]
-//!   ports order the window with the windowed interval LP
-//!   ([`coflow::try_solve_windowed`], which shards the solve by
-//!   port-connected component), larger fabrics with `H_ρ` (`ρ_k / w_k`
-//!   ascending, [`coflow::load_over_weight_order`]) — the same functions
-//!   that order a whole instance;
-//! * **sparse execution** — [`SparseExecutor`] keeps one `free` time per
-//!   ingress and egress port and schedules each flow contiguously at the
-//!   earliest slot both its ports are free, in window order: O(1) per
-//!   flow, O(m) state, no demand matrix and no slot-by-slot simulation.
+//! * **windowed admission** — [`stream_policy`] draws coflows in
+//!   fixed-size windows and turns each into an [`Instance`] with
+//!   window-local ids, so live memory is bounded by one window;
+//! * **a barrier between windows** — a window starts when the previous
+//!   one has drained: with `base` the previous window's makespan, each
+//!   release `r` becomes `max(r, base) − base` and each completion `C`
+//!   counts as `base + C`, so the windows' schedules never share a slot;
+//! * **the engine** — each window runs the registry policy through
+//!   [`run_policy_with_faults`] under a quiet plan (the fault engine is
+//!   the one that accepts `resilient`'s `Execute`), and
+//!   [`verify_faulty_outcome`] replays it and recomputes its `Σ w·C`
+//!   before the window counts.
 //!
-//! Per cell the report records the objective (deterministic, compared
-//! bit-exactly by the gate), the makespan, per-stage wall-clock
-//! (`gen`/`order`/`execute`), and the allocator view (peak live bytes,
-//! kernel peak RSS, allocation calls/bytes). `experiments -- gate scale`
-//! re-runs the [`GATE_CELL`] and judges it against the matching cell of
-//! the committed `BENCH_scale.json` curve with [`crate::gate`].
+//! The sweep runs [`SCALE_POLICY`] on every cell; the tournament streams
+//! its scale cell once per policy through the same function. Per cell the
+//! report records the objective (deterministic, compared bit-exactly by
+//! the gate), the makespan, per-stage wall-clock (`gen`/`sched`/`verify`),
+//! and the allocator view (peak live bytes, kernel peak RSS, allocation
+//! calls/bytes). `experiments -- gate scale` re-runs the [`GATE_CELL`] and
+//! judges it against the matching cell of the committed `BENCH_scale.json`
+//! curve with [`crate::gate`].
 
-use coflow::{coflow_components, load_over_weight_order, try_solve_windowed, CoflowLoads};
-use coflow_lp::SimplexOptions;
+use coflow::{
+    run_policy_with_faults, verify_faulty_outcome, Coflow, Demand, FaultyOutcome, Instance,
+    PolicyEntry, PolicyRegistry,
+};
+use coflow_netsim::FaultPlan;
 use coflow_workloads::json::{self, fmt_f64};
 use coflow_workloads::{CoflowStream, SparseCoflow, StreamConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema tag of the scale report; bump on breaking layout changes.
-pub const SCHEMA: &str = "coflow-bench-scale/1";
+pub const SCHEMA: &str = "coflow-bench-scale/2";
 
 /// Stage keys of the per-cell `stages_ms` object, in report order.
-pub const SCALE_STAGES: [&str; 4] = ["gen", "order", "execute", "total"];
+pub const SCALE_STAGES: [&str; 4] = ["gen", "sched", "verify", "total"];
 
-/// Largest fabric the windowed-LP ordering mode is engaged on; beyond it
-/// the per-port LP rows alone dwarf the window and the `H_ρ` order takes
-/// over.
-pub const LP_PORT_LIMIT: usize = 128;
+/// The registry policy every sweep cell runs: the `H_ρ` order (`ρ_k / w_k`
+/// ascending) served by greedy matching.
+pub const SCALE_POLICY: &str = "greedy";
 
-/// Admission window of the LP ordering mode. Smaller than the default
-/// window: the interval LP is cubic-ish in the window size, and 64
-/// coflows per solve keeps every solve sub-second while the component
-/// sharding inside [`coflow::try_solve_windowed`] still gets blocks to
-/// split.
-pub const LP_WINDOW: usize = 64;
-
-/// Default admission window of the `H_ρ` mode.
+/// Default admission window.
 pub const DEFAULT_WINDOW: usize = 512;
 
 /// Default sweep cells `(ports, coflows)`: the committed
@@ -73,65 +67,96 @@ pub const DEFAULT_CELLS: [(usize, usize); 5] = [
 /// The cell `experiments -- gate scale` re-runs against the curve.
 pub const GATE_CELL: (usize, usize) = (1_000, 10_000);
 
-/// The ordering mode a cell ran under (the ladder is decided by fabric
-/// size, so baselines and fresh runs can never disagree about it).
-pub fn mode_for(ports: usize) -> &'static str {
-    if ports <= LP_PORT_LIMIT {
-        "windowed-lp"
-    } else {
-        "rho"
-    }
-}
-
 /// Stable cell label used by the gate, the diff sides, and the ledger
 /// objectives (e.g. `m=1000/n=10000`).
 pub fn cell_label(ports: usize, coflows: usize) -> String {
     format!("m={}/n={}", ports, coflows)
 }
 
-/// Port-exclusive sparse executor: one `free` time per ingress and egress
-/// port. Each flow is scheduled contiguously at the earliest slot both of
-/// its ports are free (and the coflow is released); a port serves one
-/// flow at a time, so the produced schedule is feasible on the switch by
-/// construction. State is O(m) and persists across windows — the arrays
-/// are the entire executor.
-pub struct SparseExecutor {
-    free_in: Vec<u64>,
-    free_out: Vec<u64>,
+/// One policy streamed through the engine, window by window.
+#[derive(Clone, Debug, Default)]
+pub struct StreamRun {
+    /// Windows scheduled.
+    pub windows: u64,
+    /// `Σ w·C` over the stream, with each completion on the stream's
+    /// clock, summed in stream order.
+    pub objective: f64,
+    /// Last busy slot of the last window, on the stream's clock.
+    pub makespan: u64,
+    /// Drawing coflows and building each window's instance, ms.
+    pub gen_ms: f64,
+    /// Building the policy and running the engine, ms.
+    pub sched_ms: f64,
+    /// Replaying each window's schedule, ms.
+    pub verify_ms: f64,
 }
 
-impl SparseExecutor {
-    /// A fresh executor over an `m × m` fabric with all ports free at 0.
-    pub fn new(m: usize) -> Self {
-        SparseExecutor {
-            free_in: vec![0; m],
-            free_out: vec![0; m],
-        }
-    }
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
 
-    /// Schedules every flow of `c` in list order; returns the coflow's
-    /// completion time (max flow end, at least the release date).
-    pub fn run(&mut self, c: &SparseCoflow) -> u64 {
-        let mut completion = c.release;
-        for &(i, j, units) in &c.flows {
-            let start = self.free_in[i].max(self.free_out[j]).max(c.release);
-            let end = start + units;
-            self.free_in[i] = end;
-            self.free_out[j] = end;
-            completion = completion.max(end);
-        }
-        completion
+/// The instance of one window: window-local ids, and releases relative to
+/// `base`, the slot the previous window drained in.
+fn window_instance(ports: usize, coflows: &[SparseCoflow], base: u64) -> Result<Instance, String> {
+    let mut window = Vec::with_capacity(coflows.len());
+    for (k, c) in coflows.iter().enumerate() {
+        let demand = Demand::from_flows(ports, c.flows.iter().copied())
+            .map_err(|e| format!("streamed coflow {}: {}", c.id, e))?;
+        window.push(Coflow {
+            id: k,
+            demand,
+            release: c.release.max(base) - base,
+            weight: c.weight,
+        });
     }
+    Ok(Instance::new(ports, window))
+}
 
-    /// Latest busy slot across all ports — the schedule makespan so far.
-    pub fn horizon(&self) -> u64 {
-        self.free_in
-            .iter()
-            .chain(&self.free_out)
-            .copied()
-            .max()
-            .unwrap_or(0)
+/// Streams `cfg` through `entry`'s policy in admission windows of
+/// `window` coflows. Each window becomes an [`Instance`], starts when the
+/// previous window has drained (see the module docs), runs on the engine
+/// under a quiet plan and is replayed by [`verify_faulty_outcome`]; a
+/// failed run or replay is an error. `on_window(base, coflows, outcome)`
+/// sees each verified window: the slot it started after, its coflows and
+/// its outcome in window-local slots and ids.
+pub fn stream_policy(
+    entry: &PolicyEntry,
+    cfg: &StreamConfig,
+    window: usize,
+    mut on_window: impl FnMut(u64, &[SparseCoflow], &FaultyOutcome),
+) -> Result<StreamRun, String> {
+    let quiet = FaultPlan::default();
+    let mut stream = CoflowStream::new(cfg.clone());
+    let mut run = StreamRun::default();
+    let mut batch: Vec<SparseCoflow> = Vec::with_capacity(window);
+    loop {
+        let t = Instant::now();
+        batch.clear();
+        batch.extend(stream.by_ref().take(window));
+        if batch.is_empty() {
+            break;
+        }
+        let base = run.makespan;
+        let inst = window_instance(cfg.ports, &batch, base)?;
+        run.gen_ms += ms_since(t);
+        let failed = |e: String| format!("policy {}, window {}: {}", entry.name, run.windows, e);
+        let t = Instant::now();
+        let mut policy = entry.build(&inst);
+        let out = run_policy_with_faults(&inst, policy.as_mut(), &quiet)
+            .map_err(|e| failed(e.to_string()))?;
+        run.sched_ms += ms_since(t);
+        let t = Instant::now();
+        verify_faulty_outcome(&inst, &quiet, &out).map_err(failed)?;
+        run.verify_ms += ms_since(t);
+        for (c, done) in batch.iter().zip(&out.completions) {
+            let done = done.ok_or_else(|| failed(format!("coflow {} never completed", c.id)))?;
+            run.objective += c.weight * (base + done) as f64;
+        }
+        run.makespan = base + out.executed.makespan();
+        run.windows += 1;
+        on_window(base, &batch, &out);
     }
+    Ok(run)
 }
 
 /// One cell of the sweep.
@@ -141,27 +166,12 @@ pub struct ScaleCell {
     pub ports: usize,
     /// Coflows streamed through the cell.
     pub coflows: usize,
-    /// Ordering mode (`windowed-lp` or `rho`; see [`mode_for`]).
-    pub mode: &'static str,
-    /// Admission window actually used.
+    /// Registry policy that scheduled the cell ([`SCALE_POLICY`]).
+    pub policy: &'static str,
+    /// Admission window.
     pub window: usize,
-    /// Windows processed.
-    pub windows: u64,
-    /// Port-connected LP groups solved (windowed-lp mode; 0 otherwise).
-    pub lp_groups: u64,
-    /// Windows where the LP solve failed and the `H_ρ` order was used
-    /// instead (budget exhaustion; always 0 in practice).
-    pub lp_fallbacks: u64,
-    /// Total weighted completion time of the streamed schedule.
-    pub objective: f64,
-    /// Schedule makespan (executor horizon after the last window).
-    pub makespan: u64,
-    /// Time drawing coflows from the stream, ms.
-    pub gen_ms: f64,
-    /// Time ordering windows, ms.
-    pub order_ms: f64,
-    /// Time executing flows, ms.
-    pub execute_ms: f64,
+    /// The streamed run: objective, makespan, windows, stage wall-clock.
+    pub run: StreamRun,
     /// Whole cell wall-clock, ms.
     pub total_ms: f64,
     /// High-water mark of live bytes inside the cell window.
@@ -178,9 +188,9 @@ impl ScaleCell {
     /// Stage value by report key ([`SCALE_STAGES`]).
     pub fn stage(&self, key: &str) -> f64 {
         match key {
-            "gen" => self.gen_ms,
-            "order" => self.order_ms,
-            "execute" => self.execute_ms,
+            "gen" => self.run.gen_ms,
+            "sched" => self.run.sched_ms,
+            "verify" => self.run.verify_ms,
             "total" => self.total_ms,
             other => panic!("unknown scale stage '{}'", other),
         }
@@ -192,165 +202,95 @@ impl ScaleCell {
 pub struct ScaleReport {
     /// Stream seed shared by every cell.
     pub seed: u64,
-    /// Requested admission window (LP cells clamp to [`LP_WINDOW`]).
+    /// Admission window of every cell.
     pub window: usize,
     /// The swept cells, in run order.
     pub cells: Vec<ScaleCell>,
 }
 
-/// The port-load summaries of a window, into `loads`: the summaries and
-/// their buffers are reused from window to window.
-pub(crate) fn summarize(window: &[SparseCoflow], loads: &mut Vec<CoflowLoads>) {
-    loads.truncate(window.len());
-    for (k, c) in window.iter().enumerate() {
-        let flows = c.flows.iter().copied();
-        match loads.get_mut(k) {
-            Some(summary) => summary.set_flows(c.release, c.weight, flows),
-            None => loads.push(CoflowLoads::from_flows(c.release, c.weight, flows)),
-        }
-    }
-}
-
-/// Runs one cell: streams `coflows` coflows over the `ports` fabric in
-/// admission windows, orders each window by the cell's ladder mode, and
-/// executes the ordered flows through the persistent [`SparseExecutor`].
-/// Emits one telemetry heartbeat per window when a sink is installed.
-pub fn run_scale_cell(ports: usize, coflows: usize, seed: u64, window: usize) -> ScaleCell {
-    let mode = mode_for(ports);
-    let window = if mode == "windowed-lp" {
-        window.min(LP_WINDOW)
-    } else {
-        window
-    };
-    let lp_opts = SimplexOptions {
-        max_iterations: 200_000,
-        time_limit_ms: Some(10_000),
-        stall_window: Some(20_000),
-        ..SimplexOptions::default()
-    };
+/// Runs one cell: streams `coflows` coflows over the `ports` fabric
+/// through [`SCALE_POLICY`] with [`stream_policy`]. Emits one telemetry
+/// heartbeat per window when a sink is installed.
+pub fn run_scale_cell(
+    ports: usize,
+    coflows: usize,
+    seed: u64,
+    window: usize,
+) -> Result<ScaleCell, String> {
+    let entry = PolicyRegistry::builtin().resolve(SCALE_POLICY)?;
     obs::alloc::reset_peak();
     let mem_before = obs::alloc::stats();
     let label = cell_label(ports, coflows);
     let started = Instant::now();
-    let mut stream = CoflowStream::new(StreamConfig {
+    let cfg = StreamConfig {
         ports,
         num_coflows: coflows,
         seed,
         ..StreamConfig::default()
-    });
-    let mut exec = SparseExecutor::new(ports);
-    let mut cell = ScaleCell {
-        ports,
-        coflows,
-        mode,
-        window,
-        windows: 0,
-        lp_groups: 0,
-        lp_fallbacks: 0,
-        objective: 0.0,
-        makespan: 0,
-        gen_ms: 0.0,
-        order_ms: 0.0,
-        execute_ms: 0.0,
-        total_ms: 0.0,
-        peak_live_bytes: 0,
-        peak_rss_kb: 0,
-        alloc_calls: 0,
-        alloc_bytes: 0,
     };
-    let mut batch: Vec<SparseCoflow> = Vec::with_capacity(window);
-    let mut loads: Vec<CoflowLoads> = Vec::with_capacity(window);
-    let mut completed: u64 = 0;
-    loop {
-        // Admission: draw the next window off the stream.
-        let t = Instant::now();
-        batch.clear();
-        while batch.len() < window {
-            match stream.next() {
-                Some(c) => batch.push(c),
-                None => break,
-            }
-        }
-        cell.gen_ms += t.elapsed().as_secs_f64() * 1e3;
-        if batch.is_empty() {
-            break;
-        }
-        // Ordering ladder.
-        let t = Instant::now();
-        summarize(&batch, &mut loads);
-        let order = if mode == "windowed-lp" {
-            match try_solve_windowed(ports, &loads, &lp_opts) {
-                Ok(relax) => {
-                    cell.lp_groups += coflow_components(ports, &loads).len() as u64;
-                    relax.order
-                }
-                Err(_) => {
-                    cell.lp_fallbacks += 1;
-                    load_over_weight_order(&loads)
-                }
-            }
-        } else {
-            load_over_weight_order(&loads)
-        };
-        cell.order_ms += t.elapsed().as_secs_f64() * 1e3;
-        // Execution.
-        let t = Instant::now();
-        for &k in &order {
-            let completion = exec.run(&batch[k]);
-            cell.objective += batch[k].weight * completion as f64;
-        }
-        completed += order.len() as u64;
-        cell.execute_ms += t.elapsed().as_secs_f64() * 1e3;
-        cell.windows += 1;
+    let (mut windows, mut completed) = (0, 0);
+    let run = stream_policy(entry, &cfg, window, |_, batch, _| {
+        windows += 1;
+        completed += batch.len() as u64;
         if obs::telemetry::active() {
             obs::telemetry::emit(&obs::telemetry::Sample {
                 source: "scale",
                 label: &label,
-                epoch: cell.windows,
+                epoch: windows,
                 completed_coflows: completed,
                 ..Default::default()
             });
         }
-    }
-    cell.makespan = exec.horizon();
-    cell.total_ms = started.elapsed().as_secs_f64() * 1e3;
+    })?;
+    let total_ms = ms_since(started);
     let mem_after = obs::alloc::stats();
-    cell.peak_live_bytes = mem_after.peak_live_bytes;
-    cell.peak_rss_kb = obs::alloc::peak_rss_kb().unwrap_or(0);
-    cell.alloc_calls = mem_after.alloc_calls.saturating_sub(mem_before.alloc_calls);
-    cell.alloc_bytes = mem_after.alloc_bytes.saturating_sub(mem_before.alloc_bytes);
-    cell
+    Ok(ScaleCell {
+        ports,
+        coflows,
+        policy: entry.name,
+        window,
+        run,
+        total_ms,
+        peak_live_bytes: mem_after.peak_live_bytes,
+        peak_rss_kb: obs::alloc::peak_rss_kb().unwrap_or(0),
+        alloc_calls: mem_after.alloc_calls.saturating_sub(mem_before.alloc_calls),
+        alloc_bytes: mem_after.alloc_bytes.saturating_sub(mem_before.alloc_bytes),
+    })
 }
 
 /// Runs the sweep over `cells` (pairs of `(ports, coflows)`).
-pub fn run_scale(cells: &[(usize, usize)], seed: u64, window: usize) -> ScaleReport {
-    let mut report = ScaleReport {
+pub fn run_scale(
+    cells: &[(usize, usize)],
+    seed: u64,
+    window: usize,
+) -> Result<ScaleReport, String> {
+    let cells = cells
+        .iter()
+        .map(|&(ports, coflows)| run_scale_cell(ports, coflows, seed, window))
+        .collect::<Result<_, _>>()?;
+    Ok(ScaleReport {
         seed,
         window,
-        cells: Vec::with_capacity(cells.len()),
-    };
-    for &(ports, coflows) in cells {
-        report
-            .cells
-            .push(run_scale_cell(ports, coflows, seed, window));
-    }
-    report
+        cells,
+    })
 }
 
-/// Serializes `report` as `coflow-bench-scale/1` JSON.
+/// Serializes `report` as `coflow-bench-scale/2` JSON.
 pub fn render_scale_json(report: &ScaleReport) -> String {
     let mut cells = String::from("[\n");
     for (idx, cell) in report.cells.iter().enumerate() {
         cells.push_str("    {\n");
         let _ = writeln!(cells, "      \"ports\": {},", cell.ports);
         let _ = writeln!(cells, "      \"coflows\": {},", cell.coflows);
-        let _ = writeln!(cells, "      \"mode\": {},", json::quote(cell.mode));
+        let _ = writeln!(cells, "      \"policy\": {},", json::quote(cell.policy));
         let _ = writeln!(cells, "      \"window\": {},", cell.window);
-        let _ = writeln!(cells, "      \"windows\": {},", cell.windows);
-        let _ = writeln!(cells, "      \"lp_groups\": {},", cell.lp_groups);
-        let _ = writeln!(cells, "      \"lp_fallbacks\": {},", cell.lp_fallbacks);
-        let _ = writeln!(cells, "      \"objective\": {},", fmt_f64(cell.objective));
-        let _ = writeln!(cells, "      \"makespan\": {},", cell.makespan);
+        let _ = writeln!(cells, "      \"windows\": {},", cell.run.windows);
+        let _ = writeln!(
+            cells,
+            "      \"objective\": {},",
+            fmt_f64(cell.run.objective)
+        );
+        let _ = writeln!(cells, "      \"makespan\": {},", cell.run.makespan);
         cells.push_str("      \"stages_ms\": {");
         for (i, stage) in SCALE_STAGES.iter().enumerate() {
             if i > 0 {
@@ -396,14 +336,14 @@ pub fn render_scale(report: &ScaleReport) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>6} {:>9} {:<11} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>10}",
+        "{:>6} {:>9} {:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>10}",
         "ports",
         "coflows",
-        "mode",
+        "policy",
         "windows",
         "gen_ms",
-        "order_ms",
-        "exec_ms",
+        "sched_ms",
+        "verify_ms",
         "total_ms",
         "rss_MiB",
         "makespan"
@@ -411,17 +351,17 @@ pub fn render_scale(report: &ScaleReport) -> String {
     for c in &report.cells {
         let _ = writeln!(
             out,
-            "{:>6} {:>9} {:<11} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>9.1} {:>10}",
+            "{:>6} {:>9} {:<8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>9.1} {:>10}",
             c.ports,
             c.coflows,
-            c.mode,
-            c.windows,
-            c.gen_ms,
-            c.order_ms,
-            c.execute_ms,
+            c.policy,
+            c.run.windows,
+            c.run.gen_ms,
+            c.run.sched_ms,
+            c.run.verify_ms,
             c.total_ms,
             c.peak_rss_kb as f64 / 1024.0,
-            c.makespan,
+            c.run.makespan,
         );
     }
     out
@@ -431,23 +371,12 @@ pub fn render_scale(report: &ScaleReport) -> String {
 mod tests {
     use super::*;
     use crate::gate::Kind;
+    use coflow_netsim::{Run, ScheduleTrace, Transfer};
     use coflow_workloads::json::JsonValue;
 
     fn tiny_report() -> ScaleReport {
-        // One LP-laddered cell, one H_ρ-laddered cell; small enough to run
-        // in a debug test.
-        run_scale(&[(16, 60), (200, 120)], 11, 32)
-    }
-
-    #[test]
-    fn ladder_selects_lp_below_the_port_limit() {
-        assert_eq!(mode_for(LP_PORT_LIMIT), "windowed-lp");
-        assert_eq!(mode_for(LP_PORT_LIMIT + 1), "rho");
-        let report = tiny_report();
-        assert_eq!(report.cells[0].mode, "windowed-lp");
-        assert_eq!(report.cells[0].window, 32.min(LP_WINDOW));
-        assert_eq!(report.cells[1].mode, "rho");
-        assert_eq!(report.cells[1].window, 32);
+        // Small enough to run in a debug test.
+        run_scale(&[(16, 60), (200, 120)], 11, 32).expect("cells run")
     }
 
     #[test]
@@ -455,35 +384,76 @@ mod tests {
         let a = tiny_report();
         let b = tiny_report();
         for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert!(x.objective > 0.0);
-            assert!(x.makespan > 0);
-            assert!(x.windows > 0);
-            assert_eq!(x.lp_fallbacks, 0, "LP budget must hold at test scale");
-            assert_eq!(x.objective.to_bits(), y.objective.to_bits());
-            assert_eq!(x.makespan, y.makespan);
+            assert_eq!((x.policy, x.window), (SCALE_POLICY, 32));
+            assert!(x.run.objective > 0.0);
+            assert!(x.run.makespan > 0);
+            assert_eq!(x.run.windows, x.coflows.div_ceil(32) as u64);
+            assert_eq!(x.run.objective.to_bits(), y.run.objective.to_bits());
+            assert_eq!(x.run.makespan, y.run.makespan);
         }
     }
 
+    /// The windows of every canonical policy, each run shifted by its
+    /// window's `base` and its ids mapped to stream ids, form one schedule
+    /// of the whole stream with its original releases: the replay check
+    /// passes it, and its `Σ w·C` is `stream_policy`'s bit for bit. The
+    /// windows share ports, so schedules that overlap in time would fail.
     #[test]
-    fn executor_respects_port_exclusivity_and_releases() {
-        let mut exec = SparseExecutor::new(4);
-        let a = SparseCoflow {
-            id: 0,
-            flows: vec![(0, 1, 3), (0, 2, 2)],
-            release: 0,
-            weight: 1.0,
+    fn windows_form_one_feasible_schedule_of_the_stream() {
+        let (ports, coflows, window) = (6, 60, 7);
+        let cfg = StreamConfig {
+            ports,
+            num_coflows: coflows,
+            seed: 5,
+            ..StreamConfig::default()
         };
-        // Flows share ingress 0: contiguous, back to back.
-        assert_eq!(exec.run(&a), 5);
-        // A released-later coflow on free ports starts at its release.
-        let b = SparseCoflow {
-            id: 1,
-            flows: vec![(3, 3, 2)],
-            release: 10,
-            weight: 1.0,
-        };
-        assert_eq!(exec.run(&b), 12);
-        assert_eq!(exec.horizon(), 12);
+        let whole: Vec<SparseCoflow> = CoflowStream::new(cfg.clone()).collect();
+        let whole = Instance::new(
+            ports,
+            whole
+                .iter()
+                .map(|c| Coflow {
+                    id: c.id,
+                    demand: Demand::from_flows(ports, c.flows.iter().copied()).expect("flows"),
+                    release: c.release,
+                    weight: c.weight,
+                })
+                .collect(),
+        );
+        for entry in PolicyRegistry::builtin().canonical() {
+            let mut executed = ScheduleTrace::new(ports);
+            let mut completions = vec![None; coflows];
+            let run = stream_policy(entry, &cfg, window, |base, batch, out| {
+                for r in &out.executed.runs {
+                    let to_stream = |t: &Transfer| {
+                        let id = batch[t.coflow()].id;
+                        Transfer::new(t.src(), t.dst(), id, t.units).expect("ids fit")
+                    };
+                    executed.runs.push(Run {
+                        start: base + r.start,
+                        duration: r.duration,
+                        transfers: r.transfers.iter().map(to_stream).collect(),
+                    });
+                }
+                for (c, done) in batch.iter().zip(&out.completions) {
+                    completions[c.id] = done.map(|d| base + d);
+                }
+            })
+            .expect("stream runs");
+            assert_eq!(run.windows, 9, "{}", entry.name);
+            assert_eq!(run.makespan, executed.makespan(), "{}", entry.name);
+            let out = FaultyOutcome {
+                completions,
+                executed,
+                objective: run.objective,
+                replans: 1,
+                tiers: Vec::new(),
+                blocked_units: 0,
+                blocked: Vec::new(),
+            };
+            verify_faulty_outcome(&whole, &FaultPlan::default(), &out)
+                .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
+        }
     }
 
     fn judge_scale(baseline: &str, current: &str) -> Vec<crate::gate::Judged> {
@@ -526,7 +496,7 @@ mod tests {
         let baseline = render_scale_json(&report);
         let mut slowed = report.clone();
         slowed.cells[0].total_ms = slowed.cells[0].total_ms * 10.0 + 100.0;
-        slowed.cells[1].objective += 1.0;
+        slowed.cells[1].run.objective += 1.0;
         let rows = judge_scale(&baseline, &render_scale_json(&slowed));
         let wall = row(&rows, &format!("total:{}", cell_label(16, 60)));
         assert!(wall.regressed, "10x + 100ms must breach 20% + floor");
@@ -539,6 +509,26 @@ mod tests {
             .iter()
             .filter(|r| r.key.ends_with(cell_label(200, 120).as_str()) && r.kind != Kind::Exact)
             .all(|r| !r.regressed));
+    }
+
+    /// `diff` judges each cell's total wall-clock, not only the stage
+    /// sums: one cell 60% slower is its one regression.
+    #[test]
+    fn diff_judges_each_cells_total() {
+        let mut base = tiny_report();
+        base.cells[0].total_ms = 100.0;
+        let mut slowed = base.clone();
+        slowed.cells[0].total_ms = 160.0;
+        let flat = |r: &ScaleReport| {
+            let flat = crate::gate::flatten(&render_scale_json(r)).expect("flattens");
+            flat.metrics
+        };
+        let tolerance = crate::diff::default_tolerance();
+        let diff = crate::diff::diff_metrics(&flat(&base), &flat(&slowed), "a", "b", tolerance);
+        let regressed: Vec<&str> = (diff.rows.iter().filter(|r| r.regressed))
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(regressed, [format!("total:{}", cell_label(16, 60))]);
     }
 
     #[test]

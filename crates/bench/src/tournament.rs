@@ -1,6 +1,6 @@
 //! The N-algorithm tournament: every registry policy raced on the shared
-//! grid instance, under faults, and through one windowed scale cell
-//! (`BENCH_tournament.json`, schema `coflow-tournament/1`).
+//! grid instance, under faults, and through one streamed scale cell
+//! (`BENCH_tournament.json`, schema `coflow-tournament/2`).
 //!
 //! Three rounds, one report:
 //!
@@ -17,14 +17,11 @@
 //!    policy; inflation is measured over each plan's surviving coflows
 //!    exactly as in [`crate::faults`]. Open-loop policies (`bvn-batch`)
 //!    sit this round out and say so in the report;
-//! 3. **scale** — one windowed streaming cell ([`SCALE_PORTS`] ports,
-//!    [`SCALE_COFLOWS`] coflows) through the [`SparseExecutor`]: each
-//!    policy maps to its windowed ordering analog (`windowed-lp` for the
-//!    LP-ordered policies, `rho` for the online/greedy family, the port
-//!    primal–dual order for Shafiee–Ghaderi), each `coflow`'s own function
-//!    over the window's port loads. Each distinct mode is streamed once
-//!    and its numbers shared by the policies that map to it — the report
-//!    says which mode a row ran.
+//! 3. **scale** — one streamed cell ([`SCALE_PORTS`] ports,
+//!    [`SCALE_COFLOWS`] coflows, windows of [`SCALE_WINDOW`]) per policy:
+//!    each policy schedules every window itself on the engine through
+//!    [`stream_policy`], and each window's schedule is replayed before it
+//!    counts.
 //!
 //! `experiments -- tournament` and `gate tournament` hold a fresh run to
 //! [`check`] on the report they built; the gate then judges it against
@@ -33,28 +30,25 @@
 //! over its floor.
 
 use crate::pins::{FAULT20_SEED_OFFSET, FAULT_RATE_20};
-use crate::scale::{summarize, SparseExecutor};
+use crate::scale::stream_policy;
 use coflow::bounds::interval_lp_bound;
 use coflow::{
-    load_over_weight_order, port_primal_dual_order, run_policy_with_faults, try_solve_windowed,
-    verify_faulty_outcome, CoflowLoads, FaultyOutcome, Instance, PolicyEntry, PolicyRegistry,
+    run_policy_with_faults, verify_faulty_outcome, FaultyOutcome, Instance, PolicyEntry,
+    PolicyRegistry,
 };
-use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
 use coflow_workloads::json::{self, fmt_f64};
-use coflow_workloads::{CoflowStream, SparseCoflow, StreamConfig};
+use coflow_workloads::StreamConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema tag of the tournament report; bump on breaking layout changes.
-pub const SCHEMA: &str = "coflow-tournament/1";
+pub const SCHEMA: &str = "coflow-tournament/2";
 
 /// Fault rate of the shared tournament plan (the pinned `faults20` rate).
 pub const TOURNAMENT_FAULT_RATE: f64 = FAULT_RATE_20;
 
-/// Fabric of the windowed scale round. At or below
-/// [`crate::scale::LP_PORT_LIMIT`], so the LP-ordered policies get their
-/// natural windowed-LP mode.
+/// Fabric of the scale round.
 pub const SCALE_PORTS: usize = 96;
 
 /// Coflows streamed through the scale round (15 windows of 64).
@@ -98,18 +92,16 @@ pub struct TournamentRow {
     pub fault: Option<TournamentFault>,
 }
 
-/// One policy's windowed scale row.
+/// One policy's scale row.
 #[derive(Clone, Debug)]
 pub struct ScaleRow {
     /// Registry name.
     pub policy: String,
-    /// Windowed ordering mode the policy maps to.
-    pub mode: String,
     /// Streamed TWCT.
     pub objective: f64,
-    /// Executor horizon after the last window.
+    /// Last busy slot of the last window.
     pub makespan: u64,
-    /// Stream + order + execute wall-clock of the mode, ms.
+    /// The policy's streamed run (generation, engine and replay), ms.
     pub wall_ms: f64,
 }
 
@@ -134,70 +126,21 @@ pub struct TournamentReport {
     pub scale: Vec<ScaleRow>,
 }
 
-/// The windowed ordering analog a policy maps to in the scale round.
-pub fn scale_mode(entry: &PolicyEntry) -> &'static str {
-    if entry.name == "shafiee-ghaderi" {
-        "primal-dual"
-    } else if entry.caps.needs_lp {
-        "windowed-lp"
-    } else {
-        "rho"
-    }
-}
-
-/// Streams the scale-round workload once under `mode` and returns
-/// `(objective, makespan, wall_ms)`.
-fn run_scale_mode(mode: &str, seed: u64) -> (f64, u64, f64) {
-    let lp_opts = SimplexOptions {
-        max_iterations: 200_000,
-        time_limit_ms: Some(10_000),
-        stall_window: Some(20_000),
-        ..SimplexOptions::default()
-    };
-    let started = Instant::now();
-    let mut stream = CoflowStream::new(StreamConfig {
+/// The stream of the scale round.
+fn scale_stream(seed: u64) -> StreamConfig {
+    StreamConfig {
         ports: SCALE_PORTS,
         num_coflows: SCALE_COFLOWS,
         seed,
         ..StreamConfig::default()
-    });
-    let mut exec = SparseExecutor::new(SCALE_PORTS);
-    let mut objective = 0.0;
-    let mut batch: Vec<SparseCoflow> = Vec::with_capacity(SCALE_WINDOW);
-    let mut loads: Vec<CoflowLoads> = Vec::with_capacity(SCALE_WINDOW);
-    loop {
-        batch.clear();
-        while batch.len() < SCALE_WINDOW {
-            match stream.next() {
-                Some(c) => batch.push(c),
-                None => break,
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        summarize(&batch, &mut loads);
-        let order = match mode {
-            "windowed-lp" => match try_solve_windowed(SCALE_PORTS, &loads, &lp_opts) {
-                Ok(relax) => relax.order,
-                Err(_) => load_over_weight_order(&loads),
-            },
-            "primal-dual" => port_primal_dual_order(SCALE_PORTS, &loads),
-            _ => load_over_weight_order(&loads),
-        };
-        for &k in &order {
-            let completion = exec.run(&batch[k]);
-            objective += batch[k].weight * completion as f64;
-        }
     }
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    (objective, exec.horizon(), wall_ms)
 }
 
 /// Runs the tournament on `instance` over the registry selection `spec`
 /// (`all` or a comma-separated name list). Every policy runs through the
-/// unmodified unified engine; any invalid schedule panics via
-/// [`verify_faulty_outcome`] — that is an engine bug, not data.
+/// unmodified unified engine; an invalid schedule in rounds 1–2 panics via
+/// [`verify_faulty_outcome`] — that is an engine bug, not data — and one
+/// in the scale round is [`stream_policy`]'s error.
 pub fn run_tournament(
     instance: &Instance,
     seed: u64,
@@ -289,27 +232,16 @@ pub fn run_tournament(
         });
     }
 
-    // Round 3: each distinct windowed ordering mode streams the cell once;
-    // rows share their mode's numbers (the ordering *is* the policy at
-    // this scale — the executor is common).
-    let mut mode_results: Vec<(&'static str, (f64, u64, f64))> = Vec::new();
+    // Round 3: every policy streams the scale cell on its own run.
     let mut scale = Vec::with_capacity(entries.len());
     for entry in &entries {
-        let mode = scale_mode(entry);
-        let result = match mode_results.iter().find(|(m, _)| *m == mode) {
-            Some((_, r)) => *r,
-            None => {
-                let r = run_scale_mode(mode, seed);
-                mode_results.push((mode, r));
-                r
-            }
-        };
+        let started = Instant::now();
+        let run = stream_policy(entry, &scale_stream(seed), SCALE_WINDOW, |_, _, _| {})?;
         scale.push(ScaleRow {
             policy: entry.name.to_string(),
-            mode: mode.to_string(),
-            objective: result.0,
-            makespan: result.1,
-            wall_ms: result.2,
+            objective: run.objective,
+            makespan: run.makespan,
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
         });
     }
 
@@ -369,20 +301,20 @@ pub fn render_tournament(report: &TournamentReport) -> String {
     );
     let _ = writeln!(
         s,
-        "{:<16} {:<12} {:>12} {:>10} {:>8}",
-        "policy", "mode", "TWCT", "makespan", "wall_ms"
+        "{:<16} {:>12} {:>10} {:>8}",
+        "policy", "TWCT", "makespan", "wall_ms"
     );
     for r in &report.scale {
         let _ = writeln!(
             s,
-            "{:<16} {:<12} {:>12.0} {:>10} {:>8.1}",
-            r.policy, r.mode, r.objective, r.makespan, r.wall_ms
+            "{:<16} {:>12.0} {:>10} {:>8.1}",
+            r.policy, r.objective, r.makespan, r.wall_ms
         );
     }
     s
 }
 
-/// Serializes the report as `coflow-tournament/1` JSON.
+/// Serializes the report as `coflow-tournament/2` JSON.
 pub fn render_tournament_json(report: &TournamentReport) -> String {
     let mut rows = String::from("[\n");
     for (i, r) in report.rows.iter().enumerate() {
@@ -426,10 +358,9 @@ pub fn render_tournament_json(report: &TournamentReport) -> String {
     for (i, r) in report.scale.iter().enumerate() {
         let _ = write!(
             scale_rows,
-            "      {{\"policy\": {}, \"mode\": {}, \"objective\": {}, \
-             \"makespan\": {}, \"wall_ms\": {}}}",
+            "      {{\"policy\": {}, \"objective\": {}, \"makespan\": {}, \
+             \"wall_ms\": {}}}",
             json::quote(&r.policy),
-            json::quote(&r.mode),
             fmt_f64(r.objective),
             r.makespan,
             fmt_f64(r.wall_ms)
@@ -523,8 +454,14 @@ mod tests {
     use crate::arrivals::arrivals_instance;
     use crate::gate::Kind;
 
-    fn tiny_report() -> TournamentReport {
+    fn run_tiny() -> TournamentReport {
         run_tournament(&arrivals_instance(8, 10, 3), 3, "all").expect("tournament runs")
+    }
+
+    /// One run shared by the tests that only read it.
+    fn tiny_report() -> &'static TournamentReport {
+        static REPORT: std::sync::OnceLock<TournamentReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(run_tiny)
     }
 
     #[test]
@@ -557,9 +494,33 @@ mod tests {
             }
         }
         assert_eq!(report.scale.len(), 6);
-        let summary = check(&report).expect("report passes its check");
+        let summary = check(report).expect("report passes its check");
         assert!(summary.contains("6 policies"), "{}", summary);
-        assert!(render_tournament(&report).contains("primal-dual"));
+        assert!(render_tournament(report).contains("-- scale round: m=96, n=960"));
+    }
+
+    /// Each scale row is its policy's own streamed run, so policies that
+    /// schedule differently get different rows.
+    #[test]
+    fn each_scale_row_is_its_own_run() {
+        let report = tiny_report();
+        let registry = PolicyRegistry::builtin();
+        for row in &report.scale {
+            let entry = registry.resolve(&row.policy).expect("registry policy");
+            let run = stream_policy(entry, &scale_stream(3), SCALE_WINDOW, |_, _, _| {})
+                .expect("stream runs");
+            assert_eq!(
+                (row.objective.to_bits(), row.makespan),
+                (run.objective.to_bits(), run.makespan),
+                "{}",
+                row.policy
+            );
+        }
+        let objective = |name: &str| {
+            let row = report.scale.iter().find(|r| r.policy == name);
+            row.expect("canonical row").objective
+        };
+        assert_ne!(objective("online"), objective("greedy"));
     }
 
     fn judge_tournament(baseline: &str, current: &str) -> Vec<crate::gate::Judged> {
@@ -569,8 +530,8 @@ mod tests {
 
     #[test]
     fn tournament_is_deterministic_and_self_compares_clean() {
-        let a = render_tournament_json(&tiny_report());
-        let b = render_tournament_json(&tiny_report());
+        let a = render_tournament_json(tiny_report());
+        let b = render_tournament_json(&run_tiny());
         let rows = judge_tournament(&a, &b);
         assert!(
             rows.iter()
@@ -583,7 +544,7 @@ mod tests {
     #[test]
     fn comparison_flags_drift_and_missing_rows() {
         let report = tiny_report();
-        let baseline = render_tournament_json(&report);
+        let baseline = render_tournament_json(report);
         let mut drifted = report.clone();
         drifted.rows[0].objective += 1.0;
         let rows = judge_tournament(&baseline, &render_tournament_json(&drifted));

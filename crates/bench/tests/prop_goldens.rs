@@ -19,7 +19,7 @@ const GOLDENS: [&str; 5] = [
 ];
 
 /// Fields holding counts: a fractional value there is an error.
-const COUNT_KEYS: [&str; 16] = [
+const COUNT_KEYS: [&str; 14] = [
     "seed",
     "ports",
     "coflows",
@@ -27,8 +27,6 @@ const COUNT_KEYS: [&str; 16] = [
     "objective_bits",
     "window",
     "windows",
-    "lp_groups",
-    "lp_fallbacks",
     "cancelled",
     "events",
     "replans",

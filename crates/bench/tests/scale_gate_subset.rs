@@ -12,11 +12,12 @@ use coflow_bench::scale::{cell_label, render_scale_json, run_scale, run_scale_ce
 
 #[test]
 fn gate_subset_matches_against_the_full_curve() {
-    let full = render_scale_json(&run_scale(&[(16, 60), (200, 120)], 11, 32));
+    let full = run_scale(&[(16, 60), (200, 120)], 11, 32).expect("curve runs");
+    let full = render_scale_json(&full);
     let subset = render_scale_json(&ScaleReport {
         seed: 11,
         window: 32,
-        cells: vec![run_scale_cell(200, 120, 11, 32)],
+        cells: vec![run_scale_cell(200, 120, 11, 32).expect("cell runs")],
     });
     let gate = gate("scale").expect("scale gate");
     let rows = check(gate, &full, &subset).expect("judge");
@@ -40,7 +41,7 @@ fn gate_subset_matches_against_the_full_curve() {
     let foreign = render_scale_json(&ScaleReport {
         seed: 11,
         window: 32,
-        cells: vec![run_scale_cell(300, 40, 11, 32)],
+        cells: vec![run_scale_cell(300, 40, 11, 32).expect("cell runs")],
     });
     assert_eq!(
         check(gate, &full, &foreign),

@@ -8,9 +8,7 @@
 //! positive weight `w_k`. A `Coflow` is also its own trace record.
 //!
 //! [`CoflowLoads`] is what the LP relaxations and the load-based orders
-//! read of a coflow: its release, weight and nonzero per-port loads. The
-//! instance orders build it from each coflow; the streaming scale runs
-//! build it from generated flow lists.
+//! read of a coflow: its release, weight and nonzero per-port loads.
 
 use coflow_netsim::demand::port_loads_into;
 pub use coflow_netsim::Demand;
@@ -102,42 +100,28 @@ pub struct CoflowLoads {
 }
 
 impl CoflowLoads {
-    /// The summary of flows `(i, j, units)` in any order — a coflow's
-    /// demand, or a flow list in the order the streaming generator draws
-    /// it.
+    /// The summary of flows `(i, j, units)` in any order, a pair possibly
+    /// repeated.
     pub fn from_flows(
         release: u64,
         weight: f64,
         flows: impl IntoIterator<Item = (usize, usize, u64)>,
     ) -> Self {
-        let mut loads = CoflowLoads {
-            release,
-            weight,
-            rho: 0,
-            ingress: Vec::new(),
-            egress: Vec::new(),
-        };
-        loads.set_flows(release, weight, flows);
-        loads
-    }
-
-    /// Makes this the summary of other flows, reusing its buffers.
-    pub fn set_flows(
-        &mut self,
-        release: u64,
-        weight: f64,
-        flows: impl IntoIterator<Item = (usize, usize, u64)>,
-    ) {
-        port_loads_into(flows, &mut self.ingress, &mut self.egress);
-        self.release = release;
-        self.weight = weight;
-        self.rho = self
-            .ingress
+        let (mut ingress, mut egress) = (Vec::new(), Vec::new());
+        port_loads_into(flows, &mut ingress, &mut egress);
+        let rho = ingress
             .iter()
-            .chain(&self.egress)
+            .chain(&egress)
             .map(|&(_, l)| l)
             .max()
             .unwrap_or(0);
+        CoflowLoads {
+            release,
+            weight,
+            rho,
+            ingress,
+            egress,
+        }
     }
 
     /// Earliest possible completion `r_k + ρ_k`.
@@ -184,9 +168,8 @@ mod tests {
         assert_eq!(loads.egress, vec![(0, 1), (1, 4)]);
         assert_eq!((loads.rho, loads.total_units()), (4, 5));
         assert_eq!(loads.earliest_completion(), c.earliest_completion());
-        // The same flows in draw order, with a pair repeated.
-        let mut drawn = CoflowLoads::from_flows(0, 1.0, [(0, 0, 9)]);
-        drawn.set_flows(2, 3.0, [(1, 0, 1), (0, 1, 3), (0, 1, 1)]);
+        // The same flows out of order, with a pair repeated.
+        let drawn = CoflowLoads::from_flows(2, 3.0, [(1, 0, 1), (0, 1, 3), (0, 1, 1)]);
         assert_eq!(drawn, loads);
     }
 }

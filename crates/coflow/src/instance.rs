@@ -81,7 +81,10 @@ impl Instance {
     /// `max_k r_k + Σ_k Σ_ij d_ij` (the paper's `T`), at least one slot
     /// past the latest release.
     pub fn naive_horizon(&self) -> u64 {
-        horizon(self.coflows.iter().map(|c| (c.release, c.total_units())))
+        let (latest, total) = self.coflows.iter().fold((0u64, 0u64), |(r, t), c| {
+            (r.max(c.release), t.saturating_add(c.total_units()))
+        });
+        latest.saturating_add(total.max(1))
     }
 
     /// The total weighted completion time `Σ_k w_k C_k` for given
@@ -145,18 +148,6 @@ impl Instance {
         }
         in_load.into_iter().chain(out_load).max().unwrap_or(0)
     }
-}
-
-/// The paper's horizon `T` over `(release, total units)` per coflow: the
-/// latest release plus all the units (at least one), saturating at
-/// `u64::MAX`.
-pub(crate) fn horizon(coflows: impl IntoIterator<Item = (u64, u64)>) -> u64 {
-    let (latest, total) = coflows
-        .into_iter()
-        .fold((0u64, 0u64), |(r, t), (release, units)| {
-            (r.max(release), t.saturating_add(units))
-        });
-    latest.saturating_add(total.max(1))
 }
 
 #[cfg(test)]

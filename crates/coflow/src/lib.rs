@@ -52,7 +52,6 @@ pub mod ordering;
 pub mod relax;
 pub mod sched;
 pub mod verify;
-pub mod windowed;
 
 pub use crate::analysis::{analyze, serialization_overhead, ScheduleAnalysis};
 pub use crate::coflow::{Coflow, CoflowLoads, Demand};
@@ -87,7 +86,6 @@ pub use crate::sched::{
     run, run_randomized, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };
 pub use crate::verify::{verify_outcome, VerifyError, VerifyReport};
-pub use crate::windowed::{coflow_components, try_solve_windowed};
 
 /// The deterministic approximation ratio proven in Theorem 1.
 pub const DETERMINISTIC_RATIO: f64 = 67.0 / 3.0;

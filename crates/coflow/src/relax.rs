@@ -33,9 +33,8 @@ pub struct LpRelaxation {
     pub lower_bound: f64,
     /// Simplex pivot count (diagnostics).
     pub iterations: usize,
-    /// Rows the lp crate's presolve removed (`Solution::presolve_rows_removed`;
-    /// summed over blocks by the windowed solvers). Rows that cannot bind
-    /// are never built, so they are not counted here.
+    /// Rows the lp crate's presolve removed (`Solution::presolve_rows_removed`).
+    /// Rows that cannot bind are never built, so they are not counted here.
     pub rows_pruned: usize,
 }
 

@@ -812,19 +812,6 @@ impl<'a> Engine<'a> {
                     )));
                 }
             }
-            let settled = sim.completion_times()[k].is_some() || sim.is_cancelled(k);
-            if settled != (residual.total(k) == 0) {
-                return Err(coflow_netsim::SnapshotError::new(format!(
-                    "coflow {} is {} but has {} residual units",
-                    k,
-                    if settled {
-                        "complete or cancelled"
-                    } else {
-                        "in flight"
-                    },
-                    residual.total(k)
-                )));
-            }
         }
         Ok((
             Engine {

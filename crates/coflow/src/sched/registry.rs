@@ -13,9 +13,6 @@
 //! tournament, faults, CLI — picks it up by name. The entry
 //! declares what the harnesses need to know up front:
 //!
-//! * `needs_lp` — construction solves the interval-indexed LP (budget
-//!   accordingly; LP-free policies stay usable when the solver is out of
-//!   budget);
 //! * `supports_faults` — the policy replans from live remaining demand,
 //!   so [`run_policy_with_faults`](super::engine::run_policy_with_faults)
 //!   terminates. Open-loop planners (the BvN batch policy executes a
@@ -41,8 +38,6 @@ use std::sync::OnceLock;
 /// Capability flags a harness consults before constructing a policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PolicyCaps {
-    /// Construction solves the interval-indexed LP.
-    pub needs_lp: bool,
     /// Terminates under the fault-aware engine (replans from live demand).
     pub supports_faults: bool,
     /// `capture_state()` returns `Some` — checkpoint/restore works.
@@ -141,7 +136,6 @@ impl PolicyRegistry {
                               BvN batch execution (67/3-approx)",
                     bound: Some(crate::DETERMINISTIC_RATIO),
                     caps: PolicyCaps {
-                        needs_lp: true,
                         supports_faults: false,
                         supports_checkpoint: true,
                     },
@@ -154,7 +148,6 @@ impl PolicyRegistry {
                               arrivals and completions (heuristic)",
                     bound: None,
                     caps: PolicyCaps {
-                        needs_lp: false,
                         supports_faults: true,
                         supports_checkpoint: true,
                     },
@@ -166,7 +159,6 @@ impl PolicyRegistry {
                     summary: "online rho/w variant with legacy arrival-only re-sort",
                     bound: None,
                     caps: PolicyCaps {
-                        needs_lp: false,
                         supports_faults: true,
                         supports_checkpoint: true,
                     },
@@ -179,7 +171,6 @@ impl PolicyRegistry {
                               order (heuristic)",
                     bound: None,
                     caps: PolicyCaps {
-                        needs_lp: false,
                         supports_faults: true,
                         supports_checkpoint: true,
                     },
@@ -192,7 +183,6 @@ impl PolicyRegistry {
                               chain (fault-tolerant 67/3-approx planning)",
                     bound: Some(crate::DETERMINISTIC_RATIO),
                     caps: PolicyCaps {
-                        needs_lp: true,
                         supports_faults: true,
                         supports_checkpoint: true,
                     },
@@ -205,7 +195,6 @@ impl PolicyRegistry {
                               work-conserving service (5-approx, arXiv:1704.08357)",
                     bound: Some(5.0),
                     caps: PolicyCaps {
-                        needs_lp: false,
                         supports_faults: true,
                         supports_checkpoint: true,
                     },
@@ -218,7 +207,6 @@ impl PolicyRegistry {
                               service (4-approx, arXiv:1707.04331)",
                     bound: Some(4.0),
                     caps: PolicyCaps {
-                        needs_lp: true,
                         supports_faults: true,
                         supports_checkpoint: true,
                     },

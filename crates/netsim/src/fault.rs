@@ -814,6 +814,9 @@ pub struct FaultSim {
     completion: Vec<Option<u64>>,
     last_activity: Vec<u64>,
     cancelled: Vec<bool>,
+    /// Coflows neither complete nor cancelled. Derived state, recounted by
+    /// [`FaultSim::from_state`].
+    unsettled: usize,
     now: u64,
     plan: FaultPlan,
     executed: ScheduleTrace,
@@ -858,7 +861,7 @@ impl FaultSim {
         let remaining = SparseDemand::new(m, demands);
         let n = remaining.len();
         assert_eq!(n, releases.len());
-        let completion = releases
+        let completion: Vec<Option<u64>> = releases
             .iter()
             .enumerate()
             .map(|(k, &r)| {
@@ -873,6 +876,7 @@ impl FaultSim {
             m,
             remaining,
             releases: releases.to_vec(),
+            unsettled: completion.iter().filter(|c| c.is_none()).count(),
             completion,
             last_activity: vec![0; n],
             cancelled: vec![false; n],
@@ -957,10 +961,7 @@ impl FaultSim {
 
     /// True when every coflow is either complete or cancelled.
     pub fn all_settled(&self) -> bool {
-        self.completion
-            .iter()
-            .zip(&self.cancelled)
-            .all(|(c, &x)| c.is_some() || x)
+        self.unsettled == 0
     }
 
     /// Advances the clock to `t ≥ now` without serving anything, applying
@@ -984,6 +985,7 @@ impl FaultSim {
             self.cancel_cursor += 1;
             if !self.cancelled[k] && self.completion[k].is_none() {
                 self.cancelled[k] = true;
+                self.unsettled -= 1;
                 self.remaining.clear(k);
             }
         }
@@ -1016,6 +1018,7 @@ impl FaultSim {
         self.last_activity[k] = slot;
         if self.remaining.total(k) == 0 {
             self.completion[k] = Some(slot);
+            self.unsettled -= 1;
         }
         Served::Delivered
     }
@@ -1532,7 +1535,8 @@ impl FaultSim {
     /// instance, in slot 0 or after the clock, out of slot order, sharing
     /// a port with another unit of its slot, or past the cap), as is a
     /// `blocked_units` other than the logged units plus
-    /// `blocked_log_dropped`.
+    /// `blocked_log_dropped`, and a coflow complete or cancelled with
+    /// residual demand, or in flight without any.
     pub fn from_state(
         state: crate::snapshot::FaultSimState,
     ) -> Result<FaultSim, crate::snapshot::SnapshotError> {
@@ -1557,6 +1561,26 @@ impl FaultSim {
         if (0..n).any(|k| remaining.total(k) != state.remaining_total[k]) {
             return bad("remaining_total disagrees with the residual demand");
         }
+        // A coflow is settled exactly when it has no residual: the
+        // unsettled count is kept on that.
+        let mut unsettled = 0;
+        for k in 0..n {
+            let settled = state.completion[k].is_some() || state.cancelled[k];
+            if settled == (remaining.total(k) > 0) {
+                let what = if settled {
+                    "complete or cancelled"
+                } else {
+                    "in flight"
+                };
+                return Err(crate::snapshot::SnapshotError::new(format!(
+                    "coflow {} is {} but has {} residual units",
+                    k,
+                    what,
+                    remaining.total(k)
+                )));
+            }
+            unsettled += usize::from(!settled);
+        }
         let mut sim = FaultSim {
             m: state.m,
             remaining,
@@ -1564,6 +1588,7 @@ impl FaultSim {
             completion: state.completion,
             last_activity: state.last_activity,
             cancelled: state.cancelled,
+            unsettled,
             now: state.now,
             index: FaultIndex::new(&state.plan, state.m, n),
             cancel_cursor: 0,
@@ -1952,6 +1977,45 @@ mod tests {
         sim.advance_to(20);
         assert_eq!(sim.completion_times(), &[Some(1)]);
         assert!(!sim.is_cancelled(0));
+    }
+
+    /// The unsettled count agrees with a scan of the coflows through
+    /// completions, a cancellation that finds its coflow already complete,
+    /// one that fires, and capture / restore round trips; a restore that
+    /// marks a coflow with residual complete is refused.
+    #[test]
+    fn all_settled_agrees_with_a_scan() {
+        fn settled(sim: &FaultSim) -> bool {
+            let scan = (0..sim.completion_times().len())
+                .all(|k| sim.completion_times()[k].is_some() || sim.is_cancelled(k));
+            assert_eq!(sim.all_settled(), scan);
+            scan
+        }
+        let round_trip = |sim: &FaultSim| FaultSim::from_state(sim.capture()).unwrap();
+        let plan = FaultPlan::new(vec![
+            FaultEvent::CoflowCancelled { coflow: 0, at: 2 },
+            FaultEvent::CoflowCancelled { coflow: 2, at: 3 },
+        ]);
+        let back = Demand::from_flows(2, [(1, 0, 2)]).expect("a 2-port flow");
+        let demands = [demand(1), demand(0), demand(4), back];
+        let mut sim = FaultSim::new(2, &demands, &[0; 4], plan);
+        assert!(!settled(&sim));
+        sim.step(&[(0, 1, 0), (1, 0, 3)]).unwrap();
+        assert_eq!(sim.completion_times()[0], Some(1));
+        // A count restored from a settled coflow with residual would wrap.
+        let mut doctored = sim.capture();
+        doctored.completion[2] = Some(1);
+        assert!(FaultSim::from_state(doctored).is_err());
+        let mut sim = round_trip(&sim);
+        assert!(!settled(&sim));
+        sim.step(&[(0, 1, 2), (1, 0, 3)]).unwrap();
+        assert!(!sim.is_cancelled(0), "complete before its cancellation");
+        assert_eq!(sim.completion_times()[3], Some(2));
+        assert!(!settled(&sim));
+        sim.step(&[(0, 1, 2)]).unwrap();
+        assert!(sim.is_cancelled(2));
+        assert!(settled(&sim));
+        assert!(settled(&round_trip(&sim)));
     }
 
     #[test]

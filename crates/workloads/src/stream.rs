@@ -4,9 +4,12 @@
 //! [`coflow::Instance`] — every coflow with its demand — which caps it at
 //! what one run keeps in memory. The scale experiments need *millions* of
 //! coflows over fabrics of up to 10,000 ports, so this module yields
-//! coflows one at a time as flow lists in draw order: a 10⁶-coflow run
-//! holds exactly one window of coflows in memory at any moment, and the
-//! full trace never exists.
+//! coflows one at a time as flow lists in draw order. `coflow-bench`'s
+//! `scale::stream_policy` draws one admission window, builds that
+//! window's `Instance` (each flow list through `Demand::from_flows`),
+//! schedules it with a registry policy on the engine, and drops it before
+//! drawing the next: a 10⁶-coflow run holds one window in memory at any
+//! moment, and the full trace never exists.
 //!
 //! Spatial skew follows the parsimon-eval flowgen/spatial recipe: ports
 //! are carved into racks, each coflow picks a home rack, and every
@@ -26,8 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One streamed coflow: its flows in draw order plus the scalars the
-/// scheduler needs. `coflow::CoflowLoads::from_flows` summarizes it for
-/// the LP and the load-based orders.
+/// scheduler needs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SparseCoflow {
     /// Sequential id (position in the stream).
