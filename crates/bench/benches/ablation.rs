@@ -130,52 +130,10 @@ fn ablate_simplex_options(c: &mut Criterion) {
     }
 }
 
-fn ablate_bvn_variant(c: &mut Criterion) {
-    use coflow_matching::{bvn_decompose, bvn_decompose_maxmin, IntMatrix};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(7);
-    let m = 48;
-    let mut d = IntMatrix::zeros(m);
-    for i in 0..m {
-        for j in 0..m {
-            if rng.gen_bool(0.4) {
-                d[(i, j)] = rng.gen_range(1..64);
-            }
-        }
-    }
-    let plain = bvn_decompose(m, d.nonzero_entries());
-    let maxmin = bvn_decompose_maxmin(m, d.nonzero_entries());
-    println!("== ablation: BvN matching-selection rule (48x48, 40% dense) ==");
-    println!(
-        "  arbitrary perfect matching: {} matchings for {} slots",
-        plain.len(),
-        plain.total_slots()
-    );
-    println!(
-        "  max-min bottleneck:         {} matchings for {} slots",
-        maxmin.len(),
-        maxmin.total_slots()
-    );
-    assert_eq!(plain.total_slots(), maxmin.total_slots());
-
-    let mut group = c.benchmark_group("ablation_bvn");
-    group.sample_size(10);
-    group.bench_function("arbitrary", |b| {
-        b.iter(|| bvn_decompose(m, d.nonzero_entries()).len())
-    });
-    group.bench_function("maxmin", |b| {
-        b.iter(|| bvn_decompose_maxmin(m, d.nonzero_entries()).len())
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablate_grouping_base,
     ablate_backfill_scope,
-    ablate_simplex_options,
-    ablate_bvn_variant
+    ablate_simplex_options
 );
 criterion_main!(benches);

@@ -17,12 +17,8 @@ use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme
 pub struct ArrivalsReport {
     /// `(order name, case, objective)` for the offline grid.
     pub grid: Vec<(&'static str, &'static str, f64)>,
-    /// Objective of the online ρ/w scheduler (priorities re-sorted at
-    /// completion epochs too — the fixed behavior).
+    /// Objective of the online ρ/w scheduler (the registry's `online`).
     pub online_cost: f64,
-    /// Objective of the legacy online scheduler, which re-sorted only on
-    /// arrivals and so could serve stale priorities between them.
-    pub online_stale_cost: f64,
     /// Interval-LP lower bound (valid with release dates).
     pub lower_bound: f64,
     /// Mean release date of the instance.
@@ -55,14 +51,11 @@ pub fn run_arrivals(instance: &Instance) -> ArrivalsReport {
             (spec.order.name(), spec.case_label(), cell.objective)
         })
         .collect();
-    let online_policy = |name: &str| {
-        let entry = PolicyRegistry::builtin()
-            .get(name)
-            .expect("built-in policy");
-        run_policy(instance, &mut *entry.build(instance)).expect("online policies are infallible")
-    };
-    let online = online_policy("online");
-    let online_stale = online_policy("online-stale");
+    let entry = PolicyRegistry::builtin()
+        .get("online")
+        .expect("built-in policy");
+    let online =
+        run_policy(instance, &mut *entry.build(instance)).expect("the online policy is infallible");
     let lower_bound = interval_lp_bound(instance);
     let mean_release = instance
         .coflows()
@@ -73,7 +66,6 @@ pub fn run_arrivals(instance: &Instance) -> ArrivalsReport {
     ArrivalsReport {
         grid: rows,
         online_cost: online.objective,
-        online_stale_cost: online_stale.objective,
         lower_bound,
         mean_release,
     }
@@ -101,12 +93,6 @@ pub fn render_arrivals(r: &ArrivalsReport) -> String {
         r.online_cost,
         r.online_cost / r.lower_bound
     ));
-    out.push_str(&format!(
-        "  online stale | {:>9.0} | {:>5.2}  (legacy: re-sorts on arrivals only, {:+.2}% vs fixed)\n",
-        r.online_stale_cost,
-        r.online_stale_cost / r.lower_bound,
-        100.0 * (r.online_stale_cost - r.online_cost) / r.online_cost,
-    ));
     out
 }
 
@@ -124,7 +110,6 @@ mod tests {
             assert!(report.lower_bound <= obj + 1e-6, "bound violated");
         }
         assert!(report.lower_bound <= report.online_cost + 1e-6);
-        assert!(report.lower_bound <= report.online_stale_cost + 1e-6);
     }
 
     #[test]

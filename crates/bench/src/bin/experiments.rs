@@ -101,13 +101,13 @@
 //! `--cell 1000x10000` runs one cell; `--ports`/`--coflows` sweep a custom
 //! cross product; `--window` sets the admission window.
 //!
-//! `pin` recomputes the engine's pinned objectives — the 12-cell grid, the
-//! online scheduler (fixed and stale priorities), the greedy baseline, the
-//! successor policies and the fault-injected combinations — on the
-//! canonical arrivals instance; `--out` writes a pin file.
+//! `pin` recomputes the engine's 21 pinned objectives — the 12-cell grid,
+//! the online scheduler, the greedy baseline, the successor policies and
+//! the fault-injected combinations — on the canonical arrivals instance;
+//! `--out` writes a pin file.
 //!
 //! `tournament` races a registry selection of schedulers (`--policies
-//! a,b,c`, default `all` = the canonical six) across the whole harness on
+//! a,b,c`, default `all` = the registry's six) across the whole harness on
 //! the canonical arrivals instance: a clean round (TWCT and measured
 //! approximation ratio against the interval-LP lower bound, per-policy
 //! wall-clock), a fault round under one shared rate-0.20 plan (objective
@@ -117,7 +117,7 @@
 //! the run is checked on the report it built (every ratio ≥ 1 and within
 //! the policy's proven bound). The `faults` subcommand
 //! accepts the same `--policies` list to extend its engine-policy table
-//! beyond the default online/online-stale/greedy trio.
+//! beyond the default `online`/`greedy` pair.
 //!
 //! Table 1 and the figures run on the synthetic Facebook-like trace at the
 //! documented reduced scale; `lpexp` runs on a further reduced instance
@@ -314,18 +314,17 @@ fn main() {
             "--coflows" => args.coflows = Some(parse_usize_list(&value_of(a), a)),
             "--cell" => {
                 let value = value_of(a);
-                let parsed = value
+                let side = |s: &str| s.trim().parse::<std::num::NonZeroUsize>().ok();
+                args.cell = match value
                     .split_once('x')
-                    .and_then(|(m, n)| Some((m.trim().parse().ok()?, n.trim().parse().ok()?)));
-                args.cell = match parsed {
-                    Some(cell) => Some(cell),
-                    None => {
-                        eprintln!(
-                            "error: --cell needs PORTSxCOFLOWS (e.g. 1000x10000), got '{}'",
-                            value
-                        );
-                        std::process::exit(2);
-                    }
+                    .and_then(|(m, n)| Some((side(m)?, side(n)?)))
+                {
+                    Some((m, n)) => Some((m.get(), n.get())),
+                    None => usage(&format!(
+                        "--cell needs PORTSxCOFLOWS, two positive integers (e.g. 1000x10000), \
+                         got '{}'",
+                        value
+                    )),
                 };
             }
             "--window" => {
@@ -982,16 +981,16 @@ fn faults(seed: u64, policies: Option<&str>) {
     print!("{}", render_faults(&report));
     exit_if_interrupted("fault-sweep table (printed above)");
     // The engine-only policies under the same seeded plans — the default
-    // online/online-stale/greedy trio, or any fault-capable registry
-    // selection via --policies (with `all` = every fault-capable canonical
-    // policy; the open-loop BvN batch planner sits this table out).
+    // `online`/`greedy` pair, or any fault-capable registry selection via
+    // --policies (with `all` = every fault-capable registry policy; the
+    // open-loop BvN batch planner sits this table out).
     let report = match policies {
         Some(spec) => {
             let names: Vec<String> = if spec == "all" {
                 coflow::PolicyRegistry::builtin()
-                    .canonical()
-                    .into_iter()
-                    .filter(|e| e.caps.supports_faults)
+                    .entries()
+                    .iter()
+                    .filter(|e| e.supports_faults)
                     .map(|e| e.name.to_string())
                     .collect()
             } else {

@@ -202,7 +202,8 @@ fn write_anomalies(out: &mut String, diag: &ScheduleDiagnostics, indent: &str) {
 
 /// Serializes the report as `coflow-diagnostics/1` JSON. The exact byte
 /// layout is pinned by the golden test, so the body sections are rendered
-/// as raw fragments and only the header goes through [`JsonDoc`].
+/// as raw fragments and only the header goes through
+/// [`JsonDoc`](crate::sink::JsonDoc).
 pub fn render_json(report: &ExplainReport) -> String {
     let mut out = String::from("[\n");
     for (idx, cell) in report.cells.iter().enumerate() {

@@ -179,11 +179,10 @@ pub fn render_faults(report: &FaultReport) -> String {
 
 /// The default policy selection compared under fault injection, in report
 /// order. These are the combinations the unified engine made possible: the
-/// online ρ/w scheduler (fresh and stale priorities) and the priority-greedy
-/// baseline, each running slot-by-slot against a live [`FaultPlan`].
-/// Registry-driven selections (see [`run_fault_policies_selected`]) may
-/// name others.
-pub const FAULT_POLICIES: [&str; 3] = ["online", "online-stale", "greedy"];
+/// online ρ/w scheduler and the priority-greedy baseline, each running
+/// slot-by-slot against a live [`FaultPlan`]. Registry-driven selections
+/// (see [`run_fault_policies_selected`]) may name others.
+pub const FAULT_POLICIES: [&str; 2] = ["online", "greedy"];
 
 /// One (policy, rate) measurement.
 #[derive(Clone, Debug)]
@@ -259,7 +258,7 @@ pub fn run_fault_policies_selected(
     let mut entries = Vec::with_capacity(names.len());
     for name in names {
         let entry = registry.resolve(name)?;
-        if !entry.caps.supports_faults {
+        if !entry.supports_faults {
             return Err(format!(
                 "policy '{}' does not support fault injection (open-loop planner)",
                 entry.name

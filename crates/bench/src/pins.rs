@@ -1,8 +1,8 @@
 //! Pinned-objective regression gate for the scheduling engine.
 //!
 //! The engine refactor promised bit-identical schedules: every grid cell,
-//! the online ρ/w scheduler (fresh and stale priorities), the greedy
-//! baseline, and the fault-injected combinations must keep producing the
+//! the online ρ/w scheduler, the greedy baseline, the successor policies
+//! and the fault-injected combinations must keep producing the
 //! exact objectives they produced when the pins were written. This module
 //! computes those objectives on a deterministic arrivals instance and
 //! renders them as `coflow-pins/1` JSON (`BENCH_pins.json`); `experiments
@@ -88,21 +88,11 @@ impl PinPlan {
     pub fn generate(self, instance: &Instance, seed: u64, pins: &[Pin]) -> FaultPlan {
         let (rate, seed, horizon_cells): (f64, u64, &[&str]) = match self {
             PinPlan::Clean => return FaultPlan::new(vec![]),
-            PinPlan::Faults => (
-                FAULT_RATE,
-                seed,
-                &["online/fixed", "online/stale", "greedy"],
-            ),
+            PinPlan::Faults => (FAULT_RATE, seed, &["online/fixed", "greedy"]),
             PinPlan::Faults20 => (
                 FAULT_RATE_20,
                 seed.wrapping_add(FAULT20_SEED_OFFSET),
-                &[
-                    "online/fixed",
-                    "online/stale",
-                    "greedy",
-                    "shafiee-ghaderi",
-                    "im-purohit",
-                ],
+                &["online/fixed", "greedy", "shafiee-ghaderi", "im-purohit"],
             ),
         };
         let horizon = pins
@@ -171,7 +161,6 @@ pub fn pin_cells() -> Vec<PinCell> {
         .collect();
     cells.extend([
         registry("online/fixed", PinPlan::Clean, "online"),
-        registry("online/stale", PinPlan::Clean, "online-stale"),
         registry("greedy", PinPlan::Clean, "greedy"),
         registry("shafiee-ghaderi", PinPlan::Clean, "shafiee-ghaderi"),
         registry("im-purohit", PinPlan::Clean, "im-purohit"),
@@ -317,14 +306,13 @@ mod tests {
         let labels: Vec<&str> = report.pins.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(
             report.pins.len(),
-            22,
-            "12 grid + 5 policies + 3 fault cells + 2 faults20 cells"
+            21,
+            "12 grid + 4 policies + 3 fault cells + 2 faults20 cells"
         );
         for required in [
             "grid/H_LP/d",
             "grid/H_A/a",
             "online/fixed",
-            "online/stale",
             "greedy",
             "shafiee-ghaderi",
             "im-purohit",

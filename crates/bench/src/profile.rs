@@ -55,12 +55,11 @@ pub const STAGES: [&str; 7] = [
 /// Span leaves that map to reported stages; used to compute exclusive
 /// self-times (a leaf nested under another reported leaf is attributed to
 /// itself and subtracted from the nearest reported ancestor).
-const REPORTED_LEAVES: [&str; 6] = [
+const REPORTED_LEAVES: [&str; 5] = [
     "lp.build_model",
     "lp.solve",
     "sched.order",
     "matching.bvn_decompose",
-    "matching.bvn_decompose_maxmin",
     "sched.simulate",
 ];
 
@@ -75,7 +74,7 @@ pub struct StageTimings {
     /// Ordering stage self-time (`sched.order` minus the nested LP build
     /// and solve).
     pub order_ms: f64,
-    /// BvN decompositions (`matching.bvn_decompose[_maxmin]`).
+    /// BvN decompositions (`matching.bvn_decompose`).
     pub decompose_ms: f64,
     /// Switch simulation (`sched.simulate`).
     pub simulate_ms: f64,
@@ -203,7 +202,6 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                 let (lp_solve_a, lp_solve_b) = stage_mem("lp.solve");
                 let (order_a, order_b) = stage_mem("sched.order");
                 let (dec_a, dec_b) = stage_mem("matching.bvn_decompose");
-                let (decm_a, decm_b) = stage_mem("matching.bvn_decompose_maxmin");
                 let (sim_a, sim_b) = stage_mem("sched.simulate");
                 let clamp = |x: i64| x.max(0) as u64;
                 CellMem {
@@ -215,14 +213,14 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                         clamp(lp_build_a),
                         clamp(lp_solve_a),
                         clamp(order_a),
-                        clamp(dec_a + decm_a),
+                        clamp(dec_a),
                         clamp(sim_a),
                     ],
                     stage_alloc_bytes: [
                         clamp(lp_build_b),
                         clamp(lp_solve_b),
                         clamp(order_b),
-                        clamp(dec_b + decm_b),
+                        clamp(dec_b),
                         clamp(sim_b),
                     ],
                 }
@@ -246,8 +244,7 @@ pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> 
                     let lp_build_ms = self_ms("lp.build_model");
                     let lp_solve_ms = self_ms("lp.solve");
                     let order_ms = self_ms("sched.order");
-                    let decompose_ms = self_ms("matching.bvn_decompose")
-                        + self_ms("matching.bvn_decompose_maxmin");
+                    let decompose_ms = self_ms("matching.bvn_decompose");
                     let simulate_ms = self_ms("sched.simulate");
                     let accounted =
                         lp_build_ms + lp_solve_ms + order_ms + decompose_ms + simulate_ms;
@@ -606,10 +603,11 @@ mod tests {
             Some(&JsonValue::Str(MEM_SCHEMA.to_string()))
         );
         let rows = crate::gate::check(gate("mem"), &rendered, &rendered).expect("judge");
-        // Per-stage calls and bytes, whole-run calls, bytes and peak live.
+        // Per-stage calls and bytes, whole-run calls, bytes and peak live,
+        // and each cell's peak live.
         assert_eq!(
             rows.iter().filter(|r| r.kind == Kind::Alloc).count(),
-            MEM_STAGES.len() * 2 + 3
+            MEM_STAGES.len() * 2 + 3 + report.cells.len()
         );
         assert!(crate::gate::passed(&rows));
         // The grid report embeds the same mem object per cell.
@@ -642,5 +640,48 @@ mod tests {
         // Foreign schemas are rejected.
         let foreign = "{\"schema\": \"other/9\", \"cells\": []}";
         assert!(crate::gate::check(gate("mem"), foreign, &current).is_err());
+    }
+
+    /// A heap regression in a cell whose peak is not the largest shows:
+    /// the committed baseline with its smallest cell peak raised by 2 MiB
+    /// fails that cell's row, though the largest-peak row moves by less
+    /// than its 1 MiB floor and stays green.
+    #[test]
+    fn mem_gate_sees_a_peak_rise_below_the_largest_cell() {
+        const MIB: u64 = 1 << 20;
+        let baseline = include_str!("../../../BENCH_mem.json");
+        let key = "\"peak_live_bytes\": ";
+        let peaks: Vec<u64> = baseline
+            .match_indices(key)
+            .map(|(at, _)| {
+                let digits = &baseline[at + key.len()..];
+                let end = digits
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(digits.len());
+                digits[..end].parse().expect("peak")
+            })
+            .collect();
+        assert_eq!(peaks.len(), 12);
+        let (least, most) = (*peaks.iter().min().unwrap(), *peaks.iter().max().unwrap());
+        let raised = least + 2 * MIB;
+        assert!(
+            raised < most + MIB,
+            "the largest-peak row must stay inside its floor"
+        );
+        let current = baseline.replacen(
+            &format!("{}{}", key, least),
+            &format!("{}{}", key, raised),
+            1,
+        );
+        let rows = crate::gate::check(gate("mem"), baseline, &current).expect("judge");
+        let failed: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.regressed)
+            .map(|r| r.key.as_str())
+            .collect();
+        assert_eq!(failed.len(), 1, "{:?}", failed);
+        assert!(failed[0].starts_with("peak_live_bytes:"), "{:?}", failed);
+        assert!(!row(&rows, "peak_live_bytes").regressed);
+        assert!(!crate::gate::passed(&rows));
     }
 }

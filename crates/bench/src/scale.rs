@@ -420,7 +420,7 @@ mod tests {
                 })
                 .collect(),
         );
-        for entry in PolicyRegistry::builtin().canonical() {
+        for entry in PolicyRegistry::builtin().entries() {
             let mut executed = ScheduleTrace::new(ports);
             let mut completions = vec![None; coflows];
             let run = stream_policy(entry, &cfg, window, |base, batch, out| {

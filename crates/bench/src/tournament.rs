@@ -170,7 +170,7 @@ pub fn run_tournament(
     // schedule fits in, replayed per policy.
     let horizon = clean
         .iter()
-        .filter(|(e, ..)| e.caps.supports_faults)
+        .filter(|(e, ..)| e.supports_faults)
         .map(|(_, out, _)| out.executed.makespan())
         .max()
         .unwrap_or(1)
@@ -185,7 +185,7 @@ pub fn run_tournament(
 
     let mut rows = Vec::with_capacity(clean.len());
     for (entry, clean_out, wall_ms) in &clean {
-        let fault = if entry.caps.supports_faults {
+        let fault = if entry.supports_faults {
             let mut policy = entry.build(instance);
             let out = run_policy_with_faults(instance, policy.as_mut(), &plan)
                 .map_err(|e| format!("policy {} under faults: {}", entry.name, e))?;

@@ -112,18 +112,6 @@ fn online_under_faults_runs_end_to_end() {
 }
 
 #[test]
-fn online_stale_priorities_also_survive_faults() {
-    let instance = inst();
-    let plan = FaultPlan::new(vec![FaultEvent::IngressOutage {
-        port: 1,
-        start: 1,
-        end: 6,
-    }]);
-    let out = registry_run(&instance, "online-stale", &plan);
-    check_combo(&instance, &plan, &out, true);
-}
-
-#[test]
 fn greedy_with_recovery_handles_outage_and_cancellation() {
     let instance = inst();
     let plan = FaultPlan::new(vec![

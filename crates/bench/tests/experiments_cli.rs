@@ -1,6 +1,7 @@
 //! The `experiments` binary end to end: usage errors (an unknown flag, a
-//! flag the subcommand does not take, an operand it does not take and an
-//! unknown gate all exit 2 with the usage text before any workload runs),
+//! flag the subcommand does not take, an operand it does not take, an
+//! unknown gate and a `--cell` side that is not a positive integer all
+//! exit 2 with the usage text before any workload runs),
 //! reports written only where `--out` says, and gate verdicts.
 
 use coflow_bench::gate::{read_report, read_tournament, GATES};
@@ -10,7 +11,7 @@ use std::process::Command;
 
 #[test]
 fn misspelled_flags_and_unknown_gates_exit_2() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 11] = [
         &["pin", "--chek", "BENCH_pins.json"],
         &["gate", "nosuch"],
         &["gate"],
@@ -19,6 +20,9 @@ fn misspelled_flags_and_unknown_gates_exit_2() {
         &["profile", "--baseline", "BENCH_baseline.json"],
         &["table1", "extra"],
         &["diff", "a", "b", "c"],
+        &["scale", "--cell", "0x5"],
+        &["scale", "--cell", "5x0"],
+        &["scale", "--cell", "x5"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))

@@ -120,7 +120,7 @@ const TIGHTENED: [(&str, &str, &str, &str); 16] = [
         "wall_below",
         "gate",
         "the engine row moved from base*(1+t)+50 ms to the two-sided rule: its fail point \
-         at the committed 125.7 ms drops from 301.5 to 251.5 ms",
+         drops from 2*base + 50 ms to max(2*base, base + 50 ms)",
     ),
     (
         "Pins",

@@ -25,7 +25,7 @@ fn measured_ratios_stay_within_the_proven_bounds() {
         // to the clean run and accepts every policy, including the
         // Execute-emitting resilient planner.
         let quiet = FaultPlan::generate(inst.ports(), inst.len(), 1, 0.0, seed);
-        for entry in registry.canonical() {
+        for entry in registry.entries() {
             let mut policy = entry.build(&inst);
             let out = run_policy_with_faults(&inst, policy.as_mut(), &quiet)
                 .unwrap_or_else(|e| panic!("seed {}: policy {}: {}", seed, entry.name, e));

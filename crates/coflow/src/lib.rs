@@ -73,12 +73,11 @@ pub use crate::relax::{
 };
 pub use crate::sched::engine::{
     greedy_match, run_policy, run_policy_with_faults, BvnBatchPolicy, Decision, Engine,
-    EngineError, EpochState, HeartbeatPacer, OnlineOptions, OnlineRhoPolicy, Policy,
-    ResilientPolicy,
+    EngineError, EpochState, HeartbeatPacer, OnlineRhoPolicy, Policy, ResilientPolicy,
 };
 pub use crate::sched::ordered::{GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy};
 pub use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
-pub use crate::sched::registry::{PolicyCaps, PolicyEntry, PolicyRegistry};
+pub use crate::sched::registry::{PolicyEntry, PolicyRegistry};
 pub use crate::sched::resilient::{fallback_chain, run_resilient, FailedAttempt, ResilientOutcome};
 pub use crate::sched::snapshot::{ActiveBatchState, EngineSnapshot, PolicyState, SNAPSHOT_SCHEMA};
 pub use crate::sched::watchdog::{WatchdogConfig, WatchdogPolicy, LADDER_TIER_BASE};

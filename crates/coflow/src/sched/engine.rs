@@ -29,7 +29,7 @@
 //! (differential-tested against frozen copies of the old loops, and pinned
 //! in CI via `experiments -- gate pins`). The
 //! slot-reactive policies hold each matching until the next event that
-//! can change it ([`hold`]), so their traces group the legacy one-slot
+//! can change it (`hold`), so their traces group the legacy one-slot
 //! runs into longer ones.
 
 use super::recovery::FaultyOutcome;
@@ -1081,8 +1081,8 @@ pub(crate) fn hold(state: &EpochState<'_>, min_remaining: u64, next_release: u64
 }
 
 // ---------------------------------------------------------------------------
-// BvnBatchPolicy: the paper's batch pipeline (grouping × backfill × rematch
-// × maxmin), ported decision-for-decision from the legacy `execute_batches`.
+// BvnBatchPolicy: the paper's batch pipeline (grouping × backfill × rematch),
+// ported decision-for-decision from the legacy `execute_batches`.
 // ---------------------------------------------------------------------------
 
 /// With rematching, long runs are split into short chunks so freshly
@@ -1175,18 +1175,16 @@ impl PairQueues {
         }
     }
 
-    /// Decomposes the batch's remaining demand (with the max-min peel when
-    /// `maxmin`), summed per pair through the entry → queue map, with the
-    /// pair queue of each edge of its augmentation. Each slot keeps the
-    /// edges whose pair has a queue: those some coflow demands, the
-    /// batch's own or a backfill candidate's. `None` when the batch has
-    /// nothing left.
+    /// Decomposes the batch's remaining demand, summed per pair through
+    /// the entry → queue map, with the pair queue of each edge of its
+    /// augmentation. Each slot keeps the edges whose pair has a queue:
+    /// those some coflow demands, the batch's own or a backfill
+    /// candidate's. `None` when the batch has nothing left.
     fn decompose(
         &mut self,
         demand: &SparseDemand,
         batch: &[usize],
         m: usize,
-        maxmin: bool,
     ) -> Option<(BvnDecomposition, Vec<u32>)> {
         let PairQueues {
             pairs,
@@ -1219,7 +1217,7 @@ impl PairQueues {
         });
         // The augmentation adds at most 2m − 1 edges.
         let mut edge_queue = Vec::with_capacity(touched.len() + 2 * m);
-        let dec = bvn_decompose_keeping(m, entries, maxmin, |i, j| {
+        let dec = bvn_decompose_keeping(m, entries, |i, j| {
             let q = queue_of_pair(pairs, i, j);
             edge_queue.push(q);
             q != NO_QUEUE
@@ -1369,9 +1367,9 @@ impl BvnBatchPolicy {
     /// of the counts q, and each slot's pending chunks at least 1 long and
     /// totalling no more than its count. It must also be the peel a run
     /// computes: its slots and counts are the augmented matrix's
-    /// decomposition with every edge kept (max-min when `opts` says so),
-    /// so a restored batch is derived from its augmented matrix. Its slots
-    /// keep every edge until the queues are built.
+    /// decomposition with every edge kept, so a restored batch is derived
+    /// from its augmented matrix. Its slots keep every edge until the
+    /// queues are built.
     pub(crate) fn restore(
         instance: &Instance,
         order: Vec<usize>,
@@ -1437,7 +1435,7 @@ impl BvnBatchPolicy {
                 ));
             }
             // Σ q·Π of permutations is doubly balanced at Σ q, so it peels.
-            if dec.repeeled(opts.maxmin_decomposition) != dec {
+            if dec.repeeled() != dec {
                 return Err(bad(
                     "bvn-batch: slots are not the peel of the augmented matrix",
                 ));
@@ -1844,8 +1842,7 @@ impl Policy for BvnBatchPolicy {
             let Some(queues) = self.queues.as_mut() else {
                 unreachable!("the queues are built above")
             };
-            let maxmin = self.opts.maxmin_decomposition;
-            let Some((dec, edge_queue)) = queues.decompose(demand, batch, m, maxmin) else {
+            let Some((dec, edge_queue)) = queues.decompose(demand, batch, m) else {
                 self.b_idx += 1;
                 continue;
             };
@@ -1899,7 +1896,7 @@ impl Policy for BvnBatchPolicy {
     /// kept: the same slots, in the same order, with the same counts.
     fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
         let current = self.current.as_ref().map(|cur| {
-            let full = cur.dec.repeeled(self.opts.maxmin_decomposition);
+            let full = cur.dec.repeeled();
             debug_assert_eq!(full.len(), cur.dec.len(), "the peel is deterministic");
             super::snapshot::ActiveBatchState {
                 augmented: cur.dec.to_matrix().as_slice().to_vec(),
@@ -1928,47 +1925,17 @@ impl Policy for BvnBatchPolicy {
 // OnlineRhoPolicy: the online ρ/w-priority scheduler.
 // ---------------------------------------------------------------------------
 
-/// Behavior knobs of [`OnlineRhoPolicy`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OnlineOptions {
-    /// Re-sort the ρ(remaining)/w priority order at completion epochs too,
-    /// not just on arrivals. The legacy scheduler re-sorted only when a
-    /// coflow arrived, so between arrivals it kept serving an order
-    /// computed against *stale* remaining loads even though every slot
-    /// drains them; completions are exactly the moments the head of the
-    /// order changes. `true` (the default) fixes that;
-    /// [`OnlineOptions::legacy`] keeps the old behavior bit-for-bit for
-    /// comparisons (the objective delta is tabulated in EXPERIMENTS.md).
-    pub resort_on_completion: bool,
-}
-
-impl Default for OnlineOptions {
-    fn default() -> Self {
-        OnlineOptions {
-            resort_on_completion: true,
-        }
-    }
-}
-
-impl OnlineOptions {
-    /// The legacy arrival-only re-sort behavior (stale priorities between
-    /// arrivals).
-    pub fn legacy() -> Self {
-        OnlineOptions {
-            resort_on_completion: false,
-        }
-    }
-}
-
 /// The online scheduler: maintains a priority order over *released,
 /// unfinished* coflows by the Smith-style ratio `ρ(remaining) / weight`
 /// (the online analogue of `H_ρ`) and serves a greedy matching in priority
-/// order, held until the next event that can change it ([`hold`]). Never
-/// looks at coflows before their release dates, so its decisions are
-/// legitimately online — which also makes it safe to run under fault
-/// injection: it replans from live state at every decision.
+/// order, held until the next event that can change it (`hold`). The
+/// order is re-sorted whenever a coflow arrives or completes: every slot
+/// drains the remaining loads, and a completion is when the head of the
+/// order can change. Never looks at coflows before their release dates,
+/// so its decisions are legitimately online — which also makes it safe to
+/// run under fault injection: it replans from live state at every
+/// decision.
 pub struct OnlineRhoPolicy {
-    opts: OnlineOptions,
     weights: Vec<f64>,
     /// Arrival events in time order.
     events: Vec<(u64, usize)>,
@@ -1987,7 +1954,6 @@ impl OnlineRhoPolicy {
     /// from the snapshot.
     pub(crate) fn restore(
         instance: &Instance,
-        opts: OnlineOptions,
         next_event: usize,
         active: Vec<usize>,
     ) -> Result<Self, coflow_netsim::SnapshotError> {
@@ -1998,19 +1964,18 @@ impl OnlineRhoPolicy {
         if active.iter().any(|&k| k >= instance.len()) {
             return Err(bad("online-rho: active set references a missing coflow"));
         }
-        let mut policy = OnlineRhoPolicy::new(instance, opts);
+        let mut policy = OnlineRhoPolicy::new(instance);
         policy.next_event = next_event;
         policy.active = active;
         Ok(policy)
     }
 
     /// Builds the policy over the instance's arrival events.
-    pub fn new(instance: &Instance, opts: OnlineOptions) -> Self {
+    pub fn new(instance: &Instance) -> Self {
         let n = instance.len();
         let mut events: Vec<(u64, usize)> = instance.releases().iter().copied().zip(0..n).collect();
         events.sort_unstable();
         OnlineRhoPolicy {
-            opts,
             weights: instance.weights(),
             events,
             next_event: 0,
@@ -2029,8 +1994,7 @@ impl Policy for OnlineRhoPolicy {
     fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
         let now = state.now;
         // Coflows drained (or cancelled) since the previous decision leave
-        // the active set; with `resort_on_completion` that also refreshes
-        // the priorities.
+        // the active set, which also refreshes the priorities.
         let completed = self.matcher.retain_unsettled(&mut self.active, state);
         // Admit arrivals with release <= now (servable from slot now+1 on).
         let mut admitted = false;
@@ -2042,7 +2006,7 @@ impl Policy for OnlineRhoPolicy {
                 admitted = true;
             }
         }
-        if admitted || (self.opts.resort_on_completion && completed) {
+        if admitted || completed {
             // One key per coflow per re-sort. The id tie-break makes the
             // order total, so the unstable sort is deterministic.
             self.keys.clear();
@@ -2083,7 +2047,6 @@ impl Policy for OnlineRhoPolicy {
 
     fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
         Some(super::snapshot::PolicyState::OnlineRho {
-            resort_on_completion: self.opts.resort_on_completion,
             next_event: self.next_event,
             active: self.active.clone(),
         })

@@ -116,10 +116,6 @@ pub struct ExecOptions {
     /// service, so every completion-time guarantee is preserved; the
     /// benchmark suite evaluates it as an ablation.
     pub rematch: bool,
-    /// Use the max-min Birkhoff–von Neumann variant
-    /// ([`coflow_matching::bvn_decompose_maxmin`]): same ρ slots, far fewer
-    /// distinct matchings (fabric reconfigurations).
-    pub maxmin_decomposition: bool,
 }
 
 impl ExecOptions {

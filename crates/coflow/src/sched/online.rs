@@ -12,11 +12,9 @@
 //!
 //! The scheduler never looks at coflows before their release dates, so its
 //! decisions are legitimately online. The implementation is
-//! [`OnlineRhoPolicy`](super::engine::OnlineRhoPolicy); the registry's
-//! `online` entry builds it with the default
-//! [`OnlineOptions`](super::engine::OnlineOptions) (priorities re-sorted
-//! at completion epochs as well as arrivals) and `online-stale` with
-//! `OnlineOptions::legacy()` (arrival-only re-sort). Run it with
+//! [`OnlineRhoPolicy`](super::engine::OnlineRhoPolicy), which the
+//! registry's `online` entry builds; it re-sorts its priorities when a
+//! coflow arrives and when one completes. Run it with
 //! [`run_policy`](super::engine::run_policy), or under fault injection
 //! with [`run_policy_with_faults`](super::engine::run_policy_with_faults):
 //! the policy replans from live (post-fault) remaining demand at every
@@ -28,17 +26,13 @@
 mod tests {
     use crate::coflow::Coflow;
     use crate::instance::Instance;
-    use crate::sched::engine::{run_policy, OnlineOptions, OnlineRhoPolicy};
+    use crate::sched::engine::{run_policy, OnlineRhoPolicy};
     use crate::sched::ScheduleOutcome;
     use coflow_matching::IntMatrix;
     use coflow_netsim::validate_trace;
 
-    fn online_with(inst: &Instance, opts: OnlineOptions) -> ScheduleOutcome {
-        run_policy(inst, &mut OnlineRhoPolicy::new(inst, opts)).unwrap()
-    }
-
     fn online(inst: &Instance) -> ScheduleOutcome {
-        online_with(inst, OnlineOptions::default())
+        run_policy(inst, &mut OnlineRhoPolicy::new(inst)).unwrap()
     }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
@@ -100,28 +94,19 @@ mod tests {
         // X hogs pair (0,0) for 8 slots (ratio 1, always head). U (ratio 2)
         // wants only (0,0): fully blocked behind X. S (initial ratio 6)
         // drains its bottleneck (1,1) in slots 1-6, leaving one unit on
-        // (0,0) and a *remaining* ratio of 1 — but the legacy scheduler
-        // never re-ranks it because no coflow arrives. When X completes at
-        // slot 8, legacy hands (0,0) to U (stale order U < S) while the
-        // completion re-sort correctly hands it to S, whose remaining
-        // ratio 1 now beats U's 2.
+        // (0,0) and a *remaining* ratio of 1, though no coflow arrives to
+        // re-rank it. When X completes at slot 8, the completion re-sort
+        // hands (0,0) to S, whose remaining ratio 1 now beats U's 2. A
+        // scheduler that re-sorted on arrivals only would keep the stale
+        // order U < S and finish at [8, 11, 12], objective 92.5.
         let x = Coflow::new(0, IntMatrix::from_nested(&[[8, 0], [0, 0]])).with_weight(8.0);
         let u = Coflow::new(1, IntMatrix::from_nested(&[[3, 0], [0, 0]])).with_weight(1.5);
         let s = Coflow::new(2, IntMatrix::from_nested(&[[1, 0], [0, 6]]));
         let inst = Instance::new(2, vec![x, u, s]);
-        let legacy = online_with(&inst, OnlineOptions::legacy());
-        let fixed = online_with(&inst, OnlineOptions::default());
-        validate(&inst, &legacy);
-        validate(&inst, &fixed);
-        // Legacy: U gets slots 9-11, S's last unit waits until 12.
-        assert_eq!(legacy.completions, vec![8, 11, 12]);
-        // Fixed: S's single remaining unit goes first (ratio 1 < 2), then U.
-        assert_eq!(fixed.completions, vec![8, 12, 9]);
-        assert!(
-            fixed.objective < legacy.objective,
-            "completion re-sort must win on this instance: {} vs {}",
-            fixed.objective,
-            legacy.objective
-        );
+        let out = online(&inst);
+        validate(&inst, &out);
+        // S's single remaining unit goes first (ratio 1 < 2), then U.
+        assert_eq!(out.completions, vec![8, 12, 9]);
+        assert_eq!(out.objective, 91.0);
     }
 }

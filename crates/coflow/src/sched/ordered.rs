@@ -18,12 +18,12 @@
 //!   fixed priority order. The permutation is [`OrderRule::LpBased`]
 //!   (`H_LP`).
 //!
-//! Service is the shared [`OrderedDispatch`]: released unfinished coflows
+//! Service is the shared `OrderedDispatch`: released unfinished coflows
 //! are scanned in the committed permutation and free (ingress, egress)
 //! pairs matched greedily — the engine's priority-greedy discipline,
 //! which is work-conserving and preemptive at slot granularity, as both
 //! successor papers assume. Each matching is held until the next event
-//! that can change it ([`hold`]), which schedules exactly what
+//! that can change it (`hold`), which schedules exactly what
 //! re-matching every slot would. The permutations are the papers'
 //! contributions; the approximation bounds (5 and 4, vs the interval-LP
 //! lower bound) are asserted empirically by the bench crate's tournament

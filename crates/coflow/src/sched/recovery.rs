@@ -41,8 +41,9 @@ pub struct FaultyOutcome {
     pub blocked_units: u64,
     /// The blocked log, moved out of the simulator: maximal runs of
     /// consecutive slots that deny one planned unit each, in order of
-    /// their first slot (capped at 65,536 units inside [`FaultSim`];
-    /// `blocked_units` above stays exact past the cap). The diagnostics
+    /// their first slot (capped at 65,536 units inside
+    /// [`FaultSim`](coflow_netsim::FaultSim); `blocked_units` above stays
+    /// exact past the cap). The diagnostics
     /// layer joins it with the flight recorder to attribute fault-induced
     /// delay per coflow.
     pub blocked: Vec<BlockedRun>,

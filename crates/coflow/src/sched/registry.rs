@@ -18,33 +18,19 @@
 //!   terminates. Open-loop planners (the BvN batch policy executes a
 //!   precomputed augmented schedule and never revisits it) must say
 //!   `false`: a blocked unit would strand forever.
-//! * `supports_checkpoint` — `capture_state()` returns `Some`, so the
-//!   PR-6 snapshot/watchdog machinery applies.
 //!
-//! Entries with `variant_of: Some(_)` are option variants of a canonical
-//! policy (the stale-priority online scheduler); `select("all")` expands
-//! to the canonical six only, but variants remain selectable by name.
+//! Every entry checkpoints (`capture_state()` returns `Some`), and
+//! `select("all")` expands to all six.
 
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
-use crate::sched::engine::{
-    BvnBatchPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
-};
+use crate::sched::engine::{BvnBatchPolicy, OnlineRhoPolicy, Policy, ResilientPolicy};
 use crate::sched::ordered::{GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy};
 use crate::sched::{AlgorithmSpec, ExecOptions};
 use coflow_lp::SimplexOptions;
 use std::sync::OnceLock;
 
-/// Capability flags a harness consults before constructing a policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PolicyCaps {
-    /// Terminates under the fault-aware engine (replans from live demand).
-    pub supports_faults: bool,
-    /// `capture_state()` returns `Some` — checkpoint/restore works.
-    pub supports_checkpoint: bool,
-}
-
-/// One registered scheduler: identity, provenance, capabilities, and the
+/// One registered scheduler: identity, provenance, fault support, and the
 /// boxed constructor.
 #[derive(Debug)]
 pub struct PolicyEntry {
@@ -55,11 +41,8 @@ pub struct PolicyEntry {
     /// Proven approximation bound vs the interval-LP lower bound, when
     /// the policy carries one (`None` for unproven heuristics).
     pub bound: Option<f64>,
-    /// Capability flags.
-    pub caps: PolicyCaps,
-    /// `Some(name)` when this entry is an option variant of a canonical
-    /// policy; excluded from `select("all")`.
-    pub variant_of: Option<&'static str>,
+    /// Terminates under the fault-aware engine (replans from live demand).
+    pub supports_faults: bool,
     ctor: fn(&Instance) -> Box<dyn Policy>,
 }
 
@@ -90,11 +73,7 @@ fn build_bvn_batch(instance: &Instance) -> Box<dyn Policy> {
 }
 
 fn build_online(instance: &Instance) -> Box<dyn Policy> {
-    Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::default()))
-}
-
-fn build_online_stale(instance: &Instance) -> Box<dyn Policy> {
-    Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::legacy()))
+    Box::new(OnlineRhoPolicy::new(instance))
 }
 
 fn build_greedy(instance: &Instance) -> Box<dyn Policy> {
@@ -125,7 +104,7 @@ fn build_im_purohit(instance: &Instance) -> Box<dyn Policy> {
 
 impl PolicyRegistry {
     /// The built-in registry: the four seed policies plus the two
-    /// successor-paper schedulers (and the stale-online variant).
+    /// successor-paper schedulers.
     pub fn builtin() -> &'static PolicyRegistry {
         static REG: OnceLock<PolicyRegistry> = OnceLock::new();
         REG.get_or_init(|| PolicyRegistry {
@@ -135,11 +114,7 @@ impl PolicyRegistry {
                     summary: "QSZ15 Algorithm 2 + backfill: H_LP order, doubling groups, \
                               BvN batch execution (67/3-approx)",
                     bound: Some(crate::DETERMINISTIC_RATIO),
-                    caps: PolicyCaps {
-                        supports_faults: false,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: None,
+                    supports_faults: false,
                     ctor: build_bvn_batch,
                 },
                 PolicyEntry {
@@ -147,34 +122,15 @@ impl PolicyRegistry {
                     summary: "online rho/w priority scheduler, priorities re-sorted on \
                               arrivals and completions (heuristic)",
                     bound: None,
-                    caps: PolicyCaps {
-                        supports_faults: true,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: None,
+                    supports_faults: true,
                     ctor: build_online,
-                },
-                PolicyEntry {
-                    name: "online-stale",
-                    summary: "online rho/w variant with legacy arrival-only re-sort",
-                    bound: None,
-                    caps: PolicyCaps {
-                        supports_faults: true,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: Some("online"),
-                    ctor: build_online_stale,
                 },
                 PolicyEntry {
                     name: "greedy",
                     summary: "work-conserving priority-greedy baseline over the H_rho \
                               order (heuristic)",
                     bound: None,
-                    caps: PolicyCaps {
-                        supports_faults: true,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: None,
+                    supports_faults: true,
                     ctor: build_greedy,
                 },
                 PolicyEntry {
@@ -182,11 +138,7 @@ impl PolicyRegistry {
                     summary: "epoch replanner with the H_LP -> H_rho -> H_A degradation \
                               chain (fault-tolerant 67/3-approx planning)",
                     bound: Some(crate::DETERMINISTIC_RATIO),
-                    caps: PolicyCaps {
-                        supports_faults: true,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: None,
+                    supports_faults: true,
                     ctor: build_resilient,
                 },
                 PolicyEntry {
@@ -194,11 +146,7 @@ impl PolicyRegistry {
                     summary: "Shafiee-Ghaderi LP-free primal-dual permutation, \
                               work-conserving service (5-approx, arXiv:1704.08357)",
                     bound: Some(5.0),
-                    caps: PolicyCaps {
-                        supports_faults: true,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: None,
+                    supports_faults: true,
                     ctor: build_shafiee_ghaderi,
                 },
                 PolicyEntry {
@@ -206,28 +154,16 @@ impl PolicyRegistry {
                     summary: "Im-Purohit LP-completion-time permutation, work-conserving \
                               service (4-approx, arXiv:1707.04331)",
                     bound: Some(4.0),
-                    caps: PolicyCaps {
-                        supports_faults: true,
-                        supports_checkpoint: true,
-                    },
-                    variant_of: None,
+                    supports_faults: true,
                     ctor: build_im_purohit,
                 },
             ],
         })
     }
 
-    /// Every entry, in canonical report order (variants included).
+    /// Every entry, in canonical report order.
     pub fn entries(&self) -> &[PolicyEntry] {
         &self.entries
-    }
-
-    /// The canonical policies (variants excluded), in report order.
-    pub fn canonical(&self) -> Vec<&PolicyEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.variant_of.is_none())
-            .collect()
     }
 
     /// Looks an entry up by exact registry name.
@@ -256,12 +192,12 @@ impl PolicyRegistry {
         })
     }
 
-    /// Expands a selection spec: `all` means every canonical policy; a
+    /// Expands a selection spec: `all` means every entry; a
     /// comma-separated list resolves each name (order preserved,
     /// duplicates dropped).
     pub fn select(&self, spec: &str) -> Result<Vec<&PolicyEntry>, String> {
         if spec == "all" {
-            return Ok(self.canonical());
+            return Ok(self.entries.iter().collect());
         }
         let mut picked: Vec<&PolicyEntry> = Vec::new();
         for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -290,11 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_six_canonical_policies_and_the_stale_variant() {
+    fn registry_has_six_policies() {
         let reg = PolicyRegistry::builtin();
-        let canonical: Vec<&str> = reg.canonical().iter().map(|e| e.name).collect();
+        let names: Vec<&str> = reg.entries().iter().map(|e| e.name).collect();
         assert_eq!(
-            canonical,
+            names,
             [
                 "bvn-batch",
                 "online",
@@ -304,8 +240,6 @@ mod tests {
                 "im-purohit"
             ]
         );
-        let stale = reg.get("online-stale").expect("variant registered");
-        assert_eq!(stale.variant_of, Some("online"));
     }
 
     #[test]
@@ -329,10 +263,9 @@ mod tests {
                 "{} left a coflow unfinished on a quiet plan",
                 entry.name
             );
-            assert_eq!(
+            assert!(
                 policy.capture_state().is_some(),
-                entry.caps.supports_checkpoint,
-                "{}: capability flag disagrees with capture_state()",
+                "{}: every entry checkpoints",
                 entry.name
             );
         }

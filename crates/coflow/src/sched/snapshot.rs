@@ -19,10 +19,15 @@
 //! `coflow-snapshot/1`; within a version, fields are only ever added or
 //! retired, and a reader must error (not guess) on missing required
 //! fields. A retired field is no longer written, but a reader still
-//! type-checks it when present. Bumping the version is required for any
+//! checks it when present. A field retired because every value ran the
+//! same schedule (`sequential`, `sharded`) must still be a bool. A field
+//! retired with the behaviour it selected (`resort_on_completion`,
+//! `maxmin`, `partial_pricing`) must hold the one value the code still
+//! runs: any other value describes a schedule this code cannot resume,
+//! and the document is refused. Bumping the version is required for any
 //! change to the meaning or encoding of an existing field.
 
-use super::engine::{BvnBatchPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy};
+use super::engine::{BvnBatchPolicy, OnlineRhoPolicy, Policy, ResilientPolicy};
 use super::ordered::GreedyPolicy;
 use super::watchdog::{WatchdogConfig, WatchdogPolicy};
 use super::{AlgorithmSpec, ExecOptions};
@@ -91,8 +96,6 @@ pub enum PolicyState {
     },
     /// [`OnlineRhoPolicy`].
     OnlineRho {
-        /// Re-sort behavior knob.
-        resort_on_completion: bool,
         /// Admission cursor into the arrival event list.
         next_event: usize,
         /// Active set in current priority order.
@@ -178,18 +181,9 @@ impl PolicyState {
                     current.as_ref(),
                 )?))
             }
-            PolicyState::OnlineRho {
-                resort_on_completion,
-                next_event,
-                active,
-            } => Ok(Box::new(OnlineRhoPolicy::restore(
-                instance,
-                OnlineOptions {
-                    resort_on_completion: *resort_on_completion,
-                },
-                *next_event,
-                active.clone(),
-            )?)),
+            PolicyState::OnlineRho { next_event, active } => Ok(Box::new(
+                OnlineRhoPolicy::restore(instance, *next_event, active.clone())?,
+            )),
             PolicyState::Greedy { order } => {
                 check_order(order)?;
                 Ok(Box::new(GreedyPolicy::new(instance, order.clone())))
@@ -282,7 +276,7 @@ fn render_lp_opts(out: &mut String, o: &SimplexOptions) {
         out,
         ",\"max_residual\":{},\"verify_duality\":{},\"refactor_period\":{},\
          \"opt_tol\":{},\"pivot_tol\":{},\"degeneracy_patience\":{},\
-         \"presolve\":{},\"always_bland\":{},\"partial_pricing\":",
+         \"presolve\":{},\"always_bland\":{}}}",
         fmt_f64(o.max_residual),
         o.verify_duality,
         o.refactor_period,
@@ -292,8 +286,6 @@ fn render_lp_opts(out: &mut String, o: &SimplexOptions) {
         o.presolve,
         o.always_bland,
     );
-    push_opt_u64(out, o.partial_pricing.map(|x| x as u64));
-    out.push('}');
 }
 
 fn parse_lp_opts(v: &JsonValue) -> Result<SimplexOptions, SnapshotError> {
@@ -303,16 +295,7 @@ fn parse_lp_opts(v: &JsonValue) -> Result<SimplexOptions, SnapshotError> {
             other => num_u64(other, key).map(|x| Some(x as usize)),
         }
     };
-    let get_bool = |key: &str| -> Result<bool, SnapshotError> {
-        match field(v, key)? {
-            JsonValue::Bool(b) => Ok(*b),
-            other => Err(SnapshotError::new(format!(
-                "{}: expected bool, found {}",
-                key,
-                other.kind()
-            ))),
-        }
-    };
+    check_retired_value(v, "partial_pricing", JsonValue::Null)?;
     Ok(SimplexOptions {
         max_iterations: get_usize(v, "max_iterations")?,
         time_limit_ms: match field(v, "time_limit_ms")? {
@@ -321,14 +304,13 @@ fn parse_lp_opts(v: &JsonValue) -> Result<SimplexOptions, SnapshotError> {
         },
         stall_window: opt_usize("stall_window")?,
         max_residual: num_f64(field(v, "max_residual")?, "max_residual")?,
-        verify_duality: get_bool("verify_duality")?,
+        verify_duality: get_bool(v, "verify_duality")?,
         refactor_period: get_usize(v, "refactor_period")?,
         opt_tol: num_f64(field(v, "opt_tol")?, "opt_tol")?,
         pivot_tol: num_f64(field(v, "pivot_tol")?, "pivot_tol")?,
         degeneracy_patience: get_usize(v, "degeneracy_patience")?,
-        presolve: get_bool("presolve")?,
-        always_bland: get_bool("always_bland")?,
-        partial_pricing: opt_usize("partial_pricing")?,
+        presolve: get_bool(v, "presolve")?,
+        always_bland: get_bool(v, "always_bland")?,
     })
 }
 
@@ -352,9 +334,8 @@ fn render_policy(out: &mut String, p: &PolicyState) {
             }
             let _ = write!(
                 out,
-                "],\"opts\":{{\"backfill\":{},\"rematch\":{},\"maxmin\":{}}},\"b_idx\":{},\
-                 \"current\":",
-                opts.backfill, opts.rematch, opts.maxmin_decomposition, b_idx
+                "],\"opts\":{{\"backfill\":{},\"rematch\":{}}},\"b_idx\":{},\"current\":",
+                opts.backfill, opts.rematch, b_idx
             );
             match current {
                 None => out.push_str("null"),
@@ -387,15 +368,11 @@ fn render_policy(out: &mut String, p: &PolicyState) {
             }
             out.push('}');
         }
-        PolicyState::OnlineRho {
-            resort_on_completion,
-            next_event,
-            active,
-        } => {
+        PolicyState::OnlineRho { next_event, active } => {
             let _ = write!(
                 out,
-                "{{\"kind\":\"online-rho\",\"resort_on_completion\":{},\"next_event\":{},\"active\":",
-                resort_on_completion, next_event
+                "{{\"kind\":\"online-rho\",\"next_event\":{},\"active\":",
+                next_event
             );
             push_usize_array(out, active);
             out.push('}');
@@ -484,6 +461,27 @@ fn check_retired_bool(v: &JsonValue, key: &str) -> Result<(), SnapshotError> {
     Ok(())
 }
 
+/// Checks a retired field whose other values selected a behaviour this
+/// code no longer has: absent or `kept` (the value the code runs), it is
+/// accepted; anything else is refused, since resuming it would silently
+/// change the schedule.
+fn check_retired_value(v: &JsonValue, key: &str, kept: JsonValue) -> Result<(), SnapshotError> {
+    let literal = |x: &JsonValue| match x {
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Num(n) => n.clone(),
+        other => other.kind().to_string(),
+    };
+    match v.get(key) {
+        Some(found) if *found != kept => Err(SnapshotError::new(format!(
+            "{}: retired option set to {}; only {} is still run",
+            key,
+            literal(found),
+            literal(&kept)
+        ))),
+        _ => Ok(()),
+    }
+}
+
 fn get_bool(v: &JsonValue, key: &str) -> Result<bool, SnapshotError> {
     match field(v, key)? {
         JsonValue::Bool(b) => Ok(*b),
@@ -521,8 +519,8 @@ fn parse_policy(v: &JsonValue) -> Result<PolicyState, SnapshotError> {
             let opts = ExecOptions {
                 backfill: get_bool(opts_v, "backfill")?,
                 rematch: get_bool(opts_v, "rematch")?,
-                maxmin_decomposition: get_bool(opts_v, "maxmin")?,
             };
+            check_retired_value(opts_v, "maxmin", JsonValue::Bool(false))?;
             // Retired keys: older checkpoints name the decomposition path
             // ("sequential", "sharded"). Every path produced the same
             // schedule, so the value is checked and ignored.
@@ -578,11 +576,13 @@ fn parse_policy(v: &JsonValue) -> Result<PolicyState, SnapshotError> {
                 current,
             })
         }
-        "online-rho" => Ok(PolicyState::OnlineRho {
-            resort_on_completion: get_bool(v, "resort_on_completion")?,
-            next_event: get_usize(v, "next_event")?,
-            active: get_usize_array(v, "active")?,
-        }),
+        "online-rho" => {
+            check_retired_value(v, "resort_on_completion", JsonValue::Bool(true))?;
+            Ok(PolicyState::OnlineRho {
+                next_event: get_usize(v, "next_event")?,
+                active: get_usize_array(v, "active")?,
+            })
+        }
         "greedy" => Ok(PolicyState::Greedy {
             order: get_usize_array(v, "order")?,
         }),
@@ -692,7 +692,6 @@ mod tests {
     fn lp_opts_round_trip() {
         let o = SimplexOptions {
             time_limit_ms: Some(250),
-            partial_pricing: Some(64),
             opt_tol: 1.0 / 3.0,
             ..SimplexOptions::default()
         };
@@ -702,7 +701,6 @@ mod tests {
         assert_eq!(parsed.max_iterations, o.max_iterations);
         assert_eq!(parsed.time_limit_ms, o.time_limit_ms);
         assert_eq!(parsed.opt_tol.to_bits(), o.opt_tol.to_bits());
-        assert_eq!(parsed.partial_pricing, o.partial_pricing);
     }
 
     #[test]
@@ -720,7 +718,6 @@ mod tests {
             degradations: 1,
             breaches: 0,
             inner: Box::new(PolicyState::OnlineRho {
-                resort_on_completion: true,
                 next_event: 3,
                 active: vec![4, 1, 2],
             }),

@@ -6,10 +6,11 @@
 //!
 //! 1. **retry with backoff** — only on the [`ResilientPolicy`] rung, whose
 //!    planning is stateless: the slow decision is discarded and re-solved
-//!    with [`SimplexOptions::with_scaled_budgets`]-shrunk budgets (each
-//!    retry multiplies by [`WatchdogConfig::backoff`]); stateful rungs keep
-//!    their already-computed decision, which is still valid — only the
-//!    breach is counted;
+//!    with budgets shrunk by
+//!    [`SimplexOptions::with_scaled_budgets`](coflow_lp::SimplexOptions::with_scaled_budgets)
+//!    (each retry multiplies by [`WatchdogConfig::backoff`]); stateful
+//!    rungs keep their already-computed decision, which is still valid —
+//!    only the breach is counted;
 //! 2. **degradation** — after [`WatchdogConfig::attempts`] breaches on a
 //!    rung, the watchdog drops mid-run to the next rung of the ladder
 //!    `BvnBatch | Resilient → OnlineRho → Greedy(H_ρ)`, rebuilding the new
@@ -39,7 +40,7 @@
 //! fire on every decision deterministically.
 
 use super::engine::{
-    BvnBatchPolicy, Decision, EpochState, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
+    BvnBatchPolicy, Decision, EpochState, OnlineRhoPolicy, Policy, ResilientPolicy,
 };
 use super::ordered::GreedyPolicy;
 use super::snapshot::PolicyState;
@@ -112,10 +113,9 @@ impl Rung {
     /// The next rung down, rebuilt from live state; `None` at the floor.
     fn degraded(&self, state: &EpochState<'_>) -> Option<Rung> {
         match self {
-            Rung::Bvn(_) | Rung::Resilient(_) => Some(Rung::Online(OnlineRhoPolicy::new(
-                state.instance,
-                OnlineOptions::default(),
-            ))),
+            Rung::Bvn(_) | Rung::Resilient(_) => {
+                Some(Rung::Online(OnlineRhoPolicy::new(state.instance)))
+            }
             Rung::Online(_) => {
                 let order = compute_order(state.instance, OrderRule::LoadOverWeight);
                 Some(Rung::Greedy(GreedyPolicy::new(state.instance, order)))
@@ -195,18 +195,9 @@ impl WatchdogPolicy {
                 *b_idx,
                 current.as_ref(),
             )?)),
-            PolicyState::OnlineRho {
-                resort_on_completion,
-                next_event,
-                active,
-            } => Rung::Online(OnlineRhoPolicy::restore(
-                instance,
-                OnlineOptions {
-                    resort_on_completion: *resort_on_completion,
-                },
-                *next_event,
-                active.clone(),
-            )?),
+            PolicyState::OnlineRho { next_event, active } => Rung::Online(
+                OnlineRhoPolicy::restore(instance, *next_event, active.clone())?,
+            ),
             PolicyState::Greedy { order } => {
                 Rung::Greedy(GreedyPolicy::new(instance, order.clone()))
             }
@@ -435,10 +426,7 @@ mod tests {
             attempts: 3,
             backoff: 0.25,
         };
-        let wrapped = WatchdogPolicy::over_online(
-            config,
-            OnlineRhoPolicy::new(&instance, OnlineOptions::default()),
-        );
+        let wrapped = WatchdogPolicy::over_online(config, OnlineRhoPolicy::new(&instance));
         let state = wrapped.capture_state().unwrap();
         let rebuilt = state.rebuild(&instance).unwrap();
         assert_eq!(rebuilt.name(), "watchdog");

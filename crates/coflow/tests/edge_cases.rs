@@ -5,7 +5,7 @@ use coflow::ordering::OrderRule;
 use coflow::sched::{run, run_with_order, AlgorithmSpec, ExecOptions};
 use coflow::{
     compute_order, run_policy, solve_interval_lp, verify_outcome, Coflow, GreedyPolicy, Instance,
-    OnlineOptions, OnlineRhoPolicy,
+    OnlineRhoPolicy,
 };
 use coflow_matching::IntMatrix;
 
@@ -152,10 +152,7 @@ fn deeply_staggered_releases() {
         }
     }
     // Online and greedy agree here too.
-    let online = run_policy(
-        &inst,
-        &mut OnlineRhoPolicy::new(&inst, OnlineOptions::default()),
-    );
+    let online = run_policy(&inst, &mut OnlineRhoPolicy::new(&inst));
     let online = online.unwrap();
     assert_eq!(online.completions, vec![1, 101, 201, 301, 401]);
     let greedy = run_policy(&inst, &mut GreedyPolicy::new(&inst, (0..5).collect())).unwrap();

@@ -5,12 +5,14 @@
 //! each matching until the next event, so their traces group the legacy
 //! one-slot runs and are compared slot by slot.
 //!
-//! The `legacy` module below holds frozen, verbatim copies of the loops as
-//! they stood before the refactor (batch executor with backfill/rematch/
-//! maxmin, arrival-only-resort online scheduler, priority greedy, and the
-//! fault/recovery epoch loop). They are the reference; the public API is
-//! the system under test. Seeded random grids keep the comparison
-//! reproducible.
+//! The `legacy` module below holds frozen copies of the loops as they
+//! stood before the refactor (batch executor with backfill/rematch, online
+//! scheduler, priority greedy, and the fault/recovery epoch loop). They
+//! are the reference; the public API is the system under test. Two edits
+//! since: the batch executor lost the max-min peel the library no longer
+//! has, and the online loop re-sorts its priorities when a coflow
+//! completes as well as when one arrives, as the one online policy does.
+//! Seeded random grids keep the comparison reproducible.
 //!
 //! A proptest at the end covers the newly composable combinations: the
 //! online and greedy policies under fault injection must settle every
@@ -20,7 +22,7 @@
 use coflow::sched::{run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use coflow::{
     compute_order, run_policy, run_policy_with_faults, verify_faulty_outcome, Coflow, GreedyPolicy,
-    Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, ResilientPolicy,
+    Instance, OnlineRhoPolicy, OrderRule, ResilientPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
@@ -83,12 +85,7 @@ mod legacy {
         batches: &[Vec<usize>],
         opts: ExecOptions,
     ) -> ScheduleOutcome {
-        let ExecOptions {
-            backfill,
-            rematch,
-            maxmin_decomposition,
-            ..
-        } = opts;
+        let ExecOptions { backfill, rematch } = opts;
         let n = instance.len();
         let m = instance.ports();
         let releases = instance.releases();
@@ -138,11 +135,7 @@ mod legacy {
                 if agg.is_zero() {
                     continue;
                 }
-                dense_slots(&if maxmin_decomposition {
-                    coflow_matching::bvn_decompose_maxmin(m, agg.nonzero_entries())
-                } else {
-                    bvn_decompose(m, agg.nonzero_entries())
-                })
+                dense_slots(&bvn_decompose(m, agg.nonzero_entries()))
             };
 
             let mut slot_sequence: Vec<usize> = Vec::with_capacity(dec.slots.len());
@@ -290,8 +283,9 @@ mod legacy {
         }
     }
 
-    /// The pre-refactor `run_online` (sched/online.rs), verbatim:
-    /// arrival-only priority re-sort.
+    /// The pre-refactor `run_online` (sched/online.rs), which re-sorted
+    /// its priorities only when a coflow arrived, ported to re-sort when
+    /// one completes too.
     pub fn run_online(instance: &Instance) -> ScheduleOutcome {
         let n = instance.len();
         let m = instance.ports();
@@ -311,6 +305,7 @@ mod legacy {
         let mut t: u64 = 0;
         let mut src_used = vec![false; m];
         let mut dst_used = vec![false; m];
+        let mut completed = false;
 
         while unfinished > 0 {
             let mut admitted = false;
@@ -322,12 +317,13 @@ mod legacy {
                     admitted = true;
                 }
             }
-            if admitted {
+            if admitted || completed {
                 active.sort_by(|&a, &b| {
                     let ka = remaining[a].load() as f64 / weights[a];
                     let kb = remaining[b].load() as f64 / weights[b];
                     ka.total_cmp(&kb).then(a.cmp(&b))
                 });
+                completed = false;
             }
             if active.is_empty() {
                 t = events[next_event].0;
@@ -354,6 +350,7 @@ mod legacy {
                 if remaining_total[tr.coflow()] == 0 {
                     completions[tr.coflow()] = slot;
                     unfinished -= 1;
+                    completed = true;
                 }
             }
             trace.push_run(Run {
@@ -578,8 +575,8 @@ fn assert_results_identical(label: &str, new: &ScheduleOutcome, old: &ScheduleOu
 
 /// Tentpole gate: `BvnBatchPolicy` through the engine reproduces the frozen
 /// batch executor on every ordering rule × grouping × exec-option cell of a
-/// seeded grid — including the rematch and maxmin extensions that take the
-/// chunked code paths.
+/// seeded grid — including the rematch extension, which takes the chunked
+/// code paths.
 #[test]
 fn bvn_policy_matches_frozen_batch_loop() {
     for (seed, m, n, max_release) in [
@@ -592,18 +589,10 @@ fn bvn_policy_matches_frozen_batch_loop() {
         for rule in [OrderRule::Arrival, OrderRule::LoadOverWeight] {
             let order = compute_order(&inst, rule);
             for grouping in [false, true] {
-                for (backfill, rematch, maxmin) in [
-                    (false, false, false),
-                    (true, false, false),
-                    (false, false, true),
-                    (true, true, false),
-                    (false, true, true),
-                ] {
-                    let opts = ExecOptions {
-                        backfill,
-                        rematch,
-                        maxmin_decomposition: maxmin,
-                    };
+                for (backfill, rematch) in
+                    [(false, false), (true, false), (true, true), (false, true)]
+                {
+                    let opts = ExecOptions { backfill, rematch };
                     let new = run_with_order(&inst, order.clone(), grouping, opts);
                     let batches: Vec<Vec<usize>> = if grouping {
                         coflow::group_by_doubling(&inst, &order).groups
@@ -612,8 +601,8 @@ fn bvn_policy_matches_frozen_batch_loop() {
                     };
                     let old = legacy::execute_batches(&inst, order.clone(), &batches, opts);
                     let label = format!(
-                        "seed {} {:?} g={} bf={} rm={} mm={}",
-                        seed, rule, grouping, backfill, rematch, maxmin
+                        "seed {} {:?} g={} bf={} rm={}",
+                        seed, rule, grouping, backfill, rematch
                     );
                     assert_outcomes_identical(&label, &new, &old);
                 }
@@ -622,11 +611,11 @@ fn bvn_policy_matches_frozen_batch_loop() {
     }
 }
 
-/// `OnlineRhoPolicy` in legacy mode (arrival-only re-sort) schedules
-/// exactly what the frozen online loop does, slot by slot, including
+/// `OnlineRhoPolicy` schedules exactly what the online loop does, slot by
+/// slot, re-sorting at the same arrivals and completions, including
 /// arrival-heavy traces.
 #[test]
-fn online_policy_matches_frozen_loop_in_legacy_mode() {
+fn online_policy_matches_frozen_loop() {
     for (seed, m, n, max_release) in [
         (21u64, 2, 5, 0),
         (22, 3, 8, 12),
@@ -635,7 +624,7 @@ fn online_policy_matches_frozen_loop_in_legacy_mode() {
         (25, 3, 1, 40),
     ] {
         let inst = seeded_instance(m, n, max_release, seed);
-        let mut policy = OnlineRhoPolicy::new(&inst, OnlineOptions::legacy());
+        let mut policy = OnlineRhoPolicy::new(&inst);
         let new = run_policy(&inst, &mut policy).expect("engine run");
         let old = legacy::run_online(&inst);
         assert_slots_identical(&format!("online seed {}", seed), &new, &old);
@@ -739,9 +728,7 @@ proptest! {
         seed in 0u64..1u64 << 32,
     ) {
         let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, rate, seed);
-        // Exercise both resort modes, deterministically split by seed.
-        let opts = if seed % 2 == 0 { OnlineOptions::default() } else { OnlineOptions::legacy() };
-        let online = run_policy_with_faults(&inst, &mut OnlineRhoPolicy::new(&inst, opts), &plan);
+        let online = run_policy_with_faults(&inst, &mut OnlineRhoPolicy::new(&inst), &plan);
         prop_assert!(online.is_ok(), "online structural error: {:?}", online.err());
         let online = online.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &online);

@@ -10,7 +10,7 @@ use coflow::Coflow;
 use coflow::{
     compute_order, group_by_doubling, run_policy_with_faults, verify_faulty_outcome,
     BvnBatchPolicy, Engine, EngineSnapshot, ExecOptions, FaultyOutcome, GreedyPolicy,
-    ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
+    ImPurohitPolicy, Instance, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
     ShafieeGhaderiPolicy, WatchdogConfig, WatchdogPolicy,
 };
 use coflow_lp::SimplexOptions;
@@ -55,7 +55,7 @@ fn make_policy(instance: &Instance, which: usize) -> Box<dyn Policy> {
             },
             SimplexOptions::default(),
         )),
-        1 => Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::default())),
+        1 => Box::new(OnlineRhoPolicy::new(instance)),
         2 => {
             let order = compute_order(instance, OrderRule::LoadOverWeight);
             Box::new(GreedyPolicy::new(instance, order))

@@ -14,13 +14,7 @@ use coflow_netsim::{FaultEvent, FaultPlan, ScheduleTrace};
 use proptest::prelude::*;
 
 /// The registry policies that answer with held greedy matchings.
-const POLICIES: [&str; 5] = [
-    "online",
-    "online-stale",
-    "greedy",
-    "shafiee-ghaderi",
-    "im-purohit",
-];
+const POLICIES: [&str; 4] = ["online", "greedy", "shafiee-ghaderi", "im-purohit"];
 
 /// Clamps every `Run` of the wrapped policy to one slot.
 struct OneSlot(Box<dyn Policy>);

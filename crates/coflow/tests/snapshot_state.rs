@@ -255,10 +255,8 @@ const CASES: [(&str, Doctor, &str); 21] = [
 fn restore_refuses_state_that_contradicts_the_instance() {
     let inst = instance();
     let plan = FaultPlan::default();
-    let entries = PolicyRegistry::builtin().entries();
-    let checkpointing = entries.iter().filter(|e| e.caps.supports_checkpoint);
     let mut policies = 0;
-    for entry in checkpointing {
+    for entry in PolicyRegistry::builtin().entries() {
         policies += 1;
         let mut policy = entry.build(&inst);
         let mut engine = Engine::new(&inst, &plan);
@@ -296,8 +294,84 @@ fn restore_refuses_state_that_contradicts_the_instance() {
             }
         }
     }
-    assert_eq!(
-        policies, 7,
-        "every checkpointing registry policy is covered"
-    );
+    assert_eq!(policies, 6, "every registry policy is covered");
+}
+
+/// A registry policy's checkpoint on [`instance`] after `steps` decisions,
+/// rendered as a `coflow-snapshot/1` document.
+fn checkpoint_after(name: &str, steps: usize) -> String {
+    let inst = instance();
+    let plan = FaultPlan::default();
+    let entry = PolicyRegistry::builtin().get(name).expect("registered");
+    let mut policy = entry.build(&inst);
+    let mut engine = Engine::new(&inst, &plan);
+    for _ in 0..steps {
+        assert!(engine.step(&mut *policy).expect("step"), "{}", name);
+    }
+    engine.checkpoint(&*policy).expect("checkpoint").to_json()
+}
+
+/// `json` with `entry` (`"key":value`) written right after `anchor`.
+fn with_entry(json: &str, anchor: &str, entry: &str) -> String {
+    assert!(json.contains(anchor), "{} is not in {}", anchor, json);
+    json.replacen(anchor, &format!("{}{},", anchor, entry), 1)
+}
+
+/// Where each retired option sits in its policy's document: the registry
+/// policy, the text its key follows, and the key.
+const RETIRED: [(&str, &str, &str); 3] = [
+    ("online", "\"kind\":\"online-rho\",", "resort_on_completion"),
+    ("bvn-batch", "\"opts\":{", "maxmin"),
+    ("resilient", "\"lp_opts\":{", "partial_pricing"),
+];
+
+/// Each option retired with the behaviour it selected, set to a value
+/// that selected a behaviour this code no longer has (arrival-only
+/// re-sort, the max-min peel, block pricing), is a typed error naming the
+/// key: resuming such a checkpoint would silently change its schedule.
+/// Checkpoints are taken before the first decision, so no batch is in
+/// flight.
+#[test]
+fn retired_options_set_to_a_lost_behaviour_are_refused() {
+    for ((name, anchor, key), value) in RETIRED.into_iter().zip(["false", "true", "64"]) {
+        let entry = format!("\"{}\":{}", key, value);
+        let doctored = with_entry(&checkpoint_after(name, 0), anchor, &entry);
+        match EngineSnapshot::from_json(&doctored) {
+            Ok(snapshot) => panic!(
+                "{}: {} parsed; restore: {:?}",
+                name,
+                entry,
+                Engine::restore(&instance(), snapshot).map(|_| ())
+            ),
+            Err(e) => assert!(e.message.contains(key), "{}: {}: {}", name, entry, e),
+        }
+    }
+}
+
+/// The same options holding the one value the code still runs (`true`,
+/// `false`, `null`), as every checkpoint written before their retirement
+/// does, restore mid-run and resume bit for bit.
+#[test]
+fn retired_options_at_the_running_value_resume_bit_identically() {
+    let inst = instance();
+    let plan = FaultPlan::default();
+    for ((name, anchor, key), value) in RETIRED.into_iter().zip(["true", "false", "null"]) {
+        let entry = format!("\"{}\":{}", key, value);
+        let doctored = with_entry(&checkpoint_after(name, 1), anchor, &entry);
+        let snapshot = EngineSnapshot::from_json(&doctored)
+            .unwrap_or_else(|e| panic!("{}: {}: {}", name, entry, e));
+        let (engine, mut policy) = Engine::restore(&inst, snapshot)
+            .unwrap_or_else(|e| panic!("{}: {}: {}", name, entry, e));
+        let resumed = finish(engine, &mut *policy);
+        let registered = PolicyRegistry::builtin().get(name).expect("registered");
+        let whole = finish(Engine::new(&inst, &plan), &mut *registered.build(&inst));
+        assert_eq!(resumed.completions, whole.completions, "{}", name);
+        assert_eq!(
+            resumed.objective.to_bits(),
+            whole.objective.to_bits(),
+            "{}",
+            name
+        );
+        assert_eq!(resumed.executed, whole.executed, "{}", name);
+    }
 }

@@ -8,9 +8,7 @@
 
 use coflow::sched::AlgorithmSpec;
 use coflow::Coflow;
-use coflow::{
-    run_policy_with_faults, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, ResilientPolicy,
-};
+use coflow::{run_policy_with_faults, Instance, OnlineRhoPolicy, OrderRule, ResilientPolicy};
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
 use coflow_netsim::FaultPlan;
@@ -57,7 +55,7 @@ fn faulted_run_streams_valid_ndjson() {
 
     // A second (clean, online) run through the same sink: streams from
     // different engines interleave on one file and stay valid.
-    let mut online = OnlineRhoPolicy::new(&inst, OnlineOptions::default());
+    let mut online = OnlineRhoPolicy::new(&inst);
     let clean = coflow::sched::engine::run_policy(&inst, &mut online).expect("clean run");
     assert!(clean.objective > 0.0);
 

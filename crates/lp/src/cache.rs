@@ -43,7 +43,6 @@ fn hash_opts(h: &mut DefaultHasher, opts: &SimplexOptions) {
     opts.degeneracy_patience.hash(h);
     opts.presolve.hash(h);
     opts.always_bland.hash(h);
-    opts.partial_pricing.hash(h);
 }
 
 fn hash_sense(h: &mut DefaultHasher, s: Sense) {

@@ -64,14 +64,6 @@ pub struct SimplexOptions {
     pub presolve: bool,
     /// Force Bland's rule from the first pivot (ablation / debugging).
     pub always_bland: bool,
-    /// Partial pricing block size (`None`: full Dantzig scan). When set,
-    /// pricing scans columns in blocks of this size starting from a rotating
-    /// cursor and enters the best candidate of the first block containing
-    /// one, cutting the per-pivot scan from `O(n)` to `O(block)` on
-    /// wide models. **Changes the pivot sequence**: alternate optima may
-    /// surface a different vertex, so this is opt-in and must stay off for
-    /// any pipeline whose downstream output is golden-tested.
-    pub partial_pricing: Option<usize>,
 }
 
 impl Default for SimplexOptions {
@@ -88,7 +80,6 @@ impl Default for SimplexOptions {
             degeneracy_patience: 60,
             presolve: true,
             always_bland: false,
-            partial_pricing: None,
         }
     }
 }
@@ -278,8 +269,6 @@ struct Engine<'a> {
     y: Vec<f64>,
     /// FTRAN'd entering column `d = B⁻¹ a_q`, reused across pivots.
     d: Vec<f64>,
-    /// Rotating start column for partial pricing.
-    pricing_cursor: usize,
 }
 
 /// Outcome of one phase.
@@ -383,48 +372,20 @@ impl<'a> Engine<'a> {
                 let rj = costs[j] - engine.a.column_dot(j, &engine.y);
                 (rj < -engine.opts.opt_tol).then_some(rj)
             };
-            let n_cols = self.a.cols();
             let mut entering: Option<(usize, f64)> = None;
-            match self.opts.partial_pricing.filter(|_| !use_bland) {
-                Some(block) if block > 0 && block < n_cols => {
-                    // Partial pricing: walk blocks from the rotating cursor
-                    // and take the best candidate of the first block that
-                    // has one; a full fruitless wrap certifies optimality.
-                    let mut scanned = 0;
-                    let mut j = self.pricing_cursor % n_cols;
-                    while scanned < n_cols && entering.is_none() {
-                        let block_end = (scanned + block).min(n_cols);
-                        while scanned < block_end {
-                            if let Some(rj) = price(self, j) {
-                                match entering {
-                                    Some((_, best)) if rj >= best => {}
-                                    _ => entering = Some((j, rj)),
-                                }
-                            }
-                            j = (j + 1) % n_cols;
-                            scanned += 1;
-                        }
+            for j in 0..self.a.cols() {
+                let Some(rj) = price(self, j) else {
+                    continue;
+                };
+                match entering {
+                    None => entering = Some((j, rj)),
+                    Some((_, best)) if !use_bland && rj < best => {
+                        entering = Some((j, rj));
                     }
-                    if entering.is_some() {
-                        self.pricing_cursor = j;
-                    }
+                    _ => {}
                 }
-                _ => {
-                    for j in 0..n_cols {
-                        let Some(rj) = price(self, j) else {
-                            continue;
-                        };
-                        match entering {
-                            None => entering = Some((j, rj)),
-                            Some((_, best)) if !use_bland && rj < best => {
-                                entering = Some((j, rj));
-                            }
-                            _ => {}
-                        }
-                        if use_bland {
-                            break; // Bland: first improving index.
-                        }
-                    }
+                if use_bland {
+                    break; // Bland: first improving index.
                 }
             }
             let Some((q, _)) = entering else {
@@ -698,7 +659,6 @@ fn solve_core(model: &Model, opts: &SimplexOptions) -> (Solution, Option<LpError
         iterations: 0,
         y: Vec::with_capacity(m),
         d: Vec::with_capacity(m),
-        pricing_cursor: 0,
     };
 
     let mut health = HealthMonitor::new(opts);

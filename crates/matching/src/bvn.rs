@@ -271,12 +271,6 @@ impl BvnDecomposition {
         self.ingress[e] as usize
     }
 
-    /// Units of `D̃` on every edge.
-    #[inline]
-    pub(crate) fn units(&self) -> &[u64] {
-        &self.units
-    }
-
     /// The edge on pair `(i, j)`, if `D̃` is nonzero there: a binary search
     /// of row `i`.
     pub fn find(&self, i: usize, j: usize) -> Option<usize> {
@@ -352,16 +346,13 @@ impl BvnDecomposition {
         out
     }
 
-    /// The support of `D̃` with every edge whose `work` clears
-    /// `threshold`, in row-major order: the graph `support_of` builds from
-    /// a dense matrix holding `work`.
-    pub(crate) fn graph_at(&self, work: &[u64], threshold: u64) -> BipartiteGraph {
+    /// The support of `D̃` in row-major order: the graph `support_of`
+    /// builds from `D̃` as a dense matrix.
+    fn support_graph(&self) -> BipartiteGraph {
         let mut g = BipartiteGraph::with_capacity(self.m, self.m, self.edge_count());
         for i in 0..self.m {
             for e in self.row(i) {
-                if work[e] >= threshold {
-                    g.add_edge(i, self.egress(e));
-                }
+                g.add_edge(i, self.egress(e));
             }
         }
         g
@@ -372,7 +363,7 @@ impl BvnDecomposition {
     /// its `m` edges, `q` is taken from each of them, and the slot stores
     /// the ones `kept` marks. Leaves the `m` edges, by ingress, in
     /// `matched`. Returns `q`.
-    pub(crate) fn push_slot(
+    fn push_slot(
         &mut self,
         assignment: &[usize],
         work: &mut [u64],
@@ -401,9 +392,7 @@ impl BvnDecomposition {
     }
 
     /// Step 2 of Algorithm 1: peels perfect matchings of the support graph
-    /// off `D̃` until its units are spent (the max-min peel of
-    /// [`crate::bvn_maxmin`] when `maxmin`), storing the edges `kept`
-    /// marks.
+    /// off `D̃` until its units are spent, storing the edges `kept` marks.
     ///
     /// The support graph is built once, in row-major order (the neighbour
     /// order `BipartiteGraph::support_of` gives), and loses an edge when
@@ -412,31 +401,27 @@ impl BvnDecomposition {
     /// rebuild from the remaining units would give, and the cold
     /// Hopcroft–Karp solve finds the permutation the dense peel finds.
     /// `kept` changes only which edges a slot stores.
-    fn peel(&mut self, kept: &[bool], maxmin: bool) {
-        if maxmin {
-            crate::bvn_maxmin::peel_maxmin(self, kept);
-        } else {
-            let m = self.m;
-            let mut g = self.graph_at(&self.units, 1);
-            let mut work = self.units.clone();
-            let mut hk = HopcroftKarp::new();
-            let mut matched = Vec::with_capacity(m);
-            let mut remaining = self.load;
-            while remaining > 0 {
-                let size = hk.run_cold(&g);
-                assert!(
-                    size == m,
-                    "Hall's theorem violated: balanced matrix support must have a perfect matching"
-                );
-                remaining -= self.push_slot(hk.left_assignment(), &mut work, kept, &mut matched);
-                for (i, &e) in matched.iter().enumerate() {
-                    if work[e] == 0 {
-                        g.remove_edge(i, self.egress(e));
-                    }
+    fn peel(&mut self, kept: &[bool]) {
+        let m = self.m;
+        let mut g = self.support_graph();
+        let mut work = self.units.clone();
+        let mut hk = HopcroftKarp::new();
+        let mut matched = Vec::with_capacity(m);
+        let mut remaining = self.load;
+        while remaining > 0 {
+            let size = hk.run_cold(&g);
+            assert!(
+                size == m,
+                "Hall's theorem violated: balanced matrix support must have a perfect matching"
+            );
+            remaining -= self.push_slot(hk.left_assignment(), &mut work, kept, &mut matched);
+            for (i, &e) in matched.iter().enumerate() {
+                if work[e] == 0 {
+                    g.remove_edge(i, self.egress(e));
                 }
             }
-            debug_assert!(work.iter().all(|&w| w == 0));
         }
+        debug_assert!(work.iter().all(|&w| w == 0));
         // The slots are a batch's largest buffer and live while it
         // executes: drop their spare capacity.
         self.slot_at.shrink_to_fit();
@@ -444,15 +429,12 @@ impl BvnDecomposition {
         self.counts.shrink_to_fit();
     }
 
-    /// `D̃` peeled again with every edge kept (the max-min peel when
-    /// `maxmin`): the slots [`bvn_decompose`] or [`bvn_decompose_maxmin`]
-    /// find for any `D` that augments to `D̃`, since the peel reads only
+    /// `D̃` peeled again with every edge kept: the slots [`bvn_decompose`]
+    /// finds for any `D` that augments to `D̃`, since the peel reads only
     /// `D̃`. `D̃` must be doubly balanced at the load, as it is for a
     /// decomposition computed here or one that
     /// [`BvnDecomposition::is_slot_sum`] accepts.
-    ///
-    /// [`bvn_decompose_maxmin`]: crate::bvn_decompose_maxmin
-    pub fn repeeled(&self, maxmin: bool) -> Self {
+    pub fn repeeled(&self) -> Self {
         let mut dec = BvnDecomposition {
             m: self.m,
             row_at: self.row_at.clone(),
@@ -464,7 +446,7 @@ impl BvnDecomposition {
             counts: Vec::new(),
             load: self.load,
         };
-        dec.peel(&vec![true; dec.edge_count()], maxmin);
+        dec.peel(&vec![true; dec.edge_count()]);
         dec
     }
 
@@ -490,10 +472,10 @@ impl BvnDecomposition {
     }
 }
 
-/// Publishes per-decomposition observability stats shared by the greedy
-/// and max-min variants: permutation counts against the paper's
-/// `m² − 2m + 2` bound (Theorem 3) and a per-matrix histogram.
-pub(crate) fn record_decomposition_stats(dim: usize, num_slots: usize) {
+/// Publishes per-decomposition observability stats: permutation counts
+/// against the paper's `m² − 2m + 2` bound (Theorem 3) and a per-matrix
+/// histogram.
+fn record_decomposition_stats(dim: usize, num_slots: usize) {
     if !obs::enabled() {
         return;
     }
@@ -514,33 +496,27 @@ pub fn bvn_decompose(
     m: usize,
     entries: impl IntoIterator<Item = (usize, usize, u64)>,
 ) -> BvnDecomposition {
-    bvn_decompose_keeping(m, entries, false, |_, _| true)
+    bvn_decompose_keeping(m, entries, |_, _| true)
 }
 
 /// Runs both steps of Algorithm 1 on `entries`, given as for
-/// [`bvn_decompose`], with the max-min peel when `maxmin`, and stores in
-/// each slot only the edges of its permutation that `keep` accepts.
-/// `keep(i, j)` is asked once for each edge of `D̃`, row-major, before the
-/// peel. The peel does not read it: each slot is the one
-/// [`bvn_decompose`] (or [`crate::bvn_decompose_maxmin`]) finds, with the
-/// same count, less the refused edges.
+/// [`bvn_decompose`], and stores in each slot only the edges of its
+/// permutation that `keep` accepts. `keep(i, j)` is asked once for each
+/// edge of `D̃`, row-major, before the peel. The peel does not read it:
+/// each slot is the one [`bvn_decompose`] finds, with the same count,
+/// less the refused edges.
 pub fn bvn_decompose_keeping(
     m: usize,
     entries: impl IntoIterator<Item = (usize, usize, u64)>,
-    maxmin: bool,
     mut keep: impl FnMut(usize, usize) -> bool,
 ) -> BvnDecomposition {
-    let _span = obs::span(if maxmin {
-        "matching.bvn_decompose_maxmin"
-    } else {
-        "matching.bvn_decompose"
-    });
+    let _span = obs::span("matching.bvn_decompose");
     let mut dec = BvnDecomposition::augmented(m, entries);
     let mut kept = Vec::with_capacity(dec.edge_count());
     for i in 0..m {
         kept.extend(dec.row(i).map(|e| keep(i, dec.egress(e))));
     }
-    dec.peel(&kept, maxmin);
+    dec.peel(&kept);
     record_decomposition_stats(m, dec.len());
     dec
 }
@@ -548,10 +524,8 @@ pub fn bvn_decompose_keeping(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bvn_maxmin::bvn_decompose_maxmin;
     use crate::reference::{
-        augment_to_balanced, decompose_balanced, decompose_balanced_maxmin,
-        decompose_balanced_rebuilt, MatchingSlot,
+        augment_to_balanced, decompose_balanced, decompose_balanced_rebuilt, MatchingSlot,
     };
     use proptest::prelude::*;
 
@@ -742,8 +716,7 @@ mod tests {
         /// The edge-indexed decomposition is the dense loop's, pick for
         /// pick: the augmented units (the same first minimum row and
         /// column each round), the slots with their counts in peel order,
-        /// and the load; so is the max-min variant against the dense
-        /// max-min peel. The dense incremental peel also matches the
+        /// and the load. The dense incremental peel also matches the
         /// per-round rebuild it replaced.
         #[test]
         fn incremental_decompose_is_slot_identical_to_reference(d in matrix_case()) {
@@ -756,22 +729,12 @@ mod tests {
             if d.load() > 0 {
                 prop_assert_eq!(decompose_balanced_rebuilt(&augmented), dense);
             }
-
-            let maxmin = bvn_decompose_maxmin(d.dim(), d.nonzero_entries());
-            let dense = if d.load() == 0 {
-                Vec::new()
-            } else {
-                decompose_balanced_maxmin(&augmented)
-            };
-            prop_assert_eq!(maxmin.to_matrix(), augmented);
-            prop_assert_eq!(maxmin.load(), d.load());
-            prop_assert_eq!(sparse_slots(&maxmin), dense_slots(&dense));
         }
 
         /// Keeping some edges changes only what a slot stores: under a
         /// random mask, asked once per edge in row-major order, each slot
-        /// of either peel is the keep-all slot less the refused edges, with
-        /// the same count. Filtering the keep-all slots afterwards gives the
+        /// is the keep-all slot less the refused edges, with the same
+        /// count. Filtering the keep-all slots afterwards gives the
         /// same decomposition, and peeling its `D̃` again gives back the
         /// keep-all one.
         #[test]
@@ -783,34 +746,28 @@ mod tests {
                 x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                 !(x ^ (x >> 31)).is_multiple_of(3)
             };
-            for maxmin in [false, true] {
-                let all = if maxmin {
-                    bvn_decompose_maxmin(m, d.nonzero_entries())
-                } else {
-                    decompose(&d)
-                };
-                let mut asked = Vec::new();
-                let kept = bvn_decompose_keeping(m, d.nonzero_entries(), maxmin, |i, j| {
-                    asked.push((i, j));
-                    keep(i, j)
-                });
-                let edges: Vec<(usize, usize)> =
-                    (0..all.edge_count()).map(|e| (all.ingress(e), all.egress(e))).collect();
-                prop_assert_eq!(asked, edges);
-                prop_assert_eq!(kept.to_matrix(), all.to_matrix());
-                prop_assert_eq!(kept.load(), all.load());
-                prop_assert_eq!(kept.len(), all.len());
-                for s in 0..all.len() {
-                    prop_assert_eq!(kept.count(s), all.count(s));
-                    let filtered: Vec<(usize, usize)> =
-                        all.slot_pairs(s).filter(|&(i, j)| keep(i, j)).collect();
-                    prop_assert_eq!(kept.slot_pairs(s).collect::<Vec<_>>(), filtered);
-                }
-                let mut retained = all.clone();
-                retained.retain_edges(|e| keep(all.ingress(e), all.egress(e)));
-                prop_assert_eq!(&retained, &kept);
-                prop_assert_eq!(kept.repeeled(maxmin), all);
+            let all = decompose(&d);
+            let mut asked = Vec::new();
+            let kept = bvn_decompose_keeping(m, d.nonzero_entries(), |i, j| {
+                asked.push((i, j));
+                keep(i, j)
+            });
+            let edges: Vec<(usize, usize)> =
+                (0..all.edge_count()).map(|e| (all.ingress(e), all.egress(e))).collect();
+            prop_assert_eq!(asked, edges);
+            prop_assert_eq!(kept.to_matrix(), all.to_matrix());
+            prop_assert_eq!(kept.load(), all.load());
+            prop_assert_eq!(kept.len(), all.len());
+            for s in 0..all.len() {
+                prop_assert_eq!(kept.count(s), all.count(s));
+                let filtered: Vec<(usize, usize)> =
+                    all.slot_pairs(s).filter(|&(i, j)| keep(i, j)).collect();
+                prop_assert_eq!(kept.slot_pairs(s).collect::<Vec<_>>(), filtered);
             }
+            let mut retained = all.clone();
+            retained.retain_edges(|e| keep(all.ingress(e), all.egress(e)));
+            prop_assert_eq!(&retained, &kept);
+            prop_assert_eq!(kept.repeeled(), all);
         }
     }
 }

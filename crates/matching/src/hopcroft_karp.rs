@@ -11,15 +11,9 @@
 //! textbook algorithm provably degenerates to first-free-neighbor greedy
 //! matching and the initial full-graph BFS is pure overhead. The resulting
 //! matching is pair-for-pair identical to the textbook cold solve (pinned
-//! by a reference test below).
-//!
-//! The max-min decomposition's feasibility probes also run a crate-private
-//! warm solve (`run_warm`): it keeps the solver's current pair state (minus
-//! anything the caller `unmatch`ed) and only runs augmenting phases for the
-//! vertices that lost their partner. Any valid partial matching extends to
-//! a maximum one (Berge), so the *cardinality* always equals the cold
-//! solve's; the matched pairs themselves may legitimately differ, which is
-//! why every permutation a decomposition emits comes from a cold solve.
+//! by a reference test below). Every solve is cold: a warm start from the
+//! previous round's pairs would peel different, equally valid
+//! permutations.
 
 use crate::bipartite::BipartiteGraph;
 
@@ -55,8 +49,7 @@ impl Matching {
 
 /// State buffers for Hopcroft–Karp, reusable across calls to avoid
 /// re-allocating on every decomposition round (a "workhorse collection"
-/// in Rust Performance Book terms). The pair state doubles as the seed of
-/// the max-min probes' warm solves.
+/// in Rust Performance Book terms).
 #[derive(Clone, Debug)]
 pub struct HopcroftKarp {
     pair_u: Vec<usize>,
@@ -83,9 +76,8 @@ impl HopcroftKarp {
     }
 
     /// Cold solve returning only the matching size; the assignment is
-    /// readable through [`HopcroftKarp::matched`] /
-    /// [`HopcroftKarp::left_assignment`] until the next run. Avoids the
-    /// [`Matching`] allocation on hot paths.
+    /// readable through [`HopcroftKarp::left_assignment`] until the next
+    /// run. Avoids the [`Matching`] allocation on hot paths.
     pub fn run_cold(&mut self, g: &BipartiteGraph) -> usize {
         let n = g.left_count();
         let m = g.right_count();
@@ -106,52 +98,6 @@ impl HopcroftKarp {
         obs::counter_add("matching.hk.bfs_rounds", head_round + rounds);
         obs::counter_add("matching.hk.augmenting_paths", size as u64);
         size
-    }
-
-    /// Computes the size of a maximum matching of `g` starting from the
-    /// solver's current pair state (see the module docs). The caller must
-    /// guarantee every surviving matched pair is an edge of `g` (use
-    /// [`HopcroftKarp::unmatch`] to drop invalidated pairs first) and that
-    /// the buffer dimensions match `g`.
-    pub(crate) fn run_warm(&mut self, g: &BipartiteGraph) -> usize {
-        assert_eq!(
-            self.pair_u.len(),
-            g.left_count(),
-            "warm start requires a previous run on an equally-sized graph"
-        );
-        assert_eq!(
-            self.pair_v.len(),
-            g.right_count(),
-            "warm start requires a previous run on an equally-sized graph"
-        );
-        self.dist.clear();
-        self.dist.resize(g.left_count(), INF);
-        let seeded = self.pair_u.iter().filter(|&&v| v != NIL).count();
-        let mut size = seeded + self.greedy_phase(g);
-        let (augmented, rounds) = self.augment_to_maximum(g);
-        size += augmented;
-        obs::counter_add("matching.hk.bfs_rounds", rounds);
-        obs::counter_add("matching.hk.augmenting_paths", (size - seeded) as u64);
-        obs::counter_add("matching.hk.warm_reused", seeded as u64);
-        size
-    }
-
-    /// Forgets the matched pair `(u, v)` if it is currently part of the
-    /// stored assignment. Callers prune pairs whose edge left the graph
-    /// before a warm solve.
-    pub(crate) fn unmatch(&mut self, u: usize, v: usize) {
-        if self.pair_u.get(u).copied() == Some(v) {
-            self.pair_u[u] = NIL;
-            self.pair_v[v] = NIL;
-        }
-    }
-
-    /// Right vertex currently matched to left `u` (`None` if free).
-    pub fn matched(&self, u: usize) -> Option<usize> {
-        match self.pair_u.get(u) {
-            Some(&v) if v != NIL => Some(v),
-            _ => None,
-        }
     }
 
     /// Raw left→right assignment of the last run (`usize::MAX` marks free
@@ -176,14 +122,11 @@ impl HopcroftKarp {
         }
     }
 
-    /// First-free-neighbor greedy matching over the currently-free left
-    /// vertices; returns the number of pairs added.
+    /// First-free-neighbor greedy matching from the empty assignment;
+    /// returns the number of pairs added.
     fn greedy_phase(&mut self, g: &BipartiteGraph) -> usize {
         let mut added = 0;
         for u in 0..g.left_count() {
-            if self.pair_u[u] != NIL {
-                continue;
-            }
             for &v in g.neighbors(u) {
                 if self.pair_v[v] == NIL {
                     self.pair_u[u] = v;
@@ -437,69 +380,5 @@ mod tests {
             let ours = maximum_matching(&g);
             assert_eq!(ours.pair_left, textbook_solve(&g), "seed {}", seed);
         }
-    }
-
-    #[test]
-    fn warm_solve_matches_cold_cardinality_after_edge_removal() {
-        for seed in 200..240 {
-            let n = 4 + (seed as usize % 8);
-            let mut g = random_graph(n, 0.5, seed);
-            let mut hk = HopcroftKarp::new();
-            let before = hk.solve(&g);
-            // Remove a matched edge and warm-resolve.
-            let first_pair = before.pairs().next();
-            if let Some((u, v)) = first_pair {
-                g.remove_edge(u, v);
-                hk.unmatch(u, v);
-                let warm_size = hk.run_warm(&g);
-                let cold = maximum_matching(&g);
-                assert_eq!(warm_size, cold.size, "seed {}", seed);
-                // All warm pairs are real edges.
-                for (a, b) in (0..n).filter_map(|a| hk.matched(a).map(|b| (a, b))) {
-                    assert!(g.neighbors(a).contains(&b), "seed {}", seed);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn warm_solve_reuses_surviving_pairs() {
-        // Complete graph: removing one matched edge frees one left and one
-        // right vertex, so restoring perfection needs exactly ONE augmenting
-        // path. Pairs not on that path must persist — that is the whole
-        // point of warm starting.
-        let mut g = BipartiteGraph::new(4, 4);
-        for u in 0..4 {
-            for v in 0..4 {
-                g.add_edge(u, v);
-            }
-        }
-        let mut hk = HopcroftKarp::new();
-        let cold = hk.solve(&g);
-        assert_eq!(cold.size, 4);
-        let (u, v) = cold
-            .pairs()
-            .next()
-            .unwrap_or_else(|| unreachable!("perfect matching is nonempty"));
-        g.remove_edge(u, v);
-        hk.unmatch(u, v);
-        let survivors: Vec<(usize, usize)> = (0..4)
-            .filter_map(|a| hk.matched(a).map(|b| (a, b)))
-            .collect();
-        assert_eq!(survivors.len(), 3);
-        assert_eq!(hk.run_warm(&g), 4);
-        // A single augmenting path alternates matched/unmatched edges and
-        // can re-route at most one surviving pair per flip along it; the
-        // shortest path here flips exactly one, so ≥ 2 of 3 persist.
-        let persisted = survivors
-            .iter()
-            .filter(|&&(a, b)| hk.matched(a) == Some(b))
-            .count();
-        assert!(
-            persisted >= survivors.len() - 1,
-            "warm solve rerouted too many surviving pairs: {} of {}",
-            persisted,
-            survivors.len()
-        );
     }
 }

@@ -29,7 +29,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod bipartite;
 pub mod bvn;
-pub mod bvn_maxmin;
 pub mod hopcroft_karp;
 pub mod matrix;
 #[cfg(test)]
@@ -37,6 +36,5 @@ mod reference;
 
 pub use bipartite::BipartiteGraph;
 pub use bvn::{bvn_decompose, bvn_decompose_keeping, BvnDecomposition};
-pub use bvn_maxmin::bvn_decompose_maxmin;
 pub use hopcroft_karp::{maximum_matching, HopcroftKarp, Matching};
 pub use matrix::{IntMatrix, Permutation};

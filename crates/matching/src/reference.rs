@@ -1,8 +1,7 @@
 //! The dense Birkhoff–von Neumann loops the edge-indexed decomposition
 //! replaced, kept as the references its tests compare against pick for
 //! pick: the augmentation by row and column scans over an `m × m` matrix,
-//! the incremental peel, the per-round-rebuild peel before it, and the
-//! max-min peel.
+//! the incremental peel and the per-round-rebuild peel before it.
 
 use crate::bipartite::BipartiteGraph;
 use crate::hopcroft_karp::HopcroftKarp;
@@ -120,88 +119,6 @@ pub(crate) fn decompose_balanced_rebuilt(balanced: &IntMatrix) -> Vec<MatchingSl
             .map(|(i, j)| work[(i, j)])
             .min()
             .unwrap_or_else(|| unreachable!("nonempty matrix"));
-        for (i, j) in perm.pairs() {
-            work[(i, j)] -= q;
-        }
-        remaining -= q;
-        slots.push(MatchingSlot { perm, count: q });
-    }
-    slots
-}
-
-/// A perfect matching of `work`'s support maximizing the minimum matched
-/// entry: a binary search over the distinct entries with warm feasibility
-/// probes, then one cold solve at the chosen threshold.
-fn max_bottleneck_perfect_matching(work: &IntMatrix, hk: &mut HopcroftKarp) -> Option<Permutation> {
-    let m = work.dim();
-    let mut values: Vec<u64> = work.nonzero_entries().map(|(_, _, v)| v).collect();
-    values.sort_unstable();
-    values.dedup();
-    if values.is_empty() {
-        return None;
-    }
-    let graph_at = |threshold: u64| -> BipartiteGraph {
-        let mut g = BipartiteGraph::new(m, m);
-        for (i, j, v) in work.nonzero_entries() {
-            if v >= threshold {
-                g.add_edge(i, j);
-            }
-        }
-        g
-    };
-    let feasible_at = |threshold: u64, hk: &mut HopcroftKarp, cold: bool| -> bool {
-        let g = graph_at(threshold);
-        let size = if cold {
-            hk.run_cold(&g)
-        } else {
-            for u in 0..m {
-                if let Some(v) = hk.matched(u) {
-                    if work[(u, v)] < threshold {
-                        hk.unmatch(u, v);
-                    }
-                }
-            }
-            hk.run_warm(&g)
-        };
-        size == m
-    };
-    let mut lo = 0usize;
-    let mut hi = values.len();
-    if !feasible_at(values[0], hk, true) {
-        return None;
-    }
-    while lo + 1 < hi {
-        let mid = (lo + hi) / 2;
-        if feasible_at(values[mid], hk, false) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let g = graph_at(values[lo]);
-    hk.run_cold(&g);
-    Some(Permutation::new(hk.left_assignment().to_vec()))
-}
-
-/// Max-min decomposition of a dense doubly-balanced matrix.
-pub(crate) fn decompose_balanced_maxmin(balanced: &IntMatrix) -> Vec<MatchingSlot> {
-    let rho = balanced.load();
-    assert!(
-        balanced.is_doubly_balanced(rho),
-        "decompose_balanced_maxmin requires equal row/column sums"
-    );
-    let mut work = balanced.clone();
-    let mut slots = Vec::new();
-    let mut hk = HopcroftKarp::new();
-    let mut remaining = rho;
-    while remaining > 0 {
-        let perm = max_bottleneck_perfect_matching(&work, &mut hk)
-            .unwrap_or_else(|| unreachable!("balanced matrix must admit a perfect matching"));
-        let q = perm
-            .pairs()
-            .map(|(i, j)| work[(i, j)])
-            .min()
-            .unwrap_or_else(|| unreachable!("nonempty matching"));
         for (i, j) in perm.pairs() {
             work[(i, j)] -= q;
         }

@@ -55,26 +55,6 @@ proptest! {
         prop_assert!(capacity.dominates(&d));
     }
 
-    /// The max-min variant obeys the same invariants and never needs more
-    /// slots.
-    #[test]
-    fn maxmin_invariants(d in matrix_strategy(7, 10)) {
-        use coflow_matching::bvn_decompose_maxmin;
-        let dec = bvn_decompose_maxmin(d.dim(), d.nonzero_entries());
-        prop_assert_eq!(dec.total_slots(), d.load());
-        let augmented = dec.to_matrix();
-        prop_assert!(augmented.dominates(&d));
-        prop_assert!(augmented.is_doubly_balanced(d.load()));
-        prop_assert!(dec.is_slot_sum());
-        // q values are non-increasing under the max-min rule... not
-        // guaranteed in general, but each q must be positive and the count
-        // bounded by m².
-        for s in 0..dec.len() {
-            prop_assert!(dec.count(s) > 0);
-        }
-        prop_assert!(dec.len() <= d.dim() * d.dim().max(1));
-    }
-
     /// Hopcroft–Karp matches a brute-force maximum on small random graphs.
     #[test]
     fn hopcroft_karp_is_maximum(edges in proptest::collection::vec((0usize..5, 0usize..5), 0..18)) {

@@ -10,7 +10,7 @@
 //! Per-span attribution is opt-in: when [`crate::enabled`] is true, each
 //! allocation also bumps thread-local counters, and [`crate::SpanGuard`]
 //! captures deltas of those counters across the span's lifetime (see
-//! [`span_enter`]/[`span_exit`]). Thread-locals are accessed with
+//! `span_enter`/`span_exit`). Thread-locals are accessed with
 //! `try_with` so allocations during TLS initialization or teardown never
 //! recurse or abort.
 //!

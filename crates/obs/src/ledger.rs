@@ -172,15 +172,13 @@ pub fn unix_ts() -> u64 {
 // Registry digest
 // ---------------------------------------------------------------------------
 
-/// The pipeline stages a ledger record attributes, mapped to the span
-/// leaves that feed them. `decompose` sums the greedy and max-min BvN
-/// variants — the same aggregation the profile report uses.
-pub const STAGE_LEAVES: [(&str, &str); 6] = [
+/// The pipeline stages a ledger record attributes, each with the span
+/// leaf that feeds it — the same leaves the profile report uses.
+pub const STAGE_LEAVES: [(&str, &str); 5] = [
     ("lp_build", "lp.build_model"),
     ("lp_solve", "lp.solve"),
     ("order", "sched.order"),
     ("decompose", "matching.bvn_decompose"),
-    ("decompose", "matching.bvn_decompose_maxmin"),
     ("simulate", "sched.simulate"),
 ];
 
@@ -199,22 +197,10 @@ pub fn stage_digest(snap: &Snapshot) -> StageDigest {
     let mut allocs: Vec<(String, u64)> = Vec::new();
     let mut bytes: Vec<(String, u64)> = Vec::new();
     for &(stage, leaf) in &STAGE_LEAVES {
-        let self_ms = snap.span_self_ms(leaf, &leaves);
         let (a, b) = snap.span_mem_self(leaf, &leaves);
-        match ms.iter_mut().find(|(s, _)| s == stage) {
-            Some((_, v)) => *v += self_ms,
-            None => {
-                ms.push((stage.to_string(), self_ms));
-                allocs.push((stage.to_string(), 0));
-                bytes.push((stage.to_string(), 0));
-            }
-        }
-        if let Some((_, v)) = allocs.iter_mut().find(|(s, _)| s == stage) {
-            *v += a.max(0) as u64;
-        }
-        if let Some((_, v)) = bytes.iter_mut().find(|(s, _)| s == stage) {
-            *v += b.max(0) as u64;
-        }
+        ms.push((stage.to_string(), snap.span_self_ms(leaf, &leaves)));
+        allocs.push((stage.to_string(), a.max(0) as u64));
+        bytes.push((stage.to_string(), b.max(0) as u64));
     }
     (ms, allocs, bytes)
 }

@@ -510,7 +510,7 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Renders the human-readable summary tree of the current registry
-/// contents (see [`sink::render_summary`] for the format).
+/// contents (see `sink::render_summary` for the format).
 pub fn summary() -> String {
     sink::render_summary(&snapshot())
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Lint gate: the workspace must be rustfmt-clean, and library code must
-# not contain unjustified unwrap()/expect().
+# Lint gate: the workspace must be rustfmt-clean, library code must
+# not contain unjustified unwrap()/expect(), and the API docs must build
+# without warnings (no broken or private intra-doc links).
 # The six library crates (incl. `obs`) opt in via
 #   #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 # so this command fails the build on any new panic-by-default call site
@@ -22,5 +23,6 @@ trap append_verdict EXIT
 # `benchmark/` is its own workspace, so `--all` leaves it alone.
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 STATUS=pass

@@ -20,10 +20,9 @@
 //! registry (`coflow::PolicyRegistry`) exactly as the registry defines it
 //! and runs it on the clean engine: `bvn-batch` (Algorithm 2 + backfill
 //! over `H_LP`), `online` (ρ/w priorities re-sorted on arrivals *and*
-//! completions), `online-stale` (legacy arrival-only re-sort), `greedy`
-//! (work-conserving priority greedy over `H_ρ`), `shafiee-ghaderi`
-//! (LP-free primal–dual, 5-approx), and `im-purohit` (LP-completion-time
-//! order, 4-approx). The pipeline options do not apply to a registry
+//! completions), `greedy` (work-conserving priority greedy over `H_ρ`),
+//! `shafiee-ghaderi` (LP-free primal–dual, 5-approx), and `im-purohit`
+//! (LP-completion-time order, 4-approx). The pipeline options do not apply to a registry
 //! policy: combining them with `--policy` is a usage error (exit 2).
 //! `resilient` is the fault-recovery pipeline; its plans need the
 //! fault-aware engine, so the CLI rejects it (exit 1) — run

@@ -90,6 +90,7 @@ fn pipeline_options_and_unknown_flags_are_usage_errors() {
         &["--online"],
         &["--online-stale"],
         &["--greedy"],
+        &["--policy", "online-stale"],
     ] {
         let mut argv = vec![path];
         argv.extend_from_slice(args);

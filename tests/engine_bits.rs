@@ -154,7 +154,7 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
             }
         };
         rows.push(clean);
-        if entry.caps.supports_faults {
+        if entry.supports_faults {
             let mut policy = entry.build(instance);
             let out = run_policy_with_faults(instance, &mut *policy, plan)
                 .unwrap_or_else(|e| panic!("{}/faults: {}", entry.name, e));
@@ -230,8 +230,6 @@ fn offline_shape_40_ports() {
             ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 430, 0, 0),
             ("online", 4686142815556599808, 0x4856ee16c716f10e, 4704, 4704, 470, 0, 0),
             ("online/faults", 4687232637738156032, 0x521b0c287307db68, 4865, 4865, 485, 2985, 34),
-            ("online-stale", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471, 0, 0),
-            ("online-stale/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484, 2984, 31),
             ("greedy", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471, 0, 0),
             ("greedy/faults", 4687626572138545152, 0x578a007774dda704, 4865, 4865, 484, 2984, 31),
             ("resilient", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 518, 0, 0),
@@ -256,8 +254,6 @@ fn arrivals_shape_16_ports() {
             ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 181, 0, 0),
             ("online", 4695031138706522112, 0x448727538b8e6300, 1945, 1864, 294, 0, 0),
             ("online/faults", 4694996375241228288, 0x61825407b2018530, 1945, 1841, 268, 1140, 15),
-            ("online-stale", 4695031112936718336, 0xca2e7c2892f38bf4, 1942, 1861, 293, 0, 0),
-            ("online-stale/faults", 4695020083460702208, 0x376ac537dcdb03f6, 1942, 1838, 266, 1140, 13),
             ("greedy", 4695046394430357504, 0xe6522941943a2490, 1942, 1861, 294, 0, 0),
             ("greedy/faults", 4695068951598596096, 0x94292d61cc556a52, 1942, 1838, 267, 1140, 7),
             ("resilient", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 251, 0, 0),
@@ -282,8 +278,6 @@ fn arrivals_shape_30_ports() {
             ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 264, 0, 0),
             ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349, 0, 0),
             ("online/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 350, 1469, 17),
-            ("online-stale", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349, 0, 0),
-            ("online-stale/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 349, 1469, 17),
             ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 2145, 349, 0, 0),
             ("greedy/faults", 4695808862794547200, 0x7d5cebe599af3087, 2232, 2029, 350, 1469, 15),
             ("resilient", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 301, 0, 0),
