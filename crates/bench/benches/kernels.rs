@@ -3,20 +3,20 @@
 //! * a cold Hopcroft–Karp solve on a BvN support graph after a
 //!   permutation slot left it (the incremental-BvN inner loop);
 //! * full BvN decomposition at the grid's port counts m ∈ {16, 60, 150};
-//! * schedule execution, run-length vs unit-slot, on both the clean fabric
-//!   (`Fabric::apply_run` vs `SlotSim`) and the fault executor, replaying
-//!   a trace (`FaultSim::execute_trace` vs `execute_trace_slotwise`) or
-//!   holding its matchings (`FaultSim::apply_run` vs `apply_run_slotwise`).
-//!   The fault kernels return nothing per slot; each iteration ends with
-//!   the run-length executed trace and the blocked-unit count.
+//! * schedule execution on the one executor, run-length vs unit-slot:
+//!   under a fault plan, replaying a trace (`FaultSim::execute_trace` vs
+//!   `execute_trace_slotwise`) or holding its matchings
+//!   (`FaultSim::apply_run` vs `apply_run_slotwise`), and under the empty
+//!   plan holding them (the bulk hold of a clean run vs
+//!   `apply_run_slotwise`). The kernels return nothing per slot; each
+//!   iteration ends with the run-length executed trace and the
+//!   blocked-unit count.
 //!
 //! Set `CRITERION_JSON=<file>` to append one JSON line per benchmark for
 //! the perf harness.
 
 use coflow_matching::{bvn_decompose, BipartiteGraph, HopcroftKarp, IntMatrix};
-use coflow_netsim::{
-    Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
-};
+use coflow_netsim::{Demand, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, Transfer};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,6 +174,15 @@ fn bench_execution(c: &mut Criterion) {
         a.capture() == b.capture(),
         "run-length and unit-slot held matchings must match"
     );
+    let quiet = FaultPlan::default();
+    let mut a = FaultSim::new(m, &demands, &releases, quiet.clone());
+    let mut b = FaultSim::new(m, &demands, &releases, quiet.clone());
+    hold_all(&mut a, false);
+    hold_all(&mut b, true);
+    assert!(
+        a.capture() == b.capture(),
+        "bulk and unit-slot clean holds must match"
+    );
 
     let mut group = c.benchmark_group("execute");
     group.sample_size(10);
@@ -207,25 +216,18 @@ fn bench_execution(c: &mut Criterion) {
             black_box(sim.finish())
         })
     });
-    group.bench_function("fabric_runlength", |b| {
+    group.bench_function("clean_apply_run", |b| {
         b.iter(|| {
-            let mut fabric = Fabric::new(m, &demands, &releases);
-            for run in &trace.runs {
-                let pairs: Vec<(usize, usize, Vec<usize>)> = run
-                    .transfers
-                    .iter()
-                    .map(|t| (t.src(), t.dst(), vec![t.coflow()]))
-                    .collect();
-                fabric.apply_run(&pairs, run.duration);
-            }
-            black_box(fabric.now())
+            let mut sim = FaultSim::new(m, &demands, &releases, quiet.clone());
+            hold_all(&mut sim, false);
+            black_box(sim.finish())
         })
     });
-    group.bench_function("fabric_unit_slot", |b| {
+    group.bench_function("clean_apply_run_unit_slot", |b| {
         b.iter(|| {
-            let mut sim = SlotSim::new(m, &dense, &releases);
-            trace.for_each_slot(|_, moves| sim.step(moves));
-            black_box(sim.now())
+            let mut sim = FaultSim::new(m, &demands, &releases, quiet.clone());
+            hold_all(&mut sim, true);
+            black_box(sim.finish())
         })
     });
     group.finish();

@@ -1180,19 +1180,24 @@ fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::
     };
     // The golden is read and flattened before the workload, so a missing
     // or malformed file fails in milliseconds with its regeneration
-    // command.
+    // command. It is not held while the workload runs, whose live heap
+    // the mem gate measures, but read again to judge it.
     let regen = format!(
         "cargo run --release -p coflow-bench --bin experiments -- {}",
         g.regen
     );
-    let golden = read_baseline_file(g.golden, "golden", &regen);
-    if let Err(e) = gate::read_golden(g, &golden) {
-        eprintln!(
-            "error: {}: {}.\nRegenerate it with:\n    {}",
-            g.golden, e, regen
-        );
-        std::process::exit(1);
-    }
+    let read_golden = || {
+        let golden = read_baseline_file(g.golden, "golden", &regen);
+        if let Err(e) = gate::read_golden(g, &golden) {
+            eprintln!(
+                "error: {}: {}.\nRegenerate it with:\n    {}",
+                g.golden, e, regen
+            );
+            std::process::exit(1);
+        }
+        golden
+    };
+    drop(read_golden());
 
     let elapsed = || started.elapsed().as_secs_f64() * 1000.0;
     let mut statuses: Vec<(String, String)> = Vec::new();
@@ -1236,6 +1241,7 @@ fn gate_cmd(name: &str, seed: u64, ledger: &Option<String>, started: std::time::
         std::process::exit(obs::SIGINT_EXIT_CODE);
     }
 
+    let golden = read_golden();
     match gate::check(g, &golden, &current) {
         Ok(rows) => {
             let title = format!("# gate {} vs {}", g.name, g.golden);

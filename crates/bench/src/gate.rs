@@ -142,8 +142,8 @@ pub const RULES: [Rule; 11] = [
         "pins",
         Wall,
         "",
-        (1.0, 50.0),
-        "one shot of a few ms of the engine section; the pinned objectives are the guard",
+        (1.0, 10.0),
+        "one shot of a few ms of the engine section: double, and 10 ms more, is past host noise",
     ),
     row(
         "tournament",

@@ -70,7 +70,7 @@ pub struct PinReport {
 /// The fault plan a pin cell runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PinPlan {
-    /// The clean fabric.
+    /// No fault: the cell runs through `run_policy`.
     Clean,
     /// Rate [`FAULT_RATE`] on the pin seed, over the clean online and
     /// greedy makespans.
@@ -127,7 +127,7 @@ impl PinCell {
 }
 
 /// The pin table, in report order: the 12 §4 grid cells on the BvN batch
-/// policy, the clean engine policies, the rate-0.3 fault cells and the
+/// policy, the clean engine-policy cells, the rate-0.3 fault cells and the
 /// rate-0.2 successor-policy cells. Every cell but the grid and
 /// `faults/resilient` (the replanner on the `H_ρ` order, where the
 /// registry's `resilient` plans `H_LP`) is a registry entry. The clean
@@ -189,8 +189,8 @@ pub fn pin_cells() -> Vec<PinCell> {
 }
 
 /// Computes every pin of [`pin_cells`] on `instance` (must have release
-/// dates for the online cells to be meaningful): clean cells on the clean
-/// engine, fault cells on the fault engine. Fault-injected outcomes are
+/// dates for the online cells to be meaningful): clean cells through
+/// `run_policy`, fault cells under their plan. Fault-injected outcomes are
 /// verified before pinning; an invalid schedule panics — that is an engine
 /// bug.
 pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {

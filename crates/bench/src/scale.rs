@@ -16,8 +16,7 @@
 //!   release `r` becomes `max(r, base) − base` and each completion `C`
 //!   counts as `base + C`, so the windows' schedules never share a slot;
 //! * **the engine** — each window runs the registry policy through
-//!   [`run_policy_with_faults`] under a quiet plan (the fault engine is
-//!   the one that accepts `resilient`'s `Execute`), and
+//!   [`run_policy_with_faults`] under a quiet plan, and
 //!   [`verify_faulty_outcome`] replays it and recomputes its `Σ w·C`
 //!   before the window counts.
 //!

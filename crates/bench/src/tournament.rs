@@ -5,9 +5,9 @@
 //! Three rounds, one report:
 //!
 //! 1. **clean** — each selected [`PolicyEntry`] runs the pinned arrivals
-//!    instance through the unified engine (a quiet fault plan, which is
-//!    bit-identical to the clean run and lets the one driver accept the
-//!    `Execute`-emitting resilient planner too). Per policy: TWCT, its
+//!    instance through the engine under a quiet fault plan (the engine
+//!    `run_policy` runs, here returning the fault outcome the faults
+//!    round compares against). Per policy: TWCT, its
 //!    ratio against the interval-LP lower bound (Lemma 1) — which the
 //!    gate checks against the paper bound the registry entry carries
 //!    (67/3 for Algorithm 2, 5 for Shafiee–Ghaderi, 4 for Im–Purohit) —
@@ -150,8 +150,7 @@ pub fn run_tournament(
     let entries = registry.select(spec)?;
     let lp_bound = interval_lp_bound(instance);
 
-    // Round 1: clean runs via a quiet plan (rate 0 == the clean schedule,
-    // and the fault-aware engine accepts every policy).
+    // Round 1: clean runs via a quiet plan (rate 0 == the clean schedule).
     let quiet = FaultPlan::generate(instance.ports(), instance.len(), 1, 0.0, seed);
     let mut clean: Vec<(&PolicyEntry, FaultyOutcome, f64)> = Vec::with_capacity(entries.len());
     for entry in &entries {

@@ -116,6 +116,23 @@ fn a_tournament_over_a_policy_subset_passes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `gate mem` judges the live heap of its workload, so it must not hold
+/// its golden while the workload runs: a committed mem golden padded with
+/// 2 MiB of trailing whitespace, which the reader accepts, still passes,
+/// where every cell's peak row would grow by the padding.
+#[test]
+fn the_mem_gate_does_not_count_its_golden() {
+    let dir = scratch("mem-padded");
+    let mut golden = include_str!("../../../BENCH_mem.json").to_string();
+    golden.push_str(&" ".repeat(2 << 20));
+    std::fs::write(dir.join("BENCH_mem.json"), golden).expect("write golden");
+    let out = run_in(&dir, &["gate", "mem"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", stdout);
+    assert!(stdout.contains("peak_live_bytes:H_A/a"), "{}", stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_failed_gate_run_is_never_the_green_record() {
     let dir = scratch("gate-green");

@@ -119,8 +119,8 @@ const TIGHTENED: [(&str, &str, &str, &str); 16] = [
         "Pins",
         "wall_below",
         "gate",
-        "the engine row moved from base*(1+t)+50 ms to the two-sided rule: its fail point \
-         drops from 2*base + 50 ms to max(2*base, base + 50 ms)",
+        "the engine row moved from base*(1+t)+50 ms to the two-sided rule with a 10 ms floor: \
+         its fail point drops from 2*base + 50 ms to max(2*base, base + 10 ms)",
     ),
     (
         "Pins",

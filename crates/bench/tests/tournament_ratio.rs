@@ -21,9 +21,7 @@ fn measured_ratios_stay_within_the_proven_bounds() {
         let inst = arrivals_instance(8, 12, seed);
         let lp = interval_lp_bound(&inst);
         assert!(lp > 0.0, "seed {}: LP lower bound must be positive", seed);
-        // A quiet (rate-0) plan through the fault engine is bit-identical
-        // to the clean run and accepts every policy, including the
-        // Execute-emitting resilient planner.
+        // A quiet (rate-0) plan runs the engine `run_policy` runs.
         let quiet = FaultPlan::generate(inst.ports(), inst.len(), 1, 0.0, seed);
         for entry in registry.entries() {
             let mut policy = entry.build(&inst);

@@ -20,8 +20,8 @@ pub enum SchedError {
         /// `(rule name, error)` per failed tier, in attempt order.
         attempts: Vec<(&'static str, String)>,
     },
-    /// A policy produced a decision the hosting engine cannot apply (e.g.
-    /// `Decision::Execute` outside the fault-aware engine).
+    /// A policy produced a decision the engine cannot apply (e.g. one that
+    /// would leave the clock where it is).
     Unsupported {
         /// What was requested and why it cannot be honored.
         what: &'static str,

@@ -5,17 +5,18 @@
 //! greedy baseline, and the fault/recovery epoch loop — each re-implementing
 //! arrival admission, port-conflict matching, trace emission, and completion
 //! tracking. This module unifies them: one engine owns the clock and the
-//! executor (a clean [`Fabric`] or a fault-injecting [`FaultSim`]); a
-//! [`Policy`] owns the scheduling brain and is consulted at *decision
-//! epochs* (whenever the previous decision has been carried out).
+//! executor, a [`FaultSim`] under a fault plan (the empty plan for a clean
+//! run); a [`Policy`] owns the scheduling brain and is consulted at
+//! *decision epochs* (whenever the previous decision has been carried
+//! out).
 //!
 //! The contract is deliberately small:
 //!
 //! * the engine calls [`Policy::decide`] with a read-only [`EpochState`]
 //!   snapshot (current time, the instance, live remaining demand);
 //! * the policy answers with a [`Decision`]: advance the clock, run a
-//!   matching for some slots, execute a fully planned trace (fault-aware
-//!   engine only), or declare itself finished;
+//!   matching for some slots, execute a fully planned trace, or declare
+//!   itself finished;
 //! * the engine applies the decision, updates completions/trace/obs, and
 //!   asks again.
 //!
@@ -41,7 +42,7 @@ use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
 use coflow_matching::{bvn_decompose_keeping, BvnDecomposition, IntMatrix};
 use coflow_netsim::{
-    DemandView, Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError, SparseDemand, Transfer,
+    DemandView, FaultPlan, FaultSim, ScheduleTrace, SimError, SparseDemand, Transfer,
 };
 use std::fmt;
 use std::time::Instant;
@@ -88,28 +89,15 @@ pub struct EpochState<'a> {
     pub now: u64,
     /// The instance being scheduled (full demands, releases, weights).
     pub instance: &'a Instance,
-    /// The executor's remaining demand, clean or under faults: policies
-    /// read it through this, so the same policy code runs in both.
+    /// The executor's remaining demand: policies read it through this.
     demand: &'a SparseDemand,
-    /// The fault simulator, when the engine runs under faults.
-    sim: Option<&'a FaultSim>,
+    /// The executor.
+    sim: &'a FaultSim,
     next_boundary: u64,
     window_end: u64,
 }
 
 impl<'a> EpochState<'a> {
-    /// The state at a decision of the clean engine.
-    fn clean(instance: &'a Instance, fabric: &'a Fabric) -> Self {
-        EpochState {
-            now: fabric.now(),
-            instance,
-            demand: fabric.remaining_demand(),
-            sim: None,
-            next_boundary: u64::MAX,
-            window_end: u64::MAX,
-        }
-    }
-
     /// Remaining demand of coflow `k` on pair `(i, j)`: a binary search
     /// over the coflow's pairs.
     #[inline]
@@ -137,22 +125,17 @@ impl<'a> EpochState<'a> {
         self.demand.total(k)
     }
 
-    /// True when coflow `k` has been cancelled by the fault plan (always
-    /// false in the clean engine).
+    /// True when coflow `k` has been cancelled by the fault plan (never
+    /// under the empty plan).
     #[inline]
     pub fn is_cancelled(&self, k: usize) -> bool {
-        self.sim.is_some_and(|s| s.is_cancelled(k))
-    }
-
-    /// True when the engine is executing under fault injection.
-    pub fn under_faults(&self) -> bool {
-        self.sim.is_some()
+        self.sim.is_cancelled(k)
     }
 
     /// The first [`FaultPlan::boundaries`] entry after slot `now + 1`: the
     /// slot before which the engine stops a [`Decision::Execute`] trace.
     /// Runs of the trace starting at or after it are never executed.
-    /// `u64::MAX` on the clean fabric and past the plan's last boundary.
+    /// `u64::MAX` once no boundary is left (always, under the empty plan).
     #[inline]
     pub fn next_boundary(&self) -> u64 {
         self.next_boundary
@@ -165,7 +148,7 @@ impl<'a> EpochState<'a> {
     /// `now + 1` itself this is `now + 1`, because a cancellation taking
     /// effect there is not yet visible in the remaining demand read here.
     /// Otherwise it is the slot before [`EpochState::next_boundary`];
-    /// `u64::MAX` on the clean fabric.
+    /// `u64::MAX` once no boundary is left.
     #[inline]
     pub fn window_end(&self) -> u64 {
         self.window_end
@@ -191,9 +174,7 @@ pub enum Decision {
         duration: u64,
     },
     /// Execute a fully planned schedule trace until the fault state next
-    /// changes. Only the fault-aware engine accepts this (replay on a clean
-    /// fabric would bypass its completion bookkeeping); the clean engine
-    /// returns [`SchedError::Unsupported`].
+    /// changes (to its end when it never does again).
     Execute(ScheduleTrace),
     /// Nothing left to schedule; the engine stops consulting the policy.
     Finished,
@@ -255,28 +236,9 @@ struct Progress {
     completed_coflows: u64,
 }
 
-/// Progress over a clean fabric: O(n) over cached per-coflow remainders.
-fn fabric_progress(fabric: &Fabric, releases: &[u64]) -> Progress {
-    let now = fabric.now();
-    let mut p = Progress {
-        residual_units: 0,
-        active_coflows: 0,
-        completed_coflows: 0,
-    };
-    for (k, c) in fabric.completion_times().iter().enumerate() {
-        let rem = fabric.remaining_total(k);
-        p.residual_units += rem;
-        if c.is_some() {
-            p.completed_coflows += 1;
-        } else if rem > 0 && releases.get(k).copied().unwrap_or(0) <= now {
-            p.active_coflows += 1;
-        }
-    }
-    p
-}
-
-/// Progress over the fault simulator; cancelled coflows are neither active
-/// nor completed and their stranded demand is excluded from the residual.
+/// Progress over the simulator, O(n) over its per-coflow remainders;
+/// cancelled coflows are neither active nor completed and their stranded
+/// demand is excluded from the residual.
 fn sim_progress(sim: &FaultSim, releases: &[u64]) -> Progress {
     let now = sim.now();
     let mut p = Progress {
@@ -341,8 +303,8 @@ fn emit_progress(
     });
 }
 
-/// Initial decision cadence for progress samples on the clean engine (see
-/// [`HeartbeatPacer`]).
+/// Initial decision cadence for the progress samples of [`run_policy`]
+/// (see [`HeartbeatPacer`]).
 const CLEAN_SAMPLE_EVERY: u64 = 128;
 
 /// Adaptive heartbeat cadence for engines with no planning epochs to hook.
@@ -412,24 +374,26 @@ impl Default for HeartbeatPacer {
     }
 }
 
-/// Runs `policy` to completion on a clean fabric.
+/// Runs `policy` to completion on the engine under the empty fault plan.
 ///
-/// Returns [`SchedError`] only when the policy itself fails or answers with
-/// a decision the clean engine cannot apply ([`Decision::Execute`]).
-/// Panics, like the legacy loops, if the policy declares itself finished
-/// while demand is undelivered — that is a policy bug, not an input error.
+/// Returns [`SchedError`] when the policy fails or makes a decision that
+/// cannot move the clock. Panics, like the legacy loops, if the policy
+/// declares itself finished while demand is undelivered, or makes a
+/// decision the executor refuses (a port in two pairs, a coflow served
+/// before its release) — those are policy bugs, not input errors.
 pub fn run_policy<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
 ) -> Result<ScheduleOutcome, SchedError> {
-    let _span = obs::span("sched.engine");
-    let fabric = drive(instance, policy, u64::MAX)?;
+    let sim = run_policy_until(instance, policy, u64::MAX)?;
     assert!(
-        fabric.all_done(),
+        sim.all_settled(),
         "engine: policy '{}' finished with undelivered demand (scheduler bug)",
         policy.name()
     );
-    let (trace, completions) = fabric.finish();
+    // Under the empty plan, settled means complete.
+    let (trace, completions, ..) = sim.finish();
+    let completions: Vec<u64> = completions.into_iter().flatten().collect();
     let objective = instance.objective(&completions);
     let order = policy.final_order(&completions);
     Ok(ScheduleOutcome {
@@ -440,99 +404,31 @@ pub fn run_policy<P: Policy + ?Sized>(
     })
 }
 
-/// The trace [`run_policy`] would record, cut after the last run that
-/// starts before slot `horizon`: the clean engine is causal, so every run
-/// it records before `horizon` is the full run's, and later decisions are
-/// never made. `u64::MAX` runs to completion.
+/// The engine under the empty plan, stepped while the next slot `now + 1`
+/// lies before `horizon`, with paced `engine` heartbeats; then
+/// [`Policy::finish`]. The engine is causal, so every slot the returned
+/// simulator executed before `horizon` is the full run's, and later
+/// decisions are never made; [`run_policy`] runs it to the end.
 pub(crate) fn run_policy_until<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
     horizon: u64,
-) -> Result<ScheduleTrace, SchedError> {
+) -> Result<FaultSim, SchedError> {
     let _span = obs::span("sched.engine");
-    let fabric = drive(instance, policy, horizon)?;
-    Ok(fabric.finish_partial().0)
-}
-
-/// The clean engine's decision loop, shared by [`run_policy`] and
-/// [`run_policy_until`]: consults `policy` while demand is undelivered and
-/// the next slot `now + 1` lies before `horizon`, then calls
-/// [`Policy::finish`].
-fn drive<P: Policy + ?Sized>(
-    instance: &Instance,
-    policy: &mut P,
-    horizon: u64,
-) -> Result<Fabric, SchedError> {
-    let releases = instance.releases();
-    let mut fabric = Fabric::new(instance.ports(), instance.demands(), &releases);
-    let mut decisions: u64 = 0;
-    let mut last_beat = Instant::now();
-    let mut pacer = HeartbeatPacer::default();
-    while !fabric.all_done() && fabric.now().saturating_add(1) < horizon {
-        let decision = policy.decide(&EpochState::clean(instance, &fabric))?;
-        decisions += 1;
-        if pacer.due(decisions) && {
-            // Advance the pacer even when nobody is listening, so the
-            // cadence (and per-decision cost) stays the same whether or
-            // not telemetry is on.
-            let wanted = progress_wanted();
-            if !wanted {
-                pacer.skip(decisions);
-            }
-            wanted
-        } {
-            let beat = Instant::now();
-            let epoch_ms = beat.saturating_duration_since(last_beat).as_secs_f64() * 1e3;
-            last_beat = beat;
-            pacer.beat(decisions, epoch_ms);
-            emit_progress(
-                "engine",
-                policy.name(),
-                fabric.now(),
-                &fabric_progress(&fabric, &releases),
-                0,
-                decisions,
-                epoch_ms,
-            );
+    let mut engine = Engine::new(instance, &FaultPlan::default());
+    engine.pacer = Some(HeartbeatPacer::default());
+    match engine.run(policy, horizon) {
+        Ok(()) => {
+            engine.wind_up(policy);
+            Ok(engine.sim)
         }
-        match decision {
-            Decision::Advance(t) => fabric.advance_to(t),
-            Decision::Run { pairs, duration } => {
-                if pairs.is_empty() {
-                    fabric.advance_to(fabric.now() + duration);
-                } else {
-                    fabric.apply_run(&pairs, duration);
-                }
-                policy.recycle(pairs);
-            }
-            Decision::Execute(_) => {
-                policy.finish();
-                obs::counter_add("coflow.engine.decisions", decisions);
-                return Err(SchedError::Unsupported {
-                    what: "Decision::Execute requires the fault-aware engine",
-                });
-            }
-            Decision::Finished => break,
-        }
-    }
-    policy.finish();
-    obs::counter_add("coflow.engine.decisions", decisions);
-    if progress_wanted() {
-        let epoch_ms = Instant::now()
-            .saturating_duration_since(last_beat)
-            .as_secs_f64()
-            * 1e3;
-        emit_progress(
-            "engine",
+        Err(EngineError::Sched(e)) => Err(e),
+        Err(EngineError::Sim(e)) => panic!(
+            "engine: policy '{}' made a decision the executor refused: {} (scheduler bug)",
             policy.name(),
-            fabric.now(),
-            &fabric_progress(&fabric, &releases),
-            0,
-            decisions,
-            epoch_ms,
-        );
+            e
+        ),
     }
-    Ok(fabric)
 }
 
 /// Runs `policy` to quiescence under `plan` on a fault-injecting simulator.
@@ -551,19 +447,11 @@ pub fn run_policy_with_faults<P: Policy + ?Sized>(
 ) -> Result<FaultyOutcome, EngineError> {
     let _span = obs::span("sched.engine.faulty");
     let mut engine = Engine::new(instance, plan);
-    let result = (|| -> Result<(), EngineError> {
-        while engine.step(policy)? {}
-        Ok(())
-    })();
-    if let Err(e) = result {
-        policy.finish();
-        obs::counter_add("coflow.engine.decisions", engine.decisions);
-        return Err(e);
-    }
+    engine.run(policy, u64::MAX)?;
     Ok(engine.into_outcome(policy))
 }
 
-/// The fault-aware engine as a steppable object: the loop body of
+/// The engine as a steppable object: the loop body of [`run_policy`] and
 /// [`run_policy_with_faults`], exposed so harnesses can interleave decision
 /// epochs with [`Engine::checkpoint`] / [`Engine::restore`] (crash-safe
 /// long runs, the chaos harness, the SIGINT path). Driving [`Engine::step`]
@@ -581,6 +469,10 @@ pub struct Engine<'a> {
     /// Wall-clock of the previous progress sample. Not part of snapshots:
     /// telemetry timing restarts at restore, the schedule does not care.
     last_beat: Instant,
+    /// The heartbeat cadence of [`run_policy`]'s runs, which report as the
+    /// `engine` source every few decisions; `None` on the other runs,
+    /// which report as `engine.faults` once per planning epoch.
+    pacer: Option<HeartbeatPacer>,
 }
 
 impl<'a> Engine<'a> {
@@ -602,6 +494,7 @@ impl<'a> Engine<'a> {
             decisions: 0,
             releases,
             last_beat: Instant::now(),
+            pacer: None,
         }
     }
 
@@ -630,32 +523,93 @@ impl<'a> Engine<'a> {
         &self.sim
     }
 
-    /// Samples progress at a planning epoch: every replan produces one
-    /// series point per tracked metric and (when a sink is installed) one
-    /// NDJSON heartbeat — the "≥ 1 line per decision-epoch window"
-    /// guarantee of the telemetry schema.
-    fn sample_progress(&mut self, label: &str) {
+    /// Samples progress: one series point per tracked metric and (when a
+    /// sink is installed) one NDJSON heartbeat. A fault run samples at
+    /// every planning epoch — the "≥ 1 line per decision-epoch window"
+    /// guarantee of the telemetry schema — and a run of [`run_policy`]
+    /// when its pacer is due. Returns the wall-clock since the previous
+    /// sample, 0 when nobody is listening.
+    fn sample_progress(&mut self, label: &str) -> f64 {
         if !progress_wanted() {
-            return;
+            return 0.0;
         }
         let beat = Instant::now();
         let epoch_ms = beat.saturating_duration_since(self.last_beat).as_secs_f64() * 1e3;
         self.last_beat = beat;
+        let (source, replans) = match self.pacer {
+            Some(_) => ("engine", 0),
+            None => ("engine.faults", self.replans as u64),
+        };
         emit_progress(
-            "engine.faults",
+            source,
             label,
             self.sim.now(),
             &sim_progress(&self.sim, &self.releases),
-            self.replans as u64,
+            replans,
             self.decisions,
             epoch_ms,
         );
+        epoch_ms
+    }
+
+    /// The paced heartbeat of a [`run_policy`] run. The pacer advances
+    /// even when nobody is listening, so the cadence (and per-decision
+    /// cost) stays the same whether or not telemetry is on.
+    fn pace<P: Policy + ?Sized>(&mut self, policy: &P) {
+        let Some(mut pacer) = self.pacer.filter(|p| p.due(self.decisions)) else {
+            return;
+        };
+        if progress_wanted() {
+            let epoch_ms = self.sample_progress(policy.name());
+            pacer.beat(self.decisions, epoch_ms);
+        } else {
+            pacer.skip(self.decisions);
+        }
+        self.pacer = Some(pacer);
+    }
+
+    /// Opens a planning epoch: one more replan and tier and, on a fault
+    /// run, the `coflow.recovery.epochs` counter and a heartbeat.
+    fn plan_epoch<P: Policy + ?Sized>(&mut self, policy: &P) {
+        self.replans += 1;
+        self.tiers.push(policy.tier());
+        if self.pacer.is_none() {
+            obs::counter_add("coflow.recovery.epochs", 1);
+            self.sample_progress(policy.name());
+        }
+    }
+
+    /// Steps `policy` while the next slot lies before `horizon` and the run
+    /// is not over. On an error, releases the policy's resources and
+    /// flushes the decision counter.
+    fn run<P: Policy + ?Sized>(&mut self, policy: &mut P, horizon: u64) -> Result<(), EngineError> {
+        let result = (|| {
+            while self.now().saturating_add(1) < horizon && self.step(policy)? {}
+            Ok(())
+        })();
+        if result.is_err() {
+            policy.finish();
+            obs::counter_add("coflow.engine.decisions", self.decisions);
+        }
+        result
+    }
+
+    /// Ends the run: releases the policy's resources, flushes the decision
+    /// counter and samples progress one last time.
+    fn wind_up<P: Policy + ?Sized>(&mut self, policy: &mut P) {
+        policy.finish();
+        obs::counter_add("coflow.engine.decisions", self.decisions);
+        self.sample_progress(policy.name());
     }
 
     /// Runs one decision epoch: consults the policy and applies its
     /// decision. Returns `Ok(false)` when the run is over (all demand
     /// settled, or the policy declared [`Decision::Finished`]) and
-    /// `Ok(true)` when there is more to do.
+    /// `Ok(true)` when there is more to do. A decision that would leave
+    /// the clock where it is — a zero-length [`Decision::Run`], an
+    /// [`Decision::Advance`] to `now` or earlier, a [`Decision::Execute`]
+    /// with no slot to execute — is refused with
+    /// [`SchedError::Unsupported`], since asking again would loop forever.
     pub fn step<P: Policy + ?Sized>(&mut self, policy: &mut P) -> Result<bool, EngineError> {
         if self.sim.all_settled() {
             return Ok(false);
@@ -677,7 +631,7 @@ impl<'a> Engine<'a> {
             now,
             instance: self.instance,
             demand: self.sim.remaining_demand(),
-            sim: Some(&self.sim),
+            sim: &self.sim,
             next_boundary: stop.unwrap_or(u64::MAX),
             window_end: if changes_next {
                 now + 1
@@ -686,12 +640,10 @@ impl<'a> Engine<'a> {
             },
         })?;
         self.decisions += 1;
+        self.pace(policy);
         match decision {
             Decision::Execute(trace) => {
-                self.replans += 1;
-                self.tiers.push(policy.tier());
-                obs::counter_add("coflow.recovery.epochs", 1);
-                self.sample_progress(policy.name());
+                self.plan_epoch(policy);
                 // Execute until the fault state next changes (needing
                 // ≥ 1 slot of progress), or to the end of the plan when
                 // it never does again.
@@ -701,16 +653,23 @@ impl<'a> Engine<'a> {
                 // One planning epoch per fault window entered.
                 if self.last_window != Some(window) {
                     self.last_window = Some(window);
-                    self.replans += 1;
-                    self.tiers.push(policy.tier());
-                    obs::counter_add("coflow.recovery.epochs", 1);
-                    self.sample_progress(policy.name());
+                    self.plan_epoch(policy);
                 }
                 self.sim.apply_run(&pairs, duration)?;
                 policy.recycle(pairs);
             }
+            Decision::Advance(t) if t < now => {
+                return Err(EngineError::Sched(SchedError::Unsupported {
+                    what: "Decision::Advance to an earlier slot",
+                }));
+            }
             Decision::Advance(t) => self.sim.advance_to(t),
             Decision::Finished => return Ok(false),
+        }
+        if self.sim.now() == now {
+            return Err(EngineError::Sched(SchedError::Unsupported {
+                what: "a decision that leaves the clock where it is",
+            }));
         }
         Ok(true)
     }
@@ -719,9 +678,7 @@ impl<'a> Engine<'a> {
     /// counter, and assembles the [`FaultyOutcome`] exactly as
     /// [`run_policy_with_faults`] does.
     pub fn into_outcome<P: Policy + ?Sized>(mut self, policy: &mut P) -> FaultyOutcome {
-        policy.finish();
-        obs::counter_add("coflow.engine.decisions", self.decisions);
-        self.sample_progress(policy.name());
+        self.wind_up(policy);
         debug_assert!(
             self.sim.all_settled(),
             "engine: policy '{}' finished with unsettled coflows",
@@ -823,6 +780,7 @@ impl<'a> Engine<'a> {
                 decisions: snapshot.decisions,
                 releases: instance.releases(),
                 last_beat: Instant::now(),
+                pacer: None,
             },
             policy,
         ))
@@ -2063,11 +2021,11 @@ impl Policy for OnlineRhoPolicy {
 /// `H_LP → H_ρ → H_A` under the configured solver budgets — then hands the
 /// planned trace to the engine to execute until the fault state next
 /// changes. Planning stops at that boundary
-/// ([`EpochState::next_boundary`]): the runs it leaves out would never be
-/// executed, and the clean planning engine is causal, so the runs it keeps
-/// are exactly the full plan's. This is the legacy recovery epoch loop,
-/// expressed as a policy; it requires the fault-aware engine
-/// ([`run_policy_with_faults`]).
+/// ([`EpochState::next_boundary`]): the slots it leaves out would never be
+/// executed, and the planning run is causal, so the slots it keeps are
+/// exactly the full plan's. This is the legacy recovery epoch loop,
+/// expressed as a policy; under the empty plan ([`run_policy`]) it plans
+/// the whole instance once and executes that plan.
 pub struct ResilientPolicy {
     spec: AlgorithmSpec,
     lp_opts: SimplexOptions,
@@ -2193,20 +2151,37 @@ mod tests {
     }
 
     #[test]
-    fn clean_engine_rejects_execute_decisions() {
-        struct Always;
-        impl Policy for Always {
+    fn decisions_that_leave_the_clock_are_refused() {
+        /// Answers every decision with the same kind of stalled one.
+        struct Stall(u8);
+        impl Policy for Stall {
             fn name(&self) -> &'static str {
-                "always-execute"
+                "stall"
             }
             fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-                Ok(Decision::Execute(ScheduleTrace::new(
-                    state.instance.ports(),
-                )))
+                Ok(match self.0 {
+                    0 => Decision::Execute(ScheduleTrace::new(state.instance.ports())),
+                    1 => Decision::Run {
+                        pairs: vec![(0, 0, vec![0])],
+                        duration: 0,
+                    },
+                    _ => Decision::Advance(state.now),
+                })
             }
         }
-        let err = run_policy(&inst(), &mut Always).unwrap_err();
-        assert!(matches!(err, SchedError::Unsupported { .. }));
+        for kind in 0..3 {
+            let err = run_policy(&inst(), &mut Stall(kind)).unwrap_err();
+            assert!(
+                matches!(err, SchedError::Unsupported { .. }),
+                "{kind}: {err}"
+            );
+            let plan = FaultPlan::default();
+            let err = run_policy_with_faults(&inst(), &mut Stall(kind), &plan).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Sched(SchedError::Unsupported { .. })),
+                "{kind}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2339,8 +2314,15 @@ mod tests {
             }
             let instance = Instance::new(m, coflows);
             let left: Vec<Demand> = remaining.iter().map(Demand::from).collect();
-            let fabric = Fabric::new(m, &left, &vec![0; n]);
-            let state = EpochState::clean(&instance, &fabric);
+            let sim = FaultSim::new(m, &left, &vec![0; n], FaultPlan::default());
+            let state = EpochState {
+                now: 0,
+                instance: &instance,
+                demand: sim.remaining_demand(),
+                sim: &sim,
+                next_boundary: u64::MAX,
+                window_end: u64::MAX,
+            };
             let mut batch: Vec<usize> = (0..n).collect();
             batch.sort_by_key(|&k| mix(seed ^ k as u64));
             let mut agg = IntMatrix::zeros(m);
@@ -2481,6 +2463,7 @@ mod tests {
                 z = mix(z);
                 z % bound
             };
+            let quiet = FaultSim::new(m, instance.demands(), &instance.releases(), FaultPlan::default());
             let mut pool: Vec<usize> = (0..n).collect();
             let mut now = 0;
             for _ in 0..4000 {
@@ -2488,7 +2471,7 @@ mod tests {
                     now,
                     instance: &instance,
                     demand: &demand,
-                    sim: None,
+                    sim: &quiet,
                     next_boundary: u64::MAX,
                     window_end: u64::MAX,
                 };
@@ -2544,17 +2527,17 @@ mod tests {
     #[test]
     fn epoch_state_reports_environment() {
         let instance = inst();
+        /// Records the fault window each decision saw.
         struct Probe {
-            saw_faults: Option<bool>,
+            windows: Vec<(u64, u64)>,
         }
         impl Policy for Probe {
             fn name(&self) -> &'static str {
                 "probe"
             }
             fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-                if self.saw_faults.is_none() {
-                    self.saw_faults = Some(state.under_faults());
-                }
+                self.windows
+                    .push((state.next_boundary(), state.window_end()));
                 // Serve everything via a trivial greedy sweep.
                 let n = state.instance.len();
                 let m = state.instance.ports();
@@ -2582,15 +2565,21 @@ mod tests {
                 })
             }
         }
-        let mut probe = Probe { saw_faults: None };
+        // Under the empty plan no boundary is ever left.
+        let unbounded = |probe: &Probe| probe.windows.iter().all(|&w| w == (u64::MAX, u64::MAX));
+        let mut probe = Probe {
+            windows: Vec::new(),
+        };
         let out = run_policy(&instance, &mut probe).expect("probe policy runs clean");
-        assert_eq!(probe.saw_faults, Some(false));
+        assert!(unbounded(&probe));
         assert!(out.completions.iter().all(|&c| c > 0));
 
-        let mut probe = Probe { saw_faults: None };
+        let mut probe = Probe {
+            windows: Vec::new(),
+        };
         let fault_out = run_policy_with_faults(&instance, &mut probe, &FaultPlan::default())
             .expect("probe policy runs under the (empty) fault plan");
-        assert_eq!(probe.saw_faults, Some(true));
+        assert!(unbounded(&probe));
         assert_eq!(fault_out.replans, 1, "quiet plan charges exactly one epoch");
         assert!(fault_out.completions.iter().all(Option::is_some));
     }

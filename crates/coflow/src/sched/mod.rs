@@ -142,8 +142,9 @@ pub fn run_with_order(
     execute_batches(instance, order, batches, opts)
 }
 
-/// The schedule [`run_with_order`] would record, cut after the last run
-/// that starts before slot `horizon` (see [`engine::run_policy_until`]).
+/// The schedule [`run_with_order`] would record, up to the end of the
+/// decision that reaches slot `horizon - 1` (see
+/// [`engine::run_policy_until`]).
 pub(crate) fn plan_with_order_until(
     instance: &Instance,
     order: Vec<usize>,
@@ -155,7 +156,7 @@ pub(crate) fn plan_with_order_until(
     let _span = obs::span("sched.execute");
     let mut policy = BvnBatchPolicy::new(instance, order, batches, opts);
     match run_policy_until(instance, &mut policy, horizon) {
-        Ok(trace) => trace,
+        Ok(sim) => sim.finish().0,
         Err(e) => unreachable!("batch policy is infallible: {}", e),
     }
 }
@@ -190,7 +191,7 @@ pub fn run_randomized<R: Rng + ?Sized>(
 }
 
 /// Runs a [`BvnBatchPolicy`] over `batches` (consecutive runs of `order`)
-/// on the clean engine. The `sched.execute` span is kept here so the obs
+/// with [`run_policy`]. The `sched.execute` span is kept here so the obs
 /// stage taxonomy is unchanged.
 fn execute_batches(
     instance: &Instance,

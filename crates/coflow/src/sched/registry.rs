@@ -41,7 +41,7 @@ pub struct PolicyEntry {
     /// Proven approximation bound vs the interval-LP lower bound, when
     /// the policy carries one (`None` for unproven heuristics).
     pub bound: Option<f64>,
-    /// Terminates under the fault-aware engine (replans from live demand).
+    /// Terminates under a fault plan (replans from live demand).
     pub supports_faults: bool,
     ctor: fn(&Instance) -> Box<dyn Policy>,
 }
@@ -244,9 +244,8 @@ mod tests {
 
     #[test]
     fn every_entry_builds_and_schedules_the_tiny_instance() {
-        // The resilient planner emits Execute decisions, which only the
-        // fault-aware engine accepts — a quiet plan exercises every entry
-        // through one uniform driver.
+        // A quiet plan exercises every entry through the driver that
+        // returns the fault outcome, the `Execute`-emitting planner too.
         let inst = tiny();
         let quiet = coflow_netsim::FaultPlan::generate(inst.ports(), inst.len(), 64, 0.0, 1);
         for entry in PolicyRegistry::builtin().entries() {

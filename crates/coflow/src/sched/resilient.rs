@@ -106,8 +106,8 @@ fn resilient_chain(
     })
 }
 
-/// The trace [`run_resilient`] would plan, cut after the last run that
-/// starts before slot `horizon` (`u64::MAX`: the whole plan), with the
+/// The trace [`run_resilient`] would plan, up to the end of the decision
+/// that reaches slot `horizon - 1` (`u64::MAX`: the whole plan), with the
 /// fallback tier that produced it. The same chain orders the coflows; the
 /// scheduling stage stops at `horizon` and decomposes each batch only
 /// when it runs, so batches past `horizon` cost nothing.

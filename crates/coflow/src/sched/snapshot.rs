@@ -1,4 +1,4 @@
-//! Versioned checkpoint documents for the fault-aware engine
+//! Versioned checkpoint documents for the engine
 //! ([`Engine::checkpoint`](super::engine::Engine::checkpoint) /
 //! [`Engine::restore`](super::engine::Engine::restore)).
 //!

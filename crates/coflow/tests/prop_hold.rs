@@ -3,7 +3,7 @@
 //! `Decision::Run` that lasts until a matched pair drains, the next coflow
 //! is released or the fault window ends. Clamping each such run to one
 //! slot — deciding every slot — must schedule the same units in the same
-//! slots, on the clean fabric and under generated fault plans.
+//! slots, under the empty plan and under generated fault plans.
 
 use coflow::{
     run_policy, run_policy_with_faults, Coflow, Decision, EpochState, Instance, Policy,

@@ -788,11 +788,10 @@ type Segment = (usize, usize, usize, usize, Option<usize>, u64, u64);
 /// path of [`FaultSim::execute_trace`]) reuse across calls.
 #[derive(Clone, Debug, Default)]
 struct ExecBuffers {
-    /// Per held pair: the cursor into its priority list.
-    cursors: Vec<usize>,
-    /// Per held pair: the entry of the coflow at its cursor on the pair
-    /// (`None` when that coflow has none there, or past the list's end).
-    heads: Vec<Option<usize>>,
+    /// Per held pair: the cursor into its priority list, and the entry of
+    /// the coflow there on the pair (`None` when that coflow has none
+    /// there, or past the list's end).
+    heads: Vec<(usize, Option<usize>)>,
     /// Per pair: its fault state in the current window.
     states: Vec<PairState>,
     /// The transfers of the trace run being replayed.
@@ -801,6 +800,15 @@ struct ExecBuffers {
     active: Vec<Segment>,
     /// The units delivered in the current slot.
     delivered: Vec<(usize, usize, usize)>,
+    /// A bulk window's transfers in pair order, once a cut is needed: the
+    /// held pair, the coflow and the within-window offset the transfer
+    /// ends at. A pair's transfers are contiguous from offset 0.
+    served: Vec<(usize, usize, u64)>,
+    /// Per held pair with transfers in `served`: the first of them not yet
+    /// recorded.
+    served_at: Vec<usize>,
+    /// The offsets at which a bulk window's delivered list changes.
+    cuts: Vec<u64>,
 }
 
 /// Executor that applies a [`FaultPlan`] while replaying planned schedules
@@ -811,6 +819,10 @@ pub struct FaultSim {
     /// Remaining demand per coflow, over its nonzero pairs.
     remaining: SparseDemand,
     releases: Vec<u64>,
+    /// The latest release date (0 without coflows): from the slot after
+    /// it on, every coflow is released. Derived state, recomputed by
+    /// [`FaultSim::from_state`].
+    last_release: u64,
     completion: Vec<Option<u64>>,
     last_activity: Vec<u64>,
     cancelled: Vec<bool>,
@@ -876,6 +888,7 @@ impl FaultSim {
             m,
             remaining,
             releases: releases.to_vec(),
+            last_release: releases.iter().copied().max().unwrap_or(0),
             unsettled: completion.iter().filter(|c| c.is_none()).count(),
             completion,
             last_activity: vec![0; n],
@@ -1051,11 +1064,6 @@ impl FaultSim {
         self.blocked_log.push(run);
     }
 
-    /// Records one slot's delivered units in the executed trace.
-    fn record_slot(&mut self, slot: u64, delivered: &[(usize, usize, usize)]) {
-        self.record_stretch(slot, 1, delivered);
-    }
-
     /// Records `len` consecutive slots from `first` that each deliver the
     /// units `delivered`, in that order. The last executed run absorbs them
     /// when it ends right before `first` and delivers the same list;
@@ -1183,29 +1191,29 @@ impl FaultSim {
         }
         obs::counter_add("netsim.fault.blocked_units", out.blocked.len() as u64);
         obs::counter_add("netsim.fault.dropped_units", out.dropped.len() as u64);
-        self.record_slot(slot, &out.delivered);
+        self.record_stretch(slot, 1, &out.delivered);
         self.now = slot;
         Ok(out)
     }
 
-    /// Holds a matching for `duration` slots from `now + 1` — the
-    /// fault-side twin of [`crate::Fabric::apply_run`]. Each slot, every
-    /// pair `(ingress, egress, priority-ordered coflows)` serves its first
-    /// listed coflow with demand left on the pair; the fault plan strands
-    /// or drops that unit as [`FaultSim::step`] would. `duration == 0`
-    /// does nothing.
+    /// Holds a matching for `duration` slots from `now + 1`. Each slot,
+    /// every pair `(ingress, egress, priority-ordered coflows)` serves its
+    /// first listed coflow with demand left on the pair (the in-group
+    /// priority and backfilling rule); the fault plan strands or drops
+    /// that unit as [`FaultSim::step`] would. `duration == 0` does
+    /// nothing; a hold with pairs adds its slots to `netsim.fabric.slots`.
     ///
-    /// The hold is split at the plan's boundaries and each pair classified
-    /// once per window. Each pair keeps a forward cursor into its list:
-    /// remaining demand never grows, so its first coflow with demand never
-    /// moves back. The heads of a window's first slot are chosen before
-    /// that slot's cancellations fire, as the slot-wise path chooses its
-    /// moves before [`FaultSim::step`] applies them, so a head cancelled
-    /// there is dropped. The executed trace, completions, blocked log and
-    /// counters are identical to [`FaultSim::apply_run_slotwise`]; a hold
-    /// that could trip a structural [`SimError`] — an id out of range, a
-    /// listed coflow not yet released, a port in two pairs — runs on that
-    /// path, so error slots and partial state match too.
+    /// The hold is split at the plan's boundaries, and each pair keeps a
+    /// forward cursor into its list (remaining demand never grows). A
+    /// window where every pair is open and no cancellation is due at its
+    /// first slot — every window, under the empty plan — is served in one
+    /// pass per pair. Other windows go slot by slot, the heads of their
+    /// first slot chosen before that slot's cancellations fire, as the
+    /// slot-wise path chooses its moves before [`FaultSim::step`] applies
+    /// them. The result is identical to [`FaultSim::apply_run_slotwise`],
+    /// which runs a hold that could trip a structural [`SimError`] (an id
+    /// out of range, a listed coflow not yet released, a port in two
+    /// pairs), so error slots and partial state match too.
     pub fn apply_run(
         &mut self,
         pairs: &[(usize, usize, Vec<usize>)],
@@ -1214,49 +1222,46 @@ impl FaultSim {
         if duration == 0 {
             return Ok(());
         }
-        if !self.hold_is_safe(pairs) {
-            return self.apply_run_slotwise(pairs, duration);
+        if !pairs.is_empty() {
+            obs::counter_add("netsim.fabric.slots", duration);
         }
         let mut buf = std::mem::take(&mut self.scratch);
-        buf.cursors.clear();
-        buf.cursors.resize(pairs.len(), 0);
-        buf.heads.clear();
-        buf.heads.extend(pairs.iter().map(|(i, j, prio)| {
-            prio.first()
-                .and_then(|&k| self.memo.find(&self.remaining, k, *i, *j))
-        }));
+        if !self.start_hold(pairs, &mut buf) {
+            self.scratch = buf;
+            return self.apply_run_slotwise(pairs, duration);
+        }
         let (mut blocked, mut dropped) = (0u64, 0u64);
         let last = self.now.saturating_add(duration);
-        let mut window_end = self.now;
-        for slot in self.now + 1..=last {
-            let heads = buf.cursors.iter_mut().zip(&mut buf.heads);
-            for ((c, head), (i, j, prio)) in heads.zip(pairs) {
-                while *c < prio.len() && !head.is_some_and(|e| self.remaining.units(e) > 0) {
-                    *c += 1;
-                    *head = prio
-                        .get(*c)
-                        .and_then(|&k| self.memo.find(&self.remaining, k, *i, *j));
+        while self.now < last {
+            let w0 = self.now + 1;
+            if self.opens_in_bulk(w0, pairs) {
+                let w1 = last.min(self.index.next_boundary(w0) - 1);
+                self.hold_window(pairs, &mut buf, w0, w1);
+                continue;
+            }
+            // Entering the window fires its cancellations: after the heads.
+            self.advance_heads(pairs, &mut buf);
+            let pairs_ij = pairs.iter().map(|&(i, j, _)| (i, j));
+            let w1 = self.enter_window(w0, last, pairs_ij, &mut buf.states);
+            for slot in w0..=w1 {
+                if slot > w0 {
+                    self.advance_heads(pairs, &mut buf);
                 }
-            }
-            // Entering a window fires its cancellations: after the heads.
-            if slot > window_end {
-                let pairs_ij = pairs.iter().map(|&(i, j, _)| (i, j));
-                window_end = self.enter_window(slot, last, pairs_ij, &mut buf.states);
-            }
-            buf.delivered.clear();
-            let heads = buf.cursors.iter().zip(&buf.heads).zip(&buf.states);
-            for (((&c, &head), &state), (i, j, prio)) in heads.zip(pairs) {
-                let Some(&k) = prio.get(c) else { continue };
-                let open = state.open(&self.index, *i, *j, slot);
-                match self.serve_unit(slot, (*i, *j), k, head, open) {
-                    Served::Delivered => buf.delivered.push((*i, *j, k)),
-                    Served::Blocked => blocked += 1,
-                    Served::Dropped => dropped += 1,
-                    Served::Gone => {}
+                buf.delivered.clear();
+                let heads = buf.heads.iter().zip(&buf.states);
+                for ((&(c, head), &state), (i, j, prio)) in heads.zip(pairs) {
+                    let Some(&k) = prio.get(c) else { continue };
+                    let open = state.open(&self.index, *i, *j, slot);
+                    match self.serve_unit(slot, (*i, *j), k, head, open) {
+                        Served::Delivered => buf.delivered.push((*i, *j, k)),
+                        Served::Blocked => blocked += 1,
+                        Served::Dropped => dropped += 1,
+                        Served::Gone => {}
+                    }
                 }
+                self.record_stretch(slot, 1, &buf.delivered);
+                self.now = slot;
             }
-            self.record_slot(slot, &buf.delivered);
-            self.now = slot;
         }
         self.scratch = buf;
         obs::counter_add("netsim.fault.blocked_units", blocked);
@@ -1264,16 +1269,163 @@ impl FaultSim {
         Ok(())
     }
 
-    /// True when no slot of a hold over `pairs` from `now + 1` can trip a
-    /// structural [`SimError`]: every id is in range, every listed coflow
-    /// is released, and no port is in two pairs.
-    fn hold_is_safe(&mut self, pairs: &[(usize, usize, Vec<usize>)]) -> bool {
+    /// True when the hold can serve the window starting at `w0` in bulk:
+    /// no cancellation is due by then, and every held pair is open
+    /// throughout the window (without a look at the pairs when the plan
+    /// has no port or link events).
+    fn opens_in_bulk(&self, w0: u64, pairs: &[(usize, usize, Vec<usize>)]) -> bool {
+        let index = &self.index;
+        let cancels = index.cancel_order.get(self.cancel_cursor);
+        let links_open =
+            index.ingress.is_empty() && index.egress.is_empty() && index.links.is_empty();
+        cancels.is_none_or(|&(at, _)| at > w0)
+            && (links_open
+                || pairs
+                    .iter()
+                    .all(|&(i, j, _)| index.pair_state(i, j, w0) == PairState::Open))
+    }
+
+    /// Moves each held pair's cursor to its first listed coflow with
+    /// demand left on the pair, and its head to that coflow's entry.
+    fn advance_heads(&mut self, pairs: &[(usize, usize, Vec<usize>)], buf: &mut ExecBuffers) {
+        for ((c, head), (i, j, prio)) in buf.heads.iter_mut().zip(pairs) {
+            self.advance_head(c, head, (*i, *j), prio);
+        }
+    }
+
+    /// Moves cursor `c` of pair `(i, j)` to the first coflow from it in
+    /// `prio` with demand left on the pair, and `head` to its entry.
+    #[inline]
+    fn advance_head(
+        &mut self,
+        c: &mut usize,
+        head: &mut Option<usize>,
+        (i, j): (usize, usize),
+        prio: &[usize],
+    ) {
+        while *c < prio.len() && !head.is_some_and(|e| self.remaining.units(e) > 0) {
+            *c += 1;
+            *head = prio
+                .get(*c)
+                .and_then(|&k| self.memo.find(&self.remaining, k, i, j));
+        }
+    }
+
+    /// Serves slots `w0..=w1` of a hold in which every pair is open and no
+    /// cancellation fires: each pair drains its list from its cursor for
+    /// the window's length, taking what each head has left up to the
+    /// budget, and a coflow completes at the slot of its last unit, the
+    /// latest over its pairs. The window is recorded as stretches cut
+    /// wherever a pair's transfer ends, so the executed trace is what
+    /// serving slot by slot records; when every transfer spans the window,
+    /// as when each pair serves one coflow, that is one stretch.
+    fn hold_window(
+        &mut self,
+        pairs: &[(usize, usize, Vec<usize>)],
+        buf: &mut ExecBuffers,
+        w0: u64,
+        w1: u64,
+    ) {
+        let len = w1 - w0 + 1;
+        buf.served.clear();
+        buf.delivered.clear();
+        let mut one_stretch = true;
+        for (p, ((c, head), (i, j, prio))) in buf.heads.iter_mut().zip(pairs).enumerate() {
+            let mut used = 0;
+            while used < len {
+                self.advance_head(c, head, (*i, *j), prio);
+                let (Some(&k), Some(e)) = (prio.get(*c), *head) else {
+                    break;
+                };
+                let take = self.remaining.units(e).min(len - used);
+                self.remaining.take(k, e, take);
+                used += take;
+                self.last_activity[k] = self.last_activity[k].max(w0 - 1 + used);
+                if self.remaining.total(k) == 0 {
+                    self.completion[k] = Some(self.last_activity[k]);
+                    self.unsettled -= 1;
+                }
+                if one_stretch && take == len {
+                    buf.delivered.push((*i, *j, k));
+                    continue;
+                }
+                if one_stretch {
+                    // The first cut: every pair before this one served one
+                    // coflow for the whole window.
+                    one_stretch = false;
+                    let mut whole = buf.delivered.iter().peekable();
+                    for (q, &(qi, qj, _)) in pairs[..p].iter().enumerate() {
+                        let ours = |&&(di, dj, _): &&(usize, usize, usize)| (di, dj) == (qi, qj);
+                        if let Some(&(.., dk)) = whole.next_if(ours) {
+                            buf.served.push((q, dk, len));
+                        }
+                    }
+                }
+                buf.served.push((p, k, used));
+            }
+        }
+        self.now = w1;
+        if one_stretch {
+            self.record_stretch(w0, len, &buf.delivered);
+            return;
+        }
+        // Cut at every transfer's end. Each pair with transfers keeps a
+        // pointer to its first transfer ending after the stretch starts:
+        // the one it serves there, unless its transfers ended before.
+        buf.cuts.clear();
+        buf.cuts.extend(buf.served.iter().map(|&(.., end)| end));
+        buf.cuts.sort_unstable();
+        buf.cuts.dedup();
+        let served = &buf.served;
+        buf.served_at.clear();
+        buf.served_at
+            .extend((0..served.len()).filter(|&s| s == 0 || served[s - 1].0 != served[s].0));
+        let mut from = 0;
+        for &to in &buf.cuts {
+            buf.delivered.clear();
+            for at in buf.served_at.iter_mut() {
+                let p = served[*at].0;
+                while served[*at].2 <= from && served.get(*at + 1).is_some_and(|s| s.0 == p) {
+                    *at += 1;
+                }
+                let (_, k, end) = served[*at];
+                if end > from {
+                    buf.delivered.push((pairs[p].0, pairs[p].1, k));
+                }
+            }
+            self.record_stretch(w0 + from, to - from, &buf.delivered);
+            from = to;
+        }
+    }
+
+    /// Starts a hold over `pairs` from `now + 1`: each pair's cursor at
+    /// the head of its list. Returns false when a slot of the hold could
+    /// trip a structural [`SimError`] — an id out of range, a listed
+    /// coflow not yet released, a port in two pairs. Once every coflow is
+    /// released, a listed coflow is checked for its id alone.
+    fn start_hold(&mut self, pairs: &[(usize, usize, Vec<usize>)], buf: &mut ExecBuffers) -> bool {
         let (m, n, first) = (self.m, self.remaining.len(), self.now + 1);
-        let released = |k: usize| k < n && self.releases[k] < first;
-        pairs
-            .iter()
-            .all(|(i, j, prio)| *i < m && *j < m && prio.iter().all(|&k| released(k)))
-            && self.ports_disjoint(pairs.iter().map(|&(i, j, _)| (i, j)))
+        let all_released = self.last_release < first;
+        self.src_used.fill(false);
+        self.dst_used.fill(false);
+        buf.heads.clear();
+        for &(i, j, ref prio) in pairs {
+            let released = |&k: &usize| k < n && (all_released || self.releases[k] < first);
+            if i >= m
+                || j >= m
+                || self.src_used[i]
+                || self.dst_used[j]
+                || !prio.iter().all(released)
+            {
+                return false;
+            }
+            self.src_used[i] = true;
+            self.dst_used[j] = true;
+            let head = prio.first();
+            let entry = head.and_then(|&k| self.memo.find(&self.remaining, k, i, j));
+            buf.heads.push((0, entry));
+        }
+        true
     }
 
     /// True when no two of `pairs` (all in range) share an ingress or an
@@ -1489,7 +1641,7 @@ impl FaultSim {
                         Served::Gone => {}
                     }
                 }
-                self.record_slot(slot, &buf.delivered);
+                self.record_stretch(slot, 1, &buf.delivered);
                 self.now = slot;
             }
             w0 = w1 + 1;
@@ -1584,6 +1736,7 @@ impl FaultSim {
         let mut sim = FaultSim {
             m: state.m,
             remaining,
+            last_release: state.releases.iter().copied().max().unwrap_or(0),
             releases: state.releases,
             completion: state.completion,
             last_activity: state.last_activity,
@@ -2137,5 +2290,28 @@ mod tests {
         assert_eq!(sim.now(), 4, "clock lands on the epoch boundary");
         assert_eq!(sim.remaining_total(0), 2, "demand stranded");
         assert_eq!(sim.blocked_units(), 2);
+    }
+
+    /// Under the empty plan a hold is served in bulk: a shared pair drains
+    /// its list in priority order, each coflow completing at the slot of
+    /// its last unit, the budget caps what a hold moves, and a coflow
+    /// without demand completes at its release.
+    #[test]
+    fn bulk_hold_serves_in_priority_order() {
+        let demands = [demand(3), demand(2), demand(10), demand(0)];
+        let mut sim = FaultSim::new(2, &demands, &[0, 0, 0, 7], FaultPlan::default());
+        assert_eq!(sim.completion_times()[3], Some(7));
+        sim.apply_run(&[(0, 1, vec![0, 1, 2])], 9).unwrap();
+        assert_eq!(sim.completion_times()[..3], [Some(3), Some(5), None]);
+        assert_eq!(sim.remaining_total(2), 6, "the hold's budget caps coflow 2");
+        assert_eq!(sim.now(), 9);
+        let stretches: Vec<(u64, u64, usize)> = sim
+            .capture()
+            .executed
+            .runs
+            .iter()
+            .map(|r| (r.start, r.duration, r.transfers[0].coflow()))
+            .collect();
+        assert_eq!(stretches, [(1, 3, 0), (4, 2, 1), (6, 4, 2)]);
     }
 }

@@ -8,15 +8,15 @@
 //! * [`Demand`] is one coflow's demand: its nonzero flows in row-major
 //!   order, what every instance holds;
 //! * [`SparseDemand`] holds remaining demand over each coflow's nonzero
-//!   port pairs — what the executors and the replay check drain, and what
+//!   port pairs — what the executor and the replay check drain, and what
 //!   the engine's policies read by entry index;
-//! * [`Fabric`] executes run-length schedules (a matching held for `q`
-//!   slots, each pair serving a priority list of coflows — the vehicle for
-//!   grouping and backfilling) and records exact completion slots;
-//! * [`SlotSim`] is a literal slot-by-slot executor for cross-checks;
-//! * [`FaultSim`] replays planned traces and held matchings under a
-//!   [`FaultPlan`], run-length, against the plan compiled once into a
-//!   [`FaultIndex`];
+//! * [`FaultSim`] is the one executor: it holds matchings (a matching held
+//!   for `q` slots, each pair serving a priority list of coflows — the
+//!   vehicle for grouping and backfilling) and replays planned traces
+//!   under a [`FaultPlan`] (the empty plan for a clean run), run-length,
+//!   against the plan compiled once into a [`FaultIndex`], and records
+//!   exact completion slots and the executed trace as maximal stretches
+//!   of identical slots;
 //! * [`validate_trace`] replays a recorded [`ScheduleTrace`] against the
 //!   original instance and re-derives completion times independently;
 //! * [`trace_stats`] measures idle capacity, the quantity backfilling
@@ -32,7 +32,6 @@
 // warnings (tests and benches are exempt via the cfg gate).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod demand;
-pub mod fabric;
 pub mod fault;
 pub mod recorder;
 pub mod render;
@@ -42,7 +41,6 @@ pub mod trace;
 pub mod validate;
 
 pub use demand::{Demand, DemandError, DemandView, EntryMemo, PortLoads, SparseDemand};
-pub use fabric::{Fabric, SlotSim};
 pub use fault::{
     AdversarialConfig, BlockedRun, BlockedUnits, FaultEvent, FaultIndex, FaultPlan, FaultSim,
     SimError, SlotOutcome,

@@ -81,6 +81,17 @@ pub enum ValidationError {
         /// The offending index.
         coflow: usize,
     },
+    /// A run starts before the previous run ends. Runs are checked for
+    /// port reuse one at a time, so they must come in time order without
+    /// overlap.
+    RunOverlap {
+        /// Index of the offending run.
+        run: usize,
+        /// Its first slot.
+        start: u64,
+        /// The first slot after the previous run.
+        free_from: u64,
+    },
 }
 
 impl std::fmt::Display for ValidationError {
@@ -93,10 +104,11 @@ impl std::error::Error for ValidationError {}
 
 /// Replays `trace` against the instance (`demands`, `releases`) and returns
 /// the recomputed completion time of every coflow. The demands must be on
-/// `trace.m` ports.
+/// `trace.m` ports, and the runs in time order, none starting before the
+/// previous one ends.
 ///
-/// Coflows with zero demand complete at their release date, matching
-/// [`crate::Fabric`]'s convention.
+/// Coflows with zero demand complete at their release date, as the
+/// executor ([`crate::FaultSim`]) reports them.
 pub fn validate_trace<'a>(
     demands: impl IntoIterator<Item = &'a Demand>,
     releases: &[u64],
@@ -123,8 +135,17 @@ pub fn validate_trace<'a>(
     let mut touched_src: Vec<usize> = Vec::new();
     let mut touched_dst: Vec<usize> = Vec::new();
     let mut memo = EntryMemo::new(m);
+    let mut free_from = 0;
 
     for (ridx, run) in trace.runs.iter().enumerate() {
+        if run.start < free_from {
+            return Err(ValidationError::RunOverlap {
+                run: ridx,
+                start: run.start,
+                free_from,
+            });
+        }
+        free_from = run.start.saturating_add(run.duration);
         for &s in &touched_src {
             src_used[s] = false;
             pair_dst[s] = usize::MAX;
@@ -226,20 +247,24 @@ pub fn validate_trace<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
+    use crate::fault::{FaultPlan, FaultSim};
     use crate::trace::{Run, Transfer};
     use coflow_matching::IntMatrix;
 
     #[test]
-    fn fabric_trace_validates_and_times_agree() {
+    fn executed_trace_validates_and_times_agree() {
+        // The paper's Figure 1: the identity, then the anti-diagonal twice.
         let d0 = IntMatrix::from_nested(&[[1, 2], [2, 1]]);
         let demands = vec![Demand::from(d0)];
-        let mut f = Fabric::new(2, &demands, &[0]);
-        f.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1);
-        f.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2);
-        let (trace, times) = f.finish();
+        let mut sim = FaultSim::new(2, &demands, &[0], FaultPlan::default());
+        sim.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1)
+            .unwrap();
+        sim.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2)
+            .unwrap();
+        let (trace, times, ..) = sim.finish();
         let validated = validate_trace(&demands, &[0], &trace).expect("valid");
-        assert_eq!(validated, times);
+        assert_eq!(validated, vec![3]);
+        assert_eq!(times, vec![Some(3)]);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! guarantee in this repository, so each rejection path is exercised.
 
 use coflow_matching::IntMatrix;
-use coflow_netsim::{
-    validate_trace, Demand, Fabric, Run, ScheduleTrace, Transfer, ValidationError,
-};
+use coflow_netsim::{validate_trace, Demand, Run, ScheduleTrace, Transfer, ValidationError};
 
-/// A valid two-coflow instance and its trace.
+/// A valid two-coflow instance and its trace: one run over slots 2–4 in
+/// which pair (0, 1) serves coflow 0's two units and then coflow 1's one,
+/// and (1, 2) and (2, 0) serve the rest.
 fn valid_setup() -> (Vec<Demand>, Vec<u64>, ScheduleTrace) {
     let mut d0 = IntMatrix::zeros(3);
     d0[(0, 1)] = 2;
@@ -18,10 +18,17 @@ fn valid_setup() -> (Vec<Demand>, Vec<u64>, ScheduleTrace) {
     d1[(2, 0)] = 2;
     let demands = vec![Demand::from(d0), Demand::from(d1)];
     let releases = vec![0, 1];
-    let mut fabric = Fabric::new(3, &demands, &releases);
-    fabric.advance_to(1);
-    fabric.apply_run(&[(0, 1, vec![0, 1]), (1, 2, vec![0]), (2, 0, vec![1])], 3);
-    let (trace, _) = fabric.finish();
+    let mut trace = ScheduleTrace::new(3);
+    trace.push_run(Run {
+        start: 2,
+        duration: 3,
+        transfers: Box::new([
+            Transfer::new(0, 1, 0, 2).unwrap(),
+            Transfer::new(0, 1, 1, 1).unwrap(),
+            Transfer::new(1, 2, 0, 1).unwrap(),
+            Transfer::new(2, 0, 1, 2).unwrap(),
+        ]),
+    });
     (demands, releases, trace)
 }
 
@@ -202,4 +209,31 @@ fn units_that_wrap_a_pair_sum_are_over_capacity() {
             capacity: 3
         }
     );
+}
+
+/// Two runs that share slot 1 move two units through ingress 0 in that
+/// slot, which each run alone allows; listed out of time order they
+/// overlap too. Both are refused at the later-listed run. (`push_run`
+/// refuses such runs, but `runs` is a public list.)
+#[test]
+fn overlapping_runs_are_caught() {
+    let demands = [Demand::from_flows(2, [(0, 1, 2)]).unwrap()];
+    let run = |start, duration| Run {
+        start,
+        duration,
+        transfers: Box::new([Transfer::new(0, 1, 0, 1).unwrap()]),
+    };
+    for (first, free_from) in [(1, 3), (5, 7)] {
+        let mut trace = ScheduleTrace::new(2);
+        trace.runs.push(run(first, 2));
+        trace.runs.push(run(1, 1));
+        assert_eq!(
+            validate_trace(&demands, &[0], &trace),
+            Err(ValidationError::RunOverlap {
+                run: 1,
+                start: 1,
+                free_from
+            })
+        );
+    }
 }

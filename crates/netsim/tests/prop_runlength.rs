@@ -10,10 +10,12 @@
 //!   `netsim.fault.*` counter deltas, under arbitrary fault plans, stop
 //!   boundaries, and multi-epoch resumption;
 //! * [`FaultSim::apply_run`] (held matchings, windowed with per-pair
-//!   cursors) against [`FaultSim::apply_run_slotwise`]: the same after
-//!   every hold of a sequence, across fault windows, cancellations at a
-//!   hold's first slot, a restore from a capture, and every structural
-//!   fallback;
+//!   cursors, open windows served in bulk) against
+//!   [`FaultSim::apply_run_slotwise`]: the same after every hold of a
+//!   sequence, under generated plans, the empty plan and plans that only
+//!   cancel, across fault windows, cancellations at the first slot of a
+//!   hold or of a window inside it, a restore from a capture, and every
+//!   structural fallback;
 //! * on both paths, the executed trace is run-length: its runs are
 //!   maximal, each transfer moves one unit per slot of its run, no port
 //!   repeats within a run, and slot by slot it delivers exactly what
@@ -27,14 +29,12 @@
 //!   the recorders merged slots hold them) to the same simulator as their
 //!   merged form;
 //! * [`ScheduleTrace::for_each_slot`] (reused-buffer expansion) against
-//!   [`Run::slot_moves`] (allocating reference);
-//! * [`Fabric::apply_run`] (run-length clean path) against [`SlotSim`]
-//!   replaying the recorded trace slot by slot.
+//!   [`Run::slot_moves`] (allocating reference).
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
-    trace_stats, BlockedRun, BlockedUnits, Demand, Fabric, FaultEvent, FaultPlan, FaultSim, Run,
-    ScheduleTrace, SimError, SlotOutcome, SlotSim, Transfer,
+    trace_stats, BlockedRun, BlockedUnits, Demand, FaultEvent, FaultPlan, FaultSim, Run,
+    ScheduleTrace, SimError, SlotOutcome, Transfer,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -371,15 +371,22 @@ fn sparse(dense: &[IntMatrix]) -> Vec<Demand> {
 /// heads drain in the middle of holds. Some holds last zero slots or hold
 /// no pairs. Rarely a hold shares a port between two pairs or lists an
 /// out-of-range port or coflow, and positive releases leave listed coflows
-/// unreleased: each pushes the hold onto the slot-wise fallback. The plan
-/// is `FaultPlan::generate` over the holds' horizon plus cancellations at
-/// the first slot of a hold and at slot 0, and events on ports and
-/// coflows outside the instance.
+/// unreleased: each pushes the hold onto the slot-wise fallback.
+///
+/// The plan depends on `kind`. Kind 1 is the empty plan, under which every
+/// safe hold is served in bulk. Kind 2 only cancels — at the first slot of
+/// a hold, at a slot inside one (the first slot of a window the hold
+/// enters), at slot 0, and a coflow outside the instance — so every pair
+/// is open and a window is served in bulk unless a cancellation is due at
+/// its first slot. Any other kind is `FaultPlan::generate` over the holds'
+/// horizon plus cancellations at the first slot of a hold and at slot 0,
+/// and events on ports and coflows outside the instance.
 fn build_holds(
     m: usize,
     n: usize,
     nholds: usize,
     seed: u64,
+    kind: usize,
     rate: f64,
     fseed: u64,
 ) -> (Vec<IntMatrix>, Vec<u64>, Vec<Hold>, FaultPlan) {
@@ -447,7 +454,20 @@ fn build_holds(
             duration,
         });
     }
-    let mut plan = FaultPlan::generate(m, n, now.max(1), rate, fseed);
+    if kind == 1 {
+        return (demands, releases, holds, FaultPlan::default());
+    }
+    let mut plan = if kind == 2 {
+        // A cancellation inside a hold cuts it into two windows.
+        let h = rng.below(nholds as u64) as usize;
+        let at = starts[h] + rng.below(holds[h].duration.max(1));
+        FaultPlan::new(vec![FaultEvent::CoflowCancelled {
+            coflow: rng.below(n as u64) as usize,
+            at,
+        }])
+    } else {
+        FaultPlan::generate(m, n, now.max(1), rate, fseed)
+    };
     let h = rng.below(nholds as u64) as usize;
     plan.events.push(FaultEvent::CoflowCancelled {
         coflow: rng.below(n as u64) as usize,
@@ -460,11 +480,13 @@ fn build_holds(
     }
     if rng.below(3) == 0 {
         let start = 1 + rng.below(now.max(1));
-        plan.events.push(FaultEvent::IngressOutage {
-            port: m + 1,
-            start,
-            end: start + 2,
-        });
+        if kind != 2 {
+            plan.events.push(FaultEvent::IngressOutage {
+                port: m + 1,
+                start,
+                end: start + 2,
+            });
+        }
         plan.events.push(FaultEvent::CoflowCancelled {
             coflow: n + 1,
             at: start,
@@ -539,18 +561,22 @@ proptest! {
     /// and the same captured state — remaining matrices, cancellation
     /// flags, completions, clock, executed trace, blocked units and log.
     /// The run-length side is restored from a capture before hold
-    /// `restore`, so its cancellation cursor restarts mid-run.
+    /// `restore`, so its cancellation cursor restarts mid-run. Two kinds
+    /// of plan in four leave every pair open (see [`build_holds`]), so the
+    /// bulk path serves most of their windows.
     #[test]
     fn apply_run_matches_slotwise(
         m in 2usize..5,
         n in 1usize..5,
         nholds in 1usize..9,
         seed in 0u64..1 << 32,
+        kind in 0usize..4,
         rate in 0.0f64..0.8,
         fseed in 0u64..1 << 32,
         restore in 0usize..9,
     ) {
-        let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
+        let (demands, releases, holds, plan) =
+            build_holds(m, n, nholds, seed, kind, rate, fseed);
         let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
         let mut b = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
         for (h, hold) in holds.iter().enumerate() {
@@ -591,11 +617,13 @@ proptest! {
         n in 1usize..5,
         nholds in 2usize..9,
         seed in 0u64..1 << 32,
+        kind in 0usize..4,
         rate in 0.0f64..0.8,
         fseed in 0u64..1 << 32,
         cut in 1usize..8,
     ) {
-        let (demands, releases, holds, plan) = build_holds(m, n, nholds, seed, rate, fseed);
+        let (demands, releases, holds, plan) =
+            build_holds(m, n, nholds, seed, kind, rate, fseed);
         let cut = cut.min(holds.len() - 1);
         let mut a = FaultSim::new(m, &sparse(&demands), &releases, plan.clone());
         let hold_all = |sim: &mut FaultSim, holds: &[Hold]| {
@@ -659,57 +687,6 @@ proptest! {
         prop_assert_eq!(seen, expected);
     }
 
-    /// Clean-path equivalence: completion times from the run-length
-    /// `Fabric` agree with a literal `SlotSim` replay of its own trace.
-    #[test]
-    fn fabric_runs_match_unit_slot_replay(
-        m in 2usize..5,
-        n in 1usize..5,
-        nruns in 1usize..6,
-        seed in 0u64..1 << 32,
-    ) {
-        let (planned, demands, _) = build_case(m, n, nruns, seed);
-        let releases = vec![0u64; n];
-        let mut fabric = Fabric::new(m, &sparse(&demands), &releases);
-        for run in &planned.runs {
-            if run.start > fabric.now() + 1 {
-                fabric.advance_to(run.start - 1);
-            }
-            // Regroup the run into per-pair priority lists.
-            let mut pairs: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-            for t in &run.transfers {
-                match pairs.iter_mut().find(|p| p.0 == t.src() && p.1 == t.dst()) {
-                    Some(p) => p.2.push(t.coflow()),
-                    None => pairs.push((t.src(), t.dst(), vec![t.coflow()])),
-                }
-            }
-            // Skip runs that would violate the matching precondition.
-            let mut src = vec![false; m];
-            let mut dst = vec![false; m];
-            if !pairs.iter().all(|&(i, j, _)| {
-                let ok = !src[i] && !dst[j];
-                src[i] = true;
-                dst[j] = true;
-                ok
-            }) {
-                continue;
-            }
-            fabric.apply_run(&pairs, run.duration);
-        }
-        let (trace, completions) = fabric.finish_partial();
-        let mut slots = SlotSim::new(m, &demands, &releases);
-        trace.for_each_slot(|slot, moves| {
-            if slot > slots.now() + 1 {
-                // Idle gap between runs.
-                while slots.now() + 1 < slot {
-                    slots.step(&[]);
-                }
-            }
-            slots.step(moves);
-        });
-        prop_assert_eq!(completions, slots.completion_times().to_vec());
-        prop_assert_eq!(trace_stats(&trace).total_units, trace.total_units());
-    }
 }
 
 /// A run booking 3 units on one pair in 1 slot, after a valid 1-slot run,

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Consolidated gate runner: clippy, every crate's tests, the benchmark
-# crate's release build, every `experiments -- gate NAME`, the perf steps
-# that are not gates, explain and chaos — in that order, never aborting
+# crate's release build and tests, every `experiments -- gate NAME`, the
+# perf steps that are not gates, explain and chaos — in that order, never aborting
 # early, so one invocation reports every status. Appends ONE
 # coflow-ledger/1 verdict record (gate `check-all`) carrying one status
 # per step, prints a pass/fail summary table, and exits nonzero if any
@@ -36,17 +36,17 @@ step() {
     fi
 }
 
-# The benchmark crate builds against the library crates by path, so a
-# change to a public type it uses must still compile it. Only a benchmark
+# bench_cargo SUBCOMMAND: runs a cargo subcommand on the benchmark crate,
+# which builds against the library crates by path. Only a benchmark
 # change commits its lock file: the rewrite a build makes is undone.
-bench_build() {
+bench_cargo() {
     lock=$(mktemp)
     cp benchmark/Cargo.lock "$lock"
-    cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
-    built=$?
+    cargo "$1" --release --offline -q --manifest-path benchmark/Cargo.toml
+    status=$?
     cp "$lock" benchmark/Cargo.lock
     rm -f "$lock"
-    return "$built"
+    return "$status"
 }
 
 # The perf steps that are not gates: the checkpoint/resume differential
@@ -68,7 +68,11 @@ step clippy sh scripts/check-clippy.sh
 # The root package's `cargo test` covers only its own tests; this runs
 # every crate's unit, integration and property tests.
 step tests cargo test --workspace -q --offline
-step bench-build bench_build
+# A change to a public type the benchmark uses must still compile it; its
+# tests check that every workload still schedules, verifies and repeats
+# bit for bit on the benchmark's own path.
+step bench-build bench_cargo build
+step bench-tests bench_cargo test
 for gate in $GATES; do
     step "$gate" experiments gate "$gate"
 done

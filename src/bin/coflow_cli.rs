@@ -18,15 +18,16 @@
 //!
 //! `--policy NAME` instead builds the named scheduler from the policy
 //! registry (`coflow::PolicyRegistry`) exactly as the registry defines it
-//! and runs it on the clean engine: `bvn-batch` (Algorithm 2 + backfill
-//! over `H_LP`), `online` (ρ/w priorities re-sorted on arrivals *and*
-//! completions), `greedy` (work-conserving priority greedy over `H_ρ`),
-//! `shafiee-ghaderi` (LP-free primal–dual, 5-approx), and `im-purohit`
-//! (LP-completion-time order, 4-approx). The pipeline options do not apply to a registry
-//! policy: combining them with `--policy` is a usage error (exit 2).
-//! `resilient` is the fault-recovery pipeline; its plans need the
-//! fault-aware engine, so the CLI rejects it (exit 1) — run
-//! `experiments -- faults` for the fault sweep.
+//! and runs it on the engine under the empty fault plan: `bvn-batch`
+//! (Algorithm 2 + backfill over `H_LP`), `online` (ρ/w priorities
+//! re-sorted on arrivals *and* completions), `greedy` (work-conserving
+//! priority greedy over `H_ρ`), `resilient` (the fault-recovery pipeline,
+//! which with no fault to recover from plans the whole trace once and
+//! executes the plan), `shafiee-ghaderi` (LP-free primal–dual, 5-approx),
+//! and `im-purohit` (LP-completion-time order, 4-approx). The pipeline
+//! options do not apply to a registry policy: combining them with
+//! `--policy` is a usage error (exit 2). Run `experiments -- faults` for
+//! the fault sweep.
 //!
 //! `--profile` enables the `obs` registry and prints the span/counter
 //! summary tree to stderr after scheduling; `--trace-out PATH` additionally

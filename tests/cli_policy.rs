@@ -48,33 +48,24 @@ fn every_registry_policy_matches_the_engine_run() {
     let path = path.to_str().expect("utf-8 path");
     for entry in PolicyRegistry::builtin().entries() {
         let out = cli(&[path, "--ports", "6", "--policy", entry.name, "--emit-json"]);
-        match run_policy(&instance, &mut *entry.build(&instance)) {
-            Ok(expected) => {
-                assert!(
-                    out.status.success(),
-                    "{}: exit {:?}: {}",
-                    entry.name,
-                    out.status.code(),
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                let got = emitted_objective(&out);
-                assert_eq!(
-                    got.to_bits(),
-                    expected.objective.to_bits(),
-                    "{}: CLI printed {} but the registry policy scores {}",
-                    entry.name,
-                    got,
-                    expected.objective
-                );
-            }
-            // `resilient` plans with Decision::Execute, which only the
-            // fault-aware engine runs: the CLI must refuse it too.
-            Err(_) => assert!(
-                !out.status.success(),
-                "{}: the engine rejects it, the CLI must fail",
-                entry.name
-            ),
-        }
+        let expected = run_policy(&instance, &mut *entry.build(&instance))
+            .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
+        assert!(
+            out.status.success(),
+            "{}: exit {:?}: {}",
+            entry.name,
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let got = emitted_objective(&out);
+        assert_eq!(
+            got.to_bits(),
+            expected.objective.to_bits(),
+            "{}: CLI printed {} but the registry policy scores {}",
+            entry.name,
+            got,
+            expected.objective
+        );
     }
 }
 

@@ -1,21 +1,24 @@
 //! Output bits of every registry policy on the engine, on a fixed list of
 //! generated instances.
 //!
-//! Each policy runs clean (`resilient`, which only plans ahead, on the
-//! fault-aware engine under the empty plan) and, when it supports faults,
-//! under a rate-0.20 fault plan. Every schedule must pass its replay
-//! check, and its objective bits, an FNV-1a fold of its completions, its
-//! makespan, the number of slots that move a unit and the number of runs
-//! in its trace must equal recorded constants. The first four were
-//! recorded before the engine's executors and policies moved from dense
-//! demand matrices to sparse per-coflow entries. A change to the run path
-//! that keeps every decision keeps every one of them; a dropped, reordered
-//! or misread demand entry moves at least the slot or run count.
+//! Each policy runs clean (`run_policy`, the engine under the empty plan)
+//! and, when it supports faults, under a rate-0.20 fault plan. Every
+//! schedule must pass its replay check, and its objective bits, an FNV-1a
+//! fold of its completions, its makespan, the number of slots that move a
+//! unit and the number of runs in its trace must equal recorded
+//! constants. The first four were recorded before the engine's executors
+//! and policies moved from dense demand matrices to sparse per-coflow
+//! entries. A change to the run path that keeps every decision keeps
+//! every one of them; a dropped, reordered or misread demand entry moves
+//! at least the slot or run count.
 //!
 //! The fault executor used to record one run per busy slot, so its old
-//! run counts are the busy-slot counts of the rows it runs (`resilient`
+//! run counts are the busy-slot counts of the rows it ran (`resilient`
 //! and every `/faults` row). It now records a run per maximal stretch of
-//! identical slots, and the run column holds those counts.
+//! identical slots, and the run column holds those counts. Clean runs
+//! went through a separate clean executor, which recorded one run per
+//! held matching, until they moved onto the fault executor too; their
+//! run counts were re-recorded then, and only those moved.
 //!
 //! The last two columns pin the blocked log: the planned units a fault
 //! stranded (`FaultyOutcome::blocked_units`, recorded when the log held
@@ -122,38 +125,19 @@ fn run_all(instance: &Instance, plan: &FaultPlan) -> Vec<Bits> {
     let mut rows = Vec::new();
     for entry in PolicyRegistry::builtin().entries() {
         let mut policy = entry.build(instance);
-        let clean = if entry.name == "resilient" {
-            let out = run_policy_with_faults(instance, &mut *policy, &FaultPlan::default())
-                .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
-            verify_faulty_outcome(instance, &FaultPlan::default(), &out)
-                .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
-            let completions = out.completions.iter().map(|c| c.unwrap_or(u64::MAX));
-            Bits {
-                label: entry.name.to_string(),
-                objective: out.objective.to_bits(),
-                completions_fnv: fnv1a(completions),
-                makespan: out.executed.makespan(),
-                busy_slots: busy_slots(&out.executed),
-                runs: out.executed.runs.len(),
-                blocked_units: out.blocked_units,
-                blocked_runs: out.blocked.len(),
-            }
-        } else {
-            let out = run_policy(instance, &mut *policy)
-                .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
-            verify_outcome(instance, &out).unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
-            Bits {
-                label: entry.name.to_string(),
-                objective: out.objective.to_bits(),
-                completions_fnv: fnv1a(out.completions.iter().copied()),
-                makespan: out.makespan(),
-                busy_slots: busy_slots(&out.trace),
-                runs: out.trace.runs.len(),
-                blocked_units: 0,
-                blocked_runs: 0,
-            }
-        };
-        rows.push(clean);
+        let out =
+            run_policy(instance, &mut *policy).unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
+        verify_outcome(instance, &out).unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
+        rows.push(Bits {
+            label: entry.name.to_string(),
+            objective: out.objective.to_bits(),
+            completions_fnv: fnv1a(out.completions.iter().copied()),
+            makespan: out.makespan(),
+            busy_slots: busy_slots(&out.trace),
+            runs: out.trace.runs.len(),
+            blocked_units: 0,
+            blocked_runs: 0,
+        });
         if entry.supports_faults {
             let mut policy = entry.build(instance);
             let out = run_policy_with_faults(instance, &mut *policy, plan)
@@ -227,7 +211,7 @@ fn offline_shape_40_ports() {
         "offline 40x30",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 430, 0, 0),
+            ("bvn-batch", 4691240082743492608, 0x6b6815e2f22382b5, 10639, 10639, 518, 0, 0),
             ("online", 4686142815556599808, 0x4856ee16c716f10e, 4704, 4704, 470, 0, 0),
             ("online/faults", 4687232637738156032, 0x521b0c287307db68, 4865, 4865, 485, 2985, 34),
             ("greedy", 4686536749956988928, 0x7a56c3a110029262, 4704, 4704, 471, 0, 0),
@@ -251,7 +235,7 @@ fn arrivals_shape_16_ports() {
         "arrivals 16x40",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 181, 0, 0),
+            ("bvn-batch", 4698033909256945664, 0xb062892db86aaf3b, 2349, 1561, 251, 0, 0),
             ("online", 4695031138706522112, 0x448727538b8e6300, 1945, 1864, 294, 0, 0),
             ("online/faults", 4694996375241228288, 0x61825407b2018530, 1945, 1841, 268, 1140, 15),
             ("greedy", 4695046394430357504, 0xe6522941943a2490, 1942, 1861, 294, 0, 0),
@@ -260,7 +244,7 @@ fn arrivals_shape_16_ports() {
             ("resilient/faults", 4696908434551865344, 0xb9ca4e663e550887, 2848, 2120, 242, 297, 19),
             ("shafiee-ghaderi", 4695048859741585408, 0x4edeb5999c514851, 1942, 1861, 295, 0, 0),
             ("shafiee-ghaderi/faults", 4695027324775563264, 0x655f68c4ab36c48c, 1942, 1838, 267, 1140, 8),
-            ("im-purohit", 4695462860229181440, 0x5527f4b12b875bb0, 1942, 1861, 300, 0, 0),
+            ("im-purohit", 4695462860229181440, 0x5527f4b12b875bb0, 1942, 1861, 297, 0, 0),
             ("im-purohit/faults", 4695413261946847232, 0x0ac7df31ba5e20a0, 1942, 1838, 267, 1134, 3),
         ],
     );
@@ -275,16 +259,16 @@ fn arrivals_shape_30_ports() {
         "arrivals 30x40",
         run_all(&instance, &plan),
         &[
-            ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 264, 0, 0),
-            ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 349, 0, 0),
+            ("bvn-batch", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 301, 0, 0),
+            ("online", 4696028266903896064, 0x0c7bb996f8a83055, 2232, 2145, 347, 0, 0),
             ("online/faults", 4695788015023292416, 0x4cc86797676011da, 2232, 2029, 350, 1469, 17),
-            ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 2145, 349, 0, 0),
+            ("greedy", 4696036461701496832, 0xaebddf1d070f1c22, 2232, 2145, 348, 0, 0),
             ("greedy/faults", 4695808862794547200, 0x7d5cebe599af3087, 2232, 2029, 350, 1469, 15),
             ("resilient", 4698784944418193408, 0xcfb4bfc235b10eb6, 2508, 1450, 301, 0, 0),
             ("resilient/faults", 4698210552671895552, 0x982a310c1c4b13a6, 3331, 2735, 353, 436, 42),
-            ("shafiee-ghaderi", 4696033214706221056, 0xb40c1fa0f109146d, 2232, 2145, 347, 0, 0),
+            ("shafiee-ghaderi", 4696033214706221056, 0xb40c1fa0f109146d, 2232, 2145, 346, 0, 0),
             ("shafiee-ghaderi/faults", 4695795960712790016, 0xe06a5c3ba41d5178, 2232, 2029, 346, 1469, 15),
-            ("im-purohit", 4696129456333389824, 0xf3f6c7f313888a52, 2232, 2145, 359, 0, 0),
+            ("im-purohit", 4696129456333389824, 0xf3f6c7f313888a52, 2232, 2145, 357, 0, 0),
             ("im-purohit/faults", 4695883672534908928, 0x56ec863d2f55935d, 2232, 2029, 349, 1460, 5),
         ],
     );
