@@ -101,9 +101,10 @@
 //! `--cell 1000x10000` runs one cell; `--ports`/`--coflows` sweep a custom
 //! cross product; `--window` sets the admission window.
 //!
-//! `pin` recomputes the engine's 21 pinned objectives — the 12-cell grid,
+//! `pin` recomputes the engine's 22 pinned objectives — the 12-cell grid,
 //! the online scheduler, the greedy baseline, the successor policies and
-//! the fault-injected combinations — on the canonical arrivals instance;
+//! the fault-injected combinations, the watchdog's Finished rescue among
+//! them — on the canonical arrivals instance;
 //! `--out` writes a pin file.
 //!
 //! `tournament` races a registry selection of schedulers (`--policies
@@ -845,11 +846,7 @@ fn trace_banner(cfg: &TraceConfig) {
 /// fabric corresponds to roughly 12/16/20.
 fn scaled_filters(ports: usize) -> [usize; 3] {
     let scale = ports as f64 / 150.0;
-    [
-        (50.0 * scale).round() as usize,
-        (40.0 * scale).round() as usize,
-        (30.0 * scale).round() as usize,
-    ]
+    coflow_bench::table1::WIDTH_FILTERS.map(|f| (f as f64 * scale).round() as usize)
 }
 
 fn table1(seed: u64) {

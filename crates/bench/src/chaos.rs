@@ -30,7 +30,7 @@ use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::sched::snapshot::EngineSnapshot;
 use coflow::{
     compute_order, AlgorithmSpec, BvnBatchPolicy, ExecOptions, FaultyOutcome, Instance, OrderRule,
-    Policy, PolicyRegistry, ResilientPolicy, WatchdogConfig, WatchdogPolicy,
+    Policy, PolicyRegistry, ResilientPolicy, WatchdogPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::{AdversarialConfig, FaultPlan};
@@ -145,10 +145,12 @@ fn make_policy(instance: &Instance, name: &str, lp_opts: &SimplexOptions) -> Box
             // The batch pipeline has no replanning story of its own; the
             // watchdog's Finished-rescue makes it survivable under faults.
             let order = compute_order(instance, OrderRule::LoadOverWeight);
-            Box::new(WatchdogPolicy::over_bvn(
-                WatchdogConfig::default(),
-                BvnBatchPolicy::grouped(instance, order, true, ExecOptions::default()),
-            ))
+            Box::new(WatchdogPolicy::over_bvn(BvnBatchPolicy::grouped(
+                instance,
+                order,
+                true,
+                ExecOptions::default(),
+            )))
         }
         other => panic!("unknown chaos policy '{}'", other),
     }

@@ -9,9 +9,10 @@
 //! masquerade as speedups.
 
 use coflow::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
-use coflow::sched::resilient::{fallback_chain, run_resilient};
+use coflow::sched::resilient::fallback_chain;
 use coflow::{
-    run_policy_with_faults, AlgorithmSpec, Instance, OrderRule, PolicyRegistry, ResilientPolicy,
+    run_policy, run_policy_with_faults, AlgorithmSpec, Instance, OrderRule, PolicyRegistry,
+    ResilientPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -75,9 +76,10 @@ pub fn run_faults(
 
     // Fault-free reference run (same solver budgets, so inflation measures
     // the faults, not the budget).
-    let baseline = run_resilient(instance, &spec, lp_opts);
-    let horizon = baseline.outcome.makespan().max(1);
-    let fault_free_objective = baseline.outcome.objective;
+    let baseline = run_policy(instance, &mut ResilientPolicy::new(spec, lp_opts.clone()))
+        .unwrap_or_else(|e| panic!("fault-free run: engine bug: {}", e));
+    let horizon = baseline.makespan().max(1);
+    let fault_free_objective = baseline.objective;
 
     let mut cells = Vec::with_capacity(rates.len());
     for (i, &rate) in rates.iter().enumerate() {
@@ -111,7 +113,7 @@ pub fn run_faults(
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| c.is_some())
-                .map(|(k, _)| instance.coflow(k).weight * baseline.outcome.completions[k] as f64)
+                .map(|(k, _)| instance.coflow(k).weight * baseline.completions[k] as f64)
                 .sum();
             let inflation = if baseline_objective > 0.0 {
                 out.objective / baseline_objective

@@ -23,7 +23,7 @@ use crate::grid::paper_grid;
 use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::{
     compute_order, run_policy, run_policy_with_faults, AlgorithmSpec, BvnBatchPolicy, ExecOptions,
-    Instance, OrderRule, Policy, PolicyRegistry, ResilientPolicy,
+    Instance, OrderRule, Policy, PolicyRegistry, ResilientPolicy, WatchdogPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -128,10 +128,12 @@ impl PinCell {
 
 /// The pin table, in report order: the 12 §4 grid cells on the BvN batch
 /// policy, the clean engine-policy cells, the rate-0.3 fault cells and the
-/// rate-0.2 successor-policy cells. Every cell but the grid and
+/// rate-0.2 successor-policy cells. Every cell but the grid,
 /// `faults/resilient` (the replanner on the `H_ρ` order, where the
-/// registry's `resilient` plans `H_LP`) is a registry entry. The clean
-/// cells come first: the fault plans' horizons are read from them.
+/// registry's `resilient` plans `H_LP`) and `faults/watchdog-bvn` (the
+/// grouped `H_ρ` batch plan under the watchdog's Finished rescue, built as
+/// the chaos harness builds it) is a registry entry. The clean cells come
+/// first: the fault plans' horizons are read from them.
 pub fn pin_cells() -> Vec<PinCell> {
     let registry = |label: &str, plan: PinPlan, name: &str| {
         let entry = PolicyRegistry::builtin()
@@ -178,6 +180,19 @@ pub fn pin_cells() -> Vec<PinCell> {
         },
         registry("faults/online", PinPlan::Faults, "online"),
         registry("faults/greedy", PinPlan::Faults, "greedy"),
+        PinCell {
+            label: "faults/watchdog-bvn".to_string(),
+            plan: PinPlan::Faults,
+            build: Box::new(|instance| {
+                let order = compute_order(instance, OrderRule::LoadOverWeight);
+                Box::new(WatchdogPolicy::over_bvn(BvnBatchPolicy::grouped(
+                    instance,
+                    order,
+                    true,
+                    ExecOptions::default(),
+                )))
+            }),
+        },
         registry(
             "faults20/shafiee-ghaderi",
             PinPlan::Faults20,
@@ -306,8 +321,8 @@ mod tests {
         let labels: Vec<&str> = report.pins.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(
             report.pins.len(),
-            21,
-            "12 grid + 4 policies + 3 fault cells + 2 faults20 cells"
+            22,
+            "12 grid + 4 policies + 4 fault cells + 2 faults20 cells"
         );
         for required in [
             "grid/H_LP/d",
@@ -319,6 +334,7 @@ mod tests {
             "faults/resilient",
             "faults/online",
             "faults/greedy",
+            "faults/watchdog-bvn",
             "faults20/shafiee-ghaderi",
             "faults20/im-purohit",
         ] {

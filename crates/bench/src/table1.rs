@@ -59,20 +59,6 @@ pub fn run_block(trace: &Instance, filter: usize, scheme: WeightScheme) -> Table
     }
 }
 
-/// Runs the full Table 1: all width filters × both weight schemes.
-pub fn run_table1(trace: &Instance, weight_seed: u64) -> Vec<Table1Block> {
-    let mut blocks = Vec::new();
-    for &filter in &WIDTH_FILTERS {
-        for scheme in [
-            WeightScheme::Equal,
-            WeightScheme::RandomPermutation { seed: weight_seed },
-        ] {
-            blocks.push(run_block(trace, filter, scheme));
-        }
-    }
-    blocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

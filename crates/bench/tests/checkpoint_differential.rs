@@ -2,8 +2,8 @@
 //! run at **every** decision epoch — checkpoint, serialize to the
 //! `coflow-snapshot/1` document, re-parse, restore, continue — must land on
 //! exactly the schedule an uninterrupted run produces, for every one of the
-//! 21 pinned cells (12 grid cells, online, greedy, the successor
-//! policies shafiee-ghaderi/im-purohit, the three rate-0.3 fault
+//! 22 pinned cells (12 grid cells, online, greedy, the successor
+//! policies shafiee-ghaderi/im-purohit, the four rate-0.3 fault
 //! combinations, and the two rate-0.2 `faults20/*` successor cells).
 //!
 //! Two granularities:
@@ -140,7 +140,7 @@ fn every_epoch_checkpoint_matches_fresh_pins_tiny() {
     let seed = 3;
     let instance = arrivals_instance(8, 10, seed);
     let report = collect_pins_on(&instance, seed);
-    assert_eq!(report.pins.len(), 21);
+    assert_eq!(report.pins.len(), 22);
     check_all_pins(&instance, seed, &report.pins, 1);
 }
 
@@ -157,7 +157,7 @@ fn every_epoch_checkpoint_matches_committed_pins() {
     ))
     .expect("committed BENCH_pins.json (regenerate: experiments -- pin --out BENCH_pins.json)");
     let report = parse_pins(&text).expect("parse committed pins");
-    assert_eq!(report.pins.len(), 21);
+    assert_eq!(report.pins.len(), 22);
     let instance = arrivals_instance(24, 36, report.seed);
     // The serialized round trip is exercised on a stride: the snapshot
     // document grows with the executed trace, so rendering it at all of

@@ -13,13 +13,6 @@ pub enum SchedError {
         /// The underlying solver error.
         source: LpError,
     },
-    /// Every tier of an ordering fallback chain failed. Unreachable with
-    /// the built-in chain (heuristic tiers are infallible), but kept for
-    /// caller-supplied chains.
-    Exhausted {
-        /// `(rule name, error)` per failed tier, in attempt order.
-        attempts: Vec<(&'static str, String)>,
-    },
     /// A policy produced a decision the engine cannot apply (e.g. one that
     /// would leave the clock where it is).
     Unsupported {
@@ -33,13 +26,6 @@ impl fmt::Display for SchedError {
         match self {
             SchedError::Lp { rule, source } => {
                 write!(f, "ordering rule {} failed: {}", rule, source)
-            }
-            SchedError::Exhausted { attempts } => {
-                write!(f, "all ordering tiers failed:")?;
-                for (rule, err) in attempts {
-                    write!(f, " [{}: {}]", rule, err)?;
-                }
-                Ok(())
             }
             SchedError::Unsupported { what } => {
                 write!(f, "unsupported engine decision: {}", what)

@@ -15,12 +15,12 @@
 //!    loads `V_k` into doubling intervals;
 //! 4. [`sched`] — the scheduling stage: per-group Birkhoff–von Neumann
 //!    schedules with optional backfilling ([`run`], [`run_with_order`]),
-//!    the randomized grid variant ([`run_randomized`]), the `H_LP → H_ρ →
-//!    H_A` fallback chain ([`run_resilient`]), and an exact solver for tiny
-//!    instances. Every other scheduler — online, greedy, the successor
-//!    papers' policies, the fault-aware replanner — is a [`Policy`] named
-//!    in the [`PolicyRegistry`] and run by the engine ([`run_policy`],
-//!    [`run_policy_with_faults`]);
+//!    the randomized grid variant ([`run_randomized`]), and an exact solver
+//!    for tiny instances. Every other scheduler — online, greedy, the
+//!    successor papers' policies, the fault-aware replanner with its
+//!    `H_LP → H_ρ → H_A` fallback chain ([`ResilientPolicy`]) — is a
+//!    [`Policy`] named in the [`PolicyRegistry`] and run by the engine
+//!    ([`run_policy`], [`run_policy_with_faults`]);
 //! 5. [`bounds`] / [`verify`] — lower bounds and end-to-end schedule
 //!    verification.
 //!
@@ -65,11 +65,11 @@ pub use crate::instance::Instance;
 pub use crate::intervals::GeometricGrid;
 pub use crate::ordering::{
     compute_order, load_over_weight_order, permutation_by_key, port_primal_dual_order,
-    try_compute_order, try_compute_order_with, OrderRule,
+    try_compute_order_with, OrderRule,
 };
 pub use crate::relax::{
-    solve_interval_lp, solve_time_indexed_lp, solve_with_grid, try_solve_interval_lp,
-    try_solve_interval_lp_with, LpExpRelaxation, LpRelaxation,
+    solve_interval_lp, solve_time_indexed_lp, solve_with_grid, try_solve_interval_lp_with,
+    LpExpRelaxation, LpRelaxation,
 };
 pub use crate::sched::engine::{
     greedy_match, run_policy, run_policy_with_faults, BvnBatchPolicy, Decision, Engine,
@@ -78,9 +78,9 @@ pub use crate::sched::engine::{
 pub use crate::sched::ordered::{GreedyPolicy, ImPurohitPolicy, ShafieeGhaderiPolicy};
 pub use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
 pub use crate::sched::registry::{PolicyEntry, PolicyRegistry};
-pub use crate::sched::resilient::{fallback_chain, run_resilient, FailedAttempt, ResilientOutcome};
+pub use crate::sched::resilient::fallback_chain;
 pub use crate::sched::snapshot::{ActiveBatchState, EngineSnapshot, PolicyState, SNAPSHOT_SCHEMA};
-pub use crate::sched::watchdog::{WatchdogConfig, WatchdogPolicy, LADDER_TIER_BASE};
+pub use crate::sched::watchdog::{WatchdogPolicy, LADDER_TIER_BASE};
 pub use crate::sched::{
     run, run_randomized, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };

@@ -96,16 +96,11 @@ fn compute_order_inner(instance: &Instance, rule: OrderRule) -> Vec<usize> {
     }
 }
 
-/// Fallible variant of [`compute_order`]: [`OrderRule::LpBased`] surfaces
-/// LP solver failures as [`SchedError::Lp`] instead of panicking; every
-/// heuristic rule is infallible.
-pub fn try_compute_order(instance: &Instance, rule: OrderRule) -> Result<Vec<usize>, SchedError> {
-    try_compute_order_with(instance, rule, &SimplexOptions::default())
-}
-
-/// [`try_compute_order`] with explicit simplex options for the LP-backed
-/// rule (pivot/wall-clock budgets, stall detection, duality verification).
-/// The options are ignored by heuristic rules.
+/// Fallible variant of [`compute_order`] with explicit simplex options for
+/// the LP-backed rule (pivot/wall-clock budgets, stall detection, duality
+/// verification): [`OrderRule::LpBased`] surfaces LP solver failures as
+/// [`SchedError::Lp`] instead of panicking. Every heuristic rule is
+/// infallible and ignores the options.
 pub fn try_compute_order_with(
     instance: &Instance,
     rule: OrderRule,

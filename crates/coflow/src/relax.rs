@@ -232,26 +232,16 @@ fn extract_relaxation(
 /// Panics if the LP is not optimal — the relaxation of a well-formed
 /// instance is always feasible and bounded, so anything else is a bug.
 pub fn solve_interval_lp(instance: &Instance) -> LpRelaxation {
-    solve_interval_lp_with(instance, &SimplexOptions::default())
-}
-
-/// [`solve_interval_lp`] with custom simplex options (used by ablations).
-pub fn solve_interval_lp_with(instance: &Instance, opts: &SimplexOptions) -> LpRelaxation {
-    match try_solve_interval_lp_with(instance, opts) {
+    match try_solve_interval_lp_with(instance, &SimplexOptions::default()) {
         Ok(lp) => lp,
         Err(e) => panic!("interval LP must be solvable ({})", e),
     }
 }
 
-/// Fallible variant of [`solve_interval_lp`]: surfaces solver budget and
+/// Fallible variant of [`solve_interval_lp`] with custom simplex options
+/// (budgets, health monitoring): surfaces solver budget and
 /// numerical-health failures as [`LpError`] instead of panicking, so the
 /// scheduling pipeline can degrade to a heuristic order.
-pub fn try_solve_interval_lp(instance: &Instance) -> Result<LpRelaxation, LpError> {
-    try_solve_interval_lp_with(instance, &SimplexOptions::default())
-}
-
-/// [`try_solve_interval_lp`] with custom simplex options (budgets, health
-/// monitoring).
 pub fn try_solve_interval_lp_with(
     instance: &Instance,
     opts: &SimplexOptions,

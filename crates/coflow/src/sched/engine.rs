@@ -2016,16 +2016,18 @@ impl Policy for OnlineRhoPolicy {
 // ---------------------------------------------------------------------------
 
 /// The recovery policy: at each planning epoch, builds the residual
-/// instance (live coflows, remaining demand, releases clamped to now) and
-/// plans it like [`super::resilient::run_resilient`] — degrading
-/// `H_LP → H_ρ → H_A` under the configured solver budgets — then hands the
-/// planned trace to the engine to execute until the fault state next
-/// changes. Planning stops at that boundary
-/// ([`EpochState::next_boundary`]): the slots it leaves out would never be
-/// executed, and the planning run is causal, so the slots it keeps are
-/// exactly the full plan's. This is the legacy recovery epoch loop,
-/// expressed as a policy; under the empty plan ([`run_policy`]) it plans
-/// the whole instance once and executes that plan.
+/// instance (live coflows, remaining demand, releases clamped to now),
+/// orders it by the first rule of
+/// [`fallback_chain`](super::resilient::fallback_chain) that succeeds under
+/// the configured solver budgets — degrading `H_LP → H_ρ → H_A` — and
+/// plans it with the spec's scheduling stage, then hands the planned trace
+/// to the engine to execute until the fault state next changes. Planning
+/// stops at that boundary ([`EpochState::next_boundary`]): the slots it
+/// leaves out would never be executed, and the planning run is causal, so
+/// the slots it keeps are exactly the full plan's. This is the legacy
+/// recovery epoch loop, expressed as a policy; under the empty plan
+/// ([`run_policy`]) it plans the whole instance once and executes that
+/// plan.
 pub struct ResilientPolicy {
     spec: AlgorithmSpec,
     lp_opts: SimplexOptions,
@@ -2040,13 +2042,6 @@ impl ResilientPolicy {
             lp_opts,
             last_tier: 0,
         }
-    }
-
-    /// Shrinks the solver budgets by `factor` (watchdog retry path). The
-    /// scaled budgets persist — and are checkpointed — so a restored run
-    /// retries under the same pressure it was under when interrupted.
-    pub fn scale_budgets(&mut self, factor: f64) {
-        self.lp_opts = self.lp_opts.with_scaled_budgets(factor);
     }
 
     /// Rebuilds a checkpointed policy (planning is stateless beyond the

@@ -12,12 +12,14 @@
 //!
 //! This module keeps one entry point per paper algorithm: [`run`]
 //! (Algorithm 2, or one §4 cell), [`run_with_order`] (the scheduling stage
-//! over a caller-supplied order), [`run_randomized`] (§3.2), and
-//! [`resilient::run_resilient`] (the `H_LP → H_ρ → H_A` fallback chain).
-//! Every other scheduler — online, greedy, the successor papers' policies,
-//! the fault-aware replanner — is built by name from the [`registry`] (or
-//! from its policy type) and handed to [`engine::run_policy`] or
-//! [`engine::run_policy_with_faults`].
+//! over a caller-supplied order) and [`run_randomized`] (§3.2). Every
+//! other scheduler — online, greedy, the successor papers' policies, the
+//! fault-aware replanner with the `H_LP → H_ρ → H_A` fallback chain of
+//! [`resilient`] — is built by name from the [`registry`] (or from its
+//! policy type) and handed to [`engine::run_policy`] or
+//! [`engine::run_policy_with_faults`]. The [`watchdog`] adapter is the one
+//! way a batch plan survives faults: it hands over to the online policy
+//! when the plan runs out with demand left.
 
 pub mod engine;
 pub mod greedy;
@@ -35,7 +37,7 @@ use crate::instance::Instance;
 use crate::intervals::GeometricGrid;
 use crate::ordering::{compute_order, OrderRule};
 use coflow_netsim::ScheduleTrace;
-use engine::{run_policy, run_policy_until, BvnBatchPolicy};
+use engine::{run_policy, BvnBatchPolicy};
 use rand::Rng;
 
 /// One cell of the §4 experiment grid.
@@ -140,25 +142,6 @@ pub fn run_with_order(
 ) -> ScheduleOutcome {
     let batches = batches_of(instance, &order, grouping);
     execute_batches(instance, order, batches, opts)
-}
-
-/// The schedule [`run_with_order`] would record, up to the end of the
-/// decision that reaches slot `horizon - 1` (see
-/// [`engine::run_policy_until`]).
-pub(crate) fn plan_with_order_until(
-    instance: &Instance,
-    order: Vec<usize>,
-    grouping: bool,
-    opts: ExecOptions,
-    horizon: u64,
-) -> ScheduleTrace {
-    let batches = batches_of(instance, &order, grouping);
-    let _span = obs::span("sched.execute");
-    let mut policy = BvnBatchPolicy::new(instance, order, batches, opts);
-    match run_policy_until(instance, &mut policy, horizon) {
-        Ok(sim) => sim.finish().0,
-        Err(e) => unreachable!("batch policy is infallible: {}", e),
-    }
 }
 
 /// Algorithm 2's doubling groups of `order` when `grouping` is on,

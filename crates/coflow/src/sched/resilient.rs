@@ -2,57 +2,21 @@
 //!
 //! The LP-based order is the only fallible tier of the pipeline — the
 //! simplex solve behind it can exhaust its pivot or wall-clock budget,
-//! stall, or fail numerical health checks. Rather than panicking, the
-//! resilient runner degrades through an explicit chain of ordering rules
-//! and records which tier actually produced the schedule, so experiment
-//! harnesses can report degradation counts and the TWCT cost of falling
-//! back.
+//! stall, or fail numerical health checks. Rather than panicking,
+//! [`ResilientPolicy`](super::engine::ResilientPolicy) degrades through an
+//! explicit chain of ordering rules at every planning epoch and reports the
+//! tier that ordered the plan (its [`tier`](super::engine::Policy::tier),
+//! recorded per epoch in
+//! [`FaultyOutcome::tiers`](super::recovery::FaultyOutcome::tiers)), so
+//! experiment harnesses can report degradation counts and the TWCT cost of
+//! falling back.
 
-use super::{plan_with_order_until, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome};
-use crate::error::SchedError;
+use super::engine::{run_policy_until, BvnBatchPolicy};
+use super::{batches_of, AlgorithmSpec, ExecOptions};
 use crate::instance::Instance;
 use crate::ordering::{try_compute_order_with, OrderRule};
 use coflow_lp::SimplexOptions;
 use coflow_netsim::ScheduleTrace;
-use std::time::{Duration, Instant};
-
-/// One failed tier of the fallback chain: which rule ran, the error it
-/// raised, and how long the attempt took before failing — the wall-clock
-/// cost of degradation, which budget tuning needs and error types alone
-/// cannot convey.
-#[derive(Clone, Debug)]
-pub struct FailedAttempt {
-    /// The ordering rule this tier tried.
-    pub rule: OrderRule,
-    /// The error that rejected it.
-    pub error: SchedError,
-    /// Wall-clock time spent on the attempt before it failed.
-    pub elapsed: Duration,
-}
-
-/// A schedule produced by [`run_resilient`], annotated with provenance:
-/// which rule was requested, which one actually ran, and every failure
-/// absorbed along the way.
-#[derive(Clone, Debug)]
-pub struct ResilientOutcome {
-    /// The schedule from the first tier that succeeded.
-    pub outcome: ScheduleOutcome,
-    /// The rule the caller asked for.
-    pub requested: OrderRule,
-    /// The rule that produced the schedule.
-    pub used: OrderRule,
-    /// Index of `used` in the fallback chain (0 = no degradation).
-    pub tier: usize,
-    /// Every tier that failed before `used`, with its wall-clock cost.
-    pub failures: Vec<FailedAttempt>,
-}
-
-impl ResilientOutcome {
-    /// True when the requested rule itself produced the schedule.
-    pub fn degraded(&self) -> bool {
-        self.tier > 0
-    }
-}
 
 /// The degradation chain for `requested`: `H_LP → H_ρ → H_A` when the
 /// requested rule is LP-backed (the only fallible tier); just `[requested]`
@@ -69,118 +33,55 @@ pub fn fallback_chain(requested: OrderRule) -> Vec<OrderRule> {
     }
 }
 
-/// Runs one grid cell with ordering-stage degradation: tries each rule of
-/// [`fallback_chain`]`(spec.order)` in turn and schedules with the first
-/// that succeeds. `lp_opts` carries the solver budgets and health checks
-/// applied to LP-backed tiers. Never panics on solver failure — the chain
-/// ends in infallible heuristics.
-pub fn run_resilient(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    lp_opts: &SimplexOptions,
-) -> ResilientOutcome {
-    match resilient_chain(instance, spec, &fallback_chain(spec.order), lp_opts) {
-        Ok(outcome) => outcome,
-        Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
-    }
-}
-
-/// [`run_resilient`] with a caller-supplied chain. Returns
-/// [`SchedError::Exhausted`] if every tier fails (possible only when the
-/// chain omits the heuristic rules).
-fn resilient_chain(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    chain: &[OrderRule],
-    lp_opts: &SimplexOptions,
-) -> Result<ResilientOutcome, SchedError> {
-    let chosen = order_by_chain(instance, chain, lp_opts)?;
-    let opts = ExecOptions::paper(spec.backfill);
-    let outcome = run_with_order(instance, chosen.order, spec.grouping, opts);
-    Ok(ResilientOutcome {
-        outcome,
-        requested: spec.order,
-        used: chosen.used,
-        tier: chosen.tier,
-        failures: chosen.failures,
-    })
-}
-
-/// The trace [`run_resilient`] would plan, up to the end of the decision
-/// that reaches slot `horizon - 1` (`u64::MAX`: the whole plan), with the
-/// fallback tier that produced it. The same chain orders the coflows; the
-/// scheduling stage stops at `horizon` and decomposes each batch only
-/// when it runs, so batches past `horizon` cost nothing.
+/// The trace the chain plans for `instance` under `spec`, up to the end of
+/// the decision that reaches slot `horizon - 1` (`u64::MAX`: the whole
+/// plan), with the fallback tier that ordered it. The scheduling stage
+/// stops at `horizon` and decomposes each batch only when it runs, so
+/// batches past `horizon` cost nothing.
 pub(crate) fn plan_resilient_until(
     instance: &Instance,
     spec: &AlgorithmSpec,
     lp_opts: &SimplexOptions,
     horizon: u64,
 ) -> (ScheduleTrace, usize) {
-    let chosen = match order_by_chain(instance, &fallback_chain(spec.order), lp_opts) {
-        Ok(chosen) => chosen,
-        Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
-    };
+    let (order, tier) = order_by_chain(instance, spec.order, lp_opts);
+    let batches = batches_of(instance, &order, spec.grouping);
+    let _span = obs::span("sched.execute");
     let opts = ExecOptions::paper(spec.backfill);
-    let trace = plan_with_order_until(instance, chosen.order, spec.grouping, opts, horizon);
-    (trace, chosen.tier)
+    let mut policy = BvnBatchPolicy::new(instance, order, batches, opts);
+    match run_policy_until(instance, &mut policy, horizon) {
+        Ok(sim) => (sim.finish().0, tier),
+        Err(e) => unreachable!("batch policy is infallible: {}", e),
+    }
 }
 
-/// The ordering stage of the chain: the order from the first tier of
-/// `chain` that succeeds.
-struct ChainOrder {
-    order: Vec<usize>,
-    used: OrderRule,
-    tier: usize,
-    failures: Vec<FailedAttempt>,
-}
-
-/// Tries each rule of `chain` in turn and returns the first order computed,
-/// recording every failure with its wall-clock cost.
+/// The order from the first rule of [`fallback_chain`]`(requested)` that
+/// computes one, with that rule's index in the chain.
 fn order_by_chain(
     instance: &Instance,
-    chain: &[OrderRule],
+    requested: OrderRule,
     lp_opts: &SimplexOptions,
-) -> Result<ChainOrder, SchedError> {
-    let mut failures: Vec<FailedAttempt> = Vec::new();
-    for (tier, &rule) in chain.iter().enumerate() {
-        let attempt_start = Instant::now();
+) -> (Vec<usize>, usize) {
+    for (tier, rule) in fallback_chain(requested).into_iter().enumerate() {
         match try_compute_order_with(instance, rule, lp_opts) {
             Ok(order) => {
                 if tier > 0 {
                     obs::counter_add("coflow.resilient.degraded_runs", 1);
                 }
-                return Ok(ChainOrder {
-                    order,
-                    used: rule,
-                    tier,
-                    failures,
-                });
+                return (order, tier);
             }
-            Err(error) => {
-                obs::counter_add("coflow.resilient.tier_failures", 1);
-                failures.push(FailedAttempt {
-                    rule,
-                    error,
-                    elapsed: attempt_start.elapsed(),
-                });
-            }
+            Err(_) => obs::counter_add("coflow.resilient.tier_failures", 1),
         }
     }
-    obs::counter_add("coflow.resilient.exhausted", 1);
-    Err(SchedError::Exhausted {
-        attempts: failures
-            .iter()
-            .map(|fa| (fa.rule.name(), fa.error.to_string()))
-            .collect(),
-    })
+    unreachable!("the fallback chain ends in an infallible rule")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coflow::Coflow;
-    use coflow_lp::LpError;
+    use crate::sched::engine::{run_policy, Policy, ResilientPolicy};
+    use crate::sched::{run, ScheduleOutcome};
     use coflow_matching::IntMatrix;
     use coflow_netsim::validate_trace;
 
@@ -196,6 +97,18 @@ mod tests {
             max_iterations: 0,
             ..SimplexOptions::default()
         }
+    }
+
+    /// `spec` planned by the chain under `lp_opts` and the empty plan, with
+    /// the tier that ordered it.
+    fn resilient(
+        instance: &Instance,
+        spec: AlgorithmSpec,
+        lp_opts: SimplexOptions,
+    ) -> (ScheduleOutcome, usize) {
+        let mut policy = ResilientPolicy::new(spec, lp_opts);
+        let out = run_policy(instance, &mut policy).expect("the chain never fails");
+        (out, policy.tier())
     }
 
     #[test]
@@ -217,12 +130,6 @@ mod tests {
 
     #[test]
     fn healthy_lp_runs_at_tier_zero() {
-        let spec = AlgorithmSpec::algorithm2();
-        let out = run_resilient(&inst(), &spec, &SimplexOptions::default());
-        assert_eq!(out.used, OrderRule::LpBased);
-        assert_eq!(out.tier, 0);
-        assert!(!out.degraded());
-        assert!(out.failures.is_empty());
         // With a healthy budget every §4 cell stays at tier 0 and schedules
         // exactly as the plain pipeline does.
         for order in OrderRule::PAPER_RULES {
@@ -233,10 +140,11 @@ mod tests {
                     grouping,
                     backfill,
                 };
-                let out = run_resilient(&inst(), &spec, &SimplexOptions::default());
-                assert_eq!(out.tier, 0, "{}/{}", order.name(), spec.case_label());
-                let plain = crate::sched::run(&inst(), &spec);
-                assert_eq!(out.outcome.objective.to_bits(), plain.objective.to_bits());
+                let (out, tier) = resilient(&inst(), spec, SimplexOptions::default());
+                assert_eq!(tier, 0, "{}/{}", order.name(), spec.case_label());
+                let plain = run(&inst(), &spec);
+                assert_eq!(out.objective.to_bits(), plain.objective.to_bits());
+                assert_eq!(out.completions, plain.completions);
             }
         }
     }
@@ -245,31 +153,22 @@ mod tests {
     fn starved_lp_degrades_to_load_over_weight() {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
-        let out = run_resilient(&instance, &spec, &starved());
-        assert_eq!(out.requested, OrderRule::LpBased);
-        assert_eq!(out.used, OrderRule::LoadOverWeight);
-        assert_eq!(out.tier, 1);
-        assert!(out.degraded());
-        assert_eq!(out.failures.len(), 1);
-        let attempt = &out.failures[0];
-        assert_eq!(attempt.rule, OrderRule::LpBased);
-        match &attempt.error {
-            SchedError::Lp { rule, source } => {
-                assert_eq!(*rule, "H_LP");
-                assert_eq!(*source, LpError::IterationLimit { iterations: 0 });
-            }
-            other => panic!("unexpected failure record: {:?}", other),
-        }
-        // The failed attempt still built the LP model before hitting the
-        // pivot budget, so its recorded cost must be a real duration.
-        assert!(
-            attempt.elapsed > Duration::ZERO,
-            "failed attempt must report its wall-clock cost"
+        let (out, tier) = resilient(&instance, spec, starved());
+        assert_eq!(tier, 1);
+        // The degraded schedule is the H_ρ cell's, and still a valid
+        // solution of problem (O).
+        let rho = run(
+            &instance,
+            &AlgorithmSpec {
+                order: OrderRule::LoadOverWeight,
+                ..spec
+            },
         );
-        // The degraded schedule is still a valid solution of problem (O).
-        let times = validate_trace(instance.demands(), &instance.releases(), &out.outcome.trace)
+        assert_eq!(out.objective.to_bits(), rho.objective.to_bits());
+        assert_eq!(out.completions, rho.completions);
+        let times = validate_trace(instance.demands(), &instance.releases(), &out.trace)
             .expect("degraded schedule must validate");
-        assert_eq!(times, out.outcome.completions);
+        assert_eq!(times, out.completions);
     }
 
     #[test]
@@ -285,30 +184,8 @@ mod tests {
                 grouping: false,
                 backfill: false,
             };
-            let out = run_resilient(&inst(), &spec, &starved());
-            assert_eq!(out.used, rule);
-            assert_eq!(out.tier, 0);
-        }
-    }
-
-    #[test]
-    fn empty_chain_is_exhausted() {
-        let spec = AlgorithmSpec::algorithm2();
-        let err = resilient_chain(&inst(), &spec, &[], &starved()).unwrap_err();
-        assert!(matches!(err, SchedError::Exhausted { .. }));
-    }
-
-    #[test]
-    fn lp_only_chain_reports_the_lp_failure() {
-        let spec = AlgorithmSpec::algorithm2();
-        let err = resilient_chain(&inst(), &spec, &[OrderRule::LpBased], &starved()).unwrap_err();
-        match err {
-            SchedError::Exhausted { attempts } => {
-                assert_eq!(attempts.len(), 1);
-                assert_eq!(attempts[0].0, "H_LP");
-                assert!(attempts[0].1.contains("iteration budget"));
-            }
-            other => panic!("unexpected error: {:?}", other),
+            let (_, tier) = resilient(&inst(), spec, starved());
+            assert_eq!(tier, 0, "{}", rule.name());
         }
     }
 }

@@ -24,12 +24,15 @@
 //! retired with the behaviour it selected (`resort_on_completion`,
 //! `maxmin`, `partial_pricing`) must hold the one value the code still
 //! runs: any other value describes a schedule this code cannot resume,
-//! and the document is refused. Bumping the version is required for any
+//! and the document is refused. The watchdog's deadline keys are retired
+//! with the deadline: `deadline_us` must be `null` and `breaches` `0`,
+//! while `attempts` and `backoff` may be any number, since without a
+//! deadline they never acted. Bumping the version is required for any
 //! change to the meaning or encoding of an existing field.
 
 use super::engine::{BvnBatchPolicy, OnlineRhoPolicy, Policy, ResilientPolicy};
 use super::ordered::GreedyPolicy;
-use super::watchdog::{WatchdogConfig, WatchdogPolicy};
+use super::watchdog::WatchdogPolicy;
 use super::{AlgorithmSpec, ExecOptions};
 use crate::instance::Instance;
 use crate::ordering::OrderRule;
@@ -40,7 +43,6 @@ use coflow_netsim::snapshot::{
 };
 use obs::json::{fmt_f64, quote, JsonValue};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// Schema identifier of the engine checkpoint document.
 pub const SNAPSHOT_SCHEMA: &str = "coflow-snapshot/1";
@@ -125,19 +127,13 @@ pub enum PolicyState {
         /// Tier of the last planning epoch.
         last_tier: usize,
     },
-    /// [`WatchdogPolicy`] wrapping one of the above rungs.
+    /// [`WatchdogPolicy`].
     Watchdog {
-        /// Per-decision deadline in microseconds (`None` = disabled).
-        deadline_us: Option<u64>,
-        /// Breaches tolerated per rung before degrading.
-        attempts: u32,
-        /// Budget multiplier per retry.
-        backoff: f64,
-        /// Engine-ladder degradations taken so far.
-        degradations: u32,
-        /// Deadline breaches on the current rung.
-        breaches: u32,
-        /// State of the current rung.
+        /// Rescues taken so far: 0 while the batch plan decides, 1 once
+        /// the online policy has taken over.
+        degradations: u64,
+        /// State of the deciding policy: [`PolicyState::BvnBatch`] before
+        /// the rescue, [`PolicyState::OnlineRho`] after it.
         inner: Box<PolicyState>,
     },
 }
@@ -212,28 +208,26 @@ impl PolicyState {
                 *last_tier,
             ))),
             PolicyState::Watchdog {
-                deadline_us,
-                attempts,
-                backoff,
                 degradations,
-                breaches,
                 inner,
             } => {
-                if matches!(**inner, PolicyState::Watchdog { .. }) {
-                    return Err(bad("watchdog state cannot nest another watchdog"));
-                }
-                let config = WatchdogConfig {
-                    deadline: deadline_us.map(Duration::from_micros),
-                    attempts: *attempts,
-                    backoff: *backoff,
+                // The inner state is checked and rebuilt like a top-level
+                // one, once the rescue count names its kind.
+                let rescued = match (*degradations, &**inner) {
+                    (0, PolicyState::BvnBatch { .. }) => false,
+                    (1, PolicyState::OnlineRho { .. }) => true,
+                    (d, _) => {
+                        return Err(SnapshotError::new(format!(
+                            "watchdog: {} degradations over its inner state; only 0 over \
+                             bvn-batch or 1 over online-rho is run",
+                            d
+                        )))
+                    }
                 };
-                Ok(Box::new(WatchdogPolicy::restore(
-                    instance,
-                    config,
-                    *degradations,
-                    *breaches,
-                    inner,
-                )?))
+                Ok(Box::new(WatchdogPolicy::restored(
+                    inner.rebuild(instance)?,
+                    rescued,
+                )))
             }
         }
     }
@@ -409,22 +403,13 @@ fn render_policy(out: &mut String, p: &PolicyState) {
             let _ = write!(out, ",\"last_tier\":{}}}", last_tier);
         }
         PolicyState::Watchdog {
-            deadline_us,
-            attempts,
-            backoff,
             degradations,
-            breaches,
             inner,
         } => {
-            out.push_str("{\"kind\":\"watchdog\",\"deadline_us\":");
-            push_opt_u64(out, *deadline_us);
             let _ = write!(
                 out,
-                ",\"attempts\":{},\"backoff\":{},\"degradations\":{},\"breaches\":{},\"inner\":",
-                attempts,
-                fmt_f64(*backoff),
-                degradations,
-                breaches
+                "{{\"kind\":\"watchdog\",\"degradations\":{},\"inner\":",
+                degradations
             );
             render_policy(out, inner);
             out.push('}');
@@ -459,6 +444,14 @@ fn check_retired_bool(v: &JsonValue, key: &str) -> Result<(), SnapshotError> {
         get_bool(v, key)?;
     }
     Ok(())
+}
+
+/// Type-checks a retired number field when present; its value is unused.
+fn check_retired_number(v: &JsonValue, key: &str) -> Result<(), SnapshotError> {
+    match v.get(key) {
+        Some(x) => num_f64(x, key).map(|_| ()),
+        None => Ok(()),
+    }
 }
 
 /// Checks a retired field whose other values selected a behaviour this
@@ -613,17 +606,20 @@ fn parse_policy(v: &JsonValue) -> Result<PolicyState, SnapshotError> {
                 last_tier: get_usize(v, "last_tier")?,
             })
         }
-        "watchdog" => Ok(PolicyState::Watchdog {
-            deadline_us: match field(v, "deadline_us")? {
-                JsonValue::Null => None,
-                other => Some(num_u64(other, "deadline_us")?),
-            },
-            attempts: get_u64(v, "attempts")? as u32,
-            backoff: num_f64(field(v, "backoff")?, "backoff")?,
-            degradations: get_u64(v, "degradations")? as u32,
-            breaches: get_u64(v, "breaches")? as u32,
-            inner: Box::new(parse_policy(field(v, "inner")?)?),
-        }),
+        "watchdog" => {
+            // Retired with the decision deadline: a deadline or a breach
+            // describes a run this code cannot resume; the retry settings
+            // never acted without a deadline.
+            check_retired_value(v, "deadline_us", JsonValue::Null)?;
+            check_retired_value(v, "breaches", JsonValue::Num("0".into()))?;
+            for retired in ["attempts", "backoff"] {
+                check_retired_number(v, retired)?;
+            }
+            Ok(PolicyState::Watchdog {
+                degradations: get_u64(v, "degradations")?,
+                inner: Box::new(parse_policy(field(v, "inner")?)?),
+            })
+        }
         other => Err(SnapshotError::new(format!(
             "unknown policy kind '{}'",
             other
@@ -712,11 +708,7 @@ mod tests {
     #[test]
     fn policy_state_round_trips() {
         let p = PolicyState::Watchdog {
-            deadline_us: Some(250_000),
-            attempts: 2,
-            backoff: 0.5,
             degradations: 1,
-            breaches: 0,
             inner: Box::new(PolicyState::OnlineRho {
                 next_event: 3,
                 active: vec![4, 1, 2],
@@ -724,17 +716,19 @@ mod tests {
         };
         let mut s = String::new();
         render_policy(&mut s, &p);
+        assert_eq!(
+            s,
+            "{\"kind\":\"watchdog\",\"degradations\":1,\"inner\":\
+             {\"kind\":\"online-rho\",\"next_event\":3,\"active\":[4,1,2]}}"
+        );
         let parsed = parse_policy(&obs::json::parse(&s).unwrap()).unwrap();
         let PolicyState::Watchdog {
-            deadline_us,
             degradations,
             inner,
-            ..
         } = parsed
         else {
             panic!("wrong kind");
         };
-        assert_eq!(deadline_us, Some(250_000));
         assert_eq!(degradations, 1);
         let PolicyState::OnlineRho { active, .. } = *inner else {
             panic!("wrong inner kind");

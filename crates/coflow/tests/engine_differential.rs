@@ -14,7 +14,10 @@
 //! executor holds its matchings on the executor under the empty fault
 //! plan, the one executor left, which records the executed trace as
 //! stretches of identical slots, so its schedule is compared slot by
-//! slot. Seeded random grids keep the comparison reproducible.
+//! slot. And the recovery loop plans each epoch with a frozen copy of the
+//! one-shot fallback-chain runner the library no longer has: the first
+//! rule of `fallback_chain` that `try_compute_order_with` orders, then
+//! `run_with_order`. Seeded random grids keep the comparison reproducible.
 //!
 //! A proptest at the end covers the newly composable combinations: the
 //! online and greedy policies under fault injection must settle every
@@ -36,8 +39,10 @@ use rand::{Rng, SeedableRng};
 /// Frozen pre-refactor implementations. Do not edit: any divergence from
 /// these is a behavior change in the engine port.
 mod legacy {
-    use coflow::sched::{ExecOptions, ScheduleOutcome};
-    use coflow::{run_resilient, AlgorithmSpec, Coflow, FaultyOutcome, Instance};
+    use coflow::sched::{run_with_order, ExecOptions, ScheduleOutcome};
+    use coflow::{
+        fallback_chain, try_compute_order_with, AlgorithmSpec, Coflow, FaultyOutcome, Instance,
+    };
     use coflow_lp::SimplexOptions;
     use coflow_matching::{bvn_decompose, BvnDecomposition, IntMatrix, Permutation};
     use coflow_netsim::{FaultPlan, FaultSim, Run, ScheduleTrace, SimError, Transfer};
@@ -453,6 +458,23 @@ mod legacy {
         }
     }
 
+    /// The one-shot fallback-chain runner the recovery loop planned with:
+    /// the schedule of the first rule of the chain that orders `instance`,
+    /// and that rule's tier.
+    fn run_chain(
+        instance: &Instance,
+        spec: &AlgorithmSpec,
+        lp_opts: &SimplexOptions,
+    ) -> (ScheduleOutcome, usize) {
+        for (tier, rule) in fallback_chain(spec.order).into_iter().enumerate() {
+            if let Ok(order) = try_compute_order_with(instance, rule, lp_opts) {
+                let opts = ExecOptions::paper(spec.backfill);
+                return (run_with_order(instance, order, spec.grouping, opts), tier);
+            }
+        }
+        unreachable!("the chain ends in an infallible rule")
+    }
+
     /// The pre-refactor `run_with_faults` (sched/recovery.rs), verbatim.
     pub fn run_with_faults(
         instance: &Instance,
@@ -487,11 +509,11 @@ mod legacy {
                 continue;
             }
             let residual_instance = Instance::new(m, residual);
-            let planned = run_resilient(&residual_instance, spec, lp_opts);
+            let (planned, tier) = run_chain(&residual_instance, spec, lp_opts);
             replans += 1;
-            tiers.push(planned.tier);
+            tiers.push(tier);
 
-            let mut trace = planned.outcome.trace;
+            let mut trace = planned.trace;
             for run in &mut trace.runs {
                 for t in run.transfers.iter_mut() {
                     let k = residual_to_orig[t.coflow()];

@@ -11,7 +11,7 @@ use coflow::{
     compute_order, group_by_doubling, run_policy_with_faults, verify_faulty_outcome,
     BvnBatchPolicy, Engine, EngineSnapshot, ExecOptions, FaultyOutcome, GreedyPolicy,
     ImPurohitPolicy, Instance, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
-    ShafieeGhaderiPolicy, WatchdogConfig, WatchdogPolicy,
+    ShafieeGhaderiPolicy, WatchdogPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
@@ -68,10 +68,12 @@ fn make_policy(instance: &Instance, which: usize) -> Box<dyn Policy> {
         _ => {
             let order = compute_order(instance, OrderRule::LoadOverWeight);
             let batches = group_by_doubling(instance, &order).groups;
-            Box::new(WatchdogPolicy::over_bvn(
-                WatchdogConfig::default(),
-                BvnBatchPolicy::new(instance, order, batches, ExecOptions::default()),
-            ))
+            Box::new(WatchdogPolicy::over_bvn(BvnBatchPolicy::new(
+                instance,
+                order,
+                batches,
+                ExecOptions::default(),
+            )))
         }
     }
 }

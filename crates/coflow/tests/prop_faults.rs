@@ -9,8 +9,8 @@
 //!   every grid cell of which validates against the netsim replay.
 
 use coflow::sched::AlgorithmSpec;
-use coflow::{run_policy_with_faults, run_resilient, verify_faulty_outcome, OrderRule};
-use coflow::{Coflow, Instance, ResilientPolicy};
+use coflow::{run_policy, run_policy_with_faults, verify_faulty_outcome, OrderRule};
+use coflow::{Coflow, Instance, Policy, ResilientPolicy};
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
 use coflow_netsim::{validate_trace, FaultPlan};
@@ -93,19 +93,17 @@ proptest! {
                 [(false, false), (false, true), (true, false), (true, true)]
             {
                 let spec = AlgorithmSpec { order, grouping, backfill };
-                let out = run_resilient(&inst, &spec, &starved);
-                if order == OrderRule::LpBased {
-                    prop_assert!(out.degraded(), "H_LP cell must fall back");
-                    prop_assert_eq!(out.used, OrderRule::LoadOverWeight);
-                    prop_assert_eq!(out.tier, 1);
-                } else {
-                    prop_assert_eq!(out.tier, 0);
-                    prop_assert_eq!(out.used, order);
-                }
+                let mut policy = ResilientPolicy::new(spec, starved.clone());
+                let out = run_policy(&inst, &mut policy);
+                prop_assert!(out.is_ok(), "the chain never fails");
+                let out = out.unwrap();
+                // Tier 1 is H_ρ, the H_LP cell's fallback.
+                let tier = if order == OrderRule::LpBased { 1 } else { 0 };
+                prop_assert_eq!(policy.tier(), tier, "{:?} g={} b={}", order, grouping, backfill);
                 let times = validate_trace(
                     inst.demands(),
                     &inst.releases(),
-                    &out.outcome.trace,
+                    &out.trace,
                 );
                 prop_assert!(
                     times.is_ok(),
@@ -113,7 +111,7 @@ proptest! {
                     order, grouping, backfill
                 );
                 prop_assert_eq!(
-                    times.unwrap(), out.outcome.completions.clone(),
+                    times.unwrap(), out.completions.clone(),
                     "replayed completions disagree"
                 );
             }

@@ -16,13 +16,24 @@
 //! lose units. `Engine::restore` now answers each with a typed
 //! `SnapshotError`, for every checkpointing policy, and an intact
 //! checkpoint still resumes bit for bit.
+//!
+//! A sweep of blind edits — truncations, and every digit replaced by an
+//! out-of-range number — then requires each edited checkpoint to be
+//! refused or to resume without a panic. The watchdog used to rebuild its
+//! batch plan without the order and batch checks a top-level `bvn-batch`
+//! state gets, and a solver tolerance edited past every pivot panicked the
+//! simplex.
 
 use coflow::{
-    verify_faulty_outcome, Coflow, Engine, EngineError, EngineSnapshot, FaultyOutcome, Instance,
-    Policy, PolicyRegistry,
+    compute_order, verify_faulty_outcome, BvnBatchPolicy, Coflow, Engine, EngineError,
+    EngineSnapshot, ExecOptions, FaultyOutcome, Instance, OrderRule, Policy, PolicyRegistry,
+    PolicyState, WatchdogPolicy,
 };
 use coflow_matching::IntMatrix;
 use coflow_netsim::{BlockedRun, FaultPlan, Run, Transfer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
@@ -37,6 +48,32 @@ fn instance() -> Instance {
             Coflow::new(1, IntMatrix::from_nested(&[[0, 3], [1, 0]])),
         ],
     )
+}
+
+/// Builds a fresh policy over an instance.
+type Build = Box<dyn Fn(&Instance) -> Box<dyn Policy>>;
+
+/// Every checkpointing policy: the registry's, and `watchdog-bvn` as the
+/// chaos harness builds it (the grouped `H_ρ` batch plan under the
+/// watchdog's Finished rescue).
+fn checkpointing_policies() -> Vec<(&'static str, Build)> {
+    let mut policies: Vec<(&'static str, Build)> = PolicyRegistry::builtin()
+        .entries()
+        .iter()
+        .map(|entry| {
+            let build: Build = Box::new(move |inst| entry.build(inst));
+            (entry.name, build)
+        })
+        .collect();
+    policies.push((
+        "watchdog-bvn",
+        Box::new(|inst| {
+            let order = compute_order(inst, OrderRule::LoadOverWeight);
+            let batch = BvnBatchPolicy::grouped(inst, order, true, ExecOptions::default());
+            Box::new(WatchdogPolicy::over_bvn(batch))
+        }),
+    ));
+    policies
 }
 
 /// Runs `policy` to completion from `engine`'s current state.
@@ -255,12 +292,12 @@ const CASES: [(&str, Doctor, &str); 21] = [
 fn restore_refuses_state_that_contradicts_the_instance() {
     let inst = instance();
     let plan = FaultPlan::default();
-    let mut policies = 0;
-    for entry in PolicyRegistry::builtin().entries() {
-        policies += 1;
-        let mut policy = entry.build(&inst);
+    let policies = checkpointing_policies();
+    assert_eq!(policies.len(), 7, "every checkpointing policy is covered");
+    for (name, build) in policies {
+        let mut policy = build(&inst);
         let mut engine = Engine::new(&inst, &plan);
-        assert!(engine.step(&mut *policy).expect("step"), "{}", entry.name);
+        assert!(engine.step(&mut *policy).expect("step"), "{}", name);
         let json = engine.checkpoint(&*policy).expect("checkpoint").to_json();
         let intact = EngineSnapshot::from_json(&json).expect("parse");
 
@@ -268,14 +305,14 @@ fn restore_refuses_state_that_contradicts_the_instance() {
         let (restored, mut resumed_policy) =
             Engine::restore(&inst, intact.clone()).expect("intact checkpoint restores");
         let resumed = finish(restored, &mut *resumed_policy);
-        let mut fresh = entry.build(&inst);
+        let mut fresh = build(&inst);
         let whole = finish(Engine::new(&inst, &plan), &mut *fresh);
-        assert_eq!(resumed.completions, whole.completions, "{}", entry.name);
+        assert_eq!(resumed.completions, whole.completions, "{}", name);
         assert_eq!(
             resumed.objective.to_bits(),
             whole.objective.to_bits(),
             "{}",
-            entry.name
+            name
         );
         verify_faulty_outcome(&inst, &plan, &resumed).expect("resumed run verifies");
 
@@ -286,15 +323,124 @@ fn restore_refuses_state_that_contradicts_the_instance() {
                 Ok(message) => assert!(
                     message.contains(expected),
                     "{}: {}: refused for the wrong reason: {}",
-                    entry.name,
+                    name,
                     case,
                     message
                 ),
-                Err(what) => panic!("{}: {}: not refused; {}", entry.name, case, what),
+                Err(what) => panic!("{}: {}: not refused; {}", name, case, what),
             }
         }
     }
-    assert_eq!(policies, 6, "every registry policy is covered");
+}
+
+/// `m` ports, `n` coflows on about half the port pairs, arriving a few
+/// slots apart.
+fn arrivals(m: usize, n: usize, seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut release = 0;
+    let coflows = (0..n)
+        .map(|id| {
+            let data: Vec<u64> = (0..m * m)
+                .map(|_| rng.gen_range(0u64..6).saturating_sub(2))
+                .collect();
+            release += rng.gen_range(0u64..8);
+            Coflow::new(id, IntMatrix::from_rows(m, data))
+                .with_release(release)
+                .with_weight(rng.gen_range(1u64..5) as f64)
+        })
+        .collect();
+    Instance::new(m, coflows)
+}
+
+/// Decisions a resumed run may take before the sweep stops it. An edit
+/// that stretches an outage to about 10¹² slots resumes legitimately, and
+/// holds re-serve the blocked pair every few slots, so such a run would
+/// take hundreds of thousands of decisions.
+const DECISION_BUDGET: usize = 2_000;
+
+/// Parses, restores and runs `doc` for at most [`DECISION_BUDGET`]
+/// decisions. True when the document is refused.
+fn refused(inst: &Instance, doc: &str) -> bool {
+    let Ok(snapshot) = EngineSnapshot::from_json(doc) else {
+        return true;
+    };
+    let Ok((mut engine, mut policy)) = Engine::restore(inst, snapshot) else {
+        return true;
+    };
+    for _ in 0..DECISION_BUDGET {
+        if !matches!(engine.step(&mut *policy), Ok(true)) {
+            break;
+        }
+    }
+    false
+}
+
+/// Blind edits of `doc`, each with its description: truncations, and each
+/// digit replaced by `0`, `9`, `99999999999`, `-1`, `1.5` and `1e999`.
+fn hostile_edits(doc: &str) -> impl Iterator<Item = (String, String)> + '_ {
+    let cuts = (0..doc.len())
+        .step_by(doc.len() / 64 + 1)
+        .chain([doc.len() - 2, doc.len() - 1])
+        .map(|at| (format!("cut at byte {}", at), doc[..at].to_string()));
+    let digits = doc
+        .bytes()
+        .enumerate()
+        .filter(|(_, b)| b.is_ascii_digit())
+        .flat_map(move |(at, b)| {
+            ["0", "9", "99999999999", "-1", "1.5", "1e999"]
+                .into_iter()
+                .filter(move |r| r.as_bytes() != [b])
+                .map(move |r| {
+                    let edited = format!("{}{}{}", &doc[..at], r, &doc[at + 1..]);
+                    (format!("byte {} set to {}", at, r), edited)
+                })
+        });
+    cuts.chain(digits)
+}
+
+/// Every blind edit of a checkpoint taken a few decisions into a faulted
+/// run is refused, or resumes and runs without a panic.
+#[test]
+fn hostile_edits_are_refused_or_resume_without_a_panic() {
+    let inst = arrivals(4, 6, 5);
+    let plan = FaultPlan::generate(inst.ports(), inst.len(), 60, 0.2, 2015);
+    let (mut edits, mut refusals) = (0, 0);
+    let mut panics = Vec::new();
+    for (name, build) in checkpointing_policies() {
+        let mut policy = build(&inst);
+        let mut engine = Engine::new(&inst, &plan);
+        for _ in 0..3 {
+            assert!(engine.step(&mut *policy).expect("step"), "{}", name);
+        }
+        let doc = engine.checkpoint(&*policy).expect("checkpoint").to_json();
+        for (edit, edited) in hostile_edits(&doc) {
+            edits += 1;
+            match catch_unwind(AssertUnwindSafe(|| refused(&inst, &edited))) {
+                Ok(refused) => refusals += usize::from(refused),
+                Err(payload) => {
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default();
+                    panics.push(format!("{}: {}: {}", name, edit, message));
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {} edits panicked, first: {:#?}",
+        panics.len(),
+        edits,
+        &panics[..panics.len().min(8)]
+    );
+    assert!(
+        0 < refusals && refusals < edits,
+        "{} of {}",
+        refusals,
+        edits
+    );
 }
 
 /// A registry policy's checkpoint on [`instance`] after `steps` decisions,
@@ -374,4 +520,119 @@ fn retired_options_at_the_running_value_resume_bit_identically() {
         );
         assert_eq!(resumed.executed, whole.executed, "{}", name);
     }
+}
+
+/// `watchdog-bvn`'s checkpoint on [`instance`] after `steps` decisions,
+/// and its uninterrupted run.
+fn watchdog_checkpoint_after(steps: usize) -> (String, FaultyOutcome) {
+    let inst = instance();
+    let plan = FaultPlan::default();
+    let policies = checkpointing_policies();
+    let (_, build) = policies
+        .iter()
+        .find(|(name, _)| *name == "watchdog-bvn")
+        .expect("listed");
+    let mut policy = build(&inst);
+    let mut engine = Engine::new(&inst, &plan);
+    for _ in 0..steps {
+        assert!(engine.step(&mut *policy).expect("step"));
+    }
+    let json = engine.checkpoint(&*policy).expect("checkpoint").to_json();
+    (json, finish(Engine::new(&inst, &plan), &mut *build(&inst)))
+}
+
+/// The watchdog's deadline keys are retired: a checkpoint that holds them
+/// at the values every deadline-free run wrote resumes bit for bit, and
+/// one that records a deadline or a breach is refused, naming the key.
+#[test]
+fn watchdog_deadline_keys_are_retired() {
+    let inst = instance();
+    let (json, whole) = watchdog_checkpoint_after(1);
+    let anchor = "\"kind\":\"watchdog\",\"degradations\":0,";
+    assert!(json.contains(anchor), "{}", json);
+    let written_with = |deadline: &str, attempts: &str, backoff: &str, breaches: &str| {
+        json.replacen(
+            anchor,
+            &format!(
+                "\"kind\":\"watchdog\",\"deadline_us\":{},\"attempts\":{},\"backoff\":{},\
+                 \"degradations\":0,\"breaches\":{},",
+                deadline, attempts, backoff, breaches
+            ),
+            1,
+        )
+    };
+    for doc in [
+        written_with("null", "2", "0.5", "0"),
+        written_with("null", "7", "0.125", "0"),
+    ] {
+        let snapshot = EngineSnapshot::from_json(&doc).expect("parse");
+        let (engine, mut policy) = Engine::restore(&inst, snapshot).expect("restore");
+        let resumed = finish(engine, &mut *policy);
+        assert_eq!(resumed.executed, whole.executed);
+        assert_eq!(resumed.objective.to_bits(), whole.objective.to_bits());
+    }
+    for (doc, key) in [
+        (written_with("250000", "2", "0.5", "0"), "deadline_us"),
+        (written_with("null", "2", "0.5", "1"), "breaches"),
+        (written_with("null", "true", "0.5", "0"), "attempts"),
+        (written_with("null", "2", "1e999", "0"), "backoff"),
+    ] {
+        let err = EngineSnapshot::from_json(&doc).expect_err(key);
+        assert!(err.message.contains(key), "{}: {}", key, err);
+    }
+}
+
+/// The watchdog's inner state must be the one its rescue count names: the
+/// batch plan before the rescue, the online policy after it. Anything
+/// else is refused before a policy is rebuilt, and so is a count that
+/// only a 32-bit cast would have read as 0.
+#[test]
+fn watchdog_rungs_are_refused_unless_the_rescue_count_names_them() {
+    let inst = instance();
+    let (json, _) = watchdog_checkpoint_after(1);
+    let intact = EngineSnapshot::from_json(&json).expect("parse");
+    let PolicyState::Watchdog { inner: bvn, .. } = &intact.policy else {
+        panic!("not a watchdog state");
+    };
+    let online = PolicyState::OnlineRho {
+        next_event: 0,
+        active: Vec::new(),
+    };
+    let refused = |degradations: u64, inner: &PolicyState| {
+        let mut hostile = intact.clone();
+        hostile.policy = PolicyState::Watchdog {
+            degradations,
+            inner: Box::new(inner.clone()),
+        };
+        Engine::restore(&inst, hostile).err().map(|e| e.message)
+    };
+    assert_eq!(refused(0, bvn), None);
+    assert_eq!(refused(1, &online), None);
+    let nested = PolicyState::Watchdog {
+        degradations: 0,
+        inner: bvn.clone(),
+    };
+    for (degradations, inner) in [
+        (1, &**bvn),
+        (0, &online),
+        (4_294_967_296, &**bvn),
+        (0, &PolicyState::Greedy { order: vec![0, 1] }),
+        (0, &nested),
+    ] {
+        let message = refused(degradations, inner).expect("refused");
+        assert!(message.contains("watchdog"), "{}", message);
+    }
+    let wide = json.replacen("\"degradations\":0", "\"degradations\":4294967296", 1);
+    let err = Engine::restore(&inst, EngineSnapshot::from_json(&wide).expect("parse"));
+    assert!(err.is_err(), "a 33-bit rescue count is refused");
+    // A repeated order entry: the batch plan is rebuilt through the
+    // checks a top-level bvn-batch state gets.
+    let at = json.find("\"order\":[").expect("order") + "\"order\":[".len();
+    let repeated = format!("{}1,1{}", &json[..at], &json[at + 3..]);
+    let err = EngineSnapshot::from_json(&repeated).map(|s| Engine::restore(&inst, s).map(|_| ()));
+    assert!(
+        matches!(err, Ok(Err(ref e)) if e.message.contains("permutation")),
+        "{:?}",
+        err.map(|r| r.map_err(|e| e.message))
+    );
 }

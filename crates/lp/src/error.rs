@@ -54,7 +54,10 @@ pub enum LpError {
     },
     /// The constraints are infeasible.
     Infeasible,
-    /// The objective is unbounded below.
+    /// The objective is unbounded below. Also returned when phase 1's
+    /// ratio test finds no entry of the entering column above
+    /// [`crate::SimplexOptions::pivot_tol`]: phase 1 is bounded below by
+    /// 0, so only a tolerance too large for the model gets there.
     Unbounded,
 }
 

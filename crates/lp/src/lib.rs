@@ -40,6 +40,6 @@ pub mod verify;
 pub use cache::{global_cache, try_solve_cached, BasisCache};
 pub use error::LpError;
 pub use model::{Constraint, Model, RowId, Sense, Solution, Status, VarId};
-pub use simplex::{solve, solve_with, try_solve, try_solve_with, SimplexOptions};
+pub use simplex::{solve, solve_with, try_solve_with, SimplexOptions};
 pub use sparse::{CscMatrix, TripletBuilder};
 pub use verify::{certify, Certificate};

@@ -84,22 +84,6 @@ impl Default for SimplexOptions {
     }
 }
 
-impl SimplexOptions {
-    /// These options with the pivot and wall-clock budgets scaled by
-    /// `factor` (clamped to keep at least one pivot / one millisecond).
-    /// Used by deadline-driven callers to retry a breached solve under a
-    /// shrunk budget; all numerical tolerances are left untouched.
-    pub fn with_scaled_budgets(&self, factor: f64) -> SimplexOptions {
-        let scale_usize = |x: usize| (((x as f64) * factor).floor() as usize).max(1);
-        let scale_ms = |x: u64| (((x as f64) * factor).floor() as u64).max(1);
-        SimplexOptions {
-            max_iterations: scale_usize(self.max_iterations),
-            time_limit_ms: self.time_limit_ms.map(scale_ms),
-            ..self.clone()
-        }
-    }
-}
-
 /// Cross-phase budget and numerical-health tracking.
 struct HealthMonitor {
     start: Instant,
@@ -714,7 +698,10 @@ fn solve_core(model: &Model, opts: &SimplexOptions) -> (Solution, Option<LpError
                     },
                 );
             }
-            PhaseEnd::Unbounded => unreachable!("phase 1 objective is bounded below by 0"),
+            // Phase 1's objective is bounded below by 0, so a ray here
+            // means the ratio test refused every entry of the entering
+            // column: a `pivot_tol` too large for the model.
+            PhaseEnd::Unbounded => return aborted(engine.iterations, LpError::Unbounded),
             PhaseEnd::Optimal => {}
         }
         let phase1_obj: f64 = engine
@@ -860,11 +847,6 @@ fn health_check(model: &Model, opts: &SimplexOptions, solution: &Solution) -> Re
     Ok(())
 }
 
-/// [`try_solve_with`] under default options.
-pub fn try_solve(model: &Model) -> Result<Solution, LpError> {
-    try_solve_with(model, &SimplexOptions::default())
-}
-
 /// Solves `model` with default options.
 pub fn solve(model: &Model) -> Solution {
     solve_with(model, &SimplexOptions::default())
@@ -940,6 +922,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_pivot_tolerance_above_every_entry_fails_phase_1_with_a_typed_error() {
+        // min x + 2y  s.t.  x + y >= 4,  y >= 1: both rows start on an
+        // artificial, so the solve needs phase 1, whose ratio test then
+        // refuses every entry of size 1.
+        let mut m = Model::new();
+        let x = m.add_var(1.0);
+        let y = m.add_var(2.0);
+        m.add_ge(vec![(x, 1.0), (y, 1.0)], 4.0);
+        m.add_ge(vec![(y, 1.0)], 1.0);
+        let opts = SimplexOptions {
+            pivot_tol: 100.0,
+            ..SimplexOptions::default()
+        };
+        assert_eq!(try_solve_with(&m, &opts).unwrap_err(), LpError::Unbounded);
+        assert_ne!(solve_with(&m, &opts).status, Status::Optimal);
     }
 
     #[test]

@@ -218,7 +218,8 @@ impl FaultSimState {
             .enumerate()
             .map(|(k, row)| {
                 let data = u64_array(row, "remaining[k]")?;
-                if data.len() != m * m {
+                // `m` is read from the document: `m * m` may overflow.
+                if m.checked_mul(m) != Some(data.len()) {
                     return Err(SnapshotError::new(format!(
                         "remaining[{}] has {} entries, expected {}x{}",
                         k,

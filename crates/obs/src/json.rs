@@ -71,10 +71,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so an uncapped document of tens of thousands
+/// of `[` overflows the stack; the deepest document the workspace writes
+/// (a checkpoint) nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -116,8 +124,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -126,6 +134,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.syntax(format!("unexpected character '{}'", c as char))),
             None => Err(self.syntax("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.syntax(format!("nesting deeper than {} levels", MAX_DEPTH)));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -247,12 +270,14 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a complete JSON document.
+/// Parses a complete JSON document. Arrays and objects nest at most 128
+/// levels deep; a deeper document is an error, not a stack overflow.
 pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();
@@ -315,6 +340,20 @@ mod tests {
         assert!(parse("[1] tail").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("nesting deeper than"), "{}", err);
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{}]", at_cap);
+        assert!(parse(&past_cap).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        assert!(parse(&format!("[{}]", objects)).is_err());
     }
 
     #[test]

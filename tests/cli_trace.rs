@@ -59,6 +59,11 @@ fn hostile_traces_exit_1_with_the_readers_error() {
             "[2, [{\"id\": 0, \"m\": 3, \"flows\": [[0, 1, 2]], \"release\": 0, \"weight\": 1}]]",
             "field 'm'",
         ),
+        (
+            "cli_trace_nested.json",
+            &"[".repeat(100_000),
+            "line 1: nesting deeper than",
+        ),
     ] {
         let out = run(name, text);
         let stderr = String::from_utf8_lossy(&out.stderr);

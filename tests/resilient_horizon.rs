@@ -1,16 +1,19 @@
 //! Replans that stop at the next fault boundary change nothing. The
 //! registry `resilient` policy plans each epoch only through
 //! `EpochState::next_boundary()`, the slot before which the engine stops
-//! executing the plan. A reference policy that plans every epoch with the
-//! public full-horizon `run_resilient` must produce the same executed
-//! trace, completions, objective bits, replans, tiers and blocked units —
+//! executing the plan. A reference policy that plans every epoch's
+//! residual to the end, running a `ResilientPolicy` on it with
+//! `run_policy` (under the empty plan it plans to `u64::MAX`), must
+//! produce the same executed trace, completions, objective bits, replans,
+//! tiers and blocked units —
 //! under generated fault plans with arrivals and under hand-built plans
 //! that cancel at slot 0 or 1, or whose last boundary falls before the
 //! makespan (the epoch that plans to the end, horizon `u64::MAX`).
 
 use coflow::{
-    run_policy_with_faults, run_resilient, verify_faulty_outcome, AlgorithmSpec, Coflow, Decision,
-    EpochState, FaultyOutcome, Instance, OrderRule, Policy, PolicyRegistry, SchedError,
+    run_policy, run_policy_with_faults, verify_faulty_outcome, AlgorithmSpec, Coflow, Decision,
+    EpochState, FaultyOutcome, Instance, OrderRule, Policy, PolicyRegistry, ResilientPolicy,
+    SchedError,
 };
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
@@ -68,9 +71,9 @@ impl Policy for FullHorizon {
             return Ok(Decision::Advance(now + 1));
         }
         let residual = Instance::new(instance.ports(), residual);
-        let planned = run_resilient(&residual, &self.spec, &SimplexOptions::default());
-        self.tier = planned.tier;
-        let mut trace = planned.outcome.trace;
+        let mut planner = ResilientPolicy::new(self.spec, SimplexOptions::default());
+        let mut trace = run_policy(&residual, &mut planner)?.trace;
+        self.tier = planner.tier();
         for run in &mut trace.runs {
             for t in run.transfers.iter_mut() {
                 let k = residual_to_orig[t.coflow()];
