@@ -78,7 +78,9 @@ fn bench_bvn(c: &mut Criterion) {
 
 /// One long-run schedule on a 60-port fabric: each of 40 coflows demands
 /// units across a rotating matching, held for a long run — the shape that
-/// used to cost a per-slot loop over the whole horizon.
+/// used to cost a per-slot loop over the whole horizon. Every transfer
+/// moves one unit in each slot of its run, so a coflow demands on a pair
+/// the durations of the runs that serve it there.
 fn long_schedule(m: usize, n: usize) -> (ScheduleTrace, Vec<IntMatrix>, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut trace = ScheduleTrace::new(m);
@@ -91,9 +93,8 @@ fn long_schedule(m: usize, n: usize) -> (ScheduleTrace, Vec<IntMatrix>, Vec<u64>
         for i in 0..m {
             let j = (i + shift) % m;
             let k = rng.gen_range(0..n);
-            let units = rng.gen_range(duration / 2..=duration);
-            demands[k][(i, j)] += units;
-            transfers.push(Transfer::new(i, j, k, units).expect("ids fit in u32"));
+            demands[k][(i, j)] += duration;
+            transfers.push(Transfer::new(i, j, k).expect("ids fit in u32"));
         }
         trace.push_run(Run {
             start,

@@ -164,12 +164,12 @@ fn initial_totals(instance: &Instance) -> Vec<u64> {
 }
 
 /// Units delivered per coflow according to a snapshot's executed trace.
-/// A transfer's `units` already count every slot of its run.
+/// A transfer moves one unit in every slot of its run.
 fn delivered_per_coflow(snapshot: &EngineSnapshot, n: usize) -> Vec<u64> {
     let mut delivered = vec![0u64; n];
     for run in &snapshot.sim.executed.runs {
         for t in &run.transfers {
-            delivered[t.coflow()] += t.units;
+            delivered[t.coflow()] += run.duration;
         }
     }
     delivered

@@ -145,7 +145,7 @@ pub fn stream_policy(
             .map_err(|e| failed(e.to_string()))?;
         run.sched_ms += ms_since(t);
         let t = Instant::now();
-        verify_faulty_outcome(&inst, &quiet, &out).map_err(failed)?;
+        verify_faulty_outcome(&inst, &quiet, &out).map_err(|e| failed(e.to_string()))?;
         run.verify_ms += ms_since(t);
         for (c, done) in batch.iter().zip(&out.completions) {
             let done = done.ok_or_else(|| failed(format!("coflow {} never completed", c.id)))?;
@@ -426,7 +426,7 @@ mod tests {
                 for r in &out.executed.runs {
                     let to_stream = |t: &Transfer| {
                         let id = batch[t.coflow()].id;
-                        Transfer::new(t.src(), t.dst(), id, t.units).expect("ids fit")
+                        Transfer::new(t.src(), t.dst(), id).expect("ids fit")
                     };
                     executed.runs.push(Run {
                         start: base + r.start,

@@ -23,9 +23,6 @@ pub struct ScheduleAnalysis {
     pub weighted_mean_slowdown: f64,
     /// Fabric utilization over the makespan (`moved / (makespan · m)`).
     pub fabric_utilization: f64,
-    /// Offered-but-idle pair slots inside runs (augmentation padding that
-    /// backfilling did not absorb).
-    pub idle_pair_slots: u64,
     /// Schedule makespan.
     pub makespan: u64,
     /// The coflow permutation the scheduler committed to (priority order,
@@ -67,7 +64,6 @@ pub fn analyze(instance: &Instance, outcome: &ScheduleOutcome) -> ScheduleAnalys
         max_slowdown: (max_val, max_idx),
         weighted_mean_slowdown: wmean,
         fabric_utilization: stats.fabric_utilization,
-        idle_pair_slots: stats.idle_pair_slots,
         makespan: stats.makespan,
         order: outcome.order.clone(),
     }

@@ -22,7 +22,7 @@ use crate::relax::LpRelaxation;
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{
-    record_flights, BlockedRun, FlightRecorder, RecorderConfig, ScheduleTrace, SparseDemand,
+    record_flights, BlockedRun, FlightRecorder, RecorderConfig, Run, ScheduleTrace, SparseDemand,
 };
 
 /// How loud a firing detector is. Ordered: `Info < Warning < Critical`.
@@ -316,15 +316,19 @@ fn diagnose_core(
     let totals: Vec<u64> = instance.coflows().iter().map(|c| c.total_units()).collect();
     let recorder = record_flights(trace, &totals, &releases, blocked, &cfg.recorder);
 
-    // Per-slot idle accounting. `busy[t]` counts unit moves in slot `t`
-    // (1-indexed); slots in gaps between runs stay 0. Idle capacity in a
-    // slot is *unforced* when at least one released, incomplete coflow
-    // still has demand there — idle forced by release dates (nothing to
-    // serve yet) is not the scheduler's fault.
-    let mut busy = vec![0u64; makespan as usize + 1];
-    trace.for_each_slot(|slot, moves| {
-        busy[slot as usize] = moves.len() as u64;
-    });
+    // The run serving each slot (1-indexed; `None` in gaps between runs):
+    // every slot of a run moves one unit per transfer.
+    let mut run_of_slot: Vec<Option<&Run>> = vec![None; makespan as usize + 1];
+    for run in &trace.runs {
+        let slots = run.start as usize..(run.start + run.duration) as usize;
+        run_of_slot[slots].fill(Some(run));
+    }
+    let moves_in = |t: usize| run_of_slot[t].map_or(&[][..], |r| &r.transfers[..]);
+
+    // Per-slot idle accounting. Idle capacity in a slot is *unforced*
+    // when at least one released, incomplete coflow still has demand there
+    // — idle forced by release dates (nothing to serve yet) is not the
+    // scheduler's fault.
     let mut pending_demand = vec![false; makespan as usize + 1];
     for k in 0..n {
         if totals[k] == 0 {
@@ -341,7 +345,7 @@ fn diagnose_core(
     let mut unforced_idle = 0u64;
     for t in 1..=makespan as usize {
         if pending_demand[t] {
-            unforced_idle += (m as u64).saturating_sub(busy[t]);
+            unforced_idle += (m as u64).saturating_sub(moves_in(t).len() as u64);
         }
         idle_prefix[t] = unforced_idle;
     }
@@ -356,11 +360,6 @@ fn diagnose_core(
     // sitting behind the active group is policy, not pathology. What the
     // policy never justifies is idling the top coflow's own pairs — that
     // is exactly the waste backfilling exists to consume.
-    let mut moves_by_slot: Vec<Vec<(usize, usize, usize)>> =
-        vec![Vec::new(); makespan as usize + 1];
-    trace.for_each_slot(|slot, moves| {
-        moves_by_slot[slot as usize].extend_from_slice(moves);
-    });
     // Per-coflow remaining demand, drained as moves replay.
     let mut rem = SparseDemand::new(m, instance.demands());
     let mut src_busy = vec![false; m];
@@ -369,7 +368,8 @@ fn diagnose_core(
     for t in 1..=makespan {
         src_busy.fill(false);
         dst_busy.fill(false);
-        for &(s, d, k) in &moves_by_slot[t as usize] {
+        for tr in moves_in(t as usize) {
+            let (s, d, k) = (tr.src(), tr.dst(), tr.coflow());
             src_busy[s] = true;
             dst_busy[d] = true;
             if k >= n {
@@ -692,7 +692,7 @@ mod tests {
                 .map(|i| Run {
                     start: stride * i + 1,
                     duration: 1,
-                    transfers: Box::new([Transfer::new(0, 1, 0, 1).unwrap()]),
+                    transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
                 })
                 .collect();
             let trace = ScheduleTrace { m: 2, runs };

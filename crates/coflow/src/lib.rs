@@ -84,7 +84,7 @@ pub use crate::sched::watchdog::{WatchdogPolicy, LADDER_TIER_BASE};
 pub use crate::sched::{
     run, run_randomized, run_with_order, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };
-pub use crate::verify::{verify_outcome, VerifyError, VerifyReport};
+pub use crate::verify::{verify_outcome, VerifyError};
 
 /// The deterministic approximation ratio proven in Theorem 1.
 pub const DETERMINISTIC_RATIO: f64 = 67.0 / 3.0;

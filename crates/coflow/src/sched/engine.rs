@@ -439,7 +439,8 @@ pub(crate) fn run_policy_until<P: Policy + ?Sized>(
 /// loop; slot-reactive policies ([`Decision::Run`]) are charged one epoch
 /// per fault window entered — each entry is where such a policy re-derives
 /// its plan from post-fault state, and a quiet plan yields exactly one
-/// epoch on both paths.
+/// epoch on both paths — and one more wherever their
+/// [`tier`](Policy::tier) changes (the watchdog's rescue).
 pub fn run_policy_with_faults<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
@@ -650,8 +651,10 @@ impl<'a> Engine<'a> {
                 self.sim.execute_trace(&trace, stop)?;
             }
             Decision::Run { pairs, duration } => {
-                // One planning epoch per fault window entered.
-                if self.last_window != Some(window) {
+                // One planning epoch per fault window entered, and one
+                // where the policy changes tier (the watchdog's rescue).
+                let retiered = self.tiers.last() != Some(&policy.tier());
+                if self.last_window != Some(window) || retiered {
                     self.last_window = Some(window);
                     self.plan_epoch(policy);
                 }
@@ -725,12 +728,12 @@ impl<'a> Engine<'a> {
 
     /// Rebuilds an engine and its policy from a snapshot, validating the
     /// snapshot against `instance`: the fabric width, the coflow count and
-    /// release dates, every executed transfer (ports `< m`, coflow `< n`,
-    /// at least one unit, no more units on a pair than its run lasts, runs
-    /// in order), and the residual demand — only on pairs the instance
-    /// demands, never above that demand, zero exactly for the coflows
-    /// marked complete or cancelled. The restored pair continues
-    /// bit-identically to the checkpointed run.
+    /// release dates, every executed run (in order, a matching of ports
+    /// `< m` serving coflows `< n`: [`FaultSim::from_state`]), and the
+    /// residual demand — only on pairs the instance demands, never above
+    /// that demand, zero exactly for the coflows marked complete or
+    /// cancelled. The restored pair continues bit-identically to the
+    /// checkpointed run.
     pub fn restore(
         instance: &'a Instance,
         snapshot: super::snapshot::EngineSnapshot,
@@ -742,18 +745,6 @@ impl<'a> Engine<'a> {
         }
         if snapshot.sim.releases != instance.releases() {
             return Err(bad("snapshot release dates disagree with instance"));
-        }
-        let mut transfers = snapshot.sim.executed.runs.iter().flat_map(|r| &r.transfers);
-        if let Some(t) =
-            transfers.find(|t| t.src() >= m || t.dst() >= m || t.coflow() >= n || t.units == 0)
-        {
-            return Err(coflow_netsim::SnapshotError::new(format!(
-                "executed transfer ({}, {}, coflow {}, {} units) is outside the instance",
-                t.src(),
-                t.dst(),
-                t.coflow(),
-                t.units
-            )));
         }
         let policy = snapshot.policy.rebuild(instance)?;
         let sim = FaultSim::from_state(snapshot.sim)?;
@@ -2108,7 +2099,7 @@ impl Policy for ResilientPolicy {
         for run in &mut trace.runs {
             for t in run.transfers.iter_mut() {
                 let k = residual_to_orig[t.coflow()];
-                let Some(mapped) = Transfer::new(t.src(), t.dst(), k, t.units) else {
+                let Some(mapped) = Transfer::new(t.src(), t.dst(), k) else {
                     return Err(SchedError::Unsupported {
                         what: "coflow index does not fit in a transfer",
                     });

@@ -24,8 +24,8 @@ mod tests {
     use crate::sched::engine::run_policy;
     use crate::sched::ordered::GreedyPolicy;
     use crate::sched::ScheduleOutcome;
+    use crate::verify::verify_outcome;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
 
     fn greedy(inst: &Instance, order: Vec<usize>) -> ScheduleOutcome {
         run_policy(inst, &mut GreedyPolicy::new(inst, order)).unwrap()
@@ -39,8 +39,7 @@ mod tests {
         );
         let out = greedy(&inst, vec![0]);
         assert_eq!(out.completions, vec![3]);
-        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
-        assert_eq!(times, out.completions);
+        verify_outcome(&inst, &out).unwrap();
     }
 
     #[test]
@@ -60,8 +59,7 @@ mod tests {
         let inst = Instance::new(2, vec![c0, c1]);
         let out = greedy(&inst, vec![0, 1]);
         assert_eq!(out.completions, vec![1, 101]);
-        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
-        assert_eq!(times, out.completions);
+        verify_outcome(&inst, &out).unwrap();
     }
 
     #[test]
@@ -71,8 +69,6 @@ mod tests {
         let inst = Instance::new(2, vec![c0, c1]);
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
         let out = greedy(&inst, order);
-        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
-        assert_eq!(times, out.completions);
-        assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
+        verify_outcome(&inst, &out).unwrap();
     }
 }

@@ -28,16 +28,15 @@ mod tests {
     use crate::instance::Instance;
     use crate::sched::engine::{run_policy, OnlineRhoPolicy};
     use crate::sched::ScheduleOutcome;
+    use crate::verify::verify_outcome;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
 
     fn online(inst: &Instance) -> ScheduleOutcome {
         run_policy(inst, &mut OnlineRhoPolicy::new(inst)).unwrap()
     }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
-        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
-        assert_eq!(times, out.completions);
+        verify_outcome(inst, out).unwrap();
     }
 
     #[test]

@@ -268,8 +268,9 @@ mod tests {
     use crate::coflow::Coflow;
     use crate::sched::engine::{run_policy, run_policy_with_faults};
     use crate::sched::ScheduleOutcome;
+    use crate::verify::verify_outcome;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::{validate_trace, FaultPlan};
+    use coflow_netsim::FaultPlan;
 
     fn shafiee_ghaderi(inst: &Instance) -> ScheduleOutcome {
         run_policy(inst, &mut ShafieeGhaderiPolicy::new(inst)).unwrap()
@@ -280,9 +281,7 @@ mod tests {
     }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
-        let times = validate_trace(inst.demands(), &inst.releases(), &out.trace).unwrap();
-        assert_eq!(times, out.completions);
-        assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
+        verify_outcome(inst, out).unwrap();
     }
 
     fn dense_instance() -> Instance {

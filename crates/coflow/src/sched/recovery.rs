@@ -19,7 +19,8 @@
 //! and the plan.
 
 use crate::instance::Instance;
-use coflow_netsim::{BlockedRun, EntryMemo, FaultIndex, FaultPlan, ScheduleTrace, SparseDemand};
+use crate::verify::{verify_replay, VerifyError};
+use coflow_netsim::{BlockedRun, FaultPlan, ScheduleTrace};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -56,162 +57,23 @@ impl FaultyOutcome {
     }
 }
 
-/// Verifies a [`FaultyOutcome`] against the instance and plan: every
-/// executed slot satisfies the `2m` matching constraints and moves only
-/// real, released demand over open links, before its coflow's cancellation
-/// slot; every non-cancelled coflow's demand is delivered exactly. The
-/// completions are derived from the replay — a coflow completes in its
-/// last delivered slot once all its demand is delivered, a zero-demand
-/// coflow at its release date — and must equal the reported ones, and
-/// `Σ w·C` recomputed from them in coflow order must equal the reported
-/// objective bit for bit. Returns the first violation found.
+/// Verifies a [`FaultyOutcome`] against the instance and plan: its
+/// executed trace replays under the plan ([`validate_trace`] — a matching
+/// in every slot, only real, released demand over open links, nothing at
+/// or after a coflow's cancellation, every non-cancelled coflow delivered
+/// exactly), the reported completions are the replay's (`None` for a
+/// coflow cancelled before completing), and the objective is `Σ w·C`
+/// recomputed from them in coflow order, bit for bit. Returns the first
+/// violation found.
 ///
-/// The executed trace is checked run by run: each transfer must move one
-/// unit in every slot of its run, so a run repeats one matching, checked
-/// once. The link must be open in every slot of the run, the coflow
-/// released before its first slot and not cancelled by its last.
+/// [`validate_trace`]: coflow_netsim::validate_trace
 pub fn verify_faulty_outcome(
     instance: &Instance,
     plan: &FaultPlan,
     out: &FaultyOutcome,
-) -> Result<(), String> {
-    let m = instance.ports();
-    let n = instance.len();
-    if out.completions.len() != n {
-        return Err(format!(
-            "{} completions reported for {} coflows",
-            out.completions.len(),
-            n
-        ));
-    }
-    let faults = FaultIndex::new(plan, m, n);
-    // Units delivered per demanded (coflow, pair): one counter per entry of
-    // the instance's demand over its nonzero pairs.
-    let demand = SparseDemand::new(m, instance.demands());
-    let mut memo = EntryMemo::new(m);
-    let mut units = vec![0u64; demand.nnz()];
-    // The first pair each coflow was served on without demanding it.
-    let mut stray: Vec<Option<(usize, usize)>> = vec![None; n];
-    let mut delivered: Vec<u64> = vec![0; n];
-    let mut last_slot: Vec<u64> = vec![0; n];
-    let mut src_used = vec![false; m];
-    let mut dst_used = vec![false; m];
-    // The first slot after the previous run.
-    let mut free_from = 0;
-    for run in &out.executed.runs {
-        let slot = run.start;
-        let end = run
-            .duration
-            .checked_sub(1)
-            .and_then(|d| slot.checked_add(d));
-        let Some(last) = end else {
-            return Err(format!(
-                "executed run at {} lasts {} slots",
-                slot, run.duration
-            ));
-        };
-        if slot < free_from {
-            return Err(format!(
-                "executed run at {} overlaps the previous run",
-                slot
-            ));
-        }
-        free_from = last.saturating_add(1);
-        for t in &run.transfers {
-            let (src, dst, k) = (t.src(), t.dst(), t.coflow());
-            if t.units != run.duration {
-                return Err(format!(
-                    "slot {}: executed transfer of {} units in a {}-slot run",
-                    slot, t.units, run.duration
-                ));
-            }
-            if k >= n {
-                return Err(format!("slot {}: unknown coflow {}", slot, k));
-            }
-            if src >= m || dst >= m {
-                return Err(format!(
-                    "slot {}: pair ({}, {}) outside the {}-port fabric",
-                    slot, src, dst, m
-                ));
-            }
-            if src_used[src] || dst_used[dst] {
-                return Err(format!("slot {}: matching constraint violated", slot));
-            }
-            src_used[src] = true;
-            dst_used[dst] = true;
-            if let Some(closed) = faults.first_closed(src, dst, slot, last) {
-                return Err(format!(
-                    "slot {}: delivered over faulted link ({}, {})",
-                    closed, src, dst
-                ));
-            }
-            if instance.coflow(k).release >= slot {
-                return Err(format!("slot {}: coflow {} before release", slot, k));
-            }
-            if let Some(gone) = faults.cancellation(k).filter(|&gone| last >= gone) {
-                return Err(format!(
-                    "slot {}: served cancelled coflow {}",
-                    gone.max(slot),
-                    k
-                ));
-            }
-            delivered[k] = delivered[k].saturating_add(t.units);
-            last_slot[k] = last_slot[k].max(last);
-            match memo.find(&demand, k, src, dst) {
-                Some(e) => units[e] = units[e].saturating_add(t.units),
-                None => {
-                    stray[k].get_or_insert((src, dst));
-                }
-            }
-        }
-        for t in &run.transfers {
-            src_used[t.src()] = false;
-            dst_used[t.dst()] = false;
-        }
-    }
-    for k in 0..n {
-        let over = demand
-            .entries(k)
-            .find(|&e| units[e] > demand.units(e))
-            .map(|e| demand.pair(e));
-        if let Some((i, j)) = stray[k].or(over) {
-            return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
-        }
-        let total = demand.total(k);
-        let completion = if total == 0 {
-            Some(instance.coflow(k).release)
-        } else if delivered[k] == total {
-            Some(last_slot[k])
-        } else {
-            None
-        };
-        if completion.is_none() && faults.cancellation(k).is_none() {
-            return Err(format!(
-                "coflow {}: incomplete ({} of {} units) but never cancelled",
-                k, delivered[k], total
-            ));
-        }
-        if completion != out.completions[k] {
-            return Err(format!(
-                "coflow {}: reported completion {:?}, replay gives {:?}",
-                k, out.completions[k], completion
-            ));
-        }
-    }
-    // The reported completions now equal the replay's.
-    let objective: f64 = out
-        .completions
-        .iter()
-        .zip(instance.coflows())
-        .filter_map(|(c, cf)| c.map(|t| cf.weight * t as f64))
-        .sum();
-    if objective.to_bits() != out.objective.to_bits() {
-        return Err(format!(
-            "reported objective {} differs from the replay's {}",
-            out.objective, objective
-        ));
-    }
-    Ok(())
+) -> Result<(), VerifyError> {
+    let claimed = out.completions.iter().copied();
+    verify_replay(instance, plan, &out.executed, claimed, out.objective)
 }
 
 #[cfg(test)]
@@ -223,7 +85,7 @@ mod tests {
     use crate::sched::AlgorithmSpec;
     use coflow_lp::SimplexOptions;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::FaultEvent;
+    use coflow_netsim::{FaultEvent, Run, Transfer, ValidationError};
 
     /// The resilient replanner on `spec` under `plan`.
     fn replan(
@@ -326,19 +188,29 @@ mod tests {
             .sum()
     }
 
+    /// The replay's verdict on `out` against `plan`, which must be an
+    /// invalid trace.
+    fn invalid(instance: &Instance, plan: &FaultPlan, out: &FaultyOutcome) -> ValidationError {
+        match verify_faulty_outcome(instance, plan, out) {
+            Err(VerifyError::InvalidTrace(e)) => e,
+            other => panic!("expected an invalid trace, got {:?}", other),
+        }
+    }
+
     #[test]
     fn rejects_service_after_a_cancellation_even_when_complete() {
         let instance = inst();
-        let spec = AlgorithmSpec::algorithm2();
-        let clean = FaultPlan::default();
-        let out = replan(&instance, &spec, &SimplexOptions::default(), &clean);
-        verify_faulty_outcome(&instance, &clean, &out).unwrap();
+        let out = clean_outcome(&instance);
         // Against a plan cancelling coflow 1 in its completion slot, the
         // outcome serves it after the cancellation yet reports it complete.
         let at = out.completions[1].expect("clean run completes coflow 1");
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 1, at }]);
-        let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
-        assert!(err.contains("served cancelled coflow 1"), "{}", err);
+        let err = invalid(&instance, &plan, &out);
+        assert!(
+            matches!(err, ValidationError::ServedAfterCancellation { coflow: 1, slot, .. } if slot == at),
+            "{:?}",
+            err
+        );
     }
 
     #[test]
@@ -357,8 +229,14 @@ mod tests {
         // The objective agrees with the doctored completions, so only the
         // replay's completion slot can expose them.
         out.objective = objective_of(&instance, &out.completions);
-        let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
-        assert!(err.contains("coflow 0: reported completion"), "{}", err);
+        assert_eq!(
+            verify_faulty_outcome(&instance, &plan, &out),
+            Err(VerifyError::CompletionMismatch {
+                coflow: 0,
+                claimed: Some(c + 1),
+                replayed: Some(c)
+            })
+        );
     }
 
     #[test]
@@ -368,13 +246,30 @@ mod tests {
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 2, at: 3 }]);
         let mut out = replan(&instance, &spec, &SimplexOptions::default(), &plan);
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
-        assert_eq!(
-            out.objective.to_bits(),
-            objective_of(&instance, &out.completions).to_bits()
-        );
+        let recomputed = objective_of(&instance, &out.completions);
+        assert_eq!(out.objective.to_bits(), recomputed.to_bits());
         out.objective = f64::from_bits(out.objective.to_bits() + 1);
-        let err = verify_faulty_outcome(&instance, &plan, &out).unwrap_err();
-        assert!(err.contains("objective"), "{}", err);
+        assert_eq!(
+            verify_faulty_outcome(&instance, &plan, &out),
+            Err(VerifyError::ObjectiveMismatch {
+                claimed: out.objective,
+                recomputed
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_a_completion_per_coflow_of_another_instance() {
+        let instance = inst();
+        let mut out = clean_outcome(&instance);
+        out.completions.pop();
+        assert_eq!(
+            verify_faulty_outcome(&instance, &FaultPlan::default(), &out),
+            Err(VerifyError::CompletionCount {
+                reported: 2,
+                coflows: 3
+            })
+        );
     }
 
     /// The fault-free outcome of `inst()`, checked clean before a test
@@ -387,16 +282,11 @@ mod tests {
         out
     }
 
-    /// The verdict on `out` against `plan`, which must be a rejection.
-    fn rejection(instance: &Instance, plan: &FaultPlan, out: &FaultyOutcome) -> String {
-        verify_faulty_outcome(instance, plan, out).unwrap_err()
-    }
-
     /// Appends a 1-slot run after the makespan carrying one unit.
     fn append_unit(out: &mut FaultyOutcome, src: usize, dst: usize, coflow: usize) {
         let start = out.executed.makespan() + 1;
-        let transfer = coflow_netsim::Transfer::new(src, dst, coflow, 1).unwrap();
-        out.executed.push_run(coflow_netsim::Run {
+        let transfer = Transfer::new(src, dst, coflow).unwrap();
+        out.executed.push_run(Run {
             start,
             duration: 1,
             transfers: Box::new([transfer]),
@@ -417,14 +307,15 @@ mod tests {
             end: slot,
         };
         let plan = FaultPlan::new(vec![outage]);
-        let err = rejection(&instance, &plan, &out);
-        let want = format!(
-            "slot {}: delivered over faulted link ({}, {})",
-            slot,
-            t.src(),
-            t.dst()
+        assert_eq!(
+            invalid(&instance, &plan, &out),
+            ValidationError::LinkClosed {
+                run: 0,
+                slot,
+                src: t.src(),
+                dst: t.dst()
+            }
         );
-        assert!(err.contains(&want), "{}", err);
     }
 
     #[test]
@@ -443,14 +334,15 @@ mod tests {
             end: slot,
             stride: 2,
         }]);
-        let err = rejection(&instance, &plan, &out);
-        let want = format!(
-            "slot {}: delivered over faulted link ({}, {})",
-            slot,
-            t.src(),
-            t.dst()
+        assert_eq!(
+            invalid(&instance, &plan, &out),
+            ValidationError::LinkClosed {
+                run: 1,
+                slot,
+                src: t.src(),
+                dst: t.dst()
+            }
         );
-        assert!(err.contains(&want), "{}", err);
     }
 
     #[test]
@@ -458,8 +350,14 @@ mod tests {
         let instance = inst();
         let mut out = clean_outcome(&instance);
         append_unit(&mut out, 0, 0, 0); // coflow 0 demands 3 units on (0, 0)
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        assert!(err.contains("coflow 0: over-delivery on (0, 0)"), "{}", err);
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::OverDelivery {
+                coflow: 0,
+                src: 0,
+                dst: 0
+            }
+        );
     }
 
     #[test]
@@ -467,8 +365,14 @@ mod tests {
         let instance = inst();
         let mut out = clean_outcome(&instance);
         append_unit(&mut out, 1, 0, 0); // coflow 0 demands nothing on (1, 0)
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        assert!(err.contains("coflow 0: over-delivery on (1, 0)"), "{}", err);
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::OverDelivery {
+                coflow: 0,
+                src: 1,
+                dst: 0
+            }
+        );
     }
 
     #[test]
@@ -477,44 +381,35 @@ mod tests {
         let mut out = clean_outcome(&instance);
         let run = &mut out.executed.runs[0];
         let t = run.transfers[0];
-        let twin = coflow_netsim::Transfer::new(t.src(), 1 - t.dst(), t.coflow(), t.units).unwrap();
+        let twin = Transfer::new(t.src(), 1 - t.dst(), t.coflow()).unwrap();
         run.transfers = [&run.transfers[..], &[twin]].concat().into();
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!("slot {}: matching constraint violated", run_start(&out, 0));
-        assert!(err.contains(&want), "{}", err);
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::PortReused {
+                run: 0,
+                port: t.src(),
+                ingress: true
+            }
+        );
     }
 
     #[test]
-    fn rejects_a_run_longer_than_its_transfers() {
+    fn rejects_a_last_run_stretched_by_one_slot() {
         let instance = inst();
         let mut out = clean_outcome(&instance);
-        let run = &mut out.executed.runs[0];
-        let units = run.duration;
+        // Every transfer of the last run delivers its pair's last unit:
+        // one more slot moves a unit nobody demands.
+        let run = out.executed.runs.last_mut().expect("a clean run executes");
         run.duration += 1;
-        let want = format!(
-            "slot {}: executed transfer of {} units in a {}-slot run",
-            run.start,
-            units,
-            units + 1
+        let t = run.transfers[0];
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::OverDelivery {
+                coflow: t.coflow(),
+                src: t.src(),
+                dst: t.dst()
+            }
         );
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        assert!(err.contains(&want), "{}", err);
-    }
-
-    #[test]
-    fn rejects_a_transfer_longer_than_its_run() {
-        let instance = inst();
-        let mut out = clean_outcome(&instance);
-        let run = &mut out.executed.runs[0];
-        run.transfers[0].units += 1;
-        let want = format!(
-            "slot {}: executed transfer of {} units in a {}-slot run",
-            run.start,
-            run.duration + 1,
-            run.duration
-        );
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        assert!(err.contains(&want), "{}", err);
     }
 
     #[test]
@@ -522,20 +417,36 @@ mod tests {
         let instance = inst();
         let mut out = clean_outcome(&instance);
         out.executed.runs[0].duration = 0;
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!("executed run at {} lasts 0 slots", run_start(&out, 0));
-        assert!(err.contains(&want), "{}", err);
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::RunLength {
+                run: 0,
+                start: run_start(&out, 0),
+                duration: 0
+            }
+        );
         let mut out = clean_outcome(&instance);
         let first = out.executed.runs[0].clone();
-        out.executed.runs.insert(1, first);
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!("executed run at {} overlaps", run_start(&out, 0));
-        assert!(err.contains(&want), "{}", err);
+        out.executed.runs.insert(1, first.clone());
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::RunOverlap {
+                run: 1,
+                start: first.start,
+                free_from: first.start + first.duration
+            }
+        );
     }
 
-    /// The first executed run that lasts more than one slot.
-    fn long_run(out: &FaultyOutcome) -> &coflow_netsim::Run {
-        let long = out.executed.runs.iter().find(|r| r.duration > 1);
+    /// The first executed run that lasts more than one slot, with its
+    /// index.
+    fn long_run(out: &FaultyOutcome) -> (usize, &Run) {
+        let long = out
+            .executed
+            .runs
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.duration > 1);
         long.expect("the clean run holds a matching for two slots or more")
     }
 
@@ -543,7 +454,7 @@ mod tests {
     fn rejects_an_outage_inside_a_run() {
         let instance = inst();
         let out = clean_outcome(&instance);
-        let run = long_run(&out);
+        let (r, run) = long_run(&out);
         let (last, t) = (run.start + run.duration - 1, run.transfers[0]);
         // Only the run's last slot is down.
         let plan = FaultPlan::new(vec![FaultEvent::EgressOutage {
@@ -551,29 +462,35 @@ mod tests {
             start: last,
             end: last,
         }]);
-        let err = rejection(&instance, &plan, &out);
-        let want = format!(
-            "slot {}: delivered over faulted link ({}, {})",
-            last,
-            t.src(),
-            t.dst()
+        assert_eq!(
+            invalid(&instance, &plan, &out),
+            ValidationError::LinkClosed {
+                run: r,
+                slot: last,
+                src: t.src(),
+                dst: t.dst()
+            }
         );
-        assert!(err.contains(&want), "{}", err);
     }
 
     #[test]
     fn rejects_a_cancellation_inside_a_run() {
         let instance = inst();
         let out = clean_outcome(&instance);
-        let run = long_run(&out);
+        let (r, run) = long_run(&out);
         let (last, t) = (run.start + run.duration - 1, run.transfers[0]);
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled {
             coflow: t.coflow(),
             at: last,
         }]);
-        let err = rejection(&instance, &plan, &out);
-        let want = format!("slot {}: served cancelled coflow {}", last, t.coflow());
-        assert!(err.contains(&want), "{}", err);
+        assert_eq!(
+            invalid(&instance, &plan, &out),
+            ValidationError::ServedAfterCancellation {
+                run: r,
+                coflow: t.coflow(),
+                slot: last
+            }
+        );
     }
 
     #[test]
@@ -582,36 +499,31 @@ mod tests {
         let mut out = clean_outcome(&instance);
         let t = out.executed.runs[0].transfers[0];
         out.executed.runs[0].transfers[0] =
-            coflow_netsim::Transfer::new(t.src(), t.dst(), instance.len(), t.units).unwrap();
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!(
-            "slot {}: unknown coflow {}",
-            run_start(&out, 0),
-            instance.len()
+            Transfer::new(t.src(), t.dst(), instance.len()).unwrap();
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::UnknownCoflow {
+                coflow: instance.len()
+            }
         );
-        assert!(err.contains(&want), "{}", err);
     }
 
     #[test]
     fn rejects_a_port_outside_the_fabric() {
         let instance = inst();
-        let mut out = clean_outcome(&instance);
         let m = instance.ports();
-        append_unit(&mut out, m, 0, 0);
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        assert!(
-            err.contains(&format!("pair ({}, 0) outside the 2-port fabric", m)),
-            "{}",
-            err
-        );
-        let mut out = clean_outcome(&instance);
-        append_unit(&mut out, 0, m, 0);
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        assert!(
-            err.contains(&format!("pair (0, {}) outside the 2-port fabric", m)),
-            "{}",
-            err
-        );
+        for (src, dst) in [(m, 0), (0, m)] {
+            let mut out = clean_outcome(&instance);
+            append_unit(&mut out, src, dst, 0);
+            assert_eq!(
+                invalid(&instance, &FaultPlan::default(), &out),
+                ValidationError::PortOutOfRange {
+                    run: out.executed.runs.len() - 1,
+                    port: m,
+                    ports: m
+                }
+            );
+        }
     }
 
     #[test]
@@ -634,9 +546,15 @@ mod tests {
             })
             .collect();
         let late = Instance::new(instance.ports(), late);
-        let err = rejection(&late, &FaultPlan::default(), &out);
-        let want = format!("slot {}: coflow {} before release", slot, t.coflow());
-        assert!(err.contains(&want), "{}", err);
+        assert_eq!(
+            invalid(&late, &FaultPlan::default(), &out),
+            ValidationError::ReleaseViolated {
+                run: 0,
+                coflow: t.coflow(),
+                slot,
+                release: slot
+            }
+        );
     }
 
     #[test]
@@ -651,22 +569,18 @@ mod tests {
             .rev()
             .find(|r| r.transfers.iter().any(|t| t.coflow() == 0))
             .expect("coflow 0 is served");
-        let last = run
-            .transfers
-            .iter()
-            .rposition(|t| t.coflow() == 0)
-            .expect("found above");
         let mut kept = run.transfers.to_vec();
-        let dropped = kept.remove(last).units;
+        kept.retain(|t| t.coflow() != 0);
+        assert_eq!(kept.len() + 1, run.transfers.len(), "a matching");
         run.transfers = kept.into();
-        let total = instance.coflow(0).total_units();
-        let err = rejection(&instance, &FaultPlan::default(), &out);
-        let want = format!(
-            "coflow 0: incomplete ({} of {} units)",
-            total - dropped,
-            total
+        let dropped = run.duration;
+        assert_eq!(
+            invalid(&instance, &FaultPlan::default(), &out),
+            ValidationError::UnderDelivery {
+                coflow: 0,
+                missing: dropped
+            }
         );
-        assert!(err.contains(&want), "{}", err);
     }
 
     fn run_start(out: &FaultyOutcome, r: usize) -> u64 {

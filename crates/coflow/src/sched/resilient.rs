@@ -82,8 +82,8 @@ mod tests {
     use crate::coflow::Coflow;
     use crate::sched::engine::{run_policy, Policy, ResilientPolicy};
     use crate::sched::{run, ScheduleOutcome};
+    use crate::verify::verify_outcome;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
 
     fn inst() -> Instance {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 1], [0, 2]])).with_weight(2.0);
@@ -166,9 +166,7 @@ mod tests {
         );
         assert_eq!(out.objective.to_bits(), rho.objective.to_bits());
         assert_eq!(out.completions, rho.completions);
-        let times = validate_trace(instance.demands(), &instance.releases(), &out.trace)
-            .expect("degraded schedule must validate");
-        assert_eq!(times, out.completions);
+        verify_outcome(&instance, &out).expect("degraded schedule must validate");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! Until the rescue the wrapper is transparent: every decision and tier is
 //! the batch policy's. After it, the tier is `LADDER_TIER_BASE + 1`,
 //! disjoint from the 0/1/2 planning-chain tiers of
-//! [`ResilientPolicy`](super::engine::ResilientPolicy); the outcome's tier
-//! stream records it for every planning epoch charged from then on. The
-//! rescue itself is marked by the obs counter
+//! [`ResilientPolicy`](super::engine::ResilientPolicy). The change of tier
+//! opens a planning epoch, so the outcome's tier stream records the rescue
+//! even after the last fault window, and every epoch charged from then on
+//! carries the new tier. The rescue is also marked by the obs counter
 //! `coflow.watchdog.degradations` and a `coflow.watchdog.degrade` instant.
 
 use super::engine::{BvnBatchPolicy, Decision, EpochState, OnlineRhoPolicy, Policy};
@@ -179,6 +180,27 @@ mod tests {
         let mut wrapped = WatchdogPolicy::over_bvn(bvn_policy(&instance));
         let out = run_policy_with_faults(&instance, &mut wrapped, &plan).unwrap();
         assert!(out.completions.iter().all(|c| c.is_some()));
+        assert_eq!(out.tiers.last(), Some(&(LADDER_TIER_BASE + 1)));
+    }
+
+    #[test]
+    fn a_rescue_after_the_last_fault_window_is_a_planning_epoch() {
+        // Ingress 0 is down in slot 1 only: the unit the plan holds there
+        // is blocked, and the fault state never changes after slot 2, long
+        // before the plan runs out and the rescue fires.
+        let instance = inst();
+        let plan = FaultPlan::new(vec![FaultEvent::IngressOutage {
+            port: 0,
+            start: 1,
+            end: 1,
+        }]);
+        let mut wrapped = WatchdogPolicy::over_bvn(bvn_policy(&instance));
+        let out = run_policy_with_faults(&instance, &mut wrapped, &plan).unwrap();
+        assert_eq!(wrapped.tier(), LADDER_TIER_BASE + 1, "the rescue fired");
+        assert!(out.executed.makespan() > 2);
+        assert_eq!(out.tiers.len(), out.replans);
+        let rescued = out.tiers.iter().filter(|&&t| t == LADDER_TIER_BASE + 1);
+        assert_eq!(rescued.count(), 1, "{:?}", out.tiers);
         assert_eq!(out.tiers.last(), Some(&(LADDER_TIER_BASE + 1)));
     }
 

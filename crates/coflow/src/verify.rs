@@ -2,27 +2,39 @@
 //!
 //! Ties the scheduler's own accounting to the independent `coflow-netsim`
 //! replay: the recorded trace must satisfy every constraint of problem (O)
-//! and reproduce the claimed completion times and objective.
+//! under the fault plan it ran under (the empty plan for a clean run) and
+//! reproduce the claimed completion times and, bit for bit, the objective.
+//! A clean outcome ([`verify_outcome`]) and a faulted one
+//! ([`verify_faulty_outcome`](crate::sched::recovery::verify_faulty_outcome))
+//! go through the same replay, [`validate_trace`].
 
 use crate::instance::Instance;
 use crate::sched::ScheduleOutcome;
-use coflow_netsim::{validate_trace, ValidationError};
+use coflow_netsim::{validate_trace, FaultPlan, ScheduleTrace, ValidationError};
 
 /// Why an outcome failed verification.
 #[derive(Clone, Debug, PartialEq)]
 pub enum VerifyError {
-    /// The trace violates a constraint of problem (O).
+    /// The trace violates a constraint of problem (O) or of the fault plan.
     InvalidTrace(ValidationError),
+    /// The outcome reports a completion per coflow of another instance.
+    CompletionCount {
+        /// Completions reported.
+        reported: usize,
+        /// Coflows in the instance.
+        coflows: usize,
+    },
     /// The trace is valid but yields different completion times.
     CompletionMismatch {
         /// Coflow with the discrepancy.
         coflow: usize,
-        /// Completion claimed by the scheduler.
-        claimed: u64,
-        /// Completion recomputed from the trace.
-        replayed: u64,
+        /// Completion claimed by the scheduler (`None`: cancelled).
+        claimed: Option<u64>,
+        /// Completion recomputed from the trace (`None`: cancelled).
+        replayed: Option<u64>,
     },
-    /// The objective does not match `Σ w_k C_k` of the claimed completions.
+    /// The objective is not `Σ w_k C_k` over the completed coflows, summed
+    /// in coflow order, bit for bit.
     ObjectiveMismatch {
         /// Claimed objective.
         claimed: f64,
@@ -39,50 +51,61 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Evidence produced by a successful verification: the independently
-/// replayed quantities plus the ordering the scheduler committed to, so
-/// downstream consumers (diagnostics, CLIs) can report them without
-/// re-deriving anything.
-#[derive(Clone, Debug, PartialEq)]
-pub struct VerifyReport {
-    /// The scheduler's coflow permutation (indices into the instance).
-    pub order: Vec<usize>,
-    /// Completion slots re-derived by the independent netsim replay.
-    pub replayed_completions: Vec<u64>,
-    /// `Σ w_k C_k` recomputed from the replayed completions.
-    pub objective: f64,
+/// Fully verifies a clean `outcome` against `instance`: its trace replays
+/// under the empty plan, every coflow completes where the outcome says,
+/// and the objective is `Σ w_k C_k` recomputed in coflow order, as
+/// [`run_policy`](crate::run_policy) sums it.
+pub fn verify_outcome(instance: &Instance, outcome: &ScheduleOutcome) -> Result<(), VerifyError> {
+    let claimed = outcome.completions.iter().map(|&c| Some(c));
+    verify_replay(
+        instance,
+        &FaultPlan::default(),
+        &outcome.trace,
+        claimed,
+        outcome.objective,
+    )
 }
 
-/// Fully verifies `outcome` against `instance`. On success returns the
-/// replay evidence ([`VerifyReport`]); existing callers that only care
-/// about pass/fail keep working unchanged.
-pub fn verify_outcome(
+/// Replays `trace` against `instance` under `plan` ([`validate_trace`]),
+/// then checks the `claimed` completions against the replay's and the
+/// claimed `objective` against `Σ w·C` over the replay's completed
+/// coflows, in coflow order, bit for bit.
+pub(crate) fn verify_replay(
     instance: &Instance,
-    outcome: &ScheduleOutcome,
-) -> Result<VerifyReport, VerifyError> {
-    let replayed = validate_trace(instance.demands(), &instance.releases(), &outcome.trace)
+    plan: &FaultPlan,
+    trace: &ScheduleTrace,
+    claimed: impl ExactSizeIterator<Item = Option<u64>>,
+    objective: f64,
+) -> Result<(), VerifyError> {
+    if claimed.len() != instance.len() {
+        return Err(VerifyError::CompletionCount {
+            reported: claimed.len(),
+            coflows: instance.len(),
+        });
+    }
+    let replayed = validate_trace(instance.demands(), &instance.releases(), plan, trace)
         .map_err(VerifyError::InvalidTrace)?;
-    for (k, (&claimed, &actual)) in outcome.completions.iter().zip(replayed.iter()).enumerate() {
-        if claimed != actual {
+    for (coflow, (claimed, &replayed)) in claimed.zip(&replayed).enumerate() {
+        if claimed != replayed {
             return Err(VerifyError::CompletionMismatch {
-                coflow: k,
+                coflow,
                 claimed,
-                replayed: actual,
+                replayed,
             });
         }
     }
-    let recomputed = instance.objective(&outcome.completions);
-    if (recomputed - outcome.objective).abs() > 1e-6 * (1.0 + recomputed.abs()) {
+    let recomputed: f64 = replayed
+        .iter()
+        .zip(instance.coflows())
+        .filter_map(|(c, cf)| c.map(|t| cf.weight * t as f64))
+        .sum();
+    if recomputed.to_bits() != objective.to_bits() {
         return Err(VerifyError::ObjectiveMismatch {
-            claimed: outcome.objective,
+            claimed: objective,
             recomputed,
         });
     }
-    Ok(VerifyReport {
-        order: outcome.order.clone(),
-        replayed_completions: replayed,
-        objective: recomputed,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -110,10 +133,7 @@ mod tests {
                 backfill: true,
             },
         );
-        let report = verify_outcome(&inst, &out).expect("outcome must verify");
-        assert_eq!(report.order, out.order);
-        assert_eq!(report.replayed_completions, out.completions);
-        assert!((report.objective - out.objective).abs() < 1e-9);
+        verify_outcome(&inst, &out).expect("outcome must verify");
     }
 
     #[test]
@@ -124,10 +144,22 @@ mod tests {
         );
         let mut out = run(&inst, &AlgorithmSpec::algorithm2());
         out.completions[0] += 1;
-        assert!(matches!(
+        assert_eq!(
             verify_outcome(&inst, &out),
-            Err(VerifyError::CompletionMismatch { .. })
-        ));
+            Err(VerifyError::CompletionMismatch {
+                coflow: 0,
+                claimed: Some(2),
+                replayed: Some(1)
+            })
+        );
+        out.completions.push(1);
+        assert_eq!(
+            verify_outcome(&inst, &out),
+            Err(VerifyError::CompletionCount {
+                reported: 2,
+                coflows: 1
+            })
+        );
     }
 
     #[test]
@@ -137,10 +169,14 @@ mod tests {
             vec![Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 1]]))],
         );
         let mut out = run(&inst, &AlgorithmSpec::algorithm2());
-        out.objective += 100.0;
-        assert!(matches!(
+        let recomputed = out.objective;
+        out.objective = f64::from_bits(recomputed.to_bits() + 1);
+        assert_eq!(
             verify_outcome(&inst, &out),
-            Err(VerifyError::ObjectiveMismatch { .. })
-        ));
+            Err(VerifyError::ObjectiveMismatch {
+                claimed: out.objective,
+                recomputed
+            })
+        );
     }
 }

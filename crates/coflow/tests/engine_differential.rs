@@ -14,10 +14,13 @@
 //! executor holds its matchings on the executor under the empty fault
 //! plan, the one executor left, which records the executed trace as
 //! stretches of identical slots, so its schedule is compared slot by
-//! slot. And the recovery loop plans each epoch with a frozen copy of the
+//! slot. The recovery loop plans each epoch with a frozen copy of the
 //! one-shot fallback-chain runner the library no longer has: the first
 //! rule of `fallback_chain` that `try_compute_order_with` orders, then
-//! `run_with_order`. Seeded random grids keep the comparison reproducible.
+//! `run_with_order`. And a transfer no longer carries a unit count —
+//! every transfer moves one unit in each slot of its run — so the loops
+//! build their one-slot transfers and remap the recovery loop's coflow
+//! ids without one. Seeded random grids keep the comparison reproducible.
 //!
 //! A proptest at the end covers the newly composable combinations: the
 //! online and greedy policies under fault injection must settle every
@@ -352,7 +355,7 @@ mod legacy {
                     if !src_used[i] && !dst_used[j] {
                         src_used[i] = true;
                         dst_used[j] = true;
-                        transfers.push(Transfer::new(i, j, k, 1).unwrap());
+                        transfers.push(Transfer::new(i, j, k).unwrap());
                     }
                 }
             }
@@ -418,7 +421,7 @@ mod legacy {
                         src_used[i] = true;
                         dst_used[j] = true;
                         matched += 1;
-                        transfers.push(Transfer::new(i, j, k, 1).unwrap());
+                        transfers.push(Transfer::new(i, j, k).unwrap());
                     }
                 }
             }
@@ -517,7 +520,7 @@ mod legacy {
             for run in &mut trace.runs {
                 for t in run.transfers.iter_mut() {
                     let k = residual_to_orig[t.coflow()];
-                    *t = Transfer::new(t.src(), t.dst(), k, t.units).unwrap();
+                    *t = Transfer::new(t.src(), t.dst(), k).unwrap();
                 }
             }
 
@@ -564,7 +567,7 @@ fn seeded_instance(m: usize, n: usize, max_release: u64, seed: u64) -> Instance 
 type SlotMoves = Vec<(u64, Vec<(usize, usize, usize)>)>;
 
 /// The schedule a trace encodes, whatever the run boundaries.
-fn slot_moves(trace: &ScheduleTrace) -> SlotMoves {
+fn moves_by_slot(trace: &ScheduleTrace) -> SlotMoves {
     let mut slots = Vec::new();
     trace.for_each_slot(|slot, moves| slots.push((slot, moves.to_vec())));
     slots
@@ -573,8 +576,8 @@ fn slot_moves(trace: &ScheduleTrace) -> SlotMoves {
 /// Every slot moves the same units.
 fn assert_slots_identical(label: &str, new: &ScheduleOutcome, old: &ScheduleOutcome) {
     assert_eq!(
-        slot_moves(&new.trace),
-        slot_moves(&old.trace),
+        moves_by_slot(&new.trace),
+        moves_by_slot(&old.trace),
         "{}: slot moves diverged",
         label
     );
@@ -757,14 +760,14 @@ proptest! {
         prop_assert!(online.is_ok(), "online structural error: {:?}", online.err());
         let online = online.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &online);
-        prop_assert!(verdict.is_ok(), "online: {}", verdict.err().unwrap_or_default());
+        prop_assert!(verdict.is_ok(), "online: {:?}", verdict.err());
 
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
         let greedy = run_policy_with_faults(&inst, &mut GreedyPolicy::new(&inst, order), &plan);
         prop_assert!(greedy.is_ok(), "greedy structural error: {:?}", greedy.err());
         let greedy = greedy.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &greedy);
-        prop_assert!(verdict.is_ok(), "greedy: {}", verdict.err().unwrap_or_default());
+        prop_assert!(verdict.is_ok(), "greedy: {:?}", verdict.err());
 
         let any_survivor = (0..inst.len()).any(|k| {
             plan.cancellation(k).is_none() && inst.coflow(k).demand.total() > 0

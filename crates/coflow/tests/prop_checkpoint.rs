@@ -161,7 +161,7 @@ proptest! {
         let interrupted = interrupted.unwrap();
 
         let verdict = verify_faulty_outcome(&inst, &plan, &interrupted);
-        prop_assert!(verdict.is_ok(), "{}", verdict.err().unwrap_or_default());
+        prop_assert!(verdict.is_ok(), "{:?}", verdict.err());
 
         prop_assert_eq!(
             interrupted.objective.to_bits(),

@@ -9,11 +9,13 @@
 //!   every grid cell of which validates against the netsim replay.
 
 use coflow::sched::AlgorithmSpec;
-use coflow::{run_policy, run_policy_with_faults, verify_faulty_outcome, OrderRule};
+use coflow::{
+    run_policy, run_policy_with_faults, verify_faulty_outcome, verify_outcome, OrderRule,
+};
 use coflow::{Coflow, Instance, Policy, ResilientPolicy};
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
-use coflow_netsim::{validate_trace, FaultPlan};
+use coflow_netsim::FaultPlan;
 use proptest::prelude::*;
 
 /// Random instances: m ∈ 2..4, n ∈ 1..5, entries 0..5, releases 0..6,
@@ -67,7 +69,7 @@ proptest! {
         // constraints (each ingress and egress used at most once per slot),
         // release dates, exact delivery of surviving demand.
         let verdict = verify_faulty_outcome(&inst, &plan, &out);
-        prop_assert!(verdict.is_ok(), "{}", verdict.err().unwrap_or_default());
+        prop_assert!(verdict.is_ok(), "{:?}", verdict.err());
         for (k, completion) in out.completions.iter().enumerate() {
             let cancelled = plan.cancellation(k).is_some();
             if !cancelled && inst.coflow(k).demand.total() > 0 {
@@ -100,19 +102,11 @@ proptest! {
                 // Tier 1 is H_ρ, the H_LP cell's fallback.
                 let tier = if order == OrderRule::LpBased { 1 } else { 0 };
                 prop_assert_eq!(policy.tier(), tier, "{:?} g={} b={}", order, grouping, backfill);
-                let times = validate_trace(
-                    inst.demands(),
-                    &inst.releases(),
-                    &out.trace,
-                );
-                prop_assert!(
-                    times.is_ok(),
-                    "{:?} g={} b={}: invalid trace",
-                    order, grouping, backfill
-                );
                 prop_assert_eq!(
-                    times.unwrap(), out.completions.clone(),
-                    "replayed completions disagree"
+                    verify_outcome(&inst, &out),
+                    Ok(()),
+                    "{:?} g={} b={}: the replay disagrees",
+                    order, grouping, backfill
                 );
             }
         }

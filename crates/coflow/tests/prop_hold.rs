@@ -64,7 +64,7 @@ type SlotMoves = Vec<(u64, Vec<(usize, usize, usize)>)>;
 
 /// The schedule a trace encodes, independent of how its slots are grouped
 /// into runs.
-fn slot_moves(trace: &ScheduleTrace) -> SlotMoves {
+fn moves_by_slot(trace: &ScheduleTrace) -> SlotMoves {
     let mut slots = Vec::new();
     trace.for_each_slot(|slot, moves| slots.push((slot, moves.to_vec())));
     slots
@@ -105,7 +105,7 @@ proptest! {
             let one = run_policy(&inst, &mut OneSlot(build(name, &inst))).expect("one-slot run");
             prop_assert_eq!(&held.completions, &one.completions, "{}: completions", name);
             prop_assert_eq!(held.objective.to_bits(), one.objective.to_bits(), "{}: objective", name);
-            prop_assert_eq!(slot_moves(&held.trace), slot_moves(&one.trace), "{}: slot moves", name);
+            prop_assert_eq!(moves_by_slot(&held.trace), moves_by_slot(&one.trace), "{}: slot moves", name);
         }
     }
 

@@ -7,8 +7,10 @@
 //! over-delivered; a coflow marked complete with residual demand
 //! finished as if the residual were not there. An executed transfer
 //! longer than its run would lose its excess units when the restored
-//! trace is merged into maximal runs, and an executed run after the clock
-//! panicked the first slot the resumed run recorded. A blocked log was
+//! trace is merged into maximal runs, an executed run that is not a
+//! matching restored and failed the replay check only after the resumed
+//! run, and an executed run after the clock panicked the first slot the
+//! resumed run recorded. A blocked log was
 //! taken verbatim: a unit on a port outside the fabric, in slot 0 or after
 //! the clock, out of slot order, or sharing a port with another unit of
 //! its slot, and a `blocked_units` that disagrees with the log, all
@@ -117,10 +119,10 @@ fn set_residual(snapshot: &mut EngineSnapshot, k: usize, residual: IntMatrix) {
     snapshot.sim.cancelled[k] = false;
 }
 
-/// Replaces the first executed transfer with `(src, dst, coflow, units)`
-/// (adding one when nothing was executed).
-fn set_transfer(snapshot: &mut EngineSnapshot, src: usize, dst: usize, coflow: usize, units: u64) {
-    let transfer = Transfer::new(src, dst, coflow, units).expect("ids fit in u32");
+/// Replaces the first executed transfer with `(src, dst, coflow)` (adding
+/// one when nothing was executed).
+fn set_transfer(snapshot: &mut EngineSnapshot, src: usize, dst: usize, coflow: usize) {
+    let transfer = Transfer::new(src, dst, coflow).expect("ids fit in u32");
     let executed = &mut snapshot.sim.executed;
     match executed.runs.first_mut() {
         Some(run) => run.transfers[0] = transfer,
@@ -130,6 +132,20 @@ fn set_transfer(snapshot: &mut EngineSnapshot, src: usize, dst: usize, coflow: u
             transfers: Box::new([transfer]),
         }),
     }
+}
+
+/// Makes the first executed run hold its first transfer and `twin` of it.
+fn add_twin(snapshot: &mut EngineSnapshot, twin: fn(Transfer) -> (usize, usize, usize)) {
+    let run = snapshot
+        .sim
+        .executed
+        .runs
+        .first_mut()
+        .expect("a run executed");
+    let first = run.transfers[0];
+    let (src, dst, coflow) = twin(first);
+    let twin = Transfer::new(src, dst, coflow).expect("ids fit in u32");
+    run.transfers = Box::new([first, twin]);
 }
 
 /// Appends a blocked run of `slots` units of `coflow` on `(src, dst)` from
@@ -184,36 +200,33 @@ const CASES: [(&str, Doctor, &str); 21] = [
     ),
     (
         "executed transfer from ingress 7",
-        |s| set_transfer(s, 7, 0, 0, 1),
+        |s| set_transfer(s, 7, 0, 0),
         "outside the instance",
     ),
     (
         "executed transfer to egress 7",
-        |s| set_transfer(s, 0, 7, 0, 1),
+        |s| set_transfer(s, 0, 7, 0),
         "outside the instance",
     ),
     (
         "executed transfer of coflow 9",
-        |s| set_transfer(s, 0, 0, 9, 1),
+        |s| set_transfer(s, 0, 0, 9),
         "outside the instance",
     ),
     (
-        "executed transfer of zero units",
-        |s| set_transfer(s, 0, 0, 0, 0),
-        "outside the instance",
+        "executed run that repeats an ingress",
+        |s| add_twin(s, |t| (t.src(), 1 - t.dst(), t.coflow())),
+        "uses ingress",
     ),
     (
-        "executed transfer longer than its run",
-        |s| {
-            let duration = s.sim.executed.runs.first().map_or(1, |r| r.duration);
-            set_transfer(s, 0, 0, 0, duration + 1);
-        },
-        "but lasts",
+        "executed run that repeats an egress",
+        |s| add_twin(s, |t| (1 - t.src(), t.dst(), 1 - t.coflow())),
+        "uses egress",
     ),
     (
         "executed run after the clock",
         |s| {
-            let transfer = Transfer::new(0, 0, 0, 1).expect("ids fit in u32");
+            let transfer = Transfer::new(0, 0, 0).expect("ids fit in u32");
             let start = s.sim.now + 2;
             s.sim.executed.runs.push(Run {
                 start,
@@ -329,6 +342,43 @@ fn restore_refuses_state_that_contradicts_the_instance() {
                 ),
                 Err(what) => panic!("{}: {}: not refused; {}", name, case, what),
             }
+        }
+    }
+}
+
+/// A `coflow-snapshot/1` document lists each executed transfer as
+/// `[src,dst,coflow,units]`, and every transfer moves one unit in each
+/// slot of its run: units other than the run's duration are refused,
+/// naming the run, for every checkpointing policy.
+#[test]
+fn executed_units_other_than_the_run_duration_are_refused() {
+    let inst = instance();
+    let plan = FaultPlan::default();
+    for (name, build) in checkpointing_policies() {
+        let mut policy = build(&inst);
+        let mut engine = Engine::new(&inst, &plan);
+        assert!(engine.step(&mut *policy).expect("step"), "{}", name);
+        let snapshot = engine.checkpoint(&*policy).expect("checkpoint");
+        let run = snapshot.sim.executed.runs.first().expect("a run executed");
+        let (start, duration, t) = (run.start, run.duration, run.transfers[0]);
+        let json = snapshot.to_json();
+        let written = |units: u64| {
+            format!(
+                "[{},{},[[{},{},{},{}]",
+                start,
+                duration,
+                t.src(),
+                t.dst(),
+                t.coflow(),
+                units
+            )
+        };
+        assert!(json.contains(&written(duration)), "{}: {}", name, json);
+        for units in [0, duration - 1, duration + 1] {
+            let doctored = json.replacen(&written(duration), &written(units), 1);
+            let err = EngineSnapshot::from_json(&doctored).expect_err(name);
+            let want = format!("run 0 moves {} units of coflow {}", units, t.coflow());
+            assert!(err.message.contains(&want), "{}: {}", name, err);
         }
     }
 }

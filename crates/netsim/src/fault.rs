@@ -30,7 +30,7 @@
 //! concatenated from the borrowed demands; a cancellation zeroes the
 //! coflow's entries. The run-length paths resolve each pair's entry once —
 //! a held pair when its head coflow changes, a replayed transfer once per
-//! segment — and then serve units by entry index; the slot-wise paths look
+//! run — and then serve units by entry index; the slot-wise paths look
 //! each move up. A lookup skips its binary search when the last one at the
 //! same ingress was for the same coflow and pair, as it mostly is from one
 //! held matching to the next. Snapshots stay dense at the boundary:
@@ -77,19 +77,6 @@ pub enum SimError {
         /// Its release date.
         release: u64,
     },
-    /// A trace run books more units on one pair than it lasts slots.
-    PairOverCapacity {
-        /// The run's start slot.
-        start: u64,
-        /// Ingress of the pair.
-        src: usize,
-        /// Egress of the pair.
-        dst: usize,
-        /// Units the run books on the pair (saturating).
-        units: u64,
-        /// The run's duration.
-        capacity: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -120,17 +107,6 @@ impl fmt::Display for SimError {
                 f,
                 "slot {}: coflow {} served before its release date {}",
                 slot, coflow, release
-            ),
-            SimError::PairOverCapacity {
-                start,
-                src,
-                dst,
-                units,
-                capacity,
-            } => write!(
-                f,
-                "run at slot {} books {} units on ({}, {}) but lasts {} slots",
-                start, units, src, dst, capacity
             ),
         }
     }
@@ -442,6 +418,10 @@ pub struct FaultIndex {
     cancel_order: Vec<(u64, usize)>,
     /// [`FaultPlan::boundaries`].
     boundaries: Vec<u64>,
+    /// Per port: no outage and no degradation leaves it as an ingress
+    /// (`.0`), no outage closes it as an egress (`.1`). A link between two
+    /// quiet ports is open in every slot.
+    quiet: Vec<(bool, bool)>,
 }
 
 /// Groups `(key, item)` pairs into CSR form: the items of key `p` are
@@ -512,6 +492,13 @@ impl FaultIndex {
         let (ingress_at, ingress) = group_by_key(m, ingress);
         let (egress_at, egress) = group_by_key(m, egress);
         let (links_at, links) = group_by_key(m, links);
+        let none = |at: &[usize], p: usize| at[p] == at[p + 1];
+        let quiet = (0..m)
+            .map(|p| {
+                let ingress = none(&ingress_at, p) && none(&links_at, p);
+                (ingress, none(&egress_at, p))
+            })
+            .collect();
         let mut cancel_order: Vec<(u64, usize)> = cancel
             .iter()
             .enumerate()
@@ -528,6 +515,7 @@ impl FaultIndex {
             cancel,
             cancel_order,
             boundaries: plan.boundaries(),
+            quiet,
         }
     }
 
@@ -581,11 +569,16 @@ impl FaultIndex {
     }
 
     /// The first slot of `[first, last]` in which link `(src, dst)` cannot
-    /// carry a unit ([`FaultIndex::pair_open`] is false), if any. Classifies
-    /// the link once per window between boundaries; in a degraded window a
-    /// closed slot is at most one slot away, as two consecutive slots never
-    /// both pass a stride of 2 or more.
+    /// carry a unit ([`FaultIndex::pair_open`] is false), if any. A link
+    /// between ports the plan never touches answers at once; others are
+    /// classified once per window between boundaries, and in a degraded
+    /// window a closed slot is at most one slot away, as two consecutive
+    /// slots never both pass a stride of 2 or more.
     pub fn first_closed(&self, src: usize, dst: usize, first: u64, last: u64) -> Option<u64> {
+        let quiet = |p: usize| self.quiet.get(p).copied().unwrap_or((true, true));
+        if quiet(src).0 && quiet(dst).1 {
+            return None;
+        }
         let mut w0 = first;
         while w0 <= last {
             let w1 = last.min(self.next_boundary(w0) - 1);
@@ -779,11 +772,6 @@ enum Served {
     Gone,
 }
 
-/// One transfer of a trace run as the replay's fast path serves it: its
-/// pair's index in the run's [`Booking`], the pair, the coflow and its
-/// entry on the pair, and the within-run offsets `[a, b)` it owns.
-type Segment = (usize, usize, usize, usize, Option<usize>, u64, u64);
-
 /// Buffers the run-length executors ([`FaultSim::apply_run`] and the fast
 /// path of [`FaultSim::execute_trace`]) reuse across calls.
 #[derive(Clone, Debug, Default)]
@@ -794,10 +782,9 @@ struct ExecBuffers {
     heads: Vec<(usize, Option<usize>)>,
     /// Per pair: its fault state in the current window.
     states: Vec<PairState>,
-    /// The transfers of the trace run being replayed.
-    segments: Vec<Segment>,
-    /// The segments that intersect the current window.
-    active: Vec<Segment>,
+    /// Per transfer of the trace run being replayed: its coflow's entry
+    /// on the pair.
+    entries: Vec<Option<usize>>,
     /// The units delivered in the current slot.
     delivered: Vec<(usize, usize, usize)>,
     /// A bulk window's transfers in pair order, once a cut is needed: the
@@ -853,9 +840,6 @@ pub struct FaultSim {
     /// Scratch of the run-length executors; not part of the captured
     /// state.
     scratch: ExecBuffers,
-    /// The trace run being replayed, booked onto its pairs; scratch, not
-    /// part of the captured state.
-    booking: Booking,
     /// Entry lookups, remembered per ingress; not part of the captured
     /// state.
     memo: EntryMemo,
@@ -905,7 +889,6 @@ impl FaultSim {
             src_used: vec![false; m],
             dst_used: vec![false; m],
             scratch: ExecBuffers::default(),
-            booking: Booking::default(),
             memo: EntryMemo::new(m),
         }
     }
@@ -1066,12 +1049,12 @@ impl FaultSim {
 
     /// Records `len` consecutive slots from `first` that each deliver the
     /// units `delivered`, in that order. The last executed run absorbs them
-    /// when it ends right before `first` and delivers the same list;
-    /// otherwise they start a new run, its transfer list allocated at exact
-    /// size. Every executed run is thus a maximal stretch of identical
-    /// slots, each transfer moving one unit per slot of it. Slots that
-    /// deliver nothing are not recorded. Every move was checked against
-    /// the fabric and the instance before it was delivered.
+    /// when it ends right before `first` and delivers the same list, by
+    /// growing its duration; otherwise they start a new run, its transfer
+    /// list allocated at exact size. Every executed run is thus a maximal
+    /// stretch of identical slots. Slots that deliver nothing are not
+    /// recorded. Every move was checked against the fabric and the
+    /// instance before it was delivered.
     fn record_stretch(&mut self, first: u64, len: u64, delivered: &[(usize, usize, usize)]) {
         if delivered.is_empty() {
             return;
@@ -1086,16 +1069,13 @@ impl FaultSim {
                     .all(|(t, &(i, j, k))| (t.src(), t.dst(), t.coflow()) == (i, j, k));
             if same {
                 last.duration += len;
-                for t in last.transfers.iter_mut() {
-                    t.units += len;
-                }
                 return;
             }
         }
         let transfers = delivered
             .iter()
             .map(|&(src, dst, coflow)| {
-                let Some(t) = Transfer::new(src, dst, coflow, len) else {
+                let Some(t) = Transfer::new(src, dst, coflow) else {
                     panic!("port or coflow id does not fit in u32");
                 };
                 t
@@ -1476,19 +1456,18 @@ impl FaultSim {
     /// epoch-by-epoch replays pass the same trace once per epoch and rely
     /// on this.
     ///
-    /// Runs are advanced run-length: each run is split into windows at the
-    /// plan's fault epochs ([`FaultIndex::boundaries`]), each port pair is
-    /// classified once per window (open / closed / stride-degraded), and
-    /// the per-slot work drops to O(active transfers) with no plan scan.
-    /// The executed trace, blocked log, completions and counters are
-    /// identical to slot-by-slot execution
+    /// Each run is one matching held for its duration: every transfer
+    /// serves one unit of its coflow in each of the run's slots after the
+    /// clock. Runs are advanced run-length: each run is split into windows
+    /// at the plan's fault epochs ([`FaultIndex::boundaries`]), each of
+    /// its pairs is classified once per window (open / closed /
+    /// stride-degraded), and the per-slot work drops to O(transfers) with
+    /// no plan scan. The executed trace, blocked log, completions and
+    /// counters are identical to slot-by-slot execution
     /// ([`FaultSim::execute_trace_slotwise`]); runs that could trip a
-    /// structural [`SimError`] fall back to the slot-wise path so error
-    /// slots and partial state match exactly.
-    ///
-    /// A run that books more units on a pair than it lasts is refused with
-    /// [`SimError::PairOverCapacity`] before any of its slots executes (on
-    /// both paths, with the clock where the previous run left it).
+    /// structural [`SimError`] — an id out of range, a coflow not yet
+    /// released, a port in two transfers — fall back to the slot-wise path
+    /// so error slots and partial state match exactly.
     ///
     /// With `stop_before = Some(b)` the clock always ends at `b - 1` (or
     /// later, if it already was); with `None` it ends at the trace's
@@ -1529,14 +1508,11 @@ impl FaultSim {
             if run.start + run.duration <= self.now + 1 {
                 continue; // entirely at or before the clock: done
             }
-            self.booking.book(run)?;
             if run.start > self.now + 1 {
                 self.advance_to(run.start - 1);
             }
             let first = self.now + 1; // slots at or before the clock are done
-            let booking = std::mem::take(&mut self.booking);
-            let fast = !force_slotwise && self.run_fast(run, &booking, first, stop_before);
-            self.booking = booking;
+            let fast = !force_slotwise && self.run_fast(run, first, stop_before);
             if !fast {
                 self.run_slotwise(run, stop_before)?;
             }
@@ -1558,34 +1534,30 @@ impl FaultSim {
         Ok(())
     }
 
-    /// The per-slot replay of one run: one [`FaultSim::step`] per slot
-    /// after the clock and before `stop_before`.
+    /// The per-slot replay of one run: one [`FaultSim::step`] of its
+    /// transfers per slot after the clock and before `stop_before`.
     fn run_slotwise(&mut self, run: &Run, stop_before: Option<u64>) -> Result<(), SimError> {
-        for (o, moves) in run.slot_moves().iter().enumerate() {
-            let slot = run.start + o as u64;
-            if slot <= self.now {
-                continue; // at or before the clock: done
-            }
-            if stop_before.is_some_and(|b| slot >= b) {
-                break;
-            }
-            self.step(moves)?;
+        let moves: Vec<(usize, usize, usize)> = run
+            .transfers
+            .iter()
+            .map(|t| (t.src(), t.dst(), t.coflow()))
+            .collect();
+        let mut end = run.start + run.duration;
+        if let Some(b) = stop_before {
+            end = end.min(b);
+        }
+        while self.now + 1 < end {
+            self.step(&moves)?;
         }
         Ok(())
     }
 
-    /// Run-length replay of one run, `booking` being its [`Booking`].
-    /// Returns `false` (having executed nothing) when the run is not
-    /// eligible for the fast path — a structural violation is possible and
-    /// the slot-wise path must reproduce its exact error slot — and `true`
-    /// after executing the run's slots in `[first, stop_before)`.
-    fn run_fast(
-        &mut self,
-        run: &Run,
-        booking: &Booking,
-        first: u64,
-        stop_before: Option<u64>,
-    ) -> bool {
+    /// Run-length replay of one run from slot `first` (the clock's next
+    /// slot). Returns `false` (having executed nothing) when the run is
+    /// not eligible for the fast path — a structural violation is possible
+    /// and the slot-wise path must reproduce its exact error slot — and
+    /// `true` after executing the run's slots in `[first, stop_before)`.
+    fn run_fast(&mut self, run: &Run, first: u64, stop_before: Option<u64>) -> bool {
         let (m, n) = (self.m, self.remaining.len());
         // PortOutOfRange / UnknownCoflow possible, or ReleaseViolated in
         // early slots.
@@ -1595,18 +1567,19 @@ impl FaultSim {
         if run.transfers.iter().any(may_err) {
             return false;
         }
-        // Distinct pairs sharing a port co-occur in the run's first slot:
-        // PortMatchedTwice is possible, so leave the run to the reference.
-        let pairs = &booking.pairs;
-        if !self.ports_disjoint(pairs.iter().map(|&(i, j, _)| (i, j))) {
+        // Transfers sharing a port co-occur in every slot: PortMatchedTwice
+        // is possible, so leave the run to the reference.
+        let pairs = || run.transfers.iter().map(|t| (t.src(), t.dst()));
+        if !self.ports_disjoint(pairs()) {
             return false;
         }
         let mut buf = std::mem::take(&mut self.scratch);
-        buf.segments.clear();
-        for (t, &(p, a)) in run.transfers.iter().zip(&booking.starts) {
-            let (src, dst, k) = (t.src(), t.dst(), t.coflow());
-            let entry = self.memo.find(&self.remaining, k, src, dst);
-            buf.segments.push((p, src, dst, k, entry, a, a + t.units));
+        buf.entries.clear();
+        for t in run.transfers.iter() {
+            let entry = self
+                .memo
+                .find(&self.remaining, t.coflow(), t.src(), t.dst());
+            buf.entries.push(entry);
         }
 
         let mut last = run.start + run.duration - 1;
@@ -1616,24 +1589,13 @@ impl FaultSim {
         let (mut blocked, mut dropped) = (0u64, 0u64);
         let mut w0 = first;
         while w0 <= last {
-            let pairs_ij = pairs.iter().map(|&(i, j, _)| (i, j));
-            let w1 = self.enter_window(w0, last, pairs_ij, &mut buf.states);
-            // Only segments whose offsets intersect the window matter; they
-            // keep the listed transfer order, so each slot's moves come out
-            // exactly as `Run::slot_moves` lists them.
-            let (lo, hi) = (w0 - run.start, w1 - run.start);
-            buf.active.clear();
-            let segments = buf.segments.iter();
-            buf.active
-                .extend(segments.filter(|&&(.., a, b)| a <= hi && b > lo));
+            let w1 = self.enter_window(w0, last, pairs(), &mut buf.states);
             for slot in w0..=w1 {
-                let o = slot - run.start;
                 buf.delivered.clear();
-                for &(p, i, j, k, entry, a, b) in &buf.active {
-                    if o < a || o >= b {
-                        continue;
-                    }
-                    let open = buf.states[p].open(&self.index, i, j, slot);
+                let served = run.transfers.iter().zip(&buf.entries).zip(&buf.states);
+                for ((t, &entry), &state) in served {
+                    let (i, j, k) = (t.src(), t.dst(), t.coflow());
+                    let open = state.open(&self.index, i, j, slot);
                     match self.serve_unit(slot, (i, j), k, entry, open) {
                         Served::Delivered => buf.delivered.push((i, j, k)),
                         Served::Blocked => blocked += 1,
@@ -1678,10 +1640,11 @@ impl FaultSim {
 
     /// Rebuilds a simulator from captured state, validating dimensions.
     /// The executed trace is recorded anew, so it holds maximal runs even
-    /// when it was captured with one run per slot. A run that overlaps the
-    /// one before it or ends after the clock is refused (the next recorded
-    /// slot would overlap it), as is one that books more units on a pair
-    /// than it lasts, rather than replayed short. The blocked log is
+    /// when it was captured with one run per slot. A run that lasts zero
+    /// slots, overlaps the one before it or ends after the clock is
+    /// refused (the next recorded slot would overlap it), as is one that
+    /// moves a unit off the fabric or the instance, or is not a matching
+    /// (an ingress or an egress in two of its transfers). The blocked log is
     /// recorded anew too, so one entry per unit restores to maximal runs;
     /// a log no run writes is refused (a unit off the fabric or the
     /// instance, in slot 0 or after the clock, out of slot order, sharing
@@ -1754,7 +1717,6 @@ impl FaultSim {
             src_used: vec![false; state.m],
             dst_used: vec![false; state.m],
             scratch: ExecBuffers::default(),
-            booking: Booking::default(),
             memo: EntryMemo::new(state.m),
         };
         sim.record_executed(&state.executed, state.now)?;
@@ -1836,23 +1798,24 @@ impl FaultSim {
     }
 
     /// Records a captured executed trace, whose slots all lie at or before
-    /// `now`, run by run. Each run is cut where one of its transfers starts
-    /// or ends; every slot of a piece delivers the same units, so the piece
-    /// is recorded as one stretch.
+    /// `now`, run by run: each run is one matching held for its duration,
+    /// recorded as one stretch.
     fn record_executed(
         &mut self,
         executed: &ScheduleTrace,
         now: u64,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         let bad = |msg: String| Err(crate::snapshot::SnapshotError::new(msg));
-        let mut booking = Booking::default();
-        let mut cuts: Vec<u64> = Vec::new();
+        let (m, n) = (self.m, self.remaining.len());
         let mut moves: Vec<(usize, usize, usize)> = Vec::new();
         let mut free_from = 0;
         for run in &executed.runs {
             let Some(end) = run.start.checked_add(run.duration) else {
                 return bad(format!("executed run at {} ends past u64", run.start));
             };
+            if run.duration == 0 {
+                return bad(format!("executed run at {} lasts zero slots", run.start));
+            }
             if run.start < free_from {
                 return bad(format!(
                     "executed run at {} starts before the previous run ends",
@@ -1866,28 +1829,33 @@ impl FaultSim {
                 ));
             }
             free_from = end;
-            if let Err(e) = booking.book(run) {
-                return bad(format!("executed {}", e));
+            moves.clear();
+            moves.extend(run.transfers.iter().map(|t| (t.src(), t.dst(), t.coflow())));
+            if let Some(&(i, j, k)) = moves.iter().find(|&&(i, j, k)| i >= m || j >= m || k >= n) {
+                return bad(format!(
+                    "executed transfer ({}, {}, coflow {}) is outside the instance",
+                    i, j, k
+                ));
             }
-            let segments = || {
-                let starts = booking.starts.iter();
-                run.transfers.iter().zip(starts).map(|(t, &(_, a))| (t, a))
-            };
-            cuts.clear();
-            cuts.extend([0, run.duration]);
-            cuts.extend(segments().flat_map(|(t, a)| [a, a + t.units]));
-            cuts.sort_unstable();
-            cuts.dedup();
-            for piece in cuts.windows(2) {
-                let (x, y) = (piece[0], piece[1]);
-                moves.clear();
-                moves.extend(
-                    segments()
-                        .filter(|&(t, a)| a <= x && x < a + t.units)
-                        .map(|(t, _)| (t.src(), t.dst(), t.coflow())),
-                );
-                self.record_stretch(run.start + x, y - x, &moves);
+            for &(i, j, _) in &moves {
+                let sides = [
+                    (&mut self.src_used, i, "ingress"),
+                    (&mut self.dst_used, j, "egress"),
+                ];
+                for (used, port, side) in sides {
+                    if std::mem::replace(&mut used[port], true) {
+                        return bad(format!(
+                            "executed run at {} uses {} {} twice",
+                            run.start, side, port
+                        ));
+                    }
+                }
             }
+            for &(i, j, _) in &moves {
+                self.src_used[i] = false;
+                self.dst_used[j] = false;
+            }
+            self.record_stretch(run.start, run.duration, &moves);
         }
         Ok(())
     }
@@ -1904,56 +1872,6 @@ impl FaultSim {
             self.blocked_units,
             self.blocked_log,
         )
-    }
-}
-
-/// A trace run's transfers booked onto its distinct pairs, reused across
-/// runs: transfer `t` on pair `p` owns the contiguous within-run offsets
-/// `[a, a + units)` after the units of earlier transfers on the same pair
-/// (exactly [`Run::slot_moves`]).
-#[derive(Clone, Debug, Default)]
-struct Booking {
-    /// `(src, dst, units)` per distinct pair, in first-listed order.
-    pairs: Vec<(usize, usize, u64)>,
-    /// Per transfer: its pair's index in `pairs` and its first offset `a`.
-    starts: Vec<(usize, u64)>,
-}
-
-impl Booking {
-    /// Books `run`, refusing it if a pair's units overflow or exceed the
-    /// run's duration.
-    fn book(&mut self, run: &Run) -> Result<(), SimError> {
-        self.pairs.clear();
-        self.starts.clear();
-        for t in run.transfers.iter() {
-            let (src, dst) = (t.src(), t.dst());
-            let p = match self
-                .pairs
-                .iter()
-                .position(|&(i, j, _)| i == src && j == dst)
-            {
-                Some(p) => p,
-                None => {
-                    self.pairs.push((src, dst, 0));
-                    self.pairs.len() - 1
-                }
-            };
-            let a = self.pairs[p].2;
-            match a.checked_add(t.units) {
-                Some(b) if b <= run.duration => self.pairs[p].2 = b,
-                total => {
-                    return Err(SimError::PairOverCapacity {
-                        start: run.start,
-                        src,
-                        dst,
-                        units: total.unwrap_or(u64::MAX),
-                        capacity: run.duration,
-                    })
-                }
-            }
-            self.starts.push((p, a));
-        }
-        Ok(())
     }
 }
 
@@ -2204,7 +2122,7 @@ mod tests {
         trace.push_run(Run {
             start: 1,
             duration: 4,
-            transfers: Box::new([Transfer::new(0, 1, 0, 4).unwrap()]),
+            transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
         });
         let mut sim = FaultSim::new(2, &[demand(4)], &[0], FaultPlan::default());
         sim.execute_trace(&trace, Some(3)).unwrap();
@@ -2283,7 +2201,7 @@ mod tests {
         trace.push_run(Run {
             start: 1,
             duration: 2,
-            transfers: Box::new([Transfer::new(0, 1, 0, 2).unwrap()]),
+            transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
         });
         let mut sim = FaultSim::new(2, &[demand(2)], &[0], plan);
         sim.execute_trace(&trace, Some(5)).unwrap();

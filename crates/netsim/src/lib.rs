@@ -10,6 +10,9 @@
 //! * [`SparseDemand`] holds remaining demand over each coflow's nonzero
 //!   port pairs — what the executor and the replay check drain, and what
 //!   the engine's policies read by entry index;
+//! * [`ScheduleTrace`] is the one schedule format: a list of [`Run`]s,
+//!   each a matching held for `duration` slots, whose every [`Transfer`]
+//!   `(ingress, egress, coflow)` moves one unit in each slot of the run;
 //! * [`FaultSim`] is the one executor: it holds matchings (a matching held
 //!   for `q` slots, each pair serving a priority list of coflows — the
 //!   vehicle for grouping and backfilling) and replays planned traces
@@ -17,10 +20,10 @@
 //!   against the plan compiled once into a [`FaultIndex`], and records
 //!   exact completion slots and the executed trace as maximal stretches
 //!   of identical slots;
-//! * [`validate_trace`] replays a recorded [`ScheduleTrace`] against the
-//!   original instance and re-derives completion times independently;
-//! * [`trace_stats`] measures idle capacity, the quantity backfilling
-//!   reclaims;
+//! * [`validate_trace`] is the one replay check: it replays a recorded
+//!   trace against the original instance and the fault plan, run by run,
+//!   and re-derives completion times independently;
+//! * [`trace_stats`] measures fabric and per-port utilization;
 //! * [`record_flights`] derives the bounded per-coflow flight-recorder
 //!   event stream (release, first service, preemption, progress,
 //!   fault-blocked service, completion) and per-port utilization series

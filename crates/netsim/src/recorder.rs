@@ -397,21 +397,19 @@ mod tests {
 
     fn two_coflow_trace() -> ScheduleTrace {
         // Pair (0,1): coflow 0 for 3 slots; pair (1,0): coflow 1 slot 1
-        // only, then coflow 1 resumes in a second run at slot 6.
+        // only, then coflow 1 resumes in a run at slot 6.
+        let run = |start, duration, pairs: &[(usize, usize, usize)]| Run {
+            start,
+            duration,
+            transfers: pairs
+                .iter()
+                .map(|&(i, j, k)| Transfer::new(i, j, k).unwrap())
+                .collect(),
+        };
         let mut t = ScheduleTrace::new(2);
-        t.push_run(Run {
-            start: 1,
-            duration: 3,
-            transfers: Box::new([
-                Transfer::new(0, 1, 0, 3).unwrap(),
-                Transfer::new(1, 0, 1, 1).unwrap(),
-            ]),
-        });
-        t.push_run(Run {
-            start: 6,
-            duration: 1,
-            transfers: Box::new([Transfer::new(1, 0, 1, 1).unwrap()]),
-        });
+        t.push_run(run(1, 1, &[(0, 1, 0), (1, 0, 1)]));
+        t.push_run(run(2, 2, &[(0, 1, 0)]));
+        t.push_run(run(6, 1, &[(1, 0, 1)]));
         t
     }
 
@@ -476,7 +474,7 @@ mod tests {
             t.push_run(Run {
                 start: i + 1,
                 duration: 1,
-                transfers: Box::new([Transfer::new(0, 1, k, 1).unwrap()]),
+                transfers: Box::new([Transfer::new(0, 1, k).unwrap()]),
             });
         }
         let cfg = RecorderConfig {

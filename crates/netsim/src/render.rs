@@ -96,15 +96,10 @@ pub fn render_timeline(trace: &ScheduleTrace, width: usize) -> String {
         vec![vec![std::collections::HashMap::new(); cols]; m];
 
     for run in &trace.runs {
-        let mut pair_used: std::collections::HashMap<(usize, usize), u64> =
-            std::collections::HashMap::new();
         for t in &run.transfers {
-            let used = pair_used.entry((t.src(), t.dst())).or_insert(0);
-            let first = run.start + *used;
-            *used += t.units;
-            // Distribute the units across buckets.
-            let mut remaining = t.units;
-            let mut slot = first;
+            // Distribute the run's slots across buckets.
+            let mut remaining = run.duration;
+            let mut slot = run.start;
             while remaining > 0 {
                 let col = ((slot - 1) / bucket) as usize;
                 let col_end = (col as u64 + 1) * bucket;
@@ -248,11 +243,16 @@ mod tests {
         let mut trace = ScheduleTrace::new(2);
         trace.push_run(Run {
             start: 1,
-            duration: 4,
+            duration: 2,
             transfers: Box::new([
-                Transfer::new(0, 1, 0, 4).unwrap(),
-                Transfer::new(1, 0, 1, 2).unwrap(),
+                Transfer::new(0, 1, 0).unwrap(),
+                Transfer::new(1, 0, 1).unwrap(),
             ]),
+        });
+        trace.push_run(Run {
+            start: 3,
+            duration: 2,
+            transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
         });
         let text = render_timeline(&trace, 80);
         assert!(text.contains("in  0 |0000"));
@@ -268,7 +268,7 @@ mod tests {
         trace.push_run(Run {
             start: 1,
             duration: 1000,
-            transfers: Box::new([Transfer::new(0, 0, 3, 1000).unwrap()]),
+            transfers: Box::new([Transfer::new(0, 0, 3).unwrap()]),
         });
         let text = render_timeline(&trace, 10);
         // 1000 slots in <= 10 columns of 100.
@@ -286,17 +286,16 @@ mod tests {
     }
 
     #[test]
-    fn priority_order_within_pair_is_respected() {
+    fn consecutive_runs_fill_consecutive_buckets() {
         // Coflow 0 occupies the first bucket, coflow 1 the second.
         let mut trace = ScheduleTrace::new(1);
-        trace.push_run(Run {
-            start: 1,
-            duration: 2,
-            transfers: Box::new([
-                Transfer::new(0, 0, 0, 1).unwrap(),
-                Transfer::new(0, 0, 1, 1).unwrap(),
-            ]),
-        });
+        for k in 0..2 {
+            trace.push_run(Run {
+                start: k as u64 + 1,
+                duration: 1,
+                transfers: Box::new([Transfer::new(0, 0, k).unwrap()]),
+            });
+        }
         let text = render_timeline(&trace, 2);
         assert!(text.contains("|01"), "{}", text);
     }
@@ -307,12 +306,16 @@ mod tests {
         let mut trace = ScheduleTrace::new(2);
         trace.push_run(Run {
             start: 1,
-            duration: 3,
+            duration: 1,
             transfers: Box::new([
-                Transfer::new(0, 1, 5, 1).unwrap(),
-                Transfer::new(0, 1, 67, 1).unwrap(),
-                Transfer::new(1, 0, 3, 1).unwrap(),
+                Transfer::new(0, 1, 5).unwrap(),
+                Transfer::new(1, 0, 3).unwrap(),
             ]),
+        });
+        trace.push_run(Run {
+            start: 2,
+            duration: 1,
+            transfers: Box::new([Transfer::new(0, 1, 67).unwrap()]),
         });
         let legend = render_legend(&trace);
         assert!(legend.contains("5=5,67!"), "{}", legend);
@@ -326,11 +329,16 @@ mod tests {
         let mut trace = ScheduleTrace::new(2);
         trace.push_run(Run {
             start: 1,
-            duration: 4,
+            duration: 2,
             transfers: Box::new([
-                Transfer::new(0, 1, 0, 4).unwrap(),
-                Transfer::new(1, 0, 1, 2).unwrap(),
+                Transfer::new(0, 1, 0).unwrap(),
+                Transfer::new(1, 0, 1).unwrap(),
             ]),
+        });
+        trace.push_run(Run {
+            start: 3,
+            duration: 2,
+            transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
         });
         let a = render_svg_heatmap(&trace, 16);
         let b = render_svg_heatmap(&trace, 16);

@@ -133,7 +133,8 @@ pub fn render_plan(out: &mut String, plan: &FaultPlan) {
 }
 
 /// Renders a [`ScheduleTrace`] as `{"m": .., "runs": [[start,duration,
-/// [[src,dst,coflow,units],..]], ..]}`.
+/// [[src,dst,coflow,units],..]], ..]}`. A transfer moves one unit in each
+/// slot of its run, so its `units` is the run's duration.
 pub fn render_trace(out: &mut String, trace: &ScheduleTrace) {
     let _ = write!(out, "{{\"m\":{},\"runs\":[", trace.m);
     for (i, run) in trace.runs.iter().enumerate() {
@@ -145,7 +146,14 @@ pub fn render_trace(out: &mut String, trace: &ScheduleTrace) {
             if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "[{},{},{},{}]", t.src(), t.dst(), t.coflow(), t.units);
+            let _ = write!(
+                out,
+                "[{},{},{},{}]",
+                t.src(),
+                t.dst(),
+                t.coflow(),
+                run.duration
+            );
         }
         out.push_str("]]");
     }
@@ -365,7 +373,8 @@ pub fn parse_plan(v: &JsonValue) -> Result<FaultPlan, SnapshotError> {
 
 /// Parses a trace rendered by [`render_trace`]. Every run must last at
 /// least one slot, end within `u64`, and start after the previous run
-/// ends; every transfer id must fit in `u32`.
+/// ends; every transfer id must fit in `u32`, and every transfer's units
+/// must equal its run's duration.
 pub fn parse_trace(v: &JsonValue) -> Result<ScheduleTrace, SnapshotError> {
     let m = get_usize(v, "m")?;
     let mut trace = ScheduleTrace::new(m);
@@ -401,7 +410,13 @@ pub fn parse_trace(v: &JsonValue) -> Result<ScheduleTrace, SnapshotError> {
                 let &[src, dst, coflow, units] = xs.as_slice() else {
                     return Err(SnapshotError::new("transfer is not [src,dst,coflow,units]"));
                 };
-                transfer_of(src, dst, coflow, units).ok_or_else(|| {
+                if units != duration {
+                    return Err(SnapshotError::new(format!(
+                        "run {} moves {} units of coflow {} on ({}, {}) in {} slots",
+                        r, units, coflow, src, dst, duration
+                    )));
+                }
+                transfer_of(src, dst, coflow).ok_or_else(|| {
                     SnapshotError::new(format!(
                         "transfer ({}, {}, coflow {}) has an id past u32",
                         src, dst, coflow
@@ -418,14 +433,12 @@ pub fn parse_trace(v: &JsonValue) -> Result<ScheduleTrace, SnapshotError> {
     Ok(trace)
 }
 
-/// A parsed `[src, dst, coflow, units]`; `None` when an id does not fit in
-/// `u32`.
-fn transfer_of(src: u64, dst: u64, coflow: u64, units: u64) -> Option<Transfer> {
+/// A parsed transfer's ids; `None` when one does not fit in `u32`.
+fn transfer_of(src: u64, dst: u64, coflow: u64) -> Option<Transfer> {
     Transfer::new(
         src.try_into().ok()?,
         dst.try_into().ok()?,
         coflow.try_into().ok()?,
-        units,
     )
 }
 
@@ -611,6 +624,22 @@ mod tests {
     fn a_zero_length_run_is_refused() {
         let err = refusal("[[0,0,[]]]");
         assert!(err.contains("run 0 lasts zero slots"), "{}", err);
+    }
+
+    #[test]
+    fn units_other_than_the_duration_are_refused() {
+        for units in [0, 1, 3, u64::MAX] {
+            let err = refusal(&format!("[[1,1,[]],[2,2,[[0,1,0,2],[1,0,1,{}]]]]", units));
+            let want = format!(
+                "run 1 moves {} units of coflow 1 on (1, 0) in 2 slots",
+                units
+            );
+            assert!(err.contains(&want), "{}", err);
+        }
+        let trace = parsed("[[2,2,[[0,1,0,2],[1,0,1,2]]]]").unwrap();
+        let mut text = String::new();
+        render_trace(&mut text, &trace);
+        assert_eq!(text, "{\"m\":2,\"runs\":[[2,2,[[0,1,0,2],[1,0,1,2]]]]}");
     }
 
     #[test]

@@ -1,24 +1,30 @@
 //! Independent validation of schedule traces.
 //!
 //! Every scheduler in this project is checked end-to-end: the trace it
-//! produces is replayed here against the *original* instance data and the
-//! formal constraints of problem (O) — matching constraints per slot, release
-//! dates, and exact demand delivery — and completion times are recomputed
-//! from scratch. Tests compare these against the scheduler's own accounting.
+//! produces is replayed here against the *original* instance data, the
+//! fault plan it ran under (the empty plan for a clean run) and the formal
+//! constraints of problem (O) — a matching in every slot, release dates,
+//! open links, cancellations, and exact demand delivery — and completion
+//! times are recomputed from scratch. Callers compare these against the
+//! scheduler's own accounting.
 //!
-//! The replay borrows the coflows' demands and concatenates them into a
-//! [`SparseDemand`] over their nonzero pairs that it then drains: a
-//! transfer finds its coflow's entry on the pair (by binary search, unless
-//! the last transfer out of its ingress was on the same coflow and pair),
-//! and a pair the coflow never demanded accepts only a zero-unit transfer.
+//! A run is one matching held for its duration, so the replay checks each
+//! run once rather than slot by slot. It borrows the coflows' demands and
+//! concatenates them into a [`SparseDemand`] over their nonzero pairs that
+//! it then drains: a transfer finds its coflow's entry on the pair (by
+//! binary search, unless the last transfer out of its ingress was on the
+//! same coflow and pair), and a pair the coflow never demanded accepts
+//! nothing.
 
 use crate::demand::{Demand, EntryMemo, SparseDemand};
+use crate::fault::{FaultIndex, FaultPlan};
 use crate::trace::ScheduleTrace;
 
 /// A violation found while validating a trace.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ValidationError {
-    /// An ingress or egress port was matched twice within one run.
+    /// An ingress or egress port appears twice within one run (a pair
+    /// listed twice reuses both of its ports).
     PortReused {
         /// Index of the offending run.
         run: usize,
@@ -27,29 +33,37 @@ pub enum ValidationError {
         /// True for an ingress port, false for an egress port.
         ingress: bool,
     },
-    /// A pair moved more units than the run duration allows.
-    PairOverCapacity {
-        /// Index of the offending run.
-        run: usize,
-        /// Ingress of the pair.
-        src: usize,
-        /// Egress of the pair.
-        dst: usize,
-        /// Units attempted.
-        units: u64,
-        /// Slots available.
-        capacity: u64,
-    },
-    /// A coflow's unit was moved in a slot before its release allows.
+    /// A coflow was served in a run that starts before its release allows.
     ReleaseViolated {
         /// Index of the offending run.
         run: usize,
         /// The coflow.
         coflow: usize,
-        /// Slot of the first offending unit.
+        /// The run's first slot.
         slot: u64,
         /// The coflow's release date.
         release: u64,
+    },
+    /// A unit moved over a link the fault plan holds closed in that slot
+    /// (a port outage, or a degraded link off its stride).
+    LinkClosed {
+        /// Index of the offending run.
+        run: usize,
+        /// The first closed slot of the run on the link.
+        slot: u64,
+        /// Ingress of the link.
+        src: usize,
+        /// Egress of the link.
+        dst: usize,
+    },
+    /// A coflow was served at or after the slot the fault plan cancels it.
+    ServedAfterCancellation {
+        /// Index of the offending run.
+        run: usize,
+        /// The coflow.
+        coflow: usize,
+        /// The first slot of the run at or after the cancellation.
+        slot: u64,
     },
     /// More units moved on a pair than the coflow demands there.
     OverDelivery {
@@ -60,7 +74,8 @@ pub enum ValidationError {
         /// Egress of the pair.
         dst: usize,
     },
-    /// Demand left undelivered at the end of the trace.
+    /// Demand of a coflow the plan never cancels left undelivered at the
+    /// end of the trace.
     UnderDelivery {
         /// The coflow.
         coflow: usize,
@@ -92,6 +107,15 @@ pub enum ValidationError {
         /// The first slot after the previous run.
         free_from: u64,
     },
+    /// A run lasts zero slots, or its last slot lies past `u64::MAX`.
+    RunLength {
+        /// Index of the offending run.
+        run: usize,
+        /// Its first slot.
+        start: u64,
+        /// Its duration.
+        duration: u64,
+    },
 }
 
 impl std::fmt::Display for ValidationError {
@@ -102,38 +126,38 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Replays `trace` against the instance (`demands`, `releases`) and returns
-/// the recomputed completion time of every coflow. The demands must be on
-/// `trace.m` ports, and the runs in time order, none starting before the
-/// previous one ends.
+/// Replays `trace` against the instance (`demands`, `releases`) under
+/// `plan` and returns the recomputed completion time of every coflow. The
+/// demands must be on `trace.m` ports, one release per demand.
 ///
-/// Coflows with zero demand complete at their release date, as the
-/// executor ([`crate::FaultSim`]) reports them.
+/// Every run must come in time order without overlap and last at least
+/// one slot; every id must be in range; no port may appear twice in a
+/// run. Each transfer's coflow must be released before the run's first
+/// slot and not cancelled by its last, its link open in every slot of the
+/// run, and its pair demanded for at least the units the run moves. Every
+/// coflow the plan does not cancel must be delivered exactly.
+///
+/// A coflow with zero demand completes at its release date, a delivered
+/// coflow in its last served slot, and a cancelled coflow left incomplete
+/// is `None` — as the executor ([`crate::FaultSim`]) reports them.
 pub fn validate_trace<'a>(
     demands: impl IntoIterator<Item = &'a Demand>,
     releases: &[u64],
+    plan: &FaultPlan,
     trace: &ScheduleTrace,
-) -> Result<Vec<u64>, ValidationError> {
+) -> Result<Vec<Option<u64>>, ValidationError> {
     let _span = obs::span("netsim.validate");
     let m = trace.m;
     // Units not yet delivered, per demanded pair and per coflow.
     let mut remaining = SparseDemand::new(m, demands);
     let n = remaining.len();
-    let mut completion: Vec<u64> = releases.to_vec();
-    let mut last_activity: Vec<u64> = vec![0; n];
-
-    // Per-port scratch, allocated once and cleared between runs through the
-    // touched lists (runs touch ≤ m ports, typically far fewer, so clearing
-    // by touched entry beats re-zeroing — and the flat layout replaces the
-    // per-run pair HashMap/HashSet churn). Within a valid run each ingress
-    // port serves a single destination, so pair state — the destination and
-    // the units consumed so far — indexes by source port.
+    assert_eq!(n, releases.len(), "one release per demand");
+    let faults = FaultIndex::new(plan, m, n);
+    // The last slot each coflow was served in; 0 while never served.
+    let mut last_served = vec![0u64; n];
+    // Ports matched in the current run, cleared through its transfers.
     let mut src_used = vec![false; m];
     let mut dst_used = vec![false; m];
-    let mut pair_dst = vec![usize::MAX; m];
-    let mut pair_units = vec![0u64; m];
-    let mut touched_src: Vec<usize> = Vec::new();
-    let mut touched_dst: Vec<usize> = Vec::new();
     let mut memo = EntryMemo::new(m);
     let mut free_from = 0;
 
@@ -145,20 +169,17 @@ pub fn validate_trace<'a>(
                 free_from,
             });
         }
-        free_from = run.start.saturating_add(run.duration);
-        for &s in &touched_src {
-            src_used[s] = false;
-            pair_dst[s] = usize::MAX;
-            pair_units[s] = 0;
-        }
-        for &d in &touched_dst {
-            dst_used[d] = false;
-        }
-        touched_src.clear();
-        touched_dst.clear();
-
+        let end = run.duration.checked_sub(1);
+        let Some(last) = end.and_then(|d| run.start.checked_add(d)) else {
+            return Err(ValidationError::RunLength {
+                run: ridx,
+                start: run.start,
+                duration: run.duration,
+            });
+        };
+        free_from = last.saturating_add(1);
         for t in &run.transfers {
-            let (src, dst, k, units) = (t.src(), t.dst(), t.coflow(), t.units);
+            let (src, dst, k) = (t.src(), t.dst(), t.coflow());
             if let Some(port) = [src, dst].into_iter().find(|&p| p >= m) {
                 return Err(ValidationError::PortOutOfRange {
                     run: ridx,
@@ -169,196 +190,161 @@ pub fn validate_trace<'a>(
             if k >= n {
                 return Err(ValidationError::UnknownCoflow { coflow: k });
             }
-            if pair_dst[src] != dst {
-                if src_used[src] {
-                    return Err(ValidationError::PortReused {
-                        run: ridx,
-                        port: src,
-                        ingress: true,
-                    });
-                }
-                if dst_used[dst] {
-                    return Err(ValidationError::PortReused {
-                        run: ridx,
-                        port: dst,
-                        ingress: false,
-                    });
-                }
-                src_used[src] = true;
-                dst_used[dst] = true;
-                pair_dst[src] = dst;
-                touched_src.push(src);
-                touched_dst.push(dst);
-            }
-            let used = &mut pair_units[src];
-            let booked = used.checked_add(units);
-            if booked.is_none_or(|b| b > run.duration) {
-                return Err(ValidationError::PairOverCapacity {
+            if src_used[src] || dst_used[dst] {
+                return Err(ValidationError::PortReused {
                     run: ridx,
-                    src,
-                    dst,
-                    units: booked.unwrap_or(u64::MAX),
-                    capacity: run.duration,
+                    port: if src_used[src] { src } else { dst },
+                    ingress: src_used[src],
                 });
             }
-            // Slots occupied by this transfer: run.start + used .. + units - 1.
-            let first_slot = run.start + *used;
-            if first_slot <= releases[k] {
+            src_used[src] = true;
+            dst_used[dst] = true;
+            if releases[k] >= run.start {
                 return Err(ValidationError::ReleaseViolated {
                     run: ridx,
                     coflow: k,
-                    slot: first_slot,
+                    slot: run.start,
                     release: releases[k],
                 });
             }
-            let last_slot = first_slot + units - 1;
-            *used += units;
-
+            if let Some(slot) = faults.first_closed(src, dst, run.start, last) {
+                return Err(ValidationError::LinkClosed {
+                    run: ridx,
+                    slot,
+                    src,
+                    dst,
+                });
+            }
+            if let Some(at) = faults.cancellation(k).filter(|&at| at <= last) {
+                return Err(ValidationError::ServedAfterCancellation {
+                    run: ridx,
+                    coflow: k,
+                    slot: at.max(run.start),
+                });
+            }
             let entry = memo.find(&remaining, k, src, dst);
-            match entry.filter(|&e| remaining.units(e) >= units) {
-                Some(e) => remaining.take(k, e, units),
-                None if units == 0 => {}
-                None => {
-                    return Err(ValidationError::OverDelivery {
-                        coflow: k,
-                        src,
-                        dst,
-                    })
-                }
-            }
-            // Pairs run in parallel within a run: a coflow completes at the
-            // latest last-slot over all of its transfers.
-            last_activity[k] = last_activity[k].max(last_slot);
-            if remaining.total(k) == 0 {
-                completion[k] = last_activity[k];
-            }
+            let Some(e) = entry.filter(|&e| remaining.units(e) >= run.duration) else {
+                return Err(ValidationError::OverDelivery {
+                    coflow: k,
+                    src,
+                    dst,
+                });
+            };
+            remaining.take(k, e, run.duration);
+            // Runs come in time order: this run's last slot is the latest.
+            last_served[k] = last;
+        }
+        for t in &run.transfers {
+            src_used[t.src()] = false;
+            dst_used[t.dst()] = false;
         }
     }
 
-    if let Some(k) = (0..n).find(|&k| remaining.total(k) > 0) {
-        return Err(ValidationError::UnderDelivery {
-            coflow: k,
-            missing: remaining.total(k),
-        });
-    }
-    Ok(completion)
+    (0..n)
+        .map(|k| match remaining.total(k) {
+            0 if last_served[k] == 0 => Ok(Some(releases[k])),
+            0 => Ok(Some(last_served[k])),
+            _ if faults.cancellation(k).is_some() => Ok(None),
+            missing => Err(ValidationError::UnderDelivery { coflow: k, missing }),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultSim};
+    use crate::fault::{FaultEvent, FaultSim};
     use crate::trace::{Run, Transfer};
     use coflow_matching::IntMatrix;
+
+    /// A trace of one run from `start` for `duration` slots over `pairs`
+    /// (`(src, dst, coflow)` each).
+    fn one_run(
+        m: usize,
+        start: u64,
+        duration: u64,
+        pairs: &[(usize, usize, usize)],
+    ) -> ScheduleTrace {
+        let mut trace = ScheduleTrace::new(m);
+        trace.push_run(Run {
+            start,
+            duration,
+            transfers: pairs
+                .iter()
+                .map(|&(i, j, k)| Transfer::new(i, j, k).unwrap())
+                .collect(),
+        });
+        trace
+    }
+
+    fn clean() -> FaultPlan {
+        FaultPlan::default()
+    }
 
     #[test]
     fn executed_trace_validates_and_times_agree() {
         // The paper's Figure 1: the identity, then the anti-diagonal twice.
         let d0 = IntMatrix::from_nested(&[[1, 2], [2, 1]]);
         let demands = vec![Demand::from(d0)];
-        let mut sim = FaultSim::new(2, &demands, &[0], FaultPlan::default());
+        let mut sim = FaultSim::new(2, &demands, &[0], clean());
         sim.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1)
             .unwrap();
         sim.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2)
             .unwrap();
         let (trace, times, ..) = sim.finish();
-        let validated = validate_trace(&demands, &[0], &trace).expect("valid");
-        assert_eq!(validated, vec![3]);
+        let validated = validate_trace(&demands, &[0], &clean(), &trace).expect("valid");
+        assert_eq!(validated, vec![Some(3)]);
         assert_eq!(times, vec![Some(3)]);
     }
 
     #[test]
     fn detects_port_reuse() {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 0)] = 1;
-        d[(0, 1)] = 1;
-        let mut trace = ScheduleTrace::new(2);
-        trace.push_run(Run {
-            start: 1,
-            duration: 1,
-            transfers: Box::new([
-                Transfer::new(0, 0, 0, 1).unwrap(),
-                Transfer::new(0, 1, 0, 1).unwrap(),
-            ]),
-        });
-        let err = validate_trace(&[Demand::from(d)], &[0], &trace).unwrap_err();
-        assert!(matches!(
+        let d = Demand::from_flows(2, [(0, 0, 1), (0, 1, 1)]).unwrap();
+        let trace = one_run(2, 1, 1, &[(0, 0, 0), (0, 1, 0)]);
+        let err = validate_trace(&[d], &[0], &clean(), &trace).unwrap_err();
+        assert_eq!(
             err,
-            ValidationError::PortReused { ingress: true, .. }
-        ));
-    }
-
-    #[test]
-    fn detects_over_capacity() {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 1)] = 5;
-        let mut trace = ScheduleTrace::new(2);
-        trace.push_run(Run {
-            start: 1,
-            duration: 3,
-            transfers: Box::new([Transfer::new(0, 1, 0, 5).unwrap()]),
-        });
-        let err = validate_trace(&[Demand::from(d)], &[0], &trace).unwrap_err();
-        assert!(matches!(err, ValidationError::PairOverCapacity { .. }));
+            ValidationError::PortReused {
+                run: 0,
+                port: 0,
+                ingress: true
+            }
+        );
     }
 
     #[test]
     fn detects_release_violation() {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 1)] = 1;
-        let mut trace = ScheduleTrace::new(2);
-        trace.push_run(Run {
-            start: 1,
-            duration: 1,
-            transfers: Box::new([Transfer::new(0, 1, 0, 1).unwrap()]),
-        });
-        let err = validate_trace(&[Demand::from(d.clone())], &[5], &trace).unwrap_err();
+        let d = Demand::from_flows(2, [(0, 1, 1)]).unwrap();
+        let trace = one_run(2, 1, 1, &[(0, 1, 0)]);
+        let err = validate_trace([&d], &[5], &clean(), &trace).unwrap_err();
         assert!(matches!(err, ValidationError::ReleaseViolated { .. }));
         // Released at 0: slot 1 is fine.
-        assert!(validate_trace(&[Demand::from(d)], &[0], &trace).is_ok());
+        assert_eq!(
+            validate_trace([&d], &[0], &clean(), &trace),
+            Ok(vec![Some(1)])
+        );
     }
 
     #[test]
     fn detects_under_and_over_delivery() {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 1)] = 2;
+        let d = Demand::from_flows(2, [(0, 1, 2)]).unwrap();
         let empty = ScheduleTrace::new(2);
-        let err = validate_trace(&[Demand::from(d.clone())], &[0], &empty).unwrap_err();
+        let err = validate_trace([&d], &[0], &clean(), &empty).unwrap_err();
         assert!(matches!(
             err,
             ValidationError::UnderDelivery { missing: 2, .. }
         ));
-
-        let mut trace = ScheduleTrace::new(2);
-        trace.push_run(Run {
-            start: 1,
-            duration: 3,
-            transfers: Box::new([Transfer::new(0, 1, 0, 3).unwrap()]),
-        });
-        let err = validate_trace(&[Demand::from(d)], &[0], &trace).unwrap_err();
+        let trace = one_run(2, 1, 3, &[(0, 1, 0)]);
+        let err = validate_trace([&d], &[0], &clean(), &trace).unwrap_err();
         assert!(matches!(err, ValidationError::OverDelivery { .. }));
     }
 
     #[test]
-    fn only_zero_units_may_move_on_an_undemanded_pair() {
-        let mut d = IntMatrix::zeros(2);
-        d[(0, 1)] = 1;
-        let mut trace = ScheduleTrace::new(2);
-        trace.push_run(Run {
-            start: 1,
-            duration: 1,
-            transfers: Box::new([
-                Transfer::new(0, 1, 0, 1).unwrap(),
-                Transfer::new(1, 0, 0, 0).unwrap(),
-            ]),
-        });
+    fn nothing_may_move_on_an_undemanded_pair() {
+        let d = Demand::from_flows(2, [(0, 1, 1)]).unwrap();
+        let trace = one_run(2, 1, 1, &[(0, 1, 0), (1, 0, 0)]);
         assert_eq!(
-            validate_trace(&[Demand::from(d.clone())], &[0], &trace),
-            Ok(vec![1])
-        );
-        trace.runs[0].transfers[1].units = 1;
-        assert_eq!(
-            validate_trace(&[Demand::from(d)], &[0], &trace),
+            validate_trace([&d], &[0], &clean(), &trace),
             Err(ValidationError::OverDelivery {
                 coflow: 0,
                 src: 1,
@@ -368,24 +354,74 @@ mod tests {
     }
 
     #[test]
-    fn mid_run_release_offsets_allowed() {
-        // Run starts at slot 1 but coflow 1's units begin at offset 2
-        // (slot 3), which is legal with release date 2.
-        let mut d0 = IntMatrix::zeros(2);
-        d0[(0, 1)] = 2;
-        let mut d1 = IntMatrix::zeros(2);
-        d1[(0, 1)] = 1;
-        let mut trace = ScheduleTrace::new(2);
-        trace.push_run(Run {
-            start: 1,
-            duration: 3,
-            transfers: Box::new([
-                Transfer::new(0, 1, 0, 2).unwrap(),
-                Transfer::new(0, 1, 1, 1).unwrap(),
-            ]),
-        });
-        let times =
-            validate_trace(&[Demand::from(d0), Demand::from(d1)], &[0, 2], &trace).expect("valid");
-        assert_eq!(times, vec![2, 3]);
+    fn a_coflow_without_demand_completes_at_its_release() {
+        let d = Demand::from_flows(2, [(0, 1, 2)]).unwrap();
+        let none = Demand::from_flows(2, []).unwrap();
+        let trace = one_run(2, 3, 2, &[(0, 1, 0)]);
+        assert_eq!(
+            validate_trace([&d, &none], &[1, 7], &clean(), &trace),
+            Ok(vec![Some(4), Some(7)])
+        );
+    }
+
+    #[test]
+    fn faults_close_links_and_cancel_coflows() {
+        let d = Demand::from_flows(2, [(0, 1, 2)]).unwrap();
+        let trace = one_run(2, 3, 2, &[(0, 1, 0)]);
+        // An outage of egress 1 in the run's last slot.
+        let outage = FaultPlan::new(vec![FaultEvent::EgressOutage {
+            port: 1,
+            start: 4,
+            end: 9,
+        }]);
+        assert_eq!(
+            validate_trace([&d], &[0], &outage, &trace),
+            Err(ValidationError::LinkClosed {
+                run: 0,
+                slot: 4,
+                src: 0,
+                dst: 1
+            })
+        );
+        // A degradation that serves slots 2, 4, … but not 3.
+        let degraded = FaultPlan::new(vec![FaultEvent::LinkDegraded {
+            src: 0,
+            dst: 1,
+            start: 2,
+            end: 9,
+            stride: 2,
+        }]);
+        assert!(matches!(
+            validate_trace([&d], &[0], &degraded, &trace),
+            Err(ValidationError::LinkClosed { slot: 3, .. })
+        ));
+        // Served in slot 4, the slot of its cancellation.
+        let cancel = |at| FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 0, at }]);
+        assert_eq!(
+            validate_trace([&d], &[0], &cancel(4), &trace),
+            Err(ValidationError::ServedAfterCancellation {
+                run: 0,
+                coflow: 0,
+                slot: 4
+            })
+        );
+        // Complete before a later cancellation.
+        assert_eq!(
+            validate_trace([&d], &[0], &cancel(5), &trace),
+            Ok(vec![Some(4)])
+        );
+        // Cancelled before completing: no completion, no under-delivery.
+        let half = one_run(2, 3, 1, &[(0, 1, 0)]);
+        assert_eq!(
+            validate_trace([&d], &[0], &cancel(5), &half),
+            Ok(vec![None])
+        );
+        assert_eq!(
+            validate_trace([&d], &[0], &clean(), &half),
+            Err(ValidationError::UnderDelivery {
+                coflow: 0,
+                missing: 1
+            })
+        );
     }
 }

@@ -4,11 +4,26 @@
 //! guarantee in this repository, so each rejection path is exercised.
 
 use coflow_matching::IntMatrix;
-use coflow_netsim::{validate_trace, Demand, Run, ScheduleTrace, Transfer, ValidationError};
+use coflow_netsim::{
+    validate_trace, Demand, FaultPlan, Run, ScheduleTrace, Transfer, ValidationError,
+};
 
-/// A valid two-coflow instance and its trace: one run over slots 2–4 in
-/// which pair (0, 1) serves coflow 0's two units and then coflow 1's one,
-/// and (1, 2) and (2, 0) serve the rest.
+/// A `duration`-slot run from `start` over `(src, dst, coflow)` transfers.
+fn run(start: u64, duration: u64, transfers: &[(usize, usize, usize)]) -> Run {
+    Run {
+        start,
+        duration,
+        transfers: transfers
+            .iter()
+            .map(|&(i, j, k)| Transfer::new(i, j, k).unwrap())
+            .collect(),
+    }
+}
+
+/// A valid two-coflow instance and its trace: a run over slots 2–3 in
+/// which pair (0, 1) serves coflow 0's two units and (2, 0) coflow 1's
+/// two, then a run in slot 4 in which (0, 1) serves coflow 1's unit and
+/// (1, 2) coflow 0's.
 fn valid_setup() -> (Vec<Demand>, Vec<u64>, ScheduleTrace) {
     let mut d0 = IntMatrix::zeros(3);
     d0[(0, 1)] = 2;
@@ -19,17 +34,18 @@ fn valid_setup() -> (Vec<Demand>, Vec<u64>, ScheduleTrace) {
     let demands = vec![Demand::from(d0), Demand::from(d1)];
     let releases = vec![0, 1];
     let mut trace = ScheduleTrace::new(3);
-    trace.push_run(Run {
-        start: 2,
-        duration: 3,
-        transfers: Box::new([
-            Transfer::new(0, 1, 0, 2).unwrap(),
-            Transfer::new(0, 1, 1, 1).unwrap(),
-            Transfer::new(1, 2, 0, 1).unwrap(),
-            Transfer::new(2, 0, 1, 2).unwrap(),
-        ]),
-    });
+    trace.push_run(run(2, 2, &[(0, 1, 0), (2, 0, 1)]));
+    trace.push_run(run(4, 1, &[(0, 1, 1), (1, 2, 0)]));
     (demands, releases, trace)
+}
+
+/// [`validate_trace`] under the empty fault plan.
+fn validate(
+    demands: &[Demand],
+    releases: &[u64],
+    trace: &ScheduleTrace,
+) -> Result<Vec<Option<u64>>, ValidationError> {
+    validate_trace(demands, releases, &FaultPlan::default(), trace)
 }
 
 /// Rewrites the first run's transfer list.
@@ -39,16 +55,16 @@ fn edit_first_run(trace: &mut ScheduleTrace, edit: impl FnOnce(&mut Vec<Transfer
     trace.runs[0].transfers = transfers.into();
 }
 
-/// `t` with its ports and coflow replaced.
-fn relabel(t: &Transfer, src: usize, dst: usize, coflow: usize) -> Transfer {
-    Transfer::new(src, dst, coflow, t.units).unwrap()
+/// A transfer of `coflow` on `(src, dst)`.
+fn transfer(src: usize, dst: usize, coflow: usize) -> Transfer {
+    Transfer::new(src, dst, coflow).unwrap()
 }
 
 #[test]
 fn baseline_trace_is_valid() {
     let (demands, releases, trace) = valid_setup();
-    let times = validate_trace(&demands, &releases, &trace).expect("valid baseline");
-    assert_eq!(times.len(), 2);
+    let times = validate(&demands, &releases, &trace).expect("valid baseline");
+    assert_eq!(times, vec![Some(4), Some(4)]);
 }
 
 #[test]
@@ -57,7 +73,7 @@ fn dropping_a_transfer_is_under_delivery() {
     edit_first_run(&mut trace, |ts| {
         ts.pop();
     });
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
+    let err = validate(&demands, &releases, &trace).unwrap_err();
     assert!(
         matches!(err, ValidationError::UnderDelivery { .. }),
         "{:?}",
@@ -68,15 +84,49 @@ fn dropping_a_transfer_is_under_delivery() {
 #[test]
 fn inflating_units_is_caught() {
     let (demands, releases, mut trace) = valid_setup();
-    trace.runs[0].transfers[0].units += 5;
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ValidationError::PairOverCapacity { .. } | ValidationError::OverDelivery { .. }
-        ),
-        "{:?}",
-        err
+    // Each transfer of the first run now moves 3 units: one more than
+    // coflow 0 demands on (0, 1).
+    trace.runs[0].duration += 1;
+    let err = validate(&demands, &releases, &trace).unwrap_err();
+    assert_eq!(
+        err,
+        ValidationError::OverDelivery {
+            coflow: 0,
+            src: 0,
+            dst: 1
+        }
+    );
+}
+
+#[test]
+fn listing_a_pair_twice_is_port_reuse() {
+    let (demands, releases, mut trace) = valid_setup();
+    // Coflow 1 also demands (0, 1): a second transfer on the pair in the
+    // same run would share its ports.
+    edit_first_run(&mut trace, |ts| ts.push(transfer(0, 1, 1)));
+    let err = validate(&demands, &releases, &trace).unwrap_err();
+    assert_eq!(
+        err,
+        ValidationError::PortReused {
+            run: 0,
+            port: 0,
+            ingress: true
+        }
+    );
+}
+
+#[test]
+fn a_run_of_zero_slots_is_caught() {
+    let (demands, releases, mut trace) = valid_setup();
+    trace.runs[1].duration = 0;
+    let err = validate(&demands, &releases, &trace).unwrap_err();
+    assert_eq!(
+        err,
+        ValidationError::RunLength {
+            run: 1,
+            start: 4,
+            duration: 0
+        }
     );
 }
 
@@ -84,8 +134,8 @@ fn inflating_units_is_caught() {
 fn duplicating_a_pair_on_another_source_is_port_reuse() {
     let (demands, releases, mut trace) = valid_setup();
     // Egress 1 is already used by pair (0,1); add (1,1) to clash.
-    edit_first_run(&mut trace, |ts| ts.push(Transfer::new(2, 1, 0, 1).unwrap()));
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
+    edit_first_run(&mut trace, |ts| ts.push(transfer(1, 1, 0)));
+    let err = validate(&demands, &releases, &trace).unwrap_err();
     assert!(
         matches!(err, ValidationError::PortReused { ingress: false, .. })
             || matches!(err, ValidationError::PortReused { ingress: true, .. }),
@@ -101,10 +151,10 @@ fn rewriting_coflow_attribution_is_over_delivery() {
     // there.
     for t in trace.runs[0].transfers.iter_mut() {
         if t.src() == 2 {
-            *t = relabel(t, t.src(), t.dst(), 0);
+            *t = transfer(t.src(), t.dst(), 0);
         }
     }
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
+    let err = validate(&demands, &releases, &trace).unwrap_err();
     assert!(
         matches!(
             err,
@@ -118,15 +168,15 @@ fn rewriting_coflow_attribution_is_over_delivery() {
 #[test]
 fn shifting_a_run_before_release_is_caught() {
     let (demands, releases, trace) = valid_setup();
-    // Rebuild the same transfers in a run starting at slot 1 — coflow 1 is
-    // released at 1, so its first allowed slot is 2.
+    // Rebuild the first run starting at slot 1 — coflow 1 is released at
+    // 1, so its first allowed slot is 2.
     let mut early = ScheduleTrace::new(3);
     early.push_run(Run {
         start: 1,
-        duration: 3,
+        duration: 2,
         transfers: trace.runs[0].transfers.clone(),
     });
-    let err = validate_trace(&demands, &releases, &early).unwrap_err();
+    let err = validate(&demands, &releases, &early).unwrap_err();
     assert!(
         matches!(err, ValidationError::ReleaseViolated { coflow: 1, .. }),
         "{:?}",
@@ -138,8 +188,8 @@ fn shifting_a_run_before_release_is_caught() {
 fn unknown_coflow_index_is_caught() {
     let (demands, releases, mut trace) = valid_setup();
     let t = &mut trace.runs[0].transfers[0];
-    *t = relabel(t, t.src(), t.dst(), 99);
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
+    *t = transfer(t.src(), t.dst(), 99);
+    let err = validate(&demands, &releases, &trace).unwrap_err();
     assert!(
         matches!(err, ValidationError::UnknownCoflow { coflow: 99 }),
         "{:?}",
@@ -151,12 +201,12 @@ fn unknown_coflow_index_is_caught() {
 fn moving_units_across_pairs_is_caught() {
     let (demands, releases, mut trace) = valid_setup();
     // Divert coflow 0's (1,2) unit onto (1,0): no demand there.
-    for t in trace.runs[0].transfers.iter_mut() {
+    for t in trace.runs.iter_mut().flat_map(|r| r.transfers.iter_mut()) {
         if t.src() == 1 {
-            *t = relabel(t, t.src(), 0, t.coflow());
+            *t = transfer(t.src(), 0, t.coflow());
         }
     }
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
+    let err = validate(&demands, &releases, &trace).unwrap_err();
     // Either the diverted pair over-delivers (no demand there) or the
     // original pair under-delivers — or the diverted pair collides with an
     // existing egress assignment.
@@ -177,8 +227,8 @@ fn a_port_outside_the_fabric_is_caught() {
     for (src, dst, port) in [(3, 1, 3), (0, 3, 3)] {
         let (demands, releases, mut trace) = valid_setup();
         let t = &mut trace.runs[0].transfers[0];
-        *t = relabel(t, src, dst, t.coflow());
-        let err = validate_trace(&demands, &releases, &trace).unwrap_err();
+        *t = transfer(src, dst, t.coflow());
+        let err = validate(&demands, &releases, &trace).unwrap_err();
         assert_eq!(
             err,
             ValidationError::PortOutOfRange {
@@ -188,27 +238,6 @@ fn a_port_outside_the_fabric_is_caught() {
             }
         );
     }
-}
-
-#[test]
-fn units_that_wrap_a_pair_sum_are_over_capacity() {
-    let (demands, releases, mut trace) = valid_setup();
-    // After the first transfer's 2 units on (0,1), u64::MAX more wraps the
-    // pair's sum.
-    edit_first_run(&mut trace, |ts| {
-        ts.insert(1, Transfer::new(0, 1, 0, u64::MAX).unwrap())
-    });
-    let err = validate_trace(&demands, &releases, &trace).unwrap_err();
-    assert_eq!(
-        err,
-        ValidationError::PairOverCapacity {
-            run: 0,
-            src: 0,
-            dst: 1,
-            units: u64::MAX,
-            capacity: 3
-        }
-    );
 }
 
 /// Two runs that share slot 1 move two units through ingress 0 in that
@@ -221,14 +250,14 @@ fn overlapping_runs_are_caught() {
     let run = |start, duration| Run {
         start,
         duration,
-        transfers: Box::new([Transfer::new(0, 1, 0, 1).unwrap()]),
+        transfers: Box::new([transfer(0, 1, 0)]),
     };
     for (first, free_from) in [(1, 3), (5, 7)] {
         let mut trace = ScheduleTrace::new(2);
         trace.runs.push(run(first, 2));
         trace.runs.push(run(1, 1));
         assert_eq!(
-            validate_trace(&demands, &[0], &trace),
+            validate(&demands, &[0], &trace),
             Err(ValidationError::RunOverlap {
                 run: 1,
                 start: 1,

@@ -1,6 +1,7 @@
 //! Property-based tests tying the executor and the independent validator
-//! together: on random instances and random (feasible) held matchings
-//! under the empty fault plan, both must agree exactly.
+//! together: on random instances and random (feasible) held matchings,
+//! under the empty fault plan and under generated ones, both must agree
+//! exactly.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -28,17 +29,19 @@ fn sparse(dense: &[IntMatrix]) -> Vec<Demand> {
     dense.iter().map(Demand::from).collect()
 }
 
-/// Drives the executor under the empty plan to completion with randomly
-/// chosen holds, serving pairs with priority lists in random order.
-/// Returns the executed trace and the completion times.
+/// Drives the executor under `plan` until every coflow is settled, with
+/// randomly chosen holds, serving pairs with priority lists in random
+/// order. Returns the executed trace and the completion times (`None` for
+/// a cancelled coflow).
 fn random_execution(
     m: usize,
     demands: &[IntMatrix],
     releases: &[u64],
+    plan: &FaultPlan,
     seed: u64,
-) -> (coflow_netsim::ScheduleTrace, Vec<u64>) {
+) -> (coflow_netsim::ScheduleTrace, Vec<Option<u64>>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sim = FaultSim::new(m, &sparse(demands), releases, FaultPlan::default());
+    let mut sim = FaultSim::new(m, &sparse(demands), releases, plan.clone());
     let mut guard = 0;
     while !sim.all_settled() {
         guard += 1;
@@ -86,11 +89,7 @@ fn random_execution(
         sim.apply_run(&pairs, duration).expect("a feasible hold");
     }
     let (trace, completions, ..) = sim.finish();
-    let times = completions
-        .into_iter()
-        .map(|c| c.expect("settled"))
-        .collect();
-    (trace, times)
+    (trace, completions)
 }
 
 proptest! {
@@ -100,8 +99,9 @@ proptest! {
     /// reproduces.
     #[test]
     fn fabric_and_validator_agree((m, demands, releases, seed) in instance_strategy()) {
-        let (trace, times) = random_execution(m, &demands, &releases, seed);
-        let validated = validate_trace(&sparse(&demands), &releases, &trace);
+        let clean = FaultPlan::default();
+        let (trace, times) = random_execution(m, &demands, &releases, &clean, seed);
+        let validated = validate_trace(&sparse(&demands), &releases, &clean, &trace);
         prop_assert!(validated.is_ok(), "{:?}", validated);
         prop_assert_eq!(validated.unwrap(), times.clone());
         // Conservation: the trace moves exactly the demanded units.
@@ -109,7 +109,24 @@ proptest! {
         prop_assert_eq!(trace_stats(&trace).total_units, total);
         // Completions respect release + remaining lower bounds.
         for (k, (&t, d)) in times.iter().zip(&demands).enumerate() {
+            let t = t.expect("the empty plan cancels nothing");
             prop_assert!(t >= releases[k] + d.load(), "coflow {} too early", k);
         }
+    }
+
+    /// Under a generated fault plan — outages, degraded links and
+    /// cancellations — the replay returns exactly the executor's
+    /// completions, `None` for a coflow cancelled before completing.
+    #[test]
+    fn fabric_and_validator_agree_under_faults(
+        (m, demands, releases, seed) in instance_strategy(),
+        rate in 0.0f64..0.8,
+        fseed in any::<u64>(),
+    ) {
+        let horizon = demands.iter().map(IntMatrix::total).sum::<u64>().max(1);
+        let plan = FaultPlan::generate(m, demands.len(), horizon, rate, fseed);
+        let (trace, times) = random_execution(m, &demands, &releases, &plan, seed);
+        let validated = validate_trace(&sparse(&demands), &releases, &plan, &trace);
+        prop_assert_eq!(validated, Ok(times));
     }
 }

@@ -31,9 +31,9 @@ impl Lcg {
     }
 }
 
-/// Builds a random valid trace (partial matchings, idle gaps, per-pair
-/// serialized transfers) plus per-coflow demand totals. Some coflows get
-/// extra never-served demand so incomplete flights are exercised too.
+/// Builds a random valid trace (partial matchings, idle gaps, one coflow
+/// per matched pair) plus per-coflow demand totals. Some coflows get extra
+/// never-served demand so incomplete flights are exercised too.
 fn build_case(m: usize, n: usize, nruns: usize, seed: u64) -> (ScheduleTrace, Vec<u64>) {
     let mut rng = Lcg(seed.wrapping_add(0x9e3779b97f4a7c15));
     let mut trace = ScheduleTrace::new(m);
@@ -48,19 +48,9 @@ fn build_case(m: usize, n: usize, nruns: usize, seed: u64) -> (ScheduleTrace, Ve
                 continue;
             }
             let dst = (i + shift) % m;
-            // One or two serialized transfers per pair; their total stays
-            // within the run so the expansion is well-defined.
-            let mut budget = duration;
-            for _ in 0..=rng.below(2) {
-                if budget == 0 {
-                    break;
-                }
-                let units = 1 + rng.below(budget);
-                budget -= units;
-                let k = rng.below(n as u64) as usize;
-                planned[k] += units;
-                transfers.push(Transfer::new(i, dst, k, units).unwrap());
-            }
+            let k = rng.below(n as u64) as usize;
+            planned[k] += duration;
+            transfers.push(Transfer::new(i, dst, k).unwrap());
         }
         if !transfers.is_empty() {
             trace.push_run(Run {
@@ -84,9 +74,9 @@ fn build_case(m: usize, n: usize, nruns: usize, seed: u64) -> (ScheduleTrace, Ve
     (trace, totals)
 }
 
-/// Splits every multi-slot run at a seeded interior boundary, rebuilding
-/// each half's transfers from the slot expansion (per-pair offsets stay
-/// serialized in priority order, as the executor would produce them).
+/// Splits every multi-slot run at a seeded interior boundary into two
+/// runs that hold the same matching, as a checkpoint/restore in the middle
+/// of a run leaves the executed trace.
 fn split_runs(trace: &ScheduleTrace, seed: u64) -> ScheduleTrace {
     let mut rng = Lcg(seed ^ 0x517c_c1b7_2722_0a95);
     let mut out = ScheduleTrace::new(trace.m);
@@ -96,33 +86,11 @@ fn split_runs(trace: &ScheduleTrace, seed: u64) -> ScheduleTrace {
             continue;
         }
         let cut = 1 + rng.below(run.duration - 1);
-        let slots = run.slot_moves();
-        for (start, range) in [
-            (run.start, 0..cut as usize),
-            (run.start + cut, cut as usize..run.duration as usize),
-        ] {
-            let duration = range.len() as u64;
-            // Rebuild per-pair transfer lists: consecutive same-coflow
-            // offsets coalesce, preserving per-pair priority order.
-            let mut transfers: Vec<Transfer> = Vec::new();
-            for slot in &slots[range] {
-                for &(src, dst, coflow) in slot {
-                    match transfers
-                        .iter_mut()
-                        .rev()
-                        .find(|t| t.src() == src && t.dst() == dst)
-                    {
-                        Some(t) if t.coflow() == coflow => t.units += 1,
-                        _ => transfers.push(Transfer::new(src, dst, coflow, 1).unwrap()),
-                    }
-                }
-            }
-            // An all-idle half still ships (as an empty run): dropping it
-            // would change the makespan, which a checkpoint never does.
+        for (start, duration) in [(run.start, cut), (run.start + cut, run.duration - cut)] {
             out.push_run(Run {
                 start,
                 duration,
-                transfers: transfers.into(),
+                transfers: run.transfers.clone(),
             });
         }
     }

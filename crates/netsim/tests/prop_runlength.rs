@@ -17,9 +17,9 @@
 //!   hold or of a window inside it, a restore from a capture, and every
 //!   structural fallback;
 //! * on both paths, the executed trace is run-length: its runs are
-//!   maximal, each transfer moves one unit per slot of its run, no port
-//!   repeats within a run, and slot by slot it delivers exactly what
-//!   [`FaultSim::step`] delivers along the slot-wise reference;
+//!   maximal, no port repeats within a run, and slot by slot it delivers
+//!   exactly what [`FaultSim::step`] delivers along the slot-wise
+//!   reference;
 //! * on both paths, the blocked log is run-length: its runs are maximal
 //!   and in order of their first slot, and slot by slot its units are, as
 //!   a set, the `SlotOutcome::blocked` that [`FaultSim::step`] returns
@@ -27,9 +27,7 @@
 //! * [`FaultSim::from_state`] restores a trace split into 1-slot runs and
 //!   a blocked log of one entry per unit (as checkpoints written before
 //!   the recorders merged slots hold them) to the same simulator as their
-//!   merged form;
-//! * [`ScheduleTrace::for_each_slot`] (reused-buffer expansion) against
-//!   [`Run::slot_moves`] (allocating reference).
+//!   merged form, and refuses a run that is not a matching.
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
@@ -59,12 +57,12 @@ impl Lcg {
     }
 }
 
-/// Builds a valid planned trace (runs of partial matchings, serialized
-/// multi-coflow transfers per pair, idle gaps) plus demands and releases.
-/// Demands deliberately under- and over-cover the planned units so the
-/// executor's "already delivered" skip path is exercised; occasional
-/// positive releases and duplicated ingress ports push runs onto the
-/// slot-wise fallback so both paths are compared there too.
+/// Builds a planned trace (runs of partial matchings, one coflow per
+/// matched pair, idle gaps) plus demands and releases. Demands
+/// deliberately under- and over-cover the planned units so the executor's
+/// "already delivered" skip path is exercised; occasional positive
+/// releases, duplicated ingress ports and pairs listed twice push runs
+/// onto the slot-wise fallback so both paths are compared there too.
 fn build_case(
     m: usize,
     n: usize,
@@ -85,23 +83,20 @@ fn build_case(
                 continue;
             }
             let j = (i + shift) % m;
-            let mut budget = duration;
-            for _ in 0..=rng.below(2) {
-                if budget == 0 {
-                    break;
-                }
-                let k = rng.below(n as u64) as usize;
-                let units = 1 + rng.below(budget);
-                budget -= units;
-                planned[k][(i, j)] += units;
-                transfers.push(Transfer::new(i, j, k, units).unwrap());
-            }
+            let k = rng.below(n as u64) as usize;
+            planned[k][(i, j)] += duration;
+            transfers.push(Transfer::new(i, j, k).unwrap());
         }
-        // Rarely duplicate an ingress onto another egress: a structural
-        // PortMatchedTwice candidate that forces the slot-wise fallback.
-        if m >= 3 && rng.below(8) == 0 {
-            if let Some(t) = transfers.first().copied() {
-                transfers.push(Transfer::new(t.src(), (t.dst() + 1) % m, t.coflow(), 1).unwrap());
+        // Rarely duplicate an ingress onto another egress, or list a pair
+        // twice: structural PortMatchedTwice candidates that force the
+        // slot-wise fallback.
+        if let Some(t) = transfers.first().copied() {
+            match rng.below(16) {
+                0 if m >= 3 => {
+                    transfers.push(Transfer::new(t.src(), (t.dst() + 1) % m, t.coflow()).unwrap())
+                }
+                1 => transfers.push(Transfer::new(t.src(), t.dst(), (t.coflow() + 1) % n).unwrap()),
+                _ => {}
             }
         }
         trace.push_run(Run {
@@ -197,15 +192,13 @@ fn busy_slots(trace: &ScheduleTrace) -> Vec<SlotMoves> {
     slots
 }
 
-/// Asserts that an executed trace is run-length: every run delivers, each
-/// transfer moves one unit in every slot of its run, no port repeats
-/// within a run, and no two adjacent runs could merge.
+/// Asserts that an executed trace is run-length: every run delivers, no
+/// port repeats within a run, and no two adjacent runs could merge.
 fn assert_runlength(trace: &ScheduleTrace) {
     for run in &trace.runs {
         assert!(!run.transfers.is_empty(), "run at {} is idle", run.start);
         let (mut src, mut dst) = (vec![false; trace.m], vec![false; trace.m]);
         for t in run.transfers.iter() {
-            assert_eq!(t.units, run.duration, "run at {}: {:?}", run.start, t);
             assert!(
                 !src[t.src()] && !dst[t.dst()],
                 "run at {}: port reused",
@@ -280,7 +273,8 @@ fn stepped_trace(sim: &mut FaultSim, trace: &ScheduleTrace) -> Stepped {
             if run.start > sim.now() + 1 {
                 sim.advance_to(run.start - 1);
             }
-            for moves in run.slot_moves() {
+            let moves = moves_of(run);
+            for _ in 0..run.duration {
                 if !stepped.step(sim, &moves) {
                     return stepped;
                 }
@@ -651,7 +645,7 @@ proptest! {
             .collect();
         split.executed = ScheduleTrace::new(m);
         merged.executed.for_each_slot(|slot, moves| {
-            let transfers = moves.iter().map(|&(i, j, k)| Transfer::new(i, j, k, 1).unwrap());
+            let transfers = moves.iter().map(|&(i, j, k)| Transfer::new(i, j, k).unwrap());
             split.executed.push_run(Run {
                 start: slot,
                 duration: 1,
@@ -666,63 +660,44 @@ proptest! {
         prop_assert_eq!(from_split.capture(), from_merged.capture());
     }
 
-    /// The reused-buffer slot expansion visits exactly the slots and moves
-    /// that the allocating `slot_moves` reference produces.
-    #[test]
-    fn for_each_slot_matches_slot_moves(
-        m in 2usize..5,
-        n in 1usize..5,
-        nruns in 1usize..6,
-        seed in 0u64..1 << 32,
-    ) {
-        let (trace, _, _) = build_case(m, n, nruns, seed);
-        let mut expected: Vec<SlotMoves> = Vec::new();
-        for run in &trace.runs {
-            for (o, moves) in run.slot_moves().iter().enumerate() {
-                expected.push((run.start + o as u64, moves.clone()));
-            }
-        }
-        let mut seen: Vec<SlotMoves> = Vec::new();
-        trace.for_each_slot(|slot, moves| seen.push((slot, moves.to_vec())));
-        prop_assert_eq!(seen, expected);
-    }
-
 }
 
-/// A run booking 3 units on one pair in 1 slot, after a valid 1-slot run,
-/// is refused on both paths before any of its slots executes — whether
-/// its ids are valid, its coflow is unknown, or its ingress is off the
-/// fabric.
+/// A run that lists a pair twice, or shares an ingress between two pairs,
+/// after a valid 1-slot run, is refused on both paths in its first slot:
+/// both transfers move a unit in every slot of the run.
 #[test]
-fn overbooked_runs_are_refused_on_both_paths() {
-    let demands = [Demand::from_flows(2, [(0, 1, 3)]).unwrap()];
-    for (src, dst, coflow) in [(0, 1, 0), (0, 1, 1), (2, 1, 0)] {
+fn a_run_that_is_not_a_matching_is_refused_on_both_paths() {
+    let demands = [
+        Demand::from_flows(2, [(0, 1, 3), (0, 0, 1)]).unwrap(),
+        Demand::from_flows(2, [(0, 1, 1)]).unwrap(),
+    ];
+    for (dst, coflow) in [(1, 1), (0, 0)] {
         let mut trace = ScheduleTrace::new(2);
         trace.push_run(Run {
             start: 1,
             duration: 1,
-            transfers: Box::new([Transfer::new(0, 1, 0, 1).unwrap()]),
+            transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
         });
         trace.push_run(Run {
             start: 2,
-            duration: 1,
-            transfers: Box::new([Transfer::new(src, dst, coflow, 3).unwrap()]),
+            duration: 2,
+            transfers: Box::new([
+                Transfer::new(0, 1, 0).unwrap(),
+                Transfer::new(0, dst, coflow).unwrap(),
+            ]),
         });
-        let mut a = FaultSim::new(2, &demands, &[0], FaultPlan::default());
+        let mut a = FaultSim::new(2, &demands, &[0, 0], FaultPlan::default());
         let mut b = a.clone();
         assert!(!step_both(&mut a, &mut b, &trace, None));
         let (err, _) = counted(|| a.execute_trace(&trace, None));
         assert_eq!(
             err.unwrap_err(),
-            SimError::PairOverCapacity {
-                start: 2,
-                src,
-                dst,
-                units: 3,
-                capacity: 1
+            SimError::PortMatchedTwice {
+                slot: 2,
+                port: 0,
+                ingress: true
             }
         );
-        assert_eq!((a.now(), a.remaining_total(0)), (1, 2));
     }
 }
 
@@ -736,7 +711,7 @@ fn slots_at_or_before_the_clock_count_as_done() {
     trace.push_run(Run {
         start: 2,
         duration: 3,
-        transfers: Box::new([Transfer::new(0, 1, 0, 3).unwrap()]),
+        transfers: Box::new([Transfer::new(0, 1, 0).unwrap()]),
     });
     let mut a = FaultSim::new(2, &demands, &[0], FaultPlan::default());
     a.advance_to(3);
@@ -747,39 +722,43 @@ fn slots_at_or_before_the_clock_count_as_done() {
     assert_eq!(busy_slots(&executed), vec![(4, vec![(0, 1, 0)])]);
 }
 
-/// A captured executed run that books more units on a pair than it lasts,
+/// A captured executed run that lasts zero slots, is not a matching,
 /// overlaps the run before it or ends after the clock is refused instead
-/// of replayed short or overlapped by the next recorded slot.
+/// of recorded as a run no executor writes.
 #[test]
-fn from_state_refuses_overbooked_and_overlapping_runs() {
-    let demands = [Demand::from_flows(2, [(0, 1, 3)]).unwrap()];
+fn from_state_refuses_runs_no_executor_writes() {
+    let demands = [Demand::from_flows(2, [(0, 1, 3), (0, 0, 1), (1, 1, 1)]).unwrap()];
     let mut sim = FaultSim::new(2, &demands, &[0], FaultPlan::default());
     sim.advance_to(4);
-    let run = |start: u64, duration: u64, units: u64| Run {
+    let run = |start: u64, duration: u64, pairs: &[(usize, usize)]| Run {
         start,
         duration,
-        transfers: Box::new([Transfer::new(0, 1, 0, units).unwrap()]),
+        transfers: pairs
+            .iter()
+            .map(|&(i, j)| Transfer::new(i, j, 0).unwrap())
+            .collect(),
     };
+    let refusal = |runs: Vec<Run>| {
+        let mut state = sim.capture();
+        state.executed.runs = runs;
+        FaultSim::from_state(state).unwrap_err().message
+    };
+    let err = refusal(vec![run(1, 0, &[(0, 1)])]);
+    assert!(err.contains("run at 1 lasts zero slots"), "{}", err);
+    let err = refusal(vec![run(1, 1, &[(0, 1), (0, 0)])]);
+    assert!(err.contains("run at 1 uses ingress 0 twice"), "{}", err);
+    let err = refusal(vec![run(2, 1, &[(0, 1), (1, 1)])]);
+    assert!(err.contains("run at 2 uses egress 1 twice"), "{}", err);
+    let err = refusal(vec![run(3, 1, &[(0, 1), (0, 1)])]);
+    assert!(err.contains("run at 3 uses ingress 0 twice"), "{}", err);
+    let err = refusal(vec![run(1, 2, &[(0, 1)]), run(2, 1, &[(0, 1)])]);
+    assert!(err.contains("run at 2 starts before"), "{}", err);
+    let err = refusal(vec![run(4, 2, &[(0, 1)])]);
+    assert!(err.contains("run at 4 ends after the clock (4)"), "{}", err);
     let mut state = sim.capture();
-    state.executed.runs = vec![run(1, 1, 2)];
-    let err = FaultSim::from_state(state).unwrap_err();
-    assert!(err.message.contains("books 2 units on (0, 1)"), "{}", err);
-    let mut state = sim.capture();
-    state.executed.runs = vec![run(1, 2, 2), run(2, 1, 1)];
-    let err = FaultSim::from_state(state).unwrap_err();
-    assert!(err.message.contains("run at 2 starts before"), "{}", err);
-    let mut state = sim.capture();
-    state.executed.runs = vec![run(4, 2, 2)];
-    let err = FaultSim::from_state(state).unwrap_err();
-    assert!(
-        err.message.contains("run at 4 ends after the clock (4)"),
-        "{}",
-        err
-    );
-    let mut state = sim.capture();
-    state.executed.runs = vec![run(3, 2, 2)];
+    state.executed.runs = vec![run(1, 1, &[(0, 0), (1, 1)]), run(3, 2, &[(0, 1)])];
     assert!(
         FaultSim::from_state(state).is_ok(),
-        "a run ending at the clock"
+        "matchings, the last ending at the clock"
     );
 }

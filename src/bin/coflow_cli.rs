@@ -355,13 +355,12 @@ fn main() {
         let a = analyze(&instance, &outcome);
         eprintln!(
             "mean slowdown {:.2} (weighted {:.2}), worst {:.2} on coflow {}, \
-             utilization {:.2}, idle pair-slots {}",
+             utilization {:.2}",
             a.mean_slowdown,
             a.weighted_mean_slowdown,
             a.max_slowdown.0,
             a.max_slowdown.1,
-            a.fabric_utilization,
-            a.idle_pair_slots
+            a.fabric_utilization
         );
     }
 

@@ -77,7 +77,7 @@ impl Policy for FullHorizon {
         for run in &mut trace.runs {
             for t in run.transfers.iter_mut() {
                 let k = residual_to_orig[t.coflow()];
-                *t = Transfer::new(t.src(), t.dst(), k, t.units).expect("ids fit in u32");
+                *t = Transfer::new(t.src(), t.dst(), k).expect("ids fit in u32");
             }
         }
         Ok(Decision::Execute(trace))
